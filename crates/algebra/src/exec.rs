@@ -17,12 +17,13 @@
 //! `Cell`-based probe through the same code.
 
 use crate::error::ExecResult;
+use crate::fused::Engine;
 use crate::logical::{JoinKind, Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{self, Env, Value};
-use monoid_store::{Database, Snapshot};
+use monoid_store::Snapshot;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -113,25 +114,9 @@ fn timed_eval<P: Probe, R>(
     }
 }
 
-/// Take the heap out of `db`, run `f` with a fresh evaluator over it, and
-/// put the (possibly mutated) heap back — the single shared shape of every
-/// execution entry point. `params` are late-bound `$name` values layered
-/// over the persistent roots; their `$`-prefixed symbols can never shadow
-/// a root or a query variable.
-fn with_evaluator<R>(
-    db: &mut Database,
-    params: &[(Symbol, Value)],
-    f: impl FnOnce(&mut Evaluator, &Env) -> ExecResult<R>,
-) -> ExecResult<R> {
-    let env = bind_params(db.env(), params);
-    let heap = std::mem::take(db.heap_mut());
-    let mut ev = Evaluator::with_heap(heap);
-    let result = f(&mut ev, &env);
-    *db.heap_mut() = ev.heap;
-    result
-}
-
-/// Layer parameter bindings over an environment.
+/// Layer parameter bindings over an environment. `params` are late-bound
+/// `$name` values; their `$`-prefixed symbols can never shadow a root or a
+/// query variable.
 pub(crate) fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
     for (p, v) in params {
         env = env.bind(*p, v.clone());
@@ -141,172 +126,108 @@ pub(crate) fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
 
 /// Re-check the plan invariants (`crate::verify`) when stage verification
 /// is on; a violation aborts execution with the stage-tagged message.
-fn verify_if_enabled(query: &Query, db: &Database) -> ExecResult<()> {
+pub(crate) fn verify_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()> {
     if monoid_calculus::analysis::verify_enabled() {
-        crate::verify::verify_query(query, db)
+        crate::verify::verify_query(query, snap)
             .map_err(|e| EvalError::Other(e.to_string()))?;
     }
     Ok(())
 }
 
-/// Run a query against a database, returning the reduced value.
-pub fn execute(query: &Query, db: &mut Database) -> ExecResult<Value> {
-    execute_bound(query, db, &[])
+/// Which engines a run may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EnginePolicy {
+    /// The fused fold when the chain compiles and the probe does not
+    /// count rows; the plan walk otherwise.
+    Auto,
+    /// Always the plan walk — the reference engine.
+    PlanWalk,
 }
 
-/// [`execute`] with late-bound parameter values (prepared statements):
-/// each `(symbol, value)` pair is bound into the root environment before
-/// the plan runs, so `Expr::Param` leaves resolve per execution.
+/// What one sequential run produced.
+pub(crate) struct Run {
+    pub value: Value,
+    /// Evaluator steps consumed (the plan walk's cost proxy).
+    pub steps: u64,
+    /// The engine that actually ran.
+    pub engine: Engine,
+}
+
+/// The one sequential driver behind every `execute*` entry point. A plan
+/// is a pure read (the planner refuses `new`/`:=`, and
+/// [`crate::verify`] re-checks it), so it runs against an immutable
+/// [`Snapshot`]: the evaluator gets an O(1) copy-on-write clone of the
+/// pinned heap, discarded afterwards. `params` are bound into the root
+/// environment before the plan runs, so `Expr::Param` leaves resolve per
+/// execution. The engine that ran and the result's row count are noted
+/// on the flight recorder's active record, if any.
+pub(crate) fn run<P: Probe>(
+    query: &Query,
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
+    policy: EnginePolicy,
+    probe: &P,
+) -> ExecResult<Run> {
+    verify_if_enabled(query, snap)?;
+    let env = bind_params(snap.env(), params);
+    let mut ev = Evaluator::with_heap(snap.heap().clone());
+    // A fused run is one flat fold with no per-operator row attribution
+    // to feed a counting probe's hooks.
+    let fused = if policy == EnginePolicy::Auto && !P::COUNTS {
+        crate::fused::try_run_reduce(query, &mut ev, &env)?
+    } else {
+        None
+    };
+    let (value, engine) = match fused {
+        Some(v) => (v, Engine::Fused),
+        None => (run_reduce(query, &mut ev, &env, probe)?, Engine::PlanWalk),
+    };
+    monoid_calculus::recorder::note_engine(engine.as_str());
+    monoid_calculus::recorder::note_result(&value);
+    Ok(Run { value, steps: ev.steps_used(), engine })
+}
+
+/// Run a query against a [`Snapshot`] (a `&Database` or `&mut Database`
+/// derefs to its current one), returning the reduced value. Any number
+/// of threads may call this against clones of the same snapshot while a
+/// writer keeps committing new epochs; the result is what a quiet
+/// single-threaded run at the snapshot's epoch returns, byte for byte
+/// (property-tested in `tests/concurrent_reads.rs`).
+pub fn execute(query: &Query, snap: &Snapshot) -> ExecResult<Value> {
+    execute_snapshot_bound(query, snap, &[])
+}
+
+/// [`execute`] with late-bound parameter values (prepared statements).
 ///
 /// Linear scan → filter → bind → unnest chains run on the fused batch
-/// engine ([`crate::fused`]); everything else walks the plan tree. The
-/// engine that actually ran is noted on the flight recorder's active
-/// record.
-pub fn execute_bound(
+/// engine ([`crate::fused`]); everything else walks the plan tree.
+pub fn execute_snapshot_bound(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    verify_if_enabled(query, db)?;
-    let result = with_evaluator(db, params, |ev, env| {
-        if let Some(v) = crate::fused::try_run_reduce(query, ev, env)? {
-            monoid_calculus::recorder::note_engine(crate::fused::Engine::Fused.as_str());
-            return Ok(v);
-        }
-        monoid_calculus::recorder::note_engine(crate::fused::Engine::PlanWalk.as_str());
-        run_reduce(query, ev, env, &NoProbe)
-    });
-    if let Ok(v) = &result {
-        monoid_calculus::recorder::note_result(v);
-    }
-    result
+    run(query, snap, params, EnginePolicy::Auto, &NoProbe).map(|r| r.value)
 }
 
 /// Run a query while *forcing* the plan-walk interpreter, even for
 /// queries the fused engine covers — the ablation baseline `regress`
 /// measures the fused speedup against, and the reference side of the
 /// differential fused ≡ plan-walk equivalence tests.
-pub fn execute_plan_walk(query: &Query, db: &mut Database) -> ExecResult<Value> {
-    execute_plan_walk_bound(query, db, &[])
-}
-
-/// [`execute_plan_walk`] with late-bound parameter values.
 pub fn execute_plan_walk_bound(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    verify_if_enabled(query, db)?;
-    with_evaluator(db, params, |ev, env| run_reduce(query, ev, env, &NoProbe))
+    run(query, snap, params, EnginePolicy::PlanWalk, &NoProbe).map(|r| r.value)
 }
 
-/// Try the fused engine alone: `Ok(None)` when the query is outside the
-/// fusible subset, leaving the caller to pick (and report) its own
-/// fallback. Used by the parallel driver's sequential-fallback leg, which
-/// must keep its probe-based plan walk for metered runs.
-pub(crate) fn try_execute_fused_bound(
-    query: &Query,
-    db: &mut Database,
-    params: &[(Symbol, Value)],
-) -> ExecResult<Option<Value>> {
-    with_evaluator(db, params, |ev, env| crate::fused::try_run_reduce(query, ev, env))
-}
-
-/// Run a query and report evaluation steps (cost proxy for benchmarks).
-pub fn execute_counted(query: &Query, db: &mut Database) -> ExecResult<(Value, u64)> {
-    execute_counted_bound(query, db, &[])
-}
-
-/// [`execute_counted`] with late-bound parameter values.
+/// Walk the plan and report evaluation steps (cost proxy for benchmarks).
 pub fn execute_counted_bound(
     query: &Query,
-    db: &mut Database,
-    params: &[(Symbol, Value)],
-) -> ExecResult<(Value, u64)> {
-    verify_if_enabled(query, db)?;
-    with_evaluator(db, params, |ev, env| {
-        let v = run_reduce(query, ev, env, &NoProbe)?;
-        Ok((v, ev.steps_used()))
-    })
-}
-
-/// The snapshot twin of [`with_evaluator`]: build the evaluator over an
-/// O(1) copy-on-write clone of the snapshot's pinned heap. The clone is
-/// discarded afterwards, so even if a plan expression somehow allocated,
-/// nothing would leak back into shared state — the snapshot stays
-/// bit-for-bit what it was.
-fn with_snapshot_evaluator<R>(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
-    f: impl FnOnce(&mut Evaluator, &Env) -> ExecResult<R>,
-) -> ExecResult<R> {
-    let env = bind_params(snap.env(), params);
-    let mut ev = Evaluator::with_heap(snap.heap().clone());
-    f(&mut ev, &env)
-}
-
-/// [`verify_if_enabled`] for snapshot reads: index freshness is checked
-/// against the snapshot's *pinned* epoch, not the live database's — a
-/// plan whose indexes match the pinned state is valid no matter how far
-/// the writer has advanced since.
-fn verify_snapshot_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()> {
-    if monoid_calculus::analysis::verify_enabled() {
-        crate::verify::verify_query_at(query, snap.epoch())
-            .map_err(|e| EvalError::Other(e.to_string()))?;
-    }
-    Ok(())
-}
-
-/// Run a query against an immutable [`Snapshot`] — the concurrent-read
-/// entry point. Any number of threads may call this against clones of the
-/// same snapshot while a writer keeps committing new epochs; the result
-/// is byte-identical to [`execute`] against the database at the
-/// snapshot's epoch (property-tested in `tests/concurrent_reads.rs`).
-pub fn execute_snapshot(query: &Query, snap: &Snapshot) -> ExecResult<Value> {
-    execute_snapshot_bound(query, snap, &[])
-}
-
-/// [`execute_snapshot`] with late-bound parameter values. Routes through
-/// the fused batch engine exactly like [`execute_bound`], falling back to
-/// the plan walk, and notes the chosen engine on the flight recorder.
-pub fn execute_snapshot_bound(
-    query: &Query,
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-) -> ExecResult<Value> {
-    verify_snapshot_if_enabled(query, snap)?;
-    let result = with_snapshot_evaluator(snap, params, |ev, env| {
-        if let Some(v) = crate::fused::try_run_reduce(query, ev, env)? {
-            monoid_calculus::recorder::note_engine(crate::fused::Engine::Fused.as_str());
-            return Ok(v);
-        }
-        monoid_calculus::recorder::note_engine(crate::fused::Engine::PlanWalk.as_str());
-        run_reduce(query, ev, env, &NoProbe)
-    });
-    if let Ok(v) = &result {
-        monoid_calculus::recorder::note_result(v);
-    }
-    result
-}
-
-/// Run a query with a caller-supplied probe and late-bound parameter
-/// values; also reports evaluation steps. This is the entry the profiler
-/// in [`crate::trace`] and the metered executors use.
-pub(crate) fn execute_probed_bound<P: Probe>(
-    query: &Query,
-    db: &mut Database,
-    params: &[(Symbol, Value)],
-    probe: &P,
 ) -> ExecResult<(Value, u64)> {
-    verify_if_enabled(query, db)?;
-    let result = with_evaluator(db, params, |ev, env| {
-        let v = run_reduce(query, ev, env, probe)?;
-        Ok((v, ev.steps_used()))
-    });
-    if let Ok((v, _)) = &result {
-        monoid_calculus::recorder::note_result(v);
-    }
-    result
+    run(query, snap, params, EnginePolicy::PlanWalk, &NoProbe).map(|r| (r.value, r.steps))
 }
 
 fn run_reduce<P: Probe>(
@@ -523,6 +444,7 @@ mod tests {
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
     use monoid_store::travel::{self, TravelScale};
+    use monoid_store::Database;
 
     fn db() -> Database {
         travel::generate(TravelScale::tiny(), 42)
@@ -548,7 +470,7 @@ mod tests {
         let q = portland();
         let direct = db.query(&q).unwrap();
         let plan = plan_comprehension(&q).unwrap();
-        let piped = execute(&plan, &mut db).unwrap();
+        let piped = execute(&plan, &db).unwrap();
         assert_eq!(direct, piped);
     }
 
@@ -557,7 +479,7 @@ mod tests {
         // bag{ (e.name, h.name) | e ← Employees, h ← Hotels,
         //                         e.salary = h.name … } is nonsense; use a
         // self-join on bed#: pairs of hotels with same first-room price.
-        let mut db = db();
+        let db = db();
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
@@ -579,8 +501,8 @@ mod tests {
         )
         .unwrap();
         assert!(!nl.plan.uses_hash_join());
-        let (vh, sh) = execute_counted(&hash, &mut db).unwrap();
-        let (vn, sn) = execute_counted(&nl, &mut db).unwrap();
+        let (vh, sh) = execute_counted_bound(&hash, &db, &[]).unwrap();
+        let (vn, sn) = execute_counted_bound(&nl, &db, &[]).unwrap();
         assert_eq!(vh, vn);
         // Self-join on a key: hash join does strictly less work.
         assert!(sh < sn, "hash {sh} vs nested-loop {sn}");
@@ -590,14 +512,14 @@ mod tests {
 
     #[test]
     fn short_circuits_some() {
-        let mut db = db();
+        let db = db();
         let q = Expr::comp(
             Monoid::Some,
             Expr::bool(true),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, steps) = execute_counted(&plan, &mut db).unwrap();
+        let (v, steps) = execute_counted_bound(&plan, &db, &[]).unwrap();
         assert_eq!(v, Value::Bool(true));
         // Must stop after the first hotel, not scan all of them.
         assert!(steps < 50, "did not short-circuit: {steps} steps");
@@ -605,7 +527,7 @@ mod tests {
 
     #[test]
     fn cross_product_when_no_condition() {
-        let mut db = db();
+        let db = db();
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
@@ -615,7 +537,7 @@ mod tests {
             ],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let v = execute(&plan, &mut db).unwrap();
+        let v = execute(&plan, &db).unwrap();
         let scale = TravelScale::tiny();
         assert_eq!(v, Value::Int((scale.cities * scale.clients) as i64));
     }
@@ -625,9 +547,9 @@ mod tests {
         let mut db = db();
         let q = portland();
         let plan = plan_comprehension(&q).unwrap();
-        let live = execute(&plan, &mut db).unwrap();
+        let live = execute(&plan, &db).unwrap();
         let snap = db.snapshot();
-        assert_eq!(execute_snapshot(&plan, &snap).unwrap(), live);
+        assert_eq!(execute(&plan, &snap).unwrap(), live);
 
         // The snapshot keeps answering from its pinned epoch even after
         // the writer rewrites every hotel. Rooms are plain records with
@@ -653,13 +575,13 @@ mod tests {
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         db.query(&update).unwrap();
-        assert_eq!(execute_snapshot(&plan, &snap).unwrap(), live);
-        assert_ne!(execute(&plan, &mut db).unwrap(), live);
+        assert_eq!(execute(&plan, &snap).unwrap(), live);
+        assert_ne!(execute(&plan, &db).unwrap(), live);
     }
 
     #[test]
     fn binds_execute() {
-        let mut db = db();
+        let db = db();
         let q = Expr::Comp {
             monoid: Monoid::Sum,
             head: Box::new(Expr::var("two")),
@@ -671,7 +593,7 @@ mod tests {
             ],
         };
         let plan = plan_comprehension(&q).unwrap();
-        let v = execute(&plan, &mut db).unwrap();
+        let v = execute(&plan, &db).unwrap();
         assert_eq!(v, Value::Int(2 * TravelScale::tiny().cities as i64));
     }
 }

@@ -7,7 +7,7 @@
 //! pipelines into index lookups.
 //!
 //! Indexes are immutable snapshots of the database at build time, stamped
-//! with the database's [mutation epoch](Database::mutation_epoch). The
+//! with the database's [mutation epoch](Snapshot::epoch). The
 //! rewrite pass refuses a stale index — a lookup built before the last
 //! update would silently answer from old data — and either skips it
 //! ([`apply_indexes`]) or rebuilds it in place
@@ -20,7 +20,7 @@ use monoid_calculus::expr::{BinOp, Expr};
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
-use monoid_store::Database;
+use monoid_store::Snapshot;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -36,7 +36,7 @@ pub struct Index {
 }
 
 impl Index {
-    /// The [mutation epoch](Database::mutation_epoch) this index was built
+    /// The [mutation epoch](Snapshot::epoch) this index was built
     /// at; it answers correctly only while the database still reports the
     /// same epoch.
     pub fn built_at_epoch(&self) -> u64 {
@@ -44,8 +44,8 @@ impl Index {
     }
 
     /// Is this snapshot still consistent with `db`?
-    pub fn is_fresh(&self, db: &Database) -> bool {
-        self.epoch == db.mutation_epoch()
+    pub fn is_fresh(&self, db: &Snapshot) -> bool {
+        self.epoch == db.epoch()
     }
     /// All members whose field equals `key`.
     pub fn lookup(&self, key: &Value) -> &[Value] {
@@ -81,7 +81,7 @@ impl IndexCatalog {
     /// Build (or rebuild) an index on `extent`.`field`.
     pub fn build(
         &mut self,
-        db: &Database,
+        db: &Snapshot,
         extent: impl Into<Symbol>,
         field: impl Into<Symbol>,
     ) -> ExecResult<()> {
@@ -110,14 +110,14 @@ impl IndexCatalog {
         }
         self.indexes.insert(
             (extent, field),
-            Arc::new(Index { extent, field, entries, len, epoch: db.mutation_epoch() }),
+            Arc::new(Index { extent, field, entries, len, epoch: db.epoch() }),
         );
         Ok(())
     }
 
     /// Rebuild every index whose snapshot epoch no longer matches `db`.
     /// Returns how many were rebuilt.
-    pub fn rebuild_stale(&mut self, db: &Database) -> ExecResult<usize> {
+    pub fn rebuild_stale(&mut self, db: &Snapshot) -> ExecResult<usize> {
         let stale: Vec<(Symbol, Symbol)> = self
             .indexes
             .values()
@@ -146,12 +146,12 @@ impl IndexCatalog {
 /// Rewrite `Filter(var.field = key) ∘ Scan(var ← Extent)` into an index
 /// lookup wherever the catalog has a matching **fresh** index and the key
 /// expression is independent of the scan variable. Indexes whose snapshot
-/// epoch trails `db.mutation_epoch()` are refused — the filter pipeline
+/// epoch trails `db.epoch()` are refused — the filter pipeline
 /// stays as-is rather than answering from stale data. Returns the
 /// rewritten query and how many lookups were introduced.
-pub fn apply_indexes(query: &Query, catalog: &IndexCatalog, db: &Database) -> (Query, usize) {
+pub fn apply_indexes(query: &Query, catalog: &IndexCatalog, db: &Snapshot) -> (Query, usize) {
     let mut count = 0;
-    let epoch = db.mutation_epoch();
+    let epoch = db.epoch();
     let plan = rewrite(&query.plan, catalog, epoch, &mut count);
     // Recompute the static effect classification: the rewrite replaces
     // filter+scan pipelines with index lookups, which can only shrink the
@@ -168,7 +168,7 @@ pub fn apply_indexes(query: &Query, catalog: &IndexCatalog, db: &Database) -> (Q
 pub fn apply_indexes_rebuilding(
     query: &Query,
     catalog: &mut IndexCatalog,
-    db: &Database,
+    db: &Snapshot,
 ) -> ExecResult<(Query, usize)> {
     catalog.rebuild_stale(db)?;
     Ok(apply_indexes(query, catalog, db))
@@ -273,7 +273,7 @@ mod tests {
 
     #[test]
     fn optimizer_introduces_index_lookup() {
-        let mut db = travel::generate(TravelScale::tiny(), 5);
+        let db = travel::generate(TravelScale::tiny(), 5);
         let mut cat = IndexCatalog::new();
         cat.build(&db, "Cities", "name").unwrap();
         let q = plan_comprehension(&portland_query()).unwrap();
@@ -281,20 +281,20 @@ mod tests {
         assert_eq!(hits, 1);
         assert!(format!("{:?}", indexed.plan).contains("IndexLookup"));
         // Results agree with the unindexed plan.
-        let plain = execute(&q, &mut db).unwrap();
-        let fast = execute(&indexed, &mut db).unwrap();
+        let plain = execute(&q, &db).unwrap();
+        let fast = execute(&indexed, &db).unwrap();
         assert_eq!(plain, fast);
     }
 
     #[test]
     fn index_scan_does_less_work() {
-        let mut db = travel::generate(TravelScale::with_hotels(400), 5);
+        let db = travel::generate(TravelScale::with_hotels(400), 5);
         let mut cat = IndexCatalog::new();
         cat.build(&db, "Cities", "name").unwrap();
         let q = plan_comprehension(&portland_query()).unwrap();
         let (indexed, _) = apply_indexes(&q, &cat, &db);
-        let (v1, plain_steps) = crate::exec::execute_counted(&q, &mut db).unwrap();
-        let (v2, index_steps) = crate::exec::execute_counted(&indexed, &mut db).unwrap();
+        let (v1, plain_steps) = crate::exec::execute_counted_bound(&q, &db, &[]).unwrap();
+        let (v2, index_steps) = crate::exec::execute_counted_bound(&indexed, &db, &[]).unwrap();
         assert_eq!(v1, v2);
         assert!(
             index_steps * 4 < plain_steps,

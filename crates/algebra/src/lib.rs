@@ -18,8 +18,7 @@
 //!   plan walk, which remains the fallback for everything else.
 //! * [`parallel`] — ordered partitioned parallel reduction: partials merge
 //!   in partition order, so associativity alone makes every monoid —
-//!   including lists, strings, and sorted collections — parallelizable;
-//!   worker-allocated objects are reconciled back into the shared heap.
+//!   including lists, strings, and sorted collections — parallelizable.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
@@ -35,13 +34,23 @@
 //!   cumulative per-operator-kind row/build/short-circuit counters into
 //!   the process-wide registry (`monoid_calculus::metrics`).
 //! * [`verify`] — plan invariant verifier: binder consistency, build-table
-//!   shape, index snapshot freshness, and mutation-freedom, re-checked
-//!   before every execution when stage verification is on
-//!   (`MONOID_VERIFY=1`, or any debug build).
+//!   shape, index snapshot freshness, and purity (no `:=`, no `new`, head
+//!   included), re-checked before every execution when stage
+//!   verification is on (`MONOID_VERIFY=1`, or any debug build).
 //!
 //! Typical flow: `compile` OQL → `normalize` → [`logical::plan_comprehension`]
 //! → [`exec::execute`] (or [`trace::explain_analyze`] to see where rows
 //! and time go).
+//!
+//! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
+//! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
+//! `Query` ever writes the heap; every entry point here — sequential,
+//! plan-walk, counted, metered, profiled, parallel — therefore takes
+//! `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
+//! one) and funnels into one private driver in [`exec`]. Update programs
+//! run on the calculus evaluator through `Database::query`, the paper's
+//! §4.2 state-transformer path. The `*_bound` functions take late-bound
+//! `$param` values; pass `&[]` when there are none.
 
 pub mod error;
 pub mod exec;
@@ -57,14 +66,11 @@ pub mod verify;
 
 pub use error::PlanError;
 pub use exec::{
-    execute, execute_bound, execute_counted, execute_counted_bound, execute_plan_walk,
-    execute_plan_walk_bound, execute_snapshot, execute_snapshot_bound, NoProbe, Probe,
+    execute, execute_counted_bound, execute_plan_walk_bound, execute_snapshot_bound, NoProbe,
+    Probe,
 };
 pub use fused::{engine_of, fused_eligible, Engine};
-pub use metrics::{
-    execute_metered, execute_metered_bound, execute_parallel_metered,
-    execute_parallel_metered_bound, MetricsProbe,
-};
+pub use metrics::{execute_metered_bound, execute_parallel_metered_bound, MetricsProbe};
 pub use explain::{explain, explain_with_estimates};
 pub use index::{apply_indexes, apply_indexes_rebuilding, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};
@@ -72,12 +78,10 @@ pub use logical::{
     plan_comprehension, plan_with_options, BuildTable, JoinKind, Plan, PlanOptions, Query,
 };
 pub use parallel::{
-    default_threads, execute_parallel, execute_parallel_auto, execute_parallel_auto_bound,
-    execute_parallel_bound, execute_parallel_traced, execute_parallel_with,
-    execute_parallel_with_bound, min_rows_per_worker, static_fallback, Fallback, ParallelReport,
+    default_threads, execute_parallel_bound, min_rows_per_worker, Fallback, ParallelReport,
 };
 pub use trace::{
-    analyze_with_trace, audit_enabled, execute_profiled, execute_profiled_bound, explain_analyze,
-    fold_stacks, set_audit_enabled, Analysis, OperatorProfile, QueryProfile,
+    analyze_with_trace, audit_enabled, execute_profiled_bound, explain_analyze, fold_stacks,
+    set_audit_enabled, Analysis, OperatorProfile, QueryProfile,
 };
-pub use verify::{verify_query, verify_query_at};
+pub use verify::verify_query;

@@ -197,9 +197,9 @@ pub struct Query {
     pub head: Expr,
     /// Static effect classification of every expression embedded in
     /// `plan`, computed once at plan time ([`Plan::effects`]). The head is
-    /// *not* included: it is re-classified at execution time (it is one
-    /// small expression, and tests swap it post-planning to exercise
-    /// impure reductions).
+    /// *not* included: consumers join it with `effects_of(&head)`. Never
+    /// `mutates` or `allocates` for a planner-produced query
+    /// ([`crate::verify`] re-checks that before execution).
     pub plan_effects: Effects,
 }
 
@@ -371,12 +371,13 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
                 cert.fused
             );
         }
-        let parallel_rt = crate::parallel::static_fallback(&query).is_none();
-        if cert.parallel.is_eligible() != parallel_rt {
+        // Every planned query is pure (`is_pure` above), and the parallel
+        // driver partitions any pure plan — so the certificate must agree.
+        if !cert.parallel.is_eligible() {
             record_failure("infer/engine-parallel");
             panic!(
-                "static parallel certificate ({}) disagrees with the parallel driver \
-                 (eligible={parallel_rt}) for {e:?}",
+                "static parallel certificate ({}) refuses a query the planner accepted \
+                 as pure: {e:?}",
                 cert.parallel
             );
         }

@@ -18,7 +18,7 @@
 //! registry (asserted by `tests/metrics.rs`).
 
 use crate::error::ExecResult;
-use crate::exec::{self, Probe};
+use crate::exec::{self, EnginePolicy, Probe};
 use crate::logical::{Plan, Query};
 use crate::parallel::{self, Fallback, ParallelReport};
 use monoid_calculus::analysis::effects_of;
@@ -26,8 +26,9 @@ use monoid_calculus::metrics::{global, Counter, Histogram};
 use monoid_calculus::pretty::pretty;
 use monoid_calculus::recorder::{self, RecordScope, SlowQueryCapture};
 use monoid_calculus::trace::Phase;
+use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
-use monoid_store::Database;
+use monoid_store::Snapshot;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -69,7 +70,7 @@ fn exec_metrics() -> &'static ExecMetrics {
 /// per-operator-kind counters in the global registry. Construct one per
 /// query with [`MetricsProbe::for_query`] (it needs the plan to map
 /// pre-order operator indexes to kinds), or run straight through
-/// [`execute_metered`].
+/// [`execute_metered_bound`].
 pub struct MetricsProbe {
     /// Pre-order operator index → position in [`KINDS`].
     op_kind: Vec<usize>,
@@ -134,10 +135,9 @@ impl Probe for MetricsProbe {
 struct ParallelMetrics {
     executions: Arc<Counter>,
     workers: Arc<Counter>,
-    fallbacks: [Arc<Counter>; 3],
+    fallbacks: [Arc<Counter>; 2],
     worker_rows: Arc<Histogram>,
     prebuilt_rows: Arc<Counter>,
-    reconciled_objects: Arc<Counter>,
 }
 
 fn parallel_metrics() -> &'static ParallelMetrics {
@@ -147,11 +147,10 @@ fn parallel_metrics() -> &'static ParallelMetrics {
         ParallelMetrics {
             executions: r.counter("parallel_executions_total"),
             workers: r.counter("parallel_workers_total"),
-            fallbacks: [Fallback::SingleThread, Fallback::Mutation, Fallback::TooFewRows]
+            fallbacks: [Fallback::SingleThread, Fallback::TooFewRows]
                 .map(|f| r.counter_with("parallel_fallback_total", &[("reason", f.as_str())])),
             worker_rows: r.histogram("parallel_worker_rows"),
             prebuilt_rows: r.counter("parallel_prebuilt_rows_total"),
-            reconciled_objects: r.counter("parallel_reconciled_objects_total"),
         }
     })
 }
@@ -163,8 +162,7 @@ fn record_parallel(report: &ParallelReport) {
     if let Some(reason) = report.fallback {
         let i = match reason {
             Fallback::SingleThread => 0,
-            Fallback::Mutation => 1,
-            Fallback::TooFewRows => 2,
+            Fallback::TooFewRows => 1,
         };
         m.fallbacks[i].inc();
     }
@@ -172,34 +170,24 @@ fn record_parallel(report: &ParallelReport) {
         m.worker_rows.observe(rows);
     }
     m.prebuilt_rows.add(report.prebuilt_rows);
-    m.reconciled_objects.add(report.reconciled_objects);
 }
 
-/// [`crate::execute_parallel`] with fleet metering: per-operator row and
-/// build counters flow through a shared [`MetricsProbe`] (built from the
-/// rewritten worker plan), and the engine's [`ParallelReport`] lands in
-/// the `parallel_*` family — executions, workers spawned, per-worker row
-/// distribution, prebuilt build rows, reconciled heap objects, and
+/// [`crate::execute_parallel_bound`] with fleet metering: per-operator
+/// row and build counters flow through a shared [`MetricsProbe`] (built
+/// from the rewritten worker plan), and the engine's [`ParallelReport`]
+/// lands in the `parallel_*` family — executions, workers spawned,
+/// per-worker row distribution, prebuilt build rows, and
 /// `parallel_fallback_total{reason=…}` when the query ran sequentially.
-pub fn execute_parallel_metered(
-    query: &Query,
-    db: &mut Database,
-    threads: usize,
-) -> ExecResult<Value> {
-    execute_parallel_metered_bound(query, db, threads, &[])
-}
-
-/// [`execute_parallel_metered`] with late-bound parameter values.
 pub fn execute_parallel_metered_bound(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     threads: usize,
-    params: &[(monoid_calculus::symbol::Symbol, Value)],
+    params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
     let scope = record_scope(query);
     let started = scope.is_some().then(Instant::now);
     let result =
-        parallel::execute_parallel_with_bound(query, db, threads, params, MetricsProbe::for_plan);
+        parallel::execute_parallel_with(query, snap, threads, params, MetricsProbe::for_plan);
     let result = match result {
         Ok((v, report)) => {
             record_parallel(&report);
@@ -256,25 +244,20 @@ fn finish_scope(
     }
 }
 
-/// [`crate::execute`] with fleet metering: rows pushed, build sizes, and
-/// short-circuits land in the global registry, labeled by operator kind,
-/// alongside execution and error counters.
-pub fn execute_metered(query: &Query, db: &mut Database) -> ExecResult<Value> {
-    execute_metered_bound(query, db, &[])
-}
-
-/// [`execute_metered`] with late-bound parameter values.
+/// [`crate::execute_snapshot_bound`] with fleet metering: rows pushed,
+/// build sizes, and short-circuits land in the global registry, labeled
+/// by operator kind, alongside execution and error counters.
 pub fn execute_metered_bound(
     query: &Query,
-    db: &mut Database,
-    params: &[(monoid_calculus::symbol::Symbol, Value)],
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
     let m = exec_metrics();
     m.executions.inc();
     let probe = MetricsProbe::for_query(query);
     let scope = record_scope(query);
     let started = scope.is_some().then(Instant::now);
-    let result = exec::execute_probed_bound(query, db, params, &probe).map(|(v, _)| v);
+    let result = exec::run(query, snap, params, EnginePolicy::Auto, &probe).map(|r| r.value);
     if result.is_err() {
         m.errors.inc();
     }
@@ -312,16 +295,16 @@ mod tests {
 
     #[test]
     fn metered_execution_agrees_with_plain() {
-        let mut db = travel::generate(TravelScale::tiny(), 42);
+        let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![Expr::gen("c", Expr::var("Cities"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let plain = exec::execute(&plan, &mut db).unwrap();
+        let plain = exec::execute(&plan, &db).unwrap();
         let before = global().snapshot();
-        let metered = execute_metered(&plan, &mut db).unwrap();
+        let metered = execute_metered_bound(&plan, &db, &[]).unwrap();
         assert_eq!(plain, metered);
         let d = global().snapshot().diff(&before);
         assert!(d.counter("exec_queries_total") >= 1);
@@ -333,17 +316,17 @@ mod tests {
 
     #[test]
     fn parallel_metering_records_workers_and_fallbacks() {
-        let mut db = travel::generate(TravelScale::tiny(), 42);
+        let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::List,
             Expr::var("h").proj("name"),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let seq = exec::execute(&plan, &mut db).unwrap();
+        let seq = exec::execute(&plan, &db).unwrap();
 
         let before = global().snapshot();
-        let par = execute_parallel_metered(&plan, &mut db, 4).unwrap();
+        let par = execute_parallel_metered_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(seq, par);
         let d = global().snapshot().diff(&before);
         assert!(d.counter("parallel_executions_total") >= 1);
@@ -356,7 +339,7 @@ mod tests {
         // threads = 1 falls back and says why — and the series shows up
         // in the Prometheus exposition.
         let before = global().snapshot();
-        execute_parallel_metered(&plan, &mut db, 1).unwrap();
+        execute_parallel_metered_bound(&plan, &db, 1, &[]).unwrap();
         let d = global().snapshot().diff(&before);
         assert_eq!(
             d.counter_with("parallel_fallback_total", &[("reason", "single-thread")]),

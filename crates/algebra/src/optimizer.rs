@@ -27,7 +27,7 @@ use monoid_calculus::heap::Heap;
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
-use monoid_store::{Database, Snapshot};
+use monoid_store::Snapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Cardinality statistics gathered from a database.
@@ -61,23 +61,21 @@ const CATALOG_DEPTH: usize = 3;
 type SourceMap = HashMap<Symbol, Symbol>;
 
 impl Stats {
-    /// Scan the database once: extent sizes, per-field average fan-outs,
+    /// Scan the store once: extent sizes, per-field average fan-outs,
     /// and the attribute-level catalog (distinct counts, max frequencies,
     /// numeric domains). The gathered stats are stamped with the
-    /// database's `mutation_epoch` so callers can reuse them until the
-    /// next mutation.
-    pub fn gather(db: &Database) -> Stats {
-        let roots: Vec<(Symbol, &Value)> = db.roots().collect();
-        gather_from(db.heap(), &roots, db.mutation_epoch())
-    }
-
-    /// [`Stats::gather`] over an immutable [`Snapshot`] — the same scan,
-    /// stamped with the snapshot's *pinned* epoch, so a serving layer can
-    /// key stats reuse off `(instance_id, epoch)` without holding any
+    /// snapshot's epoch, so a serving layer can key stats reuse off
+    /// `(instance_id, epoch)` until the next mutation without holding any
     /// lock on the live database.
-    pub fn gather_snapshot(snap: &Snapshot) -> Stats {
+    pub fn gather(snap: &Snapshot) -> Stats {
         let roots: Vec<(Symbol, &Value)> = snap.roots().collect();
         gather_from(snap.heap(), &roots, snap.epoch())
+    }
+
+    /// [`Stats::gather`] under the name the frozen `benchmark/` crate
+    /// imports; exists only until the benchmark is re-pinned.
+    pub fn gather_snapshot(snap: &Snapshot) -> Stats {
+        Stats::gather(snap)
     }
 
     /// The attribute-level fact catalog (for the core abstract
@@ -747,7 +745,7 @@ mod tests {
         let base = db.query(&q).unwrap();
         let r = reorder_generators(&q, &stats);
         let plan = crate::logical::plan_comprehension(&r).unwrap();
-        let piped = crate::exec::execute(&plan, &mut db).unwrap();
+        let piped = crate::exec::execute(&plan, &db).unwrap();
         assert_eq!(base, piped);
     }
 }

@@ -11,7 +11,7 @@
 //! idempotent semantics (`set`, `oset`) survive because the ordered merge
 //! (`∪`, `∪̇`) deduplicates across partition boundaries.
 //!
-//! Three extensions take the partitioner beyond a single outer scan:
+//! Two extensions take the partitioner beyond a single outer scan:
 //!
 //! * **Partition points.** The left spine may end in a [`Plan::Scan`] or a
 //!   [`Plan::IndexLookup`]; either one's members are chunked across
@@ -19,20 +19,15 @@
 //! * **Shared build sides.** Hash joins on the spine are pre-materialized
 //!   *once* by the driver into a [`BuildTable`] behind an `Arc`
 //!   ([`Plan::HashProbe`]), instead of every worker rebuilding the same
-//!   table. When the build sub-plan is allocation-free and scan-rooted,
-//!   the materialization itself is also partitioned across workers.
-//! * **Heap reconciliation.** Workers evaluate against cloned heaps; any
-//!   objects they allocate (e.g. a `new(…)` head) are appended back into
-//!   the shared heap on join, in partition order, with every
-//!   worker-created reference remapped by [`value::remap_oids`]. Because
-//!   partitions preserve element order, the reconciled heap assigns the
-//!   same OIDs sequential execution would — results are byte-identical,
-//!   and nothing dangles.
+//!   table. When the build sub-plan is scan-rooted, the materialization
+//!   itself is also partitioned across workers.
 //!
-//! The only fallbacks left are physical, not algebraic: `threads ≤ 1`,
-//! plans containing `:=` (workers would race on shared object state), and
-//! partition sources too small to amortize thread spawn
-//! ([`Fallback::TooFewRows`], governed by [`min_rows_per_worker`]). All
+//! A plan is a pure read (the planner refuses `new`/`:=`;
+//! [`crate::verify`] re-checks it), so the driver and every worker read
+//! one immutable [`Snapshot`]: nothing a worker does needs reconciling on
+//! join. The only fallbacks are physical, not algebraic: `threads ≤ 1`
+//! and partition sources too small to amortize thread spawn
+//! ([`Fallback::TooFewRows`], governed by [`min_rows_per_worker`]). Both
 //! are reported with a reason — see [`ParallelReport`] and the
 //! `parallel_fallback_total{reason}` metric family in [`crate::metrics`].
 //! Workers themselves prefer the fused fold in [`crate::fused`] over the
@@ -40,23 +35,19 @@
 //! meter per-operator rows; [`ParallelReport::fused`] records which
 //! engine the partitions ran.
 //! For absorbing monoids (`some`/`all`) workers share a stop flag so one
-//! worker's absorption short-circuits the rest; if the head also allocates,
-//! the reconciled heap may contain extra (unreferenced) objects that
-//! sequential short-circuiting would have skipped — the reduced value is
-//! unaffected.
+//! worker's absorption short-circuits the rest.
 
 use crate::error::ExecResult;
-use crate::exec::{self, NoProbe, Probe};
+use crate::exec::{self, EnginePolicy, NoProbe, Probe};
+use crate::fused::Engine;
 use crate::logical::{BuildTable, JoinKind, Plan, Query};
-use monoid_calculus::analysis::{effects_of, Effects};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
-use monoid_calculus::heap::Heap;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::value::{self, remap_oids, Env, Value};
-use monoid_store::Database;
+use monoid_calculus::value::{self, Env, Value};
+use monoid_store::Snapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -65,9 +56,6 @@ use std::sync::Arc;
 pub enum Fallback {
     /// `threads ≤ 1`: nothing to fan out.
     SingleThread,
-    /// The head or plan contains `:=`; concurrent workers would race on
-    /// shared object state.
-    Mutation,
     /// The partition source holds fewer than `2 ×` the per-worker row
     /// floor ([`min_rows_per_worker`]): spawning threads would cost more
     /// than the rows they'd process. Parallelism is a pessimization here.
@@ -79,7 +67,6 @@ impl Fallback {
     pub fn as_str(self) -> &'static str {
         match self {
             Fallback::SingleThread => "single-thread",
-            Fallback::Mutation => "mutation",
             Fallback::TooFewRows => "too-few-rows",
         }
     }
@@ -89,8 +76,7 @@ impl Fallback {
 /// driver fans out: the `MONOID_PARALLEL_MIN_ROWS` environment variable
 /// when set to a positive integer, else 2. Sources smaller than twice
 /// this floor run sequentially ([`Fallback::TooFewRows`]) — thread spawn
-/// plus heap clone plus ordered reconciliation dwarfs the per-row work at
-/// that size.
+/// dwarfs the per-row work at that size.
 pub fn min_rows_per_worker() -> usize {
     match std::env::var("MONOID_PARALLEL_MIN_ROWS")
         .ok()
@@ -102,8 +88,8 @@ pub fn min_rows_per_worker() -> usize {
 }
 
 /// What one parallel execution did — workers spawned, rows per worker,
-/// pre-materialized build rows, reconciled allocations, or the fallback
-/// reason if the engine ran sequentially.
+/// pre-materialized build rows, or the fallback reason if the engine ran
+/// sequentially.
 #[derive(Debug, Clone)]
 pub struct ParallelReport {
     /// The thread count the caller asked for.
@@ -118,9 +104,6 @@ pub struct ParallelReport {
     /// Build-side rows the driver materialized once into shared
     /// [`BuildTable`]s.
     pub prebuilt_rows: u64,
-    /// Worker-allocated heap states remapped and appended into the shared
-    /// heap on join.
-    pub reconciled_objects: u64,
     /// Whether the workers ran the fused fold ([`crate::fused`]) instead
     /// of the per-partition plan walk.
     pub fused: bool,
@@ -134,43 +117,15 @@ impl ParallelReport {
             fallback: None,
             worker_rows: Vec::new(),
             prebuilt_rows: 0,
-            reconciled_objects: 0,
             fused: false,
         }
     }
 }
 
-/// Execute `query` with the outermost generator partitioned over
-/// `threads` workers; partials merge in partition order, so every monoid
-/// — ordered or not — agrees byte-for-byte with sequential execution.
-pub fn execute_parallel(query: &Query, db: &mut Database, threads: usize) -> ExecResult<Value> {
-    execute_parallel_traced(query, db, threads).map(|(v, _)| v)
-}
-
-/// [`execute_parallel`] with late-bound parameter values (prepared
-/// statements): bound into the driver's root environment, so every worker
-/// sees them exactly like a persistent root.
-pub fn execute_parallel_bound(
-    query: &Query,
-    db: &mut Database,
-    threads: usize,
-    params: &[(Symbol, Value)],
-) -> ExecResult<Value> {
-    execute_parallel_with_bound(query, db, threads, params, |_| NoProbe).map(|(v, _)| v)
-}
-
-/// [`execute_parallel`], also returning the [`ParallelReport`].
-pub fn execute_parallel_traced(
-    query: &Query,
-    db: &mut Database,
-    threads: usize,
-) -> ExecResult<(Value, ParallelReport)> {
-    execute_parallel_with(query, db, threads, |_| NoProbe)
-}
-
-/// The worker count [`execute_parallel_auto`] uses: the
+/// The worker count to pass when the caller has no opinion: the
 /// `MONOID_PARALLEL_THREADS` environment variable when set to a positive
-/// integer, else the machine's available parallelism.
+/// integer (how CI runs the whole suite under a forced thread count),
+/// else the machine's available parallelism.
 pub fn default_threads() -> usize {
     match std::env::var("MONOID_PARALLEL_THREADS")
         .ok()
@@ -181,19 +136,19 @@ pub fn default_threads() -> usize {
     }
 }
 
-/// [`execute_parallel`] at [`default_threads`] — the env-overridable entry
-/// point CI uses to run the whole suite under a forced thread count.
-pub fn execute_parallel_auto(query: &Query, db: &mut Database) -> ExecResult<Value> {
-    execute_parallel(query, db, default_threads())
-}
-
-/// [`execute_parallel_auto`] with late-bound parameter values.
-pub fn execute_parallel_auto_bound(
+/// Execute `query` with the outermost generator partitioned over
+/// `threads` workers; partials merge in partition order, so every monoid
+/// — ordered or not — agrees byte-for-byte with sequential execution.
+/// `params` are late-bound parameter values, bound into the driver's
+/// root environment so every worker sees them exactly like a persistent
+/// root. Also returns the [`ParallelReport`].
+pub fn execute_parallel_bound(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
+    threads: usize,
     params: &[(Symbol, Value)],
-) -> ExecResult<Value> {
-    execute_parallel_bound(query, db, default_threads(), params)
+) -> ExecResult<(Value, ParallelReport)> {
+    execute_parallel_with(query, snap, threads, params, |_| NoProbe)
 }
 
 /// The generic engine: `make_probe` builds the per-worker probe from the
@@ -201,103 +156,60 @@ pub fn execute_parallel_auto_bound(
 /// original — the partition root becomes a singleton scan and spine joins
 /// become [`Plan::HashProbe`]s). All workers share the one probe, so it
 /// must be `Sync`; on fallback the probe is built from the original plan.
-pub fn execute_parallel_with<P: Probe + Sync>(
-    query: &Query,
-    db: &mut Database,
-    threads: usize,
-    make_probe: impl FnOnce(&Plan) -> P,
-) -> ExecResult<(Value, ParallelReport)> {
-    execute_parallel_with_bound(query, db, threads, &[], make_probe)
-}
-
-/// [`execute_parallel_with`] plus late-bound parameter values layered
-/// over the root environment before partitioning.
 ///
-/// Every parallel entry point funnels here, so this is also where the
+/// Both parallel entry points funnel here, so this is also where the
 /// flight recorder learns what the engine did: workers spawned, the
 /// fallback reason (if any), and the reduced row count land on whatever
 /// [`monoid_calculus::recorder`] scope is open on this thread.
-pub fn execute_parallel_with_bound<P: Probe + Sync>(
+pub(crate) fn execute_parallel_with<P: Probe + Sync>(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     threads: usize,
     params: &[(Symbol, Value)],
     make_probe: impl FnOnce(&Plan) -> P,
 ) -> ExecResult<(Value, ParallelReport)> {
-    let result = execute_parallel_inner(query, db, threads, params, make_probe);
+    let result = execute_parallel_inner(query, snap, threads, params, make_probe);
     if let Ok((value, report)) = &result {
         monoid_calculus::recorder::note_parallel(
             report.workers as u64,
             report.fallback.map(Fallback::as_str),
         );
-        let engine =
-            if report.fused { crate::fused::Engine::Fused } else { crate::fused::Engine::PlanWalk };
+        let engine = if report.fused { Engine::Fused } else { Engine::PlanWalk };
         monoid_calculus::recorder::note_engine(engine.as_str());
         monoid_calculus::recorder::note_result(value);
     }
     result
 }
 
-/// The static half of the engine's fallback decision: the fallback
-/// `query` would take *regardless of thread count*. `Some(Mutation)`
-/// when the head or plan contains `:=`; `None` when the query is
-/// eligible for ordered partitioned reduction. `explain_analyze`
-/// surfaces this so "why did this not parallelize" is answerable from a
-/// profile alone (the runtime leg — actual workers and the
-/// thread-count fallback — lands in the flight recorder).
-pub fn static_fallback(query: &Query) -> Option<Fallback> {
-    let effects = effects_of(&query.head).join(query.plan_effects);
-    effects.mutates.then_some(Fallback::Mutation)
-}
-
 fn execute_parallel_inner<P: Probe + Sync>(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     threads: usize,
     params: &[(Symbol, Value)],
     make_probe: impl FnOnce(&Plan) -> P,
 ) -> ExecResult<(Value, ParallelReport)> {
-    if monoid_calculus::analysis::verify_enabled() {
-        crate::verify::verify_query(query, db).map_err(|e| EvalError::Other(e.to_string()))?;
-    }
     let mut report = ParallelReport::new(threads);
     if threads <= 1 {
-        return run_fallback(query, db, params, make_probe, report, Fallback::SingleThread);
+        return run_fallback(query, snap, params, make_probe, report, Fallback::SingleThread);
     }
-    // Static classification: the planner computed `plan_effects` once at
-    // plan time; only the head — one small expression, swappable by tests
-    // after planning — is re-classified here. The plan is never re-scanned.
-    let effects = effects_of(&query.head).join(query.plan_effects);
-    if monoid_calculus::analysis::verify_enabled() && effects.mutates != query_mutates(query) {
-        monoid_calculus::analysis::record_failure("parallel/effects");
-        panic!("static effect analysis disagrees with the runtime plan scan");
-    }
-    debug_assert_eq!(
-        effects.mutates,
-        query_mutates(query),
-        "static effect analysis disagrees with the runtime plan scan"
-    );
-    if effects.mutates {
-        return run_fallback(query, db, params, make_probe, report, Fallback::Mutation);
-    }
+    exec::verify_if_enabled(query, snap)?;
 
     // Walk the left spine top-down: pre-materialize shared build tables in
     // the same order sequential execution would, and collect the partition
     // point (scan/index-lookup members) at the bottom.
-    let env = exec::bind_params(db.env(), params);
-    let (plan, partition) =
-        prepare(&query.plan, db, &env, threads, query.plan_effects, &mut report)?;
+    let env = exec::bind_params(snap.env(), params);
+    let (plan, partition) = prepare(&query.plan, snap, &env, threads, &mut report)?;
     let PartitionPoint { var, elements } = partition;
     if elements.is_empty() {
         return Ok((value::zero(&query.monoid)?, report));
     }
     // Runtime floor: fanning out fewer than `floor` rows per worker loses
-    // to thread spawn + heap clone + reconciliation. With fewer than two
-    // workers' worth of rows the whole query runs sequentially (and still
-    // gets the fused loop when the probe permits).
+    // to thread spawn. With fewer than two workers' worth of rows the
+    // whole query runs sequentially (and still gets the fused loop when
+    // the probe permits).
     let floor = min_rows_per_worker();
     if elements.len() < 2 * floor {
-        return run_fallback(query, db, params, make_probe, report, Fallback::TooFewRows);
+        return run_fallback(query, snap, params, make_probe, report, Fallback::TooFewRows);
     }
 
     let worker_plan = replace_partition_root(&plan);
@@ -311,64 +223,28 @@ fn execute_parallel_inner<P: Probe + Sync>(
     };
     let stop = AtomicBool::new(false);
     let use_stop = matches!(query.monoid, Monoid::Some | Monoid::All);
+    let stop = use_stop.then_some(&stop);
     let chunk = elements.len().div_ceil(threads).max(floor);
 
-    // Fused workers never allocate or mutate (the compiler declines those
-    // effects), so they share the database heap *by reference* — no
-    // per-worker heap clone, no OID reconciliation on join. Global
-    // resolution is checked once up front; a missing name falls through
-    // to the plan-walk workers, which report it as the plan walk would.
-    if let Some(fq) = &fused {
-        if fq.resolve_globals(&env).is_some() {
-            let heap: &Heap = db.heap();
-            let results = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for part in elements.chunks(chunk) {
-                    let (env, stop) = (&env, &stop);
-                    handles.push(scope.spawn(move || -> ExecResult<(Value, u64)> {
-                        fq.fold_partition(part, heap, env, use_stop.then_some(stop))?
-                            .ok_or_else(|| {
-                                EvalError::Other("fused global resolution raced".into())
-                            })
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().map_err(|_| EvalError::Other("worker panicked".into()))?)
-                    .collect::<ExecResult<Vec<_>>>()
-            })?;
-            report.workers = results.len();
-            report.fused = true;
-            let mut acc = value::zero(&query.monoid)?;
-            for (partial, rows) in results {
-                report.worker_rows.push(rows);
-                acc = value::merge(&query.monoid, &acc, &partial)?;
-            }
-            return Ok((acc, report));
-        }
-    }
-
+    // Global resolution is checked once up front; a missing name falls
+    // through to the plan-walk workers, which report it as the plan walk
+    // would.
+    let fused = fused.filter(|fq| fq.resolve_globals(&env).is_some());
     let probe = make_probe(&worker_plan);
-    let base = db.heap().len();
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for part in elements.chunks(chunk) {
-            let env = env.clone();
-            let heap = db.heap().clone();
-            let (worker_plan, probe, stop) = (&worker_plan, &probe, &stop);
-            handles.push(scope.spawn(move || -> ExecResult<(Value, Heap, u64)> {
-                let mut ev = Evaluator::with_heap(heap);
-                let (partial, rows) = run_partition(
-                    worker_plan,
-                    query,
-                    &mut ev,
-                    &env,
-                    part,
-                    var,
-                    probe,
-                    use_stop.then_some(stop),
-                )?;
-                Ok((partial, ev.heap, rows))
+            let (env, fused, worker_plan, probe) = (&env, &fused, &worker_plan, &probe);
+            handles.push(scope.spawn(move || -> ExecResult<(Value, u64)> {
+                match fused {
+                    Some(fq) => fq.fold_partition(part, snap.heap(), env, stop)?.ok_or_else(
+                        || EvalError::Other("fused global resolution raced".into()),
+                    ),
+                    None => {
+                        let mut ev = Evaluator::with_heap(snap.heap().clone());
+                        run_partition(worker_plan, query, &mut ev, env, part, var, probe, stop)
+                    }
+                }
             }));
         }
         handles
@@ -377,21 +253,12 @@ fn execute_parallel_inner<P: Probe + Sync>(
             .collect::<ExecResult<Vec<_>>>()
     })?;
     report.workers = results.len();
+    report.fused = fused.is_some();
 
-    // Join: reconcile worker heaps into the shared heap and merge partials,
-    // both in partition order. Appending each worker's new states after
-    // `delta` earlier ones reproduces sequential allocation order exactly,
-    // so the remapped references match what sequential execution returns.
+    // Join: merge partials in partition order.
     let mut acc = value::zero(&query.monoid)?;
-    for (partial, worker_heap, rows) in results {
+    for (partial, rows) in results {
         report.worker_rows.push(rows);
-        let heap = db.heap_mut();
-        let delta = (heap.len() - base) as u64;
-        for state in worker_heap.states_from(base) {
-            heap.alloc(remap_oids(state, base as u64, delta));
-            report.reconciled_objects += 1;
-        }
-        let partial = remap_oids(&partial, base as u64, delta);
         acc = value::merge(&query.monoid, &acc, &partial)?;
     }
     Ok((acc, report))
@@ -402,22 +269,16 @@ fn execute_parallel_inner<P: Probe + Sync>(
 /// still goes through the fused fold if the chain compiles.
 fn run_fallback<P: Probe>(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     params: &[(Symbol, Value)],
     make_probe: impl FnOnce(&Plan) -> P,
     mut report: ParallelReport,
     reason: Fallback,
 ) -> ExecResult<(Value, ParallelReport)> {
     report.fallback = Some(reason);
-    if !P::COUNTS {
-        if let Some(v) = exec::try_execute_fused_bound(query, db, params)? {
-            report.fused = true;
-            return Ok((v, report));
-        }
-    }
-    let probe = make_probe(&query.plan);
-    let (v, _) = exec::execute_probed_bound(query, db, params, &probe)?;
-    Ok((v, report))
+    let run = exec::run(query, snap, params, EnginePolicy::Auto, &make_probe(&query.plan))?;
+    report.fused = run.engine == Engine::Fused;
+    Ok((run.value, report))
 }
 
 /// The partitionable generator at the bottom of the left spine: its
@@ -427,48 +288,38 @@ struct PartitionPoint {
     elements: Vec<Value>,
 }
 
-/// Evaluate an expression against the database heap (taken and restored).
-fn eval_in_db(db: &mut Database, env: &Env, e: &Expr) -> ExecResult<Value> {
-    let heap = std::mem::take(db.heap_mut());
-    let mut ev = Evaluator::with_heap(heap);
-    let result = ev.eval(env, e);
-    *db.heap_mut() = ev.heap;
-    result
-}
-
 /// Top-down spine walk: pre-materialize hash-join (and cross-product)
 /// build sides into shared [`BuildTable`]s — in the order sequential
 /// execution would materialize them — and resolve the partition point at
 /// the spine's bottom.
 fn prepare(
     plan: &Plan,
-    db: &mut Database,
+    snap: &Snapshot,
     env: &Env,
     threads: usize,
-    plan_effects: Effects,
     report: &mut ParallelReport,
 ) -> ExecResult<(Plan, PartitionPoint)> {
     match plan {
         Plan::Scan { var, source } => {
-            let sv = eval_in_db(db, env, source)?;
+            let sv = snap.eval_unchecked(source, env)?;
             let elements = exec::collection_elements(&sv)?;
             Ok((plan.clone(), PartitionPoint { var: *var, elements }))
         }
         Plan::IndexLookup { var, index, key } => {
-            let kv = eval_in_db(db, env, key)?;
+            let kv = snap.eval_unchecked(key, env)?;
             let elements = index.lookup(&kv).to_vec();
             Ok((plan.clone(), PartitionPoint { var: *var, elements }))
         }
         Plan::Unnest { input, var, path } => {
-            let (input, pp) = prepare(input, db, env, threads, plan_effects, report)?;
+            let (input, pp) = prepare(input, snap, env, threads, report)?;
             Ok((Plan::Unnest { input: Box::new(input), var: *var, path: path.clone() }, pp))
         }
         Plan::Filter { input, pred } => {
-            let (input, pp) = prepare(input, db, env, threads, plan_effects, report)?;
+            let (input, pp) = prepare(input, snap, env, threads, report)?;
             Ok((Plan::Filter { input: Box::new(input), pred: pred.clone() }, pp))
         }
         Plan::Bind { input, var, expr } => {
-            let (input, pp) = prepare(input, db, env, threads, plan_effects, report)?;
+            let (input, pp) = prepare(input, snap, env, threads, report)?;
             Ok((Plan::Bind { input: Box::new(input), var: *var, expr: expr.clone() }, pp))
         }
         Plan::Join { left, right, on, kind } => {
@@ -478,12 +329,12 @@ fn prepare(
             // keys against combined rows, so it stays per-worker (the
             // planner never emits that shape).
             if *kind == JoinKind::Hash || on.is_empty() {
-                let table = build_table(right, on, db, env, threads, plan_effects, report)?;
-                let (left, pp) = prepare(left, db, env, threads, plan_effects, report)?;
+                let table = build_table(right, on, snap, env, threads, report)?;
+                let (left, pp) = prepare(left, snap, env, threads, report)?;
                 let on_left = on.iter().map(|(lk, _)| lk.clone()).collect();
                 Ok((Plan::HashProbe { left: Box::new(left), table, on_left }, pp))
             } else {
-                let (left, pp) = prepare(left, db, env, threads, plan_effects, report)?;
+                let (left, pp) = prepare(left, snap, env, threads, report)?;
                 Ok((
                     Plan::Join {
                         left: Box::new(left),
@@ -496,7 +347,7 @@ fn prepare(
             }
         }
         Plan::HashProbe { left, table, on_left } => {
-            let (left, pp) = prepare(left, db, env, threads, plan_effects, report)?;
+            let (left, pp) = prepare(left, snap, env, threads, report)?;
             Ok((
                 Plan::HashProbe {
                     left: Box::new(left),
@@ -509,44 +360,34 @@ fn prepare(
     }
 }
 
+/// One materialized build-side row: its binding delta and its key.
+type KeyedRow = (Vec<(Symbol, Value)>, Vec<Value>);
+
 /// Materialize a join's right side once into a shared [`BuildTable`]:
-/// binding deltas plus key → rows. Allocation-free, scan-rooted build
-/// plans are themselves partitioned across workers; anything else
-/// materializes sequentially against the database heap (always safe —
-/// the driver owns the heap here).
+/// binding deltas plus key → rows. Scan-rooted build plans are themselves
+/// partitioned across workers; anything else materializes sequentially.
 fn build_table(
     right: &Plan,
     on: &[(Expr, Expr)],
-    db: &mut Database,
+    snap: &Snapshot,
     env: &Env,
     threads: usize,
-    plan_effects: Effects,
     report: &mut ParallelReport,
 ) -> ExecResult<Arc<BuildTable>> {
-    let vars = right.bound_vars();
-    let keyed_rows = parallel_build_rows(right, on, db, env, threads, plan_effects)?;
-    let keyed_rows = match keyed_rows {
+    let keyed_rows = match parallel_build_rows(right, on, snap, env, threads)? {
         Some(rows) => rows,
         None => {
-            // Sequential: materialize against the real heap.
-            let heap = std::mem::take(db.heap_mut());
-            let mut ev = Evaluator::with_heap(heap);
-            let result = (|| {
-                let rows = exec::materialize(right, 0, &mut ev, env, &NoProbe)?;
-                let mut scratch = value::ScratchRow::new();
-                rows.into_iter()
-                    .map(|delta| {
-                        let key = build_key(&mut ev, &mut scratch, env, &delta, on)?;
-                        Ok((delta, key))
-                    })
-                    .collect::<ExecResult<Vec<_>>>()
-            })();
-            *db.heap_mut() = ev.heap;
-            result?
+            let mut ev = Evaluator::with_heap(snap.heap().clone());
+            let rows = exec::materialize(right, 0, &mut ev, env, &NoProbe)?;
+            key_rows(&mut ev, &mut value::ScratchRow::new(), env, rows, on)?
         }
     };
     report.prebuilt_rows += keyed_rows.len() as u64;
-    let mut table = BuildTable { vars, rows: Vec::with_capacity(keyed_rows.len()), ..Default::default() };
+    let mut table = BuildTable {
+        vars: right.bound_vars(),
+        rows: Vec::with_capacity(keyed_rows.len()),
+        ..Default::default()
+    };
     for (i, (delta, key)) in keyed_rows.into_iter().enumerate() {
         table.rows.push(delta);
         table.index.entry(key).or_default().push(i);
@@ -554,56 +395,45 @@ fn build_table(
     Ok(Arc::new(table))
 }
 
-/// The build side's key values for one materialized delta — evaluated
-/// against the top environment plus the delta, mirroring the executor's
-/// hash-build semantics. The caller's [`value::ScratchRow`] supplies the
-/// row, so repeated keying reuses one chain of environment nodes instead
-/// of allocating per delta.
-fn build_key(
+/// Pair each materialized delta with its build-side key values —
+/// evaluated against the top environment plus the delta, mirroring the
+/// executor's hash-build semantics. The caller's [`value::ScratchRow`]
+/// supplies every row, so keying reuses one chain of environment nodes
+/// instead of allocating per delta.
+fn key_rows(
     ev: &mut Evaluator,
     scratch: &mut value::ScratchRow,
     env: &Env,
-    delta: &[(Symbol, Value)],
+    rows: Vec<Vec<(Symbol, Value)>>,
     on: &[(Expr, Expr)],
-) -> ExecResult<Vec<Value>> {
-    let row = scratch.fill(env, delta);
-    on.iter().map(|(_, rk)| ev.eval(row, rk)).collect()
+) -> ExecResult<Vec<KeyedRow>> {
+    rows.into_iter()
+        .map(|delta| {
+            let row = scratch.fill(env, &delta);
+            let key = on.iter().map(|(_, rk)| ev.eval(row, rk)).collect::<ExecResult<_>>()?;
+            Ok((delta, key))
+        })
+        .collect()
 }
 
 /// Partitioned build-side materialization. Returns `None` when the build
-/// plan is not eligible (allocating, not scan-rooted, or too small to be
-/// worth fanning out) — the caller falls back to sequential
-/// materialization.
-#[allow(clippy::type_complexity)]
+/// plan is not eligible (not scan-rooted, or too small to be worth
+/// fanning out) — the caller falls back to sequential materialization.
 fn parallel_build_rows(
     right: &Plan,
     on: &[(Expr, Expr)],
-    db: &mut Database,
+    snap: &Snapshot,
     env: &Env,
     threads: usize,
-    plan_effects: Effects,
-) -> ExecResult<Option<Vec<(Vec<(Symbol, Value)>, Vec<Value>)>>> {
-    // Static gate: `plan_effects` covers every expression in the whole
-    // plan, so `!plan_effects.allocates` implies this build side is
-    // allocation-free (conservative in the other direction). The old
-    // per-build runtime scan survives only as the debug cross-check.
-    debug_assert!(
-        plan_effects.allocates || !plan_allocates(right),
-        "static effect analysis disagrees with the runtime build-side scan"
-    );
-    if threads < 2 || plan_effects.allocates {
-        return Ok(None);
-    }
+) -> ExecResult<Option<Vec<KeyedRow>>> {
     let Some((bvar, bsource)) = spine_scan(right) else {
         return Ok(None);
     };
-    let bsource = bsource.clone();
-    let sv = eval_in_db(db, env, &bsource)?;
+    let sv = snap.eval_unchecked(bsource, env)?;
     let elements = exec::collection_elements(&sv)?;
     if elements.len() < 2 {
         // Materializing a 0/1-element source in parallel is pure overhead;
-        // let the sequential path handle it (it re-evaluates the source,
-        // which is side-effect-free here: the plan is allocation-free).
+        // let the sequential path handle it.
         return Ok(None);
     }
     let worker_plan = replace_partition_root(right);
@@ -611,25 +441,18 @@ fn parallel_build_rows(
     let parts = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for part in elements.chunks(chunk) {
-            let env = env.clone();
-            let heap = db.heap().clone();
             let worker_plan = &worker_plan;
-            handles.push(scope.spawn(
-                move || -> ExecResult<Vec<(Vec<(Symbol, Value)>, Vec<Value>)>> {
-                    let mut ev = Evaluator::with_heap(heap);
-                    let mut scratch = value::ScratchRow::new();
-                    let mut out = Vec::new();
-                    for elem in part {
-                        let row = env.bind(bvar, elem.clone());
-                        let rows = exec::materialize(worker_plan, 0, &mut ev, &row, &NoProbe)?;
-                        for delta in rows {
-                            let key = build_key(&mut ev, &mut scratch, &env, &delta, on)?;
-                            out.push((delta, key));
-                        }
-                    }
-                    Ok(out)
-                },
-            ));
+            handles.push(scope.spawn(move || -> ExecResult<Vec<KeyedRow>> {
+                let mut ev = Evaluator::with_heap(snap.heap().clone());
+                let mut scratch = value::ScratchRow::new();
+                let mut out = Vec::new();
+                for elem in part {
+                    let row = env.bind(bvar, elem.clone());
+                    let rows = exec::materialize(worker_plan, 0, &mut ev, &row, &NoProbe)?;
+                    out.extend(key_rows(&mut ev, &mut scratch, env, rows, on)?);
+                }
+                Ok(out)
+            }));
         }
         handles
             .into_iter()
@@ -735,20 +558,6 @@ fn run_partition<P: Probe>(
     Ok((acc.finish()?, rows))
 }
 
-/// Fresh re-scan of the whole query for `:=` — the cross-check for the
-/// cached `plan_effects` (which goes stale only if the plan is altered
-/// after planning). Referenced only from `debug_assert!`s; release builds
-/// trust the cached classification.
-fn query_mutates(query: &Query) -> bool {
-    effects_of(&query.head).join(query.plan.effects()).mutates
-}
-
-/// Fresh re-scan of a build side for `new` — cross-check for the cached
-/// whole-plan allocation flag. Referenced only from `debug_assert!`s.
-fn plan_allocates(plan: &Plan) -> bool {
-    plan.effects().allocates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -758,7 +567,7 @@ mod tests {
 
     #[test]
     fn parallel_agrees_with_sequential() {
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::var("r").proj("bed#"),
@@ -768,16 +577,16 @@ mod tests {
             ],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let seq = crate::exec::execute(&plan, &mut db).unwrap();
+        let seq = crate::exec::execute(&plan, &db).unwrap();
         for threads in [2, 4, 7] {
-            let par = execute_parallel(&plan, &mut db, threads).unwrap();
+            let (par, _) = execute_parallel_bound(&plan, &db, threads, &[]).unwrap();
             assert_eq!(seq, par, "threads = {threads}");
         }
     }
 
     #[test]
     fn set_results_agree_in_parallel() {
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         let q = Expr::comp(
             Monoid::Set,
             Expr::var("r").proj("bed#"),
@@ -787,8 +596,8 @@ mod tests {
             ],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let seq = crate::exec::execute(&plan, &mut db).unwrap();
-        let par = execute_parallel(&plan, &mut db, 4).unwrap();
+        let seq = crate::exec::execute(&plan, &db).unwrap();
+        let (par, _) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(seq, par);
     }
 
@@ -797,7 +606,7 @@ mod tests {
         // List and string comprehensions are order-sensitive; the ordered
         // merge of partials makes them parallelizable anyway — with ≥ 2
         // workers and byte-identical output.
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         for monoid in [Monoid::List, Monoid::OSet, Monoid::Sorted, Monoid::SortedBag] {
             let q = Expr::comp(
                 monoid.clone(),
@@ -808,8 +617,8 @@ mod tests {
                 ],
             );
             let plan = plan_comprehension(&q).unwrap();
-            let seq = crate::exec::execute(&plan, &mut db).unwrap();
-            let (par, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+            let seq = crate::exec::execute(&plan, &db).unwrap();
+            let (par, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
             assert_eq!(report.fallback, None, "{monoid}: no fallback");
             assert!(report.workers >= 2, "{monoid}: {} workers", report.workers);
             assert_eq!(seq, par, "{monoid}");
@@ -821,52 +630,15 @@ mod tests {
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let seq = crate::exec::execute(&plan, &mut db).unwrap();
-        let (par, report) = execute_parallel_traced(&plan, &mut db, 3).unwrap();
+        let seq = crate::exec::execute(&plan, &db).unwrap();
+        let (par, report) = execute_parallel_bound(&plan, &db, 3, &[]).unwrap();
         assert!(report.workers >= 2);
         assert_eq!(seq, par, "string concatenation is order-exact");
     }
 
     #[test]
-    fn allocating_heads_reconcile_worker_heaps() {
-        // Regression: workers used to evaluate `new(…)` against cloned
-        // heaps that were dropped on join, returning dangling identities.
-        // The planner rejects impure comprehensions, so build the query by
-        // hand: bag{ new(⟨name: h.name⟩) | h ← Hotels }.
-        let pure = Expr::comp(
-            Monoid::Bag,
-            Expr::var("h").proj("name"),
-            vec![Expr::gen("h", Expr::var("Hotels"))],
-        );
-        let mut plan = plan_comprehension(&pure).unwrap();
-        plan.head =
-            Expr::new_obj(Expr::record(vec![("name", Expr::var("h").proj("name"))]));
-
-        let mut seq_db = travel::generate(TravelScale::tiny(), 9);
-        let mut par_db = seq_db.clone();
-        let seq = crate::exec::execute(&plan, &mut seq_db).unwrap();
-        let (par, report) = execute_parallel_traced(&plan, &mut par_db, 4).unwrap();
-        assert!(report.workers >= 2);
-        assert!(report.reconciled_objects > 0, "workers allocated");
-        // Identical values (same OIDs in the same order)…
-        assert_eq!(seq, par);
-        // …backed by identical heaps: every returned identity dereferences
-        // to the same state on both sides. Under the old engine the
-        // parallel heap was missing these objects entirely.
-        assert_eq!(seq_db.object_count(), par_db.object_count());
-        for member in par.elements().unwrap() {
-            let Value::Obj(oid) = member else { panic!("head allocates") };
-            assert_eq!(
-                seq_db.state(oid).unwrap(),
-                par_db.state(oid).unwrap(),
-                "state of {oid:?}"
-            );
-        }
-    }
-
-    #[test]
     fn tiny_index_buckets_fall_back_with_too_few_rows() {
-        let mut db = travel::generate(TravelScale::with_hotels(60), 5);
+        let db = travel::generate(TravelScale::with_hotels(60), 5);
         let mut cat = IndexCatalog::new();
         cat.build(&db, "Hotels", "name").unwrap();
         // Every generated hotel name is distinct, so the looked-up bucket
@@ -885,8 +657,8 @@ mod tests {
         let plan = plan_comprehension(&q).unwrap();
         let (indexed, hits) = crate::index::apply_indexes(&plan, &cat, &db);
         assert_eq!(hits, 1);
-        let seq = crate::exec::execute(&indexed, &mut db).unwrap();
-        let (par, report) = execute_parallel_traced(&indexed, &mut db, 4).unwrap();
+        let seq = crate::exec::execute(&indexed, &db).unwrap();
+        let (par, report) = execute_parallel_bound(&indexed, &db, 4, &[]).unwrap();
         assert_eq!(report.fallback, Some(Fallback::TooFewRows));
         assert_eq!(report.workers, 0);
         assert_eq!(seq, par);
@@ -897,14 +669,14 @@ mod tests {
         // tiny = 3 cities × 2 hotels = 6 root rows ≥ 2 × the default
         // floor of 2, so the driver parallelizes; a 3-row slice of the
         // same extent would not (covered by the bucket test above).
-        let mut db = travel::generate(TravelScale::tiny(), 3);
+        let db = travel::generate(TravelScale::tiny(), 3);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+        let (v, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(v, Value::Int(db.extent_len("Hotels") as i64));
         assert_eq!(report.fallback, None);
         assert!(report.workers >= 2, "{} workers", report.workers);
@@ -915,7 +687,7 @@ mod tests {
 
     #[test]
     fn parallel_workers_run_the_fused_fold() {
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::var("r").proj("bed#"),
@@ -925,8 +697,8 @@ mod tests {
             ],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let seq = crate::exec::execute_plan_walk(&plan, &mut db).unwrap();
-        let (par, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+        let seq = crate::exec::execute_plan_walk_bound(&plan, &db, &[]).unwrap();
+        let (par, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert!(report.fused, "linear chain should run fused in workers");
         assert_eq!(seq, par);
         // A hash join declines fusion: workers fall back to the plan walk
@@ -941,15 +713,15 @@ mod tests {
             ],
         );
         let jplan = plan_comprehension(&j).unwrap();
-        let jseq = crate::exec::execute_plan_walk(&jplan, &mut db).unwrap();
-        let (jpar, jreport) = execute_parallel_traced(&jplan, &mut db, 4).unwrap();
+        let jseq = crate::exec::execute_plan_walk_bound(&jplan, &db, &[]).unwrap();
+        let (jpar, jreport) = execute_parallel_bound(&jplan, &db, 4, &[]).unwrap();
         assert!(!jreport.fused, "joins stay on the plan walk");
         assert_eq!(jseq, jpar);
     }
 
     #[test]
     fn hash_join_build_side_is_shared_and_prebuilt() {
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         // Self-join Hotels on name: planner picks a hash join.
         let q = Expr::comp(
             Monoid::Sum,
@@ -962,8 +734,8 @@ mod tests {
         );
         let plan = plan_comprehension(&q).unwrap();
         assert!(plan.plan.uses_hash_join());
-        let seq = crate::exec::execute(&plan, &mut db).unwrap();
-        let (par, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+        let seq = crate::exec::execute(&plan, &db).unwrap();
+        let (par, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(seq, par);
         assert_eq!(
             report.prebuilt_rows,
@@ -974,60 +746,29 @@ mod tests {
     }
 
     #[test]
-    fn mutating_queries_fall_back_with_a_reason() {
-        // all{ e := ⟨…⟩ | e ← Employees } — impure, so hand-built.
-        let pure = Expr::comp(
-            Monoid::All,
-            Expr::bool(true),
-            vec![Expr::gen("e", Expr::var("Employees"))],
-        );
-        let mut plan = plan_comprehension(&pure).unwrap();
-        plan.head = Expr::var("e").assign(Expr::record(vec![
-            ("name", Expr::var("e").proj("name")),
-            ("salary", Expr::int(1)),
-        ]));
-        let mut db = travel::generate(TravelScale::tiny(), 5);
-        let (v, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
-        assert_eq!(v, Value::Bool(true));
-        assert_eq!(report.fallback, Some(Fallback::Mutation));
-        assert_eq!(report.workers, 0);
-        // The sequential fallback still applied the updates.
-        let salaries = Expr::comp(
-            Monoid::Set,
-            Expr::var("e").proj("salary"),
-            vec![Expr::gen("e", Expr::var("Employees"))],
-        );
-        let sp = plan_comprehension(&salaries).unwrap();
-        assert_eq!(
-            crate::exec::execute(&sp, &mut db).unwrap(),
-            Value::set_from(vec![Value::Int(1)])
-        );
-    }
-
-    #[test]
     fn single_thread_falls_back_with_a_reason() {
-        let mut db = travel::generate(TravelScale::tiny(), 3);
+        let db = travel::generate(TravelScale::tiny(), 3);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, report) = execute_parallel_traced(&plan, &mut db, 1).unwrap();
+        let (v, report) = execute_parallel_bound(&plan, &db, 1, &[]).unwrap();
         assert_eq!(v, Value::Int(db.extent_len("Hotels") as i64));
         assert_eq!(report.fallback, Some(Fallback::SingleThread));
     }
 
     #[test]
     fn empty_partition_source_returns_zero() {
-        let mut db = travel::generate(TravelScale::tiny(), 3);
+        let db = travel::generate(TravelScale::tiny(), 3);
         let q = Expr::comp(
             Monoid::List,
             Expr::var("x"),
             vec![Expr::gen("x", Expr::CollLit(Monoid::List, vec![]))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+        let (v, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(v, Value::list(vec![]));
         assert_eq!(report.workers, 0);
         assert_eq!(report.fallback, None);
@@ -1035,14 +776,14 @@ mod tests {
 
     #[test]
     fn absorbing_monoids_short_circuit_across_workers() {
-        let mut db = travel::generate(TravelScale::small(), 3);
+        let db = travel::generate(TravelScale::small(), 3);
         let q = Expr::comp(
             Monoid::Some,
             Expr::var("h").proj("name").eq(Expr::str("hotel_0_0")),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, report) = execute_parallel_traced(&plan, &mut db, 4).unwrap();
+        let (v, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
         assert_eq!(v, Value::Bool(true));
         let total: u64 = report.worker_rows.iter().sum();
         assert!(

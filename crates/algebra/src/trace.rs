@@ -14,7 +14,7 @@
 //! compile all instrumentation away; nothing here taxes normal execution.
 
 use crate::error::ExecResult;
-use crate::exec::{self, Probe};
+use crate::exec::{self, EnginePolicy, Probe};
 use crate::explain;
 use crate::logical::{plan_comprehension, Plan, Query};
 use crate::optimizer::{reorder_generators, Stats};
@@ -26,7 +26,7 @@ use monoid_calculus::pretty::pretty;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::value::Value;
-use monoid_store::Database;
+use monoid_store::Snapshot;
 use std::cell::Cell;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -201,10 +201,6 @@ pub struct QueryProfile {
     pub short_circuited: bool,
     /// Evaluator steps consumed (the pre-existing opaque cost proxy).
     pub eval_steps: u64,
-    /// Why [`crate::parallel`] would decline to partition this query
-    /// (`"mutation"`), or `None` when it is parallel-eligible. Static
-    /// classification — the profiled run itself is sequential.
-    pub parallel_fallback: Option<String>,
     /// The engine [`crate::exec::execute`] would run this query on
     /// (`"fused"` or `"plan-walk"`). Static classification: the profiled
     /// run itself always walks the plan — per-operator row/time
@@ -223,8 +219,6 @@ impl QueryProfile {
             rows_to_reduce: probe.rows.first().map(Cell::get).unwrap_or(0),
             short_circuited: probe.short_circuited.get(),
             eval_steps,
-            parallel_fallback: crate::parallel::static_fallback(query)
-                .map(|f| f.as_str().to_string()),
             engine: crate::fused::engine_of(query).as_str().to_string(),
             trace,
         }
@@ -294,10 +288,6 @@ impl QueryProfile {
         }
         let _ = writeln!(out, "evaluator steps: {}", self.eval_steps);
         let _ = writeln!(out, "engine: {} (profiled run walks the plan)", self.engine);
-        let _ = match &self.parallel_fallback {
-            Some(reason) => writeln!(out, "parallel: would fall back ({reason})"),
-            None => writeln!(out, "parallel: eligible (ordered partitioned reduction)"),
-        };
         out
     }
 
@@ -342,10 +332,6 @@ impl QueryProfile {
             ("short_circuited", Json::Bool(self.short_circuited)),
             ("eval_steps", Json::from(self.eval_steps)),
             ("engine", Json::str(self.engine.clone())),
-            (
-                "parallel_fallback",
-                self.parallel_fallback.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
             ("trace", self.trace.to_json()),
         ])
     }
@@ -438,15 +424,15 @@ pub struct Analysis {
 /// gather statistics and reorder, plan, execute — profiling each phase
 /// and every plan operator. For OQL source (adding parse/translate
 /// phases), use the umbrella crate's `explain_analyze`.
-pub fn explain_analyze(e: &Expr, db: &mut Database) -> ExecResult<Analysis> {
-    analyze_with_trace(e, db, QueryTrace::new())
+pub fn explain_analyze(e: &Expr, snap: &Snapshot) -> ExecResult<Analysis> {
+    analyze_with_trace(e, snap, QueryTrace::new())
 }
 
 /// [`explain_analyze`] continuing a trace the front end already started
 /// (with parse/translate timings and the source text filled in).
 pub fn analyze_with_trace(
     e: &Expr,
-    db: &mut Database,
+    snap: &Snapshot,
     mut trace: QueryTrace,
 ) -> ExecResult<Analysis> {
     let start = Instant::now();
@@ -455,7 +441,7 @@ pub fn analyze_with_trace(
     trace.normalize = Some(nstats);
 
     let start = Instant::now();
-    let stats = Stats::gather(db);
+    let stats = Stats::gather(snap);
     let reordered = reorder_generators(&canonical, &stats);
     trace.record(Phase::Optimize, start.elapsed().as_nanos());
 
@@ -465,44 +451,39 @@ pub fn analyze_with_trace(
     let query = plan_comprehension(&reordered).map_err(|pe| EvalError::Other(pe.to_string()))?;
     trace.record(Phase::Plan, start.elapsed().as_nanos());
 
-    profile_execution(&query, &stats, db, &[], trace)
+    profile_execution(&query, &stats, snap, &[], trace)
 }
 
 /// Profile only the execution of an already-planned query (statistics are
-/// still gathered so the estimate column is populated).
-pub fn execute_profiled(query: &Query, db: &mut Database) -> ExecResult<Analysis> {
-    execute_profiled_bound(query, db, &[])
-}
-
-/// [`execute_profiled`] with late-bound parameter values — what the
-/// serving layer's slow-query capture uses to re-run an over-threshold
-/// prepared statement under the profiler.
+/// still gathered so the estimate column is populated), with late-bound
+/// parameter values — what the serving layer's slow-query capture uses to
+/// re-run an over-threshold prepared statement under the profiler.
 pub fn execute_profiled_bound(
     query: &Query,
-    db: &mut Database,
+    snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
-    let stats = Stats::gather(db);
-    profile_execution(query, &stats, db, params, QueryTrace::new())
+    let stats = Stats::gather(snap);
+    profile_execution(query, &stats, snap, params, QueryTrace::new())
 }
 
 fn profile_execution(
     query: &Query,
     stats: &Stats,
-    db: &mut Database,
+    snap: &Snapshot,
     params: &[(Symbol, Value)],
     mut trace: QueryTrace,
 ) -> ExecResult<Analysis> {
     let probe = ExecProbe::new(query.plan.node_count());
     let start = Instant::now();
-    let (value, eval_steps) = exec::execute_probed_bound(query, db, params, &probe)?;
+    let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
     trace.record(Phase::Execute, start.elapsed().as_nanos());
     let estimates = stats.query_estimates(query);
-    let profile = QueryProfile::assemble(query, &estimates, &probe, trace, eval_steps);
+    let profile = QueryProfile::assemble(query, &estimates, &probe, trace, run.steps);
     if audit_enabled() {
         record_audit(&profile);
     }
-    Ok(Analysis { value, profile })
+    Ok(Analysis { value: run.value, profile })
 }
 
 fn collect_operators(
@@ -560,7 +541,7 @@ mod tests {
 
     #[test]
     fn profile_counts_match_pipeline_shape() {
-        let mut db = travel::generate(TravelScale::tiny(), 42);
+        let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::Bag,
             Expr::var("h").proj("name"),
@@ -570,7 +551,7 @@ mod tests {
                 Expr::gen("h", Expr::var("c").proj("hotels")),
             ],
         );
-        let analysis = explain_analyze(&q, &mut db).unwrap();
+        let analysis = explain_analyze(&q, &db).unwrap();
         let p = &analysis.profile;
         // A linear chain: the unprofiled path would run it fused, and the
         // profile says so even though the profiled run walked the plan.
@@ -590,7 +571,7 @@ mod tests {
         assert!(!p.short_circuited);
         // The result agrees with direct execution.
         let plan = plan_comprehension(&q).unwrap();
-        assert_eq!(analysis.value, crate::exec::execute(&plan, &mut db).unwrap());
+        assert_eq!(analysis.value, crate::exec::execute(&plan, &db).unwrap());
         // Phases normalize/optimize/plan/execute all recorded.
         for phase in [Phase::Normalize, Phase::Optimize, Phase::Plan, Phase::Execute] {
             assert!(p.trace.phase_nanos(phase).is_some(), "missing {phase}");
@@ -599,7 +580,7 @@ mod tests {
 
     #[test]
     fn hash_join_profile_reports_build_side() {
-        let mut db = travel::generate(TravelScale::tiny(), 42);
+        let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
@@ -609,7 +590,7 @@ mod tests {
                 Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("name"))),
             ],
         );
-        let analysis = explain_analyze(&q, &mut db).unwrap();
+        let analysis = explain_analyze(&q, &db).unwrap();
         let p = &analysis.profile;
         assert_eq!(p.engine, "plan-walk", "joins stay on the plan walk");
         let join = p
@@ -629,13 +610,13 @@ mod tests {
 
     #[test]
     fn render_shows_estimates_next_to_actuals() {
-        let mut db = travel::generate(TravelScale::tiny(), 42);
+        let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![Expr::gen("c", Expr::var("Cities"))],
         );
-        let analysis = explain_analyze(&q, &mut db).unwrap();
+        let analysis = explain_analyze(&q, &db).unwrap();
         let s = analysis.profile.render();
         assert!(s.contains("est≈3.0"), "{s}");
         assert!(s.contains("actual 3 rows"), "{s}");

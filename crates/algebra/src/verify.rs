@@ -17,33 +17,31 @@
 //! * `plan/index` — embedded [`Index`](crate::index::Index) snapshots are
 //!   epoch-fresh for the database about to be scanned; a stale snapshot
 //!   would resurrect deleted objects or miss inserts.
-//! * `plan/effects` — plan expressions are mutation-free, matching the
-//!   planner's own `PlanError::Impure` refusal (a mutating expression can
-//!   only appear through post-planning surgery on the `Query`).
+//! * `plan/effects` — the plan *and its head* neither mutate (`:=`) nor
+//!   allocate (`new`), matching the planner's own `PlanError::Impure`
+//!   refusal (a heap effect can only appear through post-planning surgery
+//!   on the `Query`). This is the invariant every executor leans on: a
+//!   plan is a pure read, so it runs against an immutable
+//!   [`Snapshot`] and nothing it does needs committing.
 
 use crate::logical::{Plan, Query};
 use monoid_calculus::analysis::verify::record_failure;
-use monoid_calculus::analysis::VerifyError;
+use monoid_calculus::analysis::{effects_of, VerifyError};
 use monoid_calculus::symbol::Symbol;
-use monoid_store::Database;
+use monoid_store::Snapshot;
 use std::collections::BTreeSet;
 
-/// Check every plan invariant over `query` against `db`. Returns the
-/// first violation, tagged with its stage; also bumps
+/// Check every plan invariant over `query` against the state it is about
+/// to read. Index freshness is checked against the snapshot's *pinned*
+/// epoch — a plan whose indexes match the pinned state is valid no matter
+/// how far the writer has advanced since. Returns the first violation,
+/// tagged with its stage; also bumps
 /// `analysis_verify_failures_total{stage}` on failure.
-pub fn verify_query(query: &Query, db: &Database) -> Result<(), VerifyError> {
-    verify_query_at(query, db.mutation_epoch())
-}
-
-/// [`verify_query`] against a pinned mutation epoch instead of a live
-/// database — the snapshot executors' entry point: a reader holding a
-/// [`monoid_store::Snapshot`] must check index freshness against the
-/// *snapshot's* epoch, not whatever the writer has advanced to since.
-pub fn verify_query_at(query: &Query, epoch: u64) -> Result<(), VerifyError> {
+pub fn verify_query(query: &Query, snap: &Snapshot) -> Result<(), VerifyError> {
     let result = check_binders(&query.plan, &mut BTreeSet::new())
         .and_then(|()| check_build_tables(&query.plan))
-        .and_then(|()| check_indexes(&query.plan, epoch))
-        .and_then(|()| check_effects(&query.plan));
+        .and_then(|()| check_indexes(&query.plan, snap.epoch()))
+        .and_then(|()| check_effects(query));
     if let Err(e) = &result {
         record_failure(e.stage);
     }
@@ -145,9 +143,7 @@ fn check_build_tables(plan: &Plan) -> Result<(), VerifyError> {
 /// `plan/index`: every embedded index snapshot must carry the executed
 /// state's mutation epoch — the same freshness rule
 /// `index::apply_indexes` enforces at planning time, re-checked here
-/// because mutations may have landed between planning and execution. For
-/// a live database the epoch is its current one; for a snapshot read it
-/// is the snapshot's pinned epoch.
+/// because mutations may have landed between planning and execution.
 fn check_indexes(plan: &Plan, epoch: u64) -> Result<(), VerifyError> {
     match plan {
         Plan::Scan { .. } => Ok(()),
@@ -180,19 +176,27 @@ fn check_indexes(plan: &Plan, epoch: u64) -> Result<(), VerifyError> {
 }
 
 /// `plan/effects`: the planner refuses impure comprehensions
-/// (`PlanError::Impure`), so a mutating expression inside a plan means
-/// the plan was modified after planning — refuse to execute it.
-fn check_effects(plan: &Plan) -> Result<(), VerifyError> {
-    let effects = plan.effects();
-    if effects.mutates {
-        return Err(VerifyError::new(
-            "plan/effects",
-            "plan contains a mutating (`:=`) expression; the planner never emits one, so the \
-             plan was altered after planning"
-                .to_string(),
-        ));
-    }
-    Ok(())
+/// (`PlanError::Impure`), so a heap effect in the plan or the head means
+/// the query was modified after planning — refuse to execute it. The head
+/// is classified fresh (it is one small expression); the plan's own
+/// expressions are re-scanned rather than trusting the cached
+/// `plan_effects`, which post-planning surgery would leave stale.
+fn check_effects(query: &Query) -> Result<(), VerifyError> {
+    let effects = effects_of(&query.head).join(query.plan.effects());
+    let offender = if effects.mutates {
+        "a mutating (`:=`)"
+    } else if effects.allocates {
+        "an allocating (`new`)"
+    } else {
+        return Ok(());
+    };
+    Err(VerifyError::new(
+        "plan/effects",
+        format!(
+            "query contains {offender} expression; the planner never emits one, so the query \
+             was altered after planning"
+        ),
+    ))
 }
 
 #[cfg(test)]
@@ -297,15 +301,42 @@ mod tests {
     }
 
     #[test]
-    fn post_planning_mutation_is_caught() {
+    fn post_planning_heap_effects_are_refused() {
+        // The planner rejects impure comprehensions, so each case forges
+        // one by overwriting part of a planned query — the only way a heap
+        // effect can reach an executor. Every executor runs this check
+        // under stage verification, which is what lets them read an
+        // immutable snapshot without a mutation fallback or worker-heap
+        // reconciliation.
         let db = travel::generate(TravelScale::tiny(), 5);
-        let mut query = sample_query();
-        query.plan = Plan::Filter {
-            input: Box::new(query.plan.clone()),
-            pred: Expr::var("c").assign(Expr::int(0)),
+        let assign = || Expr::var("c").assign(Expr::int(0));
+        let alloc = || Expr::new_obj(Expr::record(vec![("name", Expr::var("c").proj("name"))]));
+        type Forge = fn(&mut Query, Expr);
+        let into_head: Forge = |q, e| q.head = e;
+        let into_plan: Forge = |q, e| {
+            q.plan = Plan::Filter { input: Box::new(q.plan.clone()), pred: e };
         };
-        let err = verify_query(&query, &db).unwrap_err();
-        assert_eq!(err.stage, "plan/effects");
-        assert!(err.to_string().contains(":="), "{err}");
+        let cases: [(&str, Forge, Expr, &str); 4] = [
+            ("head :=", into_head, assign(), ":="),
+            ("head new", into_head, alloc(), "new"),
+            ("plan :=", into_plan, assign(), ":="),
+            ("plan new", into_plan, alloc(), "new"),
+        ];
+        for (name, forge, expr, needle) in cases {
+            let mut query = sample_query();
+            forge(&mut query, expr);
+            let err = verify_query(&query, &db).unwrap_err();
+            assert_eq!(err.stage, "plan/effects", "{name}");
+            assert!(err.to_string().contains(needle), "{name}: {err}");
+            // And, wherever stage verification is on (every debug build),
+            // the executors refuse it rather than run it.
+            if monoid_calculus::analysis::verify_enabled() {
+                let refused = crate::exec::execute(&query, &db).unwrap_err();
+                assert!(refused.to_string().contains("plan/effects"), "{name}: {refused}");
+                let refused =
+                    crate::parallel::execute_parallel_bound(&query, &db, 4, &[]).unwrap_err();
+                assert!(refused.to_string().contains("plan/effects"), "{name}: {refused}");
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! with direct evaluation of the original query.
 
 use monoid_algebra::{
-    apply_indexes, execute, execute_counted, execute_parallel, plan_comprehension,
+    apply_indexes, execute, execute_counted_bound, execute_parallel_bound, plan_comprehension,
     reorder_generators, IndexCatalog, PlanError, Stats,
 };
 use monoid_calculus::normalize::normalize;
@@ -48,7 +48,7 @@ fn full_pipeline(db: &mut Database, src: &str) -> Option<Value> {
     for (label, p) in [("plain", &plan), ("indexed", &indexed)] {
         let got = execute(p, db).unwrap();
         assert_eq!(direct, got, "{label} plan changed `{src}`");
-        let par = execute_parallel(p, db, 4).unwrap();
+        let par = execute_parallel_bound(p, db, 4, &[]).unwrap().0;
         assert_eq!(direct, par, "parallel {label} plan changed `{src}`");
     }
     Some(direct)
@@ -73,7 +73,7 @@ fn battery_at_scale() {
 /// The indexed plan must do measurably less work on the selective query.
 #[test]
 fn index_reduces_step_count() {
-    let mut db = travel::generate(TravelScale::with_hotels(800), 13);
+    let db = travel::generate(TravelScale::with_hotels(800), 13);
     let q = compile(
         db.schema(),
         "select h.name from c in Cities, h in c.hotels where c.name = 'Portland'",
@@ -84,8 +84,8 @@ fn index_reduces_step_count() {
     catalog.build(&db, "Cities", "name").unwrap();
     let (indexed, hits) = apply_indexes(&plan, &catalog, &db);
     assert_eq!(hits, 1);
-    let (v1, scan_steps) = execute_counted(&plan, &mut db).unwrap();
-    let (v2, index_steps) = execute_counted(&indexed, &mut db).unwrap();
+    let (v1, scan_steps) = execute_counted_bound(&plan, &db, &[]).unwrap();
+    let (v2, index_steps) = execute_counted_bound(&indexed, &db, &[]).unwrap();
     assert_eq!(v1, v2);
     assert!(
         index_steps * 10 < scan_steps,
@@ -99,7 +99,7 @@ fn index_reduces_step_count() {
 fn reordering_reduces_step_count() {
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
-    let mut db = travel::generate(TravelScale::with_hotels(400), 13);
+    let db = travel::generate(TravelScale::with_hotels(400), 13);
     let stats = Stats::gather(&db);
     let q = Expr::comp(
         Monoid::Sum,
@@ -113,8 +113,8 @@ fn reordering_reduces_step_count() {
     );
     let written = plan_comprehension(&q).unwrap();
     let reordered = plan_comprehension(&reorder_generators(&q, &stats)).unwrap();
-    let (v1, s1) = execute_counted(&written, &mut db).unwrap();
-    let (v2, s2) = execute_counted(&reordered, &mut db).unwrap();
+    let (v1, s1) = execute_counted_bound(&written, &db, &[]).unwrap();
+    let (v2, s2) = execute_counted_bound(&reordered, &db, &[]).unwrap();
     assert_eq!(v1, v2);
     assert!(s2 * 2 < s1, "reordered {s2} vs written {s1}");
 }

@@ -8,7 +8,7 @@
 //! parallel row floor still agree with the plan walk.
 
 use monoid_algebra::{
-    engine_of, execute, execute_parallel, execute_plan_walk, plan_comprehension, Query,
+    engine_of, execute, execute_parallel_bound, execute_plan_walk_bound, plan_comprehension, Query,
 };
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
@@ -35,11 +35,11 @@ fn rooms_chain(monoid: Monoid, head: Expr) -> Query {
 /// Assert the three engines agree byte-for-byte on `plan`, across every
 /// thread count in the ladder.
 fn assert_engines_agree(label: &str, plan: &Query, db: &mut Database) {
-    let reference = execute_plan_walk(plan, db).unwrap();
+    let reference = execute_plan_walk_bound(plan, db, &[]).unwrap();
     let fused = execute(plan, db).unwrap();
     assert_eq!(reference, fused, "{label}: fused ≠ plan walk");
     for &threads in THREADS {
-        let par = execute_parallel(plan, db, threads).unwrap();
+        let par = execute_parallel_bound(plan, db, threads, &[]).unwrap().0;
         assert_eq!(reference, par, "{label}: parallel({threads}) ≠ plan walk");
     }
 }

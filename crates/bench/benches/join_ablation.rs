@@ -23,7 +23,7 @@ fn bench_join_strategy(c: &mut Criterion) {
     for hotels in [200usize, 800] {
         for k in [4i64, 64] {
             let scale = TravelScale::with_hotels(hotels);
-            let mut db = travel::generate(scale, 7);
+            let db = travel::generate(scale, 7);
             let q = employee_client_join(k);
             let hash = monoid_algebra::plan_comprehension(&q).expect("hash plan");
             let nl = monoid_algebra::plan_with_options(
@@ -33,10 +33,10 @@ fn bench_join_strategy(c: &mut Criterion) {
             .expect("nl plan");
             let id = format!("h{hotels}_k{k}");
             group.bench_with_input(BenchmarkId::new("hash", &id), &id, |b, _| {
-                b.iter(|| monoid_algebra::execute(&hash, &mut db).expect("hash"));
+                b.iter(|| monoid_algebra::execute(&hash, &db).expect("hash"));
             });
             group.bench_with_input(BenchmarkId::new("nested_loop", &id), &id, |b, _| {
-                b.iter(|| monoid_algebra::execute(&nl, &mut db).expect("nl"));
+                b.iter(|| monoid_algebra::execute(&nl, &db).expect("nl"));
             });
         }
     }
@@ -48,7 +48,7 @@ fn bench_pushdown(c: &mut Criterion) {
     group.sample_size(10);
     for hotels in [400usize, 1600] {
         let scale = TravelScale::with_hotels(hotels);
-        let mut db = travel::generate(scale, 7);
+        let db = travel::generate(scale, 7);
         let schema = travel::schema();
         let q = monoid_oql::compile(&schema, PORTLAND_FLAT_OQL).expect("compiles");
         let n = normalize(&q);
@@ -59,12 +59,12 @@ fn bench_pushdown(c: &mut Criterion) {
         )
         .expect("off");
         group.bench_with_input(BenchmarkId::new("pushdown_on", hotels), &hotels, |b, _| {
-            b.iter(|| monoid_algebra::execute(&on, &mut db).expect("on"));
+            b.iter(|| monoid_algebra::execute(&on, &db).expect("on"));
         });
         group.bench_with_input(
             BenchmarkId::new("pushdown_off", hotels),
             &hotels,
-            |b, _| b.iter(|| monoid_algebra::execute(&off, &mut db).expect("off")),
+            |b, _| b.iter(|| monoid_algebra::execute(&off, &db).expect("off")),
         );
     }
     group.finish();
@@ -75,7 +75,7 @@ fn bench_index(c: &mut Criterion) {
     group.sample_size(10);
     for hotels in [400usize, 1600] {
         let scale = TravelScale::with_hotels(hotels);
-        let mut db = travel::generate(scale, 7);
+        let db = travel::generate(scale, 7);
         let schema = travel::schema();
         let q = monoid_oql::compile(&schema, PORTLAND_FLAT_OQL).expect("compiles");
         let plan = monoid_algebra::plan_comprehension(&normalize(&q)).expect("plan");
@@ -83,10 +83,10 @@ fn bench_index(c: &mut Criterion) {
         catalog.build(&db, "Cities", "name").expect("index");
         let (indexed, _) = monoid_algebra::apply_indexes(&plan, &catalog, &db);
         group.bench_with_input(BenchmarkId::new("scan", hotels), &hotels, |b, _| {
-            b.iter(|| monoid_algebra::execute(&plan, &mut db).expect("scan"));
+            b.iter(|| monoid_algebra::execute(&plan, &db).expect("scan"));
         });
         group.bench_with_input(BenchmarkId::new("index", hotels), &hotels, |b, _| {
-            b.iter(|| monoid_algebra::execute(&indexed, &mut db).expect("index"));
+            b.iter(|| monoid_algebra::execute(&indexed, &db).expect("index"));
         });
     }
     group.finish();
@@ -96,7 +96,7 @@ fn bench_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("b6_parallel_reduce");
     group.sample_size(10);
     let scale = TravelScale::with_hotels(3200);
-    let mut db = travel::generate(scale, 7);
+    let db = travel::generate(scale, 7);
     let q = Expr::comp(
         Monoid::Sum,
         Expr::var("r").proj("bed#").mul(Expr::var("r").proj("bed#")),
@@ -108,7 +108,9 @@ fn bench_parallel(c: &mut Criterion) {
     let plan = monoid_algebra::plan_comprehension(&q).expect("plan");
     for threads in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| monoid_algebra::execute_parallel(&plan, &mut db, t).expect("parallel"));
+            b.iter(|| {
+                monoid_algebra::execute_parallel_bound(&plan, &db, t, &[]).expect("parallel").0
+            });
         });
     }
     group.finish();

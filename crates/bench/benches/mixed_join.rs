@@ -15,13 +15,13 @@ fn bench(c: &mut Criterion) {
     for n in [100usize, 400, 1600] {
         let q = mixed_join(n, n);
         let plan = monoid_algebra::plan_comprehension(&q).expect("plans");
-        let mut db = Database::new(Schema::new());
+        let db = Database::new(Schema::new());
 
         group.bench_with_input(BenchmarkId::new("direct_eval", n), &n, |b, _| {
             b.iter(|| eval_closed(&q).expect("direct"));
         });
         group.bench_with_input(BenchmarkId::new("pipeline_hash_join", n), &n, |b, _| {
-            b.iter(|| monoid_algebra::execute(&plan, &mut db).expect("pipeline"));
+            b.iter(|| monoid_algebra::execute(&plan, &db).expect("pipeline"));
         });
     }
     group.finish();

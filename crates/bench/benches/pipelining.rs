@@ -32,7 +32,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("canonical_pipeline", hotels),
             &hotels,
-            |b, _| b.iter(|| monoid_algebra::execute(&plan, &mut db).expect("pipeline")),
+            |b, _| b.iter(|| monoid_algebra::execute(&plan, &db).expect("pipeline")),
         );
     }
     group.finish();

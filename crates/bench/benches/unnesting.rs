@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("pipeline_hash_join", hotels),
             &hotels,
-            |b, _| b.iter(|| monoid_algebra::execute(&plan, &mut db).expect("pipeline")),
+            |b, _| b.iter(|| monoid_algebra::execute(&plan, &db).expect("pipeline")),
         );
     }
     group.finish();

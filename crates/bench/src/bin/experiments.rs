@@ -474,7 +474,7 @@ fn identity() {
 fn profile() {
     heading("E7 — EXPLAIN ANALYZE: lifecycle timings and per-operator rows");
     let schema = travel::schema();
-    let mut db = travel::generate(TravelScale::small(), 7);
+    let db = travel::generate(TravelScale::small(), 7);
     let cases = [
         ("portland-flat", queries::PORTLAND_FLAT_OQL),
         (
@@ -500,7 +500,7 @@ fn profile() {
                 monoid_oql::Translator::new(&schema).translate_program(&program)
             })
             .expect("translates");
-        let analysis = monoid_algebra::analyze_with_trace(&q, &mut db, trace).expect("executes");
+        let analysis = monoid_algebra::analyze_with_trace(&q, &db, trace).expect("executes");
         println!("query `{name}`: {}", src.replace('\n', " "));
         // The profile, not the answer, is the point here — elide big results.
         let mut result = analysis.value.to_string();
@@ -562,7 +562,7 @@ fn bench_unnesting() {
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
         let naive = timed(|| db.query(&q).unwrap());
         let flat = timed(|| db.query(&n).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &mut db).unwrap());
+        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             scale.clients.to_string(),
@@ -597,7 +597,7 @@ fn bench_pipelining() {
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
         let nested = timed(|| db.query(&q).unwrap());
         let flat = timed(|| db.query(&n).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &mut db).unwrap());
+        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             nested.cell(),
@@ -624,9 +624,9 @@ fn bench_mixed() {
     for n in [200usize, 800, 3200] {
         let q = queries::mixed_join(n, n);
         let plan = monoid_algebra::plan_comprehension(&q).unwrap();
-        let mut db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
+        let db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
         let direct = timed(|| eval_closed(&q).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &mut db).unwrap());
+        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[n.to_string(), direct.cell(), piped.cell(), direct.speedup(&piped)]);
     }
     print!("{}", t.render());
@@ -734,7 +734,7 @@ fn bench_ablation() {
     for hotels in [200usize, 800] {
         for k in [4i64, 64] {
             let scale = TravelScale::with_hotels(hotels);
-            let mut db = travel::generate(scale, 7);
+            let db = travel::generate(scale, 7);
             let q = queries::employee_client_join(k);
             let hash = monoid_algebra::plan_comprehension(&q).unwrap();
             let nl = monoid_algebra::plan_with_options(
@@ -742,8 +742,8 @@ fn bench_ablation() {
                 monoid_algebra::PlanOptions { hash_joins: false, push_predicates: true },
             )
             .unwrap();
-            let th = timed(|| monoid_algebra::execute(&hash, &mut db).unwrap());
-            let tn = timed(|| monoid_algebra::execute(&nl, &mut db).unwrap());
+            let th = timed(|| monoid_algebra::execute(&hash, &db).unwrap());
+            let tn = timed(|| monoid_algebra::execute(&nl, &db).unwrap());
             t.row(&[
                 scale.total_hotels().to_string(),
                 k.to_string(),
@@ -759,7 +759,7 @@ fn bench_ablation() {
     let mut t = Table::new(&["hotels", "pushdown off", "pushdown on", "speedup"]);
     for hotels in [400usize, 1600] {
         let scale = TravelScale::with_hotels(hotels);
-        let mut db = travel::generate(scale, 7);
+        let db = travel::generate(scale, 7);
         let schema = travel::schema();
         let q = compile(&schema, queries::PORTLAND_FLAT_OQL).unwrap();
         let n = normalize(&q);
@@ -769,8 +769,8 @@ fn bench_ablation() {
             monoid_algebra::PlanOptions { hash_joins: true, push_predicates: false },
         )
         .unwrap();
-        let t_on = timed(|| monoid_algebra::execute(&on, &mut db).unwrap());
-        let t_off = timed(|| monoid_algebra::execute(&off, &mut db).unwrap());
+        let t_on = timed(|| monoid_algebra::execute(&on, &db).unwrap());
+        let t_off = timed(|| monoid_algebra::execute(&off, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             t_off.cell(),
@@ -784,7 +784,7 @@ fn bench_ablation() {
     let mut t = Table::new(&["hotels", "filtered scan", "index lookup", "speedup"]);
     for hotels in [400usize, 1600, 6400] {
         let scale = TravelScale::with_hotels(hotels);
-        let mut db = travel::generate(scale, 7);
+        let db = travel::generate(scale, 7);
         let schema = travel::schema();
         let q = compile(&schema, queries::PORTLAND_FLAT_OQL).unwrap();
         let n = normalize(&q);
@@ -793,8 +793,8 @@ fn bench_ablation() {
         catalog.build(&db, "Cities", "name").unwrap();
         let (indexed, hits) = monoid_algebra::apply_indexes(&plan, &catalog, &db);
         assert_eq!(hits, 1);
-        let t_scan = timed(|| monoid_algebra::execute(&plan, &mut db).unwrap());
-        let t_index = timed(|| monoid_algebra::execute(&indexed, &mut db).unwrap());
+        let t_scan = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
+        let t_index = timed(|| monoid_algebra::execute(&indexed, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             t_scan.cell(),
@@ -808,7 +808,7 @@ fn bench_ablation() {
     let mut t = Table::new(&["hotels", "written order", "cost-based order", "speedup"]);
     for hotels in [400usize, 1600] {
         let scale = TravelScale::with_hotels(hotels);
-        let mut db = travel::generate(scale, 7);
+        let db = travel::generate(scale, 7);
         let stats = monoid_algebra::Stats::gather(&db);
         // A deliberately bad written order: big extent first, selective
         // small extent last.
@@ -827,11 +827,11 @@ fn bench_ablation() {
         let written = monoid_algebra::plan_comprehension(&q).unwrap();
         let reordered = monoid_algebra::reorder_generators(&q, &stats);
         let optimized = monoid_algebra::plan_comprehension(&reordered).unwrap();
-        let tw = timed(|| monoid_algebra::execute(&written, &mut db).unwrap());
-        let to = timed(|| monoid_algebra::execute(&optimized, &mut db).unwrap());
+        let tw = timed(|| monoid_algebra::execute(&written, &db).unwrap());
+        let to = timed(|| monoid_algebra::execute(&optimized, &db).unwrap());
         assert_eq!(
-            monoid_algebra::execute(&written, &mut db).unwrap(),
-            monoid_algebra::execute(&optimized, &mut db).unwrap()
+            monoid_algebra::execute(&written, &db).unwrap(),
+            monoid_algebra::execute(&optimized, &db).unwrap()
         );
         t.row(&[scale.total_hotels().to_string(), tw.cell(), to.cell(), tw.speedup(&to)]);
     }

@@ -100,7 +100,7 @@ fn demo_workload() {
             let _ = session.query(&mut db, src, &Params::new());
         }
     }
-    let _ = monoid_db::explain_analyze(statements[0], &mut db);
+    let _ = monoid_db::explain_analyze(statements[0], &db);
 }
 
 fn read_json(path: &str) -> Json {
@@ -160,7 +160,7 @@ fn slow_profiles(path: &str) -> Vec<(String, Json)> {
 fn demo_profiles() -> Vec<(String, Json)> {
     use monoid_store::{travel, TravelScale};
 
-    let mut db = travel::generate(TravelScale::tiny(), 7);
+    let db = travel::generate(TravelScale::tiny(), 7);
     let statements = [
         "select h.name from c in Cities, h in c.hotels, r in h.rooms \
          where c.name = \"Portland\" and r.bed# = 2",
@@ -171,7 +171,7 @@ fn demo_profiles() -> Vec<(String, Json)> {
     let profiles = statements
         .iter()
         .filter_map(|src| {
-            monoid_db::explain_analyze(src, &mut db)
+            monoid_db::explain_analyze(src, &db)
                 .ok()
                 .map(|a| (src.to_string(), a.profile.to_json()))
         })

@@ -191,7 +191,7 @@ mod tests {
         let n = normalize(&q);
         let flat = db.query(&n).unwrap();
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
-        let piped = monoid_algebra::execute(&plan, &mut db).unwrap();
+        let piped = monoid_algebra::execute(&plan, &db).unwrap();
         assert_eq!(naive, flat);
         assert_eq!(naive, piped);
     }

@@ -86,7 +86,7 @@ pub struct ParallelBench {
     /// Sequential median on the default engine (fused, for these cases).
     pub sequential_p50_nanos: u128,
     /// Sequential median with the plan-walk interpreter forced
-    /// ([`monoid_algebra::execute_plan_walk`]) — the ablation baseline.
+    /// ([`monoid_algebra::execute_plan_walk_bound`]) — the ablation baseline.
     pub plan_walk_p50_nanos: u128,
     /// Plan-walk median ÷ fused median: what fusion buys on one thread.
     pub fused_speedup: f64,
@@ -288,7 +288,8 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
                 monoid_algebra::plan_comprehension(&canonical).expect("canonical query plans")
             });
             let value = trace.time(Phase::Execute, || {
-                monoid_algebra::execute_metered(&plan, db).expect("canonical query executes")
+                monoid_algebra::execute_metered_bound(&plan, db, &[])
+                    .expect("canonical query executes")
             });
             drop(value);
             samples.push(started.elapsed().as_nanos());
@@ -435,13 +436,13 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
 
 /// Time the ordered parallel reduction engine at several thread counts —
 /// a commutative fold and an order-sensitive list build — against their
-/// sequential medians. Runs through [`monoid_algebra::execute_parallel_metered`]
+/// sequential medians. Runs through [`monoid_algebra::execute_parallel_metered_bound`]
 /// so the `parallel_*` registry family (workers, per-worker rows,
 /// `parallel_fallback_total{reason}`) lands in the report's Prometheus
 /// section.
 fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
     let scale = TravelScale::with_hotels(if quick { 64 } else { 1024 });
-    let mut db = travel::generate(scale, 7);
+    let db = travel::generate(scale, 7);
     let thread_counts = [1usize, 2, 4, 8];
     let cases = [
         (
@@ -483,9 +484,9 @@ fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
             let workers: Vec<usize> = thread_counts
                 .iter()
                 .map(|&t| {
-                    monoid_algebra::execute_parallel_metered(&plan, &mut db, t)
+                    monoid_algebra::execute_parallel_metered_bound(&plan, &db, t, &[])
                         .expect("parallel case executes");
-                    let (_, report) = monoid_algebra::execute_parallel_traced(&plan, &mut db, t)
+                    let (_, report) = monoid_algebra::execute_parallel_bound(&plan, &db, t, &[])
                         .expect("parallel case executes");
                     report.workers
                 })
@@ -501,14 +502,15 @@ fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
                 thread_counts.iter().map(|_| Vec::with_capacity(runs)).collect();
             for _ in 0..runs {
                 let started = Instant::now();
-                monoid_algebra::execute(&plan, &mut db).expect("sequential baseline");
+                monoid_algebra::execute(&plan, &db).expect("sequential baseline");
                 fused_samples.push(started.elapsed().as_nanos());
                 let started = Instant::now();
-                monoid_algebra::execute_plan_walk(&plan, &mut db).expect("plan-walk baseline");
+                monoid_algebra::execute_plan_walk_bound(&plan, &db, &[])
+                    .expect("plan-walk baseline");
                 plan_walk_samples.push(started.elapsed().as_nanos());
                 for (slot, &t) in par_samples.iter_mut().zip(&thread_counts) {
                     let started = Instant::now();
-                    monoid_algebra::execute_parallel(&plan, &mut db, t)
+                    monoid_algebra::execute_parallel_bound(&plan, &db, t, &[])
                         .expect("parallel case executes");
                     slot.push(started.elapsed().as_nanos());
                 }

@@ -6,11 +6,11 @@
 //! is field-wise `or`. The flags are exactly the hazards the rest of the
 //! pipeline cares about:
 //!
-//! * **allocates** — contains `new(e)`: evaluating it grows the heap, so a
-//!   hash-join build side containing it cannot be shared across threads
-//!   without OID reconciliation.
-//! * **mutates** — contains `e₁ := e₂`: evaluating it writes the heap, so
-//!   partitioned parallel evaluation would race.
+//! * **allocates** — contains `new(e)`: evaluating it grows the heap, so
+//!   the statement must commit through the database writer, not run
+//!   against an immutable snapshot.
+//! * **mutates** — contains `e₁ := e₂`: evaluating it writes the heap —
+//!   the writer path again, and evaluation order becomes observable.
 //! * **reads_heap** — contains `!e`: result depends on heap state, so the
 //!   term cannot be freely duplicated/deleted/reordered (same bar as
 //!   [`crate::normalize::is_pure`]).
@@ -69,8 +69,9 @@ impl Effects {
         !self.allocates && !self.mutates && !self.reads_heap
     }
 
-    /// Safe to evaluate under partitioned parallelism: workers may
-    /// allocate (reconciled afterwards) and read, but never write.
+    /// Partition order is unobservable: no in-place heap write. (The
+    /// calculus-level verdict; the algebra only ever plans — and so only
+    /// ever partitions — comprehensions that are [`Effects::is_pure`].)
     pub fn parallel_safe(self) -> bool {
         !self.mutates
     }

@@ -84,13 +84,6 @@ impl Heap {
         self.version
     }
 
-    /// The states allocated at or after index `base`, in allocation order
-    /// — what a worker that cloned this heap at `len() == base` has added
-    /// since. Used by the parallel driver to reconcile worker heaps.
-    pub fn states_from(&self, base: usize) -> &[Value] {
-        &self.states[base.min(self.states.len())..]
-    }
-
     /// Number of live objects.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -144,17 +137,6 @@ mod tests {
         assert_eq!(c.version(), h.version());
         let _ = h.get(a).unwrap();
         assert_eq!(c.version(), h.version());
-    }
-
-    #[test]
-    fn states_from_returns_the_tail() {
-        let mut h = Heap::new();
-        h.alloc(Value::Int(0));
-        let base = h.len();
-        h.alloc(Value::Int(1));
-        h.alloc(Value::Int(2));
-        assert_eq!(h.states_from(base), &[Value::Int(1), Value::Int(2)]);
-        assert_eq!(h.states_from(h.len() + 10), &[] as &[Value]);
     }
 
     #[test]

@@ -139,7 +139,7 @@ pub struct QueryRecord {
     /// Workers the parallel engine spawned (0 = sequential).
     pub parallel_workers: u64,
     /// Why the parallel engine fell back to sequential execution, when
-    /// it did (`"single-thread"`, `"mutation"`, `"too-few-rows"`).
+    /// it did (`"single-thread"`, `"too-few-rows"`).
     pub parallel_fallback: Option<String>,
     /// Which execution engine ran the reduction (`"fused"` for the
     /// batch-fold engine, `"plan-walk"` for the plan-tree interpreter,

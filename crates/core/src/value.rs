@@ -898,91 +898,12 @@ pub fn coerce_to_set(v: &Value) -> EvalResult<Value> {
     Ok(Value::set_from(v.elements()?))
 }
 
-/// Shift every object identity at or above `base` up by `offset`,
-/// recursively through containers and captured closure environments.
-///
-/// This is the heap-reconciliation primitive for parallel execution: a
-/// worker that cloned the shared heap at `len() == base` allocates OIDs
-/// `base, base+1, …`; when its new states are appended to the shared heap
-/// after `offset` states from earlier partitions, every reference the
-/// worker created must shift by the same amount. The shift is monotone
-/// (identities below `base` are untouched, those above move up together),
-/// so the canonical sort order of sets and bags containing objects is
-/// preserved.
-pub fn remap_oids(v: &Value, base: u64, offset: u64) -> Value {
-    if offset == 0 {
-        return v.clone();
-    }
-    let map = |x: &Value| remap_oids(x, base, offset);
-    match v {
-        Value::Obj(Oid(o)) if *o >= base => Value::Obj(Oid(o + offset)),
-        Value::Null
-        | Value::Bool(_)
-        | Value::Int(_)
-        | Value::Float(_)
-        | Value::Str(_)
-        | Value::Obj(_) => v.clone(),
-        Value::Record(fields) => Value::Record(Arc::new(
-            fields.iter().map(|(n, x)| (*n, map(x))).collect(),
-        )),
-        Value::Tuple(items) => Value::Tuple(Arc::new(items.iter().map(map).collect())),
-        Value::List(items) => Value::List(Arc::new(items.iter().map(map).collect())),
-        // Monotone shift: canonical order survives element-wise mapping.
-        Value::Set(items) => Value::Set(Arc::new(items.iter().map(map).collect())),
-        Value::Bag(runs) => Value::Bag(Arc::new(
-            runs.iter().map(|(x, n)| (map(x), *n)).collect(),
-        )),
-        Value::Vector(items) => Value::Vector(Arc::new(items.iter().map(map).collect())),
-        Value::Closure(c) => {
-            let mut bindings = Vec::new();
-            let mut node = c.env.0.as_deref();
-            while let Some(n) = node {
-                bindings.push((n.name, map(&n.value)));
-                node = n.rest.0.as_deref();
-            }
-            // Rebuild innermost-last so shadowing order is preserved.
-            bindings.reverse();
-            Value::Closure(Arc::new(Closure {
-                param: c.param,
-                body: c.body.clone(),
-                env: Env::from_bindings(bindings),
-                id: c.id,
-            }))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn ints(v: &[i64]) -> Vec<Value> {
         v.iter().map(|&i| Value::Int(i)).collect()
-    }
-
-    #[test]
-    fn remap_oids_shifts_only_the_new_range() {
-        let v = Value::record_from(vec![
-            ("old", Value::Obj(Oid(3))),
-            ("new", Value::Obj(Oid(10))),
-            (
-                "nested",
-                Value::set_from(vec![Value::Obj(Oid(10)), Value::Obj(Oid(12)), Value::Int(1)]),
-            ),
-        ]);
-        let r = remap_oids(&v, 10, 5);
-        assert_eq!(r.field(Symbol::new("old")), Some(&Value::Obj(Oid(3))));
-        assert_eq!(r.field(Symbol::new("new")), Some(&Value::Obj(Oid(15))));
-        assert_eq!(
-            r.field(Symbol::new("nested")),
-            Some(&Value::set_from(vec![
-                Value::Obj(Oid(15)),
-                Value::Obj(Oid(17)),
-                Value::Int(1)
-            ]))
-        );
-        // offset 0 is the identity.
-        assert_eq!(remap_oids(&v, 10, 0), v);
     }
 
     #[test]

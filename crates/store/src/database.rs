@@ -8,15 +8,15 @@
 //! scope; the heap is threaded through evaluation so update programs
 //! (paper §4.2/§4.3) mutate the database in place.
 
-use monoid_calculus::error::{EvalError, EvalResult, TypeResult};
+use crate::Snapshot;
+use monoid_calculus::error::EvalResult;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::heap::Heap;
 use monoid_calculus::metrics::{self, Counter, Gauge, Histogram};
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::typecheck::{TypeChecker, TypeEnv};
-use monoid_calculus::types::{Schema, Type};
-use monoid_calculus::value::{Env, Oid, Value};
+use monoid_calculus::types::Schema;
+use monoid_calculus::value::{Oid, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -24,15 +24,15 @@ use std::time::Instant;
 /// The store's series in the process-wide metrics registry, resolved
 /// once. Counters are cumulative across every `Database` instance in
 /// the process — fleet accounting, not per-database accounting.
-struct StoreMetrics {
+pub(crate) struct StoreMetrics {
     /// Objects allocated through [`Database::insert`].
     inserts: Arc<Counter>,
-    /// Object states read through [`Database::state`] (and `field`).
-    state_reads: Arc<Counter>,
+    /// Object states read through [`Snapshot::state`] (and `field`).
+    pub(crate) state_reads: Arc<Counter>,
     /// Extents made scannable: one count per extent bound into a query
-    /// environment by [`Database::env`], plus direct extent reads via
-    /// [`Database::root`].
-    extent_scans: Arc<Counter>,
+    /// environment by [`Snapshot::env`], plus direct extent reads via
+    /// [`Snapshot::root`].
+    pub(crate) extent_scans: Arc<Counter>,
     /// Queries evaluated via [`Database::query`]/`query_counted`.
     queries: Arc<Counter>,
     /// Queries that returned an error.
@@ -43,7 +43,7 @@ struct StoreMetrics {
     heap_objects: Arc<Gauge>,
 }
 
-fn store_metrics() -> &'static StoreMetrics {
+pub(crate) fn store_metrics() -> &'static StoreMetrics {
     static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let r = metrics::global();
@@ -59,30 +59,27 @@ fn store_metrics() -> &'static StoreMetrics {
     })
 }
 
-/// An object database.
+/// An object database: the one writer of a [`Snapshot`].
 ///
-/// Schema, roots, and the heap's storage all live behind `Arc`s, so
-/// [`Database::snapshot`] is O(1): it hands out an immutable
-/// [`crate::Snapshot`] sharing the current state. Mutations go through
-/// `Arc::make_mut` — free while no snapshot is outstanding, one
-/// copy-on-write unshare when one is — so writers never block readers
-/// and readers never observe a torn state.
+/// The database owns its readable state *as* a `Snapshot` and derefs to
+/// it, so every read accessor (`schema`, `root`, `state`, `env`,
+/// `check`, …) is the snapshot's, and [`Database::snapshot`] is a clone
+/// of one field — O(1), since schema, roots, and the heap's storage all
+/// live behind `Arc`s. Mutations go through `Arc::make_mut` — free while
+/// no snapshot is outstanding, one copy-on-write unshare when one is —
+/// so writers never block readers and readers never observe a torn
+/// state.
 #[derive(Debug, Default)]
 pub struct Database {
-    schema: Arc<Schema>,
-    heap: Heap,
-    /// Named persistent roots: extents (bags of objects) and any other
-    /// top-level values.
-    roots: Arc<BTreeMap<Symbol, Value>>,
-    /// Which class each extent member list belongs to, for `insert`.
-    extent_of: Arc<BTreeMap<Symbol, Symbol>>,
-    /// Bumped on every root mutation (`insert` extent growth, `set_root`).
-    /// Heap mutations are tracked by the heap's own version counter; the
-    /// two together form [`Database::mutation_epoch`].
-    roots_epoch: u64,
-    /// Process-unique identity (see [`Database::instance_id`]); `0` for
-    /// `Database::default()`, which is never cached against.
-    instance: u64,
+    current: Snapshot,
+}
+
+impl std::ops::Deref for Database {
+    type Target = Snapshot;
+
+    fn deref(&self) -> &Snapshot {
+        &self.current
+    }
 }
 
 /// Clones get a *fresh* instance id: a clone and its original mutate
@@ -90,14 +87,7 @@ pub struct Database {
 /// id and stale gathered statistics could be served for the wrong data.
 impl Clone for Database {
     fn clone(&self) -> Database {
-        Database {
-            schema: Arc::clone(&self.schema),
-            heap: self.heap.clone(),
-            roots: Arc::clone(&self.roots),
-            extent_of: Arc::clone(&self.extent_of),
-            roots_epoch: self.roots_epoch,
-            instance: next_instance(),
-        }
+        Database { current: Snapshot { instance: next_instance(), ..self.current.clone() } }
     }
 }
 
@@ -120,128 +110,70 @@ impl Database {
             }
         }
         Database {
-            schema: Arc::new(schema),
-            heap: Heap::new(),
-            roots: Arc::new(roots),
-            extent_of: Arc::new(extent_of),
-            roots_epoch: 0,
-            instance: next_instance(),
+            current: Snapshot {
+                schema: Arc::new(schema),
+                heap: Heap::new(),
+                roots: Arc::new(roots),
+                extent_of: Arc::new(extent_of),
+                roots_epoch: 0,
+                instance: next_instance(),
+            },
         }
     }
 
-    /// An immutable, `O(1)` snapshot of this database's current state:
-    /// the Arc'd heap, roots, and schema, stamped with
-    /// `(instance_id, mutation_epoch)`. Any number of reader threads can
-    /// execute against the snapshot concurrently while this database
+    /// An immutable, `O(1)` snapshot of this database's current state,
+    /// stamped with `(instance_id, epoch)`. Any number of reader threads
+    /// can execute against the snapshot concurrently while this database
     /// keeps mutating — a mutation after the snapshot copy-on-writes the
     /// shared storage, so the snapshot keeps seeing exactly the state it
-    /// was taken at (see [`crate::Snapshot`]).
-    pub fn snapshot(&self) -> crate::Snapshot {
-        crate::Snapshot::new(
-            Arc::clone(&self.schema),
-            self.heap.clone(),
-            Arc::clone(&self.roots),
-            Arc::clone(&self.extent_of),
-            self.instance,
-            self.mutation_epoch(),
-        )
+    /// was taken at (see [`Snapshot`]).
+    pub fn snapshot(&self) -> Snapshot {
+        self.current.clone()
     }
 
-    /// A process-unique identity for this database value. Paired with
-    /// [`Database::mutation_epoch`] it keys caches of derived data
-    /// (gathered statistics): equal `(instance_id, mutation_epoch)` means
-    /// the same data, byte for byte. `0` (from `Database::default()`)
-    /// means "anonymous — do not cache".
-    pub fn instance_id(&self) -> u64 {
-        self.instance
-    }
-
-    /// A counter that strictly increases across every mutation of the
-    /// database — object allocation, state update (including updates made
-    /// by query evaluation), extent growth, and root rebinding. Two equal
-    /// epochs mean no mutation happened in between; secondary indexes are
+    /// The current [`Snapshot::epoch`]: a counter that strictly
+    /// increases across every mutation of the database — object
+    /// allocation, state update (including updates made by query
+    /// evaluation), extent growth, and root rebinding. Two equal epochs
+    /// mean no mutation happened in between; secondary indexes are
     /// stamped with the epoch at build time so lookup rewriting can refuse
     /// (or rebuild) indexes that no longer reflect the data.
     pub fn mutation_epoch(&self) -> u64 {
-        self.heap.version() + self.roots_epoch
-    }
-
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// The schema behind its shared handle (snapshots and servers hold
-    /// clones of this instead of copying the schema).
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
-    pub fn heap(&self) -> &Heap {
-        &self.heap
+        self.current.epoch()
     }
 
     /// Direct heap access for bulk loaders.
     pub fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.heap
+        &mut self.current.heap
     }
 
     /// Allocate an object of `class` with the given record `state` and add
     /// it to the class's extent (if it has one). Returns the new identity.
     pub fn insert(&mut self, class: Symbol, state: Value) -> EvalResult<Oid> {
-        let oid = self.heap.alloc(state);
+        let cur = &mut self.current;
+        let oid = cur.heap.alloc(state);
         let m = store_metrics();
         m.inserts.inc();
-        m.heap_objects.set(self.heap.len() as i64);
-        if let Some(extent) = self.extent_of.get(&class).copied() {
+        m.heap_objects.set(cur.heap.len() as i64);
+        if let Some(extent) = cur.extent_of.get(&class).copied() {
             let obj = Value::Obj(oid);
-            let current = self
+            let current = cur
                 .roots
                 .get(&extent)
                 .cloned()
                 .unwrap_or_else(|| Value::bag_from(Vec::new()));
             let mut elems = current.elements()?;
             elems.push(obj);
-            Arc::make_mut(&mut self.roots).insert(extent, Value::bag_from(elems));
-            self.roots_epoch += 1;
+            Arc::make_mut(&mut cur.roots).insert(extent, Value::bag_from(elems));
+            cur.roots_epoch += 1;
         }
         Ok(oid)
     }
 
     /// Set (or create) a named persistent root.
     pub fn set_root(&mut self, name: impl Into<Symbol>, value: Value) {
-        Arc::make_mut(&mut self.roots).insert(name.into(), value);
-        self.roots_epoch += 1;
-    }
-
-    pub fn root(&self, name: Symbol) -> Option<&Value> {
-        if self.is_extent(name) {
-            store_metrics().extent_scans.inc();
-        }
-        self.roots.get(&name)
-    }
-
-    /// Is `name` the extent of some class?
-    fn is_extent(&self, name: Symbol) -> bool {
-        self.extent_of.values().any(|e| *e == name)
-    }
-
-    pub fn roots(&self) -> impl Iterator<Item = (Symbol, &Value)> {
-        self.roots.iter().map(|(k, v)| (*k, v))
-    }
-
-    /// The environment binding every persistent root, for evaluation.
-    /// Counts each extent bound into scope as a (potential) extent scan
-    /// — this is the point where a query gains access to the extents.
-    pub fn env(&self) -> Env {
-        let extents = self.extent_of.values().filter(|e| self.roots.contains_key(e)).count();
-        store_metrics().extent_scans.add(extents as u64);
-        Env::from_bindings(self.roots.iter().map(|(k, v)| (*k, v.clone())))
-    }
-
-    /// Type-check a query against this database's schema.
-    pub fn check(&self, e: &Expr) -> TypeResult<Type> {
-        let mut tc = TypeChecker::with_schema(&self.schema);
-        tc.check(&TypeEnv::new(), e)
+        Arc::make_mut(&mut self.current.roots).insert(name.into(), value);
+        self.current.roots_epoch += 1;
     }
 
     /// Evaluate a query. The heap is moved into the evaluator and back, so
@@ -258,47 +190,17 @@ impl Database {
         let m = store_metrics();
         m.queries.inc();
         let started = Instant::now();
-        let heap = std::mem::take(&mut self.heap);
-        let mut ev = Evaluator::with_heap(heap);
         let env = self.env();
+        let mut ev = Evaluator::with_heap(std::mem::take(self.heap_mut()));
         let result = ev.eval(&env, e);
         let steps = ev.steps_used();
-        self.heap = ev.heap;
+        *self.heap_mut() = ev.heap;
         m.query_nanos.observe_nanos(started.elapsed().as_nanos());
-        m.heap_objects.set(self.heap.len() as i64);
+        m.heap_objects.set(self.object_count() as i64);
         if result.is_err() {
             m.query_errors.inc();
         }
         result.map(|v| (v, steps))
-    }
-
-    /// Read the current state of an object.
-    pub fn state(&self, oid: Oid) -> EvalResult<&Value> {
-        store_metrics().state_reads.inc();
-        self.heap.get(oid)
-    }
-
-    /// Read a field of an object's record state (convenience for tests and
-    /// loaders).
-    pub fn field(&self, oid: Oid, name: impl Into<Symbol>) -> EvalResult<Value> {
-        let name = name.into();
-        self.state(oid)?
-            .field(name)
-            .cloned()
-            .ok_or_else(|| EvalError::Other(format!("object has no field `{name}`")))
-    }
-
-    /// Number of objects in the heap.
-    pub fn object_count(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Number of members of an extent.
-    pub fn extent_len(&self, extent: impl Into<Symbol>) -> usize {
-        self.roots
-            .get(&extent.into())
-            .and_then(|v| v.len().ok())
-            .unwrap_or(0)
     }
 }
 
@@ -306,7 +208,7 @@ impl Database {
 mod tests {
     use super::*;
     use monoid_calculus::monoid::Monoid;
-    use monoid_calculus::types::ClassDef;
+    use monoid_calculus::types::{ClassDef, Type};
 
     fn tiny_schema() -> Schema {
         let mut s = Schema::new();

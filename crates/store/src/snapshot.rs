@@ -4,10 +4,10 @@
 //! time: the Arc'd heap, roots, and schema, stamped with the
 //! `(instance_id, mutation_epoch)` pair that keys every derived-data
 //! cache in the system (plan cache, gathered statistics, secondary
-//! indexes). Taking one is O(1) — [`Database::snapshot`] clones three
-//! `Arc`s — and the snapshot is `Send + Sync + Clone`, so any number of
-//! reader threads can execute against it while the owning database keeps
-//! committing new epochs. The copy-on-write storage underneath
+//! indexes). Taking one is O(1) — [`Database::snapshot`] clones the one
+//! `Snapshot` the database owns, a handful of `Arc`s — and the snapshot
+//! is `Send + Sync + Clone`, so any number of reader threads can execute
+//! against it while the owning database keeps committing new epochs. The copy-on-write storage underneath
 //! ([`monoid_calculus::heap::Heap`]) guarantees a reader never sees a
 //! torn state: a writer's first mutation after the snapshot unshares the
 //! storage, leaving the snapshot bit-for-bit what it was.
@@ -21,6 +21,7 @@
 //! must run against the `&mut Database` writer path, which is where
 //! epochs advance.
 
+use crate::database::store_metrics;
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::{EvalError, EvalResult, TypeResult};
 use monoid_calculus::eval::Evaluator;
@@ -35,47 +36,54 @@ use std::sync::Arc;
 
 /// An immutable view of a [`Database`](crate::Database) at one mutation
 /// epoch. Cheap to take, cheap to clone, safe to share across threads.
-#[derive(Debug, Clone)]
+///
+/// This is the *one* read surface of the store: a `Database` owns its
+/// current state as a `Snapshot` and derefs to it, so every accessor
+/// here is also what `db.root(..)`, `db.state(..)`, `db.env()` resolve
+/// to. The fields are crate-private so only the writer in
+/// [`crate::database`] can advance them.
+#[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    schema: Arc<Schema>,
-    heap: Heap,
-    roots: Arc<BTreeMap<Symbol, Value>>,
-    extent_of: Arc<BTreeMap<Symbol, Symbol>>,
-    instance: u64,
-    epoch: u64,
+    pub(crate) schema: Arc<Schema>,
+    pub(crate) heap: Heap,
+    /// Named persistent roots: extents (bags of objects) and any other
+    /// top-level values.
+    pub(crate) roots: Arc<BTreeMap<Symbol, Value>>,
+    /// Which class each extent member list belongs to, for `insert`.
+    pub(crate) extent_of: Arc<BTreeMap<Symbol, Symbol>>,
+    /// Bumped on every root mutation (`insert` extent growth, `set_root`).
+    /// Heap mutations are tracked by the heap's own version counter; the
+    /// two together form [`Snapshot::epoch`].
+    pub(crate) roots_epoch: u64,
+    /// Process-unique identity (see [`Snapshot::instance_id`]); `0` for
+    /// `Database::default()`, which is never cached against.
+    pub(crate) instance: u64,
 }
 
 impl Snapshot {
-    /// Constructed by [`Database::snapshot`](crate::Database::snapshot).
-    pub(crate) fn new(
-        schema: Arc<Schema>,
-        heap: Heap,
-        roots: Arc<BTreeMap<Symbol, Value>>,
-        extent_of: Arc<BTreeMap<Symbol, Symbol>>,
-        instance: u64,
-        epoch: u64,
-    ) -> Snapshot {
-        Snapshot { schema, heap, roots, extent_of, instance, epoch }
-    }
-
-    /// The [`Database::instance_id`](crate::Database::instance_id) of the
-    /// database this snapshot was taken from.
+    /// A process-unique identity for the database this state belongs to.
+    /// Paired with [`Snapshot::epoch`] it keys caches of derived data
+    /// (plans, gathered statistics): equal `(instance_id, epoch)` means
+    /// the same data, byte for byte. `0` (from `Database::default()`)
+    /// means "anonymous — do not cache".
     pub fn instance_id(&self) -> u64 {
         self.instance
     }
 
-    /// The [`Database::mutation_epoch`](crate::Database::mutation_epoch)
-    /// this snapshot pins. Two snapshots with equal
-    /// `(instance_id, epoch)` see identical data, byte for byte.
+    /// The mutation epoch this state is at: heap version plus root
+    /// mutations. Constant for a frozen snapshot; strictly increasing
+    /// across every mutation of the owning database (see
+    /// [`Database::mutation_epoch`](crate::Database::mutation_epoch)).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.heap.version() + self.roots_epoch
     }
 
     pub fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    /// The schema behind its shared handle.
+    /// The schema behind its shared handle (servers hold clones of this
+    /// instead of copying the schema).
     pub fn schema_arc(&self) -> Arc<Schema> {
         Arc::clone(&self.schema)
     }
@@ -88,6 +96,9 @@ impl Snapshot {
     }
 
     pub fn root(&self, name: Symbol) -> Option<&Value> {
+        if self.is_extent(name) {
+            store_metrics().extent_scans.inc();
+        }
         self.roots.get(&name)
     }
 
@@ -95,10 +106,13 @@ impl Snapshot {
         self.roots.iter().map(|(k, v)| (*k, v))
     }
 
-    /// The environment binding every persistent root, exactly as
-    /// [`Database::env`](crate::Database::env) builds it (same iteration
-    /// order, so executions bind identically).
+    /// The environment binding every persistent root, for evaluation.
+    /// Counts each extent bound into scope as a (potential) extent scan
+    /// — this is the point where a query gains access to the extents.
+    /// (Every declared extent has a root from `Database::new` on, and
+    /// roots are never removed.)
     pub fn env(&self) -> Env {
+        store_metrics().extent_scans.add(self.extent_of.len() as u64);
         Env::from_bindings(self.roots.iter().map(|(k, v)| (*k, v.clone())))
     }
 
@@ -115,17 +129,19 @@ impl Snapshot {
         self.extent_of.values().any(|e| *e == name)
     }
 
-    /// Number of objects in the pinned heap.
+    /// Number of objects in the heap.
     pub fn object_count(&self) -> usize {
         self.heap.len()
     }
 
-    /// Read the pinned state of an object.
+    /// Read the state of an object.
     pub fn state(&self, oid: Oid) -> EvalResult<&Value> {
+        store_metrics().state_reads.inc();
         self.heap.get(oid)
     }
 
-    /// Read a field of an object's pinned record state.
+    /// Read a field of an object's record state (convenience for tests
+    /// and loaders).
     pub fn field(&self, oid: Oid, name: impl Into<Symbol>) -> EvalResult<Value> {
         let name = name.into();
         self.state(oid)?
@@ -134,7 +150,7 @@ impl Snapshot {
             .ok_or_else(|| EvalError::Other(format!("object has no field `{name}`")))
     }
 
-    /// Type-check a query against this snapshot's schema.
+    /// Type-check a query against this state's schema.
     pub fn check(&self, e: &Expr) -> TypeResult<Type> {
         let mut tc = TypeChecker::with_schema(&self.schema);
         tc.check(&TypeEnv::new(), e)

@@ -51,7 +51,7 @@ fn main() {
     println!("plan:\n{}", algebra::explain(&plan));
 
     // 6. …and execute it, pipelined.
-    let result = algebra::execute(&plan, &mut db).expect("executes");
+    let result = algebra::execute(&plan, &db).expect("executes");
     println!("result: {result}");
 
     // The direct evaluator agrees, of course.

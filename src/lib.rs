@@ -20,6 +20,11 @@
 //! statements with `$name` placeholders, plus the epoch-aware
 //! [`PlanCache`] behind [`Session::query`]).
 //!
+//! One store view: a plan reads a [`store::Snapshot`], which a
+//! `&Database` derefs to; only a statement whose `EffectSummary` writes
+//! touches `&mut Database` ([`Prepared::execute`], [`Session::query`],
+//! `Database::query`).
+//!
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
 pub use monoid_algebra as algebra;
@@ -45,7 +50,7 @@ use monoid_calculus::error::EvalError;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
 use monoid_oql::OqlError;
-use monoid_store::Database;
+use monoid_store::Snapshot;
 
 /// Why a profiled end-to-end run failed: in the front end or at
 /// plan/execution time.
@@ -90,16 +95,17 @@ pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
 }
 
 /// `EXPLAIN ANALYZE` for OQL source: run the full lifecycle — lex/parse →
-/// translate → normalize → optimize → plan → execute — against `db`,
-/// timing every phase and counting rows per plan operator. Returns the
-/// query's value together with a [`monoid_algebra::QueryProfile`] whose
+/// translate → normalize → optimize → plan → execute — against `snap`
+/// (pass a `&Database` for its current state), timing every phase and
+/// counting rows per plan operator. Returns the query's value together
+/// with a [`monoid_algebra::QueryProfile`] whose
 /// plan tree shows the optimizer's estimated cardinalities next to the
 /// observed ones (`profile.render()` for humans, `profile.to_json()` for
 /// machines).
 ///
 /// This is the only layer that sees both the OQL front end and the
 /// algebra back end, so it is where the two halves of the trace meet.
-pub fn explain_analyze(src: &str, db: &mut Database) -> Result<Analysis, AnalyzeError> {
+pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeError> {
     use monoid_calculus::recorder;
     let m = oql_metrics();
     m.queries.inc();
@@ -109,7 +115,7 @@ pub fn explain_analyze(src: &str, db: &mut Database) -> Result<Analysis, Analyze
         None
     };
     let started = std::time::Instant::now();
-    let result = explain_analyze_inner(src, db);
+    let result = explain_analyze_inner(src, snap);
     m.query_nanos.observe_nanos(started.elapsed().as_nanos());
     if result.is_err() {
         m.errors.inc();
@@ -119,9 +125,6 @@ pub fn explain_analyze(src: &str, db: &mut Database) -> Result<Analysis, Analyze
         // record gets the full lifecycle in one note.
         recorder::note_trace(&analysis.profile.trace);
         recorder::note_result(&analysis.value);
-        if let Some(fallback) = &analysis.profile.parallel_fallback {
-            recorder::note_parallel(0, Some(fallback));
-        }
     }
     if let Some(scope) = scope {
         let error = result.as_ref().err().map(ToString::to_string);
@@ -141,14 +144,14 @@ pub fn explain_analyze(src: &str, db: &mut Database) -> Result<Analysis, Analyze
     result
 }
 
-fn explain_analyze_inner(src: &str, db: &mut Database) -> Result<Analysis, AnalyzeError> {
+fn explain_analyze_inner(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeError> {
     let mut trace = QueryTrace::new();
     trace.source = Some(src.to_string());
     let program = trace.time(Phase::Parse, || monoid_oql::parse_program(src))?;
     let expr = trace.time(Phase::Translate, || {
-        monoid_oql::Translator::new(db.schema()).translate_program(&program)
+        monoid_oql::Translator::new(snap.schema()).translate_program(&program)
     })?;
-    Ok(monoid_algebra::analyze_with_trace(&expr, db, trace)?)
+    Ok(monoid_algebra::analyze_with_trace(&expr, snap, trace)?)
 }
 
 /// The umbrella OQL path's series in the process-wide registry: query

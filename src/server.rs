@@ -11,10 +11,13 @@
 //! itself (writers) — never across result streaming, so a slow client
 //! cannot stall the database.
 //!
-//! Statement routing is effect-driven: the prepared statement's
-//! [`EffectSummary`](monoid_calculus::analysis::EffectSummary) decides
-//! whether it runs on the snapshot read path
-//! ([`Session::query_snapshot`]) or the writer path ([`Session::query`]
+//! Statement routing is effect-driven and lives in one function,
+//! `run_statement`: the prepared statement's
+//! [`EffectSummary`](monoid_calculus::analysis::EffectSummary) — via
+//! [`Prepared::writes`](crate::Prepared::writes) — decides whether it
+//! runs on the snapshot read path
+//! ([`Prepared::execute_snapshot`](crate::Prepared::execute_snapshot))
+//! or the writer path ([`Prepared::execute`](crate::Prepared::execute)
 //! behind the write lock). A read-only statement therefore *cannot*
 //! block on a writer's commit, and a writer cannot see a half-applied
 //! read. The epoch each statement observed travels back to the client in
@@ -28,10 +31,8 @@
 //! the session open. Battery in `tests/wire_protocol.rs` and
 //! `tests/server_smoke.rs`.
 
-use crate::serving::InFlightGuard;
 use crate::wire::{self, Request, Response, ResultShape};
-use crate::{AnalyzeError, Params, Session};
-use monoid_calculus::recorder;
+use crate::{AnalyzeError, Params, Prepared, Session};
 use monoid_calculus::value::Value;
 use monoid_store::{Database, Snapshot};
 use std::collections::HashMap;
@@ -147,7 +148,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let session = Session::new();
-    let mut prepared: HashMap<u64, Arc<crate::Prepared>> = HashMap::new();
+    let mut prepared: HashMap<u64, Arc<Prepared>> = HashMap::new();
     let statement_ids = AtomicU64::new(1);
 
     loop {
@@ -198,7 +199,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
             }
             Request::Query { src, params } => {
                 let params = build_params(&params);
-                let outcome = run_query(db, &session, &src, &params);
+                let outcome = run_statement(db, &session, Statement::AdHoc(&src), &params);
                 send_outcome(&mut writer, outcome)?;
             }
             Request::Execute { id, params } => {
@@ -211,7 +212,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     continue;
                 };
                 let params = build_params(&params);
-                let outcome = run_prepared(db, &session, &stmt, &params);
+                let outcome = run_statement(db, &session, Statement::Prepared(stmt), &params);
                 send_outcome(&mut writer, outcome)?;
             }
         }
@@ -221,7 +222,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
 
 /// Take an O(1) snapshot, holding the read lock only for the `Arc`
 /// clones.
-fn take_snapshot(db: &Arc<RwLock<Database>>) -> Snapshot {
+fn take_snapshot(db: &RwLock<Database>) -> Snapshot {
     db.read().unwrap_or_else(std::sync::PoisonError::into_inner).snapshot()
 }
 
@@ -233,53 +234,47 @@ fn build_params(pairs: &[(String, Value)]) -> Params {
     params
 }
 
-/// Route an ad-hoc statement by effect: read-only statements execute
-/// against a fresh per-statement snapshot (no lock held during
-/// execution); writers take the write lock. Returns the value and the
-/// epoch the statement observed.
-fn run_query(
-    db: &Arc<RwLock<Database>>,
+/// What a client asked to run: source text (`QUERY`), resolved through
+/// the plan cache, or a statement it prepared earlier (`EXECUTE`).
+enum Statement<'a> {
+    AdHoc(&'a str),
+    Prepared(Arc<Prepared>),
+}
+
+/// The one routing function. Every statement binds its own snapshot;
+/// ad-hoc source is resolved through the plan cache against it — once —
+/// and then the statement's effects decide: a statement that
+/// [writes](Prepared::writes) takes the write lock and commits through
+/// [`Prepared::execute`]; everything else executes against the snapshot
+/// with no lock held. Returns the value and the epoch the statement
+/// observed. The session accounting (in-flight gauge, statement counters,
+/// the flight-recorder record with session id, cache disposition and
+/// snapshot epoch) brackets the whole thing.
+fn run_statement(
+    db: &RwLock<Database>,
     session: &Session,
-    src: &str,
+    stmt: Statement<'_>,
     params: &Params,
 ) -> Result<(Value, u64), AnalyzeError> {
     let snap = take_snapshot(db);
-    let (stmt, _) = session.cache().get_or_prepare_snapshot_traced(&snap, src)?;
-    if writes(&stmt) {
+    let (serving, stmt) = match stmt {
+        Statement::AdHoc(src) => {
+            let mut serving = session.begin(src);
+            let stmt = session.lookup(&mut serving, &snap, src)?;
+            (serving, stmt)
+        }
+        Statement::Prepared(stmt) => (session.begin(stmt.source()), stmt),
+    };
+    if stmt.writes() {
         let mut db = db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let value = session.query(&mut db, src, params)?;
-        Ok((value, db.mutation_epoch()))
+        let result = stmt.execute(&mut db, params);
+        serving.finish(&stmt, &result, &db, params);
+        Ok((result?, db.mutation_epoch()))
     } else {
-        let value = session.query_snapshot(&snap, src, params)?;
-        Ok((value, snap.epoch()))
+        let result = stmt.execute_snapshot(&snap, params);
+        serving.finish(&stmt, &result, &snap, params);
+        Ok((result?, snap.epoch()))
     }
-}
-
-/// [`run_query`] for a pre-prepared statement (`EXECUTE`): same routing,
-/// same per-statement snapshot binding.
-fn run_prepared(
-    db: &Arc<RwLock<Database>>,
-    session: &Session,
-    stmt: &Arc<crate::Prepared>,
-    params: &Params,
-) -> Result<(Value, u64), AnalyzeError> {
-    let _in_flight = InFlightGuard::enter();
-    if writes(stmt) {
-        let mut db = db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        recorder::note_session(session.id());
-        let value = stmt.execute(&mut db, params)?;
-        Ok((value, db.mutation_epoch()))
-    } else {
-        let snap = take_snapshot(db);
-        recorder::note_session(session.id());
-        let value = stmt.execute_snapshot(&snap, params)?;
-        Ok((value, snap.epoch()))
-    }
-}
-
-fn writes(stmt: &crate::Prepared) -> bool {
-    let effects = &stmt.effects().effects;
-    effects.mutates || effects.allocates
 }
 
 /// Stream a result: `ROWS` batches of [`wire::ROW_BATCH`] elements, then

@@ -12,10 +12,19 @@
 //! re-optimized on the warm path — the per-phase `query_phase_nanos`
 //! counters prove it (see `tests/prepared.rs`).
 //!
+//! **One store view.** A plan is a pure read, so preparing, caching,
+//! executing a read, profiling, and the slow-query replay all take a
+//! [`Snapshot`] (a `&Database` derefs to its current one). `&mut Database`
+//! appears only on the writer path — [`Prepared::execute`] and
+//! [`Session::query`] — where a statement whose cached [`EffectSummary`]
+//! says it writes (`:=`, `new`: always an evaluator-mode update program)
+//! commits its effects. [`Prepared::execute_snapshot`] and
+//! [`Session::query_snapshot`] refuse such statements.
+//!
 //! On top sits [`PlanCache`]: a process-wide, sharded, byte-budgeted LRU
 //! keyed by source text + schema fingerprint. Every entry is stamped with
-//! the [`Database::mutation_epoch`] observed at prepare time and is served
-//! only while the database still reports that exact epoch — the same
+//! the `(instance_id, epoch)` of the snapshot it was prepared against and
+//! is served only to a snapshot reporting that exact pair — the same
 //! equality check the algebra crate's index snapshots use (`Index::
 //! is_fresh`), so a mutation between executions can never yield a stale
 //! plan (or stale statistics). [`Session::query`] is the umbrella fast
@@ -31,8 +40,8 @@
 //! fingerprint, session id, cache disposition, phase timings, rows, and
 //! outcome. Executions crossing the slow-query threshold
 //! (`MONOID_SLOW_QUERY_NANOS`) additionally capture their optimized plan
-//! — and, when re-running is effect-free, a full `explain_analyze`
-//! profile. See `docs/observability.md`.
+//! — and, for reads (on either path), a full `explain_analyze` profile
+//! from a replay against the same snapshot. See `docs/observability.md`.
 
 use crate::AnalyzeError;
 use monoid_algebra::{plan_comprehension, reorder_generators, Query, Stats};
@@ -40,11 +49,11 @@ use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::normalize::normalize_traced;
-use monoid_calculus::recorder::{self, CacheDisposition, SlowQueryCapture};
+use monoid_calculus::recorder::{self, CacheDisposition, RecordScope, SlowQueryCapture};
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
-use monoid_calculus::value::Value;
+use monoid_calculus::value::{Env, Value};
 use monoid_store::{Database, Snapshot};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -146,43 +155,26 @@ pub fn prepare(schema: &Schema, src: &str) -> Result<Prepared, AnalyzeError> {
     prepare_with_stats(schema, src, &Stats::default())
 }
 
-/// Prepare `src` with statistics gathered from `db` (the variant
-/// [`Session::query`] and the plan cache use).
-pub fn prepare_on(db: &Database, src: &str) -> Result<Prepared, AnalyzeError> {
-    prepare_with_stats(db.schema(), src, &gathered_stats(db))
+/// Prepare `src` with statistics gathered from (and stamped with) `snap`
+/// — the variant [`Session::query`] and the plan cache use. Pass a
+/// `&Database` for its current state.
+pub fn prepare_on(snap: &Snapshot, src: &str) -> Result<Prepared, AnalyzeError> {
+    prepare_with_stats(snap.schema(), src, &gathered_stats(snap))
 }
 
-/// [`prepare_on`] for the snapshot read path: statistics gathered from
-/// (and stamped with) the pinned snapshot, sharing the same one-slot
-/// reuse cache — a snapshot of an unchanged database hits the gather the
-/// writer path populated, and vice versa, because both key by
-/// `(instance_id, mutation_epoch)`.
-pub fn prepare_on_snapshot(snap: &Snapshot, src: &str) -> Result<Prepared, AnalyzeError> {
-    prepare_with_stats(snap.schema(), src, &gathered_stats_snapshot(snap))
-}
+/// [`prepare_on`] under the name the frozen `benchmark/` crate imports;
+/// exists only until the benchmark is re-pinned.
+pub use self::prepare_on as prepare_on_snapshot;
 
 /// Gather-or-reuse: `Stats::gather` walks every root and the whole heap,
 /// but its result only changes when the database mutates. A one-slot
-/// process-wide cache keyed by `(instance_id, mutation_epoch)` makes
-/// repeated prepares against an unchanged database reuse the previous
-/// gather (counted by `stats_gather_reuse_total`). Anonymous databases
+/// process-wide cache keyed by `(instance_id, epoch)` makes repeated
+/// prepares against an unchanged database reuse the previous gather
+/// (counted by `stats_gather_reuse_total`). Anonymous databases
 /// (`instance_id() == 0`, from `Database::default()`) are never cached.
-fn gathered_stats(db: &Database) -> Arc<Stats> {
-    gathered_stats_keyed(db.instance_id(), db.mutation_epoch(), || Stats::gather(db))
-}
-
-/// [`gathered_stats`] keyed by a snapshot's pinned
-/// `(instance_id, epoch)` pair.
-fn gathered_stats_snapshot(snap: &Snapshot) -> Arc<Stats> {
-    gathered_stats_keyed(snap.instance_id(), snap.epoch(), || Stats::gather_snapshot(snap))
-}
-
-fn gathered_stats_keyed(
-    instance: u64,
-    epoch: u64,
-    gather: impl FnOnce() -> Stats,
-) -> Arc<Stats> {
+fn gathered_stats(snap: &Snapshot) -> Arc<Stats> {
     static CACHE: Mutex<Option<(u64, u64, Arc<Stats>)>> = Mutex::new(None);
+    let (instance, epoch) = (snap.instance_id(), snap.epoch());
     if instance != 0 {
         if let Some((i, e, stats)) = CACHE.lock().unwrap().as_ref() {
             if *i == instance && *e == epoch {
@@ -191,7 +183,7 @@ fn gathered_stats_keyed(
             }
         }
     }
-    let stats = Arc::new(gather());
+    let stats = Arc::new(Stats::gather(snap));
     if instance != 0 {
         *CACHE.lock().unwrap() = Some((instance, epoch, Arc::clone(&stats)));
     }
@@ -357,187 +349,108 @@ impl Prepared {
         Ok(&params.bindings)
     }
 
-    /// Execute sequentially: bind `params` into the root environment and
-    /// run the stored plan (or, for evaluator-mode statements, the stored
-    /// canonical form). No parse/normalize/optimize work happens here.
+    /// Does the statement write the heap (`:=` updates, `new`
+    /// allocations)? Decided once, at prepare, from the cached
+    /// [`EffectSummary`]; this is the *only* thing that routes a statement
+    /// to the `&mut Database` writer path. Writers are always
+    /// evaluator-mode — the planner refuses impure comprehensions.
+    pub fn writes(&self) -> bool {
+        self.effects.effects.mutates || self.effects.effects.allocates
+    }
+
+    /// The writer path: bind `params` into the root environment and run
+    /// the statement against `db`, committing whatever heap effects it
+    /// has. Read-only statements take exactly the
+    /// [`Prepared::execute_snapshot`] path against the database's current
+    /// state. No parse/normalize/optimize work happens here.
     pub fn execute(&self, db: &mut Database, params: &Params) -> Result<Value, AnalyzeError> {
-        self.run_recorded(db, params, |p, db, binds| match &p.exec {
-            ExecMode::Plan(q) => Ok(monoid_algebra::execute_bound(q, db, binds)?),
-            ExecMode::Eval => p.execute_eval(db, binds),
-        })
-    }
-
-    /// Execute with fleet metering (per-operator row counters in the
-    /// global registry). Evaluator-mode statements run unmetered — there
-    /// are no plan operators to charge.
-    pub fn execute_metered(
-        &self,
-        db: &mut Database,
-        params: &Params,
-    ) -> Result<Value, AnalyzeError> {
-        self.run_recorded(db, params, |p, db, binds| match &p.exec {
-            ExecMode::Plan(q) => Ok(monoid_algebra::execute_metered_bound(q, db, binds)?),
-            ExecMode::Eval => p.execute_eval(db, binds),
-        })
-    }
-
-    /// Execute on the ordered parallel engine at
-    /// [`monoid_algebra::default_threads`] workers (byte-identical to
-    /// sequential execution). Evaluator-mode statements fall back to
-    /// sequential evaluation, matching the parallel engine's own
-    /// mutation fallback.
-    pub fn execute_parallel_auto(
-        &self,
-        db: &mut Database,
-        params: &Params,
-    ) -> Result<Value, AnalyzeError> {
-        self.run_recorded(db, params, |p, db, binds| match &p.exec {
-            ExecMode::Plan(q) => Ok(monoid_algebra::execute_parallel_auto_bound(q, db, binds)?),
-            ExecMode::Eval => p.execute_eval(db, binds),
-        })
+        let scope = recorder::begin(&self.source);
+        let result = self.run_noted(params, |binds| {
+            if self.writes() {
+                self.run_write(db, binds)
+            } else {
+                self.run_read(db, binds)
+            }
+        });
+        self.commit(scope, &result, db, params);
+        result
     }
 
     /// Execute against an immutable [`Snapshot`] — the concurrent-read
-    /// path. Statements whose effect summary writes the heap (`:=`
-    /// updates, `new` allocations) are refused: they need the
-    /// `&mut Database` writer path, where epochs advance. Results are
-    /// byte-identical to [`Prepared::execute`] against the database at
-    /// the snapshot's epoch.
+    /// path. Statements that [write](Prepared::writes) are refused: they
+    /// need the `&mut Database` writer path, where epochs advance.
+    /// Results are byte-identical to [`Prepared::execute`] against the
+    /// database at the snapshot's epoch.
     pub fn execute_snapshot(
         &self,
         snap: &Snapshot,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let scope = if recorder::global().enabled() && !recorder::active() {
-            recorder::begin(&self.source)
-        } else {
-            None
-        };
+        let scope = recorder::begin(&self.source);
         recorder::note_snapshot_epoch(snap.epoch());
-        recorder::note_effects(|| self.effects.to_string());
-        let result = self.execute_snapshot_inner(snap, params);
-        if let Ok(v) = &result {
-            recorder::note_result(v);
-        }
-        if let Some(scope) = scope {
-            let error = result.as_ref().err().map(ToString::to_string);
-            if let Some(trigger) = scope.finish(error) {
-                self.capture_slow_snapshot(&trigger);
+        let result = self.run_noted(params, |binds| {
+            if self.writes() {
+                return Err(AnalyzeError::Exec(EvalError::Other(format!(
+                    "statement has heap effects ({}) — snapshots are read-only; \
+                     run it against the database writer instead",
+                    self.effects
+                ))));
             }
-        }
+            self.run_read(snap, binds)
+        });
+        self.commit(scope, &result, snap, params);
         result
     }
 
-    fn execute_snapshot_inner(
+    /// The annotations both paths share, landing on whichever record is
+    /// active — one this layer opened, or a [`Session`]'s: the effect
+    /// summary, eager binding validation, the execute phase (timed here —
+    /// not in the algebra layers below — so it lands on the record
+    /// whichever layer owns it), and the result's row count.
+    fn run_noted(
         &self,
-        snap: &Snapshot,
         params: &Params,
+        run: impl FnOnce(&[(Symbol, Value)]) -> Result<Value, AnalyzeError>,
     ) -> Result<Value, AnalyzeError> {
-        if self.effects.effects.mutates || self.effects.effects.allocates {
-            return Err(AnalyzeError::Exec(EvalError::Other(format!(
-                "statement has heap effects ({}) — snapshots are read-only; \
-                 run it against the database writer instead",
-                self.effects
-            ))));
-        }
+        recorder::note_effects(|| self.effects.to_string());
         let binds = self.resolve(params).map_err(AnalyzeError::Exec)?;
         let timing = recorder::active().then(Instant::now);
-        let result = match &self.exec {
-            ExecMode::Plan(q) => {
-                monoid_algebra::execute_snapshot_bound(q, snap, binds).map_err(AnalyzeError::from)
-            }
-            ExecMode::Eval => {
-                recorder::note_engine("eval");
-                let mut env = snap.env();
-                for (p, v) in binds {
-                    env = env.bind(*p, v.clone());
-                }
-                snap.eval_unchecked(&self.canonical, &env).map_err(AnalyzeError::from)
-            }
-        };
-        if let Some(started) = timing {
-            recorder::note_phase(Phase::Execute, started.elapsed().as_nanos());
-        }
-        result
-    }
-
-    /// The snapshot path's slow-query capture: plan text only — a
-    /// profiled re-run needs a `&mut Database`, which a snapshot reader
-    /// deliberately does not hold.
-    fn capture_slow_snapshot(&self, trigger: &recorder::SlowTrigger) {
-        recorder::global().capture_slow(SlowQueryCapture {
-            seq: trigger.seq,
-            fingerprint: trigger.fingerprint,
-            source: self.source.clone(),
-            total_nanos: trigger.total_nanos,
-            threshold_nanos: trigger.threshold_nanos,
-            plan: self.query().map(monoid_algebra::explain),
-            profile: None,
-        });
-    }
-
-    /// The shared recording wrapper of every `execute*` variant: open a
-    /// flight-recorder scope when no higher layer (a [`Session`]) owns
-    /// one, annotate whatever record is active (effect summary, execute
-    /// time, rows, outcome), and — for a scope opened here — commit it
-    /// and attach the slow-query capture if the threshold tripped.
-    fn run_recorded(
-        &self,
-        db: &mut Database,
-        params: &Params,
-        f: impl FnOnce(&Prepared, &mut Database, &[(Symbol, Value)]) -> Result<Value, AnalyzeError>,
-    ) -> Result<Value, AnalyzeError> {
-        let scope = if recorder::global().enabled() && !recorder::active() {
-            recorder::begin(&self.source)
-        } else {
-            None
-        };
-        recorder::note_effects(|| self.effects.to_string());
-        let binds = match self.resolve(params) {
-            Ok(b) => b,
-            Err(e) => {
-                let err = AnalyzeError::Exec(e);
-                if let Some(scope) = scope {
-                    scope.finish(Some(err.to_string()));
-                }
-                return Err(err);
-            }
-        };
-        // The execute phase is timed here — not in the algebra layers
-        // below — so it lands on the record whichever layer owns it.
-        let timing = recorder::active().then(Instant::now);
-        let result = f(self, db, binds);
+        let result = run(binds);
         if let Some(started) = timing {
             recorder::note_phase(Phase::Execute, started.elapsed().as_nanos());
         }
         if let Ok(v) = &result {
             recorder::note_result(v);
         }
-        if let Some(scope) = scope {
-            let error = result.as_ref().err().map(ToString::to_string);
-            if let Some(trigger) = scope.finish(error) {
-                self.capture_slow(db, params, &trigger);
-            }
-        }
         result
+    }
+
+    /// Commit a record this layer (or a [`Session`]) opened, and attach
+    /// the slow-query capture if the threshold tripped. `snap` is the
+    /// state the statement ran against (for a writer: the state it left).
+    fn commit(
+        &self,
+        scope: Option<RecordScope>,
+        result: &Result<Value, AnalyzeError>,
+        snap: &Snapshot,
+        params: &Params,
+    ) {
+        let Some(scope) = scope else { return };
+        let error = result.as_ref().err().map(ToString::to_string);
+        if let Some(trigger) = scope.finish(error) {
+            self.capture_slow(snap, params, &trigger);
+        }
     }
 
     /// Attach the deep capture for an over-threshold execution: the
-    /// optimized plan text and — when a second run cannot be observed
-    /// (no `:=`, which would change object state, and no `new(…)`, which
-    /// would grow the heap) — a full re-run under the profiler. Runs
-    /// after the record committed, so the re-run's own notes are no-ops.
-    pub(crate) fn capture_slow(
-        &self,
-        db: &mut Database,
-        params: &Params,
-        trigger: &recorder::SlowTrigger,
-    ) {
-        let plan = self.query().map(monoid_algebra::explain);
-        let replay_safe = !self.effects.effects.mutates && !self.effects.effects.allocates;
+    /// optimized plan text and — for reads, whose second run cannot be
+    /// observed — a full re-run under the profiler against the same
+    /// snapshot. Runs after the record committed, so the re-run's own
+    /// notes are no-ops.
+    fn capture_slow(&self, snap: &Snapshot, params: &Params, trigger: &recorder::SlowTrigger) {
         let profile = match (self.query(), self.resolve(params)) {
-            (Some(q), Ok(binds)) if replay_safe => {
-                monoid_algebra::execute_profiled_bound(q, db, binds)
+            (Some(q), Ok(binds)) if !self.writes() => {
+                monoid_algebra::execute_profiled_bound(q, snap, binds)
                     .ok()
                     .map(|a| a.profile.to_json())
             }
@@ -551,7 +464,7 @@ impl Prepared {
             source: self.source.clone(),
             total_nanos: trigger.total_nanos,
             threshold_nanos: trigger.threshold_nanos,
-            plan,
+            plan: self.query().map(monoid_algebra::explain),
             profile,
         });
     }
@@ -564,7 +477,7 @@ impl Prepared {
     /// flamegraph.
     pub fn profile_folded(
         &self,
-        db: &mut Database,
+        snap: &Snapshot,
         params: &Params,
     ) -> Result<String, AnalyzeError> {
         let binds = self.resolve(params).map_err(AnalyzeError::Exec)?;
@@ -573,28 +486,51 @@ impl Prepared {
                 "statement runs on the evaluator (no plan to profile)".to_string(),
             )));
         };
-        let analysis = monoid_algebra::execute_profiled_bound(q, db, binds)?;
+        let analysis = monoid_algebra::execute_profiled_bound(q, snap, binds)?;
         Ok(analysis.profile.to_folded())
     }
 
-    /// The evaluator path: the database's own heap-in/heap-out shape,
-    /// with the parameter bindings layered over the persistent roots.
-    fn execute_eval(
+    /// A read: the plan (or, for evaluator-mode statements, the canonical
+    /// form) over the snapshot's pinned heap.
+    fn run_read(
+        &self,
+        snap: &Snapshot,
+        binds: &[(Symbol, Value)],
+    ) -> Result<Value, AnalyzeError> {
+        match &self.exec {
+            ExecMode::Plan(q) => Ok(monoid_algebra::execute_snapshot_bound(q, snap, binds)?),
+            ExecMode::Eval => {
+                recorder::note_engine("eval");
+                Ok(snap.eval_unchecked(&self.canonical, &bound_env(snap, binds))?)
+            }
+        }
+    }
+
+    /// A write: the canonical form on the evaluator with the database's
+    /// own heap moved in and back out, so the effects commit (the paper's
+    /// §4.2 state-transformer path, same shape as `Database::query`).
+    fn run_write(
         &self,
         db: &mut Database,
         binds: &[(Symbol, Value)],
     ) -> Result<Value, AnalyzeError> {
         recorder::note_engine("eval");
-        let mut env = db.env();
-        for (p, v) in binds {
-            env = env.bind(*p, v.clone());
-        }
+        let env = bound_env(db, binds);
         let heap = std::mem::take(db.heap_mut());
         let mut ev = monoid_calculus::eval::Evaluator::with_heap(heap);
         let result = ev.eval(&env, &self.canonical);
         *db.heap_mut() = ev.heap;
         Ok(result?)
     }
+}
+
+/// The persistent roots with the parameter bindings layered over them.
+fn bound_env(snap: &Snapshot, binds: &[(Symbol, Value)]) -> Env {
+    let mut env = snap.env();
+    for (p, v) in binds {
+        env = env.bind(*p, v.clone());
+    }
+    env
 }
 
 // ---------------------------------------------------------------------
@@ -609,13 +545,13 @@ const SHARDS: usize = 8;
 const DEFAULT_BUDGET_BYTES: usize = 8 * 1024 * 1024;
 
 /// A sharded, LRU, byte-budgeted cache of [`Prepared`] statements, keyed
-/// by source text + schema fingerprint and stamped with the database
-/// mutation epoch observed at prepare time.
+/// by source text + schema fingerprint and stamped with the
+/// `(instance_id, epoch)` of the snapshot observed at prepare time.
 ///
-/// An entry is served only while `db.mutation_epoch()` still equals its
-/// stamp — the same equality freshness check the index snapshots use —
-/// so any mutation (heap write, allocation, root change) between
-/// executions invalidates every entry prepared before it. Invalidation
+/// An entry is served only to a snapshot whose pair equals its stamp —
+/// the same equality freshness check the index snapshots use — so any
+/// mutation (heap write, allocation, root change) between executions
+/// invalidates every entry prepared before it. Invalidation
 /// is counted (`plan_cache_invalidations_total`) and followed by a fresh
 /// prepare, never by serving the stale plan.
 pub struct PlanCache {
@@ -668,66 +604,24 @@ impl PlanCache {
     }
 
     /// The serving fast path: return the cached plan for `(src, schema)`
-    /// if its `(instance, epoch)` stamp still matches the database;
-    /// otherwise prepare (with statistics from `db`), cache, and return
-    /// it.
-    pub fn get_or_prepare(
-        &self,
-        db: &Database,
-        src: &str,
-    ) -> Result<Arc<Prepared>, AnalyzeError> {
-        self.get_or_prepare_traced(db, src).map(|(p, _)| p)
-    }
-
-    /// [`PlanCache::get_or_prepare`], also reporting the disposition:
-    /// `true` when served from cache, `false` when freshly prepared
-    /// (cold, stale-epoch, or evicted). [`Session`] threads this into
-    /// the flight recorder.
-    pub fn get_or_prepare_traced(
-        &self,
-        db: &Database,
-        src: &str,
-    ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
-        self.resolve_traced(
-            schema_fingerprint(db.schema()),
-            db.instance_id(),
-            db.mutation_epoch(),
-            src,
-            || prepare_on(db, src),
-        )
-    }
-
-    /// [`PlanCache::get_or_prepare_traced`] against a pinned
-    /// [`Snapshot`]: the same cache, keyed by the snapshot's
-    /// `(instance_id, epoch)`. Concurrent readers of one snapshot share
-    /// entries with each other *and* with the writer path whenever the
-    /// epochs agree; a reader pinned behind the writer simply re-prepares
-    /// against its own epoch without disturbing the newer entry — the
-    /// stale-entry eviction only fires for entries of the same key that
-    /// can never be served again, which a racing fresh epoch cannot
-    /// prove, so eviction here is conservative (replace-on-insert).
+    /// if its stamp still matches `snap`'s `(instance_id, epoch)`;
+    /// otherwise prepare (with statistics from `snap`), cache, and return
+    /// it. Also reports the disposition: `true` when served from cache,
+    /// `false` when freshly prepared (cold, stale-epoch, or evicted) —
+    /// [`Session`] threads this into the flight recorder. Pass a
+    /// `&Database` for its current state.
+    ///
+    /// Concurrent readers of one snapshot share entries with each other
+    /// *and* with the writer path whenever the epochs agree; a reader
+    /// pinned behind the writer simply re-prepares against its own epoch,
+    /// replacing the entry of the same key.
     pub fn get_or_prepare_snapshot_traced(
         &self,
         snap: &Snapshot,
         src: &str,
     ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
-        self.resolve_traced(
-            schema_fingerprint(snap.schema()),
-            snap.instance_id(),
-            snap.epoch(),
-            src,
-            || prepare_on_snapshot(snap, src),
-        )
-    }
-
-    fn resolve_traced(
-        &self,
-        fp: u64,
-        instance: u64,
-        epoch: u64,
-        src: &str,
-        prepare: impl FnOnce() -> Result<Prepared, AnalyzeError>,
-    ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
+        let fp = schema_fingerprint(snap.schema());
+        let (instance, epoch) = (snap.instance_id(), snap.epoch());
         let m = cache_metrics();
         let shard = &self.shards[(hash_key(src, fp) as usize) & (SHARDS - 1)];
 
@@ -752,7 +646,7 @@ impl PlanCache {
         }
 
         m.misses.inc();
-        let prepared = Arc::new(prepare()?);
+        let prepared = Arc::new(prepare_on(snap, src)?);
         let bytes = approx_bytes(&prepared);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut s = shard.lock().unwrap();
@@ -849,9 +743,10 @@ pub fn global_plan_cache() -> &'static Arc<PlanCache> {
 // ---------------------------------------------------------------------
 
 /// The umbrella serving fast path: `session.query(db, src, &params)`
-/// resolves `src` through the plan cache (epoch-checked) and executes the
-/// prepared plan with the given bindings. Sessions are cheap handles; by
-/// default they all share the process-wide [`global_plan_cache`].
+/// (or `query_snapshot(snap, …)` for lock-free reads) resolves `src`
+/// through the plan cache (epoch-checked) and executes the prepared plan
+/// with the given bindings. Sessions are cheap handles; by default they
+/// all share the process-wide [`global_plan_cache`].
 #[derive(Clone)]
 pub struct Session {
     cache: Arc<PlanCache>,
@@ -935,91 +830,19 @@ impl Session {
         self.statements.load(Ordering::Relaxed)
     }
 
-    /// One statement entered this session: bump the per-session counter
-    /// and the process-wide `serving_statements_total`.
-    fn count_statement(&self) {
-        self.statements.fetch_add(1, Ordering::Relaxed);
-        serving_metrics().statements.inc();
-    }
-
-    /// Prepare-or-hit, then execute sequentially.
+    /// Prepare-or-hit, then execute on the writer path: the statement
+    /// may be an update program, and its effects commit to `db`.
     pub fn query(
         &self,
         db: &mut Database,
         src: &str,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        self.serve(db, src, params, false)
-    }
-
-    /// Prepare-or-hit, then execute on the parallel engine at
-    /// [`monoid_algebra::default_threads`] workers.
-    pub fn query_parallel(
-        &self,
-        db: &mut Database,
-        src: &str,
-        params: &Params,
-    ) -> Result<Value, AnalyzeError> {
-        self.serve(db, src, params, true)
-    }
-
-    /// The one serving path behind [`Session::query`] and
-    /// [`Session::query_parallel`]: resolve through the cache and
-    /// execute, owning the flight-recorder record for the whole
-    /// lifecycle — session id, cache disposition, the cold prepare's
-    /// phase timings (a prepare trace has no execute phase, so nothing
-    /// double-counts with [`Prepared::run_recorded`]'s execute timing),
-    /// and the slow-query capture on commit.
-    fn serve(
-        &self,
-        db: &mut Database,
-        src: &str,
-        params: &Params,
-        parallel: bool,
-    ) -> Result<Value, AnalyzeError> {
-        let _in_flight = InFlightGuard::enter();
-        self.count_statement();
-        let scope = if recorder::global().enabled() && !recorder::active() {
-            recorder::begin(src)
-        } else {
-            None
-        };
-        recorder::note_session(self.id);
-        let resolved = self.cache.get_or_prepare_traced(db, src);
-        let prepared = match resolved {
-            Ok((prepared, hit)) => {
-                if hit {
-                    recorder::note_cache(CacheDisposition::Hit);
-                } else {
-                    recorder::note_cache(CacheDisposition::Miss);
-                    recorder::note_trace(prepared.trace());
-                }
-                prepared
-            }
-            Err(e) => {
-                if let Some(scope) = scope {
-                    scope.finish(Some(e.to_string()));
-                }
-                return Err(e);
-            }
-        };
-        let result = if parallel {
-            prepared.execute_parallel_auto(db, params)
-        } else {
-            prepared.execute(db, params)
-        };
-        if let Some(scope) = scope {
-            let error = result.as_ref().err().map(ToString::to_string);
-            if let Some(trigger) = scope.finish(error) {
-                prepared.capture_slow(db, params, &trigger);
-            }
-        }
+        let mut serving = self.begin(src);
+        let stmt = self.lookup(&mut serving, db, src)?;
+        let result = stmt.execute(db, params);
+        serving.finish(&stmt, &result, db, params);
         result
-    }
-
-    /// Prepare-or-hit without executing (warming, inspection).
-    pub fn prepare(&self, db: &Database, src: &str) -> Result<Arc<Prepared>, AnalyzeError> {
-        self.cache.get_or_prepare(db, src)
     }
 
     /// The snapshot-isolated serving path: resolve `src` through the
@@ -1034,41 +857,77 @@ impl Session {
         src: &str,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let _in_flight = InFlightGuard::enter();
-        self.count_statement();
-        let scope = if recorder::global().enabled() && !recorder::active() {
-            recorder::begin(src)
-        } else {
-            None
-        };
+        let mut serving = self.begin(src);
+        let stmt = self.lookup(&mut serving, snap, src)?;
+        let result = stmt.execute_snapshot(snap, params);
+        serving.finish(&stmt, &result, snap, params);
+        result
+    }
+
+    /// One statement enters this session: the in-flight gauge, the
+    /// per-session and process-wide (`serving_statements_total`)
+    /// counters, and the flight-recorder record — owned here for the
+    /// whole lifecycle and stamped with the session id — that
+    /// [`Session::lookup`] and [`Prepared`]'s execution annotate.
+    pub(crate) fn begin(&self, src: &str) -> Serving {
+        let in_flight = InFlightGuard::enter();
+        self.statements.fetch_add(1, Ordering::Relaxed);
+        serving_metrics().statements.inc();
+        let scope = recorder::begin(src);
         recorder::note_session(self.id);
-        recorder::note_snapshot_epoch(snap.epoch());
-        let resolved = self.cache.get_or_prepare_snapshot_traced(snap, src);
-        let prepared = match resolved {
-            Ok((prepared, hit)) => {
-                if hit {
-                    recorder::note_cache(CacheDisposition::Hit);
-                } else {
-                    recorder::note_cache(CacheDisposition::Miss);
-                    recorder::note_trace(prepared.trace());
-                }
-                prepared
+        Serving { scope, _in_flight: in_flight }
+    }
+
+    /// Resolve `src` through the plan cache — exactly once per statement
+    /// — noting the disposition and, on a miss, the cold prepare's phase
+    /// timings (a prepare trace has no execute phase, so nothing
+    /// double-counts with the execute timing). A failed prepare commits
+    /// the record with the error.
+    pub(crate) fn lookup(
+        &self,
+        serving: &mut Serving,
+        snap: &Snapshot,
+        src: &str,
+    ) -> Result<Arc<Prepared>, AnalyzeError> {
+        match self.cache.get_or_prepare_snapshot_traced(snap, src) {
+            Ok((stmt, true)) => {
+                recorder::note_cache(CacheDisposition::Hit);
+                Ok(stmt)
+            }
+            Ok((stmt, false)) => {
+                recorder::note_cache(CacheDisposition::Miss);
+                recorder::note_trace(stmt.trace());
+                Ok(stmt)
             }
             Err(e) => {
-                if let Some(scope) = scope {
+                if let Some(scope) = serving.scope.take() {
                     scope.finish(Some(e.to_string()));
                 }
-                return Err(e);
-            }
-        };
-        let result = prepared.execute_snapshot(snap, params);
-        if let Some(scope) = scope {
-            let error = result.as_ref().err().map(ToString::to_string);
-            if let Some(trigger) = scope.finish(error) {
-                prepared.capture_slow_snapshot(&trigger);
+                Err(e)
             }
         }
-        result
+    }
+}
+
+/// One in-flight statement's session accounting (see [`Session::begin`]);
+/// dropping it releases the in-flight gauge.
+pub(crate) struct Serving {
+    scope: Option<RecordScope>,
+    _in_flight: InFlightGuard,
+}
+
+impl Serving {
+    /// Commit the statement's record with its outcome; an over-threshold
+    /// one gets its slow-query capture replayed against `snap`, the state
+    /// the statement ran against.
+    pub(crate) fn finish(
+        mut self,
+        stmt: &Prepared,
+        result: &Result<Value, AnalyzeError>,
+        snap: &Snapshot,
+        params: &Params,
+    ) {
+        stmt.commit(self.scope.take(), result, snap, params);
     }
 }
 
@@ -1140,7 +999,7 @@ mod tests {
             .unwrap();
         let adhoc = crate::explain_analyze(
             "select h.name from c in Cities, h in c.hotels where c.name = 'Portland'",
-            &mut db,
+            &db,
         )
         .unwrap()
         .value;
@@ -1181,8 +1040,8 @@ mod tests {
         let cache = PlanCache::new();
         let db = db();
         let src = "count(Cities)";
-        let a = cache.get_or_prepare(&db, src).unwrap();
-        let b = cache.get_or_prepare(&db, src).unwrap();
+        let a = cache.get_or_prepare_snapshot_traced(&db, src).unwrap().0;
+        let b = cache.get_or_prepare_snapshot_traced(&db, src).unwrap().0;
         assert!(Arc::ptr_eq(&a, &b), "second lookup is a hit");
         assert_eq!(cache.len(), 1);
     }
@@ -1192,11 +1051,11 @@ mod tests {
         let cache = PlanCache::new();
         let mut db = db();
         let src = "count(Cities)";
-        let a = cache.get_or_prepare(&db, src).unwrap();
+        let a = cache.get_or_prepare_snapshot_traced(&db, src).unwrap().0;
         let before = db.mutation_epoch();
         db.set_root("Scratch", Value::Int(1));
         assert_ne!(before, db.mutation_epoch(), "root change advances the epoch");
-        let b = cache.get_or_prepare(&db, src).unwrap();
+        let b = cache.get_or_prepare_snapshot_traced(&db, src).unwrap().0;
         assert!(!Arc::ptr_eq(&a, &b), "mutation forced a re-prepare");
     }
 
@@ -1207,7 +1066,7 @@ mod tests {
         let db = db();
         for i in 0..64 {
             let src = format!("select c.name from c in Cities where c.hotel# > {i}");
-            cache.get_or_prepare(&db, &src).unwrap();
+            cache.get_or_prepare_snapshot_traced(&db, &src).unwrap();
         }
         assert!(cache.bytes() <= SHARDS * 2048 + 4096, "budget enforced: {}", cache.bytes());
         assert!(cache.len() < 64, "older entries evicted");

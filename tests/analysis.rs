@@ -275,11 +275,11 @@ fn analysis_report_json_escapes_hostile_strings() {
 #[test]
 fn profile_json_escapes_string_literals_in_heads() {
     use monoid_db::store::TravelScale;
-    let mut db = travel::generate(TravelScale::tiny(), 5);
+    let db = travel::generate(TravelScale::tiny(), 5);
     // The head contains a string literal with a quote and a backslash;
     // the profile serializes the pretty-printed head, which must escape.
     let src = r#"select 'quote " and \ slash' from h in Hotels"#;
-    let analysis = monoid_db::explain_analyze(src, &mut db).unwrap();
+    let analysis = monoid_db::explain_analyze(src, &db).unwrap();
     let rendered = analysis.profile.to_json().render();
     assert!(!rendered.contains('\n'), "raw newline leaked into JSON");
     // Every `"` inside the rendered JSON string values must be escaped:

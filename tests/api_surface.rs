@@ -1,0 +1,247 @@
+//! Pins the entry-point surface so the `{&mut Database, &Snapshot} ×
+//! {bound, unbound} × {engine, probe, threads}` matrix cannot silently
+//! regrow.
+//!
+//! A plan is a pure read: every executor in `monoid_algebra`, and the
+//! prepare/cache/profile half of `monoid_db`, takes a `&Snapshot` (which a
+//! `&Database` derefs to). `&mut Database` belongs to the writer path
+//! alone. This test reads the sources and checks both halves of that:
+//!
+//! * the public `execute*` / `prepare*` / `get_or_prepare*` / `query*`
+//!   names are exactly the committed lists below — adding a twin means
+//!   editing this file, in review, on purpose;
+//! * no function signature under `crates/algebra/src/` mentions
+//!   `Database` at all, and in `src/serving.rs` / `src/lib.rs` only the
+//!   writer-path functions take `&mut Database`.
+
+use std::collections::BTreeSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// `monoid_algebra`'s public `execute*` functions.
+const ALGEBRA_EXECUTE: &[&str] = &[
+    "execute",
+    "execute_counted_bound",
+    "execute_metered_bound",
+    "execute_parallel_bound",
+    "execute_parallel_metered_bound",
+    "execute_plan_walk_bound",
+    "execute_profiled_bound",
+    "execute_snapshot_bound",
+];
+
+/// `monoid_db`'s public serving entry points, as `Owner::name` (free
+/// functions have no owner). `prepare_on_snapshot` is the one alias, kept
+/// for the frozen `benchmark/` crate.
+const SERVING_ENTRY_POINTS: &[&str] = &[
+    "PlanCache::get_or_prepare_snapshot_traced",
+    "Prepared::execute",
+    "Prepared::execute_snapshot",
+    "Session::query",
+    "Session::query_snapshot",
+    "prepare",
+    "prepare_expr",
+    "prepare_on",
+    "prepare_on_snapshot",
+];
+
+/// Accessors on [`monoid_db::Prepared`] whose names happen to share an
+/// entry-point prefix: the captured plan and the prepare's duration.
+const ACCESSORS: &[&str] = &["Prepared::query", "Prepared::prepare_nanos"];
+
+/// The functions allowed to take `&mut Database`: a statement whose
+/// effects write commits through these and nothing else.
+const WRITER_PATH: &[&str] = &["Prepared::execute", "Prepared::run_write", "Session::query"];
+
+fn set_of(names: &[&str]) -> BTreeSet<String> {
+    names.iter().map(ToString::to_string).collect()
+}
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The non-test part of a source file, comment lines dropped.
+fn code_of(path: &Path) -> String {
+    let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    text.lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .filter(|l| !l.trim_start().starts_with("//"))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+struct FnSig {
+    /// `Owner::name` inside an `impl Owner` block, else `name`.
+    path: String,
+    public: bool,
+    /// Everything from `fn` to the body's opening brace.
+    text: String,
+}
+
+/// Every function signature in `code`, with its `impl` owner. Good enough
+/// for rustfmt-shaped source: `impl` blocks open at column 0 and close
+/// with a `}` at column 0.
+fn signatures(code: &str) -> Vec<FnSig> {
+    let mut out = Vec::new();
+    let mut owner: Option<String> = None;
+    let lines: Vec<&str> = code.lines().collect();
+    let mut i = 0;
+    while i < lines.len() {
+        let line = lines[i];
+        if let Some(rest) = line.strip_prefix("impl") {
+            // `impl Foo {`, `impl<T> Trait for Foo {`: the owner is the
+            // last path segment before the brace.
+            let head = rest.split('{').next().unwrap_or("");
+            let ty = head.rsplit(" for ").next().unwrap_or(head);
+            let name = ty
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .filter(|s| !s.is_empty())
+                .find(|s| s.chars().next().is_some_and(char::is_uppercase));
+            owner = name.map(str::to_string);
+        } else if line == "}" {
+            owner = None;
+        }
+        let trimmed = line.trim_start();
+        let decl = trimmed
+            .strip_prefix("pub(crate) ")
+            .or_else(|| trimmed.strip_prefix("pub "))
+            .unwrap_or(trimmed);
+        if let Some(rest) = decl.strip_prefix("fn ") {
+            let name: String =
+                rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            let mut text = String::new();
+            while i < lines.len() {
+                text.push_str(lines[i]);
+                text.push('\n');
+                if lines[i].contains('{') || lines[i].trim_end().ends_with(';') {
+                    break;
+                }
+                i += 1;
+            }
+            out.push(FnSig {
+                path: owner.as_ref().map_or(name.clone(), |o| format!("{o}::{name}")),
+                public: trimmed.starts_with("pub fn "),
+                text,
+            });
+        }
+        i += 1;
+    }
+    out
+}
+
+fn is_entry_point(name: &str) -> bool {
+    ["execute", "prepare", "get_or_prepare", "query"].iter().any(|p| name.starts_with(p))
+}
+
+fn algebra_sources() -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = fs::read_dir(root().join("crates/algebra/src"))
+        .expect("algebra sources")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn algebra_exports_exactly_the_pinned_execute_functions() {
+    let mut found = BTreeSet::new();
+    for file in algebra_sources() {
+        for sig in signatures(&code_of(&file)) {
+            if sig.public && sig.path.starts_with("execute") {
+                found.insert(sig.path);
+            }
+        }
+    }
+    let pinned = set_of(ALGEBRA_EXECUTE);
+    assert_eq!(found, pinned, "monoid_algebra's public execute* surface changed");
+    // …and each one is re-exported from the crate root.
+    let lib = code_of(&root().join("crates/algebra/src/lib.rs"));
+    for name in ALGEBRA_EXECUTE {
+        let reexported = lib
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .any(|token| token == *name);
+        assert!(reexported, "`{name}` is not re-exported from monoid_algebra");
+    }
+}
+
+#[test]
+fn serving_exports_exactly_the_pinned_entry_points() {
+    let mut found = BTreeSet::new();
+    for file in ["src/serving.rs", "src/lib.rs"] {
+        let code = code_of(&root().join(file));
+        for sig in signatures(&code) {
+            let name = sig.path.rsplit("::").next().unwrap();
+            if sig.public && is_entry_point(name) && !ACCESSORS.contains(&sig.path.as_str()) {
+                found.insert(sig.path);
+            }
+        }
+        // `pub use self::x as y;` aliases.
+        for line in code.lines() {
+            if let Some((_, alias)) = line
+                .trim()
+                .strip_prefix("pub use self::")
+                .and_then(|rest| rest.trim_end_matches(';').split_once(" as "))
+            {
+                if is_entry_point(alias) {
+                    found.insert(alias.to_string());
+                }
+            }
+        }
+    }
+    // `monoid_db::explain_analyze` is named for what it is; not part of
+    // the execute/prepare/query matrix.
+    let pinned = set_of(SERVING_ENTRY_POINTS);
+    assert_eq!(found, pinned, "monoid_db's public serving surface changed");
+    assert!(ALGEBRA_EXECUTE.len() + SERVING_ENTRY_POINTS.len() <= 17);
+}
+
+#[test]
+fn only_the_writer_path_takes_a_mutable_database() {
+    for file in algebra_sources() {
+        for sig in signatures(&code_of(&file)) {
+            assert!(
+                !sig.text.contains("Database"),
+                "{}: `{}` names `Database` — plans read a `&Snapshot`:\n{}",
+                file.display(),
+                sig.path,
+                sig.text
+            );
+        }
+    }
+    let mut writers = BTreeSet::new();
+    for file in ["src/serving.rs", "src/lib.rs"] {
+        for sig in signatures(&code_of(&root().join(file))) {
+            if sig.text.contains("&mut Database") {
+                writers.insert(sig.path);
+            } else {
+                assert!(
+                    !sig.text.contains("Database"),
+                    "{file}: `{}` takes a `Database` it only reads — take `&Snapshot`:\n{}",
+                    sig.path,
+                    sig.text
+                );
+            }
+        }
+    }
+    let allowed = set_of(WRITER_PATH);
+    assert_eq!(writers, allowed, "the `&mut Database` writer path changed");
+}
+
+#[test]
+fn database_defines_no_read_accessor_that_snapshot_also_defines() {
+    let names = |file: &str| -> BTreeSet<String> {
+        signatures(&code_of(&root().join(file)))
+            .into_iter()
+            .filter(|s| s.public)
+            .map(|s| s.path.rsplit("::").next().unwrap().to_string())
+            .collect()
+    };
+    let database = names("crates/store/src/database.rs");
+    let snapshot = names("crates/store/src/snapshot.rs");
+    // `query` is on both by design: the snapshot's refuses writes, the
+    // database's is the §4.2 writer (`&mut self`).
+    let shared: Vec<_> = database.intersection(&snapshot).filter(|n| *n != "query").collect();
+    assert!(shared.is_empty(), "Database re-defines Snapshot accessors: {shared:?}");
+}

@@ -38,7 +38,7 @@ fn check_agreement(db: &mut Database, src: &str) {
             assert_eq!(direct, piped, "pipeline changed `{src}`");
             // Parallel execution must agree too — ordered merge makes
             // even order-sensitive monoids parallelizable.
-            let par = algebra::execute_parallel(&plan, db, 4).unwrap();
+            let par = algebra::execute_parallel_bound(&plan, db, 4, &[]).unwrap().0;
             assert_eq!(direct, par, "parallel changed `{src}`");
         }
         Err(algebra::PlanError::NotAComprehension | algebra::PlanError::Unsupported(_)) => {
@@ -104,7 +104,7 @@ fn b1_workload_agreement() {
     let n = normalize(&q);
     let plan = algebra::plan_comprehension(&n).unwrap();
     assert!(plan.plan.uses_hash_join());
-    let piped = algebra::execute(&plan, &mut db).unwrap();
+    let piped = algebra::execute(&plan, &db).unwrap();
     assert_eq!(direct, piped);
     assert!(matches!(direct, Value::Set(_)));
 }

@@ -209,7 +209,7 @@ fn planning_impure_queries_is_refused() {
 #[test]
 fn runtime_errors_propagate_through_pipelines() {
     use monoid_db::algebra;
-    let mut db = travel::generate(TravelScale::tiny(), 1);
+    let db = travel::generate(TravelScale::tiny(), 1);
     // Division by zero inside the head.
     let e = Expr::comp(
         Monoid::Sum,
@@ -218,7 +218,7 @@ fn runtime_errors_propagate_through_pipelines() {
     );
     let plan = algebra::plan_comprehension(&e).unwrap();
     assert!(matches!(
-        algebra::execute(&plan, &mut db),
+        algebra::execute(&plan, &db),
         Err(EvalError::Arithmetic(_))
     ));
 }

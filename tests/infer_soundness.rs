@@ -14,7 +14,7 @@
 //! short-circuiting monoids).
 
 use monoid_db::algebra::{
-    execute_profiled, fused_eligible, plan_comprehension, static_fallback, Stats,
+    execute_profiled_bound, fused_eligible, plan_comprehension, Stats,
 };
 use monoid_db::calculus::analysis::{infer, Catalog, SpanMap};
 use monoid_db::calculus::expr::Expr;
@@ -224,7 +224,7 @@ proptest! {
 
     #[test]
     fn inferred_interval_contains_observed_rows(s in shape(), seed in 0u64..8) {
-        let mut db = travel::generate(TravelScale::tiny(), seed);
+        let db = travel::generate(TravelScale::tiny(), seed);
         let e = build(&s);
         let stats = Stats::gather(&db);
         let catalog = stats.catalog();
@@ -237,14 +237,15 @@ proptest! {
             fused_eligible(&query),
             "fused certificate disagrees with the compiler on {:?}", s
         );
-        prop_assert_eq!(
+        // Anything the planner accepts is pure, and the parallel engine
+        // partitions every pure plan.
+        prop_assert!(
             facts.engine.parallel.is_eligible(),
-            static_fallback(&query).is_none(),
-            "parallel certificate disagrees with the engine on {:?}", s
+            "parallel certificate refuses a planned (hence pure) query: {:?}", s
         );
 
         // The probe's observed row count lies inside the inferred interval.
-        let analysis = execute_profiled(&query, &mut db).unwrap();
+        let analysis = execute_profiled_bound(&query, &db, &[]).unwrap();
         let actual = analysis.profile.rows_to_reduce as f64;
         prop_assert!(
             actual <= facts.rows.hi + 1e-9,

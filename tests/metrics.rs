@@ -49,7 +49,7 @@ fn registry_accounts_for_a_known_workload() {
     // no `exec_*` series may move (store counters legitimately move —
     // the executor reads extents and object state through the store).
     let before = metrics::global().snapshot();
-    let plain = monoid_algebra::execute(&plan, &mut db).unwrap();
+    let plain = monoid_algebra::execute(&plan, &db).unwrap();
     let diff = metrics::global().snapshot().diff(&before);
     for series in &diff.series {
         if series.key.name.starts_with("exec_") {
@@ -66,10 +66,10 @@ fn registry_accounts_for_a_known_workload() {
     // --- 2. The metered executor agrees with ExecProbe, exactly. -------
     // Same plan, same store: per-kind sums of the single-query profile
     // must equal the registry delta of one metered run.
-    let analysis = monoid_algebra::execute_profiled(&plan, &mut db).unwrap();
+    let analysis = monoid_algebra::execute_profiled_bound(&plan, &db, &[]).unwrap();
     assert_eq!(analysis.value, plain);
     let before = metrics::global().snapshot();
-    let metered = monoid_algebra::execute_metered(&plan, &mut db).unwrap();
+    let metered = monoid_algebra::execute_metered_bound(&plan, &db, &[]).unwrap();
     assert_eq!(metered, plain);
     let diff = metrics::global().snapshot().diff(&before);
     for kind in ["scan", "index-lookup", "unnest", "filter", "bind", "join"] {
@@ -122,7 +122,7 @@ fn registry_accounts_for_a_known_workload() {
 
     // --- 4. The umbrella path times phases and counts queries. ---------
     let before = metrics::global().snapshot();
-    let analysis = monoid_db::explain_analyze(JOIN_SRC, &mut db).unwrap();
+    let analysis = monoid_db::explain_analyze(JOIN_SRC, &db).unwrap();
     assert_eq!(analysis.value, plain);
     let diff = metrics::global().snapshot().diff(&before);
     assert_eq!(diff.counter("oql_queries_total"), 1);
@@ -189,6 +189,39 @@ fn registry_accounts_for_a_known_workload() {
                 .unwrap_or(0);
             assert_eq!(fired, 0, "warm serve fired `{phase}`");
         }
+        // The same holds for a bare `Prepared` handle, without the cache.
+        let prepared = monoid_db::prepare(db.schema(), src).unwrap();
+        let before = metrics::global().snapshot();
+        prepared.execute(&mut db, &params).unwrap();
+        let diff = metrics::global().snapshot().diff(&before);
+        for phase in ["parse", "translate", "normalize", "optimize", "plan"] {
+            let fired = diff
+                .histogram_with("query_phase_nanos", &[("phase", phase)])
+                .map(|h| h.count)
+                .unwrap_or(0);
+            assert_eq!(fired, 0, "Prepared::execute fired `{phase}`");
+        }
+    }
+
+    // --- 4b'. Over the wire, an ad-hoc QUERY resolves its source through
+    //          the plan cache exactly once: a miss when cold, a hit when
+    //          warm — never a second lookup behind the routing decision.
+    {
+        use monoid_db::server::{Client, Server};
+        let server = Server::bind("127.0.0.1:0", db.clone()).expect("bind loopback");
+        let handle = server.spawn();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let src = "count(select m from m in Managers where m.dept = $dept)";
+        let params = [("dept".to_string(), monoid_calculus::value::Value::str("dept_0"))];
+        for (state, misses, hits) in [("cold", 1, 0), ("warm", 0, 1), ("warm", 0, 1)] {
+            let before = metrics::global().snapshot();
+            client.query(src, &params).expect("read executes");
+            let diff = metrics::global().snapshot().diff(&before);
+            assert_eq!(diff.counter("plan_cache_misses_total"), misses, "{state} QUERY");
+            assert_eq!(diff.counter("plan_cache_hits_total"), hits, "{state} QUERY");
+            assert_eq!(diff.counter("serving_statements_total"), 1, "{state} QUERY");
+        }
+        handle.shutdown();
     }
 
     // --- 4c. Gathered statistics are reused across prepares at the same
@@ -221,10 +254,34 @@ fn registry_accounts_for_a_known_workload() {
         assert_eq!(diff.counter("stats_gather_reuse_total"), 0);
     }
 
+    // --- 4d. With the plan-quality audit on, a profiled run feeds exactly
+    //         one q-error observation per plan operator. ----------------
+    {
+        let prev = monoid_algebra::set_audit_enabled(true);
+        let before = metrics::global().snapshot();
+        let analysis = monoid_db::explain_analyze(JOIN_SRC, &db).unwrap();
+        let diff = metrics::global().snapshot().diff(&before);
+        monoid_algebra::set_audit_enabled(prev);
+        let samples: u64 = diff
+            .series
+            .iter()
+            .filter(|s| s.key.name == "plan_q_error_milli")
+            .map(|s| match &s.value {
+                MetricValue::Histogram(h) => h.count,
+                other => panic!("plan_q_error_milli is a histogram family, got {other:?}"),
+            })
+            .sum();
+        assert_eq!(
+            samples,
+            analysis.profile.operators.len() as u64,
+            "one observation per operator"
+        );
+    }
+
     // --- 5. A failing query lands in the error counters, not the hot
     //        ones. ------------------------------------------------------
     let before = metrics::global().snapshot();
-    assert!(monoid_db::explain_analyze("select ! from", &mut db).is_err());
+    assert!(monoid_db::explain_analyze("select ! from", &db).is_err());
     let diff = metrics::global().snapshot().diff(&before);
     assert_eq!(diff.counter("oql_queries_total"), 1);
     assert_eq!(diff.counter("oql_query_errors_total"), 1);

@@ -10,11 +10,11 @@ use monoid_store::company;
 
 #[test]
 fn company_join_profile_has_phases_operators_and_estimates() {
-    let mut db = company::generate(6, 15, 10, 42);
+    let db = company::generate(6, 15, 10, 42);
     let src = "select struct(mgr: m.name, emp: e.name) \
                from m in Managers, e in CompanyEmployees \
                where m.dept = e.dept";
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     let p = &analysis.profile;
     let rendered = p.render();
 
@@ -96,12 +96,12 @@ fn company_join_profile_has_phases_operators_and_estimates() {
 fn some_over_large_extent_short_circuits_and_reports_it() {
     // 8 managers × 25 reports = 200 employees; every salary clears the
     // generator's 40k floor, so `exists` must stop at the first row.
-    let mut db = company::generate(8, 25, 0, 7);
+    let db = company::generate(8, 25, 0, 7);
     let extent = db.extent_len(company::names::EMPLOYEES) as u64;
     assert!(extent >= 200);
 
     let src = "exists e in CompanyEmployees: e.salary >= 40000";
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     assert_eq!(analysis.value, monoid_calculus::value::Value::Bool(true));
     let p = &analysis.profile;
     assert!(p.short_circuited, "{}", p.render());
@@ -125,10 +125,10 @@ fn some_over_large_extent_short_circuits_and_reports_it() {
 fn all_quantifier_without_counterexample_scans_everything() {
     // The dual: `for all` over salaries that never dip below the floor
     // cannot short-circuit — it must push every row.
-    let mut db = company::generate(4, 10, 0, 7);
+    let db = company::generate(4, 10, 0, 7);
     let extent = db.extent_len(company::names::EMPLOYEES) as u64;
     let src = "for all e in CompanyEmployees: e.salary >= 40000";
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     assert_eq!(analysis.value, monoid_calculus::value::Value::Bool(true));
     let p = &analysis.profile;
     assert!(!p.short_circuited, "{}", p.render());
@@ -139,11 +139,11 @@ fn all_quantifier_without_counterexample_scans_everything() {
 
 #[test]
 fn profile_reports_self_time_steps_and_q_error_everywhere() {
-    let mut db = company::generate(6, 15, 10, 42);
+    let db = company::generate(6, 15, 10, 42);
     let src = "select struct(mgr: m.name, emp: e.name) \
                from m in Managers, e in CompanyEmployees \
                where m.dept = e.dept";
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     let p = &analysis.profile;
     let rendered = p.render();
 
@@ -186,11 +186,11 @@ fn profile_reports_self_time_steps_and_q_error_everywhere() {
 
 #[test]
 fn folded_stacks_parse_as_flamegraph_input() {
-    let mut db = company::generate(6, 15, 10, 42);
+    let db = company::generate(6, 15, 10, 42);
     let src = "select struct(mgr: m.name, emp: e.name) \
                from m in Managers, e in CompanyEmployees \
                where m.dept = e.dept";
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     let folded = analysis.profile.to_folded();
 
     // One line per operator; every line is `frame;frame;… value` with a
@@ -230,14 +230,14 @@ fn prepared_statements_export_folded_profiles() {
     use monoid_calculus::value::Value;
     use monoid_db::{prepare_on, Params};
 
-    let mut db = company::generate(6, 15, 10, 42);
+    let db = company::generate(6, 15, 10, 42);
     let stmt = prepare_on(
         &db,
         "select e.name from e in CompanyEmployees where e.salary >= $floor",
     )
     .unwrap();
     let params = Params::new().bind("floor", Value::Int(40_000));
-    let folded = stmt.profile_folded(&mut db, &params).unwrap();
+    let folded = stmt.profile_folded(&db, &params).unwrap();
     assert!(!folded.is_empty());
     for line in folded.lines() {
         let (stack, value) = line.rsplit_once(' ').unwrap();
@@ -245,7 +245,7 @@ fn prepared_statements_export_folded_profiles() {
         assert!(stack.split(';').all(|f| !f.trim().is_empty()), "{line}");
     }
     // Unbound parameters fail loudly instead of profiling garbage.
-    assert!(stmt.profile_folded(&mut db, &Params::new()).is_err());
+    assert!(stmt.profile_folded(&db, &Params::new()).is_err());
 }
 
 #[test]
@@ -253,7 +253,7 @@ fn audit_disabled_is_invisible_and_enabled_feeds_the_registry() {
     use monoid_calculus::metrics;
     use monoid_db::algebra::{audit_enabled, set_audit_enabled};
 
-    let mut db = company::generate(4, 10, 6, 42);
+    let db = company::generate(4, 10, 6, 42);
     let src = "select e.name from e in CompanyEmployees where e.salary >= 40000";
 
     // Off (the default): a profiled run moves NO q-error series — the
@@ -261,7 +261,7 @@ fn audit_disabled_is_invisible_and_enabled_feeds_the_registry() {
     let prev = set_audit_enabled(false);
     assert!(!audit_enabled());
     let before = metrics::global().snapshot();
-    explain_analyze(src, &mut db).unwrap();
+    explain_analyze(src, &db).unwrap();
     let diff = metrics::global().snapshot().diff(&before);
     assert!(
         diff.series.iter().all(|s| s.key.name != "plan_q_error_milli"),
@@ -272,7 +272,7 @@ fn audit_disabled_is_invisible_and_enabled_feeds_the_registry() {
     // On: the same run feeds per-kind milli-q histograms.
     set_audit_enabled(true);
     let before = metrics::global().snapshot();
-    let analysis = explain_analyze(src, &mut db).unwrap();
+    let analysis = explain_analyze(src, &db).unwrap();
     let diff = metrics::global().snapshot().diff(&before);
     set_audit_enabled(prev);
     let audited: Vec<_> =
@@ -288,9 +288,11 @@ fn audit_disabled_is_invisible_and_enabled_feeds_the_registry() {
         // at least that.
         assert!(h.sum >= h.count * 1000, "q-error below 1.0 recorded");
     }
-    assert_eq!(
-        samples,
-        analysis.profile.operators.len() as u64,
-        "one observation per operator"
+    // Sibling tests profile against the same process-wide registry while
+    // the switch is on, so this is a floor; the exact one-per-operator
+    // count is asserted in `tests/metrics.rs`, which runs alone.
+    assert!(
+        samples >= analysis.profile.operators.len() as u64,
+        "at least one observation per operator"
     );
 }

@@ -32,14 +32,14 @@ fn identical_epochs_on_different_instances_do_not_collide() {
     assert_ne!(a.instance_id(), b.instance_id());
 
     let cache = PlanCache::new();
-    let (for_a, hit) = cache.get_or_prepare_traced(&a, SRC).unwrap();
+    let (for_a, hit) = cache.get_or_prepare_snapshot_traced(&a, SRC).unwrap();
     assert!(!hit, "first lookup is cold");
-    let (for_b, hit) = cache.get_or_prepare_traced(&b, SRC).unwrap();
+    let (for_b, hit) = cache.get_or_prepare_snapshot_traced(&b, SRC).unwrap();
     assert!(!hit, "same epoch but a different instance must miss");
     assert!(!Arc::ptr_eq(&for_a, &for_b), "each instance prepared its own statement");
 
     // Within one instance the entry is served normally.
-    let (again, hit) = cache.get_or_prepare_traced(&b, SRC).unwrap();
+    let (again, hit) = cache.get_or_prepare_snapshot_traced(&b, SRC).unwrap();
     assert!(hit);
     assert!(Arc::ptr_eq(&for_b, &again));
 }
@@ -68,7 +68,7 @@ fn snapshot_lookups_respect_the_instance_half() {
     let mut a = a;
     let pinned = a.snapshot();
     a.set_root("Scratch", Value::Int(1));
-    let (fresh, disposition) = cache.get_or_prepare_traced(&a, SRC).unwrap();
+    let (fresh, disposition) = cache.get_or_prepare_snapshot_traced(&a, SRC).unwrap();
     assert!(!disposition, "the epoch moved: re-prepare");
     let (old, disposition) = cache.get_or_prepare_snapshot_traced(&pinned, SRC).unwrap();
     // The pinned epoch's entry was replaced by the fresh one in the LRU

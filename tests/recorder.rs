@@ -80,7 +80,7 @@ fn disabled_recorder_moves_nothing() {
     let before = metrics::global().snapshot();
     session.query(&mut db, SRC, &params()).unwrap();
     session.query(&mut db, SRC, &params()).unwrap();
-    explain_analyze("exists h in Hotels: h.name = \"hotel_0_0\"", &mut db).unwrap();
+    explain_analyze("exists h in Hotels: h.name = \"hotel_0_0\"", &db).unwrap();
     let diff = metrics::global().snapshot().diff(&before);
 
     assert_eq!(rec.recorded_total(), total_before, "nothing committed while disabled");
@@ -141,6 +141,23 @@ fn slow_capture_fires_iff_threshold_exceeded() {
     assert!(plan.contains("Scan") || plan.contains("Reduce"), "not a plan: {plan}");
     assert!(capture.profile.is_some(), "pure read is replay-safe, profile attached");
 
+    // The same read served from a snapshot is captured just as deeply:
+    // the profiler replays against the snapshot the statement ran on.
+    let snap = db.snapshot();
+    for served in [
+        session.query_snapshot(&snap, SRC, &params()),
+        monoid_db::prepare_on(&snap, SRC).unwrap().execute_snapshot(&snap, &params()),
+    ] {
+        served.unwrap();
+        let log = rec.slow_log();
+        let capture = log.last().unwrap();
+        let last = rec.snapshot().into_iter().next_back().unwrap();
+        assert_eq!(capture.seq, last.seq, "snapshot-served statement captured");
+        assert_eq!(last.snapshot_epoch, Some(snap.epoch()));
+        assert!(capture.plan.is_some());
+        assert!(capture.profile.is_some(), "snapshot path attaches the replayed profile");
+    }
+
     rec.set_enabled(was_enabled);
     rec.set_slow_threshold(was_threshold);
 }
@@ -149,6 +166,9 @@ fn slow_capture_fires_iff_threshold_exceeded() {
 
 #[test]
 fn compare_gate_passes_self_and_fails_regressed_baseline() {
+    // The regress suite serves through the process-wide recorder, whose
+    // exact record counts the tests above assert on.
+    let _guard = lock();
     let report = monoid_bench::regress::run_with(true, false).to_json();
 
     // Self-compare: identical numbers, nothing can regress.
@@ -248,7 +268,7 @@ fn session_queries_thread_every_field() {
         .unwrap();
     let (canonical, _, _) = monoid_calculus::normalize::normalize_traced(&expr);
     let plan = monoid_algebra::plan_comprehension(&canonical).unwrap();
-    monoid_algebra::execute_parallel_metered(&plan, &mut db, 1).unwrap();
+    monoid_algebra::execute_parallel_metered_bound(&plan, &db, 1, &[]).unwrap();
     let fell_back = rec.snapshot().into_iter().next_back().unwrap();
     assert_eq!(fell_back.cache, CacheDisposition::Uncached);
     assert_eq!(fell_back.parallel_fallback.as_deref(), Some("single-thread"));
