@@ -12,40 +12,36 @@
 //! The driver is generic over a [`Probe`]: a set of per-operator counter
 //! hooks. [`NoProbe`] (the default used by [`execute`]) monomorphizes
 //! every hook to an empty inline function, so the unprofiled pipeline pays
-//! nothing — no per-row allocation, no branch on a runtime flag. The
-//! profiled entry point lives in [`crate::trace`] and threads a
-//! `Cell`-based probe through the same code.
+//! nothing — no per-row allocation, no branch on a runtime flag. The one
+//! counting probe lives in [`crate::trace`] (`Cell`s per operator); every
+//! consumer of counts — profiles, the fleet registry, the slow log — is
+//! flushed from it after the run.
 
 use crate::error::ExecResult;
 use crate::fused::Engine;
-use crate::logical::{JoinKind, Plan, Query};
+use crate::logical::{BuildTable, JoinKind, Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
+use monoid_calculus::expr::Expr;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{self, Env, Value};
 use monoid_store::Snapshot;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Per-operator instrumentation hooks. Operators are identified by their
-/// pre-order index in the plan tree (root = 0; a unary operator's input is
-/// `op + 1`; a join's left child is `op + 1` and its right child is
-/// `op + 1 + left.node_count()`) — the same order `explain` renders them.
+/// pre-order index in the plan tree ([`Plan::walk`]'s `op`) — the same
+/// order `explain` renders them.
 ///
 /// All hooks take `&self` so a single shared probe can be captured by the
 /// nested sink closures; implementations use interior mutability.
 pub trait Probe {
-    /// `true` enables the timing instrumentation around operator-local
-    /// work. Counter hooks are called unconditionally — a disabled
-    /// probe's empty inline bodies compile to nothing.
+    /// `true` when the probe counts: it enables the timing
+    /// instrumentation around operator-local work and pins the run to the
+    /// plan walk (a fused run is one flat fold with no per-operator
+    /// attribution to feed the hooks). Counter hooks are called
+    /// unconditionally — a disabled probe's empty inline bodies compile
+    /// to nothing.
     const ENABLED: bool;
-
-    /// `true` when the counter hooks (`row_out`, `build_rows`) carry
-    /// meaning even with timing disabled — the metering probe's case.
-    /// The parallel driver only routes partitions through the fused
-    /// engine when the probe does *not* count: a fused partition is one
-    /// flat fold with no per-operator row attribution to feed the hooks.
-    const COUNTS: bool = true;
 
     /// One row was pushed out of operator `op` into its consumer.
     #[inline(always)]
@@ -84,13 +80,12 @@ pub struct NoProbe;
 
 impl Probe for NoProbe {
     const ENABLED: bool = false;
-    const COUNTS: bool = false;
 }
 
 /// Run operator-local evaluator work and charge its wall-clock time,
 /// evaluator steps, and heap-mutation delta to `op` — only when the probe
-/// type asks for it, so `NoProbe` (and `MetricsProbe`, `ENABLED = false`)
-/// pipelines never touch the clock or the counters. For compound work
+/// type asks for it, so `NoProbe` pipelines never touch the clock or the
+/// counters. For compound work
 /// (join builds) the deltas include the nested child operators' work,
 /// exactly like `self_nanos` always has.
 #[inline]
@@ -137,8 +132,8 @@ pub(crate) fn verify_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()
 /// Which engines a run may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum EnginePolicy {
-    /// The fused fold when the chain compiles and the probe does not
-    /// count rows; the plan walk otherwise.
+    /// The fused fold when the chain compiles and the probe is disabled;
+    /// the plan walk otherwise.
     Auto,
     /// Always the plan walk — the reference engine.
     PlanWalk,
@@ -171,9 +166,7 @@ pub(crate) fn run<P: Probe>(
     verify_if_enabled(query, snap)?;
     let env = bind_params(snap.env(), params);
     let mut ev = Evaluator::with_heap(snap.heap().clone());
-    // A fused run is one flat fold with no per-operator row attribution
-    // to feed a counting probe's hooks.
-    let fused = if policy == EnginePolicy::Auto && !P::COUNTS {
+    let fused = if policy == EnginePolicy::Auto && !P::ENABLED {
         crate::fused::try_run_reduce(query, &mut ev, &env)?
     } else {
         None
@@ -340,65 +333,89 @@ pub(crate) fn run_plan<P: Probe>(
                     })
                 }
                 JoinKind::Hash => {
-                    // Build: key → binding deltas of the right side.
-                    let (right_rows, table) = timed_eval(probe, op, ev, |ev| {
-                        let right_rows = materialize(right, right_op, ev, env, probe)?;
-                        let mut table: BTreeMap<Vec<Value>, Vec<usize>> = BTreeMap::new();
-                        let mut scratch = value::ScratchRow::new();
-                        for (i, delta) in right_rows.iter().enumerate() {
-                            let row = scratch.fill(env, delta);
-                            let key = on
-                                .iter()
-                                .map(|(_, rk)| ev.eval(row, rk))
-                                .collect::<ExecResult<Vec<_>>>()?;
-                            table.entry(key).or_default().push(i);
-                        }
-                        Ok::<_, EvalError>((right_rows, table))
+                    let table = timed_eval(probe, op, ev, |ev| {
+                        build_table(right, right_op, on, ev, env, probe)
                     })?;
-                    probe.build_rows(op, right_rows.len() as u64);
-                    // Probe with the left.
-                    let mut scratch = value::ScratchRow::new();
-                    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
-                        let key = on
-                            .iter()
-                            .map(|(lk, _)| ev.eval(lrow, lk))
-                            .collect::<ExecResult<Vec<_>>>()?;
-                        if let Some(matches) = table.get(&key) {
-                            for &i in matches {
-                                let row = scratch.fill(lrow, &right_rows[i]);
-                                probe.row_out(op);
-                                if !sink(ev, row)? {
-                                    return Ok(false);
-                                }
-                            }
-                        }
-                        Ok(true)
-                    })
+                    probe.build_rows(op, table.rows.len() as u64);
+                    let on_left = on.iter().map(|(lk, _)| lk);
+                    probe_table(left, op, &table, on_left, ev, env, probe, sink)
                 }
             }
         }
         Plan::HashProbe { left, table, on_left } => {
-            // The build side is already materialized and shared; probe it
-            // with the left rows.
-            let mut scratch = value::ScratchRow::new();
-            run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
-                let key = on_left
-                    .iter()
-                    .map(|lk| ev.eval(lrow, lk))
-                    .collect::<ExecResult<Vec<_>>>()?;
-                if let Some(matches) = table.index.get(&key) {
-                    for &i in matches {
-                        let row = scratch.fill(lrow, &table.rows[i]);
-                        probe.row_out(op);
-                        if !sink(ev, row)? {
-                            return Ok(false);
-                        }
-                    }
-                }
-                Ok(true)
-            })
+            // The build side is already materialized and shared.
+            probe_table(left, op, table, on_left.iter(), ev, env, probe, sink)
         }
     }
+}
+
+/// Probe a materialized build side with the rows of `left`: the second
+/// half of a hash join, shared by [`Plan::Join`] (which builds its table
+/// first) and [`Plan::HashProbe`] (whose table arrived prebuilt).
+/// `on_left` yields the left-side key expressions, in the table's key order.
+#[allow(clippy::too_many_arguments)]
+fn probe_table<'k, P: Probe>(
+    left: &Plan,
+    op: usize,
+    table: &BuildTable,
+    on_left: impl Iterator<Item = &'k Expr> + Clone,
+    ev: &mut Evaluator,
+    env: &Env,
+    probe: &P,
+    sink: &mut dyn FnMut(&mut Evaluator, &Env) -> ExecResult<bool>,
+) -> ExecResult<bool> {
+    let mut scratch = value::ScratchRow::new();
+    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
+        let key = on_left
+            .clone()
+            .map(|lk| ev.eval(lrow, lk))
+            .collect::<ExecResult<Vec<_>>>()?;
+        if let Some(matches) = table.index.get(&key) {
+            for &i in matches {
+                let row = scratch.fill(lrow, &table.rows[i]);
+                probe.row_out(op);
+                if !sink(ev, row)? {
+                    return Ok(false);
+                }
+            }
+        }
+        Ok(true)
+    })
+}
+
+/// Materialize a join's right side into a [`BuildTable`]: binding deltas
+/// plus key → rows. `op` is the right sub-plan's pre-order index.
+pub(crate) fn build_table<P: Probe>(
+    right: &Plan,
+    op: usize,
+    on: &[(Expr, Expr)],
+    ev: &mut Evaluator,
+    env: &Env,
+    probe: &P,
+) -> ExecResult<BuildTable> {
+    let rows = materialize(right, op, ev, env, probe)?;
+    let mut table = BuildTable::with_capacity(right.bound_vars(), rows.len());
+    let mut scratch = value::ScratchRow::new();
+    for delta in rows {
+        let key = build_key(ev, &mut scratch, env, &delta, on)?;
+        table.push(delta, key);
+    }
+    Ok(table)
+}
+
+/// The build-side key values of one materialized delta — evaluated
+/// against the top environment plus the delta. The caller's
+/// [`value::ScratchRow`] supplies the row, so keying a whole build side
+/// reuses one chain of environment nodes instead of allocating per delta.
+pub(crate) fn build_key(
+    ev: &mut Evaluator,
+    scratch: &mut value::ScratchRow,
+    env: &Env,
+    delta: &[(Symbol, Value)],
+    on: &[(Expr, Expr)],
+) -> ExecResult<Vec<Value>> {
+    let row = scratch.fill(env, delta);
+    on.iter().map(|(_, rk)| ev.eval(row, rk)).collect()
 }
 
 /// Materialize a sub-plan as a list of binding deltas (only the variables

@@ -22,7 +22,7 @@ pub fn explain_with_estimates(query: &Query, stats: &Stats) -> String {
 }
 
 /// Shared tree renderer: `annotate` receives each operator's pre-order
-/// index (the numbering [`crate::exec::Probe`] and
+/// index ([`Plan::walk`]'s `op`, the numbering [`crate::exec::Probe`] and
 /// [`Stats::plan_estimates`] use) and returns a suffix for its line.
 pub(crate) fn render_with(
     query: &Query,
@@ -35,7 +35,12 @@ pub(crate) fn render_with(
         query.monoid,
         pretty(&query.head)
     );
-    explain_plan(&query.plan, 0, 1, annotate, &mut out);
+    query.plan.walk(&mut |op, depth, plan| {
+        for _ in 0..=depth {
+            out.push_str("  ");
+        }
+        let _ = writeln!(out, "{}{}", op_label(plan), annotate(op, plan));
+    });
     out
 }
 
@@ -46,12 +51,6 @@ pub(crate) fn fmt_rows(est: f64) -> String {
         format!("{est:.0}")
     } else {
         format!("{est:.1}")
-    }
-}
-
-fn indent(out: &mut String, depth: usize) {
-    for _ in 0..depth {
-        out.push_str("  ");
     }
 }
 
@@ -86,30 +85,6 @@ pub(crate) fn op_label(plan: &Plan) -> String {
                 keys.join(", "),
                 table.rows.len()
             )
-        }
-    }
-}
-
-fn explain_plan(
-    plan: &Plan,
-    op: usize,
-    depth: usize,
-    annotate: &mut dyn FnMut(usize, &Plan) -> String,
-    out: &mut String,
-) {
-    indent(out, depth);
-    let _ = writeln!(out, "{}{}", op_label(plan), annotate(op, plan));
-    match plan {
-        Plan::Scan { .. } | Plan::IndexLookup { .. } => {}
-        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-            explain_plan(input, op + 1, depth + 1, annotate, out);
-        }
-        Plan::Join { left, right, .. } => {
-            explain_plan(left, op + 1, depth + 1, annotate, out);
-            explain_plan(right, op + 1 + left.node_count(), depth + 1, annotate, out);
-        }
-        Plan::HashProbe { left, .. } => {
-            explain_plan(left, op + 1, depth + 1, annotate, out);
         }
     }
 }

@@ -30,9 +30,9 @@
 //! * [`trace`] — `EXPLAIN ANALYZE`: profiled execution with per-phase
 //!   wall-clock timings and per-operator row/time counters, serializable
 //!   to JSON.
-//! * [`metrics`](mod@metrics) — fleet metering: a probe that feeds
-//!   cumulative per-operator-kind row/build/short-circuit counters into
-//!   the process-wide registry (`monoid_calculus::metrics`).
+//! * [`metrics`](mod@metrics) — fleet metering: a counted run's profile
+//!   flushed, by operator kind, into cumulative row/build/short-circuit
+//!   counters in the process-wide registry (`monoid_calculus::metrics`).
 //! * [`verify`] — plan invariant verifier: binder consistency, build-table
 //!   shape, index snapshot freshness, and purity (no `:=`, no `new`, head
 //!   included), re-checked before every execution when stage
@@ -70,7 +70,7 @@ pub use exec::{
     Probe,
 };
 pub use fused::{engine_of, fused_eligible, Engine};
-pub use metrics::{execute_metered_bound, execute_parallel_metered_bound, MetricsProbe};
+pub use metrics::execute_metered_bound;
 pub use explain::{explain, explain_with_estimates};
 pub use index::{apply_indexes, apply_indexes_rebuilding, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};

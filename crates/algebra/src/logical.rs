@@ -65,8 +65,9 @@ pub enum Plan {
 }
 
 /// A materialized hash-join build side: the right sub-plan's binding
-/// deltas plus a key → row-indexes map. Built once (by the parallel
-/// driver) and probed by many workers concurrently.
+/// deltas plus a key → row-indexes map. Every hash join builds one
+/// (`exec::build_table`) and probes it; the parallel driver builds it
+/// once up front and shares it with its workers as a [`Plan::HashProbe`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct BuildTable {
     /// Variables the build side binds, in plan order.
@@ -76,6 +77,23 @@ pub struct BuildTable {
     /// Right-side key values → indexes into `rows`. With no equi-keys
     /// every row lives under the empty key (a cross product).
     pub index: std::collections::BTreeMap<Vec<monoid_calculus::value::Value>, Vec<usize>>,
+}
+
+impl BuildTable {
+    /// An empty table binding `vars`, with room for `rows` build rows.
+    pub(crate) fn with_capacity(vars: Vec<Symbol>, rows: usize) -> BuildTable {
+        BuildTable { vars, rows: Vec::with_capacity(rows), ..Default::default() }
+    }
+
+    /// Append one build row under its key (rows keep materialization order).
+    pub(crate) fn push(
+        &mut self,
+        delta: Vec<(Symbol, monoid_calculus::value::Value)>,
+        key: Vec<monoid_calculus::value::Value>,
+    ) {
+        self.index.entry(key).or_default().push(self.rows.len());
+        self.rows.push(delta);
+    }
 }
 
 impl Plan {
@@ -102,6 +120,11 @@ impl Plan {
         }
     }
 
+    /// Every value [`Plan::kind_label`] returns — the closed label space
+    /// the registry pre-registers and profile loaders validate against.
+    pub const KIND_LABELS: [&'static str; 7] =
+        ["scan", "index-lookup", "unnest", "filter", "bind", "join", "hash-probe"];
+
     /// Short operator-kind label — the bounded label space the metering
     /// counters (`exec_rows_pushed_total{operator=…}`) and the plan-quality
     /// audit (`plan_q_error_milli{operator=…}`) aggregate under.
@@ -117,17 +140,41 @@ impl Plan {
         }
     }
 
-    /// Number of operators (for stats / tests). A `HashProbe`'s build side
-    /// is materialized data, not a plan subtree, so it counts as one node.
-    pub fn node_count(&self) -> usize {
-        match self {
-            Plan::Scan { .. } | Plan::IndexLookup { .. } => 1,
-            Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-                1 + input.node_count()
+    /// Visit every operator as `(op, depth, node)` in pre-order — *the*
+    /// operator numbering: root = 0, a unary operator's input at `op + 1`,
+    /// a join's right child after the whole left subtree. A `HashProbe`'s
+    /// build side is materialized data, not a plan subtree, so it is not
+    /// visited. Probes, estimates, `explain` and profiles all index
+    /// operators by this `op`.
+    pub fn walk<'a>(&'a self, visit: &mut impl FnMut(usize, usize, &'a Plan)) {
+        fn go<'a>(
+            plan: &'a Plan,
+            next: &mut usize,
+            depth: usize,
+            visit: &mut impl FnMut(usize, usize, &'a Plan),
+        ) {
+            visit(*next, depth, plan);
+            *next += 1;
+            match plan {
+                Plan::Scan { .. } | Plan::IndexLookup { .. } => {}
+                Plan::Unnest { input, .. }
+                | Plan::Filter { input, .. }
+                | Plan::Bind { input, .. } => go(input, next, depth + 1, visit),
+                Plan::Join { left, right, .. } => {
+                    go(left, next, depth + 1, visit);
+                    go(right, next, depth + 1, visit);
+                }
+                Plan::HashProbe { left, .. } => go(left, next, depth + 1, visit),
             }
-            Plan::Join { left, right, .. } => 1 + left.node_count() + right.node_count(),
-            Plan::HashProbe { left, .. } => 1 + left.node_count(),
         }
+        go(self, &mut 0, 0, visit);
+    }
+
+    /// Number of operators [`Plan::walk`] visits.
+    pub fn node_count(&self) -> usize {
+        let mut n = 0;
+        self.walk(&mut |_, _, _| n += 1);
+        n
     }
 
     /// Visit every calculus expression embedded in the plan (scan
@@ -497,6 +544,32 @@ mod tests {
             plan_comprehension(&Expr::int(3)),
             Err(PlanError::NotAComprehension)
         );
+    }
+
+    #[test]
+    fn walk_numbers_a_joins_right_child_after_its_left_subtree() {
+        // Filter(Join(Filter(Scan x), Scan y)): the build side follows the
+        // whole two-node probe side.
+        let e = Expr::comp(
+            Monoid::Bag,
+            Expr::var("x"),
+            vec![
+                Expr::gen("x", Expr::var("A")),
+                Expr::pred(Expr::var("x").proj("k").eq(Expr::int(1))),
+                Expr::gen("y", Expr::var("B")),
+                Expr::pred(Expr::var("x").proj("k").eq(Expr::var("y").proj("k"))),
+                Expr::pred(Expr::var("y").proj("k").eq(Expr::int(1))),
+            ],
+        );
+        let q = plan_comprehension(&e).unwrap();
+        let mut seen = Vec::new();
+        q.plan.walk(&mut |op, depth, node| seen.push((op, depth, node.kind_label())));
+        assert_eq!(
+            seen,
+            vec![(0, 0, "filter"), (1, 1, "join"), (2, 2, "filter"), (3, 3, "scan"), (4, 2, "scan")]
+        );
+        assert_eq!(q.plan.node_count(), 5);
+        assert!(seen.iter().all(|(_, _, kind)| Plan::KIND_LABELS.contains(kind)));
     }
 
     #[test]

@@ -28,28 +28,29 @@
 //! join. The only fallbacks are physical, not algebraic: `threads ≤ 1`
 //! and partition sources too small to amortize thread spawn
 //! ([`Fallback::TooFewRows`], governed by [`min_rows_per_worker`]). Both
-//! are reported with a reason — see [`ParallelReport`] and the
-//! `parallel_fallback_total{reason}` metric family in [`crate::metrics`].
-//! Workers themselves prefer the fused fold in [`crate::fused`] over the
-//! per-row plan walk whenever the chain compiles and the probe doesn't
-//! meter per-operator rows; [`ParallelReport::fused`] records which
-//! engine the partitions ran.
+//! are reported with a reason — see [`ParallelReport`], which every run
+//! also flushes into the `parallel_*` registry family
+//! (`parallel_fallback_total{reason}` and friends).
+//! Workers run uncounted ([`NoProbe`]): the fused fold in [`crate::fused`]
+//! whenever the chain compiles, the per-row plan walk otherwise;
+//! [`ParallelReport::fused`] records which engine the partitions ran.
 //! For absorbing monoids (`some`/`all`) workers share a stop flag so one
 //! worker's absorption short-circuits the rest.
 
 use crate::error::ExecResult;
-use crate::exec::{self, EnginePolicy, NoProbe, Probe};
+use crate::exec::{self, EnginePolicy, NoProbe};
 use crate::fused::Engine;
 use crate::logical::{BuildTable, JoinKind, Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
+use monoid_calculus::metrics::{global, Counter, Histogram};
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{self, Env, Value};
 use monoid_store::Snapshot;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Why a parallel execution ran sequentially instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,6 +121,50 @@ impl ParallelReport {
             fused: false,
         }
     }
+
+    /// Flush this run into the `parallel_*` registry family.
+    fn record(&self) {
+        let m = parallel_metrics();
+        m.executions.inc();
+        m.workers.add(self.workers as u64);
+        if let Some(reason) = self.fallback {
+            let i = match reason {
+                Fallback::SingleThread => 0,
+                Fallback::TooFewRows => 1,
+            };
+            m.fallbacks[i].inc();
+        }
+        for &rows in &self.worker_rows {
+            m.worker_rows.observe(rows);
+        }
+        m.prebuilt_rows.add(self.prebuilt_rows);
+    }
+}
+
+/// Parallel-engine registry handles, resolved once per process. The
+/// `reason` label space of `parallel_fallback_total` is the closed
+/// [`Fallback`] enum, so the registry stays bounded.
+struct ParallelMetrics {
+    executions: Arc<Counter>,
+    workers: Arc<Counter>,
+    fallbacks: [Arc<Counter>; 2],
+    worker_rows: Arc<Histogram>,
+    prebuilt_rows: Arc<Counter>,
+}
+
+fn parallel_metrics() -> &'static ParallelMetrics {
+    static METRICS: OnceLock<ParallelMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let r = global();
+        ParallelMetrics {
+            executions: r.counter("parallel_executions_total"),
+            workers: r.counter("parallel_workers_total"),
+            fallbacks: [Fallback::SingleThread, Fallback::TooFewRows]
+                .map(|f| r.counter_with("parallel_fallback_total", &[("reason", f.as_str())])),
+            worker_rows: r.histogram("parallel_worker_rows"),
+            prebuilt_rows: r.counter("parallel_prebuilt_rows_total"),
+        }
+    })
 }
 
 /// The worker count to pass when the caller has no opinion: the
@@ -141,35 +186,19 @@ pub fn default_threads() -> usize {
 /// — ordered or not — agrees byte-for-byte with sequential execution.
 /// `params` are late-bound parameter values, bound into the driver's
 /// root environment so every worker sees them exactly like a persistent
-/// root. Also returns the [`ParallelReport`].
+/// root. Also returns the [`ParallelReport`], which is flushed into the
+/// `parallel_*` registry family and — workers spawned, the fallback
+/// reason (if any), the engine, the reduced row count — noted on whatever
+/// [`monoid_calculus::recorder`] scope is open on this thread.
 pub fn execute_parallel_bound(
     query: &Query,
     snap: &Snapshot,
     threads: usize,
     params: &[(Symbol, Value)],
 ) -> ExecResult<(Value, ParallelReport)> {
-    execute_parallel_with(query, snap, threads, params, |_| NoProbe)
-}
-
-/// The generic engine: `make_probe` builds the per-worker probe from the
-/// rewritten worker plan (whose operator numbering differs from the
-/// original — the partition root becomes a singleton scan and spine joins
-/// become [`Plan::HashProbe`]s). All workers share the one probe, so it
-/// must be `Sync`; on fallback the probe is built from the original plan.
-///
-/// Both parallel entry points funnel here, so this is also where the
-/// flight recorder learns what the engine did: workers spawned, the
-/// fallback reason (if any), and the reduced row count land on whatever
-/// [`monoid_calculus::recorder`] scope is open on this thread.
-pub(crate) fn execute_parallel_with<P: Probe + Sync>(
-    query: &Query,
-    snap: &Snapshot,
-    threads: usize,
-    params: &[(Symbol, Value)],
-    make_probe: impl FnOnce(&Plan) -> P,
-) -> ExecResult<(Value, ParallelReport)> {
-    let result = execute_parallel_inner(query, snap, threads, params, make_probe);
+    let result = execute_parallel_inner(query, snap, threads, params);
     if let Ok((value, report)) = &result {
+        report.record();
         monoid_calculus::recorder::note_parallel(
             report.workers as u64,
             report.fallback.map(Fallback::as_str),
@@ -181,16 +210,15 @@ pub(crate) fn execute_parallel_with<P: Probe + Sync>(
     result
 }
 
-fn execute_parallel_inner<P: Probe + Sync>(
+fn execute_parallel_inner(
     query: &Query,
     snap: &Snapshot,
     threads: usize,
     params: &[(Symbol, Value)],
-    make_probe: impl FnOnce(&Plan) -> P,
 ) -> ExecResult<(Value, ParallelReport)> {
     let mut report = ParallelReport::new(threads);
     if threads <= 1 {
-        return run_fallback(query, snap, params, make_probe, report, Fallback::SingleThread);
+        return run_fallback(query, snap, params, report, Fallback::SingleThread);
     }
     exec::verify_if_enabled(query, snap)?;
 
@@ -205,36 +233,28 @@ fn execute_parallel_inner<P: Probe + Sync>(
     }
     // Runtime floor: fanning out fewer than `floor` rows per worker loses
     // to thread spawn. With fewer than two workers' worth of rows the
-    // whole query runs sequentially (and still gets the fused loop when
-    // the probe permits).
+    // whole query runs sequentially (and still gets the fused loop).
     let floor = min_rows_per_worker();
     if elements.len() < 2 * floor {
-        return run_fallback(query, snap, params, make_probe, report, Fallback::TooFewRows);
+        return run_fallback(query, snap, params, report, Fallback::TooFewRows);
     }
 
     let worker_plan = replace_partition_root(&plan);
-    // Workers run the fused fold when the chain compiles and the probe
-    // doesn't count rows (fused loops have no per-operator attribution to
-    // feed a metering probe). Compiled once here; shared by reference.
-    let fused = if P::COUNTS {
-        None
-    } else {
-        crate::fused::compile_parts(&plan, &query.monoid, &query.head, query.plan_effects)
-    };
+    // Workers run the fused fold when the chain compiles. Compiled once
+    // here; shared by reference. Global resolution is checked once up
+    // front; a missing name falls through to the plan-walk workers, which
+    // report it as the plan walk would.
+    let fused = crate::fused::compile_parts(&plan, &query.monoid, &query.head, query.plan_effects)
+        .filter(|fq| fq.resolve_globals(&env).is_some());
     let stop = AtomicBool::new(false);
     let use_stop = matches!(query.monoid, Monoid::Some | Monoid::All);
     let stop = use_stop.then_some(&stop);
     let chunk = elements.len().div_ceil(threads).max(floor);
 
-    // Global resolution is checked once up front; a missing name falls
-    // through to the plan-walk workers, which report it as the plan walk
-    // would.
-    let fused = fused.filter(|fq| fq.resolve_globals(&env).is_some());
-    let probe = make_probe(&worker_plan);
     let results = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for part in elements.chunks(chunk) {
-            let (env, fused, worker_plan, probe) = (&env, &fused, &worker_plan, &probe);
+            let (env, fused, worker_plan) = (&env, &fused, &worker_plan);
             handles.push(scope.spawn(move || -> ExecResult<(Value, u64)> {
                 match fused {
                     Some(fq) => fq.fold_partition(part, snap.heap(), env, stop)?.ok_or_else(
@@ -242,7 +262,7 @@ fn execute_parallel_inner<P: Probe + Sync>(
                     ),
                     None => {
                         let mut ev = Evaluator::with_heap(snap.heap().clone());
-                        run_partition(worker_plan, query, &mut ev, env, part, var, probe, stop)
+                        run_partition(worker_plan, query, &mut ev, env, part, var, stop)
                     }
                 }
             }));
@@ -265,18 +285,17 @@ fn execute_parallel_inner<P: Probe + Sync>(
 }
 
 /// Sequential execution with the fallback reason recorded. A fallback is
-/// not a slow path: when the probe doesn't meter rows, the sequential run
-/// still goes through the fused fold if the chain compiles.
-fn run_fallback<P: Probe>(
+/// not a slow path: the sequential run still goes through the fused fold
+/// if the chain compiles.
+fn run_fallback(
     query: &Query,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
-    make_probe: impl FnOnce(&Plan) -> P,
     mut report: ParallelReport,
     reason: Fallback,
 ) -> ExecResult<(Value, ParallelReport)> {
     report.fallback = Some(reason);
-    let run = exec::run(query, snap, params, EnginePolicy::Auto, &make_probe(&query.plan))?;
+    let run = exec::run(query, snap, params, EnginePolicy::Auto, &NoProbe)?;
     report.fused = run.engine == Engine::Fused;
     Ok((run.value, report))
 }
@@ -288,7 +307,39 @@ struct PartitionPoint {
     elements: Vec<Value>,
 }
 
-/// Top-down spine walk: pre-materialize hash-join (and cross-product)
+/// The left-spine child of `plan` — a unary operator's input, a join's
+/// or probe's left — or `None` at the spine's bottom (a scan or index
+/// lookup).
+fn spine_child(plan: &Plan) -> Option<&Plan> {
+    match plan {
+        Plan::Scan { .. } | Plan::IndexLookup { .. } => None,
+        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
+            Some(input)
+        }
+        Plan::Join { left, .. } | Plan::HashProbe { left, .. } => Some(left),
+    }
+}
+
+/// `plan` rebuilt around a new left-spine child; everything off the
+/// spine is cloned as is, and so is a leaf, which has no child to replace.
+/// The one spine rebuild both rewrites below recurse through.
+fn with_spine_child(plan: &Plan, child: Plan) -> Plan {
+    let child = Box::new(child);
+    match plan {
+        Plan::Scan { .. } | Plan::IndexLookup { .. } => plan.clone(),
+        Plan::Unnest { var, path, .. } => Plan::Unnest { input: child, var: *var, path: path.clone() },
+        Plan::Filter { pred, .. } => Plan::Filter { input: child, pred: pred.clone() },
+        Plan::Bind { var, expr, .. } => Plan::Bind { input: child, var: *var, expr: expr.clone() },
+        Plan::Join { right, on, kind, .. } => {
+            Plan::Join { left: child, right: right.clone(), on: on.clone(), kind: *kind }
+        }
+        Plan::HashProbe { table, on_left, .. } => {
+            Plan::HashProbe { left: child, table: table.clone(), on_left: on_left.clone() }
+        }
+    }
+}
+
+/// Top-down spine rewrite: pre-materialize hash-join (and cross-product)
 /// build sides into shared [`BuildTable`]s — in the order sequential
 /// execution would materialize them — and resolve the partition point at
 /// the spine's bottom.
@@ -310,62 +361,28 @@ fn prepare(
             let elements = index.lookup(&kv).to_vec();
             Ok((plan.clone(), PartitionPoint { var: *var, elements }))
         }
-        Plan::Unnest { input, var, path } => {
-            let (input, pp) = prepare(input, snap, env, threads, report)?;
-            Ok((Plan::Unnest { input: Box::new(input), var: *var, path: path.clone() }, pp))
-        }
-        Plan::Filter { input, pred } => {
-            let (input, pp) = prepare(input, snap, env, threads, report)?;
-            Ok((Plan::Filter { input: Box::new(input), pred: pred.clone() }, pp))
-        }
-        Plan::Bind { input, var, expr } => {
-            let (input, pp) = prepare(input, snap, env, threads, report)?;
-            Ok((Plan::Bind { input: Box::new(input), var: *var, expr: expr.clone() }, pp))
-        }
-        Plan::Join { left, right, on, kind } => {
-            // Hash joins and cross products (`on` empty) have
-            // left-independent build sides: materialize once, share with
-            // every worker. A keyed nested-loop join evaluates its right
-            // keys against combined rows, so it stays per-worker (the
-            // planner never emits that shape).
-            if *kind == JoinKind::Hash || on.is_empty() {
-                let table = build_table(right, on, snap, env, threads, report)?;
-                let (left, pp) = prepare(left, snap, env, threads, report)?;
-                let on_left = on.iter().map(|(lk, _)| lk.clone()).collect();
-                Ok((Plan::HashProbe { left: Box::new(left), table, on_left }, pp))
-            } else {
-                let (left, pp) = prepare(left, snap, env, threads, report)?;
-                Ok((
-                    Plan::Join {
-                        left: Box::new(left),
-                        right: right.clone(),
-                        on: on.clone(),
-                        kind: *kind,
-                    },
-                    pp,
-                ))
-            }
-        }
-        Plan::HashProbe { left, table, on_left } => {
+        // Hash joins and cross products (`on` empty) have
+        // left-independent build sides: materialize once, share with
+        // every worker. A keyed nested-loop join evaluates its right
+        // keys against combined rows, so it stays per-worker (the
+        // planner never emits that shape).
+        Plan::Join { left, right, on, kind } if *kind == JoinKind::Hash || on.is_empty() => {
+            let table = build_table(right, on, snap, env, threads, report)?;
             let (left, pp) = prepare(left, snap, env, threads, report)?;
-            Ok((
-                Plan::HashProbe {
-                    left: Box::new(left),
-                    table: table.clone(),
-                    on_left: on_left.clone(),
-                },
-                pp,
-            ))
+            let on_left = on.iter().map(|(lk, _)| lk.clone()).collect();
+            Ok((Plan::HashProbe { left: Box::new(left), table, on_left }, pp))
+        }
+        _ => {
+            let child = spine_child(plan).expect("scan and index-lookup leaves matched above");
+            let (child, pp) = prepare(child, snap, env, threads, report)?;
+            Ok((with_spine_child(plan, child), pp))
         }
     }
 }
 
-/// One materialized build-side row: its binding delta and its key.
-type KeyedRow = (Vec<(Symbol, Value)>, Vec<Value>);
-
-/// Materialize a join's right side once into a shared [`BuildTable`]:
-/// binding deltas plus key → rows. Scan-rooted build plans are themselves
-/// partitioned across workers; anything else materializes sequentially.
+/// Materialize a join's right side once into a shared [`BuildTable`].
+/// Scan-rooted build plans are themselves partitioned across workers;
+/// anything else goes through the sequential builder the plan walk uses.
 fn build_table(
     right: &Plan,
     on: &[(Expr, Expr)],
@@ -374,47 +391,25 @@ fn build_table(
     threads: usize,
     report: &mut ParallelReport,
 ) -> ExecResult<Arc<BuildTable>> {
-    let keyed_rows = match parallel_build_rows(right, on, snap, env, threads)? {
-        Some(rows) => rows,
+    let table = match parallel_build_rows(right, on, snap, env, threads)? {
+        Some(keyed) => {
+            let mut table = BuildTable::with_capacity(right.bound_vars(), keyed.len());
+            for (delta, key) in keyed {
+                table.push(delta, key);
+            }
+            table
+        }
         None => {
             let mut ev = Evaluator::with_heap(snap.heap().clone());
-            let rows = exec::materialize(right, 0, &mut ev, env, &NoProbe)?;
-            key_rows(&mut ev, &mut value::ScratchRow::new(), env, rows, on)?
+            exec::build_table(right, 0, on, &mut ev, env, &NoProbe)?
         }
     };
-    report.prebuilt_rows += keyed_rows.len() as u64;
-    let mut table = BuildTable {
-        vars: right.bound_vars(),
-        rows: Vec::with_capacity(keyed_rows.len()),
-        ..Default::default()
-    };
-    for (i, (delta, key)) in keyed_rows.into_iter().enumerate() {
-        table.rows.push(delta);
-        table.index.entry(key).or_default().push(i);
-    }
+    report.prebuilt_rows += table.rows.len() as u64;
     Ok(Arc::new(table))
 }
 
-/// Pair each materialized delta with its build-side key values —
-/// evaluated against the top environment plus the delta, mirroring the
-/// executor's hash-build semantics. The caller's [`value::ScratchRow`]
-/// supplies every row, so keying reuses one chain of environment nodes
-/// instead of allocating per delta.
-fn key_rows(
-    ev: &mut Evaluator,
-    scratch: &mut value::ScratchRow,
-    env: &Env,
-    rows: Vec<Vec<(Symbol, Value)>>,
-    on: &[(Expr, Expr)],
-) -> ExecResult<Vec<KeyedRow>> {
-    rows.into_iter()
-        .map(|delta| {
-            let row = scratch.fill(env, &delta);
-            let key = on.iter().map(|(_, rk)| ev.eval(row, rk)).collect::<ExecResult<_>>()?;
-            Ok((delta, key))
-        })
-        .collect()
-}
+/// One materialized build-side row: its binding delta and its key.
+type KeyedRow = (Vec<(Symbol, Value)>, Vec<Value>);
 
 /// Partitioned build-side materialization. Returns `None` when the build
 /// plan is not eligible (not scan-rooted, or too small to be worth
@@ -426,9 +421,14 @@ fn parallel_build_rows(
     env: &Env,
     threads: usize,
 ) -> ExecResult<Option<Vec<KeyedRow>>> {
-    let Some((bvar, bsource)) = spine_scan(right) else {
+    let mut root = right;
+    while let Some(child) = spine_child(root) {
+        root = child;
+    }
+    let Plan::Scan { var: bvar, source: bsource } = root else {
         return Ok(None);
     };
+    let bvar = *bvar;
     let sv = snap.eval_unchecked(bsource, env)?;
     let elements = exec::collection_elements(&sv)?;
     if elements.len() < 2 {
@@ -448,8 +448,10 @@ fn parallel_build_rows(
                 let mut out = Vec::new();
                 for elem in part {
                     let row = env.bind(bvar, elem.clone());
-                    let rows = exec::materialize(worker_plan, 0, &mut ev, &row, &NoProbe)?;
-                    out.extend(key_rows(&mut ev, &mut scratch, env, rows, on)?);
+                    for delta in exec::materialize(worker_plan, 0, &mut ev, &row, &NoProbe)? {
+                        let key = exec::build_key(&mut ev, &mut scratch, env, &delta, on)?;
+                        out.push((delta, key));
+                    }
                 }
                 Ok(out)
             }));
@@ -463,71 +465,33 @@ fn parallel_build_rows(
     Ok(Some(parts.into_iter().flatten().collect()))
 }
 
-/// The scan at the bottom of `plan`'s left spine, if that is what the
-/// spine ends in (used to decide build-side partitioning).
-fn spine_scan(plan: &Plan) -> Option<(Symbol, &Expr)> {
-    match plan {
-        Plan::Scan { var, source } => Some((*var, source)),
-        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-            spine_scan(input)
-        }
-        Plan::Join { left, .. } | Plan::HashProbe { left, .. } => spine_scan(left),
-        Plan::IndexLookup { .. } => None,
-    }
-}
-
 /// The plan with the partition root (the spine-bottom scan or index
 /// lookup) replaced by a singleton scan over the already-bound partition
 /// variable: the driver binds `var` per element, and scanning `[var]`
 /// rebinds it exactly once through the normal pipeline.
 fn replace_partition_root(plan: &Plan) -> Plan {
-    let singleton = |var: Symbol| Plan::Scan {
-        var,
-        source: Expr::CollLit(Monoid::List, vec![Expr::Var(var)]),
-    };
     match plan {
-        Plan::Scan { var, .. } => singleton(*var),
-        Plan::IndexLookup { var, .. } => singleton(*var),
-        Plan::Unnest { input, var, path } => Plan::Unnest {
-            input: Box::new(replace_partition_root(input)),
+        Plan::Scan { var, .. } | Plan::IndexLookup { var, .. } => Plan::Scan {
             var: *var,
-            path: path.clone(),
+            source: Expr::CollLit(Monoid::List, vec![Expr::Var(*var)]),
         },
-        Plan::Filter { input, pred } => Plan::Filter {
-            input: Box::new(replace_partition_root(input)),
-            pred: pred.clone(),
-        },
-        Plan::Bind { input, var, expr } => Plan::Bind {
-            input: Box::new(replace_partition_root(input)),
-            var: *var,
-            expr: expr.clone(),
-        },
-        Plan::Join { left, right, on, kind } => Plan::Join {
-            left: Box::new(replace_partition_root(left)),
-            right: right.clone(),
-            on: on.clone(),
-            kind: *kind,
-        },
-        Plan::HashProbe { left, table, on_left } => Plan::HashProbe {
-            left: Box::new(replace_partition_root(left)),
-            table: table.clone(),
-            on_left: on_left.clone(),
-        },
+        _ => {
+            let child = spine_child(plan).expect("scan and index-lookup leaves matched above");
+            with_spine_child(plan, replace_partition_root(child))
+        }
     }
 }
 
 /// One worker: push every element of `part` through the rewritten
 /// pipeline into a local accumulator. `stop` (absorbing monoids only)
 /// lets workers short-circuit each other.
-#[allow(clippy::too_many_arguments)]
-fn run_partition<P: Probe>(
+fn run_partition(
     plan: &Plan,
     query: &Query,
     ev: &mut Evaluator,
     env: &Env,
     part: &[Value],
     var: Symbol,
-    probe: &P,
     stop: Option<&AtomicBool>,
 ) -> ExecResult<(Value, u64)> {
     let mut acc = value::Accumulator::new(&query.monoid)?;
@@ -539,7 +503,7 @@ fn run_partition<P: Probe>(
             }
         }
         let row = env.bind(var, elem.clone());
-        let completed = exec::run_plan(plan, 0, ev, &row, probe, &mut |ev, r| {
+        let completed = exec::run_plan(plan, 0, ev, &row, &NoProbe, &mut |ev, r| {
             let h = ev.eval(r, &query.head)?;
             acc.push_unit(h)?;
             rows += 1;
@@ -789,6 +753,44 @@ mod tests {
         assert!(
             total < db.extent_len("Hotels") as u64,
             "workers stopped early: {total} rows"
+        );
+    }
+
+    #[test]
+    fn every_run_reports_to_the_parallel_registry_family() {
+        let db = travel::generate(TravelScale::tiny(), 42);
+        let q = Expr::comp(
+            Monoid::List,
+            Expr::var("h").proj("name"),
+            vec![Expr::gen("h", Expr::var("Hotels"))],
+        );
+        let plan = plan_comprehension(&q).unwrap();
+        let seq = crate::exec::execute(&plan, &db).unwrap();
+
+        let before = global().snapshot();
+        let (par, report) = execute_parallel_bound(&plan, &db, 4, &[]).unwrap();
+        assert_eq!(seq, par);
+        let d = global().snapshot().diff(&before);
+        assert!(d.counter("parallel_executions_total") >= 1);
+        assert!(d.counter("parallel_workers_total") >= report.workers as u64 && report.workers >= 2);
+        assert_eq!(
+            d.counter_with("parallel_fallback_total", &[("reason", "single-thread")]),
+            0
+        );
+
+        // threads = 1 falls back and says why — and the series shows up
+        // in the Prometheus exposition.
+        let before = global().snapshot();
+        execute_parallel_bound(&plan, &db, 1, &[]).unwrap();
+        let d = global().snapshot().diff(&before);
+        assert_eq!(
+            d.counter_with("parallel_fallback_total", &[("reason", "single-thread")]),
+            1
+        );
+        let text = global().snapshot().to_prometheus();
+        assert!(
+            text.contains("parallel_fallback_total{reason=\"single-thread\"}"),
+            "{text}"
         );
     }
 

@@ -2,16 +2,20 @@
 //!
 //! This module runs the normalize → optimize → plan → execute pipeline
 //! with a [`QueryTrace`] recording wall-clock time per phase, and threads
-//! a [`Cell`]-based [`Probe`] through the push-based executor to count
-//! rows and operator-local time per plan node. The result is a
-//! [`QueryProfile`]: the `explain` tree annotated with the optimizer's
-//! *estimated* cardinalities ([`Stats::plan_estimates`]) next to the
-//! *observed* row counts — reading the skew between the two is how you
-//! find out where the cost model lies. Profiles serialize to JSON through
-//! [`monoid_calculus::json::Json`] for the bench harness.
+//! the one counting [`Probe`] — [`ExecProbe`], a [`Cell`] per operator —
+//! through the push-based executor to count rows and operator-local time
+//! per plan node. The result is a [`QueryProfile`]: the `explain` tree
+//! annotated with the optimizer's *estimated* cardinalities
+//! ([`Stats::plan_estimates`]) next to the *observed* row counts —
+//! reading the skew between the two is how you find out where the cost
+//! model lies. A profile is the only thing the executor measures; the
+//! fleet registry ([`crate::metrics`]), the slow log and the auditor are
+//! sinks it is flushed to after the run. Profiles round-trip through JSON
+//! ([`QueryProfile::to_json`] / [`QueryProfile::from_json`]).
 //!
-//! The unprofiled entry points ([`crate::execute`]) use [`NoProbe`] and
-//! compile all instrumentation away; nothing here taxes normal execution.
+//! The unprofiled entry points ([`crate::execute`]) use
+//! [`crate::NoProbe`] and compile all instrumentation away; nothing here
+//! taxes normal execution.
 
 use crate::error::ExecResult;
 use crate::exec::{self, EnginePolicy, Probe};
@@ -76,7 +80,7 @@ fn record_audit(profile: &QueryProfile) {
 /// operator's pre-order position. `Cell` (not atomics) because profiled
 /// execution is single-threaded; interior mutability lets one `&ExecProbe`
 /// be shared by every nested sink closure in the pipeline.
-pub(crate) struct ExecProbe {
+struct ExecProbe {
     rows: Vec<Cell<u64>>,
     build: Vec<Cell<u64>>,
     nanos: Vec<Cell<u64>>,
@@ -86,7 +90,7 @@ pub(crate) struct ExecProbe {
 }
 
 impl ExecProbe {
-    pub(crate) fn new(operators: usize) -> ExecProbe {
+    fn new(operators: usize) -> ExecProbe {
         ExecProbe {
             rows: (0..operators).map(|_| Cell::new(0)).collect(),
             build: (0..operators).map(|_| Cell::new(0)).collect(),
@@ -139,7 +143,7 @@ impl Probe for ExecProbe {
 
 /// What one plan operator did during a profiled run, next to what the
 /// optimizer predicted it would do.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatorProfile {
     /// Pre-order position in the plan tree (0 = root).
     pub op: usize,
@@ -181,6 +185,69 @@ impl OperatorProfile {
         let actual = (self.actual_rows as f64).max(1.0);
         (est / actual).max(actual / est)
     }
+
+    /// Self-nanos per row produced (rows clamped to ≥ 1).
+    pub fn nanos_per_row(&self) -> f64 {
+        self.self_nanos as f64 / self.actual_rows.max(1) as f64
+    }
+
+    /// Evaluator steps per row produced.
+    pub fn steps_per_row(&self) -> f64 {
+        self.eval_steps as f64 / self.actual_rows.max(1) as f64
+    }
+
+    /// Heap allocations per row produced.
+    pub fn allocs_per_row(&self) -> f64 {
+        self.heap_allocs as f64 / self.actual_rows.max(1) as f64
+    }
+
+    /// The operator entry of a profile document; `q_error` and the three
+    /// per-row figures are derived, emitted for readers of the file.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("op", Json::from(self.op)),
+            ("operator", Json::str(self.label.clone())),
+            ("kind", Json::str(self.kind)),
+            ("depth", Json::from(self.depth)),
+            ("estimated_rows", Json::Float(self.estimated_rows)),
+            ("actual_rows", Json::from(self.actual_rows)),
+            ("build_rows", Json::from(self.build_rows)),
+            ("q_error", Json::Float(self.q_error())),
+            ("self_nanos", Json::from(self.self_nanos)),
+            ("eval_steps", Json::from(self.eval_steps)),
+            ("heap_allocs", Json::from(self.heap_allocs)),
+            ("nanos_per_row", Json::Float(self.nanos_per_row())),
+            ("steps_per_row", Json::Float(self.steps_per_row())),
+            ("allocs_per_row", Json::Float(self.allocs_per_row())),
+        ])
+    }
+
+    /// Load an operator written by [`OperatorProfile::to_json`]. Strict:
+    /// every stored field must be present and well-typed, and `kind` must
+    /// be one of [`Plan::KIND_LABELS`].
+    pub fn from_json(j: &Json) -> Result<OperatorProfile, String> {
+        let count = |k: &str| j.required_u64("operator", k);
+        let kind = j.required_str("operator", "kind")?;
+        let kind = *Plan::KIND_LABELS
+            .iter()
+            .find(|k| **k == kind)
+            .ok_or_else(|| format!("unknown operator kind `{kind}`"))?;
+        Ok(OperatorProfile {
+            op: count("op")? as usize,
+            label: j.required_str("operator", "operator")?.to_string(),
+            kind,
+            depth: count("depth")? as usize,
+            estimated_rows: j
+                .required("operator", "estimated_rows")?
+                .as_f64()
+                .ok_or("operator `estimated_rows` is not a number")?,
+            actual_rows: count("actual_rows")?,
+            build_rows: count("build_rows")?,
+            self_nanos: count("self_nanos")?,
+            eval_steps: count("eval_steps")?,
+            heap_allocs: count("heap_allocs")?,
+        })
+    }
 }
 
 /// The full profile of one query execution.
@@ -210,8 +277,21 @@ pub struct QueryProfile {
 
 impl QueryProfile {
     fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, trace: QueryTrace, eval_steps: u64) -> QueryProfile {
-        let mut operators = Vec::with_capacity(estimates.len());
-        collect_operators(&query.plan, 0, 0, estimates, probe, &mut operators);
+        let mut operators = Vec::with_capacity(probe.rows.len());
+        query.plan.walk(&mut |op, depth, plan| {
+            operators.push(OperatorProfile {
+                op,
+                label: explain::op_label(plan),
+                kind: plan.kind_label(),
+                depth,
+                estimated_rows: estimates.get(op).copied().unwrap_or(0.0),
+                actual_rows: probe.rows[op].get(),
+                build_rows: probe.build[op].get(),
+                self_nanos: probe.nanos[op].get(),
+                eval_steps: probe.steps[op].get(),
+                heap_allocs: probe.allocs[op].get(),
+            });
+        });
         QueryProfile {
             monoid: query.monoid.to_string(),
             head: pretty(&query.head),
@@ -294,26 +374,7 @@ impl QueryProfile {
     /// Serialize the whole profile (the schema `docs/observability.md`
     /// documents).
     pub fn to_json(&self) -> Json {
-        let operators = Json::Arr(
-            self.operators
-                .iter()
-                .map(|o| {
-                    Json::obj(vec![
-                        ("op", Json::from(o.op)),
-                        ("operator", Json::str(o.label.clone())),
-                        ("kind", Json::str(o.kind.to_string())),
-                        ("depth", Json::from(o.depth)),
-                        ("estimated_rows", Json::Float(o.estimated_rows)),
-                        ("actual_rows", Json::from(o.actual_rows)),
-                        ("build_rows", Json::from(o.build_rows)),
-                        ("q_error", Json::Float(o.q_error())),
-                        ("self_nanos", Json::from(o.self_nanos)),
-                        ("eval_steps", Json::from(o.eval_steps)),
-                        ("heap_allocs", Json::from(o.heap_allocs)),
-                    ])
-                })
-                .collect(),
-        );
+        let operators = Json::Arr(self.operators.iter().map(OperatorProfile::to_json).collect());
         let q_error = match self.worst_q_error() {
             Some(worst) => Json::obj(vec![
                 ("max", Json::Float(worst.q_error())),
@@ -334,6 +395,35 @@ impl QueryProfile {
             ("engine", Json::str(self.engine.clone())),
             ("trace", self.trace.to_json()),
         ])
+    }
+
+    /// Load a profile written by [`QueryProfile::to_json`] — what a
+    /// slow-query capture carries. Strict like
+    /// [`OperatorProfile::from_json`]; the `q_error` summary is derived
+    /// and the phase `trace` is not read back (it comes back empty).
+    pub fn from_json(j: &Json) -> Result<QueryProfile, String> {
+        let text = |k: &str| j.required_str("profile", k).map(str::to_string);
+        let count = |k: &str| j.required_u64("profile", k);
+        let operators = j
+            .required("profile", "operators")?
+            .as_arr()
+            .ok_or("profile `operators` is not an array")?
+            .iter()
+            .map(OperatorProfile::from_json)
+            .collect::<Result<_, _>>()?;
+        Ok(QueryProfile {
+            monoid: text("monoid")?,
+            head: text("head")?,
+            operators,
+            trace: QueryTrace::new(),
+            rows_to_reduce: count("rows_to_reduce")?,
+            short_circuited: j
+                .required("profile", "short_circuited")?
+                .as_bool()
+                .ok_or("profile `short_circuited` is not a boolean")?,
+            eval_steps: count("eval_steps")?,
+            engine: text("engine")?,
+        })
     }
 
     /// The operator whose cardinality estimate was furthest off (highest
@@ -472,53 +562,33 @@ fn profile_execution(
     stats: &Stats,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
-    mut trace: QueryTrace,
+    trace: QueryTrace,
 ) -> ExecResult<Analysis> {
-    let probe = ExecProbe::new(query.plan.node_count());
-    let start = Instant::now();
-    let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
-    trace.record(Phase::Execute, start.elapsed().as_nanos());
     let estimates = stats.query_estimates(query);
-    let profile = QueryProfile::assemble(query, &estimates, &probe, trace, run.steps);
+    let start = Instant::now();
+    let mut analysis = run_counted(query, snap, params, &estimates, trace)?;
+    analysis.profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
     if audit_enabled() {
-        record_audit(&profile);
+        record_audit(&analysis.profile);
     }
-    Ok(Analysis { value: run.value, profile })
+    Ok(analysis)
 }
 
-fn collect_operators(
-    plan: &Plan,
-    op: usize,
-    depth: usize,
+/// The one counted execution: walk the plan under an [`ExecProbe`] and
+/// read its cells back into a profile. Profiled runs pass the optimizer's
+/// `estimates`; the metered run ([`crate::metrics`]) passes none and
+/// flushes the counts to the registry.
+pub(crate) fn run_counted(
+    query: &Query,
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
     estimates: &[f64],
-    probe: &ExecProbe,
-    out: &mut Vec<OperatorProfile>,
-) {
-    out.push(OperatorProfile {
-        op,
-        label: explain::op_label(plan),
-        kind: plan.kind_label(),
-        depth,
-        estimated_rows: estimates.get(op).copied().unwrap_or(0.0),
-        actual_rows: probe.rows[op].get(),
-        build_rows: probe.build[op].get(),
-        self_nanos: probe.nanos[op].get(),
-        eval_steps: probe.steps[op].get(),
-        heap_allocs: probe.allocs[op].get(),
-    });
-    match plan {
-        Plan::Scan { .. } | Plan::IndexLookup { .. } => {}
-        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-            collect_operators(input, op + 1, depth + 1, estimates, probe, out);
-        }
-        Plan::Join { left, right, .. } => {
-            collect_operators(left, op + 1, depth + 1, estimates, probe, out);
-            collect_operators(right, op + 1 + left.node_count(), depth + 1, estimates, probe, out);
-        }
-        Plan::HashProbe { left, .. } => {
-            collect_operators(left, op + 1, depth + 1, estimates, probe, out);
-        }
-    }
+    trace: QueryTrace,
+) -> ExecResult<Analysis> {
+    let probe = ExecProbe::new(query.plan.node_count());
+    let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
+    let profile = QueryProfile::assemble(query, estimates, &probe, trace, run.steps);
+    Ok(Analysis { value: run.value, profile })
 }
 
 fn fmt_nanos(ns: u128) -> String {
@@ -622,5 +692,89 @@ mod tests {
         assert!(s.contains("actual 3 rows"), "{s}");
         assert!(s.contains("phases"), "{s}");
         assert!(s.contains("execute"), "{s}");
+    }
+
+    /// The company dept equi-join: a hash join with a non-empty build side.
+    fn dept_join_profile() -> QueryProfile {
+        let db = monoid_store::company::generate(4, 8, 6, 42);
+        let q = Expr::comp(
+            Monoid::Bag,
+            Expr::var("e").proj("name"),
+            vec![
+                Expr::gen("m", Expr::var("Managers")),
+                Expr::gen("e", Expr::var("CompanyEmployees")),
+                Expr::pred(Expr::var("m").proj("salary").gt(Expr::int(0))),
+                Expr::pred(Expr::var("m").proj("dept").eq(Expr::var("e").proj("dept"))),
+                Expr::pred(Expr::var("e").proj("salary").gt(Expr::int(0))),
+            ],
+        );
+        explain_analyze(&q, &db).unwrap().profile
+    }
+
+    #[test]
+    fn profiles_round_trip_through_json_strictly() {
+        let p = dept_join_profile();
+        let join = p.operators.iter().find(|o| o.kind == "join").expect("hash join planned");
+        assert!(join.build_rows > 0 && join.estimated_rows > 0.0);
+        // Through the text form, like a slow-query log on disk.
+        let doc = Json::parse(&p.to_json().render()).unwrap();
+        let back = QueryProfile::from_json(&doc).unwrap();
+        assert_eq!(back.operators, p.operators);
+        assert_eq!(
+            (&back.monoid, &back.head, back.rows_to_reduce, back.short_circuited),
+            (&p.monoid, &p.head, p.rows_to_reduce, p.short_circuited)
+        );
+        assert_eq!((back.eval_steps, &back.engine), (p.eval_steps, &p.engine));
+        assert_eq!(back.to_folded(), p.to_folded());
+        // Every kind label maps back to the planner's own `&'static str`.
+        for kind in Plan::KIND_LABELS {
+            let mut o = join.clone();
+            o.kind = kind;
+            assert_eq!(OperatorProfile::from_json(&o.to_json()).unwrap().kind, kind);
+        }
+
+        // Strict: an unknown kind or a missing counter is an error that
+        // names the offender, not a defaulted field.
+        let without = |doc: Json, key: &str| {
+            let Json::Obj(mut fields) = doc else { panic!("not an object") };
+            fields.retain(|(k, _)| k != key);
+            fields
+        };
+        let mut bogus = without(join.to_json(), "kind");
+        bogus.push(("kind".to_string(), Json::str("bogus")));
+        let err = OperatorProfile::from_json(&Json::Obj(bogus)).unwrap_err();
+        assert!(err.contains("bogus"), "{err}");
+        let short = without(join.to_json(), "actual_rows");
+        let err = OperatorProfile::from_json(&Json::Obj(short)).unwrap_err();
+        assert!(err.contains("actual_rows"), "{err}");
+        let flagless = without(p.to_json(), "short_circuited");
+        let err = QueryProfile::from_json(&Json::Obj(flagless)).unwrap_err();
+        assert!(err.contains("short_circuited"), "{err}");
+    }
+
+    #[test]
+    fn executor_and_estimator_number_operators_like_the_visitor() {
+        // `run_plan` and `Stats::estimate_into` recurse with their own
+        // `right = op + 1 + left.node_count()` arithmetic. On a plan with
+        // a join, whatever they filed under `op` must describe the node
+        // `Plan::walk` calls `op`: a scan's observed rows and estimate
+        // are both its extent's size.
+        let db = monoid_store::company::generate(4, 8, 6, 42);
+        let p = dept_join_profile();
+        let scans = [("Scan m", "Managers"), ("Scan e", "CompanyEmployees")];
+        for (i, o) in p.operators.iter().enumerate() {
+            assert_eq!(o.op, i, "profile is in visitor order");
+            if let Some((_, extent)) = scans.iter().find(|(label, _)| o.label.starts_with(label)) {
+                let size = db.extent_len(*extent) as u64;
+                assert_eq!(o.actual_rows, size, "{}: executor numbering", o.label);
+                assert_eq!(o.estimated_rows, size as f64, "{}: estimator numbering", o.label);
+            }
+        }
+        // The join's right scan sits after the whole two-node left
+        // subtree (Filter over Scan m), and the two extents differ in
+        // size, so a mis-numbered right child could not pass the above.
+        let at = |label: &str| p.operators.iter().position(|o| o.label.starts_with(label)).unwrap();
+        assert_eq!(at("Scan e"), at("HashJoin") + 3, "{}", p.render());
+        assert_ne!(db.extent_len("Managers"), db.extent_len("CompanyEmployees"));
     }
 }

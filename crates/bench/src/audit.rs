@@ -14,10 +14,9 @@
 //! or statistics change that quietly starts lying about cardinalities
 //! without (yet) showing up as wall-clock time.
 //!
-//! The module also exports the helpers `oqltop --audit` / `--flame` use
-//! to audit and fold profiles captured in slow-query logs, including
-//! profiles written by older builds (missing fields are derived or
-//! defaulted, never fatal).
+//! `oqltop --audit` / `--flame` reuse the kind aggregation and the
+//! stack-rooting helper on profiles loaded from slow-query logs
+//! ([`QueryProfile::from_json`], strict).
 
 use crate::harness::{fmt_nanos, Table};
 use crate::regress::{self, host_meta, HostMeta};
@@ -38,158 +37,12 @@ pub const DEFAULT_AUDIT_TOLERANCE_PCT: f64 = 50.0;
 /// is noise, not a cost-model lie.
 pub const AUDIT_NOISE_FLOOR_Q: f64 = 0.25;
 
-/// One operator's audit row: the estimate-vs-actual verdict plus
-/// per-row overhead attribution.
-#[derive(Debug, Clone)]
-pub struct OperatorAudit {
-    pub op: u64,
-    /// The `explain` label, e.g. `Scan c ← Cities`.
-    pub label: String,
-    /// Bounded operator kind (`scan`, `filter`, `join`, …).
-    pub kind: String,
-    pub depth: u64,
-    pub estimated_rows: f64,
-    pub actual_rows: u64,
-    pub q_error: f64,
-    pub self_nanos: u64,
-    pub eval_steps: u64,
-    pub heap_allocs: u64,
-}
-
-/// The clamped q-error formula shared with
-/// [`monoid_algebra::OperatorProfile::q_error`] — duplicated here so
-/// profiles loaded from JSON (which may predate the `q_error` field)
-/// get the same number.
-fn q_error(estimated_rows: f64, actual_rows: u64) -> f64 {
-    let est = estimated_rows.max(1.0);
-    let actual = (actual_rows as f64).max(1.0);
-    (est / actual).max(actual / est)
-}
-
-/// Derive the operator kind from an `explain` label — the fallback for
-/// profiles written before operators carried a `kind` field.
-fn kind_from_label(label: &str) -> &'static str {
-    if label.starts_with("Scan") {
-        "scan"
-    } else if label.starts_with("IndexLookup") {
-        "index-lookup"
-    } else if label.starts_with("Unnest") {
-        "unnest"
-    } else if label.starts_with("Filter") {
-        "filter"
-    } else if label.starts_with("Bind") {
-        "bind"
-    } else if label.starts_with("HashProbe") {
-        "hash-probe"
-    } else if label.contains("Join") {
-        "join"
-    } else {
-        "other"
-    }
-}
-
-impl OperatorAudit {
-    pub fn from_profile(o: &OperatorProfile) -> OperatorAudit {
-        OperatorAudit {
-            op: o.op as u64,
-            label: o.label.clone(),
-            kind: o.kind.to_string(),
-            depth: o.depth as u64,
-            estimated_rows: o.estimated_rows,
-            actual_rows: o.actual_rows,
-            q_error: o.q_error(),
-            self_nanos: o.self_nanos,
-            eval_steps: o.eval_steps,
-            heap_allocs: o.heap_allocs,
-        }
-    }
-
-    /// Load an operator from a profile's JSON (`QueryProfile::to_json`
-    /// operator entry). Lenient: fields newer than the writing build
-    /// default to 0, `kind` falls back to a label heuristic, and
-    /// `q_error` is recomputed when absent. `None` only when the entry
-    /// isn't an object with a label.
-    pub fn from_json(j: &Json) -> Option<OperatorAudit> {
-        j.as_obj()?;
-        let label = j.get("operator").and_then(Json::as_str)?.to_string();
-        let u64_of = |k: &str| j.get(k).and_then(Json::as_u64).unwrap_or(0);
-        let estimated_rows = j.get("estimated_rows").and_then(Json::as_f64).unwrap_or(0.0);
-        let actual_rows = u64_of("actual_rows");
-        let kind = j
-            .get("kind")
-            .and_then(Json::as_str)
-            .map_or_else(|| kind_from_label(&label).to_string(), ToString::to_string);
-        Some(OperatorAudit {
-            op: u64_of("op"),
-            kind,
-            depth: u64_of("depth"),
-            estimated_rows,
-            actual_rows,
-            q_error: j
-                .get("q_error")
-                .and_then(Json::as_f64)
-                .unwrap_or_else(|| q_error(estimated_rows, actual_rows)),
-            self_nanos: u64_of("self_nanos"),
-            eval_steps: u64_of("eval_steps"),
-            heap_allocs: u64_of("heap_allocs"),
-            label,
-        })
-    }
-
-    /// Self-nanos per row produced (rows clamped to ≥ 1).
-    pub fn nanos_per_row(&self) -> f64 {
-        self.self_nanos as f64 / self.actual_rows.max(1) as f64
-    }
-
-    /// Evaluator steps per row produced.
-    pub fn steps_per_row(&self) -> f64 {
-        self.eval_steps as f64 / self.actual_rows.max(1) as f64
-    }
-
-    /// Heap allocations per row produced.
-    pub fn allocs_per_row(&self) -> f64 {
-        self.heap_allocs as f64 / self.actual_rows.max(1) as f64
-    }
-
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("op", Json::from(self.op)),
-            ("operator", Json::str(self.label.clone())),
-            ("kind", Json::str(self.kind.clone())),
-            ("depth", Json::from(self.depth)),
-            ("estimated_rows", Json::Float(self.estimated_rows)),
-            ("actual_rows", Json::from(self.actual_rows)),
-            ("q_error", Json::Float(self.q_error)),
-            ("self_nanos", Json::from(self.self_nanos)),
-            ("eval_steps", Json::from(self.eval_steps)),
-            ("heap_allocs", Json::from(self.heap_allocs)),
-            ("nanos_per_row", Json::Float(self.nanos_per_row())),
-            ("steps_per_row", Json::Float(self.steps_per_row())),
-            ("allocs_per_row", Json::Float(self.allocs_per_row())),
-        ])
-    }
-}
-
-/// Load the operator audit rows out of a profile JSON document
-/// (`QueryProfile::to_json`, e.g. from a slow-query capture).
-pub fn operators_from_profile_json(profile: &Json) -> Vec<OperatorAudit> {
-    profile
-        .get("operators")
-        .and_then(Json::as_arr)
-        .map(|ops| ops.iter().filter_map(OperatorAudit::from_json).collect())
-        .unwrap_or_default()
-}
-
-/// Fold a profile JSON document into flamegraph lines under `root`
-/// (`monoid_algebra::fold_stacks` over the operators' label/depth/self
-/// columns). Old profiles without `self_nanos` fold with zero-valued
-/// leaves — the tree shape survives even when the widths don't.
-pub fn folded_from_profile_json(root: &str, profile: &Json) -> String {
-    let ops = operators_from_profile_json(profile);
-    monoid_algebra::fold_stacks(
-        root,
-        ops.into_iter().map(|o| (o.label, o.depth as usize, o.self_nanos)),
-    )
+/// `folded` stacks re-rooted under one more frame — `name;` prefixed to
+/// every line (sanitized: `;` is the frame separator) — so several
+/// queries' towers share one flamegraph file.
+pub fn rooted(name: &str, folded: &str) -> String {
+    let root = name.replace(';', ",").replace('\n', " ");
+    folded.lines().map(|line| format!("{root};{line}\n")).collect()
 }
 
 /// One corpus query's audit: its operators plus the headline numbers.
@@ -206,7 +59,7 @@ pub struct QueryAudit {
     pub worst_operator: String,
     /// Pre-order position of the worst-estimated operator.
     pub worst_op: u64,
-    pub operators: Vec<OperatorAudit>,
+    pub operators: Vec<OperatorProfile>,
     /// The query's profile as folded flamegraph stacks.
     pub folded: String,
 }
@@ -224,7 +77,7 @@ impl QueryAudit {
             max_q_error: p.max_q_error().unwrap_or(1.0),
             worst_operator: worst.map(|o| o.label.clone()).unwrap_or_default(),
             worst_op: worst.map_or(0, |o| o.op as u64),
-            operators: p.operators.iter().map(OperatorAudit::from_profile).collect(),
+            operators: p.operators.clone(),
             folded: p.to_folded(),
         }
     }
@@ -240,7 +93,7 @@ impl QueryAudit {
             ("max_q_error", Json::Float(self.max_q_error)),
             ("worst_operator", Json::str(self.worst_operator.clone())),
             ("worst_op", Json::from(self.worst_op)),
-            ("operators", Json::Arr(self.operators.iter().map(OperatorAudit::to_json).collect())),
+            ("operators", Json::Arr(self.operators.iter().map(OperatorProfile::to_json).collect())),
         ])
     }
 }
@@ -249,7 +102,7 @@ impl QueryAudit {
 /// the whole corpus.
 #[derive(Debug, Clone)]
 pub struct KindAudit {
-    pub kind: String,
+    pub kind: &'static str,
     /// Operator instances of this kind across the corpus.
     pub operators: u64,
     /// Rows those operators pushed, summed.
@@ -276,7 +129,7 @@ impl KindAudit {
 
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("kind", Json::str(self.kind.clone())),
+            ("kind", Json::str(self.kind)),
             ("operators", Json::from(self.operators)),
             ("rows", Json::from(self.rows)),
             ("median_q_error", Json::Float(self.median_q_error)),
@@ -302,7 +155,7 @@ fn lower_median(qs: &mut [f64]) -> f64 {
 
 /// Fold a set of audited operators into per-kind aggregates, ordered by
 /// total self time (hottest kind first).
-pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorAudit>) -> Vec<KindAudit> {
+pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorProfile>) -> Vec<KindAudit> {
     // kind → (q-errors, aggregate), insertion-ordered.
     let mut groups: Vec<(Vec<f64>, KindAudit)> = Vec::new();
     for o in ops {
@@ -312,7 +165,7 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorAudit>) -> Vec<
                 groups.push((
                     Vec::new(),
                     KindAudit {
-                        kind: o.kind.clone(),
+                        kind: o.kind,
                         operators: 0,
                         rows: 0,
                         median_q_error: 1.0,
@@ -326,10 +179,11 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorAudit>) -> Vec<
             }
         };
         let (qs, k) = entry;
-        qs.push(o.q_error);
+        let q = o.q_error();
+        qs.push(q);
         k.operators += 1;
         k.rows += o.actual_rows;
-        k.max_q_error = k.max_q_error.max(o.q_error);
+        k.max_q_error = k.max_q_error.max(q);
         k.self_nanos += o.self_nanos;
         k.eval_steps += o.eval_steps;
         k.heap_allocs += o.heap_allocs;
@@ -453,16 +307,7 @@ impl AuditReport {
     /// name as its own root frame — one file flamegraphs the whole
     /// corpus, with one top-level tower per query.
     pub fn corpus_folded(&self) -> String {
-        let mut out = String::new();
-        for q in &self.queries {
-            for line in q.folded.lines() {
-                out.push_str(&q.name.replace(';', ","));
-                out.push(';');
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        out
+        self.queries.iter().map(|q| rooted(&q.name, &q.folded)).collect()
     }
 
     /// The `BENCH_audit.json` document.
@@ -535,7 +380,7 @@ pub fn render_kind_table(kinds: &[KindAudit]) -> String {
     ]);
     for k in kinds {
         table.row(&[
-            k.kind.clone(),
+            k.kind.to_string(),
             k.operators.to_string(),
             k.rows.to_string(),
             format!("{:.2}", k.median_q_error),
@@ -755,47 +600,27 @@ mod tests {
     }
 
     #[test]
-    fn old_profiles_audit_and_fold_leniently() {
-        // A pre-audit-era profile JSON: no kind, no q_error, no
-        // eval_steps/heap_allocs on the operators.
-        let profile = Json::obj(vec![
-            ("monoid", Json::str("bag")),
-            (
-                "operators",
-                Json::Arr(vec![
-                    Json::obj(vec![
-                        ("op", Json::Int(0)),
-                        ("operator", Json::str("Unnest h ← c.hotels")),
-                        ("depth", Json::Int(0)),
-                        ("estimated_rows", Json::Float(8.0)),
-                        ("actual_rows", Json::Int(2)),
-                        ("self_nanos", Json::Int(500)),
-                    ]),
-                    Json::obj(vec![
-                        ("op", Json::Int(1)),
-                        ("operator", Json::str("Scan c ← Cities")),
-                        ("depth", Json::Int(1)),
-                        ("estimated_rows", Json::Float(3.0)),
-                        ("actual_rows", Json::Int(3)),
-                    ]),
-                ]),
-            ),
-        ]);
-        let ops = operators_from_profile_json(&profile);
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].kind, "unnest", "kind derived from the label");
-        assert_eq!(ops[1].kind, "scan");
-        assert!((ops[0].q_error - 4.0).abs() < 1e-9, "q-error recomputed: {}", ops[0].q_error);
-        assert!((ops[1].q_error - 1.0).abs() < 1e-9);
-        assert_eq!(ops[1].self_nanos, 0, "missing field defaults");
-        assert!((ops[0].nanos_per_row() - 250.0).abs() < 1e-9);
-        let folded = folded_from_profile_json("slow-query", &profile);
-        let lines: Vec<&str> = folded.lines().collect();
-        assert_eq!(lines[0], "slow-query;Unnest h ← c.hotels 500");
-        assert_eq!(lines[1], "slow-query;Unnest h ← c.hotels;Scan c ← Cities 0");
-        // Kind aggregation over the lenient rows.
+    fn kinds_aggregate_hottest_first_over_profiles() {
+        let op = |kind: &'static str, actual_rows, self_nanos| OperatorProfile {
+            op: 0,
+            label: kind.to_string(),
+            kind,
+            depth: 0,
+            estimated_rows: 8.0,
+            actual_rows,
+            build_rows: 0,
+            self_nanos,
+            eval_steps: 0,
+            heap_allocs: 0,
+        };
+        let ops = [op("scan", 3, 0), op("unnest", 2, 500), op("scan", 8, 100)];
         let kinds = aggregate_kinds(ops.iter());
         assert_eq!(kinds.len(), 2);
         assert_eq!(kinds[0].kind, "unnest", "hottest kind first");
+        assert!((kinds[0].median_q_error - 4.0).abs() < 1e-9);
+        assert!((kinds[0].nanos_per_row() - 250.0).abs() < 1e-9);
+        assert_eq!((kinds[1].operators, kinds[1].rows, kinds[1].self_nanos), (2, 11, 100));
+        assert!((kinds[1].max_q_error - 8.0 / 3.0).abs() < 1e-9);
+        assert_eq!(rooted("q;1", "Reduce[bag];Scan 5\n"), "q,1;Reduce[bag];Scan 5\n");
     }
 }

@@ -24,7 +24,8 @@
 
 use monoid_bench::audit;
 use monoid_bench::harness::fmt_nanos;
-use monoid_bench::top::{aggregate, load_journal_lenient, SortBy};
+use monoid_algebra::QueryProfile;
+use monoid_bench::top::{aggregate, load_journal, SortBy};
 use monoid_calculus::json::Json;
 
 struct Options {
@@ -136,9 +137,10 @@ fn render_slow_log(doc: &Json) {
     }
 }
 
-/// The slow log's captures as `(source, profile_json)` pairs — only the
-/// captures whose replay was safe enough to profile carry one.
-fn slow_profiles(path: &str) -> Vec<(String, Json)> {
+/// The slow log's captures as `(source, profile)` pairs — only the
+/// captures whose replay was safe enough to profile carry one. A profile
+/// this build cannot read is malformed input, not something to skip.
+fn slow_profiles(path: &str) -> Vec<(String, QueryProfile)> {
     let doc = read_json(path);
     let captures = doc.get("captures").and_then(Json::as_arr).unwrap_or_else(|| {
         eprintln!("{path}: slow log has no `captures` array");
@@ -148,16 +150,19 @@ fn slow_profiles(path: &str) -> Vec<(String, Json)> {
         .iter()
         .filter_map(|c| {
             let source = c.get("source").and_then(Json::as_str).unwrap_or("<unknown>");
-            c.get("profile")
-                .filter(|p| !matches!(p, Json::Null))
-                .map(|p| (source.to_string(), p.clone()))
+            let profile = c.get("profile").filter(|p| !matches!(p, Json::Null))?;
+            let profile = QueryProfile::from_json(profile).unwrap_or_else(|e| {
+                eprintln!("{path}: capture of `{source}`: {e}");
+                std::process::exit(2);
+            });
+            Some((source.to_string(), profile))
         })
         .collect()
 }
 
 /// A live profiled run of the demo statements, q-error auditing on for
-/// the duration, as `(source, profile_json)` pairs.
-fn demo_profiles() -> Vec<(String, Json)> {
+/// the duration, as `(source, profile)` pairs.
+fn demo_profiles() -> Vec<(String, QueryProfile)> {
     use monoid_store::{travel, TravelScale};
 
     let db = travel::generate(TravelScale::tiny(), 7);
@@ -171,9 +176,7 @@ fn demo_profiles() -> Vec<(String, Json)> {
     let profiles = statements
         .iter()
         .filter_map(|src| {
-            monoid_db::explain_analyze(src, &db)
-                .ok()
-                .map(|a| (src.to_string(), a.profile.to_json()))
+            monoid_db::explain_analyze(src, &db).ok().map(|a| (src.to_string(), a.profile))
         })
         .collect();
     monoid_algebra::set_audit_enabled(prev);
@@ -182,19 +185,19 @@ fn demo_profiles() -> Vec<(String, Json)> {
 
 /// `--flame`: folded stacks to stdout, one tower per profiled query,
 /// rooted at the (sanitized) statement source.
-fn run_flame(profiles: &[(String, Json)]) {
+fn run_flame(profiles: &[(String, QueryProfile)]) {
     if profiles.is_empty() {
         eprintln!("no profiles to fold (slow log without captured profiles?)");
         std::process::exit(2);
     }
     for (source, profile) in profiles {
-        print!("{}", audit::folded_from_profile_json(&source.replace('\n', " "), profile));
+        print!("{}", audit::rooted(source, &profile.to_folded()));
     }
 }
 
 /// `--audit`: per-query q-error headlines, the corpus kind table, and —
 /// when the registry saw audited runs — its per-kind q-error histograms.
-fn run_audit(profiles: &[(String, Json)], from_slow_log: bool) {
+fn run_audit(profiles: &[(String, QueryProfile)], from_slow_log: bool) {
     if profiles.is_empty() {
         eprintln!("no profiles to audit (slow log without captured profiles?)");
         std::process::exit(2);
@@ -204,24 +207,21 @@ fn run_audit(profiles: &[(String, Json)], from_slow_log: bool) {
         profiles.len(),
         if from_slow_log { "slow-query log" } else { "live demo workload" },
     );
-    let mut all = Vec::new();
     for (source, profile) in profiles {
-        let ops = audit::operators_from_profile_json(profile);
-        let mut qs: Vec<f64> = ops.iter().map(|o| o.q_error).collect();
-        qs.sort_by(f64::total_cmp);
-        let median = if qs.is_empty() { 1.0 } else { qs[(qs.len() - 1) / 2] };
-        let worst = ops.iter().max_by(|a, b| a.q_error.total_cmp(&b.q_error));
         println!("{}", source.replace('\n', " "));
-        match worst {
+        match profile.worst_q_error() {
             Some(w) => println!(
                 "  q-error median {:.2}, max {:.2} at op {} ({})",
-                median, w.q_error, w.op, w.label
+                profile.median_q_error().unwrap_or(1.0),
+                w.q_error(),
+                w.op,
+                w.label
             ),
             None => println!("  (no operators in profile)"),
         }
-        all.extend(ops);
     }
-    println!("\n{}", audit::render_kind_table(&audit::aggregate_kinds(all.iter())));
+    let kinds = audit::aggregate_kinds(profiles.iter().flat_map(|(_, p)| &p.operators));
+    println!("\n{}", audit::render_kind_table(&kinds));
     let registry = audit::render_registry_audit(&monoid_calculus::metrics::global().snapshot());
     if !registry.is_empty() {
         println!("{registry}");
@@ -249,16 +249,10 @@ fn main() {
                 eprintln!("{path}: {e}");
                 std::process::exit(2);
             });
-            // Lenient: journals from older builds load with defaults and
-            // a warning instead of failing the whole screen.
-            let journal = load_journal_lenient(&text).unwrap_or_else(|e| {
+            load_journal(&text).unwrap_or_else(|e| {
                 eprintln!("{path}: {e}");
                 std::process::exit(2);
-            });
-            for w in &journal.warnings {
-                eprintln!("{path}: warning: {w}");
-            }
-            journal.records
+            })
         }
         None => {
             let recorder = monoid_calculus::recorder::global();

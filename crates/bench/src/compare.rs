@@ -158,13 +158,7 @@ pub fn compare_reports(
 
     for (section, metrics) in SECTIONS {
         let cur = cases_of(current, section)?;
-        // A baseline from an older schema may predate a section (e.g.
-        // `serving`, added in v6). Treat it as empty — every current
-        // case lands in `only_in_current` — instead of failing the gate
-        // on a report the old code can no longer regenerate. The fresh
-        // report gets no such grace: a section the current binary should
-        // have produced but didn't is a malformed report.
-        let base = cases_of(baseline, section).unwrap_or_default();
+        let base = cases_of(baseline, section)?;
         for (name, base_case) in &base {
             let Some(cur_case) = cur.iter().find(|(n, _)| n == name).map(|(_, c)| c) else {
                 report.missing_in_current.push(format!("{section}/{name}"));
@@ -321,19 +315,14 @@ mod tests {
     }
 
     #[test]
-    fn baseline_missing_a_section_is_lenient_current_is_not() {
-        // An old baseline without the v6 `serving` section still gates:
-        // the serving cases just have no baseline to compare against.
+    fn a_report_missing_a_section_is_an_error_on_either_side() {
         let current = report(1_000_000, 500_000, false);
         let mut old = report(1_000_000, 500_000, false);
         if let Json::Obj(fields) = &mut old {
             fields.retain(|(k, _)| k != "serving");
         }
-        let c = compare_reports(&current, &old, 50.0, 100_000.0).unwrap();
-        assert!(c.passed());
-        assert_eq!(c.compared, 4, "serving skipped, everything else gated");
-        assert_eq!(c.only_in_current, vec!["serving/s1"]);
-        // The other direction is a malformed *current* report: error.
+        let err = compare_reports(&current, &old, 50.0, 100_000.0).unwrap_err();
+        assert!(err.contains("`serving`"), "{err}");
         assert!(compare_reports(&old, &current, 50.0, 100_000.0).is_err());
     }
 }

@@ -1,9 +1,11 @@
 //! The bench-regression harness: run the canonical paper queries
 //! (company + travel stores) many times through the full
-//! normalize → plan → metered-execute pipeline, and report per-query
-//! latency percentiles plus the metrics-registry account of the whole
-//! workload — per-rule normalization firings, per-operator-kind row
-//! totals, store counters, and phase-latency histograms.
+//! normalize → plan → execute pipeline — the engine `oqld` serves reads
+//! with — and report per-query latency percentiles plus the
+//! metrics-registry account of the whole workload — per-rule
+//! normalization firings, per-operator-kind row totals (one profiled pass
+//! per query, flushed as a metered run), store counters, and
+//! phase-latency histograms.
 //!
 //! The `regress` binary serializes the report to `BENCH_regress.json`
 //! at the repo root: the first point on the perf trajectory every
@@ -264,9 +266,11 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
             "travel" => &mut travel_db,
             _ => &mut company_db,
         };
-        // One profiled pass for per-operator accounting…
+        // One profiled pass for per-operator accounting, flushed into the
+        // registry delta as a metered run…
         let analysis =
             monoid_algebra::explain_analyze(&case.expr, db).expect("canonical query executes");
+        monoid_algebra::metrics::record_profile(&analysis.profile);
         let rows_to_reduce = analysis.profile.rows_to_reduce;
         let normalize = analysis
             .profile
@@ -274,8 +278,9 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
             .normalize
             .clone()
             .expect("explain_analyze always normalizes");
-        // …then the timed runs through the metered pipeline, each one
-        // exercising normalize → plan → execute end to end.
+        // …then the timed runs, each one exercising normalize → plan →
+        // execute end to end on the engine production reads run (fused
+        // where the chain compiles).
         let mut samples = Vec::with_capacity(runs);
         for _ in 0..runs {
             let started = Instant::now();
@@ -288,7 +293,7 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
                 monoid_algebra::plan_comprehension(&canonical).expect("canonical query plans")
             });
             let value = trace.time(Phase::Execute, || {
-                monoid_algebra::execute_metered_bound(&plan, db, &[])
+                monoid_algebra::execute_snapshot_bound(&plan, db, &[])
                     .expect("canonical query executes")
             });
             drop(value);
@@ -436,10 +441,10 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
 
 /// Time the ordered parallel reduction engine at several thread counts —
 /// a commutative fold and an order-sensitive list build — against their
-/// sequential medians. Runs through [`monoid_algebra::execute_parallel_metered_bound`]
-/// so the `parallel_*` registry family (workers, per-worker rows,
-/// `parallel_fallback_total{reason}`) lands in the report's Prometheus
-/// section.
+/// sequential medians. Every [`monoid_algebra::execute_parallel_bound`] run
+/// flushes its report into the `parallel_*` registry family (workers,
+/// per-worker rows, `parallel_fallback_total{reason}`), which therefore
+/// lands in the report's Prometheus section.
 fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
     let scale = TravelScale::with_hotels(if quick { 64 } else { 1024 });
     let db = travel::generate(scale, 7);
@@ -476,16 +481,11 @@ fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
         .into_iter()
         .map(|(name, monoid, source, expr)| {
             let plan = monoid_algebra::plan_comprehension(&expr).expect("parallel case plans");
-            // One metered pass per thread count: puts the `parallel_*`
-            // registry family (workers, per-worker rows, the threads=1
-            // fallback series) into the report delta, and doubles as the
-            // warm-up. Metered workers walk the plan (the probe counts
-            // per-operator rows), so these passes are never timed.
+            // One untimed pass per thread count: the warm-up, and where
+            // each point's worker count comes from.
             let workers: Vec<usize> = thread_counts
                 .iter()
                 .map(|&t| {
-                    monoid_algebra::execute_parallel_metered_bound(&plan, &db, t, &[])
-                        .expect("parallel case executes");
                     let (_, report) = monoid_algebra::execute_parallel_bound(&plan, &db, t, &[])
                         .expect("parallel case executes");
                     report.workers

@@ -276,78 +276,35 @@ impl TopReport {
     }
 }
 
-/// Parse a journal dump back into records. Accepts both the
-/// `FlightRecorder::to_json` document (`{"records": […]}`) and a bare
-/// array of records. Strict: any record missing a field is an error.
-/// `oqltop` itself goes through [`load_journal_lenient`] so journals
-/// written by older builds keep loading.
+/// Parse a journal dump back into records: the
+/// `FlightRecorder::to_json` document, whose `schema_version` must be the
+/// one this build writes, or a bare array of records (which carries no
+/// version). Strict: a record missing a field is an error — a journal is
+/// outside input, and a half-read one would aggregate into wrong totals.
 pub fn load_journal(text: &str) -> Result<Vec<QueryRecord>, String> {
     let doc = Json::parse(text).map_err(|e| format!("journal is not JSON: {e}"))?;
     let arr = match &doc {
         Json::Arr(a) => a,
-        _ => doc
-            .get("records")
-            .and_then(Json::as_arr)
-            .ok_or("journal has no `records` array")?,
-    };
-    arr.iter().map(QueryRecord::from_json).collect()
-}
-
-/// A journal loaded with schema tolerance: the records, the schema
-/// version the file declared (1 when it predates the field), and any
-/// warnings worth surfacing to the operator.
-#[derive(Debug, Clone)]
-pub struct Journal {
-    pub records: Vec<QueryRecord>,
-    /// The file's `schema_version`; journals written before the field
-    /// existed count as version 1.
-    pub schema_version: u64,
-    /// Human-readable notes about version skew and defaulted fields —
-    /// warnings, not errors, so old journals stay readable.
-    pub warnings: Vec<String>,
-}
-
-/// [`load_journal`] with old-schema tolerance: a version mismatch or a
-/// record missing fields produces a warning and defaults, not a load
-/// failure. Still an error when the document isn't a journal at all
-/// (not JSON, no `records` array, or a record that isn't an object).
-pub fn load_journal_lenient(text: &str) -> Result<Journal, String> {
-    let doc = Json::parse(text).map_err(|e| format!("journal is not JSON: {e}"))?;
-    let (arr, declared) = match &doc {
-        Json::Arr(a) => (a.as_slice(), None),
-        _ => (
-            doc.get("records")
+        _ => {
+            let records = doc
+                .get("records")
                 .and_then(Json::as_arr)
-                .ok_or("journal has no `records` array")?,
-            doc.get("schema_version").and_then(Json::as_u64),
-        ),
-    };
-    let schema_version = declared.unwrap_or(1);
-    let mut warnings = Vec::new();
-    if schema_version != JOURNAL_SCHEMA_VERSION {
-        warnings.push(format!(
-            "journal declares schema version {schema_version}, this build writes \
-             {JOURNAL_SCHEMA_VERSION}; missing fields default"
-        ));
-    }
-    let mut records = Vec::with_capacity(arr.len());
-    let mut defaulted = 0usize;
-    for (i, j) in arr.iter().enumerate() {
-        match QueryRecord::from_json(j) {
-            Ok(r) => records.push(r),
-            Err(_) => match QueryRecord::from_json_lenient(j) {
-                Some(r) => {
-                    defaulted += 1;
-                    records.push(r);
-                }
-                None => return Err(format!("journal record {i} is not an object")),
-            },
+                .ok_or("journal has no `records` array")?;
+            let version = doc.get("schema_version").and_then(Json::as_u64);
+            if version != Some(JOURNAL_SCHEMA_VERSION) {
+                return Err(format!(
+                    "journal declares schema version {}, this build reads only version \
+                     {JOURNAL_SCHEMA_VERSION}",
+                    version.map_or("none".to_string(), |v| v.to_string()),
+                ));
+            }
+            records
         }
-    }
-    if defaulted > 0 {
-        warnings.push(format!("{defaulted} record(s) had missing fields defaulted"));
-    }
-    Ok(Journal { records, schema_version, warnings })
+    };
+    arr.iter()
+        .enumerate()
+        .map(|(i, j)| QueryRecord::from_json(j).map_err(|e| format!("journal record {i}: {e}")))
+        .collect()
 }
 
 #[cfg(test)]
@@ -417,73 +374,55 @@ mod tests {
         assert!(by_p95.contains("q-spiky"), "{by_p95}");
     }
 
+    fn journal(version: u64, records: Vec<Json>) -> String {
+        Json::obj(vec![
+            ("schema_version", Json::from(version)),
+            ("records", Json::Arr(records)),
+        ])
+        .render()
+    }
+
     #[test]
     fn journal_round_trips() {
         let records = vec![
             record("q1", 1_000, CacheDisposition::Miss),
             record("q2", 2_000, CacheDisposition::Hit),
         ];
-        let doc = Json::obj(vec![(
-            "records",
-            Json::Arr(records.iter().map(QueryRecord::to_json).collect()),
-        )]);
-        let back = load_journal(&doc.render()).unwrap();
-        assert_eq!(back, records);
+        let as_json: Vec<Json> = records.iter().map(QueryRecord::to_json).collect();
+        let doc = journal(JOURNAL_SCHEMA_VERSION, as_json.clone());
+        assert_eq!(load_journal(&doc).unwrap(), records);
         // Bare arrays load too.
-        let bare = Json::Arr(records.iter().map(QueryRecord::to_json).collect());
-        assert_eq!(load_journal(&bare.render()).unwrap(), records);
+        assert_eq!(load_journal(&Json::Arr(as_json).render()).unwrap(), records);
+        // What the recorder itself writes loads.
+        let ring = monoid_calculus::recorder::FlightRecorder::with_capacity(4);
+        ring.push(records[0].clone());
+        assert_eq!(load_journal(&ring.to_json().render()).unwrap().len(), 1);
         // Non-journals are rejected.
         assert!(load_journal("{}").is_err());
         assert!(load_journal("not json").is_err());
+        assert!(load_journal(r#"{"schema_version":4,"records":[42]}"#).is_err());
     }
 
     #[test]
-    fn old_journals_load_leniently_with_warnings() {
-        // A version-1 journal (no schema_version) whose records predate
-        // several fields: lenient load succeeds with defaults + warnings.
-        let old = r#"{"records":[
-            {"source":"legacy-q","total_nanos":1500,"rows":2},
-            {"source":"legacy-q2"}
-        ]}"#;
-        // Strict loading rejects it…
-        assert!(load_journal(old).is_err());
-        // …lenient loading keeps what's there and defaults the rest.
-        let journal = load_journal_lenient(old).unwrap();
-        assert_eq!(journal.schema_version, 1);
-        assert_eq!(journal.records.len(), 2);
-        assert_eq!(journal.records[0].source, "legacy-q");
-        assert_eq!(journal.records[0].total_nanos, 1500);
-        assert_eq!(journal.records[0].rows, 2);
-        assert_eq!(journal.records[1].total_nanos, 0, "missing field defaults");
-        assert!(
-            journal.warnings.iter().any(|w| w.contains("schema version 1")),
-            "{:?}",
-            journal.warnings
-        );
-        assert!(
-            journal.warnings.iter().any(|w| w.contains("defaulted")),
-            "{:?}",
-            journal.warnings
-        );
-        // The defaulted records still aggregate.
-        let top = aggregate(&journal.records);
-        assert_eq!(top.records, 2);
-
-        // A current-version journal loads clean: no warnings.
-        let records = vec![record("q1", 1_000, CacheDisposition::Miss)];
-        let doc = Json::obj(vec![
-            ("schema_version", Json::from(JOURNAL_SCHEMA_VERSION)),
-            ("records", Json::Arr(records.iter().map(QueryRecord::to_json).collect())),
-        ]);
-        let journal = load_journal_lenient(&doc.render()).unwrap();
-        assert_eq!(journal.schema_version, JOURNAL_SCHEMA_VERSION);
-        assert!(journal.warnings.is_empty(), "{:?}", journal.warnings);
-        assert_eq!(journal.records, records);
-
-        // Garbage is still rejected.
-        assert!(load_journal_lenient("not json").is_err());
-        assert!(load_journal_lenient("{}").is_err());
-        assert!(load_journal_lenient(r#"{"records":[42]}"#).is_err());
+    fn other_schema_versions_and_short_records_are_refused() {
+        let good = record("q1", 1_000, CacheDisposition::Miss).to_json();
+        // A journal from another schema version: refused, both versions named.
+        for (doc, declared) in [
+            (journal(3, vec![good.clone()]), "version 3"),
+            (Json::obj(vec![("records", Json::Arr(vec![good.clone()]))]).render(), "version none"),
+        ] {
+            let err = load_journal(&doc).unwrap_err();
+            assert!(err.contains(declared), "{err}");
+            assert!(err.contains(&format!("only version {JOURNAL_SCHEMA_VERSION}")), "{err}");
+        }
+        // A current-version journal whose record lacks a field: refused,
+        // record and field named.
+        let mut short = good;
+        if let Json::Obj(fields) = &mut short {
+            fields.retain(|(k, _)| k != "cache");
+        }
+        let err = load_journal(&journal(JOURNAL_SCHEMA_VERSION, vec![short])).unwrap_err();
+        assert!(err.contains("record 0") && err.contains("`cache`"), "{err}");
     }
 
     #[test]

@@ -122,6 +122,24 @@ impl Json {
         }
     }
 
+    /// A field a strict loader requires; `what` names the document kind
+    /// in the error (`record missing \`cache\``).
+    pub fn required(&self, what: &str, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("{what} missing `{key}`"))
+    }
+
+    /// [`Json::required`], as a non-negative integer.
+    pub fn required_u64(&self, what: &str, key: &str) -> Result<u64, String> {
+        self.required(what, key)?
+            .as_u64()
+            .ok_or_else(|| format!("{what} `{key}` is not a non-negative integer"))
+    }
+
+    /// [`Json::required`], as a string.
+    pub fn required_str(&self, what: &str, key: &str) -> Result<&str, String> {
+        self.required(what, key)?.as_str().ok_or_else(|| format!("{what} `{key}` is not a string"))
+    }
+
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),

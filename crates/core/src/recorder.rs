@@ -37,9 +37,9 @@
 //!
 //! Records whose wall-clock total exceeds the threshold
 //! ([`FlightRecorder::set_slow_threshold`], or `MONOID_SLOW_QUERY_NANOS`)
-//! come back from [`RecordScope::finish`] as a [`SlowTrigger`]; the
-//! owning layer then attaches whatever it has at hand — the optimized
-//! plan text, a full `explain_analyze` profile — as a
+//! trip [`RecordScope::finish_capturing`]'s closure: the owning layer
+//! hands over whatever it has at hand — the optimized plan text, a full
+//! `explain_analyze` profile — and the recorder files it as a
 //! [`SlowQueryCapture`] in a separate, smaller ring
 //! ([`FlightRecorder::slow_log`]). A threshold of 0 (the default) turns
 //! the slow log off.
@@ -235,122 +235,47 @@ impl QueryRecord {
     }
 
     /// Rehydrate a record from its [`QueryRecord::to_json`] form — the
-    /// journal format `oqltop` reads back.
+    /// journal format `oqltop` reads back. Strict: every field `to_json`
+    /// writes must be present (nullable ones may be `null`).
     pub fn from_json(j: &Json) -> Result<QueryRecord, String> {
-        let field = |k: &str| j.get(k).ok_or_else(|| format!("record missing `{k}`"));
-        let u64_field = |k: &str| {
-            field(k)?.as_u64().ok_or_else(|| format!("record `{k}` is not a non-negative integer"))
-        };
-        let fingerprint_hex =
-            field("fingerprint")?.as_str().ok_or("record `fingerprint` is not a string")?;
+        let field = |k: &str| j.required("record", k);
+        let count = |k: &str| j.required_u64("record", k);
+        let text = |k: &str| j.required_str("record", k);
+        let opt_text = |k: &str| Ok::<_, String>(field(k)?.as_str().map(str::to_string));
+        let fingerprint_hex = text("fingerprint")?;
         let fingerprint = u64::from_str_radix(fingerprint_hex, 16)
             .map_err(|_| format!("bad fingerprint `{fingerprint_hex}`"))?;
-        let cache_str = field("cache")?.as_str().ok_or("record `cache` is not a string")?;
+        let cache_str = text("cache")?;
         let cache = CacheDisposition::parse(cache_str)
             .ok_or_else(|| format!("bad cache disposition `{cache_str}`"))?;
+        let phases = field("phase_nanos")?;
         let mut phase_nanos = [0u64; Phase::ALL.len()];
-        if let Some(phases) = field("phase_nanos")?.as_obj() {
-            for phase in Phase::ALL {
-                if let Some(n) = phases
-                    .iter()
-                    .find(|(k, _)| k == phase.as_str())
-                    .and_then(|(_, v)| v.as_u64())
-                {
-                    phase_nanos[phase.index()] = n;
-                }
-            }
+        for phase in Phase::ALL {
+            phase_nanos[phase.index()] = phases.required_u64("record phase_nanos", phase.as_str())?;
         }
         Ok(QueryRecord {
-            seq: u64_field("seq")?,
+            seq: count("seq")?,
             fingerprint,
-            source: field("source")?.as_str().ok_or("record `source` is not a string")?.to_string(),
-            session: j.get("session").and_then(Json::as_u64),
+            source: text("source")?.to_string(),
+            session: field("session")?.as_u64(),
             cache,
             phase_nanos,
-            total_nanos: u64_field("total_nanos")?,
-            rows: u64_field("rows")?,
-            effects: j
-                .get("effects")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            parallel_workers: j.get("parallel_workers").and_then(Json::as_u64).unwrap_or(0),
-            parallel_fallback: j
-                .get("parallel_fallback")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            engine: j.get("engine").and_then(Json::as_str).map(str::to_string),
-            snapshot_epoch: j.get("snapshot_epoch").and_then(Json::as_u64),
-            error: j.get("error").and_then(Json::as_str).map(str::to_string),
-            slow: j.get("slow").and_then(Json::as_bool).unwrap_or(false),
-        })
-    }
-
-    /// Rehydrate from a record written by an *older* journal schema:
-    /// any JSON object parses, and every missing or mistyped field takes
-    /// its zero/absent default. `None` only when `j` is not an object at
-    /// all. Loaders use this as the fallback after strict
-    /// [`QueryRecord::from_json`] rejects a record, so archived journals
-    /// stay readable across schema changes.
-    pub fn from_json_lenient(j: &Json) -> Option<QueryRecord> {
-        j.as_obj()?;
-        let fingerprint = j
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .unwrap_or(0);
-        let cache = j
-            .get("cache")
-            .and_then(Json::as_str)
-            .and_then(CacheDisposition::parse)
-            .unwrap_or(CacheDisposition::Uncached);
-        let mut phase_nanos = [0u64; Phase::ALL.len()];
-        if let Some(phases) = j.get("phase_nanos").and_then(Json::as_obj) {
-            for phase in Phase::ALL {
-                if let Some(n) = phases
-                    .iter()
-                    .find(|(k, _)| k == phase.as_str())
-                    .and_then(|(_, v)| v.as_u64())
-                {
-                    phase_nanos[phase.index()] = n;
-                }
-            }
-        }
-        Some(QueryRecord {
-            seq: j.get("seq").and_then(Json::as_u64).unwrap_or(0),
-            fingerprint,
-            source: j
-                .get("source")
-                .and_then(Json::as_str)
-                .unwrap_or("<unknown>")
-                .to_string(),
-            session: j.get("session").and_then(Json::as_u64),
-            cache,
-            phase_nanos,
-            total_nanos: j.get("total_nanos").and_then(Json::as_u64).unwrap_or(0),
-            rows: j.get("rows").and_then(Json::as_u64).unwrap_or(0),
-            effects: j
-                .get("effects")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            parallel_workers: j.get("parallel_workers").and_then(Json::as_u64).unwrap_or(0),
-            parallel_fallback: j
-                .get("parallel_fallback")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-            engine: j.get("engine").and_then(Json::as_str).map(str::to_string),
-            snapshot_epoch: j.get("snapshot_epoch").and_then(Json::as_u64),
-            error: j.get("error").and_then(Json::as_str).map(str::to_string),
-            slow: j.get("slow").and_then(Json::as_bool).unwrap_or(false),
+            total_nanos: count("total_nanos")?,
+            rows: count("rows")?,
+            effects: text("effects")?.to_string(),
+            parallel_workers: count("parallel_workers")?,
+            parallel_fallback: opt_text("parallel_fallback")?,
+            engine: opt_text("engine")?,
+            snapshot_epoch: field("snapshot_epoch")?.as_u64(),
+            error: opt_text("error")?,
+            slow: field("slow")?.as_bool().ok_or("record `slow` is not a boolean")?,
         })
     }
 }
 
 /// Version stamped into [`FlightRecorder::to_json`] journals. Bump when
-/// the record schema changes shape; journals without the field are
-/// version 1. Version 3 added the `engine` field; version 4 added
-/// `snapshot_epoch`.
+/// the record schema changes shape: loaders refuse any other version.
+/// Version 3 added the `engine` field; version 4 added `snapshot_epoch`.
 pub const JOURNAL_SCHEMA_VERSION: u64 = 4;
 
 /// Hash of the full source text (stable within a process, like the plan
@@ -544,9 +469,7 @@ impl FlightRecorder {
 
     /// The journal document:
     /// `{schema_version, capacity, recorded_total, records: […]}` — what
-    /// `oqltop --journal` reads back. Loaders treat a missing
-    /// `schema_version` as version 1 (the pre-versioned format) and must
-    /// accept older versions by defaulting absent record fields.
+    /// `oqltop --journal` reads back.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("schema_version", Json::from(JOURNAL_SCHEMA_VERSION)),
@@ -729,8 +652,8 @@ pub fn note_snapshot_epoch(epoch: u64) {
 }
 
 /// Returned by [`RecordScope::finish`] when the record crossed the
-/// slow-query threshold: everything a layer needs to attach a
-/// [`SlowQueryCapture`].
+/// slow-query threshold: the committed record's identity, which
+/// [`RecordScope::finish_capturing`] turns into a [`SlowQueryCapture`].
 #[derive(Debug, Clone)]
 pub struct SlowTrigger {
     pub seq: u64,
@@ -744,8 +667,8 @@ impl RecordScope {
     /// Commit the record: stamp total wall-clock time and the outcome,
     /// push it into the [`global`] ring, and bump the `recorder_*`
     /// counters. Returns a [`SlowTrigger`] when the slow-query
-    /// threshold was exceeded — the caller then decides what deep
-    /// capture to attach.
+    /// threshold was exceeded ([`RecordScope::finish_capturing`] is the
+    /// variant that files the deep capture).
     pub fn finish(mut self, error: Option<String>) -> Option<SlowTrigger> {
         self.finished = true;
         let pending = ACTIVE.with(|a| a.borrow_mut().take())?;
@@ -772,6 +695,31 @@ impl RecordScope {
             t.seq = seq;
             t
         })
+    }
+
+    /// [`RecordScope::finish`], then file the slow-query capture if the
+    /// threshold tripped. `detail` runs only in that case — after the
+    /// record committed, so any execution it replays annotates nothing —
+    /// and returns what the owning layer has at hand: the full source
+    /// text (the record's is truncated), the optimized plan's `explain`
+    /// text, and a `QueryProfile` JSON.
+    pub fn finish_capturing(
+        self,
+        error: Option<String>,
+        detail: impl FnOnce(&SlowTrigger) -> (String, Option<String>, Option<Json>),
+    ) {
+        if let Some(trigger) = self.finish(error) {
+            let (source, plan, profile) = detail(&trigger);
+            global().capture_slow(SlowQueryCapture {
+                seq: trigger.seq,
+                fingerprint: trigger.fingerprint,
+                source,
+                total_nanos: trigger.total_nanos,
+                threshold_nanos: trigger.threshold_nanos,
+                plan,
+                profile,
+            });
+        }
     }
 }
 

@@ -109,11 +109,7 @@ pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeEr
     use monoid_calculus::recorder;
     let m = oql_metrics();
     m.queries.inc();
-    let scope = if recorder::global().enabled() && !recorder::active() {
-        recorder::begin(src)
-    } else {
-        None
-    };
+    let scope = recorder::begin(src);
     let started = std::time::Instant::now();
     let result = explain_analyze_inner(src, snap);
     m.query_nanos.observe_nanos(started.elapsed().as_nanos());
@@ -128,18 +124,10 @@ pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeEr
     }
     if let Some(scope) = scope {
         let error = result.as_ref().err().map(ToString::to_string);
-        if let Some(trigger) = scope.finish(error) {
-            // The profile is already in hand — the slow capture is free.
-            recorder::global().capture_slow(monoid_calculus::recorder::SlowQueryCapture {
-                seq: trigger.seq,
-                fingerprint: trigger.fingerprint,
-                source: src.to_string(),
-                total_nanos: trigger.total_nanos,
-                threshold_nanos: trigger.threshold_nanos,
-                plan: None,
-                profile: result.as_ref().ok().map(|a| a.profile.to_json()),
-            });
-        }
+        // The profile is already in hand — the slow capture is free.
+        scope.finish_capturing(error, |_| {
+            (src.to_string(), None, result.as_ref().ok().map(|a| a.profile.to_json()))
+        });
     }
     result
 }

@@ -49,7 +49,7 @@ use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::normalize::normalize_traced;
-use monoid_calculus::recorder::{self, CacheDisposition, RecordScope, SlowQueryCapture};
+use monoid_calculus::recorder::{self, CacheDisposition, RecordScope};
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
@@ -425,8 +425,11 @@ impl Prepared {
         result
     }
 
-    /// Commit a record this layer (or a [`Session`]) opened, and attach
-    /// the slow-query capture if the threshold tripped. `snap` is the
+    /// Commit a record this layer (or a [`Session`]) opened. An
+    /// over-threshold one gets its deep capture: the full source (the
+    /// record's is capped; slow queries are rare enough to keep whole),
+    /// the optimized plan text and — for reads, whose second run cannot
+    /// be observed — a full re-run under the profiler against `snap`, the
     /// state the statement ran against (for a writer: the state it left).
     fn commit(
         &self,
@@ -437,35 +440,16 @@ impl Prepared {
     ) {
         let Some(scope) = scope else { return };
         let error = result.as_ref().err().map(ToString::to_string);
-        if let Some(trigger) = scope.finish(error) {
-            self.capture_slow(snap, params, &trigger);
-        }
-    }
-
-    /// Attach the deep capture for an over-threshold execution: the
-    /// optimized plan text and — for reads, whose second run cannot be
-    /// observed — a full re-run under the profiler against the same
-    /// snapshot. Runs after the record committed, so the re-run's own
-    /// notes are no-ops.
-    fn capture_slow(&self, snap: &Snapshot, params: &Params, trigger: &recorder::SlowTrigger) {
-        let profile = match (self.query(), self.resolve(params)) {
-            (Some(q), Ok(binds)) if !self.writes() => {
-                monoid_algebra::execute_profiled_bound(q, snap, binds)
-                    .ok()
-                    .map(|a| a.profile.to_json())
-            }
-            _ => None,
-        };
-        recorder::global().capture_slow(SlowQueryCapture {
-            seq: trigger.seq,
-            fingerprint: trigger.fingerprint,
-            // The record's source is capped; slow queries are rare
-            // enough to keep the full text.
-            source: self.source.clone(),
-            total_nanos: trigger.total_nanos,
-            threshold_nanos: trigger.threshold_nanos,
-            plan: self.query().map(monoid_algebra::explain),
-            profile,
+        scope.finish_capturing(error, |_| {
+            let profile = match (self.query(), self.resolve(params)) {
+                (Some(q), Ok(binds)) if !self.writes() => {
+                    monoid_algebra::execute_profiled_bound(q, snap, binds)
+                        .ok()
+                        .map(|a| a.profile.to_json())
+                }
+                _ => None,
+            };
+            (self.source.clone(), self.query().map(monoid_algebra::explain), profile)
         });
     }
 

@@ -24,7 +24,6 @@ const ALGEBRA_EXECUTE: &[&str] = &[
     "execute_counted_bound",
     "execute_metered_bound",
     "execute_parallel_bound",
-    "execute_parallel_metered_bound",
     "execute_plan_walk_bound",
     "execute_profiled_bound",
     "execute_snapshot_bound",
@@ -194,7 +193,24 @@ fn serving_exports_exactly_the_pinned_entry_points() {
     // the execute/prepare/query matrix.
     let pinned = set_of(SERVING_ENTRY_POINTS);
     assert_eq!(found, pinned, "monoid_db's public serving surface changed");
-    assert!(ALGEBRA_EXECUTE.len() + SERVING_ENTRY_POINTS.len() <= 17);
+    assert!(ALGEBRA_EXECUTE.len() + SERVING_ENTRY_POINTS.len() <= 16);
+}
+
+/// One counting probe: `NoProbe` (off) and `ExecProbe` (on) are the only
+/// `Probe` implementors, so every consumer of per-operator counts is a
+/// sink flushed from a profile, not a third monomorphization of the
+/// executor.
+#[test]
+fn the_executor_has_exactly_two_probes() {
+    let mut probes = BTreeSet::new();
+    for file in algebra_sources() {
+        for line in code_of(&file).lines() {
+            if let Some(ty) = line.trim_start().strip_prefix("impl Probe for ") {
+                probes.insert(ty.trim_end_matches(|c: char| !c.is_alphanumeric()).to_string());
+            }
+        }
+    }
+    assert_eq!(probes, set_of(&["ExecProbe", "NoProbe"]));
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Acceptance tests for the process-wide metrics registry: a known
-//! workload produces exact registry deltas, the metered executor agrees
-//! with the per-query `ExecProbe`, the unprofiled `NoProbe` path never
+//! workload produces exact registry deltas, a metered run's flush agrees
+//! with a profiled run's `OperatorProfile`s, the unprofiled `NoProbe` path never
 //! touches the registry, and the Prometheus rendering of a real workload
 //! is valid exposition text.
 //!
@@ -16,26 +16,6 @@ use monoid_store::company;
 const JOIN_SRC: &str = "select struct(mgr: m.name, emp: e.name) \
                         from m in Managers, e in CompanyEmployees \
                         where m.dept = e.dept";
-
-/// Operator kind for an `explain` label, mirroring the label space of
-/// `exec_rows_pushed_total{operator=…}`.
-fn kind_of(label: &str) -> &'static str {
-    if label.starts_with("Scan") {
-        "scan"
-    } else if label.starts_with("IndexLookup") {
-        "index-lookup"
-    } else if label.starts_with("Unnest") {
-        "unnest"
-    } else if label.starts_with("Filter") {
-        "filter"
-    } else if label.starts_with("Bind") {
-        "bind"
-    } else if label.contains("Join") {
-        "join"
-    } else {
-        panic!("unknown operator label: {label}")
-    }
-}
 
 #[test]
 fn registry_accounts_for_a_known_workload() {
@@ -63,7 +43,7 @@ fn registry_accounts_for_a_known_workload() {
         }
     }
 
-    // --- 2. The metered executor agrees with ExecProbe, exactly. -------
+    // --- 2. A metered run's flush agrees with a profile, exactly. ------
     // Same plan, same store: per-kind sums of the single-query profile
     // must equal the registry delta of one metered run.
     let analysis = monoid_algebra::execute_profiled_bound(&plan, &db, &[]).unwrap();
@@ -72,12 +52,12 @@ fn registry_accounts_for_a_known_workload() {
     let metered = monoid_algebra::execute_metered_bound(&plan, &db, &[]).unwrap();
     assert_eq!(metered, plain);
     let diff = metrics::global().snapshot().diff(&before);
-    for kind in ["scan", "index-lookup", "unnest", "filter", "bind", "join"] {
+    for kind in monoid_algebra::Plan::KIND_LABELS {
         let profiled: u64 = analysis
             .profile
             .operators
             .iter()
-            .filter(|o| kind_of(&o.label) == kind)
+            .filter(|o| o.kind == kind)
             .map(|o| o.actual_rows)
             .sum();
         assert_eq!(
@@ -89,7 +69,7 @@ fn registry_accounts_for_a_known_workload() {
             .profile
             .operators
             .iter()
-            .filter(|o| kind_of(&o.label) == kind)
+            .filter(|o| o.kind == kind)
             .map(|o| o.build_rows)
             .sum();
         assert_eq!(
@@ -103,6 +83,21 @@ fn registry_accounts_for_a_known_workload() {
     // The dept equi-join really is a join with a non-empty build side.
     assert!(diff.counter_with("exec_rows_pushed_total", &[("operator", "join")]) > 0);
     assert!(diff.counter_with("exec_build_rows_total", &[("operator", "join")]) > 0);
+    assert_eq!(diff.counter("exec_short_circuits_total"), 0, "a select runs to completion");
+
+    // A short-circuiting `exists` moves the short-circuit counter by
+    // exactly one — per run, not per row.
+    let exists =
+        monoid_oql::compile(db.schema(), "exists m in Managers: m.dept = \"engineering\"").unwrap();
+    let exists = monoid_algebra::plan_comprehension(&normalize_traced(&exists).0).unwrap();
+    let before = metrics::global().snapshot();
+    let found = monoid_algebra::execute_metered_bound(&exists, &db, &[]).unwrap();
+    assert_eq!(found, monoid_calculus::value::Value::Bool(true));
+    let diff = metrics::global().snapshot().diff(&before);
+    assert_eq!(diff.counter("exec_short_circuits_total"), 1);
+    assert_eq!(diff.counter("exec_queries_total"), 1);
+    let scanned = diff.counter_with("exec_rows_pushed_total", &[("operator", "scan")]);
+    assert!(scanned >= 1 && scanned < db.extent_len("Managers") as u64, "stopped early: {scanned}");
 
     // --- 3. Normalization feeds per-rule counters. ---------------------
     let before = metrics::global().snapshot();

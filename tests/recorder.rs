@@ -263,13 +263,17 @@ fn session_queries_thread_every_field() {
     assert!(!failed.ok());
     assert!(failed.error.is_some());
 
-    // The parallel engine's fallback reason lands on the record.
+    // The parallel engine's fallback reason lands on whatever record is
+    // open around it (the engine itself opens none).
     let expr = monoid_oql::compile(db.schema(), "sum(select r.price from h in Hotels, r in h.rooms)")
         .unwrap();
     let (canonical, _, _) = monoid_calculus::normalize::normalize_traced(&expr);
     let plan = monoid_algebra::plan_comprehension(&canonical).unwrap();
-    monoid_algebra::execute_parallel_metered_bound(&plan, &db, 1, &[]).unwrap();
+    let scope = recorder::begin("parallel sum").expect("no scope open on this thread");
+    monoid_algebra::execute_parallel_bound(&plan, &db, 1, &[]).unwrap();
+    assert!(scope.finish(None).is_none(), "no slow threshold armed");
     let fell_back = rec.snapshot().into_iter().next_back().unwrap();
+    assert_eq!(fell_back.source, "parallel sum");
     assert_eq!(fell_back.cache, CacheDisposition::Uncached);
     assert_eq!(fell_back.parallel_fallback.as_deref(), Some("single-thread"));
 
