@@ -19,7 +19,7 @@
 
 use crate::error::ExecResult;
 use crate::fused::Engine;
-use crate::logical::{BuildTable, JoinKind, Plan, Query};
+use crate::logical::{JoinKind, Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
@@ -112,7 +112,7 @@ fn timed_eval<P: Probe, R>(
 /// Layer parameter bindings over an environment. `params` are late-bound
 /// `$name` values; their `$`-prefixed symbols can never shadow a root or a
 /// query variable.
-pub(crate) fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
+fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
     for (p, v) in params {
         env = env.bind(*p, v.clone());
     }
@@ -121,7 +121,7 @@ pub(crate) fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
 
 /// Re-check the plan invariants (`crate::verify`) when stage verification
 /// is on; a violation aborts execution with the stage-tagged message.
-pub(crate) fn verify_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()> {
+fn verify_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()> {
     if monoid_calculus::analysis::verify_enabled() {
         crate::verify::verify_query(query, snap)
             .map_err(|e| EvalError::Other(e.to_string()))?;
@@ -144,8 +144,6 @@ pub(crate) struct Run {
     pub value: Value,
     /// Evaluator steps consumed (the plan walk's cost proxy).
     pub steps: u64,
-    /// The engine that actually ran.
-    pub engine: Engine,
 }
 
 /// The one sequential driver behind every `execute*` entry point. A plan
@@ -177,7 +175,7 @@ pub(crate) fn run<P: Probe>(
     };
     monoid_calculus::recorder::note_engine(engine.as_str());
     monoid_calculus::recorder::note_result(&value);
-    Ok(Run { value, steps: ev.steps_used(), engine })
+    Ok(Run { value, steps: ev.steps_used() })
 }
 
 /// Run a query against a [`Snapshot`] (a `&Database` or `&mut Database`
@@ -245,7 +243,7 @@ fn run_reduce<P: Probe>(
 /// Push every row of `plan` into `sink`; a `false` from the sink
 /// short-circuits. Returns `false` if short-circuited. `op` is this
 /// node's pre-order index (see [`Probe`]).
-pub(crate) fn run_plan<P: Probe>(
+fn run_plan<P: Probe>(
     plan: &Plan,
     op: usize,
     ev: &mut Evaluator,
@@ -337,55 +335,44 @@ pub(crate) fn run_plan<P: Probe>(
                         build_table(right, right_op, on, ev, env, probe)
                     })?;
                     probe.build_rows(op, table.rows.len() as u64);
-                    let on_left = on.iter().map(|(lk, _)| lk);
-                    probe_table(left, op, &table, on_left, ev, env, probe, sink)
+                    let mut scratch = value::ScratchRow::new();
+                    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
+                        let key = on
+                            .iter()
+                            .map(|(lk, _)| ev.eval(lrow, lk))
+                            .collect::<ExecResult<Vec<_>>>()?;
+                        if let Some(matches) = table.index.get(&key) {
+                            for &i in matches {
+                                let row = scratch.fill(lrow, &table.rows[i]);
+                                probe.row_out(op);
+                                if !sink(ev, row)? {
+                                    return Ok(false);
+                                }
+                            }
+                        }
+                        Ok(true)
+                    })
                 }
             }
-        }
-        Plan::HashProbe { left, table, on_left } => {
-            // The build side is already materialized and shared.
-            probe_table(left, op, table, on_left.iter(), ev, env, probe, sink)
         }
     }
 }
 
-/// Probe a materialized build side with the rows of `left`: the second
-/// half of a hash join, shared by [`Plan::Join`] (which builds its table
-/// first) and [`Plan::HashProbe`] (whose table arrived prebuilt).
-/// `on_left` yields the left-side key expressions, in the table's key order.
-#[allow(clippy::too_many_arguments)]
-fn probe_table<'k, P: Probe>(
-    left: &Plan,
-    op: usize,
-    table: &BuildTable,
-    on_left: impl Iterator<Item = &'k Expr> + Clone,
-    ev: &mut Evaluator,
-    env: &Env,
-    probe: &P,
-    sink: &mut dyn FnMut(&mut Evaluator, &Env) -> ExecResult<bool>,
-) -> ExecResult<bool> {
-    let mut scratch = value::ScratchRow::new();
-    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
-        let key = on_left
-            .clone()
-            .map(|lk| ev.eval(lrow, lk))
-            .collect::<ExecResult<Vec<_>>>()?;
-        if let Some(matches) = table.index.get(&key) {
-            for &i in matches {
-                let row = scratch.fill(lrow, &table.rows[i]);
-                probe.row_out(op);
-                if !sink(ev, row)? {
-                    return Ok(false);
-                }
-            }
-        }
-        Ok(true)
-    })
+/// A hash join's materialized build side: the right sub-plan's binding
+/// deltas plus a key → row-indexes map.
+struct BuildTable {
+    /// One binding delta per build row, in materialization order.
+    rows: Vec<Vec<(Symbol, Value)>>,
+    /// Right-side key values → indexes into `rows`.
+    index: std::collections::BTreeMap<Vec<Value>, Vec<usize>>,
 }
 
-/// Materialize a join's right side into a [`BuildTable`]: binding deltas
-/// plus key → rows. `op` is the right sub-plan's pre-order index.
-pub(crate) fn build_table<P: Probe>(
+/// Materialize a hash join's right side into a [`BuildTable`]. `op` is
+/// the right sub-plan's pre-order index. One [`value::ScratchRow`] keys
+/// the whole build side — each key is evaluated against the top
+/// environment plus the row's delta — so keying reuses one chain of
+/// environment nodes instead of allocating per delta.
+fn build_table<P: Probe>(
     right: &Plan,
     op: usize,
     on: &[(Expr, Expr)],
@@ -394,33 +381,19 @@ pub(crate) fn build_table<P: Probe>(
     probe: &P,
 ) -> ExecResult<BuildTable> {
     let rows = materialize(right, op, ev, env, probe)?;
-    let mut table = BuildTable::with_capacity(right.bound_vars(), rows.len());
+    let mut index = std::collections::BTreeMap::new();
     let mut scratch = value::ScratchRow::new();
-    for delta in rows {
-        let key = build_key(ev, &mut scratch, env, &delta, on)?;
-        table.push(delta, key);
+    for (i, delta) in rows.iter().enumerate() {
+        let row = scratch.fill(env, delta);
+        let key = on.iter().map(|(_, rk)| ev.eval(row, rk)).collect::<ExecResult<Vec<_>>>()?;
+        index.entry(key).or_insert_with(Vec::new).push(i);
     }
-    Ok(table)
-}
-
-/// The build-side key values of one materialized delta — evaluated
-/// against the top environment plus the delta. The caller's
-/// [`value::ScratchRow`] supplies the row, so keying a whole build side
-/// reuses one chain of environment nodes instead of allocating per delta.
-pub(crate) fn build_key(
-    ev: &mut Evaluator,
-    scratch: &mut value::ScratchRow,
-    env: &Env,
-    delta: &[(Symbol, Value)],
-    on: &[(Expr, Expr)],
-) -> ExecResult<Vec<Value>> {
-    let row = scratch.fill(env, delta);
-    on.iter().map(|(_, rk)| ev.eval(row, rk)).collect()
+    Ok(BuildTable { rows, index })
 }
 
 /// Materialize a sub-plan as a list of binding deltas (only the variables
 /// the sub-plan itself binds).
-pub(crate) fn materialize<P: Probe>(
+fn materialize<P: Probe>(
     plan: &Plan,
     op: usize,
     ev: &mut Evaluator,
@@ -445,7 +418,7 @@ pub(crate) fn materialize<P: Probe>(
     Ok(rows)
 }
 
-pub(crate) fn collection_elements(v: &Value) -> ExecResult<Vec<Value>> {
+fn collection_elements(v: &Value) -> ExecResult<Vec<Value>> {
     // An object in generator position binds once (§4.2 idiom), matching
     // the evaluator.
     if matches!(v, Value::Obj(_)) {

@@ -78,14 +78,6 @@ pub(crate) fn op_label(plan: &Plan) -> String {
                 .collect();
             format!("{kind} on [{}]", keys.join(", "))
         }
-        Plan::HashProbe { table, on_left, .. } => {
-            let keys: Vec<String> = on_left.iter().map(pretty).collect();
-            format!(
-                "HashProbe on [{}] (prebuilt {} rows)",
-                keys.join(", "),
-                table.rows.len()
-            )
-        }
     }
 }
 

@@ -17,7 +17,7 @@
 //! from literals, variables, parameters, records, tuples, projections,
 //! arithmetic/comparison/logic, `if`, and `!` (deref) — and whose head and
 //! plan are statically pure and non-allocating (PR 4's `Effects`). What
-//! falls back to the plan walk: joins (`Join`/`HashProbe`), allocating or
+//! falls back to the plan walk: joins, allocating or
 //! mutating expressions, vector monoids, and any expression form outside
 //! the compiled subset (lambdas, nested comprehensions, `let`, …).
 //!
@@ -37,14 +37,13 @@
 
 use crate::error::ExecResult;
 use crate::logical::{Plan, Query};
-use monoid_calculus::analysis::{effects_of, Effects};
+use monoid_calculus::analysis::effects_of;
 use monoid_calculus::eval::{binop_values, project_value, unop_value, Evaluator};
 use monoid_calculus::expr::{BinOp, Expr, Literal, UnOp};
 use monoid_calculus::heap::Heap;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{Accumulator, Env, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which execution engine ran (or would run) a query. Surfaced by
 /// `explain_analyze`, the flight recorder, and `Prepared::execute`.
@@ -233,7 +232,7 @@ enum Root<'q> {
 
 /// A fully compiled fused pipeline, borrowing the plan's expressions.
 #[derive(Debug)]
-pub(crate) struct FusedQuery<'q> {
+struct FusedQuery<'q> {
     root: Root<'q>,
     stages: Vec<Stage>,
     head: FusedExpr,
@@ -328,18 +327,8 @@ impl Compiler {
 
 /// Compile a query into a fused pipeline, or `None` when any part of it
 /// falls outside the fusible subset.
-pub(crate) fn compile(query: &Query) -> Option<FusedQuery<'_>> {
-    compile_parts(&query.plan, &query.monoid, &query.head, query.plan_effects)
-}
-
-/// [`compile`] over explicit parts — the parallel driver compiles against
-/// its *prepared* plan, which shares the query's monoid and head.
-pub(crate) fn compile_parts<'q>(
-    plan: &'q Plan,
-    monoid: &'q Monoid,
-    head: &'q Expr,
-    plan_effects: Effects,
-) -> Option<FusedQuery<'q>> {
+fn compile(query: &Query) -> Option<FusedQuery<'_>> {
+    let Query { plan, monoid, head, plan_effects } = query;
     // Vector comprehensions accumulate through indexed slots, not a single
     // accumulator; they never reach plans anyway.
     if matches!(monoid, Monoid::VecOf(_)) {
@@ -347,7 +336,7 @@ pub(crate) fn compile_parts<'q>(
     }
     // Effects: the fused loop shares one immutable heap borrow across the
     // whole fold, so heap writes *and* allocations stay on the plan walk.
-    let eff = effects_of(head).join(plan_effects);
+    let eff = effects_of(head).join(*plan_effects);
     if eff.mutates || eff.allocates {
         return None;
     }
@@ -363,7 +352,7 @@ pub(crate) fn compile_parts<'q>(
                 chain.push(node);
                 node = input;
             }
-            Plan::Join { .. } | Plan::HashProbe { .. } => return None,
+            Plan::Join { .. } => return None,
         }
     };
     chain.reverse(); // execution order: scan upward.
@@ -408,7 +397,7 @@ pub(crate) fn compile_parts<'q>(
 /// vector sources iterate the extent's `Arc<Vec<Value>>` in place — the
 /// allocation-free path the fused loop exists for; bags, strings, and the
 /// `§4.2` object-singleton idiom expand exactly like
-/// [`crate::exec::collection_elements`].
+/// the plan walk's `collection_elements`.
 enum Rows<'a> {
     Borrowed(&'a [Value]),
     Owned(Vec<Value>),
@@ -428,7 +417,7 @@ impl FusedQuery<'_> {
     /// The row buffer with global slots resolved against `env`; `None`
     /// (→ plan-walk fallback) when a name is missing, so unbound-variable
     /// errors keep their plan-walk shape.
-    pub(crate) fn resolve_globals(&self, env: &Env) -> Option<Vec<Value>> {
+    fn resolve_globals(&self, env: &Env) -> Option<Vec<Value>> {
         let mut slots = vec![Value::Null; self.n_slots];
         for (slot, name) in &self.globals {
             slots[*slot] = env.lookup(*name)?.clone();
@@ -436,40 +425,6 @@ impl FusedQuery<'_> {
         Some(slots)
     }
 
-    /// Fold `part` — pre-extracted root elements — into the target monoid.
-    /// Returns the partial value and the row count that reached the
-    /// reduction. `stop` is the cross-worker short-circuit flag: absorbed
-    /// accumulators raise it, raised flags cut the fold at the next
-    /// element, mirroring the plan-walk partition driver.
-    pub(crate) fn fold_partition(
-        &self,
-        part: &[Value],
-        heap: &Heap,
-        env: &Env,
-        stop: Option<&AtomicBool>,
-    ) -> ExecResult<Option<(Value, u64)>> {
-        let Some(mut slots) = self.resolve_globals(env) else {
-            return Ok(None);
-        };
-        let root_slot = match &self.root {
-            Root::Scan { slot, .. } | Root::Index { slot, .. } => *slot,
-        };
-        let mut acc = Accumulator::new(self.monoid)?;
-        let mut rows = 0u64;
-        for elem in part {
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                break;
-            }
-            let f = Frame { slot: root_slot, value: elem, parent: None };
-            if !drive(&self.stages, &self.head, &mut slots, Some(&f), heap, &mut acc, &mut rows)? {
-                if let Some(s) = stop {
-                    s.store(true, Ordering::Relaxed);
-                }
-                break;
-            }
-        }
-        Ok(Some((acc.finish()?, rows)))
-    }
 }
 
 /// Run the stage chain for the current row buffer; `false` means the
@@ -481,18 +436,16 @@ fn drive(
     frame: Option<&Frame<'_>>,
     heap: &Heap,
     acc: &mut Accumulator,
-    rows: &mut u64,
 ) -> ExecResult<bool> {
     let Some((stage, rest)) = stages.split_first() else {
         let h = head.eval(slots, frame, heap)?;
         acc.push_unit(h)?;
-        *rows += 1;
         return Ok(!acc.absorbed());
     };
     match stage {
         Stage::Filter(pred) => {
             if pred.eval_ref(slots, frame, heap)?.as_bool()? {
-                drive(rest, head, slots, frame, heap, acc, rows)
+                drive(rest, head, slots, frame, heap, acc)
             } else {
                 Ok(true)
             }
@@ -500,7 +453,7 @@ fn drive(
         Stage::Bind { slot, expr } => {
             let v = expr.eval(slots, frame, heap)?;
             slots[*slot] = v;
-            drive(rest, head, slots, frame, heap, acc, rows)
+            drive(rest, head, slots, frame, heap, acc)
         }
         Stage::Unnest { slot, path } => {
             let pv = path.eval(slots, frame, heap)?;
@@ -508,7 +461,7 @@ fn drive(
                 Rows::Borrowed(items) => {
                     for elem in items {
                         let f = Frame { slot: *slot, value: elem, parent: frame };
-                        if !drive(rest, head, slots, Some(&f), heap, acc, rows)? {
+                        if !drive(rest, head, slots, Some(&f), heap, acc)? {
                             return Ok(false);
                         }
                     }
@@ -516,7 +469,7 @@ fn drive(
                 Rows::Owned(items) => {
                     for elem in &items {
                         let f = Frame { slot: *slot, value: elem, parent: frame };
-                        if !drive(rest, head, slots, Some(&f), heap, acc, rows)? {
+                        if !drive(rest, head, slots, Some(&f), heap, acc)? {
                             return Ok(false);
                         }
                     }
@@ -556,14 +509,13 @@ pub(crate) fn try_run_reduce(
         }
     };
     let mut acc = Accumulator::new(fq.monoid)?;
-    let mut row_count = 0u64;
     let items: &[Value] = match &rows {
         Rows::Borrowed(items) => items,
         Rows::Owned(items) => items,
     };
     for elem in items {
         let f = Frame { slot: root_slot, value: elem, parent: None };
-        if !drive(&fq.stages, &fq.head, &mut slots, Some(&f), &ev.heap, &mut acc, &mut row_count)? {
+        if !drive(&fq.stages, &fq.head, &mut slots, Some(&f), &ev.heap, &mut acc)? {
             break;
         }
     }
@@ -633,22 +585,13 @@ mod tests {
             ],
         ))
         .unwrap();
-        let fq = compile(&q).expect("fusible");
         let env = Env::empty().bind(
             Symbol::new("Ints"),
             Value::list(vec![Value::Int(10), Value::Int(20)]),
         );
-        let heap = Heap::new();
-        let (v, rows) = fq.fold_partition(
-            &[Value::Int(10), Value::Int(20)],
-            &heap,
-            &env,
-            None,
-        )
-        .unwrap()
-        .unwrap();
+        let mut ev = Evaluator::with_heap(Heap::new());
+        let v = try_run_reduce(&q, &mut ev, &env).unwrap().expect("fusible");
         assert_eq!(v, Value::Int(32));
-        assert_eq!(rows, 2);
     }
 
     #[test]

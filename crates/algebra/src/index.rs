@@ -215,11 +215,6 @@ fn rewrite(plan: &Plan, catalog: &IndexCatalog, epoch: u64, count: &mut usize) -
             on: on.clone(),
             kind: *kind,
         },
-        Plan::HashProbe { left, table, on_left } => Plan::HashProbe {
-            left: Box::new(rewrite(left, catalog, epoch, count)),
-            table: table.clone(),
-            on_left: on_left.clone(),
-        },
         Plan::Scan { .. } | Plan::IndexLookup { .. } => plan.clone(),
     }
 }

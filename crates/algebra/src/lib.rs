@@ -16,9 +16,6 @@
 //!   fold over a slot-addressed row buffer, borrowing rows from extents
 //!   instead of allocating per-row environments; byte-identical to the
 //!   plan walk, which remains the fallback for everything else.
-//! * [`parallel`] — ordered partitioned parallel reduction: partials merge
-//!   in partition order, so associativity alone makes every monoid —
-//!   including lists, strings, and sorted collections — parallelizable.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
@@ -33,8 +30,8 @@
 //! * [`metrics`](mod@metrics) — fleet metering: a counted run's profile
 //!   flushed, by operator kind, into cumulative row/build/short-circuit
 //!   counters in the process-wide registry (`monoid_calculus::metrics`).
-//! * [`verify`] — plan invariant verifier: binder consistency, build-table
-//!   shape, index snapshot freshness, and purity (no `:=`, no `new`, head
+//! * [`verify`] — plan invariant verifier: binder consistency, index
+//!   snapshot freshness, and purity (no `:=`, no `new`, head
 //!   included), re-checked before every execution when stage
 //!   verification is on (`MONOID_VERIFY=1`, or any debug build).
 //!
@@ -45,7 +42,7 @@
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
 //! `Query` ever writes the heap; every entry point here — sequential,
-//! plan-walk, counted, metered, profiled, parallel — therefore takes
+//! plan-walk, counted, metered, profiled — therefore takes
 //! `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
 //! one) and funnels into one private driver in [`exec`]. Update programs
 //! run on the calculus evaluator through `Database::query`, the paper's
@@ -60,7 +57,6 @@ pub mod index;
 pub mod logical;
 pub mod metrics;
 pub mod optimizer;
-pub mod parallel;
 pub mod trace;
 pub mod verify;
 
@@ -74,12 +70,7 @@ pub use metrics::execute_metered_bound;
 pub use explain::{explain, explain_with_estimates};
 pub use index::{apply_indexes, apply_indexes_rebuilding, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};
-pub use logical::{
-    plan_comprehension, plan_with_options, BuildTable, JoinKind, Plan, PlanOptions, Query,
-};
-pub use parallel::{
-    default_threads, execute_parallel_bound, min_rows_per_worker, Fallback, ParallelReport,
-};
+pub use logical::{plan_comprehension, plan_with_options, JoinKind, Plan, PlanOptions, Query};
 pub use trace::{
     analyze_with_trace, audit_enabled, execute_profiled_bound, explain_analyze, fold_stacks,
     set_audit_enabled, Analysis, OperatorProfile, QueryProfile,

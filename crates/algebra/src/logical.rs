@@ -56,44 +56,6 @@ pub enum Plan {
     /// (introduced by `index::apply_indexes`; the index snapshot is
     /// embedded in the plan).
     IndexLookup { var: Symbol, index: std::sync::Arc<crate::index::Index>, key: Box<Expr> },
-    /// Probe a *prebuilt* hash-join build side (introduced by the parallel
-    /// driver, which materializes a `Join`'s right side once and shares it
-    /// across workers through the `Arc`). `on_left` holds the left-side
-    /// key expressions, in the same order as the table's keys; empty keys
-    /// make it a shared cross product.
-    HashProbe { left: Box<Plan>, table: std::sync::Arc<BuildTable>, on_left: Vec<Expr> },
-}
-
-/// A materialized hash-join build side: the right sub-plan's binding
-/// deltas plus a key → row-indexes map. Every hash join builds one
-/// (`exec::build_table`) and probes it; the parallel driver builds it
-/// once up front and shares it with its workers as a [`Plan::HashProbe`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct BuildTable {
-    /// Variables the build side binds, in plan order.
-    pub vars: Vec<Symbol>,
-    /// One binding delta per build row.
-    pub rows: Vec<Vec<(Symbol, monoid_calculus::value::Value)>>,
-    /// Right-side key values → indexes into `rows`. With no equi-keys
-    /// every row lives under the empty key (a cross product).
-    pub index: std::collections::BTreeMap<Vec<monoid_calculus::value::Value>, Vec<usize>>,
-}
-
-impl BuildTable {
-    /// An empty table binding `vars`, with room for `rows` build rows.
-    pub(crate) fn with_capacity(vars: Vec<Symbol>, rows: usize) -> BuildTable {
-        BuildTable { vars, rows: Vec::with_capacity(rows), ..Default::default() }
-    }
-
-    /// Append one build row under its key (rows keep materialization order).
-    pub(crate) fn push(
-        &mut self,
-        delta: Vec<(Symbol, monoid_calculus::value::Value)>,
-        key: Vec<monoid_calculus::value::Value>,
-    ) {
-        self.index.entry(key).or_default().push(self.rows.len());
-        self.rows.push(delta);
-    }
 }
 
 impl Plan {
@@ -112,18 +74,13 @@ impl Plan {
                 v.extend(right.bound_vars());
                 v
             }
-            Plan::HashProbe { left, table, .. } => {
-                let mut v = left.bound_vars();
-                v.extend(table.vars.iter().copied());
-                v
-            }
         }
     }
 
     /// Every value [`Plan::kind_label`] returns — the closed label space
     /// the registry pre-registers and profile loaders validate against.
-    pub const KIND_LABELS: [&'static str; 7] =
-        ["scan", "index-lookup", "unnest", "filter", "bind", "join", "hash-probe"];
+    pub const KIND_LABELS: [&'static str; 6] =
+        ["scan", "index-lookup", "unnest", "filter", "bind", "join"];
 
     /// Short operator-kind label — the bounded label space the metering
     /// counters (`exec_rows_pushed_total{operator=…}`) and the plan-quality
@@ -136,16 +93,13 @@ impl Plan {
             Plan::Filter { .. } => "filter",
             Plan::Bind { .. } => "bind",
             Plan::Join { .. } => "join",
-            Plan::HashProbe { .. } => "hash-probe",
         }
     }
 
     /// Visit every operator as `(op, depth, node)` in pre-order — *the*
     /// operator numbering: root = 0, a unary operator's input at `op + 1`,
-    /// a join's right child after the whole left subtree. A `HashProbe`'s
-    /// build side is materialized data, not a plan subtree, so it is not
-    /// visited. Probes, estimates, `explain` and profiles all index
-    /// operators by this `op`.
+    /// a join's right child after the whole left subtree. Probes,
+    /// estimates, `explain` and profiles all index operators by this `op`.
     pub fn walk<'a>(&'a self, visit: &mut impl FnMut(usize, usize, &'a Plan)) {
         fn go<'a>(
             plan: &'a Plan,
@@ -164,7 +118,6 @@ impl Plan {
                     go(left, next, depth + 1, visit);
                     go(right, next, depth + 1, visit);
                 }
-                Plan::HashProbe { left, .. } => go(left, next, depth + 1, visit),
             }
         }
         go(self, &mut 0, 0, visit);
@@ -203,18 +156,12 @@ impl Plan {
                 left.for_each_expr(f);
                 right.for_each_expr(f);
             }
-            Plan::HashProbe { left, on_left, .. } => {
-                for k in on_left {
-                    f(k);
-                }
-                left.for_each_expr(f);
-            }
         }
     }
 
-    /// The join of the effects of every embedded expression — the static
-    /// classification the parallel engine consults instead of re-scanning
-    /// the plan at runtime (`docs/analysis.md`).
+    /// The join of the effects of every embedded expression — computed
+    /// once at plan time so no engine re-scans the plan at runtime
+    /// (`docs/analysis.md`).
     pub fn effects(&self) -> Effects {
         let mut eff = Effects::PURE;
         self.for_each_expr(&mut |e| eff = eff.join(effects_of(e)));
@@ -231,7 +178,6 @@ impl Plan {
             Plan::Join { left, right, kind, .. } => {
                 *kind == JoinKind::Hash || left.uses_hash_join() || right.uses_hash_join()
             }
-            Plan::HashProbe { .. } => true,
         }
     }
 }
@@ -400,32 +346,21 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
     let query = Query { plan, monoid: monoid.clone(), head: head.as_ref().clone(), plan_effects };
 
     // Under MONOID_VERIFY, check the core abstract interpreter's static
-    // engine certificates against the actual engine decisions for this
-    // fresh plan. Only default options mirror the certificate's model —
+    // fused-eligibility verdict against the fused compiler's decision for
+    // this fresh plan. Only default options mirror the certificate's model —
     // ablations change the join/unnest topology on purpose.
     if opts.hash_joins
         && opts.push_predicates
         && monoid_calculus::analysis::verify_enabled()
     {
-        use monoid_calculus::analysis::{engine_certificate, record_failure, SpanMap};
-        let cert = engine_certificate(e, &SpanMap::default());
+        use monoid_calculus::analysis::{fused_verdict, record_failure, SpanMap};
+        let cert = fused_verdict(e, &SpanMap::default());
         let fused_rt = crate::fused::fused_eligible(&query);
-        if cert.fused.is_eligible() != fused_rt {
+        if cert.is_eligible() != fused_rt {
             record_failure("infer/engine-fused");
             panic!(
-                "static fused certificate ({}) disagrees with the fused compiler \
-                 (eligible={fused_rt}) for {e:?}",
-                cert.fused
-            );
-        }
-        // Every planned query is pure (`is_pure` above), and the parallel
-        // driver partitions any pure plan — so the certificate must agree.
-        if !cert.parallel.is_eligible() {
-            record_failure("infer/engine-parallel");
-            panic!(
-                "static parallel certificate ({}) refuses a query the planner accepted \
-                 as pure: {e:?}",
-                cert.parallel
+                "static fused certificate ({cert}) disagrees with the fused compiler \
+                 (eligible={fused_rt}) for {e:?}"
             );
         }
     }
@@ -582,7 +517,7 @@ mod tests {
                     matches!(input.as_ref(), Plan::Scan { .. }) || scan_is_filtered(input)
                 }
                 Plan::Unnest { input, .. } | Plan::Bind { input, .. } => scan_is_filtered(input),
-                Plan::Join { left, .. } | Plan::HashProbe { left, .. } => scan_is_filtered(left),
+                Plan::Join { left, .. } => scan_is_filtered(left),
                 Plan::Scan { .. } | Plan::IndexLookup { .. } => false,
             }
         }

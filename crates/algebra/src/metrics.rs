@@ -31,8 +31,8 @@ use std::time::Instant;
 /// indexed like [`Plan::KIND_LABELS`], so every kind's series exists
 /// (at zero) from the first metered run on.
 struct ExecMetrics {
-    rows: [Arc<Counter>; 7],
-    build_rows: [Arc<Counter>; 7],
+    rows: [Arc<Counter>; Plan::KIND_LABELS.len()],
+    build_rows: [Arc<Counter>; Plan::KIND_LABELS.len()],
     short_circuits: Arc<Counter>,
     executions: Arc<Counter>,
     errors: Arc<Counter>,

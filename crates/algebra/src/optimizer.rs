@@ -157,16 +157,7 @@ impl Stats {
                 // equality predicate; no keys means a cross product.
                 let mut est = l * r;
                 for (lk, rk) in on {
-                    est *= self.equality_selectivity(lk, Some(rk), ctx);
-                }
-                est
-            }
-            Plan::HashProbe { left, table, on_left } => {
-                // The build side is materialized: its cardinality is exact.
-                let l = self.estimate_into(left, op + 1, out, ctx);
-                let mut est = l * table.rows.len() as f64;
-                for lk in on_left {
-                    est *= self.equality_selectivity(lk, None, ctx);
+                    est *= self.equality_selectivity(lk, rk, ctx);
                 }
                 est
             }
@@ -201,14 +192,14 @@ impl Stats {
         self.catalog.attr(*coll, *attr)
     }
 
-    /// Selectivity of an equality between `a` and (when present) `b`.
+    /// Selectivity of an equality between `a` and `b`.
     /// With gathered facts, equality on an attribute keeps `1/distinct`
     /// of the rows on average; a two-sided equi-key takes the larger
     /// distinct count (the classic join estimate). Falls back to the flat
     /// default when nothing is known.
-    fn equality_selectivity(&self, a: &Expr, b: Option<&Expr>, ctx: &SourceMap) -> f64 {
+    fn equality_selectivity(&self, a: &Expr, b: &Expr, ctx: &SourceMap) -> f64 {
         let da = self.path_facts(a, ctx).map(|f| f.distinct.max(1));
-        let db = b.and_then(|b| self.path_facts(b, ctx)).map(|f| f.distinct.max(1));
+        let db = self.path_facts(b, ctx).map(|f| f.distinct.max(1));
         match (da, db) {
             (Some(x), Some(y)) => 1.0 / x.max(y) as f64,
             (Some(x), None) | (None, Some(x)) => 1.0 / x as f64,
@@ -233,7 +224,7 @@ impl Stats {
                     0.0
                 }
             }
-            Expr::BinOp(BinOp::Eq, a, b) => self.equality_selectivity(a, Some(b), ctx),
+            Expr::BinOp(BinOp::Eq, a, b) => self.equality_selectivity(a, b, ctx),
             Expr::BinOp(op, a, b) if op.is_comparison() => self
                 .range_selectivity(*op, a, b, ctx)
                 .unwrap_or(CMP_SELECTIVITY),
@@ -304,7 +295,6 @@ fn plan_sources(plan: &crate::logical::Plan, ctx: &mut SourceMap) {
             plan_sources(right, ctx);
         }
         Plan::IndexLookup { .. } => {}
-        Plan::HashProbe { left, .. } => plan_sources(left, ctx),
     }
 }
 

@@ -11,9 +11,6 @@
 //!
 //! * `plan/binders` — no operator on a pipeline path rebinds a variable an
 //!   upstream operator already bound (a rebind would silently shadow rows).
-//! * `plan/build` — every [`BuildTable`] is internally consistent: row
-//!   deltas bind exactly the advertised `vars`, index entries point at
-//!   real rows, and probe-key arity matches the table's key arity.
 //! * `plan/index` — embedded [`Index`](crate::index::Index) snapshots are
 //!   epoch-fresh for the database about to be scanned; a stale snapshot
 //!   would resurrect deleted objects or miss inserts.
@@ -39,7 +36,6 @@ use std::collections::BTreeSet;
 /// `analysis_verify_failures_total{stage}` on failure.
 pub fn verify_query(query: &Query, snap: &Snapshot) -> Result<(), VerifyError> {
     let result = check_binders(&query.plan, &mut BTreeSet::new())
-        .and_then(|()| check_build_tables(&query.plan))
         .and_then(|()| check_indexes(&query.plan, snap.epoch()))
         .and_then(|()| check_effects(query));
     if let Err(e) = &result {
@@ -71,71 +67,6 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
         Plan::Join { left, right, .. } => {
             check_binders(left, bound)?;
             check_binders(right, bound)
-        }
-        Plan::HashProbe { left, table, .. } => {
-            check_binders(left, bound)?;
-            for var in &table.vars {
-                bind(*var, bound)?;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// `plan/build`: every [`BuildTable`](crate::logical::BuildTable) row
-/// must bind exactly `vars` (same names, same order), every index entry
-/// must reference an existing row, and the probe's `on_left` arity must
-/// equal the table's key arity.
-fn check_build_tables(plan: &Plan) -> Result<(), VerifyError> {
-    match plan {
-        Plan::Scan { .. } | Plan::IndexLookup { .. } => Ok(()),
-        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-            check_build_tables(input)
-        }
-        Plan::Join { left, right, .. } => {
-            check_build_tables(left)?;
-            check_build_tables(right)
-        }
-        Plan::HashProbe { left, table, on_left } => {
-            check_build_tables(left)?;
-            for (i, row) in table.rows.iter().enumerate() {
-                let names: Vec<Symbol> = row.iter().map(|(s, _)| *s).collect();
-                if names != table.vars {
-                    return Err(VerifyError::new(
-                        "plan/build",
-                        format!(
-                            "build row {i} binds {} variable(s) {:?} but the table advertises \
-                             {} var(s) {:?}",
-                            names.len(),
-                            names,
-                            table.vars.len(),
-                            table.vars
-                        ),
-                    ));
-                }
-            }
-            for (key, rows) in &table.index {
-                if key.len() != on_left.len() {
-                    return Err(VerifyError::new(
-                        "plan/build",
-                        format!(
-                            "build index key arity {} does not match probe key arity {}",
-                            key.len(),
-                            on_left.len()
-                        ),
-                    ));
-                }
-                if let Some(&idx) = rows.iter().find(|&&idx| idx >= table.rows.len()) {
-                    return Err(VerifyError::new(
-                        "plan/build",
-                        format!(
-                            "build index references row {idx} but the table has only {} row(s)",
-                            table.rows.len()
-                        ),
-                    ));
-                }
-            }
-            Ok(())
         }
     }
 }
@@ -171,7 +102,6 @@ fn check_indexes(plan: &Plan, epoch: u64) -> Result<(), VerifyError> {
             check_indexes(left, epoch)?;
             check_indexes(right, epoch)
         }
-        Plan::HashProbe { left, .. } => check_indexes(left, epoch),
     }
 }
 
@@ -203,12 +133,11 @@ fn check_effects(query: &Query) -> Result<(), VerifyError> {
 mod tests {
     use super::*;
     use crate::index::IndexCatalog;
-    use crate::logical::{plan_comprehension, BuildTable};
+    use crate::logical::plan_comprehension;
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
     use monoid_calculus::value::Value;
     use monoid_store::travel::{self, TravelScale};
-    use std::sync::Arc;
 
     fn sample_query() -> Query {
         let e = Expr::comp(
@@ -262,52 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn inconsistent_build_table_is_caught() {
-        let db = travel::generate(TravelScale::tiny(), 5);
-        let mut query = sample_query();
-        let x = Symbol::new("x");
-        let y = Symbol::new("y");
-        let table = BuildTable {
-            vars: vec![x, y],
-            rows: vec![vec![(x, Value::Int(1))]], // missing `y`
-            index: Default::default(),
-        };
-        query.plan = Plan::HashProbe {
-            left: Box::new(query.plan.clone()),
-            table: Arc::new(table),
-            on_left: vec![],
-        };
-        let err = verify_query(&query, &db).unwrap_err();
-        assert_eq!(err.stage, "plan/build");
-    }
-
-    #[test]
-    fn probe_key_arity_mismatch_is_caught() {
-        let db = travel::generate(TravelScale::tiny(), 5);
-        let mut query = sample_query();
-        let x = Symbol::new("x");
-        let mut index = std::collections::BTreeMap::new();
-        index.insert(vec![Value::Int(1), Value::Int(2)], vec![0]);
-        let table =
-            BuildTable { vars: vec![x], rows: vec![vec![(x, Value::Int(1))]], index };
-        query.plan = Plan::HashProbe {
-            left: Box::new(query.plan.clone()),
-            table: Arc::new(table),
-            on_left: vec![Expr::var("c").proj("name")], // arity 1 vs key arity 2
-        };
-        let err = verify_query(&query, &db).unwrap_err();
-        assert_eq!(err.stage, "plan/build");
-        assert!(err.to_string().contains("arity"), "{err}");
-    }
-
-    #[test]
     fn post_planning_heap_effects_are_refused() {
         // The planner rejects impure comprehensions, so each case forges
         // one by overwriting part of a planned query — the only way a heap
         // effect can reach an executor. Every executor runs this check
         // under stage verification, which is what lets them read an
-        // immutable snapshot without a mutation fallback or worker-heap
-        // reconciliation.
+        // immutable snapshot without a mutation fallback.
         let db = travel::generate(TravelScale::tiny(), 5);
         let assign = || Expr::var("c").assign(Expr::int(0));
         let alloc = || Expr::new_obj(Expr::record(vec![("name", Expr::var("c").proj("name"))]));
@@ -332,9 +221,6 @@ mod tests {
             // the executors refuse it rather than run it.
             if monoid_calculus::analysis::verify_enabled() {
                 let refused = crate::exec::execute(&query, &db).unwrap_err();
-                assert!(refused.to_string().contains("plan/effects"), "{name}: {refused}");
-                let refused =
-                    crate::parallel::execute_parallel_bound(&query, &db, 4, &[]).unwrap_err();
                 assert!(refused.to_string().contains("plan/effects"), "{name}: {refused}");
             }
         }

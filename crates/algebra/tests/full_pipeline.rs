@@ -1,11 +1,11 @@
 //! The full optimization pipeline, end to end, against the travel
 //! database: OQL → calculus → normalize → cost-based reorder → plan →
-//! index rewrite → (parallel) pipelined execution — every stage must agree
+//! index rewrite → pipelined execution — every stage must agree
 //! with direct evaluation of the original query.
 
 use monoid_algebra::{
-    apply_indexes, execute, execute_counted_bound, execute_parallel_bound, plan_comprehension,
-    reorder_generators, IndexCatalog, PlanError, Stats,
+    apply_indexes, execute, execute_counted_bound, plan_comprehension, reorder_generators,
+    IndexCatalog, PlanError, Stats,
 };
 use monoid_calculus::normalize::normalize;
 use monoid_calculus::value::Value;
@@ -48,8 +48,6 @@ fn full_pipeline(db: &mut Database, src: &str) -> Option<Value> {
     for (label, p) in [("plain", &plan), ("indexed", &indexed)] {
         let got = execute(p, db).unwrap();
         assert_eq!(direct, got, "{label} plan changed `{src}`");
-        let par = execute_parallel_bound(p, db, 4, &[]).unwrap().0;
-        assert_eq!(direct, par, "parallel {label} plan changed `{src}`");
     }
     Some(direct)
 }

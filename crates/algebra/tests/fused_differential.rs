@@ -1,21 +1,16 @@
 //! Differential battery for the fused engine: for every monoid the
 //! paper's Table 1 defines (minus the lifted `VecOf`, which the
-//! accumulator rejects), the fused fold, the plan-walk interpreter, and
-//! the parallel driver at several thread counts must produce
-//! byte-identical values — same elements, same order, same OIDs. The
-//! battery also pins the fallback boundary: shapes the fused compiler
-//! declines (hash joins, allocating heads) and sources under the
-//! parallel row floor still agree with the plan walk.
+//! accumulator rejects), the fused fold and the plan-walk interpreter
+//! must produce byte-identical values — same elements, same order, same
+//! OIDs. The battery also pins the fallback boundary: shapes the fused
+//! compiler declines (hash joins, allocating heads) still agree with the
+//! plan walk.
 
-use monoid_algebra::{
-    engine_of, execute, execute_parallel_bound, execute_plan_walk_bound, plan_comprehension, Query,
-};
+use monoid_algebra::{engine_of, execute, execute_plan_walk_bound, plan_comprehension, Query};
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
 use monoid_store::travel::{self, TravelScale};
 use monoid_store::Database;
-
-const THREADS: &[usize] = &[1, 2, 3, 8];
 
 /// A canonical scan → unnest → filter chain over the travel store:
 /// `⊕{ head | h ← Hotels, r ← h.rooms, r.bed# ≥ 1 }`.
@@ -32,20 +27,15 @@ fn rooms_chain(monoid: Monoid, head: Expr) -> Query {
     .unwrap()
 }
 
-/// Assert the three engines agree byte-for-byte on `plan`, across every
-/// thread count in the ladder.
+/// Assert the default engine agrees byte-for-byte with the plan walk.
 fn assert_engines_agree(label: &str, plan: &Query, db: &mut Database) {
     let reference = execute_plan_walk_bound(plan, db, &[]).unwrap();
     let fused = execute(plan, db).unwrap();
     assert_eq!(reference, fused, "{label}: fused ≠ plan walk");
-    for &threads in THREADS {
-        let par = execute_parallel_bound(plan, db, threads, &[]).unwrap().0;
-        assert_eq!(reference, par, "{label}: parallel({threads}) ≠ plan walk");
-    }
 }
 
 /// Every monoid the fused engine claims: the chain must classify as
-/// fused and agree with the plan walk and the parallel driver.
+/// fused and agree with the plan walk.
 #[test]
 fn all_monoids_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
@@ -58,8 +48,7 @@ fn all_monoids_agree_across_engines() {
         ("sorted", rooms_chain(Monoid::Sorted, bed.clone())),
         ("sorted-bag", rooms_chain(Monoid::SortedBag, bed.clone())),
         ("sum", rooms_chain(Monoid::Sum, bed.clone())),
-        // The product stays in range because every factor is 1; the
-        // point is the cross-partition merge, not the arithmetic.
+        // The product stays in range because every factor is 1.
         ("prod", rooms_chain(Monoid::Prod, Expr::int(1))),
         ("max", rooms_chain(Monoid::Max, bed.clone())),
         ("min", rooms_chain(Monoid::Min, bed.clone())),
@@ -67,8 +56,7 @@ fn all_monoids_agree_across_engines() {
         // fold over the whole extent without short-circuiting.
         ("some", rooms_chain(Monoid::Some, bed.clone().gt(Expr::int(100)))),
         ("all", rooms_chain(Monoid::All, bed.ge(Expr::int(0)))),
-        // Str concatenation is order-sensitive: the ordered partition
-        // merge is what keeps the parallel result byte-identical.
+        // Str concatenation is order-sensitive.
         (
             "str",
             plan_comprehension(&Expr::comp(
@@ -90,9 +78,9 @@ fn all_monoids_agree_across_engines() {
     }
 }
 
-/// `some`/`all` with early verdicts: the fused fold and the parallel
-/// workers short-circuit (absorbing element reached), and the value must
-/// still match the exhaustive plan walk.
+/// `some`/`all` with early verdicts: the fused fold short-circuits
+/// (absorbing element reached), and the value must still match the plan
+/// walk.
 #[test]
 fn boolean_short_circuits_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
@@ -106,12 +94,12 @@ fn boolean_short_circuits_agree_across_engines() {
 }
 
 /// Shapes outside the fused subset fall back to the plan walk — and the
-/// fallback must agree with it, sequentially and in parallel.
+/// fallback must agree with it.
 #[test]
 fn fallback_shapes_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
-    // An equi-join: the planner rewrites it to a hash probe, which the
-    // fused compiler declines.
+    // An equi-join: the planner makes it a hash join, which the fused
+    // compiler declines.
     let join = plan_comprehension(&Expr::comp(
         Monoid::Sum,
         Expr::int(1),
@@ -131,20 +119,4 @@ fn fallback_shapes_agree_across_engines() {
     allocating.head = Expr::comp(Monoid::Sum, Expr::int(1), vec![]);
     assert_eq!(engine_of(&allocating).as_str(), "plan-walk");
     assert_engines_agree("allocating-head", &allocating, &mut db);
-}
-
-/// Sources under `2 × min_rows_per_worker()` make the parallel driver
-/// fall back; the fallback itself runs the fused fold, and the value is
-/// unchanged at every thread count.
-#[test]
-fn too_few_rows_boundary_agrees_across_engines() {
-    let mut db = travel::generate(TravelScale::tiny(), 13);
-    let chain = plan_comprehension(&Expr::comp(
-        Monoid::Sum,
-        Expr::var("c").proj("hotel#"),
-        vec![Expr::gen("c", Expr::var("Cities"))],
-    ))
-    .unwrap();
-    assert_eq!(engine_of(&chain).as_str(), "fused");
-    assert_engines_agree("too-few-rows", &chain, &mut db);
 }

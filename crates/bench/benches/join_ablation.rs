@@ -1,19 +1,15 @@
 //! B6 — ablations of the algebra's design choices (DESIGN.md calls out
-//! equi-join detection, predicate placement, and monoid-parallel
-//! reduction):
+//! equi-join detection, predicate placement, and secondary indexes):
 //!
 //! * hash join vs nested loop across sizes and key selectivities —
 //!   expected: hash wins once the build side exceeds a few dozen rows;
 //! * predicate pushdown on vs off — expected: pushing the city filter
 //!   below the unnests skips navigating every non-matching city;
-//! * parallel partitioned reduction vs sequential — expected: near-linear
-//!   scaling for any monoid on large scans (partials merge in partition
-//!   order, so associativity suffices), bounded by the host's core count.
+//! * index lookup vs filtered scan — expected: the lookup skips the
+//!   scan of every non-matching city.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monoid_bench::queries::{employee_client_join, PORTLAND_FLAT_OQL};
-use monoid_calculus::expr::Expr;
-use monoid_calculus::monoid::Monoid;
 use monoid_calculus::normalize::normalize;
 use monoid_store::travel::{self, TravelScale};
 
@@ -92,29 +88,5 @@ fn bench_index(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("b6_parallel_reduce");
-    group.sample_size(10);
-    let scale = TravelScale::with_hotels(3200);
-    let db = travel::generate(scale, 7);
-    let q = Expr::comp(
-        Monoid::Sum,
-        Expr::var("r").proj("bed#").mul(Expr::var("r").proj("bed#")),
-        vec![
-            Expr::gen("h", Expr::var("Hotels")),
-            Expr::gen("r", Expr::var("h").proj("rooms")),
-        ],
-    );
-    let plan = monoid_algebra::plan_comprehension(&q).expect("plan");
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
-            b.iter(|| {
-                monoid_algebra::execute_parallel_bound(&plan, &db, t, &[]).expect("parallel").0
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_join_strategy, bench_pushdown, bench_index, bench_parallel);
+criterion_group!(benches, bench_join_strategy, bench_pushdown, bench_index);
 criterion_main!(benches);

@@ -1,8 +1,8 @@
 //! `oqltop` — top queries from the flight recorder.
 //!
 //! Renders what the process-wide recorder remembers — top statements by
-//! cumulative or tail latency, cache hit ratios, per-phase totals,
-//! parallel fallbacks — from either a dumped journal (`--journal FILE`,
+//! cumulative or tail latency, cache hit ratios, per-phase totals —
+//! from either a dumped journal (`--journal FILE`,
 //! the `FlightRecorder::to_json` document the `regress` binary writes
 //! with `--journal-out`) or, with no file, a live demo: a short
 //! travel-store workload runs through `Session::query` in-process and

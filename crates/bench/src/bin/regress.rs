@@ -145,32 +145,17 @@ fn main() {
     println!("{}", table.render());
 
     let mut etable =
-        Table::new(&["parallel query", "engine", "fused p50", "plan-walk p50", "fusion speedup"]);
-    for p in &report.parallel {
+        Table::new(&["fusion query", "engine", "fused p50", "plan-walk p50", "fusion speedup"]);
+    for p in &report.fusion {
         etable.row(&[
             p.name.to_string(),
             p.engine.to_string(),
-            fmt_nanos(p.sequential_p50_nanos),
+            fmt_nanos(p.fused_p50_nanos),
             fmt_nanos(p.plan_walk_p50_nanos),
             format!("{:.2}x", p.fused_speedup),
         ]);
     }
     println!("{}", etable.render());
-
-    let mut ptable = Table::new(&["parallel query", "threads", "workers", "p50", "p95", "speedup"]);
-    for p in &report.parallel {
-        for t in &p.threads {
-            ptable.row(&[
-                p.name.to_string(),
-                t.threads.to_string(),
-                t.workers.to_string(),
-                fmt_nanos(t.p50_nanos),
-                fmt_nanos(t.p95_nanos),
-                format!("{:.2}x", t.speedup_vs_sequential),
-            ]);
-        }
-    }
-    println!("{}", ptable.render());
 
     if report.warm {
         println!("prepared section served from the pre-warmed process-wide cache (--warm)\n");

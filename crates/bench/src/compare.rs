@@ -123,16 +123,17 @@ impl CompareReport {
 
 /// The compared sections and their latency fields: per-query end-to-end
 /// medians and tails, the prepared warm path (the serving-layer number
-/// `docs/serving.md` optimizes for), and the fused sequential median of
-/// the scan-heavy parallel cases (the single-thread fast path the fused
-/// engine owns — a regression there means the fold itself got slower).
-/// Cold prepared numbers and the parallel thread ladder are deliberately
-/// not gated — they measure the host (compiler, core count) more than
-/// the code.
+/// `docs/serving.md` optimizes for), and the fused median of the two
+/// scan-heavy fusion cases (a regression there means the fold itself got
+/// slower). Cold prepared numbers are deliberately not gated — they
+/// measure the host (compiler, disk cache) more than the code. A report
+/// from before schema v7 has a `parallel` section where `fusion` is now:
+/// comparing against it is an error naming the missing section, never a
+/// silent pass.
 const SECTIONS: [(&str, &[&str]); 4] = [
     ("queries", &["median_nanos", "p95_nanos"]),
     ("prepared", &["warm_median_nanos"]),
-    ("parallel", &["fused_median_nanos"]),
+    ("fusion", &["fused_median_nanos"]),
     // The wire server's single-client warm round trip (schema v6). The
     // throughput ladder is deliberately not gated — queries/second at 64
     // clients measures the host's core count more than the code.
@@ -230,9 +231,9 @@ mod tests {
                 ])]),
             ),
             (
-                "parallel",
+                "fusion",
                 Json::Arr(vec![Json::obj(vec![
-                    ("name", Json::str("par1")),
+                    ("name", Json::str("f1")),
                     ("fused_median_nanos", Json::from(median)),
                 ])]),
             ),
@@ -324,5 +325,18 @@ mod tests {
         let err = compare_reports(&current, &old, 50.0, 100_000.0).unwrap_err();
         assert!(err.contains("`serving`"), "{err}");
         assert!(compare_reports(&old, &current, 50.0, 100_000.0).is_err());
+
+        // A pre-v7 baseline still calls the section `parallel`: refused by
+        // name on whichever side it sits, so it cannot pass silently.
+        let mut stale = report(1_000_000, 500_000, false);
+        if let Json::Obj(fields) = &mut stale {
+            for (k, _) in fields.iter_mut().filter(|(k, _)| k == "fusion") {
+                *k = "parallel".to_string();
+            }
+        }
+        for (cur, base) in [(&current, &stale), (&stale, &current)] {
+            let err = compare_reports(cur, base, 50.0, 100_000.0).unwrap_err();
+            assert!(err.contains("no `fusion` array"), "{err}");
+        }
     }
 }

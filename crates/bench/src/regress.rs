@@ -13,9 +13,8 @@
 //! [`crate::compare`]), the baseline the fresh run is gated on. The
 //! report deliberately contains no timestamps — two runs on the same
 //! machine diff cleanly — but it does carry a [`HostMeta`] header
-//! (logical cores, rustc version, thread-count env), because the
-//! parallel section's speedup-<1 numbers are meaningless without
-//! knowing how many cores the host had.
+//! (logical cores, rustc version, OS), because latencies from different
+//! machines are not like-for-like.
 
 use crate::harness::percentile_nanos;
 use crate::queries;
@@ -60,41 +59,23 @@ pub struct QueryReport {
     pub analysis_p50_nanos: u128,
 }
 
-/// One thread count's latency for a parallel-bench query.
-pub struct ParallelPoint {
-    pub threads: usize,
-    /// Workers the engine actually spawned (0 when it fell back, e.g.
-    /// `threads = 1`).
-    pub workers: usize,
-    pub p50_nanos: u128,
-    pub p95_nanos: u128,
-    /// Sequential median ÷ this median, with both medians taken from the
-    /// *same interleaved run* (each iteration samples the sequential
-    /// baseline and every thread count back to back, so ambient machine
-    /// drift hits all series equally). On a single-core host this hovers
-    /// around (or below) 1.0 — the point of tracking it per thread count
-    /// is the trajectory across machines and PRs, not one absolute number.
-    pub speedup_vs_sequential: f64,
-}
-
-/// The ordered-parallel-reduction section: one query run at several
-/// thread counts against its sequential baseline, plus the fused-vs-
-/// plan-walk ablation on one thread (the same linear chains the parallel
-/// engine partitions are the ones the fused engine compiles).
-pub struct ParallelBench {
+/// The fusion section: one scan-heavy linear chain timed on the engine
+/// production runs (the fused fold) against the forced plan walk, with
+/// both medians taken from the same interleaved run.
+pub struct FusionBench {
     pub name: &'static str,
     pub monoid: &'static str,
     pub source: String,
-    /// Sequential median on the default engine (fused, for these cases).
-    pub sequential_p50_nanos: u128,
-    /// Sequential median with the plan-walk interpreter forced
+    /// Median on the default engine (fused, for these cases) — gated by
+    /// [`crate::compare`].
+    pub fused_p50_nanos: u128,
+    /// Median with the plan-walk interpreter forced
     /// ([`monoid_algebra::execute_plan_walk_bound`]) — the ablation baseline.
     pub plan_walk_p50_nanos: u128,
-    /// Plan-walk median ÷ fused median: what fusion buys on one thread.
+    /// Plan-walk median ÷ fused median: what fusion buys.
     pub fused_speedup: f64,
     /// The engine `execute` routes this query through (`"fused"`).
     pub engine: &'static str,
-    pub threads: Vec<ParallelPoint>,
 }
 
 /// One prepared statement: the cold path (prepare + execute, the whole
@@ -113,21 +94,18 @@ pub struct PreparedBench {
 }
 
 /// Host facts stamped into the report header: the context that makes
-/// latency and speedup numbers interpretable when reports from
-/// different machines meet (a speedup below 1.0 reads very differently
-/// on one core than on sixteen).
+/// latency numbers interpretable when reports from different machines
+/// meet.
 #[derive(Debug, Clone)]
 pub struct HostMeta {
-    /// `std::thread::available_parallelism()` — what the parallel
-    /// engine's `default_threads` sees.
+    /// `std::thread::available_parallelism()` — what the serving
+    /// section's multi-client throughput points are bounded by.
     pub logical_cores: usize,
     /// `rustc --version` output, or `"unknown"` when the compiler is
     /// not on PATH at run time.
     pub rustc: String,
     /// Target OS and architecture, e.g. `linux x86_64`.
     pub os: String,
-    /// The `MONOID_PARALLEL_THREADS` override in force, if any.
-    pub parallel_threads_env: Option<String>,
 }
 
 /// Gather the [`HostMeta`] for this process.
@@ -145,7 +123,6 @@ pub fn host_meta() -> HostMeta {
             .unwrap_or(1),
         rustc,
         os: format!("{} {}", std::env::consts::OS, std::env::consts::ARCH),
-        parallel_threads_env: std::env::var("MONOID_PARALLEL_THREADS").ok(),
     }
 }
 
@@ -155,10 +132,6 @@ impl HostMeta {
             ("logical_cores", Json::from(self.logical_cores)),
             ("rustc", Json::str(self.rustc.clone())),
             ("os", Json::str(self.os.clone())),
-            (
-                "parallel_threads_env",
-                self.parallel_threads_env.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
         ])
     }
 }
@@ -171,8 +144,8 @@ pub struct RegressReport {
     pub warm: bool,
     pub runs_per_query: usize,
     pub queries: Vec<QueryReport>,
-    /// Parallel reduction latencies per thread count (B6-style section).
-    pub parallel: Vec<ParallelBench>,
+    /// Fused fold vs forced plan walk on two scan-heavy linear chains.
+    pub fusion: Vec<FusionBench>,
     /// Prepared-statement serving latencies (cold prepare vs warm
     /// execute); the workload also runs through a `Session` + `PlanCache`
     /// so the `plan_cache_*` counters land in the registry delta below.
@@ -321,7 +294,7 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
             analysis_p50_nanos: percentile_nanos(&analysis_samples, 50.0),
         });
     }
-    let parallel = run_parallel_section(quick, runs);
+    let fusion = run_fusion_section(quick, runs);
     let prepared = run_prepared_section(quick, runs, warm);
     let serving = crate::serving::run_serving_section(quick);
     let registry = metrics::global().snapshot().diff(&before);
@@ -332,7 +305,7 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
         warm,
         runs_per_query: runs,
         queries: reports,
-        parallel,
+        fusion,
         prepared,
         serving,
         registry,
@@ -439,16 +412,12 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
         .collect()
 }
 
-/// Time the ordered parallel reduction engine at several thread counts —
-/// a commutative fold and an order-sensitive list build — against their
-/// sequential medians. Every [`monoid_algebra::execute_parallel_bound`] run
-/// flushes its report into the `parallel_*` registry family (workers,
-/// per-worker rows, `parallel_fallback_total{reason}`), which therefore
-/// lands in the report's Prometheus section.
-fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
+/// Time the fused fold against the forced plan walk on a commutative
+/// fold and an order-sensitive list build over the same scan → unnest
+/// chain.
+fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
     let scale = TravelScale::with_hotels(if quick { 64 } else { 1024 });
     let db = travel::generate(scale, 7);
-    let thread_counts = [1usize, 2, 4, 8];
     let cases = [
         (
             "sum-beds",
@@ -480,67 +449,31 @@ fn run_parallel_section(quick: bool, runs: usize) -> Vec<ParallelBench> {
     cases
         .into_iter()
         .map(|(name, monoid, source, expr)| {
-            let plan = monoid_algebra::plan_comprehension(&expr).expect("parallel case plans");
-            // One untimed pass per thread count: the warm-up, and where
-            // each point's worker count comes from.
-            let workers: Vec<usize> = thread_counts
-                .iter()
-                .map(|&t| {
-                    let (_, report) = monoid_algebra::execute_parallel_bound(&plan, &db, t, &[])
-                        .expect("parallel case executes");
-                    report.workers
-                })
-                .collect();
-            // Interleaved sampling: each iteration takes one fused
-            // sequential sample, one forced-plan-walk sample, and one
-            // sample per thread count back to back, so every speedup
-            // below compares medians from the same stretch of wall clock
-            // instead of a sequential pass taken minutes earlier.
+            let plan = monoid_algebra::plan_comprehension(&expr).expect("fusion case plans");
+            // Interleaved sampling: each iteration takes one fused sample
+            // and one forced-plan-walk sample back to back, so the speedup
+            // compares medians from the same stretch of wall clock.
             let mut fused_samples = Vec::with_capacity(runs);
             let mut plan_walk_samples = Vec::with_capacity(runs);
-            let mut par_samples: Vec<Vec<u128>> =
-                thread_counts.iter().map(|_| Vec::with_capacity(runs)).collect();
             for _ in 0..runs {
                 let started = Instant::now();
-                monoid_algebra::execute(&plan, &db).expect("sequential baseline");
+                monoid_algebra::execute(&plan, &db).expect("fused run");
                 fused_samples.push(started.elapsed().as_nanos());
                 let started = Instant::now();
                 monoid_algebra::execute_plan_walk_bound(&plan, &db, &[])
                     .expect("plan-walk baseline");
                 plan_walk_samples.push(started.elapsed().as_nanos());
-                for (slot, &t) in par_samples.iter_mut().zip(&thread_counts) {
-                    let started = Instant::now();
-                    monoid_algebra::execute_parallel_bound(&plan, &db, t, &[])
-                        .expect("parallel case executes");
-                    slot.push(started.elapsed().as_nanos());
-                }
             }
-            let sequential_p50_nanos = percentile_nanos(&fused_samples, 50.0);
+            let fused_p50_nanos = percentile_nanos(&fused_samples, 50.0);
             let plan_walk_p50_nanos = percentile_nanos(&plan_walk_samples, 50.0);
-            let threads = thread_counts
-                .iter()
-                .zip(&workers)
-                .zip(&par_samples)
-                .map(|((&t, &workers), samples)| {
-                    let p50 = percentile_nanos(samples, 50.0);
-                    ParallelPoint {
-                        threads: t,
-                        workers,
-                        p50_nanos: p50,
-                        p95_nanos: percentile_nanos(samples, 95.0),
-                        speedup_vs_sequential: sequential_p50_nanos as f64 / p50.max(1) as f64,
-                    }
-                })
-                .collect();
-            ParallelBench {
+            FusionBench {
                 name,
                 monoid,
                 source: source.to_string(),
-                sequential_p50_nanos,
+                fused_p50_nanos,
                 plan_walk_p50_nanos,
-                fused_speedup: plan_walk_p50_nanos as f64 / sequential_p50_nanos.max(1) as f64,
+                fused_speedup: plan_walk_p50_nanos as f64 / fused_p50_nanos.max(1) as f64,
                 engine: monoid_algebra::engine_of(&plan).as_str(),
-                threads,
             }
         })
         .collect()
@@ -621,37 +554,18 @@ impl RegressReport {
                 })
                 .collect(),
         );
-        let parallel = Json::Arr(
-            self.parallel
+        let fusion = Json::Arr(
+            self.fusion
                 .iter()
                 .map(|p| {
-                    let threads = Json::Arr(
-                        p.threads
-                            .iter()
-                            .map(|t| {
-                                Json::obj(vec![
-                                    ("threads", Json::from(t.threads)),
-                                    ("workers", Json::from(t.workers)),
-                                    ("median_nanos", Json::from(t.p50_nanos)),
-                                    ("p95_nanos", Json::from(t.p95_nanos)),
-                                    (
-                                        "speedup_vs_sequential",
-                                        Json::Float(t.speedup_vs_sequential),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    );
                     Json::obj(vec![
                         ("name", Json::str(p.name)),
                         ("monoid", Json::str(p.monoid)),
                         ("source", Json::str(p.source.clone())),
-                        ("sequential_median_nanos", Json::from(p.sequential_p50_nanos)),
-                        ("fused_median_nanos", Json::from(p.sequential_p50_nanos)),
+                        ("fused_median_nanos", Json::from(p.fused_p50_nanos)),
                         ("plan_walk_median_nanos", Json::from(p.plan_walk_p50_nanos)),
                         ("fused_speedup", Json::Float(p.fused_speedup)),
                         ("engine", Json::str(p.engine)),
-                        ("threads", threads),
                     ])
                 })
                 .collect(),
@@ -678,15 +592,15 @@ impl RegressReport {
         };
         Json::obj(vec![
             ("bench", Json::str("regress")),
-            // Version 6 added the `serving` section (wire-server
-            // throughput + gated warm round trip).
-            ("schema_version", Json::Int(6)),
+            // Version 6 added the `serving` section; version 7 replaced
+            // `parallel` (thread ladder) with `fusion` (fused vs plan walk).
+            ("schema_version", Json::Int(7)),
             ("host", self.host.to_json()),
             ("quick", Json::Bool(self.quick)),
             ("warm", Json::Bool(self.warm)),
             ("runs_per_query", Json::from(self.runs_per_query)),
             ("queries", queries),
-            ("parallel", parallel),
+            ("fusion", fusion),
             ("prepared", prepared),
             ("serving", serving),
             ("operator_rows", pairs_json(self.operator_rows())),
@@ -722,31 +636,19 @@ mod tests {
         // The Prometheus rendering of the delta is valid text format.
         validate_prometheus_text(&report.prometheus).unwrap();
         assert!(report.prometheus.contains("exec_rows_pushed_total"), "{}", report.prometheus);
-        // The parallel section covers both a commutative and an ordered
-        // monoid, across the full thread ladder, and its threads=1 runs
-        // put the fallback series into the Prometheus exposition.
-        assert_eq!(report.parallel.len(), 2);
-        for p in &report.parallel {
-            assert_eq!(
-                p.threads.iter().map(|t| t.threads).collect::<Vec<_>>(),
-                vec![1, 2, 4, 8]
-            );
-            assert_eq!(p.threads[0].workers, 0, "threads=1 falls back");
-            assert!(p.threads[2].workers >= 2, "threads=4 fans out");
-            for t in &p.threads {
-                assert!(t.p50_nanos > 0 && t.speedup_vs_sequential > 0.0);
-            }
-            // Both cases are linear chains: the default engine is fused,
-            // and the forced plan walk was timed alongside it.
+        // The fusion section covers both a commutative and an ordered
+        // monoid. Both cases are linear chains: the default engine is
+        // fused, and the forced plan walk was timed alongside it.
+        assert_eq!(report.fusion.len(), 2);
+        for p in &report.fusion {
             assert_eq!(p.engine, "fused", "{}", p.name);
+            assert!(p.fused_p50_nanos > 0, "{}", p.name);
             assert!(p.plan_walk_p50_nanos > 0 && p.fused_speedup > 0.0, "{}", p.name);
         }
-        assert!(
-            report.prometheus.contains("parallel_fallback_total{reason=\"single-thread\"}"),
-            "{}",
-            report.prometheus
-        );
-        assert!(report.prometheus.contains("parallel_workers_total"), "{}", report.prometheus);
+        // Neither the deleted parallel engine's metric family nor its
+        // retired lint code can reach a regenerated baseline.
+        assert!(!report.prometheus.contains("parallel_"), "{}", report.prometheus);
+        assert!(!report.prometheus.contains("code=\"MC005\""), "{}", report.prometheus);
         // The prepared-statement section: every case timed on both paths,
         // and the session loop put plan-cache traffic into the delta —
         // exactly one miss per statement, the rest hits.
@@ -792,8 +694,7 @@ mod tests {
             "\"registry\"",
             "\"rows_to_reduce\"",
             "\"analysis_nanos\"",
-            "\"parallel\"",
-            "\"speedup_vs_sequential\"",
+            "\"fusion\"",
             "\"fused_median_nanos\"",
             "\"plan_walk_median_nanos\"",
             "\"fused_speedup\"",

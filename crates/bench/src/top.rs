@@ -2,7 +2,7 @@
 //! [`QueryRecord`]s — a live [`monoid_calculus::recorder::global`]
 //! snapshot or a dumped journal — into per-statement statistics (count,
 //! latency percentiles, cache hit ratio, rows) plus fleet-wide totals
-//! (phase breakdown, fallback reasons, error and slow counts).
+//! (phase breakdown, error and slow counts).
 //!
 //! Records group by [`QueryRecord::fingerprint`], not source text: the
 //! ring truncates long sources, but the fingerprint always covers the
@@ -84,8 +84,6 @@ pub struct TopReport {
     /// Nanos per lifecycle phase, summed over all records (indexed by
     /// [`Phase::index`]).
     pub phase_totals: [u128; Phase::ALL.len()],
-    /// Parallel fallback reasons and how often each fired.
-    pub fallbacks: Vec<(String, u64)>,
     pub queries: Vec<QueryStats>,
 }
 
@@ -110,12 +108,6 @@ pub fn aggregate(records: &[QueryRecord]) -> TopReport {
         }
         for phase in Phase::ALL {
             report.phase_totals[phase.index()] += u128::from(r.phase_nanos(phase));
-        }
-        if let Some(reason) = &r.parallel_fallback {
-            match report.fallbacks.iter_mut().find(|(name, _)| name == reason) {
-                Some((_, n)) => *n += 1,
-                None => report.fallbacks.push((reason.clone(), 1)),
-            }
         }
         let entry = match groups.iter_mut().find(|(fp, _, _)| *fp == r.fingerprint) {
             Some(entry) => entry,
@@ -202,9 +194,6 @@ impl TopReport {
         if !phase_line.is_empty() {
             out.push_str(&format!("phases: {}\n", phase_line.join(" | ")));
         }
-        for (reason, count) in &self.fallbacks {
-            out.push_str(&format!("parallel fallback `{reason}`: {count}\n"));
-        }
         out.push('\n');
         let mut ranked: Vec<&QueryStats> = self.queries.iter().collect();
         match sort {
@@ -259,15 +248,6 @@ impl TopReport {
             ("cache_misses", Json::from(self.cache_misses)),
             ("uncached", Json::from(self.uncached)),
             ("phase_totals", phases),
-            (
-                "fallbacks",
-                Json::Obj(
-                    self.fallbacks
-                        .iter()
-                        .map(|(name, n)| (name.clone(), Json::from(*n)))
-                        .collect(),
-                ),
-            ),
             (
                 "queries",
                 Json::Arr(self.queries.iter().map(QueryStats::to_json).collect()),
@@ -344,20 +324,17 @@ mod tests {
     }
 
     #[test]
-    fn errors_fallbacks_and_slow_counts_surface() {
+    fn errors_and_slow_counts_surface() {
         let mut failed = record("q1", 500, CacheDisposition::Uncached);
         failed.error = Some("boom".to_string());
         let mut slow = record("q1", 9_000, CacheDisposition::Uncached);
         slow.slow = true;
-        slow.parallel_fallback = Some("mutation".to_string());
         let top = aggregate(&[failed, slow]);
         assert_eq!(top.errors, 1);
         assert_eq!(top.slow, 1);
-        assert_eq!(top.fallbacks, vec![("mutation".to_string(), 1)]);
         assert_eq!(top.cache_hit_ratio(), None);
         let rendered = top.render(10, SortBy::Total);
-        assert!(rendered.contains("1 errors"), "{rendered}");
-        assert!(rendered.contains("mutation"), "{rendered}");
+        assert!(rendered.contains("1 errors, 1 slow"), "{rendered}");
     }
 
     #[test]
@@ -400,7 +377,7 @@ mod tests {
         // Non-journals are rejected.
         assert!(load_journal("{}").is_err());
         assert!(load_journal("not json").is_err());
-        assert!(load_journal(r#"{"schema_version":4,"records":[42]}"#).is_err());
+        assert!(load_journal(r#"{"schema_version":5,"records":[42]}"#).is_err());
     }
 
     #[test]
@@ -408,12 +385,12 @@ mod tests {
         let good = record("q1", 1_000, CacheDisposition::Miss).to_json();
         // A journal from another schema version: refused, both versions named.
         for (doc, declared) in [
-            (journal(3, vec![good.clone()]), "version 3"),
+            (journal(4, vec![good.clone()]), "version 4"),
             (Json::obj(vec![("records", Json::Arr(vec![good.clone()]))]).render(), "version none"),
         ] {
             let err = load_journal(&doc).unwrap_err();
             assert!(err.contains(declared), "{err}");
-            assert!(err.contains(&format!("only version {JOURNAL_SCHEMA_VERSION}")), "{err}");
+            assert!(err.contains("this build reads only version 5"), "{err}");
         }
         // A current-version journal whose record lacks a field: refused,
         // record and field named.
@@ -423,6 +400,15 @@ mod tests {
         }
         let err = load_journal(&journal(JOURNAL_SCHEMA_VERSION, vec![short])).unwrap_err();
         assert!(err.contains("record 0") && err.contains("`cache`"), "{err}");
+        // Unknown keys are ignored, as they always were: a v5 record still
+        // carrying the retired `parallel_workers` key loads unchanged.
+        let plain = record("q1", 1_000, CacheDisposition::Miss);
+        let mut stray = plain.to_json();
+        if let Json::Obj(fields) = &mut stray {
+            fields.push(("parallel_workers".to_string(), Json::from(4u64)));
+        }
+        let loaded = load_journal(&journal(JOURNAL_SCHEMA_VERSION, vec![stray])).unwrap();
+        assert_eq!(loaded, vec![plain]);
     }
 
     #[test]

@@ -15,8 +15,7 @@
 //!   term cannot be freely duplicated/deleted/reordered (same bar as
 //!   [`crate::normalize::is_pure`]).
 //! * **short_circuits** — contains a `some`/`all` reduction: executors may
-//!   stop early, which the parallel engine turns into a cross-worker stop
-//!   flag.
+//!   stop early.
 //!
 //! [`EffectSummary::of`] pairs the root effect with the term's free
 //! variables; at a query root the free variables are precisely the named
@@ -67,13 +66,6 @@ impl Effects {
     /// not an effect in that sense — a pure `some{…}` is still pure).
     pub fn is_pure(self) -> bool {
         !self.allocates && !self.mutates && !self.reads_heap
-    }
-
-    /// Partition order is unobservable: no in-place heap write. (The
-    /// calculus-level verdict; the algebra only ever plans — and so only
-    /// ever partitions — comprehensions that are [`Effects::is_pure`].)
-    pub fn parallel_safe(self) -> bool {
-        !self.mutates
     }
 }
 
@@ -228,10 +220,6 @@ impl EffectSummary {
         self.effects.is_pure()
     }
 
-    pub fn parallel_safe(&self) -> bool {
-        self.effects.parallel_safe()
-    }
-
     /// Does the term reference any named extent (free variable)?
     pub fn reads_extents(&self) -> bool {
         !self.free.is_empty()
@@ -263,7 +251,6 @@ mod tests {
         );
         let eff = effects_of(&e);
         assert!(eff.is_pure());
-        assert!(eff.parallel_safe());
         assert!(!eff.short_circuits);
     }
 
@@ -276,7 +263,6 @@ mod tests {
         );
         let eff = effects_of(&e);
         assert!(eff.mutates);
-        assert!(!eff.parallel_safe());
         assert!(!eff.is_pure());
     }
 

@@ -15,9 +15,9 @@
 //!   valuation of the other variables ([`KeyCert`]);
 //! * **functional dependencies** — every `v ≡ e` bind determines `v`
 //!   from the generator variables free in `e` ([`FunDep`]);
-//! * **engine certificates** — a static fused-eligibility and
-//!   parallel-safety verdict mirroring the planner + fused compiler,
-//!   with a source-spanned refusal reason ([`EngineCert`]). Under
+//! * **the fused-engine certificate** — a static fused-eligibility
+//!   verdict mirroring the planner + fused compiler, with a
+//!   source-spanned refusal reason ([`fused_verdict`]). Under
 //!   `MONOID_VERIFY` the algebra layer asserts the runtime decision
 //!   matches this certificate, turning silent fallbacks into detectable
 //!   analysis bugs.
@@ -120,17 +120,6 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// The static engine certificates: computed from the calculus *before*
-/// plan build, and asserted against the runtime decisions under
-/// `MONOID_VERIFY`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineCert {
-    /// Would the fused single-fold engine take this query?
-    pub fused: Verdict,
-    /// Is partitioned parallel reduction safe (no heap mutation)?
-    pub parallel: Verdict,
-}
-
 /// Everything the abstract interpreter derives about one comprehension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFacts {
@@ -142,28 +131,14 @@ pub struct QueryFacts {
     pub gens: Vec<GenFacts>,
     pub keys: Vec<KeyCert>,
     pub deps: Vec<FunDep>,
-    pub engine: EngineCert,
+    /// Would the fused single-fold engine take this query? Computed from
+    /// the calculus *before* plan build ([`fused_verdict`]).
+    pub fused: Verdict,
 }
 
 // ---------------------------------------------------------------------------
-// Engine certificates: a faithful mirror of plan_with_options + fused::compile
+// The fused certificate: a faithful mirror of plan_with_options + fused::compile
 // ---------------------------------------------------------------------------
-
-/// Compute the engine certificates for `e` (any term; non-comprehensions
-/// are refused with the same classification the planner would emit).
-pub fn engine_certificate(e: &Expr, spans: &SpanMap) -> EngineCert {
-    let eff = effects_of(e);
-    let parallel = if eff.mutates {
-        Verdict::refused(
-            "the query mutates the heap (`:=`); partitioned workers would race on object state"
-                .into(),
-            spans.expr_span(e),
-        )
-    } else {
-        Verdict::Eligible
-    };
-    EngineCert { fused: fused_verdict(e, spans), parallel }
-}
 
 /// The first subterm of `e` outside the fused compiler's expression
 /// subset (literals, variables, parameters, records, tuples, projections,
@@ -212,8 +187,10 @@ fn describe(e: &Expr) -> &'static str {
 /// (and therefore the join/unnest classification) agrees with
 /// `plan_with_options`, and the expression subset agrees with
 /// `fused::compile`. The first generator's source is exempt — the fused
-/// engine evaluates it with the full evaluator.
-fn fused_verdict(e: &Expr, spans: &SpanMap) -> Verdict {
+/// engine evaluates it with the full evaluator. Any term is accepted;
+/// non-comprehensions are refused with the same classification the
+/// planner would emit.
+pub fn fused_verdict(e: &Expr, spans: &SpanMap) -> Verdict {
     let Expr::Comp { monoid, head, quals } = e else {
         return Verdict::refused(
             "not a comprehension (evaluated directly)".into(),
@@ -781,7 +758,7 @@ fn numeric_or_lit(e: &Expr) -> bool {
 
 /// Run the abstract interpreter over `e`.
 pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
-    let engine = engine_certificate(e, spans);
+    let fused = fused_verdict(e, spans);
     let Expr::Comp { monoid, head: _, quals } = e else {
         return QueryFacts {
             rows: Interval::UNBOUNDED,
@@ -789,7 +766,7 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
             gens: Vec::new(),
             keys: Vec::new(),
             deps: Vec::new(),
-            engine,
+            fused,
         };
     };
 
@@ -887,7 +864,7 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
                     gens: ctx.gens,
                     keys,
                     deps,
-                    engine,
+                    fused,
                 };
             }
         }
@@ -947,7 +924,7 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
             gens: ctx.gens,
             keys,
             deps,
-            engine,
+            fused,
         };
     }
 
@@ -957,7 +934,7 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
         gens: ctx.gens,
         keys,
         deps,
-        engine,
+        fused,
     }
 }
 
@@ -1002,8 +979,7 @@ fn infer_lints(e: &Expr, spans: &SpanMap, catalog: &Catalog) -> Vec<Diagnostic> 
     // MC009 only for the root term: nested comprehensions run inside the
     // evaluator anyway, so a per-subterm fallback note would be noise.
     if matches!(e, Expr::Comp { .. }) {
-        let cert = engine_certificate(e, spans);
-        if let Verdict::Refused { reason, span } = &cert.fused {
+        if let Verdict::Refused { reason, span } = &fused_verdict(e, spans) {
             diags.push(Diagnostic {
                 code: Code::FusedFallback,
                 severity: Code::FusedFallback.default_severity(),
@@ -1321,11 +1297,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_certificate_matches_the_fused_subset() {
+    fn fused_verdict_matches_the_fused_subset() {
         let linear = portland();
-        let cert = engine_certificate(&linear, &SpanMap::default());
-        assert!(cert.fused.is_eligible());
-        assert!(cert.parallel.is_eligible());
+        assert!(fused_verdict(&linear, &SpanMap::default()).is_eligible());
 
         let join = Expr::comp(
             Monoid::Bag,
@@ -1335,26 +1309,24 @@ mod tests {
                 Expr::gen("b", Expr::var("Hotels")),
             ],
         );
-        let cert = engine_certificate(&join, &SpanMap::default());
-        assert!(!cert.fused.is_eligible());
-        assert!(cert.fused.reason().unwrap().contains("join"), "{:?}", cert.fused);
+        let fused = fused_verdict(&join, &SpanMap::default());
+        assert!(!fused.is_eligible());
+        assert!(fused.reason().unwrap().contains("join"), "{fused:?}");
 
         let lambda_head = Expr::comp(
             Monoid::Bag,
             Expr::lambda("x", Expr::var("x")),
             vec![Expr::gen("a", Expr::var("Cities"))],
         );
-        let cert = engine_certificate(&lambda_head, &SpanMap::default());
-        assert!(cert.fused.reason().unwrap().contains("lambda"), "{:?}", cert.fused);
+        let fused = fused_verdict(&lambda_head, &SpanMap::default());
+        assert!(fused.reason().unwrap().contains("lambda"), "{fused:?}");
 
         let mutating = Expr::comp(
             Monoid::Bag,
             Expr::var("a").assign(Expr::int(1)),
             vec![Expr::gen("a", Expr::var("Cities"))],
         );
-        let cert = engine_certificate(&mutating, &SpanMap::default());
-        assert!(!cert.fused.is_eligible());
-        assert!(!cert.parallel.is_eligible());
+        assert!(!fused_verdict(&mutating, &SpanMap::default()).is_eligible());
     }
 
     #[test]
@@ -1370,8 +1342,8 @@ mod tests {
                 Expr::bind("b", Expr::var("x").proj("child")),
             ],
         );
-        let cert = engine_certificate(&e, &SpanMap::default());
-        assert!(cert.fused.is_eligible(), "{:?}", cert.fused);
+        let fused = fused_verdict(&e, &SpanMap::default());
+        assert!(fused.is_eligible(), "{fused:?}");
     }
 
     #[test]

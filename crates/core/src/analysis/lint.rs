@@ -6,8 +6,10 @@
 //! | MC002 | constant / unsatisfiable predicate |
 //! | MC003 | shadowed binding |
 //! | MC004 | duplicate generator under an idempotent merge |
-//! | MC005 | comprehension that cannot parallelize (with the reason) |
 //! | MC006 | hom/generator legality near-miss, with a fix hint |
+//!
+//! MC005 ("cannot parallelize") was retired with the parallel engine;
+//! codes are never renumbered.
 //!
 //! Lints run over the *translated, pre-normalization* calculus term — that
 //! is the shape closest to what the user wrote, and the shape the OQL
@@ -18,7 +20,6 @@
 //! Every emitted diagnostic increments
 //! `analysis_diagnostics_total{code}` in the process-wide registry.
 
-use super::effects::effects_of;
 use super::verify::source_monoid;
 use super::Span;
 use crate::expr::{BinOp, Expr, Literal, Qual};
@@ -57,8 +58,6 @@ pub enum Code {
     ShadowedBinding,
     /// MC004: duplicate generator source under an idempotent merge.
     DuplicateGenerator,
-    /// MC005: the query cannot be evaluated in parallel, with the reason.
-    NotParallelizable,
     /// MC006: a hom/generator violates the C/I restriction; a coercion
     /// would fix it.
     IllegalHom,
@@ -79,7 +78,6 @@ impl Code {
             Code::ConstantPredicate => "MC002",
             Code::ShadowedBinding => "MC003",
             Code::DuplicateGenerator => "MC004",
-            Code::NotParallelizable => "MC005",
             Code::IllegalHom => "MC006",
             Code::CrossProduct => "MC007",
             Code::StaticallyEmpty => "MC008",
@@ -93,7 +91,7 @@ impl Code {
             | Code::DuplicateGenerator | Code::CrossProduct | Code::StaticallyEmpty => {
                 Severity::Warning
             }
-            Code::NotParallelizable | Code::FusedFallback => Severity::Info,
+            Code::FusedFallback => Severity::Info,
             Code::IllegalHom => Severity::Error,
         }
     }
@@ -104,7 +102,6 @@ impl Code {
             Code::ConstantPredicate,
             Code::ShadowedBinding,
             Code::DuplicateGenerator,
-            Code::NotParallelizable,
             Code::IllegalHom,
             Code::CrossProduct,
             Code::StaticallyEmpty,
@@ -215,7 +212,6 @@ pub fn lint_with_spans(e: &Expr, spans: &SpanMap) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut scope: Vec<Symbol> = Vec::new();
     walk(e, &mut scope, spans, &mut diags);
-    parallel_lint(e, spans, &mut diags);
     record_metrics(&diags);
     diags
 }
@@ -519,35 +515,6 @@ fn legality_hint(source: &Monoid, target: &Monoid) -> String {
     }
 }
 
-/// MC005: can this query run under partitioned parallel reduction? One
-/// diagnostic per obstacle, each stating the reason.
-fn parallel_lint(root: &Expr, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
-    let eff = effects_of(root);
-    let mut obstacles: Vec<String> = Vec::new();
-    if eff.mutates {
-        obstacles.push(
-            "it mutates the heap (`:=`); partitioned workers would race on object state".into(),
-        );
-    }
-    if let Expr::Comp { quals, .. } = root {
-        let has_gen = quals
-            .iter()
-            .any(|q| matches!(q, Qual::Gen(..) | Qual::VecGen { .. }));
-        if !has_gen {
-            obstacles.push("it has no generators, so there is nothing to partition".into());
-        }
-    }
-    for reason in obstacles {
-        diags.push(
-            Diagnostic::new(
-                Code::NotParallelizable,
-                format!("query cannot be evaluated in parallel: {reason}"),
-            )
-            .at(spans.expr_span(root)),
-        );
-    }
-}
-
 /// Bump `analysis_diagnostics_total{code}` for each emitted diagnostic.
 /// Handles are resolved once per process.
 pub(super) fn record_metrics(diags: &[Diagnostic]) {
@@ -669,20 +636,6 @@ mod tests {
             ],
         );
         assert_eq!(codes(&lint(&e2)), vec!["MC001"]);
-    }
-
-    #[test]
-    fn mc005_mutation_blocks_parallelism() {
-        let e = Expr::comp(
-            Monoid::Bag,
-            Expr::var("x").assign(Expr::int(1)),
-            vec![Expr::gen("x", Expr::var("xs"))],
-        );
-        let diags = lint(&e);
-        assert!(codes(&diags).contains(&"MC005"), "got {diags:?}");
-        let d = diags.iter().find(|d| d.code == Code::NotParallelizable).unwrap();
-        assert!(d.message.contains(":="), "reason names the mutation: {d}");
-        assert_eq!(d.severity, Severity::Info);
     }
 
     #[test]

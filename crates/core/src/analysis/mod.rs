@@ -8,9 +8,9 @@
 //!
 //! * [`effects`] — a bottom-up effect-inference pass over [`Expr`]
 //!   (allocates / mutates / reads-heap / short-circuits, plus free
-//!   variables). The optimizer and the parallel engine consult the
-//!   resulting [`EffectSummary`] to decide parallelization and build-side
-//!   sharing statically instead of scanning plans at runtime.
+//!   variables). The planner, the fused compiler and the serving layer
+//!   consult the resulting [`EffectSummary`] statically instead of
+//!   scanning plans at runtime.
 //! * [`verify`] — the stage invariant verifier: [`verify::check_rewrite`]
 //!   re-checks scoping, C/I legality, type preservation, and
 //!   well-formedness after every normalize rule firing (on under
@@ -36,8 +36,7 @@ pub mod verify;
 pub use constraints::{AttrFacts, Catalog, ExtentFacts, FieldFacts, Interval};
 pub use effects::{effects_of, Effects, EffectSummary};
 pub use infer::{
-    engine_certificate, infer, lint_full, EngineCert, FunDep, GenFacts, KeyCert, QueryFacts,
-    Verdict,
+    fused_verdict, infer, lint_full, FunDep, GenFacts, KeyCert, QueryFacts, Verdict,
 };
 pub use lint::{lint, lint_with_spans, Code, Diagnostic, Severity, SpanMap};
 pub use verify::{check_rewrite, record_failure, verify_enabled, VerifyError};
@@ -152,7 +151,6 @@ impl AnalysisReport {
         );
         Json::obj(vec![
             ("effects", Json::str(self.effects.to_string())),
-            ("parallel_safe", Json::Bool(self.effects.parallel_safe())),
             ("diagnostics", diags),
         ])
     }

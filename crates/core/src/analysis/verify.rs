@@ -31,7 +31,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
     /// Which verifier stage tripped, e.g. `normalize/scoping`,
-    /// `normalize/legality`, `normalize/typing`, `plan/build`.
+    /// `normalize/legality`, `normalize/typing`, `plan/binders`.
     pub stage: &'static str,
     /// The normalize rule that fired, when the stage is per-rewrite.
     pub rule: Option<&'static str>,

@@ -5,7 +5,7 @@
 //! *remembers individual executions*: a fixed-capacity ring buffer holds
 //! one structured [`QueryRecord`] per executed query — source
 //! fingerprint, session id, plan-cache disposition, per-phase nanos,
-//! rows produced, effect summary, parallel fallback reason, and outcome
+//! rows produced, effect summary, engine, and outcome
 //! — so "what ran recently and why was it slow" is answerable after the
 //! fact, without having profiled anything up front.
 //!
@@ -136,11 +136,6 @@ pub struct QueryRecord {
     /// Rendered effect summary of the canonical form (empty when the
     /// recording layer had none at hand).
     pub effects: String,
-    /// Workers the parallel engine spawned (0 = sequential).
-    pub parallel_workers: u64,
-    /// Why the parallel engine fell back to sequential execution, when
-    /// it did (`"single-thread"`, `"too-few-rows"`).
-    pub parallel_fallback: Option<String>,
     /// Which execution engine ran the reduction (`"fused"` for the
     /// batch-fold engine, `"plan-walk"` for the plan-tree interpreter,
     /// `"eval"` for direct evaluation outside the algebra).
@@ -169,8 +164,6 @@ impl QueryRecord {
             total_nanos: 0,
             rows: 0,
             effects: String::new(),
-            parallel_workers: 0,
-            parallel_fallback: None,
             engine: None,
             snapshot_epoch: None,
             error: None,
@@ -209,11 +202,6 @@ impl QueryRecord {
             ("total_nanos", Json::from(self.total_nanos)),
             ("rows", Json::from(self.rows)),
             ("effects", Json::str(self.effects.clone())),
-            ("parallel_workers", Json::from(self.parallel_workers)),
-            (
-                "parallel_fallback",
-                self.parallel_fallback.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
             (
                 "engine",
                 self.engine.clone().map(Json::Str).unwrap_or(Json::Null),
@@ -263,8 +251,6 @@ impl QueryRecord {
             total_nanos: count("total_nanos")?,
             rows: count("rows")?,
             effects: text("effects")?.to_string(),
-            parallel_workers: count("parallel_workers")?,
-            parallel_fallback: opt_text("parallel_fallback")?,
             engine: opt_text("engine")?,
             snapshot_epoch: field("snapshot_epoch")?.as_u64(),
             error: opt_text("error")?,
@@ -275,8 +261,9 @@ impl QueryRecord {
 
 /// Version stamped into [`FlightRecorder::to_json`] journals. Bump when
 /// the record schema changes shape: loaders refuse any other version.
-/// Version 3 added the `engine` field; version 4 added `snapshot_epoch`.
-pub const JOURNAL_SCHEMA_VERSION: u64 = 4;
+/// Version 3 added the `engine` field; version 4 added `snapshot_epoch`;
+/// version 5 dropped `parallel_workers` / `parallel_fallback`.
+pub const JOURNAL_SCHEMA_VERSION: u64 = 5;
 
 /// Hash of the full source text (stable within a process, like the plan
 /// cache's schema fingerprint).
@@ -629,15 +616,6 @@ pub fn note_effects(render: impl FnOnce() -> String) {
     with_active(|r| r.effects = render());
 }
 
-/// Record what the parallel engine did: workers spawned and the
-/// fallback reason, if it ran sequentially.
-pub fn note_parallel(workers: u64, fallback: Option<&str>) {
-    with_active(|r| {
-        r.parallel_workers = workers;
-        r.parallel_fallback = fallback.map(str::to_string);
-    });
-}
-
 /// Record which execution engine ran the reduction (`"fused"`,
 /// `"plan-walk"`, `"eval"`). Overwrites — the layer that actually
 /// executed notes last.
@@ -781,8 +759,6 @@ mod tests {
         r.total_nanos = 5678;
         r.rows = 3;
         r.effects = "reads heap".to_string();
-        r.parallel_workers = 4;
-        r.parallel_fallback = Some("mutation".to_string());
         r.engine = Some("fused".to_string());
         r.snapshot_epoch = Some(41);
         r.error = Some("boom".to_string());

@@ -1,6 +1,7 @@
 //! Pins the entry-point surface so the `{&mut Database, &Snapshot} ×
-//! {bound, unbound} × {engine, probe, threads}` matrix cannot silently
-//! regrow.
+//! {bound, unbound} × {engine, probe}` matrix cannot silently regrow, and
+//! with it the option count: the `MONOID_*` variables the library reads
+//! and the variants of `Plan`.
 //!
 //! A plan is a pure read: every executor in `monoid_algebra`, and the
 //! prepare/cache/profile half of `monoid_db`, takes a `&Snapshot` (which a
@@ -23,7 +24,6 @@ const ALGEBRA_EXECUTE: &[&str] = &[
     "execute",
     "execute_counted_bound",
     "execute_metered_bound",
-    "execute_parallel_bound",
     "execute_plan_walk_bound",
     "execute_profiled_bound",
     "execute_snapshot_bound",
@@ -42,6 +42,17 @@ const SERVING_ENTRY_POINTS: &[&str] = &[
     "prepare_expr",
     "prepare_on",
     "prepare_on_snapshot",
+];
+
+/// Every environment variable the library and its binaries read
+/// (ROADMAP 4b's option count). Test-only switches (`MONOID_SERVER_SMOKE`,
+/// …) live under `tests/` and are not options of the system.
+const ENV_VARS: &[&str] = &[
+    "MONOID_AUDIT",
+    "MONOID_RECORDER",
+    "MONOID_RECORDER_CAPACITY",
+    "MONOID_SLOW_QUERY_NANOS",
+    "MONOID_VERIFY",
 ];
 
 /// Accessors on [`monoid_db::Prepared`] whose names happen to share an
@@ -134,13 +145,62 @@ fn is_entry_point(name: &str) -> bool {
 }
 
 fn algebra_sources() -> Vec<PathBuf> {
-    let mut files: Vec<PathBuf> = fs::read_dir(root().join("crates/algebra/src"))
-        .expect("algebra sources")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .collect();
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/algebra/src"), &mut files);
     files.sort();
     files
+}
+
+/// Every `.rs` file under `dir`, recursively, skipping `tests/` trees.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("dir entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "tests") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_library_reads_exactly_the_pinned_environment_variables() {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates"), &mut files);
+    rust_files(&root().join("src"), &mut files);
+    let mut found = BTreeSet::new();
+    for file in files {
+        let code = code_of(&file);
+        for (at, _) in code.match_indices("env::var") {
+            // `env::var("NAME")` / `env::var_os("NAME")`: the first string
+            // literal after the call is the variable.
+            let name = code[at..].split('"').nth(1).unwrap_or("<not a literal>");
+            found.insert(name.to_string());
+        }
+    }
+    assert_eq!(found, set_of(ENV_VARS), "the set of environment variables read changed");
+}
+
+/// A logical plan holds operators, not materialized data: six variants,
+/// and the hash join's build table is `exec.rs`'s private temporary.
+#[test]
+fn plan_has_six_variants_and_no_build_table() {
+    let logical = code_of(&root().join("crates/algebra/src/logical.rs"));
+    let body = logical
+        .split("pub enum Plan {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}").next())
+        .expect("`pub enum Plan` in logical.rs");
+    let variants: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("    "))
+        .filter(|l| l.starts_with(char::is_uppercase))
+        .map(|l| l.split([' ', '{', ',']).next().unwrap_or(l))
+        .collect();
+    assert_eq!(variants, ["Scan", "Unnest", "Filter", "Bind", "Join", "IndexLookup"]);
+    assert!(!logical.contains("BuildTable"), "logical.rs names `BuildTable`");
 }
 
 #[test]

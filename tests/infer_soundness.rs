@@ -5,8 +5,7 @@
 //!   execution probe actually observed flowing into the reduction;
 //! * every key certificate survives an exhaustive duplicate check over
 //!   the store it was derived from;
-//! * the static engine certificate agrees with the fused compiler and
-//!   the parallel engine's own verdicts.
+//! * the static fused certificate agrees with the fused compiler.
 //!
 //! Queries and stores are both random: ≥ 256 cases over seeded travel
 //! databases and a grammar of canonical comprehensions (dependent and
@@ -231,17 +230,11 @@ proptest! {
         let facts = infer(&e, catalog, &SpanMap::default());
         let query = plan_comprehension(&e).unwrap();
 
-        // The engine certificate is the fused/parallel decision, statically.
+        // The fused certificate is the engine decision, statically.
         prop_assert_eq!(
-            facts.engine.fused.is_eligible(),
+            facts.fused.is_eligible(),
             fused_eligible(&query),
             "fused certificate disagrees with the compiler on {:?}", s
-        );
-        // Anything the planner accepts is pure, and the parallel engine
-        // partitions every pure plan.
-        prop_assert!(
-            facts.engine.parallel.is_eligible(),
-            "parallel certificate refuses a planned (hence pure) query: {:?}", s
         );
 
         // The probe's observed row count lies inside the inferred interval.

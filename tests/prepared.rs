@@ -1,8 +1,7 @@
 //! The prepared-statement differential suite: for every parameterized
 //! query, `prepare` + `Prepared::execute` must be byte-identical to the
 //! ad-hoc pipeline run on the literal-substituted source — same `Value`,
-//! same OIDs for allocating heads — sequentially and on the parallel
-//! engine at `MONOID_PARALLEL_THREADS` ∈ {1, 3}. Plus the serving-layer
+//! same OIDs for allocating heads. Plus the serving-layer
 //! property tests: re-binding never changes the plan, cache hits are
 //! indistinguishable from misses, and a database mutation between
 //! executions always invalidates the epoch-stamped cache entry.
@@ -134,35 +133,6 @@ fn prepared_execution_is_byte_identical_to_adhoc() {
         let q = compile(db_adhoc.schema(), &literal).unwrap();
         assert_eq!(db_adhoc.query(&q).unwrap(), want, "direct eval differs for `{literal}`");
     }
-}
-
-#[test]
-fn prepared_parallel_agrees_at_one_and_three_threads() {
-    for threads in ["1", "3"] {
-        std::env::set_var("MONOID_PARALLEL_THREADS", threads);
-        for (src, params, literal) in corpus() {
-            let mut db_adhoc = db(23);
-            let mut db_prep = db(23);
-            let want = adhoc(&mut db_adhoc, &literal);
-            let prepared = prepare_on(&db_prep, src).unwrap();
-            // Plan-mode statements go straight to the parallel engine;
-            // evaluator-mode ones have no plan to partition.
-            let got = match prepared.query() {
-                Some(q) => monoid_db::algebra::execute_parallel_bound(
-                    q,
-                    &db_prep,
-                    monoid_db::algebra::default_threads(),
-                    params.bindings(),
-                )
-                .map(|(v, _)| v)
-                .map_err(Into::into),
-                None => prepared.execute(&mut db_prep, &params),
-            }
-            .unwrap_or_else(|e: monoid_db::AnalyzeError| panic!("parallel({threads}) `{src}`: {e}"));
-            assert_eq!(got, want, "parallel({threads}) differs for `{src}`");
-        }
-    }
-    std::env::remove_var("MONOID_PARALLEL_THREADS");
 }
 
 /// Allocating heads: a prepared `bag{ new(⟨…⟩) | … }` must allocate the

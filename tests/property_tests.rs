@@ -291,44 +291,63 @@ fn carrier_value(m: Monoid) -> BoxedStrategy<Value> {
     }
 }
 
-fn basic_monoid() -> impl Strategy<Value = Monoid> {
-    prop::sample::select(Monoid::all_basic().to_vec())
+/// Table 1's laws: associativity, identity, and the declared C/I
+/// properties — on 512 random carrier triples *per monoid*, each triple
+/// drawn from the case's own randomness.
+#[test]
+fn monoid_laws() {
+    use proptest::test_runner::TestRunner;
+    use std::cell::RefCell;
+    use std::collections::BTreeSet;
+    for m in Monoid::all_basic() {
+        let carrier = carrier_value(m.clone());
+        let seen = RefCell::new(BTreeSet::new());
+        TestRunner::new(ProptestConfig::with_cases(512))
+            .run_named(
+                "monoid_laws",
+                &(carrier.clone(), carrier.clone(), carrier),
+                |(a, b, c)| {
+                    seen.borrow_mut().insert((a.clone(), b.clone(), c.clone()));
+                    let z = value::zero(m).unwrap();
+                    // identity
+                    prop_assert_eq!(value::merge(m, &z, &a).unwrap(), a.clone());
+                    prop_assert_eq!(value::merge(m, &a, &z).unwrap(), a.clone());
+                    // associativity
+                    let ab = value::merge(m, &a, &b).unwrap();
+                    let bc = value::merge(m, &b, &c).unwrap();
+                    prop_assert_eq!(
+                        value::merge(m, &ab, &c).unwrap(),
+                        value::merge(m, &a, &bc).unwrap()
+                    );
+                    // Identity and associativity hold for the opposite
+                    // monoid too, so pin the orientation where Table 1
+                    // defines it: list's ⊕ is `++`, left operand first.
+                    if *m == Monoid::List {
+                        let concat = [a.elements().unwrap(), b.elements().unwrap()].concat();
+                        prop_assert_eq!(ab.elements().unwrap(), concat);
+                    }
+                    // declared properties
+                    if m.props().commutative {
+                        prop_assert_eq!(ab, value::merge(m, &b, &a).unwrap());
+                    }
+                    if m.props().idempotent {
+                        prop_assert_eq!(value::merge(m, &a, &a).unwrap(), a.clone());
+                    }
+                    Ok(())
+                },
+            )
+            .unwrap_or_else(|e| panic!("{m}: {e}"));
+        // The cases really are different cases: a collection carrier has
+        // far more than 512 values, so almost every triple is new.
+        if m.is_collection() {
+            let distinct = seen.borrow().len();
+            assert!(distinct >= 100, "{m}: only {distinct} distinct triples in 512 cases");
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Table 1's laws: associativity, identity, and the declared C/I
-    /// properties — on random carrier values.
-    #[test]
-    fn monoid_laws(m in basic_monoid(), seed in any::<u64>()) {
-        // Derive three carrier values deterministically from the seed.
-        let mut runner = proptest::test_runner::TestRunner::deterministic();
-        let _ = seed;
-        let strat = carrier_value(m.clone());
-        let a = strat.new_tree(&mut runner).unwrap().current();
-        let b = strat.new_tree(&mut runner).unwrap().current();
-        let c = strat.new_tree(&mut runner).unwrap().current();
-
-        let z = value::zero(&m).unwrap();
-        // identity
-        prop_assert_eq!(value::merge(&m, &z, &a).unwrap(), a.clone());
-        prop_assert_eq!(value::merge(&m, &a, &z).unwrap(), a.clone());
-        // associativity
-        let ab = value::merge(&m, &a, &b).unwrap();
-        let bc = value::merge(&m, &b, &c).unwrap();
-        prop_assert_eq!(
-            value::merge(&m, &ab, &c).unwrap(),
-            value::merge(&m, &a, &bc).unwrap()
-        );
-        // declared properties
-        if m.props().commutative {
-            prop_assert_eq!(value::merge(&m, &a, &b).unwrap(), value::merge(&m, &b, &a).unwrap());
-        }
-        if m.props().idempotent {
-            prop_assert_eq!(value::merge(&m, &a, &a).unwrap(), a.clone());
-        }
-    }
 
     /// The total order on values really is total and consistent.
     #[test]
@@ -434,15 +453,16 @@ fn like_reference(s: &str, pat: &str) -> Option<bool> {
 }
 
 // ---------------------------------------------------------------------------
-// Ordered parallel reduction agrees with sequential execution — for every
-// monoid (ordered ones included: the merge happens in partition order) and
-// across thread counts, including allocating heads.
+// Every reduction is a monoid homomorphism: a fold may be split at any
+// point and the two partial results merged in order. Associativity alone
+// makes that hold — ordered monoids (list, oset, str, sorted) included —
+// which is the law any partitioned evaluation would rest on.
 // ---------------------------------------------------------------------------
 
 /// One comprehension per monoid over the travel store. Every source is an
 /// extent (a list), so all output monoids are legal; `Prod` gets a
 /// constant head to stay clear of overflow.
-fn parallel_cases() -> Vec<(&'static str, Expr)> {
+fn monoid_corpus() -> Vec<(&'static str, Expr)> {
     let rooms = |monoid: Monoid, head: Expr| {
         Expr::comp(
             monoid,
@@ -478,24 +498,75 @@ fn parallel_cases() -> Vec<(&'static str, Expr)> {
     ]
 }
 
+fn basic_monoid() -> impl Strategy<Value = Monoid> {
+    prop::sample::select(Monoid::all_basic().to_vec())
+}
+
+/// Values `unit` accepts for `m`: what a comprehension head may produce.
+fn head_value(m: &Monoid) -> BoxedStrategy<Value> {
+    match m {
+        Monoid::Sum | Monoid::Prod | Monoid::Max | Monoid::Min => {
+            (-9i64..10).prop_map(Value::Int).boxed()
+        }
+        Monoid::Some | Monoid::All => any::<bool>().prop_map(Value::Bool).boxed(),
+        Monoid::Str => "[a-c]{0,3}".prop_map(|s| Value::str(&s)).boxed(),
+        _ => scalar_value().boxed(),
+    }
+}
+
+/// `unit(x₁) ⊕ … ⊕ unit(xₙ)` through the executors' accumulator.
+fn fold(m: &Monoid, xs: &[Value]) -> Value {
+    let mut acc = value::Accumulator::new(m).unwrap();
+    for x in xs {
+        acc.push_unit(x.clone()).unwrap();
+    }
+    acc.finish().unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Value level: `fold(xs) == merge(fold(xs[..k]), fold(xs[k..]))` for
+    /// every monoid and every split point `k`.
+    #[test]
+    fn fold_splits_at_any_point(
+        case in basic_monoid().prop_flat_map(|m| {
+            let xs = prop::collection::vec(head_value(&m), 0..12);
+            (Just(m), xs, any::<usize>())
+        })
+    ) {
+        let (m, xs, k) = case;
+        let k = k % (xs.len() + 1);
+        let merged = value::merge(&m, &fold(&m, &xs[..k]), &fold(&m, &xs[k..])).unwrap();
+        prop_assert_eq!(fold(&m, &xs), merged, "monoid = {}, k = {}", m, k);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// `execute_parallel_bound(q, db, t) == execute(q, db)` — byte-identical,
-    /// whatever the monoid and thread count.
+    /// Query level: each corpus query run over the two halves of `Hotels`
+    /// split at `k`, merged in order, equals the query over the whole
+    /// extent — byte-identical, whatever the monoid.
     #[test]
-    fn parallel_execution_agrees_with_sequential(seed in 0u64..4, ti in 0usize..4) {
+    fn queries_split_over_an_extent(seed in 0u64..4, k in any::<usize>()) {
         use monoid_db::algebra;
         use monoid_db::store::{travel, TravelScale};
-        let threads = [1usize, 2, 3, 8][ti];
-        let db = travel::generate(TravelScale::tiny(), seed);
-        for (label, q) in parallel_cases() {
+        let mut db = travel::generate(TravelScale::tiny(), seed);
+        let hotels = db.root(Symbol::new("Hotels")).unwrap().elements().unwrap();
+        let k = k % (hotels.len() + 1);
+        for (label, q) in monoid_corpus() {
             let plan = algebra::plan_comprehension(&q).unwrap();
-            let seq = algebra::execute(&plan, &db).unwrap();
-            let par = algebra::execute_parallel_bound(&plan, &db, threads, &[]).unwrap().0;
+            let mut run_over = |part: &[Value]| {
+                db.set_root("Hotels", Value::list(part.to_vec()));
+                algebra::execute(&plan, &db).unwrap()
+            };
+            let whole = run_over(&hotels);
+            let (left, right) = (run_over(&hotels[..k]), run_over(&hotels[k..]));
             prop_assert_eq!(
-                seq, par,
-                "monoid = {}, threads = {}, seed = {}", label, threads, seed
+                whole,
+                value::merge(&plan.monoid, &left, &right).unwrap(),
+                "monoid = {}, k = {}, seed = {}", label, k, seed
             );
         }
     }
@@ -522,8 +593,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // The static effect classifier is sound against the runtime: effect-free
-// queries leave the heap untouched, and the parallel-safety verdict
-// coincides with the engine's fallback decision across the monoid corpus.
+// queries leave the heap untouched across the monoid corpus.
 // ---------------------------------------------------------------------------
 
 proptest! {
@@ -537,7 +607,7 @@ proptest! {
         use monoid_db::calculus::analysis::effects_of;
         use monoid_db::store::{travel, TravelScale};
         let db = travel::generate(TravelScale::tiny(), seed);
-        for (label, q) in parallel_cases() {
+        for (label, q) in monoid_corpus() {
             let query = algebra::plan_comprehension(&q).unwrap();
             let eff = effects_of(&query.head).join(query.plan_effects);
             prop_assert!(
@@ -549,31 +619,6 @@ proptest! {
             prop_assert_eq!(
                 before, db.heap().version(),
                 "heap version moved under an effect-free query: {}", label
-            );
-        }
-    }
-
-    /// Static parallel safety ⇒ `fallback: None`: every corpus query is
-    /// classified safe and the engine spawns workers. (The converse — a
-    /// query forged to carry a heap effect — never reaches the engine:
-    /// the plan verifier refuses it as `plan/effects`, see
-    /// `crates/algebra/src/verify.rs`.)
-    #[test]
-    fn parallel_safety_verdict_matches_fallback(seed in 0u64..4, ti in 0usize..3) {
-        use monoid_db::algebra;
-        use monoid_db::calculus::analysis::effects_of;
-        use monoid_db::store::{travel, TravelScale};
-        let threads = [2usize, 3, 8][ti];
-        let db = travel::generate(TravelScale::tiny(), seed);
-        for (label, q) in parallel_cases() {
-            let query = algebra::plan_comprehension(&q).unwrap();
-            let eff = effects_of(&query.head).join(query.plan_effects);
-            prop_assert!(eff.parallel_safe(), "corpus query is parallel-safe: {}", label);
-            let (_, report) =
-                algebra::execute_parallel_bound(&query, &db, threads, &[]).unwrap();
-            prop_assert_eq!(
-                report.fallback, None,
-                "statically-safe query fell back: {}", label
             );
         }
     }

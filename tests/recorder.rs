@@ -198,7 +198,7 @@ fn zero_latencies(report: &mut monoid_calculus::json::Json) {
     for (section, gated) in [
         ("queries", vec!["median_nanos", "p95_nanos"]),
         ("prepared", vec!["warm_median_nanos"]),
-        ("parallel", vec!["fused_median_nanos"]),
+        ("fusion", vec!["fused_median_nanos"]),
         ("serving", vec!["warm_nanos_per_query"]),
     ] {
         let Some(Json::Arr(cases)) =
@@ -263,19 +263,19 @@ fn session_queries_thread_every_field() {
     assert!(!failed.ok());
     assert!(failed.error.is_some());
 
-    // The parallel engine's fallback reason lands on whatever record is
-    // open around it (the engine itself opens none).
+    // A bare executor's notes land on whatever record is open around it
+    // (the executor itself opens none).
     let expr = monoid_oql::compile(db.schema(), "sum(select r.price from h in Hotels, r in h.rooms)")
         .unwrap();
     let (canonical, _, _) = monoid_calculus::normalize::normalize_traced(&expr);
     let plan = monoid_algebra::plan_comprehension(&canonical).unwrap();
-    let scope = recorder::begin("parallel sum").expect("no scope open on this thread");
-    monoid_algebra::execute_parallel_bound(&plan, &db, 1, &[]).unwrap();
+    let scope = recorder::begin("bare sum").expect("no scope open on this thread");
+    monoid_algebra::execute(&plan, &db).unwrap();
     assert!(scope.finish(None).is_none(), "no slow threshold armed");
-    let fell_back = rec.snapshot().into_iter().next_back().unwrap();
-    assert_eq!(fell_back.source, "parallel sum");
-    assert_eq!(fell_back.cache, CacheDisposition::Uncached);
-    assert_eq!(fell_back.parallel_fallback.as_deref(), Some("single-thread"));
+    let bare = rec.snapshot().into_iter().next_back().unwrap();
+    assert_eq!(bare.source, "bare sum");
+    assert_eq!(bare.cache, CacheDisposition::Uncached);
+    assert_eq!((bare.engine.as_deref(), bare.rows), (Some("fused"), 1));
 
     // The journal round-trips every record through JSON text.
     let journal = rec.to_json().render();
