@@ -19,7 +19,7 @@
 
 use crate::error::ExecResult;
 use crate::fused::Engine;
-use crate::logical::{JoinKind, Plan, Query};
+use crate::logical::{Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
@@ -301,65 +301,36 @@ fn run_plan<P: Probe>(
                 sink(ev, &row.bind(*var, v))
             })
         }
-        Plan::Join { left, right, on, kind } => {
+        Plan::Join { left, right, on } => {
             let right_op = op + 1 + left.node_count();
-            match kind {
-                JoinKind::NestedLoop => {
-                    // Materialize the right side's binding deltas once, then
-                    // stream the left.
-                    let right_rows =
-                        timed_eval(probe, op, ev, |ev| materialize(right, right_op, ev, env, probe))?;
-                    probe.build_rows(op, right_rows.len() as u64);
-                    let on = on.clone();
-                    let mut scratch = value::ScratchRow::new();
-                    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
-                        'rows: for delta in &right_rows {
-                            let row = scratch.fill(lrow, delta);
-                            for (lk, rk) in &on {
-                                let lv = ev.eval(lrow, lk)?;
-                                let rv = ev.eval(row, rk)?;
-                                if lv != rv {
-                                    continue 'rows;
-                                }
-                            }
-                            probe.row_out(op);
-                            if !sink(ev, row)? {
-                                return Ok(false);
-                            }
+            let table = timed_eval(probe, op, ev, |ev| {
+                build_table(right, right_op, on, ev, env, probe)
+            })?;
+            probe.build_rows(op, table.rows.len() as u64);
+            let mut scratch = value::ScratchRow::new();
+            run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
+                let key = on
+                    .iter()
+                    .map(|(lk, _)| ev.eval(lrow, lk))
+                    .collect::<ExecResult<Vec<_>>>()?;
+                if let Some(matches) = table.index.get(&key) {
+                    for &i in matches {
+                        let row = scratch.fill(lrow, &table.rows[i]);
+                        probe.row_out(op);
+                        if !sink(ev, row)? {
+                            return Ok(false);
                         }
-                        Ok(true)
-                    })
+                    }
                 }
-                JoinKind::Hash => {
-                    let table = timed_eval(probe, op, ev, |ev| {
-                        build_table(right, right_op, on, ev, env, probe)
-                    })?;
-                    probe.build_rows(op, table.rows.len() as u64);
-                    let mut scratch = value::ScratchRow::new();
-                    run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
-                        let key = on
-                            .iter()
-                            .map(|(lk, _)| ev.eval(lrow, lk))
-                            .collect::<ExecResult<Vec<_>>>()?;
-                        if let Some(matches) = table.index.get(&key) {
-                            for &i in matches {
-                                let row = scratch.fill(lrow, &table.rows[i]);
-                                probe.row_out(op);
-                                if !sink(ev, row)? {
-                                    return Ok(false);
-                                }
-                            }
-                        }
-                        Ok(true)
-                    })
-                }
-            }
+                Ok(true)
+            })
         }
     }
 }
 
-/// A hash join's materialized build side: the right sub-plan's binding
-/// deltas plus a key → row-indexes map.
+/// A join's materialized build side: the right sub-plan's binding deltas
+/// plus a key → row-indexes map. With no keys every row lands in the one
+/// bucket of the empty key, and probing it is the cross product.
 struct BuildTable {
     /// One binding delta per build row, in materialization order.
     rows: Vec<Vec<(Symbol, Value)>>,
@@ -367,7 +338,7 @@ struct BuildTable {
     index: std::collections::BTreeMap<Vec<Value>, Vec<usize>>,
 }
 
-/// Materialize a hash join's right side into a [`BuildTable`]. `op` is
+/// Materialize a join's right side into a [`BuildTable`]. `op` is
 /// the right sub-plan's pre-order index. One [`value::ScratchRow`] keys
 /// the whole build side — each key is evaluated against the top
 /// environment plus the row's delta — so keying reuses one chain of
@@ -382,6 +353,11 @@ fn build_table<P: Probe>(
 ) -> ExecResult<BuildTable> {
     let rows = materialize(right, op, ev, env, probe)?;
     let mut index = std::collections::BTreeMap::new();
+    if on.is_empty() {
+        // Nothing to evaluate per row: the one bucket, filled directly.
+        index.insert(Vec::new(), (0..rows.len()).collect());
+        return Ok(BuildTable { rows, index });
+    }
     let mut scratch = value::ScratchRow::new();
     for (i, delta) in rows.iter().enumerate() {
         let row = scratch.fill(env, delta);
@@ -498,6 +474,41 @@ mod tests {
         assert!(sh < sn, "hash {sh} vs nested-loop {sn}");
         // Every hotel matches exactly itself.
         assert_eq!(vh, Value::Int(db.extent_len("Hotels") as i64));
+    }
+
+    #[test]
+    fn one_join_arm_runs_keyed_keyless_and_cross_product_plans() {
+        // The same arm — build table, probe — serves a keyed join, the
+        // same join with its keys left as filters (`hash_joins: false`),
+        // and a cross product; all agree with the evaluator, for a
+        // primitive, a collection and a short-circuiting monoid.
+        let mut db = db();
+        let a_name = || Expr::var("a").proj("name");
+        let gens = |right: &str| {
+            vec![Expr::gen("a", Expr::var("Hotels")), Expr::gen("b", Expr::var(right))]
+        };
+        let keyless = PlanOptions { hash_joins: false, push_predicates: true };
+        for (monoid, head) in [
+            (Monoid::Sum, Expr::int(1)),
+            (Monoid::Bag, a_name()),
+            (Monoid::Some, a_name().eq(Expr::str("hotel_0_0"))),
+        ] {
+            let mut quals = gens("Hotels");
+            quals.push(Expr::pred(a_name().eq(Expr::var("b").proj("name"))));
+            let join = Expr::comp(monoid.clone(), head.clone(), quals);
+            let expected = db.query(&join).unwrap();
+            let keyed = plan_comprehension(&join).unwrap();
+            assert!(matches!(&keyed.plan, Plan::Join { on, .. } if on.len() == 1));
+            assert_eq!(execute(&keyed, &db).unwrap(), expected, "{monoid} keyed");
+            let filtered = plan_with_options(&join, keyless).unwrap();
+            assert!(!filtered.plan.uses_hash_join());
+            assert_eq!(execute(&filtered, &db).unwrap(), expected, "{monoid} keys as filters");
+
+            let cross = Expr::comp(monoid.clone(), head, gens("Cities"));
+            let plan = plan_comprehension(&cross).unwrap();
+            assert!(matches!(&plan.plan, Plan::Join { on, .. } if on.is_empty()));
+            assert_eq!(execute(&plan, &db).unwrap(), db.query(&cross).unwrap(), "{monoid} cross");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`crate::trace`] to render profiled plans with estimated and observed
 //! cardinalities side by side.
 
-use crate::logical::{JoinKind, Plan, Query};
+use crate::logical::{Plan, Query};
 use crate::optimizer::Stats;
 use monoid_calculus::pretty::pretty;
 use std::fmt::Write as _;
@@ -67,11 +67,8 @@ pub(crate) fn op_label(plan: &Plan) -> String {
         Plan::Unnest { var, path, .. } => format!("Unnest {var} ← {}", pretty(path)),
         Plan::Filter { pred, .. } => format!("Filter {}", pretty(pred)),
         Plan::Bind { var, expr, .. } => format!("Bind {var} ≡ {}", pretty(expr)),
-        Plan::Join { on, kind, .. } => {
-            let kind = match kind {
-                JoinKind::NestedLoop => "NestedLoopJoin",
-                JoinKind::Hash => "HashJoin",
-            };
+        Plan::Join { on, .. } => {
+            let kind = if on.is_empty() { "NestedLoopJoin" } else { "HashJoin" };
             let keys: Vec<String> = on
                 .iter()
                 .map(|(l, r)| format!("{} = {}", pretty(l), pretty(r)))

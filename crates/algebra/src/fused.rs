@@ -20,6 +20,8 @@
 //! falls back to the plan walk: joins, allocating or
 //! mutating expressions, vector monoids, and any expression form outside
 //! the compiled subset (lambdas, nested comprehensions, `let`, …).
+//! [`compile`] is the one place that decides; a declined query gets a
+//! [`Refusal`] naming the construct, which is all lint MC009 reports.
 //!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
@@ -64,12 +66,34 @@ impl Engine {
     }
 }
 
+/// Why [`compile`] declined a query: the reason, and the binder or
+/// sub-expression it was looking at when it gave up (lint MC009 looks
+/// these up in the front end's span map).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refusal {
+    pub reason: String,
+    pub var: Option<Symbol>,
+    pub expr: Option<Expr>,
+}
+
+impl Refusal {
+    /// A refusal about the query as a whole.
+    pub fn new(reason: impl Into<String>) -> Refusal {
+        Refusal { reason: reason.into(), var: None, expr: None }
+    }
+}
+
+/// The fused compiler's refusal for this query, `None` when it fuses.
+pub fn refusal(query: &Query) -> Option<Refusal> {
+    compile(query).err()
+}
+
 /// Static classification: would [`crate::exec::execute`] route this query
 /// through the fused engine? (The one dynamic exception: a query whose
 /// globals don't resolve at execution time still falls back, so the plan
 /// walk can report the unbound name exactly as it always has.)
 pub fn fused_eligible(query: &Query) -> bool {
-    compile(query).is_some()
+    compile(query).is_ok()
 }
 
 /// The engine [`fused_eligible`] predicts for this query.
@@ -277,8 +301,9 @@ impl Compiler {
         slot
     }
 
-    fn compile_expr(&mut self, e: &Expr) -> Option<FusedExpr> {
-        Some(match e {
+    /// `Err` carries the first sub-expression outside the compiled subset.
+    fn compile_expr<'e>(&mut self, e: &'e Expr) -> Result<FusedExpr, &'e Expr> {
+        Ok(match e {
             Expr::Lit(lit) => FusedExpr::Const(match lit {
                 Literal::Bool(b) => Value::Bool(*b),
                 Literal::Int(i) => Value::Int(*i),
@@ -290,14 +315,14 @@ impl Compiler {
             Expr::Record(fields) => FusedExpr::Record(
                 fields
                     .iter()
-                    .map(|(n, fe)| Some((*n, self.compile_expr(fe)?)))
-                    .collect::<Option<Vec<_>>>()?,
+                    .map(|(n, fe)| Ok((*n, self.compile_expr(fe)?)))
+                    .collect::<Result<Vec<_>, _>>()?,
             ),
             Expr::Tuple(items) => FusedExpr::Tuple(
                 items
                     .iter()
                     .map(|i| self.compile_expr(i))
-                    .collect::<Option<Vec<_>>>()?,
+                    .collect::<Result<Vec<_>, _>>()?,
             ),
             Expr::Proj(inner, field) => {
                 FusedExpr::Proj(Box::new(self.compile_expr(inner)?), *field)
@@ -320,25 +345,60 @@ impl Compiler {
             // Anything else — lambdas, nested comprehensions, let,
             // collection literals, heap writes — declines fusion; the plan
             // walk handles it.
-            _ => return None,
+            other => return Err(other),
         })
     }
 }
 
-/// Compile a query into a fused pipeline, or `None` when any part of it
-/// falls outside the fusible subset.
-fn compile(query: &Query) -> Option<FusedQuery<'_>> {
+/// A short human name for an expression form outside the compiled subset.
+fn describe(e: &Expr) -> &'static str {
+    match e {
+        Expr::Lambda(..) => "a lambda",
+        Expr::Comp { .. } => "a nested comprehension",
+        Expr::VecComp { .. } => "a nested vector comprehension",
+        Expr::Let(..) => "a `let` binding",
+        Expr::CollLit(..) => "a collection literal",
+        Expr::VecLit(..) => "a vector literal",
+        Expr::VecIndex(..) => "vector indexing",
+        Expr::Merge(..) => "a monoid merge",
+        Expr::Zero(..) => "a monoid zero",
+        Expr::Unit(..) => "a singleton injection",
+        Expr::Hom { .. } => "a homomorphism",
+        Expr::Apply(..) => "a function application",
+        Expr::New(..) => "an allocation (`new`)",
+        Expr::Assign(..) => "an assignment (`:=`)",
+        _ => "an unsupported form",
+    }
+}
+
+/// The refusal for `off`, the sub-expression [`Compiler::compile_expr`]
+/// stopped at, found in the part of the query `what` names (bound to
+/// `var`). Only ever runs on the declining path, so `what` is formatted
+/// here, not by the caller.
+fn outside(what: impl std::fmt::Display, var: Option<Symbol>, off: &Expr) -> Refusal {
+    Refusal {
+        reason: format!("{what} uses {}, outside the fused expression subset", describe(off)),
+        var,
+        expr: Some(off.clone()),
+    }
+}
+
+/// Compile a query into a fused pipeline, or say which part of it falls
+/// outside the fusible subset. The only function that inspects a plan's
+/// shape for fusibility: teaching the fold a new operator means adding a
+/// [`Stage`] here and deleting the matching `Err`.
+fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
     let Query { plan, monoid, head, plan_effects } = query;
     // Vector comprehensions accumulate through indexed slots, not a single
     // accumulator; they never reach plans anyway.
     if matches!(monoid, Monoid::VecOf(_)) {
-        return None;
+        return Err(Refusal::new("vector monoid reductions accumulate through indexed slots"));
     }
     // Effects: the fused loop shares one immutable heap borrow across the
     // whole fold, so heap writes *and* allocations stay on the plan walk.
     let eff = effects_of(head).join(*plan_effects);
     if eff.mutates || eff.allocates {
-        return None;
+        return Err(Refusal::new("the query writes the heap (`:=` or `new`)"));
     }
     // Flatten the linear chain; joins make it a tree and decline fusion.
     let mut chain = Vec::new();
@@ -352,7 +412,18 @@ fn compile(query: &Query) -> Option<FusedQuery<'_>> {
                 chain.push(node);
                 node = input;
             }
-            Plan::Join { .. } => return None,
+            Plan::Join { right, .. } => {
+                // Every plan binds at least its root's variable.
+                let var = right.bound_vars()[0];
+                return Err(Refusal {
+                    reason: format!(
+                        "independent generator `{var}` requires a join, which is outside \
+                         the fused subset"
+                    ),
+                    var: Some(var),
+                    expr: None,
+                });
+            }
         }
     };
     chain.reverse(); // execution order: scan upward.
@@ -368,22 +439,29 @@ fn compile(query: &Query) -> Option<FusedQuery<'_>> {
     let mut stages = Vec::with_capacity(chain.len());
     for stage in chain {
         match stage {
-            Plan::Filter { pred, .. } => stages.push(Stage::Filter(c.compile_expr(pred)?)),
+            Plan::Filter { pred, .. } => {
+                let pred = c.compile_expr(pred).map_err(|off| outside("a predicate", None, off))?;
+                stages.push(Stage::Filter(pred));
+            }
             Plan::Bind { var, expr, .. } => {
                 // Compile before binding: the expression sees the *outer*
                 // binding of `var`, exactly like the plan walk.
-                let expr = c.compile_expr(expr)?;
+                let expr = c.compile_expr(expr).map_err(|off| {
+                    outside(format_args!("the binding `{var} ≡ …`"), Some(*var), off)
+                })?;
                 stages.push(Stage::Bind { slot: c.bind(*var), expr });
             }
             Plan::Unnest { var, path, .. } => {
-                let path = c.compile_expr(path)?;
+                let path = c.compile_expr(path).map_err(|off| {
+                    outside(format_args!("the path of generator `{var}`"), Some(*var), off)
+                })?;
                 stages.push(Stage::Unnest { slot: c.bind(*var), path });
             }
             _ => unreachable!("chain holds only unary stages"),
         }
     }
-    let head = c.compile_expr(head)?;
-    Some(FusedQuery {
+    let head = c.compile_expr(head).map_err(|off| outside("the head", None, off))?;
+    Ok(FusedQuery {
         root,
         stages,
         head,
@@ -488,7 +566,7 @@ pub(crate) fn try_run_reduce(
     ev: &mut Evaluator,
     env: &Env,
 ) -> ExecResult<Option<Value>> {
-    let Some(fq) = compile(query) else {
+    let Ok(fq) = compile(query) else {
         return Ok(None);
     };
     let Some(mut slots) = fq.resolve_globals(env) else {
@@ -549,8 +627,25 @@ mod tests {
     }
 
     #[test]
-    fn joins_decline_fusion() {
+    fn out_of_order_binds_still_make_a_dependent_generator_fuse() {
+        // x ← xs, y ← b.kids, b ≡ x.child: the planner places `b` right
+        // after `x`, so `y` is an unnest, not a join — a linear chain.
         let q = plan_comprehension(&Expr::comp(
+            Monoid::Bag,
+            Expr::var("y"),
+            vec![
+                Expr::gen("x", Expr::var("xs")),
+                Expr::gen("y", Expr::var("b").proj("kids")),
+                Expr::bind("b", Expr::var("x").proj("child")),
+            ],
+        ))
+        .unwrap();
+        assert!(fused_eligible(&q), "{:?}", refusal(&q));
+    }
+
+    #[test]
+    fn refusals_name_the_construct() {
+        let join = plan_comprehension(&Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![
@@ -559,17 +654,30 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert!(!fused_eligible(&q));
-        assert_eq!(engine_of(&q), Engine::PlanWalk);
-    }
+        assert_eq!(engine_of(&join), Engine::PlanWalk);
+        let r = refusal(&join).expect("joins decline fusion");
+        assert!(r.reason.contains("join") && r.reason.contains("`b`"), "{r:?}");
+        assert_eq!(r.var, Some(Symbol::new("b")));
 
-    #[test]
-    fn unsupported_head_forms_decline_fusion() {
-        // A nested comprehension in the head is outside the compiled
-        // expression subset.
-        let mut q = scan_chain();
-        q.head = Expr::comp(Monoid::Sum, Expr::int(1), vec![]);
-        assert!(!fused_eligible(&q));
+        // The offending sub-expression comes back whole, so a front end
+        // can look its source position up.
+        let mut lambda_head = scan_chain();
+        lambda_head.head = Expr::lambda("x", Expr::var("x"));
+        let r = refusal(&lambda_head).expect("a lambda is outside the subset");
+        assert!(r.reason.contains("the head uses a lambda"), "{r:?}");
+        assert_eq!(r.expr, Some(lambda_head.head.clone()));
+
+        let mut nested_pred = scan_chain();
+        let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
+        nested_pred.plan =
+            Plan::Filter { input: Box::new(nested_pred.plan), pred: nested.clone() };
+        let r = refusal(&nested_pred).expect("a nested comprehension is outside the subset");
+        assert!(r.reason.contains("a predicate uses a nested comprehension"), "{r:?}");
+        assert_eq!(r.expr, Some(nested));
+
+        let mut vector = scan_chain();
+        vector.monoid = Monoid::VecOf(Box::new(Monoid::Sum));
+        assert!(refusal(&vector).expect("VecOf declines").reason.contains("vector monoid"));
     }
 
     #[test]

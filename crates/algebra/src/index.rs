@@ -9,9 +9,8 @@
 //! Indexes are immutable snapshots of the database at build time, stamped
 //! with the database's [mutation epoch](Snapshot::epoch). The
 //! rewrite pass refuses a stale index — a lookup built before the last
-//! update would silently answer from old data — and either skips it
-//! ([`apply_indexes`]) or rebuilds it in place
-//! ([`apply_indexes_rebuilding`]; one extent scan).
+//! update would silently answer from old data — and skips it
+//! ([`apply_indexes`]); [`IndexCatalog::build`] again to refresh one.
 
 use crate::error::ExecResult;
 use crate::logical::{Plan, Query};
@@ -115,21 +114,6 @@ impl IndexCatalog {
         Ok(())
     }
 
-    /// Rebuild every index whose snapshot epoch no longer matches `db`.
-    /// Returns how many were rebuilt.
-    pub fn rebuild_stale(&mut self, db: &Snapshot) -> ExecResult<usize> {
-        let stale: Vec<(Symbol, Symbol)> = self
-            .indexes
-            .values()
-            .filter(|ix| !ix.is_fresh(db))
-            .map(|ix| (ix.extent, ix.field))
-            .collect();
-        for (extent, field) in &stale {
-            self.build(db, *extent, *field)?;
-        }
-        Ok(stale.len())
-    }
-
     pub fn get(&self, extent: Symbol, field: Symbol) -> Option<&Arc<Index>> {
         self.indexes.get(&(extent, field))
     }
@@ -161,17 +145,6 @@ pub fn apply_indexes(query: &Query, catalog: &IndexCatalog, db: &Snapshot) -> (Q
         Query { plan, monoid: query.monoid.clone(), head: query.head.clone(), plan_effects },
         count,
     )
-}
-
-/// [`apply_indexes`], but stale indexes are rebuilt (one extent scan each)
-/// before the rewrite instead of being skipped.
-pub fn apply_indexes_rebuilding(
-    query: &Query,
-    catalog: &mut IndexCatalog,
-    db: &Snapshot,
-) -> ExecResult<(Query, usize)> {
-    catalog.rebuild_stale(db)?;
-    Ok(apply_indexes(query, catalog, db))
 }
 
 fn rewrite(plan: &Plan, catalog: &IndexCatalog, epoch: u64, count: &mut usize) -> Plan {
@@ -209,11 +182,10 @@ fn rewrite(plan: &Plan, catalog: &IndexCatalog, epoch: u64, count: &mut usize) -
             var: *var,
             expr: expr.clone(),
         },
-        Plan::Join { left, right, on, kind } => Plan::Join {
+        Plan::Join { left, right, on } => Plan::Join {
             left: Box::new(rewrite(left, catalog, epoch, count)),
             right: Box::new(rewrite(right, catalog, epoch, count)),
             on: on.clone(),
-            kind: *kind,
         },
         Plan::Scan { .. } | Plan::IndexLookup { .. } => plan.clone(),
     }
@@ -335,25 +307,14 @@ mod tests {
         assert_eq!(hits, 0, "stale index is refused");
         assert!(!format!("{:?}", plan.plan).contains("IndexLookup"));
 
-        // The rebuilding variant refreshes the snapshot and uses it.
-        let (plan, hits) = apply_indexes_rebuilding(&q, &mut cat, &db).unwrap();
+        // Building again refreshes the snapshot, and the rewrite uses it.
+        cat.build(&db, "Cities", "name").unwrap();
+        let (plan, hits) = apply_indexes(&q, &cat, &db);
         assert_eq!(hits, 1);
         assert!(format!("{:?}", plan.plan).contains("IndexLookup"));
         assert!(cat
             .get(Symbol::new("Cities"), Symbol::new("name"))
             .unwrap()
             .is_fresh(&db));
-    }
-
-    #[test]
-    fn rebuild_stale_touches_only_trailing_indexes() {
-        let mut db = travel::generate(TravelScale::tiny(), 5);
-        let mut cat = IndexCatalog::new();
-        cat.build(&db, "Cities", "name").unwrap();
-        db.set_root("Spare", Value::list(vec![]));
-        cat.build(&db, "Employees", "salary").unwrap();
-        // Cities/name predates the set_root, Employees/salary does not.
-        assert_eq!(cat.rebuild_stale(&db).unwrap(), 1);
-        assert_eq!(cat.rebuild_stale(&db).unwrap(), 0, "now all fresh");
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`logical`] — plan operators (Scan, Unnest, Filter, Bind, Join) and
 //!   the canonical-comprehension → plan translation with predicate
-//!   pushdown and equi-join (hash) detection.
+//!   pushdown and equi-join key detection.
 //! * [`exec`] — push-based pipelined execution: no intermediate
 //!   materialization except hash-join build sides, with `some`/`all`
 //!   short-circuiting.
@@ -42,7 +42,7 @@
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
 //! `Query` ever writes the heap; every entry point here — sequential,
-//! plan-walk, counted, metered, profiled — therefore takes
+//! plan-walk, counted, profiled — therefore takes
 //! `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
 //! one) and funnels into one private driver in [`exec`]. Update programs
 //! run on the calculus evaluator through `Database::query`, the paper's
@@ -65,12 +65,11 @@ pub use exec::{
     execute, execute_counted_bound, execute_plan_walk_bound, execute_snapshot_bound, NoProbe,
     Probe,
 };
-pub use fused::{engine_of, fused_eligible, Engine};
-pub use metrics::execute_metered_bound;
+pub use fused::{engine_of, fused_eligible, Engine, Refusal};
 pub use explain::{explain, explain_with_estimates};
-pub use index::{apply_indexes, apply_indexes_rebuilding, Index, IndexCatalog};
+pub use index::{apply_indexes, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};
-pub use logical::{plan_comprehension, plan_with_options, JoinKind, Plan, PlanOptions, Query};
+pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};
 pub use trace::{
     analyze_with_trace, audit_enabled, execute_profiled_bound, explain_analyze, fold_stacks,
     set_audit_enabled, Analysis, OperatorProfile, QueryProfile,

@@ -9,8 +9,8 @@
 //! * a generator whose source mentions an earlier variable becomes an
 //!   [`Plan::Unnest`] (path navigation, e.g. `h ← c.hotels`);
 //! * a generator independent of everything bound so far becomes a
-//!   [`Plan::Join`] against a fresh scan — upgraded to a *hash* join when
-//!   an equality predicate connects the two sides;
+//!   [`Plan::Join`] against a fresh scan — equality predicates connecting
+//!   the two sides become its keys, and no keys is the cross product;
 //! * predicates are placed at the lowest point where their variables are
 //!   bound (predicate pushdown);
 //! * the comprehension monoid and head become the top `Reduce`.
@@ -23,16 +23,6 @@ use monoid_calculus::normalize::is_pure;
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use std::collections::HashSet;
-
-/// How a join is executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    /// Re-scan the right side per left row (no equi-condition found, or
-    /// forced for the ablation benchmark).
-    NestedLoop,
-    /// Build a map on the right side's key, probe with the left.
-    Hash,
-}
 
 /// A logical plan node. Rows are variable bindings; every node adds
 /// bindings (scan/unnest/join) or filters rows.
@@ -49,9 +39,9 @@ pub enum Plan {
     /// Bind `var` to `expr` per row (a residual `≡` binding).
     Bind { input: Box<Plan>, var: Symbol, expr: Expr },
     /// Combine independent sub-plans. `on` holds equi-pairs
-    /// `(left key, right key)`; empty `on` with `NestedLoop` is a cross
-    /// product (plus any residual predicate above).
-    Join { left: Box<Plan>, right: Box<Plan>, on: Vec<(Expr, Expr)>, kind: JoinKind },
+    /// `(left key, right key)` the build table is keyed by; an empty `on`
+    /// is a cross product (plus any residual predicate above).
+    Join { left: Box<Plan>, right: Box<Plan>, on: Vec<(Expr, Expr)> },
     /// Bind `var` to each extent member whose indexed field equals `key`
     /// (introduced by `index::apply_indexes`; the index snapshot is
     /// embedded in the plan).
@@ -168,15 +158,15 @@ impl Plan {
         eff
     }
 
-    /// Does any join in the plan use the hash strategy?
+    /// Does any join in the plan probe by key (a non-empty `on`)?
     pub fn uses_hash_join(&self) -> bool {
         match self {
             Plan::Scan { .. } | Plan::IndexLookup { .. } => false,
             Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
                 input.uses_hash_join()
             }
-            Plan::Join { left, right, kind, .. } => {
-                *kind == JoinKind::Hash || left.uses_hash_join() || right.uses_hash_join()
+            Plan::Join { left, right, on } => {
+                !on.is_empty() || left.uses_hash_join() || right.uses_hash_join()
             }
         }
     }
@@ -199,8 +189,8 @@ pub struct Query {
 /// Planner options (the ablation switches for benchmark B6).
 #[derive(Debug, Clone, Copy)]
 pub struct PlanOptions {
-    /// Detect equality predicates across independent sub-plans and use
-    /// hash joins. Off ⇒ every independent join is a filtered cross
+    /// Detect equality predicates across independent sub-plans and make
+    /// them join keys. Off ⇒ every independent join is a filtered cross
     /// product.
     pub hash_joins: bool,
     /// Place predicates at the lowest point where their variables are
@@ -272,8 +262,8 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
                 if depends {
                     Plan::Unnest { input: Box::new(current), var, path: src }
                 } else {
-                    // Independent source: a join. Look for equi-predicates
-                    // connecting {bound} × {var} to pick a hash join.
+                    // Independent source: a join, keyed by the
+                    // equi-predicates connecting {bound} × {var}.
                     let right = Plan::Scan { var, source: src };
                     let mut on: Vec<(Expr, Expr)> = Vec::new();
                     if opts.hash_joins {
@@ -286,8 +276,7 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
                         }
                         pending_preds = remaining;
                     }
-                    let kind = if on.is_empty() { JoinKind::NestedLoop } else { JoinKind::Hash };
-                    Plan::Join { left: Box::new(current), right: Box::new(right), on, kind }
+                    Plan::Join { left: Box::new(current), right: Box::new(right), on }
                 }
             }
         });
@@ -343,28 +332,7 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
     }
 
     let plan_effects = plan.effects();
-    let query = Query { plan, monoid: monoid.clone(), head: head.as_ref().clone(), plan_effects };
-
-    // Under MONOID_VERIFY, check the core abstract interpreter's static
-    // fused-eligibility verdict against the fused compiler's decision for
-    // this fresh plan. Only default options mirror the certificate's model —
-    // ablations change the join/unnest topology on purpose.
-    if opts.hash_joins
-        && opts.push_predicates
-        && monoid_calculus::analysis::verify_enabled()
-    {
-        use monoid_calculus::analysis::{fused_verdict, record_failure, SpanMap};
-        let cert = fused_verdict(e, &SpanMap::default());
-        let fused_rt = crate::fused::fused_eligible(&query);
-        if cert.is_eligible() != fused_rt {
-            record_failure("infer/engine-fused");
-            panic!(
-                "static fused certificate ({cert}) disagrees with the fused compiler \
-                 (eligible={fused_rt}) for {e:?}"
-            );
-        }
-    }
-    Ok(query)
+    Ok(Query { plan, monoid: monoid.clone(), head: head.as_ref().clone(), plan_effects })
 }
 
 /// If `p` is `lhs = rhs` with one side's variables all bound (left of the
@@ -439,8 +407,7 @@ mod tests {
         );
         let q = plan_comprehension(&e).unwrap();
         assert!(q.plan.uses_hash_join());
-        let Plan::Join { on, kind, .. } = &q.plan else { panic!("{:?}", q.plan) };
-        assert_eq!(*kind, JoinKind::Hash);
+        let Plan::Join { on, .. } = &q.plan else { panic!("{:?}", q.plan) };
         assert_eq!(on.len(), 1);
     }
 

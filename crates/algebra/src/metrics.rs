@@ -13,29 +13,19 @@
 //! whose empty hooks compile to nothing, and never touches the registry
 //! (asserted by `tests/metrics.rs`).
 
-use crate::error::ExecResult;
-use crate::logical::{Plan, Query};
-use crate::trace::{self, QueryProfile};
-use monoid_calculus::analysis::effects_of;
+use crate::logical::Plan;
+use crate::trace::QueryProfile;
 use monoid_calculus::metrics::{global, Counter};
-use monoid_calculus::pretty::pretty;
-use monoid_calculus::recorder;
-use monoid_calculus::symbol::Symbol;
-use monoid_calculus::trace::{Phase, QueryTrace};
-use monoid_calculus::value::Value;
-use monoid_store::Snapshot;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Counter handles, resolved once per process; the per-kind arrays are
 /// indexed like [`Plan::KIND_LABELS`], so every kind's series exists
-/// (at zero) from the first metered run on.
+/// (at zero) from the first recorded profile on.
 struct ExecMetrics {
     rows: [Arc<Counter>; Plan::KIND_LABELS.len()],
     build_rows: [Arc<Counter>; Plan::KIND_LABELS.len()],
     short_circuits: Arc<Counter>,
     executions: Arc<Counter>,
-    errors: Arc<Counter>,
 }
 
 fn exec_metrics() -> &'static ExecMetrics {
@@ -48,7 +38,6 @@ fn exec_metrics() -> &'static ExecMetrics {
             build_rows: by_kind("exec_build_rows_total"),
             short_circuits: r.counter("exec_short_circuits_total"),
             executions: r.counter("exec_queries_total"),
-            errors: r.counter("exec_query_errors_total"),
         }
     })
 }
@@ -69,49 +58,6 @@ pub fn record_profile(profile: &QueryProfile) {
     }
 }
 
-/// [`crate::execute_snapshot_bound`] with fleet metering: the run is
-/// counted, then its rows pushed, build sizes, and short-circuit land in
-/// the global registry, labeled by operator kind, alongside execution and
-/// error counters (a failed run counts as an execution and an error; its
-/// partial row counts are not flushed).
-///
-/// Opens a flight-recorder scope when no layer above owns one. The
-/// algebra layer has no OQL source text, so the record is labeled by the
-/// reduction itself (`Reduce[bag] head = …`); an over-threshold record's
-/// slow capture carries the optimized plan text only — re-running under
-/// the profiler is the serving layer's job, where effect-safety is known.
-pub fn execute_metered_bound(
-    query: &Query,
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-) -> ExecResult<Value> {
-    // Checked before building the label: `begin` would refuse anyway.
-    let scope = if recorder::global().enabled() && !recorder::active() {
-        recorder::begin(&format!("Reduce[{}] head = {}", query.monoid, pretty(&query.head)))
-    } else {
-        None
-    };
-    let started = Instant::now();
-    let result = trace::run_counted(query, snap, params, &[], QueryTrace::new());
-    match &result {
-        Ok(analysis) => record_profile(&analysis.profile),
-        Err(_) => {
-            let m = exec_metrics();
-            m.executions.inc();
-            m.errors.inc();
-        }
-    }
-    if let Some(scope) = scope {
-        recorder::note_phase(Phase::Execute, started.elapsed().as_nanos());
-        recorder::note_effects(|| effects_of(&query.head).join(query.plan_effects).to_string());
-        let error = result.as_ref().err().map(ToString::to_string);
-        scope.finish_capturing(error, |trigger| {
-            (trigger.source.clone(), Some(crate::explain::explain(query)), None)
-        });
-    }
-    result.map(|analysis| analysis.value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +67,7 @@ mod tests {
     use monoid_store::travel::{self, TravelScale};
 
     #[test]
-    fn metered_execution_agrees_with_plain() {
+    fn a_recorded_profile_lands_in_the_registry_by_kind() {
         let db = travel::generate(TravelScale::tiny(), 42);
         let q = Expr::comp(
             Monoid::Sum,
@@ -131,8 +77,9 @@ mod tests {
         let plan = plan_comprehension(&q).unwrap();
         let plain = crate::exec::execute(&plan, &db).unwrap();
         let before = global().snapshot();
-        let metered = execute_metered_bound(&plan, &db, &[]).unwrap();
-        assert_eq!(plain, metered);
+        let counted = crate::trace::execute_profiled_bound(&plan, &[], &db, &[]).unwrap();
+        record_profile(&counted.profile);
+        assert_eq!(plain, counted.value);
         let d = global().snapshot().diff(&before);
         assert!(d.counter("exec_queries_total") >= 1);
         assert!(

@@ -42,10 +42,6 @@ pub struct Stats {
     /// numeric min/max) for the abstract interpreter and the refined
     /// selectivity model.
     catalog: Catalog,
-    /// The database `mutation_epoch` these stats were gathered at;
-    /// `None` for `Stats::default()`. Serving layers use this to reuse a
-    /// gather across prepares of an unchanged database.
-    epoch: Option<u64>,
 }
 
 const DEFAULT_EXTENT: f64 = 1_000.0;
@@ -63,13 +59,11 @@ type SourceMap = HashMap<Symbol, Symbol>;
 impl Stats {
     /// Scan the store once: extent sizes, per-field average fan-outs,
     /// and the attribute-level catalog (distinct counts, max frequencies,
-    /// numeric domains). The gathered stats are stamped with the
-    /// snapshot's epoch, so a serving layer can key stats reuse off
-    /// `(instance_id, epoch)` until the next mutation without holding any
-    /// lock on the live database.
+    /// numeric domains). A gather describes the snapshot it read; the
+    /// serving layer reuses one while `(instance_id, epoch)` is unchanged.
     pub fn gather(snap: &Snapshot) -> Stats {
         let roots: Vec<(Symbol, &Value)> = snap.roots().collect();
-        gather_from(snap.heap(), &roots, snap.epoch())
+        gather_from(snap.heap(), &roots)
     }
 
     /// [`Stats::gather`] under the name the frozen `benchmark/` crate
@@ -82,11 +76,6 @@ impl Stats {
     /// interpreter).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The `mutation_epoch` this gather observed, if any.
-    pub fn epoch(&self) -> Option<u64> {
-        self.epoch
     }
 
     /// Estimated output cardinality of every operator in `plan`, indexed
@@ -316,7 +305,7 @@ fn source_key(src: &Expr) -> Option<Symbol> {
 /// The shared body of [`Stats::gather`] and [`Stats::gather_snapshot`]:
 /// everything a gather reads is in the `(heap, roots)` pair, which both a
 /// live database and a pinned snapshot can produce.
-fn gather_from(heap: &Heap, roots: &[(Symbol, &Value)], epoch: u64) -> Stats {
+fn gather_from(heap: &Heap, roots: &[(Symbol, &Value)]) -> Stats {
     let mut extent_sizes = HashMap::new();
     for (name, value) in roots {
         if let Ok(n) = value.len() {
@@ -340,7 +329,7 @@ fn gather_from(heap: &Heap, roots: &[(Symbol, &Value)], epoch: u64) -> Stats {
         .map(|(name, (total, count))| (name, total / count.max(1.0)))
         .collect();
     let catalog = gather_catalog(heap, roots);
-    Stats { extent_sizes, fanouts, catalog, epoch: Some(epoch) }
+    Stats { extent_sizes, fanouts, catalog }
 }
 
 /// Walk the database roots (and the collections reachable from their

@@ -541,53 +541,42 @@ pub fn analyze_with_trace(
     let query = plan_comprehension(&reordered).map_err(|pe| EvalError::Other(pe.to_string()))?;
     trace.record(Phase::Plan, start.elapsed().as_nanos());
 
-    profile_execution(&query, &stats, snap, &[], trace)
+    profile_execution(&query, &stats.query_estimates(&query), snap, &[], trace)
 }
 
-/// Profile only the execution of an already-planned query (statistics are
-/// still gathered so the estimate column is populated), with late-bound
+/// Profile only the execution of an already-planned query, with late-bound
 /// parameter values — what the serving layer's slow-query capture uses to
 /// re-run an over-threshold prepared statement under the profiler.
+/// `estimates` are the per-operator cardinalities the optimizer held when
+/// it chose the plan ([`Stats::query_estimates`]; `&[]` for none), so the
+/// profile's `est≈` column and q-errors judge that belief, not a fresh
+/// look at the store.
 pub fn execute_profiled_bound(
     query: &Query,
+    estimates: &[f64],
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
-    let stats = Stats::gather(snap);
-    profile_execution(query, &stats, snap, params, QueryTrace::new())
-}
-
-fn profile_execution(
-    query: &Query,
-    stats: &Stats,
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-    trace: QueryTrace,
-) -> ExecResult<Analysis> {
-    let estimates = stats.query_estimates(query);
-    let start = Instant::now();
-    let mut analysis = run_counted(query, snap, params, &estimates, trace)?;
-    analysis.profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
-    if audit_enabled() {
-        record_audit(&analysis.profile);
-    }
-    Ok(analysis)
+    profile_execution(query, estimates, snap, params, QueryTrace::new())
 }
 
 /// The one counted execution: walk the plan under an [`ExecProbe`] and
-/// read its cells back into a profile. Profiled runs pass the optimizer's
-/// `estimates`; the metered run ([`crate::metrics`]) passes none and
-/// flushes the counts to the registry.
-pub(crate) fn run_counted(
+/// read its cells back into a profile.
+fn profile_execution(
     query: &Query,
+    estimates: &[f64],
     snap: &Snapshot,
     params: &[(Symbol, Value)],
-    estimates: &[f64],
     trace: QueryTrace,
 ) -> ExecResult<Analysis> {
+    let start = Instant::now();
     let probe = ExecProbe::new(query.plan.node_count());
     let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
-    let profile = QueryProfile::assemble(query, estimates, &probe, trace, run.steps);
+    let mut profile = QueryProfile::assemble(query, estimates, &probe, trace, run.steps);
+    profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
+    if audit_enabled() {
+        record_audit(&profile);
+    }
     Ok(Analysis { value: run.value, profile })
 }
 

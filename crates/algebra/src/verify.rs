@@ -86,7 +86,7 @@ fn check_indexes(plan: &Plan, epoch: u64) -> Result<(), VerifyError> {
                     "plan/index",
                     format!(
                         "index on {}.{} was built at mutation epoch {} but the data being \
-                         scanned is at epoch {}; rebuild with `apply_indexes_rebuilding`",
+                         scanned is at epoch {}; rebuild it with `IndexCatalog::build` and re-plan",
                         index.extent,
                         index.field,
                         index.built_at_epoch(),

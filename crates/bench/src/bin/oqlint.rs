@@ -1,9 +1,9 @@
 //! `oqlint` — static diagnostics for OQL queries, no execution.
 //!
 //! Compiles each input against the paper's travel-agency schema (or the
-//! company schema with `--schema company`), runs effect inference and the
-//! MC001–MC006 lint pass, and prints one line per finding with the source
-//! position where the front end recorded one.
+//! company schema with `--schema company`), runs `monoid_db::analyze` —
+//! effect inference and the MC001–MC009 lint pass — and prints one line
+//! per finding with the source position where the front end recorded one.
 //!
 //! ```text
 //! oqlint [--schema travel|company] [--deny-warnings] [--deny CODE] [--json] [FILE...]
@@ -16,7 +16,7 @@
 //! that is how CI gates a corpus on specific lints without promoting every
 //! warning.
 
-use monoid_calculus::analysis::{AnalysisReport, Code, Severity};
+use monoid_calculus::analysis::{Code, Severity};
 use monoid_calculus::types::Schema;
 use std::io::Read;
 use std::process::ExitCode;
@@ -80,8 +80,8 @@ fn parse_args() -> Options {
 
 /// Lint one source text; returns whether it should fail the run.
 fn lint_source(name: &str, src: &str, opts: &Options) -> bool {
-    let report = match monoid_oql::compile_analyzed(&opts.schema, src) {
-        Ok((expr, spans)) => AnalysisReport::with_spans(&expr, &spans),
+    let report = match monoid_db::analyze(&opts.schema, src) {
+        Ok(report) => report,
         Err(e) => {
             if opts.json {
                 use monoid_calculus::json::Json;

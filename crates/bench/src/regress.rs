@@ -28,15 +28,15 @@ use monoid_store::{company, travel, Database, TravelScale};
 use std::time::Instant;
 
 /// One canonical query in the regression suite. Shared with the
-/// plan-quality audit ([`crate::audit`]) so both gates run over the
-/// same corpus.
-pub(crate) struct Case {
-    pub(crate) name: &'static str,
-    pub(crate) store: &'static str,
+/// plan-quality audit ([`crate::audit`]) and the umbrella's MC009 test so
+/// every gate runs over the same corpus.
+pub struct Case {
+    pub name: &'static str,
+    pub store: &'static str,
     /// OQL source, or a paper-notation description for calculus-built
     /// queries.
-    pub(crate) source: String,
-    pub(crate) expr: Expr,
+    pub source: String,
+    pub expr: Expr,
 }
 
 /// What one query did across `runs` executions.
@@ -53,9 +53,9 @@ pub struct QueryReport {
     /// Normalization statistics of a single run (identical every run —
     /// normalization is deterministic).
     pub normalize: NormalizeStats,
-    /// Median wall-time of the static analyzer (effect inference + lint)
-    /// over the raw translated expression — the cost `oqlint` adds on top
-    /// of compilation.
+    /// Median wall-time of the term-level static analyzer (effect
+    /// inference + the MC001–MC008 lints) over the raw translated
+    /// expression; `oqlint` additionally prepares the statement for MC009.
     pub analysis_p50_nanos: u128,
 }
 
@@ -163,7 +163,8 @@ pub struct RegressReport {
     pub host: HostMeta,
 }
 
-pub(crate) fn suite(quick: bool) -> (Database, Database, Vec<Case>) {
+/// The corpus and the two stores it runs against (travel, company).
+pub fn suite(quick: bool) -> (Database, Database, Vec<Case>) {
     let travel_scale = if quick { TravelScale::tiny() } else { TravelScale::small() };
     let travel_db = travel::generate(travel_scale, 7);
     let (managers, reports, floaters) = if quick { (4, 8, 6) } else { (8, 20, 15) };

@@ -14,13 +14,11 @@
 //!   attribute to a term not involving it, pins *at most one* element per
 //!   valuation of the other variables ([`KeyCert`]);
 //! * **functional dependencies** — every `v ≡ e` bind determines `v`
-//!   from the generator variables free in `e` ([`FunDep`]);
-//! * **the fused-engine certificate** — a static fused-eligibility
-//!   verdict mirroring the planner + fused compiler, with a
-//!   source-spanned refusal reason ([`fused_verdict`]). Under
-//!   `MONOID_VERIFY` the algebra layer asserts the runtime decision
-//!   matches this certificate, turning silent fallbacks into detectable
-//!   analysis bugs.
+//!   from the generator variables free in `e` ([`FunDep`]).
+//!
+//! Which engine runs a query is not modelled here: the algebra crate's
+//! compiler decides and reports its own refusal (lint MC009, attached by
+//! the umbrella `analyze`).
 //!
 //! The row-interval upper bound uses *absolute-count elimination* rather
 //! than selectivity multiplication: each generator contributes its size
@@ -34,15 +32,13 @@
 //! bound the soundness property tests check.
 
 use super::constraints::{Catalog, Interval};
-use super::effects::{effects_of, monoid_short_circuits};
+use super::effects::monoid_short_circuits;
 use super::lint::{lint_with_spans, Code, Diagnostic, SpanMap};
-use super::Span;
 use crate::expr::{BinOp, Expr, Literal, Qual, UnOp};
 use crate::monoid::Monoid;
 use crate::subst::free_vars;
 use crate::symbol::Symbol;
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 
 /// A uniqueness certificate: at most one element of `collection` can be
 /// bound to `var` per valuation of the other variables.
@@ -79,47 +75,6 @@ pub struct GenFacts {
     pub capped_at: Option<f64>,
 }
 
-/// A static engine verdict: either the engine will take this query, or
-/// the certificate names the first reason (with a source span) why not.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Verdict {
-    Eligible,
-    Refused { reason: String, span: Option<Span> },
-}
-
-impl Verdict {
-    pub fn is_eligible(&self) -> bool {
-        matches!(self, Verdict::Eligible)
-    }
-
-    pub fn reason(&self) -> Option<&str> {
-        match self {
-            Verdict::Eligible => None,
-            Verdict::Refused { reason, .. } => Some(reason),
-        }
-    }
-
-    pub fn span(&self) -> Option<Span> {
-        match self {
-            Verdict::Eligible => None,
-            Verdict::Refused { span, .. } => *span,
-        }
-    }
-
-    fn refused(reason: String, span: Option<Span>) -> Verdict {
-        Verdict::Refused { reason, span }
-    }
-}
-
-impl fmt::Display for Verdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Verdict::Eligible => write!(f, "eligible"),
-            Verdict::Refused { reason, .. } => write!(f, "refused: {reason}"),
-        }
-    }
-}
-
 /// Everything the abstract interpreter derives about one comprehension.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFacts {
@@ -131,201 +86,6 @@ pub struct QueryFacts {
     pub gens: Vec<GenFacts>,
     pub keys: Vec<KeyCert>,
     pub deps: Vec<FunDep>,
-    /// Would the fused single-fold engine take this query? Computed from
-    /// the calculus *before* plan build ([`fused_verdict`]).
-    pub fused: Verdict,
-}
-
-// ---------------------------------------------------------------------------
-// The fused certificate: a faithful mirror of plan_with_options + fused::compile
-// ---------------------------------------------------------------------------
-
-/// The first subterm of `e` outside the fused compiler's expression
-/// subset (literals, variables, parameters, records, tuples, projections,
-/// binary/unary operators, `if`, deref), or `None` if all of `e` compiles.
-fn first_unfusible(e: &Expr) -> Option<&Expr> {
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) => None,
-        Expr::Record(fields) => fields.iter().find_map(|(_, f)| first_unfusible(f)),
-        Expr::Tuple(items) => items.iter().find_map(first_unfusible),
-        Expr::Proj(inner, _)
-        | Expr::TupleProj(inner, _)
-        | Expr::UnOp(_, inner)
-        | Expr::Deref(inner) => first_unfusible(inner),
-        Expr::BinOp(_, a, b) => first_unfusible(a).or_else(|| first_unfusible(b)),
-        Expr::If(c, t, f) => first_unfusible(c)
-            .or_else(|| first_unfusible(t))
-            .or_else(|| first_unfusible(f)),
-        other => Some(other),
-    }
-}
-
-/// A short human name for the form that refused fusion.
-fn describe(e: &Expr) -> &'static str {
-    match e {
-        Expr::Lambda(..) => "a lambda",
-        Expr::Comp { .. } => "a nested comprehension",
-        Expr::VecComp { .. } => "a nested vector comprehension",
-        Expr::Let(..) => "a `let` binding",
-        Expr::CollLit(..) => "a collection literal",
-        Expr::VecLit(..) => "a vector literal",
-        Expr::VecIndex(..) => "vector indexing",
-        Expr::Merge(..) => "a monoid merge",
-        Expr::Zero(..) => "a monoid zero",
-        Expr::Unit(..) => "a singleton injection",
-        Expr::Hom { .. } => "a homomorphism",
-        Expr::Apply(..) => "a function application",
-        Expr::New(..) => "an allocation (`new`)",
-        Expr::Assign(..) => "an assignment (`:=`)",
-        _ => "an unsupported form",
-    }
-}
-
-/// Mirror of the planner + fused compiler: would this term, once planned
-/// with default options, run on the fused engine? The walk replicates the
-/// planner's bind-placement loop exactly, so the dependency structure
-/// (and therefore the join/unnest classification) agrees with
-/// `plan_with_options`, and the expression subset agrees with
-/// `fused::compile`. The first generator's source is exempt — the fused
-/// engine evaluates it with the full evaluator. Any term is accepted;
-/// non-comprehensions are refused with the same classification the
-/// planner would emit.
-pub fn fused_verdict(e: &Expr, spans: &SpanMap) -> Verdict {
-    let Expr::Comp { monoid, head, quals } = e else {
-        return Verdict::refused(
-            "not a comprehension (evaluated directly)".into(),
-            spans.expr_span(e),
-        );
-    };
-    if matches!(monoid, Monoid::VecOf(_)) {
-        return Verdict::refused(
-            "vector monoid reductions accumulate through indexed slots".into(),
-            spans.expr_span(e),
-        );
-    }
-    let eff = effects_of(e);
-    if eff.mutates {
-        return Verdict::refused(
-            "the query mutates the heap (`:=`)".into(),
-            spans.expr_span(e),
-        );
-    }
-    if eff.allocates {
-        return Verdict::refused(
-            "the query allocates objects (`new`)".into(),
-            spans.expr_span(e),
-        );
-    }
-    if eff.reads_heap {
-        return Verdict::refused(
-            "the query dereferences objects (`!`); the planner evaluates it directly".into(),
-            spans.expr_span(e),
-        );
-    }
-
-    let mut gens: Vec<(Symbol, &Expr)> = Vec::new();
-    let mut binds: Vec<(Symbol, &Expr)> = Vec::new();
-    let mut preds: Vec<&Expr> = Vec::new();
-    for q in quals {
-        match q {
-            Qual::Gen(v, src) => gens.push((*v, src)),
-            Qual::Bind(v, be) => binds.push((*v, be)),
-            Qual::Pred(p) => preds.push(p),
-            Qual::VecGen { .. } => {
-                return Verdict::refused(
-                    "vector generators are evaluated directly".into(),
-                    spans.expr_span(e),
-                )
-            }
-        }
-    }
-    if gens.is_empty() {
-        return Verdict::refused(
-            "no generators (evaluated directly)".into(),
-            spans.expr_span(e),
-        );
-    }
-
-    // Replicate the planner's placement loop: `bound` grows by generator
-    // variables and by binds whose free variables (including globals!) are
-    // all bound — exactly the test `plan_with_options` uses.
-    let mut bound: HashSet<Symbol> = HashSet::new();
-    let mut pending_binds: Vec<(Symbol, &Expr)> = binds.clone();
-    for (i, (var, src)) in gens.iter().enumerate() {
-        if i > 0 {
-            let depends = free_vars(src).iter().any(|v| bound.contains(v));
-            if !depends {
-                return Verdict::refused(
-                    format!(
-                        "independent generator `{}` requires a join, which is outside the \
-                         fused subset",
-                        var.as_str()
-                    ),
-                    spans.var_span(*var).or_else(|| spans.expr_span(src)),
-                );
-            }
-            if let Some(off) = first_unfusible(src) {
-                return Verdict::refused(
-                    format!(
-                        "the path of generator `{}` uses {}, outside the fused expression \
-                         subset",
-                        var.as_str(),
-                        describe(off)
-                    ),
-                    spans.expr_span(off).or_else(|| spans.var_span(*var)),
-                );
-            }
-        }
-        bound.insert(*var);
-        loop {
-            let mut progressed = false;
-            pending_binds.retain(|(bv, be)| {
-                if free_vars(be).iter().all(|v| bound.contains(v)) {
-                    bound.insert(*bv);
-                    progressed = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if !progressed {
-                break;
-            }
-        }
-    }
-    for (bv, be) in &binds {
-        if let Some(off) = first_unfusible(be) {
-            return Verdict::refused(
-                format!(
-                    "the binding `{} ≡ …` uses {}, outside the fused expression subset",
-                    bv.as_str(),
-                    describe(off)
-                ),
-                spans.expr_span(off).or_else(|| spans.var_span(*bv)),
-            );
-        }
-    }
-    for p in &preds {
-        if let Some(off) = first_unfusible(p) {
-            return Verdict::refused(
-                format!(
-                    "a predicate uses {}, outside the fused expression subset",
-                    describe(off)
-                ),
-                spans.expr_span(off).or_else(|| spans.expr_span(p)),
-            );
-        }
-    }
-    if let Some(off) = first_unfusible(head) {
-        return Verdict::refused(
-            format!(
-                "the head uses {}, outside the fused expression subset",
-                describe(off)
-            ),
-            spans.expr_span(off).or_else(|| spans.expr_span(head)),
-        );
-    }
-    Verdict::Eligible
 }
 
 // ---------------------------------------------------------------------------
@@ -757,8 +517,7 @@ fn numeric_or_lit(e: &Expr) -> bool {
 }
 
 /// Run the abstract interpreter over `e`.
-pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
-    let fused = fused_verdict(e, spans);
+pub fn infer(e: &Expr, catalog: &Catalog) -> QueryFacts {
     let Expr::Comp { monoid, head: _, quals } = e else {
         return QueryFacts {
             rows: Interval::UNBOUNDED,
@@ -766,7 +525,6 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
             gens: Vec::new(),
             keys: Vec::new(),
             deps: Vec::new(),
-            fused,
         };
     };
 
@@ -864,7 +622,6 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
                     gens: ctx.gens,
                     keys,
                     deps,
-                    fused,
                 };
             }
         }
@@ -924,7 +681,6 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
             gens: ctx.gens,
             keys,
             deps,
-            fused,
         };
     }
 
@@ -934,7 +690,6 @@ pub fn infer(e: &Expr, catalog: &Catalog, spans: &SpanMap) -> QueryFacts {
         gens: ctx.gens,
         keys,
         deps,
-        fused,
     }
 }
 
@@ -953,13 +708,14 @@ fn c_rhs(c: &Expr) -> Option<&Expr> {
 }
 
 // ---------------------------------------------------------------------------
-// Inference-backed lints: MC007 / MC008 / MC009
+// Inference-backed lints: MC007 / MC008
 // ---------------------------------------------------------------------------
 
 /// The full lint pass: the span-aware structural lints (MC001–MC006) plus
-/// the inference-backed lints (MC007–MC009), sharing one catalog. The
-/// umbrella `analyze()` and `oqlint` run this; callers without statistics
-/// pass an empty catalog (all inference lookups miss soundly).
+/// the inference-backed lints (MC007–MC008), sharing one catalog. The
+/// umbrella `analyze()` runs this (and adds MC009 from the prepared
+/// plan); callers without statistics pass an empty catalog (all
+/// inference lookups miss soundly).
 pub fn lint_full(e: &Expr, spans: &SpanMap, catalog: &Catalog) -> Vec<Diagnostic> {
     let mut diags = lint_with_spans(e, spans);
     let extra = infer_lints(e, spans, catalog);
@@ -968,7 +724,7 @@ pub fn lint_full(e: &Expr, spans: &SpanMap, catalog: &Catalog) -> Vec<Diagnostic
     diags
 }
 
-/// MC007/MC008 on every comprehension subterm, MC009 on the root.
+/// MC007/MC008 on every comprehension subterm.
 fn infer_lints(e: &Expr, spans: &SpanMap, catalog: &Catalog) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     e.visit(&mut |node| {
@@ -976,22 +732,6 @@ fn infer_lints(e: &Expr, spans: &SpanMap, catalog: &Catalog) -> Vec<Diagnostic> 
             comp_lints(monoid, head, quals, catalog, spans, &mut diags);
         }
     });
-    // MC009 only for the root term: nested comprehensions run inside the
-    // evaluator anyway, so a per-subterm fallback note would be noise.
-    if matches!(e, Expr::Comp { .. }) {
-        if let Verdict::Refused { reason, span } = &fused_verdict(e, spans) {
-            diags.push(Diagnostic {
-                code: Code::FusedFallback,
-                severity: Code::FusedFallback.default_severity(),
-                span: span.or_else(|| spans.expr_span(e)),
-                message: format!("query falls back to the plan-walk engine: {reason}"),
-                note: Some(
-                    "the fused engine compiles linear scan/filter/bind/unnest chains only"
-                        .into(),
-                ),
-            });
-        }
-    }
     diags
 }
 
@@ -1011,7 +751,7 @@ fn comp_lints(
         head: Box::new(head.clone()),
         quals: quals.to_vec(),
     };
-    let facts = infer(&comp, catalog, spans);
+    let facts = infer(&comp, catalog);
 
     // MC007: an independent generator (a join) with no predicate linking
     // it to anything bound earlier — a cross product. Suppressed when the
@@ -1144,7 +884,7 @@ mod tests {
 
     #[test]
     fn unique_attribute_equality_caps_the_generator() {
-        let facts = infer(&portland(), &travel_catalog(), &SpanMap::default());
+        let facts = infer(&portland(), &travel_catalog());
         assert!(facts.rows.contains(1.0));
         assert!(facts.rows.hi <= 1.0, "rows {:?}", facts.rows);
         // Two certificates: the extent's OID key and the pinned unique
@@ -1163,7 +903,7 @@ mod tests {
                 Expr::pred(Expr::var("h").proj("stars").eq(Expr::int(3))),
             ],
         );
-        let facts = infer(&e, &travel_catalog(), &SpanMap::default());
+        let facts = infer(&e, &travel_catalog());
         assert_eq!(facts.rows.hi, 2.0, "max_freq caps the scan: {:?}", facts.rows);
     }
 
@@ -1177,7 +917,7 @@ mod tests {
                 Expr::gen("r", Expr::var("h").proj("rooms")),
             ],
         );
-        let facts = infer(&e, &travel_catalog(), &SpanMap::default());
+        let facts = infer(&e, &travel_catalog());
         assert_eq!(facts.rows, Interval::new(12.0, 24.0));
     }
 
@@ -1188,7 +928,7 @@ mod tests {
             Expr::bool(true),
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
-        let facts = infer(&e, &travel_catalog(), &SpanMap::default());
+        let facts = infer(&e, &travel_catalog());
         assert_eq!(facts.rows, Interval::new(0.0, 6.0));
     }
 
@@ -1202,7 +942,7 @@ mod tests {
                 Expr::pred(Expr::var("h").proj("stars").eq(Expr::int(9))),
             ],
         );
-        let facts = infer(&e, &travel_catalog(), &SpanMap::default());
+        let facts = infer(&e, &travel_catalog());
         assert_eq!(facts.rows, Interval::ZERO);
         let diags = lint_full(&e, &SpanMap::default(), &travel_catalog());
         assert!(diags.iter().any(|d| d.code == Code::StaticallyEmpty), "{diags:?}");
@@ -1251,7 +991,7 @@ mod tests {
                 ),
             ],
         );
-        let facts = infer(&e, &cat, &SpanMap::default());
+        let facts = infer(&e, &cat);
         // One generator survives (3 or 6), the other is capped at 1.
         assert!(facts.rows.hi >= 3.0, "{:?}", facts.rows);
         assert!(facts.rows.hi <= 6.0, "{:?}", facts.rows);
@@ -1297,56 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_verdict_matches_the_fused_subset() {
-        let linear = portland();
-        assert!(fused_verdict(&linear, &SpanMap::default()).is_eligible());
-
-        let join = Expr::comp(
-            Monoid::Bag,
-            Expr::int(1),
-            vec![
-                Expr::gen("a", Expr::var("Cities")),
-                Expr::gen("b", Expr::var("Hotels")),
-            ],
-        );
-        let fused = fused_verdict(&join, &SpanMap::default());
-        assert!(!fused.is_eligible());
-        assert!(fused.reason().unwrap().contains("join"), "{fused:?}");
-
-        let lambda_head = Expr::comp(
-            Monoid::Bag,
-            Expr::lambda("x", Expr::var("x")),
-            vec![Expr::gen("a", Expr::var("Cities"))],
-        );
-        let fused = fused_verdict(&lambda_head, &SpanMap::default());
-        assert!(fused.reason().unwrap().contains("lambda"), "{fused:?}");
-
-        let mutating = Expr::comp(
-            Monoid::Bag,
-            Expr::var("a").assign(Expr::int(1)),
-            vec![Expr::gen("a", Expr::var("Cities"))],
-        );
-        assert!(!fused_verdict(&mutating, &SpanMap::default()).is_eligible());
-    }
-
-    #[test]
-    fn bind_placement_mirrors_the_planner_for_out_of_order_binds() {
-        // x ← xs, y ← f(b), b ≡ g(x): the planner places `b` right after
-        // `x`, so `y` is a *dependent* generator (unnest), not a join.
-        let e = Expr::comp(
-            Monoid::Bag,
-            Expr::var("y"),
-            vec![
-                Expr::gen("x", Expr::var("xs")),
-                Expr::gen("y", Expr::var("b").proj("kids")),
-                Expr::bind("b", Expr::var("x").proj("child")),
-            ],
-        );
-        let fused = fused_verdict(&e, &SpanMap::default());
-        assert!(fused.is_eligible(), "{fused:?}");
-    }
-
-    #[test]
     fn fun_deps_record_bind_determinants() {
         let e = Expr::comp(
             Monoid::Bag,
@@ -1356,7 +1046,7 @@ mod tests {
                 Expr::bind("n", Expr::var("c").proj("name")),
             ],
         );
-        let facts = infer(&e, &Catalog::default(), &SpanMap::default());
+        let facts = infer(&e, &Catalog::default());
         assert_eq!(
             facts.deps,
             vec![FunDep { var: Symbol::new("n"), determinants: vec![Symbol::new("c")] }]

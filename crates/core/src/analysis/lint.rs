@@ -11,6 +11,9 @@
 //! MC005 ("cannot parallelize") was retired with the parallel engine;
 //! codes are never renumbered.
 //!
+//! MC007/MC008 live in [`super::infer`]; MC009 is attached by the umbrella
+//! `analyze` from the prepared plan.
+//!
 //! Lints run over the *translated, pre-normalization* calculus term — that
 //! is the shape closest to what the user wrote, and the shape the OQL
 //! span map ([`SpanMap`]) keys on. Binders synthesized by the translator
@@ -66,8 +69,9 @@ pub enum Code {
     CrossProduct,
     /// MC008: a predicate is statically empty under the gathered domains.
     StaticallyEmpty,
-    /// MC009: the query falls back from the fused engine, with the
-    /// certificate's reason.
+    /// MC009: the prepared statement does not run on the fused engine,
+    /// with the compiler's own reason. Defined here, emitted by the
+    /// umbrella `analyze` (this crate cannot see the engine).
     FusedFallback,
 }
 

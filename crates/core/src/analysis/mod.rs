@@ -8,15 +8,19 @@
 //!
 //! * [`effects`] — a bottom-up effect-inference pass over [`Expr`]
 //!   (allocates / mutates / reads-heap / short-circuits, plus free
-//!   variables). The planner, the fused compiler and the serving layer
-//!   consult the resulting [`EffectSummary`] statically instead of
+//!   variables). The planner, the execution engines and the serving
+//!   layer consult the resulting [`EffectSummary`] statically instead of
 //!   scanning plans at runtime.
 //! * [`verify`] — the stage invariant verifier: [`verify::check_rewrite`]
 //!   re-checks scoping, C/I legality, type preservation, and
 //!   well-formedness after every normalize rule firing (on under
 //!   `cfg(debug_assertions)`, forced by `MONOID_VERIFY=1`).
-//! * [`lint`] — structured diagnostics with stable codes (MC001–MC006),
+//! * [`infer`](mod@infer) — cardinality intervals, key certificates and
+//!   functional dependencies read off the canonical form.
+//! * [`lint`] — structured diagnostics with stable codes (MC001–MC009),
 //!   surfaced by the umbrella `analyze` API and the `oqlint` binary.
+//!   MC009 (engine fallback) is the one code this crate defines but does
+//!   not emit: `analyze` attaches it from the prepared plan.
 //!
 //! Analyzer activity feeds the process-wide metrics registry:
 //! `analysis_diagnostics_total{code}` and
@@ -35,9 +39,7 @@ pub mod verify;
 
 pub use constraints::{AttrFacts, Catalog, ExtentFacts, FieldFacts, Interval};
 pub use effects::{effects_of, Effects, EffectSummary};
-pub use infer::{
-    fused_verdict, infer, lint_full, FunDep, GenFacts, KeyCert, QueryFacts, Verdict,
-};
+pub use infer::{infer, lint_full, FunDep, GenFacts, KeyCert, QueryFacts};
 pub use lint::{lint, lint_with_spans, Code, Diagnostic, Severity, SpanMap};
 pub use verify::{check_rewrite, record_failure, verify_enabled, VerifyError};
 
@@ -91,7 +93,7 @@ impl AnalysisReport {
     }
 
     /// Analyze `e` with spans and a gathered statistics catalog, enabling
-    /// the inference-backed lints (MC007–MC009) to use domain facts.
+    /// the inference-backed lints (MC007–MC008) to use domain facts.
     pub fn with_catalog(
         e: &crate::expr::Expr,
         spans: &SpanMap,
@@ -101,6 +103,13 @@ impl AnalysisReport {
             effects: EffectSummary::of(e),
             diagnostics: lint_full(e, spans, catalog),
         }
+    }
+
+    /// Add a diagnostic a later layer found (the umbrella's MC009),
+    /// counted in `analysis_diagnostics_total{code}` like the rest.
+    pub fn push(&mut self, d: Diagnostic) {
+        lint::record_metrics(std::slice::from_ref(&d));
+        self.diagnostics.push(d);
     }
 
     /// The most severe diagnostic level present, if any.

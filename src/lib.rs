@@ -14,7 +14,7 @@
 //! * [`vector`] — vectors and arrays as monoids (§4.1 extension library).
 //!
 //! Umbrella-level entry points: [`analyze`] (static analysis of OQL
-//! source — effects + MC001–MC006 lints, no execution),
+//! source — effects + the MC001–MC009 lints, no execution),
 //! [`explain_analyze`] (profiled end-to-end execution), and the
 //! [`serving`] layer ([`prepare`] → [`Prepared::execute`] prepared
 //! statements with `$name` placeholders, plus the epoch-aware
@@ -45,7 +45,7 @@ pub use serving::{
 pub use monoid_calculus::prelude;
 
 use monoid_algebra::Analysis;
-use monoid_calculus::analysis::AnalysisReport;
+use monoid_calculus::analysis::{AnalysisReport, Code, Diagnostic};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
@@ -87,11 +87,35 @@ impl From<EvalError> for AnalyzeError {
 
 /// Statically analyze an OQL query against `schema` *without executing
 /// it*: parse → translate (recording source spans) → effect inference +
-/// the MC001–MC006 lint pass. This is the library face of the `oqlint`
-/// binary; `report.render()` for humans, `report.to_json()` for tools.
+/// the MC001–MC008 lint pass, then MC009 from the statement prepared the
+/// way `oqld` would prepare it (normalized, reordered with schema-only
+/// statistics, planned): if [`Prepared::refusal`] says it will not run
+/// as one fused fold, the diagnostic carries that reason verbatim,
+/// anchored where the front end recorded the refusal's binder or
+/// sub-expression. This is what the `oqlint` binary prints;
+/// `report.render()` for humans, `report.to_json()` for tools.
 pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
     let (expr, spans) = monoid_oql::compile_analyzed(schema, src)?;
-    Ok(AnalysisReport::with_spans(&expr, &spans))
+    let mut report = AnalysisReport::with_spans(&expr, &spans);
+    let refusal = match prepare_expr(&expr, &monoid_algebra::Stats::default()) {
+        Ok(prepared) => prepared.refusal(),
+        Err(unplannable) => Some(monoid_algebra::Refusal::new(unplannable.to_string())),
+    };
+    if let Some(r) = refusal {
+        let span = (r.expr.as_ref().and_then(|e| spans.expr_span(e)))
+            .or_else(|| r.var.and_then(|v| spans.var_span(v)))
+            .or_else(|| spans.expr_span(&expr));
+        report.push(Diagnostic {
+            code: Code::FusedFallback,
+            severity: Code::FusedFallback.default_severity(),
+            span,
+            message: format!("query does not run on the fused engine: {}", r.reason),
+            note: Some(
+                "the fused engine compiles linear scan/filter/bind/unnest chains only".into(),
+            ),
+        });
+    }
+    Ok(report)
 }
 
 /// `EXPLAIN ANALYZE` for OQL source: run the full lifecycle — lex/parse →

@@ -44,7 +44,7 @@
 //! from a replay against the same snapshot. See `docs/observability.md`.
 
 use crate::AnalyzeError;
-use monoid_algebra::{plan_comprehension, reorder_generators, Query, Stats};
+use monoid_algebra::{plan_comprehension, reorder_generators, PlanError, Query, Refusal, Stats};
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
@@ -143,7 +143,8 @@ pub struct Prepared {
 #[derive(Debug, Clone)]
 enum ExecMode {
     Plan(Query),
-    Eval,
+    /// Evaluator mode, with the planner's reason for declining.
+    Eval(PlanError),
 }
 
 /// Prepare `src` against `schema` alone: parse, translate (type-checking
@@ -243,10 +244,10 @@ fn finish_prepare(
         // comprehensions, non-comprehension roots — stay preparable and
         // run on the evaluator.
         Err(
-            monoid_algebra::PlanError::Impure
-            | monoid_algebra::PlanError::NotAComprehension
-            | monoid_algebra::PlanError::VectorComprehension,
-        ) => (ExecMode::Eval, Vec::new()),
+            pe @ (PlanError::Impure
+            | PlanError::NotAComprehension
+            | PlanError::VectorComprehension),
+        ) => (ExecMode::Eval(pe), Vec::new()),
         Err(pe) => return Err(AnalyzeError::Exec(EvalError::Other(pe.to_string()))),
     };
 
@@ -297,7 +298,18 @@ impl Prepared {
     pub fn query(&self) -> Option<&Query> {
         match &self.exec {
             ExecMode::Plan(q) => Some(q),
-            ExecMode::Eval => None,
+            ExecMode::Eval(_) => None,
+        }
+    }
+
+    /// Why this statement will not run as one fused fold, if it will not:
+    /// the fused compiler's own refusal of the plan, or — for an
+    /// evaluator-mode statement — the planner's. This is what lint MC009
+    /// reports.
+    pub fn refusal(&self) -> Option<Refusal> {
+        match &self.exec {
+            ExecMode::Plan(q) => monoid_algebra::fused::refusal(q),
+            ExecMode::Eval(why) => Some(Refusal::new(why.to_string())),
         }
     }
 
@@ -443,7 +455,7 @@ impl Prepared {
         scope.finish_capturing(error, |_| {
             let profile = match (self.query(), self.resolve(params)) {
                 (Some(q), Ok(binds)) if !self.writes() => {
-                    monoid_algebra::execute_profiled_bound(q, snap, binds)
+                    monoid_algebra::execute_profiled_bound(q, &self.estimates, snap, binds)
                         .ok()
                         .map(|a| a.profile.to_json())
                 }
@@ -470,7 +482,7 @@ impl Prepared {
                 "statement runs on the evaluator (no plan to profile)".to_string(),
             )));
         };
-        let analysis = monoid_algebra::execute_profiled_bound(q, snap, binds)?;
+        let analysis = monoid_algebra::execute_profiled_bound(q, &self.estimates, snap, binds)?;
         Ok(analysis.profile.to_folded())
     }
 
@@ -483,7 +495,7 @@ impl Prepared {
     ) -> Result<Value, AnalyzeError> {
         match &self.exec {
             ExecMode::Plan(q) => Ok(monoid_algebra::execute_snapshot_bound(q, snap, binds)?),
-            ExecMode::Eval => {
+            ExecMode::Eval(_) => {
                 recorder::note_engine("eval");
                 Ok(snap.eval_unchecked(&self.canonical, &bound_env(snap, binds))?)
             }

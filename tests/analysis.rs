@@ -3,10 +3,12 @@
 //! stage-tagged verifier errors, and JSON quoting edge cases in the
 //! analyzer's machine-readable output.
 
+use monoid_db::algebra::{engine_of, Engine};
 use monoid_db::analyze;
 use monoid_db::calculus::analysis::{
     lint, AnalysisReport, Code, Diagnostic, EffectSummary, Severity,
 };
+use monoid_db::calculus::types::Schema;
 use monoid_db::calculus::expr::Expr;
 use monoid_db::calculus::monoid::Monoid;
 use monoid_db::store::travel;
@@ -144,6 +146,59 @@ fn fused_fallback_is_flagged_with_the_refusal_reason() {
     assert!(d.message.contains("independent generator `h`"), "{d}");
     let span = d.span.expect("MC009 anchors at the refusing construct");
     assert_eq!((span.line, span.col), (2, 19), "the `h` binder position");
+}
+
+/// MC009 describes the statement `oqld` would actually run: present iff
+/// the prepared statement is evaluator-mode or its plan stays on the plan
+/// walk, and worded by whoever refused it.
+fn assert_mc009_tells_the_truth(schema: &Schema, src: &str) {
+    let report = analyze(schema, src).unwrap();
+    let prepared = monoid_db::prepare(schema, src).unwrap();
+    let falls_back = match prepared.query() {
+        None => true, // evaluator mode
+        Some(q) => engine_of(q) == Engine::PlanWalk,
+    };
+    let mc009 = report.diagnostics.iter().find(|d| d.code == Code::FusedFallback);
+    assert_eq!(mc009.is_some(), falls_back, "{src}\n{:?}", report.diagnostics);
+    assert_eq!(prepared.refusal().is_some(), falls_back, "{src}");
+    if let (Some(d), Some(r)) = (mc009, prepared.refusal()) {
+        assert!(d.message.contains(&r.reason), "{d} does not quote `{}`", r.reason);
+    }
+}
+
+#[test]
+fn mc009_is_reported_exactly_when_the_prepared_statement_falls_back() {
+    let travel = travel::schema();
+    for entry in std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/examples/oql")).unwrap()
+    {
+        let src = std::fs::read_to_string(entry.unwrap().path()).unwrap();
+        assert_mc009_tells_the_truth(&travel, &src);
+    }
+    let (_, company_db, cases) = monoid_bench::regress::suite(true);
+    for case in cases {
+        let schema = if case.store == "travel" { &travel } else { company_db.schema() };
+        if monoid_db::oql::compile(schema, &case.source).is_ok() {
+            assert_mc009_tells_the_truth(schema, &case.source);
+        } else {
+            // The one calculus-built case: no OQL text for `analyze`, so
+            // ask the prepared statement directly.
+            assert_eq!(case.name, "clients-existing-city");
+            let stats = monoid_db::algebra::Stats::default();
+            let prepared = monoid_db::prepare_expr(&case.expr, &stats).unwrap();
+            let q = prepared.query().expect("plannable");
+            assert_eq!(prepared.refusal().is_some(), engine_of(q) == Engine::PlanWalk);
+        }
+    }
+    // An evaluator-mode statement: MC009 carries the planner's words.
+    assert_mc009_tells_the_truth(&travel, "count(Cities) + count(Hotels)");
+    // A nested select in second position flattens into a linear chain
+    // (c ← Cities, h2 ← c.hotels, …, r ← h2.rooms) and runs fused; a lint
+    // reading the un-normalized term would flag the nested comprehension.
+    let nested = "select r.price\nfrom c in Cities,\n     h in (select h2 from h2 in c.hotels \
+                  where h2.name = 'hotel_0_0'),\n     r in h.rooms";
+    assert_mc009_tells_the_truth(&travel, nested);
+    let report = analyze(&travel, nested).unwrap();
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
 }
 
 /// Exemplar diagnostics are stable under `parse ∘ unparse`: re-rendering

@@ -1,7 +1,8 @@
 //! Pins the entry-point surface so the `{&mut Database, &Snapshot} ×
 //! {bound, unbound} × {engine, probe}` matrix cannot silently regrow, and
-//! with it the option count: the `MONOID_*` variables the library reads
-//! and the variants of `Plan`.
+//! with it the option count: the `MONOID_*` variables the library reads,
+//! the variants of `Plan`, the one shape of a join, and the one place
+//! that decides which engine runs.
 //!
 //! A plan is a pure read: every executor in `monoid_algebra`, and the
 //! prepare/cache/profile half of `monoid_db`, takes a `&Snapshot` (which a
@@ -23,7 +24,6 @@ use std::path::{Path, PathBuf};
 const ALGEBRA_EXECUTE: &[&str] = &[
     "execute",
     "execute_counted_bound",
-    "execute_metered_bound",
     "execute_plan_walk_bound",
     "execute_profiled_bound",
     "execute_snapshot_bound",
@@ -183,10 +183,12 @@ fn the_library_reads_exactly_the_pinned_environment_variables() {
     assert_eq!(found, set_of(ENV_VARS), "the set of environment variables read changed");
 }
 
-/// A logical plan holds operators, not materialized data: six variants,
-/// and the hash join's build table is `exec.rs`'s private temporary.
+/// A logical plan holds operators, not materialized data or execution
+/// strategy: six variants, the build table is `exec.rs`'s private
+/// temporary, and a join is its two inputs and its keys — how it runs is
+/// read off `on`, not stored beside it.
 #[test]
-fn plan_has_six_variants_and_no_build_table() {
+fn plan_has_six_variants_one_join_shape_and_no_build_table() {
     let logical = code_of(&root().join("crates/algebra/src/logical.rs"));
     let body = logical
         .split("pub enum Plan {")
@@ -201,6 +203,36 @@ fn plan_has_six_variants_and_no_build_table() {
         .collect();
     assert_eq!(variants, ["Scan", "Unnest", "Filter", "Bind", "Join", "IndexLookup"]);
     assert!(!logical.contains("BuildTable"), "logical.rs names `BuildTable`");
+    // (Spelled in two halves so a repo-wide grep for the old name is empty.)
+    assert!(!logical.contains(concat!("enum Join", "Kind")), "logical.rs stores a join strategy");
+    let join = body
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("Join {"))
+        .and_then(|rest| rest.split('}').next())
+        .expect("`Join { … }` on one line");
+    // Field names are the words a `: ` follows; types hold no colon.
+    let fields: Vec<&str> = join
+        .split(": ")
+        .filter_map(|before| before.rsplit([' ', ',']).next())
+        .filter(|w| !w.is_empty() && w.chars().all(|c| c.is_ascii_lowercase() || c == '_'))
+        .collect();
+    assert_eq!(fields, ["left", "right", "on"]);
+}
+
+/// The core crate does not model an engine it cannot see: nothing under
+/// `analysis/` mentions the fused fold outside comments and tests, and
+/// MC009 — attached by `monoid_db::analyze` from the prepared plan —
+/// keeps its code and severity.
+#[test]
+fn the_analysis_layer_does_not_model_the_fused_engine() {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates/core/src/analysis"), &mut files);
+    for file in files {
+        assert!(!code_of(&file).contains("fused"), "{} names `fused`", file.display());
+    }
+    use monoid_db::calculus::analysis::{Code, Severity};
+    let mc009 = Code::all().iter().find(|c| c.as_str() == "MC009").expect("MC009 is listed");
+    assert_eq!(mc009.default_severity(), Severity::Info);
 }
 
 #[test]

@@ -4,18 +4,15 @@
 //! * the inferred cardinality interval always contains the row count the
 //!   execution probe actually observed flowing into the reduction;
 //! * every key certificate survives an exhaustive duplicate check over
-//!   the store it was derived from;
-//! * the static fused certificate agrees with the fused compiler.
+//!   the store it was derived from.
 //!
 //! Queries and stores are both random: ≥ 256 cases over seeded travel
 //! databases and a grammar of canonical comprehensions (dependent and
 //! independent generators, equality/range/negated predicates, plain and
 //! short-circuiting monoids).
 
-use monoid_db::algebra::{
-    execute_profiled_bound, fused_eligible, plan_comprehension, Stats,
-};
-use monoid_db::calculus::analysis::{infer, Catalog, SpanMap};
+use monoid_db::algebra::{execute_profiled_bound, plan_comprehension, Stats};
+use monoid_db::calculus::analysis::{infer, Catalog};
 use monoid_db::calculus::expr::Expr;
 use monoid_db::calculus::monoid::Monoid;
 use monoid_db::calculus::symbol::Symbol;
@@ -173,7 +170,7 @@ fn deref(db: &Database, v: &Value) -> Value {
 }
 
 fn check_key_certs(db: &Database, e: &Expr, catalog: &Catalog) -> Result<(), TestCaseError> {
-    let facts = infer(e, catalog, &SpanMap::default());
+    let facts = infer(e, catalog);
     for cert in &facts.keys {
         let elems = collection_elements(db, cert.collection);
         match cert.attr {
@@ -227,18 +224,11 @@ proptest! {
         let e = build(&s);
         let stats = Stats::gather(&db);
         let catalog = stats.catalog();
-        let facts = infer(&e, catalog, &SpanMap::default());
+        let facts = infer(&e, catalog);
         let query = plan_comprehension(&e).unwrap();
 
-        // The fused certificate is the engine decision, statically.
-        prop_assert_eq!(
-            facts.fused.is_eligible(),
-            fused_eligible(&query),
-            "fused certificate disagrees with the compiler on {:?}", s
-        );
-
         // The probe's observed row count lies inside the inferred interval.
-        let analysis = execute_profiled_bound(&query, &db, &[]).unwrap();
+        let analysis = execute_profiled_bound(&query, &[], &db, &[]).unwrap();
         let actual = analysis.profile.rows_to_reduce as f64;
         prop_assert!(
             actual <= facts.rows.hi + 1e-9,

@@ -1,6 +1,6 @@
 //! Acceptance tests for the process-wide metrics registry: a known
-//! workload produces exact registry deltas, a metered run's flush agrees
-//! with a profiled run's `OperatorProfile`s, the unprofiled `NoProbe` path never
+//! workload produces exact registry deltas, a counted run flushed with
+//! `record_profile` agrees with its own `OperatorProfile`s, the unprofiled `NoProbe` path never
 //! touches the registry, and the Prometheus rendering of a real workload
 //! is valid exposition text.
 //!
@@ -43,14 +43,14 @@ fn registry_accounts_for_a_known_workload() {
         }
     }
 
-    // --- 2. A metered run's flush agrees with a profile, exactly. ------
-    // Same plan, same store: per-kind sums of the single-query profile
-    // must equal the registry delta of one metered run.
-    let analysis = monoid_algebra::execute_profiled_bound(&plan, &db, &[]).unwrap();
-    assert_eq!(analysis.value, plain);
+    // --- 2. A counted run's flush agrees with its profile, exactly. ----
+    // Per-kind sums of the single-query profile must equal the registry
+    // delta of flushing it; the counted run itself moves nothing.
     let before = metrics::global().snapshot();
-    let metered = monoid_algebra::execute_metered_bound(&plan, &db, &[]).unwrap();
-    assert_eq!(metered, plain);
+    let analysis = monoid_algebra::execute_profiled_bound(&plan, &[], &db, &[]).unwrap();
+    assert_eq!(analysis.value, plain);
+    assert_eq!(metrics::global().snapshot().diff(&before).counter("exec_queries_total"), 0);
+    monoid_algebra::metrics::record_profile(&analysis.profile);
     let diff = metrics::global().snapshot().diff(&before);
     for kind in monoid_algebra::Plan::KIND_LABELS {
         let profiled: u64 = analysis
@@ -79,7 +79,6 @@ fn registry_accounts_for_a_known_workload() {
         );
     }
     assert_eq!(diff.counter("exec_queries_total"), 1);
-    assert_eq!(diff.counter("exec_query_errors_total"), 0);
     // The dept equi-join really is a join with a non-empty build side.
     assert!(diff.counter_with("exec_rows_pushed_total", &[("operator", "join")]) > 0);
     assert!(diff.counter_with("exec_build_rows_total", &[("operator", "join")]) > 0);
@@ -91,8 +90,9 @@ fn registry_accounts_for_a_known_workload() {
         monoid_oql::compile(db.schema(), "exists m in Managers: m.dept = \"engineering\"").unwrap();
     let exists = monoid_algebra::plan_comprehension(&normalize_traced(&exists).0).unwrap();
     let before = metrics::global().snapshot();
-    let found = monoid_algebra::execute_metered_bound(&exists, &db, &[]).unwrap();
-    assert_eq!(found, monoid_calculus::value::Value::Bool(true));
+    let found = monoid_algebra::execute_profiled_bound(&exists, &[], &db, &[]).unwrap();
+    assert_eq!(found.value, monoid_calculus::value::Value::Bool(true));
+    monoid_algebra::metrics::record_profile(&found.profile);
     let diff = metrics::global().snapshot().diff(&before);
     assert_eq!(diff.counter("exec_short_circuits_total"), 1);
     assert_eq!(diff.counter("exec_queries_total"), 1);

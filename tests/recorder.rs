@@ -14,8 +14,10 @@
 //! flag and slow threshold they found.
 
 use monoid_bench::compare::compare_reports;
+use monoid_algebra::QueryProfile;
 use monoid_calculus::metrics;
 use monoid_calculus::recorder::{self, CacheDisposition, FlightRecorder, QueryRecord};
+use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::Phase;
 use monoid_calculus::value::Value;
 use monoid_db::{explain_analyze, Params, PlanCache, Session};
@@ -157,6 +159,37 @@ fn slow_capture_fires_iff_threshold_exceeded() {
         assert!(capture.plan.is_some());
         assert!(capture.profile.is_some(), "snapshot path attaches the replayed profile");
     }
+
+    rec.set_enabled(was_enabled);
+    rec.set_slow_threshold(was_threshold);
+}
+
+/// The capture's `est≈` column is what the optimizer believed when it
+/// chose the plan — the statement's own estimates — not a fresh walk of
+/// the store on the serving thread.
+#[test]
+fn slow_capture_reports_the_estimates_the_statement_was_planned_with() {
+    let _guard = lock();
+    let rec = recorder::global();
+    let (was_enabled, was_threshold) = (rec.enabled(), rec.slow_threshold());
+    rec.set_enabled(true);
+    rec.set_slow_threshold(1);
+
+    let mut db = db();
+    let prepared = monoid_db::prepare_on(&db, "select h.name from h in Hotels").unwrap();
+    let planned_for = prepared.estimates()[0];
+    assert_eq!(planned_for, db.extent_len("Hotels") as f64);
+    for i in 0..100 {
+        let late = Value::record(vec![(Symbol::new("name"), Value::str(&format!("late_{i}")))]);
+        db.insert(Symbol::new("Hotel"), late).unwrap();
+    }
+    prepared.execute(&mut db, &Params::new()).unwrap();
+    let capture = rec.slow_log().pop().expect("1 ns threshold: captured");
+    let profile = QueryProfile::from_json(capture.profile.as_ref().expect("a pure read"))
+        .expect("captures round-trip");
+    let root = &profile.operators[0];
+    assert_eq!(root.actual_rows, planned_for as u64 + 100, "ran against the grown extent");
+    assert_eq!(root.estimated_rows, planned_for, "estimate is the prepare-time belief");
 
     rec.set_enabled(was_enabled);
     rec.set_slow_threshold(was_threshold);
