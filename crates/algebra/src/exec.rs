@@ -18,7 +18,6 @@
 //! flushed from it after the run.
 
 use crate::error::ExecResult;
-use crate::fused::Engine;
 use crate::logical::{Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
@@ -152,8 +151,7 @@ pub(crate) struct Run {
 /// [`Snapshot`]: the evaluator gets an O(1) copy-on-write clone of the
 /// pinned heap, discarded afterwards. `params` are bound into the root
 /// environment before the plan runs, so `Expr::Param` leaves resolve per
-/// execution. The engine that ran and the result's row count are noted
-/// on the flight recorder's active record, if any.
+/// execution.
 pub(crate) fn run<P: Probe>(
     query: &Query,
     snap: &Snapshot,
@@ -169,12 +167,10 @@ pub(crate) fn run<P: Probe>(
     } else {
         None
     };
-    let (value, engine) = match fused {
-        Some(v) => (v, Engine::Fused),
-        None => (run_reduce(query, &mut ev, &env, probe)?, Engine::PlanWalk),
+    let value = match fused {
+        Some(v) => v,
+        None => run_reduce(query, &mut ev, &env, probe)?,
     };
-    monoid_calculus::recorder::note_engine(engine.as_str());
-    monoid_calculus::recorder::note_result(&value);
     Ok(Run { value, steps: ev.steps_used() })
 }
 

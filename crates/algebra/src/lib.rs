@@ -24,9 +24,9 @@
 //!   design dimension of companion paper \[17\]).
 //! * [`explain`](mod@explain) — human-readable plan trees, optionally
 //!   annotated with the optimizer's cardinality estimates.
-//! * [`trace`] — `EXPLAIN ANALYZE`: profiled execution with per-phase
-//!   wall-clock timings and per-operator row/time counters, serializable
-//!   to JSON.
+//! * [`trace`] — the profiled half of `EXPLAIN ANALYZE`: one counted
+//!   execution of a planned query with per-operator row/time counters
+//!   next to the optimizer's estimates, serializable to JSON.
 //! * [`metrics`](mod@metrics) — fleet metering: a counted run's profile
 //!   flushed, by operator kind, into cumulative row/build/short-circuit
 //!   counters in the process-wide registry (`monoid_calculus::metrics`).
@@ -35,9 +35,12 @@
 //!   included), re-checked before every execution when stage
 //!   verification is on (`MONOID_VERIFY=1`, or any debug build).
 //!
-//! Typical flow: `compile` OQL → `normalize` → [`logical::plan_comprehension`]
-//! → [`exec::execute`] (or [`trace::explain_analyze`] to see where rows
-//! and time go).
+//! Typical flow: `compile` OQL → `normalize` →
+//! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`] →
+//! [`exec::execute`] (or [`trace::execute_profiled_bound`] to see where
+//! rows and time go). The umbrella crate's `prepare_on` runs exactly
+//! that road once and keeps the result as a `Prepared`; its
+//! `explain_analyze` is `prepare_on` + `Prepared::profile`.
 //!
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
@@ -71,7 +74,7 @@ pub use index::{apply_indexes, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};
 pub use trace::{
-    analyze_with_trace, audit_enabled, execute_profiled_bound, explain_analyze, fold_stacks,
-    set_audit_enabled, Analysis, OperatorProfile, QueryProfile,
+    audit_enabled, execute_profiled_bound, fold_stacks, set_audit_enabled, Analysis,
+    OperatorProfile, QueryProfile,
 };
 pub use verify::verify_query;

@@ -10,9 +10,10 @@
 //! The optimizer greedily picks, at each step, the *available* generator
 //! (all source variables bound) with the lowest estimated cost:
 //!
-//! * extents: their actual size from [`Stats::gather`];
-//! * dependent paths (`h ← c.hotels`): the measured average fan-out of
-//!   that field, falling back to a default;
+//! * extents: their actual size, from the [`Catalog`] that
+//!   [`Stats::gather`] fills;
+//! * dependent paths (`h ← c.hotels`): the catalog's measured average
+//!   fan-out of that field, falling back to a default;
 //! * each predicate that becomes applicable right after a generator
 //!   multiplies its estimated selectivity (equality ⇒ 0.1, comparison ⇒
 //!   0.5) into the running cardinality.
@@ -20,7 +21,7 @@
 //! Non-commutative monoids (list, oset, …) are left untouched — their
 //! order is meaning.
 
-use monoid_calculus::analysis::constraints::{AttrFacts, Catalog, ExtentFacts};
+use monoid_calculus::analysis::constraints::{AttrFacts, Catalog, ExtentFacts, FieldFacts};
 use monoid_calculus::analysis::effects::monoid_short_circuits;
 use monoid_calculus::expr::{BinOp, Expr, Literal, Qual, UnOp};
 use monoid_calculus::heap::Heap;
@@ -30,17 +31,12 @@ use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Cardinality statistics gathered from a database.
+/// Cardinality statistics gathered from a database: the one [`Catalog`]
+/// — extent sizes, per-field fan-outs, per-attribute domain facts
+/// (distinct counts, value frequencies, numeric min/max) — that the cost
+/// model here and the core abstract interpreter both read.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    /// Extent / root name → element count.
-    extent_sizes: HashMap<Symbol, f64>,
-    /// Field name → average collection fan-out (across all objects that
-    /// have that field with a collection value).
-    fanouts: HashMap<Symbol, f64>,
-    /// Per-attribute domain facts (distinct counts, value frequencies,
-    /// numeric min/max) for the abstract interpreter and the refined
-    /// selectivity model.
     catalog: Catalog,
 }
 
@@ -57,13 +53,22 @@ const CATALOG_DEPTH: usize = 3;
 type SourceMap = HashMap<Symbol, Symbol>;
 
 impl Stats {
-    /// Scan the store once: extent sizes, per-field average fan-outs,
-    /// and the attribute-level catalog (distinct counts, max frequencies,
-    /// numeric domains). A gather describes the snapshot it read; the
-    /// serving layer reuses one while `(instance_id, epoch)` is unchanged.
+    /// Walk the store once, from its roots (and the collections
+    /// reachable from their element records, up to [`CATALOG_DEPTH`]):
+    /// extent sizes, per-field fan-outs, and per-attribute domain facts.
+    /// A gather describes the snapshot it read; the serving layer reuses
+    /// one while `(instance_id, epoch)` is unchanged.
     pub fn gather(snap: &Snapshot) -> Stats {
-        let roots: Vec<(Symbol, &Value)> = snap.roots().collect();
-        gather_from(snap.heap(), &roots)
+        let mut catalog = Catalog::default();
+        for (name, value) in snap.roots() {
+            let Ok(elems) = value.elements() else { continue };
+            let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
+            let mut seen: BTreeSet<Value> = BTreeSet::new();
+            ext.distinct_elements = elems.iter().all(|e| seen.insert(e.clone()));
+            collect_collection(snap.heap(), &elems, 0, &mut ext.attrs, &mut catalog.fields);
+            catalog.extents.insert(name, ext);
+        }
+        Stats { catalog }
     }
 
     /// [`Stats::gather`] under the name the frozen `benchmark/` crate
@@ -72,8 +77,7 @@ impl Stats {
         Stats::gather(snap)
     }
 
-    /// The attribute-level fact catalog (for the core abstract
-    /// interpreter).
+    /// The fact catalog (for the core abstract interpreter).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -158,13 +162,11 @@ impl Stats {
     /// Estimated cardinality of a generator source.
     fn source_cardinality(&self, src: &Expr) -> f64 {
         match src {
-            Expr::Var(name) => self
-                .extent_sizes
-                .get(name)
-                .copied()
-                .unwrap_or(DEFAULT_EXTENT),
+            Expr::Var(name) => {
+                self.catalog.extent(*name).map_or(DEFAULT_EXTENT, |e| e.size as f64)
+            }
             Expr::Proj(_, field) => {
-                self.fanouts.get(field).copied().unwrap_or(DEFAULT_FANOUT)
+                self.catalog.field(*field).map_or(DEFAULT_FANOUT, FieldFacts::avg_fanout)
             }
             Expr::CollLit(_, items) => items.len() as f64,
             Expr::UnOp(_, inner) => self.source_cardinality(inner),
@@ -302,52 +304,6 @@ fn source_key(src: &Expr) -> Option<Symbol> {
 // Catalog gathering
 // ---------------------------------------------------------------------------
 
-/// The shared body of [`Stats::gather`] and [`Stats::gather_snapshot`]:
-/// everything a gather reads is in the `(heap, roots)` pair, which both a
-/// live database and a pinned snapshot can produce.
-fn gather_from(heap: &Heap, roots: &[(Symbol, &Value)]) -> Stats {
-    let mut extent_sizes = HashMap::new();
-    for (name, value) in roots {
-        if let Ok(n) = value.len() {
-            extent_sizes.insert(*name, n as f64);
-        }
-    }
-    let mut sums: HashMap<Symbol, (f64, f64)> = HashMap::new();
-    for (_, state) in heap.iter() {
-        if let Value::Record(fields) = state {
-            for (name, fv) in fields.iter() {
-                if let Ok(n) = fv.len() {
-                    let entry = sums.entry(*name).or_insert((0.0, 0.0));
-                    entry.0 += n as f64;
-                    entry.1 += 1.0;
-                }
-            }
-        }
-    }
-    let fanouts = sums
-        .into_iter()
-        .map(|(name, (total, count))| (name, total / count.max(1.0)))
-        .collect();
-    let catalog = gather_catalog(heap, roots);
-    Stats { extent_sizes, fanouts, catalog }
-}
-
-/// Walk the database roots (and the collections reachable from their
-/// element records, up to [`CATALOG_DEPTH`]) gathering per-attribute
-/// domain facts for the abstract interpreter.
-fn gather_catalog(heap: &Heap, roots: &[(Symbol, &Value)]) -> Catalog {
-    let mut catalog = Catalog::default();
-    for (name, value) in roots {
-        let Ok(elems) = value.elements() else { continue };
-        let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
-        let mut seen: BTreeSet<Value> = BTreeSet::new();
-        ext.distinct_elements = elems.iter().all(|e| seen.insert(e.clone()));
-        collect_collection(heap, &elems, 0, &mut ext.attrs, &mut catalog.fields);
-        catalog.extents.insert(*name, ext);
-    }
-    catalog
-}
-
 /// Gather attribute facts for the element records of one collection, and
 /// fan-out facts (plus nested attribute facts) for their collection-valued
 /// fields.
@@ -356,7 +312,7 @@ fn collect_collection(
     elems: &[Value],
     depth: usize,
     attrs_out: &mut BTreeMap<Symbol, AttrFacts>,
-    fields_out: &mut BTreeMap<Symbol, monoid_calculus::analysis::constraints::FieldFacts>,
+    fields_out: &mut BTreeMap<Symbol, FieldFacts>,
 ) {
     let mut freqs: BTreeMap<Symbol, BTreeMap<Value, u64>> = BTreeMap::new();
     let mut domains: BTreeMap<Symbol, (Option<f64>, Option<f64>, bool)> = BTreeMap::new();
@@ -570,11 +526,9 @@ mod tests {
         let scale = TravelScale::tiny();
         let db = travel::generate(scale, 3);
         let stats = Stats::gather(&db);
-        assert_eq!(
-            stats.extent_sizes.get(&Symbol::new("Cities")).copied(),
-            Some(scale.cities as f64)
-        );
-        let rooms_fanout = stats.fanouts.get(&Symbol::new("rooms")).copied().unwrap();
+        let cities = stats.catalog().extent(Symbol::new("Cities")).unwrap();
+        assert_eq!(cities.size, scale.cities as u64);
+        let rooms_fanout = stats.catalog().field(Symbol::new("rooms")).unwrap().avg_fanout();
         assert!((rooms_fanout - scale.rooms_per_hotel as f64).abs() < 1e-9);
     }
 
@@ -601,7 +555,7 @@ mod tests {
         // 1/|Cities|), the unnest multiplies by the fan-out.
         assert_eq!(est[2], scale.cities as f64);
         assert!((est[1] - est[2] / scale.cities as f64).abs() < 1e-9, "{est:?}");
-        let fanout = stats.fanouts[&Symbol::new("hotels")];
+        let fanout = stats.catalog().field(Symbol::new("hotels")).unwrap().avg_fanout();
         assert!((est[0] - est[1] * fanout).abs() < 1e-9, "{est:?}");
     }
 

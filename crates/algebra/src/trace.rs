@@ -1,17 +1,19 @@
 //! `EXPLAIN ANALYZE`: profiled execution of algebra plans.
 //!
-//! This module runs the normalize → optimize → plan → execute pipeline
-//! with a [`QueryTrace`] recording wall-clock time per phase, and threads
-//! the one counting [`Probe`] — [`ExecProbe`], a [`Cell`] per operator —
-//! through the push-based executor to count rows and operator-local time
-//! per plan node. The result is a [`QueryProfile`]: the `explain` tree
-//! annotated with the optimizer's *estimated* cardinalities
-//! ([`Stats::plan_estimates`]) next to the *observed* row counts —
-//! reading the skew between the two is how you find out where the cost
-//! model lies. A profile is the only thing the executor measures; the
-//! fleet registry ([`crate::metrics`]), the slow log and the auditor are
-//! sinks it is flushed to after the run. Profiles round-trip through JSON
-//! ([`QueryProfile::to_json`] / [`QueryProfile::from_json`]).
+//! This module threads the one counting [`Probe`] — [`ExecProbe`], a
+//! [`Cell`] per operator — through the push-based executor to count rows
+//! and operator-local time per plan node of an already-planned query
+//! ([`execute_profiled_bound`]; preparing one — normalize → optimize →
+//! plan — is the serving layer's job, whose `Prepared::profile` prepends
+//! the statement's own phase trace). The result is a [`QueryProfile`]:
+//! the `explain` tree annotated with the optimizer's *estimated*
+//! cardinalities (`Stats::query_estimates`) next to the *observed* row
+//! counts — reading the skew between the two is how you find out where
+//! the cost model lies. A profile is the only thing the executor
+//! measures; the fleet registry ([`crate::metrics`]), the slow log and
+//! the auditor are sinks it is flushed to after the run. Profiles
+//! round-trip through JSON ([`QueryProfile::to_json`] /
+//! [`QueryProfile::from_json`]).
 //!
 //! The unprofiled entry points ([`crate::execute`]) use
 //! [`crate::NoProbe`] and compile all instrumentation away; nothing here
@@ -20,12 +22,8 @@
 use crate::error::ExecResult;
 use crate::exec::{self, EnginePolicy, Probe};
 use crate::explain;
-use crate::logical::{plan_comprehension, Plan, Query};
-use crate::optimizer::{reorder_generators, Stats};
-use monoid_calculus::error::EvalError;
-use monoid_calculus::expr::Expr;
+use crate::logical::{Plan, Query};
 use monoid_calculus::json::Json;
-use monoid_calculus::normalize::normalize_traced;
 use monoid_calculus::pretty::pretty;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::{Phase, QueryTrace};
@@ -39,7 +37,7 @@ use std::time::Instant;
 
 /// The plan-quality audit switch. Off by default so profiled runs stay
 /// registry-invisible; flip it (or set `MONOID_AUDIT=1`) and every
-/// [`explain_analyze`] / [`execute_profiled_bound`] run feeds its
+/// [`execute_profiled_bound`] run feeds its
 /// per-operator q-errors into the global metrics registry under
 /// `plan_q_error_milli{operator=<kind>}`.
 fn audit_flag() -> &'static AtomicBool {
@@ -276,7 +274,7 @@ pub struct QueryProfile {
 }
 
 impl QueryProfile {
-    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, trace: QueryTrace, eval_steps: u64) -> QueryProfile {
+    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, eval_steps: u64) -> QueryProfile {
         let mut operators = Vec::with_capacity(probe.rows.len());
         query.plan.walk(&mut |op, depth, plan| {
             operators.push(OperatorProfile {
@@ -300,7 +298,7 @@ impl QueryProfile {
             short_circuited: probe.short_circuited.get(),
             eval_steps,
             engine: crate::fused::engine_of(query).as_str().to_string(),
-            trace,
+            trace: QueryTrace::new(),
         }
     }
 
@@ -510,69 +508,27 @@ pub struct Analysis {
     pub profile: QueryProfile,
 }
 
-/// Run the whole back-end pipeline on a calculus expression — normalize,
-/// gather statistics and reorder, plan, execute — profiling each phase
-/// and every plan operator. For OQL source (adding parse/translate
-/// phases), use the umbrella crate's `explain_analyze`.
-pub fn explain_analyze(e: &Expr, snap: &Snapshot) -> ExecResult<Analysis> {
-    analyze_with_trace(e, snap, QueryTrace::new())
-}
-
-/// [`explain_analyze`] continuing a trace the front end already started
-/// (with parse/translate timings and the source text filled in).
-pub fn analyze_with_trace(
-    e: &Expr,
-    snap: &Snapshot,
-    mut trace: QueryTrace,
-) -> ExecResult<Analysis> {
-    let start = Instant::now();
-    let (canonical, _derivation, nstats) = normalize_traced(e);
-    trace.record(Phase::Normalize, start.elapsed().as_nanos());
-    trace.normalize = Some(nstats);
-
-    let start = Instant::now();
-    let stats = Stats::gather(snap);
-    let reordered = reorder_generators(&canonical, &stats);
-    trace.record(Phase::Optimize, start.elapsed().as_nanos());
-
-    let start = Instant::now();
-    // Plan errors surface as evaluation errors so profiled and unprofiled
-    // paths share one error type.
-    let query = plan_comprehension(&reordered).map_err(|pe| EvalError::Other(pe.to_string()))?;
-    trace.record(Phase::Plan, start.elapsed().as_nanos());
-
-    profile_execution(&query, &stats.query_estimates(&query), snap, &[], trace)
-}
-
-/// Profile only the execution of an already-planned query, with late-bound
-/// parameter values — what the serving layer's slow-query capture uses to
-/// re-run an over-threshold prepared statement under the profiler.
+/// The one counted execution: walk an already-planned query under an
+/// [`ExecProbe`], with late-bound parameter values, and read the probe's
+/// cells back into a profile whose trace holds the execute phase. This is
+/// what the serving layer's `Prepared::profile` — and through it `EXPLAIN
+/// ANALYZE`, the slow-query capture and flamegraphs — runs.
 /// `estimates` are the per-operator cardinalities the optimizer held when
 /// it chose the plan ([`Stats::query_estimates`]; `&[]` for none), so the
 /// profile's `est≈` column and q-errors judge that belief, not a fresh
 /// look at the store.
+///
+/// [`Stats::query_estimates`]: crate::optimizer::Stats::query_estimates
 pub fn execute_profiled_bound(
     query: &Query,
     estimates: &[f64],
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
-    profile_execution(query, estimates, snap, params, QueryTrace::new())
-}
-
-/// The one counted execution: walk the plan under an [`ExecProbe`] and
-/// read its cells back into a profile.
-fn profile_execution(
-    query: &Query,
-    estimates: &[f64],
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-    trace: QueryTrace,
-) -> ExecResult<Analysis> {
     let start = Instant::now();
     let probe = ExecProbe::new(query.plan.node_count());
     let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
-    let mut profile = QueryProfile::assemble(query, estimates, &probe, trace, run.steps);
+    let mut profile = QueryProfile::assemble(query, estimates, &probe, run.steps);
     profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
     if audit_enabled() {
         record_audit(&profile);
@@ -595,8 +551,19 @@ fn fmt_nanos(ns: u128) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logical::plan_comprehension;
+    use crate::optimizer::Stats;
+    use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
     use monoid_store::travel::{self, TravelScale};
+
+    /// Plan `q` as written and profile it against estimates gathered
+    /// from `db`.
+    fn profiled(q: &Expr, db: &Snapshot) -> Analysis {
+        let query = plan_comprehension(q).unwrap();
+        let estimates = Stats::gather(db).query_estimates(&query);
+        execute_profiled_bound(&query, &estimates, db, &[]).unwrap()
+    }
 
     #[test]
     fn profile_counts_match_pipeline_shape() {
@@ -610,7 +577,7 @@ mod tests {
                 Expr::gen("h", Expr::var("c").proj("hotels")),
             ],
         );
-        let analysis = explain_analyze(&q, &db).unwrap();
+        let analysis = profiled(&q, &db);
         let p = &analysis.profile;
         // A linear chain: the unprofiled path would run it fused, and the
         // profile says so even though the profiled run walked the plan.
@@ -631,10 +598,9 @@ mod tests {
         // The result agrees with direct execution.
         let plan = plan_comprehension(&q).unwrap();
         assert_eq!(analysis.value, crate::exec::execute(&plan, &db).unwrap());
-        // Phases normalize/optimize/plan/execute all recorded.
-        for phase in [Phase::Normalize, Phase::Optimize, Phase::Plan, Phase::Execute] {
-            assert!(p.trace.phase_nanos(phase).is_some(), "missing {phase}");
-        }
+        // Execution is the one phase this layer times.
+        assert!(p.trace.phase_nanos(Phase::Execute).is_some());
+        assert_eq!(p.trace.phases.len(), 1, "{:?}", p.trace.phases);
     }
 
     #[test]
@@ -649,7 +615,7 @@ mod tests {
                 Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("name"))),
             ],
         );
-        let analysis = explain_analyze(&q, &db).unwrap();
+        let analysis = profiled(&q, &db);
         let p = &analysis.profile;
         assert_eq!(p.engine, "plan-walk", "joins stay on the plan walk");
         let join = p
@@ -675,7 +641,7 @@ mod tests {
             Expr::int(1),
             vec![Expr::gen("c", Expr::var("Cities"))],
         );
-        let analysis = explain_analyze(&q, &db).unwrap();
+        let analysis = profiled(&q, &db);
         let s = analysis.profile.render();
         assert!(s.contains("est≈3.0"), "{s}");
         assert!(s.contains("actual 3 rows"), "{s}");
@@ -697,7 +663,7 @@ mod tests {
                 Expr::pred(Expr::var("e").proj("salary").gt(Expr::int(0))),
             ],
         );
-        explain_analyze(&q, &db).unwrap().profile
+        profiled(&q, &db).profile
     }
 
     #[test]

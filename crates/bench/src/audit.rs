@@ -251,8 +251,7 @@ pub fn run(quick: bool) -> AuditReport {
             "travel" => &mut travel_db,
             _ => &mut company_db,
         };
-        let analysis =
-            monoid_algebra::explain_analyze(&case.expr, db).expect("audit case executes");
+        let analysis = regress::profile_case(&case, db);
         queries.push(QueryAudit::from_profile(case.name, case.store, &case.source, &analysis.profile));
     }
     monoid_algebra::set_audit_enabled(prev);

@@ -473,7 +473,6 @@ fn identity() {
 
 fn profile() {
     heading("E7 — EXPLAIN ANALYZE: lifecycle timings and per-operator rows");
-    let schema = travel::schema();
     let db = travel::generate(TravelScale::small(), 7);
     let cases = [
         ("portland-flat", queries::PORTLAND_FLAT_OQL),
@@ -486,21 +485,7 @@ fn profile() {
         ("exists-hotel", "exists h in Hotels: h.name = 'hotel_0_0'"),
     ];
     for (name, src) in cases {
-        // Front-end phases are timed here; the algebra back end continues
-        // the same trace through normalize/optimize/plan/execute.
-        let mut trace = monoid_calculus::trace::QueryTrace::new();
-        trace.source = Some(src.to_string());
-        let program = trace
-            .time(monoid_calculus::trace::Phase::Parse, || {
-                monoid_oql::parse_program(src)
-            })
-            .expect("parses");
-        let q = trace
-            .time(monoid_calculus::trace::Phase::Translate, || {
-                monoid_oql::Translator::new(&schema).translate_program(&program)
-            })
-            .expect("translates");
-        let analysis = monoid_algebra::analyze_with_trace(&q, &db, trace).expect("executes");
+        let analysis = monoid_db::explain_analyze(src, &db).expect("executes");
         println!("query `{name}`: {}", src.replace('\n', " "));
         // The profile, not the answer, is the point here — elide big results.
         let mut result = analysis.value.to_string();

@@ -7,6 +7,10 @@
 //! here in the core (so the interpreter can reason over canonical
 //! comprehensions without a store dependency), while the *numbers* are
 //! gathered by whoever owns a `Database` and handed in as a [`Catalog`].
+//! It is the planner's *one* fact table: `Stats` is a `Catalog` and
+//! nothing beside it — the cost model reads extent sizes
+//! ([`ExtentFacts::size`]) and fan-outs ([`FieldFacts::avg_fanout`]) from
+//! the same walk the interpreter's intervals come from.
 //! An empty catalog is always a sound input — every lookup misses and the
 //! interpreter falls back to `[0, ∞)` / `[0, 1]` top elements.
 

@@ -11,38 +11,37 @@
 //!
 //! ## Feeding the recorder
 //!
-//! The entry points that own a query's lifecycle (`Session::query`,
-//! `Prepared::execute*`, the metered executors in the algebra crate, the
-//! umbrella `explain_analyze`) open a [`RecordScope`] with [`begin`]; the
-//! layers underneath annotate whatever record is active on the current
-//! thread through the `note_*` free functions, which are no-ops when no
-//! scope is open. Exactly one scope is active per thread — a nested
-//! [`begin`] returns `None` and the inner layer's notes land on the
-//! outer record — so a `Session::query` that runs a `Prepared` which
-//! runs the metered executor yields *one* record, annotated by all
-//! three.
+//! A record is a value. The layer that owns a statement's lifecycle —
+//! the umbrella crate's `Prepared`, which holds the source, the effect
+//! summary, the engine label and the prepare trace, and is told by a
+//! `Session` who asked and how the plan cache answered — builds one
+//! [`QueryRecord`] per execution and hands it to
+//! [`FlightRecorder::commit`]. Nothing is ambient: there is no open
+//! scope, no thread-local, and no hook for the layers underneath to
+//! annotate through — the executors in the algebra crate do not know the
+//! recorder exists, and a statement that unwinds leaves nothing behind.
 //!
 //! ## Lock-lightness and the disabled path
 //!
 //! The ring is a vector of per-slot mutexes with an atomic cursor:
 //! committing a record locks only the slot it lands in, so concurrent
 //! sessions never contend on a global lock. When the recorder is
-//! disabled ([`FlightRecorder::set_enabled`], or `MONOID_RECORDER=0`),
-//! [`begin`] returns `None` before allocating anything, every `note_*`
-//! finds no active record, and no registry series moves — the disabled
-//! path is observable only as the single atomic load in [`begin`]
-//! (proven by snapshot diff in `tests/recorder.rs`).
+//! disabled ([`FlightRecorder::set_enabled`], or `MONOID_RECORDER=0`)
+//! the owning layer builds no record at all and no registry series
+//! moves — the disabled path is the single [`FlightRecorder::enabled`]
+//! load it makes before running (proven by snapshot diff in
+//! `tests/recorder.rs`).
 //!
 //! ## The slow-query log
 //!
-//! Records whose wall-clock total exceeds the threshold
+//! A record whose wall-clock total exceeds the threshold
 //! ([`FlightRecorder::set_slow_threshold`], or `MONOID_SLOW_QUERY_NANOS`)
-//! trip [`RecordScope::finish_capturing`]'s closure: the owning layer
-//! hands over whatever it has at hand — the optimized plan text, a full
-//! `explain_analyze` profile — and the recorder files it as a
-//! [`SlowQueryCapture`] in a separate, smaller ring
-//! ([`FlightRecorder::slow_log`]). A threshold of 0 (the default) turns
-//! the slow log off.
+//! commits with `slow` set, and [`FlightRecorder::commit`] returns a
+//! [`SlowTrigger`] naming it: the owning layer answers with whatever it
+//! has at hand — the full source, the optimized plan text, a profiled
+//! replay — as a [`SlowQueryCapture`], filed in a separate, smaller ring
+//! ([`FlightRecorder::capture_slow`], [`FlightRecorder::slow_log`]). A
+//! threshold of 0 (the default) turns the slow log off.
 //!
 //! Both rings export as JSON ([`FlightRecorder::to_json`],
 //! [`FlightRecorder::slow_log_json`]); the `oqltop` binary renders
@@ -51,15 +50,11 @@
 use crate::json::Json;
 use crate::metrics;
 use crate::trace::{Phase, QueryTrace};
-use crate::value::Value;
-use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
 
 /// Ring capacity when `MONOID_RECORDER_CAPACITY` is unset.
 const DEFAULT_CAPACITY: usize = 1024;
@@ -128,8 +123,9 @@ pub struct QueryRecord {
     /// phases that actually ran are nonzero — a cache hit has no
     /// parse/normalize/optimize entries.
     pub phase_nanos: [u64; Phase::ALL.len()],
-    /// Wall-clock nanos of the whole recorded scope (≥ the phase sum —
-    /// it includes cache lookup and binding overhead the phases don't).
+    /// Wall-clock nanos from the statement entering its owning layer to
+    /// the commit (≥ the phase sum — it includes cache lookup, lock wait
+    /// and binding overhead the phases don't).
     pub total_nanos: u64,
     /// Rows (collection elements) the query produced; 1 for scalars.
     pub rows: u64,
@@ -152,7 +148,8 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// A fresh record for `source` — fingerprinted, truncated, all
-    /// counters zero. `seq` is assigned at commit ([`FlightRecorder::push`]).
+    /// counters zero — for its owner to fill in. `seq` is assigned at
+    /// commit ([`FlightRecorder::push`]).
     pub fn new(source: &str) -> QueryRecord {
         QueryRecord {
             seq: 0,
@@ -178,6 +175,17 @@ impl QueryRecord {
     /// Nanos recorded for one lifecycle phase.
     pub fn phase_nanos(&self, phase: Phase) -> u64 {
         self.phase_nanos[phase.index()]
+    }
+
+    /// Fold every phase of an already-timed trace into the record (a cold
+    /// prepare's parse → plan phases, or a profiled run's full lifecycle).
+    /// Accumulates, like [`QueryTrace::record`].
+    pub fn add_trace(&mut self, trace: &QueryTrace) {
+        for t in &trace.phases {
+            let n = u64::try_from(t.nanos).unwrap_or(u64::MAX);
+            let slot = &mut self.phase_nanos[t.phase.index()];
+            *slot = slot.saturating_add(n);
+        }
     }
 
     pub fn to_json(&self) -> Json {
@@ -322,6 +330,17 @@ impl SlowQueryCapture {
     }
 }
 
+/// Returned by [`FlightRecorder::commit`] when the record crossed the
+/// slow-query threshold: the committed record's identity, which the
+/// owning layer turns into a [`SlowQueryCapture`].
+#[derive(Debug, Clone, Copy)]
+pub struct SlowTrigger {
+    pub seq: u64,
+    pub fingerprint: u64,
+    pub total_nanos: u64,
+    pub threshold_nanos: u64,
+}
+
 // ---------------------------------------------------------------------
 // FlightRecorder
 // ---------------------------------------------------------------------
@@ -393,6 +412,26 @@ impl FlightRecorder {
         *self.slots[slot].lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
             Some(record);
         seq
+    }
+
+    /// Commit a finished record — the owning layer has already stamped
+    /// its outcome and `total_nanos`: flag it `slow` against the
+    /// threshold, bump the `recorder_*` counters and [`push`] it. Returns
+    /// a [`SlowTrigger`] when the threshold was exceeded, for the caller
+    /// to answer with a [`SlowQueryCapture`].
+    ///
+    /// [`push`]: FlightRecorder::push
+    pub fn commit(&self, mut record: QueryRecord) -> Option<SlowTrigger> {
+        let threshold = self.slow_threshold();
+        record.slow = threshold > 0 && record.total_nanos >= threshold;
+        let m = rec_metrics();
+        m.records.inc();
+        if record.error.is_some() {
+            m.errors.inc();
+        }
+        let (slow, fingerprint, total_nanos) = (record.slow, record.fingerprint, record.total_nanos);
+        let seq = self.push(record);
+        slow.then_some(SlowTrigger { seq, fingerprint, total_nanos, threshold_nanos: threshold })
     }
 
     /// The retained records, oldest first. Each slot is locked
@@ -510,208 +549,6 @@ pub fn global() -> &'static FlightRecorder {
 }
 
 // ---------------------------------------------------------------------
-// Record scopes (thread-local)
-// ---------------------------------------------------------------------
-
-struct Pending {
-    record: QueryRecord,
-    started: Instant,
-}
-
-thread_local! {
-    static ACTIVE: RefCell<Option<Pending>> = const { RefCell::new(None) };
-}
-
-/// An open recording for the query executing on this thread. Obtain with
-/// [`begin`]; annotate through the `note_*` free functions; commit with
-/// [`RecordScope::finish`]. Dropping an unfinished scope discards the
-/// pending record.
-pub struct RecordScope {
-    finished: bool,
-    /// Scopes are bound to the thread whose `ACTIVE` slot they own.
-    _not_send: PhantomData<*const ()>,
-}
-
-/// Open a record for `source` against the [`global`] recorder. Returns
-/// `None` — without allocating — when the recorder is disabled, or when
-/// this thread already has an open scope (the notes of the nested layer
-/// then annotate the outer record).
-pub fn begin(source: &str) -> Option<RecordScope> {
-    if !global().enabled() {
-        return None;
-    }
-    ACTIVE.with(|a| {
-        let mut a = a.borrow_mut();
-        if a.is_some() {
-            return None;
-        }
-        *a = Some(Pending { record: QueryRecord::new(source), started: Instant::now() });
-        Some(RecordScope { finished: false, _not_send: PhantomData })
-    })
-}
-
-/// Is a record open on this thread? Layers use this to skip building
-/// annotation values (e.g. rendering an effect summary) when nobody is
-/// listening.
-pub fn active() -> bool {
-    ACTIVE.with(|a| a.borrow().is_some())
-}
-
-fn with_active(f: impl FnOnce(&mut QueryRecord)) {
-    ACTIVE.with(|a| {
-        if let Some(p) = a.borrow_mut().as_mut() {
-            f(&mut p.record);
-        }
-    });
-}
-
-/// Attribute the record to a serving session.
-pub fn note_session(id: u64) {
-    with_active(|r| r.session = Some(id));
-}
-
-/// Record the plan-cache disposition.
-pub fn note_cache(disposition: CacheDisposition) {
-    with_active(|r| r.cache = disposition);
-}
-
-/// Add `nanos` to one lifecycle phase (accumulates, like
-/// [`QueryTrace::record`]).
-pub fn note_phase(phase: Phase, nanos: u128) {
-    with_active(|r| {
-        let n = u64::try_from(nanos).unwrap_or(u64::MAX);
-        r.phase_nanos[phase.index()] = r.phase_nanos[phase.index()].saturating_add(n);
-    });
-}
-
-/// Fold every phase of an already-timed trace into the record (a cold
-/// prepare's parse → plan phases, or a profiled run's full lifecycle).
-pub fn note_trace(trace: &QueryTrace) {
-    with_active(|r| {
-        for t in &trace.phases {
-            let n = u64::try_from(t.nanos).unwrap_or(u64::MAX);
-            r.phase_nanos[t.phase.index()] =
-                r.phase_nanos[t.phase.index()].saturating_add(n);
-        }
-    });
-}
-
-/// Record the rows produced (overwrites — layers noting the same result
-/// agree by construction).
-pub fn note_rows(rows: u64) {
-    with_active(|r| r.rows = rows);
-}
-
-/// [`note_rows`] from a result value: its element count, or 1 for
-/// scalars. The count is only computed when a record is active.
-pub fn note_result(value: &Value) {
-    with_active(|r| {
-        r.rows = value.len().map(|n| n as u64).unwrap_or(1);
-    });
-}
-
-/// Record the rendered effect summary. Takes a closure so callers don't
-/// build the string when no record is active.
-pub fn note_effects(render: impl FnOnce() -> String) {
-    with_active(|r| r.effects = render());
-}
-
-/// Record which execution engine ran the reduction (`"fused"`,
-/// `"plan-walk"`, `"eval"`). Overwrites — the layer that actually
-/// executed notes last.
-pub fn note_engine(engine: &str) {
-    with_active(|r| r.engine = Some(engine.to_string()));
-}
-
-/// Record the pinned `mutation_epoch` of the snapshot a read-path
-/// statement executed against.
-pub fn note_snapshot_epoch(epoch: u64) {
-    with_active(|r| r.snapshot_epoch = Some(epoch));
-}
-
-/// Returned by [`RecordScope::finish`] when the record crossed the
-/// slow-query threshold: the committed record's identity, which
-/// [`RecordScope::finish_capturing`] turns into a [`SlowQueryCapture`].
-#[derive(Debug, Clone)]
-pub struct SlowTrigger {
-    pub seq: u64,
-    pub fingerprint: u64,
-    pub source: String,
-    pub total_nanos: u64,
-    pub threshold_nanos: u64,
-}
-
-impl RecordScope {
-    /// Commit the record: stamp total wall-clock time and the outcome,
-    /// push it into the [`global`] ring, and bump the `recorder_*`
-    /// counters. Returns a [`SlowTrigger`] when the slow-query
-    /// threshold was exceeded ([`RecordScope::finish_capturing`] is the
-    /// variant that files the deep capture).
-    pub fn finish(mut self, error: Option<String>) -> Option<SlowTrigger> {
-        self.finished = true;
-        let pending = ACTIVE.with(|a| a.borrow_mut().take())?;
-        let Pending { mut record, started } = pending;
-        record.total_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        record.error = error;
-        let recorder = global();
-        let threshold = recorder.slow_threshold();
-        record.slow = threshold > 0 && record.total_nanos >= threshold;
-        let m = rec_metrics();
-        m.records.inc();
-        if record.error.is_some() {
-            m.errors.inc();
-        }
-        let trigger = record.slow.then(|| SlowTrigger {
-            seq: 0, // patched below with the committed seq
-            fingerprint: record.fingerprint,
-            source: record.source.clone(),
-            total_nanos: record.total_nanos,
-            threshold_nanos: threshold,
-        });
-        let seq = recorder.push(record);
-        trigger.map(|mut t| {
-            t.seq = seq;
-            t
-        })
-    }
-
-    /// [`RecordScope::finish`], then file the slow-query capture if the
-    /// threshold tripped. `detail` runs only in that case — after the
-    /// record committed, so any execution it replays annotates nothing —
-    /// and returns what the owning layer has at hand: the full source
-    /// text (the record's is truncated), the optimized plan's `explain`
-    /// text, and a `QueryProfile` JSON.
-    pub fn finish_capturing(
-        self,
-        error: Option<String>,
-        detail: impl FnOnce(&SlowTrigger) -> (String, Option<String>, Option<Json>),
-    ) {
-        if let Some(trigger) = self.finish(error) {
-            let (source, plan, profile) = detail(&trigger);
-            global().capture_slow(SlowQueryCapture {
-                seq: trigger.seq,
-                fingerprint: trigger.fingerprint,
-                source,
-                total_nanos: trigger.total_nanos,
-                threshold_nanos: trigger.threshold_nanos,
-                plan,
-                profile,
-            });
-        }
-    }
-}
-
-impl Drop for RecordScope {
-    fn drop(&mut self) {
-        if !self.finished {
-            ACTIVE.with(|a| {
-                a.borrow_mut().take();
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------
 
@@ -802,36 +639,19 @@ mod tests {
     }
 
     #[test]
-    fn nested_begin_yields_one_record() {
-        // Serialize against other tests that touch the global recorder.
-        let rec = global();
-        let enabled_before = rec.enabled();
-        rec.set_enabled(true);
-        let outer = begin("outer").expect("no scope open on this thread");
-        assert!(active());
-        assert!(begin("inner").is_none(), "nested begin is absorbed");
-        note_rows(9);
-        note_cache(CacheDisposition::Miss);
-        let before = rec.recorded_total();
-        assert!(outer.finish(None).is_none(), "no slow threshold armed");
-        assert_eq!(rec.recorded_total(), before + 1);
+    fn commit_flags_slow_records_and_names_them() {
+        let rec = FlightRecorder::with_capacity(4);
+        let mut r = QueryRecord::new("q");
+        r.total_nanos = 10;
+        assert!(rec.commit(r.clone()).is_none(), "threshold 0: slow log off");
+        rec.set_slow_threshold(11);
+        assert!(rec.commit(r.clone()).is_none(), "under threshold");
+        rec.set_slow_threshold(10);
+        let trigger = rec.commit(r.clone()).expect("at threshold");
         let last = rec.snapshot().into_iter().next_back().unwrap();
-        assert_eq!(last.source, "outer");
-        assert_eq!(last.rows, 9);
-        assert_eq!(last.cache, CacheDisposition::Miss);
-        assert!(!active());
-        rec.set_enabled(enabled_before);
-    }
-
-    #[test]
-    fn dropping_an_unfinished_scope_discards_it() {
-        let rec = global();
-        let enabled_before = rec.enabled();
-        rec.set_enabled(true);
-        let before = rec.recorded_total();
-        drop(begin("abandoned").expect("no scope open on this thread"));
-        assert!(!active());
-        assert_eq!(rec.recorded_total(), before, "nothing committed");
-        rec.set_enabled(enabled_before);
+        assert!(last.slow);
+        assert_eq!((trigger.seq, trigger.fingerprint), (last.seq, last.fingerprint));
+        assert_eq!((trigger.total_nanos, trigger.threshold_nanos), (10, 10));
+        assert_eq!(rec.recorded_total(), 3, "every commit lands in the ring");
     }
 }

@@ -111,6 +111,7 @@ impl Database {
         }
         Database {
             current: Snapshot {
+                schema_fp: crate::snapshot::schema_fingerprint(&schema),
                 schema: Arc::new(schema),
                 heap: Heap::new(),
                 roots: Arc::new(roots),

@@ -31,7 +31,9 @@ use monoid_calculus::symbol::Symbol;
 use monoid_calculus::typecheck::{TypeChecker, TypeEnv};
 use monoid_calculus::types::{Schema, Type};
 use monoid_calculus::value::{Env, Oid, Value};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// An immutable view of a [`Database`](crate::Database) at one mutation
@@ -42,9 +44,12 @@ use std::sync::Arc;
 /// here is also what `db.root(..)`, `db.state(..)`, `db.env()` resolve
 /// to. The fields are crate-private so only the writer in
 /// [`crate::database`] can advance them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) schema: Arc<Schema>,
+    /// [`schema_fingerprint`] of `schema`, computed once when the
+    /// database is created — a database's schema never changes.
+    pub(crate) schema_fp: u64,
     pub(crate) heap: Heap,
     /// Named persistent roots: extents (bags of objects) and any other
     /// top-level values.
@@ -58,6 +63,24 @@ pub struct Snapshot {
     /// Process-unique identity (see [`Snapshot::instance_id`]); `0` for
     /// `Database::default()`, which is never cached against.
     pub(crate) instance: u64,
+}
+
+/// Deterministic (per-process) fingerprint of a schema's debug form —
+/// symbols intern to stable ids within a process, which is the lifetime
+/// of every cache keyed by it.
+pub(crate) fn schema_fingerprint(schema: &Schema) -> u64 {
+    let mut h = DefaultHasher::new();
+    format!("{schema:?}").hash(&mut h);
+    h.finish()
+}
+
+/// The anonymous empty state (`Database::default()`): what
+/// `Database::new` builds over the empty schema — fingerprint included —
+/// under the "do not cache" instance id.
+impl Default for Snapshot {
+    fn default() -> Snapshot {
+        Snapshot { instance: 0, ..crate::Database::new(Schema::default()).snapshot() }
+    }
 }
 
 impl Snapshot {
@@ -80,6 +103,12 @@ impl Snapshot {
 
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// Fingerprint of [`Snapshot::schema`], fixed at `Database::new` —
+    /// the schema half of the plan cache's key.
+    pub fn schema_fingerprint(&self) -> u64 {
+        self.schema_fp
     }
 
     /// The schema behind its shared handle (servers hold clones of this

@@ -275,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn extent_sizes_match_scale() {
+    fn extent_lengths_match_scale() {
         let scale = TravelScale::tiny();
         let db = generate(scale, 1);
         assert_eq!(db.extent_len(names::CITIES), scale.cities);

@@ -47,7 +47,6 @@ pub use monoid_calculus::prelude;
 use monoid_algebra::Analysis;
 use monoid_calculus::analysis::{AnalysisReport, Code, Diagnostic};
 use monoid_calculus::error::EvalError;
-use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
 use monoid_oql::OqlError;
 use monoid_store::Snapshot;
@@ -118,52 +117,28 @@ pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
     Ok(report)
 }
 
-/// `EXPLAIN ANALYZE` for OQL source: run the full lifecycle — lex/parse →
-/// translate → normalize → optimize → plan → execute — against `snap`
-/// (pass a `&Database` for its current state), timing every phase and
-/// counting rows per plan operator. Returns the query's value together
-/// with a [`monoid_algebra::QueryProfile`] whose
-/// plan tree shows the optimizer's estimated cardinalities next to the
-/// observed ones (`profile.render()` for humans, `profile.to_json()` for
-/// machines).
-///
-/// This is the only layer that sees both the OQL front end and the
-/// algebra back end, so it is where the two halves of the trace meet.
+/// `EXPLAIN ANALYZE` for OQL source: [`prepare_on`] `snap` (pass a
+/// `&Database` for its current state) — lex/parse → translate → normalize
+/// → optimize → plan, exactly as the statement would be prepared to be
+/// served, gathered statistics reused — followed by
+/// [`Prepared::profile`], which executes it counting rows per plan
+/// operator. Returns the query's value together with a
+/// [`monoid_algebra::QueryProfile`] carrying all six phase timings and a
+/// plan tree that shows the cardinalities the statement was planned with
+/// next to the observed ones (`profile.render()` for humans,
+/// `profile.to_json()` for machines). Commits one flight-recorder record.
 pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeError> {
-    use monoid_calculus::recorder;
     let m = oql_metrics();
     m.queries.inc();
-    let scope = recorder::begin(src);
+    let mut origin = serving::Origin::now(None);
     let started = std::time::Instant::now();
-    let result = explain_analyze_inner(src, snap);
+    let result = serving::Origin::or_fail(&mut origin, src, prepare_on(snap, src))
+        .and_then(|stmt| stmt.profile_from(origin, snap, &Params::new()));
     m.query_nanos.observe_nanos(started.elapsed().as_nanos());
     if result.is_err() {
         m.errors.inc();
     }
-    if let Ok(analysis) = &result {
-        // The profile's trace already includes the execute phase, so the
-        // record gets the full lifecycle in one note.
-        recorder::note_trace(&analysis.profile.trace);
-        recorder::note_result(&analysis.value);
-    }
-    if let Some(scope) = scope {
-        let error = result.as_ref().err().map(ToString::to_string);
-        // The profile is already in hand — the slow capture is free.
-        scope.finish_capturing(error, |_| {
-            (src.to_string(), None, result.as_ref().ok().map(|a| a.profile.to_json()))
-        });
-    }
     result
-}
-
-fn explain_analyze_inner(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeError> {
-    let mut trace = QueryTrace::new();
-    trace.source = Some(src.to_string());
-    let program = trace.time(Phase::Parse, || monoid_oql::parse_program(src))?;
-    let expr = trace.time(Phase::Translate, || {
-        monoid_oql::Translator::new(snap.schema()).translate_program(&program)
-    })?;
-    Ok(monoid_algebra::analyze_with_trace(&expr, snap, trace)?)
 }
 
 /// The umbrella OQL path's series in the process-wide registry: query

@@ -245,11 +245,12 @@ enum Statement<'a> {
 /// ad-hoc source is resolved through the plan cache against it — once —
 /// and then the statement's effects decide: a statement that
 /// [writes](Prepared::writes) takes the write lock and commits through
-/// [`Prepared::execute`]; everything else executes against the snapshot
-/// with no lock held. Returns the value and the epoch the statement
-/// observed. The session accounting (in-flight gauge, statement counters,
-/// the flight-recorder record with session id, cache disposition and
-/// snapshot epoch) brackets the whole thing.
+/// [`Prepared::execute`]'s path; everything else executes against the
+/// snapshot with no lock held. Returns the value and the epoch the
+/// statement observed. The session accounting — in-flight gauge,
+/// statement counters, and the origin (session id, cache disposition,
+/// start instant) the statement builds its flight-recorder record from —
+/// brackets the whole thing.
 fn run_statement(
     db: &RwLock<Database>,
     session: &Session,
@@ -257,23 +258,17 @@ fn run_statement(
     params: &Params,
 ) -> Result<(Value, u64), AnalyzeError> {
     let snap = take_snapshot(db);
-    let (serving, stmt) = match stmt {
-        Statement::AdHoc(src) => {
-            let mut serving = session.begin(src);
-            let stmt = session.lookup(&mut serving, &snap, src)?;
-            (serving, stmt)
-        }
-        Statement::Prepared(stmt) => (session.begin(stmt.source()), stmt),
+    let (_in_flight, mut origin) = session.enter();
+    let stmt = match stmt {
+        Statement::AdHoc(src) => session.lookup(&mut origin, &snap, src)?,
+        Statement::Prepared(stmt) => stmt,
     };
     if stmt.writes() {
         let mut db = db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let result = stmt.execute(&mut db, params);
-        serving.finish(&stmt, &result, &db, params);
-        Ok((result?, db.mutation_epoch()))
+        let value = stmt.execute_from(origin, &mut db, params)?;
+        Ok((value, db.mutation_epoch()))
     } else {
-        let result = stmt.execute_snapshot(&snap, params);
-        serving.finish(&stmt, &result, &snap, params);
-        Ok((result?, snap.epoch()))
+        Ok((stmt.execute_snapshot_from(origin, &snap, params)?, snap.epoch()))
     }
 }
 

@@ -35,21 +35,29 @@
 //! `plan_cache_evictions_total`, `plan_cache_invalidations_total`, and the
 //! `prepare_nanos` cold-prepare latency histogram.
 //!
-//! Every execution through this layer also lands one record in the
-//! process-wide flight recorder ([`monoid_calculus::recorder`]): source
-//! fingerprint, session id, cache disposition, phase timings, rows, and
-//! outcome. Executions crossing the slow-query threshold
-//! (`MONOID_SLOW_QUERY_NANOS`) additionally capture their optimized plan
-//! — and, for reads (on either path), a full `explain_analyze` profile
-//! from a replay against the same snapshot. See `docs/observability.md`.
+//! **One owner.** A [`Prepared`] owns its statement's whole lifecycle:
+//! it is the one spelling of normalize → optimize → plan (`EXPLAIN
+//! ANALYZE` is [`prepare_on`] + [`Prepared::profile`]), and it builds the
+//! one record each execution lands in the process-wide flight recorder
+//! ([`monoid_calculus::recorder`]) — source fingerprint, effects and
+//! engine from what it holds; session id, cache disposition and start
+//! instant from the plain-data `Origin` a [`Session`] passes in; phase
+//! timings, rows and outcome from the run. Executions crossing the
+//! slow-query threshold (`MONOID_SLOW_QUERY_NANOS`) additionally capture
+//! their optimized plan — and, for reads (on either path), a
+//! [`Prepared::profile`] replay against the same snapshot. See
+//! `docs/observability.md`.
 
 use crate::AnalyzeError;
-use monoid_algebra::{plan_comprehension, reorder_generators, PlanError, Query, Refusal, Stats};
+use monoid_algebra::{
+    engine_of, plan_comprehension, reorder_generators, Analysis, PlanError, Query, Refusal, Stats,
+};
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::normalize::normalize_traced;
-use monoid_calculus::recorder::{self, CacheDisposition, RecordScope};
+use monoid_calculus::json::Json;
+use monoid_calculus::recorder::{self, CacheDisposition, QueryRecord, SlowQueryCapture};
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_calculus::types::Schema;
@@ -128,6 +136,9 @@ pub struct Prepared {
     source: String,
     canonical: Expr,
     exec: ExecMode,
+    /// Which engine an unprofiled run takes — [`engine_of`] the plan, or
+    /// `"eval"` — classified once, here, for every record.
+    engine: &'static str,
     effects: EffectSummary,
     estimates: Vec<f64>,
     params: Vec<Symbol>,
@@ -235,10 +246,11 @@ fn finish_prepare(
 
     let reordered = trace.time(Phase::Optimize, || reorder_generators(&canonical, stats));
 
-    let (exec, estimates) = match trace.time(Phase::Plan, || plan_comprehension(&reordered)) {
+    let (exec, engine, estimates) = match trace.time(Phase::Plan, || plan_comprehension(&reordered))
+    {
         Ok(query) => {
-            let estimates = stats.query_estimates(&query);
-            (ExecMode::Plan(query), estimates)
+            let (engine, estimates) = (engine_of(&query).as_str(), stats.query_estimates(&query));
+            (ExecMode::Plan(query), engine, estimates)
         }
         // Shapes the pipelined algebra declines — heap effects, vector
         // comprehensions, non-comprehension roots — stay preparable and
@@ -247,7 +259,7 @@ fn finish_prepare(
             pe @ (PlanError::Impure
             | PlanError::NotAComprehension
             | PlanError::VectorComprehension),
-        ) => (ExecMode::Eval(pe), Vec::new()),
+        ) => (ExecMode::Eval(pe), "eval", Vec::new()),
         Err(pe) => return Err(AnalyzeError::Exec(EvalError::Other(pe.to_string()))),
     };
 
@@ -260,6 +272,7 @@ fn finish_prepare(
         source: src,
         canonical,
         exec,
+        engine,
         effects,
         estimates,
         params,
@@ -376,15 +389,26 @@ impl Prepared {
     /// [`Prepared::execute_snapshot`] path against the database's current
     /// state. No parse/normalize/optimize work happens here.
     pub fn execute(&self, db: &mut Database, params: &Params) -> Result<Value, AnalyzeError> {
-        let scope = recorder::begin(&self.source);
-        let result = self.run_noted(params, |binds| {
+        self.execute_from(Origin::now(None), db, params)
+    }
+
+    /// [`Prepared::execute`] on behalf of `origin` — a [`Session`]'s, or
+    /// this call's own.
+    pub(crate) fn execute_from(
+        &self,
+        origin: Option<Origin>,
+        db: &mut Database,
+        params: &Params,
+    ) -> Result<Value, AnalyzeError> {
+        let (result, execute_nanos) = self.run(origin.is_some(), params, |binds| {
             if self.writes() {
                 self.run_write(db, binds)
             } else {
                 self.run_read(db, binds)
             }
         });
-        self.commit(scope, &result, db, params);
+        // (A writer's slow capture replays against the state it left.)
+        self.record_run(origin, None, execute_nanos, &result, db, params);
         result
     }
 
@@ -398,9 +422,17 @@ impl Prepared {
         snap: &Snapshot,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let scope = recorder::begin(&self.source);
-        recorder::note_snapshot_epoch(snap.epoch());
-        let result = self.run_noted(params, |binds| {
+        self.execute_snapshot_from(Origin::now(None), snap, params)
+    }
+
+    /// [`Prepared::execute_snapshot`] on behalf of `origin`.
+    pub(crate) fn execute_snapshot_from(
+        &self,
+        origin: Option<Origin>,
+        snap: &Snapshot,
+        params: &Params,
+    ) -> Result<Value, AnalyzeError> {
+        let (result, execute_nanos) = self.run(origin.is_some(), params, |binds| {
             if self.writes() {
                 return Err(AnalyzeError::Exec(EvalError::Other(format!(
                     "statement has heap effects ({}) — snapshots are read-only; \
@@ -410,80 +442,135 @@ impl Prepared {
             }
             self.run_read(snap, binds)
         });
-        self.commit(scope, &result, snap, params);
+        self.record_run(origin, Some(snap.epoch()), execute_nanos, &result, snap, params);
         result
     }
 
-    /// The annotations both paths share, landing on whichever record is
-    /// active — one this layer opened, or a [`Session`]'s: the effect
-    /// summary, eager binding validation, the execute phase (timed here —
-    /// not in the algebra layers below — so it lands on the record
-    /// whichever layer owns it), and the result's row count.
-    fn run_noted(
+    /// What both paths share: eager binding validation, then `run` —
+    /// timed, when a record will want the execute phase (here, not in the
+    /// algebra layers below, which know nothing of records).
+    fn run(
         &self,
+        timed: bool,
         params: &Params,
         run: impl FnOnce(&[(Symbol, Value)]) -> Result<Value, AnalyzeError>,
-    ) -> Result<Value, AnalyzeError> {
-        recorder::note_effects(|| self.effects.to_string());
-        let binds = self.resolve(params).map_err(AnalyzeError::Exec)?;
-        let timing = recorder::active().then(Instant::now);
+    ) -> (Result<Value, AnalyzeError>, u64) {
+        let binds = match self.resolve(params) {
+            Ok(binds) => binds,
+            Err(e) => return (Err(AnalyzeError::Exec(e)), 0),
+        };
+        let started = timed.then(Instant::now);
         let result = run(binds);
-        if let Some(started) = timing {
-            recorder::note_phase(Phase::Execute, started.elapsed().as_nanos());
-        }
-        if let Ok(v) = &result {
-            recorder::note_result(v);
-        }
-        result
+        (result, started.map_or(0, |s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)))
     }
 
-    /// Commit a record this layer (or a [`Session`]) opened. An
-    /// over-threshold one gets its deep capture: the full source (the
-    /// record's is capped; slow queries are rare enough to keep whole),
-    /// the optimized plan text and — for reads, whose second run cannot
-    /// be observed — a full re-run under the profiler against `snap`, the
-    /// state the statement ran against (for a writer: the state it left).
-    fn commit(
+    /// The record of one run, built from what the statement holds —
+    /// source, effects, engine — plus who asked: session and cache
+    /// disposition from `origin`, and on a miss the cold prepare's phase
+    /// timings (a prepare trace has no execute phase, so nothing
+    /// double-counts with the run's).
+    fn new_record(&self, origin: &Origin) -> QueryRecord {
+        let mut record = origin.record(&self.source);
+        if origin.cache == CacheDisposition::Miss {
+            record.add_trace(&self.trace);
+        }
+        record.effects = self.effects.to_string();
+        record.engine = Some(self.engine.to_string());
+        record
+    }
+
+    /// Record one `execute*`, if the recorder was on when it entered: an
+    /// over-threshold one replays — reads only, whose second run cannot
+    /// be observed — under the profiler against `snap`, the state the
+    /// statement ran against.
+    fn record_run(
         &self,
-        scope: Option<RecordScope>,
+        origin: Option<Origin>,
+        snapshot_epoch: Option<u64>,
+        execute_nanos: u64,
         result: &Result<Value, AnalyzeError>,
         snap: &Snapshot,
         params: &Params,
     ) {
-        let Some(scope) = scope else { return };
-        let error = result.as_ref().err().map(ToString::to_string);
-        scope.finish_capturing(error, |_| {
-            let profile = match (self.query(), self.resolve(params)) {
-                (Some(q), Ok(binds)) if !self.writes() => {
-                    monoid_algebra::execute_profiled_bound(q, &self.estimates, snap, binds)
-                        .ok()
-                        .map(|a| a.profile.to_json())
-                }
-                _ => None,
-            };
-            (self.source.clone(), self.query().map(monoid_algebra::explain), profile)
+        let Some(origin) = origin else { return };
+        let mut record = self.new_record(&origin);
+        record.phase_nanos[Phase::Execute.index()] = execute_nanos;
+        record.snapshot_epoch = snapshot_epoch;
+        self.commit(origin, record, result.as_ref(), || {
+            self.profile(snap, params).ok().map(|a| a.profile.to_json())
         });
     }
 
-    /// Profile one execution and render it as folded stacks (the
-    /// `flamegraph.pl` / inferno input format): one
-    /// `Reduce[monoid];frame;…;frame self_nanos` line per plan operator.
-    /// Only plan-mode statements have an operator tree to fold;
-    /// evaluator-mode statements report an error instead of an empty
-    /// flamegraph.
-    pub fn profile_folded(
+    /// Stamp the outcome and commit. An over-threshold record gets its
+    /// deep capture: the full source (the record's is capped; slow
+    /// queries are rare enough to keep whole), the optimized plan text
+    /// and whatever `profile` yields.
+    fn commit(
         &self,
+        origin: Origin,
+        mut record: QueryRecord,
+        outcome: Result<&Value, &AnalyzeError>,
+        profile: impl FnOnce() -> Option<Json>,
+    ) {
+        if let Ok(value) = outcome {
+            record.rows = value.len().map_or(1, |n| n as u64);
+        }
+        if let Some(trigger) = origin.commit(record, outcome.err()) {
+            recorder::global().capture_slow(SlowQueryCapture {
+                seq: trigger.seq,
+                fingerprint: trigger.fingerprint,
+                source: self.source.clone(),
+                total_nanos: trigger.total_nanos,
+                threshold_nanos: trigger.threshold_nanos,
+                plan: self.query().map(monoid_algebra::explain),
+                profile: profile(),
+            });
+        }
+    }
+
+    /// The one profiled execution — `EXPLAIN ANALYZE`, the slow-query
+    /// capture and flamegraphs (`.profile.to_folded()`) all run this:
+    /// walk the plan under the counting probe against `snap`, next to the
+    /// estimates the statement was planned with, and return the value
+    /// with a profile whose trace is the statement's own lifecycle — the
+    /// prepare's phases, then this run's execute. Commits no record.
+    /// Only plan-mode statements have an operator tree to profile; an
+    /// evaluator-mode statement reports the planner's refusal.
+    pub fn profile(&self, snap: &Snapshot, params: &Params) -> Result<Analysis, AnalyzeError> {
+        let binds = self.resolve(params).map_err(AnalyzeError::Exec)?;
+        let query = match &self.exec {
+            ExecMode::Plan(query) => query,
+            ExecMode::Eval(why) => {
+                return Err(AnalyzeError::Exec(EvalError::Other(why.to_string())))
+            }
+        };
+        let mut analysis =
+            monoid_algebra::execute_profiled_bound(query, &self.estimates, snap, binds)?;
+        let executed = std::mem::replace(&mut analysis.profile.trace, self.trace.clone());
+        analysis.profile.trace.phases.extend(executed.phases);
+        Ok(analysis)
+    }
+
+    /// [`Prepared::profile`] as the umbrella `explain_analyze` runs it:
+    /// one record, carrying the whole lifecycle the profile timed, and a
+    /// slow capture that costs nothing — the profile is already in hand.
+    pub(crate) fn profile_from(
+        &self,
+        origin: Option<Origin>,
         snap: &Snapshot,
         params: &Params,
-    ) -> Result<String, AnalyzeError> {
-        let binds = self.resolve(params).map_err(AnalyzeError::Exec)?;
-        let Some(q) = self.query() else {
-            return Err(AnalyzeError::Exec(EvalError::Other(
-                "statement runs on the evaluator (no plan to profile)".to_string(),
-            )));
-        };
-        let analysis = monoid_algebra::execute_profiled_bound(q, &self.estimates, snap, binds)?;
-        Ok(analysis.profile.to_folded())
+    ) -> Result<Analysis, AnalyzeError> {
+        let result = self.profile(snap, params);
+        if let Some(origin) = origin {
+            let mut record = self.new_record(&origin);
+            if let Ok(analysis) = &result {
+                record.add_trace(&analysis.profile.trace);
+            }
+            self.commit(origin, record, result.as_ref().map(|a| &a.value), || {
+                result.as_ref().ok().map(|a| a.profile.to_json())
+            });
+        }
+        result
     }
 
     /// A read: the plan (or, for evaluator-mode statements, the canonical
@@ -495,10 +582,7 @@ impl Prepared {
     ) -> Result<Value, AnalyzeError> {
         match &self.exec {
             ExecMode::Plan(q) => Ok(monoid_algebra::execute_snapshot_bound(q, snap, binds)?),
-            ExecMode::Eval(_) => {
-                recorder::note_engine("eval");
-                Ok(snap.eval_unchecked(&self.canonical, &bound_env(snap, binds))?)
-            }
+            ExecMode::Eval(_) => Ok(snap.eval_unchecked(&self.canonical, &bound_env(snap, binds))?),
         }
     }
 
@@ -510,7 +594,6 @@ impl Prepared {
         db: &mut Database,
         binds: &[(Symbol, Value)],
     ) -> Result<Value, AnalyzeError> {
-        recorder::note_engine("eval");
         let env = bound_env(db, binds);
         let heap = std::mem::take(db.heap_mut());
         let mut ev = monoid_calculus::eval::Evaluator::with_heap(heap);
@@ -527,6 +610,65 @@ fn bound_env(snap: &Snapshot, binds: &[(Symbol, Value)]) -> Env {
         env = env.bind(*p, v.clone());
     }
     env
+}
+
+// ---------------------------------------------------------------------
+// Origin
+// ---------------------------------------------------------------------
+
+/// Who asked for a statement to run, as its flight-recorder record needs
+/// it: plain data the entry point fills in — a [`Session`] its id and,
+/// after the lookup, how the plan cache answered — and hands to the
+/// [`Prepared`], which builds and commits the record. One exists only
+/// while the recorder is enabled: [`Origin::now`] is the disabled path's
+/// one atomic load.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Origin {
+    session: Option<u64>,
+    cache: CacheDisposition,
+    /// When the statement entered the serving layer; the record's total
+    /// runs from here, so it includes the cache lookup and any lock wait.
+    started: Instant,
+}
+
+impl Origin {
+    pub(crate) fn now(session: Option<u64>) -> Option<Origin> {
+        let cache = CacheDisposition::Uncached;
+        recorder::global().enabled().then(|| Origin { session, cache, started: Instant::now() })
+    }
+
+    fn record(&self, source: &str) -> QueryRecord {
+        let mut record = QueryRecord::new(source);
+        record.session = self.session;
+        record.cache = self.cache;
+        record
+    }
+
+    /// Stamp the outcome and the wall-clock total, and commit.
+    fn commit(
+        self,
+        mut record: QueryRecord,
+        error: Option<&AnalyzeError>,
+    ) -> Option<recorder::SlowTrigger> {
+        record.error = error.map(ToString::to_string);
+        record.total_nanos = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        recorder::global().commit(record)
+    }
+
+    /// `prepared`, unless `source` never became a [`Prepared`]: then its
+    /// record is the error, committed here — no statement exists to.
+    pub(crate) fn or_fail<T>(
+        origin: &mut Option<Origin>,
+        source: &str,
+        prepared: Result<T, AnalyzeError>,
+    ) -> Result<T, AnalyzeError> {
+        if let Err(e) = &prepared {
+            if let Some(origin) = origin.take() {
+                origin.commit(origin.record(source), Some(e));
+            }
+        }
+        prepared
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -616,7 +758,7 @@ impl PlanCache {
         snap: &Snapshot,
         src: &str,
     ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
-        let fp = schema_fingerprint(snap.schema());
+        let fp = snap.schema_fingerprint();
         let (instance, epoch) = (snap.instance_id(), snap.epoch());
         let m = cache_metrics();
         let shard = &self.shards[(hash_key(src, fp) as usize) & (SHARDS - 1)];
@@ -698,15 +840,6 @@ impl PlanCache {
             s.bytes = 0;
         }
     }
-}
-
-/// Deterministic (per-process) fingerprint of a schema's debug form —
-/// symbols intern to stable ids within a process, which is the cache's
-/// lifetime.
-fn schema_fingerprint(schema: &Schema) -> u64 {
-    let mut h = DefaultHasher::new();
-    format!("{schema:?}").hash(&mut h);
-    h.finish()
 }
 
 fn hash_key(src: &str, fp: u64) -> u64 {
@@ -834,11 +967,9 @@ impl Session {
         src: &str,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let mut serving = self.begin(src);
-        let stmt = self.lookup(&mut serving, db, src)?;
-        let result = stmt.execute(db, params);
-        serving.finish(&stmt, &result, db, params);
-        result
+        let (_in_flight, mut origin) = self.enter();
+        let stmt = self.lookup(&mut origin, db, src)?;
+        stmt.execute_from(origin, db, params)
     }
 
     /// The snapshot-isolated serving path: resolve `src` through the
@@ -853,77 +984,38 @@ impl Session {
         src: &str,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let mut serving = self.begin(src);
-        let stmt = self.lookup(&mut serving, snap, src)?;
-        let result = stmt.execute_snapshot(snap, params);
-        serving.finish(&stmt, &result, snap, params);
-        result
+        let (_in_flight, mut origin) = self.enter();
+        let stmt = self.lookup(&mut origin, snap, src)?;
+        stmt.execute_snapshot_from(origin, snap, params)
     }
 
-    /// One statement enters this session: the in-flight gauge, the
-    /// per-session and process-wide (`serving_statements_total`)
-    /// counters, and the flight-recorder record — owned here for the
-    /// whole lifecycle and stamped with the session id — that
-    /// [`Session::lookup`] and [`Prepared`]'s execution annotate.
-    pub(crate) fn begin(&self, src: &str) -> Serving {
+    /// One statement enters this session: the in-flight gauge (held by
+    /// the caller until the statement is done), the per-session and
+    /// process-wide (`serving_statements_total`) counters, and the
+    /// [`Origin`] — stamped with the session id — that the statement's
+    /// [`Prepared`] will build its record from.
+    pub(crate) fn enter(&self) -> (InFlightGuard, Option<Origin>) {
         let in_flight = InFlightGuard::enter();
         self.statements.fetch_add(1, Ordering::Relaxed);
         serving_metrics().statements.inc();
-        let scope = recorder::begin(src);
-        recorder::note_session(self.id);
-        Serving { scope, _in_flight: in_flight }
+        (in_flight, Origin::now(Some(self.id)))
     }
 
     /// Resolve `src` through the plan cache — exactly once per statement
-    /// — noting the disposition and, on a miss, the cold prepare's phase
-    /// timings (a prepare trace has no execute phase, so nothing
-    /// double-counts with the execute timing). A failed prepare commits
-    /// the record with the error.
+    /// — telling `origin` the disposition (or, for a failed prepare,
+    /// committing its record with the error).
     pub(crate) fn lookup(
         &self,
-        serving: &mut Serving,
+        origin: &mut Option<Origin>,
         snap: &Snapshot,
         src: &str,
     ) -> Result<Arc<Prepared>, AnalyzeError> {
-        match self.cache.get_or_prepare_snapshot_traced(snap, src) {
-            Ok((stmt, true)) => {
-                recorder::note_cache(CacheDisposition::Hit);
-                Ok(stmt)
-            }
-            Ok((stmt, false)) => {
-                recorder::note_cache(CacheDisposition::Miss);
-                recorder::note_trace(stmt.trace());
-                Ok(stmt)
-            }
-            Err(e) => {
-                if let Some(scope) = serving.scope.take() {
-                    scope.finish(Some(e.to_string()));
-                }
-                Err(e)
-            }
+        let looked_up = self.cache.get_or_prepare_snapshot_traced(snap, src);
+        let (stmt, hit) = Origin::or_fail(origin, src, looked_up)?;
+        if let Some(origin) = origin {
+            origin.cache = if hit { CacheDisposition::Hit } else { CacheDisposition::Miss };
         }
-    }
-}
-
-/// One in-flight statement's session accounting (see [`Session::begin`]);
-/// dropping it releases the in-flight gauge.
-pub(crate) struct Serving {
-    scope: Option<RecordScope>,
-    _in_flight: InFlightGuard,
-}
-
-impl Serving {
-    /// Commit the statement's record with its outcome; an over-threshold
-    /// one gets its slow-query capture replayed against `snap`, the state
-    /// the statement ran against.
-    pub(crate) fn finish(
-        mut self,
-        stmt: &Prepared,
-        result: &Result<Value, AnalyzeError>,
-        snap: &Snapshot,
-        params: &Params,
-    ) {
-        stmt.commit(self.scope.take(), result, snap, params);
+        Ok(stmt)
     }
 }
 
@@ -1066,5 +1158,40 @@ mod tests {
         }
         assert!(cache.bytes() <= SHARDS * 2048 + 4096, "budget enforced: {}", cache.bytes());
         assert!(cache.len() < 64, "older entries evicted");
+    }
+
+    /// A statement that dies mid-execution takes its origin — the only
+    /// place its would-be record lived — down with its stack frame.
+    #[test]
+    fn nothing_ambient_survives_a_panicking_statement() {
+        // A source no sibling test runs, so its fingerprint picks this
+        // test's records out of the shared ring.
+        let src = "select c.name from c in Cities where c.name = 'nothing ambient survives'";
+        let recorded = move || {
+            let mut ring = recorder::global().snapshot();
+            ring.retain(|r| r.fingerprint == recorder::fingerprint(src));
+            ring
+        };
+        recorder::global().set_enabled(true);
+        let db = db();
+        let stmt = prepare_on(&db, src).unwrap();
+        let session = Session::with_cache(Arc::new(PlanCache::new()));
+        let worker = std::thread::spawn(move || {
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let (_in_flight, origin) = session.enter();
+                assert!(origin.is_some() && requests_in_flight() == 1);
+                stmt.run(true, &Params::new(), |_| panic!("statement died"))
+            }));
+            assert!(died.is_err());
+            assert_eq!(requests_in_flight(), 0, "the in-flight gauge leaked");
+            assert!(recorded().is_empty(), "the dead statement reached the ring");
+            // The next statement on this thread records normally.
+            session.query_snapshot(&db, src, &Params::new()).unwrap();
+            let ours = recorded();
+            assert_eq!(ours.len(), 1);
+            assert_eq!(ours[0].session, Some(session.id()));
+            assert_eq!(ours[0].cache, CacheDisposition::Miss);
+        });
+        worker.join().expect("worker's own assertions hold");
     }
 }

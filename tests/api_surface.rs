@@ -1,8 +1,10 @@
 //! Pins the entry-point surface so the `{&mut Database, &Snapshot} ×
 //! {bound, unbound} × {engine, probe}` matrix cannot silently regrow, and
 //! with it the option count: the `MONOID_*` variables the library reads,
-//! the variants of `Plan`, the one shape of a join, and the one place
-//! that decides which engine runs.
+//! the variants of `Plan`, the one shape of a join, the one place that
+//! decides which engine runs, the one owner of a statement's lifecycle
+//! (one way to prepare, one builder of its flight-recorder record), and
+//! nothing ambient under it.
 //!
 //! A plan is a pure read: every executor in `monoid_algebra`, and the
 //! prepare/cache/profile half of `monoid_db`, takes a `&Snapshot` (which a
@@ -61,7 +63,22 @@ const ACCESSORS: &[&str] = &["Prepared::query", "Prepared::prepare_nanos"];
 
 /// The functions allowed to take `&mut Database`: a statement whose
 /// effects write commits through these and nothing else.
-const WRITER_PATH: &[&str] = &["Prepared::execute", "Prepared::run_write", "Session::query"];
+/// `Prepared::execute_from` is the one private helper `Session::query`
+/// (and `oqld`) reach `Prepared::execute`'s body through, bringing their
+/// own record origin.
+const WRITER_PATH: &[&str] =
+    &["Prepared::execute", "Prepared::execute_from", "Prepared::run_write", "Session::query"];
+
+/// The only callers of `normalize_traced(` outside `crates/core` and test
+/// modules, as `(file, enclosing fn)`: the one spelling of normalize →
+/// optimize → plan, `regress`'s timed loop (which times the phases
+/// separately, on purpose), and E3, which prints the derivation steps — the
+/// one thing a `Prepared` does not keep.
+const NORMALIZE_CALLERS: &[(&str, &str)] = &[
+    ("crates/bench/src/bin/experiments.rs", "table3"),
+    ("crates/bench/src/regress.rs", "run_with"),
+    ("src/serving.rs", "finish_prepare"),
+];
 
 fn set_of(names: &[&str]) -> BTreeSet<String> {
     names.iter().map(ToString::to_string).collect()
@@ -335,6 +352,93 @@ fn only_the_writer_path_takes_a_mutable_database() {
     }
     let allowed = set_of(WRITER_PATH);
     assert_eq!(writers, allowed, "the `&mut Database` writer path changed");
+    // …and only as a function parameter: no struct, enum or trait object
+    // in the umbrella crate carries a `&mut Database` around.
+    for file in ["src/serving.rs", "src/lib.rs", "src/server.rs"] {
+        let code = code_of(&root().join(file));
+        let in_signatures: usize =
+            signatures(&code).iter().map(|s| s.text.matches("mut Database").count()).sum();
+        assert_eq!(
+            code.matches("mut Database").count(),
+            in_signatures,
+            "{file}: `&mut Database` appears outside a function signature"
+        );
+    }
+}
+
+/// Every workspace source file outside `crates/core`: the umbrella's
+/// `src/` and the other crates' `src/` trees.
+fn sources_above_core() -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("crates"), &mut files);
+    files.retain(|f| !f.starts_with(root().join("crates/core")));
+    files.sort();
+    files
+}
+
+fn relative(path: &Path) -> String {
+    path.strip_prefix(root()).expect("under the repo root").display().to_string()
+}
+
+/// A statement's flight-recorder record is a value its owner builds and
+/// commits: the recorder keeps no thread-local scope and offers no hooks
+/// (`fingerprint` and `global` are its only public free functions), and
+/// the algebra crate does not know it exists.
+#[test]
+fn a_query_record_is_a_value_and_nothing_is_ambient() {
+    let recorder = code_of(&root().join("crates/core/src/recorder.rs"));
+    assert!(!recorder.contains("thread_local"), "recorder.rs keeps thread-local state");
+    let free: BTreeSet<String> = signatures(&recorder)
+        .into_iter()
+        .filter(|s| s.public && !s.path.contains("::"))
+        .map(|s| s.path)
+        .collect();
+    assert_eq!(free, set_of(&["fingerprint", "global"]), "recorder's public free functions");
+    for file in algebra_sources() {
+        let names_it = code_of(&file)
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .any(|token| token == "recorder");
+        assert!(!names_it, "{} names the `recorder`", file.display());
+    }
+}
+
+/// One way to prepare: `explain_analyze` is defined once (the umbrella's,
+/// `prepare_on` + `Prepared::profile`), the algebra-level twin that
+/// re-spelled normalize → optimize → plan is gone, and nothing outside
+/// [`NORMALIZE_CALLERS`] normalizes on its own.
+#[test]
+fn one_spelling_of_normalize_optimize_plan() {
+    let mut explain_analyze = Vec::new();
+    let mut normalizers = BTreeSet::new();
+    let mut files = sources_above_core();
+    rust_files(&root().join("crates/core"), &mut files);
+    for file in files {
+        let (code, name) = (code_of(&file), relative(&file));
+        // (Spelled in two halves so this file passes its own grep.)
+        assert!(!code.contains(concat!("analyze_with", "_trace")), "{name} names the old twin");
+        for sig in signatures(&code) {
+            if sig.path.rsplit("::").next() == Some("explain_analyze") {
+                explain_analyze.push(name.clone());
+            }
+        }
+        if name.starts_with("crates/core") {
+            continue;
+        }
+        let mut enclosing = String::new();
+        for line in code.lines() {
+            let decl = line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(rest) = decl.strip_prefix("fn ") {
+                enclosing = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            } else if line.contains("normalize_traced(") {
+                normalizers.insert((name.clone(), enclosing.clone()));
+            }
+        }
+    }
+    assert_eq!(explain_analyze, ["src/lib.rs"], "`fn explain_analyze` definitions");
+    let pinned: BTreeSet<(String, String)> =
+        NORMALIZE_CALLERS.iter().map(|(f, c)| (f.to_string(), c.to_string())).collect();
+    assert_eq!(normalizers, pinned, "callers of `normalize_traced(` outside crates/core");
 }
 
 #[test]

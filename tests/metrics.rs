@@ -249,6 +249,31 @@ fn registry_accounts_for_a_known_workload() {
         assert_eq!(diff.counter("stats_gather_reuse_total"), 0);
     }
 
+    // --- 4c'. `EXPLAIN ANALYZE` profiles the statement as it is served:
+    //          `prepare_on` + `Prepared::profile`, so against an epoch
+    //          already gathered it reuses the gather, prepares exactly
+    //          once, and judges the estimates that prepare produced. ----
+    {
+        use monoid_calculus::trace::Phase;
+        let prepared = monoid_db::prepare_on(&db, JOIN_SRC).unwrap();
+        let before = metrics::global().snapshot();
+        let analysis = monoid_db::explain_analyze(JOIN_SRC, &db).unwrap();
+        let diff = metrics::global().snapshot().diff(&before);
+        assert_eq!(diff.counter("stats_gather_reuse_total"), 1, "explain re-gathered");
+        assert_eq!(diff.histogram_with("prepare_nanos", &[]).unwrap().count, 1);
+        let trace = &analysis.profile.trace;
+        assert_eq!(trace.phases.len(), Phase::ALL.len(), "{:?}", trace.phases);
+        assert!(trace.phase_nanos(Phase::Parse).unwrap() > 0);
+        for phase in Phase::ALL {
+            assert!(trace.phase_nanos(phase).is_some(), "profile trace lacks {phase}");
+            let h = diff.histogram_with("query_phase_nanos", &[("phase", phase.as_str())]);
+            assert_eq!(h.map(|h| h.count), Some(1), "phase {phase} observed once");
+        }
+        let shown: Vec<f64> =
+            analysis.profile.operators.iter().map(|o| o.estimated_rows).collect();
+        assert_eq!(shown, prepared.estimates(), "est≈ is the served statement's belief");
+    }
+
     // --- 4d. With the plan-quality audit on, a profiled run feeds exactly
     //         one q-error observation per plan operator. ----------------
     {

@@ -237,7 +237,7 @@ fn prepared_statements_export_folded_profiles() {
     )
     .unwrap();
     let params = Params::new().bind("floor", Value::Int(40_000));
-    let folded = stmt.profile_folded(&db, &params).unwrap();
+    let folded = stmt.profile(&db, &params).unwrap().profile.to_folded();
     assert!(!folded.is_empty());
     for line in folded.lines() {
         let (stack, value) = line.rsplit_once(' ').unwrap();
@@ -245,7 +245,7 @@ fn prepared_statements_export_folded_profiles() {
         assert!(stack.split(';').all(|f| !f.trim().is_empty()), "{line}");
     }
     // Unbound parameters fail loudly instead of profiling garbage.
-    assert!(stmt.profile_folded(&db, &Params::new()).is_err());
+    assert!(stmt.profile(&db, &Params::new()).is_err());
 }
 
 #[test]

@@ -7,7 +7,9 @@
 //! 3. the slow-query capture fires iff the threshold is exceeded;
 //! 4. the `--compare` gate fails a synthetically regressed baseline and
 //!    passes a self-compare (`tests` in `crates/bench` prove the same at
-//!    the process/exit-code level).
+//!    the process/exit-code level);
+//! 5. every public entry point commits exactly one record, complete from
+//!    what the statement's owner holds — no layer underneath annotates it.
 //!
 //! The recorder, like the metrics registry, is process-global; the
 //! tests that touch it serialize on one mutex and restore the enabled
@@ -90,7 +92,6 @@ fn disabled_recorder_moves_nothing() {
     {
         assert_eq!(diff.counter(series), 0, "disabled recorder moved {series}");
     }
-    assert!(!recorder::active(), "no scope left open");
 
     // Re-enabling brings the pipeline back: the same workload commits
     // records and bumps the counter.
@@ -296,26 +297,142 @@ fn session_queries_thread_every_field() {
     assert!(!failed.ok());
     assert!(failed.error.is_some());
 
-    // A bare executor's notes land on whatever record is open around it
-    // (the executor itself opens none).
-    let expr = monoid_oql::compile(db.schema(), "sum(select r.price from h in Hotels, r in h.rooms)")
-        .unwrap();
-    let (canonical, _, _) = monoid_calculus::normalize::normalize_traced(&expr);
-    let plan = monoid_algebra::plan_comprehension(&canonical).unwrap();
-    let scope = recorder::begin("bare sum").expect("no scope open on this thread");
-    monoid_algebra::execute(&plan, &db).unwrap();
-    assert!(scope.finish(None).is_none(), "no slow threshold armed");
-    let bare = rec.snapshot().into_iter().next_back().unwrap();
-    assert_eq!(bare.source, "bare sum");
-    assert_eq!(bare.cache, CacheDisposition::Uncached);
-    assert_eq!((bare.engine.as_deref(), bare.rows), (Some("fused"), 1));
-
     // The journal round-trips every record through JSON text.
     let journal = rec.to_json().render();
     let records = monoid_bench::top::load_journal(&journal).unwrap();
     assert_eq!(records.len(), rec.len());
     assert!(records.iter().any(|r| r.fingerprint == miss.fingerprint));
     assert!(records.iter().any(|r| !r.ok()));
+
+    rec.set_enabled(was_enabled);
+    rec.set_slow_threshold(was_threshold);
+}
+
+// --- One record per call, complete without help from below. -----------
+
+/// The records `f` committed to the global ring (callers hold the lock).
+fn committed_by(f: impl FnOnce()) -> Vec<QueryRecord> {
+    let rec = recorder::global();
+    let before = rec.recorded_total();
+    f();
+    rec.snapshot().into_iter().filter(|r| r.seq >= before).collect()
+}
+
+fn rows_of(v: &Value) -> u64 {
+    v.len().map_or(1, |n| n as u64)
+}
+
+#[test]
+fn every_entry_point_commits_exactly_one_complete_record() {
+    let _guard = lock();
+    let rec = recorder::global();
+    let (was_enabled, was_threshold) = (rec.enabled(), rec.slow_threshold());
+    rec.set_enabled(true);
+    rec.set_slow_threshold(0);
+
+    // A fused chain, the `company-dept-join` shape (a hash join: the plan
+    // walk) and a statement the planner declines (the evaluator): the
+    // engine label comes from the prepared statement, not from below.
+    let mut travel = db();
+    let mut company = monoid_store::company::generate(4, 8, 6, 42);
+    let join = "select struct(mgr: m.name, emp: e.name) \
+                from m in Managers, e in CompanyEmployees where m.dept = e.dept";
+    let cases = [
+        ("fused", SRC, params()),
+        ("plan-walk", join, Params::new()),
+        ("eval", "count(Hotels) + 1", Params::new()),
+    ];
+    for (engine, src, params) in cases {
+        let db = if src == join { &mut company } else { &mut travel };
+        let session = private_session();
+        let mut served = Vec::new();
+        let mut query = |db: &mut Database| {
+            let records =
+                committed_by(|| served.push(session.query(db, src, &params).unwrap()));
+            assert_eq!(records.len(), 1, "{engine}: one record per `Session::query`");
+            records.into_iter().next().unwrap()
+        };
+        let (miss, hit) = (query(db), query(db));
+        assert_eq!((miss.cache, hit.cache), (CacheDisposition::Miss, CacheDisposition::Hit));
+        assert!(miss.phase_nanos(Phase::Parse) > 0, "{engine}: a miss carries its prepare");
+        assert_eq!(hit.phase_nanos(Phase::Parse), 0, "{engine}: a hit parsed");
+        for (r, value) in [&miss, &hit].into_iter().zip(&served) {
+            assert_eq!(r.engine.as_deref(), Some(engine));
+            assert_eq!(r.session, Some(session.id()));
+            assert_eq!(r.rows, rows_of(value), "{engine}: rows");
+            assert!(!r.effects.is_empty(), "{engine}: effects");
+            assert_eq!(r.snapshot_epoch, None, "{engine}: writer path pins no snapshot");
+            assert!(r.ok() && r.phase_nanos(Phase::Execute) > 0);
+        }
+        let snap = db.snapshot();
+        let records = committed_by(|| {
+            session.query_snapshot(&snap, src, &params).unwrap();
+        });
+        assert_eq!(records.len(), 1, "{engine}: one record per `Session::query_snapshot`");
+        assert_eq!(records[0].snapshot_epoch, Some(snap.epoch()));
+        assert_eq!(records[0].cache, CacheDisposition::Hit, "same epoch, same cache");
+        assert_eq!(records[0].engine.as_deref(), Some(engine));
+    }
+
+    // A bare `Prepared` owns its record too: uncached, no session, and no
+    // prepare phases — the prepare was not part of this execution.
+    let stmt = monoid_db::prepare_on(&travel, SRC).unwrap();
+    let snap = travel.snapshot();
+    let direct = committed_by(|| {
+        stmt.execute(&mut travel, &params()).unwrap();
+        stmt.execute_snapshot(&snap, &params()).unwrap();
+    });
+    assert_eq!(direct.len(), 2, "one record per direct execution");
+    for r in &direct {
+        assert_eq!((r.cache, r.session), (CacheDisposition::Uncached, None));
+        assert_eq!(r.engine.as_deref(), Some("fused"));
+        assert_eq!(r.phase_nanos(Phase::Parse), 0);
+        assert!(r.rows >= 1 && !r.effects.is_empty());
+    }
+    assert_eq!(direct[0].snapshot_epoch, None);
+    assert_eq!(direct[1].snapshot_epoch, Some(snap.epoch()));
+
+    // An update program (OQL cannot spell one; `prepare_expr` can) commits
+    // through the writer path as one `eval` record naming its effects.
+    use monoid_calculus::expr::Expr;
+    let rename = Expr::comp(
+        monoid_calculus::monoid::Monoid::All,
+        Expr::var("h").assign(Expr::record(vec![("name", Expr::str("renamed"))])),
+        vec![Expr::gen("h", Expr::var("Hotels"))],
+    );
+    let update = monoid_db::prepare_expr(&rename, &monoid_algebra::Stats::default()).unwrap();
+    assert!(update.writes());
+    let epoch = travel.mutation_epoch();
+    let written = committed_by(|| {
+        update.execute(&mut travel, &Params::new()).unwrap();
+    });
+    assert_ne!(travel.mutation_epoch(), epoch, "the update committed");
+    assert_eq!(written.len(), 1, "one record per update");
+    assert_eq!(written[0].engine.as_deref(), Some("eval"));
+    assert_eq!(written[0].effects, update.effects().to_string());
+
+    // A failed prepare has no statement to own its record: the session
+    // commits it, with the error and its id.
+    let session = private_session();
+    let failed = committed_by(|| {
+        assert!(session.query(&mut travel, "select ! from", &Params::new()).is_err());
+    });
+    assert_eq!(failed.len(), 1, "one record per failed prepare");
+    assert!(failed[0].error.is_some());
+    assert_eq!(failed[0].session, Some(session.id()));
+
+    // Profiling is not serving: it commits nothing.
+    let stmt = monoid_db::prepare_on(&travel, SRC).unwrap();
+    let profiled = committed_by(|| {
+        stmt.profile(&travel, &params()).unwrap();
+    });
+    assert!(profiled.is_empty(), "`Prepared::profile` committed {profiled:?}");
+    // …while `explain_analyze`, an entry point, commits its one.
+    let explained = committed_by(|| {
+        explain_analyze("select h.name from h in Hotels", &travel).unwrap();
+    });
+    assert_eq!(explained.len(), 1, "one record per `explain_analyze`");
+    assert!(explained[0].phase_nanos(Phase::Parse) > 0 && explained[0].rows >= 1);
 
     rec.set_enabled(was_enabled);
     rec.set_slow_threshold(was_threshold);
