@@ -1,13 +1,21 @@
-//! Push-based (pipelined) execution of algebra plans.
+//! The plan walk: the reference interpreter for algebra plans.
 //!
-//! Plans compile to a driver that pushes variable bindings through the
-//! operator pipeline — scans and unnests never materialize intermediate
-//! collections, which is precisely the pipelining opportunity the paper
-//! says canonical forms maximize. The only materialization points are hash
-//! join build sides and the final `Reduce` accumulator.
+//! Every query the planner produces runs on the fused fold
+//! ([`crate::fused`]) when its expressions are in the compiled subset; this
+//! module is what runs otherwise, and what the fold is checked against. It
+//! is deliberately the plainest correct implementation: a push-based driver
+//! that hands each operator's rows to its consumer as `Env` bindings, one
+//! evaluator call per expression, a join as a `BTreeMap` build table plus a
+//! probe. Scans and unnests never materialize intermediate collections; the
+//! only materialization points are join build sides and the final `Reduce`
+//! accumulator. `some`/`all` reductions short-circuit the entire pipeline
+//! through the sink's `false` return, mirroring the evaluator.
 //!
-//! `some`/`all` reductions short-circuit the entire pipeline through the
-//! sink's `false` return, mirroring the evaluator.
+//! Three callers pin a run to the walk: [`execute_plan_walk_bound`] (the
+//! oracle of `fused_differential.rs` and the ablation baseline of
+//! `regress`), [`execute_counted_bound`] (evaluator steps as a cost proxy),
+//! and any run with a counting [`Probe`] — a fused run is one flat fold
+//! with no per-operator attribution to feed the hooks.
 //!
 //! The driver is generic over a [`Probe`]: a set of per-operator counter
 //! hooks. [`NoProbe`] (the default used by [`execute`]) monomorphizes
@@ -186,8 +194,9 @@ pub fn execute(query: &Query, snap: &Snapshot) -> ExecResult<Value> {
 
 /// [`execute`] with late-bound parameter values (prepared statements).
 ///
-/// Linear scan → filter → bind → unnest chains run on the fused batch
-/// engine ([`crate::fused`]); everything else walks the plan tree.
+/// Plans whose expressions are in the compiled subset — joins included —
+/// run on the fused batch engine ([`crate::fused`]); everything else walks
+/// the plan tree.
 pub fn execute_snapshot_bound(
     query: &Query,
     snap: &Snapshot,
@@ -303,7 +312,6 @@ fn run_plan<P: Probe>(
                 build_table(right, right_op, on, ev, env, probe)
             })?;
             probe.build_rows(op, table.rows.len() as u64);
-            let mut scratch = value::ScratchRow::new();
             run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
                 let key = on
                     .iter()
@@ -311,9 +319,8 @@ fn run_plan<P: Probe>(
                     .collect::<ExecResult<Vec<_>>>()?;
                 if let Some(matches) = table.index.get(&key) {
                     for &i in matches {
-                        let row = scratch.fill(lrow, &table.rows[i]);
                         probe.row_out(op);
-                        if !sink(ev, row)? {
+                        if !sink(ev, &bind_delta(lrow, &table.rows[i]))? {
                             return Ok(false);
                         }
                     }
@@ -334,11 +341,14 @@ struct BuildTable {
     index: std::collections::BTreeMap<Vec<Value>, Vec<usize>>,
 }
 
+/// `base` extended with a build row's bindings, later ones shadowing.
+fn bind_delta(base: &Env, delta: &[(Symbol, Value)]) -> Env {
+    delta.iter().fold(base.clone(), |env, (var, v)| env.bind(*var, v.clone()))
+}
+
 /// Materialize a join's right side into a [`BuildTable`]. `op` is
-/// the right sub-plan's pre-order index. One [`value::ScratchRow`] keys
-/// the whole build side — each key is evaluated against the top
-/// environment plus the row's delta — so keying reuses one chain of
-/// environment nodes instead of allocating per delta.
+/// the right sub-plan's pre-order index. Each key is evaluated against
+/// the top environment plus the row's delta.
 fn build_table<P: Probe>(
     right: &Plan,
     op: usize,
@@ -354,10 +364,9 @@ fn build_table<P: Probe>(
         index.insert(Vec::new(), (0..rows.len()).collect());
         return Ok(BuildTable { rows, index });
     }
-    let mut scratch = value::ScratchRow::new();
     for (i, delta) in rows.iter().enumerate() {
-        let row = scratch.fill(env, delta);
-        let key = on.iter().map(|(_, rk)| ev.eval(row, rk)).collect::<ExecResult<Vec<_>>>()?;
+        let row = bind_delta(env, delta);
+        let key = on.iter().map(|(_, rk)| ev.eval(&row, rk)).collect::<ExecResult<Vec<_>>>()?;
         index.entry(key).or_insert_with(Vec::new).push(i);
     }
     Ok(BuildTable { rows, index })

@@ -2,26 +2,47 @@
 //!
 //! The paper's central performance claim (§1, §6) is that normalization
 //! produces canonical forms whose operator chains — scan → filter → bind →
-//! unnest → reduce — *are* a single monoid homomorphism. The plan walk in
-//! [`crate::exec`] honors that shape but pays per-row machinery for it: a
-//! `dyn FnMut` sink call per operator per row, an `Arc`-allocated
+//! unnest → join → reduce — *are* a single monoid homomorphism. The plan
+//! walk in [`crate::exec`] honors that shape but pays per-row machinery for
+//! it: a `dyn FnMut` sink call per operator per row, an `Arc`-allocated
 //! environment node per binding, and a full evaluator dispatch (with step
-//! ticking) per expression node. None of that is needed for a linear
-//! chain: this module compiles the chain once into a flat stage list over
-//! a slot-addressed row buffer, then drives the whole pipeline as one
-//! tight loop that borrows rows from the extent's `Arc<Vec<Value>>` and
-//! accumulates directly into the target monoid.
+//! ticking) per expression node. None of that is needed: this module
+//! compiles the plan once into flat stage lists over a slot-addressed row
+//! buffer, then drives the whole pipeline as one tight loop that borrows
+//! rows from the extent's `Arc<Vec<Value>>` and accumulates directly into
+//! the target monoid.
 //!
-//! What fuses: a linear `Scan`/`IndexLookup` spine extended only by
-//! `Filter`/`Bind`/`Unnest` stages, whose embedded expressions are built
-//! from literals, variables, parameters, records, tuples, projections,
-//! arithmetic/comparison/logic, `if`, and `!` (deref) — and whose head and
-//! plan are statically pure and non-allocating (PR 4's `Effects`). What
-//! falls back to the plan walk: joins, allocating or
+//! What fuses: a `Scan`/`IndexLookup` root extended by `Filter`, `Bind`,
+//! `Unnest` and `Join` stages (keyed joins and cross products alike), whose
+//! embedded expressions are built from literals, variables, parameters,
+//! records, tuples, projections, arithmetic/comparison/logic, `if`, and `!`
+//! (deref) — and whose head and plan are statically pure and non-allocating
+//! (PR 4's `Effects`). What falls back to the plan walk: allocating or
 //! mutating expressions, vector monoids, and any expression form outside
-//! the compiled subset (lambdas, nested comprehensions, `let`, …).
+//! the compiled subset (lambdas, nested comprehensions, `let`, …), whether
+//! it sits on the spine, in a join key, or in a join's right side.
 //! [`compile`] is the one place that decides; a declined query gets a
 //! [`Refusal`] naming the construct, which is all lint MC009 reports.
+//!
+//! A join is a bind inside the same fold (`genBind g f = λk z. g (λacc a.
+//! (f a) k acc) z`), and a hash join is that bind over a prebuilt finite
+//! map. The left input continues the spine; the right sub-plan compiles
+//! into a chain of its own (same slot numbering) that runs *before the
+//! first left row*, once per execution, into a [`Table`]: the right-bound
+//! slot values laid out flat (a bare scan over a list/set extent shares the
+//! extent's `Arc` and copies nothing) plus an index that discriminates the
+//! key by kind — `i64`, string and OID keys hash into typed buckets, and
+//! everything else (composite keys, floats, records, a build side mixing
+//! kinds) goes to one `Value`-ordered map. Equality is [`Value::cmp`]'s, so
+//! `1` meets `1.0` on both sides exactly as in the walk's `BTreeMap`. Tables
+//! are built in the walk's order — outer join first, a join's right source
+//! before its left one, all build rows before the first key — so whichever
+//! error the walk reports first is the one the fold reports. Probing
+//! evaluates the left keys against the current row and, for each match *in
+//! build order*, pushes borrowed [`Frame`]s for the right slots and drives
+//! the rest of the chain: rows stay left-major, so ordered monoids, float
+//! sums and `some`/`all` short-circuits land where the walk puts them. The
+//! table dies with the execution.
 //!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
@@ -45,7 +66,9 @@ use monoid_calculus::expr::{BinOp, Expr, Literal, UnOp};
 use monoid_calculus::heap::Heap;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::value::{Accumulator, Env, Value};
+use monoid_calculus::value::{Accumulator, Env, Oid, Value};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Which execution engine ran (or would run) a query. Surfaced by
 /// `explain_analyze`, the flight recorder, and `Prepared::execute`.
@@ -238,32 +261,52 @@ impl FusedExpr {
     }
 }
 
-/// One non-root operator of the fused chain, in execution (bottom-up)
+/// One non-root operator of a fused chain, in execution (bottom-up)
 /// order.
 #[derive(Debug)]
-enum Stage {
+enum Stage<'q> {
     Filter(FusedExpr),
     Bind { slot: usize, expr: FusedExpr },
     Unnest { slot: usize, path: FusedExpr },
+    /// Probe `build`'s table with `left_keys`; every match binds
+    /// `right_slots` — the build side's variables, one table column
+    /// each — and continues up the chain.
+    Join { build: Build<'q>, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
 }
 
-/// The chain's row producer.
+/// A chain's row producer.
 #[derive(Debug)]
 enum Root<'q> {
     Scan { slot: usize, source: &'q Expr },
     Index { slot: usize, index: &'q crate::index::Index, key: &'q Expr },
 }
 
+/// A row producer and the stages its rows run through.
+#[derive(Debug)]
+struct Chain<'q> {
+    root: Root<'q>,
+    stages: Vec<Stage<'q>>,
+}
+
+/// A join's right side: the chain that produces the build rows, the key
+/// expressions over them, and which of the execution's tables it fills.
+#[derive(Debug)]
+struct Build<'q> {
+    chain: Chain<'q>,
+    keys: Vec<FusedExpr>,
+    table: usize,
+}
+
 /// A fully compiled fused pipeline, borrowing the plan's expressions.
 #[derive(Debug)]
 struct FusedQuery<'q> {
-    root: Root<'q>,
-    stages: Vec<Stage>,
+    chain: Chain<'q>,
     head: FusedExpr,
     monoid: &'q Monoid,
     n_slots: usize,
+    n_tables: usize,
     /// `(slot, name)` pairs to fill from the root environment at setup —
-    /// extents, parameters, and any other free variable of the chain.
+    /// parameters and any other free variable of the compiled expressions.
     globals: Vec<(usize, Symbol)>,
 }
 
@@ -273,6 +316,7 @@ struct Compiler {
     /// entries shadow earlier ones, mirroring `Env` lookup order.
     scope: Vec<(Symbol, usize)>,
     n_slots: usize,
+    n_tables: usize,
     globals: Vec<(usize, Symbol)>,
 }
 
@@ -348,6 +392,80 @@ impl Compiler {
             other => return Err(other),
         })
     }
+
+    /// One side of `join`'s key pairs, compiled against the current scope.
+    /// A refusal names the offending sub-expression and, for a front end
+    /// that did not record it, the generator that made this a join.
+    fn join_keys<'e>(
+        &mut self,
+        keys: impl Iterator<Item = &'e Expr>,
+        right: &Plan,
+    ) -> Result<Vec<FusedExpr>, Refusal> {
+        keys.map(|k| {
+            self.compile_expr(k)
+                .map_err(|off| outside("a join key", right.bound_vars().first().copied(), off))
+        })
+        .collect()
+    }
+
+    /// Compile `plan` into a chain, leaving its variables in scope. The
+    /// only function that inspects a plan's shape: teaching the fold a new
+    /// operator means adding a [`Stage`] here.
+    fn chain<'q>(&mut self, plan: &'q Plan) -> Result<Chain<'q>, Refusal> {
+        let (input, stage) = match plan {
+            Plan::Scan { var, source } => {
+                let root = Root::Scan { slot: self.bind(*var), source };
+                return Ok(Chain { root, stages: Vec::new() });
+            }
+            Plan::IndexLookup { var, index, key } => {
+                let root = Root::Index { slot: self.bind(*var), index, key };
+                return Ok(Chain { root, stages: Vec::new() });
+            }
+            Plan::Filter { input, pred } => {
+                let input = self.chain(input)?;
+                let pred =
+                    self.compile_expr(pred).map_err(|off| outside("a predicate", None, off))?;
+                (input, Stage::Filter(pred))
+            }
+            Plan::Bind { input, var, expr } => {
+                let input = self.chain(input)?;
+                // Compile before binding: the expression sees the *outer*
+                // binding of `var`, exactly like the plan walk.
+                let expr = self.compile_expr(expr).map_err(|off| {
+                    outside(format_args!("the binding `{var} ≡ …`"), Some(*var), off)
+                })?;
+                (input, Stage::Bind { slot: self.bind(*var), expr })
+            }
+            Plan::Unnest { input, var, path } => {
+                let input = self.chain(input)?;
+                let path = self.compile_expr(path).map_err(|off| {
+                    outside(format_args!("the path of generator `{var}`"), Some(*var), off)
+                })?;
+                (input, Stage::Unnest { slot: self.bind(*var), path })
+            }
+            Plan::Join { left, right, on } => {
+                let input = self.chain(left)?;
+                let left_keys = self.join_keys(on.iter().map(|(l, _)| l), right)?;
+                // The right side is independent of the left: it compiles
+                // (and its keys resolve) with only its own variables in
+                // scope, as the walk runs it against the root environment.
+                let left_scope = std::mem::take(&mut self.scope);
+                let chain = self.chain(right)?;
+                let keys = self.join_keys(on.iter().map(|(_, r)| r), right)?;
+                let right_scope = std::mem::replace(&mut self.scope, left_scope);
+                // A joined row is the left row with the right side's
+                // variables bound on top, in binding order.
+                let right_slots = right_scope.iter().map(|(_, slot)| *slot).collect();
+                self.scope.extend(right_scope);
+                let build = Build { chain, keys, table: self.n_tables };
+                self.n_tables += 1;
+                (input, Stage::Join { build, left_keys, right_slots })
+            }
+        };
+        let mut chain = input;
+        chain.stages.push(stage);
+        Ok(chain)
+    }
 }
 
 /// A short human name for an expression form outside the compiled subset.
@@ -384,9 +502,7 @@ fn outside(what: impl std::fmt::Display, var: Option<Symbol>, off: &Expr) -> Ref
 }
 
 /// Compile a query into a fused pipeline, or say which part of it falls
-/// outside the fusible subset. The only function that inspects a plan's
-/// shape for fusibility: teaching the fold a new operator means adding a
-/// [`Stage`] here and deleting the matching `Err`.
+/// outside the fusible subset.
 fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
     let Query { plan, monoid, head, plan_effects } = query;
     // Vector comprehensions accumulate through indexed slots, not a single
@@ -400,93 +516,52 @@ fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
     if eff.mutates || eff.allocates {
         return Err(Refusal::new("the query writes the heap (`:=` or `new`)"));
     }
-    // Flatten the linear chain; joins make it a tree and decline fusion.
-    let mut chain = Vec::new();
-    let mut node = plan;
-    let spine_root = loop {
-        match node {
-            Plan::Scan { .. } | Plan::IndexLookup { .. } => break node,
-            Plan::Unnest { input, .. }
-            | Plan::Filter { input, .. }
-            | Plan::Bind { input, .. } => {
-                chain.push(node);
-                node = input;
-            }
-            Plan::Join { right, .. } => {
-                // Every plan binds at least its root's variable.
-                let var = right.bound_vars()[0];
-                return Err(Refusal {
-                    reason: format!(
-                        "independent generator `{var}` requires a join, which is outside \
-                         the fused subset"
-                    ),
-                    var: Some(var),
-                    expr: None,
-                });
-            }
-        }
-    };
-    chain.reverse(); // execution order: scan upward.
-
     let mut c = Compiler::default();
-    let root = match spine_root {
-        Plan::Scan { var, source } => Root::Scan { slot: c.bind(*var), source },
-        Plan::IndexLookup { var, index, key } => {
-            Root::Index { slot: c.bind(*var), index, key }
-        }
-        _ => unreachable!("loop breaks only on scan/index roots"),
-    };
-    let mut stages = Vec::with_capacity(chain.len());
-    for stage in chain {
-        match stage {
-            Plan::Filter { pred, .. } => {
-                let pred = c.compile_expr(pred).map_err(|off| outside("a predicate", None, off))?;
-                stages.push(Stage::Filter(pred));
-            }
-            Plan::Bind { var, expr, .. } => {
-                // Compile before binding: the expression sees the *outer*
-                // binding of `var`, exactly like the plan walk.
-                let expr = c.compile_expr(expr).map_err(|off| {
-                    outside(format_args!("the binding `{var} ≡ …`"), Some(*var), off)
-                })?;
-                stages.push(Stage::Bind { slot: c.bind(*var), expr });
-            }
-            Plan::Unnest { var, path, .. } => {
-                let path = c.compile_expr(path).map_err(|off| {
-                    outside(format_args!("the path of generator `{var}`"), Some(*var), off)
-                })?;
-                stages.push(Stage::Unnest { slot: c.bind(*var), path });
-            }
-            _ => unreachable!("chain holds only unary stages"),
-        }
-    }
+    let chain = c.chain(plan)?;
     let head = c.compile_expr(head).map_err(|off| outside("the head", None, off))?;
     Ok(FusedQuery {
-        root,
-        stages,
+        chain,
         head,
         monoid,
         n_slots: c.n_slots,
+        n_tables: c.n_tables,
         globals: c.globals,
     })
 }
 
-/// The borrowed-or-expanded elements of a generator source. List, set, and
-/// vector sources iterate the extent's `Arc<Vec<Value>>` in place — the
-/// allocation-free path the fused loop exists for; bags, strings, and the
-/// `§4.2` object-singleton idiom expand exactly like
-/// the plan walk's `collection_elements`.
-enum Rows<'a> {
-    Borrowed(&'a [Value]),
+/// The elements of a generator source. List, set, and vector sources
+/// iterate the extent's `Arc<Vec<Value>>` in place — the allocation-free
+/// path the fused loop exists for; bags, strings, and the `§4.2`
+/// object-singleton idiom expand exactly like the plan walk's
+/// `collection_elements`; an index lookup lends its posting list.
+enum Rows<'q> {
+    Shared(Arc<Vec<Value>>),
     Owned(Vec<Value>),
+    Slice(&'q [Value]),
 }
 
-fn rows_of(v: &Value) -> ExecResult<Rows<'_>> {
-    match v {
-        Value::Obj(_) => Ok(Rows::Owned(vec![v.clone()])),
-        Value::List(items) | Value::Set(items) | Value::Vector(items) => {
-            Ok(Rows::Borrowed(items))
+impl Rows<'_> {
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            Rows::Shared(items) => items,
+            Rows::Owned(items) => items,
+            Rows::Slice(items) => items,
         }
+    }
+
+    fn into_shared(self) -> Arc<Vec<Value>> {
+        match self {
+            Rows::Shared(items) => items,
+            Rows::Owned(items) => Arc::new(items),
+            Rows::Slice(items) => Arc::new(items.to_vec()),
+        }
+    }
+}
+
+fn rows_of(v: Value) -> ExecResult<Rows<'static>> {
+    match v {
+        Value::Obj(_) => Ok(Rows::Owned(vec![v])),
+        Value::List(items) | Value::Set(items) | Value::Vector(items) => Ok(Rows::Shared(items)),
         other => other.elements().map(Rows::Owned),
     }
 }
@@ -502,59 +577,349 @@ impl FusedQuery<'_> {
         }
         Some(slots)
     }
-
 }
 
-/// Run the stage chain for the current row buffer; `false` means the
-/// accumulator absorbed and the fold is over.
-fn drive(
-    stages: &[Stage],
-    head: &FusedExpr,
-    slots: &mut Vec<Value>,
+/// "No row": the end of a bucket's chain, and a probe that found nothing.
+const NONE: usize = usize::MAX;
+
+/// A join's build side, materialized once per execution: one value per
+/// right slot per row, laid out flat, and the rows of each key chained in
+/// build order (`index` holds a key's first row, `next[i]` the following
+/// row of the same key).
+#[derive(Default)]
+struct Table {
+    rows: Arc<Vec<Value>>,
+    next: Vec<usize>,
+    index: KeyIndex,
+}
+
+/// Build keys discriminated by kind. The typed buckets hold build sides
+/// whose one key is uniformly of that kind; `Ordered` is the walk's own
+/// `Value`-ordered map and takes everything else — composite keys, floats,
+/// records, and any build side that mixes kinds (`Value::cmp` says
+/// `1 = 1.0`, which no per-kind hash can honor across buckets).
+#[derive(Default)]
+enum KeyIndex {
+    /// No keys: every build row matches (the cross product).
+    #[default]
+    All,
+    Int(HashMap<i64, usize>),
+    Str(HashMap<Arc<str>, usize>),
+    Oid(HashMap<Oid, usize>),
+    Ordered(BTreeMap<Vec<Value>, usize>),
+}
+
+/// Chain row `i` in front of its bucket. Rows are linked back to front, so
+/// every chain ends up in ascending (build) order.
+fn link(head: &mut usize, next: &mut [usize], i: usize) {
+    next[i] = *head;
+    *head = i;
+}
+
+/// The typed bucket of a build side whose keys are all of the kind `of`
+/// accepts; `None` at the first key that is not.
+fn typed<K: std::hash::Hash + Eq>(
+    keys: &[Value],
+    next: &mut [usize],
+    of: impl Fn(&Value) -> Option<K>,
+) -> Option<HashMap<K, usize>> {
+    let mut map = HashMap::new();
+    for (i, key) in keys.iter().enumerate().rev() {
+        link(map.entry(of(key)?).or_insert(NONE), next, i);
+    }
+    Some(map)
+}
+
+impl Table {
+    /// Index `n` build rows by `keys` (`arity` values per row, row-major).
+    fn new(rows: Arc<Vec<Value>>, n: usize, arity: usize, keys: Vec<Value>) -> Table {
+        let mut next = vec![NONE; n];
+        let int = |k: &Value| if let Value::Int(k) = k { Some(*k) } else { None };
+        let string = |k: &Value| if let Value::Str(k) = k { Some(k.clone()) } else { None };
+        let oid = |k: &Value| if let Value::Obj(k) = k { Some(*k) } else { None };
+        // A failed attempt leaves links behind; the next one rewrites
+        // every row's.
+        let index = if arity == 0 {
+            let mut head = NONE;
+            (0..n).rev().for_each(|i| link(&mut head, &mut next, i));
+            KeyIndex::All
+        } else if arity > 1 {
+            Table::ordered(&keys, arity, &mut next)
+        } else if let Some(map) = typed(&keys, &mut next, int) {
+            KeyIndex::Int(map)
+        } else if let Some(map) = typed(&keys, &mut next, string) {
+            KeyIndex::Str(map)
+        } else if let Some(map) = typed(&keys, &mut next, oid) {
+            KeyIndex::Oid(map)
+        } else {
+            Table::ordered(&keys, 1, &mut next)
+        };
+        Table { rows, next, index }
+    }
+
+    fn ordered(keys: &[Value], arity: usize, next: &mut [usize]) -> KeyIndex {
+        let mut map = BTreeMap::new();
+        for (i, key) in keys.chunks(arity).enumerate().rev() {
+            link(map.entry(key.to_vec()).or_insert(NONE), next, i);
+        }
+        KeyIndex::Ordered(map)
+    }
+
+    /// The first build row matching the current left row, or [`NONE`].
+    /// All left keys are evaluated before the lookup, like the walk.
+    fn first_match(
+        &self,
+        keys: &[FusedExpr],
+        slots: &[Value],
+        frame: Option<&Frame<'_>>,
+        heap: &Heap,
+    ) -> ExecResult<usize> {
+        let hit = match &self.index {
+            KeyIndex::All => return Ok(if self.next.is_empty() { NONE } else { 0 }),
+            KeyIndex::Ordered(map) => {
+                let key = keys
+                    .iter()
+                    .map(|k| k.eval(slots, frame, heap))
+                    .collect::<ExecResult<Vec<_>>>()?;
+                map.get(&key)
+            }
+            typed => match (typed, keys[0].eval_ref(slots, frame, heap)?.as_ref()) {
+                (KeyIndex::Int(map), Value::Int(k)) => map.get(k),
+                // `Value::cmp` meets an int key through its float image.
+                (KeyIndex::Int(map), Value::Float(x)) => {
+                    let k = *x as i64;
+                    map.get(&k).filter(|_| (k as f64).total_cmp(x).is_eq())
+                }
+                (KeyIndex::Str(map), Value::Str(k)) => map.get(&**k),
+                (KeyIndex::Oid(map), Value::Obj(k)) => map.get(k),
+                // No other kind compares equal to these.
+                _ => None,
+            },
+        };
+        Ok(hit.copied().unwrap_or(NONE))
+    }
+}
+
+/// What a fold needs besides its row: the heap and the execution's join
+/// tables, both immutable while rows flow.
+struct Cx<'a> {
+    heap: &'a Heap,
+    tables: &'a [Table],
+}
+
+/// The fold's continuation `k`: where a chain's rows end up. Statically
+/// dispatched, so the reduction and a join's build side share [`drive`]
+/// without a per-row indirect call.
+trait Sink {
+    /// Consume the current row; `false` ends the fold.
+    fn row(&mut self, slots: &[Value], frame: Option<&Frame<'_>>, heap: &Heap)
+        -> ExecResult<bool>;
+}
+
+/// The reduction: evaluate the head, push it into the accumulator.
+struct Reduce<'a> {
+    head: &'a FusedExpr,
+    acc: Accumulator,
+}
+
+impl Sink for Reduce<'_> {
+    #[inline]
+    fn row(
+        &mut self,
+        slots: &[Value],
+        frame: Option<&Frame<'_>>,
+        heap: &Heap,
+    ) -> ExecResult<bool> {
+        // A constant or bare-variable head (`count`, `select e`) needs no
+        // trip through the expression interpreter.
+        let h = match self.head {
+            FusedExpr::Const(v) => v.clone(),
+            FusedExpr::Slot(i) => slot_value(slots, frame, *i).clone(),
+            other => other.eval(slots, frame, heap)?,
+        };
+        self.acc.push_unit(h)?;
+        Ok(!self.acc.absorbed())
+    }
+}
+
+/// A build side: append the value of each of `exprs` (a table's columns,
+/// or its keys) to `out`.
+struct Collect<'a> {
+    exprs: &'a [FusedExpr],
+    out: Vec<Value>,
+}
+
+impl Sink for Collect<'_> {
+    fn row(
+        &mut self,
+        slots: &[Value],
+        frame: Option<&Frame<'_>>,
+        heap: &Heap,
+    ) -> ExecResult<bool> {
+        for e in self.exprs {
+            self.out.push(e.eval(slots, frame, heap)?);
+        }
+        Ok(true)
+    }
+}
+
+/// Run the stage chain for the current row buffer; `false` means the sink
+/// is done (the accumulator absorbed) and the fold is over. Inlined into
+/// every loop that produces rows, so a row that has run out of stages goes
+/// straight to the sink.
+#[inline(always)]
+fn drive<K: Sink>(
+    stages: &[Stage<'_>],
+    cx: &Cx<'_>,
+    slots: &mut [Value],
     frame: Option<&Frame<'_>>,
-    heap: &Heap,
-    acc: &mut Accumulator,
+    k: &mut K,
 ) -> ExecResult<bool> {
-    let Some((stage, rest)) = stages.split_first() else {
-        let h = head.eval(slots, frame, heap)?;
-        acc.push_unit(h)?;
-        return Ok(!acc.absorbed());
-    };
+    match stages.split_first() {
+        None => k.row(slots, frame, cx.heap),
+        Some((stage, rest)) => step(stage, rest, cx, slots, frame, k),
+    }
+}
+
+/// One stage applied to the current row, then [`drive`] for the rest.
+fn step<K: Sink>(
+    stage: &Stage<'_>,
+    rest: &[Stage<'_>],
+    cx: &Cx<'_>,
+    slots: &mut [Value],
+    frame: Option<&Frame<'_>>,
+    k: &mut K,
+) -> ExecResult<bool> {
     match stage {
         Stage::Filter(pred) => {
-            if pred.eval_ref(slots, frame, heap)?.as_bool()? {
-                drive(rest, head, slots, frame, heap, acc)
+            if pred.eval_ref(slots, frame, cx.heap)?.as_bool()? {
+                drive(rest, cx, slots, frame, k)
             } else {
                 Ok(true)
             }
         }
         Stage::Bind { slot, expr } => {
-            let v = expr.eval(slots, frame, heap)?;
+            let v = expr.eval(slots, frame, cx.heap)?;
             slots[*slot] = v;
-            drive(rest, head, slots, frame, heap, acc)
+            drive(rest, cx, slots, frame, k)
         }
         Stage::Unnest { slot, path } => {
-            let pv = path.eval(slots, frame, heap)?;
-            match rows_of(&pv)? {
-                Rows::Borrowed(items) => {
-                    for elem in items {
-                        let f = Frame { slot: *slot, value: elem, parent: frame };
-                        if !drive(rest, head, slots, Some(&f), heap, acc)? {
-                            return Ok(false);
-                        }
-                    }
-                }
-                Rows::Owned(items) => {
-                    for elem in &items {
-                        let f = Frame { slot: *slot, value: elem, parent: frame };
-                        if !drive(rest, head, slots, Some(&f), heap, acc)? {
-                            return Ok(false);
-                        }
-                    }
+            let rows = rows_of(path.eval(slots, frame, cx.heap)?)?;
+            for elem in rows.as_slice() {
+                let f = Frame { slot: *slot, value: elem, parent: frame };
+                if !drive(rest, cx, slots, Some(&f), k)? {
+                    return Ok(false);
                 }
             }
             Ok(true)
         }
+        Stage::Join { build, left_keys, right_slots } => {
+            let table = &cx.tables[build.table];
+            let mut i = table.first_match(left_keys, slots, frame, cx.heap)?;
+            while i != NONE {
+                let row = &table.rows[i * right_slots.len()..];
+                if !bind_row(right_slots, row, rest, cx, slots, frame, k)? {
+                    return Ok(false);
+                }
+                i = table.next[i];
+            }
+            Ok(true)
+        }
+    }
+}
+
+/// Bind `right_slots` to the leading values of `row` — borrowed frames,
+/// nothing cloned — then drive `rest`.
+fn bind_row<K: Sink>(
+    right_slots: &[usize],
+    row: &[Value],
+    rest: &[Stage<'_>],
+    cx: &Cx<'_>,
+    slots: &mut [Value],
+    frame: Option<&Frame<'_>>,
+    k: &mut K,
+) -> ExecResult<bool> {
+    match right_slots.split_first() {
+        None => drive(rest, cx, slots, frame, k),
+        Some((slot, more)) => {
+            let f = Frame { slot: *slot, value: &row[0], parent: frame };
+            bind_row(more, &row[1..], rest, cx, slots, Some(&f), k)
+        }
+    }
+}
+
+/// One execution's mutable state: the evaluator (for root sources and
+/// keys, evaluated once each), the row buffer, and the join tables built
+/// so far.
+struct Run<'a> {
+    ev: &'a mut Evaluator,
+    env: &'a Env,
+    slots: Vec<Value>,
+    tables: Vec<Table>,
+}
+
+impl Run<'_> {
+    /// Build the table of every join on `chain` — outermost first, the
+    /// order the walk reaches them — then evaluate the chain's root. The
+    /// root source/key is one expression evaluated once per execution; the
+    /// evaluator runs it so parameters, closures, and error reporting stay
+    /// exactly as the plan walk has them.
+    fn open<'q>(&mut self, chain: &Chain<'q>) -> ExecResult<(usize, Rows<'q>)> {
+        for stage in chain.stages.iter().rev() {
+            if let Stage::Join { build, right_slots, .. } = stage {
+                self.tables[build.table] = self.build(build, right_slots)?;
+            }
+        }
+        match &chain.root {
+            Root::Scan { slot, source } => Ok((*slot, rows_of(self.ev.eval(self.env, source)?)?)),
+            Root::Index { slot, index, key } => {
+                let kv = self.ev.eval(self.env, key)?;
+                Ok((*slot, Rows::Slice(index.lookup(&kv))))
+            }
+        }
+    }
+
+    /// Push every row of an opened chain through its stages into `k`.
+    fn feed<K: Sink>(
+        &mut self,
+        chain: &Chain<'_>,
+        (slot, rows): (usize, Rows<'_>),
+        k: &mut K,
+    ) -> ExecResult<()> {
+        let cx = Cx { heap: &self.ev.heap, tables: &self.tables };
+        for elem in rows.as_slice() {
+            let f = Frame { slot, value: elem, parent: None };
+            if !drive(&chain.stages, &cx, &mut self.slots, Some(&f), k)? {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// Materialize a join's right side: all of its rows first, then all of
+    /// their keys, as the walk does.
+    fn build(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Table> {
+        let stride = right_slots.len();
+        let rows = match self.open(&build.chain)? {
+            // A bare root's rows *are* the table's one column (a list or
+            // set source lends its own `Arc`).
+            (_, rows) if build.chain.stages.is_empty() => rows.into_shared(),
+            opened => {
+                let columns: Vec<_> = right_slots.iter().map(|s| FusedExpr::Slot(*s)).collect();
+                let mut k = Collect { exprs: &columns, out: Vec::new() };
+                self.feed(&build.chain, opened, &mut k)?;
+                Arc::new(k.out)
+            }
+        };
+        let n = rows.len() / stride;
+        let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
+        if !build.keys.is_empty() {
+            let cx = Cx { heap: &self.ev.heap, tables: &[] };
+            for row in rows.chunks(stride) {
+                bind_row(right_slots, row, &[], &cx, &mut self.slots, None, &mut k)?;
+            }
+        }
+        Ok(Table::new(rows, n, build.keys.len(), k.out))
     }
 }
 
@@ -569,35 +934,15 @@ pub(crate) fn try_run_reduce(
     let Ok(fq) = compile(query) else {
         return Ok(None);
     };
-    let Some(mut slots) = fq.resolve_globals(env) else {
+    let Some(slots) = fq.resolve_globals(env) else {
         return Ok(None);
     };
-    // The root source/key is one expression evaluated once per query; the
-    // evaluator runs it so parameters, closures, and error reporting stay
-    // exactly as the plan walk has them.
-    let source_value;
-    let (root_slot, rows) = match &fq.root {
-        Root::Scan { slot, source } => {
-            source_value = ev.eval(env, source)?;
-            (*slot, rows_of(&source_value)?)
-        }
-        Root::Index { slot, index, key } => {
-            let kv = ev.eval(env, key)?;
-            (*slot, Rows::Borrowed(index.lookup(&kv)))
-        }
-    };
-    let mut acc = Accumulator::new(fq.monoid)?;
-    let items: &[Value] = match &rows {
-        Rows::Borrowed(items) => items,
-        Rows::Owned(items) => items,
-    };
-    for elem in items {
-        let f = Frame { slot: root_slot, value: elem, parent: None };
-        if !drive(&fq.stages, &fq.head, &mut slots, Some(&f), &ev.heap, &mut acc)? {
-            break;
-        }
-    }
-    Ok(Some(acc.finish()?))
+    let mut k = Reduce { head: &fq.head, acc: Accumulator::new(fq.monoid)? };
+    let tables = std::iter::repeat_with(Table::default).take(fq.n_tables).collect();
+    let mut run = Run { ev, env, slots, tables };
+    let opened = run.open(&fq.chain)?;
+    run.feed(&fq.chain, opened, &mut k)?;
+    Ok(Some(k.acc.finish()?))
 }
 
 #[cfg(test)]
@@ -643,21 +988,89 @@ mod tests {
         assert!(fused_eligible(&q), "{:?}", refusal(&q));
     }
 
-    #[test]
-    fn refusals_name_the_construct() {
-        let join = plan_comprehension(&Expr::comp(
+    /// `sum{ 1 | a ← Hotels, b ← Cities, a.name = b.name }`.
+    fn keyed_join() -> Query {
+        plan_comprehension(&Expr::comp(
             Monoid::Sum,
             Expr::int(1),
             vec![
                 Expr::gen("a", Expr::var("Hotels")),
                 Expr::gen("b", Expr::var("Cities")),
+                Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("name"))),
             ],
         ))
-        .unwrap();
-        assert_eq!(engine_of(&join), Engine::PlanWalk);
-        let r = refusal(&join).expect("joins decline fusion");
-        assert!(r.reason.contains("join") && r.reason.contains("`b`"), "{r:?}");
-        assert_eq!(r.var, Some(Symbol::new("b")));
+        .unwrap()
+    }
+
+    #[test]
+    fn joins_fuse_into_one_stage_with_a_build_chain_of_their_own() {
+        let q = keyed_join();
+        assert_eq!(engine_of(&q), Engine::Fused, "{:?}", refusal(&q));
+        let fq = compile(&q).unwrap();
+        let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+            panic!("{:?}", fq.chain.stages);
+        };
+        // Shared slot numbering: `a` is slot 0, `b` slot 1, and no extent
+        // is a global — sources are evaluated, not compiled.
+        assert!(matches!(fq.chain.root, Root::Scan { slot: 0, .. }));
+        assert!(matches!(build.chain.root, Root::Scan { slot: 1, .. }));
+        assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
+        assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
+    }
+
+    #[test]
+    fn typed_buckets_chain_rows_in_build_order_and_meet_across_int_and_float() {
+        let rows = |n: i64| Arc::new((0..n).map(Value::Int).collect::<Vec<_>>());
+        let probe = |t: &Table, key: Value| {
+            let mut hits = Vec::new();
+            let mut i = t.first_match(&[FusedExpr::Const(key)], &[], None, &Heap::new()).unwrap();
+            while i != NONE {
+                hits.push(i);
+                i = t.next[i];
+            }
+            hits
+        };
+        let ints = Table::new(rows(4), 4, 1, [7, 8, 7, 7].map(Value::Int).to_vec());
+        assert!(matches!(ints.index, KeyIndex::Int(_)));
+        assert_eq!(probe(&ints, Value::Int(7)), [0, 2, 3]);
+        assert_eq!(probe(&ints, Value::Float(8.0)), [1], "1 = 1.0 from the probe side");
+        assert!(probe(&ints, Value::Float(7.5)).is_empty());
+        assert!(probe(&ints, Value::Float(-0.0)).is_empty() && probe(&ints, Value::Null).is_empty());
+
+        // A build side mixing ints and floats leaves the typed buckets.
+        let mixed = Table::new(rows(3), 3, 1, vec![Value::Int(1), Value::Float(1.0), Value::Int(2)]);
+        assert!(matches!(mixed.index, KeyIndex::Ordered(_)));
+        assert_eq!(probe(&mixed, Value::Int(1)), [0, 1]);
+        assert_eq!(probe(&mixed, Value::Float(2.0)), [2]);
+
+        let strs = Table::new(rows(3), 3, 1, ["x", "y", "x"].map(Value::str).to_vec());
+        assert!(matches!(strs.index, KeyIndex::Str(_)));
+        assert_eq!(probe(&strs, Value::str("x")), [0, 2]);
+        assert!(probe(&strs, Value::Int(0)).is_empty());
+
+        // No keys: one bucket holding every row.
+        let all = Table::new(rows(3), 3, 0, Vec::new());
+        assert_eq!(probe(&all, Value::Null), [0, 1, 2]);
+        assert!(probe(&Table::new(rows(0), 0, 0, Vec::new()), Value::Null).is_empty());
+    }
+
+    #[test]
+    fn refusals_name_the_construct() {
+        // A join fuses; one whose key or right side leaves the expression
+        // subset is refused at that sub-expression.
+        let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
+        let mut nested_key = keyed_join();
+        let Plan::Join { on, .. } = &mut nested_key.plan else { panic!() };
+        on[0].1 = nested.clone();
+        let r = refusal(&nested_key).expect("a nested comprehension is outside the subset");
+        assert!(r.reason.contains("a join key uses a nested comprehension"), "{r:?}");
+        assert_eq!((r.expr, r.var), (Some(nested.clone()), Some(Symbol::new("b"))));
+        let lambda = Expr::lambda("x", Expr::var("x"));
+        let Plan::Join { right, .. } = &mut nested_key.plan else { panic!() };
+        **right = Plan::Filter { input: right.clone(), pred: lambda.clone() };
+        let r = refusal(&nested_key).expect("the right side is compiled first");
+        assert!(r.reason.contains("a predicate uses a lambda"), "{r:?}");
+        assert_eq!(r.expr, Some(lambda));
 
         // The offending sub-expression comes back whole, so a front end
         // can look its source position up.
@@ -668,7 +1081,6 @@ mod tests {
         assert_eq!(r.expr, Some(lambda_head.head.clone()));
 
         let mut nested_pred = scan_chain();
-        let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
         nested_pred.plan =
             Plan::Filter { input: Box::new(nested_pred.plan), pred: nested.clone() };
         let r = refusal(&nested_pred).expect("a nested comprehension is outside the subset");
@@ -700,6 +1112,32 @@ mod tests {
         let mut ev = Evaluator::with_heap(Heap::new());
         let v = try_run_reduce(&q, &mut ev, &env).unwrap().expect("fusible");
         assert_eq!(v, Value::Int(32));
+    }
+
+    #[test]
+    fn a_right_variable_shadows_the_left_one_above_the_join_only() {
+        // list{ x.v | x ← Ls, x ← Rs, x.k = x.k }: the left key reads the
+        // left `x`, the right key and the head the right one. (Plan
+        // verification refuses the rebinding, so this goes straight to the
+        // fold.)
+        let x = || Expr::var("x");
+        let mut q = keyed_join();
+        q.monoid = Monoid::List;
+        q.head = x().proj("v");
+        q.plan = Plan::Join {
+            left: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Ls") }),
+            right: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Rs") }),
+            on: vec![(x().proj("k"), x().proj("k"))],
+        };
+        let row = |k: i64, v: &str| {
+            Value::record_from(vec![("k", Value::Int(k)), ("v", Value::str(v))])
+        };
+        let env = Env::empty()
+            .bind("Ls".into(), Value::list(vec![row(1, "left")]))
+            .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
+        let mut ev = Evaluator::with_heap(Heap::new());
+        let v = try_run_reduce(&q, &mut ev, &env).unwrap().expect("fusible");
+        assert_eq!(v, Value::list(vec![Value::str("right")]));
     }
 
     #[test]

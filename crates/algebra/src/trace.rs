@@ -617,7 +617,9 @@ mod tests {
         );
         let analysis = profiled(&q, &db);
         let p = &analysis.profile;
-        assert_eq!(p.engine, "plan-walk", "joins stay on the plan walk");
+        // `engine` is what an unprofiled run takes; the counts below come
+        // from the plan walk every profiled run is pinned to.
+        assert_eq!(p.engine, "fused");
         let join = p
             .operators
             .iter()

@@ -2,13 +2,21 @@
 //! paper's Table 1 defines (minus the lifted `VecOf`, which the
 //! accumulator rejects), the fused fold and the plan-walk interpreter
 //! must produce byte-identical values — same elements, same order, same
-//! OIDs. The battery also pins the fallback boundary: shapes the fused
-//! compiler declines (hash joins, allocating heads) still agree with the
-//! plan walk.
+//! OIDs. Joins get the same treatment across every shape the fold claims
+//! (keyed, composite, cross, nested, empty sides, `Null` and int-vs-float
+//! keys), with the evaluator as the third witness. The battery also pins
+//! the fallback boundary: shapes the fused compiler declines (nested
+//! comprehensions, in a head or in a join key) still agree with the plan
+//! walk.
 
-use monoid_algebra::{engine_of, execute, execute_plan_walk_bound, plan_comprehension, Query};
-use monoid_calculus::expr::Expr;
+use monoid_algebra::{
+    engine_of, execute, execute_plan_walk_bound, plan_comprehension, Plan, Query,
+};
+use monoid_calculus::expr::{Expr, Qual};
 use monoid_calculus::monoid::Monoid;
+use monoid_calculus::types::Schema;
+use monoid_calculus::value::Value;
+use monoid_store::company;
 use monoid_store::travel::{self, TravelScale};
 use monoid_store::Database;
 
@@ -93,14 +101,392 @@ fn boolean_short_circuits_agree_across_engines() {
     assert_engines_agree("all-short-circuit", &all, &mut db);
 }
 
+// -------------------------------------------------------------------------
+// Joins: fused ≡ plan walk ≡ evaluator, for every monoid, on every shape.
+// -------------------------------------------------------------------------
+
+/// Two small list extents with repeated, missing, `Null`, float and
+/// mixed-kind keys, a third for three-way joins, and an empty one.
+fn join_store() -> Database {
+    let rec = |fields: Vec<(&str, Value)>| Value::record_from(fields);
+    let ints = |xs: &[i64]| Value::list(xs.iter().map(|x| Value::Int(*x)).collect());
+    let l = |id: i64, k: Value, s: &str, x: f64| {
+        rec(vec![("id", Value::Int(id)), ("k", k), ("s", Value::str(s)), ("x", Value::Float(x))])
+    };
+    let r = |id: i64, k: Value, s: &str, f: f64, kids: &[i64]| {
+        rec(vec![
+            ("id", Value::Int(id)),
+            ("k", k),
+            ("s", Value::str(s)),
+            ("f", Value::Float(f)),
+            ("kids", ints(kids)),
+        ])
+    };
+    let int = Value::Int;
+    let mut db = Database::new(Schema::new());
+    db.set_root(
+        "L",
+        Value::list(vec![
+            l(1, int(1), "a", 0.5),
+            l(2, int(2), "b", 1.5),
+            l(3, int(1), "a", 2.25),
+            l(4, int(3), "c", 0.1), // no partner in R
+            l(5, Value::Null, "n", 1e-9),
+        ]),
+    );
+    db.set_root(
+        "R",
+        Value::list(vec![
+            r(1, int(1), "a", 1.0, &[1, 2]),
+            r(2, int(2), "x", 2.0, &[]),
+            r(3, int(1), "b", 1.0, &[3]),
+            r(4, int(1), "a", 3.5, &[4, 5, 6]),
+            r(5, int(4), "n", 0.25, &[7]), // no partner in L
+            r(6, int(2), "b", 2.0, &[8]),
+        ]),
+    );
+    // `k` mixes null, int and float on the build side.
+    db.set_root(
+        "M",
+        Value::list(vec![
+            r(1, Value::Null, "a", 0.0, &[]),
+            r(2, int(1), "a", 0.0, &[]),
+            r(3, Value::Float(1.0), "b", 0.0, &[]),
+            r(4, Value::Null, "n", 0.0, &[]),
+            r(5, Value::Float(2.5), "b", 0.0, &[]),
+        ]),
+    );
+    db.set_root(
+        "T",
+        Value::list(vec![
+            rec(vec![("id", int(1)), ("s", Value::str("a"))]),
+            rec(vec![("id", int(2)), ("s", Value::str("b"))]),
+            rec(vec![("id", int(3)), ("s", Value::str("a"))]),
+        ]),
+    );
+    db.set_root("Empty", Value::list(Vec::new()));
+    db
+}
+
+/// One head per non-lifted monoid, built from an int-valued pair `(a, b)`
+/// and a string-valued pair `(s, t)` over the joined row. The collection
+/// and `str` heads are order-revealing, `sum` is a float sum (not
+/// associative), and `some`/`all` reach their absorbing element at the
+/// pair `a·10 + b = 14`.
+fn heads(a: Expr, b: Expr, s: Expr, t: Expr, x: Expr) -> Vec<(Monoid, Expr)> {
+    let code = || a.clone().mul(Expr::int(10)).add(b.clone());
+    let pair = || Expr::Tuple(vec![a.clone(), b.clone()]);
+    vec![
+        (Monoid::List, pair()),
+        (Monoid::Bag, pair()),
+        (Monoid::Set, pair()),
+        (Monoid::OSet, b.clone()),
+        (Monoid::Sorted, pair()),
+        (Monoid::SortedBag, b.clone()),
+        (Monoid::Sum, x.mul(Expr::float(1.1)).add(Expr::float(0.1))),
+        (Monoid::Prod, Expr::if_(a.clone().eq(b.clone()), Expr::int(3), Expr::int(2))),
+        (Monoid::Max, code()),
+        (Monoid::Min, code()),
+        (Monoid::Some, code().eq(Expr::int(14))),
+        (Monoid::All, code().ne(Expr::int(14))),
+        (Monoid::Str, s.add(t)),
+    ]
+}
+
+/// The usual heads over generators `l` and `r`.
+fn lr_heads() -> Vec<(Monoid, Expr)> {
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    heads(l().proj("id"), r().proj("id"), l().proj("s"), r().proj("s"), l().proj("x"))
+}
+
+/// Both engines and the evaluator on one planned comprehension; errors
+/// must agree too (under `MONOID_VERIFY` a plan may be refused outright).
+fn assert_three_way(label: &str, comp: &Expr, plan: &Query, db: &mut Database) {
+    assert_eq!(engine_of(plan).as_str(), "fused", "{label}: should classify as fused");
+    let walk = execute_plan_walk_bound(plan, db, &[]);
+    let fused = execute(plan, db);
+    assert_eq!(walk, fused, "{label}: fused ≠ plan walk");
+    if let Ok(v) = &walk {
+        assert_eq!(v, &db.query(comp).unwrap(), "{label}: plan walk ≠ evaluator");
+    }
+}
+
+/// `⊕{ head | quals }` for all 13 `(⊕, head)` pairs.
+fn assert_shape(label: &str, quals: Vec<Qual>, heads: Vec<(Monoid, Expr)>, db: &mut Database) {
+    assert_eq!(heads.len(), 13, "one case per non-lifted monoid");
+    for (monoid, head) in heads {
+        let label = format!("{label}/{monoid}");
+        let comp = Expr::comp(monoid, head, quals.clone());
+        let plan = plan_comprehension(&comp).unwrap();
+        assert!(matches!(find_join(&plan.plan), Some(Plan::Join { .. })), "{label}: no join");
+        assert_three_way(&label, &comp, &plan, db);
+    }
+}
+
+fn find_join(plan: &Plan) -> Option<&Plan> {
+    match plan {
+        Plan::Join { .. } => Some(plan),
+        Plan::Filter { input, .. } | Plan::Bind { input, .. } | Plan::Unnest { input, .. } => {
+            find_join(input)
+        }
+        Plan::Scan { .. } | Plan::IndexLookup { .. } => None,
+    }
+}
+
+fn gens(left: &str, right: &str) -> Vec<Qual> {
+    vec![Expr::gen("l", Expr::var(left)), Expr::gen("r", Expr::var(right))]
+}
+
+fn on(lk: &str, rk: &str) -> Qual {
+    Expr::pred(Expr::var("l").proj(lk).eq(Expr::var("r").proj(rk)))
+}
+
+#[test]
+fn keyed_composite_and_cross_joins_agree_for_every_monoid() {
+    let mut db = join_store();
+    let with = |mut quals: Vec<Qual>, preds: Vec<Qual>| {
+        quals.extend(preds);
+        quals
+    };
+    // Int keys (typed bucket), string keys, and both at once.
+    assert_shape("keyed-int", with(gens("L", "R"), vec![on("k", "k")]), lr_heads(), &mut db);
+    assert_shape("keyed-str", with(gens("L", "R"), vec![on("s", "s")]), lr_heads(), &mut db);
+    assert_shape(
+        "two-key",
+        with(gens("L", "R"), vec![on("k", "k"), on("s", "s")]),
+        lr_heads(),
+        &mut db,
+    );
+    assert_shape("cross", gens("L", "R"), lr_heads(), &mut db);
+    // A filter below the join (left side only), one above it over both
+    // sides, and one over the right variable alone.
+    let l_id = || Expr::var("l").proj("id");
+    let r_id = || Expr::var("r").proj("id");
+    assert_shape(
+        "filters",
+        vec![
+            Expr::gen("l", Expr::var("L")),
+            Expr::pred(l_id().ne(Expr::int(2))),
+            Expr::gen("r", Expr::var("R")),
+            on("k", "k"),
+            Expr::pred(l_id().add(r_id()).gt(Expr::int(2))),
+            Expr::pred(r_id().lt(Expr::int(6))),
+        ],
+        lr_heads(),
+        &mut db,
+    );
+}
+
+#[test]
+fn unnest_after_a_join_and_three_way_joins_agree_for_every_monoid() {
+    let mut db = join_store();
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    // c ← r.kids ranges over the *right* variable, after the join.
+    let mut quals = gens("L", "R");
+    quals.extend([on("k", "k"), Expr::gen("c", r().proj("kids"))]);
+    let unnest_heads =
+        heads(l().proj("id"), Expr::var("c"), l().proj("s"), r().proj("s"), l().proj("x"));
+    assert_shape("unnest-right", quals, unnest_heads, &mut db);
+    // l ⋈ r ⋈ t: the outer join's left input is itself a join.
+    let mut quals = gens("L", "R");
+    quals.extend([
+        on("k", "k"),
+        Expr::gen("t", Expr::var("T")),
+        Expr::pred(r().proj("s").eq(Expr::var("t").proj("s"))),
+    ]);
+    let three_heads = heads(
+        l().proj("id"),
+        Expr::var("t").proj("id"),
+        r().proj("s"),
+        Expr::var("t").proj("s"),
+        l().proj("x"),
+    );
+    assert_shape("three-way", quals, three_heads, &mut db);
+}
+
+#[test]
+fn empty_sides_null_keys_and_int_float_keys_agree_for_every_monoid() {
+    let mut db = join_store();
+    let keyed = |left: &str, right: &str, lk: &str, rk: &str| {
+        let mut quals = gens(left, right);
+        quals.push(on(lk, rk));
+        quals
+    };
+    assert_shape("empty-build", keyed("L", "Empty", "k", "k"), lr_heads(), &mut db);
+    assert_shape("empty-probe", keyed("Empty", "R", "k", "k"), lr_heads(), &mut db);
+    assert_shape("empty-cross", gens("L", "Empty"), lr_heads(), &mut db);
+    // `Null = Null` holds in `Value::cmp`, so null keys meet; the build
+    // side mixes null, int and float, so `1` and `1.0` share a bucket.
+    assert_shape("null-and-mixed-build", keyed("L", "M", "k", "k"), lr_heads(), &mut db);
+    // Float build keys probed with ints, and int build keys probed with
+    // floats: `1` must meet `1.0` from either side.
+    assert_shape("float-build", keyed("L", "R", "k", "f"), lr_heads(), &mut db);
+    // T.id is uniformly int — the typed bucket — and R.f probes it.
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    let rt_heads = heads(l().proj("id"), r().proj("id"), l().proj("s"), r().proj("s"), l().proj("f"));
+    assert_shape("int-build-float-probe", keyed("R", "T", "f", "id"), rt_heads, &mut db);
+    for (label, quals, pairs) in [
+        // k ∈ {1, 2, 1} meets f ∈ {1.0, 2.0, 1.0, 2.0}: 2·2 + 1·2 pairs.
+        ("float-build", keyed("L", "R", "k", "f"), 6),
+        // f ∈ {1.0, 2.0, 1.0, 2.0} meets id ∈ {1, 2}; 3.5 and 0.25 meet nothing.
+        ("int-build", keyed("R", "T", "f", "id"), 4),
+    ] {
+        let count = Expr::comp(Monoid::Sum, Expr::int(1), quals);
+        let plan = plan_comprehension(&count).unwrap();
+        assert_eq!(execute(&plan, &db).unwrap(), Value::Int(pairs), "{label}");
+    }
+}
+
+/// `some`/`all` absorb in the middle of a bucket: the pair after the
+/// absorbing one has a head that fails to evaluate, so an engine that
+/// kept probing would report an error instead of the verdict.
+#[test]
+fn booleans_absorb_mid_bucket_and_stop_there() {
+    let mut db = join_store();
+    let row = |id: Value| Value::record_from(vec![("id", id), ("k", Value::Int(1))]);
+    db.set_root(
+        "Poisoned",
+        Value::list(vec![row(Value::Int(1)), row(Value::Int(2)), row(Value::str("boom"))]),
+    );
+    let mut quals = gens("L", "Poisoned");
+    quals.push(on("k", "k"));
+    let code = Expr::var("l").proj("id").mul(Expr::int(10)).add(Expr::var("r").proj("id"));
+    for (monoid, head, verdict) in [
+        (Monoid::Some, code.clone().eq(Expr::int(12)), true),
+        (Monoid::All, code.clone().ne(Expr::int(12)), false),
+    ] {
+        let comp = Expr::comp(monoid.clone(), head, quals.clone());
+        let plan = plan_comprehension(&comp).unwrap();
+        assert_three_way(&monoid.to_string(), &comp, &plan, &mut db);
+        assert_eq!(execute(&plan, &db).unwrap(), Value::Bool(verdict));
+    }
+    // Without the short circuit both engines reach the poisoned pair, and
+    // fail alike.
+    let comp = Expr::comp(Monoid::Max, code, quals);
+    let plan = plan_comprehension(&comp).unwrap();
+    assert!(execute(&plan, &db).is_err());
+    assert_three_way("poisoned-max", &comp, &plan, &mut db);
+}
+
+/// A right generator reusing the left one's name: the joined row sees the
+/// right binding, the left key still sees the left one.
+#[test]
+fn a_right_variable_shadowing_a_left_one_agrees_across_engines() {
+    let mut db = join_store();
+    let x = || Expr::var("x");
+    let quals = vec![Expr::gen("x", Expr::var("L")), Expr::gen("x", Expr::var("R"))];
+    let comp = Expr::comp(Monoid::List, x().proj("f"), quals);
+    let mut plan = plan_comprehension(&comp).unwrap();
+    assert_three_way("shadow-cross", &comp, &plan, &mut db);
+    let Plan::Join { on, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
+    on.push((x().proj("k"), x().proj("k")));
+    assert_eq!(engine_of(&plan).as_str(), "fused");
+    assert_eq!(execute_plan_walk_bound(&plan, &db, &[]), execute(&plan, &db), "shadow-keyed");
+}
+
+/// Right sides the planner never emits but the plan language allows: a
+/// filtered scan, a two-column build (scan + unnest), a bind that shadows
+/// its own scan variable, and a join nested in the build side.
+#[test]
+fn hand_built_right_sides_agree_across_engines() {
+    let db = join_store();
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    let scan = |var: &str, source: &str| Plan::Scan { var: var.into(), source: Expr::var(source) };
+    let rights = [
+        (
+            "filtered",
+            Plan::Filter {
+                input: Box::new(scan("r", "R")),
+                pred: r().proj("id").gt(Expr::int(1)),
+            },
+            vec![(l().proj("k"), r().proj("k"))],
+        ),
+        (
+            "two-column",
+            Plan::Unnest {
+                input: Box::new(scan("r", "R")),
+                var: "c".into(),
+                path: r().proj("kids"),
+            },
+            vec![(l().proj("id"), Expr::var("c"))],
+        ),
+        (
+            "self-shadowing-bind",
+            Plan::Bind { input: Box::new(scan("r", "R")), var: "r".into(), expr: r().proj("id") },
+            vec![(l().proj("id"), r())],
+        ),
+        (
+            "nested-join",
+            Plan::Join {
+                left: Box::new(scan("r", "R")),
+                right: Box::new(scan("t", "T")),
+                on: vec![(r().proj("s"), Expr::var("t").proj("s"))],
+            },
+            vec![(l().proj("k"), r().proj("k"))],
+        ),
+    ];
+    for (label, right, on) in rights {
+        let head = if label == "self-shadowing-bind" { r() } else { r().proj("id") };
+        for monoid in [Monoid::List, Monoid::Sum, Monoid::Set] {
+            let mut plan = plan_comprehension(&Expr::comp(
+                monoid.clone(),
+                l().proj("id").mul(Expr::int(100)).add(head.clone()),
+                vec![Expr::gen("l", Expr::var("L"))],
+            ))
+            .unwrap();
+            plan.plan = Plan::Join {
+                left: Box::new(plan.plan),
+                right: Box::new(right.clone()),
+                on: on.clone(),
+            };
+            assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
+            let walk = execute_plan_walk_bound(&plan, &db, &[]);
+            assert!(walk.is_ok() || label == "self-shadowing-bind", "{label}: {walk:?}");
+            assert_eq!(walk, execute(&plan, &db), "{label}/{monoid}");
+        }
+    }
+}
+
+/// Bag extents of objects (what class extents are): string keys read
+/// through the heap, and object identity itself as the key.
+#[test]
+fn object_extents_join_on_fields_and_on_identity() {
+    let mut db = company::generate(4, 6, 3, 5);
+    let (m, e) = (|| Expr::var("m"), || Expr::var("e"));
+    let dept = Expr::comp(
+        Monoid::Bag,
+        Expr::Tuple(vec![m().proj("name"), e().proj("name")]),
+        vec![
+            Expr::gen("m", Expr::var("Managers")),
+            Expr::gen("e", Expr::var("CompanyEmployees")),
+            Expr::pred(m().proj("dept").eq(e().proj("dept"))),
+        ],
+    );
+    assert_three_way("dept", &dept, &plan_comprehension(&dept).unwrap(), &mut db);
+    // e = s: every employee is on the staff exactly once.
+    let identity = Expr::comp(
+        Monoid::Sum,
+        Expr::int(1),
+        vec![
+            Expr::gen("e", Expr::var("CompanyEmployees")),
+            Expr::gen("s", Expr::var("Staff")),
+            Expr::pred(e().eq(Expr::var("s"))),
+        ],
+    );
+    let plan = plan_comprehension(&identity).unwrap();
+    assert!(plan.plan.uses_hash_join());
+    assert_three_way("identity", &identity, &plan, &mut db);
+    assert_eq!(execute(&plan, &db).unwrap(), Value::Int(24));
+}
+
 /// Shapes outside the fused subset fall back to the plan walk — and the
 /// fallback must agree with it.
 #[test]
 fn fallback_shapes_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
-    // An equi-join: the planner makes it a hash join, which the fused
-    // compiler declines.
-    let join = plan_comprehension(&Expr::comp(
+    // An equi-join fuses — unless a key leaves the compiled expression
+    // subset: here the right key is a nested comprehension over `b`.
+    let mut join = plan_comprehension(&Expr::comp(
         Monoid::Sum,
         Expr::int(1),
         vec![
@@ -110,8 +496,16 @@ fn fallback_shapes_agree_across_engines() {
         ],
     ))
     .unwrap();
-    assert_eq!(engine_of(&join).as_str(), "plan-walk");
+    assert_eq!(engine_of(&join).as_str(), "fused");
     assert_engines_agree("hash-join", &join, &mut db);
+    let Plan::Join { on, .. } = &mut join.plan else { panic!("{:?}", join.plan) };
+    on[0].1 = Expr::comp(
+        Monoid::Max,
+        Expr::var("b").proj("name"),
+        vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
+    );
+    assert_eq!(engine_of(&join).as_str(), "plan-walk");
+    assert_engines_agree("nested-comprehension-key", &join, &mut db);
 
     // A nested comprehension in the head is outside the compiled
     // expression subset (it allocates its own accumulator per row).

@@ -59,9 +59,9 @@ pub struct QueryReport {
     pub analysis_p50_nanos: u128,
 }
 
-/// The fusion section: one scan-heavy linear chain timed on the engine
-/// production runs (the fused fold) against the forced plan walk, with
-/// both medians taken from the same interleaved run.
+/// The fusion section: one query timed on the engine production runs
+/// (the fused fold) against the forced plan walk, with both medians taken
+/// from the same interleaved run.
 pub struct FusionBench {
     pub name: &'static str,
     pub monoid: &'static str,
@@ -144,7 +144,8 @@ pub struct RegressReport {
     pub warm: bool,
     pub runs_per_query: usize,
     pub queries: Vec<QueryReport>,
-    /// Fused fold vs forced plan walk on two scan-heavy linear chains.
+    /// Fused fold vs forced plan walk on two scan-heavy linear chains and
+    /// the corpus's hash join.
     pub fusion: Vec<FusionBench>,
     /// Prepared-statement serving latencies (cold prepare vs warm
     /// execute); the workload also runs through a `Session` + `PlanCache`
@@ -242,6 +243,11 @@ pub fn run(quick: bool) -> RegressReport {
 pub fn run_with(quick: bool, warm: bool) -> RegressReport {
     let runs = if quick { 5 } else { 25 };
     let (mut travel_db, mut company_db, cases) = suite(quick);
+    let join = cases
+        .iter()
+        .find(|c| c.name == "company-dept-join")
+        .map(|c| (c.name, c.source.clone(), c.expr.clone()))
+        .expect("the corpus has its join");
     let before = metrics::global().snapshot();
     let mut reports = Vec::with_capacity(cases.len());
     for case in cases {
@@ -303,7 +309,7 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
             analysis_p50_nanos: percentile_nanos(&analysis_samples, 50.0),
         });
     }
-    let fusion = run_fusion_section(quick, runs);
+    let fusion = run_fusion_section(quick, runs, join, &company_db);
     let prepared = run_prepared_section(quick, runs, warm);
     let serving = crate::serving::run_serving_section(quick);
     let registry = metrics::global().snapshot().diff(&before);
@@ -423,15 +429,21 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
 
 /// Time the fused fold against the forced plan walk on a commutative
 /// fold and an order-sensitive list build over the same scan → unnest
-/// chain.
-fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
+/// chain, and on `join` (the corpus's hash join, over the company store).
+fn run_fusion_section(
+    quick: bool,
+    runs: usize,
+    (join_name, join_source, join_expr): (&'static str, String, Expr),
+    company_db: &Database,
+) -> Vec<FusionBench> {
     let scale = TravelScale::with_hotels(if quick { 64 } else { 1024 });
     let db = travel::generate(scale, 7);
     let cases = [
         (
             "sum-beds",
             "sum",
-            "sum{ r.bed# | h ← Hotels, r ← h.rooms }",
+            "sum{ r.bed# | h ← Hotels, r ← h.rooms }".to_string(),
+            &db,
             Expr::comp(
                 Monoid::Sum,
                 Expr::var("r").proj("bed#"),
@@ -444,7 +456,8 @@ fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
         (
             "list-prices",
             "list",
-            "list{ r.price | h ← Hotels, r ← h.rooms }",
+            "list{ r.price | h ← Hotels, r ← h.rooms }".to_string(),
+            &db,
             Expr::comp(
                 Monoid::List,
                 Expr::var("r").proj("price"),
@@ -454,10 +467,11 @@ fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
                 ],
             ),
         ),
+        (join_name, "bag", join_source, company_db, join_expr),
     ];
     cases
         .into_iter()
-        .map(|(name, monoid, source, expr)| {
+        .map(|(name, monoid, source, db, expr)| {
             let plan = monoid_algebra::plan_comprehension(&expr).expect("fusion case plans");
             // Interleaved sampling: each iteration takes one fused sample
             // and one forced-plan-walk sample back to back, so the speedup
@@ -466,10 +480,10 @@ fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
             let mut plan_walk_samples = Vec::with_capacity(runs);
             for _ in 0..runs {
                 let started = Instant::now();
-                monoid_algebra::execute(&plan, &db).expect("fused run");
+                monoid_algebra::execute(&plan, db).expect("fused run");
                 fused_samples.push(started.elapsed().as_nanos());
                 let started = Instant::now();
-                monoid_algebra::execute_plan_walk_bound(&plan, &db, &[])
+                monoid_algebra::execute_plan_walk_bound(&plan, db, &[])
                     .expect("plan-walk baseline");
                 plan_walk_samples.push(started.elapsed().as_nanos());
             }
@@ -478,7 +492,7 @@ fn run_fusion_section(quick: bool, runs: usize) -> Vec<FusionBench> {
             FusionBench {
                 name,
                 monoid,
-                source: source.to_string(),
+                source,
                 fused_p50_nanos,
                 plan_walk_p50_nanos,
                 fused_speedup: plan_walk_p50_nanos as f64 / fused_p50_nanos.max(1) as f64,
@@ -645,10 +659,13 @@ mod tests {
         // The Prometheus rendering of the delta is valid text format.
         validate_prometheus_text(&report.prometheus).unwrap();
         assert!(report.prometheus.contains("exec_rows_pushed_total"), "{}", report.prometheus);
-        // The fusion section covers both a commutative and an ordered
-        // monoid. Both cases are linear chains: the default engine is
-        // fused, and the forced plan walk was timed alongside it.
-        assert_eq!(report.fusion.len(), 2);
+        // The fusion section covers a commutative and an ordered monoid
+        // over a linear chain, and the corpus's join: the default engine
+        // is fused, and the forced plan walk was timed alongside it.
+        assert_eq!(
+            report.fusion.iter().map(|p| p.name).collect::<Vec<_>>(),
+            ["sum-beds", "list-prices", "company-dept-join"]
+        );
         for p in &report.fusion {
             assert_eq!(p.engine, "fused", "{}", p.name);
             assert!(p.fused_p50_nanos > 0, "{}", p.name);

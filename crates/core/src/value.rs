@@ -74,67 +74,6 @@ impl Env {
     }
 }
 
-/// A reusable row buffer for the executor's join paths: a short chain of
-/// bindings layered over a swappable base environment.
-///
-/// A join probe emits one row per match, and consecutive rows differ only
-/// in the values bound for the build side's variables. Building each row
-/// with [`Env::bind`] allocates one `Arc` node per variable per emitted
-/// row; a `ScratchRow` keeps the chain alive between rows and rebinds its
-/// nodes in place whenever it holds the only reference to them. When a
-/// consumer retained the previous row (a captured closure, a buffered
-/// binding), the shared nodes are left untouched and a fresh chain is
-/// built instead — environments stay observably immutable.
-#[derive(Debug, Default)]
-pub struct ScratchRow {
-    env: Env,
-    depth: usize,
-}
-
-impl ScratchRow {
-    pub fn new() -> ScratchRow {
-        ScratchRow { env: Env::empty(), depth: 0 }
-    }
-
-    /// The row `base` extended with `bindings` (in order, later entries
-    /// shadowing earlier ones) — reusing this buffer's nodes when nothing
-    /// else holds them.
-    pub fn fill(&mut self, base: &Env, bindings: &[(Symbol, Value)]) -> &Env {
-        if bindings.is_empty() {
-            self.env = base.clone();
-            self.depth = 0;
-        } else if self.depth != bindings.len() || !self.fill_in_place(base, bindings) {
-            let mut env = base.clone();
-            for (name, value) in bindings {
-                env = env.bind(*name, value.clone());
-            }
-            self.env = env;
-            self.depth = bindings.len();
-        }
-        &self.env
-    }
-
-    /// Overwrite the chain top-down (the topmost node is the *last*
-    /// binding). Returns `false` — possibly after mutating a prefix of
-    /// exclusively-held nodes, which the caller then discards wholesale —
-    /// as soon as a node is shared.
-    fn fill_in_place(&mut self, base: &Env, bindings: &[(Symbol, Value)]) -> bool {
-        let mut node = &mut self.env;
-        for (i, (name, value)) in bindings.iter().rev().enumerate() {
-            let Some(n) = node.0.as_mut().and_then(Arc::get_mut) else {
-                return false;
-            };
-            n.name = *name;
-            n.value = value.clone();
-            if i + 1 == bindings.len() {
-                n.rest = base.clone();
-            }
-            node = &mut n.rest;
-        }
-        true
-    }
-}
-
 /// A user-level function value.
 #[derive(Debug)]
 pub struct Closure {
@@ -1043,44 +982,5 @@ mod tests {
         let l = Value::list(ints(&[2, 1, 2]));
         assert_eq!(coerce_to_set(&l).unwrap(), Value::set_from(ints(&[1, 2])));
         assert_eq!(coerce_to_bag(&l).unwrap(), Value::bag_from(ints(&[1, 2, 2])));
-    }
-
-    #[test]
-    fn scratch_row_reuses_nodes_across_fills() {
-        let base = Env::empty().bind(Symbol::new("base"), Value::Int(0));
-        let mut scratch = ScratchRow::new();
-        let a = Symbol::new("a");
-        let b = Symbol::new("b");
-        let first = scratch.fill(&base, &[(a, Value::Int(1)), (b, Value::Int(2))]);
-        assert_eq!(first.lookup(b), Some(&Value::Int(2)));
-        assert_eq!(first.lookup(a), Some(&Value::Int(1)));
-        assert_eq!(first.lookup(Symbol::new("base")), Some(&Value::Int(0)));
-        let first_node = first.0.as_ref().map(Arc::as_ptr).unwrap();
-        // Second fill with the same shape: values change, nodes don't.
-        let second = scratch.fill(&base, &[(a, Value::Int(10)), (b, Value::Int(20))]);
-        assert_eq!(second.lookup(b), Some(&Value::Int(20)));
-        assert_eq!(second.lookup(a), Some(&Value::Int(10)));
-        let second_node = second.0.as_ref().map(Arc::as_ptr).unwrap();
-        assert_eq!(first_node, second_node, "chain nodes are reused in place");
-    }
-
-    #[test]
-    fn scratch_row_rebuilds_when_a_consumer_retains_the_row() {
-        let base = Env::empty();
-        let mut scratch = ScratchRow::new();
-        let x = Symbol::new("x");
-        // A consumer (e.g. a captured closure environment) keeps the row
-        // alive across fills; in-place mutation would corrupt it.
-        let retained = scratch.fill(&base, &[(x, Value::Int(1))]).clone();
-        let next = scratch.fill(&base, &[(x, Value::Int(2))]);
-        assert_eq!(next.lookup(x), Some(&Value::Int(2)));
-        assert_eq!(retained.lookup(x), Some(&Value::Int(1)), "retained row is untouched");
-        // Shape changes (different binding count) also rebuild correctly.
-        let y = Symbol::new("y");
-        let wider = scratch.fill(&base, &[(x, Value::Int(3)), (y, Value::Int(4))]);
-        assert_eq!(wider.lookup(x), Some(&Value::Int(3)));
-        assert_eq!(wider.lookup(y), Some(&Value::Int(4)));
-        let empty = scratch.fill(&base, &[]);
-        assert_eq!(empty.lookup(x), None);
     }
 }

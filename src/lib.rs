@@ -110,7 +110,9 @@ pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
             span,
             message: format!("query does not run on the fused engine: {}", r.reason),
             note: Some(
-                "the fused engine compiles linear scan/filter/bind/unnest chains only".into(),
+                "the fused engine compiles scan/filter/bind/unnest/join plans over its \
+                 expression subset only"
+                    .into(),
             ),
         });
     }

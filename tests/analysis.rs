@@ -40,17 +40,14 @@ fn unused_generator_is_flagged_with_its_source_position() {
     let schema = travel::schema();
     let report =
         analyze(&schema, "select c.name\nfrom c in Cities, h in Hotels").unwrap();
-    // `h` is unused (MC001); the independent second generator also makes
-    // the query a join, which the fused engine refuses (MC009, info). No
-    // MC007: an *unused* cross-product side is MC001's business.
-    assert_eq!(codes(&report.diagnostics), vec!["MC001", "MC009"]);
+    // `h` is unused (MC001). The independent second generator makes the
+    // query a cross product, which runs fused (no MC009); no MC007 either:
+    // an *unused* cross-product side is MC001's business.
+    assert_eq!(codes(&report.diagnostics), vec!["MC001"]);
     let d = &report.diagnostics[0];
     assert!(d.message.contains('h'), "{d}");
     let span = d.span.expect("front end recorded the binder position");
     assert_eq!(span.line, 2, "the `h` binder is on line 2");
-    let fallback = &report.diagnostics[1];
-    assert_eq!(fallback.severity, Severity::Info);
-    assert!(fallback.message.contains("join"), "{fallback}");
 }
 
 #[test]
@@ -132,18 +129,25 @@ fn statically_empty_predicate_is_flagged_at_the_where_clause() {
 #[test]
 fn fused_fallback_is_flagged_with_the_refusal_reason() {
     let schema = travel::schema();
+    // A plain equi-join runs fused and is not flagged.
+    let join = "select h.name\nfrom c in Cities, h in Hotels where c.name = h.name";
+    assert!(analyze(&schema, join).unwrap().diagnostics.is_empty());
+    // One whose key counts the hotel's rooms is refused at that key: the
+    // aggregate stays a nested comprehension, outside the compiled subset.
     let report = analyze(
         &schema,
-        "select h.name\nfrom c in Cities, h in Hotels where c.name = h.name",
+        "select h.name\nfrom c in Cities, h in Hotels where c.hotel# = count(h.rooms)",
     )
     .unwrap();
     let d = report
         .diagnostics
         .iter()
         .find(|d| d.code == Code::FusedFallback)
-        .expect("MC009 for a join query");
+        .expect("MC009 for a join on a nested comprehension");
     assert_eq!(d.severity, Severity::Info);
-    assert!(d.message.contains("independent generator `h`"), "{d}");
+    assert!(d.message.contains("a join key uses a nested comprehension"), "{d}");
+    // The front end records no span for the normalized aggregate, so the
+    // diagnostic falls back to the generator that made this a join.
     let span = d.span.expect("MC009 anchors at the refusing construct");
     assert_eq!((span.line, span.col), (2, 19), "the `h` binder position");
 }

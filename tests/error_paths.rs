@@ -222,3 +222,53 @@ fn runtime_errors_propagate_through_pipelines() {
         Err(EvalError::Arithmetic(_))
     ));
 }
+
+/// A join's build side runs before the first left row, outer join first,
+/// rows before keys — on both engines, so whichever error the plan walk
+/// reports first is the one the fused fold reports.
+#[test]
+fn join_errors_are_the_plan_walks_first_error_on_both_engines() {
+    use monoid_db::algebra::{self, Engine, Plan};
+    use monoid_db::calculus::value::Value;
+    let mut db = travel::generate(TravelScale::tiny(), 1);
+    db.set_root("NoCities", Value::list(Vec::new()));
+    let both = |plan: &algebra::Query, db: &monoid_db::store::Database| {
+        assert_eq!(algebra::engine_of(plan), Engine::Fused);
+        let walk = algebra::execute_plan_walk_bound(plan, db, &[]);
+        assert_eq!(walk, algebra::execute(plan, db), "fused ≠ plan walk");
+        walk.unwrap_err()
+    };
+    let join = |left: &str, right: &str, right_key: &str| {
+        vec![
+            Expr::gen("c", Expr::var(left)),
+            Expr::gen("h", Expr::var(right)),
+            Expr::pred(Expr::var("c").proj("name").eq(Expr::var("h").proj(right_key))),
+        ]
+    };
+    let count = |quals| algebra::plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals));
+
+    // The right key projects a field no hotel has while the left extent is
+    // empty: no row is ever probed, the build side fails all the same.
+    let err = both(&count(join("NoCities", "Hotels", "nope")).unwrap(), &db);
+    assert!(matches!(err, EvalError::TypeMismatch { .. }), "{err}");
+    assert!(err.to_string().contains("nope"), "{err}");
+
+    // Two unbound right extents: the outer join (the last generator) is
+    // built first.
+    let mut quals = join("Cities", "MissingInner", "name");
+    quals.push(Expr::gen("t", Expr::var("MissingOuter")));
+    let err = both(&count(quals).unwrap(), &db);
+    assert_eq!(err.to_string(), EvalError::UnboundVariable("MissingOuter".into()).to_string());
+
+    // Every build row is produced before any is keyed: a filter failing on
+    // the second row beats a key failing on the first.
+    let named = |n: &str| Value::record_from(vec![("name", Value::str(n))]);
+    db.set_root("Pair", Value::list(vec![named("first"), named("second")]));
+    let mut plan = count(join("Cities", "Pair", "nope")).unwrap();
+    let Plan::Join { right, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
+    let name = || Expr::var("h").proj("name");
+    let pred = Expr::if_(name().eq(Expr::str("first")), Expr::bool(true), name());
+    **right = Plan::Filter { input: right.clone(), pred };
+    let err = both(&plan, &db);
+    assert!(err.to_string().contains("expected bool"), "{err}");
+}

@@ -721,3 +721,84 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Joins: the fused fold, the plan walk and the evaluator agree on random
+// two-extent joins whose keys mix kinds.
+// ---------------------------------------------------------------------------
+
+/// A join key from a pool where kinds collide: small ints, their float
+/// images (`1 = 1.0`), a float no int equals, strings, and null.
+fn join_key() -> impl Strategy<Value = Value> {
+    prop::sample::select(vec![
+        Value::Int(0),
+        Value::Int(1),
+        Value::Int(2),
+        Value::Float(1.0),
+        Value::Float(2.0),
+        Value::Float(0.5),
+        Value::str("a"),
+        Value::str("b"),
+        Value::Null,
+    ])
+}
+
+/// An extent of `⟨id, k, g⟩` records: `id` is the row's position, `k` a
+/// [`join_key`], `g` a second, low-cardinality int key.
+fn join_extent() -> impl Strategy<Value = Vec<Value>> {
+    prop::collection::vec((join_key(), 0i64..3), 0..7).prop_map(|rows| {
+        rows.into_iter()
+            .enumerate()
+            .map(|(id, (k, g))| {
+                Value::record_from(vec![("id", Value::Int(id as i64)), ("k", k), ("g", Value::Int(g))])
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `⊕{ head | l ← L, r ← R, <0–2 equalities> }` over list or bag
+    /// extents: one fused fold ≡ the plan walk ≡ direct evaluation.
+    #[test]
+    fn random_joins_agree_across_fused_walk_and_evaluator(
+        left in join_extent(),
+        right in join_extent(),
+        bags in (any::<bool>(), any::<bool>()),
+        arity in 0usize..3,
+        monoid in prop::sample::select(vec![
+            Monoid::List, Monoid::Bag, Monoid::Set, Monoid::OSet, Monoid::Sum,
+            Monoid::Max, Monoid::Some, Monoid::All,
+        ]),
+    ) {
+        use monoid_db::algebra::{self, Engine};
+        use monoid_db::calculus::types::Schema;
+        use monoid_db::store::Database;
+        // Only a commutative monoid may range over a bag (§2.3).
+        let extent = |rows: Vec<Value>, bag: bool| {
+            if bag && monoid.props().commutative { Value::bag_from(rows) } else { Value::list(rows) }
+        };
+        let mut db = Database::new(Schema::new());
+        db.set_root("L", extent(left, bags.0));
+        db.set_root("R", extent(right, bags.1));
+
+        let (l, r) = (|f: &str| Expr::var("l").proj(f), |f: &str| Expr::var("r").proj(f));
+        let code = l("id").mul(Expr::int(10)).add(r("id"));
+        let head = match monoid {
+            Monoid::Sum | Monoid::Max => code,
+            Monoid::Some => code.eq(Expr::int(21)),
+            Monoid::All => code.ne(Expr::int(21)),
+            _ => Expr::Tuple(vec![l("id"), r("id")]),
+        };
+        let mut quals = vec![Expr::gen("l", Expr::var("L")), Expr::gen("r", Expr::var("R"))];
+        quals.extend(["k", "g"][..arity].iter().map(|f| Expr::pred(l(f).eq(r(f)))));
+        let comp = Expr::comp(monoid.clone(), head, quals);
+
+        let plan = algebra::plan_comprehension(&comp).unwrap();
+        prop_assert_eq!(algebra::engine_of(&plan), Engine::Fused);
+        let walk = algebra::execute_plan_walk_bound(&plan, &db, &[]).unwrap();
+        prop_assert_eq!(&algebra::execute(&plan, &db).unwrap(), &walk, "fused ≠ plan walk: {}", pretty(&comp));
+        prop_assert_eq!(&db.query(&comp).unwrap(), &walk, "evaluator ≠ plan walk: {}", pretty(&comp));
+    }
+}

@@ -330,20 +330,23 @@ fn every_entry_point_commits_exactly_one_complete_record() {
     rec.set_enabled(true);
     rec.set_slow_threshold(0);
 
-    // A fused chain, the `company-dept-join` shape (a hash join: the plan
+    // A fused chain, the `company-dept-join` shape (a hash join: fused
+    // too), a head that counts per row (a nested comprehension: the plan
     // walk) and a statement the planner declines (the evaluator): the
     // engine label comes from the prepared statement, not from below.
     let mut travel = db();
     let mut company = monoid_store::company::generate(4, 8, 6, 42);
     let join = "select struct(mgr: m.name, emp: e.name) \
                 from m in Managers, e in CompanyEmployees where m.dept = e.dept";
+    let nested = "select struct(mgr: m.name, n: count(m.reports)) from m in Managers";
     let cases = [
         ("fused", SRC, params()),
-        ("plan-walk", join, Params::new()),
+        ("fused", join, Params::new()),
+        ("plan-walk", nested, Params::new()),
         ("eval", "count(Hotels) + 1", Params::new()),
     ];
     for (engine, src, params) in cases {
-        let db = if src == join { &mut company } else { &mut travel };
+        let db = if src == join || src == nested { &mut company } else { &mut travel };
         let session = private_session();
         let mut served = Vec::new();
         let mut query = |db: &mut Database| {
