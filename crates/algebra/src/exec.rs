@@ -128,9 +128,9 @@ fn bind_params(mut env: Env, params: &[(Symbol, Value)]) -> Env {
 
 /// Re-check the plan invariants (`crate::verify`) when stage verification
 /// is on; a violation aborts execution with the stage-tagged message.
-fn verify_if_enabled(query: &Query, snap: &Snapshot) -> ExecResult<()> {
+fn verify_if_enabled(query: &Query) -> ExecResult<()> {
     if monoid_calculus::analysis::verify_enabled() {
-        crate::verify::verify_query(query, snap)
+        crate::verify::verify_query(query)
             .map_err(|e| EvalError::Other(e.to_string()))?;
     }
     Ok(())
@@ -167,7 +167,7 @@ pub(crate) fn run<P: Probe>(
     policy: EnginePolicy,
     probe: &P,
 ) -> ExecResult<Run> {
-    verify_if_enabled(query, snap)?;
+    verify_if_enabled(query)?;
     let env = bind_params(snap.env(), params);
     let mut ev = Evaluator::with_heap(snap.heap().clone());
     let fused = if policy == EnginePolicy::Auto && !P::ENABLED {
@@ -262,16 +262,6 @@ fn run_plan<P: Probe>(
             for elem in collection_elements(&sv)? {
                 probe.row_out(op);
                 if !sink(ev, &env.bind(*var, elem))? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        Plan::IndexLookup { var, index, key } => {
-            let kv = timed_eval(probe, op, ev, |ev| ev.eval(env, key))?;
-            for member in index.lookup(&kv) {
-                probe.row_out(op);
-                if !sink(ev, &env.bind(*var, member.clone()))? {
                     return Ok(false);
                 }
             }

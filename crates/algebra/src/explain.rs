@@ -58,12 +58,6 @@ pub(crate) fn fmt_rows(est: f64) -> String {
 pub(crate) fn op_label(plan: &Plan) -> String {
     match plan {
         Plan::Scan { var, source } => format!("Scan {var} ← {}", pretty(source)),
-        Plan::IndexLookup { var, index, key } => format!(
-            "IndexLookup {var} ← {}[{} = {}]",
-            index.extent,
-            index.field,
-            pretty(key)
-        ),
         Plan::Unnest { var, path, .. } => format!("Unnest {var} ← {}", pretty(path)),
         Plan::Filter { pred, .. } => format!("Filter {}", pretty(pred)),
         Plan::Bind { var, expr, .. } => format!("Bind {var} ≡ {}", pretty(expr)),
@@ -81,7 +75,6 @@ pub(crate) fn op_label(plan: &Plan) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexCatalog;
     use crate::logical::plan_comprehension;
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
@@ -106,30 +99,6 @@ mod tests {
         assert!(s.contains("Unnest h ← c.hotels"), "{s}");
         assert!(s.contains("Filter"), "{s}");
         assert!(s.contains("Bind city ≡ c.name"), "{s}");
-
-        // The same pipeline, bind-free so the filtered scan is eligible
-        // for index conversion, renders the IndexLookup operator.
-        let q = Expr::comp(
-            Monoid::Bag,
-            Expr::var("h").proj("name"),
-            vec![
-                Expr::gen("c", Expr::var("Cities")),
-                Expr::pred(Expr::var("c").proj("name").eq(Expr::str("Portland"))),
-                Expr::gen("h", Expr::var("c").proj("hotels")),
-            ],
-        );
-        let plan = plan_comprehension(&q).unwrap();
-        let db = travel::generate(TravelScale::tiny(), 42);
-        let mut catalog = IndexCatalog::new();
-        catalog.build(&db, "Cities", "name").unwrap();
-        let (indexed, hits) = crate::index::apply_indexes(&plan, &catalog, &db);
-        assert_eq!(hits, 1);
-        let s = explain(&indexed);
-        assert!(
-            s.contains("IndexLookup c ← Cities[name = \"Portland\"]"),
-            "{s}"
-        );
-        assert!(!s.contains("Scan c"), "{s}");
     }
 
     #[test]

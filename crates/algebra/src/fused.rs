@@ -12,8 +12,8 @@
 //! rows from the extent's `Arc<Vec<Value>>` and accumulates directly into
 //! the target monoid.
 //!
-//! What fuses: a `Scan`/`IndexLookup` root extended by `Filter`, `Bind`,
-//! `Unnest` and `Join` stages (keyed joins and cross products alike), whose
+//! What fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and `Join`
+//! stages (keyed joins and cross products alike), whose
 //! embedded expressions are built from literals, variables, parameters,
 //! records, tuples, projections, arithmetic/comparison/logic, `if`, and `!`
 //! (deref) — and whose head and plan are statically pure and non-allocating
@@ -274,17 +274,12 @@ enum Stage<'q> {
     Join { build: Build<'q>, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
 }
 
-/// A chain's row producer.
-#[derive(Debug)]
-enum Root<'q> {
-    Scan { slot: usize, source: &'q Expr },
-    Index { slot: usize, index: &'q crate::index::Index, key: &'q Expr },
-}
-
-/// A row producer and the stages its rows run through.
+/// A scan — each element of `source` bound to `slot` — and the stages
+/// its rows run through.
 #[derive(Debug)]
 struct Chain<'q> {
-    root: Root<'q>,
+    slot: usize,
+    source: &'q Expr,
     stages: Vec<Stage<'q>>,
 }
 
@@ -414,12 +409,7 @@ impl Compiler {
     fn chain<'q>(&mut self, plan: &'q Plan) -> Result<Chain<'q>, Refusal> {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
-                let root = Root::Scan { slot: self.bind(*var), source };
-                return Ok(Chain { root, stages: Vec::new() });
-            }
-            Plan::IndexLookup { var, index, key } => {
-                let root = Root::Index { slot: self.bind(*var), index, key };
-                return Ok(Chain { root, stages: Vec::new() });
+                return Ok(Chain { slot: self.bind(*var), source, stages: Vec::new() });
             }
             Plan::Filter { input, pred } => {
                 let input = self.chain(input)?;
@@ -533,19 +523,17 @@ fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
 /// iterate the extent's `Arc<Vec<Value>>` in place — the allocation-free
 /// path the fused loop exists for; bags, strings, and the `§4.2`
 /// object-singleton idiom expand exactly like the plan walk's
-/// `collection_elements`; an index lookup lends its posting list.
-enum Rows<'q> {
+/// `collection_elements`.
+enum Rows {
     Shared(Arc<Vec<Value>>),
     Owned(Vec<Value>),
-    Slice(&'q [Value]),
 }
 
-impl Rows<'_> {
+impl Rows {
     fn as_slice(&self) -> &[Value] {
         match self {
             Rows::Shared(items) => items,
             Rows::Owned(items) => items,
-            Rows::Slice(items) => items,
         }
     }
 
@@ -553,12 +541,11 @@ impl Rows<'_> {
         match self {
             Rows::Shared(items) => items,
             Rows::Owned(items) => Arc::new(items),
-            Rows::Slice(items) => Arc::new(items.to_vec()),
         }
     }
 }
 
-fn rows_of(v: Value) -> ExecResult<Rows<'static>> {
+fn rows_of(v: Value) -> ExecResult<Rows> {
     match v {
         Value::Obj(_) => Ok(Rows::Owned(vec![v])),
         Value::List(items) | Value::Set(items) | Value::Vector(items) => Ok(Rows::Shared(items)),
@@ -848,7 +835,7 @@ fn bind_row<K: Sink>(
     }
 }
 
-/// One execution's mutable state: the evaluator (for root sources and
+/// One execution's mutable state: the evaluator (for scan sources and
 /// keys, evaluated once each), the row buffer, and the join tables built
 /// so far.
 struct Run<'a> {
@@ -860,35 +847,24 @@ struct Run<'a> {
 
 impl Run<'_> {
     /// Build the table of every join on `chain` — outermost first, the
-    /// order the walk reaches them — then evaluate the chain's root. The
-    /// root source/key is one expression evaluated once per execution; the
-    /// evaluator runs it so parameters, closures, and error reporting stay
-    /// exactly as the plan walk has them.
-    fn open<'q>(&mut self, chain: &Chain<'q>) -> ExecResult<(usize, Rows<'q>)> {
+    /// order the walk reaches them — then evaluate the chain's scan
+    /// source. The source is one expression evaluated once per execution;
+    /// the evaluator runs it so parameters, closures, and error reporting
+    /// stay exactly as the plan walk has them.
+    fn open(&mut self, chain: &Chain<'_>) -> ExecResult<Rows> {
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { build, right_slots, .. } = stage {
                 self.tables[build.table] = self.build(build, right_slots)?;
             }
         }
-        match &chain.root {
-            Root::Scan { slot, source } => Ok((*slot, rows_of(self.ev.eval(self.env, source)?)?)),
-            Root::Index { slot, index, key } => {
-                let kv = self.ev.eval(self.env, key)?;
-                Ok((*slot, Rows::Slice(index.lookup(&kv))))
-            }
-        }
+        rows_of(self.ev.eval(self.env, chain.source)?)
     }
 
     /// Push every row of an opened chain through its stages into `k`.
-    fn feed<K: Sink>(
-        &mut self,
-        chain: &Chain<'_>,
-        (slot, rows): (usize, Rows<'_>),
-        k: &mut K,
-    ) -> ExecResult<()> {
+    fn feed<K: Sink>(&mut self, chain: &Chain<'_>, rows: Rows, k: &mut K) -> ExecResult<()> {
         let cx = Cx { heap: &self.ev.heap, tables: &self.tables };
         for elem in rows.as_slice() {
-            let f = Frame { slot, value: elem, parent: None };
+            let f = Frame { slot: chain.slot, value: elem, parent: None };
             if !drive(&chain.stages, &cx, &mut self.slots, Some(&f), k)? {
                 break;
             }
@@ -901,9 +877,9 @@ impl Run<'_> {
     fn build(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Table> {
         let stride = right_slots.len();
         let rows = match self.open(&build.chain)? {
-            // A bare root's rows *are* the table's one column (a list or
+            // A bare scan's rows *are* the table's one column (a list or
             // set source lends its own `Arc`).
-            (_, rows) if build.chain.stages.is_empty() => rows.into_shared(),
+            rows if build.chain.stages.is_empty() => rows.into_shared(),
             opened => {
                 let columns: Vec<_> = right_slots.iter().map(|s| FusedExpr::Slot(*s)).collect();
                 let mut k = Collect { exprs: &columns, out: Vec::new() };
@@ -1012,8 +988,7 @@ mod tests {
         };
         // Shared slot numbering: `a` is slot 0, `b` slot 1, and no extent
         // is a global — sources are evaluated, not compiled.
-        assert!(matches!(fq.chain.root, Root::Scan { slot: 0, .. }));
-        assert!(matches!(build.chain.root, Root::Scan { slot: 1, .. }));
+        assert_eq!((fq.chain.slot, build.chain.slot), (0, 1));
         assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
         assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
     }

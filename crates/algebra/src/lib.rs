@@ -19,9 +19,6 @@
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
-//! * [`index`] — secondary indexes on extent fields and the optimizer
-//!   pass that turns filtered scans into index lookups (the physical
-//!   design dimension of companion paper \[17\]).
 //! * [`explain`](mod@explain) — human-readable plan trees, optionally
 //!   annotated with the optimizer's cardinality estimates.
 //! * [`trace`] — the profiled half of `EXPLAIN ANALYZE`: one counted
@@ -30,10 +27,10 @@
 //! * [`metrics`](mod@metrics) — fleet metering: a counted run's profile
 //!   flushed, by operator kind, into cumulative row/build/short-circuit
 //!   counters in the process-wide registry (`monoid_calculus::metrics`).
-//! * [`verify`] — plan invariant verifier: binder consistency, index
-//!   snapshot freshness, and purity (no `:=`, no `new`, head
-//!   included), re-checked before every execution when stage
-//!   verification is on (`MONOID_VERIFY=1`, or any debug build).
+//! * [`verify`] — plan invariant verifier: binder consistency and
+//!   purity (no `:=`, no `new`, head included), re-checked before every
+//!   execution when stage verification is on (`MONOID_VERIFY=1`, or any
+//!   debug build).
 //!
 //! Typical flow: `compile` OQL → `normalize` →
 //! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`] →
@@ -56,7 +53,6 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod fused;
-pub mod index;
 pub mod logical;
 pub mod metrics;
 pub mod optimizer;
@@ -70,7 +66,6 @@ pub use exec::{
 };
 pub use fused::{engine_of, fused_eligible, Engine, Refusal};
 pub use explain::{explain, explain_with_estimates};
-pub use index::{apply_indexes, Index, IndexCatalog};
 pub use optimizer::{reorder_generators, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};
 pub use trace::{

@@ -42,17 +42,13 @@ pub enum Plan {
     /// `(left key, right key)` the build table is keyed by; an empty `on`
     /// is a cross product (plus any residual predicate above).
     Join { left: Box<Plan>, right: Box<Plan>, on: Vec<(Expr, Expr)> },
-    /// Bind `var` to each extent member whose indexed field equals `key`
-    /// (introduced by `index::apply_indexes`; the index snapshot is
-    /// embedded in the plan).
-    IndexLookup { var: Symbol, index: std::sync::Arc<crate::index::Index>, key: Box<Expr> },
 }
 
 impl Plan {
     /// The variables this plan binds.
     pub fn bound_vars(&self) -> Vec<Symbol> {
         match self {
-            Plan::Scan { var, .. } | Plan::IndexLookup { var, .. } => vec![*var],
+            Plan::Scan { var, .. } => vec![*var],
             Plan::Unnest { input, var, .. } | Plan::Bind { input, var, .. } => {
                 let mut v = input.bound_vars();
                 v.push(*var);
@@ -69,8 +65,7 @@ impl Plan {
 
     /// Every value [`Plan::kind_label`] returns — the closed label space
     /// the registry pre-registers and profile loaders validate against.
-    pub const KIND_LABELS: [&'static str; 6] =
-        ["scan", "index-lookup", "unnest", "filter", "bind", "join"];
+    pub const KIND_LABELS: [&'static str; 5] = ["scan", "unnest", "filter", "bind", "join"];
 
     /// Short operator-kind label — the bounded label space the metering
     /// counters (`exec_rows_pushed_total{operator=…}`) and the plan-quality
@@ -78,7 +73,6 @@ impl Plan {
     pub fn kind_label(&self) -> &'static str {
         match self {
             Plan::Scan { .. } => "scan",
-            Plan::IndexLookup { .. } => "index-lookup",
             Plan::Unnest { .. } => "unnest",
             Plan::Filter { .. } => "filter",
             Plan::Bind { .. } => "bind",
@@ -100,7 +94,7 @@ impl Plan {
             visit(*next, depth, plan);
             *next += 1;
             match plan {
-                Plan::Scan { .. } | Plan::IndexLookup { .. } => {}
+                Plan::Scan { .. } => {}
                 Plan::Unnest { input, .. }
                 | Plan::Filter { input, .. }
                 | Plan::Bind { input, .. } => go(input, next, depth + 1, visit),
@@ -125,7 +119,6 @@ impl Plan {
     pub fn for_each_expr(&self, f: &mut impl FnMut(&Expr)) {
         match self {
             Plan::Scan { source, .. } => f(source),
-            Plan::IndexLookup { key, .. } => f(key),
             Plan::Unnest { input, path, .. } => {
                 f(path);
                 input.for_each_expr(f);
@@ -161,7 +154,7 @@ impl Plan {
     /// Does any join in the plan probe by key (a non-empty `on`)?
     pub fn uses_hash_join(&self) -> bool {
         match self {
-            Plan::Scan { .. } | Plan::IndexLookup { .. } => false,
+            Plan::Scan { .. } => false,
             Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
                 input.uses_hash_join()
             }
@@ -485,7 +478,7 @@ mod tests {
                 }
                 Plan::Unnest { input, .. } | Plan::Bind { input, .. } => scan_is_filtered(input),
                 Plan::Join { left, .. } => scan_is_filtered(left),
-                Plan::Scan { .. } | Plan::IndexLookup { .. } => false,
+                Plan::Scan { .. } => false,
             }
         }
         assert!(scan_is_filtered(&q.plan));

@@ -130,10 +130,6 @@ impl Stats {
         use crate::logical::Plan;
         let est = match plan {
             Plan::Scan { source, .. } => self.source_cardinality(source),
-            Plan::IndexLookup { index, .. } => {
-                // One key's share of the indexed extent.
-                index.len() as f64 / index.distinct_keys().max(1) as f64
-            }
             Plan::Unnest { input, path, .. } => {
                 // `source_cardinality` of a projection is its per-object
                 // fan-out, which is exactly the unnest multiplier.
@@ -285,7 +281,6 @@ fn plan_sources(plan: &crate::logical::Plan, ctx: &mut SourceMap) {
             plan_sources(left, ctx);
             plan_sources(right, ctx);
         }
-        Plan::IndexLookup { .. } => {}
     }
 }
 

@@ -11,33 +11,29 @@
 //!
 //! * `plan/binders` — no operator on a pipeline path rebinds a variable an
 //!   upstream operator already bound (a rebind would silently shadow rows).
-//! * `plan/index` — embedded [`Index`](crate::index::Index) snapshots are
-//!   epoch-fresh for the database about to be scanned; a stale snapshot
-//!   would resurrect deleted objects or miss inserts.
 //! * `plan/effects` — the plan *and its head* neither mutate (`:=`) nor
 //!   allocate (`new`), matching the planner's own `PlanError::Impure`
 //!   refusal (a heap effect can only appear through post-planning surgery
 //!   on the `Query`). This is the invariant every executor leans on: a
 //!   plan is a pure read, so it runs against an immutable
-//!   [`Snapshot`] and nothing it does needs committing.
+//!   [`Snapshot`](monoid_store::Snapshot) and nothing it does needs
+//!   committing.
+//!
+//! Both checks read the plan alone, never the state it will scan: nothing
+//! a plan embeds can go stale against a snapshot.
 
 use crate::logical::{Plan, Query};
 use monoid_calculus::analysis::verify::record_failure;
 use monoid_calculus::analysis::{effects_of, VerifyError};
 use monoid_calculus::symbol::Symbol;
-use monoid_store::Snapshot;
 use std::collections::BTreeSet;
 
-/// Check every plan invariant over `query` against the state it is about
-/// to read. Index freshness is checked against the snapshot's *pinned*
-/// epoch — a plan whose indexes match the pinned state is valid no matter
-/// how far the writer has advanced since. Returns the first violation,
+/// Check every plan invariant over `query`. Returns the first violation,
 /// tagged with its stage; also bumps
 /// `analysis_verify_failures_total{stage}` on failure.
-pub fn verify_query(query: &Query, snap: &Snapshot) -> Result<(), VerifyError> {
-    let result = check_binders(&query.plan, &mut BTreeSet::new())
-        .and_then(|()| check_indexes(&query.plan, snap.epoch()))
-        .and_then(|()| check_effects(query));
+pub fn verify_query(query: &Query) -> Result<(), VerifyError> {
+    let result =
+        check_binders(&query.plan, &mut BTreeSet::new()).and_then(|()| check_effects(query));
     if let Err(e) = &result {
         record_failure(e.stage);
     }
@@ -58,7 +54,7 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
         }
     };
     match plan {
-        Plan::Scan { var, .. } | Plan::IndexLookup { var, .. } => bind(*var, bound),
+        Plan::Scan { var, .. } => bind(*var, bound),
         Plan::Unnest { input, var, .. } | Plan::Bind { input, var, .. } => {
             check_binders(input, bound)?;
             bind(*var, bound)
@@ -67,40 +63,6 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
         Plan::Join { left, right, .. } => {
             check_binders(left, bound)?;
             check_binders(right, bound)
-        }
-    }
-}
-
-/// `plan/index`: every embedded index snapshot must carry the executed
-/// state's mutation epoch — the same freshness rule
-/// `index::apply_indexes` enforces at planning time, re-checked here
-/// because mutations may have landed between planning and execution.
-fn check_indexes(plan: &Plan, epoch: u64) -> Result<(), VerifyError> {
-    match plan {
-        Plan::Scan { .. } => Ok(()),
-        Plan::IndexLookup { index, .. } => {
-            if index.built_at_epoch() == epoch {
-                Ok(())
-            } else {
-                Err(VerifyError::new(
-                    "plan/index",
-                    format!(
-                        "index on {}.{} was built at mutation epoch {} but the data being \
-                         scanned is at epoch {}; rebuild it with `IndexCatalog::build` and re-plan",
-                        index.extent,
-                        index.field,
-                        index.built_at_epoch(),
-                        epoch
-                    ),
-                ))
-            }
-        }
-        Plan::Unnest { input, .. } | Plan::Filter { input, .. } | Plan::Bind { input, .. } => {
-            check_indexes(input, epoch)
-        }
-        Plan::Join { left, right, .. } => {
-            check_indexes(left, epoch)?;
-            check_indexes(right, epoch)
         }
     }
 }
@@ -132,11 +94,9 @@ fn check_effects(query: &Query) -> Result<(), VerifyError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::IndexCatalog;
     use crate::logical::plan_comprehension;
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
-    use monoid_calculus::value::Value;
     use monoid_store::travel::{self, TravelScale};
 
     fn sample_query() -> Query {
@@ -150,44 +110,20 @@ mod tests {
 
     #[test]
     fn well_formed_query_passes() {
-        let db = travel::generate(TravelScale::tiny(), 5);
-        let query = sample_query();
-        assert!(verify_query(&query, &db).is_ok());
+        assert!(verify_query(&sample_query()).is_ok());
     }
 
     #[test]
     fn duplicate_binder_is_caught() {
-        let db = travel::generate(TravelScale::tiny(), 5);
         let mut query = sample_query();
         query.plan = Plan::Unnest {
             input: Box::new(query.plan.clone()),
             var: Symbol::new("c"),
             path: Expr::var("c").proj("hotels"),
         };
-        let err = verify_query(&query, &db).unwrap_err();
+        let err = verify_query(&query).unwrap_err();
         assert_eq!(err.stage, "plan/binders");
         assert!(err.to_string().contains("rebinds"), "{err}");
-    }
-
-    #[test]
-    fn stale_index_is_refused() {
-        let mut db = travel::generate(TravelScale::tiny(), 5);
-        let mut cat = IndexCatalog::new();
-        cat.build(&db, "Cities", "name").unwrap();
-        let index = cat.get(Symbol::new("Cities"), Symbol::new("name")).unwrap().clone();
-        let mut query = sample_query();
-        query.plan = Plan::IndexLookup {
-            var: Symbol::new("c"),
-            index,
-            key: Box::new(Expr::str("Portland")),
-        };
-        assert!(verify_query(&query, &db).is_ok(), "fresh snapshot passes");
-
-        // Any root mutation advances the epoch and strands the snapshot.
-        db.set_root("Spare", Value::list(vec![]));
-        let err = verify_query(&query, &db).unwrap_err();
-        assert_eq!(err.stage, "plan/index");
-        assert!(err.to_string().contains("epoch"), "{err}");
     }
 
     #[test]
@@ -214,7 +150,7 @@ mod tests {
         for (name, forge, expr, needle) in cases {
             let mut query = sample_query();
             forge(&mut query, expr);
-            let err = verify_query(&query, &db).unwrap_err();
+            let err = verify_query(&query).unwrap_err();
             assert_eq!(err.stage, "plan/effects", "{name}");
             assert!(err.to_string().contains(needle), "{name}: {err}");
             // And, wherever stage verification is on (every debug build),

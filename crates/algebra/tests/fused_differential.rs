@@ -229,7 +229,7 @@ fn find_join(plan: &Plan) -> Option<&Plan> {
         Plan::Filter { input, .. } | Plan::Bind { input, .. } | Plan::Unnest { input, .. } => {
             find_join(input)
         }
-        Plan::Scan { .. } | Plan::IndexLookup { .. } => None,
+        Plan::Scan { .. } => None,
     }
 }
 

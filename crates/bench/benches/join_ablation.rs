@@ -1,12 +1,10 @@
 //! B6 — ablations of the algebra's design choices (DESIGN.md calls out
-//! equi-join detection, predicate placement, and secondary indexes):
+//! equi-join detection and predicate placement):
 //!
 //! * hash join vs nested loop across sizes and key selectivities —
 //!   expected: hash wins once the build side exceeds a few dozen rows;
 //! * predicate pushdown on vs off — expected: pushing the city filter
-//!   below the unnests skips navigating every non-matching city;
-//! * index lookup vs filtered scan — expected: the lookup skips the
-//!   scan of every non-matching city.
+//!   below the unnests skips navigating every non-matching city.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use monoid_bench::queries::{employee_client_join, PORTLAND_FLAT_OQL};
@@ -66,27 +64,5 @@ fn bench_pushdown(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_index(c: &mut Criterion) {
-    let mut group = c.benchmark_group("b6_index_vs_scan");
-    group.sample_size(10);
-    for hotels in [400usize, 1600] {
-        let scale = TravelScale::with_hotels(hotels);
-        let db = travel::generate(scale, 7);
-        let schema = travel::schema();
-        let q = monoid_oql::compile(&schema, PORTLAND_FLAT_OQL).expect("compiles");
-        let plan = monoid_algebra::plan_comprehension(&normalize(&q)).expect("plan");
-        let mut catalog = monoid_algebra::IndexCatalog::new();
-        catalog.build(&db, "Cities", "name").expect("index");
-        let (indexed, _) = monoid_algebra::apply_indexes(&plan, &catalog, &db);
-        group.bench_with_input(BenchmarkId::new("scan", hotels), &hotels, |b, _| {
-            b.iter(|| monoid_algebra::execute(&plan, &db).expect("scan"));
-        });
-        group.bench_with_input(BenchmarkId::new("index", hotels), &hotels, |b, _| {
-            b.iter(|| monoid_algebra::execute(&indexed, &db).expect("index"));
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_join_strategy, bench_pushdown, bench_index);
+criterion_group!(benches, bench_join_strategy, bench_pushdown);
 criterion_main!(benches);

@@ -766,30 +766,6 @@ fn bench_ablation() {
     print!("{}", t.render());
 
     println!();
-    let mut t = Table::new(&["hotels", "filtered scan", "index lookup", "speedup"]);
-    for hotels in [400usize, 1600, 6400] {
-        let scale = TravelScale::with_hotels(hotels);
-        let db = travel::generate(scale, 7);
-        let schema = travel::schema();
-        let q = compile(&schema, queries::PORTLAND_FLAT_OQL).unwrap();
-        let n = normalize(&q);
-        let plan = monoid_algebra::plan_comprehension(&n).unwrap();
-        let mut catalog = monoid_algebra::IndexCatalog::new();
-        catalog.build(&db, "Cities", "name").unwrap();
-        let (indexed, hits) = monoid_algebra::apply_indexes(&plan, &catalog, &db);
-        assert_eq!(hits, 1);
-        let t_scan = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
-        let t_index = timed(|| monoid_algebra::execute(&indexed, &db).unwrap());
-        t.row(&[
-            scale.total_hotels().to_string(),
-            t_scan.cell(),
-            t_index.cell(),
-            t_scan.speedup(&t_index),
-        ]);
-    }
-    print!("{}", t.render());
-
-    println!();
     let mut t = Table::new(&["hotels", "written order", "cost-based order", "speedup"]);
     for hotels in [400usize, 1600] {
         let scale = TravelScale::with_hotels(hotels);
@@ -825,8 +801,7 @@ fn bench_ablation() {
         "\nexpected shape: the hash join wins once the build side has more \
          than a handful of rows, more at selective keys; pushing the \
          city-name filter below the unnests avoids navigating every city's \
-         hotels; the index lookup removes the residual extent scan entirely \
-         (its advantage grows with the number of cities); cost-based \
-         reordering scans the selective small extent first."
+         hotels; cost-based reordering scans the selective small extent \
+         first."
     );
 }

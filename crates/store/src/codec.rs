@@ -8,6 +8,11 @@
 //!
 //! Format: one tag byte per node, little-endian fixed-width integers,
 //! `u32` length prefixes for sequences and strings.
+//!
+//! Decoding costs what the input's bytes cost, not what it claims:
+//! nesting deeper than 256 levels is refused before it can exhaust a
+//! thread's stack, and a bag stays a list of runs, so a run's count is
+//! never an allocation.
 
 use crate::database::Database;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -15,6 +20,7 @@ use monoid_calculus::symbol::Symbol;
 use monoid_calculus::types::{ClassDef, CollKind, Schema, Type};
 use monoid_calculus::value::{Oid, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,6 +33,11 @@ pub enum CodecError {
     BadUtf8,
     /// Closures have no serialized form.
     Unsupported(&'static str),
+    /// Values nested deeper than the decoder's fixed bound (256 levels).
+    TooDeep,
+    /// A bag run list [`encode_value`] never emits: a zero count, or run
+    /// values not strictly ascending under `Value::cmp`.
+    BadBag(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -36,6 +47,8 @@ impl fmt::Display for CodecError {
             CodecError::BadTag(t) => write!(f, "unknown tag byte 0x{t:02x}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8 in snapshot string"),
             CodecError::Unsupported(what) => write!(f, "cannot serialize {what}"),
+            CodecError::TooDeep => write!(f, "value nested deeper than {MAX_DEPTH} levels"),
+            CodecError::BadBag(why) => write!(f, "malformed bag: {why}"),
         }
     }
 }
@@ -75,6 +88,11 @@ mod tag {
     pub const T_CLASS: u8 = 45;
     pub const T_FN: u8 = 46;
 }
+
+/// Deepest nesting [`decode_value`] accepts. Decoding recurses once per
+/// level, and wire parameters decode on a connection thread's default
+/// stack, so the bound is fixed well below what that stack can hold.
+const MAX_DEPTH: usize = 256;
 
 /// Magic bytes + version for database snapshots.
 const MAGIC: &[u8; 4] = b"MCDB";
@@ -181,6 +199,14 @@ fn encode_seq(items: &[Value], buf: &mut BytesMut) -> Result<()> {
 
 /// Decode one value from `buf`.
 pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
+    decode_at(buf, 0)
+}
+
+/// [`decode_value`] for a value nested `depth` levels down.
+fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
+    if depth > MAX_DEPTH {
+        return Err(CodecError::TooDeep);
+    }
     let t = get_u8(buf)?;
     Ok(match t {
         tag::NULL => Value::Null,
@@ -204,30 +230,36 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
             let mut fields = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 let name = Symbol::new(&get_str(buf)?);
-                let v = decode_value(buf)?;
+                let v = decode_at(buf, depth + 1)?;
                 fields.push((name, v));
             }
             Value::record(fields)
         }
-        tag::TUPLE => Value::tuple(decode_seq(buf)?),
-        tag::LIST => Value::list(decode_seq(buf)?),
-        tag::SET => Value::set_from(decode_seq(buf)?),
+        tag::TUPLE => Value::tuple(decode_seq(buf, depth)?),
+        tag::LIST => Value::list(decode_seq(buf, depth)?),
+        tag::SET => Value::set_from(decode_seq(buf, depth)?),
         tag::BAG => {
+            // Runs arrive exactly as `Value::Bag` holds them: kept as runs,
+            // and refused unless they are what `encode_value` emits.
             let n = get_len(buf)?;
-            let mut items = Vec::new();
+            let mut runs: Vec<(Value, u64)> = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 if buf.remaining() < 8 {
                     return Err(CodecError::Truncated);
                 }
                 let count = buf.get_u64_le();
-                let v = decode_value(buf)?;
-                for _ in 0..count {
-                    items.push(v.clone());
+                if count == 0 {
+                    return Err(CodecError::BadBag("a run with count 0"));
                 }
+                let v = decode_at(buf, depth + 1)?;
+                if runs.last().is_some_and(|(prev, _)| *prev >= v) {
+                    return Err(CodecError::BadBag("runs not strictly ascending"));
+                }
+                runs.push((v, count));
             }
-            Value::bag_from(items)
+            Value::Bag(Arc::new(runs))
         }
-        tag::VECTOR => Value::vector(decode_seq(buf)?),
+        tag::VECTOR => Value::vector(decode_seq(buf, depth)?),
         tag::OBJ => {
             if buf.remaining() < 8 {
                 return Err(CodecError::Truncated);
@@ -238,11 +270,12 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-fn decode_seq(buf: &mut Bytes) -> Result<Vec<Value>> {
+/// The elements of a sequence whose tag sits `depth` levels down.
+fn decode_seq(buf: &mut Bytes, depth: usize) -> Result<Vec<Value>> {
     let n = get_len(buf)?;
     let mut items = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        items.push(decode_value(buf)?);
+        items.push(decode_at(buf, depth + 1)?);
     }
     Ok(items)
 }
@@ -502,6 +535,48 @@ mod tests {
     fn bad_tag_errors() {
         let mut bytes = Bytes::from_static(&[0xee]);
         assert_eq!(decode_value(&mut bytes), Err(CodecError::BadTag(0xee)));
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_refused() {
+        // `levels` list tags of one element each, around a null.
+        let nested = |levels: usize| {
+            let mut buf = BytesMut::new();
+            for _ in 0..levels {
+                buf.put_u8(tag::LIST);
+                buf.put_u32_le(1);
+            }
+            buf.put_u8(tag::NULL);
+            decode_value(&mut buf.freeze())
+        };
+        let deepest = nested(MAX_DEPTH).expect("the bound itself decodes");
+        assert_eq!(roundtrip(&deepest), deepest);
+        assert_eq!(nested(MAX_DEPTH + 1), Err(CodecError::TooDeep));
+        // Far past any thread's stack, refused just the same.
+        assert_eq!(nested(100_000), Err(CodecError::TooDeep));
+    }
+
+    #[test]
+    fn bags_decode_as_runs_and_refuse_what_encode_never_emits() {
+        // A BAG tag and its `(count, Int)` runs, as raw bytes.
+        let bag = |runs: &[(u64, i64)]| {
+            let mut buf = BytesMut::new();
+            buf.put_u8(tag::BAG);
+            buf.put_u32_le(runs.len() as u32);
+            for (count, v) in runs {
+                buf.put_u64_le(*count);
+                encode_value(&Value::Int(*v), &mut buf).unwrap();
+            }
+            decode_value(&mut buf.freeze())
+        };
+        // 22 bytes claiming u64::MAX copies: one run, nothing expanded.
+        let huge = Value::Bag(Arc::new(vec![(Value::Int(7), u64::MAX)]));
+        assert_eq!(bag(&[(u64::MAX, 7)]), Ok(huge));
+        let ints = |xs: &[i64]| Value::bag_from(xs.iter().copied().map(Value::Int).collect());
+        assert_eq!(bag(&[(2, 1), (1, 3)]), Ok(ints(&[1, 3, 1])));
+        for bad in [&[(1, 3), (1, 1)][..], &[(1, 2), (1, 2)], &[(1, 1), (0, 2)]] {
+            assert!(matches!(bag(bad), Err(CodecError::BadBag(_))), "{bad:?}");
+        }
     }
 
     #[test]

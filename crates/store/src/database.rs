@@ -136,9 +136,8 @@ impl Database {
     /// increases across every mutation of the database — object
     /// allocation, state update (including updates made by query
     /// evaluation), extent growth, and root rebinding. Two equal epochs
-    /// mean no mutation happened in between; secondary indexes are
-    /// stamped with the epoch at build time so lookup rewriting can refuse
-    /// (or rebuild) indexes that no longer reflect the data.
+    /// mean no mutation happened in between, which is what the plan cache
+    /// and the statistics reuse key on.
     pub fn mutation_epoch(&self) -> u64 {
         self.current.epoch()
     }

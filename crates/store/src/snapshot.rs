@@ -3,8 +3,7 @@
 //! A [`Snapshot`] is the read-only face of a [`Database`] at one point in
 //! time: the Arc'd heap, roots, and schema, stamped with the
 //! `(instance_id, mutation_epoch)` pair that keys every derived-data
-//! cache in the system (plan cache, gathered statistics, secondary
-//! indexes). Taking one is O(1) — [`Database::snapshot`] clones the one
+//! cache in the system (the plan cache and gathered statistics). Taking one is O(1) — [`Database::snapshot`] clones the one
 //! `Snapshot` the database owns, a handful of `Arc`s — and the snapshot
 //! is `Send + Sync + Clone`, so any number of reader threads can execute
 //! against it while the owning database keeps committing new epochs. The copy-on-write storage underneath

@@ -25,9 +25,9 @@
 //! keyed by source text + schema fingerprint. Every entry is stamped with
 //! the `(instance_id, epoch)` of the snapshot it was prepared against and
 //! is served only to a snapshot reporting that exact pair — the same
-//! equality check the algebra crate's index snapshots use (`Index::
-//! is_fresh`), so a mutation between executions can never yield a stale
-//! plan (or stale statistics). [`Session::query`] is the umbrella fast
+//! equality check that gates reuse of gathered statistics — so a mutation
+//! between executions can never yield a stale plan (or stale
+//! statistics). [`Session::query`] is the umbrella fast
 //! path that puts the two together: hit the cache, bind, execute.
 //!
 //! Cache traffic is metered in the process-wide registry:
@@ -687,7 +687,7 @@ const DEFAULT_BUDGET_BYTES: usize = 8 * 1024 * 1024;
 /// `(instance_id, epoch)` of the snapshot observed at prepare time.
 ///
 /// An entry is served only to a snapshot whose pair equals its stamp —
-/// the same equality freshness check the index snapshots use — so any
+/// the same equality freshness check the statistics reuse applies — so any
 /// mutation (heap write, allocation, root change) between executions
 /// invalidates every entry prepared before it. Invalidation
 /// is counted (`plan_cache_invalidations_total`) and followed by a fresh
@@ -775,8 +775,7 @@ impl PlanCache {
                 }
                 // Stale: the database mutated since this plan (and its
                 // statistics) were captured — or the entry belongs to a
-                // different database instance entirely. Refuse it,
-                // exactly like a stale index snapshot.
+                // different database instance entirely. Refuse it.
                 m.invalidations.inc();
                 let dead = s.entries.remove(i);
                 s.bytes -= dead.bytes;

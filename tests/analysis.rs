@@ -278,20 +278,18 @@ fn illegal_hom_near_miss_gets_mc006_with_fix_hint() {
 #[test]
 fn plan_verifier_reports_stage_tagged_errors() {
     use monoid_db::algebra::{plan_comprehension, verify_query, Plan};
-    use monoid_db::store::TravelScale;
-    let db = travel::generate(TravelScale::tiny(), 5);
     let pure = Expr::comp(
         Monoid::Bag,
         Expr::var("c").proj("name"),
         vec![Expr::gen("c", Expr::var("Cities"))],
     );
     let mut query = plan_comprehension(&pure).unwrap();
-    assert!(verify_query(&query, &db).is_ok());
+    assert!(verify_query(&query).is_ok());
     query.plan = Plan::Filter {
         input: Box::new(query.plan.clone()),
         pred: Expr::var("c").assign(Expr::int(0)),
     };
-    let err = verify_query(&query, &db).unwrap_err();
+    let err = verify_query(&query).unwrap_err();
     assert_eq!(err.stage, "plan/effects");
     assert!(err.to_string().contains("plan/effects"), "{err}");
 }

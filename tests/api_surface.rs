@@ -201,11 +201,13 @@ fn the_library_reads_exactly_the_pinned_environment_variables() {
 }
 
 /// A logical plan holds operators, not materialized data or execution
-/// strategy: six variants, the build table is `exec.rs`'s private
-/// temporary, and a join is its two inputs and its keys — how it runs is
-/// read off `on`, not stored beside it.
+/// strategy: five variants and no access path (the secondary-index
+/// subsystem and its lookup operator are gone, and nothing re-exports
+/// them), the build table is `exec.rs`'s private temporary, and a join is its two
+/// inputs and its keys — how it runs is read off `on`, not stored beside
+/// it.
 #[test]
-fn plan_has_six_variants_one_join_shape_and_no_build_table() {
+fn plan_has_five_variants_one_join_shape_and_no_build_table() {
     let logical = code_of(&root().join("crates/algebra/src/logical.rs"));
     let body = logical
         .split("pub enum Plan {")
@@ -218,7 +220,13 @@ fn plan_has_six_variants_one_join_shape_and_no_build_table() {
         .filter(|l| l.starts_with(char::is_uppercase))
         .map(|l| l.split([' ', '{', ',']).next().unwrap_or(l))
         .collect();
-    assert_eq!(variants, ["Scan", "Unnest", "Filter", "Bind", "Join", "IndexLookup"]);
+    assert_eq!(variants, ["Scan", "Unnest", "Filter", "Bind", "Join"]);
+    let lib = code_of(&root().join("crates/algebra/src/lib.rs"));
+    // (Spelled in halves so a repo-wide grep for the old names is empty.)
+    for gone in ["Index", concat!("Index", "Catalog"), concat!("apply", "_indexes")] {
+        let exported = lib.split(|c: char| !c.is_alphanumeric() && c != '_').any(|t| t == gone);
+        assert!(!exported, "monoid_algebra's lib.rs names `{gone}`");
+    }
     assert!(!logical.contains("BuildTable"), "logical.rs names `BuildTable`");
     // (Spelled in two halves so a repo-wide grep for the old name is empty.)
     assert!(!logical.contains(concat!("enum Join", "Kind")), "logical.rs stores a join strategy");

@@ -237,6 +237,36 @@ fn malformed_frames_get_one_error_then_a_clean_close() {
     handle.shutdown();
 }
 
+/// A parameter nested far deeper than any real value is one malformed
+/// frame: 10 000 `LIST` tags (50 KB, far under `MAX_FRAME`) used to
+/// overflow the connection thread's stack and abort the whole server.
+#[test]
+fn deeply_nested_params_get_an_error_not_a_crash() {
+    let handle = spawn_server();
+    let str_field = |out: &mut Vec<u8>, s: &str| {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    };
+    // QUERY: source, one param named `$deep`, then its value — lists of
+    // one element each (tag 8, count 1) around a null (tag 0).
+    let mut body = vec![0x02];
+    str_field(&mut body, "count(Cities)");
+    body.extend_from_slice(&1u32.to_le_bytes());
+    str_field(&mut body, "$deep");
+    for _ in 0..10_000 {
+        body.push(8);
+        body.extend_from_slice(&1u32.to_le_bytes());
+    }
+    body.push(0);
+    match sole_response(&send_raw(handle.addr(), &framed(&body))) {
+        Some(Response::Error { message }) => assert!(message.contains("nested"), "{message}"),
+        other => panic!("want ERROR for a too-deep param, got {other:?}"),
+    }
+    let mut client = Client::connect(handle.addr()).expect("the server survived");
+    client.ping().expect("a new connection gets PONG");
+    handle.shutdown();
+}
+
 /// Response decoding never panics on arbitrary bodies — the client-side
 /// mirror of the server-side battery above.
 #[test]
