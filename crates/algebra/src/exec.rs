@@ -171,7 +171,7 @@ pub(crate) fn run<P: Probe>(
     let env = bind_params(snap.env(), params);
     let mut ev = Evaluator::with_heap(snap.heap().clone());
     let fused = if policy == EnginePolicy::Auto && !P::ENABLED {
-        crate::fused::try_run_reduce(query, &mut ev, &env)?
+        crate::fused::try_run_reduce(query, &mut ev, &env, Some(snap.memo()))?
     } else {
         None
     };

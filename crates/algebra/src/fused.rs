@@ -28,12 +28,12 @@
 //! (f a) k acc) z`), and a hash join is that bind over a prebuilt finite
 //! map. The left input continues the spine; the right sub-plan compiles
 //! into a chain of its own (same slot numbering) that runs *before the
-//! first left row*, once per execution, into a [`Table`]: the right-bound
-//! slot values laid out flat (a bare scan over a list/set extent shares the
-//! extent's `Arc` and copies nothing) plus an index that discriminates the
-//! key by kind — `i64`, string and OID keys hash into typed buckets, and
-//! everything else (composite keys, floats, records, a build side mixing
-//! kinds) goes to one `Value`-ordered map. Equality is [`Value::cmp`]'s, so
+//! first left row* into a [`Table`]: the right-bound slot values laid out
+//! flat (a bare scan over a list/set extent shares the extent's `Arc` and
+//! copies nothing) plus an index that discriminates the key by kind —
+//! `i64`, string and OID keys hash into typed buckets, and everything else
+//! (composite keys, floats, records, a build side mixing kinds) goes to one
+//! `Value`-ordered map. Equality is [`Value::cmp`]'s, so
 //! `1` meets `1.0` on both sides exactly as in the walk's `BTreeMap`. Tables
 //! are built in the walk's order — outer join first, a join's right source
 //! before its left one, all build rows before the first key — so whichever
@@ -41,8 +41,18 @@
 //! evaluates the left keys against the current row and, for each match *in
 //! build order*, pushes borrowed [`Frame`]s for the right slots and drives
 //! the rest of the chain: rows stay left-major, so ordered monoids, float
-//! sums and `some`/`all` short-circuits land where the walk puts them. The
-//! table dies with the execution.
+//! sums and `some`/`all` short-circuits land where the walk puts them.
+//!
+//! A table whose right sub-plan and right keys read no `$param` is a
+//! function of the snapshot alone, so it is built once per epoch: [`compile`]
+//! marks it, and the first execution against a snapshot keeps it in the
+//! snapshot's [`Memo`], keyed by that sub-plan and those keys (compared with
+//! `==`). Every later execution against any clone of the snapshot probes the
+//! same table; every mutation of the database starts a fresh memo, which is
+//! the whole invalidation protocol. A table reading a `$param`, or one that
+//! does not fit under [`monoid_store::memo::MEMO_BYTES`], is built per
+//! execution and dies with it. Skipping a build cannot hide an error: a
+//! table is only kept once the same pure build succeeded at this epoch.
 //!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
@@ -67,6 +77,7 @@ use monoid_calculus::heap::Heap;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{Accumulator, Env, Oid, Value};
+use monoid_store::memo::Memo;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -290,6 +301,22 @@ struct Build<'q> {
     chain: Chain<'q>,
     keys: Vec<FusedExpr>,
     table: usize,
+    /// The right sub-plan and the join's key pairs, when the build reads
+    /// no `$param`: what the snapshot's memo keeps its table under.
+    memo: Option<(&'q Plan, &'q [(Expr, Expr)])>,
+}
+
+/// A memoized table's key: a right sub-plan and its key expressions.
+#[derive(PartialEq)]
+struct TableKey {
+    right: Plan,
+    keys: Vec<Expr>,
+}
+
+impl TableKey {
+    fn is(&self, (right, on): (&Plan, &[(Expr, Expr)])) -> bool {
+        self.right == *right && self.keys.iter().eq(on.iter().map(|(_, r)| r))
+    }
 }
 
 /// A fully compiled fused pipeline, borrowing the plan's expressions.
@@ -313,6 +340,8 @@ struct Compiler {
     n_slots: usize,
     n_tables: usize,
     globals: Vec<(usize, Symbol)>,
+    /// `$param` leaves met so far, scan sources included.
+    params: usize,
 }
 
 impl Compiler {
@@ -350,7 +379,11 @@ impl Compiler {
                 Literal::Str(s) => Value::Str(s.clone()),
                 Literal::Null => Value::Null,
             }),
-            Expr::Var(v) | Expr::Param(v) => FusedExpr::Slot(self.slot_of(*v)),
+            Expr::Var(v) => FusedExpr::Slot(self.slot_of(*v)),
+            Expr::Param(p) => {
+                self.params += 1;
+                FusedExpr::Slot(self.slot_of(*p))
+            }
             Expr::Record(fields) => FusedExpr::Record(
                 fields
                     .iter()
@@ -409,6 +442,8 @@ impl Compiler {
     fn chain<'q>(&mut self, plan: &'q Plan) -> Result<Chain<'q>, Refusal> {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
+                // The evaluator runs the source, but its `$param`s count.
+                source.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
                 return Ok(Chain { slot: self.bind(*var), source, stages: Vec::new() });
             }
             Plan::Filter { input, pred } => {
@@ -440,14 +475,16 @@ impl Compiler {
                 // (and its keys resolve) with only its own variables in
                 // scope, as the walk runs it against the root environment.
                 let left_scope = std::mem::take(&mut self.scope);
+                let params = self.params;
                 let chain = self.chain(right)?;
                 let keys = self.join_keys(on.iter().map(|(_, r)| r), right)?;
+                let memo = (self.params == params).then_some((&**right, on.as_slice()));
                 let right_scope = std::mem::replace(&mut self.scope, left_scope);
                 // A joined row is the left row with the right side's
                 // variables bound on top, in binding order.
                 let right_slots = right_scope.iter().map(|(_, slot)| *slot).collect();
                 self.scope.extend(right_scope);
-                let build = Build { chain, keys, table: self.n_tables };
+                let build = Build { chain, keys, table: self.n_tables, memo };
                 self.n_tables += 1;
                 (input, Stage::Join { build, left_keys, right_slots })
             }
@@ -521,26 +558,52 @@ fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
 
 /// The elements of a generator source. List, set, and vector sources
 /// iterate the extent's `Arc<Vec<Value>>` in place — the allocation-free
-/// path the fused loop exists for; bags, strings, and the `§4.2`
-/// object-singleton idiom expand exactly like the plan walk's
+/// path the fused loop exists for — and a bag iterates its `(value, count)`
+/// runs in place, each value `count` times in run order; strings and the
+/// `§4.2` object-singleton idiom expand exactly like the plan walk's
 /// `collection_elements`.
 enum Rows {
     Shared(Arc<Vec<Value>>),
     Owned(Vec<Value>),
+    Runs(Arc<Vec<(Value, u64)>>),
 }
 
 impl Rows {
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            Rows::Shared(items) => items,
+    /// Call `f` on every element in order until it returns `false`.
+    #[inline(always)]
+    fn each(&self, mut f: impl FnMut(&Value) -> ExecResult<bool>) -> ExecResult<bool> {
+        let items = match self {
+            Rows::Shared(items) => items.as_slice(),
             Rows::Owned(items) => items,
+            Rows::Runs(runs) => {
+                for (value, count) in runs.iter() {
+                    for _ in 0..*count {
+                        if !f(value)? {
+                            return Ok(false);
+                        }
+                    }
+                }
+                return Ok(true);
+            }
+        };
+        for value in items {
+            if !f(value)? {
+                return Ok(false);
+            }
         }
+        Ok(true)
     }
 
+    /// The elements as one shared vector: free for a list or set, a copy
+    /// of each element for the rest (a join's bare-scan build side).
     fn into_shared(self) -> Arc<Vec<Value>> {
         match self {
             Rows::Shared(items) => items,
             Rows::Owned(items) => Arc::new(items),
+            Rows::Runs(runs) => {
+                let copies = runs.iter().flat_map(|(v, n)| (0..*n).map(move |_| v.clone()));
+                Arc::new(copies.collect())
+            }
         }
     }
 }
@@ -549,6 +612,7 @@ fn rows_of(v: Value) -> ExecResult<Rows> {
     match v {
         Value::Obj(_) => Ok(Rows::Owned(vec![v])),
         Value::List(items) | Value::Set(items) | Value::Vector(items) => Ok(Rows::Shared(items)),
+        Value::Bag(runs) => Ok(Rows::Runs(runs)),
         other => other.elements().map(Rows::Owned),
     }
 }
@@ -569,15 +633,19 @@ impl FusedQuery<'_> {
 /// "No row": the end of a bucket's chain, and a probe that found nothing.
 const NONE: usize = usize::MAX;
 
-/// A join's build side, materialized once per execution: one value per
-/// right slot per row, laid out flat, and the rows of each key chained in
-/// build order (`index` holds a key's first row, `next[i]` the following
-/// row of the same key).
+/// A join's build side, materialized once per execution or once per
+/// epoch: one value per right slot per row, laid out flat, and the rows of
+/// each key chained in build order (`index` holds a key's first row,
+/// `next[i]` the following row of the same key).
 #[derive(Default)]
 struct Table {
     rows: Arc<Vec<Value>>,
     next: Vec<usize>,
     index: KeyIndex,
+    /// What the memo charges for keeping the table: the flat rows, each
+    /// row's key values and two links. Values behind an `Arc` (records,
+    /// strings) are shared with the heap and not counted.
+    bytes: usize,
 }
 
 /// Build keys discriminated by kind. The typed buckets hold build sides
@@ -641,7 +709,8 @@ impl Table {
         } else {
             Table::ordered(&keys, 1, &mut next)
         };
-        Table { rows, next, index }
+        let bytes = std::mem::size_of::<Value>() * (rows.len() + keys.len() + 2 * n);
+        Table { rows, next, index, bytes }
     }
 
     fn ordered(keys: &[Value], arity: usize, next: &mut [usize]) -> KeyIndex {
@@ -691,7 +760,7 @@ impl Table {
 /// tables, both immutable while rows flow.
 struct Cx<'a> {
     heap: &'a Heap,
-    tables: &'a [Table],
+    tables: &'a [Arc<Table>],
 }
 
 /// The fold's continuation `k`: where a chain's rows end up. Statically
@@ -792,13 +861,10 @@ fn step<K: Sink>(
         }
         Stage::Unnest { slot, path } => {
             let rows = rows_of(path.eval(slots, frame, cx.heap)?)?;
-            for elem in rows.as_slice() {
+            rows.each(|elem| {
                 let f = Frame { slot: *slot, value: elem, parent: frame };
-                if !drive(rest, cx, slots, Some(&f), k)? {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
+                drive(rest, cx, slots, Some(&f), k)
+            })
         }
         Stage::Join { build, left_keys, right_slots } => {
             let table = &cx.tables[build.table];
@@ -836,13 +902,14 @@ fn bind_row<K: Sink>(
 }
 
 /// One execution's mutable state: the evaluator (for scan sources and
-/// keys, evaluated once each), the row buffer, and the join tables built
-/// so far.
+/// keys, evaluated once each), the row buffer, the join tables built or
+/// found so far, and the snapshot's memo, when the run has a snapshot.
 struct Run<'a> {
     ev: &'a mut Evaluator,
     env: &'a Env,
     slots: Vec<Value>,
-    tables: Vec<Table>,
+    tables: Vec<Arc<Table>>,
+    memo: Option<&'a Memo>,
 }
 
 impl Run<'_> {
@@ -854,7 +921,7 @@ impl Run<'_> {
     fn open(&mut self, chain: &Chain<'_>) -> ExecResult<Rows> {
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { build, right_slots, .. } = stage {
-                self.tables[build.table] = self.build(build, right_slots)?;
+                self.tables[build.table] = self.table(build, right_slots)?;
             }
         }
         rows_of(self.ev.eval(self.env, chain.source)?)
@@ -863,13 +930,28 @@ impl Run<'_> {
     /// Push every row of an opened chain through its stages into `k`.
     fn feed<K: Sink>(&mut self, chain: &Chain<'_>, rows: Rows, k: &mut K) -> ExecResult<()> {
         let cx = Cx { heap: &self.ev.heap, tables: &self.tables };
-        for elem in rows.as_slice() {
+        rows.each(|elem| {
             let f = Frame { slot: chain.slot, value: elem, parent: None };
-            if !drive(&chain.stages, &cx, &mut self.slots, Some(&f), k)? {
-                break;
-            }
-        }
+            drive(&chain.stages, &cx, &mut self.slots, Some(&f), k)
+        })?;
         Ok(())
+    }
+
+    /// A join's table: the memo's, when the build reads no `$param` and
+    /// already ran at this epoch; otherwise built here — and offered to
+    /// the memo when it reads no `$param`.
+    fn table(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
+        let Some((memo, key)) = self.memo.zip(build.memo) else {
+            return self.build(build, right_slots).map(Arc::new);
+        };
+        if let Some(table) = memo.get(|k: &TableKey| k.is(key)).and_then(|t| t.downcast().ok()) {
+            return Ok(table);
+        }
+        let table = Arc::new(self.build(build, right_slots)?);
+        let (right, on) = key;
+        let keys = on.iter().map(|(_, r)| r.clone()).collect();
+        memo.insert(TableKey { right: right.clone(), keys }, table.clone(), table.bytes);
+        Ok(table)
     }
 
     /// Materialize a join's right side: all of its rows first, then all of
@@ -901,11 +983,14 @@ impl Run<'_> {
 
 /// Try the fused engine for a full sequential reduction. `Ok(None)` means
 /// the query is outside the fusible subset (or a global failed to
-/// resolve) and the caller should run the plan walk instead.
+/// resolve) and the caller should run the plan walk instead. `memo` is the
+/// memo of the snapshot `env` and `ev`'s heap were taken from; `env` binds
+/// that snapshot's roots and, under `$`-prefixed names, the parameters.
 pub(crate) fn try_run_reduce(
     query: &Query,
     ev: &mut Evaluator,
     env: &Env,
+    memo: Option<&Memo>,
 ) -> ExecResult<Option<Value>> {
     let Ok(fq) = compile(query) else {
         return Ok(None);
@@ -914,8 +999,8 @@ pub(crate) fn try_run_reduce(
         return Ok(None);
     };
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(fq.monoid)? };
-    let tables = std::iter::repeat_with(Table::default).take(fq.n_tables).collect();
-    let mut run = Run { ev, env, slots, tables };
+    let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
+    let mut run = Run { ev, env, slots, tables, memo };
     let opened = run.open(&fq.chain)?;
     run.feed(&fq.chain, opened, &mut k)?;
     Ok(Some(k.acc.finish()?))
@@ -1085,7 +1170,7 @@ mod tests {
             Value::list(vec![Value::Int(10), Value::Int(20)]),
         );
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(&q, &mut ev, &env).unwrap().expect("fusible");
+        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
         assert_eq!(v, Value::Int(32));
     }
 
@@ -1111,7 +1196,7 @@ mod tests {
             .bind("Ls".into(), Value::list(vec![row(1, "left")]))
             .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(&q, &mut ev, &env).unwrap().expect("fusible");
+        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
         assert_eq!(v, Value::list(vec![Value::str("right")]));
     }
 

@@ -8,17 +8,26 @@
 //! the fallback boundary: shapes the fused compiler declines (nested
 //! comprehensions, in a head or in a join key) still agree with the plan
 //! walk.
+//!
+//! The walk builds every join table per execution, so it is also the fresh
+//! side of a memo check: every join case runs fused twice on one snapshot —
+//! a cold build, then a probe of the table the snapshot's memo kept — and
+//! the `memo_*` tests pin what may be kept and when it must be forgotten.
 
+use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
-    engine_of, execute, execute_plan_walk_bound, plan_comprehension, Plan, Query,
+    engine_of, execute, execute_plan_walk_bound, execute_snapshot_bound, plan_comprehension,
+    reorder_generators, Plan, Query, Stats,
 };
 use monoid_calculus::expr::{Expr, Qual};
 use monoid_calculus::monoid::Monoid;
+use monoid_calculus::normalize::normalize;
+use monoid_calculus::symbol::Symbol;
 use monoid_calculus::types::Schema;
 use monoid_calculus::value::Value;
 use monoid_store::company;
 use monoid_store::travel::{self, TravelScale};
-use monoid_store::Database;
+use monoid_store::{Database, Snapshot};
 
 /// A canonical scan → unnest → filter chain over the travel store:
 /// `⊕{ head | h ← Hotels, r ← h.rooms, r.bed# ≥ 1 }`.
@@ -199,12 +208,26 @@ fn lr_heads() -> Vec<(Monoid, Expr)> {
     heads(l().proj("id"), r().proj("id"), l().proj("s"), r().proj("s"), l().proj("x"))
 }
 
+/// Run `plan` fused twice on a fresh copy of `db`: a cold build, then a
+/// probe of whatever the first run left in the snapshot's memo. Both runs
+/// must agree, and a run that succeeded must leave nothing to build.
+fn fused_twice(label: &str, plan: &Query, db: &Database) -> ExecResult<Value> {
+    let snap = db.clone().snapshot();
+    let cold = execute(plan, &snap);
+    let built = snap.memo().misses();
+    assert_eq!(execute(plan, &snap), cold, "{label}: memo hit ≠ cold build");
+    if cold.is_ok() {
+        assert_eq!(snap.memo().misses(), built, "{label}: the second run built a table");
+    }
+    cold
+}
+
 /// Both engines and the evaluator on one planned comprehension; errors
 /// must agree too (under `MONOID_VERIFY` a plan may be refused outright).
 fn assert_three_way(label: &str, comp: &Expr, plan: &Query, db: &mut Database) {
     assert_eq!(engine_of(plan).as_str(), "fused", "{label}: should classify as fused");
     let walk = execute_plan_walk_bound(plan, db, &[]);
-    let fused = execute(plan, db);
+    let fused = fused_twice(label, plan, db);
     assert_eq!(walk, fused, "{label}: fused ≠ plan walk");
     if let Ok(v) = &walk {
         assert_eq!(v, &db.query(comp).unwrap(), "{label}: plan walk ≠ evaluator");
@@ -381,7 +404,11 @@ fn a_right_variable_shadowing_a_left_one_agrees_across_engines() {
     let Plan::Join { on, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
     on.push((x().proj("k"), x().proj("k")));
     assert_eq!(engine_of(&plan).as_str(), "fused");
-    assert_eq!(execute_plan_walk_bound(&plan, &db, &[]), execute(&plan, &db), "shadow-keyed");
+    assert_eq!(
+        execute_plan_walk_bound(&plan, &db, &[]),
+        fused_twice("shadow-keyed", &plan, &db),
+        "shadow-keyed"
+    );
 }
 
 /// Right sides the planner never emits but the plan language allows: a
@@ -442,7 +469,8 @@ fn hand_built_right_sides_agree_across_engines() {
             assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
             let walk = execute_plan_walk_bound(&plan, &db, &[]);
             assert!(walk.is_ok() || label == "self-shadowing-bind", "{label}: {walk:?}");
-            assert_eq!(walk, execute(&plan, &db), "{label}/{monoid}");
+            let label = format!("{label}/{monoid}");
+            assert_eq!(walk, fused_twice(&label, &plan, &db), "{label}");
         }
     }
 }
@@ -513,4 +541,202 @@ fn fallback_shapes_agree_across_engines() {
     allocating.head = Expr::comp(Monoid::Sum, Expr::int(1), vec![]);
     assert_eq!(engine_of(&allocating).as_str(), "plan-walk");
     assert_engines_agree("allocating-head", &allocating, &mut db);
+}
+
+/// A bag root with repeated runs (counts > 1), scanned, unnested, and as a
+/// join's build side: the fold iterates the runs in place, and each value
+/// must come out `count` times in run order, exactly as the walk expands
+/// it. (The evaluator refuses a list head over a bag source, so the walk
+/// is the only witness here.)
+#[test]
+fn bags_with_repeated_runs_agree_across_engines() {
+    let mut db = join_store();
+    let bag = Value::bag_from([3, 1, 3, 2, 3, 1].map(Value::Int).to_vec());
+    db.set_root("B", bag.clone());
+    db.set_root("H", Value::list(vec![Value::record_from(vec![("kids", bag)])]));
+    let (b, l) = (|| Expr::var("b"), || Expr::var("l"));
+    let shapes = [
+        ("scan", vec![Expr::gen("b", Expr::var("B"))], b()),
+        (
+            "unnest",
+            vec![Expr::gen("h", Expr::var("H")), Expr::gen("b", Expr::var("h").proj("kids"))],
+            b(),
+        ),
+        (
+            "join-build",
+            vec![
+                Expr::gen("l", Expr::var("L")),
+                Expr::gen("b", Expr::var("B")),
+                Expr::pred(l().proj("k").eq(b())),
+            ],
+            l().proj("id").mul(Expr::int(10)).add(b()),
+        ),
+    ];
+    for (shape, quals, value) in shapes {
+        for (monoid, head) in [
+            (Monoid::List, value.clone()),
+            (Monoid::Sum, value.clone()),
+            (Monoid::Some, value.clone().eq(Expr::int(13))),
+            (Monoid::Bag, value.clone()),
+        ] {
+            let label = format!("{shape}/{monoid}");
+            let plan = plan_comprehension(&Expr::comp(monoid, head, quals.clone())).unwrap();
+            assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
+            assert_eq!(shape == "join-build", find_join(&plan.plan).is_some(), "{label}");
+            let walk = execute_plan_walk_bound(&plan, &db, &[]).unwrap();
+            assert_eq!(walk, fused_twice(&label, &plan, &db).unwrap(), "{label}");
+        }
+    }
+    // Not vacuous: the runs really repeat.
+    let list = Expr::comp(Monoid::List, b(), vec![Expr::gen("b", Expr::var("B"))]);
+    assert_eq!(
+        execute(&plan_comprehension(&list).unwrap(), &db).unwrap(),
+        Value::list([1, 1, 2, 3, 3, 3].map(Value::Int).to_vec())
+    );
+}
+
+// -------------------------------------------------------------------------
+// The snapshot memo: what a join table may be kept for, and when it must go.
+// -------------------------------------------------------------------------
+
+/// `join-wire`'s statement: a weighted count over the dept join, prepared
+/// the way the server prepares it (OQL → normalize → reorder → plan).
+const JOIN_WIRE: &str =
+    "sum(select $w from m in Managers, e in CompanyEmployees where m.dept = e.dept)";
+
+fn prepared(db: &Database, src: &str) -> Query {
+    let calculus = monoid_oql::compile(db.schema(), src).unwrap();
+    let reordered = reorder_generators(&normalize(&calculus), &Stats::gather(db));
+    plan_comprehension(&reordered).unwrap()
+}
+
+fn weight(w: i64) -> Vec<(Symbol, Value)> {
+    vec![(Symbol::new("$w"), Value::Int(w))]
+}
+
+/// The fused answer, checked against the walk's on the same state.
+fn fused_checked(plan: &Query, snap: &Snapshot, params: &[(Symbol, Value)]) -> Value {
+    let fused = execute_snapshot_bound(plan, snap, params).unwrap();
+    assert_eq!(fused, execute_plan_walk_bound(plan, snap, params).unwrap(), "fused ≠ walk");
+    fused
+}
+
+/// Four managers, one per dept, with six reports each.
+fn company() -> Database {
+    company::generate(4, 6, 3, 5)
+}
+
+/// The first half of the company's 24 employees, as a bag.
+fn half_the_staff(db: &Database) -> Value {
+    let staff = db.root(Symbol::new(company::names::EMPLOYEES)).unwrap();
+    Value::bag_from(staff.elements().unwrap()[..12].to_vec())
+}
+
+#[test]
+fn memo_keeps_the_join_wire_table_for_every_later_execution_at_the_epoch() {
+    let db = company();
+    let plan = prepared(&db, JOIN_WIRE);
+    let Some(Plan::Join { right, .. }) = find_join(&plan.plan) else { panic!("{:?}", plan.plan) };
+    assert!(matches!(**right, Plan::Scan { .. }), "the build side is a bare scan");
+    let snap = db.snapshot();
+    let cold = fused_checked(&plan, &snap, &weight(3));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+    // A different weight, another clone of the snapshot, and the database
+    // itself (its current state shares the memo): nothing is built again.
+    assert_eq!(fused_checked(&plan, &snap, &weight(3)), cold);
+    assert_eq!(fused_checked(&plan, &snap.clone(), &weight(5)), Value::Int(24 * 5));
+    assert_eq!(fused_checked(&plan, &db, &weight(1)), Value::Int(24));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+}
+
+/// Each writer path between two executions: the second must see the new
+/// state, not the table the first one left.
+#[test]
+fn memo_is_forgotten_by_every_write_between_executions() {
+    let e = || Expr::var("e");
+    // `e := …` moves one employee to a dept no manager heads.
+    let move_one = Expr::comp(
+        Monoid::All,
+        e().assign(Expr::record(vec![
+            ("name", e().proj("name")),
+            ("age", e().proj("age")),
+            ("salary", e().proj("salary")),
+            ("dept", Expr::str("nowhere")),
+        ])),
+        vec![
+            Expr::gen("e", Expr::var("CompanyEmployees")),
+            Expr::pred(e().proj("name").eq(Expr::str("emp_0_0"))),
+        ],
+    );
+    for write in ["assign", "insert", "set_root"] {
+        let mut db = company();
+        let plan = prepared(&db, JOIN_WIRE);
+        let before = fused_checked(&plan, &db, &weight(1));
+        assert_eq!(fused_checked(&plan, &db, &weight(1)), before, "{write}: warm");
+        match write {
+            "assign" => assert_eq!(db.query(&move_one).unwrap(), Value::Bool(true)),
+            "insert" => {
+                let state = vec![
+                    ("name", Value::str("hire")),
+                    ("age", Value::Int(30)),
+                    ("salary", Value::Int(50_000)),
+                    ("dept", Value::str("sales")),
+                ];
+                db.insert(Symbol::new(company::names::EMPLOYEE), Value::record_from(state))
+                    .unwrap();
+            }
+            _ => db.set_root(company::names::EMPLOYEES, half_the_staff(&db)),
+        }
+        let after = fused_checked(&plan, &db, &weight(1));
+        assert_ne!(after, before, "{write}: the write changes the answer");
+    }
+}
+
+/// A build side that reads a `$param` is a different table per binding:
+/// it is never kept, so each binding gets its own answer.
+#[test]
+fn memo_never_keeps_a_build_that_reads_a_param() {
+    let db = company();
+    let mut plan = prepared(&db, JOIN_WIRE);
+    let e = || Expr::var("e");
+    let Plan::Join { right, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
+    let scan = right.clone();
+    let rights = [
+        // `… and e.age > $a`, placed on the build side.
+        Plan::Filter { input: scan, pred: e().proj("age").gt(Expr::param("$a")) },
+        // A build side whose source is the parameter.
+        Plan::Scan { var: "e".into(), source: Expr::param("$staff") },
+    ];
+    let staff = db.root(Symbol::new(company::names::EMPLOYEES)).unwrap().clone();
+    let staff_half = half_the_staff(&db);
+    for right in rights {
+        let Plan::Join { right: slot, .. } = &mut plan.plan else { unreachable!() };
+        **slot = right;
+        assert_eq!(engine_of(&plan).as_str(), "fused");
+        let snap = db.snapshot();
+        let mut answers = Vec::new();
+        for (a, staff) in [(30, &staff), (50, &staff_half)] {
+            let mut params = weight(1);
+            params.push((Symbol::new("$a"), Value::Int(a)));
+            params.push((Symbol::new("$staff"), staff.clone()));
+            answers.push(fused_checked(&plan, &snap, &params));
+        }
+        assert_ne!(answers[0], answers[1], "the two bindings differ");
+        assert_eq!((snap.memo().len(), snap.memo().misses()), (0, 0), "nothing looked up");
+    }
+}
+
+/// A clone starts with an empty memo and mutates on its own: its answers
+/// follow its data, and the original keeps its table and its answer.
+#[test]
+fn memo_of_a_database_clone_is_its_own() {
+    let db = company();
+    let plan = prepared(&db, JOIN_WIRE);
+    let before = fused_checked(&plan, &db, &weight(1));
+    let mut clone = db.clone();
+    assert!(clone.memo().is_empty());
+    clone.set_root(company::names::EMPLOYEES, half_the_staff(&db));
+    assert_eq!(fused_checked(&plan, &clone, &weight(1)), Value::Int(12));
+    assert_eq!(fused_checked(&plan, &db, &weight(1)), before);
+    assert_eq!((db.memo().len(), db.memo().misses()), (1, 1));
 }

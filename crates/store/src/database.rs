@@ -82,12 +82,19 @@ impl std::ops::Deref for Database {
     }
 }
 
-/// Clones get a *fresh* instance id: a clone and its original mutate
-/// independently afterwards, so their epochs would collide under a shared
-/// id and stale gathered statistics could be served for the wrong data.
+/// Clones get a *fresh* instance id and a fresh memo: a clone and its
+/// original mutate independently afterwards, so their epochs would
+/// collide under a shared id and stale gathered statistics — or join
+/// tables — could be served for the wrong data.
 impl Clone for Database {
     fn clone(&self) -> Database {
-        Database { current: Snapshot { instance: next_instance(), ..self.current.clone() } }
+        Database {
+            current: Snapshot {
+                instance: next_instance(),
+                memo: Arc::default(),
+                ..self.current.clone()
+            },
+        }
     }
 }
 
@@ -118,6 +125,7 @@ impl Database {
                 extent_of: Arc::new(extent_of),
                 roots_epoch: 0,
                 instance: next_instance(),
+                memo: Arc::default(),
             },
         }
     }
@@ -142,29 +150,50 @@ impl Database {
         self.current.epoch()
     }
 
+    /// The state a mutation is about to change, under a fresh memo: what
+    /// was derived from the old state stays with the snapshots taken of
+    /// it. Every writer goes through here.
+    fn advance(&mut self) -> &mut Snapshot {
+        self.current.memo = Arc::default();
+        &mut self.current
+    }
+
     /// Direct heap access for bulk loaders.
     pub fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.current.heap
+        &mut self.advance().heap
     }
 
     /// Allocate an object of `class` with the given record `state` and add
     /// it to the class's extent (if it has one). Returns the new identity.
+    ///
+    /// A fresh OID sorts after every object in the heap, so adding it to a
+    /// bag extent is an append to the bag's runs — in place while no
+    /// snapshot shares them. A root that is not a bag is rebuilt as one.
     pub fn insert(&mut self, class: Symbol, state: Value) -> EvalResult<Oid> {
-        let cur = &mut self.current;
+        let cur = self.advance();
         let oid = cur.heap.alloc(state);
         let m = store_metrics();
         m.inserts.inc();
         m.heap_objects.set(cur.heap.len() as i64);
         if let Some(extent) = cur.extent_of.get(&class).copied() {
             let obj = Value::Obj(oid);
-            let current = cur
-                .roots
-                .get(&extent)
-                .cloned()
-                .unwrap_or_else(|| Value::bag_from(Vec::new()));
-            let mut elems = current.elements()?;
-            elems.push(obj);
-            Arc::make_mut(&mut cur.roots).insert(extent, Value::bag_from(elems));
+            let root = Arc::make_mut(&mut cur.roots)
+                .entry(extent)
+                .or_insert_with(|| Value::bag_from(Vec::new()));
+            match root {
+                Value::Bag(runs) => {
+                    let runs = Arc::make_mut(runs);
+                    match runs.binary_search_by(|(v, _)| v.cmp(&obj)) {
+                        Ok(i) => runs[i].1 += 1,
+                        Err(i) => runs.insert(i, (obj, 1)),
+                    }
+                }
+                other => {
+                    let mut elems = other.elements()?;
+                    elems.push(obj);
+                    *other = Value::bag_from(elems);
+                }
+            }
             cur.roots_epoch += 1;
         }
         Ok(oid)
@@ -172,8 +201,9 @@ impl Database {
 
     /// Set (or create) a named persistent root.
     pub fn set_root(&mut self, name: impl Into<Symbol>, value: Value) {
-        Arc::make_mut(&mut self.current.roots).insert(name.into(), value);
-        self.current.roots_epoch += 1;
+        let cur = self.advance();
+        Arc::make_mut(&mut cur.roots).insert(name.into(), value);
+        cur.roots_epoch += 1;
     }
 
     /// Evaluate a query. The heap is moved into the evaluator and back, so
@@ -237,6 +267,54 @@ mod tests {
         }
         assert_eq!(db.extent_len("Points"), 3);
         assert_eq!(db.object_count(), 3);
+    }
+
+    fn point(i: i64) -> Value {
+        Value::record_from(vec![("x", Value::Int(i)), ("y", Value::Int(-i))])
+    }
+
+    fn runs_ptr(db: &Database) -> *const Vec<(Value, u64)> {
+        match db.root(Symbol::new("Points")) {
+            Some(Value::Bag(runs)) => Arc::as_ptr(runs),
+            other => panic!("Points is not a bag: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn inserts_append_to_the_extent_in_place_and_spare_snapshots() {
+        let mut db = Database::new(tiny_schema());
+        let class = Symbol::new("Point");
+        let mut oids = Vec::new();
+        for i in 0..5 {
+            oids.push(Value::Obj(db.insert(class, point(i)).unwrap()));
+        }
+        assert_eq!(db.root(Symbol::new("Points")), Some(&Value::bag_from(oids.clone())));
+
+        // No snapshot outstanding: the runs' allocation is reused.
+        let before = runs_ptr(&db);
+        oids.push(Value::Obj(db.insert(class, point(5)).unwrap()));
+        assert_eq!(runs_ptr(&db), before);
+
+        // A snapshot keeps the extent it was taken at.
+        let snap = db.snapshot();
+        oids.push(Value::Obj(db.insert(class, point(6)).unwrap()));
+        assert_eq!(snap.root(Symbol::new("Points")), Some(&Value::bag_from(oids[..6].to_vec())));
+        assert_eq!(db.root(Symbol::new("Points")), Some(&Value::bag_from(oids.clone())));
+    }
+
+    #[test]
+    fn insert_after_an_extent_was_set_to_a_list_rebuilds_it_as_a_bag() {
+        let mut db = Database::new(tiny_schema());
+        let class = Symbol::new("Point");
+        let first = Value::Obj(db.insert(class, point(0)).unwrap());
+        db.set_root("Points", Value::list(vec![first.clone(), first.clone()]));
+        let second = Value::Obj(db.insert(class, point(1)).unwrap());
+        assert_eq!(
+            db.root(Symbol::new("Points")),
+            Some(&Value::bag_from(vec![first.clone(), second, first]))
+        );
+        db.set_root("Points", Value::Int(3));
+        assert!(db.insert(class, point(2)).is_err(), "not a collection");
     }
 
     #[test]
@@ -322,6 +400,29 @@ mod tests {
         );
         db.query(&sum).unwrap();
         assert_eq!(db.mutation_epoch(), e3);
+    }
+
+    #[test]
+    fn every_writer_and_every_clone_starts_a_fresh_memo() {
+        let mut db = Database::new(tiny_schema());
+        let kept = |db: &Database| db.memo().insert((), Arc::new(()), 0);
+        let writes: [&dyn Fn(&mut Database); 4] = [
+            &|db| {
+                db.insert(Symbol::new("Point"), point(1)).unwrap();
+            },
+            &|db| db.set_root("marker", Value::Int(1)),
+            &|db| {
+                let _ = db.heap_mut();
+            },
+            &|db| *db = db.clone(),
+        ];
+        for write in writes {
+            kept(&db);
+            let snap = db.snapshot();
+            write(&mut db);
+            assert!(db.memo().is_empty());
+            assert_eq!(snap.memo().len(), 1, "the snapshot keeps its epoch's memo");
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * [`snapshot`] — immutable `O(1)` database snapshots
 //!   ([`Database::snapshot`]) for concurrent, snapshot-isolated reads;
 //!   stamped with `(instance_id, mutation_epoch)`.
+//! * [`memo`] — the per-snapshot memo of values derived from one epoch's
+//!   data (the fused engine's join tables).
 //! * [`codec`] — self-contained binary snapshots of values and whole
 //!   databases.
 //!
@@ -23,6 +25,7 @@
 pub mod codec;
 pub mod company;
 pub mod database;
+pub mod memo;
 pub mod snapshot;
 pub mod travel;
 

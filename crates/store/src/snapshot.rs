@@ -2,12 +2,15 @@
 //!
 //! A [`Snapshot`] is the read-only face of a [`Database`] at one point in
 //! time: the Arc'd heap, roots, and schema, stamped with the
-//! `(instance_id, mutation_epoch)` pair that keys every derived-data
-//! cache in the system (the plan cache and gathered statistics). Taking one is O(1) — [`Database::snapshot`] clones the one
-//! `Snapshot` the database owns, a handful of `Arc`s — and the snapshot
-//! is `Send + Sync + Clone`, so any number of reader threads can execute
-//! against it while the owning database keeps committing new epochs. The copy-on-write storage underneath
-//! ([`monoid_calculus::heap::Heap`]) guarantees a reader never sees a
+//! `(instance_id, mutation_epoch)` pair that keys the plan cache and
+//! gathered statistics, and the epoch's [`Memo`] of derived values (the
+//! fused engine's join tables), which every clone shares and every
+//! mutation of the database replaces. Taking one is O(1) —
+//! [`Database::snapshot`] clones the one `Snapshot` the database owns, a
+//! handful of `Arc`s — and the snapshot is `Send + Sync + Clone`, so any
+//! number of reader threads can execute against it while the owning
+//! database keeps committing new epochs. The copy-on-write storage
+//! underneath ([`monoid_calculus::heap::Heap`]) guarantees a reader never sees a
 //! torn state: a writer's first mutation after the snapshot unshares the
 //! storage, leaving the snapshot bit-for-bit what it was.
 //!
@@ -21,6 +24,7 @@
 //! epochs advance.
 
 use crate::database::store_metrics;
+use crate::memo::Memo;
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::{EvalError, EvalResult, TypeResult};
 use monoid_calculus::eval::Evaluator;
@@ -62,6 +66,9 @@ pub struct Snapshot {
     /// Process-unique identity (see [`Snapshot::instance_id`]); `0` for
     /// `Database::default()`, which is never cached against.
     pub(crate) instance: u64,
+    /// Values derived from this epoch's data; shared by clones, replaced
+    /// by every mutation of the owning database.
+    pub(crate) memo: Arc<Memo>,
 }
 
 /// Deterministic (per-process) fingerprint of a schema's debug form —
@@ -98,6 +105,12 @@ impl Snapshot {
     /// [`Database::mutation_epoch`](crate::Database::mutation_epoch)).
     pub fn epoch(&self) -> u64 {
         self.heap.version() + self.roots_epoch
+    }
+
+    /// The memo of values derived from this state, shared by every clone
+    /// of this snapshot and by no later epoch (see [`crate::memo`]).
+    pub fn memo(&self) -> &Memo {
+        &self.memo
     }
 
     pub fn schema(&self) -> &Schema {

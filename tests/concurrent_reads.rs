@@ -15,10 +15,11 @@
 //!   replay to exactly the value a fresh database fed the same op prefix
 //!   produces, even after every later op has run.
 
+use monoid_db::algebra::execute_plan_walk_bound;
 use monoid_db::calculus::symbol::Symbol;
 use monoid_db::calculus::value::Value;
 use monoid_db::store::{travel, Database, Snapshot, TravelScale};
-use monoid_db::{Params, Session};
+use monoid_db::{prepare_on, Params, Session};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
@@ -26,6 +27,11 @@ use std::sync::{Arc, Mutex, RwLock};
 /// Counting query whose answer changes whenever the writer inserts a
 /// city: the readers' probe.
 const COUNT_CITIES: &str = "count(Cities)";
+
+/// A self-join of the cities on `hotel#`: the writer's inserts change its
+/// build side, which the fused fold keeps in the snapshot's memo.
+const CITY_PAIRS: &str =
+    "count(select c.name from a in Cities, c in Cities where a.hotel# = c.hotel#)";
 
 fn db(seed: u64) -> Database {
     travel::generate(TravelScale::tiny(), seed)
@@ -46,6 +52,19 @@ fn oracle(snap: &Snapshot, src: &str) -> Value {
     session.query_snapshot(snap, src, &Params::new()).expect("oracle query executes")
 }
 
+/// The oracle for a join: the plan walk, which builds its table per
+/// execution and never reads the snapshot's memo.
+fn walk_oracle(snap: &Snapshot, src: &str) -> Value {
+    let stmt = prepare_on(snap, src).expect("oracle statement prepares");
+    let plan = stmt.query().expect("a join statement has a plan");
+    execute_plan_walk_bound(plan, snap, &[]).expect("oracle walk executes")
+}
+
+/// Every statement the readers send, with its single-threaded answer.
+fn answers(snap: &Snapshot) -> [(&'static str, Value); 2] {
+    [(COUNT_CITIES, oracle(snap, COUNT_CITIES)), (CITY_PAIRS, walk_oracle(snap, CITY_PAIRS))]
+}
+
 // ---------------------------------------------------------------------
 // Threaded battery
 // ---------------------------------------------------------------------
@@ -60,13 +79,9 @@ fn concurrent_readers_see_single_threaded_answers() {
     const READS_PER_READER: usize = 60;
 
     let database = Arc::new(RwLock::new(db(11)));
-    // epoch → the quiet single-threaded answer at that epoch.
-    let expected: Arc<Mutex<HashMap<u64, Value>>> = Arc::new(Mutex::new(HashMap::new()));
-    {
-        let d = database.read().unwrap();
-        let snap = d.snapshot();
-        expected.lock().unwrap().insert(snap.epoch(), oracle(&snap, COUNT_CITIES));
-    }
+    // (epoch, statement) → the quiet single-threaded answer at that epoch.
+    let expected: Arc<Mutex<Expected>> = Arc::new(Mutex::new(HashMap::new()));
+    publish(&expected, &database.read().unwrap().snapshot());
 
     let writer = {
         let database = Arc::clone(&database);
@@ -82,8 +97,7 @@ fn concurrent_readers_see_single_threaded_answers() {
                 // *outside* the write lock — readers race the map, which
                 // is exactly the point: an observation is only checked
                 // against its own epoch's entry.
-                let value = oracle(&snap, COUNT_CITIES);
-                expected.lock().unwrap().insert(snap.epoch(), value);
+                publish(&expected, &snap);
             }
         })
     };
@@ -94,37 +108,39 @@ fn concurrent_readers_see_single_threaded_answers() {
             std::thread::spawn(move || {
                 let session = Session::new();
                 let mut seen = Vec::with_capacity(READS_PER_READER);
-                for _ in 0..READS_PER_READER {
+                for i in 0..READS_PER_READER {
+                    let src = [COUNT_CITIES, CITY_PAIRS][i % 2];
                     let snap = database.read().unwrap().snapshot();
                     let value = session
-                        .query_snapshot(&snap, COUNT_CITIES, &Params::new())
+                        .query_snapshot(&snap, src, &Params::new())
                         .expect("snapshot read executes");
-                    seen.push((snap.epoch(), value));
+                    seen.push((snap.epoch(), src, value));
                 }
                 seen
             })
         })
         .collect();
 
-    let observations: Vec<(u64, Value)> =
+    let observations: Vec<(u64, &str, Value)> =
         readers.into_iter().flat_map(|r| r.join().expect("reader thread completes")).collect();
     writer.join().expect("writer thread completes");
 
     assert_eq!(observations.len(), READERS * READS_PER_READER);
     let expected = expected.lock().unwrap();
     let mut epochs_seen = std::collections::BTreeSet::new();
-    for (epoch, value) in &observations {
+    for (epoch, src, value) in &observations {
         let want = expected
-            .get(epoch)
+            .get(&(*epoch, *src))
             .unwrap_or_else(|| panic!("reader observed unpublished epoch {epoch}"));
-        assert_eq!(value, want, "epoch {epoch}: concurrent read diverged from oracle");
+        assert_eq!(value, want, "epoch {epoch}: `{src}` diverged from oracle");
         epochs_seen.insert(*epoch);
     }
     // Sanity on the harness itself: the counting query really does move
     // with the writer, so equality above is not vacuous.
     let values: std::collections::BTreeSet<i64> = observations
         .iter()
-        .map(|(_, v)| match v {
+        .filter(|(_, src, _)| *src == COUNT_CITIES)
+        .map(|(_, _, v)| match v {
             Value::Int(n) => *n,
             other => panic!("count query returned {other:?}"),
         })
@@ -132,18 +148,37 @@ fn concurrent_readers_see_single_threaded_answers() {
     assert!(!epochs_seen.is_empty());
     assert_eq!(
         expected.len(),
-        WRITES + 1,
-        "every committed epoch published exactly one oracle answer"
+        2 * (WRITES + 1),
+        "every committed epoch published exactly one oracle answer per statement"
     );
     // The final epoch's answer reflects all WRITES inserts.
-    let last = expected.keys().max().unwrap();
-    let first = expected.keys().min().unwrap();
-    let base = match expected[first] {
+    let epochs: std::collections::BTreeSet<u64> = expected.keys().map(|(e, _)| *e).collect();
+    let (first, last) = (*epochs.first().unwrap(), *epochs.last().unwrap());
+    let base = match expected[&(first, COUNT_CITIES)] {
         Value::Int(n) => n,
         ref other => panic!("count query returned {other:?}"),
     };
-    assert_eq!(expected[last], Value::Int(base + WRITES as i64));
+    assert_eq!(expected[&(last, COUNT_CITIES)], Value::Int(base + WRITES as i64));
     assert!(values.iter().all(|n| (base..=base + WRITES as i64).contains(n)));
+    // The join moved with the writer too, and runs off the memo: one
+    // build at the final epoch however often it is read there.
+    assert_ne!(expected[&(first, CITY_PAIRS)], expected[&(last, CITY_PAIRS)]);
+    let snap = database.read().unwrap().snapshot();
+    let session = Session::new();
+    for _ in 0..3 {
+        let value = session.query_snapshot(&snap, CITY_PAIRS, &Params::new()).unwrap();
+        assert_eq!(value, expected[&(last, CITY_PAIRS)]);
+    }
+    assert_eq!(snap.memo().misses(), 1);
+}
+
+/// `(epoch, statement) → answer`, as the writer publishes it.
+type Expected = HashMap<(u64, &'static str), Value>;
+
+fn publish(expected: &Mutex<Expected>, snap: &Snapshot) {
+    for (src, value) in answers(snap) {
+        expected.lock().unwrap().insert((snap.epoch(), src), value);
+    }
 }
 
 /// Readers pinned to one snapshot keep answering from it while the
