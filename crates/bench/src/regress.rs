@@ -144,8 +144,8 @@ pub struct RegressReport {
     pub warm: bool,
     pub runs_per_query: usize,
     pub queries: Vec<QueryReport>,
-    /// Fused fold vs forced plan walk on two scan-heavy linear chains and
-    /// the corpus's hash join.
+    /// Fused fold vs forced plan walk on three scan-heavy linear chains
+    /// and the corpus's hash join.
     pub fusion: Vec<FusionBench>,
     /// Prepared-statement serving latencies (cold prepare vs warm
     /// execute); the workload also runs through a `Session` + `PlanCache`
@@ -428,8 +428,9 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
 }
 
 /// Time the fused fold against the forced plan walk on a commutative
-/// fold and an order-sensitive list build over the same scan → unnest
-/// chain, and on `join` (the corpus's hash join, over the company store).
+/// fold, an order-sensitive list build and a sorted bag build over the
+/// same scan → unnest chain, and on `join` (the corpus's hash join, over
+/// the company store).
 fn run_fusion_section(
     quick: bool,
     runs: usize,
@@ -460,6 +461,20 @@ fn run_fusion_section(
             &db,
             Expr::comp(
                 Monoid::List,
+                Expr::var("r").proj("price"),
+                vec![
+                    Expr::gen("h", Expr::var("Hotels")),
+                    Expr::gen("r", Expr::var("h").proj("rooms")),
+                ],
+            ),
+        ),
+        (
+            "bag-prices",
+            "bag",
+            "bag{ r.price | h ← Hotels, r ← h.rooms }".to_string(),
+            &db,
+            Expr::comp(
+                Monoid::Bag,
                 Expr::var("r").proj("price"),
                 vec![
                     Expr::gen("h", Expr::var("Hotels")),
@@ -659,12 +674,13 @@ mod tests {
         // The Prometheus rendering of the delta is valid text format.
         validate_prometheus_text(&report.prometheus).unwrap();
         assert!(report.prometheus.contains("exec_rows_pushed_total"), "{}", report.prometheus);
-        // The fusion section covers a commutative and an ordered monoid
-        // over a linear chain, and the corpus's join: the default engine
-        // is fused, and the forced plan walk was timed alongside it.
+        // The fusion section covers a commutative, an ordered and a
+        // sorting monoid over a linear chain, and the corpus's join: the
+        // default engine is fused, and the forced plan walk was timed
+        // alongside it.
         assert_eq!(
             report.fusion.iter().map(|p| p.name).collect::<Vec<_>>(),
-            ["sum-beds", "list-prices", "company-dept-join"]
+            ["sum-beds", "list-prices", "bag-prices", "company-dept-join"]
         );
         for p in &report.fusion {
             assert_eq!(p.engine, "fused", "{}", p.name);

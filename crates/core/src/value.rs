@@ -696,6 +696,90 @@ pub fn merge(monoid: &Monoid, a: &Value, b: &Value) -> EvalResult<Value> {
     }
 }
 
+/// The buffer of a monoid whose [`Accumulator::finish`] sorts (bag, set,
+/// sorted, sortedbag). While every head has been a float, the heads stay
+/// unboxed in a typed lane; the first head of any other kind, or a whole
+/// merged value, spills the lane into boxed values in push order.
+///
+/// Inside the lane, equal under [`Value::cmp`] means bit-identical
+/// (`f64::total_cmp` tells `-0.0` from `0.0` and NaN payloads apart), so
+/// an unstable sort of the lane picks the same run and set
+/// representatives a stable sort of the boxed heads would. The one case
+/// where the representative shows, `1` meeting `1.0`, mixes kinds and so
+/// always takes the spilled path.
+#[derive(Debug)]
+enum SortBuffer {
+    Float(Vec<f64>),
+    Values(Vec<Value>),
+}
+
+impl SortBuffer {
+    fn push(&mut self, head: Value) {
+        match (&mut *self, head) {
+            (SortBuffer::Float(xs), Value::Float(x)) => xs.push(x),
+            // A float first head opens the lane.
+            (SortBuffer::Values(items), Value::Float(x)) if items.is_empty() => {
+                *self = SortBuffer::Float(vec![x]);
+            }
+            (SortBuffer::Values(items), head) => items.push(head),
+            (_, head) => self.spill([head]),
+        }
+    }
+
+    /// Box the buffered heads in push order and append `more`; from here
+    /// on every head is boxed.
+    fn spill(&mut self, more: impl IntoIterator<Item = Value>) {
+        let mut items = match std::mem::replace(self, SortBuffer::Values(Vec::new())) {
+            SortBuffer::Float(xs) => xs.into_iter().map(Value::Float).collect(),
+            SortBuffer::Values(items) => items,
+        };
+        items.extend(more);
+        *self = SortBuffer::Values(items);
+    }
+
+    fn finish(self, monoid: &Monoid) -> Value {
+        match self {
+            SortBuffer::Float(mut xs) => {
+                xs.sort_unstable_by(f64::total_cmp);
+                canonical_lane(monoid, &xs, |a, b| a.to_bits() == b.to_bits(), Value::Float)
+            }
+            SortBuffer::Values(mut items) => match monoid {
+                Monoid::Bag => Value::bag_from(items),
+                Monoid::Set => Value::set_from(items),
+                Monoid::Sorted => {
+                    items.sort();
+                    items.dedup();
+                    Value::list(items)
+                }
+                _ => {
+                    items.sort();
+                    Value::list(items)
+                }
+            },
+        }
+    }
+}
+
+/// A sorted lane in `monoid`'s canonical form — runs for a bag, one head
+/// per `same` group for set and sorted, every head for sortedbag — boxing
+/// only what the result keeps.
+fn canonical_lane<T: Copy>(
+    monoid: &Monoid,
+    sorted: &[T],
+    same: impl Fn(&T, &T) -> bool,
+    boxed: impl Fn(T) -> Value,
+) -> Value {
+    let groups = || sorted.chunk_by(|a, b| same(a, b));
+    match monoid {
+        Monoid::Bag => {
+            Value::Bag(Arc::new(groups().map(|g| (boxed(g[0]), g.len() as u64)).collect()))
+        }
+        Monoid::Set => Value::Set(Arc::new(groups().map(|g| boxed(g[0])).collect())),
+        Monoid::Sorted => Value::list(groups().map(|g| boxed(g[0])).collect()),
+        _ => Value::list(sorted.iter().map(|&x| boxed(x)).collect()),
+    }
+}
+
 /// An incremental monoid accumulator.
 ///
 /// Folding a comprehension as `acc = merge(acc, unit(x))` re-copies the
@@ -705,9 +789,14 @@ pub fn merge(monoid: &Monoid, a: &Value, b: &Value) -> EvalResult<Value> {
 /// buffered fold computes exactly `unit(x₁) ⊕ … ⊕ unit(xₙ)`) but linear
 /// (up to the final sort). Primitive monoids fold directly.
 #[derive(Debug)]
-pub enum Accumulator {
-    /// list/bag/set/sorted/sortedbag: buffer, canonicalize at the end.
-    Buffered { monoid: Monoid, items: Vec<Value> },
+pub struct Accumulator(Fold);
+
+#[derive(Debug)]
+enum Fold {
+    /// list: buffer in push order.
+    List(Vec<Value>),
+    /// bag/set/sorted/sortedbag: buffer, sort once at the end.
+    Sorting { monoid: Monoid, buffer: SortBuffer },
     /// oset: ordered insert-if-absent (the `∪̇` fold), with a search index.
     OSet { items: Vec<Value>, seen: std::collections::BTreeSet<Value> },
     Str(String),
@@ -716,35 +805,36 @@ pub enum Accumulator {
 
 impl Accumulator {
     pub fn new(monoid: &Monoid) -> EvalResult<Accumulator> {
-        Ok(match monoid {
-            Monoid::List | Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag => {
-                Accumulator::Buffered { monoid: monoid.clone(), items: Vec::new() }
+        Ok(Accumulator(match monoid {
+            Monoid::List => Fold::List(Vec::new()),
+            Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag => {
+                Fold::Sorting { monoid: monoid.clone(), buffer: SortBuffer::Values(Vec::new()) }
             }
-            Monoid::OSet => Accumulator::OSet {
-                items: Vec::new(),
-                seen: std::collections::BTreeSet::new(),
-            },
-            Monoid::Str => Accumulator::Str(String::new()),
+            Monoid::OSet => {
+                Fold::OSet { items: Vec::new(), seen: std::collections::BTreeSet::new() }
+            }
+            Monoid::Str => Fold::Str(String::new()),
             Monoid::Sum | Monoid::Prod | Monoid::Max | Monoid::Min | Monoid::Some
-            | Monoid::All => Accumulator::Prim { monoid: monoid.clone(), acc: zero(monoid)? },
+            | Monoid::All => Fold::Prim { monoid: monoid.clone(), acc: zero(monoid)? },
             Monoid::VecOf(_) => {
                 return Err(EvalError::Other(
                     "vector comprehensions accumulate through indexed slots".into(),
                 ))
             }
-        })
+        }))
     }
 
     /// Fold in `unit(head)`.
     pub fn push_unit(&mut self, head: Value) -> EvalResult<()> {
-        match self {
-            Accumulator::Buffered { items, .. } => items.push(head),
-            Accumulator::OSet { items, seen } => {
+        match &mut self.0 {
+            Fold::List(items) => items.push(head),
+            Fold::Sorting { buffer, .. } => buffer.push(head),
+            Fold::OSet { items, seen } => {
                 if seen.insert(head.clone()) {
                     items.push(head);
                 }
             }
-            Accumulator::Str(s) => match head {
+            Fold::Str(s) => match head {
                 Value::Str(piece) => s.push_str(&piece),
                 other => {
                     return Err(EvalError::TypeMismatch {
@@ -753,7 +843,7 @@ impl Accumulator {
                     })
                 }
             },
-            Accumulator::Prim { monoid, acc } => {
+            Fold::Prim { monoid, acc } => {
                 if prim_fold_fast(monoid, acc, &head)? {
                     return Ok(());
                 }
@@ -766,16 +856,17 @@ impl Accumulator {
 
     /// Fold in a whole monoid value (the homomorphism fold).
     pub fn merge_value(&mut self, v: Value) -> EvalResult<()> {
-        match self {
-            Accumulator::Buffered { items, .. } => items.extend(v.elements()?),
-            Accumulator::OSet { items, seen } => {
+        match &mut self.0 {
+            Fold::List(items) => items.extend(v.elements()?),
+            Fold::Sorting { buffer, .. } => buffer.spill(v.elements()?),
+            Fold::OSet { items, seen } => {
                 for e in v.elements()? {
                     if seen.insert(e.clone()) {
                         items.push(e);
                     }
                 }
             }
-            Accumulator::Str(s) => match v {
+            Fold::Str(s) => match v {
                 Value::Str(piece) => s.push_str(&piece),
                 other => {
                     return Err(EvalError::TypeMismatch {
@@ -784,7 +875,7 @@ impl Accumulator {
                     })
                 }
             },
-            Accumulator::Prim { monoid, acc } => {
+            Fold::Prim { monoid, acc } => {
                 *acc = merge(monoid, acc, &v)?;
             }
         }
@@ -794,33 +885,19 @@ impl Accumulator {
     /// `some`/`all` have reached their absorbing element.
     pub fn absorbed(&self) -> bool {
         matches!(
-            self,
-            Accumulator::Prim { monoid: Monoid::Some, acc: Value::Bool(true) }
-                | Accumulator::Prim { monoid: Monoid::All, acc: Value::Bool(false) }
+            self.0,
+            Fold::Prim { monoid: Monoid::Some, acc: Value::Bool(true) }
+                | Fold::Prim { monoid: Monoid::All, acc: Value::Bool(false) }
         )
     }
 
     /// Canonicalize into the final monoid value.
     pub fn finish(self) -> EvalResult<Value> {
-        Ok(match self {
-            Accumulator::Buffered { monoid, mut items } => match monoid {
-                Monoid::List => Value::list(items),
-                Monoid::Bag => Value::bag_from(items),
-                Monoid::Set => Value::set_from(items),
-                Monoid::Sorted => {
-                    items.sort();
-                    items.dedup();
-                    Value::list(items)
-                }
-                Monoid::SortedBag => {
-                    items.sort();
-                    Value::list(items)
-                }
-                _ => unreachable!("constructor restricts the monoid"),
-            },
-            Accumulator::OSet { items, .. } => Value::list(items),
-            Accumulator::Str(s) => Value::str(&s),
-            Accumulator::Prim { acc, .. } => acc,
+        Ok(match self.0 {
+            Fold::List(items) | Fold::OSet { items, .. } => Value::list(items),
+            Fold::Sorting { monoid, buffer } => buffer.finish(&monoid),
+            Fold::Str(s) => Value::str(&s),
+            Fold::Prim { acc, .. } => acc,
         })
     }
 }
@@ -861,6 +938,48 @@ mod tests {
         // Bags with same multiset content are equal regardless of build order.
         assert_eq!(b, Value::bag_from(ints(&[5, 4, 4])));
         assert_ne!(b, Value::bag_from(ints(&[4, 5])));
+    }
+
+    /// The sorting monoids' float lane ends where the boxed sort ends: it
+    /// keeps `-0.0` and `0.0` apart, and where `1` meets `1.0` the head
+    /// folded in first is the one kept, lane or not.
+    #[test]
+    fn accumulator_lanes_match_the_boxed_sort() {
+        let fold = |m: Monoid, heads: &[Value], merged: Option<Value>| {
+            let mut acc = Accumulator::new(&m).unwrap();
+            for h in heads {
+                acc.push_unit(h.clone()).unwrap();
+            }
+            if let Some(v) = merged {
+                acc.merge_value(v).unwrap();
+            }
+            format!("{:?}", acc.finish().unwrap())
+        };
+        let floats = [2.5, -0.0, f64::NAN, 0.0, 2.5].map(Value::Float);
+        assert_eq!(
+            fold(Monoid::Bag, &floats, None),
+            "Bag([(Float(-0.0), 1), (Float(0.0), 1), (Float(2.5), 2), (Float(NaN), 1)])"
+        );
+        assert_eq!(
+            fold(Monoid::Sorted, &floats, None),
+            "List([Float(-0.0), Float(0.0), Float(2.5), Float(NaN)])"
+        );
+        let threes = [3.0, 1.0, 3.0].map(Value::Float);
+        assert_eq!(
+            fold(Monoid::SortedBag, &threes, None),
+            "List([Float(1.0), Float(3.0), Float(3.0)])"
+        );
+        // Ints are boxed from the start; the int came first and stays.
+        let mixed = [Value::Int(1), Value::Int(3), Value::Float(1.0)];
+        assert_eq!(fold(Monoid::Set, &mixed, None), "Set([Int(1), Int(3)])");
+        // The lane spills at the int; the float came first and stays.
+        assert_eq!(
+            fold(Monoid::Set, &[Value::Float(1.0), Value::Int(1)], None),
+            "Set([Float(1.0)])"
+        );
+        // A merged value spills the lane too.
+        let merged = Value::list(ints(&[3]));
+        assert_eq!(fold(Monoid::Bag, &threes[..1], Some(merged)), "Bag([(Float(3.0), 2)])");
     }
 
     /// The paper's oset example: [2,5,3,1] ∪̇ [3,2,6] = [2,5,3,1,6].

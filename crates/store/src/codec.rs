@@ -248,14 +248,7 @@ fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
                     return Err(CodecError::Truncated);
                 }
                 let count = buf.get_u64_le();
-                if count == 0 {
-                    return Err(CodecError::BadBag("a run with count 0"));
-                }
-                let v = decode_at(buf, depth + 1)?;
-                if runs.last().is_some_and(|(prev, _)| *prev >= v) {
-                    return Err(CodecError::BadBag("runs not strictly ascending"));
-                }
-                runs.push((v, count));
+                push_run(&mut runs, decode_at(buf, depth + 1)?, count)?;
             }
             Value::Bag(Arc::new(runs))
         }
@@ -268,6 +261,21 @@ fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
         }
         other => return Err(CodecError::BadTag(other)),
     })
+}
+
+/// Append one decoded bag run to `runs`, refusing what [`encode_value`]
+/// never emits: a zero count, or a value not strictly above the previous
+/// run's under `Value::cmp`. Every reader of runs checks through here —
+/// the `BAG` tag, and the wire's `RUNS` frames across a whole result.
+pub fn push_run(runs: &mut Vec<(Value, u64)>, value: Value, count: u64) -> Result<()> {
+    if count == 0 {
+        return Err(CodecError::BadBag("a run with count 0"));
+    }
+    if runs.last().is_some_and(|(prev, _)| *prev >= value) {
+        return Err(CodecError::BadBag("runs not strictly ascending"));
+    }
+    runs.push((value, count));
+    Ok(())
 }
 
 /// The elements of a sequence whose tag sits `depth` levels down.

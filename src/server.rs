@@ -26,12 +26,14 @@
 //! Malformed frames (truncated, oversized, unknown opcodes, garbage
 //! payloads) produce one `ERROR` response and a clean connection close —
 //! the framing may be out of sync, so continuing would misparse
-//! subsequent bytes. Statement-level failures (parse errors, unbound
-//! parameters, write-on-snapshot) produce an `ERROR` response and keep
-//! the session open. Battery in `tests/wire_protocol.rs` and
-//! `tests/server_smoke.rs`.
+//! subsequent bytes. So does a HELLO announcing a protocol version other
+//! than [`wire::PROTOCOL_VERSION`], and [`Client::connect`] refuses a
+//! server whose HELLO does the same. Statement-level failures (parse
+//! errors, unbound parameters, write-on-snapshot) produce an `ERROR`
+//! response and keep the session open. Battery in
+//! `tests/wire_protocol.rs` and `tests/server_smoke.rs`.
 
-use crate::wire::{self, Request, Response, ResultShape};
+use crate::wire::{self, Reassembly, Request, Response};
 use crate::{AnalyzeError, Params, Prepared, Session};
 use monoid_calculus::value::Value;
 use monoid_store::{Database, Snapshot};
@@ -168,7 +170,17 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
             }
         };
         match request {
-            Request::Hello { client: _ } => {
+            Request::Hello { protocol, client: _ } if protocol != wire::PROTOCOL_VERSION => {
+                // The client would misread this version's result frames:
+                // refuse it before any statement runs.
+                wire::write_response(
+                    &mut writer,
+                    &Response::Error { message: version_mismatch("client", protocol) },
+                )?;
+                writer.flush()?;
+                return Ok(());
+            }
+            Request::Hello { .. } => {
                 let (instance, epoch) = {
                     let db = db.read().unwrap_or_else(std::sync::PoisonError::into_inner);
                     (db.instance_id(), db.mutation_epoch())
@@ -198,7 +210,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                 }
             }
             Request::Query { src, params } => {
-                let params = build_params(&params);
+                let params = build_params(params);
                 let outcome = run_statement(db, &session, Statement::AdHoc(&src), &params);
                 send_outcome(&mut writer, outcome)?;
             }
@@ -211,7 +223,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     writer.flush()?;
                     continue;
                 };
-                let params = build_params(&params);
+                let params = build_params(params);
                 let outcome = run_statement(db, &session, Statement::Prepared(stmt), &params);
                 send_outcome(&mut writer, outcome)?;
             }
@@ -226,10 +238,10 @@ fn take_snapshot(db: &RwLock<Database>) -> Snapshot {
     db.read().unwrap_or_else(std::sync::PoisonError::into_inner).snapshot()
 }
 
-fn build_params(pairs: &[(String, Value)]) -> Params {
+fn build_params(pairs: Vec<(String, Value)>) -> Params {
     let mut params = Params::new();
     for (name, value) in pairs {
-        params.set(name, value.clone());
+        params.set(&name, value);
     }
     params
 }
@@ -272,28 +284,26 @@ fn run_statement(
     }
 }
 
-/// Stream a result: `ROWS` batches of [`wire::ROW_BATCH`] elements, then
-/// `DONE` with the shape, total count, and observed epoch — or one
-/// `ERROR` frame.
+/// Stream a result ([`wire::write_result`]: `ROWS` or, for a bag,
+/// `RUNS` batches, then `DONE` with the shape, element count, and
+/// observed epoch) — or one `ERROR` frame.
 fn send_outcome(
     writer: &mut impl Write,
     outcome: Result<(Value, u64), AnalyzeError>,
 ) -> io::Result<()> {
     match outcome {
-        Ok((value, epoch)) => {
-            let (shape, elements) = ResultShape::deconstruct(&value);
-            let rows = elements.len() as u64;
-            for batch in elements.chunks(wire::ROW_BATCH) {
-                wire::write_response(writer, &Response::Rows { values: batch.to_vec() })?;
-            }
-            wire::write_response(writer, &Response::Done { shape, rows, epoch })
-        }
+        Ok((value, epoch)) => wire::write_result(writer, &value, epoch),
         Err(e) => send_error(writer, &e),
     }
 }
 
 fn send_error(writer: &mut impl Write, e: &AnalyzeError) -> io::Result<()> {
     wire::write_response(writer, &Response::Error { message: e.to_string() })
+}
+
+/// Why a HELLO from a `peer` announcing `protocol` is refused.
+fn version_mismatch(peer: &str, protocol: u8) -> String {
+    format!("{peer} speaks protocol {protocol}, this side speaks {}", wire::PROTOCOL_VERSION)
 }
 
 // ---------------------------------------------------------------------
@@ -331,8 +341,14 @@ impl Client {
             instance: 0,
             hello_epoch: 0,
         };
-        client.send(&Request::Hello { client: "monoid-db".to_string() })?;
+        client.send(&Request::Hello {
+            protocol: wire::PROTOCOL_VERSION,
+            client: "monoid-db".to_string(),
+        })?;
         match client.recv()? {
+            Response::Hello { protocol, .. } if protocol != wire::PROTOCOL_VERSION => Err(
+                io::Error::new(io::ErrorKind::InvalidData, version_mismatch("server", protocol)),
+            ),
             Response::Hello { instance, epoch, .. } => {
                 client.instance = instance;
                 client.hello_epoch = epoch;
@@ -395,13 +411,17 @@ impl Client {
         self.collect_result()
     }
 
+    /// Read one result stream to `DONE` and rebuild its value; a stream
+    /// that does not rebuild a canonical value is an
+    /// [`io::ErrorKind::InvalidData`] error.
     fn collect_result(&mut self) -> io::Result<QueryOutcome> {
-        let mut elements = Vec::new();
+        let mut result = Reassembly::default();
         loop {
             match self.recv()? {
-                Response::Rows { values } => elements.extend(values),
+                Response::Rows { values } => result.rows(values)?,
+                Response::Runs { runs } => result.runs(runs)?,
                 Response::Done { shape, rows, epoch } => {
-                    let value = shape.assemble(elements).map_err(io::Error::from)?;
+                    let value = result.done(shape, rows)?;
                     return Ok(QueryOutcome { value, rows, epoch });
                 }
                 Response::Error { message } => {

@@ -14,36 +14,47 @@
 //! store's binary codec ([`monoid_store::codec`]); strings are
 //! `u32le`-length-prefixed UTF-8, matching the codec's own convention.
 //!
-//! Collection results *stream*: the server sends any number of
-//! [`Response::Rows`] batches followed by one [`Response::Done`] carrying
-//! the collection's shape, the total row count, and the mutation epoch of
+//! Collection results *stream* (`write_result`): the server sends any
+//! number of batches followed by one [`Response::Done`] carrying the
+//! collection's shape, the total element count, and the mutation epoch of
 //! the snapshot the statement read (`0` for writer-path statements, whose
-//! epoch is advancing). The client reassembles the exact result value
-//! with [`ResultShape::assemble`] — byte-identical to what an in-process
-//! execution returns (golden tests in `tests/wire_protocol.rs`).
+//! epoch is advancing). A bag travels as it is stored — [`Response::Runs`]
+//! batches of `(value, count)` runs, never expanded — and everything else
+//! as [`Response::Rows`] batches of elements (a scalar is one). The
+//! client rebuilds the exact result value with `Reassembly` —
+//! byte-identical to what an in-process execution returns (golden tests
+//! in `tests/wire_protocol.rs`).
 //!
-//! Decoding is strict: unknown opcodes, truncated payloads, and trailing
-//! bytes are all errors, never panics — the malformed-frame battery in
-//! `tests/wire_protocol.rs` feeds this module garbage and expects clean
-//! [`WireError`]s back. See `docs/serving.md` for the full spec.
+//! Decoding is strict: unknown opcodes, truncated payloads, trailing
+//! bytes, and a stream that does not rebuild a canonical value (bag runs
+//! out of order or counted zero, set elements out of order, `ROWS` and
+//! `RUNS` mixed, a count `DONE` disagrees with) are all errors, never
+//! panics — the malformed-frame batteries in `tests/wire_protocol.rs`
+//! feed this module garbage and expect clean [`WireError`]s back. See
+//! `docs/serving.md` for the full spec.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use monoid_calculus::value::Value;
 use monoid_store::codec::{self, CodecError};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::Arc;
 
 /// Protocol version announced in the HELLO exchange. Bump on any frame
-/// layout change.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// layout change. Version 2 streams bags as `RUNS`. Both sides check it:
+/// a peer announcing another version is refused at HELLO, before any
+/// result frame it could misread.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Hard cap on a frame body's announced length (16 MiB). Chosen to fit
 /// any realistic row batch while bounding what a hostile length prefix
 /// can make the peer allocate.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Rows per [`Response::Rows`] batch the server emits. Small enough to
-/// keep first-row latency low, large enough to amortize framing.
+/// Elements per [`Response::Rows`] batch, and runs per
+/// [`Response::Runs`] batch, the server emits. Small enough to keep
+/// first-row latency low, large enough to amortize framing.
 pub const ROW_BATCH: usize = 256;
 
 // ---------------------------------------------------------------------
@@ -65,8 +76,16 @@ pub enum WireError {
     TrailingBytes(usize),
     /// Invalid UTF-8 in a string field.
     BadUtf8,
-    /// A value failed to decode.
+    /// A value failed to decode — for `RUNS`, also a run the codec's bag
+    /// rule refuses (count 0, or not strictly above the previous run,
+    /// across frames).
     Codec(CodecError),
+    /// A result stream that does not rebuild a canonical value: `ROWS`
+    /// and `RUNS` mixed, batches of the wrong kind for `DONE`'s shape, or
+    /// set elements not strictly ascending.
+    BadStream(&'static str),
+    /// `DONE.rows` is not the number of elements streamed before it.
+    RowCount { done: u64, streamed: u64 },
 }
 
 impl fmt::Display for WireError {
@@ -81,6 +100,10 @@ impl fmt::Display for WireError {
             WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after payload"),
             WireError::BadUtf8 => write!(f, "invalid utf-8 in frame string"),
             WireError::Codec(e) => write!(f, "bad value encoding: {e}"),
+            WireError::BadStream(why) => write!(f, "malformed result stream: {why}"),
+            WireError::RowCount { done, streamed } => {
+                write!(f, "DONE announces {done} rows after {streamed} were streamed")
+            }
         }
     }
 }
@@ -119,6 +142,7 @@ mod op {
     pub const R_PREPARED: u8 = 0x84;
     pub const R_ERROR: u8 = 0x85;
     pub const R_PONG: u8 = 0x86;
+    pub const R_RUNS: u8 = 0x87;
 }
 
 // ---------------------------------------------------------------------
@@ -128,8 +152,10 @@ mod op {
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Opens the session; the server answers with [`Response::Hello`].
-    Hello { client: String },
+    /// Opens the session, announcing the client's protocol version. The
+    /// server answers with [`Response::Hello`] if it speaks that version,
+    /// and with one [`Response::Error`] and a close if it does not.
+    Hello { protocol: u8, client: String },
     /// Execute `src` with the given `$name` parameter bindings. The
     /// server routes by effect: read-only statements run against a
     /// snapshot, writers against the database behind the write lock.
@@ -148,13 +174,16 @@ pub enum Request {
 pub enum Response {
     /// Session accepted.
     Hello { server: String, protocol: u8, instance: u64, epoch: u64 },
-    /// One batch of result elements (collections stream; scalars arrive
-    /// as a single-element batch).
+    /// One batch of result elements (collections other than bags
+    /// stream; scalars arrive as a single-element batch).
     Rows { values: Vec<Value> },
+    /// One batch of a bag result's `(value, count)` runs, ascending
+    /// across the whole stream.
+    Runs { runs: Vec<(Value, u64)> },
     /// End of a result stream: the collection shape to reassemble, the
-    /// total element count, and the mutation epoch the statement
-    /// observed (the pinned snapshot's for reads, the post-commit epoch
-    /// for writes).
+    /// total element count (for a bag, the sum of its run counts), and
+    /// the mutation epoch the statement observed (the pinned snapshot's
+    /// for reads, the post-commit epoch for writes).
     Done { shape: ResultShape, rows: u64, epoch: u64 },
     /// A statement was prepared; `params` are its `$`-prefixed
     /// placeholder names in first-appearance order.
@@ -178,24 +207,32 @@ pub enum ResultShape {
 }
 
 impl ResultShape {
-    /// How `value` streams: its shape tag and the element sequence.
-    pub fn deconstruct(value: &Value) -> (ResultShape, Vec<Value>) {
+    /// `value`'s shape and its elements, in canonical order: borrowed
+    /// where the value holds them as a slice, expanded from the runs for
+    /// a bag.
+    fn elements_of(value: &Value) -> (ResultShape, Cow<'_, [Value]>) {
         match value {
-            Value::List(items) => (ResultShape::List, items.as_ref().clone()),
-            Value::Set(items) => (ResultShape::Set, items.as_ref().clone()),
-            Value::Vector(items) => (ResultShape::Vector, items.as_ref().clone()),
-            Value::Bag(_) => (
-                ResultShape::Bag,
-                value.elements().expect("bags enumerate"),
-            ),
-            other => (ResultShape::Scalar, vec![other.clone()]),
+            Value::List(items) => (ResultShape::List, Cow::Borrowed(items)),
+            Value::Set(items) => (ResultShape::Set, Cow::Borrowed(items)),
+            Value::Vector(items) => (ResultShape::Vector, Cow::Borrowed(items)),
+            Value::Bag(_) => {
+                (ResultShape::Bag, Cow::Owned(value.elements().expect("bags enumerate")))
+            }
+            other => (ResultShape::Scalar, Cow::Borrowed(std::slice::from_ref(other))),
         }
     }
 
-    /// Rebuild the result value from the streamed elements. Exact
-    /// inverse of [`ResultShape::deconstruct`]: sets and bags re-sort
-    /// into canonical order, so `assemble(deconstruct(v)) == v` for
-    /// every encodable value (property-tested).
+    /// `value`'s shape and element sequence — what `write_result`
+    /// streams, with a bag's runs expanded into their elements.
+    pub fn deconstruct(value: &Value) -> (ResultShape, Vec<Value>) {
+        let (shape, elements) = ResultShape::elements_of(value);
+        (shape, elements.into_owned())
+    }
+
+    /// Rebuild the result value from its element sequence. Exact inverse
+    /// of [`ResultShape::deconstruct`], so `assemble(deconstruct(v)) == v`
+    /// for every encodable value. A bag re-sorts; set elements must
+    /// arrive canonical, strictly ascending, as the server sends them.
     pub fn assemble(self, elements: Vec<Value>) -> Result<Value> {
         Ok(match self {
             ResultShape::Scalar => {
@@ -206,7 +243,12 @@ impl ResultShape {
                 }
             }
             ResultShape::List => Value::list(elements),
-            ResultShape::Set => Value::set_from(elements),
+            ResultShape::Set => {
+                if elements.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(WireError::BadStream("set elements not strictly ascending"));
+                }
+                Value::Set(Arc::new(elements))
+            }
             ResultShape::Bag => Value::bag_from(elements),
             ResultShape::Vector => Value::vector(elements),
         })
@@ -299,6 +341,32 @@ fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
     Ok(out)
 }
 
+/// A `ROWS` body: opcode, `u32le` count, then each element in the codec.
+/// Encodes straight from a borrowed batch.
+fn encode_rows(values: &[Value]) -> Result<Vec<u8>> {
+    let mut buf = BytesMut::new();
+    buf.put_u8(op::R_ROWS);
+    buf.put_u32_le(values.len() as u32);
+    for v in values {
+        codec::encode_value(v, &mut buf)?;
+    }
+    Ok(buf.to_vec())
+}
+
+/// A `RUNS` body: opcode, `u32le` count, then each run as its value in the
+/// codec followed by its `u64le` count. Encodes straight from a borrowed
+/// slice of a bag's runs.
+fn encode_runs(runs: &[(Value, u64)]) -> Result<Vec<u8>> {
+    let mut buf = BytesMut::new();
+    buf.put_u8(op::R_RUNS);
+    buf.put_u32_le(runs.len() as u32);
+    for (v, count) in runs {
+        codec::encode_value(v, &mut buf)?;
+        buf.put_u64_le(*count);
+    }
+    Ok(buf.to_vec())
+}
+
 fn finish(buf: &Bytes) -> Result<()> {
     if buf.remaining() > 0 {
         return Err(WireError::TrailingBytes(buf.remaining()));
@@ -312,9 +380,9 @@ impl Request {
     pub fn encode(&self) -> Result<Vec<u8>> {
         let mut buf = BytesMut::new();
         match self {
-            Request::Hello { client } => {
+            Request::Hello { protocol, client } => {
                 buf.put_u8(op::HELLO);
-                buf.put_u8(PROTOCOL_VERSION);
+                buf.put_u8(*protocol);
                 put_str(&mut buf, client);
             }
             Request::Query { src, params } => {
@@ -341,12 +409,10 @@ impl Request {
         let mut buf = Bytes::copy_from_slice(body);
         let opcode = get_u8(&mut buf)?;
         let req = match opcode {
-            op::HELLO => {
-                // The version byte is advisory in v1 — a v2 server may
-                // downgrade; a v1 server just records it.
-                let _version = get_u8(&mut buf)?;
-                Request::Hello { client: get_str(&mut buf)? }
-            }
+            op::HELLO => Request::Hello {
+                protocol: get_u8(&mut buf)?,
+                client: get_str(&mut buf)?,
+            },
             op::QUERY => Request::Query {
                 src: get_str(&mut buf)?,
                 params: get_params(&mut buf)?,
@@ -376,13 +442,8 @@ impl Response {
                 buf.put_u64_le(*instance);
                 buf.put_u64_le(*epoch);
             }
-            Response::Rows { values } => {
-                buf.put_u8(op::R_ROWS);
-                buf.put_u32_le(values.len() as u32);
-                for v in values {
-                    codec::encode_value(v, &mut buf)?;
-                }
-            }
+            Response::Rows { values } => return encode_rows(values),
+            Response::Runs { runs } => return encode_runs(runs),
             Response::Done { shape, rows, epoch } => {
                 buf.put_u8(op::R_DONE);
                 buf.put_u8(shape.to_byte());
@@ -428,6 +489,19 @@ impl Response {
                 }
                 Response::Rows { values }
             }
+            op::R_RUNS => {
+                // Each run is at least a tag byte and an 8-byte count.
+                let count = get_u32(&mut buf)? as usize;
+                if count > buf.remaining() / 9 + 1 {
+                    return Err(WireError::Truncated);
+                }
+                let mut runs = Vec::with_capacity(count);
+                for _ in 0..count {
+                    let value = codec::decode_value(&mut buf)?;
+                    runs.push((value, get_u64(&mut buf)?));
+                }
+                Response::Runs { runs }
+            }
             op::R_DONE => Response::Done {
                 shape: ResultShape::from_byte(get_u8(&mut buf)?)?,
                 rows: get_u64(&mut buf)?,
@@ -451,6 +525,100 @@ impl Response {
         };
         finish(&buf)?;
         Ok(resp)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Result streams
+// ---------------------------------------------------------------------
+
+/// Stream one statement's result: a bag as `RUNS` batches of up to
+/// [`ROW_BATCH`] runs, anything else as `ROWS` batches of up to
+/// [`ROW_BATCH`] elements (a scalar is one element), then `DONE` with the
+/// shape, the element count and `epoch`. Every batch is encoded from a
+/// borrowed slice of `value`; nothing is expanded or copied first.
+pub(crate) fn write_result(w: &mut impl Write, value: &Value, epoch: u64) -> io::Result<()> {
+    let (shape, rows) = match value {
+        Value::Bag(runs) => {
+            for batch in runs.chunks(ROW_BATCH) {
+                write_frame(w, &encode_runs(batch)?)?;
+            }
+            (ResultShape::Bag, runs.iter().fold(0u64, |n, (_, c)| n.saturating_add(*c)))
+        }
+        _ => {
+            let (shape, elements) = ResultShape::elements_of(value);
+            for batch in elements.chunks(ROW_BATCH) {
+                write_frame(w, &encode_rows(batch)?)?;
+            }
+            (shape, elements.len() as u64)
+        }
+    };
+    write_response(w, &Response::Done { shape, rows, epoch })
+}
+
+/// The client's half of `write_result`: the batches of one result,
+/// checked as they arrive and rebuilt into the value when `DONE` does.
+#[derive(Debug, Default)]
+pub(crate) enum Reassembly {
+    #[default]
+    Empty,
+    Rows(Vec<Value>),
+    Runs(Vec<(Value, u64)>),
+}
+
+impl Reassembly {
+    /// Take one `ROWS` batch.
+    pub(crate) fn rows(&mut self, values: Vec<Value>) -> Result<()> {
+        match self {
+            Reassembly::Empty => *self = Reassembly::Rows(values),
+            Reassembly::Rows(rows) => rows.extend(values),
+            Reassembly::Runs(_) => return Err(WireError::BadStream("ROWS after RUNS")),
+        }
+        Ok(())
+    }
+
+    /// Take one `RUNS` batch; each run must continue the stream's
+    /// ascending order, by the codec's own bag rule.
+    pub(crate) fn runs(&mut self, batch: Vec<(Value, u64)>) -> Result<()> {
+        if let Reassembly::Empty = self {
+            *self = Reassembly::Runs(Vec::with_capacity(batch.len()));
+        }
+        let Reassembly::Runs(runs) = self else {
+            return Err(WireError::BadStream("RUNS after ROWS"));
+        };
+        for (value, count) in batch {
+            codec::push_run(runs, value, count)?;
+        }
+        Ok(())
+    }
+
+    /// `DONE` arrived: rebuild the value of `shape`, checking `rows`
+    /// against the number of elements streamed.
+    pub(crate) fn done(self, shape: ResultShape, rows: u64) -> Result<Value> {
+        let bag = shape == ResultShape::Bag;
+        let (value, streamed) = match self {
+            Reassembly::Empty if bag => (Value::Bag(Arc::default()), 0),
+            Reassembly::Empty => (shape.assemble(Vec::new())?, 0),
+            Reassembly::Runs(runs) if bag => {
+                let n = runs
+                    .iter()
+                    .try_fold(0u64, |n, (_, c)| n.checked_add(*c))
+                    .ok_or(WireError::BadStream("run counts overflow u64"))?;
+                (Value::Bag(Arc::new(runs)), n)
+            }
+            Reassembly::Rows(elements) if !bag => {
+                let n = elements.len() as u64;
+                (shape.assemble(elements)?, n)
+            }
+            Reassembly::Runs(_) => {
+                return Err(WireError::BadStream("RUNS under a DONE that is not a bag"))
+            }
+            Reassembly::Rows(_) => return Err(WireError::BadStream("ROWS under a bag DONE")),
+        };
+        if streamed != rows {
+            return Err(WireError::RowCount { done: rows, streamed });
+        }
+        Ok(value)
     }
 }
 
@@ -529,7 +697,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Hello { client: "t".into() });
+        round_trip_request(Request::Hello { protocol: PROTOCOL_VERSION, client: "t".into() });
         round_trip_request(Request::Query {
             src: "count(Cities)".into(),
             params: vec![("$beds".into(), Value::Int(3))],
@@ -552,6 +720,9 @@ mod tests {
         });
         round_trip_response(Response::Rows {
             values: vec![Value::Int(1), Value::str("x"), Value::Null],
+        });
+        round_trip_response(Response::Runs {
+            runs: vec![(Value::Int(1), 2), (Value::str("x"), u64::MAX)],
         });
         round_trip_response(Response::Done {
             shape: ResultShape::Bag,
@@ -589,6 +760,13 @@ mod tests {
         let (shape, elems) = ResultShape::deconstruct(&bag);
         assert_eq!(shape, ResultShape::Bag);
         assert_eq!(shape.assemble(elems).unwrap(), bag);
+
+        // A set arrives canonical; anything else is refused, not re-sorted.
+        let set = Value::set_from(vec![Value::Int(2), Value::Int(1)]);
+        let (shape, elems) = ResultShape::deconstruct(&set);
+        assert_eq!(shape.assemble(elems.clone()).unwrap(), set);
+        let reversed = elems.into_iter().rev().collect();
+        assert!(matches!(shape.assemble(reversed), Err(WireError::BadStream(_))));
 
         let scalar = Value::Int(42);
         let (shape, elems) = ResultShape::deconstruct(&scalar);

@@ -542,6 +542,111 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The sorting monoids' float lane: an accumulator that keeps float heads
+// unboxed until `finish` must end exactly where sorting the boxed heads
+// does — same runs, same representatives, same bits.
+// ---------------------------------------------------------------------------
+
+/// One accumulator input: `push_unit` of a head, or `merge_value` of a
+/// whole collection.
+#[derive(Debug, Clone)]
+enum Feed {
+    Push(Value),
+    Merge(Value),
+}
+
+/// Heads of one kind, where a wrong representative or a wrong float order
+/// would show: `-0.0` and `0.0`, NaNs of both signs and two payloads, and
+/// `1.0` in the float pool next to `1` in the int pool.
+fn lane_heads(kind: u8) -> BoxedStrategy<Vec<Value>> {
+    let head = match kind {
+        0 => (-2i64..4).prop_map(Value::Int).boxed(),
+        1 => prop::sample::select(vec![
+            -0.0,
+            0.0,
+            1.0,
+            2.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(f64::NAN.to_bits() | 1),
+            f64::NEG_INFINITY,
+        ])
+        .prop_map(Value::Float)
+        .boxed(),
+        2 => "[ab]{0,2}".prop_map(|s| Value::str(&s)).boxed(),
+        _ => (0i64..3).prop_map(|i| Value::record_from(vec![("k", Value::Int(i))])).boxed(),
+    };
+    prop::collection::vec(head, 0..24).boxed()
+}
+
+/// Segments of one kind each, so lanes live long enough to sort and the
+/// kind switches mid-stream; now and then a whole list is merged instead.
+fn lane_feeds() -> impl Strategy<Value = Vec<Feed>> {
+    let segment = (0u8..4, 0u8..5).prop_flat_map(|(kind, merge)| {
+        lane_heads(kind).prop_map(move |heads| match merge {
+            0 => vec![Feed::Merge(Value::list(heads))],
+            _ => heads.into_iter().map(Feed::Push).collect(),
+        })
+    });
+    prop::collection::vec(segment, 1..5).prop_map(|segments| segments.concat())
+}
+
+/// The bytes a value encodes to: bit-exact for floats, where `Debug`
+/// prints every NaN alike.
+fn codec_bytes(v: &Value) -> Vec<u8> {
+    let mut buf = bytes::BytesMut::new();
+    monoid_db::store::codec::encode_value(v, &mut buf).unwrap();
+    buf.to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// For bag, set, sorted and sortedbag: the accumulator equals
+    /// `Value::bag_from` / `set_from` / a stable sort of every pushed and
+    /// merged head, compared by `Debug` string (plain `==` takes `1` for
+    /// `1.0`) and by codec bytes.
+    #[test]
+    fn the_float_lane_finishes_as_the_boxed_sort_does(
+        feeds in lane_feeds(),
+        m in prop::sample::select(vec![
+            Monoid::Bag, Monoid::Set, Monoid::Sorted, Monoid::SortedBag,
+        ]),
+    ) {
+        let mut acc = value::Accumulator::new(&m).unwrap();
+        let mut heads = Vec::new();
+        for feed in &feeds {
+            match feed {
+                Feed::Push(h) => {
+                    acc.push_unit(h.clone()).unwrap();
+                    heads.push(h.clone());
+                }
+                Feed::Merge(v) => {
+                    acc.merge_value(v.clone()).unwrap();
+                    heads.extend(v.elements().unwrap());
+                }
+            }
+        }
+        let got = acc.finish().unwrap();
+        let want = match m {
+            Monoid::Bag => Value::bag_from(heads),
+            Monoid::Set => Value::set_from(heads),
+            Monoid::Sorted => {
+                heads.sort();
+                heads.dedup();
+                Value::list(heads)
+            }
+            _ => {
+                heads.sort();
+                Value::list(heads)
+            }
+        };
+        prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "monoid = {}", m);
+        prop_assert_eq!(codec_bytes(&got), codec_bytes(&want), "monoid = {}", m);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

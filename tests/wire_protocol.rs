@@ -6,17 +6,26 @@
 //!   silently breaking old clients;
 //! * **round trips against a live server** — a real [`Server`] over the
 //!   travel store, driven by the [`Client`], including statement errors
-//!   that must leave the connection usable;
+//!   that must leave the connection usable, and bag results that cross
+//!   as `RUNS`;
 //! * **malformed frames** — truncated, oversized, and garbage frames
 //!   sent over a raw socket: the server answers with one `ERROR` frame
 //!   (when the framing allows) and closes, never panics, never hangs,
-//!   and keeps serving fresh connections afterwards.
+//!   and keeps serving fresh connections afterwards;
+//! * **malformed result streams** — a scripted server feeds the
+//!   [`Client`] result frames no real server sends: the client returns
+//!   an error, never panics, never hangs.
 
+use monoid_db::calculus::symbol::Symbol;
+use monoid_db::calculus::types::{Schema, Type};
 use monoid_db::calculus::value::Value;
 use monoid_db::server::{Client, Server};
+use monoid_db::store::Database;
 use monoid_db::wire::{self, Request, Response, ResultShape};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use monoid_db::Params;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::thread;
 use std::time::Duration;
 
 fn spawn_server() -> monoid_db::server::ServerHandle {
@@ -43,9 +52,12 @@ fn golden_frame_encodings() {
     assert_eq!(framed(&Request::Ping.encode().unwrap()), [1, 0, 0, 0, 0x05]);
     assert_eq!(framed(&Response::Pong.encode().unwrap()), [1, 0, 0, 0, 0x86]);
 
-    // HELLO: opcode, advisory protocol version, u32le-length client name.
-    let hello = Request::Hello { client: "cli".to_string() }.encode().unwrap();
-    assert_eq!(hello, [0x01, 1, 3, 0, 0, 0, b'c', b'l', b'i']);
+    // HELLO: opcode, protocol version, u32le-length client name.
+    assert_eq!(wire::PROTOCOL_VERSION, 2, "bags stream as RUNS since version 2");
+    let hello = Request::Hello { protocol: wire::PROTOCOL_VERSION, client: "cli".to_string() }
+        .encode()
+        .unwrap();
+    assert_eq!(hello, [0x01, 2, 3, 0, 0, 0, b'c', b'l', b'i']);
 
     // PREPARE: opcode + u32le-length source.
     let prepare = Request::Prepare { src: "count(Cities)".to_string() }.encode().unwrap();
@@ -65,6 +77,19 @@ fn golden_frame_encodings() {
         [0x83, 2, 3, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]
     );
 
+    // ROWS: opcode + u32le count, then each element in the store codec
+    // (INT = tag 3 + i64le).
+    let rows = Response::Rows { values: vec![Value::Int(7)] }.encode().unwrap();
+    assert_eq!(rows, [0x82, 1, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0]);
+
+    // RUNS: opcode + u32le run count, then each run as its codec value
+    // followed by its u64le count.
+    let runs = Response::Runs { runs: vec![(Value::Int(7), 3)] }.encode().unwrap();
+    assert_eq!(
+        runs,
+        [0x87, 1, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0]
+    );
+
     // ERROR: opcode + u32le-length message.
     let error = Response::Error { message: "no".to_string() }.encode().unwrap();
     assert_eq!(error, [0x85, 2, 0, 0, 0, b'n', b'o']);
@@ -80,7 +105,7 @@ fn golden_frame_encodings() {
     .unwrap();
     assert_eq!(
         rhello,
-        [0x81, 1, 1, 0, 0, 0, b's', 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
+        [0x81, 2, 1, 0, 0, 0, b's', 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0]
     );
 }
 
@@ -146,6 +171,184 @@ fn live_server_round_trips_queries_and_prepared_statements() {
     client.ping().expect("connection survives an unknown id");
 
     handle.shutdown();
+}
+
+/// A server over one root, `Xs`, holding `items` as a list of `elem`.
+fn spawn_server_over(
+    elem: Type,
+    items: Vec<Value>,
+) -> (monoid_db::server::ServerHandle, Database) {
+    let mut schema = Schema::new();
+    schema.add_name(Symbol::new("Xs"), Type::list(elem));
+    let mut db = Database::new(schema);
+    db.set_root("Xs", Value::list(items));
+    let served = db.clone();
+    (Server::bind("127.0.0.1:0", db).expect("bind loopback").spawn(), served)
+}
+
+/// `src` executed in process, for the wire result to match.
+fn in_process(db: &Database, src: &str) -> Value {
+    let stmt = monoid_db::prepare_on(db, src).expect("prepares");
+    stmt.execute_snapshot(db, &Params::new()).expect("executes")
+}
+
+/// Every response frame the server sends for one `QUERY`, up to and
+/// including `DONE`, read off a raw socket.
+fn query_frames(addr: SocketAddr, src: &str) -> Vec<Response> {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let hello = Request::Hello { protocol: wire::PROTOCOL_VERSION, client: "t".into() };
+    wire::write_request(&mut stream, &hello).unwrap();
+    assert!(matches!(wire::read_response(&mut stream).unwrap(), Some(Response::Hello { .. })));
+    let query = Request::Query { src: src.to_string(), params: vec![] };
+    wire::write_request(&mut stream, &query).unwrap();
+    let mut frames = Vec::new();
+    loop {
+        let frame = wire::read_response(&mut stream).unwrap().expect("a frame before DONE");
+        let done = matches!(frame, Response::Done { .. });
+        frames.push(frame);
+        if done {
+            return frames;
+        }
+    }
+}
+
+/// A bag crosses the wire as its runs: 300 distinct values take two
+/// `RUNS` frames; one value 100 000 times takes one frame of one run, and
+/// `DONE.rows` still counts elements. The client's value is the
+/// in-process value, `Debug` string for `Debug` string.
+#[test]
+fn bags_cross_the_wire_as_runs() {
+    let spread: Vec<Value> = (0..1_000).map(|i| Value::Int(i * 7 % 300)).collect();
+    let copies = vec![Value::Float(2.5); 100_000];
+    for (elem, items, run_frames, runs, rows) in
+        [(Type::Int, spread, 2, 300, 1_000), (Type::Float, copies, 1, 1, 100_000)]
+    {
+        let (handle, db) = spawn_server_over(elem, items);
+        let src = "select x from x in Xs";
+        let want = in_process(&db, src);
+
+        let frames = query_frames(handle.addr(), src);
+        assert_eq!(frames.len(), run_frames + 1, "RUNS frames, then DONE");
+        let streamed: usize = frames
+            .iter()
+            .map(|f| match f {
+                Response::Runs { runs } => runs.len(),
+                Response::Done { shape, rows: done, .. } => {
+                    assert_eq!((*shape, *done), (ResultShape::Bag, rows));
+                    0
+                }
+                other => panic!("a bag streams as RUNS, got {other:?}"),
+            })
+            .sum();
+        assert_eq!(streamed, runs);
+
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let got = client.query(src, &[]).expect("the bag reassembles");
+        assert_eq!(got.rows, rows);
+        assert_eq!(format!("{:?}", got.value), format!("{want:?}"));
+        handle.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Malformed result streams
+// ---------------------------------------------------------------------
+
+/// A scripted server: answers HELLO announcing `protocol`, answers the
+/// first request with `frames` verbatim, then hangs up.
+fn scripted_server(protocol: u8, frames: Vec<Response>) -> (SocketAddr, thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().unwrap();
+    let server = thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the client connects");
+        wire::read_request(&mut stream).unwrap();
+        let hello = Response::Hello { server: "script".into(), protocol, instance: 1, epoch: 0 };
+        wire::write_response(&mut stream, &hello).unwrap();
+        // A client that refused the HELLO hangs up instead of asking.
+        let Some(_) = wire::read_request(&mut stream).unwrap() else { return };
+        for frame in &frames {
+            // The client may hang up as soon as it sees the fault.
+            if wire::write_response(&mut stream, frame).is_err() {
+                break;
+            }
+        }
+    });
+    (addr, server)
+}
+
+/// Every stream a real server never sends is an `InvalidData` error from
+/// the client: bag runs counted zero or descending across frames, runs
+/// under a scalar or list `DONE`, a run count `DONE` disagrees with,
+/// `ROWS` and `RUNS` mixed either way, and a set out of order.
+#[test]
+fn malformed_result_streams_are_errors_not_panics_or_hangs() {
+    let runs = |runs: &[(i64, u64)]| Response::Runs {
+        runs: runs.iter().map(|&(v, n)| (Value::Int(v), n)).collect(),
+    };
+    let rows = |values: &[i64]| Response::Rows {
+        values: values.iter().copied().map(Value::Int).collect(),
+    };
+    let done = |shape, rows| Response::Done { shape, rows, epoch: 0 };
+    let cases = [
+        ("zero count", vec![runs(&[(1, 0)]), done(ResultShape::Bag, 0)]),
+        ("descending", vec![runs(&[(5, 1)]), runs(&[(3, 1)]), done(ResultShape::Bag, 2)]),
+        ("RUNS, scalar DONE", vec![runs(&[(1, 1)]), done(ResultShape::Scalar, 1)]),
+        ("RUNS, list DONE", vec![runs(&[(1, 1)]), done(ResultShape::List, 1)]),
+        ("rows ≠ Σ counts", vec![runs(&[(1, 2), (4, 1)]), done(ResultShape::Bag, 4)]),
+        ("ROWS then RUNS", vec![rows(&[1]), runs(&[(2, 1)]), done(ResultShape::Bag, 2)]),
+        ("RUNS then ROWS", vec![runs(&[(1, 1)]), rows(&[2]), done(ResultShape::Bag, 2)]),
+        ("ROWS, bag DONE", vec![rows(&[1, 1]), done(ResultShape::Bag, 2)]),
+        ("unsorted set", vec![rows(&[2, 1]), done(ResultShape::Set, 2)]),
+        ("duplicate in set", vec![rows(&[1, 1]), done(ResultShape::Set, 2)]),
+    ];
+    for (label, frames) in cases {
+        let (addr, server) = scripted_server(wire::PROTOCOL_VERSION, frames);
+        let mut client = Client::connect(addr).expect("connect");
+        let err = client.query("q", &[]).expect_err(label);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{label}: {err}");
+        drop(client);
+        server.join().expect("the scripted server does not panic");
+    }
+
+    // The same frames, well formed, reassemble.
+    let (addr, server) = scripted_server(
+        wire::PROTOCOL_VERSION,
+        vec![runs(&[(1, 2)]), runs(&[(4, 1)]), done(ResultShape::Bag, 3)],
+    );
+    let got = Client::connect(addr).expect("connect").query("q", &[]).expect("reassembles");
+    server.join().expect("the scripted server does not panic");
+    let want = Value::bag_from([1, 1, 4].map(Value::Int).to_vec());
+    assert_eq!(format!("{:?}", got.value), format!("{want:?}"));
+    assert_eq!(got.rows, 3);
+}
+
+/// The handshake checks the protocol version on both sides, so a peer of
+/// another version fails at HELLO rather than at its first bag result:
+/// the server answers a version-1 HELLO with one `ERROR` and a clean
+/// close, and the client refuses a server whose HELLO announces version 1.
+#[test]
+fn hello_refuses_a_peer_of_another_protocol_version() {
+    let handle = spawn_server();
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    wire::write_request(&mut stream, &Request::Hello { protocol: 1, client: "v1".into() })
+        .unwrap();
+    match wire::read_response(&mut stream).unwrap() {
+        Some(Response::Error { message }) => {
+            assert!(message.contains("protocol 1"), "{message}");
+        }
+        other => panic!("a v1 HELLO gets one ERROR, got {other:?}"),
+    }
+    assert!(wire::read_response(&mut stream).unwrap().is_none(), "then a clean close");
+    // The server still serves clients of its own version.
+    Client::connect(handle.addr()).expect("connect").ping().expect("pong");
+    handle.shutdown();
+
+    let (addr, server) = scripted_server(1, vec![]);
+    let Err(err) = Client::connect(addr) else { panic!("a v1 server is refused") };
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    server.join().expect("the scripted server does not panic");
 }
 
 // ---------------------------------------------------------------------
@@ -276,6 +479,8 @@ fn response_decode_rejects_garbage_without_panicking() {
         &[0x00],
         &[0xff, 0xff],
         &[0x82, 0xff, 0xff, 0xff, 0xff],
+        &[0x87, 0xff, 0xff, 0xff, 0xff],
+        &[0x87, 1, 0, 0, 0, 3, 7, 0, 0, 0, 0, 0, 0, 0, 3, 0],
         &[0x83, 9, 0, 0, 0, 0, 0, 0, 0, 0],
         &[0x81, 1, 200, 0, 0, 0],
     ] {
