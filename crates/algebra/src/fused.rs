@@ -13,7 +13,8 @@
 //! the target monoid.
 //!
 //! What fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and `Join`
-//! stages (keyed joins and cross products alike), whose
+//! stages (keyed joins, cross products, and keyed filters, which compile
+//! to a join — below), whose
 //! embedded expressions are built from literals, variables, parameters,
 //! records, tuples, projections, arithmetic/comparison/logic, `if`, and `!`
 //! (deref) — and whose head and plan are statically pure and non-allocating
@@ -53,6 +54,19 @@
 //! does not fit under [`monoid_store::memo::MEMO_BYTES`], is built per
 //! execution and dies with it. Skipping a build cannot hide an error: a
 //! table is only kept once the same pure build succeeded at this epoch.
+//!
+//! A keyed filter is the same bind with a constant probe. `Filter(k(x) =
+//! e)` directly over `Scan x ← E`, where `E` and `k` read no `$param`, `k`
+//! mentions only `x` and `e` does not mention `x`, compiles to a one-row
+//! chain whose only stage is a `Join` against the bare scan keyed by `k` —
+//! memoized like any param-free build side, so `exists h in Hotels: h.name
+//! = $name` is one hash lookup per execution after the epoch's first.
+//! Matches come back in build order, which is the extent's, so `some`
+//! stops at the walk's witness and ordered monoids agree. Two rules keep
+//! its errors the walk's, which reads `e` only on a row and `k` only on
+//! the rows it reaches: the probe row exists only when the table has rows,
+//! and a build that fails sends the execution to the plan walk, which
+//! filters plainly (nothing has reached the accumulator by then).
 //!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
@@ -123,9 +137,10 @@ pub fn refusal(query: &Query) -> Option<Refusal> {
 }
 
 /// Static classification: would [`crate::exec::execute`] route this query
-/// through the fused engine? (The one dynamic exception: a query whose
+/// through the fused engine? (The dynamic exceptions: a query whose
 /// globals don't resolve at execution time still falls back, so the plan
-/// walk can report the unbound name exactly as it always has.)
+/// walk can report the unbound name exactly as it always has, and so does
+/// one whose keyed filter's table fails to build.)
 pub fn fused_eligible(query: &Query) -> bool {
     compile(query).is_ok()
 }
@@ -285,13 +300,24 @@ enum Stage<'q> {
     Join { build: Build<'q>, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
 }
 
-/// A scan — each element of `source` bound to `slot` — and the stages
-/// its rows run through.
+/// A scan — each row of `source` bound to `slot` — and the stages its
+/// rows run through.
 #[derive(Debug)]
 struct Chain<'q> {
     slot: usize,
-    source: &'q Expr,
+    source: Source<'q>,
     stages: Vec<Stage<'q>>,
+}
+
+/// Where a chain's rows come from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Source<'q> {
+    /// Each element of a generator source, evaluated once per execution.
+    Each(&'q Expr),
+    /// A keyed filter's one probe row, which the chain's first stage joins
+    /// with table `.0`. There is no row when that table is empty, so the
+    /// probe is evaluated exactly when the walk's filter would read it.
+    Probe(usize),
 }
 
 /// A join's right side: the chain that produces the build rows, the key
@@ -301,9 +327,9 @@ struct Build<'q> {
     chain: Chain<'q>,
     keys: Vec<FusedExpr>,
     table: usize,
-    /// The right sub-plan and the join's key pairs, when the build reads
+    /// The right sub-plan and its key expressions, when the build reads
     /// no `$param`: what the snapshot's memo keeps its table under.
-    memo: Option<(&'q Plan, &'q [(Expr, Expr)])>,
+    memo: Option<(&'q Plan, Vec<&'q Expr>)>,
 }
 
 /// A memoized table's key: a right sub-plan and its key expressions.
@@ -314,8 +340,8 @@ struct TableKey {
 }
 
 impl TableKey {
-    fn is(&self, (right, on): (&Plan, &[(Expr, Expr)])) -> bool {
-        self.right == *right && self.keys.iter().eq(on.iter().map(|(_, r)| r))
+    fn is(&self, right: &Plan, keys: &[&Expr]) -> bool {
+        self.right == *right && self.keys.iter().eq(keys.iter().copied())
     }
 }
 
@@ -444,13 +470,20 @@ impl Compiler {
             Plan::Scan { var, source } => {
                 // The evaluator runs the source, but its `$param`s count.
                 source.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
-                return Ok(Chain { slot: self.bind(*var), source, stages: Vec::new() });
+                let slot = self.bind(*var);
+                return Ok(Chain { slot, source: Source::Each(source), stages: Vec::new() });
             }
-            Plan::Filter { input, pred } => {
-                let input = self.chain(input)?;
+            Plan::Filter { input: below, pred: p } => {
+                let input = self.chain(below)?;
                 let pred =
-                    self.compile_expr(pred).map_err(|off| outside("a predicate", None, off))?;
-                (input, Stage::Filter(pred))
+                    self.compile_expr(p).map_err(|off| outside("a predicate", None, off))?;
+                match (probe_key(below, p), pred) {
+                    (Some((key, key_first)), FusedExpr::Bin(_, a, b)) => {
+                        let (k, e) = if key_first { (*a, *b) } else { (*b, *a) };
+                        return Ok(self.keyed(input, (&**below, key), k, e));
+                    }
+                    (_, pred) => (input, Stage::Filter(pred)),
+                }
             }
             Plan::Bind { input, var, expr } => {
                 let input = self.chain(input)?;
@@ -478,7 +511,8 @@ impl Compiler {
                 let params = self.params;
                 let chain = self.chain(right)?;
                 let keys = self.join_keys(on.iter().map(|(_, r)| r), right)?;
-                let memo = (self.params == params).then_some((&**right, on.as_slice()));
+                let memo = (self.params == params)
+                    .then(|| (&**right, on.iter().map(|(_, r)| r).collect()));
                 let right_scope = std::mem::replace(&mut self.scope, left_scope);
                 // A joined row is the left row with the right side's
                 // variables bound on top, in binding order.
@@ -492,6 +526,60 @@ impl Compiler {
         let mut chain = input;
         chain.stages.push(stage);
         Ok(chain)
+    }
+
+    /// A keyed filter as a join: a one-row chain whose only stage probes
+    /// the table of `scan` — the bare scan the filter ran over, `k` its
+    /// compiled key — with `probe`. The table reads no `$param`, so the
+    /// memo keeps it under the scan's plan and `key`, like a join's.
+    fn keyed<'q>(
+        &mut self,
+        scan: Chain<'q>,
+        (plan, key): (&'q Plan, &'q Expr),
+        k: FusedExpr,
+        probe: FusedExpr,
+    ) -> Chain<'q> {
+        let table = self.n_tables;
+        self.n_tables += 1;
+        let right_slots = vec![scan.slot];
+        let build = Build { chain: scan, keys: vec![k], table, memo: Some((plan, vec![key])) };
+        // The probe row binds a slot nothing reads.
+        let slot = self.n_slots;
+        self.n_slots += 1;
+        let stage = Stage::Join { build, left_keys: vec![probe], right_slots };
+        Chain { slot, source: Source::Probe(table), stages: vec![stage] }
+    }
+}
+
+/// When the compiled `pred` over `input` is `k(x) = e` or `e = k(x)` on a
+/// scan `x ← E` whose table can be shared — `E` and `k` read no `$param`,
+/// `k` mentions `x` and nothing else — and `e` does not mention `x`: `k`,
+/// and whether it is the left operand.
+fn probe_key<'q>(input: &Plan, pred: &'q Expr) -> Option<(&'q Expr, bool)> {
+    let (Plan::Scan { var, source }, Expr::BinOp(BinOp::Eq, a, b)) = (input, pred) else {
+        return None;
+    };
+    // Whether `e` reads `x`, another variable, a `$param`. Nothing in the
+    // compiled subset binds a variable, so every `Var` in `pred` is free.
+    let reads = |e: &Expr| {
+        let mut r = (false, false, false);
+        e.visit(&mut |e| match e {
+            Expr::Var(v) if v == var => r.0 = true,
+            Expr::Var(_) => r.1 = true,
+            Expr::Param(_) => r.2 = true,
+            _ => {}
+        });
+        r
+    };
+    let (a_reads, b_reads) = (reads(a), reads(b));
+    if reads(source).2 {
+        None
+    } else if a_reads == (true, false, false) && !b_reads.0 {
+        Some((a, true))
+    } else if b_reads == (true, false, false) && !a_reads.0 {
+        Some((b, false))
+    } else {
+        None
     }
 }
 
@@ -910,6 +998,9 @@ struct Run<'a> {
     slots: Vec<Value>,
     tables: Vec<Arc<Table>>,
     memo: Option<&'a Memo>,
+    /// A keyed filter's table failed to build: the run's error is not
+    /// necessarily the walk's, so the walk runs instead.
+    declined: bool,
 }
 
 impl Run<'_> {
@@ -921,10 +1012,20 @@ impl Run<'_> {
     fn open(&mut self, chain: &Chain<'_>) -> ExecResult<Rows> {
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { build, right_slots, .. } = stage {
-                self.tables[build.table] = self.table(build, right_slots)?;
+                let table = self.table(build, right_slots);
+                // A keyed filter's build reads its key on every row, where
+                // the walk's filter may stop (or fail) before a bad one.
+                self.declined |= table.is_err() && chain.source == Source::Probe(build.table);
+                self.tables[build.table] = table?;
             }
         }
-        rows_of(self.ev.eval(self.env, chain.source)?)
+        match chain.source {
+            Source::Each(source) => rows_of(self.ev.eval(self.env, source)?),
+            Source::Probe(table) => {
+                let rows = usize::from(!self.tables[table].next.is_empty());
+                Ok(Rows::Owned(vec![Value::Null; rows]))
+            }
+        }
     }
 
     /// Push every row of an opened chain through its stages into `k`.
@@ -941,16 +1042,17 @@ impl Run<'_> {
     /// already ran at this epoch; otherwise built here — and offered to
     /// the memo when it reads no `$param`.
     fn table(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
-        let Some((memo, key)) = self.memo.zip(build.memo) else {
+        let Some((memo, (right, keys))) = self.memo.zip(build.memo.as_ref()) else {
             return self.build(build, right_slots).map(Arc::new);
         };
-        if let Some(table) = memo.get(|k: &TableKey| k.is(key)).and_then(|t| t.downcast().ok()) {
+        let hit = memo.get(|k: &TableKey| k.is(right, keys)).and_then(|t| t.downcast().ok());
+        if let Some(table) = hit {
             return Ok(table);
         }
         let table = Arc::new(self.build(build, right_slots)?);
-        let (right, on) = key;
-        let keys = on.iter().map(|(_, r)| r.clone()).collect();
-        memo.insert(TableKey { right: right.clone(), keys }, table.clone(), table.bytes);
+        let key =
+            TableKey { right: (*right).clone(), keys: keys.iter().map(|&k| k.clone()).collect() };
+        memo.insert(key, table.clone(), table.bytes);
         Ok(table)
     }
 
@@ -983,7 +1085,8 @@ impl Run<'_> {
 
 /// Try the fused engine for a full sequential reduction. `Ok(None)` means
 /// the query is outside the fusible subset (or a global failed to
-/// resolve) and the caller should run the plan walk instead. `memo` is the
+/// resolve, or a keyed filter's table failed to build) and the caller
+/// should run the plan walk instead. `memo` is the
 /// memo of the snapshot `env` and `ev`'s heap were taken from; `env` binds
 /// that snapshot's roots and, under `$`-prefixed names, the parameters.
 pub(crate) fn try_run_reduce(
@@ -1000,8 +1103,13 @@ pub(crate) fn try_run_reduce(
     };
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(fq.monoid)? };
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
-    let mut run = Run { ev, env, slots, tables, memo };
-    let opened = run.open(&fq.chain)?;
+    let mut run = Run { ev, env, slots, tables, memo, declined: false };
+    // Every table is built before the first row reaches the sink, so
+    // nothing of this run is observable when it declines.
+    let opened = match run.open(&fq.chain) {
+        Err(_) if run.declined => return Ok(None),
+        opened => opened?,
+    };
     run.feed(&fq.chain, opened, &mut k)?;
     Ok(Some(k.acc.finish()?))
 }
@@ -1076,6 +1184,51 @@ mod tests {
         assert_eq!((fq.chain.slot, build.chain.slot), (0, 1));
         assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
         assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
+    }
+
+    #[test]
+    fn only_a_param_free_key_over_a_bare_scan_compiles_to_a_probe() {
+        let (h, name) = (|| Expr::var("h"), || Expr::var("h").proj("name"));
+        let filtered = |source: Expr, pred: Expr| Query {
+            plan: Plan::Filter {
+                input: Box::new(Plan::Scan { var: "h".into(), source }),
+                pred,
+            },
+            monoid: Monoid::Some,
+            head: Expr::bool(true),
+            plan_effects: Default::default(),
+        };
+        let hotels = || Expr::var("Hotels");
+        let probes =
+            [name().eq(Expr::param("$n")), Expr::str("x").eq(name()), name().eq(Expr::var("g"))];
+        for pred in probes {
+            let q = filtered(hotels(), pred);
+            let fq = compile(&q).unwrap();
+            let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+                panic!("{:?}", fq.chain.stages);
+            };
+            assert_eq!(fq.chain.source, Source::Probe(build.table));
+            assert!(build.chain.stages.is_empty() && build.memo.is_some());
+            assert_eq!((left_keys.len(), right_slots.as_slice()), (1, &[build.chain.slot][..]));
+        }
+        // The key reads a param or another variable, the probe reads `h`,
+        // the source reads a param, or the filter is not an equality: a
+        // plain filter.
+        for (source, pred) in [
+            (hotels(), name().add(Expr::param("$s")).eq(Expr::str("x"))),
+            (hotels(), name().add(Expr::var("g")).eq(Expr::str("x"))),
+            (hotels(), name().eq(h().proj("address"))),
+            (Expr::param("$hotels"), name().eq(Expr::str("x"))),
+            (hotels(), name().ne(Expr::str("x"))),
+        ] {
+            let q = filtered(source.clone(), pred.clone());
+            let fq = compile(&q).unwrap();
+            assert!(
+                matches!(fq.chain.stages.as_slice(), [Stage::Filter(_)]),
+                "{source:?} / {pred:?}: {:?}",
+                fq.chain.stages
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   multiplies its estimated selectivity (equality ⇒ 0.1, comparison ⇒
 //!   0.5) into the running cardinality.
 //!
+//! An existential's head is a predicate like any other
+//! (`some{ p | q̄ } ≡ some{ true | q̄, p }`), so it is placed with them.
+//!
 //! Non-commutative monoids (list, oset, …) are left untouched — their
 //! order is meaning.
 
@@ -25,6 +28,7 @@ use monoid_calculus::analysis::constraints::{AttrFacts, Catalog, ExtentFacts, Fi
 use monoid_calculus::analysis::effects::monoid_short_circuits;
 use monoid_calculus::expr::{BinOp, Expr, Literal, Qual, UnOp};
 use monoid_calculus::heap::Heap;
+use monoid_calculus::monoid::Monoid;
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
@@ -403,6 +407,15 @@ pub fn reorder_generators(e: &Expr, stats: &Stats) -> Expr {
             Qual::VecGen { .. } => return e.clone(),
         }
     }
+    // `some{ p | q̄ } ≡ some{ true | q̄, p }`: an existential's head is one
+    // more predicate, placed like the others — directly over its generator,
+    // where the fused compiler can turn an equality into a probe. A filter
+    // and a `some` head both read `p` through `as_bool`, so a non-boolean
+    // `p` fails with the same error either way.
+    let mut head = head.clone();
+    if *monoid == Monoid::Some && !gens.is_empty() && !matches!(*head, Expr::Lit(_)) {
+        preds.push(std::mem::replace(&mut *head, Expr::bool(true)));
+    }
 
     // Variables bound by this comprehension's own binders; anything else
     // free in a source (extent roots, outer variables) is always
@@ -507,13 +520,12 @@ pub fn reorder_generators(e: &Expr, stats: &Stats) -> Expr {
         ordered.push(Qual::Pred(p));
     }
 
-    Expr::Comp { monoid: monoid.clone(), head: head.clone(), quals: ordered }
+    Expr::Comp { monoid: monoid.clone(), head, quals: ordered }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use monoid_calculus::monoid::Monoid;
     use monoid_store::travel::{self, TravelScale};
 
     #[test]
@@ -598,6 +610,36 @@ mod tests {
         assert_eq!(*first, Symbol::new("h"));
         // The equality predicate lands immediately after its generator.
         assert!(matches!(&quals[1], Qual::Pred(_)));
+    }
+
+    #[test]
+    fn an_existential_head_becomes_a_filter_over_its_generator() {
+        let mut db = travel::generate(TravelScale::tiny(), 3);
+        let stats = Stats::gather(&db);
+        let name_is = |n: &str| Expr::var("h").proj("name").eq(Expr::str(n));
+        let exists = |head: Expr| {
+            Expr::comp(Monoid::Some, head, vec![Expr::gen("h", Expr::var("Hotels"))])
+        };
+        for (head, found) in [(name_is("hotel_0_0"), true), (name_is("nowhere"), false)] {
+            let q = exists(head.clone());
+            let r = reorder_generators(&q, &stats);
+            let Expr::Comp { head: new_head, quals, .. } = &r else { panic!() };
+            assert_eq!(**new_head, Expr::bool(true));
+            assert_eq!(quals[1], Qual::Pred(head));
+            let plan = crate::logical::plan_comprehension(&r).unwrap();
+            let crate::logical::Plan::Filter { input, .. } = &plan.plan else { panic!() };
+            assert!(matches!(**input, crate::logical::Plan::Scan { .. }));
+            assert_eq!(crate::exec::execute(&plan, &db).unwrap(), Value::Bool(found));
+            assert_eq!(db.query(&q).unwrap(), Value::Bool(found));
+        }
+        // A literal head, another monoid, or no generator: left alone.
+        let literal = exists(Expr::bool(true));
+        let Expr::Comp { quals, .. } = reorder_generators(&literal, &stats) else { panic!() };
+        assert_eq!(quals.len(), 1);
+        let all = Expr::comp(Monoid::All, name_is("x"), vec![Expr::gen("h", Expr::var("Hotels"))]);
+        assert_eq!(reorder_generators(&all, &stats), all);
+        let bare = Expr::comp(Monoid::Some, Expr::var("p"), vec![]);
+        assert_eq!(reorder_generators(&bare, &stats), bare);
     }
 
     #[test]

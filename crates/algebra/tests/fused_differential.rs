@@ -13,6 +13,8 @@
 //! side of a memo check: every join case runs fused twice on one snapshot —
 //! a cold build, then a probe of the table the snapshot's memo kept — and
 //! the `memo_*` tests pin what may be kept and when it must be forgotten.
+//! The `keyed_probe_*` tests do the same for a filter `x.f = e` over a
+//! scan, which the fold runs as a join against the extent's table.
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
@@ -429,6 +431,12 @@ fn hand_built_right_sides_agree_across_engines() {
             vec![(l().proj("k"), r().proj("k"))],
         ),
         (
+            // A keyed filter: the build side is itself a probe.
+            "keyed-filtered",
+            Plan::Filter { input: Box::new(scan("r", "R")), pred: r().proj("s").eq(Expr::str("a")) },
+            vec![(l().proj("k"), r().proj("k"))],
+        ),
+        (
             "two-column",
             Plan::Unnest {
                 input: Box::new(scan("r", "R")),
@@ -739,4 +747,190 @@ fn memo_of_a_database_clone_is_its_own() {
     assert_eq!(fused_checked(&plan, &clone, &weight(1)), Value::Int(12));
     assert_eq!(fused_checked(&plan, &db, &weight(1)), before);
     assert_eq!((db.memo().len(), db.memo().misses()), (1, 1));
+}
+
+// -------------------------------------------------------------------------
+// Keyed filters: `x.f = e` directly over `x ← E` probes the scan's table.
+// -------------------------------------------------------------------------
+
+/// Extents for keyed filters: `K` mixes int, float and null keys (the
+/// ordered index), `I` has int keys only (the typed bucket), `B` is a bag
+/// whose runs repeat, and `Empty` has no member.
+fn keyed_store() -> Database {
+    let (int, float, null) = (Value::Int, Value::Float, || Value::Null);
+    let mut db = Database::new(Schema::new());
+    db.set_root(
+        "K",
+        Value::list(vec![
+            keyed_row(1, int(1)),
+            keyed_row(2, float(1.0)),
+            keyed_row(3, int(2)),
+            keyed_row(4, null()),
+            keyed_row(5, int(1)),
+            keyed_row(6, float(2.5)),
+            keyed_row(7, null()),
+        ]),
+    );
+    let ints = |rows: &[(i64, i64)]| rows.iter().map(|(id, f)| keyed_row(*id, int(*f))).collect();
+    db.set_root("I", Value::list(ints(&[(1, 2), (2, 1), (3, 2), (4, 1)])));
+    // Runs (row 1)×3, (row 2)×2, (row 3)×1.
+    db.set_root("B", Value::bag_from(ints(&[(1, 1), (2, 2), (1, 1), (3, 1), (1, 1), (2, 2)])));
+    db.set_root("Empty", Value::list(Vec::new()));
+    db
+}
+
+fn keyed_row(id: i64, f: Value) -> Value {
+    Value::record_from(vec![("id", Value::Int(id)), ("f", f)])
+}
+
+/// The probe parameter.
+fn p() -> Expr {
+    Expr::param("$p")
+}
+
+/// One head per monoid the probe must agree on, over the matched `x`.
+/// `some` and `all` reach their verdict at a member with `id = 3`.
+fn keyed_heads() -> Vec<(Monoid, Expr)> {
+    let id = || Expr::var("x").proj("id");
+    vec![
+        (Monoid::Some, id().gt(Expr::int(2))),
+        (Monoid::All, id().lt(Expr::int(3))),
+        (Monoid::Sum, id()),
+        (Monoid::List, id()),
+        (Monoid::Bag, id()),
+    ]
+}
+
+/// `⊕{ head | x ← extent, pred }`, prepared as the server prepares it
+/// (a `some` head becomes one more filter over the probe).
+fn keyed_plan(monoid: Monoid, head: Expr, extent: &str, pred: Expr) -> Query {
+    let quals = vec![Expr::gen("x", Expr::var(extent)), Expr::pred(pred)];
+    let comp = Expr::comp(monoid, head, quals);
+    plan_comprehension(&reorder_generators(&comp, &Stats::default())).unwrap()
+}
+
+/// The walk's answer for `$p = probe` on a fresh snapshot of `db`, after
+/// the fused fold gave the same answer twice there (a cold build, then a
+/// memo hit); and how many tables the memo kept — one when the filter ran
+/// as a probe.
+fn keyed_agree(
+    label: &str,
+    plan: &Query,
+    db: &Database,
+    probe: &Value,
+) -> (ExecResult<Value>, usize) {
+    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
+    let params = [(Symbol::new("$p"), probe.clone())];
+    let snap = db.clone().snapshot();
+    let walk = execute_plan_walk_bound(plan, &snap, &params);
+    for run in ["cold", "warm"] {
+        let fused = execute_snapshot_bound(plan, &snap, &params);
+        assert_eq!(fused, walk, "{label} ({run}): fused ≠ walk");
+    }
+    (walk, snap.memo().len())
+}
+
+#[test]
+fn keyed_probe_agrees_with_the_walk_for_every_form_key_kind_and_monoid() {
+    let db = keyed_store();
+    let f = || Expr::var("x").proj("f");
+    let forms = [
+        ("x.f = $p", f().eq(p())),
+        ("$p = x.f", p().eq(f())),
+        ("x.f = 1", f().eq(Expr::int(1))),
+        ("1.0 = x.f", Expr::float(1.0).eq(f())),
+    ];
+    let probes =
+        [Value::Int(1), Value::Float(1.0), Value::Float(2.5), Value::Null, Value::str("1")];
+    for extent in ["K", "I", "B"] {
+        for (form, pred) in &forms {
+            // A constant probe reads no `$p`: one binding covers it.
+            let probes = if form.contains('$') { &probes[..] } else { &probes[..1] };
+            for (monoid, head) in keyed_heads() {
+                let plan = keyed_plan(monoid.clone(), head, extent, pred.clone());
+                for probe in probes {
+                    let label = format!("{extent}/{form}/{monoid}/{probe:?}");
+                    let (walk, tables) = keyed_agree(&label, &plan, &db, probe);
+                    assert!(walk.is_ok(), "{label}: {walk:?}");
+                    assert_eq!(tables, 1, "{label}: the filter ran as a probe");
+                }
+            }
+        }
+    }
+    // Not vacuous: matches come back in extent order, `1` meets `1.0` and
+    // null meets null, and a bag's repeated runs match once per copy.
+    let ids = |extent: &str, probe: Value| {
+        let plan = keyed_plan(Monoid::List, Expr::var("x").proj("id"), extent, f().eq(p()));
+        let snap = db.snapshot();
+        execute_snapshot_bound(&plan, &snap, &[(Symbol::new("$p"), probe)]).unwrap()
+    };
+    let list = |xs: &[i64]| Value::list(xs.iter().map(|x| Value::Int(*x)).collect());
+    assert_eq!(ids("K", Value::Int(1)), list(&[1, 2, 5]));
+    assert_eq!(ids("K", Value::Null), list(&[4, 7]));
+    assert_eq!(ids("I", Value::Float(1.0)), list(&[2, 4]));
+    assert_eq!(ids("B", Value::Int(1)), list(&[1, 1, 1, 3]));
+    assert_eq!(ids("I", Value::str("1")), list(&[]));
+}
+
+/// The walk never evaluates a filter over an empty extent, so a probe that
+/// would fail is not evaluated either: the answer is the empty fold's.
+/// Over a non-empty extent both fail alike.
+#[test]
+fn keyed_probe_of_an_empty_extent_never_evaluates_the_probe() {
+    let db = keyed_store();
+    // A projection out of an int fails wherever it is evaluated.
+    let failing = Expr::var("x").proj("f").eq(Expr::int(3).proj("g"));
+    for (monoid, head) in keyed_heads() {
+        for extent in ["Empty", "K"] {
+            let label = format!("{extent}/{monoid}");
+            let plan = keyed_plan(monoid.clone(), head.clone(), extent, failing.clone());
+            let (walk, tables) = keyed_agree(&label, &plan, &db, &Value::Null);
+            assert_eq!(walk.is_ok(), extent == "Empty", "{label}: {walk:?}");
+            assert_eq!(tables, 1, "{label}: the table was built");
+        }
+    }
+}
+
+/// A member whose key projection fails: the walk's filter reports it only
+/// if it gets there, so the table is not kept and the filter runs plainly —
+/// `some` finds its witness first, `all` its counterexample, and the rest
+/// fail on the bad member.
+#[test]
+fn keyed_probe_runs_as_a_plain_filter_when_a_key_projection_fails() {
+    let mut db = keyed_store();
+    let pred = Expr::var("x").proj("f").eq(p());
+    for (monoid, head) in keyed_heads() {
+        let plan = keyed_plan(monoid.clone(), head, "I", pred.clone());
+        let (walk, tables) = keyed_agree(&format!("good/{monoid}"), &plan, &db, &Value::Int(2));
+        assert!(walk.is_ok() && tables == 1, "good/{monoid}: {walk:?}");
+    }
+    // The verdicts land on the first member; the second has no `f`.
+    let bad = vec![keyed_row(3, Value::Int(2)), Value::Int(5), keyed_row(1, Value::Int(2))];
+    db.set_root("I", Value::list(bad));
+    for (monoid, head) in keyed_heads() {
+        let label = format!("bad/{monoid}");
+        let plan = keyed_plan(monoid.clone(), head, "I", pred.clone());
+        let (walk, tables) = keyed_agree(&label, &plan, &db, &Value::Int(2));
+        assert_eq!(tables, 0, "{label}: a failed build is not kept");
+        let verdict = matches!(monoid, Monoid::Some | Monoid::All);
+        assert_eq!(walk.is_ok(), verdict, "{label}: {walk:?}");
+    }
+}
+
+/// `point-wire`'s statement: the head becomes a filter directly over the
+/// scan, and the table is built once per snapshot whatever `$name` is.
+#[test]
+fn keyed_probe_reading_a_param_builds_once_per_snapshot() {
+    let db = travel::generate(TravelScale::tiny(), 3);
+    let plan = prepared(&db, "exists h in Hotels: h.name = $name");
+    let Plan::Filter { input, .. } = &plan.plan else { panic!("{:?}", plan.plan) };
+    assert!(matches!(**input, Plan::Scan { .. }), "{:?}", plan.plan);
+    assert_eq!(plan.head, Expr::bool(true));
+    let snap = db.snapshot();
+    for (name, found) in [("hotel_0_0", true), ("hotel_2_1", true), ("nowhere", false)] {
+        let params = [(Symbol::new("$name"), Value::str(name))];
+        assert_eq!(fused_checked(&plan, &snap, &params), Value::Bool(found), "{name}");
+        assert_eq!(fused_checked(&plan, &snap.clone(), &params), Value::Bool(found), "{name}");
+    }
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
 }

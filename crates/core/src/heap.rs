@@ -25,8 +25,9 @@ use std::sync::Arc;
 pub struct Heap {
     states: Arc<Vec<Value>>,
     /// Bumped on every mutation (`alloc`/`set`). Consumers (the store's
-    /// mutation epoch, index staleness checks) compare versions to detect
-    /// that the heap changed between two points in time; the counter
+    /// mutation epoch, the plan walk's per-operator heap-mutation counts)
+    /// compare versions to detect that the heap changed between two
+    /// points in time; the counter
     /// travels with the heap through clone and `mem::take`/restore cycles.
     version: u64,
 }

@@ -4,8 +4,9 @@
 //! The store does not know what it keeps: a key is any `PartialEq` value
 //! (compared with `==`, never hashed) and a value is an
 //! `Arc<dyn Any + Send + Sync>` its builder downcasts. The fused engine
-//! keeps join tables here, keyed by the right sub-plan and its key
-//! expressions.
+//! keeps its param-free hash tables here — a join's build side, or the
+//! extent a keyed filter probes — keyed by the sub-plan that produces the
+//! rows and the key expressions over them.
 //!
 //! The epoch *is* the invalidation protocol. Every [`Database`] path that
 //! can change what a query reads installs a fresh, empty memo, so the old

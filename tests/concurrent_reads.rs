@@ -33,6 +33,10 @@ const COUNT_CITIES: &str = "count(Cities)";
 const CITY_PAIRS: &str =
     "count(select c.name from a in Cities, c in Cities where a.hotel# = c.hotel#)";
 
+/// A keyed filter: the fused fold probes a table of `Hotels` by name that
+/// the snapshot's memo keeps, whatever `$name` is bound to.
+const HOTEL_NAMED: &str = "exists h in Hotels: h.name = $name";
+
 fn db(seed: u64) -> Database {
     travel::generate(TravelScale::tiny(), seed)
 }
@@ -45,6 +49,16 @@ fn city(name: &str) -> Value {
     ])
 }
 
+fn hotel(name: &str) -> Value {
+    Value::record_from(vec![
+        ("name", Value::str(name)),
+        ("address", Value::str("1 New St")),
+        ("facilities", Value::set_from(vec![])),
+        ("employees", Value::list(vec![])),
+        ("rooms", Value::list(vec![])),
+    ])
+}
+
 /// The single-threaded oracle: execute `src` against a snapshot with a
 /// private cold session — no shared cache, no other threads.
 fn oracle(snap: &Snapshot, src: &str) -> Value {
@@ -52,17 +66,21 @@ fn oracle(snap: &Snapshot, src: &str) -> Value {
     session.query_snapshot(snap, src, &Params::new()).expect("oracle query executes")
 }
 
-/// The oracle for a join: the plan walk, which builds its table per
-/// execution and never reads the snapshot's memo.
-fn walk_oracle(snap: &Snapshot, src: &str) -> Value {
+/// The oracle for a join or a probe: the plan walk, which builds its
+/// table per execution (or filters plainly) and never reads the
+/// snapshot's memo.
+fn walk_oracle(snap: &Snapshot, src: &str, params: &Params) -> Value {
     let stmt = prepare_on(snap, src).expect("oracle statement prepares");
-    let plan = stmt.query().expect("a join statement has a plan");
-    execute_plan_walk_bound(plan, snap, &[]).expect("oracle walk executes")
+    let plan = stmt.query().expect("the statement has a plan");
+    execute_plan_walk_bound(plan, snap, params.bindings()).expect("oracle walk executes")
 }
 
 /// Every statement the readers send, with its single-threaded answer.
 fn answers(snap: &Snapshot) -> [(&'static str, Value); 2] {
-    [(COUNT_CITIES, oracle(snap, COUNT_CITIES)), (CITY_PAIRS, walk_oracle(snap, CITY_PAIRS))]
+    [
+        (COUNT_CITIES, oracle(snap, COUNT_CITIES)),
+        (CITY_PAIRS, walk_oracle(snap, CITY_PAIRS, &Params::new())),
+    ]
 }
 
 // ---------------------------------------------------------------------
@@ -223,6 +241,62 @@ fn pinned_snapshots_never_observe_later_commits() {
     assert_ne!(oracle(&live, COUNT_CITIES), before);
     // And the pinned snapshot still answers from its own epoch.
     assert_eq!(oracle(&pinned, COUNT_CITIES), before);
+}
+
+/// Readers pinned before a writer inserts a hotel keep answering `false`
+/// for it from their epoch's table, and readers at the new epoch answer
+/// `true` from theirs — each what the walk answers at that epoch.
+#[test]
+fn pinned_probes_miss_an_inserted_hotel_and_new_epochs_find_it() {
+    let database = Arc::new(RwLock::new(db(17)));
+    let pinned = database.read().unwrap().snapshot();
+    let params = Params::new().bind("name", Value::str("hotel_new"));
+    // Warm the pinned epoch's table, so it is built exactly once.
+    let session = Session::new();
+    assert_eq!(session.query_snapshot(&pinned, HOTEL_NAMED, &params).unwrap(), Value::Bool(false));
+    let start = Arc::new(std::sync::Barrier::new(5));
+    let readers: Vec<_> = (0..4)
+        .map(|_| {
+            let (database, pinned) = (Arc::clone(&database), pinned.clone());
+            let (params, start) = (params.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let session = Session::new();
+                let mut seen = Vec::new();
+                start.wait();
+                // Alternate the pinned snapshot with the live one until the
+                // live one has moved past it.
+                loop {
+                    let live = database.read().unwrap().snapshot();
+                    for snap in [&pinned, &live] {
+                        let v = session.query_snapshot(snap, HOTEL_NAMED, &params).unwrap();
+                        seen.push((snap.epoch(), v));
+                    }
+                    if seen.len() >= 40 && live.epoch() != pinned.epoch() {
+                        return seen;
+                    }
+                }
+            })
+        })
+        .collect();
+    start.wait();
+    database.write().unwrap().insert(Symbol::new("Hotel"), hotel("hotel_new")).unwrap();
+    let observations: Vec<(u64, Value)> =
+        readers.into_iter().flat_map(|r| r.join().expect("reader thread completes")).collect();
+
+    let inserted = database.read().unwrap().snapshot();
+    let before = walk_oracle(&pinned, HOTEL_NAMED, &params);
+    let after = walk_oracle(&inserted, HOTEL_NAMED, &params);
+    assert_eq!((&before, &after), (&Value::Bool(false), &Value::Bool(true)));
+    for (epoch, value) in &observations {
+        let want = if *epoch == pinned.epoch() { &before } else { &after };
+        assert!([pinned.epoch(), inserted.epoch()].contains(epoch), "unknown epoch {epoch}");
+        assert_eq!(value, want, "epoch {epoch}");
+    }
+    assert!(observations.iter().any(|(e, _)| *e == inserted.epoch()));
+    // One table per epoch: the pinned one was never rebuilt, and the new
+    // epoch kept one (readers that missed it at once may each have built).
+    assert_eq!((pinned.memo().len(), pinned.memo().misses()), (1, 1));
+    assert_eq!(inserted.memo().len(), 1);
 }
 
 // ---------------------------------------------------------------------
