@@ -69,13 +69,6 @@ pub trait Probe {
     #[inline(always)]
     fn eval_steps(&self, _op: usize, _steps: u64) {}
 
-    /// Heap mutations (allocations/sets, measured as the [`Heap`
-    /// version](monoid_calculus::heap::Heap::version) delta) the
-    /// operator-local work of `op` performed. Only fires when
-    /// [`Probe::ENABLED`].
-    #[inline(always)]
-    fn heap_allocs(&self, _op: usize, _n: u64) {}
-
     /// The reduction absorbed (`some`/`all`) and cut the pipeline short.
     #[inline(always)]
     fn short_circuit(&self) {}
@@ -89,10 +82,10 @@ impl Probe for NoProbe {
     const ENABLED: bool = false;
 }
 
-/// Run operator-local evaluator work and charge its wall-clock time,
-/// evaluator steps, and heap-mutation delta to `op` — only when the probe
-/// type asks for it, so `NoProbe` pipelines never touch the clock or the
-/// counters. For compound work
+/// Run operator-local evaluator work and charge its wall-clock time and
+/// evaluator steps to `op` — only when the probe type asks for it, so
+/// `NoProbe` pipelines never touch the clock or the counters. For compound
+/// work
 /// (join builds) the deltas include the nested child operators' work,
 /// exactly like `self_nanos` always has.
 #[inline]
@@ -104,12 +97,10 @@ fn timed_eval<P: Probe, R>(
 ) -> R {
     if P::ENABLED {
         let steps_before = ev.steps_used();
-        let heap_before = ev.heap.version();
         let start = Instant::now();
         let out = f(ev);
         probe.self_nanos(op, start.elapsed().as_nanos() as u64);
         probe.eval_steps(op, ev.steps_used().saturating_sub(steps_before));
-        probe.heap_allocs(op, ev.heap.version().saturating_sub(heap_before));
         out
     } else {
         f(ev)

@@ -10,13 +10,14 @@
 //! The optimizer greedily picks, at each step, the *available* generator
 //! (all source variables bound) with the lowest estimated cost:
 //!
-//! * extents: their actual size, from the [`Catalog`] that
-//!   [`Stats::gather`] fills;
-//! * dependent paths (`h ← c.hotels`): the catalog's measured average
-//!   fan-out of that field, falling back to a default;
+//! * extents: their actual size, as [`Stats::gather`] counted it;
+//! * dependent paths (`h ← c.hotels`): the measured average fan-out of
+//!   that field, falling back to a default;
 //! * each predicate that becomes applicable right after a generator
-//!   multiplies its estimated selectivity (equality ⇒ 0.1, comparison ⇒
-//!   0.5) into the running cardinality.
+//!   multiplies its estimated selectivity into the running cardinality:
+//!   `1/distinct` for an equality on a gathered attribute, min/max
+//!   interpolation for a comparison with a constant, and the flat
+//!   defaults (equality ⇒ 0.1, comparison ⇒ 0.5) where nothing is known.
 //!
 //! An existential's head is a predicate like any other
 //! (`some{ p | q̄ } ≡ some{ true | q̄, p }`), so it is placed with them.
@@ -24,7 +25,6 @@
 //! Non-commutative monoids (list, oset, …) are left untouched — their
 //! order is meaning.
 
-use monoid_calculus::analysis::constraints::{AttrFacts, Catalog, ExtentFacts, FieldFacts};
 use monoid_calculus::analysis::effects::monoid_short_circuits;
 use monoid_calculus::expr::{BinOp, Expr, Literal, Qual, UnOp};
 use monoid_calculus::heap::Heap;
@@ -35,20 +35,59 @@ use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
-/// Cardinality statistics gathered from a database: the one [`Catalog`]
-/// — extent sizes, per-field fan-outs, per-attribute domain facts
-/// (distinct counts, value frequencies, numeric min/max) — that the cost
-/// model here and the core abstract interpreter both read.
+/// Cardinality statistics gathered from a database, read only by the
+/// cost model here: extent sizes, per-field fan-outs, and per-attribute
+/// distinct counts and numeric min/max. Estimates choose generator order
+/// and print as `est≈`; no query result depends on them. The empty
+/// default knows nothing, so every estimate takes the flat defaults.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
-    catalog: Catalog,
+    /// Extent name → its size and its members' attribute facts.
+    extents: BTreeMap<Symbol, ExtentFacts>,
+    /// Field name → fan-out and element attribute facts of every
+    /// collection stored under that name, whichever class holds it.
+    fields: BTreeMap<Symbol, FieldFacts>,
+}
+
+/// Facts about one named extent (a database root that is a collection).
+#[derive(Debug, Clone, Default)]
+struct ExtentFacts {
+    size: u64,
+    attrs: BTreeMap<Symbol, AttrFacts>,
+}
+
+/// Facts about one scalar attribute of a collection's element records.
+#[derive(Debug, Clone, Default)]
+struct AttrFacts {
+    /// Distinct values observed — an equality keeps `1/distinct`.
+    distinct: u64,
+    /// Numeric domain, when every observed value was a number.
+    min: Option<f64>,
+    max: Option<f64>,
+}
+
+/// Facts about one named record field whose values are collections.
+#[derive(Debug, Clone, Default)]
+struct FieldFacts {
+    /// Occurrences of the field with a collection value.
+    occurrences: u64,
+    /// Total elements across occurrences.
+    total: u64,
+    /// Attribute facts of the element records of these collections.
+    attrs: BTreeMap<Symbol, AttrFacts>,
+}
+
+impl FieldFacts {
+    fn avg_fanout(&self) -> f64 {
+        self.total as f64 / (self.occurrences.max(1)) as f64
+    }
 }
 
 const DEFAULT_EXTENT: f64 = 1_000.0;
 const DEFAULT_FANOUT: f64 = 10.0;
 const EQ_SELECTIVITY: f64 = 0.1;
 const CMP_SELECTIVITY: f64 = 0.5;
-/// How deep the catalog walk follows collection-valued fields.
+/// How deep [`Stats::gather`] follows collection-valued fields.
 const CATALOG_DEPTH: usize = 3;
 
 /// `var → collection name` — which extent or field each plan/generator
@@ -59,31 +98,25 @@ type SourceMap = HashMap<Symbol, Symbol>;
 impl Stats {
     /// Walk the store once, from its roots (and the collections
     /// reachable from their element records, up to [`CATALOG_DEPTH`]):
-    /// extent sizes, per-field fan-outs, and per-attribute domain facts.
-    /// A gather describes the snapshot it read; the serving layer reuses
-    /// one while `(instance_id, epoch)` is unchanged.
+    /// extent sizes, per-field fan-outs, and per-attribute distinct
+    /// counts and numeric domains. A gather describes the snapshot it
+    /// read; the serving layer reuses one while `(instance_id, epoch)` is
+    /// unchanged.
     pub fn gather(snap: &Snapshot) -> Stats {
-        let mut catalog = Catalog::default();
+        let mut stats = Stats::default();
         for (name, value) in snap.roots() {
             let Ok(elems) = value.elements() else { continue };
             let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
-            let mut seen: BTreeSet<Value> = BTreeSet::new();
-            ext.distinct_elements = elems.iter().all(|e| seen.insert(e.clone()));
-            collect_collection(snap.heap(), &elems, 0, &mut ext.attrs, &mut catalog.fields);
-            catalog.extents.insert(name, ext);
+            collect_collection(snap.heap(), &elems, 0, &mut ext.attrs, &mut stats.fields);
+            stats.extents.insert(name, ext);
         }
-        Stats { catalog }
+        stats
     }
 
     /// [`Stats::gather`] under the name the frozen `benchmark/` crate
     /// imports; exists only until the benchmark is re-pinned.
     pub fn gather_snapshot(snap: &Snapshot) -> Stats {
         Stats::gather(snap)
-    }
-
-    /// The fact catalog (for the core abstract interpreter).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// Estimated output cardinality of every operator in `plan`, indexed
@@ -162,11 +195,9 @@ impl Stats {
     /// Estimated cardinality of a generator source.
     fn source_cardinality(&self, src: &Expr) -> f64 {
         match src {
-            Expr::Var(name) => {
-                self.catalog.extent(*name).map_or(DEFAULT_EXTENT, |e| e.size as f64)
-            }
+            Expr::Var(name) => self.extents.get(name).map_or(DEFAULT_EXTENT, |e| e.size as f64),
             Expr::Proj(_, field) => {
-                self.catalog.field(*field).map_or(DEFAULT_FANOUT, FieldFacts::avg_fanout)
+                self.fields.get(field).map_or(DEFAULT_FANOUT, FieldFacts::avg_fanout)
             }
             Expr::CollLit(_, items) => items.len() as f64,
             Expr::UnOp(_, inner) => self.source_cardinality(inner),
@@ -175,12 +206,15 @@ impl Stats {
     }
 
     /// Attribute facts for `e` when it is a `v.attr` path over a variable
-    /// whose collection is known.
+    /// whose collection (an extent or a field) is known.
     fn path_facts(&self, e: &Expr, ctx: &SourceMap) -> Option<&AttrFacts> {
         let Expr::Proj(inner, attr) = e else { return None };
         let Expr::Var(v) = inner.as_ref() else { return None };
         let coll = ctx.get(v)?;
-        self.catalog.attr(*coll, *attr)
+        self.extents
+            .get(coll)
+            .and_then(|e| e.attrs.get(attr))
+            .or_else(|| self.fields.get(coll).and_then(|f| f.attrs.get(attr)))
     }
 
     /// Selectivity of an equality between `a` and `b`.
@@ -229,7 +263,7 @@ impl Stats {
         let (path, lit, op) = if let Some(x) = numeric_literal(b) {
             (a, x, op)
         } else if let Some(x) = numeric_literal(a) {
-            (b, x, flip_comparison(op))
+            (b, x, op.flipped())
         } else {
             return None;
         };
@@ -250,17 +284,6 @@ fn numeric_literal(e: &Expr) -> Option<f64> {
         Expr::Lit(Literal::Int(i)) => Some(*i as f64),
         Expr::Lit(Literal::Float(x)) => Some(*x),
         _ => None,
-    }
-}
-
-/// `c < path` is `path > c`, etc.
-fn flip_comparison(op: BinOp) -> BinOp {
-    match op {
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
-        other => other,
     }
 }
 
@@ -288,7 +311,7 @@ fn plan_sources(plan: &crate::logical::Plan, ctx: &mut SourceMap) {
     }
 }
 
-/// The catalog key a generator source resolves to: extents by name,
+/// The [`Stats`] key a generator source resolves to: extents by name,
 /// dependent paths by field name.
 fn source_key(src: &Expr) -> Option<Symbol> {
     match src {
@@ -300,7 +323,7 @@ fn source_key(src: &Expr) -> Option<Symbol> {
 }
 
 // ---------------------------------------------------------------------------
-// Catalog gathering
+// Gathering
 // ---------------------------------------------------------------------------
 
 /// Gather attribute facts for the element records of one collection, and
@@ -313,7 +336,7 @@ fn collect_collection(
     attrs_out: &mut BTreeMap<Symbol, AttrFacts>,
     fields_out: &mut BTreeMap<Symbol, FieldFacts>,
 ) {
-    let mut freqs: BTreeMap<Symbol, BTreeMap<Value, u64>> = BTreeMap::new();
+    let mut values: BTreeMap<Symbol, BTreeSet<Value>> = BTreeMap::new();
     let mut domains: BTreeMap<Symbol, (Option<f64>, Option<f64>, bool)> = BTreeMap::new();
     let mut children: BTreeMap<Symbol, Vec<Value>> = BTreeMap::new();
     for elem in elems {
@@ -328,7 +351,7 @@ fn collect_collection(
         for (fname, fv) in fields {
             match fv {
                 Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => {
-                    *freqs.entry(*fname).or_default().entry(fv.clone()).or_insert(0) += 1;
+                    values.entry(*fname).or_default().insert(fv.clone());
                     let dom = domains.entry(*fname).or_insert((None, None, true));
                     match fv {
                         Value::Int(i) => {
@@ -346,11 +369,8 @@ fn collect_collection(
                 _ => {
                     if let Ok(n) = fv.len() {
                         let f = fields_out.entry(*fname).or_default();
-                        let n = n as u64;
-                        f.min_fanout = if f.occurrences == 0 { n } else { f.min_fanout.min(n) };
-                        f.max_fanout = f.max_fanout.max(n);
                         f.occurrences += 1;
-                        f.total += n;
+                        f.total += n as u64;
                         if depth < CATALOG_DEPTH {
                             if let Ok(kids) = fv.elements() {
                                 children.entry(*fname).or_default().extend(kids);
@@ -361,17 +381,12 @@ fn collect_collection(
             }
         }
     }
-    for (fname, freq) in freqs {
-        let count = freq.values().sum();
-        let max_freq = freq.values().copied().max().unwrap_or(0);
+    for (fname, seen) in values {
         let (min, max) = match domains.get(&fname) {
             Some((mn, mx, true)) => (*mn, *mx),
             _ => (None, None),
         };
-        attrs_out.insert(
-            fname,
-            AttrFacts { count, distinct: freq.len() as u64, max_freq, min, max },
-        );
+        attrs_out.insert(fname, AttrFacts { distinct: seen.len() as u64, min, max });
     }
     for (fname, kids) in children {
         // Recurse into the nested collection's elements, accumulating into
@@ -533,9 +548,8 @@ mod tests {
         let scale = TravelScale::tiny();
         let db = travel::generate(scale, 3);
         let stats = Stats::gather(&db);
-        let cities = stats.catalog().extent(Symbol::new("Cities")).unwrap();
-        assert_eq!(cities.size, scale.cities as u64);
-        let rooms_fanout = stats.catalog().field(Symbol::new("rooms")).unwrap().avg_fanout();
+        assert_eq!(stats.extents[&Symbol::new("Cities")].size, scale.cities as u64);
+        let rooms_fanout = stats.fields[&Symbol::new("rooms")].avg_fanout();
         assert!((rooms_fanout - scale.rooms_per_hotel as f64).abs() < 1e-9);
     }
 
@@ -562,7 +576,7 @@ mod tests {
         // 1/|Cities|), the unnest multiplies by the fan-out.
         assert_eq!(est[2], scale.cities as f64);
         assert!((est[1] - est[2] / scale.cities as f64).abs() < 1e-9, "{est:?}");
-        let fanout = stats.catalog().field(Symbol::new("hotels")).unwrap().avg_fanout();
+        let fanout = stats.fields[&Symbol::new("hotels")].avg_fanout();
         assert!((est[0] - est[1] * fanout).abs() < 1e-9, "{est:?}");
     }
 

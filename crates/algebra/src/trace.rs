@@ -83,7 +83,6 @@ struct ExecProbe {
     build: Vec<Cell<u64>>,
     nanos: Vec<Cell<u64>>,
     steps: Vec<Cell<u64>>,
-    allocs: Vec<Cell<u64>>,
     short_circuited: Cell<bool>,
 }
 
@@ -94,7 +93,6 @@ impl ExecProbe {
             build: (0..operators).map(|_| Cell::new(0)).collect(),
             nanos: (0..operators).map(|_| Cell::new(0)).collect(),
             steps: (0..operators).map(|_| Cell::new(0)).collect(),
-            allocs: (0..operators).map(|_| Cell::new(0)).collect(),
             short_circuited: Cell::new(false),
         }
     }
@@ -125,12 +123,6 @@ impl Probe for ExecProbe {
     fn eval_steps(&self, op: usize, steps: u64) {
         let c = &self.steps[op];
         c.set(c.get() + steps);
-    }
-
-    #[inline]
-    fn heap_allocs(&self, op: usize, n: u64) {
-        let c = &self.allocs[op];
-        c.set(c.get() + n);
     }
 
     #[inline]
@@ -166,9 +158,6 @@ pub struct OperatorProfile {
     /// Evaluator steps (AST-node visits) the operator-local work
     /// consumed — divide by `actual_rows` for per-row dispatch overhead.
     pub eval_steps: u64,
-    /// Heap mutations (alloc/set version-counter delta) the
-    /// operator-local work performed.
-    pub heap_allocs: u64,
 }
 
 impl OperatorProfile {
@@ -194,12 +183,7 @@ impl OperatorProfile {
         self.eval_steps as f64 / self.actual_rows.max(1) as f64
     }
 
-    /// Heap allocations per row produced.
-    pub fn allocs_per_row(&self) -> f64 {
-        self.heap_allocs as f64 / self.actual_rows.max(1) as f64
-    }
-
-    /// The operator entry of a profile document; `q_error` and the three
+    /// The operator entry of a profile document; `q_error` and the two
     /// per-row figures are derived, emitted for readers of the file.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -213,10 +197,8 @@ impl OperatorProfile {
             ("q_error", Json::Float(self.q_error())),
             ("self_nanos", Json::from(self.self_nanos)),
             ("eval_steps", Json::from(self.eval_steps)),
-            ("heap_allocs", Json::from(self.heap_allocs)),
             ("nanos_per_row", Json::Float(self.nanos_per_row())),
             ("steps_per_row", Json::Float(self.steps_per_row())),
-            ("allocs_per_row", Json::Float(self.allocs_per_row())),
         ])
     }
 
@@ -243,7 +225,6 @@ impl OperatorProfile {
             build_rows: count("build_rows")?,
             self_nanos: count("self_nanos")?,
             eval_steps: count("eval_steps")?,
-            heap_allocs: count("heap_allocs")?,
         })
     }
 }
@@ -287,7 +268,6 @@ impl QueryProfile {
                 build_rows: probe.build[op].get(),
                 self_nanos: probe.nanos[op].get(),
                 eval_steps: probe.steps[op].get(),
-                heap_allocs: probe.allocs[op].get(),
             });
         });
         QueryProfile {
@@ -334,9 +314,6 @@ impl QueryProfile {
             let _ = write!(out, ", self {}", fmt_nanos(o.self_nanos as u128));
             if o.eval_steps > 0 {
                 let _ = write!(out, ", steps {}", o.eval_steps);
-            }
-            if o.heap_allocs > 0 {
-                let _ = write!(out, ", allocs {}", o.heap_allocs);
             }
             out.push_str(")\n");
         }

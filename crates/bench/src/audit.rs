@@ -3,8 +3,8 @@
 //! q-error auditing on, and report — per query, per operator, and per
 //! operator *kind* — how honest the optimizer's cardinality estimates
 //! were (q-error, `max(est/actual, actual/est)`) and what each operator
-//! kind costs per row it produces (self-nanos, evaluator steps, heap
-//! allocations, each divided by rows out).
+//! kind costs per row it produces (self-nanos and evaluator steps, each
+//! divided by rows out).
 //!
 //! The `regress` binary serializes the report to `BENCH_audit.json` at
 //! the repo root next to `BENCH_regress.json`; with `--audit-baseline`
@@ -111,7 +111,6 @@ pub struct KindAudit {
     pub max_q_error: f64,
     pub self_nanos: u64,
     pub eval_steps: u64,
-    pub heap_allocs: u64,
 }
 
 impl KindAudit {
@@ -123,10 +122,6 @@ impl KindAudit {
         self.eval_steps as f64 / self.rows.max(1) as f64
     }
 
-    pub fn allocs_per_row(&self) -> f64 {
-        self.heap_allocs as f64 / self.rows.max(1) as f64
-    }
-
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("kind", Json::str(self.kind)),
@@ -136,10 +131,8 @@ impl KindAudit {
             ("max_q_error", Json::Float(self.max_q_error)),
             ("self_nanos", Json::from(self.self_nanos)),
             ("eval_steps", Json::from(self.eval_steps)),
-            ("heap_allocs", Json::from(self.heap_allocs)),
             ("nanos_per_row", Json::Float(self.nanos_per_row())),
             ("steps_per_row", Json::Float(self.steps_per_row())),
-            ("allocs_per_row", Json::Float(self.allocs_per_row())),
         ])
     }
 }
@@ -172,7 +165,6 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorProfile>) -> Ve
                         max_q_error: 1.0,
                         self_nanos: 0,
                         eval_steps: 0,
-                        heap_allocs: 0,
                     },
                 ));
                 groups.last_mut().expect("just pushed")
@@ -186,7 +178,6 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorProfile>) -> Ve
         k.max_q_error = k.max_q_error.max(q);
         k.self_nanos += o.self_nanos;
         k.eval_steps += o.eval_steps;
-        k.heap_allocs += o.heap_allocs;
     }
     let mut kinds: Vec<KindAudit> = groups
         .into_iter()
@@ -374,9 +365,8 @@ impl AuditReport {
 /// The per-kind overhead table ([`AuditReport::render`] and
 /// `oqltop --audit` share it).
 pub fn render_kind_table(kinds: &[KindAudit]) -> String {
-    let mut table = Table::new(&[
-        "kind", "ops", "rows", "q-med", "q-max", "self", "ns/row", "steps/row", "allocs/row",
-    ]);
+    let mut table =
+        Table::new(&["kind", "ops", "rows", "q-med", "q-max", "self", "ns/row", "steps/row"]);
     for k in kinds {
         table.row(&[
             k.kind.to_string(),
@@ -387,7 +377,6 @@ pub fn render_kind_table(kinds: &[KindAudit]) -> String {
             fmt_nanos(u128::from(k.self_nanos)),
             format!("{:.1}", k.nanos_per_row()),
             format!("{:.1}", k.steps_per_row()),
-            format!("{:.2}", k.allocs_per_row()),
         ]);
     }
     table.render()
@@ -520,7 +509,6 @@ mod tests {
             "\"kinds\"",
             "\"nanos_per_row\"",
             "\"steps_per_row\"",
-            "\"allocs_per_row\"",
             "\"q_error\"",
             "\"host\"",
         ] {
@@ -610,7 +598,6 @@ mod tests {
             build_rows: 0,
             self_nanos,
             eval_steps: 0,
-            heap_allocs: 0,
         };
         let ops = [op("scan", 3, 0), op("unnest", 2, 500), op("scan", 8, 100)];
         let kinds = aggregate_kinds(ops.iter());

@@ -7,12 +7,14 @@
 //! | MC003 | shadowed binding |
 //! | MC004 | duplicate generator under an idempotent merge |
 //! | MC006 | hom/generator legality near-miss, with a fix hint |
+//! | MC007 | cross product: a used generator no predicate joins |
+//! | MC008 | contradictory literal conjuncts on one attribute |
+//! | MC009 | the prepared statement falls back from the fused engine |
 //!
 //! MC005 ("cannot parallelize") was retired with the parallel engine;
-//! codes are never renumbered.
-//!
-//! MC007/MC008 live in [`super::infer`]; MC009 is attached by the umbrella
-//! `analyze` from the prepared plan.
+//! codes are never renumbered. MC009 is attached by the umbrella
+//! `analyze` from the prepared plan; every other code is a structural
+//! check of the term alone, made in one walk.
 //!
 //! Lints run over the *translated, pre-normalization* calculus term — that
 //! is the shape closest to what the user wrote, and the shape the OQL
@@ -28,7 +30,9 @@ use super::Span;
 use crate::expr::{BinOp, Expr, Literal, Qual};
 use crate::monoid::Monoid;
 use crate::normalize::is_pure;
+use crate::subst::free_vars;
 use crate::symbol::Symbol;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Diagnostic severity, ordered: `Info < Warning < Error`.
@@ -67,7 +71,8 @@ pub enum Code {
     /// MC007: an independent generator with no join predicate linking it
     /// to the earlier generators — a cross product.
     CrossProduct,
-    /// MC008: a predicate is statically empty under the gathered domains.
+    /// MC008: a predicate's literal conjuncts on one attribute contradict
+    /// each other, so the comprehension is statically empty.
     StaticallyEmpty,
     /// MC009: the prepared statement does not run on the fused engine,
     /// with the compiler's own reason. Defined here, emitted by the
@@ -223,7 +228,7 @@ pub fn lint_with_spans(e: &Expr, spans: &SpanMap) -> Vec<Diagnostic> {
 /// Was this name invented by `Symbol::fresh` (or deliberately
 /// underscore-silenced)? Fresh names carry `%`, which cannot appear in a
 /// parsed identifier.
-pub(super) fn synthesized(v: Symbol) -> bool {
+fn synthesized(v: Symbol) -> bool {
     v.as_str().contains('%') || v.as_str().starts_with('_')
 }
 
@@ -292,9 +297,7 @@ fn walk(e: &Expr, scope: &mut Vec<Symbol>, spans: &SpanMap, diags: &mut Vec<Diag
             walk(body, scope, spans, diags);
             scope.pop();
         }
-        Expr::Comp { monoid, head, quals } => {
-            lint_comp(monoid, head, quals, None, scope, spans, diags);
-        }
+        Expr::Comp { monoid, head, quals } => lint_comp(monoid, head, quals, scope, spans, diags),
         Expr::VecComp { size, value, index, quals, .. } => {
             walk(size, scope, spans, diags);
             // Vector comprehensions share the qualifier checks but have no
@@ -304,12 +307,11 @@ fn walk(e: &Expr, scope: &mut Vec<Symbol>, spans: &SpanMap, diags: &mut Vec<Diag
     }
 }
 
-/// All the per-comprehension lints: MC001/MC002/MC003/MC004/MC006.
+/// All the per-comprehension lints: MC001–MC004 and MC006–MC008.
 fn lint_comp(
     monoid: &Monoid,
     head: &Expr,
     quals: &[Qual],
-    _extra: Option<&Expr>,
     scope: &mut Vec<Symbol>,
     spans: &SpanMap,
     diags: &mut Vec<Diagnostic>,
@@ -317,6 +319,8 @@ fn lint_comp(
     lint_quals_and_heads(quals, &[head], scope, spans, diags, Some(monoid));
 
     // MC001 / MC004: a generator variable unused by everything after it.
+    // MC007: a used one that joins nothing, reported after those.
+    let mut cross_products = Vec::new();
     for (i, q) in quals.iter().enumerate() {
         let Qual::Gen(v, src) = q else { continue };
         if synthesized(*v) {
@@ -329,7 +333,25 @@ fn lint_comp(
             head: Box::new(head.clone()),
             quals: quals[i + 1..].to_vec(),
         };
-        if crate::subst::free_vars(&rest).contains(v) {
+        if free_vars(&rest).contains(v) {
+            if is_cross_product(*v, src, &quals[..i], quals) {
+                cross_products.push(
+                    Diagnostic::new(
+                        Code::CrossProduct,
+                        format!(
+                            "cross product: no join predicate links generator `{}` to the \
+                             earlier generators",
+                            v.as_str()
+                        ),
+                    )
+                    .at(spans.var_span(*v))
+                    .note(
+                        "add a predicate relating it to an earlier variable, or derive it \
+                         from one (a dependent path)"
+                            .into(),
+                    ),
+                );
+            }
             continue;
         }
         let duplicate_of = monoid.props().idempotent.then(|| {
@@ -363,6 +385,181 @@ fn lint_comp(
                     v.as_str()
                 )),
             ),
+        }
+    }
+    diags.append(&mut cross_products);
+
+    // MC008, per predicate so the span lands on the offending term.
+    let gens: Vec<Symbol> = quals
+        .iter()
+        .filter_map(|q| match q {
+            Qual::Gen(v, _) => Some(*v),
+            _ => None,
+        })
+        .collect();
+    for q in quals {
+        let Qual::Pred(p) = q else { continue };
+        let Some((v, attr)) = contradicted_attr(p, &gens) else { continue };
+        diags.push(
+            Diagnostic::new(
+                Code::StaticallyEmpty,
+                format!(
+                    "predicate selectivity is 0: no value of `{}.{}` satisfies these conjuncts",
+                    v.as_str(),
+                    attr.as_str()
+                ),
+            )
+            .at(spans.expr_span(p))
+            .note("the comprehension is statically empty and always yields zero".into()),
+        );
+    }
+}
+
+/// MC007: generator `v ← src` follows another generator, its source
+/// reads nothing bound `earlier`, and no predicate in `quals` relates `v`
+/// to an earlier variable — every pairing of rows survives.
+fn is_cross_product(v: Symbol, src: &Expr, earlier: &[Qual], quals: &[Qual]) -> bool {
+    let bound: HashSet<Symbol> = earlier
+        .iter()
+        .filter_map(|q| match q {
+            Qual::Gen(b, _) | Qual::Bind(b, _) => Some(*b),
+            _ => None,
+        })
+        .collect();
+    let reads_earlier = |fv: &HashSet<Symbol>| fv.iter().any(|x| bound.contains(x));
+    earlier.iter().any(|q| matches!(q, Qual::Gen(..)))
+        && !reads_earlier(&free_vars(src))
+        && !quals.iter().any(|q| match q {
+            Qual::Pred(p) => {
+                let fv = free_vars(p);
+                fv.contains(&v) && reads_earlier(&fv)
+            }
+            _ => false,
+        })
+}
+
+/// MC008: the `v.attr` path (`v` one of the comprehension's `gens`) that
+/// no value satisfies under `p`'s top-level conjuncts comparing it with a
+/// literal — two different pinned constants, a constant outside a range,
+/// or an empty range. Predicates mentioning a `$param` are exempt: their
+/// constants vary per execution.
+fn contradicted_attr(p: &Expr, gens: &[Symbol]) -> Option<(Symbol, Symbol)> {
+    if mentions_param(p) {
+        return None;
+    }
+    let path = |e: &Expr| match e {
+        Expr::Proj(inner, attr) => match inner.as_ref() {
+            Expr::Var(v) if gens.contains(v) => Some((*v, *attr)),
+            _ => None,
+        },
+        _ => None,
+    };
+    let mut constraints: HashMap<(Symbol, Symbol), AttrConstraint> = HashMap::new();
+    for c in conjuncts(p) {
+        let Expr::BinOp(op, a, b) = c else { continue };
+        if !op.is_comparison() {
+            continue;
+        }
+        let (key, lit, op) = match (path(a), b.as_ref(), path(b), a.as_ref()) {
+            (Some(key), Expr::Lit(lit), _, _) => (key, lit, *op),
+            (_, _, Some(key), Expr::Lit(lit)) => (key, lit, op.flipped()),
+            _ => continue,
+        };
+        let constraint = constraints.entry(key).or_default();
+        match (op, lit_num(lit)) {
+            (BinOp::Eq, _) => constraint.add_eq(lit),
+            (BinOp::Lt, Some(x)) => constraint.add_upper(x, true),
+            (BinOp::Le, Some(x)) => constraint.add_upper(x, false),
+            (BinOp::Gt, Some(x)) => constraint.add_lower(x, true),
+            (BinOp::Ge, Some(x)) => constraint.add_lower(x, false),
+            _ => {}
+        }
+        if constraint.contradictory {
+            return Some(key);
+        }
+    }
+    None
+}
+
+/// Flatten a top-level conjunction.
+fn conjuncts(p: &Expr) -> Vec<&Expr> {
+    match p {
+        Expr::BinOp(BinOp::And, a, b) => {
+            let mut out = conjuncts(a);
+            out.extend(conjuncts(b));
+            out
+        }
+        _ => vec![p],
+    }
+}
+
+fn lit_num(l: &Literal) -> Option<f64> {
+    match l {
+        Literal::Int(i) => Some(*i as f64),
+        Literal::Float(x) => Some(*x),
+        _ => None,
+    }
+}
+
+/// What one conjunction says about one attribute: the pinned literal and
+/// the tightest bounds so far (`strict` for `<`/`>`), and whether they
+/// already exclude every value.
+#[derive(Default)]
+struct AttrConstraint {
+    eq: Option<Literal>,
+    lo: Option<(f64, bool)>, // (bound, strict)
+    hi: Option<(f64, bool)>,
+    contradictory: bool,
+}
+
+impl AttrConstraint {
+    fn add_eq(&mut self, lit: &Literal) {
+        match &self.eq {
+            Some(prev) if prev != lit => self.contradictory = true,
+            _ => self.eq = Some(lit.clone()),
+        }
+        if let Some(x) = lit_num(lit) {
+            self.check_num(x);
+        }
+    }
+
+    fn add_lower(&mut self, x: f64, strict: bool) {
+        match self.lo {
+            Some((cur, cs)) if cur > x || (cur == x && cs) => {}
+            _ => self.lo = Some((x, strict)),
+        }
+        self.recheck();
+    }
+
+    fn add_upper(&mut self, x: f64, strict: bool) {
+        match self.hi {
+            Some((cur, cs)) if cur < x || (cur == x && cs) => {}
+            _ => self.hi = Some((x, strict)),
+        }
+        self.recheck();
+    }
+
+    fn check_num(&mut self, x: f64) {
+        if let Some((lo, strict)) = self.lo {
+            if x < lo || (x == lo && strict) {
+                self.contradictory = true;
+            }
+        }
+        if let Some((hi, strict)) = self.hi {
+            if x > hi || (x == hi && strict) {
+                self.contradictory = true;
+            }
+        }
+    }
+
+    fn recheck(&mut self) {
+        if let (Some((lo, ls)), Some((hi, hs))) = (self.lo, self.hi) {
+            if lo > hi || (lo == hi && (ls || hs)) {
+                self.contradictory = true;
+            }
+        }
+        if let Some(x) = self.eq.as_ref().and_then(lit_num) {
+            self.check_num(x);
         }
     }
 }
@@ -654,6 +851,59 @@ mod tests {
         assert_eq!(codes(&diags), vec!["MC006"]);
         assert_eq!(diags[0].severity, Severity::Error);
         assert!(diags[0].note.as_deref().unwrap().contains("to_bag"));
+    }
+
+    #[test]
+    fn contradictory_conjuncts_are_statically_empty_without_a_catalog() {
+        let hotels_where = |p: Expr| {
+            Expr::comp(
+                Monoid::Bag,
+                Expr::var("h"),
+                vec![Expr::gen("h", Expr::var("Hotels")), Expr::pred(p)],
+            )
+        };
+        let stars = || Expr::var("h").proj("stars");
+        let e = hotels_where(stars().gt(Expr::int(4)).and(stars().lt(Expr::int(2))));
+        assert_eq!(codes(&lint(&e)), vec!["MC008"]);
+        // A `$param` bound varies per execution: nothing is contradictory.
+        let e = hotels_where(stars().gt(Expr::param("lo")).and(stars().lt(Expr::int(2))));
+        assert!(lint(&e).is_empty(), "{:?}", lint(&e));
+    }
+
+    #[test]
+    fn cross_products_are_flagged_only_when_used_and_unlinked() {
+        let used_unlinked = Expr::comp(
+            Monoid::Bag,
+            Expr::var("a").proj("name").eq(Expr::var("b").proj("name")),
+            vec![
+                Expr::gen("a", Expr::var("Cities")),
+                Expr::gen("b", Expr::var("Hotels")),
+            ],
+        );
+        assert_eq!(codes(&lint(&used_unlinked)), vec!["MC007"]);
+
+        // A join predicate linking the sides suppresses MC007.
+        let linked = Expr::comp(
+            Monoid::Bag,
+            Expr::int(1),
+            vec![
+                Expr::gen("a", Expr::var("Cities")),
+                Expr::gen("b", Expr::var("Hotels")),
+                Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("city"))),
+            ],
+        );
+        assert!(!codes(&lint(&linked)).contains(&"MC007"), "{:?}", lint(&linked));
+
+        // Unused independent generators are MC001's business, not MC007's.
+        let unused = Expr::comp(
+            Monoid::Bag,
+            Expr::var("a").proj("name"),
+            vec![
+                Expr::gen("a", Expr::var("Cities")),
+                Expr::gen("b", Expr::var("Hotels")),
+            ],
+        );
+        assert_eq!(codes(&lint(&unused)), vec!["MC001"]);
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //!   re-checks scoping, C/I legality, type preservation, and
 //!   well-formedness after every normalize rule firing (on under
 //!   `cfg(debug_assertions)`, forced by `MONOID_VERIFY=1`).
-//! * [`infer`](mod@infer) — cardinality intervals, key certificates and
-//!   functional dependencies read off the canonical form.
 //! * [`lint`] — structured diagnostics with stable codes (MC001–MC009),
 //!   surfaced by the umbrella `analyze` API and the `oqlint` binary.
 //!   MC009 (engine fallback) is the one code this crate defines but does
 //!   not emit: `analyze` attaches it from the prepared plan.
+//!
+//! Nothing here reads statistics: the optimizer's `Stats` (in
+//! `monoid-algebra`) owns the only fact table about the data.
 //!
 //! Analyzer activity feeds the process-wide metrics registry:
 //! `analysis_diagnostics_total{code}` and
@@ -31,15 +32,11 @@
 
 use std::fmt;
 
-pub mod constraints;
 pub mod effects;
-pub mod infer;
 pub mod lint;
 pub mod verify;
 
-pub use constraints::{AttrFacts, Catalog, ExtentFacts, FieldFacts, Interval};
 pub use effects::{effects_of, Effects, EffectSummary};
-pub use infer::{infer, lint_full, FunDep, GenFacts, KeyCert, QueryFacts};
 pub use lint::{lint, lint_with_spans, Code, Diagnostic, Severity, SpanMap};
 pub use verify::{check_rewrite, record_failure, verify_enabled, VerifyError};
 
@@ -85,24 +82,8 @@ impl AnalysisReport {
     }
 
     /// Analyze `e`, anchoring diagnostics to `spans` where possible.
-    /// Inference lookups run against an empty catalog (sound: every miss
-    /// widens to top); use [`AnalysisReport::with_catalog`] when gathered
-    /// statistics are available.
     pub fn with_spans(e: &crate::expr::Expr, spans: &SpanMap) -> AnalysisReport {
-        AnalysisReport::with_catalog(e, spans, &Catalog::default())
-    }
-
-    /// Analyze `e` with spans and a gathered statistics catalog, enabling
-    /// the inference-backed lints (MC007–MC008) to use domain facts.
-    pub fn with_catalog(
-        e: &crate::expr::Expr,
-        spans: &SpanMap,
-        catalog: &Catalog,
-    ) -> AnalysisReport {
-        AnalysisReport {
-            effects: EffectSummary::of(e),
-            diagnostics: lint_full(e, spans, catalog),
-        }
+        AnalysisReport { effects: EffectSummary::of(e), diagnostics: lint_with_spans(e, spans) }
     }
 
     /// Add a diagnostic a later layer found (the umbrella's MC009),

@@ -83,6 +83,17 @@ impl BinOp {
     pub fn is_arith(self) -> bool {
         matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
     }
+    /// The operator that reads the same with its operands swapped:
+    /// `c < x` is `x > c`. Every other operator is returned unchanged.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            other => other,
+        }
+    }
     pub fn symbol(self) -> &'static str {
         match self {
             BinOp::Add => "+",

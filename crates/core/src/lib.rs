@@ -37,7 +37,7 @@
 //!   profiles.
 //! * [`analysis`] — static analysis: effect inference ([`analysis::effects`]),
 //!   the per-rewrite stage invariant verifier ([`analysis::verify`]), and
-//!   the MC001–MC006 lint pass ([`analysis::lint`]) behind `oqlint`
+//!   the MC001–MC009 lint pass ([`analysis::lint`]) behind `oqlint`
 //!   (`docs/analysis.md`).
 //! * [`metrics`] — the process-wide registry of counters, gauges, and
 //!   log-bucketed latency histograms every layer records into, with

@@ -173,7 +173,7 @@ fn profile_reports_self_time_steps_and_q_error_everywhere() {
     // per operator plus the headline q_error block.
     let json = p.to_json();
     let text = json.render();
-    for key in ["\"kind\"", "\"q_error\"", "\"eval_steps\"", "\"heap_allocs\"", "\"worst_op\""] {
+    for key in ["\"kind\"", "\"q_error\"", "\"eval_steps\"", "\"worst_op\""] {
         assert!(text.contains(key), "missing {key} in {text}");
     }
     let ops = json.get("operators").and_then(|o| o.as_arr()).unwrap();
