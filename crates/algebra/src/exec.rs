@@ -11,19 +11,19 @@
 //! accumulator. `some`/`all` reductions short-circuit the entire pipeline
 //! through the sink's `false` return, mirroring the evaluator.
 //!
-//! Three callers pin a run to the walk: [`execute_plan_walk_bound`] (the
+//! Two callers pin a run to the walk: [`execute_plan_walk_bound`] (the
 //! oracle of `fused_differential.rs` and the ablation baseline of
-//! `regress`), [`execute_counted_bound`] (evaluator steps as a cost proxy),
-//! and any run with a counting [`Probe`] — a fused run is one flat fold
-//! with no per-operator attribution to feed the hooks.
+//! `regress`) and any run with a counting [`Probe`] — a fused run is one
+//! flat fold with no per-operator attribution to feed the hooks.
 //!
 //! The driver is generic over a [`Probe`]: a set of per-operator counter
 //! hooks. [`NoProbe`] (the default used by [`execute`]) monomorphizes
 //! every hook to an empty inline function, so the unprofiled pipeline pays
 //! nothing — no per-row allocation, no branch on a runtime flag. The one
-//! counting probe lives in [`crate::trace`] (`Cell`s per operator); every
-//! consumer of counts — profiles, the fleet registry, the slow log — is
-//! flushed from it after the run.
+//! counting probe lives in [`crate::trace`] (`Cell`s per operator), and
+//! the profile read back from it is the run's one account: evaluator
+//! steps, per-operator rows and time, what the slow log and the audit
+//! read.
 
 use crate::error::ExecResult;
 use crate::logical::{Plan, Query};
@@ -206,15 +206,6 @@ pub fn execute_plan_walk_bound(
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
     run(query, snap, params, EnginePolicy::PlanWalk, &NoProbe).map(|r| r.value)
-}
-
-/// Walk the plan and report evaluation steps (cost proxy for benchmarks).
-pub fn execute_counted_bound(
-    query: &Query,
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-) -> ExecResult<(Value, u64)> {
-    run(query, snap, params, EnginePolicy::PlanWalk, &NoProbe).map(|r| (r.value, r.steps))
 }
 
 fn run_reduce<P: Probe>(
@@ -402,6 +393,12 @@ mod tests {
         travel::generate(TravelScale::tiny(), 42)
     }
 
+    /// Walk the plan and report its value and evaluator steps.
+    fn counted(query: &Query, snap: &Snapshot) -> (Value, u64) {
+        let run = crate::trace::execute_profiled_bound(query, &[], snap, &[]).unwrap();
+        (run.value, run.profile.eval_steps)
+    }
+
     fn portland() -> Expr {
         Expr::comp(
             Monoid::Bag,
@@ -453,8 +450,8 @@ mod tests {
         )
         .unwrap();
         assert!(!nl.plan.uses_hash_join());
-        let (vh, sh) = execute_counted_bound(&hash, &db, &[]).unwrap();
-        let (vn, sn) = execute_counted_bound(&nl, &db, &[]).unwrap();
+        let (vh, sh) = counted(&hash, &db);
+        let (vn, sn) = counted(&nl, &db);
         assert_eq!(vh, vn);
         // Self-join on a key: hash join does strictly less work.
         assert!(sh < sn, "hash {sh} vs nested-loop {sn}");
@@ -506,7 +503,7 @@ mod tests {
             vec![Expr::gen("h", Expr::var("Hotels"))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, steps) = execute_counted_bound(&plan, &db, &[]).unwrap();
+        let (v, steps) = counted(&plan, &db);
         assert_eq!(v, Value::Bool(true));
         // Must stop after the first hotel, not scan all of them.
         assert!(steps < 50, "did not short-circuit: {steps} steps");

@@ -23,10 +23,9 @@
 //!   annotated with the optimizer's cardinality estimates.
 //! * [`trace`] — the profiled half of `EXPLAIN ANALYZE`: one counted
 //!   execution of a planned query with per-operator row/time counters
-//!   next to the optimizer's estimates, serializable to JSON.
-//! * [`metrics`](mod@metrics) — fleet metering: a counted run's profile
-//!   flushed, by operator kind, into cumulative row/build/short-circuit
-//!   counters in the process-wide registry (`monoid_calculus::metrics`).
+//!   next to the optimizer's estimates, serializable to JSON. A profile
+//!   is the only account this crate keeps; it registers no metric
+//!   series of its own.
 //! * [`verify`] — plan invariant verifier: binder consistency and
 //!   purity (no `:=`, no `new`, head included), re-checked before every
 //!   execution when stage verification is on (`MONOID_VERIFY=1`, or any
@@ -42,8 +41,7 @@
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
 //! `Query` ever writes the heap; every entry point here — sequential,
-//! plan-walk, counted, profiled — therefore takes
-//! `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
+//! plan-walk, profiled — therefore takes `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
 //! one) and funnels into one private driver in [`exec`]. Update programs
 //! run on the calculus evaluator through `Database::query`, the paper's
 //! §4.2 state-transformer path. The `*_bound` functions take late-bound
@@ -54,22 +52,15 @@ pub mod exec;
 pub mod explain;
 pub mod fused;
 pub mod logical;
-pub mod metrics;
 pub mod optimizer;
 pub mod trace;
 pub mod verify;
 
 pub use error::PlanError;
-pub use exec::{
-    execute, execute_counted_bound, execute_plan_walk_bound, execute_snapshot_bound, NoProbe,
-    Probe,
-};
+pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound, NoProbe, Probe};
 pub use fused::{engine_of, fused_eligible, Engine, Refusal};
 pub use explain::{explain, explain_with_estimates};
 pub use optimizer::{reorder_generators, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};
-pub use trace::{
-    audit_enabled, execute_profiled_bound, fold_stacks, set_audit_enabled, Analysis,
-    OperatorProfile, QueryProfile,
-};
+pub use trace::{execute_profiled_bound, fold_stacks, Analysis, OperatorProfile, QueryProfile};
 pub use verify::verify_query;

@@ -64,12 +64,11 @@ impl Plan {
     }
 
     /// Every value [`Plan::kind_label`] returns — the closed label space
-    /// the registry pre-registers and profile loaders validate against.
+    /// profile loaders validate against.
     pub const KIND_LABELS: [&'static str; 5] = ["scan", "unnest", "filter", "bind", "join"];
 
-    /// Short operator-kind label — the bounded label space the metering
-    /// counters (`exec_rows_pushed_total{operator=…}`) and the plan-quality
-    /// audit (`plan_q_error_milli{operator=…}`) aggregate under.
+    /// Short operator-kind label — the bounded label space the
+    /// plan-quality audit's per-kind table aggregates profiles under.
     pub fn kind_label(&self) -> &'static str {
         match self {
             Plan::Scan { .. } => "scan",

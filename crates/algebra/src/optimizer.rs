@@ -100,8 +100,7 @@ impl Stats {
     /// reachable from their element records, up to [`CATALOG_DEPTH`]):
     /// extent sizes, per-field fan-outs, and per-attribute distinct
     /// counts and numeric domains. A gather describes the snapshot it
-    /// read; the serving layer reuses one while `(instance_id, epoch)` is
-    /// unchanged.
+    /// read; the serving layer keeps one in that snapshot's memo.
     pub fn gather(snap: &Snapshot) -> Stats {
         let mut stats = Stats::default();
         for (name, value) in snap.roots() {

@@ -10,10 +10,10 @@
 //! cardinalities (`Stats::query_estimates`) next to the *observed* row
 //! counts — reading the skew between the two is how you find out where
 //! the cost model lies. A profile is the only thing the executor
-//! measures; the fleet registry ([`crate::metrics`]), the slow log and
-//! the auditor are sinks it is flushed to after the run. Profiles
-//! round-trip through JSON ([`QueryProfile::to_json`] /
-//! [`QueryProfile::from_json`]).
+//! measures, and it is summed once, here: the slow log and the
+//! plan-quality audit read profiles, and no profile is re-summed into
+//! the process-wide metrics registry. Profiles round-trip through JSON
+//! ([`QueryProfile::to_json`] / [`QueryProfile::from_json`]).
 //!
 //! The unprofiled entry points ([`crate::execute`]) use
 //! [`crate::NoProbe`] and compile all instrumentation away; nothing here
@@ -31,48 +31,7 @@ use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
 use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-/// The plan-quality audit switch. Off by default so profiled runs stay
-/// registry-invisible; flip it (or set `MONOID_AUDIT=1`) and every
-/// [`execute_profiled_bound`] run feeds its
-/// per-operator q-errors into the global metrics registry under
-/// `plan_q_error_milli{operator=<kind>}`.
-fn audit_flag() -> &'static AtomicBool {
-    static FLAG: OnceLock<AtomicBool> = OnceLock::new();
-    FLAG.get_or_init(|| {
-        let on = std::env::var("MONOID_AUDIT")
-            .map(|v| !matches!(v.as_str(), "" | "0" | "false" | "off"))
-            .unwrap_or(false);
-        AtomicBool::new(on)
-    })
-}
-
-/// Is corpus-wide q-error auditing on?
-pub fn audit_enabled() -> bool {
-    audit_flag().load(Ordering::Relaxed)
-}
-
-/// Enable or disable q-error auditing at runtime (overrides
-/// `MONOID_AUDIT`). Returns the previous setting so callers can scope
-/// the change.
-pub fn set_audit_enabled(on: bool) -> bool {
-    audit_flag().swap(on, Ordering::Relaxed)
-}
-
-/// Feed one profile's per-operator q-errors into the registry. Values
-/// are recorded in milli-q units (`q × 1000`, so a perfect estimate is
-/// 1000) because the log₂ histogram buckets would otherwise collapse
-/// every q-error below 2.0 into one bucket.
-fn record_audit(profile: &QueryProfile) {
-    let r = monoid_calculus::metrics::global();
-    for o in &profile.operators {
-        let milli = (o.q_error() * 1000.0).round() as u64;
-        r.histogram_with("plan_q_error_milli", &[("operator", o.kind)]).observe(milli);
-    }
-}
 
 /// The counting probe: one set of cells per plan operator, indexed by the
 /// operator's pre-order position. `Cell` (not atomics) because profiled
@@ -507,9 +466,6 @@ pub fn execute_profiled_bound(
     let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
     let mut profile = QueryProfile::assemble(query, estimates, &probe, run.steps);
     profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
-    if audit_enabled() {
-        record_audit(&profile);
-    }
     Ok(Analysis { value: run.value, profile })
 }
 

@@ -1,7 +1,7 @@
 //! The plan-quality audit behind `regress --audit` and `oqltop --audit`:
-//! run the canonical regression corpus once under the profiler with
-//! q-error auditing on, and report — per query, per operator, and per
-//! operator *kind* — how honest the optimizer's cardinality estimates
+//! run the canonical regression corpus once under the profiler and
+//! report, read straight from the profiles — per query, per operator,
+//! and per operator *kind* — how honest the optimizer's cardinality estimates
 //! were (q-error, `max(est/actual, actual/est)`) and what each operator
 //! kind costs per row it produces (self-nanos and evaluator steps, each
 //! divided by rows out).
@@ -21,7 +21,6 @@
 use crate::harness::{fmt_nanos, Table};
 use crate::regress::{self, host_meta, HostMeta};
 use monoid_calculus::json::Json;
-use monoid_calculus::metrics::{MetricValue, Snapshot};
 use monoid_algebra::{OperatorProfile, QueryProfile};
 
 /// Audit schema version stamped into `BENCH_audit.json`.
@@ -230,12 +229,10 @@ pub struct AuditReport {
 }
 
 /// Run the audit over the canonical regression corpus: each case
-/// executes once under the profiler with q-error auditing enabled (the
-/// previous audit setting is restored afterwards, so tests and
-/// embedders keep their configuration).
+/// executes once under the profiler, and its profile is the audit's
+/// only input.
 pub fn run(quick: bool) -> AuditReport {
     let (mut travel_db, mut company_db, cases) = regress::suite(quick);
-    let prev = monoid_algebra::set_audit_enabled(true);
     let mut queries = Vec::with_capacity(cases.len());
     for case in cases {
         let db = match case.store {
@@ -245,7 +242,6 @@ pub fn run(quick: bool) -> AuditReport {
         let analysis = regress::profile_case(&case, db);
         queries.push(QueryAudit::from_profile(case.name, case.store, &case.source, &analysis.profile));
     }
-    monoid_algebra::set_audit_enabled(prev);
     from_queries(quick, queries)
 }
 
@@ -380,45 +376,6 @@ pub fn render_kind_table(kinds: &[KindAudit]) -> String {
         ]);
     }
     table.render()
-}
-
-/// Render the registry's corpus-wide q-error account — the
-/// `plan_q_error_milli{operator=…}` histogram family fed by audited
-/// profiled runs. Empty string when the family has no series (auditing
-/// never ran).
-pub fn render_registry_audit(snapshot: &Snapshot) -> String {
-    let mut table = Table::new(&["operator", "samples", "q-p50", "q-p95", "q-mean"]);
-    let mut rows = 0;
-    for s in &snapshot.series {
-        if s.key.name != "plan_q_error_milli" {
-            continue;
-        }
-        let MetricValue::Histogram(h) = &s.value else { continue };
-        if h.count == 0 {
-            continue;
-        }
-        let operator = s
-            .key
-            .labels
-            .iter()
-            .find(|(k, _)| k == "operator")
-            .map_or("?", |(_, v)| v.as_str());
-        let q = |p: f64| {
-            h.quantile(p).map_or("-".to_string(), |milli| format!("{:.2}", milli as f64 / 1000.0))
-        };
-        table.row(&[
-            operator.to_string(),
-            h.count.to_string(),
-            q(0.5),
-            q(0.95),
-            format!("{:.2}", h.sum as f64 / h.count as f64 / 1000.0),
-        ]);
-        rows += 1;
-    }
-    if rows == 0 {
-        return String::new();
-    }
-    format!("registry q-error by operator kind (milli-q histograms):\n{}", table.render())
 }
 
 /// The gate's verdict: informational notes plus hard regressions (any

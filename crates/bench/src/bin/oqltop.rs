@@ -15,9 +15,9 @@
 //!
 //! `--slow FILE` pretty-prints a dumped slow-query log (captures with
 //! plans/profiles) after the table. `--audit` switches to the
-//! plan-quality view — per-operator q-errors and per-row overhead, from
-//! the slow log's captured profiles (with `--slow`) or a live audited
-//! demo run. `--flame` emits folded flamegraph stacks
+//! plan-quality view — per-operator q-errors and per-row overhead, read
+//! from the slow log's captured profiles (with `--slow`) or a live
+//! profiled demo run. `--flame` emits folded flamegraph stacks
 //! (`frame;frame value`, `flamegraph.pl` / inferno input) to stdout from
 //! the same sources. Exit status: 0 on success, 2 on usage or
 //! unreadable/malformed input.
@@ -160,8 +160,8 @@ fn slow_profiles(path: &str) -> Vec<(String, QueryProfile)> {
         .collect()
 }
 
-/// A live profiled run of the demo statements, q-error auditing on for
-/// the duration, as `(source, profile)` pairs.
+/// A live profiled run of the demo statements, as `(source, profile)`
+/// pairs.
 fn demo_profiles() -> Vec<(String, QueryProfile)> {
     use monoid_store::{travel, TravelScale};
 
@@ -172,15 +172,12 @@ fn demo_profiles() -> Vec<(String, QueryProfile)> {
         "exists h in Hotels: h.name = \"hotel_0_0\"",
         "sum(select r.price from c in Cities, h in c.hotels, r in h.rooms)",
     ];
-    let prev = monoid_algebra::set_audit_enabled(true);
-    let profiles = statements
+    statements
         .iter()
         .filter_map(|src| {
             monoid_db::explain_analyze(src, &db).ok().map(|a| (src.to_string(), a.profile))
         })
-        .collect();
-    monoid_algebra::set_audit_enabled(prev);
-    profiles
+        .collect()
 }
 
 /// `--flame`: folded stacks to stdout, one tower per profiled query,
@@ -195,8 +192,8 @@ fn run_flame(profiles: &[(String, QueryProfile)]) {
     }
 }
 
-/// `--audit`: per-query q-error headlines, the corpus kind table, and —
-/// when the registry saw audited runs — its per-kind q-error histograms.
+/// `--audit`: per-query q-error headlines and the kind table over the
+/// profiles.
 fn run_audit(profiles: &[(String, QueryProfile)], from_slow_log: bool) {
     if profiles.is_empty() {
         eprintln!("no profiles to audit (slow log without captured profiles?)");
@@ -222,10 +219,6 @@ fn run_audit(profiles: &[(String, QueryProfile)], from_slow_log: bool) {
     }
     let kinds = audit::aggregate_kinds(profiles.iter().flat_map(|(_, p)| &p.operators));
     println!("\n{}", audit::render_kind_table(&kinds));
-    let registry = audit::render_registry_audit(&monoid_calculus::metrics::global().snapshot());
-    if !registry.is_empty() {
-        println!("{registry}");
-    }
 }
 
 fn main() {

@@ -1,22 +1,21 @@
 //! `regress` — the bench-regression harness binary.
 //!
 //! Runs the canonical paper queries (company + travel stores) through the
-//! full normalize → plan → metered-execute pipeline N times, then writes
-//! `BENCH_regress.json` at the repo root: per-query median/p95/p99 wall
-//! times plus the metrics-registry delta (per-rule normalization counts,
-//! per-operator row totals, store counters, phase histograms).
+//! full normalize → plan → execute pipeline N times, in process, then
+//! writes `BENCH_regress.json` at the repo root: per-query median/p95/p99
+//! wall times plus the metrics-registry delta (per-rule normalization
+//! counts, plan-cache traffic, store counters, phase histograms).
+//! Per-operator rows and q-errors are the audit's (`--audit`), read from
+//! the profiles; the wire is timed by `oqlbench`.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p monoid-bench --bin regress [-- --quick] [--warm] [--out PATH]
+//! cargo run --release -p monoid-bench --bin regress [-- --quick] [--out PATH]
 //!     [--compare BASELINE.json] [--tolerance PCT] [--slow-out PATH] [--journal-out PATH]
 //! ```
 //!
 //! `--quick` shrinks the stores and run counts for CI smoke runs.
-//! `--warm` serves the prepared section from the pre-warmed process-wide
-//! plan cache (timing full `Session::query` hits) instead of a cold
-//! private one; CI runs both and uploads the two reports side by side.
 //!
 //! `--compare BASELINE.json` turns the run into a regression *gate*: the
 //! fresh report is diffed against the baseline per query (median/p95,
@@ -43,7 +42,6 @@ use monoid_calculus::json::Json;
 
 fn main() {
     let mut quick = false;
-    let mut warm = false;
     let mut out: Option<String> = None;
     let mut compare: Option<String> = None;
     let mut tolerance = DEFAULT_TOLERANCE_PCT;
@@ -65,7 +63,6 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--warm" => warm = true,
             "--out" => out = Some(path_arg(&mut args, "--out")),
             "--compare" => compare = Some(path_arg(&mut args, "--compare")),
             "--tolerance" => {
@@ -103,7 +100,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: regress [--quick] [--warm] [--out PATH] [--compare BASELINE.json] \
+                    "usage: regress [--quick] [--out PATH] [--compare BASELINE.json] \
                      [--tolerance PCT] [--min-delta NANOS] [--slow-out PATH] [--journal-out PATH] \
                      [--audit] [--audit-out PATH] [--audit-baseline BASELINE.json] \
                      [--audit-tolerance PCT] [--flame-out PATH]"
@@ -122,7 +119,7 @@ fn main() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_regress.json").to_string()
     });
 
-    let report = regress::run_with(quick, warm);
+    let report = regress::run(quick);
 
     let mut table = Table::new(&["query", "store", "p50", "p95", "p99", "rows→reduce", "norm steps"]);
     for q in &report.queries {
@@ -157,9 +154,6 @@ fn main() {
     }
     println!("{}", etable.render());
 
-    if report.warm {
-        println!("prepared section served from the pre-warmed process-wide cache (--warm)\n");
-    }
     let mut stable =
         Table::new(&["prepared statement", "cold p50", "cold p95", "warm p50", "warm p95", "speedup"]);
     for p in &report.prepared {
@@ -173,23 +167,7 @@ fn main() {
         ]);
     }
     println!("{}", stable.render());
-
-    let mut svtable =
-        Table::new(&["serving statement", "cold first", "warm/query", "clients", "q/s"]);
-    for s in &report.serving {
-        for p in &s.points {
-            svtable.row(&[
-                s.name.to_string(),
-                fmt_nanos(s.cold_first_query_nanos),
-                fmt_nanos(s.warm_nanos_per_query),
-                p.clients.to_string(),
-                format!("{:.0}", p.queries_per_sec),
-            ]);
-        }
-    }
-    println!("{}", svtable.render());
-    println!("operator rows: {:?}", report.operator_rows());
-    println!("rules fired:   {:?}", report.rule_firings());
+    println!("rules fired: {:?}", report.rule_firings());
 
     let report_json = report.to_json();
     if let Err(e) = std::fs::write(&out, format!("{}\n", report_json.render_pretty())) {
@@ -230,8 +208,7 @@ fn main() {
     // every regression at once instead of one per push.
     let mut gate_failed = false;
 
-    // The plan-quality audit: same corpus, one profiled pass per query
-    // with q-error auditing on.
+    // The plan-quality audit: same corpus, one profiled pass per query.
     if run_audit {
         let audit_out = audit_out.unwrap_or_else(|| {
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json").to_string()

@@ -125,19 +125,17 @@ impl CompareReport {
 /// medians and tails, the prepared warm path (the serving-layer number
 /// `docs/serving.md` optimizes for), and the fused median of the fusion
 /// cases — three scan-heavy chains and the corpus's join (a regression
-/// there means the fold itself got slower). Cold prepared numbers are deliberately not gated — they
-/// measure the host (compiler, disk cache) more than the code. A report
-/// from before schema v7 has a `parallel` section where `fusion` is now:
-/// comparing against it is an error naming the missing section, never a
-/// silent pass.
-const SECTIONS: [(&str, &[&str]); 4] = [
+/// there means the fold itself got slower). Cold prepared numbers are
+/// deliberately not gated — they measure the host (compiler, disk cache)
+/// more than the code. Every section is in-process: the wire is gated by
+/// `oqlbench`, and a baseline's extra sections (a pre-v8 `serving`) are
+/// ignored. A report from before schema v7 has a `parallel` section where
+/// `fusion` is now: comparing against it is an error naming the missing
+/// section, never a silent pass.
+const SECTIONS: [(&str, &[&str]); 3] = [
     ("queries", &["median_nanos", "p95_nanos"]),
     ("prepared", &["warm_median_nanos"]),
     ("fusion", &["fused_median_nanos"]),
-    // The wire server's single-client warm round trip (schema v6). The
-    // throughput ladder is deliberately not gated — queries/second at 64
-    // clients measures the host's core count more than the code.
-    ("serving", &["warm_nanos_per_query"]),
 ];
 
 /// Compare a fresh report against a baseline, both in their
@@ -237,13 +235,6 @@ mod tests {
                     ("fused_median_nanos", Json::from(median)),
                 ])]),
             ),
-            (
-                "serving",
-                Json::Arr(vec![Json::obj(vec![
-                    ("name", Json::str("s1")),
-                    ("warm_nanos_per_query", Json::from(warm)),
-                ])]),
-            ),
         ])
     }
 
@@ -252,7 +243,7 @@ mod tests {
         let r = report(1_000_000, 500_000, false);
         let c = compare_reports(&r, &r, 50.0, 100_000.0).unwrap();
         assert!(c.passed());
-        assert_eq!(c.compared, 5);
+        assert_eq!(c.compared, 4);
         assert!(!c.mode_mismatch);
         assert!(c.improvements.is_empty());
         assert!(c.render().contains("PASS"), "{}", c.render());
@@ -264,12 +255,12 @@ mod tests {
         let slow = report(10_000_000, 5_000_000, false);
         let c = compare_reports(&slow, &base, 50.0, 100_000.0).unwrap();
         assert!(!c.passed());
-        assert_eq!(c.regressions.len(), 5, "{:?}", c.regressions);
+        assert_eq!(c.regressions.len(), 4, "{:?}", c.regressions);
         assert!(c.render().contains("REGRESSION"), "{}", c.render());
         // The mirror image is an improvement, and still a pass.
         let c = compare_reports(&base, &slow, 50.0, 100_000.0).unwrap();
         assert!(c.passed());
-        assert_eq!(c.improvements.len(), 5);
+        assert_eq!(c.improvements.len(), 4);
     }
 
     #[test]
@@ -320,11 +311,21 @@ mod tests {
         let current = report(1_000_000, 500_000, false);
         let mut old = report(1_000_000, 500_000, false);
         if let Json::Obj(fields) = &mut old {
-            fields.retain(|(k, _)| k != "serving");
+            fields.retain(|(k, _)| k != "prepared");
         }
         let err = compare_reports(&current, &old, 50.0, 100_000.0).unwrap_err();
-        assert!(err.contains("`serving`"), "{err}");
+        assert!(err.contains("`prepared`"), "{err}");
         assert!(compare_reports(&old, &current, 50.0, 100_000.0).is_err());
+
+        // A schema-7 baseline's wire section is not compared, and does not
+        // fail the gate.
+        let mut v7 = report(1_000_000, 500_000, false);
+        if let Json::Obj(fields) = &mut v7 {
+            let serving = Json::obj(vec![("name", Json::str("s1"))]);
+            fields.push(("serving".to_string(), Json::Arr(vec![serving])));
+        }
+        let c = compare_reports(&current, &v7, 50.0, 100_000.0).unwrap();
+        assert!(c.passed() && c.compared == 4, "{}", c.render());
 
         // A pre-v7 baseline still calls the section `parallel`: refused by
         // name on whichever side it sits, so it cannot pass silently.

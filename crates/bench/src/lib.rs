@@ -10,10 +10,10 @@
 //!   benchmark series;
 //! * the `regress` binary (`cargo run --release -p monoid-bench --bin
 //!   regress`), which runs the canonical paper queries through the
-//!   metered pipeline and writes `BENCH_regress.json` — latency
+//!   pipeline in process and writes `BENCH_regress.json` — latency
 //!   percentiles plus the metrics-registry delta — at the repo root,
 //!   and with `--compare` gates a fresh run against that baseline
-//!   ([`compare`]);
+//!   ([`compare`]); the wire is timed by `oqlbench` (`benchmark/`);
 //! * the `oqltop` binary, which renders top queries by time from the
 //!   flight recorder's live snapshot or a dumped journal ([`top`]).
 
@@ -22,5 +22,4 @@ pub mod compare;
 pub mod harness;
 pub mod queries;
 pub mod regress;
-pub mod serving;
 pub mod top;

@@ -1,11 +1,13 @@
 //! The bench-regression harness: run the canonical paper queries
 //! (company + travel stores) many times through the full
 //! normalize → plan → execute pipeline — the engine `oqld` serves reads
-//! with — and report per-query latency percentiles plus the
+//! with — and report in-process latency percentiles plus the
 //! metrics-registry account of the whole workload — per-rule
-//! normalization firings, per-operator-kind row totals (one profiled pass
-//! per query, flushed as a metered run), store counters, and
-//! phase-latency histograms.
+//! normalization firings, plan-cache traffic, store counters, and
+//! phase-latency histograms. Per-operator rows are not re-summed here:
+//! each query's one profiled pass is its account, and the plan-quality
+//! audit ([`crate::audit`]) reads those profiles. The wire is timed by
+//! `oqlbench`, not here.
 //!
 //! The `regress` binary serializes the report to `BENCH_regress.json`
 //! at the repo root: the first point on the perf trajectory every
@@ -21,7 +23,7 @@ use crate::queries;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::json::Json;
-use monoid_calculus::metrics::{self, validate_prometheus_text, Snapshot};
+use monoid_calculus::metrics::{self, Snapshot};
 use monoid_calculus::normalize::{normalize_traced, NormalizeStats};
 use monoid_calculus::trace::{Phase, QueryTrace};
 use monoid_store::{company, travel, Database, TravelScale};
@@ -98,8 +100,7 @@ pub struct PreparedBench {
 /// meet.
 #[derive(Debug, Clone)]
 pub struct HostMeta {
-    /// `std::thread::available_parallelism()` — what the serving
-    /// section's multi-client throughput points are bounded by.
+    /// `std::thread::available_parallelism()`.
     pub logical_cores: usize,
     /// `rustc --version` output, or `"unknown"` when the compiler is
     /// not on PATH at run time.
@@ -139,9 +140,6 @@ impl HostMeta {
 /// The full regression report.
 pub struct RegressReport {
     pub quick: bool,
-    /// Whether the prepared section ran against the pre-warmed
-    /// process-wide plan cache (`--warm`).
-    pub warm: bool,
     pub runs_per_query: usize,
     pub queries: Vec<QueryReport>,
     /// Fused fold vs forced plan walk on three scan-heavy linear chains
@@ -151,15 +149,9 @@ pub struct RegressReport {
     /// execute); the workload also runs through a `Session` + `PlanCache`
     /// so the `plan_cache_*` counters land in the registry delta below.
     pub prepared: Vec<PreparedBench>,
-    /// Wire-server throughput: closed-loop queries/second against an
-    /// in-process `oqld` at {1, 4, 16, 64} concurrent connections, plus
-    /// the cold/warm single-client round trip ([`crate::serving`]).
-    pub serving: Vec<crate::serving::ServingBench>,
     /// Registry delta attributable to this workload (snapshot diff
     /// around the run).
     pub registry: Snapshot,
-    /// The same delta in Prometheus text format.
-    pub prometheus: String,
     /// The host this report was produced on.
     pub host: HostMeta,
 }
@@ -224,8 +216,9 @@ pub fn suite(quick: bool) -> (Database, Database, Vec<Case>) {
 }
 
 /// One profiled pass over a corpus case, prepared the way `oqld` prepares
-/// a statement (statistics gathered from `db`): what [`run_with`] flushes
-/// into the registry and the plan-quality audit judges.
+/// a statement (statistics gathered from `db`): what [`run`] reads a
+/// query's rows and normalization from, and the plan-quality audit
+/// judges.
 pub fn profile_case(case: &Case, db: &monoid_store::Snapshot) -> monoid_algebra::Analysis {
     monoid_db::prepare_expr(&case.expr, &monoid_algebra::Stats::gather(db))
         .and_then(|stmt| stmt.profile(db, &monoid_db::Params::new()))
@@ -234,13 +227,6 @@ pub fn profile_case(case: &Case, db: &monoid_store::Snapshot) -> monoid_algebra:
 
 /// Run the suite. `quick` shrinks stores and run counts for CI smoke.
 pub fn run(quick: bool) -> RegressReport {
-    run_with(quick, false)
-}
-
-/// [`run`], optionally serving the prepared section from the pre-warmed
-/// process-wide plan cache (`warm`) instead of a cold private one — CI
-/// runs both and diffs the two reports.
-pub fn run_with(quick: bool, warm: bool) -> RegressReport {
     let runs = if quick { 5 } else { 25 };
     let (mut travel_db, mut company_db, cases) = suite(quick);
     let join = cases
@@ -255,10 +241,8 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
             "travel" => &mut travel_db,
             _ => &mut company_db,
         };
-        // One profiled pass for per-operator accounting, flushed into the
-        // registry delta as a metered run…
+        // One profiled pass for the query's own account…
         let analysis = profile_case(&case, db);
-        monoid_algebra::metrics::record_profile(&analysis.profile);
         let rows_to_reduce = analysis.profile.rows_to_reduce;
         let normalize = analysis
             .profile
@@ -310,21 +294,15 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
         });
     }
     let fusion = run_fusion_section(quick, runs, join, &company_db);
-    let prepared = run_prepared_section(quick, runs, warm);
-    let serving = crate::serving::run_serving_section(quick);
+    let prepared = run_prepared_section(quick, runs);
     let registry = metrics::global().snapshot().diff(&before);
-    let prometheus = registry.to_prometheus();
-    validate_prometheus_text(&prometheus).expect("exporter emits valid text format");
     RegressReport {
         quick,
-        warm,
         runs_per_query: runs,
         queries: reports,
         fusion,
         prepared,
-        serving,
         registry,
-        prometheus,
         host: host_meta(),
     }
 }
@@ -334,13 +312,7 @@ pub fn run_with(quick: bool, warm: bool) -> RegressReport {
 /// executes one `Prepared` repeatedly. The same statements then go
 /// through a private `Session`/`PlanCache` so the run's registry delta
 /// carries `plan_cache_hits_total` / `plan_cache_misses_total` traffic.
-///
-/// Under `warm` the section serves from the pre-warmed process-wide
-/// cache instead: every statement is queried once through
-/// `Session::new()` before any timing, and the warm loop times whole
-/// `session.query` hits (lookup + bind + execute) rather than bare
-/// `Prepared::execute` calls.
-fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBench> {
+fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
     use monoid_calculus::value::Value;
     use monoid_db::{prepare_on, Params, PlanCache, Session};
 
@@ -368,18 +340,7 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
         ),
     ];
 
-    let session = if warm {
-        Session::new()
-    } else {
-        Session::with_cache(std::sync::Arc::new(PlanCache::new()))
-    };
-    if warm {
-        // Pre-warm the process-wide cache so every timed lookup below
-        // is a hit.
-        for (_, source, params) in &cases {
-            session.query(&mut db, source, params).expect("pre-warm serves the statement");
-        }
-    }
+    let session = Session::with_cache(std::sync::Arc::new(PlanCache::new()));
     cases
         .into_iter()
         .map(|(name, source, params)| {
@@ -391,26 +352,17 @@ fn run_prepared_section(quick: bool, runs: usize, warm: bool) -> Vec<PreparedBen
                 stmt.execute(&mut db, &params).expect("canonical statement executes");
                 cold.push(started.elapsed().as_nanos());
             }
+            // Warm: prepare once, execute `runs` times.
+            let stmt = prepare_on(&db, source).expect("canonical statement prepares");
             let mut warm_samples = Vec::with_capacity(runs);
-            if warm {
-                // Warm: serve `runs` hits from the pre-warmed cache.
-                for _ in 0..runs {
-                    let started = Instant::now();
-                    session.query(&mut db, source, &params).expect("session serves the statement");
-                    warm_samples.push(started.elapsed().as_nanos());
-                }
-            } else {
-                // Warm: prepare once, execute `runs` times.
-                let stmt = prepare_on(&db, source).expect("canonical statement prepares");
-                for _ in 0..runs {
-                    let started = Instant::now();
-                    stmt.execute(&mut db, &params).expect("canonical statement executes");
-                    warm_samples.push(started.elapsed().as_nanos());
-                }
-                // Cache traffic for the registry delta: one miss, then hits.
-                for _ in 0..runs {
-                    session.query(&mut db, source, &params).expect("session serves the statement");
-                }
+            for _ in 0..runs {
+                let started = Instant::now();
+                stmt.execute(&mut db, &params).expect("canonical statement executes");
+                warm_samples.push(started.elapsed().as_nanos());
+            }
+            // Cache traffic for the registry delta: one miss, then hits.
+            for _ in 0..runs {
+                session.query(&mut db, source, &params).expect("session serves the statement");
             }
             let cold_p50 = percentile_nanos(&cold, 50.0);
             let warm_p50 = percentile_nanos(&warm_samples, 50.0);
@@ -518,22 +470,6 @@ fn run_fusion_section(
 }
 
 impl RegressReport {
-    /// Cumulative rows pushed, by operator kind, from the registry
-    /// delta.
-    pub fn operator_rows(&self) -> Vec<(String, u64)> {
-        self.registry
-            .series
-            .iter()
-            .filter(|s| s.key.name == "exec_rows_pushed_total")
-            .filter_map(|s| match s.value {
-                metrics::MetricValue::Counter(n) if n > 0 => {
-                    s.key.labels.first().map(|(_, kind)| (kind.clone(), n))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     /// Cumulative rule firings from the registry delta.
     pub fn rule_firings(&self) -> Vec<(String, u64)> {
         self.registry
@@ -624,25 +560,20 @@ impl RegressReport {
                 })
                 .collect(),
         );
-        let serving = Json::Arr(self.serving.iter().map(crate::serving::ServingBench::to_json).collect());
-        let pairs_json = |pairs: Vec<(String, u64)>| {
-            Json::Obj(pairs.into_iter().map(|(k, n)| (k, Json::from(n))).collect())
-        };
+        let rules = self.rule_firings().into_iter().map(|(k, n)| (k, Json::from(n))).collect();
         Json::obj(vec![
             ("bench", Json::str("regress")),
-            // Version 6 added the `serving` section; version 7 replaced
-            // `parallel` (thread ladder) with `fusion` (fused vs plan walk).
-            ("schema_version", Json::Int(7)),
+            // Version 7 replaced `parallel` (thread ladder) with `fusion`
+            // (fused vs plan walk); version 8 dropped the wire `serving`
+            // section, `warm` and `operator_rows`.
+            ("schema_version", Json::Int(8)),
             ("host", self.host.to_json()),
             ("quick", Json::Bool(self.quick)),
-            ("warm", Json::Bool(self.warm)),
             ("runs_per_query", Json::from(self.runs_per_query)),
             ("queries", queries),
             ("fusion", fusion),
             ("prepared", prepared),
-            ("serving", serving),
-            ("operator_rows", pairs_json(self.operator_rows())),
-            ("normalize_rules", pairs_json(self.rule_firings())),
+            ("normalize_rules", Json::Obj(rules)),
             ("registry", self.registry.to_json()),
         ])
     }
@@ -664,16 +595,11 @@ mod tests {
         // The nested Portland query must exercise the unnesting rules.
         let nested = report.queries.iter().find(|q| q.name == "portland-nested").unwrap();
         assert!(nested.normalize.steps > 0, "nested form normalizes");
-        // Per-operator rows and per-rule firings made it into the delta.
-        assert!(
-            report.operator_rows().iter().any(|(k, n)| k == "scan" && *n > 0),
-            "scans counted: {:?}",
-            report.operator_rows()
-        );
+        // Per-rule firings made it into the delta; no executor series did
+        // (a profile is its run's one account).
         assert!(!report.rule_firings().is_empty(), "rules counted");
-        // The Prometheus rendering of the delta is valid text format.
-        validate_prometheus_text(&report.prometheus).unwrap();
-        assert!(report.prometheus.contains("exec_rows_pushed_total"), "{}", report.prometheus);
+        let names: Vec<&str> = report.registry.series.iter().map(|s| s.key.name.as_str()).collect();
+        assert!(names.iter().all(|n| !n.starts_with("exec_")), "{names:?}");
         // The fusion section covers a commutative, an ordered and a
         // sorting monoid over a linear chain, and the corpus's join: the
         // default engine is fused, and the forced plan walk was timed
@@ -689,8 +615,9 @@ mod tests {
         }
         // Neither the deleted parallel engine's metric family nor its
         // retired lint code can reach a regenerated baseline.
-        assert!(!report.prometheus.contains("parallel_"), "{}", report.prometheus);
-        assert!(!report.prometheus.contains("code=\"MC005\""), "{}", report.prometheus);
+        let registry = report.registry.to_json().render();
+        assert!(!registry.contains("parallel_"), "{registry}");
+        assert!(!registry.contains("\"MC005\""), "{registry}");
         // The prepared-statement section: every case timed on both paths,
         // and the session loop put plan-cache traffic into the delta —
         // exactly one miss per statement, the rest hits.
@@ -699,40 +626,21 @@ mod tests {
             assert!(p.cold_p50_nanos > 0 && p.warm_p50_nanos > 0, "{} timed", p.name);
             assert!(p.warm_speedup > 0.0);
         }
-        // The serving section drove a real wire server: both statements
-        // timed cold and warm, the full client ladder walked, and every
-        // point actually completed its closed loop.
-        assert_eq!(report.serving.len(), 2);
-        for s in &report.serving {
-            assert!(s.cold_first_query_nanos > 0 && s.warm_nanos_per_query > 0, "{}", s.name);
-            assert_eq!(
-                s.points.iter().map(|p| p.clients).collect::<Vec<_>>(),
-                crate::serving::CLIENT_LADDER.to_vec(),
-                "{}",
-                s.name
-            );
-            for p in &s.points {
-                assert_eq!(p.total_queries, (p.clients * 8) as u64, "{}", s.name);
-                assert!(p.queries_per_sec > 0.0, "{}", s.name);
-            }
-        }
         assert!(
             report.registry.counter("plan_cache_misses_total") >= 3,
-            "the session loop and the wire server both miss once per statement"
+            "the session loop misses once per statement"
         );
         assert!(
             report.registry.counter("plan_cache_hits_total")
                 >= 3 * (report.runs_per_query as u64 - 1),
-            "session loop hits plus wire-server hits"
+            "and hits on every later run"
         );
-        assert!(report.prometheus.contains("plan_cache_hits_total"), "{}", report.prometheus);
         // And the JSON document carries the acceptance fields.
         let json = report.to_json().render();
         for key in [
             "\"median_nanos\"",
             "\"p95_nanos\"",
             "\"normalize_rules\"",
-            "\"operator_rows\"",
             "\"registry\"",
             "\"rows_to_reduce\"",
             "\"analysis_nanos\"",
@@ -745,14 +653,14 @@ mod tests {
             "\"cold_median_nanos\"",
             "\"warm_median_nanos\"",
             "\"warm_speedup\"",
-            "\"serving\"",
-            "\"warm_nanos_per_query\"",
-            "\"queries_per_sec\"",
             "\"host\"",
             "\"logical_cores\"",
             "\"rustc\"",
         ] {
             assert!(json.contains(key), "missing {key}");
+        }
+        for gone in ["\"serving\"", "\"warm\"", "\"operator_rows\""] {
+            assert!(!json.contains(gone), "schema 8 has no {gone}");
         }
         assert!(report.host.logical_cores >= 1);
     }

@@ -231,11 +231,8 @@ fn write_escaped(out: &mut String, s: &str) {
 
 /// Escape `s` for embedding inside a double-quoted string literal:
 /// backslash-escapes `"`, `\`, `\n`, `\r`, `\t`, and `\u00XX` for other
-/// control characters. This one helper backs both the JSON writer and
-/// the Prometheus label-value escaping in [`crate::metrics`] — the
-/// escape sets agree on everything a metric or operator label can
-/// contain, so sharing it keeps the two exporters from drifting.
-pub fn escape_into(out: &mut String, s: &str) {
+/// control characters.
+fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -249,14 +246,6 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// [`escape_into`] returning a fresh `String` (convenience for tests
-/// and callers without a buffer in hand).
-pub fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
 }
 
 /// Nesting depth beyond which [`Json::parse`] refuses to recurse — a
@@ -554,9 +543,12 @@ mod tests {
     }
 
     #[test]
-    fn shared_escape_helper_covers_both_exporters() {
-        // The same helper backs JSON strings and Prometheus label
-        // values: quotes, backslashes, newlines, tabs, controls.
+    fn escapes_quotes_backslashes_and_controls() {
+        let escape_str = |s: &str| {
+            let mut out = String::new();
+            escape_into(&mut out, s);
+            out
+        };
         assert_eq!(escape_str("plain"), "plain");
         assert_eq!(escape_str("a\"b"), "a\\\"b");
         assert_eq!(escape_str("back\\slash"), "back\\\\slash");

@@ -40,11 +40,11 @@
 //!   the MC001–MC009 lint pass ([`analysis::lint`]) behind `oqlint`
 //!   (`docs/analysis.md`).
 //! * [`metrics`] — the process-wide registry of counters, gauges, and
-//!   log-bucketed latency histograms every layer records into, with
-//!   Prometheus text and JSON exporters (`docs/observability.md`).
+//!   log-bucketed latency histograms a serving process writes, exported
+//!   as JSON (`docs/observability.md`).
 //! * [`recorder`] — the process-wide query flight recorder: a
 //!   fixed-capacity ring of per-query [`recorder::QueryRecord`]s plus
-//!   the slow-query capture log, fed by the serving and algebra layers
+//!   the slow-query capture log, fed by the serving layer
 //!   (`docs/observability.md`).
 //!
 //! ## Quick taste

@@ -1,11 +1,13 @@
 //! Process-wide metrics: counters, gauges, and log-bucketed latency
-//! histograms, exported as Prometheus text format or [`Json`].
+//! histograms, exported as [`Json`].
 //!
-//! PR 1 made a *single* query observable (`EXPLAIN ANALYZE`); this module
-//! makes the *fleet* observable — cumulative counters, latency
-//! distributions, and per-rule normalization accounting across every
-//! query a process runs. The design is dependency-free and mirrors the
-//! usual client-library shape:
+//! A profile (`EXPLAIN ANALYZE`) accounts for a *single* query; this
+//! module holds what only a running process can know — cumulative
+//! counters, latency distributions, and per-rule normalization accounting
+//! across every query it serves. It keeps only series a serving process
+//! writes: anything a profile already sums (per-operator rows, build
+//! rows, q-errors) is read from the profiles, never re-summed here. The
+//! design is dependency-free and mirrors the usual client-library shape:
 //!
 //! * a [`Registry`] owns named series; registration takes a lock, but
 //!   the returned [`Counter`]/[`Gauge`]/[`Histogram`] handles are
@@ -23,16 +25,15 @@
 //!   view; [`Snapshot::diff`] subtracts an earlier snapshot so tests
 //!   and the bench harness can meter a *known workload* without caring
 //!   what ran before;
-//! * [`Snapshot::to_prometheus`] renders text exposition format
-//!   (validated by [`validate_prometheus_text`]) and
-//!   [`Snapshot::to_json`] renders through the repo's own [`Json`].
+//! * [`Snapshot::to_json`] is the one export format, rendered through
+//!   the repo's own [`Json`].
 //!
-//! The process-wide registry is [`global()`]. Instrumented layers
-//! (store, normalizer, executor probes, the umbrella OQL path) all feed
-//! it; nothing is recorded on paths that opt out (the `NoProbe`
-//! executor stays zero-cost).
+//! The process-wide registry is [`global()`]. The store, the normalizer,
+//! the analyzer, phase traces, the serving layer and the umbrella OQL
+//! path feed it; the executor registers nothing (a profiled run's counts
+//! stay in its profile).
 
-use crate::json::{escape_into, Json};
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -412,81 +413,6 @@ impl Snapshot {
         }
     }
 
-    /// Render in Prometheus text exposition format. Histograms emit
-    /// cumulative `_bucket{le=…}` series plus `_sum` and `_count`;
-    /// label values are escaped with the same helper the JSON writer
-    /// uses ([`crate::json::escape_into`]).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let mut typed: BTreeMap<&str, &'static str> = BTreeMap::new();
-        for s in &self.series {
-            let kind = match &s.value {
-                MetricValue::Counter(_) => "counter",
-                MetricValue::Gauge(_) => "gauge",
-                MetricValue::Histogram(_) => "histogram",
-            };
-            // One TYPE line per metric name, before its first sample.
-            if typed.insert(&s.key.name, kind).is_none() {
-                out.push_str("# TYPE ");
-                out.push_str(&s.key.name);
-                out.push(' ');
-                out.push_str(kind);
-                out.push('\n');
-            }
-            match &s.value {
-                MetricValue::Counter(n) => {
-                    write_sample(&mut out, &s.key.name, &s.key.labels, None, &n.to_string());
-                }
-                MetricValue::Gauge(v) => {
-                    write_sample(&mut out, &s.key.name, &s.key.labels, None, &v.to_string());
-                }
-                MetricValue::Histogram(h) => {
-                    let bucket_name = format!("{}_bucket", s.key.name);
-                    let mut cumulative = 0u64;
-                    for (i, n) in h.buckets.iter().enumerate() {
-                        cumulative += n;
-                        // Keep the exposition readable: skip empty
-                        // buckets below the first and past the last
-                        // observation. Cumulative counts are unaffected,
-                        // and the +∞ bucket (i = 63) is always emitted.
-                        if *n == 0
-                            && (cumulative == 0 || cumulative == h.count)
-                            && i < HISTOGRAM_BUCKETS - 1
-                        {
-                            continue;
-                        }
-                        let le = match bucket_bound(i) {
-                            Some(b) => b.to_string(),
-                            None => "+Inf".to_string(),
-                        };
-                        write_sample(
-                            &mut out,
-                            &bucket_name,
-                            &s.key.labels,
-                            Some(("le", &le)),
-                            &cumulative.to_string(),
-                        );
-                    }
-                    write_sample(
-                        &mut out,
-                        &format!("{}_sum", s.key.name),
-                        &s.key.labels,
-                        None,
-                        &h.sum.to_string(),
-                    );
-                    write_sample(
-                        &mut out,
-                        &format!("{}_count", s.key.name),
-                        &s.key.labels,
-                        None,
-                        &h.count.to_string(),
-                    );
-                }
-            }
-        }
-        out
-    }
-
     /// Render as a JSON document: one object per series with `name`,
     /// `labels`, `type`, and the value (histograms carry count/sum,
     /// p50/p95/p99, and the non-empty buckets).
@@ -555,159 +481,6 @@ impl Snapshot {
 
 fn opt_u64(v: Option<u64>) -> Json {
     v.map(Json::from).unwrap_or(Json::Null)
-}
-
-/// One `name{labels} value` exposition line. `extra` appends a label
-/// (histogram `le`) after the series' own labels.
-fn write_sample(
-    out: &mut String,
-    name: &str,
-    labels: &[(String, String)],
-    extra: Option<(&str, &str)>,
-    value: &str,
-) {
-    out.push_str(name);
-    let extra_iter = extra.iter().map(|(k, v)| (*k, *v));
-    let mut all = labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).chain(extra_iter).peekable();
-    if all.peek().is_some() {
-        out.push('{');
-        let mut first = true;
-        for (k, v) in all {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(k);
-            out.push_str("=\"");
-            escape_into(out, v);
-            out.push('"');
-        }
-        out.push('}');
-    }
-    out.push(' ');
-    out.push_str(value);
-    out.push('\n');
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus text-format validation (for tests and the bench harness).
-// ---------------------------------------------------------------------------
-
-/// Check that `text` is well-formed Prometheus text exposition format:
-/// every line is a comment (`# HELP`/`# TYPE`), blank, or a sample
-/// `name{label="value",…} value`, with legal metric/label identifiers,
-/// properly quoted-and-escaped label values, and a numeric sample value
-/// (`+Inf`/`-Inf`/`NaN` allowed). Returns the first offending line.
-pub fn validate_prometheus_text(text: &str) -> Result<(), String> {
-    for (lineno, line) in text.lines().enumerate() {
-        validate_line(line).map_err(|e| format!("line {}: {e}: `{line}`", lineno + 1))?;
-    }
-    Ok(())
-}
-
-fn validate_line(line: &str) -> Result<(), String> {
-    if line.is_empty() {
-        return Ok(());
-    }
-    if let Some(rest) = line.strip_prefix('#') {
-        let rest = rest.trim_start();
-        if rest.starts_with("TYPE ") {
-            let mut parts = rest.split_whitespace();
-            parts.next(); // TYPE
-            let name = parts.next().ok_or("TYPE without metric name")?;
-            validate_name(name)?;
-            let kind = parts.next().ok_or("TYPE without kind")?;
-            if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
-                return Err(format!("unknown metric type `{kind}`"));
-            }
-        }
-        // HELP and free comments are unconstrained.
-        return Ok(());
-    }
-    let bytes = line.as_bytes();
-    let name_end = bytes
-        .iter()
-        .position(|&b| b == b'{' || b == b' ')
-        .ok_or("sample line without value")?;
-    validate_name(&line[..name_end])?;
-    let mut rest = &line[name_end..];
-    if let Some(after_brace) = rest.strip_prefix('{') {
-        rest = validate_labels(after_brace)?;
-    }
-    let value = rest.trim_start();
-    if value.is_empty() {
-        return Err("missing sample value".into());
-    }
-    // Value (and optional timestamp).
-    let mut parts = value.split_whitespace();
-    let v = parts.next().unwrap();
-    if !matches!(v, "+Inf" | "-Inf" | "NaN") && v.parse::<f64>().is_err() {
-        return Err(format!("non-numeric sample value `{v}`"));
-    }
-    if let Some(ts) = parts.next() {
-        if ts.parse::<i64>().is_err() {
-            return Err(format!("non-integer timestamp `{ts}`"));
-        }
-    }
-    if parts.next().is_some() {
-        return Err("trailing tokens after timestamp".into());
-    }
-    Ok(())
-}
-
-fn validate_name(name: &str) -> Result<(), String> {
-    let mut chars = name.chars();
-    let ok_first = |c: char| c.is_ascii_alphabetic() || c == '_' || c == ':';
-    match chars.next() {
-        Some(c) if ok_first(c) => {}
-        _ => return Err(format!("bad metric name `{name}`")),
-    }
-    if chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':') {
-        Ok(())
-    } else {
-        Err(format!("bad metric name `{name}`"))
-    }
-}
-
-/// Validate `label="value",…}` (the part after `{`); returns what
-/// follows the closing brace.
-fn validate_labels(mut rest: &str) -> Result<&str, String> {
-    loop {
-        if let Some(after) = rest.strip_prefix('}') {
-            return Ok(after);
-        }
-        let eq = rest.find('=').ok_or("label without `=`")?;
-        let label = &rest[..eq];
-        if label.is_empty()
-            || !label.chars().next().is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-            || !label.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            return Err(format!("bad label name `{label}`"));
-        }
-        rest = rest[eq + 1..]
-            .strip_prefix('"')
-            .ok_or("label value not quoted")?;
-        // Scan the quoted value, honoring backslash escapes.
-        let mut chars = rest.char_indices();
-        let close = loop {
-            match chars.next() {
-                None => return Err("unterminated label value".into()),
-                Some((_, '\\')) => {
-                    if chars.next().is_none() {
-                        return Err("dangling escape in label value".into());
-                    }
-                }
-                Some((i, '"')) => break i,
-                Some(_) => {}
-            }
-        };
-        rest = &rest[close + 1..];
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after;
-        } else if !rest.starts_with('}') {
-            return Err("expected `,` or `}` after label value".into());
-        }
-    }
 }
 
 #[cfg(test)]
@@ -845,47 +618,23 @@ mod tests {
     #[test]
     fn empty_registry_exports_cleanly() {
         let r = Registry::new();
-        let snap = r.snapshot();
-        let text = snap.to_prometheus();
-        assert_eq!(text, "");
-        validate_prometheus_text(&text).unwrap();
-        assert_eq!(snap.to_json().render(), "[]");
+        assert_eq!(r.snapshot().to_json().render(), "[]");
     }
 
     #[test]
-    fn prometheus_export_is_valid_and_escaped() {
+    fn json_export_round_trips_hostile_labels() {
+        let label = "tricky \"quote\" \\slash\nnewline";
         let r = Registry::new();
-        r.counter_with("ops_total", &[("label", "tricky \"quote\" \\slash\nnewline")])
-            .add(2);
+        r.counter_with("ops_total", &[("label", label)]).add(2);
         r.gauge("level").set(-4);
-        r.histogram_with("latency_nanos", &[("phase", "parse")]).observe(1000);
-        let text = r.snapshot().to_prometheus();
-        validate_prometheus_text(&text).unwrap();
-        assert!(text.contains("# TYPE ops_total counter"), "{text}");
-        assert!(text.contains(r#"label="tricky \"quote\" \\slash\nnewline""#), "{text}");
-        assert!(text.contains("latency_nanos_bucket{phase=\"parse\",le=\"1024\"} 1"), "{text}");
-        assert!(text.contains("latency_nanos_bucket{phase=\"parse\",le=\"+Inf\"} 1"), "{text}");
-        assert!(text.contains("latency_nanos_sum{phase=\"parse\"} 1000"), "{text}");
-        assert!(text.contains("latency_nanos_count{phase=\"parse\"} 1"), "{text}");
-        assert!(text.contains("level -4"), "{text}");
-    }
-
-    #[test]
-    fn validator_rejects_malformed_lines() {
-        for bad in [
-            "1bad_name 3",
-            "name{unclosed=\"x\" 3",
-            "name{bad-label=\"x\"} 3",
-            "name{l=\"v\"} not-a-number",
-            "name{l=unquoted} 3",
-            "no_value",
-        ] {
-            assert!(
-                validate_prometheus_text(bad).is_err(),
-                "`{bad}` should be rejected"
-            );
-        }
-        validate_prometheus_text("ok_name{l=\"v\"} 3 1234567\nplain 1.5\nx +Inf\n").unwrap();
+        let doc = Json::parse(&r.snapshot().to_json().render()).unwrap();
+        let series = doc.as_arr().unwrap();
+        assert_eq!(series.len(), 2);
+        let ops = &series[1];
+        assert_eq!(ops.get("name").and_then(Json::as_str), Some("ops_total"));
+        let got = ops.get("labels").and_then(|l| l.get("label")).and_then(Json::as_str);
+        assert_eq!(got, Some(label));
+        assert_eq!(series[0].get("value").and_then(Json::as_i64), Some(-4));
     }
 
     #[test]

@@ -145,7 +145,7 @@ impl Database {
     /// allocation, state update (including updates made by query
     /// evaluation), extent growth, and root rebinding. Two equal epochs
     /// mean no mutation happened in between, which is what the plan cache
-    /// and the statistics reuse key on.
+    /// keys on.
     pub fn mutation_epoch(&self) -> u64 {
         self.current.epoch()
     }

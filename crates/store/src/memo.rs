@@ -6,7 +6,8 @@
 //! `Arc<dyn Any + Send + Sync>` its builder downcasts. The fused engine
 //! keeps its param-free hash tables here — a join's build side, or the
 //! extent a keyed filter probes — keyed by the sub-plan that produces the
-//! rows and the key expressions over them.
+//! rows and the key expressions over them; the serving layer keeps the
+//! statistics its prepares read, one gather per memo.
 //!
 //! The epoch *is* the invalidation protocol. Every [`Database`] path that
 //! can change what a query reads installs a fresh, empty memo, so the old

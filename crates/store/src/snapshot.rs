@@ -2,10 +2,10 @@
 //!
 //! A [`Snapshot`] is the read-only face of a [`Database`] at one point in
 //! time: the Arc'd heap, roots, and schema, stamped with the
-//! `(instance_id, mutation_epoch)` pair that keys the plan cache and
-//! gathered statistics, and the epoch's [`Memo`] of derived values (the
-//! fused engine's join tables), which every clone shares and every
-//! mutation of the database replaces. Taking one is O(1) —
+//! `(instance_id, mutation_epoch)` pair that keys the plan cache, and the
+//! epoch's [`Memo`] of derived values (the fused engine's join tables,
+//! the optimizer's gathered statistics), which every clone shares and
+//! every mutation of the database replaces. Taking one is O(1) —
 //! [`Database::snapshot`] clones the one `Snapshot` the database owns, a
 //! handful of `Arc`s — and the snapshot is `Send + Sync + Clone`, so any
 //! number of reader threads can execute against it while the owning
@@ -64,7 +64,7 @@ pub struct Snapshot {
     /// two together form [`Snapshot::epoch`].
     pub(crate) roots_epoch: u64,
     /// Process-unique identity (see [`Snapshot::instance_id`]); `0` for
-    /// `Database::default()`, which is never cached against.
+    /// `Database::default()`.
     pub(crate) instance: u64,
     /// Values derived from this epoch's data; shared by clones, replaced
     /// by every mutation of the owning database.
@@ -82,7 +82,7 @@ pub(crate) fn schema_fingerprint(schema: &Schema) -> u64 {
 
 /// The anonymous empty state (`Database::default()`): what
 /// `Database::new` builds over the empty schema — fingerprint included —
-/// under the "do not cache" instance id.
+/// under the anonymous instance id `0`.
 impl Default for Snapshot {
     fn default() -> Snapshot {
         Snapshot { instance: 0, ..crate::Database::new(Schema::default()).snapshot() }
@@ -91,10 +91,9 @@ impl Default for Snapshot {
 
 impl Snapshot {
     /// A process-unique identity for the database this state belongs to.
-    /// Paired with [`Snapshot::epoch`] it keys caches of derived data
-    /// (plans, gathered statistics): equal `(instance_id, epoch)` means
-    /// the same data, byte for byte. `0` (from `Database::default()`)
-    /// means "anonymous — do not cache".
+    /// Paired with [`Snapshot::epoch`] it keys the plan cache: equal
+    /// `(instance_id, epoch)` means the same data, byte for byte. `0` is
+    /// `Database::default()`'s anonymous id.
     pub fn instance_id(&self) -> u64 {
         self.instance
     }

@@ -24,10 +24,11 @@
 //! On top sits [`PlanCache`]: a process-wide, sharded, byte-budgeted LRU
 //! keyed by source text + schema fingerprint. Every entry is stamped with
 //! the `(instance_id, epoch)` of the snapshot it was prepared against and
-//! is served only to a snapshot reporting that exact pair — the same
-//! equality check that gates reuse of gathered statistics — so a mutation
-//! between executions can never yield a stale plan (or stale
-//! statistics). [`Session::query`] is the umbrella fast
+//! is served only to a snapshot reporting that exact pair, so a mutation
+//! between executions can never yield a stale plan. The statistics a
+//! prepare reads are kept in the snapshot's memo, so they are shared by
+//! every prepare at one epoch and gathered again after a write.
+//! [`Session::query`] is the umbrella fast
 //! path that puts the two together: hit the cache, bind, execute.
 //!
 //! Cache traffic is metered in the process-wide registry:
@@ -167,38 +168,37 @@ pub fn prepare(schema: &Schema, src: &str) -> Result<Prepared, AnalyzeError> {
     prepare_with_stats(schema, src, &Stats::default())
 }
 
-/// Prepare `src` with statistics gathered from (and stamped with) `snap`
-/// — the variant [`Session::query`] and the plan cache use. Pass a
-/// `&Database` for its current state.
+/// Prepare `src` with statistics gathered from `snap` — the variant
+/// [`Session::query`] and the plan cache use. Pass a `&Database` for its
+/// current state.
 pub fn prepare_on(snap: &Snapshot, src: &str) -> Result<Prepared, AnalyzeError> {
-    prepare_with_stats(snap.schema(), src, &gathered_stats(snap))
+    prepare_with_stats(snap.schema(), src, &snapshot_stats(snap))
 }
 
 /// [`prepare_on`] under the name the frozen `benchmark/` crate imports;
 /// exists only until the benchmark is re-pinned.
 pub use self::prepare_on as prepare_on_snapshot;
 
+/// The memo key of a snapshot's gathered [`Stats`]: one per memo.
+#[derive(PartialEq)]
+struct StatsKey;
+
+/// What the memo charges for keeping a snapshot's statistics: a few
+/// counters per extent, field and attribute, not the data they describe.
+const STATS_BYTES: usize = 4 << 10;
+
 /// Gather-or-reuse: `Stats::gather` walks every root and the whole heap,
-/// but its result only changes when the database mutates. A one-slot
-/// process-wide cache keyed by `(instance_id, epoch)` makes repeated
-/// prepares against an unchanged database reuse the previous gather
-/// (counted by `stats_gather_reuse_total`). Anonymous databases
-/// (`instance_id() == 0`, from `Database::default()`) are never cached.
-fn gathered_stats(snap: &Snapshot) -> Arc<Stats> {
-    static CACHE: Mutex<Option<(u64, u64, Arc<Stats>)>> = Mutex::new(None);
-    let (instance, epoch) = (snap.instance_id(), snap.epoch());
-    if instance != 0 {
-        if let Some((i, e, stats)) = CACHE.lock().unwrap().as_ref() {
-            if *i == instance && *e == epoch {
-                cache_metrics().stats_reuse.inc();
-                return Arc::clone(stats);
-            }
-        }
+/// but its result only changes when the data does. It is kept in the
+/// snapshot's memo, so every prepare at one epoch — on any clone of the
+/// snapshot — shares one gather, and a write (which installs a fresh
+/// memo) means the next prepare gathers again.
+fn snapshot_stats(snap: &Snapshot) -> Arc<Stats> {
+    let memo = snap.memo();
+    if let Some(stats) = memo.get(|_: &StatsKey| true).and_then(|s| s.downcast().ok()) {
+        return stats;
     }
     let stats = Arc::new(Stats::gather(snap));
-    if instance != 0 {
-        *CACHE.lock().unwrap() = Some((instance, epoch, Arc::clone(&stats)));
-    }
+    memo.insert(StatsKey, stats.clone(), STATS_BYTES);
     stats
 }
 
@@ -686,9 +686,8 @@ const DEFAULT_BUDGET_BYTES: usize = 8 * 1024 * 1024;
 /// by source text + schema fingerprint and stamped with the
 /// `(instance_id, epoch)` of the snapshot observed at prepare time.
 ///
-/// An entry is served only to a snapshot whose pair equals its stamp —
-/// the same equality freshness check the statistics reuse applies — so any
-/// mutation (heap write, allocation, root change) between executions
+/// An entry is served only to a snapshot whose pair equals its stamp, so
+/// any mutation (heap write, allocation, root change) between executions
 /// invalidates every entry prepared before it. Invalidation
 /// is counted (`plan_cache_invalidations_total`) and followed by a fresh
 /// prepare, never by serving the stale plan.
@@ -1028,7 +1027,6 @@ struct CacheMetrics {
     evictions: Arc<monoid_calculus::metrics::Counter>,
     invalidations: Arc<monoid_calculus::metrics::Counter>,
     prepare_nanos: Arc<monoid_calculus::metrics::Histogram>,
-    stats_reuse: Arc<monoid_calculus::metrics::Counter>,
 }
 
 fn cache_metrics() -> &'static CacheMetrics {
@@ -1041,7 +1039,6 @@ fn cache_metrics() -> &'static CacheMetrics {
             evictions: r.counter("plan_cache_evictions_total"),
             invalidations: r.counter("plan_cache_invalidations_total"),
             prepare_nanos: r.histogram("prepare_nanos"),
-            stats_reuse: r.counter("stats_gather_reuse_total"),
         }
     })
 }

@@ -25,7 +25,6 @@ use std::path::{Path, PathBuf};
 /// `monoid_algebra`'s public `execute*` functions.
 const ALGEBRA_EXECUTE: &[&str] = &[
     "execute",
-    "execute_counted_bound",
     "execute_plan_walk_bound",
     "execute_profiled_bound",
     "execute_snapshot_bound",
@@ -50,7 +49,6 @@ const SERVING_ENTRY_POINTS: &[&str] = &[
 /// (ROADMAP 4b's option count). Test-only switches (`MONOID_SERVER_SMOKE`,
 /// …) live under `tests/` and are not options of the system.
 const ENV_VARS: &[&str] = &[
-    "MONOID_AUDIT",
     "MONOID_RECORDER",
     "MONOID_RECORDER_CAPACITY",
     "MONOID_SLOW_QUERY_NANOS",
@@ -76,7 +74,7 @@ const WRITER_PATH: &[&str] =
 /// one thing a `Prepared` does not keep.
 const NORMALIZE_CALLERS: &[(&str, &str)] = &[
     ("crates/bench/src/bin/experiments.rs", "table3"),
-    ("crates/bench/src/regress.rs", "run_with"),
+    ("crates/bench/src/regress.rs", "run"),
     ("src/serving.rs", "finish_prepare"),
 ];
 
@@ -397,7 +395,8 @@ fn relative(path: &Path) -> String {
 /// A statement's flight-recorder record is a value its owner builds and
 /// commits: the recorder keeps no thread-local scope and offers no hooks
 /// (`fingerprint` and `global` are its only public free functions), and
-/// the algebra crate does not know it exists.
+/// the algebra crate knows neither it nor the metrics registry — it
+/// measures a profile and writes no process-wide state.
 #[test]
 fn a_query_record_is_a_value_and_nothing_is_ambient() {
     let recorder = code_of(&root().join("crates/core/src/recorder.rs"));
@@ -409,10 +408,12 @@ fn a_query_record_is_a_value_and_nothing_is_ambient() {
         .collect();
     assert_eq!(free, set_of(&["fingerprint", "global"]), "recorder's public free functions");
     for file in algebra_sources() {
-        let names_it = code_of(&file)
-            .split(|c: char| !c.is_alphanumeric() && c != '_')
-            .any(|token| token == "recorder");
-        assert!(!names_it, "{} names the `recorder`", file.display());
+        let code = code_of(&file);
+        for ambient in ["recorder", "metrics"] {
+            let names_it =
+                code.split(|c: char| !c.is_alphanumeric() && c != '_').any(|token| token == ambient);
+            assert!(!names_it, "{} names the `{ambient}`", file.display());
+        }
     }
 }
 

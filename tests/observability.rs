@@ -247,52 +247,3 @@ fn prepared_statements_export_folded_profiles() {
     // Unbound parameters fail loudly instead of profiling garbage.
     assert!(stmt.profile(&db, &Params::new()).is_err());
 }
-
-#[test]
-fn audit_disabled_is_invisible_and_enabled_feeds_the_registry() {
-    use monoid_calculus::metrics;
-    use monoid_db::algebra::{audit_enabled, set_audit_enabled};
-
-    let db = company::generate(4, 10, 6, 42);
-    let src = "select e.name from e in CompanyEmployees where e.salary >= 40000";
-
-    // Off (the default): a profiled run moves NO q-error series — the
-    // whole audit path is invisible in a registry snapshot diff.
-    let prev = set_audit_enabled(false);
-    assert!(!audit_enabled());
-    let before = metrics::global().snapshot();
-    explain_analyze(src, &db).unwrap();
-    let diff = metrics::global().snapshot().diff(&before);
-    assert!(
-        diff.series.iter().all(|s| s.key.name != "plan_q_error_milli"),
-        "audit-off run fed the audit histograms: {:?}",
-        diff.series.iter().map(|s| &s.key.name).collect::<Vec<_>>()
-    );
-
-    // On: the same run feeds per-kind milli-q histograms.
-    set_audit_enabled(true);
-    let before = metrics::global().snapshot();
-    let analysis = explain_analyze(src, &db).unwrap();
-    let diff = metrics::global().snapshot().diff(&before);
-    set_audit_enabled(prev);
-    let audited: Vec<_> =
-        diff.series.iter().filter(|s| s.key.name == "plan_q_error_milli").collect();
-    assert!(!audited.is_empty(), "audit-on run fed no histograms");
-    let mut samples = 0;
-    for s in &audited {
-        let monoid_calculus::metrics::MetricValue::Histogram(h) = &s.value else {
-            panic!("plan_q_error_milli is a histogram family");
-        };
-        samples += h.count;
-        // Milli-q: a perfect estimate observes 1000, so every sample is
-        // at least that.
-        assert!(h.sum >= h.count * 1000, "q-error below 1.0 recorded");
-    }
-    // Sibling tests profile against the same process-wide registry while
-    // the switch is on, so this is a floor; the exact one-per-operator
-    // count is asserted in `tests/metrics.rs`, which runs alone.
-    assert!(
-        samples >= analysis.profile.operators.len() as u64,
-        "at least one observation per operator"
-    );
-}

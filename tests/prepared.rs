@@ -311,39 +311,32 @@ fn warm_execution_skips_parse_normalize_optimize() {
     assert_eq!(stmt.execute(&mut d, &params).unwrap(), cold);
 }
 
-/// The whole corpus served through a warmed cache agrees with ad-hoc.
-/// By default this runs against a private cache; under
-/// `MONOID_PREPARED_WARM=1` (CI's second release test run) it serves
-/// from the pre-warmed *process-wide* cache instead, so every corpus
-/// statement is exercised through `Session::new()` + `global_plan_cache`
-/// with cross-test cache state in play.
+/// The whole corpus served through a warmed cache agrees with ad-hoc —
+/// first through a private cache, then through `Session::new()` and the
+/// *process-wide* cache. No other test in this file touches the global
+/// cache, so its length is exact here too.
 #[test]
 fn warmed_cache_serves_the_corpus() {
-    let warm_global = std::env::var("MONOID_PREPARED_WARM").is_ok_and(|v| v != "0");
-    let session = if warm_global {
-        Session::new()
-    } else {
-        Session::with_cache(Arc::new(PlanCache::new()))
-    };
-
-    // First pass warms every statement; the differential check runs on
-    // the second, all-hits pass.
-    let mut d = db(61);
-    for (src, params, _) in corpus() {
-        session.query(&mut d, src, &params).unwrap_or_else(|e| panic!("warm `{src}`: {e}"));
+    for session in [Session::with_cache(Arc::new(PlanCache::new())), Session::new()] {
+        // First pass warms every statement; the differential check runs
+        // on the second, all-hits pass.
+        let mut d = db(61);
+        for (src, params, _) in corpus() {
+            session.query(&mut d, src, &params).unwrap_or_else(|e| panic!("warm `{src}`: {e}"));
+        }
+        let cache_len_after_warming = session.cache().len();
+        for (src, params, literal) in corpus() {
+            let mut db_adhoc = db(61);
+            let want = adhoc(&mut db_adhoc, &literal);
+            let got = session
+                .query(&mut d, src, &params)
+                .unwrap_or_else(|e| panic!("warmed serve `{src}`: {e}"));
+            assert_eq!(got, want, "warmed cache serve differs from ad-hoc for `{src}`");
+        }
+        // The corpus is pure, so the second pass added no entries — every
+        // serve was a hit on the warmed set.
+        assert_eq!(session.cache().len(), cache_len_after_warming);
     }
-    let cache_len_after_warming = session.cache().len();
-    for (src, params, literal) in corpus() {
-        let mut db_adhoc = db(61);
-        let want = adhoc(&mut db_adhoc, &literal);
-        let got = session
-            .query(&mut d, src, &params)
-            .unwrap_or_else(|e| panic!("warmed serve `{src}`: {e}"));
-        assert_eq!(got, want, "warmed cache serve differs from ad-hoc for `{src}`");
-    }
-    // The corpus is pure, so the second pass added no entries — every
-    // serve was a hit on the warmed set.
-    assert_eq!(session.cache().len(), cache_len_after_warming);
 }
 
 /// Binding errors are total: every unbound placeholder is reported (not

@@ -203,7 +203,7 @@ fn compare_gate_passes_self_and_fails_regressed_baseline() {
     // The regress suite serves through the process-wide recorder, whose
     // exact record counts the tests above assert on.
     let _guard = lock();
-    let report = monoid_bench::regress::run_with(true, false).to_json();
+    let report = monoid_bench::regress::run(true).to_json();
 
     // Self-compare: identical numbers, nothing can regress.
     let verdict = compare_reports(&report, &report, 50.0, 0.0).unwrap();
@@ -233,7 +233,6 @@ fn zero_latencies(report: &mut monoid_calculus::json::Json) {
         ("queries", vec!["median_nanos", "p95_nanos"]),
         ("prepared", vec!["warm_median_nanos"]),
         ("fusion", vec!["fused_median_nanos"]),
-        ("serving", vec!["warm_nanos_per_query"]),
     ] {
         let Some(Json::Arr(cases)) =
             sections.iter_mut().find(|(k, _)| k == section).map(|(_, v)| v)
