@@ -1,0 +1,493 @@
+//! Fused batch execution: a canonical comprehension as one monomorphic fold.
+//!
+//! The paper's central performance claim (§1, §6) is that normalization
+//! produces canonical forms whose operator chains — scan → filter → bind →
+//! unnest → join → reduce — *are* a single monoid homomorphism. The plan
+//! walk in [`crate::exec`] honors that shape but pays per-row machinery for
+//! it: a `dyn FnMut` sink call per operator per row, an `Arc`-allocated
+//! environment node per binding, and a full evaluator dispatch (with step
+//! ticking) per expression node. None of that is needed: this module
+//! compiles the plan once into flat stage lists over a slot-addressed row
+//! buffer, then drives the whole pipeline as one tight loop that borrows
+//! rows from the extent's `Arc<Vec<Value>>` and accumulates directly into
+//! the target monoid.
+//!
+//! What fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and `Join`
+//! stages (keyed joins, cross products, and keyed filters, which compile
+//! to a join — below), whose
+//! embedded expressions are built from literals, variables, parameters,
+//! records, tuples, projections, arithmetic/comparison/logic, `if`, and `!`
+//! (deref) — and whose head and plan are statically pure and non-allocating
+//! (the analyzer's `Effects`). What falls back to the plan walk: allocating or
+//! mutating expressions, vector monoids, and any expression form outside
+//! the compiled subset (lambdas, nested comprehensions, `let`, …), whether
+//! it sits on the spine, in a join key, or in a join's right side.
+//! [`compile`] is the one place that decides; a declined query gets a
+//! [`Refusal`] naming the construct, which is all lint MC009 reports.
+//!
+//! Canonical forms make most per-row expressions one of two shapes, and
+//! those compile to *kernels* rather than trees: an **operand** — a slot, a
+//! constant, or one field of a slot, borrowed from the record or from an
+//! object's heap state — and a **compare** `operand op operand` for
+//! `= ≠ < ≤ > ≥`, decided by one `Value::cmp` and a truth table over the
+//! `Ordering`. So `r.price ≥ $floor` is a
+//! compare stage, and the head `r.price` (or a `for all` head's compare) is
+//! borrowed and cloned once, into the accumulator; record heads have their
+//! labels sorted at compile time. A kernel reads through the walk's own
+//! free functions — a field is `eval::project_ref`, a compare
+//! `binop_values`' `Value::cmp` — so a row that does not fit (the slot
+//! holds no record, the field is missing, the OID dangles) fails with the
+//! walk's error text. Equalities over a bare scan still become keyed
+//! probes first.
+//!
+//! A join is a bind inside the same fold (`genBind g f = λk z. g (λacc a.
+//! (f a) k acc) z`), and a hash join is that bind over a prebuilt finite
+//! map. The left input continues the spine; the right sub-plan compiles
+//! into a chain of its own (same slot numbering) that runs *before the
+//! first left row* into a [`Table`](table::Table): the right-bound slot values laid out
+//! flat (a bare scan over a list/set extent shares the extent's `Arc` and
+//! copies nothing) plus an index that discriminates the key by kind —
+//! `i64`, string and OID keys hash into typed buckets, and everything else
+//! (composite keys, floats, records, a build side mixing kinds) goes to one
+//! `Value`-ordered map. Equality is `Value::cmp`'s, so
+//! `1` meets `1.0` on both sides exactly as in the walk's `BTreeMap`. Tables
+//! are built in the walk's order — outer join first, a join's right source
+//! before its left one, all build rows before the first key — so whichever
+//! error the walk reports first is the one the fold reports. Probing
+//! evaluates the left keys against the current row and, for each match *in
+//! build order*, pushes borrowed [`Frame`](drive::Frame)s for the right slots and drives
+//! the rest of the chain: rows stay left-major, so ordered monoids, float
+//! sums and `some`/`all` short-circuits land where the walk puts them.
+//!
+//! A table whose right sub-plan and right keys read no `$param` is a
+//! function of the snapshot alone, so it is built once per epoch: [`compile`]
+//! marks it, and the first execution against a snapshot keeps it in the
+//! snapshot's [`Memo`](monoid_store::memo::Memo), keyed by that sub-plan and those keys (compared with
+//! `==`). Every later execution against any clone of the snapshot probes the
+//! same table; every mutation of the database starts a fresh memo, which is
+//! the whole invalidation protocol. A table reading a `$param`, or one that
+//! does not fit under [`monoid_store::memo::MEMO_BYTES`], is built per
+//! execution and dies with it. Skipping a build cannot hide an error: a
+//! table is only kept once the same pure build succeeded at this epoch.
+//!
+//! A keyed filter is the same bind with a constant probe. `Filter(k(x) =
+//! e)` directly over `Scan x ← E`, where `E` and `k` read no `$param`, `k`
+//! mentions only `x` and `e` does not mention `x`, compiles to a one-row
+//! chain whose only stage is a `Join` against the bare scan keyed by `k` —
+//! memoized like any param-free build side, so `exists h in Hotels: h.name
+//! = $name` is one hash lookup per execution after the epoch's first.
+//! Matches come back in build order, which is the extent's, so `some`
+//! stops at the walk's witness and ordered monoids agree. Two rules keep
+//! its errors the walk's, which reads `e` only on a row and `k` only on
+//! the rows it reaches: the probe row exists only when the table has rows,
+//! and a build that fails sends the execution to the plan walk, which
+//! filters plainly (nothing has reached the accumulator by then).
+//!
+//! Equivalence is the load-bearing invariant: fused ≡ plan-walk
+//! byte-identical, OID-for-OID. Two design rules enforce it. First, the
+//! value-level semantics are *shared*, not duplicated — projections,
+//! binary and unary operators delegate to the same
+//! [`monoid_calculus::eval`] free functions the evaluator itself calls, so
+//! results and error messages cannot drift. Second, the compiler declines
+//! rather than approximates: any construct it cannot reproduce exactly
+//! (including an unresolvable global, which the plan walk would report
+//! with its own error) routes the query through the old path untouched.
+//! Iteration order is the collection's canonical element order on both
+//! engines, so ordered monoids (`list`, `str`, sorted variants) agree
+//! without any re-sorting, and `some`/`all` short-circuit at the same
+//! element.
+//!
+//! One judgement per submodule: `compile` decides what fuses and into
+//! which stages and kernels, `drive` runs a row through them into a sink,
+//! and `table` indexes a join's build side and answers its probes.
+
+mod compile;
+mod drive;
+mod table;
+
+pub(crate) use drive::try_run_reduce;
+
+use crate::logical::Query;
+use compile::compile;
+use monoid_calculus::expr::Expr;
+use monoid_calculus::symbol::Symbol;
+
+/// Which execution engine ran (or would run) a query. Surfaced by
+/// `explain_analyze`, the flight recorder, and `Prepared::execute`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The fused single-fold loop in this module.
+    Fused,
+    /// The push-based plan-tree interpreter in [`crate::exec`].
+    PlanWalk,
+}
+
+impl Engine {
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Engine::Fused => "fused",
+            Engine::PlanWalk => "plan-walk",
+        }
+    }
+}
+
+/// Why [`compile`] declined a query: the reason, and the binder or
+/// sub-expression it was looking at when it gave up (lint MC009 looks
+/// these up in the front end's span map).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Refusal {
+    pub reason: String,
+    pub var: Option<Symbol>,
+    pub expr: Option<Expr>,
+}
+
+impl Refusal {
+    /// A refusal about the query as a whole.
+    pub fn new(reason: impl Into<String>) -> Refusal {
+        Refusal { reason: reason.into(), var: None, expr: None }
+    }
+}
+
+/// The fused compiler's refusal for this query, `None` when it fuses.
+pub fn refusal(query: &Query) -> Option<Refusal> {
+    compile(query).err()
+}
+
+/// Static classification: would [`crate::exec::execute`] route this query
+/// through the fused engine? (The dynamic exceptions: a query whose
+/// globals don't resolve at execution time still falls back, so the plan
+/// walk can report the unbound name exactly as it always has, and so does
+/// one whose keyed filter's table fails to build.)
+pub fn fused_eligible(query: &Query) -> bool {
+    compile(query).is_ok()
+}
+
+/// The engine [`fused_eligible`] predicts for this query.
+pub fn engine_of(query: &Query) -> Engine {
+    if fused_eligible(query) {
+        Engine::Fused
+    } else {
+        Engine::PlanWalk
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::compile::{Compare, FusedExpr, Kernel, Operand, Source, Stage};
+    use super::table::{KeyIndex, Table, NONE};
+    use super::*;
+    use crate::logical::{plan_comprehension, Plan};
+    use monoid_calculus::eval::Evaluator;
+    use monoid_calculus::heap::Heap;
+    use monoid_calculus::monoid::Monoid;
+    use monoid_calculus::value::{Env, Value};
+    use std::sync::Arc;
+
+    fn scan_chain() -> Query {
+        plan_comprehension(&Expr::comp(
+            Monoid::Sum,
+            Expr::var("r").proj("bed#"),
+            vec![
+                Expr::gen("h", Expr::var("Hotels")),
+                Expr::gen("r", Expr::var("h").proj("rooms")),
+                Expr::pred(Expr::var("r").proj("bed#").ge(Expr::int(1))),
+            ],
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn linear_chains_fuse() {
+        let q = scan_chain();
+        assert!(fused_eligible(&q));
+        assert_eq!(engine_of(&q).as_str(), "fused");
+    }
+
+    #[test]
+    fn path_compares_and_path_heads_compile_to_kernels() {
+        // `bag{ r.price | h ← Hotels, r ← h.rooms, r.price ≥ $floor }`:
+        // `h` is slot 0, `r` slot 1, `$floor` the global slot 2.
+        let r = || Expr::var("r");
+        let mut q = scan_chain();
+        q.monoid = Monoid::Bag;
+        q.head = r().proj("price");
+        let Plan::Filter { pred, .. } = &mut q.plan else { panic!("{:?}", q.plan) };
+        *pred = r().proj("price").ge(Expr::param("$floor"));
+        let fq = compile(&q).unwrap();
+        let [Stage::Unnest { path, .. }, Stage::Filter(filter)] = fq.chain.stages.as_slice() else {
+            panic!("{:?}", fq.chain.stages);
+        };
+        assert!(matches!(path, Kernel::Operand(Operand::Field(0, _))), "{path:?}");
+        assert!(
+            matches!(
+                filter,
+                Kernel::Compare(Compare {
+                    lhs: Operand::Field(1, _),
+                    rhs: Operand::Slot(2),
+                    holds: [false, true, true],
+                })
+            ),
+            "{filter:?}"
+        );
+        assert!(matches!(fq.head, Kernel::Operand(Operand::Field(1, _))));
+        // Anything else stays a tree: arithmetic, logic, a compare
+        // over a computed operand, a projection out of a projection.
+        for head in [
+            r().proj("price").add(Expr::int(1)),
+            r().proj("price").ge(Expr::int(1)).and(Expr::bool(true)),
+            r().proj("price").add(Expr::int(1)).lt(Expr::int(3)),
+            r().proj("price").proj("cents"),
+        ] {
+            q.head = head.clone();
+            assert!(matches!(compile(&q).unwrap().head, Kernel::Tree(_)), "{head:?}");
+        }
+    }
+
+    #[test]
+    fn record_heads_sort_their_labels_once() {
+        let r = || Expr::var("r");
+        let mut q = scan_chain();
+        q.head = Expr::record(vec![("mgr", r().proj("a")), ("emp", r()), ("dept", Expr::int(1))]);
+        let Kernel::Tree(FusedExpr::Record { labels, fields }) = compile(&q).unwrap().head else {
+            panic!("a record head");
+        };
+        let labels: Vec<_> = labels.iter().map(Symbol::as_str).collect();
+        assert_eq!(labels, ["dept", "emp", "mgr"]);
+        // Source order, each field with its sorted position.
+        assert_eq!(fields.iter().map(|(at, _)| *at).collect::<Vec<_>>(), [2, 1, 0]);
+    }
+
+    #[test]
+    fn out_of_order_binds_still_make_a_dependent_generator_fuse() {
+        // x ← xs, y ← b.kids, b ≡ x.child: the planner places `b` right
+        // after `x`, so `y` is an unnest, not a join — a linear chain.
+        let q = plan_comprehension(&Expr::comp(
+            Monoid::Bag,
+            Expr::var("y"),
+            vec![
+                Expr::gen("x", Expr::var("xs")),
+                Expr::gen("y", Expr::var("b").proj("kids")),
+                Expr::bind("b", Expr::var("x").proj("child")),
+            ],
+        ))
+        .unwrap();
+        assert!(fused_eligible(&q), "{:?}", refusal(&q));
+    }
+
+    /// `sum{ 1 | a ← Hotels, b ← Cities, a.name = b.name }`.
+    fn keyed_join() -> Query {
+        plan_comprehension(&Expr::comp(
+            Monoid::Sum,
+            Expr::int(1),
+            vec![
+                Expr::gen("a", Expr::var("Hotels")),
+                Expr::gen("b", Expr::var("Cities")),
+                Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("name"))),
+            ],
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn joins_fuse_into_one_stage_with_a_build_chain_of_their_own() {
+        let q = keyed_join();
+        assert_eq!(engine_of(&q), Engine::Fused, "{:?}", refusal(&q));
+        let fq = compile(&q).unwrap();
+        let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+            panic!("{:?}", fq.chain.stages);
+        };
+        // Shared slot numbering: `a` is slot 0, `b` slot 1, and no extent
+        // is a global — sources are evaluated, not compiled.
+        assert_eq!((fq.chain.slot, build.chain.slot), (0, 1));
+        assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
+        assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
+    }
+
+    #[test]
+    fn only_a_param_free_key_over_a_bare_scan_compiles_to_a_probe() {
+        let (h, name) = (|| Expr::var("h"), || Expr::var("h").proj("name"));
+        let filtered = |source: Expr, pred: Expr| Query {
+            plan: Plan::Filter {
+                input: Box::new(Plan::Scan { var: "h".into(), source }),
+                pred,
+            },
+            monoid: Monoid::Some,
+            head: Expr::bool(true),
+            plan_effects: Default::default(),
+        };
+        let hotels = || Expr::var("Hotels");
+        let probes =
+            [name().eq(Expr::param("$n")), Expr::str("x").eq(name()), name().eq(Expr::var("g"))];
+        for pred in probes {
+            let q = filtered(hotels(), pred);
+            let fq = compile(&q).unwrap();
+            let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+                panic!("{:?}", fq.chain.stages);
+            };
+            assert_eq!(fq.chain.source, Source::Probe(build.table));
+            assert!(build.chain.stages.is_empty() && build.memo.is_some());
+            assert_eq!((left_keys.len(), right_slots.as_slice()), (1, &[build.chain.slot][..]));
+        }
+        // The key reads a param or another variable, the probe reads `h`,
+        // the source reads a param, or the filter is not an equality: a
+        // plain filter.
+        for (source, pred) in [
+            (hotels(), name().add(Expr::param("$s")).eq(Expr::str("x"))),
+            (hotels(), name().add(Expr::var("g")).eq(Expr::str("x"))),
+            (hotels(), name().eq(h().proj("address"))),
+            (Expr::param("$hotels"), name().eq(Expr::str("x"))),
+            (hotels(), name().ne(Expr::str("x"))),
+        ] {
+            let q = filtered(source.clone(), pred.clone());
+            let fq = compile(&q).unwrap();
+            assert!(
+                matches!(fq.chain.stages.as_slice(), [Stage::Filter(_)]),
+                "{source:?} / {pred:?}: {:?}",
+                fq.chain.stages
+            );
+        }
+    }
+
+    #[test]
+    fn typed_buckets_chain_rows_in_build_order_and_meet_across_int_and_float() {
+        let rows = |n: i64| Arc::new((0..n).map(Value::Int).collect::<Vec<_>>());
+        let probe = |t: &Table, key: Value| {
+            let mut hits = Vec::new();
+            let mut i = t.first_match(&[FusedExpr::Const(key)], &[], None, &Heap::new()).unwrap();
+            while i != NONE {
+                hits.push(i);
+                i = t.next[i];
+            }
+            hits
+        };
+        let ints = Table::new(rows(4), 4, 1, [7, 8, 7, 7].map(Value::Int).to_vec());
+        assert!(matches!(ints.index, KeyIndex::Int(_)));
+        assert_eq!(probe(&ints, Value::Int(7)), [0, 2, 3]);
+        assert_eq!(probe(&ints, Value::Float(8.0)), [1], "1 = 1.0 from the probe side");
+        assert!(probe(&ints, Value::Float(7.5)).is_empty());
+        assert!(probe(&ints, Value::Float(-0.0)).is_empty() && probe(&ints, Value::Null).is_empty());
+
+        // A build side mixing ints and floats leaves the typed buckets.
+        let mixed = Table::new(rows(3), 3, 1, vec![Value::Int(1), Value::Float(1.0), Value::Int(2)]);
+        assert!(matches!(mixed.index, KeyIndex::Ordered(_)));
+        assert_eq!(probe(&mixed, Value::Int(1)), [0, 1]);
+        assert_eq!(probe(&mixed, Value::Float(2.0)), [2]);
+
+        let strs = Table::new(rows(3), 3, 1, ["x", "y", "x"].map(Value::str).to_vec());
+        assert!(matches!(strs.index, KeyIndex::Str(_)));
+        assert_eq!(probe(&strs, Value::str("x")), [0, 2]);
+        assert!(probe(&strs, Value::Int(0)).is_empty());
+
+        // No keys: one bucket holding every row.
+        let all = Table::new(rows(3), 3, 0, Vec::new());
+        assert_eq!(probe(&all, Value::Null), [0, 1, 2]);
+        assert!(probe(&Table::new(rows(0), 0, 0, Vec::new()), Value::Null).is_empty());
+    }
+
+    #[test]
+    fn refusals_name_the_construct() {
+        // A join fuses; one whose key or right side leaves the expression
+        // subset is refused at that sub-expression.
+        let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
+        let mut nested_key = keyed_join();
+        let Plan::Join { on, .. } = &mut nested_key.plan else { panic!() };
+        on[0].1 = nested.clone();
+        let r = refusal(&nested_key).expect("a nested comprehension is outside the subset");
+        assert!(r.reason.contains("a join key uses a nested comprehension"), "{r:?}");
+        assert_eq!((r.expr, r.var), (Some(nested.clone()), Some(Symbol::new("b"))));
+        let lambda = Expr::lambda("x", Expr::var("x"));
+        let Plan::Join { right, .. } = &mut nested_key.plan else { panic!() };
+        **right = Plan::Filter { input: right.clone(), pred: lambda.clone() };
+        let r = refusal(&nested_key).expect("the right side is compiled first");
+        assert!(r.reason.contains("a predicate uses a lambda"), "{r:?}");
+        assert_eq!(r.expr, Some(lambda));
+
+        // The offending sub-expression comes back whole, so a front end
+        // can look its source position up.
+        let mut lambda_head = scan_chain();
+        lambda_head.head = Expr::lambda("x", Expr::var("x"));
+        let r = refusal(&lambda_head).expect("a lambda is outside the subset");
+        assert!(r.reason.contains("the head uses a lambda"), "{r:?}");
+        assert_eq!(r.expr, Some(lambda_head.head.clone()));
+
+        let mut nested_pred = scan_chain();
+        nested_pred.plan =
+            Plan::Filter { input: Box::new(nested_pred.plan), pred: nested.clone() };
+        let r = refusal(&nested_pred).expect("a nested comprehension is outside the subset");
+        assert!(r.reason.contains("a predicate uses a nested comprehension"), "{r:?}");
+        assert_eq!(r.expr, Some(nested));
+
+        let mut vector = scan_chain();
+        vector.monoid = Monoid::VecOf(Box::new(Monoid::Sum));
+        assert!(refusal(&vector).expect("VecOf declines").reason.contains("vector monoid"));
+    }
+
+    #[test]
+    fn shadowed_chain_variables_resolve_innermost_first() {
+        // bind shadows the scan variable; references after the bind must
+        // see the new slot, just like Env lookup.
+        let q = plan_comprehension(&Expr::comp(
+            Monoid::Sum,
+            Expr::var("h"),
+            vec![
+                Expr::gen("h", Expr::var("Ints")),
+                Expr::bind("h", Expr::var("h").add(Expr::int(1))),
+            ],
+        ))
+        .unwrap();
+        let env = Env::empty().bind(
+            Symbol::new("Ints"),
+            Value::list(vec![Value::Int(10), Value::Int(20)]),
+        );
+        let mut ev = Evaluator::with_heap(Heap::new());
+        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
+        assert_eq!(v, Value::Int(32));
+    }
+
+    #[test]
+    fn a_right_variable_shadows_the_left_one_above_the_join_only() {
+        // list{ x.v | x ← Ls, x ← Rs, x.k = x.k }: the left key reads the
+        // left `x`, the right key and the head the right one. (Plan
+        // verification refuses the rebinding, so this goes straight to the
+        // fold.)
+        let x = || Expr::var("x");
+        let mut q = keyed_join();
+        q.monoid = Monoid::List;
+        q.head = x().proj("v");
+        q.plan = Plan::Join {
+            left: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Ls") }),
+            right: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Rs") }),
+            on: vec![(x().proj("k"), x().proj("k"))],
+        };
+        let row = |k: i64, v: &str| {
+            Value::record_from(vec![("k", Value::Int(k)), ("v", Value::str(v))])
+        };
+        let env = Env::empty()
+            .bind("Ls".into(), Value::list(vec![row(1, "left")]))
+            .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
+        let mut ev = Evaluator::with_heap(Heap::new());
+        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
+        assert_eq!(v, Value::list(vec![Value::str("right")]));
+    }
+
+    #[test]
+    fn missing_global_declines_at_resolution() {
+        // `target` is free in the predicate, so it compiles to a global
+        // slot filled from the root environment at setup.
+        let q = plan_comprehension(&Expr::comp(
+            Monoid::Sum,
+            Expr::int(1),
+            vec![
+                Expr::gen("h", Expr::var("Hotels")),
+                Expr::pred(Expr::var("h").proj("name").eq(Expr::var("target"))),
+            ],
+        ))
+        .unwrap();
+        let fq = compile(&q).expect("fusible");
+        // No `target` in this environment: resolution fails, the caller
+        // falls back to the plan walk (which reports the unbound name).
+        assert!(fq.resolve_globals(&Env::empty()).is_none());
+        let env = Env::empty().bind(Symbol::new("target"), Value::str("x"));
+        assert!(fq.resolve_globals(&env).is_some());
+    }
+}

@@ -15,6 +15,9 @@
 //! the `memo_*` tests pin what may be kept and when it must be forgotten.
 //! The `keyed_probe_*` tests do the same for a filter `x.f = e` over a
 //! scan, which the fold runs as a join against the extent's table.
+//! The `fused_kernel_*` tests pin the compiled compares and operand heads
+//! — every operator, operand position and value kind, objects, and rows
+//! whose operands do not fit — errors included, as text.
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
@@ -933,4 +936,298 @@ fn keyed_probe_reading_a_param_builds_once_per_snapshot() {
         assert_eq!(fused_checked(&plan, &snap.clone(), &params), Value::Bool(found), "{name}");
     }
     assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+}
+
+// -------------------------------------------------------------------------
+// Kernels: a compare `a op b` over operands (a slot, a constant, a slot's
+// field) and an operand head run without the expression tree. The
+// `fused_kernel_*` tests pin them to the walk, errors included.
+// -------------------------------------------------------------------------
+
+/// The values a compare meets: `1` and `1.0`, both zeros, NaN, `Null`,
+/// strings, bools, a tuple and a record.
+fn kernel_values() -> Vec<Value> {
+    vec![
+        Value::Int(1),
+        Value::Float(1.0),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(f64::NAN),
+        Value::Null,
+        Value::str("a"),
+        Value::str("b"),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::tuple(vec![Value::Int(1), Value::str("a")]),
+        Value::record_from(vec![("k", Value::Int(1))]),
+    ]
+}
+
+/// One holder `H` whose `items` are `items` and whose `vals` are the
+/// kernel values. Generators run over `h.items` and `h.vals`, so a filter
+/// sits above an unnest — never directly over a scan, where an equality
+/// would be a keyed probe.
+fn kernel_store(items: Vec<Value>) -> Database {
+    let mut db = Database::new(Schema::new());
+    let holder = Value::record_from(vec![
+        ("items", Value::list(items)),
+        ("vals", Value::list(kernel_values())),
+    ]);
+    db.set_root("H", Value::list(vec![holder]));
+    db
+}
+
+/// Every kernel value as an item's `x`, paired with another one as `y`.
+fn kernel_items() -> Vec<Value> {
+    let values = kernel_values();
+    let n = values.len();
+    (0..n)
+        .map(|i| {
+            Value::record_from(vec![
+                ("id", Value::Int(i as i64)),
+                ("x", values[i].clone()),
+                ("y", values[(i * 5 + 3) % n].clone()),
+            ])
+        })
+        .collect()
+}
+
+/// `⊕{ head | h ← H, <var> ← h.<path>, pred }`.
+fn over_holder(monoid: Monoid, head: Expr, var: &str, path: &str, pred: Expr) -> Query {
+    plan_comprehension(&Expr::comp(
+        monoid,
+        head,
+        vec![
+            Expr::gen("h", Expr::var("H")),
+            Expr::gen(var, Expr::var("h").proj(path)),
+            Expr::pred(pred),
+        ],
+    ))
+    .unwrap()
+}
+
+/// A comparison operator's expression builder.
+type CompareOp = fn(Expr, Expr) -> Expr;
+
+/// The six comparison operators.
+fn compares() -> [(&'static str, CompareOp); 6] {
+    [
+        ("=", Expr::eq),
+        ("≠", Expr::ne),
+        ("<", Expr::lt),
+        ("≤", Expr::le),
+        (">", Expr::gt),
+        ("≥", Expr::ge),
+    ]
+}
+
+/// A predicate that always holds and is no compare of operands.
+fn always() -> Expr {
+    Expr::bool(true).and(Expr::bool(true))
+}
+
+/// The walk's answer, after the fused fold gave the same — value or
+/// error, compared whole and as text.
+fn kernel_agree(label: &str, plan: &Query, db: &Database, p: &Value) -> ExecResult<Value> {
+    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
+    let params = [(Symbol::new("$p"), p.clone())];
+    let snap = db.snapshot();
+    let walk = execute_plan_walk_bound(plan, &snap, &params);
+    let fused = execute_snapshot_bound(plan, &snap, &params);
+    assert_eq!(fused, walk, "{label}: fused ≠ walk");
+    if let (Err(w), Err(f)) = (&walk, &fused) {
+        assert_eq!(w.to_string(), f.to_string(), "{label}: error text");
+    }
+    walk
+}
+
+#[test]
+fn fused_kernel_compares_agree_with_the_walk_for_every_operator_and_operand_position() {
+    let db = kernel_store(kernel_items());
+    let (v, s) = (|| Expr::var("v"), || Expr::var("s"));
+    let mut kept = 0;
+    for (name, op) in compares() {
+        // (form, generator variable, path, predicate)
+        let forms = [
+            ("v.x op $p", "v", "items", op(v().proj("x"), p())),
+            ("$p op v.x", "v", "items", op(p(), v().proj("x"))),
+            ("v.x op 1", "v", "items", op(v().proj("x"), Expr::int(1))),
+            ("0.0 op v.x", "v", "items", op(Expr::float(0.0), v().proj("x"))),
+            ("v.x op 'a'", "v", "items", op(v().proj("x"), Expr::str("a"))),
+            ("v.x op null", "v", "items", op(v().proj("x"), Expr::null())),
+            ("v.x op v.y", "v", "items", op(v().proj("x"), v().proj("y"))),
+            ("s op $p", "s", "vals", op(s(), p())),
+            ("$p op s", "s", "vals", op(p(), s())),
+        ];
+        for (form, var, path, pred) in forms {
+            let head = if var == "v" { v().proj("id") } else { s() };
+            let plan = over_holder(Monoid::List, head, var, path, pred);
+            for probe in kernel_values() {
+                let label = format!("{form} [{name}] $p = {probe:?}");
+                let walk = kernel_agree(&label, &plan, &db, &probe);
+                kept += walk.unwrap().len().unwrap();
+            }
+        }
+    }
+    // Not vacuous: across all of it, rows were kept and rows were dropped.
+    assert!(kept > 0 && kept < 6 * 9 * 12 * 12, "{kept}");
+}
+
+/// Spot checks of the order the kernels decide by (`Value::cmp`): `1`
+/// meets `1.0`, the zeros differ, NaN equals itself, and kinds rank.
+#[test]
+fn fused_kernel_compares_follow_the_value_order() {
+    let db = kernel_store(kernel_items());
+    let v = || Expr::var("v");
+    let ids = |pred: Expr, probe: Value| {
+        let plan = over_holder(Monoid::List, v().proj("id"), "v", "items", pred);
+        kernel_agree("spot", &plan, &db, &probe).unwrap()
+    };
+    let list = |xs: &[i64]| Value::list(xs.iter().map(|x| Value::Int(*x)).collect());
+    let x = || v().proj("x");
+    assert_eq!(ids(x().eq(p()), Value::Int(1)), list(&[0, 1]));
+    assert_eq!(ids(x().eq(p()), Value::Float(0.0)), list(&[3]));
+    assert_eq!(ids(x().lt(p()), Value::Float(0.0)), list(&[2, 5, 8, 9]));
+    assert_eq!(ids(x().eq(p()), Value::Float(f64::NAN)), list(&[4]));
+    assert_eq!(ids(x().gt(p()), Value::str("a")), list(&[7, 10, 11]));
+}
+
+/// Class extents hold objects: a field operand reads through the heap,
+/// in a filter, a head and a compare head.
+#[test]
+fn fused_kernel_operands_read_fields_through_objects() {
+    let db = company();
+    let e = || Expr::var("e");
+    for (name, op) in compares() {
+        for salary in [40_000, 55_000, 70_000] {
+            let probe = Value::Int(salary);
+            for (monoid, head) in [
+                (Monoid::Bag, e().proj("name")),
+                (Monoid::Sum, e().proj("salary")),
+                (Monoid::All, op(e().proj("salary"), p())),
+                (Monoid::Some, op(p(), e().proj("age"))),
+            ] {
+                let label = format!("{monoid} [{name}] {salary}");
+                let plan = plan_comprehension(&Expr::comp(
+                    monoid,
+                    head,
+                    vec![
+                        Expr::gen("e", Expr::var(company::names::EMPLOYEES)),
+                        Expr::pred(op(e().proj("salary"), p())),
+                    ],
+                ))
+                .unwrap();
+                kernel_agree(&label, &plan, &db, &probe).unwrap();
+            }
+        }
+    }
+}
+
+/// Rows that do not fit the kernel's shape — a missing field, a slot that
+/// holds no record, a dangling object — fail with the walk's error: in a
+/// filter, an operand head and a compare head, on either or both sides of
+/// the compare.
+#[test]
+fn fused_kernel_rows_off_the_shape_fail_like_the_walk() {
+    let row = |x: i64| Value::record_from(vec![("x", Value::Int(x))]);
+    let stores = [
+        ("missing-field", vec![row(1), Value::record_from(vec![("y", Value::Int(2))])]),
+        ("not-a-record", vec![row(1), Value::Int(5)]),
+        ("dangling-object", vec![row(1), Value::Obj(monoid_calculus::value::Oid(9_999))]),
+        ("a-string", vec![row(1), Value::str("x")]),
+    ];
+    let v = || Expr::var("v");
+    for (store, items) in stores {
+        let db = kernel_store(items);
+        for (name, op) in compares() {
+            for (label, head, pred) in [
+                ("filter", Expr::int(1), op(v().proj("x"), p())),
+                ("filter-rhs", Expr::int(1), op(p(), v().proj("x"))),
+                // Both sides fail: the left one's error wins.
+                ("both-sides", Expr::int(1), op(v().proj("y"), v().proj("z"))),
+                ("operand-head", v().proj("x"), always()),
+                ("compare-head", op(v().proj("x"), p()), always()),
+            ] {
+                let plan = over_holder(Monoid::List, head, "v", "items", pred);
+                let label = format!("{store}/{label} [{name}]");
+                let walk = kernel_agree(&label, &plan, &db, &Value::Int(1));
+                assert!(walk.is_err(), "{label}: the second row fails");
+            }
+        }
+    }
+}
+
+/// `some` and `all` over compare heads and filters stop at the walk's
+/// witness: the row after it cannot be read, so an engine that went on
+/// would fail instead.
+#[test]
+fn fused_kernel_some_and_all_stop_at_the_walks_witness() {
+    let row = |x: i64| Value::record_from(vec![("x", Value::Int(x))]);
+    let db = kernel_store(vec![row(1), row(5), Value::Int(0), row(9)]);
+    let x = || Expr::var("v").proj("x");
+    for (label, monoid, head, pred, verdict) in [
+        ("some-head", Monoid::Some, x().gt(p()), always(), true),
+        ("all-head", Monoid::All, x().lt(p()), always(), false),
+        ("some-filter", Monoid::Some, Expr::bool(true), x().ge(p()), true),
+        ("all-filter", Monoid::All, x().ne(Expr::int(5)), x().ge(p()), false),
+    ] {
+        let plan = over_holder(monoid, head, "v", "items", pred);
+        let walk = kernel_agree(label, &plan, &db, &Value::Int(3));
+        assert_eq!(walk, Ok(Value::Bool(verdict)), "{label}");
+        // With no witness before it, both reach the bad row and fail alike.
+        assert!(kernel_agree(label, &plan, &db, &Value::Int(100)).is_err(), "{label}");
+    }
+}
+
+/// `all{ a op b | … }` (and `some`, and the list of verdicts): a compare
+/// head for every operator, operand position and probe.
+#[test]
+fn fused_kernel_compare_heads_under_all_agree() {
+    let db = kernel_store(kernel_items());
+    let (v, s) = (|| Expr::var("v"), || Expr::var("s"));
+    let mut verdicts = std::collections::BTreeSet::new();
+    for (name, op) in compares() {
+        for (form, var, path, head) in [
+            ("v.x op $p", "v", "items", op(v().proj("x"), p())),
+            ("$p op v.y", "v", "items", op(p(), v().proj("y"))),
+            ("v.x op v.y", "v", "items", op(v().proj("x"), v().proj("y"))),
+            ("s op 1.0", "s", "vals", op(s(), Expr::float(1.0))),
+            ("s op $p", "s", "vals", op(s(), p())),
+        ] {
+            for monoid in [Monoid::All, Monoid::Some, Monoid::List] {
+                let plan = over_holder(monoid.clone(), head.clone(), var, path, always());
+                for probe in kernel_values() {
+                    let label = format!("{monoid}{{ {form} }} [{name}] $p = {probe:?}");
+                    let walk = kernel_agree(&label, &plan, &db, &probe).unwrap();
+                    verdicts.insert(walk.to_string());
+                }
+            }
+        }
+    }
+    assert!(verdicts.contains("true") && verdicts.contains("false"), "{verdicts:?}");
+}
+
+/// A record head's labels are sorted once, at compile time, the way
+/// `Value::record` sorts them (stably, duplicates kept in source order),
+/// and its fields still evaluate in source order, so the first field that
+/// fails is the walk's.
+#[test]
+fn fused_record_heads_sort_labels_at_compile_time_like_the_walk() {
+    let db = kernel_store(kernel_items());
+    let v = || Expr::var("v");
+    let heads = [
+        Expr::record(vec![("mgr", v().proj("x")), ("emp", v().proj("y"))]),
+        Expr::record(vec![("b", Expr::int(1)), ("a", v().proj("id")), ("b", Expr::int(2))]),
+        Expr::record(vec![("z", v().proj("id")), ("y", v().proj("x")), ("x", v().proj("y"))]),
+        // `z` is read first and fails first, though `a` sorts first.
+        Expr::record(vec![("z", v().proj("nope")), ("a", v().proj("x").proj("k"))]),
+    ];
+    for (i, head) in heads.into_iter().enumerate() {
+        for monoid in [Monoid::List, Monoid::Set, Monoid::Bag] {
+            let plan = over_holder(monoid.clone(), head.clone(), "v", "items", always());
+            let label = format!("head {i} / {monoid}");
+            let walk = kernel_agree(&label, &plan, &db, &Value::Null);
+            assert_eq!(walk.is_ok(), i < 3, "{label}: {walk:?}");
+        }
+    }
 }

@@ -124,7 +124,7 @@ impl CompareReport {
 /// The compared sections and their latency fields: per-query end-to-end
 /// medians and tails, the prepared warm path (the serving-layer number
 /// `docs/serving.md` optimizes for), and the fused median of the fusion
-/// cases — three scan-heavy chains and the corpus's join (a regression
+/// cases — four scan-heavy chains and the corpus's join (a regression
 /// there means the fold itself got slower). Cold prepared numbers are
 /// deliberately not gated — they measure the host (compiler, disk cache)
 /// more than the code. Every section is in-process: the wire is gated by

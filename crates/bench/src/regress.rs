@@ -142,7 +142,7 @@ pub struct RegressReport {
     pub quick: bool,
     pub runs_per_query: usize,
     pub queries: Vec<QueryReport>,
-    /// Fused fold vs forced plan walk on three scan-heavy linear chains
+    /// Fused fold vs forced plan walk on four scan-heavy linear chains
     /// and the corpus's hash join.
     pub fusion: Vec<FusionBench>,
     /// Prepared-statement serving latencies (cold prepare vs warm
@@ -381,8 +381,8 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
 
 /// Time the fused fold against the forced plan walk on a commutative
 /// fold, an order-sensitive list build and a sorted bag build over the
-/// same scan → unnest chain, and on `join` (the corpus's hash join, over
-/// the company store).
+/// same scan → unnest chain, the bag build behind a compare filter, and
+/// on `join` (the corpus's hash join, over the company store).
 fn run_fusion_section(
     quick: bool,
     runs: usize,
@@ -431,6 +431,22 @@ fn run_fusion_section(
                 vec![
                     Expr::gen("h", Expr::var("Hotels")),
                     Expr::gen("r", Expr::var("h").proj("rooms")),
+                ],
+            ),
+        ),
+        // `bulk-rows`' shape in process: a compare stage over the unnest.
+        (
+            "bag-prices-floor",
+            "bag",
+            "bag{ r.price | h ← Hotels, r ← h.rooms, r.price ≥ 100.0 }".to_string(),
+            &db,
+            Expr::comp(
+                Monoid::Bag,
+                Expr::var("r").proj("price"),
+                vec![
+                    Expr::gen("h", Expr::var("Hotels")),
+                    Expr::gen("r", Expr::var("h").proj("rooms")),
+                    Expr::pred(Expr::var("r").proj("price").ge(Expr::float(100.0))),
                 ],
             ),
         ),
@@ -601,12 +617,12 @@ mod tests {
         let names: Vec<&str> = report.registry.series.iter().map(|s| s.key.name.as_str()).collect();
         assert!(names.iter().all(|n| !n.starts_with("exec_")), "{names:?}");
         // The fusion section covers a commutative, an ordered and a
-        // sorting monoid over a linear chain, and the corpus's join: the
-        // default engine is fused, and the forced plan walk was timed
-        // alongside it.
+        // sorting monoid over a linear chain, the sorting one behind a
+        // filter, and the corpus's join: the default engine is fused, and
+        // the forced plan walk was timed alongside it.
         assert_eq!(
             report.fusion.iter().map(|p| p.name).collect::<Vec<_>>(),
-            ["sum-beds", "list-prices", "bag-prices", "company-dept-join"]
+            ["sum-beds", "list-prices", "bag-prices", "bag-prices-floor", "company-dept-join"]
         );
         for p in &report.fusion {
             assert_eq!(p.engine, "fused", "{}", p.name);

@@ -453,17 +453,18 @@ impl Evaluator {
 /// expressions work. Shared by the evaluator and the fused batch engine so
 /// the two agree to the byte on both results and error messages.
 pub fn project_value(heap: &Heap, v: &Value, field: Symbol) -> EvalResult<Value> {
+    project_ref(heap, v, field).cloned()
+}
+
+/// [`project_value`] without the clone: the field, borrowed from the
+/// record or from the object's heap state.
+pub fn project_ref<'a>(heap: &'a Heap, v: &'a Value, field: Symbol) -> EvalResult<&'a Value> {
     match v {
-        Value::Record(_) => v.field(field).cloned().ok_or_else(|| {
-            EvalError::TypeMismatch {
-                op: "projection",
-                detail: format!("record has no field `{field}`"),
-            }
+        Value::Record(_) => v.field(field).ok_or_else(|| EvalError::TypeMismatch {
+            op: "projection",
+            detail: format!("record has no field `{field}`"),
         }),
-        Value::Obj(oid) => {
-            let state = heap.get(*oid)?;
-            project_value(heap, state, field)
-        }
+        Value::Obj(oid) => project_ref(heap, heap.get(*oid)?, field),
         other => Err(EvalError::TypeMismatch {
             op: "projection",
             detail: format!("cannot project `.{field}` from {}", other.kind()),

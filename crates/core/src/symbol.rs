@@ -18,35 +18,49 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
+/// The writer's side: name → id, and the fresh-name counter. Only
+/// [`Symbol::new`] and [`Symbol::fresh`] take its lock.
 struct Interner {
-    names: Vec<&'static str>,
     table: HashMap<&'static str, u32>,
     fresh_counter: u64,
 }
 
 fn interner() -> &'static Mutex<Interner> {
     static INTERNER: OnceLock<Mutex<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        Mutex::new(Interner {
-            names: Vec::new(),
-            table: HashMap::new(),
-            fresh_counter: 0,
-        })
-    })
+    INTERNER.get_or_init(|| Mutex::new(Interner { table: HashMap::new(), fresh_counter: 0 }))
+}
+
+/// The reader's side: id → name, append-only and read without a lock.
+/// Chunk `c` holds `FIRST_CHUNK << c` names, so the ids start at
+/// `FIRST_CHUNK * (2^c - 1)` and 28 chunks cover every `u32` id. A chunk
+/// is allocated by the first name that lands in it, and each name is set
+/// once, under the interner's lock, before its id is handed out.
+const FIRST_CHUNK: usize = 32;
+static NAMES: [OnceLock<Box<[OnceLock<&'static str>]>>; 28] = [const { OnceLock::new() }; 28];
+
+/// The chunk holding `id`, and its index there.
+fn locate(id: u32) -> (usize, usize) {
+    let n = id as usize + FIRST_CHUNK;
+    let top = usize::BITS - 1 - n.leading_zeros();
+    let chunk = (top - FIRST_CHUNK.trailing_zeros()) as usize;
+    (chunk, n - (1 << top))
 }
 
 impl Symbol {
     /// Intern `name` and return its symbol. Idempotent.
     pub fn new(name: &str) -> Symbol {
-        let mut i = interner().lock().unwrap();
+        let mut i = interner().lock().expect("no interner write panics midway");
         if let Some(&id) = i.table.get(name) {
             return Symbol(id);
         }
-        let id = u32::try_from(i.names.len()).expect("interner overflow");
+        let id = u32::try_from(i.table.len()).expect("interner overflow");
         // Leaking is fine: symbols live for the whole process and the set of
         // distinct names in any workload is small and bounded.
         let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        i.names.push(leaked);
+        let (chunk, at) = locate(id);
+        let slots = NAMES[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| OnceLock::new()).collect());
+        slots[at].set(leaked).expect("each id is named once");
         i.table.insert(leaked, id);
         Symbol(id)
     }
@@ -58,7 +72,7 @@ impl Symbol {
     /// collide with source-level names.
     pub fn fresh(hint: &str) -> Symbol {
         let n = {
-            let mut i = interner().lock().unwrap();
+            let mut i = interner().lock().expect("no interner write panics midway");
             i.fresh_counter += 1;
             i.fresh_counter
         };
@@ -66,9 +80,14 @@ impl Symbol {
         Symbol::new(&format!("{base}%{n}"))
     }
 
-    /// The interned string.
+    /// The interned string. Lock-free: the name was published before the
+    /// symbol existed.
     pub fn as_str(&self) -> &'static str {
-        interner().lock().unwrap().names[self.0 as usize]
+        let (chunk, at) = locate(self.0);
+        NAMES[chunk]
+            .get()
+            .and_then(|slots| slots[at].get())
+            .expect("a symbol's name is set before its id is handed out")
     }
 }
 
@@ -127,6 +146,56 @@ mod tests {
         let b = Symbol::fresh(a.as_str());
         // `v%1` refreshed gives `v%k`, not `v%1%k`.
         assert_eq!(b.as_str().matches('%').count(), 1);
+    }
+
+    #[test]
+    fn chunks_tile_the_id_space() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(31), (0, 31));
+        assert_eq!(locate(32), (1, 0));
+        assert_eq!(locate(95), (1, 63));
+        assert_eq!(locate(96), (2, 0));
+        assert_eq!(locate(u32::MAX - 31), (27, 0));
+        assert_eq!(locate(u32::MAX), (27, 31));
+    }
+
+    #[test]
+    fn names_read_back_while_other_threads_intern() {
+        // Every thread interns its own names and a shared set, reading
+        // back each id as soon as it has it — and the other threads' ids
+        // once all are done — while the chunk table grows underneath.
+        let threads = 4;
+        let per_thread = 300;
+        let start = std::sync::Barrier::new(threads);
+        let interned: Vec<Vec<(Symbol, String)>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        (0..per_thread)
+                            .map(|j| {
+                                let name = if j % 3 == 0 {
+                                    format!("shared_{j}")
+                                } else {
+                                    format!("thread_{t}_{j}")
+                                };
+                                let sym = Symbol::new(&name);
+                                assert_eq!(sym.as_str(), name);
+                                (sym, name)
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("interning thread")).collect()
+        });
+        for (sym, name) in interned.iter().flatten() {
+            assert_eq!(sym.as_str(), name);
+            assert_eq!(Symbol::new(name), *sym);
+        }
+        // Shared names got one id whichever thread interned them first.
+        assert_eq!(interned[0][0].0, interned[threads - 1][0].0);
     }
 
     #[test]
