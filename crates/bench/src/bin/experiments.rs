@@ -1,14 +1,15 @@
 //! The experiment harness: regenerates every table, worked example, and
-//! derivation of Fegaras & Maier (SIGMOD 1995), plus quick versions of the
-//! benchmark series. `cargo run --release -p monoid-bench --bin
-//! experiments [-- <experiment>]` where `<experiment>` is one of
-//! `table1 examples table3 oql vectors identity profile bench-unnesting
-//! bench-pipelining bench-mixed bench-vectors bench-updates bench-ablation`
-//! (default: all). Output is the content of EXPERIMENTS.md; the `profile`
-//! experiment additionally emits machine-readable `QueryProfile` JSON
+//! derivation of Fegaras & Maier (SIGMOD 1995), and measures the
+//! benchmark series B1–B6 (this binary is their only harness).
+//! `cargo run --release -p monoid-bench --bin experiments [-- <section>…]`
+//! where each `<section>` is one of `table1 examples table3 oql vectors
+//! identity profile bench-unnesting bench-pipelining bench-mixed
+//! bench-vectors bench-updates bench-ablation` (default: all; an unknown
+//! name exits 2). Output is the content of EXPERIMENTS.md; the `profile`
+//! section additionally emits machine-readable `QueryProfile` JSON
 //! blocks (per-operator row counts and per-phase timings).
 
-use monoid_bench::harness::{fmt_nanos, med_p95_cell, percentile_nanos, sample_nanos, Table};
+use monoid_bench::harness::{Table, Timing};
 use monoid_bench::queries;
 use monoid_calculus::eval::eval_closed;
 use monoid_calculus::expr::Expr;
@@ -21,49 +22,39 @@ use monoid_store::travel::{self, TravelScale};
 use monoid_vector as vector;
 use std::env;
 
+/// Every section, in output order.
+const SECTIONS: [(&str, fn()); 13] = [
+    ("table1", table1),
+    ("examples", examples),
+    ("table3", table3),
+    ("oql", oql_coverage),
+    ("vectors", vectors),
+    ("identity", identity),
+    ("profile", profile),
+    ("bench-unnesting", bench_unnesting),
+    ("bench-pipelining", bench_pipelining),
+    ("bench-mixed", bench_mixed),
+    ("bench-vectors", bench_vectors),
+    ("bench-updates", bench_updates),
+    ("bench-ablation", bench_ablation),
+];
+
+/// Timed runs per table cell.
+const RUNS: usize = 3;
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
+    let known = |a: &str| a == "all" || SECTIONS.iter().any(|(name, _)| *name == a);
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!("experiments: unknown section `{bad}`; valid: all {}", names.join(" "));
+        std::process::exit(2);
+    }
     let run_all = args.is_empty() || args.iter().any(|a| a == "all");
-    let want = |name: &str| run_all || args.iter().any(|a| a == name);
-
-    if want("table1") {
-        table1();
-    }
-    if want("examples") {
-        examples();
-    }
-    if want("table3") {
-        table3();
-    }
-    if want("oql") {
-        oql_coverage();
-    }
-    if want("vectors") {
-        vectors();
-    }
-    if want("identity") {
-        identity();
-    }
-    if want("profile") {
-        profile();
-    }
-    if want("bench-unnesting") {
-        bench_unnesting();
-    }
-    if want("bench-pipelining") {
-        bench_pipelining();
-    }
-    if want("bench-mixed") {
-        bench_mixed();
-    }
-    if want("bench-vectors") {
-        bench_vectors();
-    }
-    if want("bench-updates") {
-        bench_updates();
-    }
-    if want("bench-ablation") {
-        bench_ablation();
+    for (name, run) in SECTIONS {
+        if run_all || args.iter().any(|a| a == name) {
+            run();
+        }
     }
 }
 
@@ -268,6 +259,23 @@ fn table3() {
     // And its plan.
     let plan = monoid_algebra::plan_comprehension(&n).expect("plans");
     println!("\nPipelined plan of the canonical form:\n{}", monoid_algebra::explain(&plan));
+
+    println!("\nNormalization cost by `from`-nesting depth (compile time, once per query):\n");
+    let mut t = Table::new(&["depth", "size before → after", "steps", "normalize", "idempotent"]);
+    for depth in [2usize, 8, 32] {
+        let e = queries::deep_nest(depth);
+        let (n, _, stats) = normalize_traced(&e);
+        let time = Timing::of(RUNS, || normalize(&e));
+        let idempotent = if normalize(&n) == n { "✓" } else { "VIOLATED" };
+        t.row(&[
+            depth.to_string(),
+            format!("{} → {}", stats.size_before, stats.size_after),
+            stats.steps.to_string(),
+            time.cell(),
+            idempotent.to_string(),
+        ]);
+    }
+    print!("{}", t.render());
 }
 
 // ---------------------------------------------------------------------------
@@ -502,32 +510,6 @@ fn profile() {
     }
 }
 
-/// Three timed runs of `f`, keeping center and spread: `cell()` renders
-/// the table entry as `median (p95 …)`; speedup ratios compare medians.
-struct Timing {
-    median: u128,
-    p95: u128,
-}
-
-fn timed<T>(f: impl FnMut() -> T) -> Timing {
-    let samples = sample_nanos(3, f);
-    Timing {
-        median: percentile_nanos(&samples, 50.0),
-        p95: percentile_nanos(&samples, 95.0),
-    }
-}
-
-impl Timing {
-    fn cell(&self) -> String {
-        format!("{} (p95 {})", fmt_nanos(self.median), fmt_nanos(self.p95))
-    }
-
-    /// `self` is the slower side: how many times faster is `faster`?
-    fn speedup(&self, faster: &Timing) -> String {
-        format!("{:.1}×", self.median as f64 / faster.median as f64)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // B1 — unnesting: naive vs normalized vs normalized+algebra.
 // ---------------------------------------------------------------------------
@@ -545,9 +527,9 @@ fn bench_unnesting() {
         let q = queries::clients_preferring_existing_city();
         let n = normalize(&q);
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
-        let naive = timed(|| db.query(&q).unwrap());
-        let flat = timed(|| db.query(&n).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
+        let naive = Timing::of(RUNS, || db.query(&q).unwrap());
+        let flat = Timing::of(RUNS, || db.query(&n).unwrap());
+        let piped = Timing::of(RUNS, || monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             scale.clients.to_string(),
@@ -580,9 +562,9 @@ fn bench_pipelining() {
         let q = queries::deep_navigation_nested(200);
         let n = normalize(&q);
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
-        let nested = timed(|| db.query(&q).unwrap());
-        let flat = timed(|| db.query(&n).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
+        let nested = Timing::of(RUNS, || db.query(&q).unwrap());
+        let flat = Timing::of(RUNS, || db.query(&n).unwrap());
+        let piped = Timing::of(RUNS, || monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             nested.cell(),
@@ -610,8 +592,8 @@ fn bench_mixed() {
         let q = queries::mixed_join(n, n);
         let plan = monoid_algebra::plan_comprehension(&q).unwrap();
         let db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
-        let direct = timed(|| eval_closed(&q).unwrap());
-        let piped = timed(|| monoid_algebra::execute(&plan, &db).unwrap());
+        let direct = Timing::of(RUNS, || eval_closed(&q).unwrap());
+        let piped = Timing::of(RUNS, || monoid_algebra::execute(&plan, &db).unwrap());
         t.row(&[n.to_string(), direct.cell(), piped.cell(), direct.speedup(&piped)]);
     }
     print!("{}", t.render());
@@ -627,14 +609,40 @@ fn bench_mixed() {
 
 fn bench_vectors() {
     heading("B4 — §4.1 vectors: DFT-as-a-query vs native FFT");
-    let mut t = Table::new(&["n", "DFT query (O(n²))", "native FFT (O(n log n))", "max |Δ|"]);
+    let mut t = Table::new(&[
+        "n", "DFT query (O(n²))", "native DFT (O(n²))", "native FFT (O(n log n))", "max |Δ|",
+    ]);
     for n in [16usize, 64, 256] {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 / 3.0).sin()).collect();
         let xs: Vec<vector::Complex> = x.iter().map(|&r| (r, 0.0)).collect();
-        let dq = med_p95_cell(3, || vector::dft_via_query(&x).unwrap());
-        let df = med_p95_cell(3, || vector::fft(&xs));
+        let dq = Timing::of(RUNS, || vector::dft_via_query(&x).unwrap());
+        let dn = Timing::of(RUNS, || vector::dft_reference(&xs));
+        let df = Timing::of(RUNS, || vector::fft(&xs));
         let err = vector::fft::max_error(&vector::dft_via_query(&x).unwrap(), &vector::fft(&xs));
-        t.row(&[n.to_string(), dq, df, format!("{err:.2e}")]);
+        t.row(&[n.to_string(), dq.cell(), dn.cell(), df.cell(), format!("{err:.2e}")]);
+    }
+    print!("{}", t.render());
+
+    println!();
+    let mut t = Table::new(&["n", "histogram comprehension", "native loop", "agree"]);
+    for n in [1_000usize, 10_000] {
+        let data: Vec<i64> = (0..n as i64).map(|i| i * 37 % 1000).collect();
+        let q = vector::histogram_expr(
+            Expr::CollLit(Monoid::List, data.iter().map(|&v| Expr::int(v)).collect()),
+            10,
+            100,
+        );
+        let native = || {
+            let mut buckets = [0i64; 10];
+            for &v in &data {
+                buckets[(v / 100) as usize] += 1;
+            }
+            buckets
+        };
+        let tc = Timing::of(RUNS, || eval_closed(&q).unwrap());
+        let tn = Timing::of(RUNS, native);
+        let agree = eval_closed(&q).unwrap() == Value::vector(native().map(Value::Int).to_vec());
+        t.row(&[n.to_string(), tc.cell(), tn.cell(), agree.to_string()]);
     }
     print!("{}", t.render());
 
@@ -648,16 +656,16 @@ fn bench_vectors() {
             n,
             n,
         );
-        let tc = med_p95_cell(3, || vector::matrix::eval_int_matrix(&e).unwrap());
-        let tn = med_p95_cell(3, || vector::matmul_reference(&a, &a));
+        let tc = Timing::of(RUNS, || vector::matrix::eval_int_matrix(&e).unwrap());
+        let tn = Timing::of(RUNS, || vector::matmul_reference(&a, &a));
         let agree = vector::matrix::eval_int_matrix(&e).unwrap() == vector::matmul_reference(&a, &a);
-        t.row(&[format!("{n}×{n}"), tc, tn, agree.to_string()]);
+        t.row(&[format!("{n}×{n}"), tc.cell(), tn.cell(), agree.to_string()]);
     }
     print!("{}", t.render());
     println!(
-        "\nexpected shape: identical results; the interpreted comprehension \
-         pays a large constant factor, and the FFT's asymptotic win over \
-         the DFT query grows with n."
+        "\nexpected shape: identical results; the interpreted comprehensions \
+         pay a large constant factor over their native loops, and the FFT's \
+         asymptotic win over both O(n²) DFTs grows with n."
     );
 }
 
@@ -667,19 +675,21 @@ fn bench_vectors() {
 
 fn bench_updates() {
     heading("B5 — §4.2/§4.3 updates: calculus update program vs direct heap mutation");
-    let mut t = Table::new(&["employees", "calculus raise", "direct raise", "overhead"]);
+    let mut t = Table::new(&[
+        "employees", "calculus raise", "direct raise", "overhead", "calculus hotel insert",
+    ]);
     for hotels in [200usize, 800, 3200] {
         let scale = TravelScale::with_hotels(hotels);
         let employees = scale.total_hotels() * scale.employees_per_hotel;
         let upd = queries::raise_salaries(1);
         let calc = {
             let mut db = travel::generate(scale, 7);
-            timed(|| db.query(&upd).unwrap())
+            Timing::of(RUNS, || db.query(&upd).unwrap())
         };
         let direct = {
             let db = travel::generate(scale, 7);
             let heap_len = db.heap().len();
-            timed(|| {
+            Timing::of(RUNS, || {
                 let mut db2 = db.clone();
                 let name = monoid_calculus::symbol::Symbol::new("salary");
                 for i in 0..heap_len {
@@ -700,12 +710,24 @@ fn bench_updates() {
                 db2
             })
         };
-        t.row(&[employees.to_string(), calc.cell(), direct.cell(), calc.speedup(&direct)]);
+        let insert = {
+            let mut db = travel::generate(scale, 7);
+            let upd = queries::insert_hotel_update("Portland", "hotel_bench");
+            Timing::of(RUNS, || db.query(&upd).unwrap())
+        };
+        t.row(&[
+            employees.to_string(),
+            calc.cell(),
+            direct.cell(),
+            calc.speedup(&direct),
+            insert.cell(),
+        ]);
     }
     print!("{}", t.render());
     println!(
-        "\nexpected shape: both linear in the number of objects; the \
-         calculus pays an interpretation constant."
+        "\nexpected shape: both raises linear in the number of objects; \
+         the calculus pays an interpretation constant. The §4.3 insert \
+         program scans Cities once and allocates one hotel."
     );
 }
 
@@ -727,8 +749,8 @@ fn bench_ablation() {
                 monoid_algebra::PlanOptions { hash_joins: false, push_predicates: true },
             )
             .unwrap();
-            let th = timed(|| monoid_algebra::execute(&hash, &db).unwrap());
-            let tn = timed(|| monoid_algebra::execute(&nl, &db).unwrap());
+            let th = Timing::of(RUNS, || monoid_algebra::execute(&hash, &db).unwrap());
+            let tn = Timing::of(RUNS, || monoid_algebra::execute(&nl, &db).unwrap());
             t.row(&[
                 scale.total_hotels().to_string(),
                 k.to_string(),
@@ -754,8 +776,8 @@ fn bench_ablation() {
             monoid_algebra::PlanOptions { hash_joins: true, push_predicates: false },
         )
         .unwrap();
-        let t_on = timed(|| monoid_algebra::execute(&on, &db).unwrap());
-        let t_off = timed(|| monoid_algebra::execute(&off, &db).unwrap());
+        let t_on = Timing::of(RUNS, || monoid_algebra::execute(&on, &db).unwrap());
+        let t_off = Timing::of(RUNS, || monoid_algebra::execute(&off, &db).unwrap());
         t.row(&[
             scale.total_hotels().to_string(),
             t_off.cell(),
@@ -788,8 +810,8 @@ fn bench_ablation() {
         let written = monoid_algebra::plan_comprehension(&q).unwrap();
         let reordered = monoid_algebra::reorder_generators(&q, &stats);
         let optimized = monoid_algebra::plan_comprehension(&reordered).unwrap();
-        let tw = timed(|| monoid_algebra::execute(&written, &db).unwrap());
-        let to = timed(|| monoid_algebra::execute(&optimized, &db).unwrap());
+        let tw = Timing::of(RUNS, || monoid_algebra::execute(&written, &db).unwrap());
+        let to = Timing::of(RUNS, || monoid_algebra::execute(&optimized, &db).unwrap());
         assert_eq!(
             monoid_algebra::execute(&written, &db).unwrap(),
             monoid_algebra::execute(&optimized, &db).unwrap()

@@ -1,8 +1,8 @@
-//! Minimal timing and table-rendering utilities for the `experiments`
-//! binary (Criterion handles the statistically careful runs; this harness
-//! prints the paper-style tables quickly), plus the fenced-JSON emitter
-//! the profiled experiments use for machine-readable per-operator
-//! breakdowns.
+//! Timing and table-rendering utilities for the `experiments` binary
+//! and the `regress`/`oqltop` reports: one sampler ([`sample_nanos`],
+//! summarized by [`Timing`]), an aligned text table, and the fenced-JSON
+//! emitter the profiled experiments use for machine-readable
+//! per-operator breakdowns.
 
 use std::time::Instant;
 
@@ -21,7 +21,7 @@ pub fn sample_nanos<T>(runs: usize, mut f: impl FnMut() -> T) -> Vec<u128> {
 
 /// The `p`-th percentile (`0.0 ≤ p ≤ 100.0`) of a sample vec, by the
 /// nearest-rank method (`p = 50` is the median for odd-length inputs;
-/// `p = 100` is the max). Panics on an empty slice, like `median_nanos`
+/// `p = 100` is the max). Panics on an empty slice, like `sample_nanos`
 /// does on `runs = 0`.
 pub fn percentile_nanos(samples: &[u128], p: f64) -> u128 {
     assert!(!samples.is_empty(), "percentile of no samples");
@@ -31,25 +31,32 @@ pub fn percentile_nanos(samples: &[u128], p: f64) -> u128 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Median wall-time of `runs` executions of `f`, in nanoseconds.
-pub fn median_nanos<T>(runs: usize, f: impl FnMut() -> T) -> u128 {
-    let samples = sample_nanos(runs, f);
-    // Keep the historical convention (upper median for even lengths).
-    let mut sorted = samples;
-    sorted.sort_unstable();
-    sorted[sorted.len() / 2]
+/// Center and spread of `runs` timed executions of `f`: `cell()`
+/// renders the table entry as `median (p95 …)`; speedup ratios compare
+/// medians.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    median: u128,
+    p95: u128,
 }
 
-/// Median and p95 of `runs` executions of `f`, rendered as
-/// `"<median> (p95 <p95>)"` — the cell format the experiment tables use
-/// now that the harness reports distribution, not just center.
-pub fn med_p95_cell<T>(runs: usize, f: impl FnMut() -> T) -> String {
-    let samples = sample_nanos(runs, f);
-    format!(
-        "{} (p95 {})",
-        fmt_nanos(percentile_nanos(&samples, 50.0)),
-        fmt_nanos(percentile_nanos(&samples, 95.0)),
-    )
+impl Timing {
+    pub fn of<T>(runs: usize, f: impl FnMut() -> T) -> Timing {
+        let samples = sample_nanos(runs, f);
+        Timing {
+            median: percentile_nanos(&samples, 50.0),
+            p95: percentile_nanos(&samples, 95.0),
+        }
+    }
+
+    pub fn cell(&self) -> String {
+        format!("{} (p95 {})", fmt_nanos(self.median), fmt_nanos(self.p95))
+    }
+
+    /// `self` is the slower side: how many times faster is `faster`?
+    pub fn speedup(&self, faster: &Timing) -> String {
+        format!("{:.1}×", self.median as f64 / faster.median as f64)
+    }
 }
 
 /// Render nanoseconds human-readably.
@@ -153,12 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn median_is_stable() {
-        let m = median_nanos(5, || 1 + 1);
-        assert!(m < 1_000_000);
-    }
-
-    #[test]
     fn percentiles_by_nearest_rank() {
         let samples: Vec<u128> = (1..=100).collect();
         assert_eq!(percentile_nanos(&samples, 50.0), 50);
@@ -172,9 +173,12 @@ mod tests {
     }
 
     #[test]
-    fn med_p95_cell_renders_both() {
-        let cell = med_p95_cell(5, || 1 + 1);
-        assert!(cell.contains("(p95 "), "{cell}");
+    fn timing_renders_center_and_spread() {
+        let t = Timing::of(5, || 1 + 1);
+        assert!(t.median <= t.p95);
+        assert!(t.cell().contains(" (p95 "), "{}", t.cell());
+        let slow = Timing { median: 300, p95: 400 };
+        assert_eq!(slow.speedup(&Timing { median: 100, p95: 100 }), "3.0×");
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //!
 //! * the `experiments` binary (`cargo run -p monoid-bench --bin
 //!   experiments`), which regenerates every table, worked example, and
-//!   derivation in the paper plus quick versions of the benchmark series
-//!   (E1–E6, B1–B6 in DESIGN.md / EXPERIMENTS.md);
-//! * the Criterion benches (`cargo bench -p monoid-bench`), one target per
-//!   benchmark series;
+//!   derivation in the paper and is the one harness that measures the
+//!   benchmark series (E1–E7, B1–B6 in DESIGN.md / EXPERIMENTS.md);
 //! * the `regress` binary (`cargo run --release -p monoid-bench --bin
 //!   regress`), which runs the canonical paper queries through the
 //!   pipeline in process and writes `BENCH_regress.json` — latency

@@ -1,5 +1,5 @@
 //! The benchmark and experiment queries, as calculus builders and OQL
-//! sources, shared by the Criterion benches and the `experiments` binary.
+//! sources, for the `experiments` binary and its tests.
 
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
@@ -166,6 +166,23 @@ pub fn employee_client_join(k: i64) -> Expr {
     )
 }
 
+/// E3 normalization cost: a `depth`-level nest of `from`-subqueries,
+/// `bag{ x_d + 1 | x_d ← bag{ … }, x_d > 0 }` down to
+/// `bag{ x_0 | x_0 ← Source }`. Rule N5 (flatten-generator) unnests every
+/// level, so the canonical form is one comprehension over `Source`.
+pub fn deep_nest(depth: usize) -> Expr {
+    let mut e = Expr::comp(Monoid::Bag, Expr::var("x0"), vec![Expr::gen("x0", Expr::var("Source"))]);
+    for i in 1..=depth {
+        let v = format!("x{i}");
+        e = Expr::comp(
+            Monoid::Bag,
+            Expr::var(v.as_str()).add(Expr::int(1)),
+            vec![Expr::gen(v.as_str(), e), Expr::pred(Expr::var(v.as_str()).gt(Expr::int(0)))],
+        );
+    }
+    e
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +224,14 @@ mod tests {
         // Normalized: a single flat comprehension.
         let monoid_calculus::expr::Expr::Comp { quals, .. } = &n else { panic!() };
         assert_eq!(quals.len(), 4);
+    }
+
+    #[test]
+    fn deep_nest_normalizes_to_one_generator() {
+        let n = normalize(&deep_nest(8));
+        let monoid_calculus::expr::Expr::Comp { quals, .. } = &n else { panic!() };
+        assert_eq!(quals.len(), 9, "one generator plus one predicate per level");
+        assert_eq!(normalize(&n), n);
     }
 
     #[test]

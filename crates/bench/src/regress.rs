@@ -18,7 +18,7 @@
 //! (logical cores, rustc version, OS), because latencies from different
 //! machines are not like-for-like.
 
-use crate::harness::percentile_nanos;
+use crate::harness::{percentile_nanos, sample_nanos};
 use crate::queries;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
@@ -273,13 +273,8 @@ pub fn run(quick: bool) -> RegressReport {
         }
         // The static analyzer's own cost, timed separately: it never
         // runs inside the execute path, so it gets its own series.
-        let mut analysis_samples = Vec::with_capacity(runs);
-        for _ in 0..runs {
-            let started = Instant::now();
-            let report = monoid_calculus::analysis::AnalysisReport::of(&case.expr);
-            std::hint::black_box(&report);
-            analysis_samples.push(started.elapsed().as_nanos());
-        }
+        let analysis_samples =
+            sample_nanos(runs, || monoid_calculus::analysis::AnalysisReport::of(&case.expr));
         reports.push(QueryReport {
             name: case.name,
             store: case.store,
@@ -345,21 +340,16 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
         .into_iter()
         .map(|(name, source, params)| {
             // Cold: the whole pipeline, every run.
-            let mut cold = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let started = Instant::now();
+            let cold = sample_nanos(runs, || {
                 let stmt = prepare_on(&db, source).expect("canonical statement prepares");
                 stmt.execute(&mut db, &params).expect("canonical statement executes");
-                cold.push(started.elapsed().as_nanos());
-            }
+                stmt
+            });
             // Warm: prepare once, execute `runs` times.
             let stmt = prepare_on(&db, source).expect("canonical statement prepares");
-            let mut warm_samples = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let started = Instant::now();
+            let warm_samples = sample_nanos(runs, || {
                 stmt.execute(&mut db, &params).expect("canonical statement executes");
-                warm_samples.push(started.elapsed().as_nanos());
-            }
+            });
             // Cache traffic for the registry delta: one miss, then hits.
             for _ in 0..runs {
                 session.query(&mut db, source, &params).expect("session serves the statement");

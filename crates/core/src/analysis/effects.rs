@@ -21,7 +21,7 @@
 //! variables; at a query root the free variables are precisely the named
 //! extents the query reads, so `reads_extents()` falls out for free.
 
-use crate::expr::{Expr, Qual};
+use crate::expr::Expr;
 use crate::monoid::Monoid;
 use crate::subst::free_vars;
 use crate::symbol::Symbol;
@@ -117,84 +117,6 @@ fn node_effect(e: &Expr) -> Effects {
 pub fn effects_of(e: &Expr) -> Effects {
     let mut eff = Effects::PURE;
     e.visit(&mut |node| eff = eff.join(node_effect(node)));
-    eff
-}
-
-/// Per-subterm effects in **pre-order** (the same order [`Expr::visit`]
-/// calls its callback), so `annotate(e)[0] == effects_of(e)` and the slot
-/// of any node found by a `visit`-based search lines up with its effect.
-pub fn annotate(e: &Expr) -> Vec<Effects> {
-    let mut out = Vec::with_capacity(e.size());
-    annotate_into(e, &mut out);
-    out
-}
-
-fn annotate_into(e: &Expr, out: &mut Vec<Effects>) -> Effects {
-    let slot = out.len();
-    out.push(Effects::PURE);
-    let mut eff = node_effect(e);
-    // Children in exactly Expr::visit's order.
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => {}
-        Expr::Record(fields) => {
-            for (_, fe) in fields {
-                eff = eff.join(annotate_into(fe, out));
-            }
-        }
-        Expr::Tuple(items) | Expr::CollLit(_, items) | Expr::VecLit(items) => {
-            for i in items {
-                eff = eff.join(annotate_into(i, out));
-            }
-        }
-        Expr::Proj(inner, _)
-        | Expr::TupleProj(inner, _)
-        | Expr::UnOp(_, inner)
-        | Expr::Lambda(_, inner)
-        | Expr::Unit(_, inner)
-        | Expr::New(inner)
-        | Expr::Deref(inner) => eff = eff.join(annotate_into(inner, out)),
-        Expr::BinOp(_, a, b)
-        | Expr::Apply(a, b)
-        | Expr::Merge(_, a, b)
-        | Expr::VecIndex(a, b)
-        | Expr::Assign(a, b)
-        | Expr::Let(_, a, b) => {
-            eff = eff.join(annotate_into(a, out));
-            eff = eff.join(annotate_into(b, out));
-        }
-        Expr::If(c, t, f) => {
-            eff = eff.join(annotate_into(c, out));
-            eff = eff.join(annotate_into(t, out));
-            eff = eff.join(annotate_into(f, out));
-        }
-        Expr::Hom { body, source, .. } => {
-            eff = eff.join(annotate_into(body, out));
-            eff = eff.join(annotate_into(source, out));
-        }
-        Expr::Comp { head, quals, .. } => {
-            eff = eff.join(annotate_into(head, out));
-            eff = eff.join(annotate_quals(quals, out));
-        }
-        Expr::VecComp { size, value, index, quals, .. } => {
-            eff = eff.join(annotate_into(size, out));
-            eff = eff.join(annotate_into(value, out));
-            eff = eff.join(annotate_into(index, out));
-            eff = eff.join(annotate_quals(quals, out));
-        }
-    }
-    out[slot] = eff;
-    eff
-}
-
-fn annotate_quals(quals: &[Qual], out: &mut Vec<Effects>) -> Effects {
-    let mut eff = Effects::PURE;
-    for q in quals {
-        let src = match q {
-            Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e,
-            Qual::VecGen { source, .. } => source,
-        };
-        eff = eff.join(annotate_into(src, out));
-    }
     eff
 }
 
@@ -308,27 +230,6 @@ mod tests {
                 normalize::is_pure(&e),
                 "effects_of/is_pure disagree on {e:?}"
             );
-        }
-    }
-
-    #[test]
-    fn annotate_aligns_with_visit_preorder() {
-        let e = Expr::comp(
-            Monoid::Bag,
-            Expr::new_obj(Expr::var("x")),
-            vec![
-                Expr::gen("x", Expr::var("xs")),
-                Expr::pred(Expr::var("x").deref().gt(Expr::int(0))),
-            ],
-        );
-        let effs = annotate(&e);
-        assert_eq!(effs.len(), e.size());
-        assert_eq!(effs[0], effects_of(&e));
-        // Cross-check every slot against a fresh bottom-up computation.
-        let mut nodes: Vec<Expr> = Vec::new();
-        e.visit(&mut |n| nodes.push(n.clone()));
-        for (i, n) in nodes.iter().enumerate() {
-            assert_eq!(effs[i], effects_of(n), "slot {i} ({n:?})");
         }
     }
 

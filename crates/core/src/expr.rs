@@ -80,9 +80,6 @@ impl BinOp {
     pub fn is_comparison(self) -> bool {
         matches!(self, BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge)
     }
-    pub fn is_arith(self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
-    }
     /// The operator that reads the same with its operands swapped:
     /// `c < x` is `x > c`. Every other operator is returned unchanged.
     pub fn flipped(self) -> BinOp {

@@ -115,13 +115,6 @@ impl Json {
         }
     }
 
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(fields) => Some(fields),
-            _ => None,
-        }
-    }
-
     /// A field a strict loader requires; `what` names the document kind
     /// in the error (`record missing \`cache\``).
     pub fn required(&self, what: &str, key: &str) -> Result<&Json, String> {

@@ -101,11 +101,6 @@ impl Type {
         Type::Fn(Box::new(arg), Box::new(ret))
     }
 
-    /// Is this a numeric type (or a variable that could become one)?
-    pub fn is_numeric(&self) -> bool {
-        matches!(self, Type::Int | Type::Float | Type::Var(_) | Type::Null)
-    }
-
     /// Look up a field in a record type.
     pub fn field(&self, name: Symbol) -> Option<&Type> {
         match self {

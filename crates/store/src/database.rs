@@ -207,9 +207,10 @@ impl Database {
     }
 
     /// Evaluate a query. The heap is moved into the evaluator and back, so
-    /// update programs mutate the database in place without copying.
-    /// Records query count, latency, and errors in the process-wide
-    /// metrics registry.
+    /// update programs mutate the database in place without copying; only
+    /// a query that changed the heap advances to a fresh memo, so a read
+    /// keeps what its epoch has derived. Records query count, latency,
+    /// and errors in the process-wide metrics registry.
     pub fn query(&mut self, e: &Expr) -> EvalResult<Value> {
         self.query_counted(e).map(|(v, _)| v)
     }
@@ -221,10 +222,14 @@ impl Database {
         m.queries.inc();
         let started = Instant::now();
         let env = self.env();
-        let mut ev = Evaluator::with_heap(std::mem::take(self.heap_mut()));
+        let version = self.current.heap.version();
+        let mut ev = Evaluator::with_heap(std::mem::take(&mut self.current.heap));
         let result = ev.eval(&env, e);
         let steps = ev.steps_used();
-        *self.heap_mut() = ev.heap;
+        self.current.heap = ev.heap;
+        if self.current.heap.version() != version {
+            self.advance();
+        }
         m.query_nanos.observe_nanos(started.elapsed().as_nanos());
         m.heap_objects.set(self.object_count() as i64);
         if result.is_err() {
@@ -271,6 +276,18 @@ mod tests {
 
     fn point(i: i64) -> Value {
         Value::record_from(vec![("x", Value::Int(i)), ("y", Value::Int(-i))])
+    }
+
+    /// The update program `all{ p := ⟨x=10, y=20⟩ | p ← Points }`.
+    fn move_every_point() -> Expr {
+        Expr::comp(
+            Monoid::All,
+            Expr::var("p").assign(Expr::record(vec![
+                ("x", Expr::int(10)),
+                ("y", Expr::int(20)),
+            ])),
+            vec![Expr::gen("p", Expr::var("Points"))],
+        )
     }
 
     fn runs_ptr(db: &Database) -> *const Vec<(Value, u64)> {
@@ -349,16 +366,7 @@ mod tests {
         let oid = db
             .insert(class, Value::record_from(vec![("x", Value::Int(1)), ("y", Value::Int(2))]))
             .unwrap();
-        // all{ p := ⟨x=10, y=20⟩ | p ← Points }
-        let update = Expr::comp(
-            Monoid::All,
-            Expr::var("p").assign(Expr::record(vec![
-                ("x", Expr::int(10)),
-                ("y", Expr::int(20)),
-            ])),
-            vec![Expr::gen("p", Expr::var("Points"))],
-        );
-        assert_eq!(db.query(&update).unwrap(), Value::Bool(true));
+        assert_eq!(db.query(&move_every_point()).unwrap(), Value::Bool(true));
         assert_eq!(db.field(oid, "x").unwrap(), Value::Int(10));
     }
 
@@ -380,18 +388,11 @@ mod tests {
         let e2 = db.mutation_epoch();
         assert!(e2 > e1);
         // Heap update through query evaluation (`:=`).
-        let update = Expr::comp(
-            Monoid::All,
-            Expr::var("p").assign(Expr::record(vec![
-                ("x", Expr::int(10)),
-                ("y", Expr::int(20)),
-            ])),
-            vec![Expr::gen("p", Expr::var("Points"))],
-        );
-        db.query(&update).unwrap();
+        db.query(&move_every_point()).unwrap();
         let e3 = db.mutation_epoch();
         assert!(e3 > e2, "heap mutation inside a query advances the epoch");
-        // Read-only operations do not.
+        // Read-only operations do not, and keep the epoch's memo.
+        db.memo().insert((), Arc::new(()), 0);
         let _ = db.state(oid).unwrap();
         let sum = Expr::comp(
             Monoid::Sum,
@@ -399,14 +400,16 @@ mod tests {
             vec![Expr::gen("p", Expr::var("Points"))],
         );
         db.query(&sum).unwrap();
+        assert!(db.query(&Expr::var("missing")).is_err());
         assert_eq!(db.mutation_epoch(), e3);
+        assert_eq!(db.memo().len(), 1, "a read keeps its epoch's memo");
     }
 
     #[test]
     fn every_writer_and_every_clone_starts_a_fresh_memo() {
         let mut db = Database::new(tiny_schema());
         let kept = |db: &Database| db.memo().insert((), Arc::new(()), 0);
-        let writes: [&dyn Fn(&mut Database); 4] = [
+        let writes: [&dyn Fn(&mut Database); 5] = [
             &|db| {
                 db.insert(Symbol::new("Point"), point(1)).unwrap();
             },
@@ -415,6 +418,9 @@ mod tests {
                 let _ = db.heap_mut();
             },
             &|db| *db = db.clone(),
+            &|db| {
+                db.query(&move_every_point()).unwrap();
+            },
         ];
         for write in writes {
             kept(&db);

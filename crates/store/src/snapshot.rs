@@ -122,12 +122,6 @@ impl Snapshot {
         self.schema_fp
     }
 
-    /// The schema behind its shared handle (servers hold clones of this
-    /// instead of copying the schema).
-    pub fn schema_arc(&self) -> Arc<Schema> {
-        Arc::clone(&self.schema)
-    }
-
     /// The pinned heap. Cloning it is O(1) (copy-on-write storage), which
     /// is how executors obtain an owned evaluator heap without copying
     /// the store.

@@ -881,10 +881,6 @@ pub struct Session {
     /// session produces. Clones share it — they are the same logical
     /// session over the same cache.
     id: u64,
-    /// Statements this logical session has served (shared by clones,
-    /// like the id). The process-wide aggregate is the
-    /// `serving_statements_total` counter.
-    statements: Arc<AtomicU64>,
 }
 
 /// A panic-safe increment of the `serving_requests_in_flight` gauge:
@@ -933,13 +929,12 @@ impl Session {
         Session {
             cache: Arc::clone(global_plan_cache()),
             id: next_session_id(),
-            statements: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// A session over a private cache (isolated tests, bounded budgets).
     pub fn with_cache(cache: Arc<PlanCache>) -> Session {
-        Session { cache, id: next_session_id(), statements: Arc::new(AtomicU64::new(0)) }
+        Session { cache, id: next_session_id() }
     }
 
     /// The cache this session serves from.
@@ -950,11 +945,6 @@ impl Session {
     /// The id stamped on this session's flight-recorder records.
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Statements this logical session (including clones) has served.
-    pub fn statements_served(&self) -> u64 {
-        self.statements.load(Ordering::Relaxed)
     }
 
     /// Prepare-or-hit, then execute on the writer path: the statement
@@ -988,13 +978,12 @@ impl Session {
     }
 
     /// One statement enters this session: the in-flight gauge (held by
-    /// the caller until the statement is done), the per-session and
-    /// process-wide (`serving_statements_total`) counters, and the
+    /// the caller until the statement is done), the process-wide
+    /// `serving_statements_total` counter, and the
     /// [`Origin`] — stamped with the session id — that the statement's
     /// [`Prepared`] will build its record from.
     pub(crate) fn enter(&self) -> (InFlightGuard, Option<Origin>) {
         let in_flight = InFlightGuard::enter();
-        self.statements.fetch_add(1, Ordering::Relaxed);
         serving_metrics().statements.inc();
         (in_flight, Origin::now(Some(self.id)))
     }
