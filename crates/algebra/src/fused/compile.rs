@@ -35,6 +35,24 @@ pub(super) enum FusedExpr {
     Deref(Box<FusedExpr>),
 }
 
+impl FusedExpr {
+    /// Whether evaluating the expression reads any of `slots`.
+    pub(super) fn reads(&self, slots: &[usize]) -> bool {
+        match self {
+            FusedExpr::Const(_) => false,
+            FusedExpr::Slot(i) => slots.contains(i),
+            FusedExpr::Record { fields, .. } => fields.iter().any(|(_, f)| f.reads(slots)),
+            FusedExpr::Tuple(items) => items.iter().any(|i| i.reads(slots)),
+            FusedExpr::Proj(e, _)
+            | FusedExpr::TupleProj(e, _)
+            | FusedExpr::Un(_, e)
+            | FusedExpr::Deref(e) => e.reads(slots),
+            FusedExpr::Bin(_, a, b) => a.reads(slots) || b.reads(slots),
+            FusedExpr::If(c, t, e) => c.reads(slots) || t.reads(slots) || e.reads(slots),
+        }
+    }
+}
+
 /// A per-row expression, resolved once to the shape it has when it is
 /// one of the two that canonical forms are made of — generators over
 /// paths, predicates `path op value` — so most filters are a compare and
@@ -126,6 +144,12 @@ pub(super) struct Chain<'q> {
     pub(super) slot: usize,
     pub(super) source: Source<'q>,
     pub(super) stages: Vec<Stage<'q>>,
+    /// The multiplicity rule: the chain's trailing generator — its last
+    /// stage when that is a join or an unnest, its scan when it has no
+    /// stages — hands the sink how many rows it has instead of the rows,
+    /// because nothing the sink reads tells them apart. Only a reduction's
+    /// chain sets it.
+    pub(super) counted: bool,
 }
 
 /// Where a chain's rows come from.
@@ -288,7 +312,8 @@ impl Compiler {
                 // The evaluator runs the source, but its `$param`s count.
                 source.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
                 let slot = self.bind(*var);
-                return Ok(Chain { slot, source: Source::Each(source), stages: Vec::new() });
+                let source = Source::Each(source);
+                return Ok(Chain { slot, source, stages: Vec::new(), counted: false });
             }
             Plan::Filter { input: below, pred: p } => {
                 let input = self.chain(below)?;
@@ -364,7 +389,7 @@ impl Compiler {
         let slot = self.n_slots;
         self.n_slots += 1;
         let stage = Stage::Join { build, left_keys: vec![probe], right_slots };
-        Chain { slot, source: Source::Probe(table), stages: vec![stage] }
+        Chain { slot, source: Source::Probe(table), stages: vec![stage], counted: false }
     }
 }
 
@@ -449,8 +474,17 @@ pub(super) fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
         return Err(Refusal::new("the query writes the heap (`:=` or `new`)"));
     }
     let mut c = Compiler::default();
-    let chain = c.chain(plan)?;
+    let mut chain = c.chain(plan)?;
     let head = c.compile_expr(head).map_err(|off| outside("the head", None, off))?;
+    // Folding `n` equal heads is the monoid's `n`-fold power of one: when
+    // the head reads none of the trailing generator's slots, its rows
+    // differ in nothing the reduction sees.
+    chain.counted = match chain.stages.last() {
+        None => !head.reads(&[chain.slot]),
+        Some(Stage::Unnest { slot, .. }) => !head.reads(&[*slot]),
+        Some(Stage::Join { right_slots, .. }) => !head.reads(right_slots),
+        Some(Stage::Filter(_) | Stage::Bind { .. }) => false,
+    };
     Ok(FusedQuery {
         chain,
         head: Kernel::of(head),

@@ -83,6 +83,27 @@
 //! and a build that fails sends the execution to the plan walk, which
 //! filters plainly (nothing has reached the accumulator by then).
 //!
+//! A bucket is a multiplicity. The reduction is a homomorphism out of the
+//! free monoid, so folding `n` equal heads is the monoid's `n`-fold power
+//! of one: `n·x` for `sum`, `x` itself for the idempotent `max`, `min`,
+//! `some`, `all`, `set`, `sorted` and `oset`. When the head reads none of
+//! the slots of the reduction chain's *trailing generator* — its last
+//! stage when that is a join or an unnest, its scan when it has no stages
+//! — the rows that generator produces differ in nothing the head sees, so
+//! [`compile`] marks the chain and that generator hands the sink a count
+//! instead of rows: a bucket's size (kept per table row by the same pass
+//! that links the buckets), a collection's element count (a bag's run
+//! counts summed), or the extent's. The sink evaluates the head once and
+//! folds it `n` times through `Accumulator::push_units`, which equals `n`
+//! pushes down to the error text: an `Int` sum multiplies exactly and
+//! walks the pushes only when the product leaves the range, so the
+//! overflow names the walk's partial sum; float sums and the collection
+//! monoids that keep every copy push `n` times. No head is evaluated for
+//! an empty bucket, as the walk evaluates none. So `join-wire`'s
+//! `sum{ $w | m ← Managers, e ← CompanyEmployees, m.dept = e.dept }` is
+//! one probe and one multiply per manager, and `exists h in Hotels: h.name
+//! = $name` one probe. Build chains never take the rule.
+//!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
 //! value-level semantics are *shared*, not duplicated — projections,
@@ -301,6 +322,61 @@ mod tests {
         assert_eq!((fq.chain.slot, build.chain.slot), (0, 1));
         assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
         assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
+    }
+
+    #[test]
+    fn multiplicity_only_when_the_head_reads_none_of_the_trailing_generators_slots() {
+        let (a, b) = (|| Expr::var("a"), || Expr::var("b"));
+        let counted = |q: &Query| compile(q).unwrap().chain.counted;
+        // The join: a constant, a `$param` and a left field are counted;
+        // a head that reads the right side, even under a projection, an
+        // `if` or a record field, is not.
+        let mut q = keyed_join();
+        for head in [Expr::int(1), Expr::param("$w"), a().proj("name")] {
+            q.head = head.clone();
+            assert!(counted(&q), "{head:?}");
+        }
+        for head in [
+            b(),
+            b().proj("name"),
+            Expr::if_(Expr::bool(true), Expr::int(1), b().proj("rooms")),
+            Expr::record(vec![("x", a()), ("y", b().proj("name"))]),
+        ] {
+            q.head = head.clone();
+            assert!(!counted(&q), "{head:?}");
+        }
+        // The trailing unnest, a bare scan, and a keyed probe.
+        let mut chain = scan_chain();
+        let Plan::Filter { input, .. } = chain.plan else { panic!("{:?}", chain.plan) };
+        chain.plan = *input;
+        chain.head = Expr::var("h").proj("name");
+        assert!(counted(&chain));
+        chain.head = Expr::var("r").proj("bed#");
+        assert!(!counted(&chain));
+        let scan = |head: Expr| Query {
+            plan: Plan::Scan { var: "h".into(), source: Expr::var("Hotels") },
+            monoid: Monoid::Sum,
+            head,
+            plan_effects: Default::default(),
+        };
+        assert!(counted(&scan(Expr::int(1))) && !counted(&scan(Expr::var("h"))));
+        let probe = Query {
+            plan: Plan::Filter {
+                input: Box::new(scan(Expr::int(1)).plan),
+                pred: Expr::var("h").proj("name").eq(Expr::param("$n")),
+            },
+            ..scan(Expr::bool(true))
+        };
+        assert!(counted(&probe));
+        // A filter after the last generator: no rule. Nor does a build
+        // side ever take it.
+        let mut filtered = scan_chain();
+        filtered.head = Expr::int(1);
+        assert!(!counted(&filtered));
+        q.head = Expr::int(1);
+        let fq = compile(&q).unwrap();
+        let [Stage::Join { build, .. }] = fq.chain.stages.as_slice() else { panic!() };
+        assert!(fq.chain.counted && !build.chain.counted);
     }
 
     #[test]

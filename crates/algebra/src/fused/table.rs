@@ -32,15 +32,18 @@ pub(super) const NONE: usize = usize::MAX;
 /// A join's build side, materialized once per execution or once per
 /// epoch: one value per right slot per row, laid out flat, and the rows of
 /// each key chained in build order (`index` holds a key's first row,
-/// `next[i]` the following row of the same key).
+/// `next[i]` the following row of the same key, `count[i]` how many rows
+/// its chain holds from `i` on — at a key's first row, its bucket's size).
 #[derive(Default)]
 pub(super) struct Table {
     pub(super) rows: Arc<Vec<Value>>,
     pub(super) next: Vec<usize>,
+    pub(super) count: Vec<usize>,
     pub(super) index: KeyIndex,
-    /// What the memo charges for keeping the table: the flat rows, each
-    /// row's key values and two links. Values behind an `Arc` (records,
-    /// strings) are shared with the heap and not counted.
+    /// What the memo charges for keeping the table: the flat rows and each
+    /// row's key values, a `Value`-sized word each for its link and its
+    /// index entry, and a word for its count. Values behind an `Arc`
+    /// (records, strings) are shared with the heap and not counted.
     pub(super) bytes: usize,
 }
 
@@ -60,23 +63,33 @@ pub(super) enum KeyIndex {
     Ordered(BTreeMap<Vec<Value>, usize>),
 }
 
-/// Chain row `i` in front of its bucket. Rows are linked back to front, so
-/// every chain ends up in ascending (build) order.
-fn link(head: &mut usize, next: &mut [usize], i: usize) {
-    next[i] = *head;
-    *head = i;
+/// A table's chains while they are linked: `next` and `count` per row.
+struct Links {
+    next: Vec<usize>,
+    count: Vec<usize>,
+}
+
+impl Links {
+    /// Chain row `i` in front of its bucket. Rows are linked back to
+    /// front, so every chain ends up in ascending (build) order, and the
+    /// row behind `i` already knows how many follow it.
+    fn link(&mut self, head: &mut usize, i: usize) {
+        self.next[i] = *head;
+        self.count[i] = 1 + if *head == NONE { 0 } else { self.count[*head] };
+        *head = i;
+    }
 }
 
 /// The typed bucket of a build side whose keys are all of the kind `of`
 /// accepts; `None` at the first key that is not.
 fn typed<K: std::hash::Hash + Eq>(
     keys: &[Value],
-    next: &mut [usize],
+    links: &mut Links,
     of: impl Fn(&Value) -> Option<K>,
 ) -> Option<HashMap<K, usize>> {
     let mut map = HashMap::new();
     for (i, key) in keys.iter().enumerate().rev() {
-        link(map.entry(of(key)?).or_insert(NONE), next, i);
+        links.link(map.entry(of(key)?).or_insert(NONE), i);
     }
     Some(map)
 }
@@ -84,7 +97,7 @@ fn typed<K: std::hash::Hash + Eq>(
 impl Table {
     /// Index `n` build rows by `keys` (`arity` values per row, row-major).
     pub(super) fn new(rows: Arc<Vec<Value>>, n: usize, arity: usize, keys: Vec<Value>) -> Table {
-        let mut next = vec![NONE; n];
+        let mut links = Links { next: vec![NONE; n], count: vec![0; n] };
         let int = |k: &Value| if let Value::Int(k) = k { Some(*k) } else { None };
         let string = |k: &Value| if let Value::Str(k) = k { Some(k.clone()) } else { None };
         let oid = |k: &Value| if let Value::Obj(k) = k { Some(*k) } else { None };
@@ -92,29 +105,41 @@ impl Table {
         // every row's.
         let index = if arity == 0 {
             let mut head = NONE;
-            (0..n).rev().for_each(|i| link(&mut head, &mut next, i));
+            (0..n).rev().for_each(|i| links.link(&mut head, i));
             KeyIndex::All
         } else if arity > 1 {
-            Table::ordered(&keys, arity, &mut next)
-        } else if let Some(map) = typed(&keys, &mut next, int) {
+            Table::ordered(&keys, arity, &mut links)
+        } else if let Some(map) = typed(&keys, &mut links, int) {
             KeyIndex::Int(map)
-        } else if let Some(map) = typed(&keys, &mut next, string) {
+        } else if let Some(map) = typed(&keys, &mut links, string) {
             KeyIndex::Str(map)
-        } else if let Some(map) = typed(&keys, &mut next, oid) {
+        } else if let Some(map) = typed(&keys, &mut links, oid) {
             KeyIndex::Oid(map)
         } else {
-            Table::ordered(&keys, 1, &mut next)
+            Table::ordered(&keys, 1, &mut links)
         };
-        let bytes = std::mem::size_of::<Value>() * (rows.len() + keys.len() + 2 * n);
-        Table { rows, next, index, bytes }
+        let bytes = std::mem::size_of::<Value>() * (rows.len() + keys.len() + 2 * n)
+            + std::mem::size_of::<usize>() * n;
+        let Links { next, count } = links;
+        Table { rows, next, count, index, bytes }
     }
 
-    fn ordered(keys: &[Value], arity: usize, next: &mut [usize]) -> KeyIndex {
+    fn ordered(keys: &[Value], arity: usize, links: &mut Links) -> KeyIndex {
         let mut map = BTreeMap::new();
         for (i, key) in keys.chunks(arity).enumerate().rev() {
-            link(map.entry(key.to_vec()).or_insert(NONE), next, i);
+            links.link(map.entry(key.to_vec()).or_insert(NONE), i);
         }
         KeyIndex::Ordered(map)
+    }
+
+    /// How many build rows the chain starting at `first` holds: a
+    /// bucket's size from [`Table::first_match`]'s answer.
+    pub(super) fn rows_from(&self, first: usize) -> usize {
+        if first == NONE {
+            0
+        } else {
+            self.count[first]
+        }
     }
 
     /// The first build row matching the current left row, or [`NONE`].

@@ -17,7 +17,10 @@
 //! scan, which the fold runs as a join against the extent's table.
 //! The `fused_kernel_*` tests pin the compiled compares and operand heads
 //! — every operator, operand position and value kind, objects, and rows
-//! whose operands do not fit — errors included, as text.
+//! whose operands do not fit — errors included, as text. The
+//! `multiplicity_*` tests pin the heads folded once per bucket, `n`-fold
+//! (a head that reads none of the trailing generator's variables), over
+//! joins, unnests, bare scans and keyed probes.
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
@@ -1229,5 +1232,286 @@ fn fused_record_heads_sort_labels_at_compile_time_like_the_walk() {
             let walk = kernel_agree(&label, &plan, &db, &Value::Null);
             assert_eq!(walk.is_ok(), i < 3, "{label}: {walk:?}");
         }
+    }
+}
+
+// -------------------------------------------------------------------------
+// The multiplicity rule: a trailing generator none of whose variables the
+// head reads hands the reduction its row count, and the head is folded
+// once, `n`-fold. The `multiplicity_*` tests pin it to the walk — every
+// monoid, errors as text, float sums bit for bit.
+// -------------------------------------------------------------------------
+
+/// The join store, plus `RB`, a bag build side whose runs repeat; `U`,
+/// holders whose list, bag and set members a trailing unnest ranges over
+/// (one holder's are all empty); and `S`, a set extent.
+fn multiplicity_store() -> Database {
+    let mut db = join_store();
+    let int = Value::Int;
+    let rb = |id: i64, k: i64| Value::record_from(vec![("id", int(id)), ("k", int(k))]);
+    // Runs (1, k1)×3, (2, k2)×2 and (3, k1)×1.
+    let rows = [rb(1, 1), rb(2, 2), rb(1, 1), rb(3, 1), rb(1, 1), rb(2, 2)];
+    db.set_root("RB", Value::bag_from(rows.to_vec()));
+    let ints = |xs: &[i64]| xs.iter().map(|x| int(*x)).collect::<Vec<_>>();
+    let holder = |id: i64, s: &str, x: f64, items: &[i64]| {
+        Value::record_from(vec![
+            ("id", int(id)),
+            ("s", Value::str(s)),
+            ("x", Value::Float(x)),
+            ("list", Value::list(ints(items))),
+            ("bag", Value::bag_from(ints(items))),
+            ("set", Value::set_from(ints(items))),
+        ])
+    };
+    db.set_root(
+        "U",
+        Value::list(vec![
+            holder(1, "a", 0.1, &[2, 1, 2, 2]),
+            holder(2, "b", 0.7, &[]),
+            holder(3, "c", 1e-3, &[7, 7, 7, 5, 7, 7, 7]),
+        ]),
+    );
+    db.set_root("S", Value::set_from(ints(&[4, 1, 3])));
+    db
+}
+
+/// The parameters the heads read.
+fn multiplicity_params() -> Vec<(Symbol, Value)> {
+    vec![
+        (Symbol::new("$i"), Value::Int(5)),
+        (Symbol::new("$f"), Value::Float(0.1)),
+        (Symbol::new("$s"), Value::str("p")),
+        (Symbol::new("$b"), Value::Bool(false)),
+    ]
+}
+
+/// For every non-lifted monoid, heads that read none of the trailing
+/// generator's variables: a constant, a `$param`, and — when the shape
+/// has one — a field of the left variable `v`. `sum` also gets float
+/// heads, whose repeated addition is no product; `some` with `true` and
+/// `all` with `$b` absorb at the first non-empty bucket.
+fn multiplicity_heads(v: Option<&str>) -> Vec<(Monoid, Expr)> {
+    let field = |f: &str| v.map(|v| Expr::var(v).proj(f));
+    let per = |c: Expr, p: &str, f: Option<Expr>| [Some(c), Some(Expr::param(p)), f];
+    let int_heads = || per(Expr::int(3), "$i", field("id"));
+    let mut heads = Vec::new();
+    for monoid in [
+        Monoid::List,
+        Monoid::Bag,
+        Monoid::Set,
+        Monoid::OSet,
+        Monoid::Sorted,
+        Monoid::SortedBag,
+        Monoid::Sum,
+        Monoid::Prod,
+        Monoid::Max,
+        Monoid::Min,
+    ] {
+        heads.extend(int_heads().into_iter().flatten().map(|h| (monoid.clone(), h)));
+    }
+    let float_sum = per(Expr::float(0.1), "$f", field("x"));
+    let str_heads = per(Expr::str("ab"), "$s", field("s"));
+    let some = per(Expr::bool(true), "$b", field("id").map(|id| id.gt(Expr::int(2))));
+    let all = per(Expr::bool(true), "$b", field("id").map(|id| id.ne(Expr::int(3))));
+    for (monoid, hs) in
+        [(Monoid::Sum, float_sum), (Monoid::Str, str_heads), (Monoid::Some, some), (Monoid::All, all)]
+    {
+        heads.extend(hs.into_iter().flatten().map(|h| (monoid.clone(), h)));
+    }
+    heads
+}
+
+/// The walk's answer for `plan`, after the fused fold gave the same twice
+/// on one snapshot — a fresh build, then the table the memo kept —
+/// compared whole and as text (so float sums agree bit for bit, and
+/// errors word for word).
+fn multiplicity_agree(label: &str, plan: &Query, db: &Database) -> ExecResult<Value> {
+    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
+    let params = multiplicity_params();
+    let snap = db.clone().snapshot();
+    let walk = execute_plan_walk_bound(plan, &snap, &params);
+    for run in ["fresh", "memo"] {
+        let fused = execute_snapshot_bound(plan, &snap, &params);
+        assert_eq!(fused, walk, "{label} ({run}): fused ≠ walk");
+        let text = |r: &ExecResult<Value>| match r {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        assert_eq!(text(&fused), text(&walk), "{label} ({run}): as text");
+    }
+    walk
+}
+
+/// Every multiplicity head over `quals`, each agreeing with the walk;
+/// how many of them the walk answered (the rest failed alike).
+fn multiplicity_shape(label: &str, quals: &[Qual], v: Option<&str>, db: &Database) -> usize {
+    let mut answered = 0;
+    for (monoid, head) in multiplicity_heads(v) {
+        let label = format!("{label}/{monoid}{{ {head:?} }}");
+        let plan = plan_comprehension(&Expr::comp(monoid, head, quals.to_vec())).unwrap();
+        answered += usize::from(multiplicity_agree(&label, &plan, db).is_ok());
+    }
+    answered
+}
+
+#[test]
+fn multiplicity_over_keyed_composite_and_cross_joins_agrees_for_every_monoid() {
+    let db = multiplicity_store();
+    let keyed = |right: &str, keys: &[(&str, &str)]| {
+        let mut quals = gens("L", right);
+        quals.extend(keys.iter().map(|(lk, rk)| on(lk, rk)));
+        quals
+    };
+    for (label, quals) in [
+        ("keyed-int", keyed("R", &[("k", "k")])),
+        ("keyed-str", keyed("R", &[("s", "s")])),
+        ("composite", keyed("R", &[("k", "k"), ("s", "s")])),
+        ("cross", gens("L", "R")),
+        ("mixed-build", keyed("M", &[("k", "k")])),
+        // Every bucket empty, and no left row at all.
+        ("empty-build", keyed("Empty", &[("k", "k")])),
+        ("empty-probe", gens("Empty", "R")),
+        // A bag build side: each run is `count` rows of its bucket.
+        ("bag-build", keyed("RB", &[("k", "k")])),
+    ] {
+        let plan = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals.clone()));
+        assert!(find_join(&plan.unwrap().plan).is_some(), "{label}: no join");
+        let answered = multiplicity_shape(label, &quals, Some("l"), &db);
+        // `prod{ $i }` over the 30-row cross product overflows, on both
+        // engines alike; everything else has an answer.
+        let expected = multiplicity_heads(Some("l")).len() - usize::from(label == "cross");
+        assert_eq!(answered, expected, "{label}");
+    }
+    // Not vacuous: a bucket of three folds three heads, a bag's runs
+    // count every copy, and an empty bucket none.
+    let count = |right: &str| {
+        let quals = keyed(right, &[("k", "k")]);
+        let plan = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::param("$i"), quals));
+        multiplicity_agree(right, &plan.unwrap(), &db).unwrap()
+    };
+    // L's keys 1, 2, 1 meet R's k = 1 three times and k = 2 twice.
+    assert_eq!(count("R"), Value::Int(5 * (3 + 2 + 3)));
+    // …and RB's k = 1 four times (runs of 3 and 1), k = 2 twice.
+    assert_eq!(count("RB"), Value::Int(5 * (4 + 2 + 4)));
+    assert_eq!(count("Empty"), Value::Int(0));
+}
+
+#[test]
+fn multiplicity_over_a_trailing_unnest_of_a_list_a_bag_and_a_set_agrees_for_every_monoid() {
+    let db = multiplicity_store();
+    for path in ["list", "bag", "set"] {
+        let quals = [Expr::gen("u", Expr::var("U")), Expr::gen("c", Expr::var("u").proj(path))];
+        let answered = multiplicity_shape(path, &quals, Some("u"), &db);
+        assert_eq!(answered, multiplicity_heads(Some("u")).len(), "{path}");
+    }
+    // Not vacuous: the list keeps duplicates, the bag counts its runs,
+    // the set has each member once.
+    for (path, rows) in [("list", 4 + 7), ("bag", 4 + 7), ("set", 2 + 2)] {
+        let quals = vec![Expr::gen("u", Expr::var("U")), Expr::gen("c", Expr::var("u").proj(path))];
+        let plan = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals)).unwrap();
+        assert_eq!(multiplicity_agree(path, &plan, &db), Ok(Value::Int(rows)), "{path}");
+    }
+    // A path that is no collection fails alike, counted or not.
+    let quals = vec![Expr::gen("u", Expr::var("U")), Expr::gen("c", Expr::var("u").proj("id"))];
+    let plan = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals)).unwrap();
+    assert!(multiplicity_agree("not-a-collection", &plan, &db).is_err());
+}
+
+#[test]
+fn multiplicity_over_a_bare_scan_agrees_for_every_monoid() {
+    let db = multiplicity_store();
+    for extent in ["L", "RB", "S", "Empty"] {
+        let quals = [Expr::gen("x", Expr::var(extent))];
+        let answered = multiplicity_shape(extent, &quals, None, &db);
+        assert_eq!(answered, multiplicity_heads(None).len(), "{extent}");
+    }
+    // Ten tenths, added one by one, are not `1.0`: the float lane walks.
+    let mut ten = db.clone();
+    ten.set_root("Ten", Value::list((0..10).map(Value::Int).collect()));
+    let tenths = Expr::comp(Monoid::Sum, Expr::float(0.1), vec![Expr::gen("x", Expr::var("Ten"))]);
+    let sum = multiplicity_agree("tenths", &plan_comprehension(&tenths).unwrap(), &ten).unwrap();
+    assert_eq!(sum, Value::Float((0..10).fold(0.0, |s, _| s + 0.1)));
+    assert_ne!(format!("{sum:?}"), format!("{:?}", Value::Float(1.0)));
+}
+
+/// `count` over a keyed filter: the probe's bucket size is the answer.
+#[test]
+fn multiplicity_of_a_keyed_probe_is_its_bucket_size() {
+    let db = keyed_store();
+    let pred = Expr::var("x").proj("f").eq(p());
+    for (extent, probe, count) in [
+        ("K", Value::Int(1), 3),
+        ("K", Value::Null, 2),
+        ("I", Value::Float(1.0), 2),
+        ("B", Value::Int(1), 4),
+        ("B", Value::str("1"), 0),
+        ("Empty", Value::Int(1), 0),
+    ] {
+        for (monoid, head) in [
+            (Monoid::Sum, Expr::int(1)),
+            (Monoid::Some, Expr::bool(true)),
+            (Monoid::List, Expr::str("hit")),
+        ] {
+            let plan = keyed_plan(monoid.clone(), head, extent, pred.clone());
+            let label = format!("{extent}/{monoid}/{probe:?}");
+            let (walk, tables) = keyed_agree(&label, &plan, &db, &probe);
+            assert_eq!(tables, 1, "{label}: the filter ran as a probe");
+            let expected = match monoid {
+                Monoid::Sum => Value::Int(count),
+                Monoid::Some => Value::Bool(count > 0),
+                _ => Value::list(vec![Value::str("hit"); count as usize]),
+            };
+            assert_eq!(walk, Ok(expected), "{label}");
+        }
+    }
+}
+
+/// An `Int` sum that overflows in the middle of a bucket fails with the
+/// walk's text — the partial sum it had reached — not with the product's.
+#[test]
+fn multiplicity_int_sum_overflowing_mid_bucket_names_the_walks_partial_sum() {
+    let db = multiplicity_store();
+    let half = i64::MAX / 2;
+    let mut quals = gens("L", "R");
+    quals.push(on("k", "k"));
+    for (w, ok) in [(half, false), (half / 4, true), (-half, false), (i64::MIN / 9, true)] {
+        let head = Expr::int(w);
+        let plan = plan_comprehension(&Expr::comp(Monoid::Sum, head, quals.clone())).unwrap();
+        let label = format!("sum of {w}");
+        let walk = multiplicity_agree(&label, &plan, &db);
+        assert_eq!(walk.is_ok(), ok, "{label}: {walk:?}");
+        if let Err(e) = walk {
+            // L's first row meets a bucket of three: the third push fails.
+            assert!(e.to_string().contains(&format!("{}, {w}", 2 * w)), "{label}: {e}");
+        }
+    }
+}
+
+/// `some` and `all` absorb at the first row of a bucket: the left row
+/// after it has a head that cannot be evaluated, and one before it meets
+/// an empty bucket, so its (equally bad) head is never evaluated either.
+#[test]
+fn multiplicity_booleans_absorb_on_a_bucket_and_stop_there() {
+    let mut db = multiplicity_store();
+    let row = |id: Value, k: i64| Value::record_from(vec![("id", id), ("k", Value::Int(k))]);
+    db.set_root(
+        "Poisoned",
+        Value::list(vec![
+            row(Value::str("never"), 9),
+            row(Value::Int(2), 1),
+            row(Value::str("boom"), 1),
+        ]),
+    );
+    let mut quals = vec![Expr::gen("l", Expr::var("Poisoned")), Expr::gen("r", Expr::var("R"))];
+    quals.push(on("k", "k"));
+    let id = || Expr::var("l").proj("id").mul(Expr::int(1));
+    for (monoid, head, verdict) in [
+        (Monoid::Some, id().eq(Expr::int(2)), Ok(Value::Bool(true))),
+        (Monoid::All, id().ne(Expr::int(2)), Ok(Value::Bool(false))),
+        (Monoid::Max, id(), Err(())),
+    ] {
+        let plan = plan_comprehension(&Expr::comp(monoid.clone(), head, quals.clone())).unwrap();
+        let walk = multiplicity_agree(&monoid.to_string(), &plan, &db);
+        assert_eq!(walk.map_err(drop), verdict, "{monoid}");
     }
 }

@@ -371,8 +371,9 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
 
 /// Time the fused fold against the forced plan walk on a commutative
 /// fold, an order-sensitive list build and a sorted bag build over the
-/// same scan → unnest chain, the bag build behind a compare filter, and
-/// on `join` (the corpus's hash join, over the company store).
+/// same scan → unnest chain, the bag build behind a compare filter, on
+/// `join` (the corpus's hash join, over the company store), and on that
+/// join's pair count, whose head reads neither side.
 fn run_fusion_section(
     quick: bool,
     runs: usize,
@@ -441,6 +442,23 @@ fn run_fusion_section(
             ),
         ),
         (join_name, "bag", join_source, company_db, join_expr),
+        // `join-wire`'s shape in process: a head that reads neither side,
+        // folded once per bucket.
+        (
+            "company-dept-pairs",
+            "sum",
+            "sum{ 1 | m ← Managers, e ← CompanyEmployees, m.dept = e.dept }".to_string(),
+            company_db,
+            Expr::comp(
+                Monoid::Sum,
+                Expr::int(1),
+                vec![
+                    Expr::gen("m", Expr::var("Managers")),
+                    Expr::gen("e", Expr::var("CompanyEmployees")),
+                    Expr::pred(Expr::var("m").proj("dept").eq(Expr::var("e").proj("dept"))),
+                ],
+            ),
+        ),
     ];
     cases
         .into_iter()
@@ -608,11 +626,19 @@ mod tests {
         assert!(names.iter().all(|n| !n.starts_with("exec_")), "{names:?}");
         // The fusion section covers a commutative, an ordered and a
         // sorting monoid over a linear chain, the sorting one behind a
-        // filter, and the corpus's join: the default engine is fused, and
-        // the forced plan walk was timed alongside it.
+        // filter, and the corpus's join, with a head reading both sides and
+        // one reading neither: the default engine is fused, and the forced
+        // plan walk was timed alongside it.
         assert_eq!(
             report.fusion.iter().map(|p| p.name).collect::<Vec<_>>(),
-            ["sum-beds", "list-prices", "bag-prices", "bag-prices-floor", "company-dept-join"]
+            [
+                "sum-beds",
+                "list-prices",
+                "bag-prices",
+                "bag-prices-floor",
+                "company-dept-join",
+                "company-dept-pairs"
+            ]
         );
         for p in &report.fusion {
             assert_eq!(p.engine, "fused", "{}", p.name);

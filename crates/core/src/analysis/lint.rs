@@ -917,21 +917,4 @@ mod tests {
         assert_eq!(diags[0].span, Some(Span::new(12, 1, 13)));
         assert!(diags[0].to_string().contains("1:13"));
     }
-
-    #[test]
-    fn diagnostics_feed_the_metrics_registry() {
-        let before = crate::metrics::global()
-            .snapshot()
-            .counter_with("analysis_diagnostics_total", &[("code", "MC001")]);
-        let e = Expr::comp(
-            Monoid::Sum,
-            Expr::int(1),
-            vec![Expr::gen("zz", Expr::var("xs"))],
-        );
-        let _ = lint(&e);
-        let after = crate::metrics::global()
-            .snapshot()
-            .counter_with("analysis_diagnostics_total", &[("code", "MC001")]);
-        assert_eq!(after, before + 1);
-    }
 }

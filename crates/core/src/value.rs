@@ -854,6 +854,42 @@ impl Accumulator {
         Ok(())
     }
 
+    /// Fold in `unit(head)` `n` times: the monoid's `n`-fold power of the
+    /// head, equal to `n` calls to [`Accumulator::push_unit`], errors
+    /// included. An idempotent monoid takes the head once; an `Int` sum
+    /// adds one exact product, and when that leaves the range walks the
+    /// pushes, so the overflow names the partial sum the walk names. The
+    /// rest push `n` times: a float sum is not a product.
+    pub fn push_units(&mut self, head: Value, n: usize) -> EvalResult<()> {
+        if n == 0 {
+            return Ok(());
+        }
+        match &mut self.0 {
+            Fold::Sorting { monoid: Monoid::Set | Monoid::Sorted, .. }
+            | Fold::OSet { .. }
+            | Fold::Prim { monoid: Monoid::Max | Monoid::Min | Monoid::Some | Monoid::All, .. } => {
+                return self.push_unit(head);
+            }
+            Fold::Prim { monoid: Monoid::Sum, acc: Value::Int(x) } => {
+                if let Value::Int(y) = head {
+                    let total = i128::from(y)
+                        .checked_mul(n as i128)
+                        .and_then(|p| p.checked_add(i128::from(*x)))
+                        .and_then(|t| i64::try_from(t).ok());
+                    if let Some(total) = total {
+                        *x = total;
+                        return Ok(());
+                    }
+                }
+            }
+            _ => {}
+        }
+        for _ in 1..n {
+            self.push_unit(head.clone())?;
+        }
+        self.push_unit(head)
+    }
+
     /// Fold in a whole monoid value (the homomorphism fold).
     pub fn merge_value(&mut self, v: Value) -> EvalResult<()> {
         match &mut self.0 {
@@ -980,6 +1016,108 @@ mod tests {
         // A merged value spills the lane too.
         let merged = Value::list(ints(&[3]));
         assert_eq!(fold(Monoid::Bag, &threes[..1], Some(merged)), "Bag([(Float(3.0), 2)])");
+    }
+
+    /// `push_units(h, n)` is `n` pushes of `h`, down to the representative
+    /// kept and the error text: for every monoid, after a prefix that
+    /// leaves a `1` for a `1.0` to meet (or a sum near either end of the
+    /// `i64` range), over heads that are floats, NaN, `-0.0`, `Null`,
+    /// strings and bools.
+    #[test]
+    fn accumulator_push_units_is_n_pushes_for_every_monoid() {
+        let monoids = [
+            Monoid::List,
+            Monoid::Bag,
+            Monoid::Set,
+            Monoid::OSet,
+            Monoid::Sorted,
+            Monoid::SortedBag,
+            Monoid::Str,
+            Monoid::Sum,
+            Monoid::Prod,
+            Monoid::Max,
+            Monoid::Min,
+            Monoid::Some,
+            Monoid::All,
+        ];
+        let (int, float) = (Value::Int, Value::Float);
+        let prefixes = [
+            vec![],
+            vec![int(1)],
+            vec![float(1.0)],
+            vec![int(i64::MAX - 3)],
+            vec![int(i64::MIN + 3)],
+            vec![float(-0.0), float(0.0)],
+            vec![Value::str("a")],
+            vec![Value::Bool(true)],
+            vec![Value::Bool(false)],
+            vec![Value::Null],
+        ];
+        let heads = [
+            int(1),
+            float(1.0),
+            int(2),
+            int(-2),
+            int(i64::MAX),
+            int(i64::MIN),
+            float(f64::NAN),
+            float(-0.0),
+            float(0.1),
+            Value::Null,
+            Value::str("b"),
+            Value::Bool(true),
+            Value::Bool(false),
+        ];
+        // The finished value (or the error) as text, so `1` and `1.0`,
+        // `-0.0` and `0.0`, and NaN payloads all show.
+        let show = |acc: Result<Accumulator, EvalError>| match acc.and_then(Accumulator::finish) {
+            Ok(v) => format!("{v:?}"),
+            Err(e) => format!("error: {e}"),
+        };
+        let mut checked = 0;
+        for monoid in &monoids {
+            for prefix in &prefixes {
+                let start = || -> Result<Accumulator, EvalError> {
+                    let mut acc = Accumulator::new(monoid)?;
+                    for h in prefix {
+                        acc.push_unit(h.clone())?;
+                    }
+                    Ok(acc)
+                };
+                if start().is_err() {
+                    continue;
+                }
+                for head in &heads {
+                    for n in [0, 1, 2, 7] {
+                        let walked = start().and_then(|mut acc| {
+                            (0..n).try_for_each(|_| acc.push_unit(head.clone()))?;
+                            Ok(acc)
+                        });
+                        let powered = start().and_then(|mut acc| {
+                            acc.push_units(head.clone(), n)?;
+                            Ok(acc)
+                        });
+                        assert_eq!(
+                            show(walked),
+                            show(powered),
+                            "{monoid}: {prefix:?} then {n} × {head:?}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 13 * 4 * heads.len(), "{checked}");
+        // Not vacuous: the exact product lands at `i64::MAX`, and the
+        // overflow names the walk's partial sum.
+        let mut acc = Accumulator::new(&Monoid::Sum).unwrap();
+        acc.push_units(int(i64::MAX - 6), 1).unwrap();
+        acc.push_units(int(3), 2).unwrap();
+        assert_eq!(acc.finish().unwrap(), int(i64::MAX));
+        let mut acc = Accumulator::new(&Monoid::Sum).unwrap();
+        acc.push_units(int(i64::MAX - 3), 1).unwrap();
+        let err = acc.push_units(int(2), 7).unwrap_err().to_string();
+        assert!(err.contains(&format!("{}, 2", i64::MAX - 1)), "{err}");
     }
 
     /// The paper's oset example: [2,5,3,1] ∪̇ [3,2,6] = [2,5,3,1,6].

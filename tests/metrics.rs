@@ -1,8 +1,9 @@
 //! Acceptance tests for the process-wide metrics registry: a known
 //! workload produces exact registry deltas, execution — plain or
 //! profiled — writes no executor series (a profile is its run's one
-//! account), the statistics a prepare reads live in the snapshot's memo,
-//! and the JSON export of a real workload parses back.
+//! account), lint diagnostics are counted by code, the statistics a
+//! prepare reads live in the snapshot's memo, and the JSON export of a
+//! real workload parses back.
 //!
 //! Everything here lives in ONE test function on purpose: integration
 //! test files run as their own process, but test functions within a file
@@ -68,6 +69,22 @@ fn registry_accounts_for_a_known_workload() {
         );
     }
     assert_eq!(nstats2.steps, nstats.steps);
+
+    // --- 3b. Every lint diagnostic is counted under its code: an unused
+    //         generator is exactly one MC001. ---------------------------
+    {
+        use monoid_calculus::expr::Expr;
+        use monoid_calculus::monoid::Monoid;
+        let mc001 = || {
+            metrics::global()
+                .snapshot()
+                .counter_with("analysis_diagnostics_total", &[("code", "MC001")])
+        };
+        let before = mc001();
+        let unused = Expr::comp(Monoid::Sum, Expr::int(1), vec![Expr::gen("zz", Expr::var("xs"))]);
+        monoid_calculus::analysis::lint(&unused);
+        assert_eq!(mc001(), before + 1);
+    }
 
     // --- 4. The umbrella path times phases and counts queries. ---------
     let before = metrics::global().snapshot();
