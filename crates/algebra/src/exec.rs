@@ -11,10 +11,10 @@
 //! accumulator. `some`/`all` reductions short-circuit the entire pipeline
 //! through the sink's `false` return, mirroring the evaluator.
 //!
-//! Two callers pin a run to the walk: [`execute_plan_walk_bound`] (the
-//! oracle of `fused_differential.rs` and the ablation baseline of
-//! `regress`) and any run with a counting [`Probe`] — a fused run is one
-//! flat fold with no per-operator attribution to feed the hooks.
+//! A run with no fold walks: [`execute_plan_walk_bound`] (the oracle of
+//! `fused_differential.rs` and the ablation baseline of `regress`) and the
+//! profiled run, whose counting [`Probe`] needs per-operator attribution a
+//! fused fold does not have, pass none.
 //!
 //! The driver is generic over a [`Probe`]: a set of per-operator counter
 //! hooks. [`NoProbe`] (the default used by [`execute`]) monomorphizes
@@ -26,6 +26,7 @@
 //! read.
 
 use crate::error::ExecResult;
+use crate::fused::FusedQuery;
 use crate::logical::{Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
@@ -43,11 +44,9 @@ use std::time::Instant;
 /// nested sink closures; implementations use interior mutability.
 pub trait Probe {
     /// `true` when the probe counts: it enables the timing
-    /// instrumentation around operator-local work and pins the run to the
-    /// plan walk (a fused run is one flat fold with no per-operator
-    /// attribution to feed the hooks). Counter hooks are called
-    /// unconditionally — a disabled probe's empty inline bodies compile
-    /// to nothing.
+    /// instrumentation around operator-local work. Counter hooks are
+    /// called unconditionally — a disabled probe's empty inline bodies
+    /// compile to nothing.
     const ENABLED: bool;
 
     /// One row was pushed out of operator `op` into its consumer.
@@ -127,16 +126,6 @@ fn verify_if_enabled(query: &Query) -> ExecResult<()> {
     Ok(())
 }
 
-/// Which engines a run may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EnginePolicy {
-    /// The fused fold when the chain compiles and the probe is disabled;
-    /// the plan walk otherwise.
-    Auto,
-    /// Always the plan walk — the reference engine.
-    PlanWalk,
-}
-
 /// What one sequential run produced.
 pub(crate) struct Run {
     pub value: Value,
@@ -150,21 +139,20 @@ pub(crate) struct Run {
 /// [`Snapshot`]: the evaluator gets an O(1) copy-on-write clone of the
 /// pinned heap, discarded afterwards. `params` are bound into the root
 /// environment before the plan runs, so `Expr::Param` leaves resolve per
-/// execution.
+/// execution. `fold` is the query's compiled fold, or `None` to walk.
 pub(crate) fn run<P: Probe>(
     query: &Query,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
-    policy: EnginePolicy,
+    fold: Option<&FusedQuery>,
     probe: &P,
 ) -> ExecResult<Run> {
     verify_if_enabled(query)?;
     let env = bind_params(snap.env(), params);
     let mut ev = Evaluator::with_heap(snap.heap().clone());
-    let fused = if policy == EnginePolicy::Auto && !P::ENABLED {
-        crate::fused::try_run_reduce(query, &mut ev, &env, Some(snap.memo()))?
-    } else {
-        None
+    let fused = match fold {
+        Some(fq) => crate::fused::try_run_reduce(fq, &mut ev, &env, Some(snap.memo()))?,
+        None => None,
     };
     let value = match fused {
         Some(v) => v,
@@ -193,7 +181,7 @@ pub fn execute_snapshot_bound(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, EnginePolicy::Auto, &NoProbe).map(|r| r.value)
+    run(query, snap, params, query.fused(), &NoProbe).map(|r| r.value)
 }
 
 /// Run a query while *forcing* the plan-walk interpreter, even for
@@ -205,7 +193,7 @@ pub fn execute_plan_walk_bound(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, EnginePolicy::PlanWalk, &NoProbe).map(|r| r.value)
+    run(query, snap, params, None, &NoProbe).map(|r| r.value)
 }
 
 fn run_reduce<P: Probe>(
@@ -214,10 +202,9 @@ fn run_reduce<P: Probe>(
     env: &Env,
     probe: &P,
 ) -> ExecResult<Value> {
-    let monoid = &query.monoid;
-    let mut acc = value::Accumulator::new(monoid)?;
-    let completed = run_plan(&query.plan, 0, ev, env, probe, &mut |ev, row_env| {
-        let h = ev.eval(row_env, &query.head)?;
+    let mut acc = value::Accumulator::new(query.monoid())?;
+    let completed = run_plan(query.plan(), 0, ev, env, probe, &mut |ev, row_env| {
+        let h = ev.eval(row_env, query.head())?;
         acc.push_unit(h)?;
         Ok(!acc.absorbed())
     })?;
@@ -443,13 +430,13 @@ mod tests {
             ],
         );
         let hash = plan_comprehension(&q).unwrap();
-        assert!(hash.plan.uses_hash_join());
+        assert!(hash.plan().uses_hash_join());
         let nl = plan_with_options(
             &q,
             PlanOptions { hash_joins: false, push_predicates: true },
         )
         .unwrap();
-        assert!(!nl.plan.uses_hash_join());
+        assert!(!nl.plan().uses_hash_join());
         let (vh, sh) = counted(&hash, &db);
         let (vn, sn) = counted(&nl, &db);
         assert_eq!(vh, vn);
@@ -481,15 +468,15 @@ mod tests {
             let join = Expr::comp(monoid.clone(), head.clone(), quals);
             let expected = db.query(&join).unwrap();
             let keyed = plan_comprehension(&join).unwrap();
-            assert!(matches!(&keyed.plan, Plan::Join { on, .. } if on.len() == 1));
+            assert!(matches!(keyed.plan(), Plan::Join { on, .. } if on.len() == 1));
             assert_eq!(execute(&keyed, &db).unwrap(), expected, "{monoid} keyed");
             let filtered = plan_with_options(&join, keyless).unwrap();
-            assert!(!filtered.plan.uses_hash_join());
+            assert!(!filtered.plan().uses_hash_join());
             assert_eq!(execute(&filtered, &db).unwrap(), expected, "{monoid} keys as filters");
 
             let cross = Expr::comp(monoid.clone(), head, gens("Cities"));
             let plan = plan_comprehension(&cross).unwrap();
-            assert!(matches!(&plan.plan, Plan::Join { on, .. } if on.is_empty()));
+            assert!(matches!(plan.plan(), Plan::Join { on, .. } if on.is_empty()));
             assert_eq!(execute(&plan, &db).unwrap(), db.query(&cross).unwrap(), "{monoid} cross");
         }
     }

@@ -32,10 +32,10 @@ pub(crate) fn render_with(
     let _ = writeln!(
         out,
         "Reduce[{}] head = {}",
-        query.monoid,
-        pretty(&query.head)
+        query.monoid(),
+        pretty(query.head())
     );
-    query.plan.walk(&mut |op, depth, plan| {
+    query.plan().walk(&mut |op, depth, plan| {
         for _ in 0..=depth {
             out.push_str("  ");
         }

@@ -6,18 +6,20 @@
 //! [`Kernel`]: a compare or an operand when canonical forms make them one,
 //! a [`FusedExpr`] tree otherwise.
 
+use super::table::TableKey;
 use super::Refusal;
 use monoid_calculus::analysis::effects_of;
 use monoid_calculus::expr::{BinOp, Expr, Literal, UnOp};
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
-use crate::logical::{Plan, Query};
+use crate::logical::Plan;
+use std::sync::Arc;
 
 /// An expression compiled against the slot-addressed row buffer: variable
 /// lookups become array indexing, and everything else mirrors the
 /// evaluator's value-level semantics via the shared free functions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(super) enum FusedExpr {
     Const(Value),
     Slot(usize),
@@ -59,7 +61,7 @@ impl FusedExpr {
 /// most heads an operand, and neither enters the tree interpreter. A
 /// kernel reads and fails exactly as its tree would: a field is
 /// `eval::project_ref`, a compare `binop_values`' `Value::cmp`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(super) enum Kernel {
     Operand(Operand),
     Compare(Compare),
@@ -68,7 +70,7 @@ pub(super) enum Kernel {
 
 /// A value read by borrowing: a constant, a slot, or one field of a slot
 /// (through the heap when the slot holds an object).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(super) enum Operand {
     Const(Value),
     Slot(usize),
@@ -78,7 +80,7 @@ pub(super) enum Operand {
 /// `lhs op rhs` for a comparison operator: one `Value::cmp`, then
 /// `holds[ordering + 1]` — whether `op` holds when `lhs` is less than,
 /// equal to, or greater than `rhs`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(super) struct Compare {
     pub(super) lhs: Operand,
     pub(super) rhs: Operand,
@@ -86,8 +88,7 @@ pub(super) struct Compare {
 }
 
 impl Kernel {
-    /// Resolve a compiled expression's shape: a few pattern matches,
-    /// since compilation runs on every execution.
+    /// Resolve a compiled expression's shape.
     fn of(tree: FusedExpr) -> Kernel {
         if let FusedExpr::Bin(op, a, b) = &tree {
             let holds = match op {
@@ -126,24 +127,24 @@ impl Operand {
 
 /// One non-root operator of a fused chain, in execution (bottom-up)
 /// order.
-#[derive(Debug)]
-pub(super) enum Stage<'q> {
+#[derive(Debug, PartialEq)]
+pub(super) enum Stage {
     Filter(Kernel),
     Bind { slot: usize, expr: Kernel },
     Unnest { slot: usize, path: Kernel },
     /// Probe `build`'s table with `left_keys`; every match binds
     /// `right_slots` — the build side's variables, one table column
     /// each — and continues up the chain.
-    Join { build: Build<'q>, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
+    Join { build: Build, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
 }
 
 /// A scan — each row of `source` bound to `slot` — and the stages its
 /// rows run through.
-#[derive(Debug)]
-pub(super) struct Chain<'q> {
+#[derive(Debug, PartialEq)]
+pub(super) struct Chain {
     pub(super) slot: usize,
-    pub(super) source: Source<'q>,
-    pub(super) stages: Vec<Stage<'q>>,
+    pub(super) source: Source,
+    pub(super) stages: Vec<Stage>,
     /// The multiplicity rule: the chain's trailing generator — its last
     /// stage when that is a join or an unnest, its scan when it has no
     /// stages — hands the sink how many rows it has instead of the rows,
@@ -153,10 +154,10 @@ pub(super) struct Chain<'q> {
 }
 
 /// Where a chain's rows come from.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(super) enum Source<'q> {
+#[derive(Debug, PartialEq)]
+pub(super) enum Source {
     /// Each element of a generator source, evaluated once per execution.
-    Each(&'q Expr),
+    Each(Expr),
     /// A keyed filter's one probe row, which the chain's first stage joins
     /// with table `.0`. There is no row when that table is empty, so the
     /// probe is evaluated exactly when the walk's filter would read it.
@@ -165,22 +166,23 @@ pub(super) enum Source<'q> {
 
 /// A join's right side: the chain that produces the build rows, the key
 /// expressions over them, and which of the execution's tables it fills.
-#[derive(Debug)]
-pub(super) struct Build<'q> {
-    pub(super) chain: Chain<'q>,
+#[derive(Debug, PartialEq)]
+pub(super) struct Build {
+    pub(super) chain: Chain,
     pub(super) keys: Vec<FusedExpr>,
     pub(super) table: usize,
-    /// The right sub-plan and its key expressions, when the build reads
-    /// no `$param`: what the snapshot's memo keeps its table under.
-    pub(super) memo: Option<(&'q Plan, Vec<&'q Expr>)>,
+    /// What the snapshot's memo keeps the table under, when the build
+    /// reads no `$param`.
+    pub(super) memo: Option<Arc<TableKey>>,
 }
 
-/// A fully compiled fused pipeline, borrowing the plan's expressions.
-#[derive(Debug)]
-pub(super) struct FusedQuery<'q> {
-    pub(super) chain: Chain<'q>,
+/// A fully compiled fused pipeline: what a planned [`crate::Query`]
+/// holds, compiled once, and every execution runs.
+#[derive(Debug, PartialEq)]
+pub(crate) struct FusedQuery {
+    pub(super) chain: Chain,
     pub(super) head: Kernel,
-    pub(super) monoid: &'q Monoid,
+    pub(super) monoid: Monoid,
     pub(super) n_slots: usize,
     pub(super) n_tables: usize,
     /// `(slot, name)` pairs to fill from the root environment at setup —
@@ -306,13 +308,13 @@ impl Compiler {
     /// Compile `plan` into a chain, leaving its variables in scope. The
     /// only function that inspects a plan's shape: teaching the fold a new
     /// operator means adding a [`Stage`] here.
-    fn chain<'q>(&mut self, plan: &'q Plan) -> Result<Chain<'q>, Refusal> {
+    fn chain(&mut self, plan: &Plan) -> Result<Chain, Refusal> {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
                 // The evaluator runs the source, but its `$param`s count.
                 source.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
                 let slot = self.bind(*var);
-                let source = Source::Each(source);
+                let source = Source::Each(source.clone());
                 return Ok(Chain { slot, source, stages: Vec::new(), counted: false });
             }
             Plan::Filter { input: below, pred: p } => {
@@ -353,8 +355,10 @@ impl Compiler {
                 let params = self.params;
                 let chain = self.chain(right)?;
                 let keys = self.join_keys(on.iter().map(|(_, r)| r), right)?;
-                let memo = (self.params == params)
-                    .then(|| (&**right, on.iter().map(|(_, r)| r).collect()));
+                let memo = (self.params == params).then(|| {
+                    let keys = on.iter().map(|(_, r)| r.clone()).collect();
+                    Arc::new(TableKey { right: (**right).clone(), keys })
+                });
                 let right_scope = std::mem::replace(&mut self.scope, left_scope);
                 // A joined row is the left row with the right side's
                 // variables bound on top, in binding order.
@@ -374,17 +378,18 @@ impl Compiler {
     /// the table of `scan` — the bare scan the filter ran over, `k` its
     /// compiled key — with `probe`. The table reads no `$param`, so the
     /// memo keeps it under the scan's plan and `key`, like a join's.
-    fn keyed<'q>(
+    fn keyed(
         &mut self,
-        scan: Chain<'q>,
-        (plan, key): (&'q Plan, &'q Expr),
+        scan: Chain,
+        (right, key): (&Plan, &Expr),
         k: FusedExpr,
         probe: FusedExpr,
-    ) -> Chain<'q> {
+    ) -> Chain {
         let table = self.n_tables;
         self.n_tables += 1;
         let right_slots = vec![scan.slot];
-        let build = Build { chain: scan, keys: vec![k], table, memo: Some((plan, vec![key])) };
+        let memo = Some(Arc::new(TableKey { right: right.clone(), keys: vec![key.clone()] }));
+        let build = Build { chain: scan, keys: vec![k], table, memo };
         // The probe row binds a slot nothing reads.
         let slot = self.n_slots;
         self.n_slots += 1;
@@ -458,10 +463,10 @@ fn outside(what: impl std::fmt::Display, var: Option<Symbol>, off: &Expr) -> Ref
     }
 }
 
-/// Compile a query into a fused pipeline, or say which part of it falls
-/// outside the fusible subset.
-pub(super) fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
-    let Query { plan, monoid, head, plan_effects } = query;
+/// Compile `monoid{ head | plan }` into a fused pipeline, or say which
+/// part of it falls outside the fusible subset. Runs once per query, when
+/// it is planned.
+pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> Result<FusedQuery, Refusal> {
     // Vector comprehensions accumulate through indexed slots, not a single
     // accumulator; they never reach plans anyway.
     if matches!(monoid, Monoid::VecOf(_)) {
@@ -469,7 +474,7 @@ pub(super) fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
     }
     // Effects: the fused loop shares one immutable heap borrow across the
     // whole fold, so heap writes *and* allocations stay on the plan walk.
-    let eff = effects_of(head).join(*plan_effects);
+    let eff = effects_of(head).join(plan.effects());
     if eff.mutates || eff.allocates {
         return Err(Refusal::new("the query writes the heap (`:=` or `new`)"));
     }
@@ -488,7 +493,7 @@ pub(super) fn compile(query: &Query) -> Result<FusedQuery<'_>, Refusal> {
     Ok(FusedQuery {
         chain,
         head: Kernel::of(head),
-        monoid,
+        monoid: monoid.clone(),
         n_slots: c.n_slots,
         n_tables: c.n_tables,
         globals: c.globals,

@@ -6,7 +6,6 @@
 use super::compile::{Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, Operand, Source, Stage};
 use super::table::{Table, TableKey, NONE};
 use crate::error::ExecResult;
-use crate::logical::Query;
 use monoid_calculus::eval::{binop_values, project_ref, project_value, unop_value, Evaluator};
 use monoid_calculus::expr::BinOp;
 use monoid_calculus::heap::Heap;
@@ -261,7 +260,7 @@ fn rows_of(v: Value) -> ExecResult<Rows> {
     }
 }
 
-impl FusedQuery<'_> {
+impl FusedQuery {
     /// The row buffer with global slots resolved against `env`; `None`
     /// (→ plan-walk fallback) when a name is missing, so unbound-variable
     /// errors keep their plan-walk shape.
@@ -378,7 +377,7 @@ impl Sink for Collect<'_> {
 /// straight to the sink.
 #[inline(always)]
 fn drive<K: Sink>(
-    stages: &[Stage<'_>],
+    stages: &[Stage],
     cx: &Cx<'_>,
     slots: &mut [Value],
     frame: Option<&Frame<'_>>,
@@ -392,8 +391,8 @@ fn drive<K: Sink>(
 
 /// One stage applied to the current row, then [`drive`] for the rest.
 fn step<K: Sink>(
-    stage: &Stage<'_>,
-    rest: &[Stage<'_>],
+    stage: &Stage,
+    rest: &[Stage],
     cx: &Cx<'_>,
     slots: &mut [Value],
     frame: Option<&Frame<'_>>,
@@ -445,7 +444,7 @@ fn step<K: Sink>(
 fn bind_row<K: Sink>(
     right_slots: &[usize],
     row: &[Value],
-    rest: &[Stage<'_>],
+    rest: &[Stage],
     cx: &Cx<'_>,
     slots: &mut [Value],
     frame: Option<&Frame<'_>>,
@@ -480,7 +479,7 @@ impl Run<'_> {
     /// source. The source is one expression evaluated once per execution;
     /// the evaluator runs it so parameters, closures, and error reporting
     /// stay exactly as the plan walk has them.
-    fn open(&mut self, chain: &Chain<'_>) -> ExecResult<Rows> {
+    fn open(&mut self, chain: &Chain) -> ExecResult<Rows> {
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { build, right_slots, .. } = stage {
                 let table = self.table(build, right_slots);
@@ -490,17 +489,17 @@ impl Run<'_> {
                 self.tables[build.table] = table?;
             }
         }
-        match chain.source {
+        match &chain.source {
             Source::Each(source) => rows_of(self.ev.eval(self.env, source)?),
             Source::Probe(table) => {
-                let rows = usize::from(!self.tables[table].next.is_empty());
+                let rows = usize::from(!self.tables[*table].next.is_empty());
                 Ok(Rows::Owned(vec![Value::Null; rows]))
             }
         }
     }
 
     /// Push every row of an opened chain through its stages into `k`.
-    fn feed<K: Sink>(&mut self, chain: &Chain<'_>, rows: Rows, k: &mut K) -> ExecResult<()> {
+    fn feed<K: Sink>(&mut self, chain: &Chain, rows: Rows, k: &mut K) -> ExecResult<()> {
         let cx = Cx { heap: &self.ev.heap, tables: &self.tables, counted: chain.counted };
         if chain.counted && chain.stages.is_empty() {
             return k.rows(rows.len(), &self.slots, None, cx.heap).map(drop);
@@ -515,24 +514,22 @@ impl Run<'_> {
     /// A join's table: the memo's, when the build reads no `$param` and
     /// already ran at this epoch; otherwise built here — and offered to
     /// the memo when it reads no `$param`.
-    fn table(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
-        let Some((memo, (right, keys))) = self.memo.zip(build.memo.as_ref()) else {
+    fn table(&mut self, build: &Build, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
+        let Some((memo, key)) = self.memo.zip(build.memo.as_ref()) else {
             return self.build(build, right_slots).map(Arc::new);
         };
-        let hit = memo.get(|k: &TableKey| k.is(right, keys)).and_then(|t| t.downcast().ok());
+        let hit = memo.get(|k: &Arc<TableKey>| k == key).and_then(|t| t.downcast().ok());
         if let Some(table) = hit {
             return Ok(table);
         }
         let table = Arc::new(self.build(build, right_slots)?);
-        let key =
-            TableKey { right: (*right).clone(), keys: keys.iter().map(|&k| k.clone()).collect() };
-        memo.insert(key, table.clone(), table.bytes);
+        memo.insert(key.clone(), table.clone(), table.bytes);
         Ok(table)
     }
 
     /// Materialize a join's right side: all of its rows first, then all of
     /// their keys, as the walk does.
-    fn build(&mut self, build: &Build<'_>, right_slots: &[usize]) -> ExecResult<Table> {
+    fn build(&mut self, build: &Build, right_slots: &[usize]) -> ExecResult<Table> {
         let stride = right_slots.len();
         let rows = match self.open(&build.chain)? {
             // A bare scan's rows *are* the table's one column (a list or
@@ -557,25 +554,21 @@ impl Run<'_> {
     }
 }
 
-/// Try the fused engine for a full sequential reduction. `Ok(None)` means
-/// the query is outside the fusible subset (or a global failed to
-/// resolve, or a keyed filter's table failed to build) and the caller
-/// should run the plan walk instead. `memo` is the
+/// Run a query's compiled fold as one sequential reduction. `Ok(None)`
+/// means a global failed to resolve, or a keyed filter's table failed to
+/// build, and the caller should run the plan walk instead. `memo` is the
 /// memo of the snapshot `env` and `ev`'s heap were taken from; `env` binds
 /// that snapshot's roots and, under `$`-prefixed names, the parameters.
 pub(crate) fn try_run_reduce(
-    query: &Query,
+    fq: &FusedQuery,
     ev: &mut Evaluator,
     env: &Env,
     memo: Option<&Memo>,
 ) -> ExecResult<Option<Value>> {
-    let Ok(fq) = super::compile::compile(query) else {
-        return Ok(None);
-    };
     let Some(slots) = fq.resolve_globals(env) else {
         return Ok(None);
     };
-    let mut k = Reduce { head: &fq.head, acc: Accumulator::new(fq.monoid)? };
+    let mut k = Reduce { head: &fq.head, acc: Accumulator::new(&fq.monoid)? };
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
     let mut run = Run { ev, env, slots, tables, memo, declined: false };
     // Every table is built before the first row reaches the sink, so

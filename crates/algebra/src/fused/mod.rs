@@ -7,10 +7,17 @@
 //! it: a `dyn FnMut` sink call per operator per row, an `Arc`-allocated
 //! environment node per binding, and a full evaluator dispatch (with step
 //! ticking) per expression node. None of that is needed: this module
-//! compiles the plan once into flat stage lists over a slot-addressed row
+//! compiles the plan into flat stage lists over a slot-addressed row
 //! buffer, then drives the whole pipeline as one tight loop that borrows
 //! rows from the extent's `Arc<Vec<Value>>` and accumulates directly into
 //! the target monoid.
+//!
+//! The compile happens once, when the query is planned: the [`Query`]
+//! constructor runs it and keeps the fold (or the [`Refusal`]) next to the
+//! plan, and every execution, profile and lint reads that answer. The
+//! fold owns what it needs — scan sources, memo keys — and names no
+//! snapshot, epoch or table, so one compiled query runs against any
+//! snapshot of any database.
 //!
 //! What fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and `Join`
 //! stages (keyed joins, cross products, and keyed filters, which compile
@@ -22,7 +29,7 @@
 //! mutating expressions, vector monoids, and any expression form outside
 //! the compiled subset (lambdas, nested comprehensions, `let`, …), whether
 //! it sits on the spine, in a join key, or in a join's right side.
-//! [`compile`] is the one place that decides; a declined query gets a
+//! `compile` is the one place that decides; a declined query gets a
 //! [`Refusal`] naming the construct, which is all lint MC009 reports.
 //!
 //! Canonical forms make most per-row expressions one of two shapes, and
@@ -44,7 +51,7 @@
 //! (f a) k acc) z`), and a hash join is that bind over a prebuilt finite
 //! map. The left input continues the spine; the right sub-plan compiles
 //! into a chain of its own (same slot numbering) that runs *before the
-//! first left row* into a [`Table`](table::Table): the right-bound slot values laid out
+//! first left row* into a `Table`: the right-bound slot values laid out
 //! flat (a bare scan over a list/set extent shares the extent's `Arc` and
 //! copies nothing) plus an index that discriminates the key by kind —
 //! `i64`, string and OID keys hash into typed buckets, and everything else
@@ -55,12 +62,12 @@
 //! before its left one, all build rows before the first key — so whichever
 //! error the walk reports first is the one the fold reports. Probing
 //! evaluates the left keys against the current row and, for each match *in
-//! build order*, pushes borrowed [`Frame`](drive::Frame)s for the right slots and drives
+//! build order*, pushes borrowed `Frame`s for the right slots and drives
 //! the rest of the chain: rows stay left-major, so ordered monoids, float
 //! sums and `some`/`all` short-circuits land where the walk puts them.
 //!
 //! A table whose right sub-plan and right keys read no `$param` is a
-//! function of the snapshot alone, so it is built once per epoch: [`compile`]
+//! function of the snapshot alone, so it is built once per epoch: `compile`
 //! marks it, and the first execution against a snapshot keeps it in the
 //! snapshot's [`Memo`](monoid_store::memo::Memo), keyed by that sub-plan and those keys (compared with
 //! `==`). Every later execution against any clone of the snapshot probes the
@@ -90,7 +97,7 @@
 //! the slots of the reduction chain's *trailing generator* — its last
 //! stage when that is a join or an unnest, its scan when it has no stages
 //! — the rows that generator produces differ in nothing the head sees, so
-//! [`compile`] marks the chain and that generator hands the sink a count
+//! `compile` marks the chain and that generator hands the sink a count
 //! instead of rows: a bucket's size (kept per table row by the same pass
 //! that links the buckets), a collection's element count (a bag's run
 //! counts summed), or the extent's. The sink evaluates the head once and
@@ -126,10 +133,10 @@ mod compile;
 mod drive;
 mod table;
 
+pub(crate) use compile::{compile, FusedQuery};
 pub(crate) use drive::try_run_reduce;
 
 use crate::logical::Query;
-use compile::compile;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::symbol::Symbol;
 
@@ -152,7 +159,7 @@ impl Engine {
     }
 }
 
-/// Why [`compile`] declined a query: the reason, and the binder or
+/// Why the fused compiler declined a query: the reason, and the binder or
 /// sub-expression it was looking at when it gave up (lint MC009 looks
 /// these up in the front end's span map).
 #[derive(Debug, Clone, PartialEq)]
@@ -169,26 +176,16 @@ impl Refusal {
     }
 }
 
-/// The fused compiler's refusal for this query, `None` when it fuses.
-pub fn refusal(query: &Query) -> Option<Refusal> {
-    compile(query).err()
-}
-
-/// Static classification: would [`crate::exec::execute`] route this query
-/// through the fused engine? (The dynamic exceptions: a query whose
-/// globals don't resolve at execution time still falls back, so the plan
-/// walk can report the unbound name exactly as it always has, and so does
-/// one whose keyed filter's table fails to build.)
-pub fn fused_eligible(query: &Query) -> bool {
-    compile(query).is_ok()
-}
-
-/// The engine [`fused_eligible`] predicts for this query.
+/// The engine [`crate::exec::execute`] runs this query on: fused unless
+/// the compiler refused it when it was planned. (The dynamic exceptions:
+/// a query whose globals don't resolve at execution time still falls
+/// back, so the plan walk can report the unbound name exactly as it
+/// always has, and so does one whose keyed filter's table fails to
+/// build.)
 pub fn engine_of(query: &Query) -> Engine {
-    if fused_eligible(query) {
-        Engine::Fused
-    } else {
-        Engine::PlanWalk
+    match query.refusal() {
+        None => Engine::Fused,
+        Some(_) => Engine::PlanWalk,
     }
 }
 
@@ -203,6 +200,21 @@ mod tests {
     use monoid_calculus::monoid::Monoid;
     use monoid_calculus::value::{Env, Value};
     use std::sync::Arc;
+
+    /// The fold `q` was planned with.
+    fn fold(q: &Query) -> &FusedQuery {
+        q.fused().unwrap_or_else(|| panic!("{:?}", q.refusal()))
+    }
+
+    /// `q` planned again with `head`.
+    fn with_head(q: &Query, head: Expr) -> Query {
+        Query::new(q.plan().clone(), q.monoid().clone(), head)
+    }
+
+    /// `q` planned again over `plan`.
+    fn with_plan(q: &Query, plan: Plan) -> Query {
+        Query::new(plan, q.monoid().clone(), q.head().clone())
+    }
 
     fn scan_chain() -> Query {
         plan_comprehension(&Expr::comp(
@@ -220,7 +232,7 @@ mod tests {
     #[test]
     fn linear_chains_fuse() {
         let q = scan_chain();
-        assert!(fused_eligible(&q));
+        assert!(q.refusal().is_none());
         assert_eq!(engine_of(&q).as_str(), "fused");
     }
 
@@ -229,12 +241,11 @@ mod tests {
         // `bag{ r.price | h ← Hotels, r ← h.rooms, r.price ≥ $floor }`:
         // `h` is slot 0, `r` slot 1, `$floor` the global slot 2.
         let r = || Expr::var("r");
-        let mut q = scan_chain();
-        q.monoid = Monoid::Bag;
-        q.head = r().proj("price");
-        let Plan::Filter { pred, .. } = &mut q.plan else { panic!("{:?}", q.plan) };
+        let mut plan = scan_chain().plan().clone();
+        let Plan::Filter { pred, .. } = &mut plan else { panic!("{plan:?}") };
         *pred = r().proj("price").ge(Expr::param("$floor"));
-        let fq = compile(&q).unwrap();
+        let q = Query::new(plan, Monoid::Bag, r().proj("price"));
+        let fq = fold(&q);
         let [Stage::Unnest { path, .. }, Stage::Filter(filter)] = fq.chain.stages.as_slice() else {
             panic!("{:?}", fq.chain.stages);
         };
@@ -259,17 +270,17 @@ mod tests {
             r().proj("price").add(Expr::int(1)).lt(Expr::int(3)),
             r().proj("price").proj("cents"),
         ] {
-            q.head = head.clone();
-            assert!(matches!(compile(&q).unwrap().head, Kernel::Tree(_)), "{head:?}");
+            let q = with_head(&q, head.clone());
+            assert!(matches!(fold(&q).head, Kernel::Tree(_)), "{head:?}");
         }
     }
 
     #[test]
     fn record_heads_sort_their_labels_once() {
         let r = || Expr::var("r");
-        let mut q = scan_chain();
-        q.head = Expr::record(vec![("mgr", r().proj("a")), ("emp", r()), ("dept", Expr::int(1))]);
-        let Kernel::Tree(FusedExpr::Record { labels, fields }) = compile(&q).unwrap().head else {
+        let head = Expr::record(vec![("mgr", r().proj("a")), ("emp", r()), ("dept", Expr::int(1))]);
+        let q = with_head(&scan_chain(), head);
+        let Kernel::Tree(FusedExpr::Record { labels, fields }) = &fold(&q).head else {
             panic!("a record head");
         };
         let labels: Vec<_> = labels.iter().map(Symbol::as_str).collect();
@@ -292,7 +303,7 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert!(fused_eligible(&q), "{:?}", refusal(&q));
+        assert!(q.refusal().is_none(), "{:?}", q.refusal());
     }
 
     /// `sum{ 1 | a ← Hotels, b ← Cities, a.name = b.name }`.
@@ -312,8 +323,8 @@ mod tests {
     #[test]
     fn joins_fuse_into_one_stage_with_a_build_chain_of_their_own() {
         let q = keyed_join();
-        assert_eq!(engine_of(&q), Engine::Fused, "{:?}", refusal(&q));
-        let fq = compile(&q).unwrap();
+        assert_eq!(engine_of(&q), Engine::Fused, "{:?}", q.refusal());
+        let fq = fold(&q);
         let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
             panic!("{:?}", fq.chain.stages);
         };
@@ -327,14 +338,13 @@ mod tests {
     #[test]
     fn multiplicity_only_when_the_head_reads_none_of_the_trailing_generators_slots() {
         let (a, b) = (|| Expr::var("a"), || Expr::var("b"));
-        let counted = |q: &Query| compile(q).unwrap().chain.counted;
+        let counted = |q: &Query| fold(q).chain.counted;
         // The join: a constant, a `$param` and a left field are counted;
         // a head that reads the right side, even under a projection, an
         // `if` or a record field, is not.
-        let mut q = keyed_join();
+        let q = keyed_join();
         for head in [Expr::int(1), Expr::param("$w"), a().proj("name")] {
-            q.head = head.clone();
-            assert!(counted(&q), "{head:?}");
+            assert!(counted(&with_head(&q, head.clone())), "{head:?}");
         }
         for head in [
             b(),
@@ -342,39 +352,24 @@ mod tests {
             Expr::if_(Expr::bool(true), Expr::int(1), b().proj("rooms")),
             Expr::record(vec![("x", a()), ("y", b().proj("name"))]),
         ] {
-            q.head = head.clone();
-            assert!(!counted(&q), "{head:?}");
+            assert!(!counted(&with_head(&q, head.clone())), "{head:?}");
         }
         // The trailing unnest, a bare scan, and a keyed probe.
-        let mut chain = scan_chain();
-        let Plan::Filter { input, .. } = chain.plan else { panic!("{:?}", chain.plan) };
-        chain.plan = *input;
-        chain.head = Expr::var("h").proj("name");
-        assert!(counted(&chain));
-        chain.head = Expr::var("r").proj("bed#");
-        assert!(!counted(&chain));
-        let scan = |head: Expr| Query {
-            plan: Plan::Scan { var: "h".into(), source: Expr::var("Hotels") },
-            monoid: Monoid::Sum,
-            head,
-            plan_effects: Default::default(),
-        };
+        let Plan::Filter { input, .. } = scan_chain().plan().clone() else { panic!() };
+        let chain = |head: Expr| Query::new((*input).clone(), Monoid::Sum, head);
+        assert!(counted(&chain(Expr::var("h").proj("name"))));
+        assert!(!counted(&chain(Expr::var("r").proj("bed#"))));
+        let hotels = || Plan::Scan { var: "h".into(), source: Expr::var("Hotels") };
+        let scan = |head: Expr| Query::new(hotels(), Monoid::Sum, head);
         assert!(counted(&scan(Expr::int(1))) && !counted(&scan(Expr::var("h"))));
-        let probe = Query {
-            plan: Plan::Filter {
-                input: Box::new(scan(Expr::int(1)).plan),
-                pred: Expr::var("h").proj("name").eq(Expr::param("$n")),
-            },
-            ..scan(Expr::bool(true))
-        };
-        assert!(counted(&probe));
+        let pred = Expr::var("h").proj("name").eq(Expr::param("$n"));
+        let probe = Plan::Filter { input: Box::new(hotels()), pred };
+        assert!(counted(&Query::new(probe, Monoid::Sum, Expr::bool(true))));
         // A filter after the last generator: no rule. Nor does a build
         // side ever take it.
-        let mut filtered = scan_chain();
-        filtered.head = Expr::int(1);
-        assert!(!counted(&filtered));
-        q.head = Expr::int(1);
-        let fq = compile(&q).unwrap();
+        assert!(!counted(&with_head(&scan_chain(), Expr::int(1))));
+        let q = with_head(&q, Expr::int(1));
+        let fq = fold(&q);
         let [Stage::Join { build, .. }] = fq.chain.stages.as_slice() else { panic!() };
         assert!(fq.chain.counted && !build.chain.counted);
     }
@@ -382,21 +377,16 @@ mod tests {
     #[test]
     fn only_a_param_free_key_over_a_bare_scan_compiles_to_a_probe() {
         let (h, name) = (|| Expr::var("h"), || Expr::var("h").proj("name"));
-        let filtered = |source: Expr, pred: Expr| Query {
-            plan: Plan::Filter {
-                input: Box::new(Plan::Scan { var: "h".into(), source }),
-                pred,
-            },
-            monoid: Monoid::Some,
-            head: Expr::bool(true),
-            plan_effects: Default::default(),
+        let filtered = |source: Expr, pred: Expr| {
+            let input = Box::new(Plan::Scan { var: "h".into(), source });
+            Query::new(Plan::Filter { input, pred }, Monoid::Some, Expr::bool(true))
         };
         let hotels = || Expr::var("Hotels");
         let probes =
             [name().eq(Expr::param("$n")), Expr::str("x").eq(name()), name().eq(Expr::var("g"))];
         for pred in probes {
             let q = filtered(hotels(), pred);
-            let fq = compile(&q).unwrap();
+            let fq = fold(&q);
             let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
                 panic!("{:?}", fq.chain.stages);
             };
@@ -415,7 +405,7 @@ mod tests {
             (hotels(), name().ne(Expr::str("x"))),
         ] {
             let q = filtered(source.clone(), pred.clone());
-            let fq = compile(&q).unwrap();
+            let fq = fold(&q);
             assert!(
                 matches!(fq.chain.stages.as_slice(), [Stage::Filter(_)]),
                 "{source:?} / {pred:?}: {:?}",
@@ -465,37 +455,37 @@ mod tests {
         // A join fuses; one whose key or right side leaves the expression
         // subset is refused at that sub-expression.
         let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
-        let mut nested_key = keyed_join();
-        let Plan::Join { on, .. } = &mut nested_key.plan else { panic!() };
+        let mut plan = keyed_join().plan().clone();
+        let Plan::Join { on, .. } = &mut plan else { panic!() };
         on[0].1 = nested.clone();
-        let r = refusal(&nested_key).expect("a nested comprehension is outside the subset");
+        let nested_key = with_plan(&keyed_join(), plan.clone());
+        let r = nested_key.refusal().expect("a nested comprehension is outside the subset");
         assert!(r.reason.contains("a join key uses a nested comprehension"), "{r:?}");
-        assert_eq!((r.expr, r.var), (Some(nested.clone()), Some(Symbol::new("b"))));
+        assert_eq!((&r.expr, r.var), (&Some(nested.clone()), Some(Symbol::new("b"))));
         let lambda = Expr::lambda("x", Expr::var("x"));
-        let Plan::Join { right, .. } = &mut nested_key.plan else { panic!() };
+        let Plan::Join { right, .. } = &mut plan else { panic!() };
         **right = Plan::Filter { input: right.clone(), pred: lambda.clone() };
-        let r = refusal(&nested_key).expect("the right side is compiled first");
+        let nested_right = with_plan(&keyed_join(), plan);
+        let r = nested_right.refusal().expect("the right side is compiled first");
         assert!(r.reason.contains("a predicate uses a lambda"), "{r:?}");
-        assert_eq!(r.expr, Some(lambda));
+        assert_eq!(r.expr, Some(lambda.clone()));
 
         // The offending sub-expression comes back whole, so a front end
         // can look its source position up.
-        let mut lambda_head = scan_chain();
-        lambda_head.head = Expr::lambda("x", Expr::var("x"));
-        let r = refusal(&lambda_head).expect("a lambda is outside the subset");
+        let lambda_head = with_head(&scan_chain(), lambda.clone());
+        let r = lambda_head.refusal().expect("a lambda is outside the subset");
         assert!(r.reason.contains("the head uses a lambda"), "{r:?}");
-        assert_eq!(r.expr, Some(lambda_head.head.clone()));
+        assert_eq!(r.expr, Some(lambda));
 
-        let mut nested_pred = scan_chain();
-        nested_pred.plan =
-            Plan::Filter { input: Box::new(nested_pred.plan), pred: nested.clone() };
-        let r = refusal(&nested_pred).expect("a nested comprehension is outside the subset");
+        let input = Box::new(scan_chain().plan().clone());
+        let nested_pred = with_plan(&scan_chain(), Plan::Filter { input, pred: nested.clone() });
+        let r = nested_pred.refusal().expect("a nested comprehension is outside the subset");
         assert!(r.reason.contains("a predicate uses a nested comprehension"), "{r:?}");
         assert_eq!(r.expr, Some(nested));
 
-        let mut vector = scan_chain();
-        vector.monoid = Monoid::VecOf(Box::new(Monoid::Sum));
-        assert!(refusal(&vector).expect("VecOf declines").reason.contains("vector monoid"));
+        let sum_vector = Monoid::VecOf(Box::new(Monoid::Sum));
+        let vector = Query::new(scan_chain().plan().clone(), sum_vector, Expr::int(1));
+        assert!(vector.refusal().expect("VecOf declines").reason.contains("vector monoid"));
     }
 
     #[test]
@@ -516,7 +506,7 @@ mod tests {
             Value::list(vec![Value::Int(10), Value::Int(20)]),
         );
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None).unwrap().expect("fusible");
         assert_eq!(v, Value::Int(32));
     }
 
@@ -527,14 +517,12 @@ mod tests {
         // verification refuses the rebinding, so this goes straight to the
         // fold.)
         let x = || Expr::var("x");
-        let mut q = keyed_join();
-        q.monoid = Monoid::List;
-        q.head = x().proj("v");
-        q.plan = Plan::Join {
+        let plan = Plan::Join {
             left: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Ls") }),
             right: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Rs") }),
             on: vec![(x().proj("k"), x().proj("k"))],
         };
+        let q = Query::new(plan, Monoid::List, x().proj("v"));
         let row = |k: i64, v: &str| {
             Value::record_from(vec![("k", Value::Int(k)), ("v", Value::str(v))])
         };
@@ -542,7 +530,7 @@ mod tests {
             .bind("Ls".into(), Value::list(vec![row(1, "left")]))
             .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(&q, &mut ev, &env, None).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None).unwrap().expect("fusible");
         assert_eq!(v, Value::list(vec![Value::str("right")]));
     }
 
@@ -559,7 +547,7 @@ mod tests {
             ],
         ))
         .unwrap();
-        let fq = compile(&q).expect("fusible");
+        let fq = fold(&q);
         // No `target` in this environment: resolution fails, the caller
         // falls back to the plan walk (which reports the unbound name).
         assert!(fq.resolve_globals(&Env::empty()).is_none());

@@ -13,17 +13,12 @@ use monoid_calculus::value::{Oid, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-/// A memoized table's key: a right sub-plan and its key expressions.
-#[derive(PartialEq)]
+/// A memoized table's key: a right sub-plan and its key expressions,
+/// built when the query is compiled.
+#[derive(Debug, PartialEq)]
 pub(super) struct TableKey {
     pub(super) right: Plan,
     pub(super) keys: Vec<Expr>,
-}
-
-impl TableKey {
-    pub(super) fn is(&self, right: &Plan, keys: &[&Expr]) -> bool {
-        self.right == *right && self.keys.iter().eq(keys.iter().copied())
-    }
 }
 
 /// "No row": the end of a bucket's chain, and a probe that found nothing.

@@ -11,11 +11,12 @@
 //! * [`exec`] — push-based pipelined execution: no intermediate
 //!   materialization except hash-join build sides, with `some`/`all`
 //!   short-circuiting.
-//! * [`fused`](mod@fused) — fused batch execution: linear
-//!   scan → filter → bind → unnest chains compile into one monomorphic
-//!   fold over a slot-addressed row buffer, borrowing rows from extents
-//!   instead of allocating per-row environments; byte-identical to the
-//!   plan walk, which remains the fallback for everything else.
+//! * [`fused`](mod@fused) — fused batch execution: scan → filter → bind
+//!   → unnest → join chains compile, once per planned query, into one
+//!   monomorphic fold over a slot-addressed row buffer, borrowing rows
+//!   from extents instead of allocating per-row environments;
+//!   byte-identical to the plan walk, which remains the fallback for
+//!   everything else.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
@@ -32,11 +33,13 @@
 //!   debug build).
 //!
 //! Typical flow: `compile` OQL → `normalize` →
-//! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`] →
-//! [`exec::execute`] (or [`trace::execute_profiled_bound`] to see where
-//! rows and time go). The umbrella crate's `prepare_on` runs exactly
-//! that road once and keeps the result as a `Prepared`; its
-//! `explain_analyze` is `prepare_on` + `Prepared::profile`.
+//! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`],
+//! whose [`Query`] carries the plan and the fused fold compiled from it
+//! (or the compiler's [`Refusal`]) → [`exec::execute`] (or
+//! [`trace::execute_profiled_bound`] to see where rows and time go).
+//! The umbrella crate's `prepare_on` runs exactly that road once and
+//! keeps the result as a `Prepared`; its `explain_analyze` is
+//! `prepare_on` + `Prepared::profile`.
 //!
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
@@ -58,7 +61,7 @@ pub mod verify;
 
 pub use error::PlanError;
 pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound, NoProbe, Probe};
-pub use fused::{engine_of, fused_eligible, Engine, Refusal};
+pub use fused::{engine_of, Engine, Refusal};
 pub use explain::{explain, explain_with_estimates};
 pub use optimizer::{reorder_generators, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};

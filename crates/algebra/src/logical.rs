@@ -16,6 +16,7 @@
 //! * the comprehension monoid and head become the top `Reduce`.
 
 use crate::error::PlanError;
+use crate::fused::{FusedQuery, Refusal};
 use monoid_calculus::analysis::{effects_of, Effects};
 use monoid_calculus::expr::{BinOp, Expr, Qual};
 use monoid_calculus::monoid::Monoid;
@@ -23,6 +24,7 @@ use monoid_calculus::normalize::is_pure;
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// A logical plan node. Rows are variable bindings; every node adds
 /// bindings (scan/unnest/join) or filters rows.
@@ -141,9 +143,9 @@ impl Plan {
         }
     }
 
-    /// The join of the effects of every embedded expression — computed
-    /// once at plan time so no engine re-scans the plan at runtime
-    /// (`docs/analysis.md`).
+    /// The join of the effects of every embedded expression — what the
+    /// fused compiler reads, once, at plan time, so no engine re-scans the
+    /// plan at runtime (`docs/analysis.md`).
     pub fn effects(&self) -> Effects {
         let mut eff = Effects::PURE;
         self.for_each_expr(&mut |e| eff = eff.join(effects_of(e)));
@@ -164,18 +166,47 @@ impl Plan {
     }
 }
 
-/// A complete query: a row-producing plan reduced into a monoid.
+/// A complete query: a row-producing plan reduced into a monoid, and the
+/// fused fold compiled from the two. The fields are private, so the fold
+/// cannot drift from the plan it was compiled from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
-    pub plan: Plan,
-    pub monoid: Monoid,
-    pub head: Expr,
-    /// Static effect classification of every expression embedded in
-    /// `plan`, computed once at plan time ([`Plan::effects`]). The head is
-    /// *not* included: consumers join it with `effects_of(&head)`. Never
-    /// `mutates` or `allocates` for a planner-produced query
-    /// ([`crate::verify`] re-checks that before execution).
-    pub plan_effects: Effects,
+    plan: Plan,
+    monoid: Monoid,
+    head: Expr,
+    fused: Arc<Result<FusedQuery, Refusal>>,
+}
+
+impl Query {
+    /// `monoid{ head | plan }`, with its fused fold — or the fused
+    /// compiler's refusal — compiled here, once.
+    pub fn new(plan: Plan, monoid: Monoid, head: Expr) -> Query {
+        let fused = Arc::new(crate::fused::compile(&plan, &monoid, &head));
+        Query { plan, monoid, head, fused }
+    }
+
+    pub fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    pub fn monoid(&self) -> &Monoid {
+        &self.monoid
+    }
+
+    pub fn head(&self) -> &Expr {
+        &self.head
+    }
+
+    /// Why the fused compiler declined this query — what lint MC009
+    /// reports — or `None` when it runs as one fused fold.
+    pub fn refusal(&self) -> Option<&Refusal> {
+        self.fused.as_ref().as_ref().err()
+    }
+
+    /// The compiled fold, when the query fuses.
+    pub(crate) fn fused(&self) -> Option<&FusedQuery> {
+        self.fused.as_ref().as_ref().ok()
+    }
 }
 
 /// Planner options (the ablation switches for benchmark B6).
@@ -323,8 +354,7 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
         plan = Plan::Filter { input: Box::new(plan), pred: p };
     }
 
-    let plan_effects = plan.effects();
-    Ok(Query { plan, monoid: monoid.clone(), head: head.as_ref().clone(), plan_effects })
+    Ok(Query::new(plan, monoid.clone(), head.as_ref().clone()))
 }
 
 /// If `p` is `lhs = rhs` with one side's variables all bound (left of the

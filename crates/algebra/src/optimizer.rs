@@ -97,7 +97,7 @@ type SourceMap = HashMap<Symbol, Symbol>;
 
 impl Stats {
     /// Walk the store once, from its roots (and the collections
-    /// reachable from their element records, up to [`CATALOG_DEPTH`]):
+    /// reachable from their element records, up to `CATALOG_DEPTH`):
     /// extent sizes, per-field fan-outs, and per-attribute distinct
     /// counts and numeric domains. A gather describes the snapshot it
     /// read; the serving layer keeps one in that snapshot's memo.
@@ -142,9 +142,9 @@ impl Stats {
     /// for a routine misestimate (the corpus audit confirms: `forall`
     /// queries sit at q-error 1.0 undamped).
     pub fn query_estimates(&self, query: &crate::logical::Query) -> Vec<f64> {
-        let mut out = self.plan_estimates(&query.plan);
-        if monoid_short_circuits(&query.monoid)
-            && query.monoid == monoid_calculus::monoid::Monoid::Some
+        let mut out = self.plan_estimates(query.plan());
+        if monoid_short_circuits(query.monoid())
+            && *query.monoid() == monoid_calculus::monoid::Monoid::Some
         {
             for e in &mut out {
                 if *e > 1.0 {
@@ -566,7 +566,7 @@ mod tests {
                 Expr::gen("h", Expr::var("c").proj("hotels")),
             ],
         );
-        let plan = crate::logical::plan_comprehension(&q).unwrap().plan;
+        let plan = crate::logical::plan_comprehension(&q).unwrap().plan().clone();
         let est = stats.plan_estimates(&plan);
         assert_eq!(est.len(), plan.node_count());
         // The plan is Unnest(Filter(Scan)), so pre-order is [unnest,
@@ -640,7 +640,7 @@ mod tests {
             assert_eq!(**new_head, Expr::bool(true));
             assert_eq!(quals[1], Qual::Pred(head));
             let plan = crate::logical::plan_comprehension(&r).unwrap();
-            let crate::logical::Plan::Filter { input, .. } = &plan.plan else { panic!() };
+            let crate::logical::Plan::Filter { input, .. } = plan.plan() else { panic!() };
             assert!(matches!(**input, crate::logical::Plan::Scan { .. }));
             assert_eq!(crate::exec::execute(&plan, &db).unwrap(), Value::Bool(found));
             assert_eq!(db.query(&q).unwrap(), Value::Bool(found));

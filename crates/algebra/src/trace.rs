@@ -1,6 +1,6 @@
 //! `EXPLAIN ANALYZE`: profiled execution of algebra plans.
 //!
-//! This module threads the one counting [`Probe`] — [`ExecProbe`], a
+//! This module threads the one counting [`Probe`] — `ExecProbe`, a
 //! [`Cell`] per operator — through the push-based executor to count rows
 //! and operator-local time per plan node of an already-planned query
 //! ([`execute_profiled_bound`]; preparing one — normalize → optimize →
@@ -20,7 +20,7 @@
 //! taxes normal execution.
 
 use crate::error::ExecResult;
-use crate::exec::{self, EnginePolicy, Probe};
+use crate::exec::{self, Probe};
 use crate::explain;
 use crate::logical::{Plan, Query};
 use monoid_calculus::json::Json;
@@ -216,7 +216,7 @@ pub struct QueryProfile {
 impl QueryProfile {
     fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, eval_steps: u64) -> QueryProfile {
         let mut operators = Vec::with_capacity(probe.rows.len());
-        query.plan.walk(&mut |op, depth, plan| {
+        query.plan().walk(&mut |op, depth, plan| {
             operators.push(OperatorProfile {
                 op,
                 label: explain::op_label(plan),
@@ -230,8 +230,8 @@ impl QueryProfile {
             });
         });
         QueryProfile {
-            monoid: query.monoid.to_string(),
-            head: pretty(&query.head),
+            monoid: query.monoid().to_string(),
+            head: pretty(query.head()),
             operators,
             rows_to_reduce: probe.rows.first().map(Cell::get).unwrap_or(0),
             short_circuited: probe.short_circuited.get(),
@@ -445,7 +445,7 @@ pub struct Analysis {
 }
 
 /// The one counted execution: walk an already-planned query under an
-/// [`ExecProbe`], with late-bound parameter values, and read the probe's
+/// `ExecProbe`, with late-bound parameter values, and read the probe's
 /// cells back into a profile whose trace holds the execute phase. This is
 /// what the serving layer's `Prepared::profile` — and through it `EXPLAIN
 /// ANALYZE`, the slow-query capture and flamegraphs — runs.
@@ -462,8 +462,8 @@ pub fn execute_profiled_bound(
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
     let start = Instant::now();
-    let probe = ExecProbe::new(query.plan.node_count());
-    let run = exec::run(query, snap, params, EnginePolicy::Auto, &probe)?;
+    let probe = ExecProbe::new(query.plan().node_count());
+    let run = exec::run(query, snap, params, None, &probe)?;
     let mut profile = QueryProfile::assemble(query, estimates, &probe, run.steps);
     profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
     Ok(Analysis { value: run.value, profile })

@@ -13,8 +13,8 @@
 //!   upstream operator already bound (a rebind would silently shadow rows).
 //! * `plan/effects` — the plan *and its head* neither mutate (`:=`) nor
 //!   allocate (`new`), matching the planner's own `PlanError::Impure`
-//!   refusal (a heap effect can only appear through post-planning surgery
-//!   on the `Query`). This is the invariant every executor leans on: a
+//!   refusal (a heap effect can only appear in a `Query` built outside
+//!   the planner). This is the invariant every executor leans on: a
 //!   plan is a pure read, so it runs against an immutable
 //!   [`Snapshot`](monoid_store::Snapshot) and nothing it does needs
 //!   committing.
@@ -33,7 +33,7 @@ use std::collections::BTreeSet;
 /// `analysis_verify_failures_total{stage}` on failure.
 pub fn verify_query(query: &Query) -> Result<(), VerifyError> {
     let result =
-        check_binders(&query.plan, &mut BTreeSet::new()).and_then(|()| check_effects(query));
+        check_binders(query.plan(), &mut BTreeSet::new()).and_then(|()| check_effects(query));
     if let Err(e) = &result {
         record_failure(e.stage);
     }
@@ -69,12 +69,11 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
 
 /// `plan/effects`: the planner refuses impure comprehensions
 /// (`PlanError::Impure`), so a heap effect in the plan or the head means
-/// the query was modified after planning — refuse to execute it. The head
-/// is classified fresh (it is one small expression); the plan's own
-/// expressions are re-scanned rather than trusting the cached
-/// `plan_effects`, which post-planning surgery would leave stale.
+/// the query was built outside the planner — refuse to execute it. The
+/// plan and the head are classified fresh: this check trusts nothing the
+/// query derived.
 fn check_effects(query: &Query) -> Result<(), VerifyError> {
-    let effects = effects_of(&query.head).join(query.plan.effects());
+    let effects = effects_of(query.head()).join(query.plan().effects());
     let offender = if effects.mutates {
         "a mutating (`:=`)"
     } else if effects.allocates {
@@ -115,12 +114,13 @@ mod tests {
 
     #[test]
     fn duplicate_binder_is_caught() {
-        let mut query = sample_query();
-        query.plan = Plan::Unnest {
-            input: Box::new(query.plan.clone()),
+        let sample = sample_query();
+        let plan = Plan::Unnest {
+            input: Box::new(sample.plan().clone()),
             var: Symbol::new("c"),
             path: Expr::var("c").proj("hotels"),
         };
+        let query = Query::new(plan, sample.monoid().clone(), sample.head().clone());
         let err = verify_query(&query).unwrap_err();
         assert_eq!(err.stage, "plan/binders");
         assert!(err.to_string().contains("rebinds"), "{err}");
@@ -129,17 +129,18 @@ mod tests {
     #[test]
     fn post_planning_heap_effects_are_refused() {
         // The planner rejects impure comprehensions, so each case forges
-        // one by overwriting part of a planned query — the only way a heap
-        // effect can reach an executor. Every executor runs this check
-        // under stage verification, which is what lets them read an
-        // immutable snapshot without a mutation fallback.
+        // one by rebuilding a planned query around an effect — the only
+        // way a heap effect can reach an executor. Every executor runs
+        // this check under stage verification, which is what lets them
+        // read an immutable snapshot without a mutation fallback.
         let db = travel::generate(TravelScale::tiny(), 5);
         let assign = || Expr::var("c").assign(Expr::int(0));
         let alloc = || Expr::new_obj(Expr::record(vec![("name", Expr::var("c").proj("name"))]));
-        type Forge = fn(&mut Query, Expr);
-        let into_head: Forge = |q, e| q.head = e;
+        type Forge = fn(&Query, Expr) -> Query;
+        let into_head: Forge = |q, e| Query::new(q.plan().clone(), q.monoid().clone(), e);
         let into_plan: Forge = |q, e| {
-            q.plan = Plan::Filter { input: Box::new(q.plan.clone()), pred: e };
+            let plan = Plan::Filter { input: Box::new(q.plan().clone()), pred: e };
+            Query::new(plan, q.monoid().clone(), q.head().clone())
         };
         let cases: [(&str, Forge, Expr, &str); 4] = [
             ("head :=", into_head, assign(), ":="),
@@ -148,8 +149,7 @@ mod tests {
             ("plan new", into_plan, alloc(), "new"),
         ];
         for (name, forge, expr, needle) in cases {
-            let mut query = sample_query();
-            forge(&mut query, expr);
+            let query = forge(&sample_query(), expr);
             let err = verify_query(&query).unwrap_err();
             assert_eq!(err.stage, "plan/effects", "{name}");
             assert!(err.to_string().contains(needle), "{name}: {err}");

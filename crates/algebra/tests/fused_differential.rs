@@ -52,6 +52,13 @@ fn rooms_chain(monoid: Monoid, head: Expr) -> Query {
     .unwrap()
 }
 
+/// `q` planned again, over its plan as `edit` leaves it.
+fn replanned(q: &Query, edit: impl FnOnce(&mut Plan)) -> Query {
+    let mut plan = q.plan().clone();
+    edit(&mut plan);
+    Query::new(plan, q.monoid().clone(), q.head().clone())
+}
+
 /// Assert the default engine agrees byte-for-byte with the plan walk.
 fn assert_engines_agree(label: &str, plan: &Query, db: &mut Database) {
     let reference = execute_plan_walk_bound(plan, db, &[]).unwrap();
@@ -249,7 +256,7 @@ fn assert_shape(label: &str, quals: Vec<Qual>, heads: Vec<(Monoid, Expr)>, db: &
         let label = format!("{label}/{monoid}");
         let comp = Expr::comp(monoid, head, quals.clone());
         let plan = plan_comprehension(&comp).unwrap();
-        assert!(matches!(find_join(&plan.plan), Some(Plan::Join { .. })), "{label}: no join");
+        assert!(matches!(find_join(plan.plan()), Some(Plan::Join { .. })), "{label}: no join");
         assert_three_way(&label, &comp, &plan, db);
     }
 }
@@ -407,10 +414,12 @@ fn a_right_variable_shadowing_a_left_one_agrees_across_engines() {
     let x = || Expr::var("x");
     let quals = vec![Expr::gen("x", Expr::var("L")), Expr::gen("x", Expr::var("R"))];
     let comp = Expr::comp(Monoid::List, x().proj("f"), quals);
-    let mut plan = plan_comprehension(&comp).unwrap();
+    let plan = plan_comprehension(&comp).unwrap();
     assert_three_way("shadow-cross", &comp, &plan, &mut db);
-    let Plan::Join { on, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
-    on.push((x().proj("k"), x().proj("k")));
+    let plan = replanned(&plan, |plan| {
+        let Plan::Join { on, .. } = plan else { panic!("{plan:?}") };
+        on.push((x().proj("k"), x().proj("k")));
+    });
     assert_eq!(engine_of(&plan).as_str(), "fused");
     assert_eq!(
         execute_plan_walk_bound(&plan, &db, &[]),
@@ -469,17 +478,16 @@ fn hand_built_right_sides_agree_across_engines() {
     for (label, right, on) in rights {
         let head = if label == "self-shadowing-bind" { r() } else { r().proj("id") };
         for monoid in [Monoid::List, Monoid::Sum, Monoid::Set] {
-            let mut plan = plan_comprehension(&Expr::comp(
+            let plan = plan_comprehension(&Expr::comp(
                 monoid.clone(),
                 l().proj("id").mul(Expr::int(100)).add(head.clone()),
                 vec![Expr::gen("l", Expr::var("L"))],
             ))
             .unwrap();
-            plan.plan = Plan::Join {
-                left: Box::new(plan.plan),
-                right: Box::new(right.clone()),
-                on: on.clone(),
-            };
+            let plan = replanned(&plan, |plan| {
+                let left = Box::new(plan.clone());
+                *plan = Plan::Join { left, right: Box::new(right.clone()), on: on.clone() };
+            });
             assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
             let walk = execute_plan_walk_bound(&plan, &db, &[]);
             assert!(walk.is_ok() || label == "self-shadowing-bind", "{label}: {walk:?}");
@@ -516,7 +524,7 @@ fn object_extents_join_on_fields_and_on_identity() {
         ],
     );
     let plan = plan_comprehension(&identity).unwrap();
-    assert!(plan.plan.uses_hash_join());
+    assert!(plan.plan().uses_hash_join());
     assert_three_way("identity", &identity, &plan, &mut db);
     assert_eq!(execute(&plan, &db).unwrap(), Value::Int(24));
 }
@@ -528,7 +536,7 @@ fn fallback_shapes_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
     // An equi-join fuses — unless a key leaves the compiled expression
     // subset: here the right key is a nested comprehension over `b`.
-    let mut join = plan_comprehension(&Expr::comp(
+    let join = plan_comprehension(&Expr::comp(
         Monoid::Sum,
         Expr::int(1),
         vec![
@@ -540,19 +548,20 @@ fn fallback_shapes_agree_across_engines() {
     .unwrap();
     assert_eq!(engine_of(&join).as_str(), "fused");
     assert_engines_agree("hash-join", &join, &mut db);
-    let Plan::Join { on, .. } = &mut join.plan else { panic!("{:?}", join.plan) };
-    on[0].1 = Expr::comp(
-        Monoid::Max,
-        Expr::var("b").proj("name"),
-        vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
-    );
+    let join = replanned(&join, |plan| {
+        let Plan::Join { on, .. } = plan else { panic!("{plan:?}") };
+        on[0].1 = Expr::comp(
+            Monoid::Max,
+            Expr::var("b").proj("name"),
+            vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
+        );
+    });
     assert_eq!(engine_of(&join).as_str(), "plan-walk");
     assert_engines_agree("nested-comprehension-key", &join, &mut db);
 
     // A nested comprehension in the head is outside the compiled
     // expression subset (it allocates its own accumulator per row).
-    let mut allocating = rooms_chain(Monoid::Sum, Expr::int(0));
-    allocating.head = Expr::comp(Monoid::Sum, Expr::int(1), vec![]);
+    let allocating = rooms_chain(Monoid::Sum, Expr::comp(Monoid::Sum, Expr::int(1), vec![]));
     assert_eq!(engine_of(&allocating).as_str(), "plan-walk");
     assert_engines_agree("allocating-head", &allocating, &mut db);
 }
@@ -596,7 +605,7 @@ fn bags_with_repeated_runs_agree_across_engines() {
             let label = format!("{shape}/{monoid}");
             let plan = plan_comprehension(&Expr::comp(monoid, head, quals.clone())).unwrap();
             assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
-            assert_eq!(shape == "join-build", find_join(&plan.plan).is_some(), "{label}");
+            assert_eq!(shape == "join-build", find_join(plan.plan()).is_some(), "{label}");
             let walk = execute_plan_walk_bound(&plan, &db, &[]).unwrap();
             assert_eq!(walk, fused_twice(&label, &plan, &db).unwrap(), "{label}");
         }
@@ -650,7 +659,9 @@ fn half_the_staff(db: &Database) -> Value {
 fn memo_keeps_the_join_wire_table_for_every_later_execution_at_the_epoch() {
     let db = company();
     let plan = prepared(&db, JOIN_WIRE);
-    let Some(Plan::Join { right, .. }) = find_join(&plan.plan) else { panic!("{:?}", plan.plan) };
+    let Some(Plan::Join { right, .. }) = find_join(plan.plan()) else {
+        panic!("{:?}", plan.plan())
+    };
     assert!(matches!(**right, Plan::Scan { .. }), "the build side is a bare scan");
     let snap = db.snapshot();
     let cold = fused_checked(&plan, &snap, &weight(3));
@@ -711,9 +722,9 @@ fn memo_is_forgotten_by_every_write_between_executions() {
 #[test]
 fn memo_never_keeps_a_build_that_reads_a_param() {
     let db = company();
-    let mut plan = prepared(&db, JOIN_WIRE);
+    let planned = prepared(&db, JOIN_WIRE);
     let e = || Expr::var("e");
-    let Plan::Join { right, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
+    let Plan::Join { right, .. } = planned.plan() else { panic!("{:?}", planned.plan()) };
     let scan = right.clone();
     let rights = [
         // `… and e.age > $a`, placed on the build side.
@@ -724,8 +735,10 @@ fn memo_never_keeps_a_build_that_reads_a_param() {
     let staff = db.root(Symbol::new(company::names::EMPLOYEES)).unwrap().clone();
     let staff_half = half_the_staff(&db);
     for right in rights {
-        let Plan::Join { right: slot, .. } = &mut plan.plan else { unreachable!() };
-        **slot = right;
+        let plan = replanned(&planned, |plan| {
+            let Plan::Join { right: slot, .. } = plan else { unreachable!() };
+            **slot = right;
+        });
         assert_eq!(engine_of(&plan).as_str(), "fused");
         let snap = db.snapshot();
         let mut answers = Vec::new();
@@ -929,9 +942,9 @@ fn keyed_probe_runs_as_a_plain_filter_when_a_key_projection_fails() {
 fn keyed_probe_reading_a_param_builds_once_per_snapshot() {
     let db = travel::generate(TravelScale::tiny(), 3);
     let plan = prepared(&db, "exists h in Hotels: h.name = $name");
-    let Plan::Filter { input, .. } = &plan.plan else { panic!("{:?}", plan.plan) };
-    assert!(matches!(**input, Plan::Scan { .. }), "{:?}", plan.plan);
-    assert_eq!(plan.head, Expr::bool(true));
+    let Plan::Filter { input, .. } = plan.plan() else { panic!("{:?}", plan.plan()) };
+    assert!(matches!(**input, Plan::Scan { .. }), "{:?}", plan.plan());
+    assert_eq!(*plan.head(), Expr::bool(true));
     let snap = db.snapshot();
     for (name, found) in [("hotel_0_0", true), ("hotel_2_1", true), ("nowhere", false)] {
         let params = [(Symbol::new("$name"), Value::str(name))];
@@ -1375,7 +1388,7 @@ fn multiplicity_over_keyed_composite_and_cross_joins_agrees_for_every_monoid() {
         ("bag-build", keyed("RB", &[("k", "k")])),
     ] {
         let plan = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals.clone()));
-        assert!(find_join(&plan.unwrap().plan).is_some(), "{label}: no join");
+        assert!(find_join(plan.unwrap().plan()).is_some(), "{label}: no join");
         let answered = multiplicity_shape(label, &quals, Some("l"), &db);
         // `prod{ $i }` over the 30-row cross product overflows, on both
         // engines alike; everything else has an answer.
@@ -1514,4 +1527,74 @@ fn multiplicity_booleans_absorb_on_a_bucket_and_stop_there() {
         let walk = multiplicity_agree(&monoid.to_string(), &plan, &db);
         assert_eq!(walk.map_err(drop), verdict, "{monoid}");
     }
+}
+
+// -------------------------------------------------------------------------
+// Compiled once: a planned query carries its fold, and nothing in that fold
+// belongs to one snapshot, one epoch or one database.
+// -------------------------------------------------------------------------
+
+/// Each query planned once, on the first company, then run as planned
+/// against that company before and after an insert and against a second,
+/// separately generated company: every answer, errors included, is the
+/// walk's on the same snapshot. The statements cover a keyed join whose
+/// table the memo keeps, `join-wire`'s `$param` head over counted buckets,
+/// a keyed filter, a counted bare scan and a global the second company
+/// does not bind.
+#[test]
+fn compiled_once_queries_run_on_any_snapshot_of_any_database_like_the_walk() {
+    let mut db = company();
+    db.set_root("Floor", Value::Int(60_000));
+    let e = || Expr::var("e");
+    let over_floor = plan_comprehension(&Expr::comp(
+        Monoid::Bag,
+        e().proj("name"),
+        vec![
+            Expr::gen("e", Expr::var(company::names::EMPLOYEES)),
+            Expr::pred(e().proj("salary").ge(Expr::var("Floor"))),
+        ],
+    ))
+    .unwrap();
+    let name = vec![(Symbol::new("$name"), Value::str("hire"))];
+    let join = "select e.name from m in Managers, e in CompanyEmployees where m.dept = e.dept";
+    let queries = [
+        ("join", prepared(&db, join), vec![]),
+        ("join-wire", prepared(&db, JOIN_WIRE), weight(2)),
+        ("keyed-filter", prepared(&db, "exists e in CompanyEmployees: e.name = $name"), name),
+        ("counted-scan", prepared(&db, "count(CompanyEmployees)"), vec![]),
+        ("global", over_floor, vec![]),
+    ];
+    for (label, plan, _) in &queries {
+        assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
+    }
+    let before = db.snapshot();
+    let hire = vec![
+        ("name", Value::str("hire")),
+        ("age", Value::Int(30)),
+        ("salary", Value::Int(70_000)),
+        ("dept", Value::str("sales")),
+    ];
+    db.insert(Symbol::new(company::names::EMPLOYEE), Value::record_from(hire)).unwrap();
+    let snapshots = [
+        ("before", before),
+        ("after", db.snapshot()),
+        ("other", company::generate(3, 5, 2, 11).snapshot()),
+    ];
+    let mut answers = Vec::new();
+    for (at, snap) in &snapshots {
+        for (label, plan, params) in &queries {
+            let walk = execute_plan_walk_bound(plan, snap, params);
+            assert_eq!(execute_snapshot_bound(plan, snap, params), walk, "{label} {at}");
+            answers.push(walk);
+        }
+        // The fold ran, and kept this snapshot's tables: the dept join's
+        // and the name probe's.
+        assert_eq!(snap.memo().len(), 2, "{at}");
+    }
+    let n = queries.len();
+    for (label, i) in [("join", 0), ("join-wire", 1), ("keyed-filter", 2), ("counted-scan", 3)] {
+        assert_ne!(answers[i], answers[n + i], "{label}: the insert changes the answer");
+        assert_ne!(answers[n + i], answers[2 * n + i], "{label}: the databases differ");
+    }
+    assert!(answers[2 * n + 4].is_err(), "the second company binds no `Floor`");
 }

@@ -197,7 +197,7 @@ mod tests {
         let monoid_calculus::expr::Expr::Comp { quals, .. } = &n else { panic!() };
         assert_eq!(quals.len(), 4);
         let plan = monoid_algebra::plan_comprehension(&n).unwrap();
-        assert!(plan.plan.uses_hash_join(), "{}", monoid_algebra::explain(&plan));
+        assert!(plan.plan().uses_hash_join(), "{}", monoid_algebra::explain(&plan));
     }
 
     #[test]

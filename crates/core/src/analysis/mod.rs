@@ -15,7 +15,7 @@
 //!   re-checks scoping, C/I legality, type preservation, and
 //!   well-formedness after every normalize rule firing (on under
 //!   `cfg(debug_assertions)`, forced by `MONOID_VERIFY=1`).
-//! * [`lint`] — structured diagnostics with stable codes (MC001–MC009),
+//! * [`lint`](mod@lint) — structured diagnostics with stable codes (MC001–MC009),
 //!   surfaced by the umbrella `analyze` API and the `oqlint` binary.
 //!   MC009 (engine fallback) is the one code this crate defines but does
 //!   not emit: `analyze` attaches it from the prepared plan.

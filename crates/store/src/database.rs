@@ -16,7 +16,7 @@ use monoid_calculus::heap::Heap;
 use monoid_calculus::metrics::{self, Counter, Gauge, Histogram};
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::types::Schema;
-use monoid_calculus::value::{Oid, Value};
+use monoid_calculus::value::{Env, Oid, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
@@ -33,11 +33,11 @@ pub(crate) struct StoreMetrics {
     /// environment by [`Snapshot::env`], plus direct extent reads via
     /// [`Snapshot::root`].
     pub(crate) extent_scans: Arc<Counter>,
-    /// Queries evaluated via [`Database::query`]/`query_counted`.
+    /// Queries evaluated via [`Database::query_in`].
     queries: Arc<Counter>,
     /// Queries that returned an error.
     query_errors: Arc<Counter>,
-    /// End-to-end `Database::query` latency distribution.
+    /// End-to-end `Database::query_in` latency distribution.
     query_nanos: Arc<Histogram>,
     /// Heap size of the most recently mutated database (a level).
     heap_objects: Arc<Gauge>,
@@ -206,26 +206,25 @@ impl Database {
         cur.roots_epoch += 1;
     }
 
-    /// Evaluate a query. The heap is moved into the evaluator and back, so
-    /// update programs mutate the database in place without copying; only
-    /// a query that changed the heap advances to a fresh memo, so a read
-    /// keeps what its epoch has derived. Records query count, latency,
-    /// and errors in the process-wide metrics registry.
+    /// Evaluate a query over the roots ([`Database::query_in`]).
     pub fn query(&mut self, e: &Expr) -> EvalResult<Value> {
-        self.query_counted(e).map(|(v, _)| v)
+        self.query_in(&self.env(), e)
     }
 
-    /// Evaluate a query and report the number of evaluation steps taken —
-    /// an implementation-independent cost measure used by the benchmarks.
-    pub fn query_counted(&mut self, e: &Expr) -> EvalResult<(Value, u64)> {
+    /// Evaluate a query under `env`: the roots, and whatever the caller
+    /// binds over them. The heap is moved into the evaluator and back, so
+    /// update programs mutate the database in place without copying; only
+    /// a query that changed the heap advances to a fresh memo, so a read —
+    /// or a write that wrote nothing — keeps what its epoch has derived.
+    /// Records query count, latency, and errors in the process-wide
+    /// metrics registry.
+    pub fn query_in(&mut self, env: &Env, e: &Expr) -> EvalResult<Value> {
         let m = store_metrics();
         m.queries.inc();
         let started = Instant::now();
-        let env = self.env();
         let version = self.current.heap.version();
         let mut ev = Evaluator::with_heap(std::mem::take(&mut self.current.heap));
-        let result = ev.eval(&env, e);
-        let steps = ev.steps_used();
+        let result = ev.eval(env, e);
         self.current.heap = ev.heap;
         if self.current.heap.version() != version {
             self.advance();
@@ -235,7 +234,7 @@ impl Database {
         if result.is_err() {
             m.query_errors.inc();
         }
-        result.map(|v| (v, steps))
+        result
     }
 }
 

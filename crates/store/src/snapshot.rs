@@ -1,12 +1,12 @@
 //! Immutable database snapshots for concurrent, snapshot-isolated reads.
 //!
-//! A [`Snapshot`] is the read-only face of a [`Database`] at one point in
+//! A [`Snapshot`] is the read-only face of a [`Database`](crate::Database) at one point in
 //! time: the Arc'd heap, roots, and schema, stamped with the
 //! `(instance_id, mutation_epoch)` pair that keys the plan cache, and the
 //! epoch's [`Memo`] of derived values (the fused engine's join tables,
 //! the optimizer's gathered statistics), which every clone shares and
 //! every mutation of the database replaces. Taking one is O(1) —
-//! [`Database::snapshot`] clones the one `Snapshot` the database owns, a
+//! [`Database::snapshot`](crate::Database::snapshot) clones the one `Snapshot` the database owns, a
 //! handful of `Arc`s — and the snapshot is `Send + Sync + Clone`, so any
 //! number of reader threads can execute against it while the owning
 //! database keeps committing new epochs. The copy-on-write storage

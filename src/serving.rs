@@ -137,9 +137,6 @@ pub struct Prepared {
     source: String,
     canonical: Expr,
     exec: ExecMode,
-    /// Which engine an unprofiled run takes — [`engine_of`] the plan, or
-    /// `"eval"` — classified once, here, for every record.
-    engine: &'static str,
     effects: EffectSummary,
     estimates: Vec<f64>,
     params: Vec<Symbol>,
@@ -246,12 +243,8 @@ fn finish_prepare(
 
     let reordered = trace.time(Phase::Optimize, || reorder_generators(&canonical, stats));
 
-    let (exec, engine, estimates) = match trace.time(Phase::Plan, || plan_comprehension(&reordered))
-    {
-        Ok(query) => {
-            let (engine, estimates) = (engine_of(&query).as_str(), stats.query_estimates(&query));
-            (ExecMode::Plan(query), engine, estimates)
-        }
+    let (estimates, exec) = match trace.time(Phase::Plan, || plan_comprehension(&reordered)) {
+        Ok(query) => (stats.query_estimates(&query), ExecMode::Plan(query)),
         // Shapes the pipelined algebra declines — heap effects, vector
         // comprehensions, non-comprehension roots — stay preparable and
         // run on the evaluator.
@@ -259,7 +252,7 @@ fn finish_prepare(
             pe @ (PlanError::Impure
             | PlanError::NotAComprehension
             | PlanError::VectorComprehension),
-        ) => (ExecMode::Eval(pe), "eval", Vec::new()),
+        ) => (Vec::new(), ExecMode::Eval(pe)),
         Err(pe) => return Err(AnalyzeError::Exec(EvalError::Other(pe.to_string()))),
     };
 
@@ -272,7 +265,6 @@ fn finish_prepare(
         source: src,
         canonical,
         exec,
-        engine,
         effects,
         estimates,
         params,
@@ -321,7 +313,7 @@ impl Prepared {
     /// reports.
     pub fn refusal(&self) -> Option<Refusal> {
         match &self.exec {
-            ExecMode::Plan(q) => monoid_algebra::fused::refusal(q),
+            ExecMode::Plan(q) => q.refusal().cloned(),
             ExecMode::Eval(why) => Some(Refusal::new(why.to_string())),
         }
     }
@@ -475,7 +467,8 @@ impl Prepared {
             record.add_trace(&self.trace);
         }
         record.effects = self.effects.to_string();
-        record.engine = Some(self.engine.to_string());
+        let engine = self.query().map_or("eval", |q| engine_of(q).as_str());
+        record.engine = Some(engine.to_string());
         record
     }
 
@@ -586,20 +579,14 @@ impl Prepared {
         }
     }
 
-    /// A write: the canonical form on the evaluator with the database's
-    /// own heap moved in and back out, so the effects commit (the paper's
-    /// §4.2 state-transformer path, same shape as `Database::query`).
+    /// A write: the canonical form through the database's own evaluation,
+    /// so the effects commit (the paper's §4.2 state-transformer path).
     fn run_write(
         &self,
         db: &mut Database,
         binds: &[(Symbol, Value)],
     ) -> Result<Value, AnalyzeError> {
-        let env = bound_env(db, binds);
-        let heap = std::mem::take(db.heap_mut());
-        let mut ev = monoid_calculus::eval::Evaluator::with_heap(heap);
-        let result = ev.eval(&env, &self.canonical);
-        *db.heap_mut() = ev.heap;
-        Ok(result?)
+        Ok(db.query_in(&bound_env(db, binds), &self.canonical)?)
     }
 }
 
@@ -848,11 +835,13 @@ fn hash_key(src: &str, fp: u64) -> u64 {
 }
 
 /// Approximate retained size of a prepared statement: source text plus a
-/// fixed charge per calculus node, plan operator, estimate, and param.
+/// fixed charge per calculus node, plan operator, estimate, and param. A
+/// planned statement also holds its compiled fold, which copies or
+/// compiles each of the plan's expressions: a second charge per node.
 fn approx_bytes(p: &Prepared) -> usize {
-    let plan_nodes = p.query().map_or(0, |q| q.plan.node_count());
+    let (plan_nodes, copies) = p.query().map_or((0, 1), |q| (q.plan().node_count(), 2));
     p.source.len()
-        + 64 * p.canonical.size()
+        + 64 * copies * p.canonical.size()
         + 128 * plan_nodes
         + 8 * p.estimates.len()
         + 16 * p.params.len()

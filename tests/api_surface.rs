@@ -455,6 +455,46 @@ fn one_spelling_of_normalize_optimize_plan() {
     assert_eq!(normalizers, pinned, "callers of `normalize_traced(` outside crates/core");
 }
 
+/// One decision of which engine runs: the fused compiler is called once,
+/// by the `Query` constructor, so a planned query carries its fold (or the
+/// refusal) and every engine question reads it there. The classifier and
+/// the policy that used to ask again are gone.
+#[test]
+fn the_fused_compiler_runs_only_where_a_query_is_built() {
+    let mut files = Vec::new();
+    rust_files(&root().join("crates"), &mut files);
+    rust_files(&root().join("src"), &mut files);
+    let mut callers = BTreeSet::new();
+    for file in &files {
+        let (mut owner, mut enclosing) = (String::new(), String::new());
+        for line in code_of(file).lines() {
+            if let Some(rest) = line.strip_prefix("impl ") {
+                owner = rest.split([' ', '<', '{']).next().unwrap_or("").to_string();
+            } else if line == "}" {
+                owner.clear();
+            }
+            let decl =
+                line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(rest) = decl.strip_prefix("fn ") {
+                let name: String =
+                    rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+                enclosing = format!("{owner}::{name}");
+            } else if line.contains("fused::compile(") {
+                callers.insert((relative(file), enclosing.clone()));
+            }
+        }
+    }
+    let expected = [("crates/algebra/src/logical.rs".to_string(), "Query::new".to_string())];
+    assert_eq!(callers, expected.into(), "callers of `fused::compile(`");
+    // (Spelled in halves so a repo-wide grep for the old names is empty.)
+    for gone in [concat!("Engine", "Policy"), concat!("fused", "_eligible")] {
+        for file in &files {
+            let text = fs::read_to_string(file).expect("readable source");
+            assert!(!text.contains(gone), "{} names `{gone}`", relative(file));
+        }
+    }
+}
+
 #[test]
 fn database_defines_no_read_accessor_that_snapshot_also_defines() {
     let names = |file: &str| -> BTreeSet<String> {

@@ -99,7 +99,7 @@ fn b1_workload_agreement() {
     let direct = db.query(&q).unwrap();
     let n = normalize(&q);
     let plan = algebra::plan_comprehension(&n).unwrap();
-    assert!(plan.plan.uses_hash_join());
+    assert!(plan.plan().uses_hash_join());
     let piped = algebra::execute(&plan, &db).unwrap();
     assert_eq!(direct, piped);
     assert!(matches!(direct, Value::Set(_)));

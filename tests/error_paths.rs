@@ -264,11 +264,13 @@ fn join_errors_are_the_plan_walks_first_error_on_both_engines() {
     // the second row beats a key failing on the first.
     let named = |n: &str| Value::record_from(vec![("name", Value::str(n))]);
     db.set_root("Pair", Value::list(vec![named("first"), named("second")]));
-    let mut plan = count(join("Cities", "Pair", "nope")).unwrap();
-    let Plan::Join { right, .. } = &mut plan.plan else { panic!("{:?}", plan.plan) };
+    let planned = count(join("Cities", "Pair", "nope")).unwrap();
+    let mut edited = planned.plan().clone();
+    let Plan::Join { right, .. } = &mut edited else { panic!("{edited:?}") };
     let name = || Expr::var("h").proj("name");
     let pred = Expr::if_(name().eq(Expr::str("first")), Expr::bool(true), name());
     **right = Plan::Filter { input: right.clone(), pred };
+    let plan = algebra::Query::new(edited, planned.monoid().clone(), planned.head().clone());
     let err = both(&plan, &db);
     assert!(err.to_string().contains("expected bool"), "{err}");
 }

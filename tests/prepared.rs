@@ -11,6 +11,7 @@
 //! optimize/plan phases, asserted from the `query_phase_nanos{phase=…}`
 //! histogram deltas in the process-wide registry.
 
+use monoid_db::algebra::Stats;
 use monoid_db::calculus::expr::Expr;
 use monoid_db::calculus::monoid::Monoid;
 use monoid_db::calculus::value::Value;
@@ -268,6 +269,34 @@ fn mutation_always_invalidates_cached_plans() {
     assert_eq!(d.mutation_epoch(), before, "pure query is epoch-neutral");
     let g = cache.get_or_prepare_snapshot_traced(&d, src).unwrap().0;
     assert!(Arc::ptr_eq(&f, &g), "pure execution must not invalidate");
+}
+
+/// A write whose filter matches nothing changes no object, so it keeps
+/// what its epoch has derived — here the statistics a prepare gathered
+/// into the memo — through `Prepared::execute` exactly as through
+/// `Database::query`: one evaluation serves both.
+#[test]
+fn a_write_that_writes_nothing_keeps_its_epochs_memo() {
+    let mut d = db(59);
+    let h = || Expr::var("h");
+    let renamed = Expr::record(vec![("name", Expr::str("renamed"))]);
+    let update = Expr::comp(
+        Monoid::All,
+        h().assign(renamed),
+        vec![
+            Expr::gen("h", Expr::var("Hotels")),
+            Expr::pred(h().proj("name").eq(Expr::str("no such hotel"))),
+        ],
+    );
+    let stmt = prepare_expr(&update, &Stats::default()).unwrap();
+    assert!(stmt.writes());
+    prepare_on(&d, "count(Cities)").unwrap();
+    let kept = (d.mutation_epoch(), d.memo().len());
+    assert_eq!(kept.1, 1, "the prepare kept its statistics");
+    assert_eq!(stmt.execute(&mut d, &Params::new()).unwrap(), Value::Bool(true));
+    assert_eq!((d.mutation_epoch(), d.memo().len()), kept, "Prepared::execute");
+    assert_eq!(d.query(&update).unwrap(), Value::Bool(true));
+    assert_eq!((d.mutation_epoch(), d.memo().len()), kept, "Database::query");
 }
 
 // ---------------------------------------------------------------------

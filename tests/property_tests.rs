@@ -670,7 +670,7 @@ proptest! {
             let (left, right) = (run_over(&hotels[..k]), run_over(&hotels[k..]));
             prop_assert_eq!(
                 whole,
-                value::merge(&plan.monoid, &left, &right).unwrap(),
+                value::merge(plan.monoid(), &left, &right).unwrap(),
                 "monoid = {}, k = {}, seed = {}", label, k, seed
             );
         }
@@ -714,7 +714,7 @@ proptest! {
         let db = travel::generate(TravelScale::tiny(), seed);
         for (label, q) in monoid_corpus() {
             let query = algebra::plan_comprehension(&q).unwrap();
-            let eff = effects_of(&query.head).join(query.plan_effects);
+            let eff = effects_of(query.head()).join(query.plan().effects());
             prop_assert!(
                 !eff.allocates && !eff.mutates,
                 "corpus query should classify effect-free: {}", label
