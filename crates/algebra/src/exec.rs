@@ -1,9 +1,11 @@
 //! The plan walk: the reference interpreter for algebra plans.
 //!
 //! Every query the planner produces runs on the fused fold
-//! ([`crate::fused`]) when its expressions are in the compiled subset; this
-//! module is what runs otherwise, and what the fold is checked against. It
-//! is deliberately the plainest correct implementation: a push-based driver
+//! ([`crate::fused`]); this module is what the fold is checked against,
+//! and what runs when a fold declines at run time (a compiled global that
+//! does not resolve, a keyed filter whose table fails to build) or a
+//! hand-built query with heap effects has none. It is deliberately the
+//! plainest correct implementation: a push-based driver
 //! that hands each operator's rows to its consumer as `Env` bindings, one
 //! evaluator call per expression, a join as a `BTreeMap` build table plus a
 //! probe. Scans and unnests never materialize intermediate collections; the
@@ -173,9 +175,8 @@ pub fn execute(query: &Query, snap: &Snapshot) -> ExecResult<Value> {
 
 /// [`execute`] with late-bound parameter values (prepared statements).
 ///
-/// Plans whose expressions are in the compiled subset — joins included —
-/// run on the fused batch engine ([`crate::fused`]); everything else walks
-/// the plan tree.
+/// Runs the query's fused fold ([`crate::fused`]); only a query without
+/// one, or a fold that declines at run time, walks the plan tree.
 pub fn execute_snapshot_bound(
     query: &Query,
     snap: &Snapshot,

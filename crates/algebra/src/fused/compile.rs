@@ -1,16 +1,15 @@
-//! The judgement *which plans fuse, and into what*: [`compile`] turns a
-//! query into flat stage lists over a slot-addressed row buffer, or
-//! refuses it with the construct that stopped it. It is the one place
-//! that decides which engine runs, and the only code that looks at a
-//! plan's shape. Per-row expressions leave here already resolved to a
-//! [`Kernel`]: a compare or an operand when canonical forms make them one,
-//! a [`FusedExpr`] tree otherwise.
+//! The judgement *what a plan fuses into*: [`compile`] turns every
+//! pure query into flat stage lists over a slot-addressed row buffer. It
+//! is the only code that looks at a plan's shape. Per-row expressions
+//! leave here already resolved to a [`Kernel`]: a compare or an operand
+//! when canonical forms make them one, a [`FusedExpr`] tree otherwise —
+//! whose leaves outside the compiled subset are handed to the evaluator
+//! in place.
 
 use super::table::TableKey;
-use super::Refusal;
-use monoid_calculus::analysis::effects_of;
 use monoid_calculus::expr::{BinOp, Expr, Literal, UnOp};
 use monoid_calculus::monoid::Monoid;
+use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
 use crate::logical::Plan;
@@ -35,6 +34,12 @@ pub(super) enum FusedExpr {
     Un(UnOp, Box<FusedExpr>),
     If(Box<FusedExpr>, Box<FusedExpr>, Box<FusedExpr>),
     Deref(Box<FusedExpr>),
+    /// A form outside the compiled subset — a lambda, a nested
+    /// comprehension, `let`, a collection literal, … — run by the walk's
+    /// evaluator over the run's root environment with `free`, the chain
+    /// variables it reads, bound on top. Roots and `$param`s get no slot:
+    /// the evaluator reads them where the walk does.
+    Eval { expr: Expr, free: Vec<(Symbol, usize)> },
 }
 
 impl FusedExpr {
@@ -51,6 +56,7 @@ impl FusedExpr {
             | FusedExpr::Deref(e) => e.reads(slots),
             FusedExpr::Bin(_, a, b) => a.reads(slots) || b.reads(slots),
             FusedExpr::If(c, t, e) => c.reads(slots) || t.reads(slots) || e.reads(slots),
+            FusedExpr::Eval { free, .. } => free.iter().any(|(_, s)| slots.contains(s)),
         }
     }
 }
@@ -227,9 +233,13 @@ impl Compiler {
         slot
     }
 
-    /// `Err` carries the first sub-expression outside the compiled subset.
-    fn compile_expr<'e>(&mut self, e: &'e Expr) -> Result<FusedExpr, &'e Expr> {
-        Ok(match e {
+    /// Count the `$param` leaves of `e`.
+    fn count_params(&mut self, e: &Expr) {
+        e.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
+    }
+
+    fn compile_expr(&mut self, e: &Expr) -> FusedExpr {
+        match e {
             Expr::Lit(lit) => FusedExpr::Const(match lit {
                 Literal::Bool(b) => Value::Bool(*b),
                 Literal::Int(i) => Value::Int(*i),
@@ -255,106 +265,87 @@ impl Compiler {
                     fields: fields
                         .iter()
                         .zip(at)
-                        .map(|((_, fe), pos)| Ok((pos, self.compile_expr(fe)?)))
-                        .collect::<Result<Vec<_>, _>>()?,
+                        .map(|((_, fe), pos)| (pos, self.compile_expr(fe)))
+                        .collect(),
                 }
             }
-            Expr::Tuple(items) => FusedExpr::Tuple(
-                items
-                    .iter()
-                    .map(|i| self.compile_expr(i))
-                    .collect::<Result<Vec<_>, _>>()?,
-            ),
-            Expr::Proj(inner, field) => {
-                FusedExpr::Proj(Box::new(self.compile_expr(inner)?), *field)
+            Expr::Tuple(items) => {
+                FusedExpr::Tuple(items.iter().map(|i| self.compile_expr(i)).collect())
             }
+            Expr::Proj(inner, field) => FusedExpr::Proj(Box::new(self.compile_expr(inner)), *field),
             Expr::TupleProj(inner, idx) => {
-                FusedExpr::TupleProj(Box::new(self.compile_expr(inner)?), *idx)
+                FusedExpr::TupleProj(Box::new(self.compile_expr(inner)), *idx)
             }
             Expr::BinOp(op, lhs, rhs) => FusedExpr::Bin(
                 *op,
-                Box::new(self.compile_expr(lhs)?),
-                Box::new(self.compile_expr(rhs)?),
+                Box::new(self.compile_expr(lhs)),
+                Box::new(self.compile_expr(rhs)),
             ),
-            Expr::UnOp(op, inner) => FusedExpr::Un(*op, Box::new(self.compile_expr(inner)?)),
+            Expr::UnOp(op, inner) => FusedExpr::Un(*op, Box::new(self.compile_expr(inner))),
             Expr::If(cond, then, els) => FusedExpr::If(
-                Box::new(self.compile_expr(cond)?),
-                Box::new(self.compile_expr(then)?),
-                Box::new(self.compile_expr(els)?),
+                Box::new(self.compile_expr(cond)),
+                Box::new(self.compile_expr(then)),
+                Box::new(self.compile_expr(els)),
             ),
-            Expr::Deref(inner) => FusedExpr::Deref(Box::new(self.compile_expr(inner)?)),
-            // Anything else — lambdas, nested comprehensions, let,
-            // collection literals, heap writes — declines fusion; the plan
-            // walk handles it.
-            other => return Err(other),
-        })
-    }
-
-    /// One side of `join`'s key pairs, compiled against the current scope.
-    /// A refusal names the offending sub-expression and, for a front end
-    /// that did not record it, the generator that made this a join.
-    fn join_keys<'e>(
-        &mut self,
-        keys: impl Iterator<Item = &'e Expr>,
-        right: &Plan,
-    ) -> Result<Vec<FusedExpr>, Refusal> {
-        keys.map(|k| {
-            self.compile_expr(k)
-                .map_err(|off| outside("a join key", right.bound_vars().first().copied(), off))
-        })
-        .collect()
+            Expr::Deref(inner) => FusedExpr::Deref(Box::new(self.compile_expr(inner))),
+            // Anything else goes to the evaluator as it stands. Its
+            // `$param`s count, so a build side reading one is never kept.
+            other => {
+                self.count_params(other);
+                let mut free: Vec<_> = free_vars(other)
+                    .into_iter()
+                    .filter_map(|v| self.scope.iter().rev().find(|(s, _)| *s == v).copied())
+                    .collect();
+                free.sort_by_key(|(_, slot)| *slot);
+                FusedExpr::Eval { expr: other.clone(), free }
+            }
+        }
     }
 
     /// Compile `plan` into a chain, leaving its variables in scope. The
     /// only function that inspects a plan's shape: teaching the fold a new
     /// operator means adding a [`Stage`] here.
-    fn chain(&mut self, plan: &Plan) -> Result<Chain, Refusal> {
+    fn chain(&mut self, plan: &Plan) -> Chain {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
                 // The evaluator runs the source, but its `$param`s count.
-                source.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
+                self.count_params(source);
                 let slot = self.bind(*var);
                 let source = Source::Each(source.clone());
-                return Ok(Chain { slot, source, stages: Vec::new(), counted: false });
+                return Chain { slot, source, stages: Vec::new(), counted: false };
             }
             Plan::Filter { input: below, pred: p } => {
-                let input = self.chain(below)?;
-                let pred =
-                    self.compile_expr(p).map_err(|off| outside("a predicate", None, off))?;
-                match (probe_key(below, p), pred) {
+                let input = self.chain(below);
+                match (probe_key(below, p), self.compile_expr(p)) {
                     (Some((key, key_first)), FusedExpr::Bin(_, a, b)) => {
                         let (k, e) = if key_first { (*a, *b) } else { (*b, *a) };
-                        return Ok(self.keyed(input, (&**below, key), k, e));
+                        return self.keyed(input, (&**below, key), k, e);
                     }
                     (_, pred) => (input, Stage::Filter(Kernel::of(pred))),
                 }
             }
             Plan::Bind { input, var, expr } => {
-                let input = self.chain(input)?;
+                let input = self.chain(input);
                 // Compile before binding: the expression sees the *outer*
                 // binding of `var`, exactly like the plan walk.
-                let expr = self.compile_expr(expr).map_err(|off| {
-                    outside(format_args!("the binding `{var} ≡ …`"), Some(*var), off)
-                })?;
-                (input, Stage::Bind { slot: self.bind(*var), expr: Kernel::of(expr) })
+                let expr = Kernel::of(self.compile_expr(expr));
+                (input, Stage::Bind { slot: self.bind(*var), expr })
             }
             Plan::Unnest { input, var, path } => {
-                let input = self.chain(input)?;
-                let path = self.compile_expr(path).map_err(|off| {
-                    outside(format_args!("the path of generator `{var}`"), Some(*var), off)
-                })?;
-                (input, Stage::Unnest { slot: self.bind(*var), path: Kernel::of(path) })
+                let input = self.chain(input);
+                let path = Kernel::of(self.compile_expr(path));
+                (input, Stage::Unnest { slot: self.bind(*var), path })
             }
             Plan::Join { left, right, on } => {
-                let input = self.chain(left)?;
-                let left_keys = self.join_keys(on.iter().map(|(l, _)| l), right)?;
+                let input = self.chain(left);
+                let left_keys = on.iter().map(|(l, _)| self.compile_expr(l)).collect();
                 // The right side is independent of the left: it compiles
                 // (and its keys resolve) with only its own variables in
                 // scope, as the walk runs it against the root environment.
                 let left_scope = std::mem::take(&mut self.scope);
                 let params = self.params;
-                let chain = self.chain(right)?;
-                let keys = self.join_keys(on.iter().map(|(_, r)| r), right)?;
+                let chain = self.chain(right);
+                let keys = on.iter().map(|(_, r)| self.compile_expr(r)).collect();
                 let memo = (self.params == params).then(|| {
                     let keys = on.iter().map(|(_, r)| r.clone()).collect();
                     Arc::new(TableKey { right: (**right).clone(), keys })
@@ -371,7 +362,7 @@ impl Compiler {
         };
         let mut chain = input;
         chain.stages.push(stage);
-        Ok(chain)
+        chain
     }
 
     /// A keyed filter as a join: a one-row chain whose only stage probes
@@ -406,8 +397,10 @@ fn probe_key<'q>(input: &Plan, pred: &'q Expr) -> Option<(&'q Expr, bool)> {
     let (Plan::Scan { var, source }, Expr::BinOp(BinOp::Eq, a, b)) = (input, pred) else {
         return None;
     };
-    // Whether `e` reads `x`, another variable, a `$param`. Nothing in the
-    // compiled subset binds a variable, so every `Var` in `pred` is free.
+    // Whether `e` reads `x`, another variable, a `$param`. Every `Var` in
+    // `pred` counts as a read, also one an inner comprehension binds: that
+    // over-approximation can only keep a filter plain, never make a wrong
+    // probe.
     let reads = |e: &Expr| {
         let mut r = (false, false, false);
         e.visit(&mut |e| match e {
@@ -430,57 +423,12 @@ fn probe_key<'q>(input: &Plan, pred: &'q Expr) -> Option<(&'q Expr, bool)> {
     }
 }
 
-/// A short human name for an expression form outside the compiled subset.
-fn describe(e: &Expr) -> &'static str {
-    match e {
-        Expr::Lambda(..) => "a lambda",
-        Expr::Comp { .. } => "a nested comprehension",
-        Expr::VecComp { .. } => "a nested vector comprehension",
-        Expr::Let(..) => "a `let` binding",
-        Expr::CollLit(..) => "a collection literal",
-        Expr::VecLit(..) => "a vector literal",
-        Expr::VecIndex(..) => "vector indexing",
-        Expr::Merge(..) => "a monoid merge",
-        Expr::Zero(..) => "a monoid zero",
-        Expr::Unit(..) => "a singleton injection",
-        Expr::Hom { .. } => "a homomorphism",
-        Expr::Apply(..) => "a function application",
-        Expr::New(..) => "an allocation (`new`)",
-        Expr::Assign(..) => "an assignment (`:=`)",
-        _ => "an unsupported form",
-    }
-}
-
-/// The refusal for `off`, the sub-expression [`Compiler::compile_expr`]
-/// stopped at, found in the part of the query `what` names (bound to
-/// `var`). Only ever runs on the declining path, so `what` is formatted
-/// here, not by the caller.
-fn outside(what: impl std::fmt::Display, var: Option<Symbol>, off: &Expr) -> Refusal {
-    Refusal {
-        reason: format!("{what} uses {}, outside the fused expression subset", describe(off)),
-        var,
-        expr: Some(off.clone()),
-    }
-}
-
-/// Compile `monoid{ head | plan }` into a fused pipeline, or say which
-/// part of it falls outside the fusible subset. Runs once per query, when
-/// it is planned.
-pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> Result<FusedQuery, Refusal> {
-    // Vector comprehensions accumulate through indexed slots, not a single
-    // accumulator; they never reach plans anyway.
-    if matches!(monoid, Monoid::VecOf(_)) {
-        return Err(Refusal::new("vector monoid reductions accumulate through indexed slots"));
-    }
-    // Effects: the fused loop shares one immutable heap borrow across the
-    // whole fold, so heap writes *and* allocations stay on the plan walk.
-    let eff = effects_of(head).join(plan.effects());
-    if eff.mutates || eff.allocates {
-        return Err(Refusal::new("the query writes the heap (`:=` or `new`)"));
-    }
+/// Compile `monoid{ head | plan }` into a fused pipeline. Runs once per
+/// query, when it is planned.
+pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
     let mut c = Compiler::default();
-    let mut chain = c.chain(plan)?;
-    let head = c.compile_expr(head).map_err(|off| outside("the head", None, off))?;
+    let mut chain = c.chain(plan);
+    let head = c.compile_expr(head);
     // Folding `n` equal heads is the monoid's `n`-fold power of one: when
     // the head reads none of the trailing generator's slots, its rows
     // differ in nothing the reduction sees.
@@ -490,12 +438,12 @@ pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> Result<Fused
         Some(Stage::Join { right_slots, .. }) => !head.reads(right_slots),
         Some(Stage::Filter(_) | Stage::Bind { .. }) => false,
     };
-    Ok(FusedQuery {
+    FusedQuery {
         chain,
         head: Kernel::of(head),
         monoid: monoid.clone(),
         n_slots: c.n_slots,
         n_tables: c.n_tables,
         globals: c.globals,
-    })
+    }
 }

@@ -1,12 +1,15 @@
 //! The judgement *what a compiled chain computes on a row*: rows borrowed
 //! from the extent flow through the stages [`super::compile`] produced —
-//! kernels first, the [`FusedExpr`] interpreter for the rest — into a
-//! statically dispatched [`Sink`], the accumulator or a join's build side.
+//! kernels first, the [`FusedExpr`] interpreter for the rest, the walk's
+//! evaluator for its `Eval` leaves — into a statically dispatched [`Sink`],
+//! the accumulator or a join's build side.
 
 use super::compile::{Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, Operand, Source, Stage};
 use super::table::{Table, TableKey, NONE};
 use crate::error::ExecResult;
-use monoid_calculus::eval::{binop_values, project_ref, project_value, unop_value, Evaluator};
+use monoid_calculus::eval::{
+    binop_values, deref_value, project_ref, project_tuple, project_value, unop_value, Evaluator,
+};
 use monoid_calculus::expr::BinOp;
 use monoid_calculus::heap::Heap;
 use monoid_calculus::value::{Accumulator, Env, Value};
@@ -48,16 +51,16 @@ impl FusedExpr {
         &'a self,
         slots: &'a [Value],
         frame: Option<&'a Frame<'a>>,
-        heap: &'a Heap,
+        cx: &'a Cx<'a>,
     ) -> ExecResult<Cow<'a, Value>> {
         match self {
             FusedExpr::Const(v) => Ok(Cow::Borrowed(v)),
             FusedExpr::Slot(i) => Ok(Cow::Borrowed(slot_value(slots, frame, *i))),
-            FusedExpr::Proj(inner, field) => match inner.eval_ref(slots, frame, heap)? {
-                Cow::Borrowed(v) => project_ref(heap, v, *field).map(Cow::Borrowed),
-                Cow::Owned(v) => project_value(heap, &v, *field).map(Cow::Owned),
+            FusedExpr::Proj(inner, field) => match inner.eval_ref(slots, frame, cx)? {
+                Cow::Borrowed(v) => project_ref(cx.heap, v, *field).map(Cow::Borrowed),
+                Cow::Owned(v) => project_value(cx.heap, &v, *field).map(Cow::Owned),
             },
-            other => other.eval(slots, frame, heap).map(Cow::Owned),
+            other => other.eval(slots, frame, cx).map(Cow::Owned),
         }
     }
 
@@ -65,7 +68,7 @@ impl FusedExpr {
         &self,
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<Value> {
         match self {
             FusedExpr::Const(v) => Ok(v.clone()),
@@ -73,64 +76,53 @@ impl FusedExpr {
             FusedExpr::Record { labels, fields } => {
                 let mut vals: Vec<_> = labels.iter().map(|l| (*l, Value::Null)).collect();
                 for (at, fe) in fields {
-                    vals[*at].1 = fe.eval(slots, frame, heap)?;
+                    vals[*at].1 = fe.eval(slots, frame, cx)?;
                 }
                 Ok(Value::Record(Arc::new(vals)))
             }
             FusedExpr::Tuple(items) => {
                 let vals = items
                     .iter()
-                    .map(|i| i.eval(slots, frame, heap))
+                    .map(|i| i.eval(slots, frame, cx))
                     .collect::<ExecResult<Vec<_>>>()?;
                 Ok(Value::tuple(vals))
             }
-            FusedExpr::Proj(..) => self.eval_ref(slots, frame, heap).map(Cow::into_owned),
+            FusedExpr::Proj(..) => self.eval_ref(slots, frame, cx).map(Cow::into_owned),
             FusedExpr::TupleProj(inner, idx) => {
-                let v = inner.eval_ref(slots, frame, heap)?;
-                match v.as_ref() {
-                    Value::Tuple(items) => items.get(*idx).cloned().ok_or_else(|| {
-                        monoid_calculus::error::EvalError::TypeMismatch {
-                            op: "tuple projection",
-                            detail: format!("index {idx} on {}-tuple", items.len()),
-                        }
-                    }),
-                    other => Err(monoid_calculus::error::EvalError::TypeMismatch {
-                        op: "tuple projection",
-                        detail: format!("expected tuple, got {}", other.kind()),
-                    }),
-                }
+                project_tuple(&*inner.eval_ref(slots, frame, cx)?, *idx)
             }
             FusedExpr::Bin(op, lhs, rhs) => match op {
                 // and/or short-circuit, exactly like the evaluator.
                 BinOp::And => Ok(Value::Bool(
-                    lhs.eval_ref(slots, frame, heap)?.as_bool()?
-                        && rhs.eval_ref(slots, frame, heap)?.as_bool()?,
+                    lhs.eval_ref(slots, frame, cx)?.as_bool()?
+                        && rhs.eval_ref(slots, frame, cx)?.as_bool()?,
                 )),
                 BinOp::Or => Ok(Value::Bool(
-                    lhs.eval_ref(slots, frame, heap)?.as_bool()?
-                        || rhs.eval_ref(slots, frame, heap)?.as_bool()?,
+                    lhs.eval_ref(slots, frame, cx)?.as_bool()?
+                        || rhs.eval_ref(slots, frame, cx)?.as_bool()?,
                 )),
                 _ => {
-                    let a = lhs.eval_ref(slots, frame, heap)?;
-                    let b = rhs.eval_ref(slots, frame, heap)?;
+                    let a = lhs.eval_ref(slots, frame, cx)?;
+                    let b = rhs.eval_ref(slots, frame, cx)?;
                     binop_values(*op, a.as_ref(), b.as_ref())
                 }
             },
-            FusedExpr::Un(op, inner) => unop_value(*op, inner.eval(slots, frame, heap)?),
+            FusedExpr::Un(op, inner) => unop_value(*op, inner.eval(slots, frame, cx)?),
             FusedExpr::If(cond, then, els) => {
-                if cond.eval_ref(slots, frame, heap)?.as_bool()? {
-                    then.eval(slots, frame, heap)
+                if cond.eval_ref(slots, frame, cx)?.as_bool()? {
+                    then.eval(slots, frame, cx)
                 } else {
-                    els.eval(slots, frame, heap)
+                    els.eval(slots, frame, cx)
                 }
             }
-            FusedExpr::Deref(inner) => match inner.eval_ref(slots, frame, heap)?.as_ref() {
-                Value::Obj(oid) => Ok(heap.get(*oid)?.clone()),
-                other => Err(monoid_calculus::error::EvalError::TypeMismatch {
-                    op: "deref",
-                    detail: format!("expected object, got {}", other.kind()),
-                }),
-            },
+            FusedExpr::Deref(inner) => deref_value(cx.heap, &*inner.eval_ref(slots, frame, cx)?),
+            // The walk's own evaluator, over an O(1) clone of the heap.
+            FusedExpr::Eval { expr, free } => {
+                let env = free.iter().fold(cx.env.clone(), |env, (var, slot)| {
+                    env.bind(*var, slot_value(slots, frame, *slot).clone())
+                });
+                Evaluator::with_heap(cx.heap.clone()).eval(&env, expr)
+            }
         }
     }
 }
@@ -143,12 +135,12 @@ impl Operand {
         &'a self,
         slots: &'a [Value],
         frame: Option<&'a Frame<'a>>,
-        heap: &'a Heap,
+        cx: &'a Cx<'a>,
     ) -> ExecResult<&'a Value> {
         match self {
             Operand::Const(v) => Ok(v),
             Operand::Slot(i) => Ok(slot_value(slots, frame, *i)),
-            Operand::Field(i, field) => project_ref(heap, slot_value(slots, frame, *i), *field),
+            Operand::Field(i, field) => project_ref(cx.heap, slot_value(slots, frame, *i), *field),
         }
     }
 }
@@ -157,9 +149,9 @@ impl Compare {
     /// Both operands, left first, then one `Value::cmp` — the order
     /// `binop_values`' comparison operators decide by.
     #[inline(always)]
-    fn test(&self, slots: &[Value], frame: Option<&Frame<'_>>, heap: &Heap) -> ExecResult<bool> {
-        let a = self.lhs.get(slots, frame, heap)?;
-        let b = self.rhs.get(slots, frame, heap)?;
+    fn test(&self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<bool> {
+        let a = self.lhs.get(slots, frame, cx)?;
+        let b = self.rhs.get(slots, frame, cx)?;
         Ok(self.holds[(a.cmp(b) as i8 + 1) as usize])
     }
 }
@@ -170,21 +162,21 @@ impl Kernel {
     /// measured no faster on `fusion/company-dept-join`, whose record
     /// head reads both join sides.
     #[inline]
-    fn value(&self, slots: &[Value], frame: Option<&Frame<'_>>, heap: &Heap) -> ExecResult<Value> {
+    fn value(&self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<Value> {
         match self {
-            Kernel::Operand(o) => o.get(slots, frame, heap).cloned(),
-            Kernel::Compare(c) => c.test(slots, frame, heap).map(Value::Bool),
-            Kernel::Tree(t) => t.eval(slots, frame, heap),
+            Kernel::Operand(o) => o.get(slots, frame, cx).cloned(),
+            Kernel::Compare(c) => c.test(slots, frame, cx).map(Value::Bool),
+            Kernel::Tree(t) => t.eval(slots, frame, cx),
         }
     }
 
     /// Whether a filter keeps the row.
     #[inline(always)]
-    fn holds(&self, slots: &[Value], frame: Option<&Frame<'_>>, heap: &Heap) -> ExecResult<bool> {
+    fn holds(&self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<bool> {
         match self {
-            Kernel::Compare(c) => c.test(slots, frame, heap),
-            Kernel::Operand(o) => o.get(slots, frame, heap)?.as_bool(),
-            Kernel::Tree(t) => t.eval_ref(slots, frame, heap)?.as_bool(),
+            Kernel::Compare(c) => c.test(slots, frame, cx),
+            Kernel::Operand(o) => o.get(slots, frame, cx)?.as_bool(),
+            Kernel::Tree(t) => t.eval_ref(slots, frame, cx)?.as_bool(),
         }
     }
 }
@@ -273,13 +265,16 @@ impl FusedQuery {
     }
 }
 
-/// What a fold needs besides its row: the heap and the execution's join
-/// tables, both immutable while rows flow, and whether the chain's
-/// trailing generator hands the sink a count ([`Chain::counted`]).
-struct Cx<'a> {
-    heap: &'a Heap,
-    tables: &'a [Arc<Table>],
-    counted: bool,
+/// What a fold needs besides its row: the heap, the run's root
+/// environment (the roots and `$param`s an `Eval` leaf reads) and the
+/// execution's join tables, all immutable while rows flow, and whether
+/// the chain's trailing generator hands the sink a count
+/// ([`Chain::counted`]).
+pub(super) struct Cx<'a> {
+    pub(super) heap: &'a Heap,
+    pub(super) env: &'a Env,
+    pub(super) tables: &'a [Arc<Table>],
+    pub(super) counted: bool,
 }
 
 /// The fold's continuation `k`: where a chain's rows end up. Statically
@@ -287,8 +282,7 @@ struct Cx<'a> {
 /// without a per-row indirect call.
 trait Sink {
     /// Consume the current row; `false` ends the fold.
-    fn row(&mut self, slots: &[Value], frame: Option<&Frame<'_>>, heap: &Heap)
-        -> ExecResult<bool>;
+    fn row(&mut self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<bool>;
 
     /// Consume `n` rows that differ only in slots the sink does not read.
     fn rows(
@@ -296,10 +290,10 @@ trait Sink {
         n: usize,
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<bool> {
         for _ in 0..n {
-            if !self.row(slots, frame, heap)? {
+            if !self.row(slots, frame, cx)? {
                 return Ok(false);
             }
         }
@@ -319,13 +313,13 @@ impl Sink for Reduce<'_> {
         &mut self,
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<bool> {
         // An operand head (`count`'s constant, `$w`, `r.price`) is read
         // in place, the rest through `Kernel::value`.
         let h = match self.head {
-            Kernel::Operand(o) => o.get(slots, frame, heap)?.clone(),
-            head => head.value(slots, frame, heap)?,
+            Kernel::Operand(o) => o.get(slots, frame, cx)?.clone(),
+            head => head.value(slots, frame, cx)?,
         };
         self.acc.push_unit(h)?;
         Ok(!self.acc.absorbed())
@@ -341,10 +335,10 @@ impl Sink for Reduce<'_> {
         n: usize,
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<bool> {
         if n > 0 {
-            self.acc.push_units(self.head.value(slots, frame, heap)?, n)?;
+            self.acc.push_units(self.head.value(slots, frame, cx)?, n)?;
         }
         Ok(!self.acc.absorbed())
     }
@@ -362,10 +356,10 @@ impl Sink for Collect<'_> {
         &mut self,
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<bool> {
         for e in self.exprs {
-            self.out.push(e.eval(slots, frame, heap)?);
+            self.out.push(e.eval(slots, frame, cx)?);
         }
         Ok(true)
     }
@@ -384,7 +378,7 @@ fn drive<K: Sink>(
     k: &mut K,
 ) -> ExecResult<bool> {
     match stages.split_first() {
-        None => k.row(slots, frame, cx.heap),
+        None => k.row(slots, frame, cx),
         Some((stage, rest)) => step(stage, rest, cx, slots, frame, k),
     }
 }
@@ -400,21 +394,21 @@ fn step<K: Sink>(
 ) -> ExecResult<bool> {
     match stage {
         Stage::Filter(pred) => {
-            if pred.holds(slots, frame, cx.heap)? {
+            if pred.holds(slots, frame, cx)? {
                 drive(rest, cx, slots, frame, k)
             } else {
                 Ok(true)
             }
         }
         Stage::Bind { slot, expr } => {
-            let v = expr.value(slots, frame, cx.heap)?;
+            let v = expr.value(slots, frame, cx)?;
             slots[*slot] = v;
             drive(rest, cx, slots, frame, k)
         }
         Stage::Unnest { slot, path } => {
-            let rows = rows_of(path.value(slots, frame, cx.heap)?)?;
+            let rows = rows_of(path.value(slots, frame, cx)?)?;
             if cx.counted && rest.is_empty() {
-                return k.rows(rows.len(), slots, frame, cx.heap);
+                return k.rows(rows.len(), slots, frame, cx);
             }
             rows.each(|elem| {
                 let f = Frame { slot: *slot, value: elem, parent: frame };
@@ -423,9 +417,9 @@ fn step<K: Sink>(
         }
         Stage::Join { build, left_keys, right_slots } => {
             let table = &cx.tables[build.table];
-            let mut i = table.first_match(left_keys, slots, frame, cx.heap)?;
+            let mut i = table.first_match(left_keys, slots, frame, cx)?;
             if cx.counted && rest.is_empty() {
-                return k.rows(table.rows_from(i), slots, frame, cx.heap);
+                return k.rows(table.rows_from(i), slots, frame, cx);
             }
             while i != NONE {
                 let row = &table.rows[i * right_slots.len()..];
@@ -500,9 +494,10 @@ impl Run<'_> {
 
     /// Push every row of an opened chain through its stages into `k`.
     fn feed<K: Sink>(&mut self, chain: &Chain, rows: Rows, k: &mut K) -> ExecResult<()> {
-        let cx = Cx { heap: &self.ev.heap, tables: &self.tables, counted: chain.counted };
+        let (heap, env, tables) = (&self.ev.heap, self.env, &self.tables[..]);
+        let cx = Cx { heap, env, tables, counted: chain.counted };
         if chain.counted && chain.stages.is_empty() {
-            return k.rows(rows.len(), &self.slots, None, cx.heap).map(drop);
+            return k.rows(rows.len(), &self.slots, None, &cx).map(drop);
         }
         rows.each(|elem| {
             let f = Frame { slot: chain.slot, value: elem, parent: None };
@@ -545,7 +540,7 @@ impl Run<'_> {
         let n = rows.len() / stride;
         let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
         if !build.keys.is_empty() {
-            let cx = Cx { heap: &self.ev.heap, tables: &[], counted: false };
+            let cx = Cx { heap: &self.ev.heap, env: self.env, tables: &[], counted: false };
             for row in rows.chunks(stride) {
                 bind_row(right_slots, row, &[], &cx, &mut self.slots, None, &mut k)?;
             }

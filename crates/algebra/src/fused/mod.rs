@@ -13,24 +13,24 @@
 //! the target monoid.
 //!
 //! The compile happens once, when the query is planned: the [`Query`]
-//! constructor runs it and keeps the fold (or the [`Refusal`]) next to the
-//! plan, and every execution, profile and lint reads that answer. The
-//! fold owns what it needs — scan sources, memo keys — and names no
-//! snapshot, epoch or table, so one compiled query runs against any
-//! snapshot of any database.
+//! constructor runs it and keeps the fold next to the plan, and every
+//! execution reads it there. The fold owns what it needs — scan sources,
+//! memo keys — and names no snapshot, epoch or table, so one compiled
+//! query runs against any snapshot of any database.
 //!
-//! What fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and `Join`
-//! stages (keyed joins, cross products, and keyed filters, which compile
-//! to a join — below), whose
-//! embedded expressions are built from literals, variables, parameters,
-//! records, tuples, projections, arithmetic/comparison/logic, `if`, and `!`
-//! (deref) — and whose head and plan are statically pure and non-allocating
-//! (the analyzer's `Effects`). What falls back to the plan walk: allocating or
-//! mutating expressions, vector monoids, and any expression form outside
-//! the compiled subset (lambdas, nested comprehensions, `let`, …), whether
-//! it sits on the spine, in a join key, or in a join's right side.
-//! `compile` is the one place that decides; a declined query gets a
-//! [`Refusal`] naming the construct, which is all lint MC009 reports.
+//! Every plan the planner emits fuses: a `Scan` extended by `Filter`,
+//! `Bind`, `Unnest` and `Join` stages (keyed joins, cross products, and
+//! keyed filters, which compile to a join — below). Embedded expressions
+//! built from literals, variables, parameters, records, tuples,
+//! projections, arithmetic/comparison/logic, `if`, and `!` (deref) compile
+//! to slot-addressed trees; any other form (a lambda, a nested
+//! comprehension, `let`, a collection literal, …) stays in the tree as an
+//! *evaluated* leaf, which binds the chain variables it reads on top of
+//! the run's root environment and runs the walk's own evaluator — the
+//! inner generator simply runs inside the outer continuation, as the walk
+//! runs it. Only a [`Query`] built by hand with heap effects (`new`, `:=`;
+//! the planner refuses both) gets no fold: the fold shares one immutable
+//! heap across the run.
 //!
 //! Canonical forms make most per-row expressions one of two shapes, and
 //! those compile to *kernels* rather than trees: an **operand** — a slot, a
@@ -114,12 +114,14 @@
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
 //! value-level semantics are *shared*, not duplicated — projections,
-//! binary and unary operators delegate to the same
-//! [`monoid_calculus::eval`] free functions the evaluator itself calls, so
-//! results and error messages cannot drift. Second, the compiler declines
-//! rather than approximates: any construct it cannot reproduce exactly
-//! (including an unresolvable global, which the plan walk would report
-//! with its own error) routes the query through the old path untouched.
+//! tuple projections, dereferences, binary and unary operators delegate
+//! to the same [`monoid_calculus::eval`] free functions the evaluator
+//! itself calls, and an evaluated leaf *is* the evaluator, so results and
+//! error messages cannot drift. Second, the fold declines at run time
+//! rather than approximates in two cases — a global of a compiled
+//! expression that does not resolve (the walk reports it with its own
+//! error) and a keyed filter whose table fails to build — and runs the
+//! plan walk instead, before any row reached the accumulator.
 //! Iteration order is the collection's canonical element order on both
 //! engines, so ordered monoids (`list`, `str`, sorted variants) agree
 //! without any re-sorting, and `some`/`all` short-circuit at the same
@@ -137,8 +139,6 @@ pub(crate) use compile::{compile, FusedQuery};
 pub(crate) use drive::try_run_reduce;
 
 use crate::logical::Query;
-use monoid_calculus::expr::Expr;
-use monoid_calculus::symbol::Symbol;
 
 /// Which execution engine ran (or would run) a query. Surfaced by
 /// `explain_analyze`, the flight recorder, and `Prepared::execute`.
@@ -146,7 +146,8 @@ use monoid_calculus::symbol::Symbol;
 pub enum Engine {
     /// The fused single-fold loop in this module.
     Fused,
-    /// The push-based plan-tree interpreter in [`crate::exec`].
+    /// The push-based plan-tree interpreter in [`crate::exec`]: the query
+    /// has no fold.
     PlanWalk,
 }
 
@@ -159,43 +160,29 @@ impl Engine {
     }
 }
 
-/// Why the fused compiler declined a query: the reason, and the binder or
-/// sub-expression it was looking at when it gave up (lint MC009 looks
-/// these up in the front end's span map).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Refusal {
-    pub reason: String,
-    pub var: Option<Symbol>,
-    pub expr: Option<Expr>,
-}
-
-impl Refusal {
-    /// A refusal about the query as a whole.
-    pub fn new(reason: impl Into<String>) -> Refusal {
-        Refusal { reason: reason.into(), var: None, expr: None }
-    }
-}
-
-/// The engine [`crate::exec::execute`] runs this query on: fused unless
-/// the compiler refused it when it was planned. (The dynamic exceptions:
-/// a query whose globals don't resolve at execution time still falls
-/// back, so the plan walk can report the unbound name exactly as it
-/// always has, and so does one whose keyed filter's table fails to
-/// build.)
+/// The engine [`crate::exec::execute`] runs this query on: fused, unless
+/// the query has no fold — a hand-built one with heap effects. (The
+/// dynamic exceptions: a query whose compiled globals don't resolve at
+/// execution time still walks, so the plan walk can report the unbound
+/// name exactly as it always has, and so does one whose keyed filter's
+/// table fails to build.)
 pub fn engine_of(query: &Query) -> Engine {
-    match query.refusal() {
-        None => Engine::Fused,
-        Some(_) => Engine::PlanWalk,
+    match query.fused() {
+        Some(_) => Engine::Fused,
+        None => Engine::PlanWalk,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::compile::{Compare, FusedExpr, Kernel, Operand, Source, Stage};
+    use super::drive::Cx;
     use super::table::{KeyIndex, Table, NONE};
     use super::*;
     use crate::logical::{plan_comprehension, Plan};
     use monoid_calculus::eval::Evaluator;
+    use monoid_calculus::expr::Expr;
+    use monoid_calculus::symbol::Symbol;
     use monoid_calculus::heap::Heap;
     use monoid_calculus::monoid::Monoid;
     use monoid_calculus::value::{Env, Value};
@@ -203,7 +190,7 @@ mod tests {
 
     /// The fold `q` was planned with.
     fn fold(q: &Query) -> &FusedQuery {
-        q.fused().unwrap_or_else(|| panic!("{:?}", q.refusal()))
+        q.fused().expect("a pure query has a fold")
     }
 
     /// `q` planned again with `head`.
@@ -232,7 +219,6 @@ mod tests {
     #[test]
     fn linear_chains_fuse() {
         let q = scan_chain();
-        assert!(q.refusal().is_none());
         assert_eq!(engine_of(&q).as_str(), "fused");
     }
 
@@ -303,7 +289,7 @@ mod tests {
             ],
         ))
         .unwrap();
-        assert!(q.refusal().is_none(), "{:?}", q.refusal());
+        assert_eq!(engine_of(&q), Engine::Fused);
     }
 
     /// `sum{ 1 | a ← Hotels, b ← Cities, a.name = b.name }`.
@@ -323,7 +309,7 @@ mod tests {
     #[test]
     fn joins_fuse_into_one_stage_with_a_build_chain_of_their_own() {
         let q = keyed_join();
-        assert_eq!(engine_of(&q), Engine::Fused, "{:?}", q.refusal());
+        assert_eq!(engine_of(&q), Engine::Fused);
         let fq = fold(&q);
         let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
             panic!("{:?}", fq.chain.stages);
@@ -419,7 +405,9 @@ mod tests {
         let rows = |n: i64| Arc::new((0..n).map(Value::Int).collect::<Vec<_>>());
         let probe = |t: &Table, key: Value| {
             let mut hits = Vec::new();
-            let mut i = t.first_match(&[FusedExpr::Const(key)], &[], None, &Heap::new()).unwrap();
+            let (heap, env) = (Heap::new(), Env::empty());
+            let cx = Cx { heap: &heap, env: &env, tables: &[], counted: false };
+            let mut i = t.first_match(&[FusedExpr::Const(key)], &[], None, &cx).unwrap();
             while i != NONE {
                 hits.push(i);
                 i = t.next[i];
@@ -451,41 +439,61 @@ mod tests {
     }
 
     #[test]
-    fn refusals_name_the_construct() {
-        // A join fuses; one whose key or right side leaves the expression
-        // subset is refused at that sub-expression.
-        let nested = Expr::comp(Monoid::Some, Expr::bool(true), vec![]);
+    fn forms_outside_the_subset_are_evaluated_in_place_and_only_heap_effects_leave_no_fold() {
+        // A join key, a right-side filter, a head and a predicate outside
+        // the compiled subset each become an evaluated leaf where they
+        // stand, with the chain variables they read and their slots.
+        let nested = Expr::comp(
+            Monoid::Max,
+            Expr::var("b").proj("name"),
+            vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
+        );
         let mut plan = keyed_join().plan().clone();
         let Plan::Join { on, .. } = &mut plan else { panic!() };
         on[0].1 = nested.clone();
         let nested_key = with_plan(&keyed_join(), plan.clone());
-        let r = nested_key.refusal().expect("a nested comprehension is outside the subset");
-        assert!(r.reason.contains("a join key uses a nested comprehension"), "{r:?}");
-        assert_eq!((&r.expr, r.var), (&Some(nested.clone()), Some(Symbol::new("b"))));
+        let [Stage::Join { build, .. }] = fold(&nested_key).chain.stages.as_slice() else {
+            panic!()
+        };
+        let b = Symbol::new("b");
+        assert_eq!(build.keys, [FusedExpr::Eval { expr: nested, free: vec![(b, 1)] }]);
         let lambda = Expr::lambda("x", Expr::var("x"));
         let Plan::Join { right, .. } = &mut plan else { panic!() };
         **right = Plan::Filter { input: right.clone(), pred: lambda.clone() };
         let nested_right = with_plan(&keyed_join(), plan);
-        let r = nested_right.refusal().expect("the right side is compiled first");
-        assert!(r.reason.contains("a predicate uses a lambda"), "{r:?}");
-        assert_eq!(r.expr, Some(lambda.clone()));
+        let [Stage::Join { build, .. }] = fold(&nested_right).chain.stages.as_slice() else {
+            panic!()
+        };
+        let [Stage::Filter(Kernel::Tree(pred))] = build.chain.stages.as_slice() else { panic!() };
+        assert_eq!(pred, &FusedExpr::Eval { expr: lambda.clone(), free: vec![] });
 
-        // The offending sub-expression comes back whole, so a front end
-        // can look its source position up.
-        let lambda_head = with_head(&scan_chain(), lambda.clone());
-        let r = lambda_head.refusal().expect("a lambda is outside the subset");
-        assert!(r.reason.contains("the head uses a lambda"), "{r:?}");
-        assert_eq!(r.expr, Some(lambda));
-
-        let input = Box::new(scan_chain().plan().clone());
-        let nested_pred = with_plan(&scan_chain(), Plan::Filter { input, pred: nested.clone() });
-        let r = nested_pred.refusal().expect("a nested comprehension is outside the subset");
-        assert!(r.reason.contains("a predicate uses a nested comprehension"), "{r:?}");
-        assert_eq!(r.expr, Some(nested));
+        // An inner binder is no read of the chain variable it shadows.
+        let lambda_head = with_head(&scan_chain(), Expr::lambda("r", Expr::var("h")));
+        let Kernel::Tree(FusedExpr::Eval { free, .. }) = &fold(&lambda_head).head else {
+            panic!()
+        };
+        assert_eq!(free, &[(Symbol::new("h"), 0)]);
+        // A `$param` inside a leaf counts: this build side is never kept.
+        let mut plan = keyed_join().plan().clone();
+        let Plan::Join { right, .. } = &mut plan else { panic!() };
+        let reads_param = Expr::comp(Monoid::Some, Expr::param("$p"), vec![]);
+        **right = Plan::Filter { input: right.clone(), pred: reads_param };
+        let q = with_plan(&keyed_join(), plan);
+        let [Stage::Join { build, .. }] = fold(&q).chain.stages.as_slice() else { panic!() };
+        assert!(build.memo.is_none());
 
         let sum_vector = Monoid::VecOf(Box::new(Monoid::Sum));
         let vector = Query::new(scan_chain().plan().clone(), sum_vector, Expr::int(1));
-        assert!(vector.refusal().expect("VecOf declines").reason.contains("vector monoid"));
+        assert_eq!(engine_of(&vector), Engine::Fused);
+        // Heap effects, in the head or the plan: no fold.
+        let allocating = with_head(&scan_chain(), Expr::New(Box::new(Expr::int(1))));
+        let input = Box::new(scan_chain().plan().clone());
+        let write = Expr::Assign(Box::new(Expr::var("h")), Box::new(Expr::int(1)));
+        let writing = with_plan(&scan_chain(), Plan::Filter { input, pred: write });
+        for q in [allocating, writing] {
+            assert!(q.fused().is_none());
+            assert_eq!(engine_of(&q), Engine::PlanWalk);
+        }
     }
 
     #[test]

@@ -4,11 +4,10 @@
 //! that equality stays [`Value::cmp`]'s.
 
 use super::compile::FusedExpr;
-use super::drive::Frame;
+use super::drive::{Cx, Frame};
 use crate::error::ExecResult;
 use crate::logical::Plan;
 use monoid_calculus::expr::Expr;
-use monoid_calculus::heap::Heap;
 use monoid_calculus::value::{Oid, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -144,18 +143,18 @@ impl Table {
         keys: &[FusedExpr],
         slots: &[Value],
         frame: Option<&Frame<'_>>,
-        heap: &Heap,
+        cx: &Cx<'_>,
     ) -> ExecResult<usize> {
         let hit = match &self.index {
             KeyIndex::All => return Ok(if self.next.is_empty() { NONE } else { 0 }),
             KeyIndex::Ordered(map) => {
                 let key = keys
                     .iter()
-                    .map(|k| k.eval(slots, frame, heap))
+                    .map(|k| k.eval(slots, frame, cx))
                     .collect::<ExecResult<Vec<_>>>()?;
                 map.get(&key)
             }
-            typed => match (typed, keys[0].eval_ref(slots, frame, heap)?.as_ref()) {
+            typed => match (typed, keys[0].eval_ref(slots, frame, cx)?.as_ref()) {
                 (KeyIndex::Int(map), Value::Int(k)) => map.get(k),
                 // `Value::cmp` meets an int key through its float image.
                 (KeyIndex::Int(map), Value::Float(x)) => {

@@ -11,12 +11,12 @@
 //! * [`exec`] — push-based pipelined execution: no intermediate
 //!   materialization except hash-join build sides, with `some`/`all`
 //!   short-circuiting.
-//! * [`fused`](mod@fused) — fused batch execution: scan → filter → bind
-//!   → unnest → join chains compile, once per planned query, into one
-//!   monomorphic fold over a slot-addressed row buffer, borrowing rows
-//!   from extents instead of allocating per-row environments;
-//!   byte-identical to the plan walk, which remains the fallback for
-//!   everything else.
+//! * [`fused`](mod@fused) — fused batch execution: every planned query
+//!   compiles, once, into one monomorphic fold over a slot-addressed row
+//!   buffer, borrowing rows from extents instead of allocating per-row
+//!   environments, with the forms it does not compile run by the
+//!   evaluator in place; byte-identical to the plan walk, which stays as
+//!   its oracle, the profiler, and the run-time fallback of two cases.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
@@ -35,7 +35,7 @@
 //! Typical flow: `compile` OQL → `normalize` →
 //! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`],
 //! whose [`Query`] carries the plan and the fused fold compiled from it
-//! (or the compiler's [`Refusal`]) → [`exec::execute`] (or
+//! → [`exec::execute`] (or
 //! [`trace::execute_profiled_bound`] to see where rows and time go).
 //! The umbrella crate's `prepare_on` runs exactly that road once and
 //! keeps the result as a `Prepared`; its `explain_analyze` is
@@ -61,7 +61,7 @@ pub mod verify;
 
 pub use error::PlanError;
 pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound, NoProbe, Probe};
-pub use fused::{engine_of, Engine, Refusal};
+pub use fused::{engine_of, Engine};
 pub use explain::{explain, explain_with_estimates};
 pub use optimizer::{reorder_generators, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};

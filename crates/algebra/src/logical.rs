@@ -16,7 +16,7 @@
 //! * the comprehension monoid and head become the top `Reduce`.
 
 use crate::error::PlanError;
-use crate::fused::{FusedQuery, Refusal};
+use crate::fused::FusedQuery;
 use monoid_calculus::analysis::{effects_of, Effects};
 use monoid_calculus::expr::{BinOp, Expr, Qual};
 use monoid_calculus::monoid::Monoid;
@@ -174,14 +174,18 @@ pub struct Query {
     plan: Plan,
     monoid: Monoid,
     head: Expr,
-    fused: Arc<Result<FusedQuery, Refusal>>,
+    fused: Option<Arc<FusedQuery>>,
 }
 
 impl Query {
-    /// `monoid{ head | plan }`, with its fused fold — or the fused
-    /// compiler's refusal — compiled here, once.
+    /// `monoid{ head | plan }`, with its fused fold compiled here, once.
+    /// The fold shares one immutable heap across the whole run, so a plan
+    /// or head that writes or allocates gets none (the planner refuses
+    /// both, so only a query built outside it can have either).
     pub fn new(plan: Plan, monoid: Monoid, head: Expr) -> Query {
-        let fused = Arc::new(crate::fused::compile(&plan, &monoid, &head));
+        let eff = effects_of(&head).join(plan.effects());
+        let fused = (!eff.mutates && !eff.allocates)
+            .then(|| Arc::new(crate::fused::compile(&plan, &monoid, &head)));
         Query { plan, monoid, head, fused }
     }
 
@@ -197,15 +201,9 @@ impl Query {
         &self.head
     }
 
-    /// Why the fused compiler declined this query — what lint MC009
-    /// reports — or `None` when it runs as one fused fold.
-    pub fn refusal(&self) -> Option<&Refusal> {
-        self.fused.as_ref().as_ref().err()
-    }
-
-    /// The compiled fold, when the query fuses.
+    /// The compiled fold: every query but one with heap effects has one.
     pub(crate) fn fused(&self) -> Option<&FusedQuery> {
-        self.fused.as_ref().as_ref().ok()
+        self.fused.as_deref()
     }
 }
 

@@ -4,10 +4,10 @@
 //! must produce byte-identical values — same elements, same order, same
 //! OIDs. Joins get the same treatment across every shape the fold claims
 //! (keyed, composite, cross, nested, empty sides, `Null` and int-vs-float
-//! keys), with the evaluator as the third witness. The battery also pins
-//! the fallback boundary: shapes the fused compiler declines (nested
-//! comprehensions, in a head or in a join key) still agree with the plan
-//! walk.
+//! keys), with the evaluator as the third witness. Forms outside the
+//! compiled expression subset — nested comprehensions, lambdas, `let` —
+//! are evaluated in place by the walk's evaluator; the `evaluated_*` tests
+//! pin them wherever they stand in a plan.
 //!
 //! The walk builds every join table per execution, so it is also the fresh
 //! side of a memo check: every join case runs fused twice on one snapshot —
@@ -529,12 +529,12 @@ fn object_extents_join_on_fields_and_on_identity() {
     assert_eq!(execute(&plan, &db).unwrap(), Value::Int(24));
 }
 
-/// Shapes outside the fused subset fall back to the plan walk — and the
-/// fallback must agree with it.
+/// Shapes outside the compiled expression subset still fuse, the form
+/// evaluated in place — and agree with the plan walk.
 #[test]
 fn fallback_shapes_agree_across_engines() {
     let mut db = travel::generate(TravelScale::small(), 13);
-    // An equi-join fuses — unless a key leaves the compiled expression
+    // An equi-join fuses — also when a key leaves the compiled expression
     // subset: here the right key is a nested comprehension over `b`.
     let join = plan_comprehension(&Expr::comp(
         Monoid::Sum,
@@ -556,13 +556,13 @@ fn fallback_shapes_agree_across_engines() {
             vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
         );
     });
-    assert_eq!(engine_of(&join).as_str(), "plan-walk");
+    assert_eq!(engine_of(&join).as_str(), "fused");
     assert_engines_agree("nested-comprehension-key", &join, &mut db);
 
-    // A nested comprehension in the head is outside the compiled
-    // expression subset (it allocates its own accumulator per row).
+    // A nested comprehension in the head (it allocates its own
+    // accumulator per row).
     let allocating = rooms_chain(Monoid::Sum, Expr::comp(Monoid::Sum, Expr::int(1), vec![]));
-    assert_eq!(engine_of(&allocating).as_str(), "plan-walk");
+    assert_eq!(engine_of(&allocating).as_str(), "fused");
     assert_engines_agree("allocating-head", &allocating, &mut db);
 }
 
@@ -1173,6 +1173,49 @@ fn fused_kernel_rows_off_the_shape_fail_like_the_walk() {
     }
 }
 
+/// Tuple projections and dereferences read through the evaluator's own
+/// free functions: an index out of range, a projection of a non-tuple, a
+/// deref of a non-object and one of a dangling OID fail with the walk's
+/// text, in a head and in a filter, after a first row that reads fine.
+/// (The planner refuses `!`, so the plans are built by hand.)
+#[test]
+fn fused_kernel_tuple_projections_and_derefs_fail_like_the_walk() {
+    let mut db = kernel_store(Vec::new());
+    let live = db.query(&Expr::new_obj(Expr::int(7))).unwrap();
+    let dangling = Value::Obj(monoid_calculus::value::Oid(9_999));
+    let pair = Value::tuple(vec![Value::Int(1), Value::str("a")]);
+    let row = |t: Value| Value::record_from(vec![("t", t)]);
+    let t = || Expr::var("v").proj("t");
+    let over_items = |head: Expr, pred: Expr| {
+        let path = Expr::var("h").proj("items");
+        let items = Plan::Unnest { input: Box::new(scan("h", "H")), var: "v".into(), path };
+        Query::new(Plan::Filter { input: Box::new(items), pred }, Monoid::List, head)
+    };
+    let stores = [
+        ("index-out-of-range", pair.clone(), Value::tuple(vec![Value::Int(2)]), t().tproj(1)),
+        ("not-a-tuple", pair, Value::Int(5), t().tproj(1)),
+        ("not-an-object", live.clone(), Value::Int(5), t().deref()),
+        ("dangling-object", live, dangling, t().deref()),
+    ];
+    for (store, good, bad, read) in stores {
+        for (label, head, pred) in [
+            ("head", read.clone(), always()),
+            ("filter", Expr::int(1), read.clone().eq(p()).or(Expr::bool(true))),
+        ] {
+            let label = format!("{store}/{label}");
+            let plan = over_items(head, pred);
+            let holder = |items: Vec<Value>| {
+                Value::list(vec![Value::record_from(vec![("items", Value::list(items))])])
+            };
+            db.set_root("H", holder(vec![row(good.clone())]));
+            assert!(kernel_agree(&label, &plan, &db, &Value::Int(1)).is_ok(), "{label}");
+            db.set_root("H", holder(vec![row(good.clone()), row(bad.clone())]));
+            let walk = kernel_agree(&label, &plan, &db, &Value::Int(1));
+            assert!(walk.is_err(), "{label}: the second row fails");
+        }
+    }
+}
+
 /// `some` and `all` over compare heads and filters stop at the walk's
 /// witness: the row after it cannot be read, so an engine that went on
 /// would fail instead.
@@ -1597,4 +1640,271 @@ fn compiled_once_queries_run_on_any_snapshot_of_any_database_like_the_walk() {
         assert_ne!(answers[n + i], answers[2 * n + i], "{label}: the databases differ");
     }
     assert!(answers[2 * n + 4].is_err(), "the second company binds no `Floor`");
+}
+
+// -------------------------------------------------------------------------
+// Evaluated leaves: a form outside the compiled expression subset — a
+// nested comprehension, a lambda, `let` — is run in place by the walk's
+// own evaluator, with the chain variables it reads bound over the run's
+// root environment. The `evaluated_*` tests pin it to the walk wherever a
+// plan can hold one, values and error text alike, each run twice on one
+// snapshot so the memo is exercised.
+// -------------------------------------------------------------------------
+
+/// `sum{ 1 | x ← <v>.kids }`: how many kids a row of `R` has.
+fn kid_count(v: &str) -> Expr {
+    Expr::comp(Monoid::Sum, Expr::int(1), vec![Expr::gen("x", Expr::var(v).proj("kids"))])
+}
+
+/// `some{ x > <n> | x ← <v>.kids }`.
+fn has_kid_over(v: &str, n: Expr) -> Expr {
+    let x = Expr::var("x");
+    Expr::comp(Monoid::Some, x.gt(n), vec![Expr::gen("x", Expr::var(v).proj("kids"))])
+}
+
+fn scan(var: &str, source: &str) -> Plan {
+    Plan::Scan { var: var.into(), source: Expr::var(source) }
+}
+
+/// The walk's answer, after the fused fold gave the same twice on `snap`
+/// — cold, then over whatever the first run left in the memo — value or
+/// error, compared whole and as text.
+fn evaluated_agree(
+    label: &str,
+    plan: &Query,
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
+) -> ExecResult<Value> {
+    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
+    let walk = execute_plan_walk_bound(plan, snap, params);
+    for run in ["cold", "memo"] {
+        let fused = execute_snapshot_bound(plan, snap, params);
+        assert_eq!(fused, walk, "{label} ({run}): fused ≠ walk");
+        if let (Err(w), Err(f)) = (&walk, &fused) {
+            assert_eq!(w.to_string(), f.to_string(), "{label} ({run}): error text");
+        }
+    }
+    walk
+}
+
+/// Heads over an int-valued `v`: ordered, commutative, idempotent and
+/// both booleans.
+fn evaluated_heads(v: Expr) -> Vec<(Monoid, Expr)> {
+    vec![
+        (Monoid::List, v.clone()),
+        (Monoid::Sum, v.clone()),
+        (Monoid::Set, v.clone()),
+        (Monoid::Some, v.clone().gt(Expr::int(20))),
+        (Monoid::All, v.lt(Expr::int(40))),
+    ]
+}
+
+#[test]
+fn evaluated_leaves_agree_with_the_walk_wherever_a_plan_holds_one() {
+    let db = join_store();
+    let snap = db.snapshot();
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    let join = |left_key: Expr, right: Plan, right_key: Expr| Plan::Join {
+        left: Box::new(scan("l", "L")),
+        right: Box::new(right),
+        on: vec![(left_key, right_key)],
+    };
+    let tens = Expr::comp(
+        Monoid::List,
+        Expr::var("x").mul(Expr::int(10)),
+        vec![Expr::gen("x", r().proj("kids"))],
+    );
+    let filtered = |pred: Expr| Plan::Filter { input: Box::new(scan("r", "R")), pred };
+    // `max{ y | y ← [l.id, 2] }`.
+    let at_least_two = Expr::comp(
+        Monoid::Max,
+        Expr::var("y"),
+        vec![Expr::gen("y", Expr::list_of(vec![l().proj("id"), Expr::int(2)]))],
+    );
+    let lr = l().proj("id").mul(Expr::int(10)).add(r().proj("id"));
+    let shapes = [
+        ("head", scan("r", "R"), kid_count("r").mul(Expr::int(10)).add(r().proj("id"))),
+        // The head reads the scan's row only through the leaf, so the
+        // rows differ in what the reduction sees: no multiplicity.
+        ("head-leaf", scan("r", "R"), kid_count("r")),
+        ("filter", filtered(kid_count("r").gt(Expr::int(1))), r().proj("id")),
+        // An equality over a bare scan: a probe of a table whose key is
+        // evaluated.
+        ("keyed-filter", filtered(kid_count("r").eq(Expr::int(1))), r().proj("id")),
+        (
+            "bind",
+            Plan::Bind { input: Box::new(scan("r", "R")), var: "n".into(), expr: kid_count("r") },
+            Expr::var("n").mul(Expr::int(10)).add(r().proj("id")),
+        ),
+        (
+            "unnest-path",
+            Plan::Unnest { input: Box::new(scan("r", "R")), var: "y".into(), path: tens },
+            Expr::var("y"),
+        ),
+        ("left-key", join(at_least_two, scan("r", "R"), r().proj("id")), lr.clone()),
+        ("right-key", join(l().proj("id"), scan("r", "R"), kid_count("r")), lr.clone()),
+        (
+            "right-filter",
+            join(l().proj("k"), filtered(has_kid_over("r", Expr::int(3))), r().proj("k")),
+            lr,
+        ),
+    ];
+    for (shape, plan, v) in shapes {
+        for (monoid, head) in evaluated_heads(v) {
+            let label = format!("{shape}/{monoid}");
+            let q = Query::new(plan.clone(), monoid.clone(), head);
+            let walk = evaluated_agree(&label, &q, &snap, &[]).unwrap();
+            if monoid == Monoid::List {
+                assert!(walk.len().unwrap() > 0, "{label}: no rows");
+            }
+        }
+    }
+    // The param-free build sides were kept: the left key's, the right
+    // filter's, and one `R`-by-kid-count table, which the right key and the
+    // keyed filter share — the same scan under the same key.
+    assert_eq!(snap.memo().len(), 3);
+}
+
+#[test]
+fn evaluated_inner_comprehensions_rebinding_an_outer_name_agree() {
+    let db = join_store();
+    let snap = db.snapshot();
+    let r = || Expr::var("r");
+    // The inner `r` ranges over `T`; the outer one is the row.
+    let inner_ids = Expr::comp(Monoid::Sum, r().proj("id"), vec![Expr::gen("r", Expr::var("T"))]);
+    // The inner `x` shadows a chain variable `x` the plan binds.
+    let input = Box::new(scan("r", "R"));
+    let plan = Plan::Bind { input, var: "x".into(), expr: r().proj("id") };
+    let shadowing_x = Expr::comp(
+        Monoid::Sum,
+        Expr::var("x"),
+        vec![Expr::gen("x", r().proj("kids"))],
+    );
+    for (label, head) in [
+        ("rebinds-r", Expr::Tuple(vec![r().proj("id"), inner_ids])),
+        ("rebinds-x", Expr::Tuple(vec![Expr::var("x"), shadowing_x])),
+        ("let-rebinds-r", Expr::let_("r", r().proj("kids"), r())),
+        ("lambda-rebinds-r", Expr::lambda("r", r().proj("f")).apply(r())),
+    ] {
+        let q = Query::new(plan.clone(), Monoid::List, head);
+        assert!(evaluated_agree(label, &q, &snap, &[]).is_ok(), "{label}");
+    }
+}
+
+#[test]
+fn evaluated_param_read_only_inside_a_build_sides_comprehension_is_read_per_run() {
+    let db = join_store();
+    let snap = db.snapshot();
+    let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
+    let right = Plan::Filter { input: Box::new(scan("r", "R")), pred: has_kid_over("r", p()) };
+    let plan = Plan::Join {
+        left: Box::new(scan("l", "L")),
+        right: Box::new(right),
+        on: vec![(l().proj("k"), r().proj("k"))],
+    };
+    let q = Query::new(plan, Monoid::List, l().proj("id").mul(Expr::int(10)).add(r().proj("id")));
+    let mut answers = Vec::new();
+    for floor in [3, 7, 3] {
+        let params = [(Symbol::new("$p"), Value::Int(floor))];
+        answers.push(evaluated_agree(&format!("$p = {floor}"), &q, &snap, &params).unwrap());
+    }
+    assert_ne!(answers[0], answers[1], "the parameter changes the build side");
+    assert_eq!(answers[0], answers[2]);
+    assert_eq!(snap.memo().len(), 0, "a build reading a `$param` is never kept");
+}
+
+#[test]
+fn evaluated_unbound_root_read_only_inside_a_leaf_fails_exactly_when_the_walk_does() {
+    let db = join_store();
+    let snap = db.snapshot();
+    let r = || Expr::var("r");
+    let reads_nope =
+        Expr::comp(Monoid::Some, Expr::bool(true), vec![Expr::gen("z", Expr::var("Nope"))]);
+    for (extent, fails) in [("R", true), ("Empty", false)] {
+        for (place, plan, head) in [
+            ("head", scan("r", extent), Expr::Tuple(vec![r().proj("id"), reads_nope.clone()])),
+            (
+                "filter",
+                Plan::Filter { input: Box::new(scan("r", extent)), pred: reads_nope.clone() },
+                r().proj("id"),
+            ),
+        ] {
+            let label = format!("{place} over {extent}");
+            let q = Query::new(plan, Monoid::List, head);
+            let walk = evaluated_agree(&label, &q, &snap, &[]);
+            assert_eq!(walk.is_err(), fails, "{label}: {walk:?}");
+        }
+    }
+}
+
+#[test]
+fn evaluated_poisoned_inner_rows_fail_like_the_walk() {
+    let mut db = join_store();
+    let row = |id: i64, kids: Vec<Value>| {
+        Value::record_from(vec![("id", Value::Int(id)), ("kids", Value::list(kids))])
+    };
+    let poisoned = vec![Value::Int(1), Value::str("two"), Value::Int(3)];
+    db.set_root("P", Value::list(vec![row(1, vec![Value::Int(4)]), row(2, poisoned)]));
+    let snap = db.snapshot();
+    let r = || Expr::var("r");
+    let kid_sum = Expr::comp(Monoid::Sum, Expr::var("x"), vec![Expr::gen("x", r().proj("kids"))]);
+    for (place, plan, head) in [
+        ("head", scan("r", "P"), kid_sum.clone()),
+        (
+            "filter",
+            Plan::Filter { input: Box::new(scan("r", "P")), pred: kid_sum.gt(Expr::int(0)) },
+            r().proj("id"),
+        ),
+    ] {
+        for monoid in [Monoid::List, Monoid::Sum] {
+            let label = format!("{place}/{monoid}");
+            let q = Query::new(plan.clone(), monoid, head.clone());
+            assert!(evaluated_agree(&label, &q, &snap, &[]).is_err(), "{label}");
+        }
+    }
+}
+
+#[test]
+fn evaluated_some_and_all_heads_stop_at_the_walks_witness() {
+    let mut db = join_store();
+    let row = |kids: Vec<Value>| Value::record_from(vec![("kids", Value::list(kids))]);
+    let (one, five) = (|| Value::Int(1), || Value::Int(5));
+    // The second row is the witness; the third poisons the inner sum.
+    let rows = vec![row(vec![one()]), row(vec![five(), five()]), row(vec![Value::str("x")])];
+    db.set_root("W", Value::list(rows));
+    let snap = db.snapshot();
+    let kid_sum = || {
+        Expr::comp(Monoid::Sum, Expr::var("x"), vec![Expr::gen("x", Expr::var("r").proj("kids"))])
+    };
+    for (monoid, head, verdict) in [
+        (Monoid::Some, kid_sum().gt(p()), true),
+        (Monoid::All, kid_sum().le(p()), false),
+    ] {
+        let q = Query::new(scan("r", "W"), monoid.clone(), head);
+        let witness = [(Symbol::new("$p"), Value::Int(3))];
+        let label = format!("{monoid}");
+        assert_eq!(evaluated_agree(&label, &q, &snap, &witness), Ok(Value::Bool(verdict)));
+        // No witness before it: both reach the poisoned row and fail alike.
+        let none = [(Symbol::new("$p"), Value::Int(100))];
+        assert!(evaluated_agree(&label, &q, &snap, &none).is_err(), "{label}");
+    }
+}
+
+#[test]
+fn evaluated_lambda_predicates_agree() {
+    let db = join_store();
+    let snap = db.snapshot();
+    let r = || Expr::var("r");
+    let over = |k: i64| Expr::lambda("k", Expr::var("k").gt(Expr::int(k)));
+    for (label, pred) in [
+        ("applied", over(1).apply(r().proj("id"))),
+        ("let-bound", Expr::let_("f", over(2), Expr::var("f").apply(r().proj("id")))),
+        // The lambda reads the row, not only its argument.
+        ("closure", Expr::lambda("k", r().proj("id").gt(Expr::var("k"))).apply(Expr::int(3))),
+    ] {
+        let plan = Plan::Filter { input: Box::new(scan("r", "R")), pred };
+        let q = Query::new(plan, Monoid::List, r().proj("id"));
+        let walk = evaluated_agree(label, &q, &snap, &[]).unwrap();
+        assert!(walk.len().unwrap() > 0 && walk.len().unwrap() < 6, "{label}: {walk}");
+    }
 }

@@ -221,8 +221,8 @@ pub fn suite(quick: bool) -> (Database, Database, Vec<Case>) {
 /// judges.
 pub fn profile_case(case: &Case, db: &monoid_store::Snapshot) -> monoid_algebra::Analysis {
     monoid_db::prepare_expr(&case.expr, &monoid_algebra::Stats::gather(db))
-        .and_then(|stmt| stmt.profile(db, &monoid_db::Params::new()))
-        .expect("canonical query prepares and executes")
+        .profile(db, &monoid_db::Params::new())
+        .expect("canonical query executes")
 }
 
 /// Run the suite. `quick` shrinks stores and run counts for CI smoke.
@@ -372,8 +372,10 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
 /// Time the fused fold against the forced plan walk on a commutative
 /// fold, an order-sensitive list build and a sorted bag build over the
 /// same scan → unnest chain, the bag build behind a compare filter, on
-/// `join` (the corpus's hash join, over the company store), and on that
-/// join's pair count, whose head reads neither side.
+/// `join` (the corpus's hash join, over the company store), on that
+/// join's pair count, whose head reads neither side, and on four OQL
+/// shapes whose nested comprehension — in a predicate, a head, a
+/// `group by`'s partition — the fold hands to the evaluator in place.
 fn run_fusion_section(
     quick: bool,
     runs: usize,
@@ -382,6 +384,28 @@ fn run_fusion_section(
 ) -> Vec<FusionBench> {
     let scale = TravelScale::with_hotels(if quick { 64 } else { 1024 });
     let db = travel::generate(scale, 7);
+    let oql = |src: &str| {
+        let expr = monoid_oql::compile(db.schema(), src).expect("fusion case compiles");
+        (src.to_string(), &db, expr)
+    };
+    let evaluated = [
+        ("count-rooms-pred", "bag", "select h.name from h in Hotels where count(h.rooms) > 3"),
+        (
+            "in-select",
+            "bag",
+            "select h.name from h in Hotels where h.name in (select c.name from c in Cities)",
+        ),
+        ("count-head", "bag", "select struct(city: c.name, n: count(c.hotels)) from c in Cities"),
+        (
+            "group-by-count",
+            "set",
+            "select struct(city: cn, n: count(partition)) from h in Hotels group by cn: h.name",
+        ),
+    ];
+    let evaluated = evaluated.into_iter().map(|(name, monoid, src)| {
+        let (source, db, expr) = oql(src);
+        (name, monoid, source, db, expr)
+    });
     let cases = [
         (
             "sum-beds",
@@ -462,6 +486,7 @@ fn run_fusion_section(
     ];
     cases
         .into_iter()
+        .chain(evaluated)
         .map(|(name, monoid, source, db, expr)| {
             let plan = monoid_algebra::plan_comprehension(&expr).expect("fusion case plans");
             // Interleaved sampling: each iteration takes one fused sample
@@ -626,8 +651,9 @@ mod tests {
         assert!(names.iter().all(|n| !n.starts_with("exec_")), "{names:?}");
         // The fusion section covers a commutative, an ordered and a
         // sorting monoid over a linear chain, the sorting one behind a
-        // filter, and the corpus's join, with a head reading both sides and
-        // one reading neither: the default engine is fused, and the forced
+        // filter, the corpus's join, with a head reading both sides and
+        // one reading neither, and four shapes with a nested comprehension
+        // evaluated in place: the default engine is fused, and the forced
         // plan walk was timed alongside it.
         assert_eq!(
             report.fusion.iter().map(|p| p.name).collect::<Vec<_>>(),
@@ -637,7 +663,11 @@ mod tests {
                 "bag-prices",
                 "bag-prices-floor",
                 "company-dept-join",
-                "company-dept-pairs"
+                "company-dept-pairs",
+                "count-rooms-pred",
+                "in-select",
+                "count-head",
+                "group-by-count"
             ]
         );
         for p in &report.fusion {

@@ -120,18 +120,7 @@ impl Evaluator {
             }
             Expr::TupleProj(inner, idx) => {
                 let v = self.eval(env, inner)?;
-                match v {
-                    Value::Tuple(items) => items.get(*idx).cloned().ok_or_else(|| {
-                        EvalError::TypeMismatch {
-                            op: "tuple projection",
-                            detail: format!("index {idx} on {}-tuple", items.len()),
-                        }
-                    }),
-                    other => Err(EvalError::TypeMismatch {
-                        op: "tuple projection",
-                        detail: format!("expected tuple, got {}", other.kind()),
-                    }),
-                }
+                project_tuple(&v, *idx)
             }
             Expr::BinOp(op, lhs, rhs) => self.eval_binop(env, *op, lhs, rhs),
             Expr::UnOp(op, inner) => self.eval_unop(env, *op, inner),
@@ -289,13 +278,7 @@ impl Evaluator {
             }
             Expr::Deref(inner) => {
                 let v = self.eval(env, inner)?;
-                match v {
-                    Value::Obj(oid) => Ok(self.heap.get(oid)?.clone()),
-                    other => Err(EvalError::TypeMismatch {
-                        op: "deref",
-                        detail: format!("expected object, got {}", other.kind()),
-                    }),
-                }
+                deref_value(&self.heap, &v)
             }
             Expr::Assign(target, val) => {
                 let tv = self.eval(env, target)?;
@@ -468,6 +451,33 @@ pub fn project_ref<'a>(heap: &'a Heap, v: &'a Value, field: Symbol) -> EvalResul
         other => Err(EvalError::TypeMismatch {
             op: "projection",
             detail: format!("cannot project `.{field}` from {}", other.kind()),
+        }),
+    }
+}
+
+/// `e.idx` on an evaluated tuple — the value-level half of
+/// `Expr::TupleProj`, shared with the fused batch engine.
+pub fn project_tuple(v: &Value, idx: usize) -> EvalResult<Value> {
+    match v {
+        Value::Tuple(items) => items.get(idx).cloned().ok_or_else(|| EvalError::TypeMismatch {
+            op: "tuple projection",
+            detail: format!("index {idx} on {}-tuple", items.len()),
+        }),
+        other => Err(EvalError::TypeMismatch {
+            op: "tuple projection",
+            detail: format!("expected tuple, got {}", other.kind()),
+        }),
+    }
+}
+
+/// `!e` on an evaluated object: its state in `heap` — the value-level half
+/// of `Expr::Deref`, shared with the fused batch engine.
+pub fn deref_value(heap: &Heap, v: &Value) -> EvalResult<Value> {
+    match v {
+        Value::Obj(oid) => Ok(heap.get(*oid)?.clone()),
+        other => Err(EvalError::TypeMismatch {
+            op: "deref",
+            detail: format!("expected object, got {}", other.kind()),
         }),
     }
 }

@@ -88,30 +88,22 @@ impl From<EvalError> for AnalyzeError {
 /// it*: parse → translate (recording source spans) → effect inference +
 /// the MC001–MC008 lint pass, then MC009 from the statement prepared the
 /// way `oqld` would prepare it (normalized, reordered with schema-only
-/// statistics, planned): if [`Prepared::refusal`] says it will not run
-/// as one fused fold, the diagnostic carries that reason verbatim,
-/// anchored where the front end recorded the refusal's binder or
-/// sub-expression. This is what the `oqlint` binary prints;
+/// statistics, planned): if [`Prepared::refusal`] says it runs on the
+/// evaluator, the diagnostic carries the planner's reason verbatim,
+/// anchored at the statement. This is what the `oqlint` binary prints;
 /// `report.render()` for humans, `report.to_json()` for tools.
 pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
     let (expr, spans) = monoid_oql::compile_analyzed(schema, src)?;
     let mut report = AnalysisReport::with_spans(&expr, &spans);
-    let refusal = match prepare_expr(&expr, &monoid_algebra::Stats::default()) {
-        Ok(prepared) => prepared.refusal(),
-        Err(unplannable) => Some(monoid_algebra::Refusal::new(unplannable.to_string())),
-    };
-    if let Some(r) = refusal {
-        let span = (r.expr.as_ref().and_then(|e| spans.expr_span(e)))
-            .or_else(|| r.var.and_then(|v| spans.var_span(v)))
-            .or_else(|| spans.expr_span(&expr));
+    if let Some(why) = prepare_expr(&expr, &monoid_algebra::Stats::default()).refusal() {
         report.push(Diagnostic {
             code: Code::FusedFallback,
             severity: Code::FusedFallback.default_severity(),
-            span,
-            message: format!("query does not run on the fused engine: {}", r.reason),
+            span: spans.expr_span(&expr),
+            message: format!("query does not run on the fused engine: {why}"),
             note: Some(
-                "the fused engine compiles scan/filter/bind/unnest/join plans over its \
-                 expression subset only"
+                "every plannable comprehension runs as one fused fold; this statement \
+                 runs on the evaluator"
                     .into(),
             ),
         });

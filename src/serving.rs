@@ -51,7 +51,7 @@
 
 use crate::AnalyzeError;
 use monoid_algebra::{
-    engine_of, plan_comprehension, reorder_generators, Analysis, PlanError, Query, Refusal, Stats,
+    engine_of, plan_comprehension, reorder_generators, Analysis, PlanError, Query, Stats,
 };
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
@@ -146,9 +146,10 @@ pub struct Prepared {
 
 /// How a prepared statement runs. Plannable canonical comprehensions get
 /// the pipelined algebra; everything else the language can express —
-/// allocating (`new`) heads, update programs, arithmetic over subqueries
-/// — runs on the evaluator over the same canonical form. Either way the
-/// warm path starts *after* parse/normalize/optimize.
+/// allocating (`new`) heads, update programs, arithmetic over subqueries,
+/// a comprehension whose generators normalization inlined away — runs on
+/// the evaluator over the same canonical form. Either way the warm path
+/// starts *after* parse/normalize/optimize.
 #[derive(Debug, Clone)]
 enum ExecMode {
     Plan(Query),
@@ -203,7 +204,7 @@ fn snapshot_stats(snap: &Snapshot) -> Arc<Stats> {
 /// forms OQL cannot spell, e.g. allocating `new(…)` heads): normalize,
 /// reorder with `stats`, plan. `Expr::Param` leaves become late-bound
 /// parameters exactly as in OQL source.
-pub fn prepare_expr(expr: &Expr, stats: &Stats) -> Result<Prepared, AnalyzeError> {
+pub fn prepare_expr(expr: &Expr, stats: &Stats) -> Prepared {
     let started = Instant::now();
     let mut trace = QueryTrace::new();
     let src = monoid_calculus::pretty::pretty(expr);
@@ -224,7 +225,7 @@ fn prepare_with_stats(
     let expr = trace.time(Phase::Translate, || {
         monoid_oql::Translator::new(schema).translate_program(&program)
     })?;
-    finish_prepare(started, trace, src.to_string(), &expr, stats)
+    Ok(finish_prepare(started, trace, src.to_string(), &expr, stats))
 }
 
 /// The back half of every prepare: normalize → optimize → plan, with the
@@ -235,7 +236,7 @@ fn finish_prepare(
     src: String,
     expr: &Expr,
     stats: &Stats,
-) -> Result<Prepared, AnalyzeError> {
+) -> Prepared {
     let start = Instant::now();
     let (canonical, _derivation, nstats) = normalize_traced(expr);
     trace.record(Phase::Normalize, start.elapsed().as_nanos());
@@ -245,15 +246,9 @@ fn finish_prepare(
 
     let (estimates, exec) = match trace.time(Phase::Plan, || plan_comprehension(&reordered)) {
         Ok(query) => (stats.query_estimates(&query), ExecMode::Plan(query)),
-        // Shapes the pipelined algebra declines — heap effects, vector
-        // comprehensions, non-comprehension roots — stay preparable and
-        // run on the evaluator.
-        Err(
-            pe @ (PlanError::Impure
-            | PlanError::NotAComprehension
-            | PlanError::VectorComprehension),
-        ) => (Vec::new(), ExecMode::Eval(pe)),
-        Err(pe) => return Err(AnalyzeError::Exec(EvalError::Other(pe.to_string()))),
+        // Whatever the pipelined algebra declines stays preparable and
+        // runs on the evaluator.
+        Err(pe) => (Vec::new(), ExecMode::Eval(pe)),
     };
 
     let effects = EffectSummary::of(&canonical);
@@ -261,16 +256,7 @@ fn finish_prepare(
     let prepare_nanos = started.elapsed().as_nanos();
     cache_metrics().prepare_nanos.observe_nanos(prepare_nanos);
 
-    Ok(Prepared {
-        source: src,
-        canonical,
-        exec,
-        effects,
-        estimates,
-        params,
-        trace,
-        prepare_nanos,
-    })
+    Prepared { source: src, canonical, exec, effects, estimates, params, trace, prepare_nanos }
 }
 
 /// Every distinct `$param` in `e`, in first-appearance order.
@@ -308,13 +294,12 @@ impl Prepared {
     }
 
     /// Why this statement will not run as one fused fold, if it will not:
-    /// the fused compiler's own refusal of the plan, or — for an
-    /// evaluator-mode statement — the planner's. This is what lint MC009
-    /// reports.
-    pub fn refusal(&self) -> Option<Refusal> {
+    /// the planner's reason for an evaluator-mode statement (every plan
+    /// fuses). This is what lint MC009 reports.
+    pub fn refusal(&self) -> Option<&PlanError> {
         match &self.exec {
-            ExecMode::Plan(q) => q.refusal().cloned(),
-            ExecMode::Eval(why) => Some(Refusal::new(why.to_string())),
+            ExecMode::Plan(_) => None,
+            ExecMode::Eval(why) => Some(why),
         }
     }
 

@@ -129,44 +129,48 @@ fn statically_empty_predicate_is_flagged_at_the_where_clause() {
 #[test]
 fn fused_fallback_is_flagged_with_the_refusal_reason() {
     let schema = travel::schema();
-    // A plain equi-join runs fused and is not flagged.
-    let join = "select h.name\nfrom c in Cities, h in Hotels where c.name = h.name";
-    assert!(analyze(&schema, join).unwrap().diagnostics.is_empty());
-    // One whose key counts the hotel's rooms is refused at that key: the
-    // aggregate stays a nested comprehension, outside the compiled subset.
-    let report = analyze(
-        &schema,
+    // A plain equi-join runs fused and is not flagged; nor is one whose
+    // key counts the hotel's rooms: the aggregate stays a nested
+    // comprehension, which the fold hands to the evaluator in place.
+    for join in [
+        "select h.name\nfrom c in Cities, h in Hotels where c.name = h.name",
         "select h.name\nfrom c in Cities, h in Hotels where c.hotel# = count(h.rooms)",
-    )
-    .unwrap();
+    ] {
+        assert!(analyze(&schema, join).unwrap().diagnostics.is_empty(), "{join}");
+    }
+    // A statement the planner declines runs on the evaluator: flagged at
+    // the statement, with the planner's reason. Normalization inlines this
+    // select's one generator, over a singleton, and leaves none to plan.
+    let report = analyze(&schema, "select x * 2\nfrom x in list(1)").unwrap();
     let d = report
         .diagnostics
         .iter()
         .find(|d| d.code == Code::FusedFallback)
-        .expect("MC009 for a join on a nested comprehension");
+        .expect("MC009 for an evaluator-mode statement");
     assert_eq!(d.severity, Severity::Info);
-    assert!(d.message.contains("a join key uses a nested comprehension"), "{d}");
-    // The front end records no span for the normalized aggregate, so the
-    // diagnostic falls back to the generator that made this a join.
-    let span = d.span.expect("MC009 anchors at the refusing construct");
-    assert_eq!((span.line, span.col), (2, 19), "the `h` binder position");
+    assert!(d.message.contains("comprehension with no generators"), "{d}");
+    let span = d.span.expect("MC009 anchors at the statement");
+    assert_eq!((span.line, span.col), (1, 1), "the `select` keyword");
 }
 
 /// MC009 describes the statement `oqld` would actually run: present iff
-/// the prepared statement is evaluator-mode or its plan stays on the plan
-/// walk, and worded by whoever refused it.
+/// the prepared statement is evaluator-mode — a planned one always has a
+/// fold — and worded by the planner.
 fn assert_mc009_tells_the_truth(schema: &Schema, src: &str) {
     let report = analyze(schema, src).unwrap();
     let prepared = monoid_db::prepare(schema, src).unwrap();
     let falls_back = match prepared.query() {
         None => true, // evaluator mode
-        Some(q) => engine_of(q) == Engine::PlanWalk,
+        Some(q) => {
+            assert_eq!(engine_of(q), Engine::Fused, "{src}");
+            false
+        }
     };
     let mc009 = report.diagnostics.iter().find(|d| d.code == Code::FusedFallback);
     assert_eq!(mc009.is_some(), falls_back, "{src}\n{:?}", report.diagnostics);
     assert_eq!(prepared.refusal().is_some(), falls_back, "{src}");
-    if let (Some(d), Some(r)) = (mc009, prepared.refusal()) {
-        assert!(d.message.contains(&r.reason), "{d} does not quote `{}`", r.reason);
+    if let (Some(d), Some(why)) = (mc009, prepared.refusal()) {
+        assert!(d.message.contains(&why.to_string()), "{d} does not quote `{why}`");
     }
 }
 
@@ -188,9 +192,10 @@ fn mc009_is_reported_exactly_when_the_prepared_statement_falls_back() {
             // ask the prepared statement directly.
             assert_eq!(case.name, "clients-existing-city");
             let stats = monoid_db::algebra::Stats::default();
-            let prepared = monoid_db::prepare_expr(&case.expr, &stats).unwrap();
+            let prepared = monoid_db::prepare_expr(&case.expr, &stats);
             let q = prepared.query().expect("plannable");
-            assert_eq!(prepared.refusal().is_some(), engine_of(q) == Engine::PlanWalk);
+            assert!(prepared.refusal().is_none());
+            assert_eq!(engine_of(q), Engine::Fused);
         }
     }
     // An evaluator-mode statement: MC009 carries the planner's words.

@@ -456,9 +456,11 @@ fn one_spelling_of_normalize_optimize_plan() {
 }
 
 /// One decision of which engine runs: the fused compiler is called once,
-/// by the `Query` constructor, so a planned query carries its fold (or the
-/// refusal) and every engine question reads it there. The classifier and
-/// the policy that used to ask again are gone.
+/// by the `Query` constructor, so a planned query carries its fold and
+/// every engine question reads it there. The compiler cannot refuse — a
+/// form it does not compile is evaluated in place — so it returns no
+/// `Result`, and the refusal type and the helpers that worded one are
+/// gone, as are the classifier and the policy that used to ask again.
 #[test]
 fn the_fused_compiler_runs_only_where_a_query_is_built() {
     let mut files = Vec::new();
@@ -486,8 +488,19 @@ fn the_fused_compiler_runs_only_where_a_query_is_built() {
     }
     let expected = [("crates/algebra/src/logical.rs".to_string(), "Query::new".to_string())];
     assert_eq!(callers, expected.into(), "callers of `fused::compile(`");
+    let compiler = signatures(&code_of(&root().join("crates/algebra/src/fused/compile.rs")));
+    let compile: Vec<_> = compiler.iter().filter(|s| s.path == "compile").collect();
+    assert_eq!(compile.len(), 1, "one `fn compile` in the fused compiler");
+    assert!(!compile[0].text.contains("Result"), "`fused::compile` refuses: {}", compile[0].text);
     // (Spelled in halves so a repo-wide grep for the old names is empty.)
-    for gone in [concat!("Engine", "Policy"), concat!("fused", "_eligible")] {
+    let gone = [
+        concat!("Engine", "Policy"),
+        concat!("fused", "_eligible"),
+        concat!("Refu", "sal"),
+        concat!("desc", "ribe("),
+        concat!("out", "side("),
+    ];
+    for gone in gone {
         for file in &files {
             let text = fs::read_to_string(file).expect("readable source");
             assert!(!text.contains(gone), "{} names `{gone}`", relative(file));

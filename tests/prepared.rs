@@ -163,11 +163,11 @@ fn allocating_heads_agree_oid_for_oid() {
     let stats = monoid_db::algebra::Stats::gather(&db_adhoc);
 
     let want = {
-        let p = prepare_expr(&literal, &stats).unwrap();
+        let p = prepare_expr(&literal, &stats);
         p.execute(&mut db_adhoc, &Params::new()).unwrap()
     };
     let got = {
-        let p = prepare_expr(&parameterized, &stats).unwrap();
+        let p = prepare_expr(&parameterized, &stats);
         assert_eq!(p.params().len(), 1);
         p.execute(&mut db_prep, &Params::new().bind("city", Value::str("Portland"))).unwrap()
     };
@@ -288,7 +288,7 @@ fn a_write_that_writes_nothing_keeps_its_epochs_memo() {
             Expr::pred(h().proj("name").eq(Expr::str("no such hotel"))),
         ],
     );
-    let stmt = prepare_expr(&update, &Stats::default()).unwrap();
+    let stmt = prepare_expr(&update, &Stats::default());
     assert!(stmt.writes());
     prepare_on(&d, "count(Cities)").unwrap();
     let kept = (d.mutation_epoch(), d.memo().len());
@@ -365,6 +365,32 @@ fn warmed_cache_serves_the_corpus() {
         // The corpus is pure, so the second pass added no entries — every
         // serve was a hit on the warmed set.
         assert_eq!(session.cache().len(), cache_len_after_warming);
+    }
+}
+
+/// A statement whose only generator ranges over a singleton literal is
+/// served: normalization inlines that generator away, and what is left —
+/// a comprehension with no generators — runs on the evaluator, like every
+/// statement the planner declines. Both session paths answer what
+/// `Database::query` answers.
+#[test]
+fn statements_left_without_generators_are_served_like_database_query() {
+    let mut d = db(67);
+    let session = Session::with_cache(Arc::new(PlanCache::new()));
+    for (src, want) in [
+        ("exists x in list(1): x = 1", Value::Bool(true)),
+        ("sum(select x from x in list(5))", Value::Int(5)),
+        ("for all x in set(2): x > 1", Value::Bool(true)),
+        ("count(select c from c in list(1) where c = 1)", Value::Int(1)),
+    ] {
+        let expr = compile(d.schema(), src).unwrap();
+        let reference = d.query(&expr).unwrap();
+        assert_eq!(reference, want, "{src}");
+        let served = session.query(&mut d, src, &Params::new());
+        assert_eq!(served.unwrap_or_else(|e| panic!("`{src}`: {e}")), reference, "{src}");
+        let snap = d.snapshot();
+        let served = session.query_snapshot(&snap, src, &Params::new());
+        assert_eq!(served.unwrap_or_else(|e| panic!("`{src}`: {e}")), reference, "{src}");
     }
 }
 

@@ -330,9 +330,10 @@ fn every_entry_point_commits_exactly_one_complete_record() {
     rec.set_slow_threshold(0);
 
     // A fused chain, the `company-dept-join` shape (a hash join: fused
-    // too), a head that counts per row (a nested comprehension: the plan
-    // walk) and a statement the planner declines (the evaluator): the
-    // engine label comes from the prepared statement, not from below.
+    // too), a head that counts per row (a nested comprehension, evaluated
+    // in place: fused as well) and a statement the planner declines (the
+    // evaluator): the engine label comes from the prepared statement, not
+    // from below.
     let mut travel = db();
     let mut company = monoid_store::company::generate(4, 8, 6, 42);
     let join = "select struct(mgr: m.name, emp: e.name) \
@@ -341,7 +342,7 @@ fn every_entry_point_commits_exactly_one_complete_record() {
     let cases = [
         ("fused", SRC, params()),
         ("fused", join, Params::new()),
-        ("plan-walk", nested, Params::new()),
+        ("fused", nested, Params::new()),
         ("eval", "count(Hotels) + 1", Params::new()),
     ];
     for (engine, src, params) in cases {
@@ -402,7 +403,7 @@ fn every_entry_point_commits_exactly_one_complete_record() {
         Expr::var("h").assign(Expr::record(vec![("name", Expr::str("renamed"))])),
         vec![Expr::gen("h", Expr::var("Hotels"))],
     );
-    let update = monoid_db::prepare_expr(&rename, &monoid_algebra::Stats::default()).unwrap();
+    let update = monoid_db::prepare_expr(&rename, &monoid_algebra::Stats::default());
     assert!(update.writes());
     let epoch = travel.mutation_epoch();
     let written = committed_by(|| {

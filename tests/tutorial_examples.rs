@@ -68,3 +68,37 @@ fn section_8_identity() {
         Value::list(ints(&[1, 3, 6, 10]))
     );
 }
+
+/// Every OQL statement the tutorial shows (`:calculus`, `:normalize`,
+/// `:explain`) that the planner accepts runs as one fused fold — the
+/// `order by` list over a nested sorted bag included.
+#[test]
+fn every_tutorial_statement_that_plans_runs_fused() {
+    use monoid_db::algebra::{engine_of, Engine};
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/TUTORIAL.md");
+    let text = std::fs::read_to_string(path).unwrap();
+    let schema = monoid_db::store::travel::schema();
+    let mut planned = 0;
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let Some((command, first)) = line.strip_prefix("oql> :").and_then(|r| r.split_once(' '))
+        else {
+            continue;
+        };
+        if !["calculus", "normalize", "explain"].contains(&command) {
+            continue;
+        }
+        let mut src = first.to_string();
+        while !src.ends_with(';') {
+            src.push(' ');
+            src.push_str(lines.next().expect("a statement ends with `;`").trim());
+        }
+        let src = src.trim_end_matches(';');
+        let stmt = monoid_db::prepare(&schema, src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+        if let Some(q) = stmt.query() {
+            assert_eq!(engine_of(q), Engine::Fused, "`{src}`");
+            planned += 1;
+        }
+    }
+    assert_eq!(planned, 5, "every statement the tutorial shows plans");
+}
