@@ -13,19 +13,9 @@
 //! accumulator. `some`/`all` reductions short-circuit the entire pipeline
 //! through the sink's `false` return, mirroring the evaluator.
 //!
-//! A run with no fold walks: [`execute_plan_walk_bound`] (the oracle of
-//! `fused_differential.rs` and the ablation baseline of `regress`) and the
-//! profiled run, whose counting [`Probe`] needs per-operator attribution a
-//! fused fold does not have, pass none.
-//!
-//! The driver is generic over a [`Probe`]: a set of per-operator counter
-//! hooks. [`NoProbe`] (the default used by [`execute`]) monomorphizes
-//! every hook to an empty inline function, so the unprofiled pipeline pays
-//! nothing — no per-row allocation, no branch on a runtime flag. The one
-//! counting probe lives in [`crate::trace`] (`Cell`s per operator), and
-//! the profile read back from it is the run's one account: evaluator
-//! steps, per-operator rows and time, what the slow log and the audit
-//! read.
+//! No probe rides on the walk: a profiled run counts the fold
+//! ([`crate::trace`]), and when that fold declines, the walk that stands
+//! in for it runs uncounted.
 
 use crate::error::ExecResult;
 use crate::fused::FusedQuery;
@@ -36,77 +26,6 @@ use monoid_calculus::expr::Expr;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{self, Env, Value};
 use monoid_store::Snapshot;
-use std::time::Instant;
-
-/// Per-operator instrumentation hooks. Operators are identified by their
-/// pre-order index in the plan tree ([`Plan::walk`]'s `op`) — the same
-/// order `explain` renders them.
-///
-/// All hooks take `&self` so a single shared probe can be captured by the
-/// nested sink closures; implementations use interior mutability.
-pub trait Probe {
-    /// `true` when the probe counts: it enables the timing
-    /// instrumentation around operator-local work. Counter hooks are
-    /// called unconditionally — a disabled probe's empty inline bodies
-    /// compile to nothing.
-    const ENABLED: bool;
-
-    /// One row was pushed out of operator `op` into its consumer.
-    #[inline(always)]
-    fn row_out(&self, _op: usize) {}
-
-    /// Operator `op` materialized `n` build-side rows (joins).
-    #[inline(always)]
-    fn build_rows(&self, _op: usize, _n: u64) {}
-
-    /// `nanos` of operator-local work (source/predicate/path evaluation,
-    /// hash build) attributable to `op` alone.
-    #[inline(always)]
-    fn self_nanos(&self, _op: usize, _nanos: u64) {}
-
-    /// Evaluator steps (AST-node visits) the operator-local work of `op`
-    /// consumed — the per-row dispatch-overhead proxy the plan-quality
-    /// audit divides by row counts. Only fires when [`Probe::ENABLED`].
-    #[inline(always)]
-    fn eval_steps(&self, _op: usize, _steps: u64) {}
-
-    /// The reduction absorbed (`some`/`all`) and cut the pipeline short.
-    #[inline(always)]
-    fn short_circuit(&self) {}
-}
-
-/// The zero-cost probe: profiling off.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoProbe;
-
-impl Probe for NoProbe {
-    const ENABLED: bool = false;
-}
-
-/// Run operator-local evaluator work and charge its wall-clock time and
-/// evaluator steps to `op` — only when the probe type asks for it, so
-/// `NoProbe` pipelines never touch the clock or the counters. For compound
-/// work
-/// (join builds) the deltas include the nested child operators' work,
-/// exactly like `self_nanos` always has.
-#[inline]
-fn timed_eval<P: Probe, R>(
-    probe: &P,
-    op: usize,
-    ev: &mut Evaluator,
-    f: impl FnOnce(&mut Evaluator) -> R,
-) -> R {
-    if P::ENABLED {
-        let steps_before = ev.steps_used();
-        let start = Instant::now();
-        let out = f(ev);
-        probe.self_nanos(op, start.elapsed().as_nanos() as u64);
-        probe.eval_steps(op, ev.steps_used().saturating_sub(steps_before));
-        out
-    } else {
-        f(ev)
-    }
-}
 
 /// Layer parameter bindings over an environment. `params` are late-bound
 /// `$name` values; their `$`-prefixed symbols can never shadow a root or a
@@ -128,39 +47,38 @@ fn verify_if_enabled(query: &Query) -> ExecResult<()> {
     Ok(())
 }
 
-/// What one sequential run produced.
-pub(crate) struct Run {
-    pub value: Value,
-    /// Evaluator steps consumed (the plan walk's cost proxy).
-    pub steps: u64,
+/// What every run starts from: an evaluator over an O(1) copy-on-write
+/// clone of the snapshot's pinned heap, discarded afterwards, and the
+/// root environment with `params` bound, so `Expr::Param` leaves resolve
+/// per execution. A plan is a pure read (the planner refuses `new`/`:=`,
+/// and [`crate::verify`] re-checks it), so it runs against an immutable
+/// [`Snapshot`].
+pub(crate) fn root(
+    query: &Query,
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
+) -> ExecResult<(Evaluator, Env)> {
+    verify_if_enabled(query)?;
+    Ok((Evaluator::with_heap(snap.heap().clone()), bind_params(snap.env(), params)))
 }
 
-/// The one sequential driver behind every `execute*` entry point. A plan
-/// is a pure read (the planner refuses `new`/`:=`, and
-/// [`crate::verify`] re-checks it), so it runs against an immutable
-/// [`Snapshot`]: the evaluator gets an O(1) copy-on-write clone of the
-/// pinned heap, discarded afterwards. `params` are bound into the root
-/// environment before the plan runs, so `Expr::Param` leaves resolve per
-/// execution. `fold` is the query's compiled fold, or `None` to walk.
-pub(crate) fn run<P: Probe>(
+/// The one sequential driver behind the served `execute*` entry points:
+/// `fold` is the query's compiled fold, or `None` to walk.
+pub(crate) fn run(
     query: &Query,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
     fold: Option<&FusedQuery>,
-    probe: &P,
-) -> ExecResult<Run> {
-    verify_if_enabled(query)?;
-    let env = bind_params(snap.env(), params);
-    let mut ev = Evaluator::with_heap(snap.heap().clone());
-    let fused = match fold {
-        Some(fq) => crate::fused::try_run_reduce(fq, &mut ev, &env, Some(snap.memo()))?,
+) -> ExecResult<Value> {
+    let (mut ev, env) = root(query, snap, params)?;
+    let folded = match fold {
+        Some(fq) => crate::fused::serve(fq, &mut ev, &env, snap.memo())?,
         None => None,
     };
-    let value = match fused {
-        Some(v) => v,
-        None => run_reduce(query, &mut ev, &env, probe)?,
-    };
-    Ok(Run { value, steps: ev.steps_used() })
+    match folded {
+        Some(v) => Ok(v),
+        None => walk(query, &mut ev, &env),
+    }
 }
 
 /// Run a query against a [`Snapshot`] (a `&Database` or `&mut Database`
@@ -182,7 +100,7 @@ pub fn execute_snapshot_bound(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, query.fused(), &NoProbe).map(|r| r.value)
+    run(query, snap, params, query.fused())
 }
 
 /// Run a query while *forcing* the plan-walk interpreter, even for
@@ -194,92 +112,67 @@ pub fn execute_plan_walk_bound(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, None, &NoProbe).map(|r| r.value)
+    run(query, snap, params, None)
 }
 
-fn run_reduce<P: Probe>(
-    query: &Query,
-    ev: &mut Evaluator,
-    env: &Env,
-    probe: &P,
-) -> ExecResult<Value> {
+/// Walk the plan tree, reducing every row the root pushes.
+pub(crate) fn walk(query: &Query, ev: &mut Evaluator, env: &Env) -> ExecResult<Value> {
     let mut acc = value::Accumulator::new(query.monoid())?;
-    let completed = run_plan(query.plan(), 0, ev, env, probe, &mut |ev, row_env| {
+    run_plan(query.plan(), ev, env, &mut |ev, row_env| {
         let h = ev.eval(row_env, query.head())?;
         acc.push_unit(h)?;
         Ok(!acc.absorbed())
     })?;
-    if !completed {
-        probe.short_circuit();
-    }
     acc.finish()
 }
 
 /// Push every row of `plan` into `sink`; a `false` from the sink
-/// short-circuits. Returns `false` if short-circuited. `op` is this
-/// node's pre-order index (see [`Probe`]).
-fn run_plan<P: Probe>(
+/// short-circuits. Returns `false` if short-circuited.
+fn run_plan(
     plan: &Plan,
-    op: usize,
     ev: &mut Evaluator,
     env: &Env,
-    probe: &P,
     sink: &mut dyn FnMut(&mut Evaluator, &Env) -> ExecResult<bool>,
 ) -> ExecResult<bool> {
     match plan {
         Plan::Scan { var, source } => {
-            let sv = timed_eval(probe, op, ev, |ev| ev.eval(env, source))?;
+            let sv = ev.eval(env, source)?;
             for elem in collection_elements(&sv)? {
-                probe.row_out(op);
                 if !sink(ev, &env.bind(*var, elem))? {
                     return Ok(false);
                 }
             }
             Ok(true)
         }
-        Plan::Unnest { input, var, path } => {
-            run_plan(input, op + 1, ev, env, probe, &mut |ev, row| {
-                let sv = timed_eval(probe, op, ev, |ev| ev.eval(row, path))?;
-                for elem in collection_elements(&sv)? {
-                    probe.row_out(op);
-                    if !sink(ev, &row.bind(*var, elem))? {
-                        return Ok(false);
-                    }
+        Plan::Unnest { input, var, path } => run_plan(input, ev, env, &mut |ev, row| {
+            let sv = ev.eval(row, path)?;
+            for elem in collection_elements(&sv)? {
+                if !sink(ev, &row.bind(*var, elem))? {
+                    return Ok(false);
                 }
+            }
+            Ok(true)
+        }),
+        Plan::Filter { input, pred } => run_plan(input, ev, env, &mut |ev, row| {
+            if ev.eval(row, pred)?.as_bool()? {
+                sink(ev, row)
+            } else {
                 Ok(true)
-            })
-        }
-        Plan::Filter { input, pred } => {
-            run_plan(input, op + 1, ev, env, probe, &mut |ev, row| {
-                if timed_eval(probe, op, ev, |ev| ev.eval(row, pred))?.as_bool()? {
-                    probe.row_out(op);
-                    sink(ev, row)
-                } else {
-                    Ok(true)
-                }
-            })
-        }
-        Plan::Bind { input, var, expr } => {
-            run_plan(input, op + 1, ev, env, probe, &mut |ev, row| {
-                let v = timed_eval(probe, op, ev, |ev| ev.eval(row, expr))?;
-                probe.row_out(op);
-                sink(ev, &row.bind(*var, v))
-            })
-        }
+            }
+        }),
+        Plan::Bind { input, var, expr } => run_plan(input, ev, env, &mut |ev, row| {
+            let v = ev.eval(row, expr)?;
+            sink(ev, &row.bind(*var, v))
+        }),
         Plan::Join { left, right, on } => {
-            let right_op = op + 1 + left.node_count();
-            let table = timed_eval(probe, op, ev, |ev| {
-                build_table(right, right_op, on, ev, env, probe)
-            })?;
-            probe.build_rows(op, table.rows.len() as u64);
-            run_plan(left, op + 1, ev, env, probe, &mut |ev, lrow| {
+            let table = build_table(right, on, ev, env)?;
+            run_plan(left, ev, env, &mut |ev, lrow| {
                 let key = on
                     .iter()
                     .map(|(lk, _)| ev.eval(lrow, lk))
                     .collect::<ExecResult<Vec<_>>>()?;
                 if let Some(matches) = table.index.get(&key) {
                     for &i in matches {
-                        probe.row_out(op);
                         if !sink(ev, &bind_delta(lrow, &table.rows[i]))? {
                             return Ok(false);
                         }
@@ -306,18 +199,15 @@ fn bind_delta(base: &Env, delta: &[(Symbol, Value)]) -> Env {
     delta.iter().fold(base.clone(), |env, (var, v)| env.bind(*var, v.clone()))
 }
 
-/// Materialize a join's right side into a [`BuildTable`]. `op` is
-/// the right sub-plan's pre-order index. Each key is evaluated against
-/// the top environment plus the row's delta.
-fn build_table<P: Probe>(
+/// Materialize a join's right side into a [`BuildTable`]. Each key is
+/// evaluated against the top environment plus the row's delta.
+fn build_table(
     right: &Plan,
-    op: usize,
     on: &[(Expr, Expr)],
     ev: &mut Evaluator,
     env: &Env,
-    probe: &P,
 ) -> ExecResult<BuildTable> {
-    let rows = materialize(right, op, ev, env, probe)?;
+    let rows = materialize(right, ev, env)?;
     let mut index = std::collections::BTreeMap::new();
     if on.is_empty() {
         // Nothing to evaluate per row: the one bucket, filled directly.
@@ -334,16 +224,14 @@ fn build_table<P: Probe>(
 
 /// Materialize a sub-plan as a list of binding deltas (only the variables
 /// the sub-plan itself binds).
-fn materialize<P: Probe>(
+fn materialize(
     plan: &Plan,
-    op: usize,
     ev: &mut Evaluator,
     env: &Env,
-    probe: &P,
 ) -> ExecResult<Vec<Vec<(Symbol, Value)>>> {
     let vars = plan.bound_vars();
     let mut rows = Vec::new();
-    run_plan(plan, op, ev, env, probe, &mut |_, row| {
+    run_plan(plan, ev, env, &mut |_, row| {
         let delta = vars
             .iter()
             .map(|v| {
@@ -381,10 +269,11 @@ mod tests {
         travel::generate(TravelScale::tiny(), 42)
     }
 
-    /// Walk the plan and report its value and evaluator steps.
+    /// Profile the query's fold and report its value and the rows its
+    /// operators pushed, summed.
     fn counted(query: &Query, snap: &Snapshot) -> (Value, u64) {
         let run = crate::trace::execute_profiled_bound(query, &[], snap, &[]).unwrap();
-        (run.value, run.profile.eval_steps)
+        (run.value, run.profile.operators.iter().map(|o| o.actual_rows).sum())
     }
 
     fn portland() -> Expr {
@@ -438,11 +327,13 @@ mod tests {
         )
         .unwrap();
         assert!(!nl.plan().uses_hash_join());
-        let (vh, sh) = counted(&hash, &db);
-        let (vn, sn) = counted(&nl, &db);
+        let (vh, rh) = counted(&hash, &db);
+        let (vn, rn) = counted(&nl, &db);
         assert_eq!(vh, vn);
-        // Self-join on a key: hash join does strictly less work.
-        assert!(sh < sn, "hash {sh} vs nested-loop {sn}");
+        assert_eq!(execute_plan_walk_bound(&hash, &db, &[]).unwrap(), vh);
+        assert_eq!(execute_plan_walk_bound(&nl, &db, &[]).unwrap(), vh);
+        // Self-join on a key: hash join pushes strictly fewer rows.
+        assert!(rh < rn, "hash {rh} vs nested-loop {rn}");
         // Every hotel matches exactly itself.
         assert_eq!(vh, Value::Int(db.extent_len("Hotels") as i64));
     }
@@ -484,17 +375,20 @@ mod tests {
 
     #[test]
     fn short_circuits_some() {
+        // `some{ 10 / x > 0 | x ← [1, 0] }`: the first row is the witness,
+        // so a run that read the second would divide by zero.
         let db = db();
+        let x = || Expr::var("x");
         let q = Expr::comp(
             Monoid::Some,
-            Expr::bool(true),
-            vec![Expr::gen("h", Expr::var("Hotels"))],
+            Expr::int(10).div(x()).gt(Expr::int(0)),
+            vec![Expr::gen("x", Expr::list_of(vec![Expr::int(1), Expr::int(0)]))],
         );
         let plan = plan_comprehension(&q).unwrap();
-        let (v, steps) = counted(&plan, &db);
+        assert_eq!(execute_plan_walk_bound(&plan, &db, &[]).unwrap(), Value::Bool(true));
+        let (v, rows) = counted(&plan, &db);
         assert_eq!(v, Value::Bool(true));
-        // Must stop after the first hotel, not scan all of them.
-        assert!(steps < 50, "did not short-circuit: {steps} steps");
+        assert_eq!(rows, 1, "the fold's scan stops at the witness too");
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub fn explain_with_estimates(query: &Query, stats: &Stats) -> String {
 }
 
 /// Shared tree renderer: `annotate` receives each operator's pre-order
-/// index ([`Plan::walk`]'s `op`, the numbering [`crate::exec::Probe`] and
+/// index ([`Plan::walk`]'s `op`, the numbering the fused fold's probe and
 /// [`Stats::plan_estimates`] use) and returns a suffix for its line.
 pub(crate) fn render_with(
     query: &Query,

@@ -132,16 +132,17 @@ impl Operand {
 }
 
 /// One non-root operator of a fused chain, in execution (bottom-up)
-/// order.
+/// order. `op` is the plan operator's pre-order index ([`Plan::walk`]'s),
+/// what a probe counts the stage's rows and time under.
 #[derive(Debug, PartialEq)]
 pub(super) enum Stage {
-    Filter(Kernel),
-    Bind { slot: usize, expr: Kernel },
-    Unnest { slot: usize, path: Kernel },
+    Filter { op: usize, pred: Kernel },
+    Bind { op: usize, slot: usize, expr: Kernel },
+    Unnest { op: usize, slot: usize, path: Kernel },
     /// Probe `build`'s table with `left_keys`; every match binds
     /// `right_slots` — the build side's variables, one table column
     /// each — and continues up the chain.
-    Join { build: Build, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
+    Join { op: usize, build: Build, left_keys: Vec<FusedExpr>, right_slots: Vec<usize> },
 }
 
 /// A scan — each row of `source` bound to `slot` — and the stages its
@@ -162,8 +163,9 @@ pub(super) struct Chain {
 /// Where a chain's rows come from.
 #[derive(Debug, PartialEq)]
 pub(super) enum Source {
-    /// Each element of a generator source, evaluated once per execution.
-    Each(Expr),
+    /// Each element of a generator source, evaluated once per execution:
+    /// the rows of the scan operator `.0`.
+    Each(usize, Expr),
     /// A keyed filter's one probe row, which the chain's first stage joins
     /// with table `.0`. There is no row when that table is empty, so the
     /// probe is evaluated exactly when the walk's filter would read it.
@@ -302,49 +304,50 @@ impl Compiler {
         }
     }
 
-    /// Compile `plan` into a chain, leaving its variables in scope. The
-    /// only function that inspects a plan's shape: teaching the fold a new
-    /// operator means adding a [`Stage`] here.
-    fn chain(&mut self, plan: &Plan) -> Chain {
+    /// Compile `plan`, operator `op` in pre-order, into a chain, leaving
+    /// its variables in scope. The only function that inspects a plan's
+    /// shape: teaching the fold a new operator means adding a [`Stage`]
+    /// here.
+    fn chain(&mut self, plan: &Plan, op: usize) -> Chain {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
                 // The evaluator runs the source, but its `$param`s count.
                 self.count_params(source);
                 let slot = self.bind(*var);
-                let source = Source::Each(source.clone());
+                let source = Source::Each(op, source.clone());
                 return Chain { slot, source, stages: Vec::new(), counted: false };
             }
             Plan::Filter { input: below, pred: p } => {
-                let input = self.chain(below);
+                let input = self.chain(below, op + 1);
                 match (probe_key(below, p), self.compile_expr(p)) {
                     (Some((key, key_first)), FusedExpr::Bin(_, a, b)) => {
                         let (k, e) = if key_first { (*a, *b) } else { (*b, *a) };
-                        return self.keyed(input, (&**below, key), k, e);
+                        return self.keyed(op, input, (&**below, key), k, e);
                     }
-                    (_, pred) => (input, Stage::Filter(Kernel::of(pred))),
+                    (_, pred) => (input, Stage::Filter { op, pred: Kernel::of(pred) }),
                 }
             }
             Plan::Bind { input, var, expr } => {
-                let input = self.chain(input);
+                let input = self.chain(input, op + 1);
                 // Compile before binding: the expression sees the *outer*
                 // binding of `var`, exactly like the plan walk.
                 let expr = Kernel::of(self.compile_expr(expr));
-                (input, Stage::Bind { slot: self.bind(*var), expr })
+                (input, Stage::Bind { op, slot: self.bind(*var), expr })
             }
             Plan::Unnest { input, var, path } => {
-                let input = self.chain(input);
+                let input = self.chain(input, op + 1);
                 let path = Kernel::of(self.compile_expr(path));
-                (input, Stage::Unnest { slot: self.bind(*var), path })
+                (input, Stage::Unnest { op, slot: self.bind(*var), path })
             }
             Plan::Join { left, right, on } => {
-                let input = self.chain(left);
+                let input = self.chain(left, op + 1);
                 let left_keys = on.iter().map(|(l, _)| self.compile_expr(l)).collect();
                 // The right side is independent of the left: it compiles
                 // (and its keys resolve) with only its own variables in
                 // scope, as the walk runs it against the root environment.
                 let left_scope = std::mem::take(&mut self.scope);
                 let params = self.params;
-                let chain = self.chain(right);
+                let chain = self.chain(right, op + 1 + left.node_count());
                 let keys = on.iter().map(|(_, r)| self.compile_expr(r)).collect();
                 let memo = (self.params == params).then(|| {
                     let keys = on.iter().map(|(_, r)| r.clone()).collect();
@@ -357,7 +360,7 @@ impl Compiler {
                 self.scope.extend(right_scope);
                 let build = Build { chain, keys, table: self.n_tables, memo };
                 self.n_tables += 1;
-                (input, Stage::Join { build, left_keys, right_slots })
+                (input, Stage::Join { op, build, left_keys, right_slots })
             }
         };
         let mut chain = input;
@@ -365,12 +368,14 @@ impl Compiler {
         chain
     }
 
-    /// A keyed filter as a join: a one-row chain whose only stage probes
-    /// the table of `scan` — the bare scan the filter ran over, `k` its
-    /// compiled key — with `probe`. The table reads no `$param`, so the
-    /// memo keeps it under the scan's plan and `key`, like a join's.
+    /// A keyed filter, operator `op`, as a join: a one-row chain whose
+    /// only stage probes the table of `scan` — the bare scan the filter
+    /// ran over, `k` its compiled key — with `probe`. The table reads no
+    /// `$param`, so the memo keeps it under the scan's plan and `key`,
+    /// like a join's.
     fn keyed(
         &mut self,
+        op: usize,
         scan: Chain,
         (right, key): (&Plan, &Expr),
         k: FusedExpr,
@@ -384,7 +389,7 @@ impl Compiler {
         // The probe row binds a slot nothing reads.
         let slot = self.n_slots;
         self.n_slots += 1;
-        let stage = Stage::Join { build, left_keys: vec![probe], right_slots };
+        let stage = Stage::Join { op, build, left_keys: vec![probe], right_slots };
         Chain { slot, source: Source::Probe(table), stages: vec![stage], counted: false }
     }
 }
@@ -427,7 +432,7 @@ fn probe_key<'q>(input: &Plan, pred: &'q Expr) -> Option<(&'q Expr, bool)> {
 /// query, when it is planned.
 pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
     let mut c = Compiler::default();
-    let mut chain = c.chain(plan);
+    let mut chain = c.chain(plan, 0);
     let head = c.compile_expr(head);
     // Folding `n` equal heads is the monoid's `n`-fold power of one: when
     // the head reads none of the trailing generator's slots, its rows
@@ -436,7 +441,7 @@ pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
         None => !head.reads(&[chain.slot]),
         Some(Stage::Unnest { slot, .. }) => !head.reads(&[*slot]),
         Some(Stage::Join { right_slots, .. }) => !head.reads(right_slots),
-        Some(Stage::Filter(_) | Stage::Bind { .. }) => false,
+        Some(Stage::Filter { .. } | Stage::Bind { .. }) => false,
     };
     FusedQuery {
         chain,

@@ -2,7 +2,8 @@
 //! from the extent flow through the stages [`super::compile`] produced —
 //! kernels first, the [`FusedExpr`] interpreter for the rest, the walk's
 //! evaluator for its `Eval` leaves — into a statically dispatched [`Sink`],
-//! the accumulator or a join's build side.
+//! the accumulator or a join's build side. A [`Probe`] rides along and is
+//! told what each operator did.
 
 use super::compile::{Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, Operand, Source, Stage};
 use super::table::{Table, TableKey, NONE};
@@ -16,6 +17,58 @@ use monoid_calculus::value::{Accumulator, Env, Value};
 use monoid_store::memo::Memo;
 use std::borrow::Cow;
 use std::sync::Arc;
+use std::time::Instant;
+
+/// Per-operator counter hooks, called as rows flow through a fold.
+/// Operators are identified by their pre-order index in the plan tree
+/// ([`Plan::walk`](crate::logical::Plan::walk)'s `op`) — the same order
+/// `explain` renders them. [`NoProbe`], what served reads run with,
+/// monomorphizes every hook to an empty inline function; the one counting
+/// probe is `trace`'s `ExecProbe`. Hooks take `&self`, so the probe is
+/// shared by reference down the recursion.
+pub(crate) trait Probe {
+    /// `true` when the probe counts: it switches the clock on around
+    /// operator-local work.
+    const ENABLED: bool;
+
+    /// Operator `op` pushed `n` rows to its consumer.
+    #[inline(always)]
+    fn rows_out(&self, _op: usize, _n: usize) {}
+
+    /// Operator `op` indexed a table of `n` build rows (joins, and keyed
+    /// filters).
+    #[inline(always)]
+    fn build_rows(&self, _op: usize, _n: usize) {}
+
+    /// `nanos` of work attributable to `op` alone: a scan's source, a
+    /// filter's predicate, a binding, an unnest's path, a join's keys,
+    /// index build and probes.
+    #[inline(always)]
+    fn self_nanos(&self, _op: usize, _nanos: u64) {}
+
+    /// The reduction absorbed (`some`/`all`) and cut the fold short.
+    #[inline(always)]
+    fn short_circuit(&self) {}
+}
+
+/// The probe of a served read: counts nothing.
+pub(crate) struct NoProbe;
+
+impl Probe for NoProbe {
+    const ENABLED: bool = false;
+}
+
+/// Run `f`, charging its wall-clock time to `op` when the probe counts.
+#[inline(always)]
+fn timed<P: Probe, R>(probe: &P, op: usize, f: impl FnOnce() -> R) -> R {
+    if !P::ENABLED {
+        return f();
+    }
+    let start = Instant::now();
+    let out = f();
+    probe.self_nanos(op, start.elapsed().as_nanos() as u64);
+    out
+}
 
 /// A borrowed slot override, chained through the fold's recursion: the
 /// scan and unnest loops bind their current element *by reference* here
@@ -370,60 +423,70 @@ impl Sink for Collect<'_> {
 /// every loop that produces rows, so a row that has run out of stages goes
 /// straight to the sink.
 #[inline(always)]
-fn drive<K: Sink>(
+fn drive<K: Sink, P: Probe>(
     stages: &[Stage],
     cx: &Cx<'_>,
     slots: &mut [Value],
     frame: Option<&Frame<'_>>,
     k: &mut K,
+    probe: &P,
 ) -> ExecResult<bool> {
     match stages.split_first() {
         None => k.row(slots, frame, cx),
-        Some((stage, rest)) => step(stage, rest, cx, slots, frame, k),
+        Some((stage, rest)) => step(stage, rest, cx, slots, frame, k, probe),
     }
 }
 
 /// One stage applied to the current row, then [`drive`] for the rest.
-fn step<K: Sink>(
+fn step<K: Sink, P: Probe>(
     stage: &Stage,
     rest: &[Stage],
     cx: &Cx<'_>,
     slots: &mut [Value],
     frame: Option<&Frame<'_>>,
     k: &mut K,
+    probe: &P,
 ) -> ExecResult<bool> {
     match stage {
-        Stage::Filter(pred) => {
-            if pred.holds(slots, frame, cx)? {
-                drive(rest, cx, slots, frame, k)
+        Stage::Filter { op, pred } => {
+            if timed(probe, *op, || pred.holds(slots, frame, cx))? {
+                probe.rows_out(*op, 1);
+                drive(rest, cx, slots, frame, k, probe)
             } else {
                 Ok(true)
             }
         }
-        Stage::Bind { slot, expr } => {
-            let v = expr.value(slots, frame, cx)?;
-            slots[*slot] = v;
-            drive(rest, cx, slots, frame, k)
+        Stage::Bind { op, slot, expr } => {
+            slots[*slot] = timed(probe, *op, || expr.value(slots, frame, cx))?;
+            probe.rows_out(*op, 1);
+            drive(rest, cx, slots, frame, k, probe)
         }
-        Stage::Unnest { slot, path } => {
-            let rows = rows_of(path.value(slots, frame, cx)?)?;
+        Stage::Unnest { op, slot, path } => {
+            let rows = rows_of(timed(probe, *op, || path.value(slots, frame, cx))?)?;
             if cx.counted && rest.is_empty() {
-                return k.rows(rows.len(), slots, frame, cx);
+                let n = rows.len();
+                probe.rows_out(*op, n);
+                return k.rows(n, slots, frame, cx);
             }
             rows.each(|elem| {
+                probe.rows_out(*op, 1);
                 let f = Frame { slot: *slot, value: elem, parent: frame };
-                drive(rest, cx, slots, Some(&f), k)
+                drive(rest, cx, slots, Some(&f), k, probe)
             })
         }
-        Stage::Join { build, left_keys, right_slots } => {
+        Stage::Join { op, build, left_keys, right_slots } => {
             let table = &cx.tables[build.table];
-            let mut i = table.first_match(left_keys, slots, frame, cx)?;
+            let mut i = timed(probe, *op, || table.first_match(left_keys, slots, frame, cx))?;
             if cx.counted && rest.is_empty() {
-                return k.rows(table.rows_from(i), slots, frame, cx);
+                let n = table.rows_from(i);
+                probe.rows_out(*op, n);
+                return k.rows(n, slots, frame, cx);
             }
             while i != NONE {
+                probe.rows_out(*op, 1);
                 let row = &table.rows[i * right_slots.len()..];
-                if !bind_row(right_slots, row, rest, cx, slots, frame, k)? {
+                let then = &mut |f: Option<&Frame<'_>>| drive(rest, cx, slots, f, k, probe);
+                if !bind_row(right_slots, row, frame, then)? {
                     return Ok(false);
                 }
                 i = table.next[i];
@@ -434,40 +497,39 @@ fn step<K: Sink>(
 }
 
 /// Bind `right_slots` to the leading values of `row` — borrowed frames,
-/// nothing cloned — then drive `rest`.
-fn bind_row<K: Sink>(
+/// nothing cloned — and hand the innermost frame to `then`.
+fn bind_row<R>(
     right_slots: &[usize],
     row: &[Value],
-    rest: &[Stage],
-    cx: &Cx<'_>,
-    slots: &mut [Value],
     frame: Option<&Frame<'_>>,
-    k: &mut K,
-) -> ExecResult<bool> {
+    then: &mut impl FnMut(Option<&Frame<'_>>) -> R,
+) -> R {
     match right_slots.split_first() {
-        None => drive(rest, cx, slots, frame, k),
+        None => then(frame),
         Some((slot, more)) => {
             let f = Frame { slot: *slot, value: &row[0], parent: frame };
-            bind_row(more, &row[1..], rest, cx, slots, Some(&f), k)
+            bind_row(more, &row[1..], Some(&f), then)
         }
     }
 }
 
 /// One execution's mutable state: the evaluator (for scan sources and
 /// keys, evaluated once each), the row buffer, the join tables built or
-/// found so far, and the snapshot's memo, when the run has a snapshot.
-struct Run<'a> {
+/// found so far, the snapshot's memo, when the run keeps tables there,
+/// and the probe told what each operator did.
+struct Run<'a, P> {
     ev: &'a mut Evaluator,
     env: &'a Env,
     slots: Vec<Value>,
     tables: Vec<Arc<Table>>,
     memo: Option<&'a Memo>,
+    probe: &'a P,
     /// A keyed filter's table failed to build: the run's error is not
     /// necessarily the walk's, so the walk runs instead.
     declined: bool,
 }
 
-impl Run<'_> {
+impl<P: Probe> Run<'_, P> {
     /// Build the table of every join on `chain` — outermost first, the
     /// order the walk reaches them — then evaluate the chain's scan
     /// source. The source is one expression evaluated once per execution;
@@ -475,16 +537,20 @@ impl Run<'_> {
     /// stay exactly as the plan walk has them.
     fn open(&mut self, chain: &Chain) -> ExecResult<Rows> {
         for stage in chain.stages.iter().rev() {
-            if let Stage::Join { build, right_slots, .. } = stage {
-                let table = self.table(build, right_slots);
+            if let Stage::Join { op, build, right_slots, .. } = stage {
+                let table = self.table(*op, build, right_slots);
                 // A keyed filter's build reads its key on every row, where
                 // the walk's filter may stop (or fail) before a bad one.
                 self.declined |= table.is_err() && chain.source == Source::Probe(build.table);
-                self.tables[build.table] = table?;
+                let table = table?;
+                self.probe.build_rows(*op, table.next.len());
+                self.tables[build.table] = table;
             }
         }
         match &chain.source {
-            Source::Each(source) => rows_of(self.ev.eval(self.env, source)?),
+            Source::Each(op, source) => {
+                rows_of(timed(self.probe, *op, || self.ev.eval(self.env, source))?)
+            }
             Source::Probe(table) => {
                 let rows = usize::from(!self.tables[*table].next.is_empty());
                 Ok(Rows::Owned(vec![Value::Null; rows]))
@@ -492,45 +558,60 @@ impl Run<'_> {
         }
     }
 
-    /// Push every row of an opened chain through its stages into `k`.
-    fn feed<K: Sink>(&mut self, chain: &Chain, rows: Rows, k: &mut K) -> ExecResult<()> {
-        let (heap, env, tables) = (&self.ev.heap, self.env, &self.tables[..]);
+    /// Push every row of an opened chain through its stages into `k`;
+    /// `false` when the sink cut the fold short.
+    fn feed<K: Sink>(&mut self, chain: &Chain, rows: Rows, k: &mut K) -> ExecResult<bool> {
+        let (heap, env, tables, probe) = (&self.ev.heap, self.env, &self.tables[..], self.probe);
         let cx = Cx { heap, env, tables, counted: chain.counted };
+        // A keyed filter's probe row is no operator's.
+        let scanned = |n| {
+            if let Source::Each(op, _) = chain.source {
+                probe.rows_out(op, n);
+            }
+        };
         if chain.counted && chain.stages.is_empty() {
-            return k.rows(rows.len(), &self.slots, None, &cx).map(drop);
+            let n = rows.len();
+            scanned(n);
+            return k.rows(n, &self.slots, None, &cx);
         }
         rows.each(|elem| {
+            scanned(1);
             let f = Frame { slot: chain.slot, value: elem, parent: None };
-            drive(&chain.stages, &cx, &mut self.slots, Some(&f), k)
-        })?;
-        Ok(())
+            drive(&chain.stages, &cx, &mut self.slots, Some(&f), k, probe)
+        })
     }
 
-    /// A join's table: the memo's, when the build reads no `$param` and
+    /// Join `op`'s table: the memo's, when the build reads no `$param` and
     /// already ran at this epoch; otherwise built here — and offered to
     /// the memo when it reads no `$param`.
-    fn table(&mut self, build: &Build, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
+    fn table(&mut self, op: usize, build: &Build, right_slots: &[usize]) -> ExecResult<Arc<Table>> {
         let Some((memo, key)) = self.memo.zip(build.memo.as_ref()) else {
-            return self.build(build, right_slots).map(Arc::new);
+            return self.build(op, build, right_slots).map(Arc::new);
         };
         let hit = memo.get(|k: &Arc<TableKey>| k == key).and_then(|t| t.downcast().ok());
         if let Some(table) = hit {
             return Ok(table);
         }
-        let table = Arc::new(self.build(build, right_slots)?);
+        let table = Arc::new(self.build(op, build, right_slots)?);
         memo.insert(key.clone(), table.clone(), table.bytes);
         Ok(table)
     }
 
-    /// Materialize a join's right side: all of its rows first, then all of
-    /// their keys, as the walk does.
-    fn build(&mut self, build: &Build, right_slots: &[usize]) -> ExecResult<Table> {
+    /// Materialize join `op`'s right side: all of its rows first, then all
+    /// of their keys, as the walk does. The right side's operators count
+    /// their own rows and time; the join's is the keys and the index.
+    fn build(&mut self, op: usize, build: &Build, right_slots: &[usize]) -> ExecResult<Table> {
         let stride = right_slots.len();
-        let rows = match self.open(&build.chain)? {
+        let opened = self.open(&build.chain)?;
+        let rows = match &build.chain.source {
             // A bare scan's rows *are* the table's one column (a list or
             // set source lends its own `Arc`).
-            rows if build.chain.stages.is_empty() => rows.into_shared(),
-            opened => {
+            Source::Each(scan, _) if build.chain.stages.is_empty() => {
+                let rows = opened.into_shared();
+                self.probe.rows_out(*scan, rows.len());
+                rows
+            }
+            _ => {
                 let columns: Vec<_> = right_slots.iter().map(|s| FusedExpr::Slot(*s)).collect();
                 let mut k = Collect { exprs: &columns, out: Vec::new() };
                 self.feed(&build.chain, opened, &mut k)?;
@@ -538,40 +619,58 @@ impl Run<'_> {
             }
         };
         let n = rows.len() / stride;
-        let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
-        if !build.keys.is_empty() {
-            let cx = Cx { heap: &self.ev.heap, env: self.env, tables: &[], counted: false };
-            for row in rows.chunks(stride) {
-                bind_row(right_slots, row, &[], &cx, &mut self.slots, None, &mut k)?;
+        timed(self.probe, op, || {
+            let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
+            if !build.keys.is_empty() {
+                let cx = Cx { heap: &self.ev.heap, env: self.env, tables: &[], counted: false };
+                for row in rows.chunks(stride) {
+                    bind_row(right_slots, row, None, &mut |f| k.row(&self.slots, f, &cx))?;
+                }
             }
-        }
-        Ok(Table::new(rows, n, build.keys.len(), k.out))
+            Ok(Table::new(rows, n, build.keys.len(), k.out))
+        })
     }
 }
 
-/// Run a query's compiled fold as one sequential reduction. `Ok(None)`
-/// means a global failed to resolve, or a keyed filter's table failed to
-/// build, and the caller should run the plan walk instead. `memo` is the
-/// memo of the snapshot `env` and `ev`'s heap were taken from; `env` binds
-/// that snapshot's roots and, under `$`-prefixed names, the parameters.
-pub(crate) fn try_run_reduce(
+/// Run a query's compiled fold as one sequential reduction, telling
+/// `probe` what each operator did. `Ok(None)` means a global failed to
+/// resolve, or a keyed filter's table failed to build, and the caller
+/// should run the plan walk instead. `memo` is the memo of the snapshot
+/// `env` and `ev`'s heap were taken from, or `None` to build every table
+/// in this run; `env` binds that snapshot's roots and, under
+/// `$`-prefixed names, the parameters.
+pub(crate) fn try_run_reduce<P: Probe>(
     fq: &FusedQuery,
     ev: &mut Evaluator,
     env: &Env,
     memo: Option<&Memo>,
+    probe: &P,
 ) -> ExecResult<Option<Value>> {
     let Some(slots) = fq.resolve_globals(env) else {
         return Ok(None);
     };
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(&fq.monoid)? };
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
-    let mut run = Run { ev, env, slots, tables, memo, declined: false };
+    let mut run = Run { ev, env, slots, tables, memo, probe, declined: false };
     // Every table is built before the first row reaches the sink, so
     // nothing of this run is observable when it declines.
     let opened = match run.open(&fq.chain) {
         Err(_) if run.declined => return Ok(None),
         opened => opened?,
     };
-    run.feed(&fq.chain, opened, &mut k)?;
+    if !run.feed(&fq.chain, opened, &mut k)? {
+        probe.short_circuit();
+    }
     Ok(Some(k.acc.finish()?))
+}
+
+/// A served read's fold: nothing counted, and the param-free tables kept
+/// in the snapshot's `memo`.
+pub(crate) fn serve(
+    fq: &FusedQuery,
+    ev: &mut Evaluator,
+    env: &Env,
+    memo: &Memo,
+) -> ExecResult<Option<Value>> {
+    try_run_reduce(fq, ev, env, Some(memo), &NoProbe)
 }

@@ -127,16 +127,29 @@
 //! without any re-sorting, and `some`/`all` short-circuit at the same
 //! element.
 //!
+//! The fold is also what the profiler counts, so the engine that serves
+//! a read is the one its profile describes. Every stage carries its plan
+//! operator's pre-order index ([`Plan::walk`](crate::logical::Plan::walk)'s
+//! `op`; a keyed filter's join stage takes the filter's, its build the
+//! scan's), and `drive` is generic over a crate-private `Probe`. A
+//! served read runs `NoProbe`, whose hooks are empty inline functions, so
+//! its loop carries no counter; `trace`'s counting probe is told each
+//! operator's rows out — a counted bucket or collection all `n` at once —
+//! the table each join or keyed filter indexed, and its self time. A join
+//! charges only its keys, index build and probes; its build side's
+//! operators charge their own, so the self times compose.
+//!
 //! One judgement per submodule: `compile` decides what fuses and into
-//! which stages and kernels, `drive` runs a row through them into a sink,
-//! and `table` indexes a join's build side and answers its probes.
+//! which stages and kernels, `drive` runs a row through them into a sink
+//! and tells the probe what each operator did, and `table` indexes a
+//! join's build side and answers its probes.
 
 mod compile;
 mod drive;
 mod table;
 
 pub(crate) use compile::{compile, FusedQuery};
-pub(crate) use drive::try_run_reduce;
+pub(crate) use drive::{serve, try_run_reduce, Probe};
 
 use crate::logical::Query;
 
@@ -176,7 +189,7 @@ pub fn engine_of(query: &Query) -> Engine {
 #[cfg(test)]
 mod tests {
     use super::compile::{Compare, FusedExpr, Kernel, Operand, Source, Stage};
-    use super::drive::Cx;
+    use super::drive::{Cx, NoProbe};
     use super::table::{KeyIndex, Table, NONE};
     use super::*;
     use crate::logical::{plan_comprehension, Plan};
@@ -232,7 +245,8 @@ mod tests {
         *pred = r().proj("price").ge(Expr::param("$floor"));
         let q = Query::new(plan, Monoid::Bag, r().proj("price"));
         let fq = fold(&q);
-        let [Stage::Unnest { path, .. }, Stage::Filter(filter)] = fq.chain.stages.as_slice() else {
+        let [Stage::Unnest { path, .. }, Stage::Filter { pred: filter, .. }] = fq.chain.stages.as_slice()
+        else {
             panic!("{:?}", fq.chain.stages);
         };
         assert!(matches!(path, Kernel::Operand(Operand::Field(0, _))), "{path:?}");
@@ -311,7 +325,7 @@ mod tests {
         let q = keyed_join();
         assert_eq!(engine_of(&q), Engine::Fused);
         let fq = fold(&q);
-        let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+        let [Stage::Join { build, left_keys, right_slots, .. }] = fq.chain.stages.as_slice() else {
             panic!("{:?}", fq.chain.stages);
         };
         // Shared slot numbering: `a` is slot 0, `b` slot 1, and no extent
@@ -373,7 +387,8 @@ mod tests {
         for pred in probes {
             let q = filtered(hotels(), pred);
             let fq = fold(&q);
-            let [Stage::Join { build, left_keys, right_slots }] = fq.chain.stages.as_slice() else {
+            let [Stage::Join { build, left_keys, right_slots, .. }] = fq.chain.stages.as_slice()
+            else {
                 panic!("{:?}", fq.chain.stages);
             };
             assert_eq!(fq.chain.source, Source::Probe(build.table));
@@ -393,7 +408,7 @@ mod tests {
             let q = filtered(source.clone(), pred.clone());
             let fq = fold(&q);
             assert!(
-                matches!(fq.chain.stages.as_slice(), [Stage::Filter(_)]),
+                matches!(fq.chain.stages.as_slice(), [Stage::Filter { .. }]),
                 "{source:?} / {pred:?}: {:?}",
                 fq.chain.stages
             );
@@ -464,7 +479,9 @@ mod tests {
         let [Stage::Join { build, .. }] = fold(&nested_right).chain.stages.as_slice() else {
             panic!()
         };
-        let [Stage::Filter(Kernel::Tree(pred))] = build.chain.stages.as_slice() else { panic!() };
+        let [Stage::Filter { pred: Kernel::Tree(pred), .. }] = build.chain.stages.as_slice() else {
+            panic!()
+        };
         assert_eq!(pred, &FusedExpr::Eval { expr: lambda.clone(), free: vec![] });
 
         // An inner binder is no read of the chain variable it shadows.
@@ -514,7 +531,7 @@ mod tests {
             Value::list(vec![Value::Int(10), Value::Int(20)]),
         );
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(fold(&q), &mut ev, &env, None).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap().expect("fusible");
         assert_eq!(v, Value::Int(32));
     }
 
@@ -538,7 +555,7 @@ mod tests {
             .bind("Ls".into(), Value::list(vec![row(1, "left")]))
             .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(fold(&q), &mut ev, &env, None).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap().expect("fusible");
         assert_eq!(v, Value::list(vec![Value::str("right")]));
     }
 

@@ -16,14 +16,16 @@
 //!   buffer, borrowing rows from extents instead of allocating per-row
 //!   environments, with the forms it does not compile run by the
 //!   evaluator in place; byte-identical to the plan walk, which stays as
-//!   its oracle, the profiler, and the run-time fallback of two cases.
+//!   its oracle and the run-time fallback of two cases. The fold is also
+//!   what the profiler counts, so the engine that serves is the one that
+//!   is profiled.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
 //! * [`explain`](mod@explain) — human-readable plan trees, optionally
 //!   annotated with the optimizer's cardinality estimates.
 //! * [`trace`] — the profiled half of `EXPLAIN ANALYZE`: one counted
-//!   execution of a planned query with per-operator row/time counters
+//!   run of a planned query's fold with per-operator row/time counters
 //!   next to the optimizer's estimates, serializable to JSON. A profile
 //!   is the only account this crate keeps; it registers no metric
 //!   series of its own.
@@ -45,7 +47,7 @@
 //! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
 //! `Query` ever writes the heap; every entry point here — sequential,
 //! plan-walk, profiled — therefore takes `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
-//! one) and funnels into one private driver in [`exec`]. Update programs
+//! one) and starts from one private root in [`exec`]. Update programs
 //! run on the calculus evaluator through `Database::query`, the paper's
 //! §4.2 state-transformer path. The `*_bound` functions take late-bound
 //! `$param` values; pass `&[]` when there are none.
@@ -60,7 +62,7 @@ pub mod trace;
 pub mod verify;
 
 pub use error::PlanError;
-pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound, NoProbe, Probe};
+pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound};
 pub use fused::{engine_of, Engine};
 pub use explain::{explain, explain_with_estimates};
 pub use optimizer::{reorder_generators, Stats};

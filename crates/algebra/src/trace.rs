@@ -1,11 +1,11 @@
 //! `EXPLAIN ANALYZE`: profiled execution of algebra plans.
 //!
-//! This module threads the one counting [`Probe`] — `ExecProbe`, a
-//! [`Cell`] per operator — through the push-based executor to count rows
-//! and operator-local time per plan node of an already-planned query
-//! ([`execute_profiled_bound`]; preparing one — normalize → optimize →
-//! plan — is the serving layer's job, whose `Prepared::profile` prepends
-//! the statement's own phase trace). The result is a [`QueryProfile`]:
+//! This module hands the one counting probe — `ExecProbe`, a [`Cell`] per
+//! operator — to the query's fused fold, the engine that serves reads, to
+//! count rows and operator-local time per plan node of an already-planned
+//! query ([`execute_profiled_bound`]; preparing one — normalize →
+//! optimize → plan — is the serving layer's job, whose `Prepared::profile`
+//! prepends the statement's own phase trace). The result is a [`QueryProfile`]:
 //! the `explain` tree annotated with the optimizer's *estimated*
 //! cardinalities (`Stats::query_estimates`) next to the *observed* row
 //! counts — reading the skew between the two is how you find out where
@@ -15,13 +15,14 @@
 //! the process-wide metrics registry. Profiles round-trip through JSON
 //! ([`QueryProfile::to_json`] / [`QueryProfile::from_json`]).
 //!
-//! The unprofiled entry points ([`crate::execute`]) use
-//! [`crate::NoProbe`] and compile all instrumentation away; nothing here
-//! taxes normal execution.
+//! The unprofiled entry points ([`crate::execute`]) run the same fold
+//! with a probe whose hooks are empty, and compile all instrumentation
+//! away; nothing here taxes normal execution.
 
 use crate::error::ExecResult;
-use crate::exec::{self, Probe};
+use crate::exec;
 use crate::explain;
+use crate::fused::{self, Engine, Probe};
 use crate::logical::{Plan, Query};
 use monoid_calculus::json::Json;
 use monoid_calculus::pretty::pretty;
@@ -36,12 +37,11 @@ use std::time::Instant;
 /// The counting probe: one set of cells per plan operator, indexed by the
 /// operator's pre-order position. `Cell` (not atomics) because profiled
 /// execution is single-threaded; interior mutability lets one `&ExecProbe`
-/// be shared by every nested sink closure in the pipeline.
+/// be shared down the fold's recursion.
 struct ExecProbe {
     rows: Vec<Cell<u64>>,
     build: Vec<Cell<u64>>,
     nanos: Vec<Cell<u64>>,
-    steps: Vec<Cell<u64>>,
     short_circuited: Cell<bool>,
 }
 
@@ -51,40 +51,30 @@ impl ExecProbe {
             rows: (0..operators).map(|_| Cell::new(0)).collect(),
             build: (0..operators).map(|_| Cell::new(0)).collect(),
             nanos: (0..operators).map(|_| Cell::new(0)).collect(),
-            steps: (0..operators).map(|_| Cell::new(0)).collect(),
             short_circuited: Cell::new(false),
         }
     }
 }
 
+fn add(c: &Cell<u64>, n: u64) {
+    c.set(c.get() + n);
+}
+
 impl Probe for ExecProbe {
     const ENABLED: bool = true;
 
-    #[inline]
-    fn row_out(&self, op: usize) {
-        let c = &self.rows[op];
-        c.set(c.get() + 1);
+    fn rows_out(&self, op: usize, n: usize) {
+        add(&self.rows[op], n as u64);
     }
 
-    #[inline]
-    fn build_rows(&self, op: usize, n: u64) {
-        let c = &self.build[op];
-        c.set(c.get() + n);
+    fn build_rows(&self, op: usize, n: usize) {
+        add(&self.build[op], n as u64);
     }
 
-    #[inline]
     fn self_nanos(&self, op: usize, nanos: u64) {
-        let c = &self.nanos[op];
-        c.set(c.get() + nanos);
+        add(&self.nanos[op], nanos);
     }
 
-    #[inline]
-    fn eval_steps(&self, op: usize, steps: u64) {
-        let c = &self.steps[op];
-        c.set(c.get() + steps);
-    }
-
-    #[inline]
     fn short_circuit(&self) {
         self.short_circuited.set(true);
     }
@@ -107,16 +97,14 @@ pub struct OperatorProfile {
     pub estimated_rows: f64,
     /// Rows actually pushed to the consumer.
     pub actual_rows: u64,
-    /// Build-side rows materialized (joins only; 0 elsewhere).
+    /// Rows of the table the operator indexed (joins and keyed filters;
+    /// 0 elsewhere).
     pub build_rows: u64,
     /// Operator-local wall-clock time (source/predicate/path evaluation,
-    /// hash build), excluding time spent in its input or consumer. Always
-    /// reported — a 0 means the operator's own work never crossed the
-    /// clock's resolution, not that it was skipped.
+    /// a join's keys, index build and probes), excluding time spent in its
+    /// inputs or consumer. Always reported — a 0 means the operator's own
+    /// work never crossed the clock's resolution, not that it was skipped.
     pub self_nanos: u64,
-    /// Evaluator steps (AST-node visits) the operator-local work
-    /// consumed — divide by `actual_rows` for per-row dispatch overhead.
-    pub eval_steps: u64,
 }
 
 impl OperatorProfile {
@@ -137,13 +125,8 @@ impl OperatorProfile {
         self.self_nanos as f64 / self.actual_rows.max(1) as f64
     }
 
-    /// Evaluator steps per row produced.
-    pub fn steps_per_row(&self) -> f64 {
-        self.eval_steps as f64 / self.actual_rows.max(1) as f64
-    }
-
-    /// The operator entry of a profile document; `q_error` and the two
-    /// per-row figures are derived, emitted for readers of the file.
+    /// The operator entry of a profile document; `q_error` and
+    /// `nanos_per_row` are derived, emitted for readers of the file.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("op", Json::from(self.op)),
@@ -155,9 +138,7 @@ impl OperatorProfile {
             ("build_rows", Json::from(self.build_rows)),
             ("q_error", Json::Float(self.q_error())),
             ("self_nanos", Json::from(self.self_nanos)),
-            ("eval_steps", Json::from(self.eval_steps)),
             ("nanos_per_row", Json::Float(self.nanos_per_row())),
-            ("steps_per_row", Json::Float(self.steps_per_row())),
         ])
     }
 
@@ -183,7 +164,6 @@ impl OperatorProfile {
             actual_rows: count("actual_rows")?,
             build_rows: count("build_rows")?,
             self_nanos: count("self_nanos")?,
-            eval_steps: count("eval_steps")?,
         })
     }
 }
@@ -204,17 +184,14 @@ pub struct QueryProfile {
     pub rows_to_reduce: u64,
     /// Did a `some`/`all` reduction absorb and cut execution short?
     pub short_circuited: bool,
-    /// Evaluator steps consumed (the pre-existing opaque cost proxy).
-    pub eval_steps: u64,
-    /// The engine [`crate::exec::execute`] would run this query on
-    /// (`"fused"` or `"plan-walk"`). Static classification: the profiled
-    /// run itself always walks the plan — per-operator row/time
-    /// attribution has no meaning inside a fused fold.
+    /// The engine that ran (`"fused"`, or `"plan-walk"` when the query
+    /// has no fold or its fold declined — a walk that counts nothing, so
+    /// every operator reports zeros).
     pub engine: String,
 }
 
 impl QueryProfile {
-    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, eval_steps: u64) -> QueryProfile {
+    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, engine: Engine) -> QueryProfile {
         let mut operators = Vec::with_capacity(probe.rows.len());
         query.plan().walk(&mut |op, depth, plan| {
             operators.push(OperatorProfile {
@@ -226,7 +203,6 @@ impl QueryProfile {
                 actual_rows: probe.rows[op].get(),
                 build_rows: probe.build[op].get(),
                 self_nanos: probe.nanos[op].get(),
-                eval_steps: probe.steps[op].get(),
             });
         });
         QueryProfile {
@@ -235,8 +211,7 @@ impl QueryProfile {
             operators,
             rows_to_reduce: probe.rows.first().map(Cell::get).unwrap_or(0),
             short_circuited: probe.short_circuited.get(),
-            eval_steps,
-            engine: crate::fused::engine_of(query).as_str().to_string(),
+            engine: engine.as_str().to_string(),
             trace: QueryTrace::new(),
         }
     }
@@ -271,9 +246,6 @@ impl QueryProfile {
             // not "not measured") so the column set is stable for tooling
             // that scrapes the text output — mirroring the JSON schema.
             let _ = write!(out, ", self {}", fmt_nanos(o.self_nanos as u128));
-            if o.eval_steps > 0 {
-                let _ = write!(out, ", steps {}", o.eval_steps);
-            }
             out.push_str(")\n");
         }
         if let Some(worst) = self.worst_q_error() {
@@ -300,8 +272,7 @@ impl QueryProfile {
                 let _ = writeln!(out, "  rules fired: {}", stats.render_rules());
             }
         }
-        let _ = writeln!(out, "evaluator steps: {}", self.eval_steps);
-        let _ = writeln!(out, "engine: {} (profiled run walks the plan)", self.engine);
+        let _ = writeln!(out, "engine: {}", self.engine);
         out
     }
 
@@ -325,7 +296,6 @@ impl QueryProfile {
             ("q_error", q_error),
             ("rows_to_reduce", Json::from(self.rows_to_reduce)),
             ("short_circuited", Json::Bool(self.short_circuited)),
-            ("eval_steps", Json::from(self.eval_steps)),
             ("engine", Json::str(self.engine.clone())),
             ("trace", self.trace.to_json()),
         ])
@@ -355,7 +325,6 @@ impl QueryProfile {
                 .required("profile", "short_circuited")?
                 .as_bool()
                 .ok_or("profile `short_circuited` is not a boolean")?,
-            eval_steps: count("eval_steps")?,
             engine: text("engine")?,
         })
     }
@@ -444,11 +413,14 @@ pub struct Analysis {
     pub profile: QueryProfile,
 }
 
-/// The one counted execution: walk an already-planned query under an
+/// The one counted execution: run an already-planned query's fold under an
 /// `ExecProbe`, with late-bound parameter values, and read the probe's
 /// cells back into a profile whose trace holds the execute phase. This is
 /// what the serving layer's `Prepared::profile` — and through it `EXPLAIN
 /// ANALYZE`, the slow-query capture and flamegraphs — runs.
+/// The fold runs cold — no memo — so every build side runs here and is
+/// counted. A query without a fold, or whose fold declines, walks the
+/// plan uncounted and says so in [`QueryProfile::engine`].
 /// `estimates` are the per-operator cardinalities the optimizer held when
 /// it chose the plan ([`Stats::query_estimates`]; `&[]` for none), so the
 /// profile's `est≈` column and q-errors judge that belief, not a fresh
@@ -462,11 +434,23 @@ pub fn execute_profiled_bound(
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
     let start = Instant::now();
-    let probe = ExecProbe::new(query.plan().node_count());
-    let run = exec::run(query, snap, params, None, &probe)?;
-    let mut profile = QueryProfile::assemble(query, estimates, &probe, run.steps);
+    let operators = query.plan().node_count();
+    let mut probe = ExecProbe::new(operators);
+    let (mut ev, env) = exec::root(query, snap, params)?;
+    let folded = match query.fused() {
+        Some(fq) => fused::try_run_reduce(fq, &mut ev, &env, None, &probe)?,
+        None => None,
+    };
+    let (value, engine) = match folded {
+        Some(value) => (value, Engine::Fused),
+        None => {
+            probe = ExecProbe::new(operators);
+            (exec::walk(query, &mut ev, &env)?, Engine::PlanWalk)
+        }
+    };
+    let mut profile = QueryProfile::assemble(query, estimates, &probe, engine);
     profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
-    Ok(Analysis { value: run.value, profile })
+    Ok(Analysis { value, profile })
 }
 
 fn fmt_nanos(ns: u128) -> String {
@@ -512,8 +496,7 @@ mod tests {
         );
         let analysis = profiled(&q, &db);
         let p = &analysis.profile;
-        // A linear chain: the unprofiled path would run it fused, and the
-        // profile says so even though the profiled run walked the plan.
+        // A linear chain, profiled on the fold that serves it.
         assert_eq!(p.engine, "fused");
         let json = p.to_json().render();
         assert!(json.contains("\"engine\""), "{json}");
@@ -550,8 +533,6 @@ mod tests {
         );
         let analysis = profiled(&q, &db);
         let p = &analysis.profile;
-        // `engine` is what an unprofiled run takes; the counts below come
-        // from the plan walk every profiled run is pinned to.
         assert_eq!(p.engine, "fused");
         let join = p
             .operators
@@ -614,7 +595,7 @@ mod tests {
             (&back.monoid, &back.head, back.rows_to_reduce, back.short_circuited),
             (&p.monoid, &p.head, p.rows_to_reduce, p.short_circuited)
         );
-        assert_eq!((back.eval_steps, &back.engine), (p.eval_steps, &p.engine));
+        assert_eq!(back.engine, p.engine);
         assert_eq!(back.to_folded(), p.to_folded());
         // Every kind label maps back to the planner's own `&'static str`.
         for kind in Plan::KIND_LABELS {

@@ -20,12 +20,14 @@
 //! whose operands do not fit — errors included, as text. The
 //! `multiplicity_*` tests pin the heads folded once per bucket, `n`-fold
 //! (a head that reads none of the trailing generator's variables), over
-//! joins, unnests, bare scans and keyed probes.
+//! joins, unnests, bare scans and keyed probes. Every battery also runs
+//! the profiler's counted fold (cold, no memo) and holds it to the walk's
+//! answer; the `profiled_*` tests pin what it counts.
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
-    engine_of, execute, execute_plan_walk_bound, execute_snapshot_bound, plan_comprehension,
-    reorder_generators, Plan, Query, Stats,
+    engine_of, execute, execute_plan_walk_bound, execute_profiled_bound, execute_snapshot_bound,
+    plan_comprehension, reorder_generators, Plan, Query, Stats,
 };
 use monoid_calculus::expr::{Expr, Qual};
 use monoid_calculus::monoid::Monoid;
@@ -64,6 +66,23 @@ fn assert_engines_agree(label: &str, plan: &Query, db: &mut Database) {
     let reference = execute_plan_walk_bound(plan, db, &[]).unwrap();
     let fused = execute(plan, db).unwrap();
     assert_eq!(reference, fused, "{label}: fused ≠ plan walk");
+    assert_profiled_agrees(label, plan, db, &[], &Ok(reference));
+}
+
+/// The profiler's run — the fold, counted and cold — gives what the walk
+/// gave: value or error, compared whole and as text.
+fn assert_profiled_agrees(
+    label: &str,
+    plan: &Query,
+    snap: &Snapshot,
+    params: &[(Symbol, Value)],
+    walk: &ExecResult<Value>,
+) {
+    let profiled = execute_profiled_bound(plan, &[], snap, params).map(|a| a.value);
+    assert_eq!(&profiled, walk, "{label} (profiled): counted fold ≠ walk");
+    if let (Err(w), Err(p)) = (walk, &profiled) {
+        assert_eq!(w.to_string(), p.to_string(), "{label} (profiled): error text");
+    }
 }
 
 /// Every monoid the fused engine claims: the chain must classify as
@@ -244,6 +263,7 @@ fn assert_three_way(label: &str, comp: &Expr, plan: &Query, db: &mut Database) {
     let walk = execute_plan_walk_bound(plan, db, &[]);
     let fused = fused_twice(label, plan, db);
     assert_eq!(walk, fused, "{label}: fused ≠ plan walk");
+    assert_profiled_agrees(label, plan, db, &[], &walk);
     if let Ok(v) = &walk {
         assert_eq!(v, &db.query(comp).unwrap(), "{label}: plan walk ≠ evaluator");
     }
@@ -846,6 +866,7 @@ fn keyed_agree(
         let fused = execute_snapshot_bound(plan, &snap, &params);
         assert_eq!(fused, walk, "{label} ({run}): fused ≠ walk");
     }
+    assert_profiled_agrees(label, plan, &snap, &params, &walk);
     (walk, snap.memo().len())
 }
 
@@ -1054,6 +1075,7 @@ fn kernel_agree(label: &str, plan: &Query, db: &Database, p: &Value) -> ExecResu
     if let (Err(w), Err(f)) = (&walk, &fused) {
         assert_eq!(w.to_string(), f.to_string(), "{label}: error text");
     }
+    assert_profiled_agrees(label, plan, &snap, &params, &walk);
     walk
 }
 
@@ -1395,6 +1417,7 @@ fn multiplicity_agree(label: &str, plan: &Query, db: &Database) -> ExecResult<Va
         };
         assert_eq!(text(&fused), text(&walk), "{label} ({run}): as text");
     }
+    assert_profiled_agrees(label, plan, &snap, &params, &walk);
     walk
 }
 
@@ -1684,6 +1707,7 @@ fn evaluated_agree(
             assert_eq!(w.to_string(), f.to_string(), "{label} ({run}): error text");
         }
     }
+    assert_profiled_agrees(label, plan, snap, params, &walk);
     walk
 }
 
@@ -1907,4 +1931,55 @@ fn evaluated_lambda_predicates_agree() {
         let walk = evaluated_agree(label, &q, &snap, &[]).unwrap();
         assert!(walk.len().unwrap() > 0 && walk.len().unwrap() < 6, "{label}: {walk}");
     }
+}
+
+// -------------------------------------------------------------------------
+// The profiler counts the fold: what each operator pushed, in plan order.
+// -------------------------------------------------------------------------
+
+#[test]
+fn profiled_rows_are_what_each_operator_of_the_fold_pushed() {
+    let db = travel::generate(TravelScale::tiny(), 13);
+    let count = |quals: Vec<Qual>| {
+        let q = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), quals)).unwrap();
+        match execute(&q, &db).unwrap() {
+            Value::Int(n) => n as u64,
+            v => panic!("{v:?}"),
+        }
+    };
+    let (h, r) = (|| Expr::var("h"), || Expr::var("r"));
+    let hotels = db.extent_len("Hotels") as u64;
+    let rooms = count(vec![Expr::gen("h", Expr::var("Hotels")), Expr::gen("r", h().proj("rooms"))]);
+
+    // Filter over Unnest over Scan, every row to the reduction.
+    let chain = rooms_chain(Monoid::Bag, r().proj("bed#"));
+    let analysis = execute_profiled_bound(&chain, &[], &db, &[]).unwrap();
+    let p = &analysis.profile;
+    let kept = analysis.value.elements().unwrap().len() as u64;
+    let rows: Vec<u64> = p.operators.iter().map(|o| o.actual_rows).collect();
+    assert_eq!((p.engine.as_str(), rows), ("fused", vec![kept, rooms, hotels]), "{}", p.render());
+    assert_eq!((p.rows_to_reduce, p.short_circuited), (kept, false));
+
+    // A counted self-join: each bucket adds its size, and the join
+    // reports the table it indexed.
+    let pairs = vec![
+        Expr::gen("a", Expr::var("Hotels")),
+        Expr::gen("b", Expr::var("Hotels")),
+        Expr::pred(Expr::var("a").proj("name").eq(Expr::var("b").proj("name"))),
+    ];
+    let join = plan_comprehension(&Expr::comp(Monoid::Sum, Expr::int(1), pairs)).unwrap();
+    let p = execute_profiled_bound(&join, &[], &db, &[]).unwrap().profile;
+    let counts: Vec<_> = p.operators.iter().map(|o| (o.kind, o.actual_rows, o.build_rows)).collect();
+    assert_eq!(counts, [("join", hotels, hotels), ("scan", hotels, 0), ("scan", hotels, 0)]);
+
+    // `some` stops at its witness, and says so.
+    let some = rooms_chain(Monoid::Some, r().proj("bed#").ge(Expr::int(1)));
+    let p = execute_profiled_bound(&some, &[], &db, &[]).unwrap().profile;
+    assert!(p.short_circuited && p.rows_to_reduce == 1, "{}", p.render());
+    assert_eq!(p.operators.last().map(|o| o.actual_rows), Some(1), "{}", p.render());
+    // A counted scan hands even `some` all of its rows at once.
+    let hotel = vec![Expr::gen("h", Expr::var("Hotels"))];
+    let any = plan_comprehension(&Expr::comp(Monoid::Some, Expr::bool(true), hotel)).unwrap();
+    let p = execute_profiled_bound(&any, &[], &db, &[]).unwrap().profile;
+    assert!(p.short_circuited && p.rows_to_reduce == hotels, "{}", p.render());
 }

@@ -3,8 +3,8 @@
 //! report, read straight from the profiles — per query, per operator,
 //! and per operator *kind* — how honest the optimizer's cardinality estimates
 //! were (q-error, `max(est/actual, actual/est)`) and what each operator
-//! kind costs per row it produces (self-nanos and evaluator steps, each
-//! divided by rows out).
+//! kind costs per row it produces (self-nanos divided by rows out). The
+//! profiles count the fused fold, the engine that serves reads.
 //!
 //! The `regress` binary serializes the report to `BENCH_audit.json` at
 //! the repo root next to `BENCH_regress.json`; with `--audit-baseline`
@@ -24,7 +24,7 @@ use monoid_calculus::json::Json;
 use monoid_algebra::{OperatorProfile, QueryProfile};
 
 /// Audit schema version stamped into `BENCH_audit.json`.
-pub const AUDIT_SCHEMA_VERSION: i64 = 1;
+pub const AUDIT_SCHEMA_VERSION: i64 = 2;
 
 /// Default `--audit-tolerance` (percent): the corpus-median q-error may
 /// grow this much over the committed baseline before the gate fails.
@@ -109,16 +109,11 @@ pub struct KindAudit {
     pub median_q_error: f64,
     pub max_q_error: f64,
     pub self_nanos: u64,
-    pub eval_steps: u64,
 }
 
 impl KindAudit {
     pub fn nanos_per_row(&self) -> f64 {
         self.self_nanos as f64 / self.rows.max(1) as f64
-    }
-
-    pub fn steps_per_row(&self) -> f64 {
-        self.eval_steps as f64 / self.rows.max(1) as f64
     }
 
     pub fn to_json(&self) -> Json {
@@ -129,9 +124,7 @@ impl KindAudit {
             ("median_q_error", Json::Float(self.median_q_error)),
             ("max_q_error", Json::Float(self.max_q_error)),
             ("self_nanos", Json::from(self.self_nanos)),
-            ("eval_steps", Json::from(self.eval_steps)),
             ("nanos_per_row", Json::Float(self.nanos_per_row())),
-            ("steps_per_row", Json::Float(self.steps_per_row())),
         ])
     }
 }
@@ -163,7 +156,6 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorProfile>) -> Ve
                         median_q_error: 1.0,
                         max_q_error: 1.0,
                         self_nanos: 0,
-                        eval_steps: 0,
                     },
                 ));
                 groups.last_mut().expect("just pushed")
@@ -176,7 +168,6 @@ pub fn aggregate_kinds<'a>(ops: impl Iterator<Item = &'a OperatorProfile>) -> Ve
         k.rows += o.actual_rows;
         k.max_q_error = k.max_q_error.max(q);
         k.self_nanos += o.self_nanos;
-        k.eval_steps += o.eval_steps;
     }
     let mut kinds: Vec<KindAudit> = groups
         .into_iter()
@@ -362,7 +353,7 @@ impl AuditReport {
 /// `oqltop --audit` share it).
 pub fn render_kind_table(kinds: &[KindAudit]) -> String {
     let mut table =
-        Table::new(&["kind", "ops", "rows", "q-med", "q-max", "self", "ns/row", "steps/row"]);
+        Table::new(&["kind", "ops", "rows", "q-med", "q-max", "self", "ns/row"]);
     for k in kinds {
         table.row(&[
             k.kind.to_string(),
@@ -372,7 +363,6 @@ pub fn render_kind_table(kinds: &[KindAudit]) -> String {
             format!("{:.2}", k.max_q_error),
             fmt_nanos(u128::from(k.self_nanos)),
             format!("{:.1}", k.nanos_per_row()),
-            format!("{:.1}", k.steps_per_row()),
         ]);
     }
     table.render()
@@ -465,7 +455,6 @@ mod tests {
             "\"worst_operator\"",
             "\"kinds\"",
             "\"nanos_per_row\"",
-            "\"steps_per_row\"",
             "\"q_error\"",
             "\"host\"",
         ] {
@@ -554,7 +543,6 @@ mod tests {
             actual_rows,
             build_rows: 0,
             self_nanos,
-            eval_steps: 0,
         };
         let ops = [op("scan", 3, 0), op("unnest", 2, 500), op("scan", 8, 100)];
         let kinds = aggregate_kinds(ops.iter());

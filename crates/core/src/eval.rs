@@ -33,7 +33,6 @@ use std::sync::Arc;
 pub struct Evaluator {
     pub heap: Heap,
     steps_left: u64,
-    steps_used: u64,
 }
 
 impl Default for Evaluator {
@@ -44,24 +43,17 @@ impl Default for Evaluator {
 
 impl Evaluator {
     pub fn new() -> Evaluator {
-        Evaluator { heap: Heap::new(), steps_left: u64::MAX, steps_used: 0 }
+        Evaluator { heap: Heap::new(), steps_left: u64::MAX }
     }
 
     /// An evaluator whose total work is bounded by `steps` AST-node visits.
     pub fn with_budget(steps: u64) -> Evaluator {
-        Evaluator { heap: Heap::new(), steps_left: steps, steps_used: 0 }
+        Evaluator { heap: Heap::new(), steps_left: steps }
     }
 
     /// Evaluate with a pre-populated heap (e.g. a database).
     pub fn with_heap(heap: Heap) -> Evaluator {
-        Evaluator { heap, steps_left: u64::MAX, steps_used: 0 }
-    }
-
-    /// Number of evaluation steps performed so far (one per AST node
-    /// visited). Used by benchmarks as an implementation-independent cost
-    /// measure.
-    pub fn steps_used(&self) -> u64 {
-        self.steps_used
+        Evaluator { heap, steps_left: u64::MAX }
     }
 
     /// Evaluate a closed expression.
@@ -70,7 +62,6 @@ impl Evaluator {
     }
 
     fn tick(&mut self) -> EvalResult<()> {
-        self.steps_used += 1;
         if self.steps_left == 0 {
             return Err(EvalError::BudgetExhausted);
         }

@@ -319,7 +319,9 @@ fn serving_exports_exactly_the_pinned_entry_points() {
 /// One counting probe: `NoProbe` (off) and `ExecProbe` (on) are the only
 /// `Probe` implementors, so every consumer of per-operator counts is a
 /// sink flushed from a profile, not a third monomorphization of the
-/// executor.
+/// executor. The probe rides on the fused fold, the engine that serves
+/// reads: the plan walk names none, and the trait stays inside
+/// `monoid_algebra`.
 #[test]
 fn the_executor_has_exactly_two_probes() {
     let mut probes = BTreeSet::new();
@@ -331,6 +333,15 @@ fn the_executor_has_exactly_two_probes() {
         }
     }
     assert_eq!(probes, set_of(&["ExecProbe", "NoProbe"]));
+    // (Spelled in halves so this file passes its own check.)
+    let probe = concat!("Pro", "be");
+    let walk = fs::read_to_string(root().join("crates/algebra/src/exec.rs")).expect("exec.rs");
+    assert!(!walk.contains(probe), "exec.rs names `{probe}`");
+    let lib = code_of(&root().join("crates/algebra/src/lib.rs"));
+    for name in [probe, concat!("No", "Pro", "be")] {
+        let exported = lib.split(|c: char| !c.is_alphanumeric() && c != '_').any(|t| t == name);
+        assert!(!exported, "monoid_algebra's lib.rs re-exports `{name}`");
+    }
 }
 
 #[test]
