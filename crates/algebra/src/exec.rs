@@ -1,11 +1,10 @@
 //! The plan walk: the reference interpreter for algebra plans.
 //!
-//! Every query the planner produces runs on the fused fold
-//! ([`crate::fused`]); this module is what the fold is checked against,
-//! and what runs when a fold declines at run time (a compiled global that
-//! does not resolve, a keyed filter whose table fails to build) or a
-//! hand-built query with heap effects has none. It is deliberately the
-//! plainest correct implementation: a push-based driver
+//! Every query runs on the fused fold ([`crate::fused`]); this module is
+//! what the fold is checked against, and runs only when asked for by name
+//! ([`execute_plan_walk_bound`]: the differential batteries and the
+//! ablation baseline). It is deliberately the plainest correct
+//! implementation: a push-based driver
 //! that hands each operator's rows to its consumer as `Env` bindings, one
 //! evaluator call per expression, a join as a `BTreeMap` build table plus a
 //! probe. Scans and unnests never materialize intermediate collections; the
@@ -14,11 +13,9 @@
 //! through the sink's `false` return, mirroring the evaluator.
 //!
 //! No probe rides on the walk: a profiled run counts the fold
-//! ([`crate::trace`]), and when that fold declines, the walk that stands
-//! in for it runs uncounted.
+//! ([`crate::trace`]).
 
 use crate::error::ExecResult;
-use crate::fused::FusedQuery;
 use crate::logical::{Plan, Query};
 use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::Evaluator;
@@ -47,38 +44,27 @@ fn verify_if_enabled(query: &Query) -> ExecResult<()> {
     Ok(())
 }
 
-/// What every run starts from: an evaluator over an O(1) copy-on-write
-/// clone of the snapshot's pinned heap, discarded afterwards, and the
-/// root environment with `params` bound, so `Expr::Param` leaves resolve
-/// per execution. A plan is a pure read (the planner refuses `new`/`:=`,
-/// and [`crate::verify`] re-checks it), so it runs against an immutable
+/// What every run starts from, on either engine: an evaluator over an
+/// O(1) copy-on-write clone of the snapshot's pinned heap, discarded
+/// afterwards, and the root environment with `params` bound, so
+/// `Expr::Param` leaves resolve per execution. A `Query` is a pure read
+/// (`Query::new` refuses `new`/`:=`), so it runs against an immutable
 /// [`Snapshot`].
+///
+/// A `$param` is part of a run's signature: a run that leaves any
+/// `$param` of the query unbound is refused here with
+/// `EvalError::UnboundParameter`, whether or not a row would have reached
+/// it — as `Prepared` refuses every served statement.
 pub(crate) fn root(
     query: &Query,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<(Evaluator, Env)> {
     verify_if_enabled(query)?;
-    Ok((Evaluator::with_heap(snap.heap().clone()), bind_params(snap.env(), params)))
-}
-
-/// The one sequential driver behind the served `execute*` entry points:
-/// `fold` is the query's compiled fold, or `None` to walk.
-pub(crate) fn run(
-    query: &Query,
-    snap: &Snapshot,
-    params: &[(Symbol, Value)],
-    fold: Option<&FusedQuery>,
-) -> ExecResult<Value> {
-    let (mut ev, env) = root(query, snap, params)?;
-    let folded = match fold {
-        Some(fq) => crate::fused::serve(fq, &mut ev, &env, snap.memo())?,
-        None => None,
-    };
-    match folded {
-        Some(v) => Ok(v),
-        None => walk(query, &mut ev, &env),
+    if let Some(p) = query.fused().params.iter().find(|p| params.iter().all(|(s, _)| s != *p)) {
+        return Err(EvalError::UnboundParameter(*p));
     }
+    Ok((Evaluator::with_heap(snap.heap().clone()), bind_params(snap.env(), params)))
 }
 
 /// Run a query against a [`Snapshot`] (a `&Database` or `&mut Database`
@@ -91,16 +77,16 @@ pub fn execute(query: &Query, snap: &Snapshot) -> ExecResult<Value> {
     execute_snapshot_bound(query, snap, &[])
 }
 
-/// [`execute`] with late-bound parameter values (prepared statements).
-///
-/// Runs the query's fused fold ([`crate::fused`]); only a query without
-/// one, or a fold that declines at run time, walks the plan tree.
+/// [`execute`] with late-bound parameter values (prepared statements):
+/// the query's fused fold ([`crate::fused`]), with the param-free join
+/// tables kept in the snapshot's memo.
 pub fn execute_snapshot_bound(
     query: &Query,
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, query.fused())
+    let (mut ev, env) = root(query, snap, params)?;
+    crate::fused::serve(query.fused(), &mut ev, &env, snap.memo())
 }
 
 /// Run a query while *forcing* the plan-walk interpreter, even for
@@ -112,11 +98,12 @@ pub fn execute_plan_walk_bound(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    run(query, snap, params, None)
+    let (mut ev, env) = root(query, snap, params)?;
+    walk(query, &mut ev, &env)
 }
 
 /// Walk the plan tree, reducing every row the root pushes.
-pub(crate) fn walk(query: &Query, ev: &mut Evaluator, env: &Env) -> ExecResult<Value> {
+fn walk(query: &Query, ev: &mut Evaluator, env: &Env) -> ExecResult<Value> {
     let mut acc = value::Accumulator::new(query.monoid())?;
     run_plan(query.plan(), ev, env, &mut |ev, row_env| {
         let h = ev.eval(row_env, query.head())?;

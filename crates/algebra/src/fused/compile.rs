@@ -35,10 +35,11 @@ pub(super) enum FusedExpr {
     If(Box<FusedExpr>, Box<FusedExpr>, Box<FusedExpr>),
     Deref(Box<FusedExpr>),
     /// A form outside the compiled subset — a lambda, a nested
-    /// comprehension, `let`, a collection literal, … — run by the walk's
-    /// evaluator over the run's root environment with `free`, the chain
-    /// variables it reads, bound on top. Roots and `$param`s get no slot:
-    /// the evaluator reads them where the walk does.
+    /// comprehension, `let`, a collection literal, … — or a root, run by
+    /// the walk's evaluator over the run's root environment with `free`,
+    /// the chain variables it reads, bound on top. Roots get no slot: the
+    /// evaluator reads them where the walk does, and fails as it does when
+    /// one is unbound.
     Eval { expr: Expr, free: Vec<(Symbol, usize)> },
 }
 
@@ -167,9 +168,11 @@ pub(super) enum Source {
     /// the rows of the scan operator `.0`.
     Each(usize, Expr),
     /// A keyed filter's one probe row, which the chain's first stage joins
-    /// with table `.0`. There is no row when that table is empty, so the
+    /// with `table`. There is no row when that table is empty, so the
     /// probe is evaluated exactly when the walk's filter would read it.
-    Probe(usize),
+    /// `plain` is the filter the probe stands for: when the table fails to
+    /// build, the scan's rows run through it instead.
+    Probe { table: usize, plain: Box<Stage> },
 }
 
 /// A join's right side: the chain that produces the build rows, the key
@@ -193,9 +196,12 @@ pub(crate) struct FusedQuery {
     pub(super) monoid: Monoid,
     pub(super) n_slots: usize,
     pub(super) n_tables: usize,
-    /// `(slot, name)` pairs to fill from the root environment at setup —
-    /// parameters and any other free variable of the compiled expressions.
+    /// `(slot, $param)` pairs to fill from the root environment at setup:
+    /// the parameters the compiled expressions read.
     pub(super) globals: Vec<(usize, Symbol)>,
+    /// Every `$param` the query reads, once each, scan sources and
+    /// evaluated leaves included: what a run must bind.
+    pub(crate) params: Vec<Symbol>,
 }
 
 #[derive(Default)]
@@ -206,8 +212,8 @@ struct Compiler {
     n_slots: usize,
     n_tables: usize,
     globals: Vec<(usize, Symbol)>,
-    /// `$param` leaves met so far, scan sources included.
-    params: usize,
+    /// Every `$param` leaf met so far, scan sources included.
+    params: Vec<Symbol>,
 }
 
 impl Compiler {
@@ -220,24 +226,25 @@ impl Compiler {
         slot
     }
 
-    /// Resolve a variable reference: innermost chain binding first, then
-    /// the (deduplicated) global slots.
-    fn slot_of(&mut self, var: Symbol) -> usize {
-        if let Some((_, slot)) = self.scope.iter().rev().find(|(v, _)| *v == var) {
-            return *slot;
-        }
-        if let Some((slot, _)) = self.globals.iter().find(|(_, v)| *v == var) {
+    /// The (deduplicated) global slot of `$param` `p`.
+    fn param_slot(&mut self, p: Symbol) -> usize {
+        self.params.push(p);
+        if let Some((slot, _)) = self.globals.iter().find(|(_, v)| *v == p) {
             return *slot;
         }
         let slot = self.n_slots;
         self.n_slots += 1;
-        self.globals.push((slot, var));
+        self.globals.push((slot, p));
         slot
     }
 
-    /// Count the `$param` leaves of `e`.
-    fn count_params(&mut self, e: &Expr) {
-        e.visit(&mut |e| self.params += usize::from(matches!(e, Expr::Param(_))));
+    /// Note the `$param` leaves of `e`.
+    fn note_params(&mut self, e: &Expr) {
+        e.visit(&mut |e| {
+            if let Expr::Param(p) = e {
+                self.params.push(*p);
+            }
+        });
     }
 
     fn compile_expr(&mut self, e: &Expr) -> FusedExpr {
@@ -249,11 +256,13 @@ impl Compiler {
                 Literal::Str(s) => Value::Str(s.clone()),
                 Literal::Null => Value::Null,
             }),
-            Expr::Var(v) => FusedExpr::Slot(self.slot_of(*v)),
-            Expr::Param(p) => {
-                self.params += 1;
-                FusedExpr::Slot(self.slot_of(*p))
-            }
+            // Innermost chain binding first, as `Env` looks up; a root is
+            // the evaluator's to read.
+            Expr::Var(v) => match self.scope.iter().rev().find(|(s, _)| s == v) {
+                Some((_, slot)) => FusedExpr::Slot(*slot),
+                None => FusedExpr::Eval { expr: e.clone(), free: Vec::new() },
+            },
+            Expr::Param(p) => FusedExpr::Slot(self.param_slot(*p)),
             Expr::Record(fields) => {
                 // A stable sort by name, as `Value::record` sorts.
                 let mut order: Vec<usize> = (0..fields.len()).collect();
@@ -293,7 +302,7 @@ impl Compiler {
             // Anything else goes to the evaluator as it stands. Its
             // `$param`s count, so a build side reading one is never kept.
             other => {
-                self.count_params(other);
+                self.note_params(other);
                 let mut free: Vec<_> = free_vars(other)
                     .into_iter()
                     .filter_map(|v| self.scope.iter().rev().find(|(s, _)| *s == v).copied())
@@ -312,19 +321,21 @@ impl Compiler {
         let (input, stage) = match plan {
             Plan::Scan { var, source } => {
                 // The evaluator runs the source, but its `$param`s count.
-                self.count_params(source);
+                self.note_params(source);
                 let slot = self.bind(*var);
                 let source = Source::Each(op, source.clone());
                 return Chain { slot, source, stages: Vec::new(), counted: false };
             }
             Plan::Filter { input: below, pred: p } => {
                 let input = self.chain(below, op + 1);
-                match (probe_key(below, p), self.compile_expr(p)) {
+                let pred = self.compile_expr(p);
+                let filter = Stage::Filter { op, pred: Kernel::of(pred.clone()) };
+                match (probe_key(below, p), pred) {
                     (Some((key, key_first)), FusedExpr::Bin(_, a, b)) => {
-                        let (k, e) = if key_first { (*a, *b) } else { (*b, *a) };
-                        return self.keyed(op, input, (&**below, key), k, e);
+                        let probe = if key_first { (*a, *b) } else { (*b, *a) };
+                        return self.keyed(op, input, (&**below, key), probe, filter);
                     }
-                    (_, pred) => (input, Stage::Filter { op, pred: Kernel::of(pred) }),
+                    _ => (input, filter),
                 }
             }
             Plan::Bind { input, var, expr } => {
@@ -346,10 +357,10 @@ impl Compiler {
                 // (and its keys resolve) with only its own variables in
                 // scope, as the walk runs it against the root environment.
                 let left_scope = std::mem::take(&mut self.scope);
-                let params = self.params;
+                let params = self.params.len();
                 let chain = self.chain(right, op + 1 + left.node_count());
                 let keys = on.iter().map(|(_, r)| self.compile_expr(r)).collect();
-                let memo = (self.params == params).then(|| {
+                let memo = (self.params.len() == params).then(|| {
                     let keys = on.iter().map(|(_, r)| r.clone()).collect();
                     Arc::new(TableKey { right: (**right).clone(), keys })
                 });
@@ -370,16 +381,16 @@ impl Compiler {
 
     /// A keyed filter, operator `op`, as a join: a one-row chain whose
     /// only stage probes the table of `scan` — the bare scan the filter
-    /// ran over, `k` its compiled key — with `probe`. The table reads no
-    /// `$param`, so the memo keeps it under the scan's plan and `key`,
-    /// like a join's.
+    /// ran over, `k` its compiled key — with `probe`, and which keeps
+    /// `plain`, the filter it stands for. The table reads no `$param`, so
+    /// the memo keeps it under the scan's plan and `key`, like a join's.
     fn keyed(
         &mut self,
         op: usize,
         scan: Chain,
         (right, key): (&Plan, &Expr),
-        k: FusedExpr,
-        probe: FusedExpr,
+        (k, probe): (FusedExpr, FusedExpr),
+        plain: Stage,
     ) -> Chain {
         let table = self.n_tables;
         self.n_tables += 1;
@@ -390,7 +401,8 @@ impl Compiler {
         let slot = self.n_slots;
         self.n_slots += 1;
         let stage = Stage::Join { op, build, left_keys: vec![probe], right_slots };
-        Chain { slot, source: Source::Probe(table), stages: vec![stage], counted: false }
+        let source = Source::Probe { table, plain: Box::new(plain) };
+        Chain { slot, source, stages: vec![stage], counted: false }
     }
 }
 
@@ -443,6 +455,8 @@ pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
         Some(Stage::Join { right_slots, .. }) => !head.reads(right_slots),
         Some(Stage::Filter { .. } | Stage::Bind { .. }) => false,
     };
+    c.params.sort_unstable();
+    c.params.dedup();
     FusedQuery {
         chain,
         head: Kernel::of(head),
@@ -450,5 +464,6 @@ pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
         n_slots: c.n_slots,
         n_tables: c.n_tables,
         globals: c.globals,
+        params: c.params,
     }
 }

@@ -8,6 +8,7 @@
 use super::compile::{Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, Operand, Source, Stage};
 use super::table::{Table, TableKey, NONE};
 use crate::error::ExecResult;
+use monoid_calculus::error::EvalError;
 use monoid_calculus::eval::{
     binop_values, deref_value, project_ref, project_tuple, project_value, unop_value, Evaluator,
 };
@@ -305,19 +306,6 @@ fn rows_of(v: Value) -> ExecResult<Rows> {
     }
 }
 
-impl FusedQuery {
-    /// The row buffer with global slots resolved against `env`; `None`
-    /// (→ plan-walk fallback) when a name is missing, so unbound-variable
-    /// errors keep their plan-walk shape.
-    pub(super) fn resolve_globals(&self, env: &Env) -> Option<Vec<Value>> {
-        let mut slots = vec![Value::Null; self.n_slots];
-        for (slot, name) in &self.globals {
-            slots[*slot] = env.lookup(*name)?.clone();
-        }
-        Some(slots)
-    }
-}
-
 /// What a fold needs besides its row: the heap, the run's root
 /// environment (the roots and `$param`s an `Eval` leaf reads) and the
 /// execution's join tables, all immutable while rows flow, and whether
@@ -513,6 +501,17 @@ fn bind_row<R>(
     }
 }
 
+/// A chain ready to feed: its rows, the slot each binds, the scan
+/// operator that counts them (a keyed filter's probe row is no
+/// operator's), and the stages they run through — `first`, then `rest`.
+struct Opened<'c> {
+    rows: Rows,
+    slot: usize,
+    scan: Option<usize>,
+    first: Option<&'c Stage>,
+    rest: &'c [Stage],
+}
+
 /// One execution's mutable state: the evaluator (for scan sources and
 /// keys, evaluated once each), the row buffer, the join tables built or
 /// found so far, the snapshot's memo, when the run keeps tables there,
@@ -524,9 +523,6 @@ struct Run<'a, P> {
     tables: Vec<Arc<Table>>,
     memo: Option<&'a Memo>,
     probe: &'a P,
-    /// A keyed filter's table failed to build: the run's error is not
-    /// necessarily the walk's, so the walk runs instead.
-    declined: bool,
 }
 
 impl<P: Probe> Run<'_, P> {
@@ -535,49 +531,71 @@ impl<P: Probe> Run<'_, P> {
     /// source. The source is one expression evaluated once per execution;
     /// the evaluator runs it so parameters, closures, and error reporting
     /// stay exactly as the plan walk has them.
-    fn open(&mut self, chain: &Chain) -> ExecResult<Rows> {
+    ///
+    /// A keyed filter's build reads its key on every member, where the
+    /// walk's filter may stop (or fail) before a bad one. So when that
+    /// table fails to build, the chain opens as the bare scan the table
+    /// was built from, whose rows run through the plain filter and then
+    /// the chain's other stages. Nothing has reached a sink yet, and the
+    /// failed table is not kept.
+    fn open<'c>(&mut self, chain: &'c Chain) -> ExecResult<Opened<'c>> {
+        let mut failed = None;
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { op, build, right_slots, .. } = stage {
-                let table = self.table(*op, build, right_slots);
-                // A keyed filter's build reads its key on every row, where
-                // the walk's filter may stop (or fail) before a bad one.
-                self.declined |= table.is_err() && chain.source == Source::Probe(build.table);
-                let table = table?;
-                self.probe.build_rows(*op, table.next.len());
-                self.tables[build.table] = table;
+                match (self.table(*op, build, right_slots), &chain.source) {
+                    (Ok(table), _) => {
+                        self.probe.build_rows(*op, table.next.len());
+                        self.tables[build.table] = table;
+                    }
+                    (Err(_), Source::Probe { table, .. }) if *table == build.table => {
+                        failed = Some(&build.chain);
+                    }
+                    (Err(e), _) => return Err(e),
+                }
             }
         }
-        match &chain.source {
-            Source::Each(op, source) => {
-                rows_of(timed(self.probe, *op, || self.ev.eval(self.env, source))?)
+        let (first, rest) =
+            chain.stages.split_first().map_or((None, &[][..]), |(f, r)| (Some(f), r));
+        match (&chain.source, failed) {
+            (Source::Each(op, source), _) => {
+                let rows = rows_of(timed(self.probe, *op, || self.ev.eval(self.env, source))?)?;
+                Ok(Opened { rows, slot: chain.slot, scan: Some(*op), first, rest })
             }
-            Source::Probe(table) => {
+            (Source::Probe { plain, .. }, Some(scan)) => {
+                Ok(Opened { first: Some(&**plain), rest, ..self.open(scan)? })
+            }
+            (Source::Probe { table, .. }, None) => {
                 let rows = usize::from(!self.tables[*table].next.is_empty());
-                Ok(Rows::Owned(vec![Value::Null; rows]))
+                let rows = Rows::Owned(vec![Value::Null; rows]);
+                Ok(Opened { rows, slot: chain.slot, scan: None, first, rest })
             }
         }
     }
 
     /// Push every row of an opened chain through its stages into `k`;
-    /// `false` when the sink cut the fold short.
-    fn feed<K: Sink>(&mut self, chain: &Chain, rows: Rows, k: &mut K) -> ExecResult<bool> {
+    /// `false` when the sink cut the fold short. `counted` is the chain's
+    /// [`Chain::counted`].
+    fn feed<K: Sink>(&mut self, opened: Opened<'_>, counted: bool, k: &mut K) -> ExecResult<bool> {
+        let Opened { rows, slot, scan, first, rest } = opened;
         let (heap, env, tables, probe) = (&self.ev.heap, self.env, &self.tables[..], self.probe);
-        let cx = Cx { heap, env, tables, counted: chain.counted };
-        // A keyed filter's probe row is no operator's.
+        let cx = Cx { heap, env, tables, counted };
         let scanned = |n| {
-            if let Source::Each(op, _) = chain.source {
+            if let Some(op) = scan {
                 probe.rows_out(op, n);
             }
         };
-        if chain.counted && chain.stages.is_empty() {
+        if counted && first.is_none() {
             let n = rows.len();
             scanned(n);
             return k.rows(n, &self.slots, None, &cx);
         }
         rows.each(|elem| {
             scanned(1);
-            let f = Frame { slot: chain.slot, value: elem, parent: None };
-            drive(&chain.stages, &cx, &mut self.slots, Some(&f), k, probe)
+            let f = Frame { slot, value: elem, parent: None };
+            match first {
+                Some(stage) => step(stage, rest, &cx, &mut self.slots, Some(&f), k, probe),
+                None => k.row(&self.slots, Some(&f), &cx),
+            }
         })
     }
 
@@ -603,23 +621,19 @@ impl<P: Probe> Run<'_, P> {
     fn build(&mut self, op: usize, build: &Build, right_slots: &[usize]) -> ExecResult<Table> {
         let stride = right_slots.len();
         let opened = self.open(&build.chain)?;
-        let rows = match &build.chain.source {
+        let (rows, bare) = match (opened.scan, opened.first) {
             // A bare scan's rows *are* the table's one column (a list or
             // set source lends its own `Arc`).
-            Source::Each(scan, _) if build.chain.stages.is_empty() => {
-                let rows = opened.into_shared();
-                self.probe.rows_out(*scan, rows.len());
-                rows
-            }
+            (Some(scan), None) => (opened.rows.into_shared(), Some(scan)),
             _ => {
                 let columns: Vec<_> = right_slots.iter().map(|s| FusedExpr::Slot(*s)).collect();
                 let mut k = Collect { exprs: &columns, out: Vec::new() };
-                self.feed(&build.chain, opened, &mut k)?;
-                Arc::new(k.out)
+                self.feed(opened, build.chain.counted, &mut k)?;
+                (Arc::new(k.out), None)
             }
         };
         let n = rows.len() / stride;
-        timed(self.probe, op, || {
+        let table = timed(self.probe, op, || {
             let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
             if !build.keys.is_empty() {
                 let cx = Cx { heap: &self.ev.heap, env: self.env, tables: &[], counted: false };
@@ -628,40 +642,41 @@ impl<P: Probe> Run<'_, P> {
                 }
             }
             Ok(Table::new(rows, n, build.keys.len(), k.out))
-        })
+        })?;
+        // A bare scan's rows count once its table is built: a keyed
+        // filter whose build fails counts only what its plain filter scans.
+        if let Some(scan) = bare {
+            self.probe.rows_out(scan, n);
+        }
+        Ok(table)
     }
 }
 
 /// Run a query's compiled fold as one sequential reduction, telling
-/// `probe` what each operator did. `Ok(None)` means a global failed to
-/// resolve, or a keyed filter's table failed to build, and the caller
-/// should run the plan walk instead. `memo` is the memo of the snapshot
+/// `probe` what each operator did. `memo` is the memo of the snapshot
 /// `env` and `ev`'s heap were taken from, or `None` to build every table
 /// in this run; `env` binds that snapshot's roots and, under
-/// `$`-prefixed names, the parameters.
+/// `$`-prefixed names, the parameters — every one the query reads, which
+/// `exec::root` checked.
 pub(crate) fn try_run_reduce<P: Probe>(
     fq: &FusedQuery,
     ev: &mut Evaluator,
     env: &Env,
     memo: Option<&Memo>,
     probe: &P,
-) -> ExecResult<Option<Value>> {
-    let Some(slots) = fq.resolve_globals(env) else {
-        return Ok(None);
-    };
+) -> ExecResult<Value> {
+    let mut slots = vec![Value::Null; fq.n_slots];
+    for (slot, name) in &fq.globals {
+        slots[*slot] = env.lookup(*name).ok_or(EvalError::UnboundParameter(*name))?.clone();
+    }
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(&fq.monoid)? };
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
-    let mut run = Run { ev, env, slots, tables, memo, probe, declined: false };
-    // Every table is built before the first row reaches the sink, so
-    // nothing of this run is observable when it declines.
-    let opened = match run.open(&fq.chain) {
-        Err(_) if run.declined => return Ok(None),
-        opened => opened?,
-    };
-    if !run.feed(&fq.chain, opened, &mut k)? {
+    let mut run = Run { ev, env, slots, tables, memo, probe };
+    let opened = run.open(&fq.chain)?;
+    if !run.feed(opened, fq.chain.counted, &mut k)? {
         probe.short_circuit();
     }
-    Ok(Some(k.acc.finish()?))
+    k.acc.finish()
 }
 
 /// A served read's fold: nothing counted, and the param-free tables kept
@@ -671,6 +686,6 @@ pub(crate) fn serve(
     ev: &mut Evaluator,
     env: &Env,
     memo: &Memo,
-) -> ExecResult<Option<Value>> {
+) -> ExecResult<Value> {
     try_run_reduce(fq, ev, env, Some(memo), &NoProbe)
 }

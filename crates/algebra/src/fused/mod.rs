@@ -18,19 +18,19 @@
 //! memo keys — and names no snapshot, epoch or table, so one compiled
 //! query runs against any snapshot of any database.
 //!
-//! Every plan the planner emits fuses: a `Scan` extended by `Filter`,
-//! `Bind`, `Unnest` and `Join` stages (keyed joins, cross products, and
-//! keyed filters, which compile to a join — below). Embedded expressions
-//! built from literals, variables, parameters, records, tuples,
-//! projections, arithmetic/comparison/logic, `if`, and `!` (deref) compile
-//! to slot-addressed trees; any other form (a lambda, a nested
+//! Every plan fuses: a `Scan` extended by `Filter`, `Bind`, `Unnest` and
+//! `Join` stages (keyed joins, cross products, and keyed filters, which
+//! compile to a join — below). Embedded expressions built from literals,
+//! chain variables, parameters, records, tuples, projections,
+//! arithmetic/comparison/logic, `if`, and `!` (deref) compile to
+//! slot-addressed trees; any other form (a root, a lambda, a nested
 //! comprehension, `let`, a collection literal, …) stays in the tree as an
 //! *evaluated* leaf, which binds the chain variables it reads on top of
 //! the run's root environment and runs the walk's own evaluator — the
 //! inner generator simply runs inside the outer continuation, as the walk
-//! runs it. Only a [`Query`] built by hand with heap effects (`new`, `:=`;
-//! the planner refuses both) gets no fold: the fold shares one immutable
-//! heap across the run.
+//! runs it, and an unbound root fails where the walk's read of it fails.
+//! A [`Query`] with heap effects (`new`, `:=`) cannot be built: the fold
+//! shares one immutable heap across the run.
 //!
 //! Canonical forms make most per-row expressions one of two shapes, and
 //! those compile to *kernels* rather than trees: an **operand** — a slot, a
@@ -87,8 +87,10 @@
 //! stops at the walk's witness and ordered monoids agree. Two rules keep
 //! its errors the walk's, which reads `e` only on a row and `k` only on
 //! the rows it reaches: the probe row exists only when the table has rows,
-//! and a build that fails sends the execution to the plan walk, which
-//! filters plainly (nothing has reached the accumulator by then).
+//! and the keyed chain keeps the plain filter it stands for — when the
+//! build fails, the run scans the extent through that filter and the
+//! chain's other stages, decided once per run, before any row reached a
+//! sink, and at any depth (a keyed filter can be a join's build side).
 //!
 //! A bucket is a multiplicity. The reduction is a homomorphism out of the
 //! free monoid, so folding `n` equal heads is the monoid's `n`-fold power
@@ -117,11 +119,10 @@
 //! tuple projections, dereferences, binary and unary operators delegate
 //! to the same [`monoid_calculus::eval`] free functions the evaluator
 //! itself calls, and an evaluated leaf *is* the evaluator, so results and
-//! error messages cannot drift. Second, the fold declines at run time
-//! rather than approximates in two cases — a global of a compiled
-//! expression that does not resolve (the walk reports it with its own
-//! error) and a keyed filter whose table fails to build — and runs the
-//! plan walk instead, before any row reached the accumulator.
+//! error messages cannot drift. Second, both engines start from one
+//! setup (`exec::root`), which refuses a run that leaves a `$param` of the
+//! query unbound, so the fold's only globals — its `$param`s — always
+//! resolve, and a root is read by the evaluator where the walk reads it.
 //! Iteration order is the collection's canonical element order on both
 //! engines, so ordered monoids (`list`, `str`, sorted variants) agree
 //! without any re-sorting, and `some`/`all` short-circuit at the same
@@ -153,14 +154,14 @@ pub(crate) use drive::{serve, try_run_reduce, Probe};
 
 use crate::logical::Query;
 
-/// Which execution engine ran (or would run) a query. Surfaced by
-/// `explain_analyze`, the flight recorder, and `Prepared::execute`.
+/// Which execution engine runs a query. Kept for the `benchmark/` crate,
+/// which labels its per-layer counters with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
     /// The fused single-fold loop in this module.
     Fused,
-    /// The push-based plan-tree interpreter in [`crate::exec`]: the query
-    /// has no fold.
+    /// The push-based plan-tree interpreter in [`crate::exec`], which only
+    /// [`crate::execute_plan_walk_bound`] runs.
     PlanWalk,
 }
 
@@ -173,23 +174,17 @@ impl Engine {
     }
 }
 
-/// The engine [`crate::exec::execute`] runs this query on: fused, unless
-/// the query has no fold — a hand-built one with heap effects. (The
-/// dynamic exceptions: a query whose compiled globals don't resolve at
-/// execution time still walks, so the plan walk can report the unbound
-/// name exactly as it always has, and so does one whose keyed filter's
-/// table fails to build.)
-pub fn engine_of(query: &Query) -> Engine {
-    match query.fused() {
-        Some(_) => Engine::Fused,
-        None => Engine::PlanWalk,
-    }
+/// The engine [`crate::exec::execute`] runs `query` on: the fold, which
+/// every [`Query`] has and which never hands a run to the walk.
+pub fn engine_of(_query: &Query) -> Engine {
+    Engine::Fused
 }
 
 #[cfg(test)]
 mod tests {
     use super::compile::{Compare, FusedExpr, Kernel, Operand, Source, Stage};
     use super::drive::{Cx, NoProbe};
+    use crate::error::PlanError;
     use super::table::{KeyIndex, Table, NONE};
     use super::*;
     use crate::logical::{plan_comprehension, Plan};
@@ -203,17 +198,17 @@ mod tests {
 
     /// The fold `q` was planned with.
     fn fold(q: &Query) -> &FusedQuery {
-        q.fused().expect("a pure query has a fold")
+        q.fused()
     }
 
     /// `q` planned again with `head`.
     fn with_head(q: &Query, head: Expr) -> Query {
-        Query::new(q.plan().clone(), q.monoid().clone(), head)
+        Query::new(q.plan().clone(), q.monoid().clone(), head).unwrap()
     }
 
     /// `q` planned again over `plan`.
     fn with_plan(q: &Query, plan: Plan) -> Query {
-        Query::new(plan, q.monoid().clone(), q.head().clone())
+        Query::new(plan, q.monoid().clone(), q.head().clone()).unwrap()
     }
 
     fn scan_chain() -> Query {
@@ -243,7 +238,7 @@ mod tests {
         let mut plan = scan_chain().plan().clone();
         let Plan::Filter { pred, .. } = &mut plan else { panic!("{plan:?}") };
         *pred = r().proj("price").ge(Expr::param("$floor"));
-        let q = Query::new(plan, Monoid::Bag, r().proj("price"));
+        let q = Query::new(plan, Monoid::Bag, r().proj("price")).unwrap();
         let fq = fold(&q);
         let [Stage::Unnest { path, .. }, Stage::Filter { pred: filter, .. }] = fq.chain.stages.as_slice()
         else {
@@ -356,15 +351,15 @@ mod tests {
         }
         // The trailing unnest, a bare scan, and a keyed probe.
         let Plan::Filter { input, .. } = scan_chain().plan().clone() else { panic!() };
-        let chain = |head: Expr| Query::new((*input).clone(), Monoid::Sum, head);
+        let chain = |head: Expr| Query::new((*input).clone(), Monoid::Sum, head).unwrap();
         assert!(counted(&chain(Expr::var("h").proj("name"))));
         assert!(!counted(&chain(Expr::var("r").proj("bed#"))));
         let hotels = || Plan::Scan { var: "h".into(), source: Expr::var("Hotels") };
-        let scan = |head: Expr| Query::new(hotels(), Monoid::Sum, head);
+        let scan = |head: Expr| Query::new(hotels(), Monoid::Sum, head).unwrap();
         assert!(counted(&scan(Expr::int(1))) && !counted(&scan(Expr::var("h"))));
         let pred = Expr::var("h").proj("name").eq(Expr::param("$n"));
         let probe = Plan::Filter { input: Box::new(hotels()), pred };
-        assert!(counted(&Query::new(probe, Monoid::Sum, Expr::bool(true))));
+        assert!(counted(&Query::new(probe, Monoid::Sum, Expr::bool(true)).unwrap()));
         // A filter after the last generator: no rule. Nor does a build
         // side ever take it.
         assert!(!counted(&with_head(&scan_chain(), Expr::int(1))));
@@ -379,7 +374,7 @@ mod tests {
         let (h, name) = (|| Expr::var("h"), || Expr::var("h").proj("name"));
         let filtered = |source: Expr, pred: Expr| {
             let input = Box::new(Plan::Scan { var: "h".into(), source });
-            Query::new(Plan::Filter { input, pred }, Monoid::Some, Expr::bool(true))
+            Query::new(Plan::Filter { input, pred }, Monoid::Some, Expr::bool(true)).unwrap()
         };
         let hotels = || Expr::var("Hotels");
         let probes =
@@ -391,7 +386,8 @@ mod tests {
             else {
                 panic!("{:?}", fq.chain.stages);
             };
-            assert_eq!(fq.chain.source, Source::Probe(build.table));
+            let Source::Probe { table, .. } = &fq.chain.source else { panic!() };
+            assert_eq!(*table, build.table);
             assert!(build.chain.stages.is_empty() && build.memo.is_some());
             assert_eq!((left_keys.len(), right_slots.as_slice()), (1, &[build.chain.slot][..]));
         }
@@ -500,17 +496,16 @@ mod tests {
         assert!(build.memo.is_none());
 
         let sum_vector = Monoid::VecOf(Box::new(Monoid::Sum));
-        let vector = Query::new(scan_chain().plan().clone(), sum_vector, Expr::int(1));
+        let vector = Query::new(scan_chain().plan().clone(), sum_vector, Expr::int(1)).unwrap();
         assert_eq!(engine_of(&vector), Engine::Fused);
-        // Heap effects, in the head or the plan: no fold.
-        let allocating = with_head(&scan_chain(), Expr::New(Box::new(Expr::int(1))));
-        let input = Box::new(scan_chain().plan().clone());
+        // Heap effects, in the head or the plan: no query at all.
+        let q = scan_chain();
+        let alloc = Expr::New(Box::new(Expr::int(1)));
+        let allocating = Query::new(q.plan().clone(), Monoid::Sum, alloc);
         let write = Expr::Assign(Box::new(Expr::var("h")), Box::new(Expr::int(1)));
-        let writing = with_plan(&scan_chain(), Plan::Filter { input, pred: write });
-        for q in [allocating, writing] {
-            assert!(q.fused().is_none());
-            assert_eq!(engine_of(&q), Engine::PlanWalk);
-        }
+        let input = Box::new(q.plan().clone());
+        let writing = Query::new(Plan::Filter { input, pred: write }, Monoid::Sum, Expr::int(1));
+        assert_eq!((allocating, writing), (Err(PlanError::Impure), Err(PlanError::Impure)));
     }
 
     #[test]
@@ -531,7 +526,7 @@ mod tests {
             Value::list(vec![Value::Int(10), Value::Int(20)]),
         );
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap();
         assert_eq!(v, Value::Int(32));
     }
 
@@ -547,7 +542,7 @@ mod tests {
             right: Box::new(Plan::Scan { var: "x".into(), source: Expr::var("Rs") }),
             on: vec![(x().proj("k"), x().proj("k"))],
         };
-        let q = Query::new(plan, Monoid::List, x().proj("v"));
+        let q = Query::new(plan, Monoid::List, x().proj("v")).unwrap();
         let row = |k: i64, v: &str| {
             Value::record_from(vec![("k", Value::Int(k)), ("v", Value::str(v))])
         };
@@ -555,14 +550,15 @@ mod tests {
             .bind("Ls".into(), Value::list(vec![row(1, "left")]))
             .bind("Rs".into(), Value::list(vec![row(2, "other"), row(1, "right")]));
         let mut ev = Evaluator::with_heap(Heap::new());
-        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap().expect("fusible");
+        let v = try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe).unwrap();
         assert_eq!(v, Value::list(vec![Value::str("right")]));
     }
 
     #[test]
     fn missing_global_declines_at_resolution() {
-        // `target` is free in the predicate, so it compiles to a global
-        // slot filled from the root environment at setup.
+        // `target` is a root the predicate reads: an evaluated leaf, which
+        // fails where the walk's read fails — on the first row, and not
+        // over an empty extent.
         let q = plan_comprehension(&Expr::comp(
             Monoid::Sum,
             Expr::int(1),
@@ -572,11 +568,29 @@ mod tests {
             ],
         ))
         .unwrap();
-        let fq = fold(&q);
-        // No `target` in this environment: resolution fails, the caller
-        // falls back to the plan walk (which reports the unbound name).
-        assert!(fq.resolve_globals(&Env::empty()).is_none());
-        let env = Env::empty().bind(Symbol::new("target"), Value::str("x"));
-        assert!(fq.resolve_globals(&env).is_some());
+        let [Stage::Join { left_keys, .. }] = fold(&q).chain.stages.as_slice() else { panic!() };
+        assert_eq!(left_keys, &[FusedExpr::Eval { expr: Expr::var("target"), free: vec![] }]);
+        assert!(fold(&q).globals.is_empty() && fold(&q).params.is_empty());
+        let hotel = Value::record_from(vec![("name", Value::str("x"))]);
+        let run = |hotels: Vec<Value>| {
+            let env = Env::empty().bind(Symbol::new("Hotels"), Value::list(hotels));
+            let mut ev = Evaluator::with_heap(Heap::new());
+            try_run_reduce(fold(&q), &mut ev, &env, None, &NoProbe)
+        };
+        let unbound = monoid_calculus::error::EvalError::UnboundVariable(Symbol::new("target"));
+        assert_eq!(run(vec![hotel]), Err(unbound));
+        assert_eq!(run(Vec::new()), Ok(Value::Int(0)));
+
+        // A `$param` is part of the run's signature: left unbound, the run
+        // is refused at setup, on both engines, before any row is read.
+        let mut plan = q.plan().clone();
+        let Plan::Filter { pred, .. } = &mut plan else { panic!("{plan:?}") };
+        *pred = Expr::var("h").proj("name").eq(Expr::param("$target"));
+        let q = with_plan(&q, plan);
+        assert_eq!(fold(&q).params, [Symbol::new("$target")]);
+        let db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
+        let refused = Err(monoid_calculus::error::EvalError::UnboundParameter("$target".into()));
+        assert_eq!(crate::execute(&q, &db), refused);
+        assert_eq!(crate::execute_plan_walk_bound(&q, &db, &[]), refused);
     }
 }

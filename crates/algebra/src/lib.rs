@@ -16,9 +16,8 @@
 //!   buffer, borrowing rows from extents instead of allocating per-row
 //!   environments, with the forms it does not compile run by the
 //!   evaluator in place; byte-identical to the plan walk, which stays as
-//!   its oracle and the run-time fallback of two cases. The fold is also
-//!   what the profiler counts, so the engine that serves is the one that
-//!   is profiled.
+//!   its oracle. The fold is also what the profiler counts, so the engine
+//!   that serves is the one that is profiled.
 //! * [`optimizer`] — cost-based qualifier reordering (join ordering as a
 //!   calculus-level permutation, valid by commutativity) with statistics
 //!   gathered from the database.
@@ -29,10 +28,10 @@
 //!   next to the optimizer's estimates, serializable to JSON. A profile
 //!   is the only account this crate keeps; it registers no metric
 //!   series of its own.
-//! * [`verify`] — plan invariant verifier: binder consistency and
-//!   purity (no `:=`, no `new`, head included), re-checked before every
-//!   execution when stage verification is on (`MONOID_VERIFY=1`, or any
-//!   debug build).
+//! * [`verify`] — plan invariant verifier: binder consistency,
+//!   re-checked before every execution when stage verification is on
+//!   (`MONOID_VERIFY=1`, or any debug build). Purity needs no re-check:
+//!   [`Query::new`] refuses `:=` and `new`, head included.
 //!
 //! Typical flow: `compile` OQL → `normalize` →
 //! [`optimizer::reorder_generators`] → [`logical::plan_comprehension`],
@@ -44,13 +43,15 @@
 //! `prepare_on` + `Prepared::profile`.
 //!
 //! **A plan reads a [`Snapshot`](monoid_store::Snapshot), and nothing
-//! else.** The planner refuses `new`/`:=` (`PlanError::Impure`), so no
-//! `Query` ever writes the heap; every entry point here — sequential,
-//! plan-walk, profiled — therefore takes `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
+//! else.** The planner and [`Query::new`] refuse `new`/`:=`
+//! (`PlanError::Impure`), so no `Query` ever writes the heap; every entry
+//! point here — sequential, plan-walk, profiled — therefore takes
+//! `&Snapshot` (a `&Database` or `&mut Database` derefs to its current
 //! one) and starts from one private root in [`exec`]. Update programs
 //! run on the calculus evaluator through `Database::query`, the paper's
 //! §4.2 state-transformer path. The `*_bound` functions take late-bound
-//! `$param` values; pass `&[]` when there are none.
+//! `$param` values — every `$param` the query reads, or the run is
+//! refused; pass `&[]` when there are none.
 
 pub mod error;
 pub mod exec;

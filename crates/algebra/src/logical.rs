@@ -174,19 +174,22 @@ pub struct Query {
     plan: Plan,
     monoid: Monoid,
     head: Expr,
-    fused: Option<Arc<FusedQuery>>,
+    fused: Arc<FusedQuery>,
 }
 
 impl Query {
     /// `monoid{ head | plan }`, with its fused fold compiled here, once.
-    /// The fold shares one immutable heap across the whole run, so a plan
-    /// or head that writes or allocates gets none (the planner refuses
-    /// both, so only a query built outside it can have either).
-    pub fn new(plan: Plan, monoid: Monoid, head: Expr) -> Query {
+    /// A query is a pure read — the fold shares one immutable heap across
+    /// the whole run — so a plan or head that writes (`:=`) or allocates
+    /// (`new`) is refused with [`PlanError::Impure`], as the planner
+    /// refuses an impure comprehension.
+    pub fn new(plan: Plan, monoid: Monoid, head: Expr) -> Result<Query, PlanError> {
         let eff = effects_of(&head).join(plan.effects());
-        let fused = (!eff.mutates && !eff.allocates)
-            .then(|| Arc::new(crate::fused::compile(&plan, &monoid, &head)));
-        Query { plan, monoid, head, fused }
+        if eff.mutates || eff.allocates {
+            return Err(PlanError::Impure);
+        }
+        let fused = Arc::new(crate::fused::compile(&plan, &monoid, &head));
+        Ok(Query { plan, monoid, head, fused })
     }
 
     pub fn plan(&self) -> &Plan {
@@ -201,9 +204,9 @@ impl Query {
         &self.head
     }
 
-    /// The compiled fold: every query but one with heap effects has one.
-    pub(crate) fn fused(&self) -> Option<&FusedQuery> {
-        self.fused.as_deref()
+    /// The compiled fold.
+    pub(crate) fn fused(&self) -> &FusedQuery {
+        &self.fused
     }
 }
 
@@ -352,7 +355,7 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
         plan = Plan::Filter { input: Box::new(plan), pred: p };
     }
 
-    Ok(Query::new(plan, monoid.clone(), head.as_ref().clone()))
+    Query::new(plan, monoid.clone(), head.as_ref().clone())
 }
 
 /// If `p` is `lhs = rhs` with one side's variables all bound (left of the

@@ -22,7 +22,7 @@
 use crate::error::ExecResult;
 use crate::exec;
 use crate::explain;
-use crate::fused::{self, Engine, Probe};
+use crate::fused::{self, Probe};
 use crate::logical::{Plan, Query};
 use monoid_calculus::json::Json;
 use monoid_calculus::pretty::pretty;
@@ -184,14 +184,10 @@ pub struct QueryProfile {
     pub rows_to_reduce: u64,
     /// Did a `some`/`all` reduction absorb and cut execution short?
     pub short_circuited: bool,
-    /// The engine that ran (`"fused"`, or `"plan-walk"` when the query
-    /// has no fold or its fold declined — a walk that counts nothing, so
-    /// every operator reports zeros).
-    pub engine: String,
 }
 
 impl QueryProfile {
-    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe, engine: Engine) -> QueryProfile {
+    fn assemble(query: &Query, estimates: &[f64], probe: &ExecProbe) -> QueryProfile {
         let mut operators = Vec::with_capacity(probe.rows.len());
         query.plan().walk(&mut |op, depth, plan| {
             operators.push(OperatorProfile {
@@ -211,7 +207,6 @@ impl QueryProfile {
             operators,
             rows_to_reduce: probe.rows.first().map(Cell::get).unwrap_or(0),
             short_circuited: probe.short_circuited.get(),
-            engine: engine.as_str().to_string(),
             trace: QueryTrace::new(),
         }
     }
@@ -272,7 +267,6 @@ impl QueryProfile {
                 let _ = writeln!(out, "  rules fired: {}", stats.render_rules());
             }
         }
-        let _ = writeln!(out, "engine: {}", self.engine);
         out
     }
 
@@ -296,7 +290,6 @@ impl QueryProfile {
             ("q_error", q_error),
             ("rows_to_reduce", Json::from(self.rows_to_reduce)),
             ("short_circuited", Json::Bool(self.short_circuited)),
-            ("engine", Json::str(self.engine.clone())),
             ("trace", self.trace.to_json()),
         ])
     }
@@ -325,7 +318,6 @@ impl QueryProfile {
                 .required("profile", "short_circuited")?
                 .as_bool()
                 .ok_or("profile `short_circuited` is not a boolean")?,
-            engine: text("engine")?,
         })
     }
 
@@ -419,8 +411,7 @@ pub struct Analysis {
 /// what the serving layer's `Prepared::profile` — and through it `EXPLAIN
 /// ANALYZE`, the slow-query capture and flamegraphs — runs.
 /// The fold runs cold — no memo — so every build side runs here and is
-/// counted. A query without a fold, or whose fold declines, walks the
-/// plan uncounted and says so in [`QueryProfile::engine`].
+/// counted.
 /// `estimates` are the per-operator cardinalities the optimizer held when
 /// it chose the plan ([`Stats::query_estimates`]; `&[]` for none), so the
 /// profile's `est≈` column and q-errors judge that belief, not a fresh
@@ -434,21 +425,10 @@ pub fn execute_profiled_bound(
     params: &[(Symbol, Value)],
 ) -> ExecResult<Analysis> {
     let start = Instant::now();
-    let operators = query.plan().node_count();
-    let mut probe = ExecProbe::new(operators);
+    let probe = ExecProbe::new(query.plan().node_count());
     let (mut ev, env) = exec::root(query, snap, params)?;
-    let folded = match query.fused() {
-        Some(fq) => fused::try_run_reduce(fq, &mut ev, &env, None, &probe)?,
-        None => None,
-    };
-    let (value, engine) = match folded {
-        Some(value) => (value, Engine::Fused),
-        None => {
-            probe = ExecProbe::new(operators);
-            (exec::walk(query, &mut ev, &env)?, Engine::PlanWalk)
-        }
-    };
-    let mut profile = QueryProfile::assemble(query, estimates, &probe, engine);
+    let value = fused::try_run_reduce(query.fused(), &mut ev, &env, None, &probe)?;
+    let mut profile = QueryProfile::assemble(query, estimates, &probe);
     profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
     Ok(Analysis { value, profile })
 }
@@ -496,10 +476,6 @@ mod tests {
         );
         let analysis = profiled(&q, &db);
         let p = &analysis.profile;
-        // A linear chain, profiled on the fold that serves it.
-        assert_eq!(p.engine, "fused");
-        let json = p.to_json().render();
-        assert!(json.contains("\"engine\""), "{json}");
         // Pre-order: Unnest, Filter, Scan.
         assert_eq!(p.operators.len(), 3);
         assert!(p.operators[2].label.starts_with("Scan c"), "{}", p.render());
@@ -533,7 +509,6 @@ mod tests {
         );
         let analysis = profiled(&q, &db);
         let p = &analysis.profile;
-        assert_eq!(p.engine, "fused");
         let join = p
             .operators
             .iter()
@@ -595,7 +570,6 @@ mod tests {
             (&back.monoid, &back.head, back.rows_to_reduce, back.short_circuited),
             (&p.monoid, &p.head, p.rows_to_reduce, p.short_circuited)
         );
-        assert_eq!(back.engine, p.engine);
         assert_eq!(back.to_folded(), p.to_folded());
         // Every kind label maps back to the planner's own `&'static str`.
         for kind in Plan::KIND_LABELS {

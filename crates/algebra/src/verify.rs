@@ -11,20 +11,16 @@
 //!
 //! * `plan/binders` — no operator on a pipeline path rebinds a variable an
 //!   upstream operator already bound (a rebind would silently shadow rows).
-//! * `plan/effects` — the plan *and its head* neither mutate (`:=`) nor
-//!   allocate (`new`), matching the planner's own `PlanError::Impure`
-//!   refusal (a heap effect can only appear in a `Query` built outside
-//!   the planner). This is the invariant every executor leans on: a
-//!   plan is a pure read, so it runs against an immutable
-//!   [`Snapshot`](monoid_store::Snapshot) and nothing it does needs
-//!   committing.
 //!
-//! Both checks read the plan alone, never the state it will scan: nothing
+//! Purity needs no check here: `Query::new` refuses a plan or head with a
+//! heap effect (`PlanError::Impure`), so no `Query` carries one.
+//!
+//! The check reads the plan alone, never the state it will scan: nothing
 //! a plan embeds can go stale against a snapshot.
 
 use crate::logical::{Plan, Query};
 use monoid_calculus::analysis::verify::record_failure;
-use monoid_calculus::analysis::{effects_of, VerifyError};
+use monoid_calculus::analysis::VerifyError;
 use monoid_calculus::symbol::Symbol;
 use std::collections::BTreeSet;
 
@@ -32,8 +28,7 @@ use std::collections::BTreeSet;
 /// tagged with its stage; also bumps
 /// `analysis_verify_failures_total{stage}` on failure.
 pub fn verify_query(query: &Query) -> Result<(), VerifyError> {
-    let result =
-        check_binders(query.plan(), &mut BTreeSet::new()).and_then(|()| check_effects(query));
+    let result = check_binders(query.plan(), &mut BTreeSet::new());
     if let Err(e) = &result {
         record_failure(e.stage);
     }
@@ -67,36 +62,13 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
     }
 }
 
-/// `plan/effects`: the planner refuses impure comprehensions
-/// (`PlanError::Impure`), so a heap effect in the plan or the head means
-/// the query was built outside the planner — refuse to execute it. The
-/// plan and the head are classified fresh: this check trusts nothing the
-/// query derived.
-fn check_effects(query: &Query) -> Result<(), VerifyError> {
-    let effects = effects_of(query.head()).join(query.plan().effects());
-    let offender = if effects.mutates {
-        "a mutating (`:=`)"
-    } else if effects.allocates {
-        "an allocating (`new`)"
-    } else {
-        return Ok(());
-    };
-    Err(VerifyError::new(
-        "plan/effects",
-        format!(
-            "query contains {offender} expression; the planner never emits one, so the query \
-             was altered after planning"
-        ),
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::PlanError;
     use crate::logical::plan_comprehension;
     use monoid_calculus::expr::Expr;
     use monoid_calculus::monoid::Monoid;
-    use monoid_store::travel::{self, TravelScale};
 
     fn sample_query() -> Query {
         let e = Expr::comp(
@@ -120,7 +92,7 @@ mod tests {
             var: Symbol::new("c"),
             path: Expr::var("c").proj("hotels"),
         };
-        let query = Query::new(plan, sample.monoid().clone(), sample.head().clone());
+        let query = Query::new(plan, sample.monoid().clone(), sample.head().clone()).unwrap();
         let err = verify_query(&query).unwrap_err();
         assert_eq!(err.stage, "plan/binders");
         assert!(err.to_string().contains("rebinds"), "{err}");
@@ -129,36 +101,25 @@ mod tests {
     #[test]
     fn post_planning_heap_effects_are_refused() {
         // The planner rejects impure comprehensions, so each case forges
-        // one by rebuilding a planned query around an effect — the only
-        // way a heap effect can reach an executor. Every executor runs
-        // this check under stage verification, which is what lets them
-        // read an immutable snapshot without a mutation fallback.
-        let db = travel::generate(TravelScale::tiny(), 5);
+        // one by rebuilding a planned query around an effect. The `Query`
+        // constructor refuses it as the planner does, so no executor ever
+        // holds a query that writes the heap or allocates on it.
         let assign = || Expr::var("c").assign(Expr::int(0));
         let alloc = || Expr::new_obj(Expr::record(vec![("name", Expr::var("c").proj("name"))]));
-        type Forge = fn(&Query, Expr) -> Query;
+        type Forge = fn(&Query, Expr) -> Result<Query, PlanError>;
         let into_head: Forge = |q, e| Query::new(q.plan().clone(), q.monoid().clone(), e);
         let into_plan: Forge = |q, e| {
             let plan = Plan::Filter { input: Box::new(q.plan().clone()), pred: e };
             Query::new(plan, q.monoid().clone(), q.head().clone())
         };
-        let cases: [(&str, Forge, Expr, &str); 4] = [
-            ("head :=", into_head, assign(), ":="),
-            ("head new", into_head, alloc(), "new"),
-            ("plan :=", into_plan, assign(), ":="),
-            ("plan new", into_plan, alloc(), "new"),
+        let cases: [(&str, Forge, Expr); 4] = [
+            ("head :=", into_head, assign()),
+            ("head new", into_head, alloc()),
+            ("plan :=", into_plan, assign()),
+            ("plan new", into_plan, alloc()),
         ];
-        for (name, forge, expr, needle) in cases {
-            let query = forge(&sample_query(), expr);
-            let err = verify_query(&query).unwrap_err();
-            assert_eq!(err.stage, "plan/effects", "{name}");
-            assert!(err.to_string().contains(needle), "{name}: {err}");
-            // And, wherever stage verification is on (every debug build),
-            // the executors refuse it rather than run it.
-            if monoid_calculus::analysis::verify_enabled() {
-                let refused = crate::exec::execute(&query, &db).unwrap_err();
-                assert!(refused.to_string().contains("plan/effects"), "{name}: {refused}");
-            }
+        for (name, forge, expr) in cases {
+            assert_eq!(forge(&sample_query(), expr), Err(PlanError::Impure), "{name}");
         }
     }
 }

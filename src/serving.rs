@@ -50,9 +50,7 @@
 //! `docs/observability.md`.
 
 use crate::AnalyzeError;
-use monoid_algebra::{
-    engine_of, plan_comprehension, reorder_generators, Analysis, PlanError, Query, Stats,
-};
+use monoid_algebra::{plan_comprehension, reorder_generators, Analysis, PlanError, Query, Stats};
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
@@ -452,7 +450,7 @@ impl Prepared {
             record.add_trace(&self.trace);
         }
         record.effects = self.effects.to_string();
-        let engine = self.query().map_or("eval", |q| engine_of(q).as_str());
+        let engine = if self.query().is_some() { "fused" } else { "eval" };
         record.engine = Some(engine.to_string());
         record
     }

@@ -290,14 +290,16 @@ fn plan_verifier_reports_stage_tagged_errors() {
     );
     let query = plan_comprehension(&pure).unwrap();
     assert!(verify_query(&query).is_ok());
-    let plan = Plan::Filter {
+    // An unnest that rebinds the scan's `c`.
+    let plan = Plan::Unnest {
         input: Box::new(query.plan().clone()),
-        pred: Expr::var("c").assign(Expr::int(0)),
+        var: "c".into(),
+        path: Expr::var("c").proj("hotels"),
     };
-    let query = Query::new(plan, query.monoid().clone(), query.head().clone());
+    let query = Query::new(plan, query.monoid().clone(), query.head().clone()).unwrap();
     let err = verify_query(&query).unwrap_err();
-    assert_eq!(err.stage, "plan/effects");
-    assert!(err.to_string().contains("plan/effects"), "{err}");
+    assert_eq!(err.stage, "plan/binders");
+    assert!(err.to_string().contains("plan/binders"), "{err}");
 }
 
 // -------------------------------------------------------------------------

@@ -519,6 +519,51 @@ fn the_fused_compiler_runs_only_where_a_query_is_built() {
     }
 }
 
+/// One engine serves: the fold never declines, so the plan walk runs
+/// only when asked for by name — `execute_plan_walk_bound`, the oracle of
+/// the differential batteries and the ablation baseline — and the
+/// umbrella crate asks no query which engine it runs on.
+#[test]
+fn the_plan_walk_runs_only_when_asked_for_and_the_fold_never_declines() {
+    let mut walkers = BTreeSet::new();
+    for file in sources_above_core() {
+        let mut enclosing = String::new();
+        for line in code_of(&file).lines() {
+            let decl =
+                line.trim_start().trim_start_matches("pub(crate) ").trim_start_matches("pub ");
+            if let Some(rest) = decl.strip_prefix("fn ") {
+                enclosing = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+                continue;
+            }
+            // A call of the walk: `exec::walk(`, or a bare `walk(` — not a
+            // method (`plan.walk(`) nor another path's (`Plan::walk(`).
+            let calls = line.match_indices("walk(").any(|(at, _)| {
+                let before = &line[..at];
+                before.ends_with("exec::")
+                    || !(before.ends_with(|c: char| c.is_alphanumeric() || "_.:".contains(c)))
+            });
+            if calls {
+                walkers.insert((relative(&file), enclosing.clone()));
+            }
+        }
+    }
+    let expected = [("crates/algebra/src/exec.rs", "execute_plan_walk_bound")];
+    let expected = expected.map(|(file, f)| (file.to_string(), f.to_string()));
+    assert_eq!(walkers, expected.into(), "callers of the plan walk outside tests");
+
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    for file in files {
+        let text = fs::read_to_string(&file).expect("readable source");
+        let named = text
+            .split(|c: char| !c.is_alphanumeric() && c != '_')
+            .find(|t| ["engine_of", "Engine"].contains(t));
+        assert_eq!(named, None, "{} asks which engine runs", relative(&file));
+    }
+    let drive = fs::read_to_string(root().join("crates/algebra/src/fused/drive.rs")).unwrap();
+    assert!(!drive.contains(concat!("decl", "ined")), "the fold declines a run");
+}
+
 #[test]
 fn database_defines_no_read_accessor_that_snapshot_also_defines() {
     let names = |file: &str| -> BTreeSet<String> {

@@ -270,7 +270,8 @@ fn join_errors_are_the_plan_walks_first_error_on_both_engines() {
     let name = || Expr::var("h").proj("name");
     let pred = Expr::if_(name().eq(Expr::str("first")), Expr::bool(true), name());
     **right = Plan::Filter { input: right.clone(), pred };
-    let plan = algebra::Query::new(edited, planned.monoid().clone(), planned.head().clone());
+    let plan =
+        algebra::Query::new(edited, planned.monoid().clone(), planned.head().clone()).unwrap();
     let err = both(&plan, &db);
     assert!(err.to_string().contains("expected bool"), "{err}");
 }
