@@ -4,8 +4,12 @@
 //! leave here already resolved to a [`Kernel`]: a compare or an operand
 //! when canonical forms make them one, a [`FusedExpr`] tree otherwise —
 //! whose leaves outside the compiled subset are handed to the evaluator
-//! in place.
+//! in place. A reduction chain whose rows read one attribute of one
+//! extent's members (or of their members' collections) also gets a
+//! [`LanePlan`]: the same filters and head over that attribute's value,
+//! which [`super::lane`] folds over a dictionary-coded column.
 
+use super::lane::LaneKey;
 use super::table::TableKey;
 use monoid_calculus::expr::{BinOp, Expr, Literal, UnOp};
 use monoid_calculus::monoid::Monoid;
@@ -34,12 +38,15 @@ pub(super) enum FusedExpr {
     Un(UnOp, Box<FusedExpr>),
     If(Box<FusedExpr>, Box<FusedExpr>, Box<FusedExpr>),
     Deref(Box<FusedExpr>),
+    /// A root (a name no chain variable binds), read from the run's root
+    /// environment the first time a row reads it and kept in the run's
+    /// root cell `.0` after that. It fails as the walk's read fails, and
+    /// only when a row reads it, so an empty scan still succeeds.
+    Root(usize, Symbol),
     /// A form outside the compiled subset — a lambda, a nested
-    /// comprehension, `let`, a collection literal, … — or a root, run by
-    /// the walk's evaluator over the run's root environment with `free`,
-    /// the chain variables it reads, bound on top. Roots get no slot: the
-    /// evaluator reads them where the walk does, and fails as it does when
-    /// one is unbound.
+    /// comprehension, `let`, a collection literal, … — run by the walk's
+    /// evaluator over the run's root environment with `free`, the chain
+    /// variables it reads, bound on top.
     Eval { expr: Expr, free: Vec<(Symbol, usize)> },
 }
 
@@ -47,7 +54,7 @@ impl FusedExpr {
     /// Whether evaluating the expression reads any of `slots`.
     pub(super) fn reads(&self, slots: &[usize]) -> bool {
         match self {
-            FusedExpr::Const(_) => false,
+            FusedExpr::Const(_) | FusedExpr::Root(..) => false,
             FusedExpr::Slot(i) => slots.contains(i),
             FusedExpr::Record { fields, .. } => fields.iter().any(|(_, f)| f.reads(slots)),
             FusedExpr::Tuple(items) => items.iter().any(|i| i.reads(slots)),
@@ -75,12 +82,13 @@ pub(super) enum Kernel {
     Tree(FusedExpr),
 }
 
-/// A value read by borrowing: a constant, a slot, or one field of a slot
-/// (through the heap when the slot holds an object).
-#[derive(Debug, PartialEq)]
+/// A value read by borrowing: a constant, a slot, a root, or one field of
+/// a slot (through the heap when the slot holds an object).
+#[derive(Debug, Clone, PartialEq)]
 pub(super) enum Operand {
     Const(Value),
     Slot(usize),
+    Root(usize, Symbol),
     Field(usize, Symbol),
 }
 
@@ -123,6 +131,7 @@ impl Operand {
         match e {
             FusedExpr::Const(v) => Some(Operand::Const(v.clone())),
             FusedExpr::Slot(i) => Some(Operand::Slot(*i)),
+            FusedExpr::Root(i, name) => Some(Operand::Root(*i, *name)),
             FusedExpr::Proj(inner, field) => match **inner {
                 FusedExpr::Slot(i) => Some(Operand::Field(i, *field)),
                 _ => None,
@@ -202,6 +211,31 @@ pub(crate) struct FusedQuery {
     /// Every `$param` the query reads, once each, scan sources and
     /// evaluated leaves included: what a run must bind.
     pub(crate) params: Vec<Symbol>,
+    /// How many roots the compiled expressions read: a run's root cells.
+    pub(super) n_roots: usize,
+    /// The chain over a dictionary-coded column, when it is a lane chain.
+    pub(super) lane: Option<LanePlan>,
+}
+
+/// A lane chain's second plan: its filters and head rewritten to read the
+/// attribute's value from slot `value`, so each runs once per distinct
+/// value of the attribute instead of once per row.
+#[derive(Debug, PartialEq)]
+pub(super) struct LanePlan {
+    /// What the snapshot's memo keeps the lane under.
+    pub(super) key: Arc<LaneKey>,
+    /// The scan operator, and the unnest operator at depth 1.
+    pub(super) scan: usize,
+    pub(super) unnest: Option<usize>,
+    /// The chain's filters, in order, each with its operator.
+    pub(super) filters: Vec<(usize, Kernel)>,
+    pub(super) head: Kernel,
+    /// The slot a dictionary entry is bound to while the kernels run.
+    pub(super) value: usize,
+    /// The head is the attribute itself and the monoid sorts (`bag`,
+    /// `set`, `sorted`, `sortedbag`): the result is the dictionary and
+    /// each entry's count, with no head pushed.
+    pub(super) counts: bool,
 }
 
 #[derive(Default)]
@@ -214,6 +248,8 @@ struct Compiler {
     globals: Vec<(usize, Symbol)>,
     /// Every `$param` leaf met so far, scan sources included.
     params: Vec<Symbol>,
+    /// The roots read so far, by root cell.
+    roots: Vec<Symbol>,
 }
 
 impl Compiler {
@@ -238,6 +274,15 @@ impl Compiler {
         slot
     }
 
+    /// The root cell of root `name`, one per name.
+    fn root(&mut self, name: Symbol) -> FusedExpr {
+        let cell = self.roots.iter().position(|r| *r == name).unwrap_or_else(|| {
+            self.roots.push(name);
+            self.roots.len() - 1
+        });
+        FusedExpr::Root(cell, name)
+    }
+
     /// Note the `$param` leaves of `e`.
     fn note_params(&mut self, e: &Expr) {
         e.visit(&mut |e| {
@@ -256,11 +301,11 @@ impl Compiler {
                 Literal::Str(s) => Value::Str(s.clone()),
                 Literal::Null => Value::Null,
             }),
-            // Innermost chain binding first, as `Env` looks up; a root is
-            // the evaluator's to read.
+            // Innermost chain binding first, as `Env` looks up; anything
+            // else is a root.
             Expr::Var(v) => match self.scope.iter().rev().find(|(s, _)| s == v) {
                 Some((_, slot)) => FusedExpr::Slot(*slot),
-                None => FusedExpr::Eval { expr: e.clone(), free: Vec::new() },
+                None => self.root(*v),
             },
             Expr::Param(p) => FusedExpr::Slot(self.param_slot(*p)),
             Expr::Record(fields) => {
@@ -404,6 +449,112 @@ impl Compiler {
         let source = Source::Probe { table, plain: Box::new(plain) };
         Chain { slot, source, stages: vec![stage], counted: false }
     }
+
+    /// The lane plan of a reduction `chain` with `head`, when the chain
+    /// scans a root extent, at most unnests one field of the scan
+    /// variable, then only filters, and its filters and head read the
+    /// chain's variables only as one attribute of the trailing generator.
+    fn lane(&mut self, chain: &Chain, head: &Kernel, monoid: &Monoid) -> Option<LanePlan> {
+        let Source::Each(scan, source @ Expr::Var(_)) = &chain.source else { return None };
+        let (unnest, filters) = match chain.stages.split_first() {
+            Some((
+                Stage::Unnest { op, slot, path: Kernel::Operand(Operand::Field(owner, path)) },
+                rest,
+            )) if *owner == chain.slot => (Some((*op, *slot, *path)), rest),
+            _ => (None, &chain.stages[..]),
+        };
+        let trailing = unnest.map_or(chain.slot, |(_, slot, _)| slot);
+        let value = self.n_slots;
+        let mut lane = OnLane { chain: [chain.slot, trailing], value, attr: None };
+        let filters = filters
+            .iter()
+            .map(|stage| match stage {
+                Stage::Filter { op, pred } => Some((*op, lane.kernel(pred)?)),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let head = lane.kernel(head)?;
+        let attr = lane.attr?;
+        self.n_slots += 1;
+        let counts =
+            matches!(monoid, Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag)
+                && head == Kernel::Operand(Operand::Slot(value));
+        let key = LaneKey { source: source.clone(), path: unnest.map(|(.., path)| path), attr };
+        let unnest = unnest.map(|(op, ..)| op);
+        Some(LanePlan { key: Arc::new(key), scan: *scan, unnest, filters, head, value, counts })
+    }
+}
+
+/// Rewrites a lane chain's kernels: a read `t.a` of the trailing
+/// generator's slot `t` (`chain[1]`) becomes a read of slot `value`, for
+/// one attribute `a`; any other read of a chain slot is no lane.
+struct OnLane {
+    chain: [usize; 2],
+    value: usize,
+    attr: Option<Symbol>,
+}
+
+impl OnLane {
+    /// Whether `field` is the lane's attribute (the first one read is).
+    fn is_attr(&mut self, field: Symbol) -> bool {
+        *self.attr.get_or_insert(field) == field
+    }
+
+    fn kernel(&mut self, k: &Kernel) -> Option<Kernel> {
+        Some(match k {
+            Kernel::Operand(o) => Kernel::Operand(self.operand(o)?),
+            Kernel::Compare(c) => Kernel::Compare(Compare {
+                lhs: self.operand(&c.lhs)?,
+                rhs: self.operand(&c.rhs)?,
+                holds: c.holds,
+            }),
+            Kernel::Tree(t) => Kernel::of(self.expr(t)?),
+        })
+    }
+
+    fn operand(&mut self, o: &Operand) -> Option<Operand> {
+        match o {
+            Operand::Field(s, field) if *s == self.chain[1] => {
+                self.is_attr(*field).then_some(Operand::Slot(self.value))
+            }
+            Operand::Field(s, _) | Operand::Slot(s) if self.chain.contains(s) => None,
+            other => Some(other.clone()),
+        }
+    }
+
+    fn boxed(&mut self, e: &FusedExpr) -> Option<Box<FusedExpr>> {
+        self.expr(e).map(Box::new)
+    }
+
+    fn expr(&mut self, e: &FusedExpr) -> Option<FusedExpr> {
+        Some(match e {
+            FusedExpr::Proj(inner, field) if **inner == FusedExpr::Slot(self.chain[1]) => {
+                return self.is_attr(*field).then_some(FusedExpr::Slot(self.value));
+            }
+            FusedExpr::Slot(s) if self.chain.contains(s) => return None,
+            FusedExpr::Eval { free, .. } if !free.is_empty() => return None,
+            FusedExpr::Const(_)
+            | FusedExpr::Slot(_)
+            | FusedExpr::Root(..)
+            | FusedExpr::Eval { .. } => e.clone(),
+            FusedExpr::Proj(inner, field) => FusedExpr::Proj(self.boxed(inner)?, *field),
+            FusedExpr::TupleProj(inner, idx) => FusedExpr::TupleProj(self.boxed(inner)?, *idx),
+            FusedExpr::Un(op, inner) => FusedExpr::Un(*op, self.boxed(inner)?),
+            FusedExpr::Deref(inner) => FusedExpr::Deref(self.boxed(inner)?),
+            FusedExpr::Bin(op, a, b) => FusedExpr::Bin(*op, self.boxed(a)?, self.boxed(b)?),
+            FusedExpr::If(c, t, f) => FusedExpr::If(self.boxed(c)?, self.boxed(t)?, self.boxed(f)?),
+            FusedExpr::Tuple(items) => {
+                FusedExpr::Tuple(items.iter().map(|i| self.expr(i)).collect::<Option<_>>()?)
+            }
+            FusedExpr::Record { labels, fields } => FusedExpr::Record {
+                labels: labels.clone(),
+                fields: fields
+                    .iter()
+                    .map(|(at, f)| Some((*at, self.expr(f)?)))
+                    .collect::<Option<_>>()?,
+            },
+        })
+    }
 }
 
 /// When the compiled `pred` over `input` is `k(x) = e` or `e = k(x)` on a
@@ -457,13 +608,17 @@ pub(crate) fn compile(plan: &Plan, monoid: &Monoid, head: &Expr) -> FusedQuery {
     };
     c.params.sort_unstable();
     c.params.dedup();
+    let head = Kernel::of(head);
+    let lane = c.lane(&chain, &head, monoid);
     FusedQuery {
         chain,
-        head: Kernel::of(head),
+        head,
         monoid: monoid.clone(),
         n_slots: c.n_slots,
         n_tables: c.n_tables,
         globals: c.globals,
         params: c.params,
+        n_roots: c.roots.len(),
+        lane,
     }
 }

@@ -5,7 +5,10 @@
 //! the accumulator or a join's build side. A [`Probe`] rides along and is
 //! told what each operator did.
 
-use super::compile::{Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, Operand, Source, Stage};
+use super::compile::{
+    Build, Chain, Compare, FusedExpr, FusedQuery, Kernel, LanePlan, Operand, Source, Stage,
+};
+use super::lane::{self, Lane};
 use super::table::{Table, TableKey, NONE};
 use crate::error::ExecResult;
 use monoid_calculus::error::EvalError;
@@ -14,9 +17,11 @@ use monoid_calculus::eval::{
 };
 use monoid_calculus::expr::BinOp;
 use monoid_calculus::heap::Heap;
+use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::{Accumulator, Env, Value};
 use monoid_store::memo::Memo;
 use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -61,7 +66,7 @@ impl Probe for NoProbe {
 
 /// Run `f`, charging its wall-clock time to `op` when the probe counts.
 #[inline(always)]
-fn timed<P: Probe, R>(probe: &P, op: usize, f: impl FnOnce() -> R) -> R {
+pub(super) fn timed<P: Probe, R>(probe: &P, op: usize, f: impl FnOnce() -> R) -> R {
     if !P::ENABLED {
         return f();
     }
@@ -110,6 +115,7 @@ impl FusedExpr {
         match self {
             FusedExpr::Const(v) => Ok(Cow::Borrowed(v)),
             FusedExpr::Slot(i) => Ok(Cow::Borrowed(slot_value(slots, frame, *i))),
+            FusedExpr::Root(cell, name) => cx.root(*cell, *name).map(Cow::Borrowed),
             FusedExpr::Proj(inner, field) => match inner.eval_ref(slots, frame, cx)? {
                 Cow::Borrowed(v) => project_ref(cx.heap, v, *field).map(Cow::Borrowed),
                 Cow::Owned(v) => project_value(cx.heap, &v, *field).map(Cow::Owned),
@@ -127,6 +133,7 @@ impl FusedExpr {
         match self {
             FusedExpr::Const(v) => Ok(v.clone()),
             FusedExpr::Slot(i) => Ok(slot_value(slots, frame, *i).clone()),
+            FusedExpr::Root(cell, name) => cx.root(*cell, *name).cloned(),
             FusedExpr::Record { labels, fields } => {
                 let mut vals: Vec<_> = labels.iter().map(|l| (*l, Value::Null)).collect();
                 for (at, fe) in fields {
@@ -194,6 +201,7 @@ impl Operand {
         match self {
             Operand::Const(v) => Ok(v),
             Operand::Slot(i) => Ok(slot_value(slots, frame, *i)),
+            Operand::Root(cell, name) => cx.root(*cell, *name),
             Operand::Field(i, field) => project_ref(cx.heap, slot_value(slots, frame, *i), *field),
         }
     }
@@ -216,7 +224,12 @@ impl Kernel {
     /// measured no faster on `fusion/company-dept-join`, whose record
     /// head reads both join sides.
     #[inline]
-    fn value(&self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<Value> {
+    pub(super) fn value(
+        &self,
+        slots: &[Value],
+        frame: Option<&Frame<'_>>,
+        cx: &Cx<'_>,
+    ) -> ExecResult<Value> {
         match self {
             Kernel::Operand(o) => o.get(slots, frame, cx).cloned(),
             Kernel::Compare(c) => c.test(slots, frame, cx).map(Value::Bool),
@@ -226,7 +239,12 @@ impl Kernel {
 
     /// Whether a filter keeps the row.
     #[inline(always)]
-    fn holds(&self, slots: &[Value], frame: Option<&Frame<'_>>, cx: &Cx<'_>) -> ExecResult<bool> {
+    pub(super) fn holds(
+        &self,
+        slots: &[Value],
+        frame: Option<&Frame<'_>>,
+        cx: &Cx<'_>,
+    ) -> ExecResult<bool> {
         match self {
             Kernel::Compare(c) => c.test(slots, frame, cx),
             Kernel::Operand(o) => o.get(slots, frame, cx)?.as_bool(),
@@ -241,7 +259,7 @@ impl Kernel {
 /// runs in place, each value `count` times in run order; strings and the
 /// `§4.2` object-singleton idiom expand exactly like the plan walk's
 /// `collection_elements`.
-enum Rows {
+pub(super) enum Rows {
     Shared(Arc<Vec<Value>>),
     Owned(Vec<Value>),
     Runs(Arc<Vec<(Value, u64)>>),
@@ -250,7 +268,7 @@ enum Rows {
 impl Rows {
     /// Call `f` on every element in order until it returns `false`.
     #[inline(always)]
-    fn each(&self, mut f: impl FnMut(&Value) -> ExecResult<bool>) -> ExecResult<bool> {
+    pub(super) fn each(&self, mut f: impl FnMut(&Value) -> ExecResult<bool>) -> ExecResult<bool> {
         let items = match self {
             Rows::Shared(items) => items.as_slice(),
             Rows::Owned(items) => items,
@@ -297,7 +315,7 @@ impl Rows {
     }
 }
 
-fn rows_of(v: Value) -> ExecResult<Rows> {
+pub(super) fn rows_of(v: Value) -> ExecResult<Rows> {
     match v {
         Value::Obj(_) => Ok(Rows::Owned(vec![v])),
         Value::List(items) | Value::Set(items) | Value::Vector(items) => Ok(Rows::Shared(items)),
@@ -307,15 +325,33 @@ fn rows_of(v: Value) -> ExecResult<Rows> {
 }
 
 /// What a fold needs besides its row: the heap, the run's root
-/// environment (the roots and `$param`s an `Eval` leaf reads) and the
-/// execution's join tables, all immutable while rows flow, and whether
-/// the chain's trailing generator hands the sink a count
+/// environment (the roots and `$param`s an `Eval` leaf reads), the run's
+/// root cells and the execution's join tables, all immutable while rows
+/// flow, and whether the chain's trailing generator hands the sink a count
 /// ([`Chain::counted`]).
 pub(super) struct Cx<'a> {
     pub(super) heap: &'a Heap,
     pub(super) env: &'a Env,
+    pub(super) roots: &'a [OnceCell<Value>],
     pub(super) tables: &'a [Arc<Table>],
     pub(super) counted: bool,
+}
+
+impl<'a> Cx<'a> {
+    /// Root `name`, read from the root environment into its cell on the
+    /// first read of the run, from the cell after that. Unbound, it fails
+    /// as the evaluator's read fails, on every read.
+    #[inline]
+    fn root(&self, cell: usize, name: Symbol) -> ExecResult<&'a Value> {
+        let cell = &self.roots[cell];
+        match cell.get() {
+            Some(v) => Ok(v),
+            None => {
+                let v = self.env.lookup(name).ok_or(EvalError::UnboundVariable(name))?;
+                Ok(cell.get_or_init(|| v.clone()))
+            }
+        }
+    }
 }
 
 /// The fold's continuation `k`: where a chain's rows end up. Statically
@@ -519,6 +555,7 @@ struct Opened<'c> {
 struct Run<'a, P> {
     ev: &'a mut Evaluator,
     env: &'a Env,
+    roots: Vec<OnceCell<Value>>,
     slots: Vec<Value>,
     tables: Vec<Arc<Table>>,
     memo: Option<&'a Memo>,
@@ -578,7 +615,7 @@ impl<P: Probe> Run<'_, P> {
     fn feed<K: Sink>(&mut self, opened: Opened<'_>, counted: bool, k: &mut K) -> ExecResult<bool> {
         let Opened { rows, slot, scan, first, rest } = opened;
         let (heap, env, tables, probe) = (&self.ev.heap, self.env, &self.tables[..], self.probe);
-        let cx = Cx { heap, env, tables, counted };
+        let cx = Cx { heap, env, roots: &self.roots, tables, counted };
         let scanned = |n| {
             if let Some(op) = scan {
                 probe.rows_out(op, n);
@@ -597,6 +634,28 @@ impl<P: Probe> Run<'_, P> {
                 None => k.row(&self.slots, Some(&f), &cx),
             }
         })
+    }
+
+    /// A lane chain's lane, or `None` when it is refused: built or refused
+    /// once per epoch in the memo (a lane the memo will not keep is
+    /// refused there for the epoch's later runs), or for this run alone
+    /// when the run keeps nothing.
+    fn lane(&mut self, plan: &LanePlan) -> Option<Arc<Lane>> {
+        let build = |run: &mut Self| {
+            let (ev, env) = (&mut *run.ev, run.env);
+            timed(run.probe, plan.scan, || lane::build(ev, env, &plan.key))
+        };
+        let Some(memo) = self.memo else { return build(self).map(Arc::new) };
+        if let Some(kept) = memo.get(|k: &Arc<lane::LaneKey>| *k == plan.key) {
+            return kept.downcast().ok();
+        }
+        let built = build(self).map(Arc::new);
+        let kept =
+            built.as_ref().is_some_and(|l| memo.insert(plan.key.clone(), l.clone(), l.bytes));
+        if !kept {
+            memo.insert(plan.key.clone(), Arc::new(lane::Refused), 0);
+        }
+        built
     }
 
     /// Join `op`'s table: the memo's, when the build reads no `$param` and
@@ -636,7 +695,8 @@ impl<P: Probe> Run<'_, P> {
         let table = timed(self.probe, op, || {
             let mut k = Collect { exprs: &build.keys, out: Vec::with_capacity(n * build.keys.len()) };
             if !build.keys.is_empty() {
-                let cx = Cx { heap: &self.ev.heap, env: self.env, tables: &[], counted: false };
+                let (heap, env, roots) = (&self.ev.heap, self.env, &self.roots[..]);
+                let cx = Cx { heap, env, roots, tables: &[], counted: false };
                 for row in rows.chunks(stride) {
                     bind_row(right_slots, row, None, &mut |f| k.row(&self.slots, f, &cx))?;
                 }
@@ -671,7 +731,16 @@ pub(crate) fn try_run_reduce<P: Probe>(
     }
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(&fq.monoid)? };
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
-    let mut run = Run { ev, env, slots, tables, memo, probe };
+    let roots = std::iter::repeat_with(OnceCell::new).take(fq.n_roots).collect();
+    let mut run = Run { ev, env, roots, slots, tables, memo, probe };
+    // A lane chain folds its column when it has one; decided once, before
+    // any row.
+    if let Some(plan) = &fq.lane {
+        if let Some(column) = run.lane(plan) {
+            let cx = Cx { heap: &run.ev.heap, env, roots: &run.roots, tables: &[], counted: false };
+            return lane::fold(&column, plan, &fq.monoid, k.acc, &mut run.slots, &cx, probe);
+        }
+    }
     let opened = run.open(&fq.chain)?;
     if !run.feed(opened, fq.chain.counted, &mut k)? {
         probe.short_circuit();

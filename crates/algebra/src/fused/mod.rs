@@ -23,12 +23,15 @@
 //! compile to a join — below). Embedded expressions built from literals,
 //! chain variables, parameters, records, tuples, projections,
 //! arithmetic/comparison/logic, `if`, and `!` (deref) compile to
-//! slot-addressed trees; any other form (a root, a lambda, a nested
-//! comprehension, `let`, a collection literal, …) stays in the tree as an
-//! *evaluated* leaf, which binds the chain variables it reads on top of
-//! the run's root environment and runs the walk's own evaluator — the
-//! inner generator simply runs inside the outer continuation, as the walk
-//! runs it, and an unbound root fails where the walk's read of it fails.
+//! slot-addressed trees. A root (a name no chain variable binds) is a
+//! *root cell* of the run: read from the root environment by the first
+//! row that reads it and kept for the rest of the run, so an unbound root
+//! fails where the walk's read of it fails, and an empty scan still
+//! succeeds. Any other form (a lambda, a nested comprehension, `let`, a
+//! collection literal, …) stays in the tree as an *evaluated* leaf, which
+//! binds the chain variables it reads on top of the run's root
+//! environment and runs the walk's own evaluator — the inner generator
+//! simply runs inside the outer continuation, as the walk runs it.
 //! A [`Query`] with heap effects (`new`, `:=`) cannot be built: the fold
 //! shares one immutable heap across the run.
 //!
@@ -113,6 +116,34 @@
 //! one probe and one multiply per manager, and `exists h in Hotels: h.name
 //! = $name` one probe. Build chains never take the rule.
 //!
+//! A column is a memo entry. An attribute over an extent is the paper's
+//! §4.1 vector `M[n]`, and a fold of its values is a homomorphism out of
+//! that vector; a bag of them is an ℕ-valued map over its distinct values
+//! (the module view of Henglein et al., *The Programming of Algebra*). So
+//! `compile` gives a *lane chain* — a reduction chain over a root extent
+//! that at most unnests one field of the scan variable, then only filters,
+//! and whose filters and head read the chain's variables only as one
+//! attribute `a` of the trailing generator — a second plan: the same
+//! kernels reading `a`'s value from a slot of its own. The first run at
+//! an epoch builds the *lane* in the snapshot's memo (charged its bytes):
+//! the distinct values of `a` sorted into a dictionary, all of one scalar
+//! kind so that `Value::cmp`-equal means identical, and each row's code in
+//! the plain chain's order. A row off the shape (a dangling object, a path
+//! that is no collection, a missing attribute, mixed kinds), a dictionary
+//! of more than half the rows, or a lane the memo will not keep refuses
+//! the lane; the refusal is kept for the epoch too, and the run drives the
+//! plain chain — decided once per run, before any row. Over a lane the
+//! filters and head run once per dictionary entry, into verdicts; the
+//! rows then visit them in order, so the first row whose verdict fails
+//! fails the run with the walk's error, `some`/`all` stop at the walk's
+//! row, and other monoids are pushed each kept row's head in the walk's
+//! order. A sorting monoid (`bag`, `set`, `sorted`, `sortedbag`) over `a`
+//! itself is built from the dictionary and the row count of each kept
+//! entry, which the lane counted when it was built, with no push and no
+//! sort — `bulk-rows`' statement does work per price, not per room; its
+//! rows are visited only when an entry fails, to find the first row that
+//! fails.
+//!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
 //! value-level semantics are *shared*, not duplicated — projections,
@@ -122,7 +153,8 @@
 //! error messages cannot drift. Second, both engines start from one
 //! setup (`exec::root`), which refuses a run that leaves a `$param` of the
 //! query unbound, so the fold's only globals — its `$param`s — always
-//! resolve, and a root is read by the evaluator where the walk reads it.
+//! resolve, and a root is read from the root environment where the walk
+//! reads it.
 //! Iteration order is the collection's canonical element order on both
 //! engines, so ordered monoids (`list`, `str`, sorted variants) agree
 //! without any re-sorting, and `some`/`all` short-circuit at the same
@@ -140,13 +172,22 @@
 //! charges only its keys, index build and probes; its build side's
 //! operators charge their own, so the self times compose.
 //!
+//! A lane chain profiles as its plain chain does: the lane tells the
+//! probe each operator's rows — the members scanned, the rows unnested,
+//! the rows each filter kept, up to the row where `some`/`all` stopped —
+//! and charges each filter its once-per-entry evaluations, the trailing
+//! generator its pass over the codes (or a counted result's assembly from
+//! the entries' row counts), and the scan the lane's build.
+//!
 //! One judgement per submodule: `compile` decides what fuses and into
 //! which stages and kernels, `drive` runs a row through them into a sink
-//! and tells the probe what each operator did, and `table` indexes a
-//! join's build side and answers its probes.
+//! and tells the probe what each operator did, `lane` builds a lane
+//! chain's column and folds it, and `table` indexes a join's build side
+//! and answers its probes.
 
 mod compile;
 mod drive;
+mod lane;
 mod table;
 
 pub(crate) use compile::{compile, FusedQuery};
@@ -222,6 +263,93 @@ mod tests {
             ],
         ))
         .unwrap()
+    }
+
+    /// `bulk-rows`' statement, `bag{ r.price | h ← Hotels, r ← h.rooms,
+    /// r.price ≥ $floor }`, with `head` and the filter `pred`.
+    fn rooms_over(monoid: Monoid, head: Expr, pred: Expr) -> Query {
+        let mut plan = scan_chain().plan().clone();
+        let Plan::Filter { pred: p, .. } = &mut plan else { panic!("{plan:?}") };
+        *p = pred;
+        Query::new(plan, monoid, head).unwrap()
+    }
+
+    #[test]
+    fn one_attribute_of_the_trailing_generator_over_a_root_is_a_lane_chain() {
+        let (h, r) = (|| Expr::var("h"), || Expr::var("r"));
+        let floor = || r().proj("price").ge(Expr::param("$floor"));
+        // `bulk-rows`: the bag over the attribute itself is counted; `h`
+        // is slot 0, `r` 1, `$floor` 2 and the lane's value slot 3.
+        let q = rooms_over(Monoid::Bag, r().proj("price"), floor());
+        let lane = fold(&q).lane.as_ref().expect("a lane chain");
+        assert_eq!((lane.scan, lane.unnest, lane.value, lane.counts), (2, Some(1), 3, true));
+        assert_eq!(lane.key.path, Some(Symbol::new("rooms")));
+        assert_eq!(lane.key.attr, Symbol::new("price"));
+        let [(0, Kernel::Compare(c))] = lane.filters.as_slice() else { panic!("{lane:?}") };
+        assert_eq!((&c.lhs, &c.rhs), (&Operand::Slot(3), &Operand::Slot(2)));
+        // Another monoid, or a head computed from the attribute, pushes
+        // heads; a constant head and a root compare take the lane too.
+        for (monoid, head) in [
+            (Monoid::List, r().proj("price")),
+            (Monoid::Bag, r().proj("price").add(Expr::int(1))),
+            (Monoid::Sum, Expr::int(1)),
+        ] {
+            let q = rooms_over(monoid, head.clone(), r().proj("price").ge(Expr::var("Floor")));
+            assert!(fold(&q).lane.as_ref().is_some_and(|l| !l.counts), "{head:?}");
+        }
+        // Depth 0: an attribute of the scanned members.
+        let hotels = Plan::Scan { var: "h".into(), source: Expr::var("Hotels") };
+        let stars = || h().proj("stars");
+        let pred = stars().ge(Expr::int(3));
+        let filtered = Plan::Filter { input: Box::new(hotels), pred };
+        let q = Query::new(filtered, Monoid::Set, stars()).unwrap();
+        let lane = fold(&q).lane.as_ref().expect("a depth-0 lane chain");
+        assert_eq!((lane.key.path, lane.unnest, lane.counts), (None, None, true));
+    }
+
+    #[test]
+    fn what_takes_no_lane() {
+        let (h, r) = (|| Expr::var("h"), || Expr::var("r"));
+        let no_lane = |q: &Query| fold(q).lane.is_none();
+        // `point-wire`'s and `mixed-rw`'s statement stays a keyed probe,
+        // `join-wire`'s a join.
+        let hotels = || Plan::Scan { var: "h".into(), source: Expr::var("Hotels") };
+        let pred = h().proj("name").eq(Expr::param("$name"));
+        let point = Plan::Filter { input: Box::new(hotels()), pred };
+        let point = Query::new(point, Monoid::Some, Expr::bool(true)).unwrap();
+        assert!(matches!(fold(&point).chain.source, Source::Probe { .. }) && no_lane(&point));
+        let join = with_head(&keyed_join(), Expr::param("$w"));
+        assert!(matches!(fold(&join).chain.stages.as_slice(), [Stage::Join { .. }]));
+        assert!(no_lane(&join));
+        // A lane-shaped build side: the reduction chain is a join.
+        let rooms = Plan::Unnest {
+            input: Box::new(hotels()),
+            var: "r".into(),
+            path: h().proj("rooms"),
+        };
+        let build = Plan::Join {
+            left: Box::new(Plan::Scan { var: "c".into(), source: Expr::var("Cities") }),
+            right: Box::new(rooms),
+            on: vec![(Expr::var("c").proj("name"), r().proj("price"))],
+        };
+        assert!(no_lane(&Query::new(build, Monoid::Sum, Expr::int(1)).unwrap()));
+        // The chain reads the scan variable, a whole row, or two
+        // attributes; the source reads a `$param`.
+        let floor = || r().proj("price").ge(Expr::param("$floor"));
+        for (head, pred) in [
+            (h().proj("name"), floor()),
+            (r(), floor()),
+            (r().proj("bed#"), floor()),
+            (r().proj("price"), floor().and(r().proj("bed#").ge(Expr::int(1)))),
+            (Expr::int(1), h().proj("stars").ge(Expr::int(1))),
+        ] {
+            let q = rooms_over(Monoid::Bag, head.clone(), pred.clone());
+            assert!(no_lane(&q), "{head:?} / {pred:?}");
+        }
+        let param_source = Plan::Scan { var: "h".into(), source: Expr::param("$hotels") };
+        let pred = h().proj("stars").ge(Expr::int(3));
+        let q = Plan::Filter { input: Box::new(param_source), pred };
+        assert!(no_lane(&Query::new(q, Monoid::Bag, h().proj("stars")).unwrap()));
     }
 
     #[test]
@@ -417,7 +545,7 @@ mod tests {
         let probe = |t: &Table, key: Value| {
             let mut hits = Vec::new();
             let (heap, env) = (Heap::new(), Env::empty());
-            let cx = Cx { heap: &heap, env: &env, tables: &[], counted: false };
+            let cx = Cx { heap: &heap, env: &env, roots: &[], tables: &[], counted: false };
             let mut i = t.first_match(&[FusedExpr::Const(key)], &[], None, &cx).unwrap();
             while i != NONE {
                 hits.push(i);
@@ -556,9 +684,9 @@ mod tests {
 
     #[test]
     fn missing_global_declines_at_resolution() {
-        // `target` is a root the predicate reads: an evaluated leaf, which
-        // fails where the walk's read fails — on the first row, and not
-        // over an empty extent.
+        // `target` is a root the predicate reads: a root cell, read on the
+        // first row that reads it, which fails where the walk's read fails
+        // — on the first row, and not over an empty extent.
         let q = plan_comprehension(&Expr::comp(
             Monoid::Sum,
             Expr::int(1),
@@ -569,8 +697,9 @@ mod tests {
         ))
         .unwrap();
         let [Stage::Join { left_keys, .. }] = fold(&q).chain.stages.as_slice() else { panic!() };
-        assert_eq!(left_keys, &[FusedExpr::Eval { expr: Expr::var("target"), free: vec![] }]);
+        assert_eq!(left_keys, &[FusedExpr::Root(0, Symbol::new("target"))]);
         assert!(fold(&q).globals.is_empty() && fold(&q).params.is_empty());
+        assert_eq!(fold(&q).n_roots, 1);
         let hotel = Value::record_from(vec![("name", Value::str("x"))]);
         let run = |hotels: Vec<Value>| {
             let env = Env::empty().bind(Symbol::new("Hotels"), Value::list(hotels));

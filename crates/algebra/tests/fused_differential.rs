@@ -20,9 +20,12 @@
 //! whose operands do not fit — errors included, as text. The
 //! `multiplicity_*` tests pin the heads folded once per bucket, `n`-fold
 //! (a head that reads none of the trailing generator's variables), over
-//! joins, unnests, bare scans and keyed probes. Every battery also runs
-//! the profiler's counted fold (cold, no memo) and holds it to the walk's
-//! answer; the `profiled_*` tests pin what it counts.
+//! joins, unnests, bare scans and keyed probes. The `lane_*` tests pin
+//! chains folded over a dictionary-coded column — one attribute of an
+//! extent's members, or of their collections' members — for every monoid,
+//! float, int and string columns, errors as text, and each refusal. Every
+//! battery also runs the profiler's counted fold (cold, no memo) and holds
+//! it to the walk's answer; the `profiled_*` tests pin what it counts.
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
@@ -2026,4 +2029,504 @@ fn profiled_rows_are_what_each_operator_of_the_fold_pushed() {
     let any = plan_comprehension(&Expr::comp(Monoid::Some, Expr::bool(true), hotel)).unwrap();
     let p = execute_profiled_bound(&any, &[], &db, &[]).unwrap().profile;
     assert!(p.short_circuited && p.rows_to_reduce == hotels, "{}", p.render());
+}
+
+// -------------------------------------------------------------------------
+// Roots read by a compiled expression: read once per run, on the first row
+// that reads them, and failing only where the walk's read fails.
+// -------------------------------------------------------------------------
+
+#[test]
+fn root_read_by_a_compiled_filter_is_read_once_and_fails_like_the_walk() {
+    let e = || Expr::var("e");
+    let floor = Expr::comp(
+        Monoid::Sum,
+        Expr::int(1),
+        vec![
+            Expr::gen("e", Expr::var(company::names::EMPLOYEES)),
+            Expr::pred(e().proj("salary").ge(Expr::var("Floor"))),
+        ],
+    );
+    let plan = plan_comprehension(&floor).unwrap();
+    let mut db = company();
+    let mut unbound = db.clone();
+    db.set_root("Floor", Value::Int(60_000));
+    for (label, db) in [("bound", &mut db), ("unbound", &mut unbound)] {
+        let walk = execute_plan_walk_bound(&plan, db, &[]);
+        assert_eq!(walk.is_ok(), label == "bound", "{label}: {walk:?}");
+        let fused = fused_twice(label, &plan, db);
+        assert_eq!(fused, walk, "{label}: fused ≠ walk");
+        if let (Err(w), Err(f)) = (&walk, &fused) {
+            assert_eq!(w.to_string(), f.to_string(), "{label}: error text");
+        }
+        assert_profiled_agrees(label, &plan, db, &[], &walk);
+        if let Ok(v) = &walk {
+            assert_eq!(v, &db.query(&floor).unwrap(), "{label}: walk ≠ evaluator");
+        }
+    }
+    // Over an empty extent no row reads the root: the empty sum.
+    unbound.set_root(company::names::EMPLOYEES, Value::bag_from(Vec::new()));
+    assert_eq!(execute_plan_walk_bound(&plan, &unbound, &[]), Ok(Value::Int(0)));
+    assert_eq!(fused_twice("empty", &plan, &unbound), Ok(Value::Int(0)));
+}
+
+// -------------------------------------------------------------------------
+// Lanes: a reduction chain whose filters and head read one attribute of an
+// extent's members — or of the members of one of their collections — folds
+// a dictionary-coded column the snapshot's memo keeps. The `lane_*` tests
+// pin it to the walk, fresh and from the memo, for every monoid over float,
+// int and string lanes at both depths, errors as text, and pin each
+// refusal.
+// -------------------------------------------------------------------------
+
+/// The distinct values of a lane of `kind`: floats include both zeros and
+/// two NaN payloads.
+fn lane_values(kind: &str) -> Vec<Value> {
+    match kind {
+        "float" => {
+            let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+            [2.5, -0.0, 0.0, 7.25, f64::NAN, nan, -1.5, 100.0].map(Value::Float).to_vec()
+        }
+        "int" => [3, -2, 0, 7, 2, 11].map(Value::Int).to_vec(),
+        _ => ["b", "a", "", "zz", "m"].map(Value::str).to_vec(),
+    }
+}
+
+/// Three rows per distinct value of `kind`, interleaved, as records
+/// `⟨v, id⟩`: a lane keeps a dictionary of at most half its rows.
+fn lane_rows(kind: &str) -> Vec<Value> {
+    let values = lane_values(kind);
+    let n = values.len();
+    (0..3 * n)
+        .map(|i| {
+            let v = values[(i * 5 + i / n) % n].clone();
+            Value::record_from(vec![("v", v), ("id", Value::Int(i as i64))])
+        })
+        .collect()
+}
+
+/// Holders `⟨items⟩` of `rows`, in order, with empty holders first, among
+/// them and last.
+fn holders(rows: Vec<Value>, coll: fn(Vec<Value>) -> Value) -> Value {
+    let holder = |items: Vec<Value>| Value::record_from(vec![("items", coll(items))]);
+    let half = rows.len() / 2;
+    Value::list(vec![
+        holder(Vec::new()),
+        holder(rows[..half].to_vec()),
+        holder(Vec::new()),
+        holder(rows[half..].to_vec()),
+        holder(Vec::new()),
+    ])
+}
+
+/// For each kind (`F`loat, `I`nt, `S`tring): `D0<k>`, a class-like bag of
+/// objects whose state is a row (depth 0); `D1<k>`, holders whose `items`
+/// list the rows (depth 1); and `DB<k>`, holders whose `items` are bags,
+/// so repeated rows come out of one run. `Empty` has no member.
+fn lane_store() -> Database {
+    let mut db = Database::new(Schema::new());
+    for (k, kind) in [("F", "float"), ("I", "int"), ("S", "string")] {
+        let rows = lane_rows(kind);
+        let objects = rows.iter().map(|r| Value::Obj(db.heap_mut().alloc(r.clone()))).collect();
+        db.set_root(format!("D0{k}").as_str(), Value::bag_from(objects));
+        db.set_root(format!("D1{k}").as_str(), holders(rows.clone(), Value::list));
+        let doubled = rows.iter().chain(&rows).cloned().collect();
+        db.set_root(format!("DB{k}").as_str(), holders(doubled, Value::bag_from));
+    }
+    db.set_root("Empty", Value::list(Vec::new()));
+    db
+}
+
+/// `⊕{ head | <var> ← <extent>[, r ← <var>.items][, pred] }`: `x` reads
+/// the attribute of the trailing generator.
+fn lane_plan(monoid: Monoid, head: Expr, extent: &str, pred: Option<Expr>) -> Query {
+    let var = if extent.starts_with("D0") { "x" } else { "h" };
+    let mut quals = vec![Expr::gen(var, Expr::var(extent))];
+    if var == "h" {
+        quals.push(Expr::gen("x", Expr::var("h").proj("items")));
+    }
+    quals.extend(pred.map(Expr::pred));
+    plan_comprehension(&Expr::comp(monoid, head, quals)).unwrap()
+}
+
+/// The attribute.
+fn x() -> Expr {
+    Expr::var("x").proj("v")
+}
+
+/// One head per non-lifted monoid over a lane of `kind`, compared with
+/// `$c`: the attribute itself wherever the monoid takes it, a value
+/// computed from it where it does not.
+fn lane_heads(kind: &str) -> Vec<(Monoid, Expr)> {
+    let c = || Expr::param("$c");
+    let numeric = kind != "string";
+    let num = if numeric { x() } else { Expr::if_(x().ge(c()), Expr::int(1), Expr::int(2)) };
+    let text = if numeric { Expr::if_(x().ge(c()), Expr::str("hi"), Expr::str("lo")) } else { x() };
+    vec![
+        (Monoid::Sum, num.clone()),
+        (Monoid::Prod, num),
+        (Monoid::Max, x()),
+        (Monoid::Min, x()),
+        (Monoid::Some, x().ge(c())),
+        (Monoid::All, x().ne(c())),
+        (Monoid::List, x()),
+        (Monoid::Bag, x()),
+        (Monoid::Set, x()),
+        (Monoid::Sorted, x()),
+        (Monoid::SortedBag, x()),
+        (Monoid::OSet, x()),
+        (Monoid::Str, text),
+    ]
+}
+
+/// The parameters a lane of `kind` is compared with: `$c` of its kind,
+/// and an `Int` `$floor`.
+fn lane_params(kind: &str) -> Vec<(Symbol, Value)> {
+    let c = match kind {
+        "float" => Value::Float(0.0),
+        "int" => Value::Int(3),
+        _ => Value::str("b"),
+    };
+    vec![(Symbol::new("$c"), c), (Symbol::new("$floor"), Value::Int(2))]
+}
+
+/// Fused and walk answers are one value: equal under `Value::cmp` (which
+/// tells the zeros and NaN payloads apart) and printed alike (which tells
+/// `1` from `1.0`), or one error, word for word.
+fn assert_identical(label: &str, fused: &ExecResult<Value>, walk: &ExecResult<Value>) {
+    assert_eq!(fused, walk, "{label}: fused ≠ walk");
+    assert_eq!(format!("{fused:?}"), format!("{walk:?}"), "{label}: not byte-identical");
+    if let (Err(f), Err(w)) = (fused, walk) {
+        assert_eq!(f.to_string(), w.to_string(), "{label}: error text");
+    }
+}
+
+/// The walk's answer for `plan` on a fresh snapshot of `db`, after the
+/// fused fold gave the identical answer twice there — fresh, then from the
+/// memo, building nothing the second time — and the profiler's counted
+/// fold gave it too; and whether the memo kept a lane (a refusal is kept
+/// too, in no bytes).
+fn lane_agree(
+    label: &str,
+    plan: &Query,
+    db: &Database,
+    params: &[(Symbol, Value)],
+) -> (ExecResult<Value>, bool) {
+    let snap = db.clone().snapshot();
+    let walk = execute_plan_walk_bound(plan, &snap, params);
+    let fresh = execute_snapshot_bound(plan, &snap, params);
+    let built = snap.memo().misses();
+    let kept = execute_snapshot_bound(plan, &snap, params);
+    assert_eq!(snap.memo().misses(), built, "{label}: the second run built again");
+    assert_identical(&format!("{label} (fresh)"), &fresh, &walk);
+    assert_identical(&format!("{label} (memo)"), &kept, &walk);
+    assert_profiled_agrees(label, plan, &snap, params, &walk);
+    (walk, snap.memo().bytes() > 0)
+}
+
+#[test]
+fn lane_every_monoid_over_float_int_and_string_lanes_at_both_depths_agrees() {
+    let db = lane_store();
+    let preds = |kind: &str| {
+        let mut preds = vec![None, Some(x().ge(Expr::param("$c")))];
+        if kind == "float" {
+            // An `Int` floor against a float lane.
+            preds.push(Some(x().ge(Expr::param("$floor"))));
+        }
+        preds
+    };
+    for (k, kind) in [("F", "float"), ("I", "int"), ("S", "string")] {
+        let params = lane_params(kind);
+        for extent in [format!("D0{k}"), format!("D1{k}"), format!("DB{k}")] {
+            for pred in preds(kind) {
+                for (monoid, head) in lane_heads(kind) {
+                    let label = format!("{extent}/{pred:?}/{monoid}");
+                    let plan = lane_plan(monoid, head, &extent, pred.clone());
+                    let (walk, lane) = lane_agree(&label, &plan, &db, &params);
+                    assert!(walk.is_ok(), "{label}: {walk:?}");
+                    assert!(lane, "{label}: no lane");
+                }
+            }
+        }
+    }
+    // Not vacuous: both zeros and both NaNs are runs of their own, the
+    // `Int` floor meets the floats numerically (and NaN orders above every
+    // number), and holders' empty lists contribute nothing.
+    let bag = |extent: &str, pred| {
+        let plan = lane_plan(Monoid::Bag, x(), extent, pred);
+        execute_snapshot_bound(&plan, &db, &lane_params("float")).unwrap()
+    };
+    let Value::Bag(runs) = bag("D1F", None) else { panic!() };
+    assert_eq!(runs.len(), 8);
+    assert!(runs.iter().all(|(_, n)| *n == 3), "{runs:?}");
+    let Value::Bag(runs) = bag("DBF", Some(x().ge(Expr::param("$floor")))) else { panic!() };
+    let kept: Vec<_> = runs.iter().map(|(v, n)| (format!("{v}"), *n)).collect();
+    let nan = || ("NaN".to_string(), 6);
+    assert_eq!(kept, [("2.5".into(), 6), ("7.25".into(), 6), ("100".into(), 6), nan(), nan()]);
+}
+
+#[test]
+fn lane_over_an_empty_extent_and_empty_collections_agrees() {
+    let mut db = lane_store();
+    db.set_root("D1E", holders(Vec::new(), Value::list));
+    for extent in ["Empty", "D1E"] {
+        for (monoid, head) in lane_heads("int") {
+            let label = format!("{extent}/{monoid}");
+            let plan = lane_plan(monoid, head, extent, Some(x().ge(Expr::param("$c"))));
+            let (walk, lane) = lane_agree(&label, &plan, &db, &lane_params("int"));
+            assert!(walk.is_ok() && lane, "{label}: {walk:?}");
+        }
+    }
+}
+
+/// A filter or a head that fails on some values: the run fails with the
+/// error of the first row, in the walk's order, whose value fails — a
+/// division by zero at `2`, a projection out of an int at `at` — or ends
+/// with a verdict before it. The rows read `3, 11, 2, 7, …`, so at `11`
+/// the projection comes first and at `7` the division does.
+#[test]
+fn lane_a_filter_or_head_failing_on_some_values_fails_at_the_walks_first_row() {
+    let db = lane_store();
+    let ten_over = || Expr::int(10).div(x().sub(Expr::int(2)));
+    let failing = |at: i64| {
+        let projected = x().proj("f").ge(Expr::int(0));
+        Expr::if_(x().eq(Expr::int(at)), projected, ten_over().ge(Expr::int(0)))
+    };
+    let params = lane_params("int");
+    let mut errors = Vec::new();
+    for extent in ["D0I", "D1I", "DBI"] {
+        for at in [11, 7] {
+            for (monoid, head) in lane_heads("int") {
+                let label = format!("{extent}/{at}/{monoid}/filter");
+                let plan = lane_plan(monoid.clone(), head, extent, Some(failing(at)));
+                let (walk, lane) = lane_agree(&label, &plan, &db, &params);
+                assert!(lane, "{label}: no lane");
+                errors.push(walk.err().map(|e| e.to_string()));
+                let label = format!("{extent}/{at}/{monoid}/head");
+                let plan = lane_plan(monoid, failing(at), extent, None);
+                let (walk, lane) = lane_agree(&label, &plan, &db, &params);
+                assert!(lane, "{label}: no lane");
+                errors.push(walk.err().map(|e| e.to_string()));
+            }
+        }
+    }
+    // Both errors are met first somewhere, and not every run fails.
+    let has = |text: &str| errors.iter().flatten().any(|e| e.contains(text));
+    assert!(has("division") && has("project"), "{errors:?}");
+    assert!(errors.iter().any(Option::is_none), "{errors:?}");
+}
+
+/// `some` and `all` stop at the walk's witness: a row after it whose head
+/// is read fails, so a fold that went on would report an error.
+#[test]
+fn lane_some_and_all_stop_mid_lane_where_the_walk_stops() {
+    let db = lane_store();
+    let bad = || Expr::int(10).div(x().sub(Expr::int(2))).ge(Expr::int(0));
+    let witness = || x().eq(Expr::int(11));
+    for extent in ["D0I", "D1I", "DBI"] {
+        for (monoid, head, verdict) in [
+            (Monoid::Some, witness().or(bad()), true),
+            (Monoid::All, witness().not().and(bad()), false),
+        ] {
+            let label = format!("{extent}/{monoid}");
+            // The rows read `3, 11, 2, …`: the witness is the second row,
+            // the first `2` the third.
+            let plan = lane_plan(monoid, head, extent, Some(x().ne(Expr::int(-2))));
+            let (walk, lane) = lane_agree(&label, &plan, &db, &lane_params("int"));
+            assert_eq!(walk, Ok(Value::Bool(verdict)), "{label}");
+            assert!(lane, "{label}: no lane");
+        }
+    }
+}
+
+/// Each refusal: a dangling object, a path that is no collection, a
+/// missing attribute, a column mixing ints with floats, and one whose
+/// values never repeat. The refusal is kept for the epoch, and the run is
+/// the plain chain's — the walk's error, or the walk's value.
+#[test]
+fn lane_refusals_run_the_plain_chain() {
+    let mut db = lane_store();
+    let mut rows = lane_rows("int");
+    let objects: Vec<_> = rows.iter().map(|r| Value::Obj(db.heap_mut().alloc(r.clone()))).collect();
+    let mut dangling = objects.clone();
+    dangling.insert(4, Value::Obj(monoid_calculus::value::Oid(9_999)));
+    db.set_root("Dangling", Value::list(dangling));
+    let mut not_a_collection = holders(rows.clone(), Value::list).elements().unwrap();
+    not_a_collection.insert(2, Value::record_from(vec![("items", Value::Int(5))]));
+    db.set_root("NotCollection", Value::list(not_a_collection));
+    let mut missing = rows.clone();
+    missing.insert(7, Value::record_from(vec![("id", Value::Int(99))]));
+    db.set_root("Missing", holders(missing, Value::list));
+    // `1` meets `1.0` under `Value::cmp`: which one a bag keeps shows.
+    // Each value comes six times, three of them as a float, so the
+    // dictionary would be small enough to keep.
+    rows.extend(rows.clone());
+    rows.iter_mut().step_by(2).for_each(|r| {
+        let id = r.field(Symbol::new("id")).unwrap().clone();
+        let Value::Int(v) = r.field(Symbol::new("v")).unwrap().clone() else { panic!() };
+        *r = Value::record_from(vec![("v", Value::Float(v as f64)), ("id", id)]);
+    });
+    db.set_root("Mixed", holders(rows, Value::list));
+    // Every value once: a dictionary as long as the rows.
+    let row = |i| Value::record_from(vec![("v", Value::Int(i)), ("id", Value::Int(i))]);
+    db.set_root("Distinct", holders((0..20).map(row).collect(), Value::list));
+    for (extent, fails) in [
+        ("Dangling", true),
+        ("NotCollection", true),
+        ("Missing", true),
+        ("Mixed", false),
+        ("Distinct", false),
+    ] {
+        for (monoid, head) in lane_heads("int") {
+            let label = format!("{extent}/{monoid}");
+            let var = if extent == "Dangling" { "x" } else { "h" };
+            let mut quals = vec![Expr::gen(var, Expr::var(extent))];
+            if var == "h" {
+                quals.push(Expr::gen("x", Expr::var("h").proj("items")));
+            }
+            let plan = plan_comprehension(&Expr::comp(monoid, head, quals)).unwrap();
+            let (walk, lane) = lane_agree(&label, &plan, &db, &lane_params("int"));
+            assert!(!lane, "{label}: a lane was kept");
+            if !matches!(walk, Ok(Value::Bool(_))) {
+                assert_eq!(walk.is_err(), fails, "{label}: {walk:?}");
+            }
+        }
+    }
+}
+
+/// `bulk-rows`' store: 50 hotels of `rooms` rooms each, priced in 360
+/// whole amounts — 20 000 rooms at the workload's size, and a lane at
+/// 1 000 already (a lane keeps a dictionary of at most half its rows).
+fn bulk_rows_store(rooms: usize) -> Database {
+    let scale = TravelScale {
+        cities: 10,
+        hotels_per_city: 5,
+        rooms_per_hotel: rooms,
+        employees_per_hotel: 0,
+        clients: 0,
+    };
+    travel::generate(scale, 1995)
+}
+
+const BULK_ROWS: &str = "select r.price from h in Hotels, r in h.rooms where r.price >= $floor";
+
+fn floor(f: f64) -> Vec<(Symbol, Value)> {
+    vec![(Symbol::new("$floor"), Value::Float(f))]
+}
+
+#[test]
+fn memo_keeps_a_lane_once_per_epoch() {
+    let db = bulk_rows_store(20);
+    let plan = prepared(&db, BULK_ROWS);
+    let snap = db.snapshot();
+    let cold = fused_checked(&plan, &snap, &floor(120.0));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+    assert!(snap.memo().bytes() > 1_000 * 4, "the lane is charged to the memo");
+    // Another floor, another clone of the snapshot, and the database
+    // itself: the one lane serves them all.
+    assert_eq!(fused_checked(&plan, &snap, &floor(120.0)), cold);
+    assert_ne!(fused_checked(&plan, &snap.clone(), &floor(50.0)), cold);
+    fused_checked(&plan, &db, &floor(200.0));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+}
+
+#[test]
+fn memo_forgets_a_lane_on_every_write_between_executions() {
+    let mut db = bulk_rows_store(20);
+    let plan = prepared(&db, BULK_ROWS);
+    let before = fused_checked(&plan, &db, &floor(0.0));
+    assert_eq!(db.memo().misses(), 1);
+    let room = Value::record_from(vec![("bed#", Value::Int(2)), ("price", Value::Float(1.0e6))]);
+    let hotel = Value::record_from(vec![
+        ("name", Value::str("annex")),
+        ("address", Value::str("-")),
+        ("facilities", Value::set_from(Vec::new())),
+        ("employees", Value::list(Vec::new())),
+        ("rooms", Value::list(vec![room.clone(), room])),
+    ]);
+    db.insert(Symbol::new(travel::names::HOTEL), hotel).unwrap();
+    assert!(db.memo().is_empty(), "a write starts a fresh memo");
+    let after = fused_checked(&plan, &db, &floor(0.0));
+    assert_eq!(after.len().unwrap(), before.len().unwrap() + 2);
+    assert_eq!((db.memo().len(), db.memo().misses()), (1, 1));
+}
+
+/// `bulk-rows`' statement profiled over its lane: the walk's rows per
+/// operator — every hotel scanned, every room unnested, the kept rows
+/// filtered — and a `some` that stops mid-lane counts what the plain
+/// chain counts up to its witness.
+#[test]
+fn profiled_lane_reports_the_walks_rows_per_operator() {
+    let db = bulk_rows_store(400);
+    let plan = prepared(&db, BULK_ROWS);
+    let analysis = execute_profiled_bound(&plan, &[], &db, &floor(120.0)).unwrap();
+    let p = &analysis.profile;
+    let kept = analysis.value.len().unwrap() as u64;
+    let rows: Vec<_> = p.operators.iter().map(|o| (o.kind, o.actual_rows)).collect();
+    assert_eq!(rows, [("filter", kept), ("unnest", 20_000), ("scan", 50)], "{}", p.render());
+    assert!(0 < kept && kept < 20_000 && !p.short_circuited);
+    // The same `some` over the lane and as a plain chain (its filter reads
+    // a second attribute): the same rows, the same stop.
+    let r = || Expr::var("r");
+    let some = |pred: Expr| {
+        let quals = vec![
+            Expr::gen("h", Expr::var("Hotels")),
+            Expr::gen("r", Expr::var("h").proj("rooms")),
+            Expr::pred(pred),
+        ];
+        let comp = Expr::comp(Monoid::Some, r().proj("price").ge(Expr::param("$floor")), quals);
+        plan_comprehension(&comp).unwrap()
+    };
+    let priced = || r().proj("price").ge(Expr::float(100.0));
+    let lane = some(priced());
+    let plain = some(priced().and(r().proj("bed#").ge(Expr::int(0))));
+    // The first room at the dearest price is the witness.
+    let dearest = dearest_price(&db);
+    let profile = |q: &Query| {
+        let p = execute_profiled_bound(q, &[], &db, &floor(dearest)).unwrap().profile;
+        let rows: Vec<_> = p.operators.iter().map(|o| o.actual_rows).collect();
+        (rows, p.short_circuited, p.rows_to_reduce)
+    };
+    let (rows, stopped, reduced) = profile(&lane);
+    assert_eq!((rows.clone(), stopped, reduced), profile(&plain));
+    assert!(stopped && rows[1] < 20_000 && rows[2] <= 50, "{rows:?}");
+    let snap = db.snapshot();
+    execute_snapshot_bound(&lane, &snap, &floor(dearest)).unwrap();
+    assert!(snap.memo().bytes() > 0, "the `some` took the lane");
+
+    // Over the lane store, whose first holder is empty: `some` and `all`
+    // stop in the second, and both count the empty one as scanned; `sum`
+    // scans every holder, the trailing empty one too.
+    let db = lane_store();
+    let plain_twin = x().ne(Expr::int(-2)).and(Expr::var("x").proj("id").ge(Expr::int(0)));
+    for extent in ["D0I", "D1I", "DBI"] {
+        for (monoid, head) in [
+            (Monoid::Some, x().eq(Expr::int(11))),
+            (Monoid::All, x().ne(Expr::int(11))),
+            (Monoid::Sum, x()),
+        ] {
+            let label = format!("{extent}/{monoid}");
+            let lane = lane_plan(monoid.clone(), head.clone(), extent, Some(x().ne(Expr::int(-2))));
+            let plain = lane_plan(monoid, head, extent, Some(plain_twin.clone()));
+            let profile = |q: &Query| {
+                let p = execute_profiled_bound(q, &[], &db, &[]).unwrap().profile;
+                let rows: Vec<_> = p.operators.iter().map(|o| o.actual_rows).collect();
+                (rows, p.short_circuited, p.rows_to_reduce)
+            };
+            assert_eq!(profile(&lane), profile(&plain), "{label}");
+            assert!(lane_agree(&label, &lane, &db, &[]).1, "{label}: no lane");
+        }
+    }
+}
+
+/// The dearest room's price.
+fn dearest_price(db: &Database) -> f64 {
+    let r = Expr::var("r").proj("price");
+    let quals =
+        vec![Expr::gen("h", Expr::var("Hotels")), Expr::gen("r", Expr::var("h").proj("rooms"))];
+    let plan = plan_comprehension(&Expr::comp(Monoid::Max, r, quals)).unwrap();
+    match execute(&plan, db).unwrap() {
+        Value::Float(x) => x,
+        v => panic!("{v:?}"),
+    }
 }

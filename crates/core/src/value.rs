@@ -741,7 +741,8 @@ impl SortBuffer {
         match self {
             SortBuffer::Float(mut xs) => {
                 xs.sort_unstable_by(f64::total_cmp);
-                canonical_lane(monoid, &xs, |a, b| a.to_bits() == b.to_bits(), Value::Float)
+                let runs = xs.chunk_by(|a, b| a.to_bits() == b.to_bits());
+                canonical_runs(monoid, runs.map(|g| (Value::Float(g[0]), g.len() as u64)))
             }
             SortBuffer::Values(mut items) => match monoid {
                 Monoid::Bag => Value::bag_from(items),
@@ -760,23 +761,16 @@ impl SortBuffer {
     }
 }
 
-/// A sorted lane in `monoid`'s canonical form — runs for a bag, one head
-/// per `same` group for set and sorted, every head for sortedbag — boxing
-/// only what the result keeps.
-fn canonical_lane<T: Copy>(
-    monoid: &Monoid,
-    sorted: &[T],
-    same: impl Fn(&T, &T) -> bool,
-    boxed: impl Fn(T) -> Value,
-) -> Value {
-    let groups = || sorted.chunk_by(|a, b| same(a, b));
+/// A sorting monoid's canonical form from sorted, distinct `(value,
+/// count)` runs: the runs for a bag, each value once for set and sorted,
+/// each value `count` times for sortedbag. Equal under [`Value::cmp`] must
+/// mean identical within the runs' kind, so no representative shows.
+pub fn canonical_runs(monoid: &Monoid, runs: impl Iterator<Item = (Value, u64)>) -> Value {
     match monoid {
-        Monoid::Bag => {
-            Value::Bag(Arc::new(groups().map(|g| (boxed(g[0]), g.len() as u64)).collect()))
-        }
-        Monoid::Set => Value::Set(Arc::new(groups().map(|g| boxed(g[0])).collect())),
-        Monoid::Sorted => Value::list(groups().map(|g| boxed(g[0])).collect()),
-        _ => Value::list(sorted.iter().map(|&x| boxed(x)).collect()),
+        Monoid::Bag => Value::Bag(Arc::new(runs.collect())),
+        Monoid::Set => Value::Set(Arc::new(runs.map(|(v, _)| v).collect())),
+        Monoid::Sorted => Value::list(runs.map(|(v, _)| v).collect()),
+        _ => Value::list(runs.flat_map(|(v, n)| std::iter::repeat_n(v, n as usize)).collect()),
     }
 }
 

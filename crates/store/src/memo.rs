@@ -3,11 +3,14 @@
 //!
 //! The store does not know what it keeps: a key is any `PartialEq` value
 //! (compared with `==`, never hashed) and a value is an
-//! `Arc<dyn Any + Send + Sync>` its builder downcasts. The fused engine
-//! keeps its param-free hash tables here — a join's build side, or the
-//! extent a keyed filter probes — keyed by the sub-plan that produces the
-//! rows and the key expressions over them; the serving layer keeps the
-//! statistics its prepares read, one gather per memo.
+//! `Arc<dyn Any + Send + Sync>` its builder downcasts. It keeps tables,
+//! statistics and lanes. The fused engine keeps its param-free hash tables
+//! here — a join's build side, or the extent a keyed filter probes — keyed
+//! by the sub-plan that produces the rows and the key expressions over
+//! them, and its lanes — one attribute over an extent, dictionary-coded —
+//! keyed by the extent, the path and the attribute, or the refusal of a
+//! lane that does not fit; the serving layer keeps the statistics its
+//! prepares read, one gather per memo.
 //!
 //! The epoch *is* the invalidation protocol. Every [`Database`] path that
 //! can change what a query reads installs a fresh, empty memo, so the old
@@ -74,19 +77,20 @@ impl Memo {
 
     /// Keep `value`, which its builder counts as `bytes`, under `key` —
     /// unless an equal key is already kept (the first insert wins) or the
-    /// memo has no room for it.
+    /// memo has no room for it. Whether it was kept.
     pub fn insert<K: PartialEq + Send + Sync + 'static>(
         &self,
         key: K,
         value: Shared,
         bytes: usize,
-    ) {
+    ) -> bool {
         let mut state = self.lock();
         if state.find(|k: &K| *k == key).is_some() || state.bytes.saturating_add(bytes) > MEMO_BYTES {
-            return;
+            return false;
         }
         state.bytes += bytes;
         state.entries.push((Box::new(key), value));
+        true
     }
 
     /// How many values are kept.
@@ -96,6 +100,11 @@ impl Memo {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// What the kept values hold, in their builders' count.
+    pub fn bytes(&self) -> usize {
+        self.lock().bytes
     }
 
     /// How many lookups found nothing: the builds this memo has seen.
@@ -127,8 +136,8 @@ mod tests {
     fn the_first_insert_under_a_key_wins_and_misses_are_counted() {
         let memo = Memo::default();
         assert!(memo.get(|k: &String| k == "a").is_none());
-        memo.insert("a".to_string(), Arc::new(1_i64), 8);
-        memo.insert("a".to_string(), Arc::new(2_i64), 8);
+        assert!(memo.insert("a".to_string(), Arc::new(1_i64), 8));
+        assert!(!memo.insert("a".to_string(), Arc::new(2_i64), 8));
         assert_eq!(memo.get(|k: &String| k == "a").as_ref().map(int), Some(1));
         assert_eq!((memo.len(), memo.misses()), (1, 1));
         // Keys of another type never match, whatever they compare like.
@@ -139,11 +148,11 @@ mod tests {
     #[test]
     fn a_value_over_the_byte_cap_is_not_kept() {
         let memo = Memo::default();
-        memo.insert(1_u8, Arc::new(1_i64), MEMO_BYTES - 8);
-        memo.insert(2_u8, Arc::new(2_i64), 16);
-        memo.insert(3_u8, Arc::new(3_i64), 8);
+        assert!(memo.insert(1_u8, Arc::new(1_i64), MEMO_BYTES - 8));
+        assert!(!memo.insert(2_u8, Arc::new(2_i64), 16));
+        assert!(memo.insert(3_u8, Arc::new(3_i64), 8));
         assert!(memo.get(|k: &u8| *k == 2).is_none());
         assert_eq!(memo.get(|k: &u8| *k == 3).as_ref().map(int), Some(3));
-        assert_eq!(memo.len(), 2);
+        assert_eq!((memo.len(), memo.bytes()), (2, MEMO_BYTES));
     }
 }
