@@ -7,7 +7,8 @@
 //! in place. A reduction chain whose rows read one attribute of one
 //! extent's members (or of their members' collections) also gets a
 //! [`LanePlan`]: the same filters and head over that attribute's value,
-//! which [`super::lane`] folds over a dictionary-coded column.
+//! which [`super::lane`] folds over a dictionary-coded column — each
+//! filter classified as a [`LaneFilter`] range or entry filter.
 
 use super::lane::LaneKey;
 use super::table::TableKey;
@@ -228,7 +229,7 @@ pub(super) struct LanePlan {
     pub(super) scan: usize,
     pub(super) unnest: Option<usize>,
     /// The chain's filters, in order, each with its operator.
-    pub(super) filters: Vec<(usize, Kernel)>,
+    pub(super) filters: Vec<(usize, LaneFilter)>,
     pub(super) head: Kernel,
     /// The slot a dictionary entry is bound to while the kernels run.
     pub(super) value: usize,
@@ -236,6 +237,47 @@ pub(super) struct LanePlan {
     /// `set`, `sorted`, `sortedbag`): the result is the dictionary and
     /// each entry's count, with no head pushed.
     pub(super) counts: bool,
+}
+
+/// A lane chain's filter. A *range* compares the lane's value with an
+/// operand that reads no row — a constant, a root or a `$param` — so it
+/// keeps whole blocks of the sorted dictionary, found by bisection; any
+/// other filter is an *entry* filter, run once per live entry.
+#[derive(Debug, PartialEq)]
+pub(super) enum LaneFilter {
+    /// `value op operand`, the value on the left: an entry is kept when
+    /// `holds[entry.cmp(operand) + 1]`.
+    Range {
+        operand: Operand,
+        holds: [bool; 3],
+    },
+    Entry(Kernel),
+}
+
+impl LaneFilter {
+    /// Classify `pred`, a filter rewritten to read the lane's value from
+    /// slot `value`. Every other slot a lane kernel reads is a `$param`'s.
+    fn of(pred: Kernel, value: usize) -> LaneFilter {
+        if let Kernel::Compare(Compare { lhs, rhs, holds }) = &pred {
+            let rowless = |o: &Operand| match o {
+                Operand::Const(_) | Operand::Root(..) => true,
+                Operand::Slot(s) => *s != value,
+                Operand::Field(..) => false,
+            };
+            let [lt, eq, gt] = *holds;
+            let range = match (lhs, rhs) {
+                (Operand::Slot(v), operand) if *v == value => Some((operand, *holds)),
+                // `operand op value`: the operand is less exactly when the
+                // value is greater.
+                (operand, Operand::Slot(v)) if *v == value => Some((operand, [gt, eq, lt])),
+                _ => None,
+            };
+            if let Some((operand, holds)) = range.filter(|(o, _)| rowless(o)) {
+                return LaneFilter::Range { operand: operand.clone(), holds };
+            }
+        }
+        LaneFilter::Entry(pred)
+    }
 }
 
 #[derive(Default)]
@@ -469,7 +511,9 @@ impl Compiler {
         let filters = filters
             .iter()
             .map(|stage| match stage {
-                Stage::Filter { op, pred } => Some((*op, lane.kernel(pred)?)),
+                Stage::Filter { op, pred } => {
+                    Some((*op, LaneFilter::of(lane.kernel(pred)?, value)))
+                }
                 _ => None,
             })
             .collect::<Option<Vec<_>>>()?;

@@ -192,7 +192,7 @@ impl Operand {
     /// The operand's value, borrowed; a field fails as the walk's
     /// projection does.
     #[inline(always)]
-    fn get<'a>(
+    pub(super) fn get<'a>(
         &'a self,
         slots: &'a [Value],
         frame: Option<&'a Frame<'a>>,

@@ -133,16 +133,29 @@
 //! of more than half the rows, or a lane the memo will not keep refuses
 //! the lane; the refusal is kept for the epoch too, and the run drives the
 //! plain chain — decided once per run, before any row. Over a lane the
-//! filters and head run once per dictionary entry, into verdicts; the
-//! rows then visit them in order, so the first row whose verdict fails
-//! fails the run with the walk's error, `some`/`all` stop at the walk's
-//! row, and other monoids are pushed each kept row's head in the walk's
-//! order. A sorting monoid (`bag`, `set`, `sorted`, `sortedbag`) over `a`
-//! itself is built from the dictionary and the row count of each kept
-//! entry, which the lane counted when it was built, with no push and no
-//! sort — `bulk-rows`' statement does work per price, not per room; its
-//! rows are visited only when an entry fails, to find the first row that
-//! fails.
+//! filters run in order, into verdicts. `compile` classifies each: a
+//! *range* compares `a` with an operand that reads no row (a literal, a
+//! root, a `$param`), on either side. The dictionary holds one scalar
+//! kind sorted by `Value::cmp`, so for a fixed operand `x` the ordering
+//! `entry.cmp(x)` never decreases along it (Int↔Float through a monotone
+//! `as f64`, other kinds by a constant shape rank): the entries less
+//! than, equal to and greater than `x` are three blocks, found by two
+//! bisections after one read of `x`, and the live entries in the blocks
+//! the compare rejects are dropped — `≠` drops only the equal block. An
+//! operand that cannot be read (an unbound root) fails every entry still
+//! live, so an empty extent still succeeds. Any other filter, and the
+//! head, run once per live entry. The rows then visit the verdicts in
+//! order, so the first row whose verdict fails fails the run with the
+//! walk's error, `some`/`all` stop at the walk's row, and other monoids
+//! are pushed each kept row's head in the walk's order. A sorting monoid
+//! (`bag`, `set`, `sorted`, `sortedbag`) over `a` itself is built from
+//! the lane's runs — each dictionary entry with its row count, counted
+//! when the lane was built — with no push and no sort. A bag is a finite
+//! map from values to multiplicities, so a `bag` whose kept entries are
+//! one block is that slice of the runs, and the lane's own vector,
+//! shared, when nothing was dropped: `bulk-rows`' statement bisects and
+//! copies at most one slice. The rows are visited only when an entry
+//! fails, to find the first row that fails.
 //!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
@@ -175,9 +188,9 @@
 //! A lane chain profiles as its plain chain does: the lane tells the
 //! probe each operator's rows — the members scanned, the rows unnested,
 //! the rows each filter kept, up to the row where `some`/`all` stopped —
-//! and charges each filter its once-per-entry evaluations, the trailing
-//! generator its pass over the codes (or a counted result's assembly from
-//! the entries' row counts), and the scan the lane's build.
+//! and charges each filter its evaluations (a range, its bisection), the
+//! trailing generator its pass over the codes (or a counted result's
+//! assembly from the lane's runs), and the scan the lane's build.
 //!
 //! One judgement per submodule: `compile` decides what fuses and into
 //! which stages and kernels, `drive` runs a row through them into a sink
@@ -223,7 +236,7 @@ pub fn engine_of(_query: &Query) -> Engine {
 
 #[cfg(test)]
 mod tests {
-    use super::compile::{Compare, FusedExpr, Kernel, Operand, Source, Stage};
+    use super::compile::{Compare, FusedExpr, Kernel, LaneFilter, Operand, Source, Stage};
     use super::drive::{Cx, NoProbe};
     use crate::error::PlanError;
     use super::table::{KeyIndex, Table, NONE};
@@ -285,8 +298,17 @@ mod tests {
         assert_eq!((lane.scan, lane.unnest, lane.value, lane.counts), (2, Some(1), 3, true));
         assert_eq!(lane.key.path, Some(Symbol::new("rooms")));
         assert_eq!(lane.key.attr, Symbol::new("price"));
-        let [(0, Kernel::Compare(c))] = lane.filters.as_slice() else { panic!("{lane:?}") };
-        assert_eq!((&c.lhs, &c.rhs), (&Operand::Slot(3), &Operand::Slot(2)));
+        // `r.price ≥ $floor` is a range over the dictionary; so is the
+        // same compare written the other way round.
+        let range = LaneFilter::Range { operand: Operand::Slot(2), holds: [false, true, true] };
+        assert_eq!(lane.filters, [(0, range)], "{lane:?}");
+        let flipped = Expr::param("$floor").le(r().proj("price"));
+        let q = rooms_over(Monoid::Bag, r().proj("price"), flipped);
+        let [(0, LaneFilter::Range { holds, .. })] = fold(&q).lane.as_ref().unwrap().filters[..]
+        else {
+            panic!("{q:?}")
+        };
+        assert_eq!(holds, [false, true, true]);
         // Another monoid, or a head computed from the attribute, pushes
         // heads; a constant head and a root compare take the lane too.
         for (monoid, head) in [

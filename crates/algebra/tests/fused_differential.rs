@@ -2095,7 +2095,11 @@ fn lane_values(kind: &str) -> Vec<Value> {
 /// Three rows per distinct value of `kind`, interleaved, as records
 /// `⟨v, id⟩`: a lane keeps a dictionary of at most half its rows.
 fn lane_rows(kind: &str) -> Vec<Value> {
-    let values = lane_values(kind);
+    lane_rows_of(lane_values(kind))
+}
+
+/// Three rows per value of `values`, interleaved, as records `⟨v, id⟩`.
+fn lane_rows_of(values: Vec<Value>) -> Vec<Value> {
     let n = values.len();
     (0..3 * n)
         .map(|i| {
@@ -2140,13 +2144,19 @@ fn lane_store() -> Database {
 /// `⊕{ head | <var> ← <extent>[, r ← <var>.items][, pred] }`: `x` reads
 /// the attribute of the trailing generator.
 fn lane_plan(monoid: Monoid, head: Expr, extent: &str, pred: Option<Expr>) -> Query {
+    plan_comprehension(&lane_comp(monoid, head, extent, pred.into_iter().collect())).unwrap()
+}
+
+/// `⊕{ head | <var> ← <extent>[, r ← <var>.items], preds… }`, one filter
+/// per predicate.
+fn lane_comp(monoid: Monoid, head: Expr, extent: &str, preds: Vec<Expr>) -> Expr {
     let var = if extent.starts_with("D0") { "x" } else { "h" };
     let mut quals = vec![Expr::gen(var, Expr::var(extent))];
     if var == "h" {
         quals.push(Expr::gen("x", Expr::var("h").proj("items")));
     }
-    quals.extend(pred.map(Expr::pred));
-    plan_comprehension(&Expr::comp(monoid, head, quals)).unwrap()
+    quals.extend(preds.into_iter().map(Expr::pred));
+    Expr::comp(monoid, head, quals)
 }
 
 /// The attribute.
@@ -2528,5 +2538,287 @@ fn dearest_price(db: &Database) -> f64 {
     match execute(&plan, db).unwrap() {
         Value::Float(x) => x,
         v => panic!("{v:?}"),
+    }
+}
+
+// -------------------------------------------------------------------------
+// Lane ranges: a filter comparing the attribute with an operand that reads
+// no row — a literal, a `$param`, a root — keeps blocks of the sorted
+// dictionary, found by bisection. The `lane_range_*` tests pin every
+// comparison on either side to the walk, where `Value::cmp` crosses kinds,
+// and where a range meets errors, an unbound root and `some`/`all`.
+// -------------------------------------------------------------------------
+
+/// `attr op operand` and `operand op attr`.
+fn both_sides(op: CompareOp, operand: &Expr) -> [(&'static str, Expr); 2] {
+    [("attr first", op(x(), operand.clone())), ("attr second", op(operand.clone(), x()))]
+}
+
+/// Run every monoid over the lane with each of `preds`, and check the
+/// lane was taken and every run identical to the walk's; the bags each
+/// predicate kept, as text.
+fn lane_range_cases(
+    db: &Database,
+    extents: &[&str],
+    kind: &str,
+    preds: &[(String, Expr)],
+    params: &[(Symbol, Value)],
+) -> Vec<String> {
+    let mut bags = Vec::new();
+    for extent in extents {
+        for (label, pred) in preds {
+            for (monoid, head) in lane_heads(kind) {
+                let label = format!("{extent}/{label}/{monoid}");
+                let plan = lane_plan(monoid.clone(), head, extent, Some(pred.clone()));
+                let (walk, lane) = lane_agree(&label, &plan, db, params);
+                assert!(lane, "{label}: no lane");
+                if monoid == Monoid::Bag {
+                    bags.push(format!("{walk:?}"));
+                }
+            }
+        }
+    }
+    bags
+}
+
+#[test]
+fn lane_range_every_compare_on_either_side_of_a_literal_a_param_and_a_root_agrees() {
+    let mut db = lane_store();
+    for (k, kind, literal, root) in [
+        ("F", "float", Value::Float(2.5), Value::Float(1.0)),
+        ("I", "int", Value::Int(3), Value::Int(5)),
+        ("S", "string", Value::str("m"), Value::str("c")),
+    ] {
+        db.set_root("C", root);
+        let lit = match literal {
+            Value::Float(f) => Expr::float(f),
+            Value::Int(i) => Expr::int(i),
+            _ => Expr::str("m"),
+        };
+        let mut preds = Vec::new();
+        for (name, op) in compares() {
+            for (operand, e) in
+                [("literal", lit.clone()), ("$c", Expr::param("$c")), ("root", Expr::var("C"))]
+            {
+                for (side, pred) in both_sides(op, &e) {
+                    preds.push((format!("{name} {operand}, {side}"), pred));
+                }
+            }
+        }
+        let extents = [format!("D0{k}"), format!("D1{k}"), format!("DB{k}")];
+        let extents: Vec<&str> = extents.iter().map(String::as_str).collect();
+        let bags = lane_range_cases(&db, &extents, kind, &preds, &lane_params(kind));
+        // Not vacuous: the comparisons keep different entries.
+        let mut distinct = bags.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert!(distinct.len() >= 6, "{kind}: {distinct:?}");
+    }
+}
+
+#[test]
+fn lane_range_crosses_kinds_as_value_cmp_does() {
+    let mut db = lane_store();
+    // Around 2^53 an `Int` and its `as f64` part: 2^53 + 1 rounds to 2^53,
+    // so a float 2^53 equals two entries of the int lane.
+    let two53 = 1i64 << 53;
+    let big: Vec<Value> = [two53 - 1, two53, two53 + 1, two53 + 2, -5, 0].map(Value::Int).to_vec();
+    db.set_root("D1Big", holders(lane_rows_of(big), Value::list));
+    let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+    let cases: [(&str, &[&str], Vec<Expr>); 3] = [
+        (
+            "int",
+            &["D1Big"],
+            vec![Expr::float(two53 as f64), Expr::float((two53 + 2) as f64), Expr::float(2.5)],
+        ),
+        (
+            "float",
+            &["D0F", "D1F", "DBF"],
+            [0.0, -0.0, f64::NAN, nan, f64::INFINITY]
+                .map(Expr::float)
+                .into_iter()
+                .chain([Expr::int(0), Expr::int(7)])
+                .collect(),
+        ),
+        ("string", &["D1S", "DBS"], vec![Expr::int(3), Expr::float(1.5), Expr::bool(true)]),
+    ];
+    for (kind, extents, operands) in cases {
+        let mut preds = Vec::new();
+        for (name, op) in compares() {
+            for operand in &operands {
+                for (side, pred) in both_sides(op, operand) {
+                    preds.push((format!("{name} {operand:?}, {side}"), pred));
+                }
+            }
+        }
+        lane_range_cases(&db, extents, kind, &preds, &lane_params(kind));
+    }
+    // Not vacuous: the float 2^53 is equal to two int entries, and a
+    // string lane is greater than every number.
+    let bag = |extent, pred| {
+        execute_snapshot_bound(&lane_plan(Monoid::Bag, x(), extent, Some(pred)), &db, &[]).unwrap()
+    };
+    let two = bag("D1Big", x().eq(Expr::float(two53 as f64)));
+    let twice = [two53, two53 + 1].map(|v| (Value::Int(v), 3)).to_vec();
+    assert_eq!(two, Value::Bag(std::sync::Arc::new(twice)));
+    assert_eq!(bag("D1S", x().gt(Expr::int(3))).len().unwrap(), 15);
+    assert_eq!(bag("D1S", Expr::int(3).ge(x())).len().unwrap(), 0);
+}
+
+#[test]
+fn lane_range_two_ranges_and_a_range_beside_a_failing_filter_agree() {
+    let db = lane_store();
+    let c = || Expr::param("$c");
+    // Rows hold `3, -2, 0, 7, 2, 11`; `10 / (v - 7)` fails at 7 only.
+    let fails_at_7 = || Expr::int(10).div(x().sub(Expr::int(7))).ge(Expr::int(0));
+    let cases = [
+        ("empty intersection", vec![x().gt(Expr::int(7)), x().lt(c())], true),
+        ("one entry", vec![x().ge(c()), c().ge(x())], true),
+        ("range keeps 7, then fails", vec![x().ge(c()), fails_at_7()], false),
+        ("range drops 7, then no failure", vec![x().gt(Expr::int(7)), fails_at_7()], true),
+        ("range drops 7 after it failed", vec![fails_at_7(), x().gt(Expr::int(7))], false),
+        ("range drops all, then fails nowhere", vec![x().gt(Expr::int(11)), fails_at_7()], true),
+    ];
+    let params = lane_params("int");
+    for extent in ["D0I", "D1I", "DBI"] {
+        for (label, preds, succeeds) in &cases {
+            for (monoid, head) in lane_heads("int") {
+                let label = format!("{extent}/{label}/{monoid}");
+                let comp = lane_comp(monoid.clone(), head, extent, preds.clone());
+                let plan = plan_comprehension(&comp).unwrap();
+                let (walk, lane) = lane_agree(&label, &plan, &db, &params);
+                assert!(lane, "{label}: no lane");
+                // `some`/`all` may stop before the failing row.
+                if !matches!(monoid, Monoid::Some | Monoid::All) {
+                    assert_eq!(walk.is_ok(), *succeeds, "{label}: {walk:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A range whose operand is an unbound root fails the run at the first
+/// row that reaches it: never over an empty extent or empty collections,
+/// never when an earlier range dropped every entry, and with the walk's
+/// error otherwise.
+#[test]
+fn lane_range_over_an_unbound_root_fails_only_where_a_row_reaches_it() {
+    let mut db = lane_store();
+    db.set_root("D1E", holders(Vec::new(), Value::list));
+    let unbound = || Expr::var("Unbound");
+    for (extent, preds, succeeds) in [
+        ("Empty", vec![x().ge(unbound())], true),
+        ("D1E", vec![unbound().lt(x())], true),
+        ("D1I", vec![x().gt(Expr::int(11)), x().ge(unbound())], true),
+        ("D0I", vec![x().ge(unbound())], false),
+        ("D1I", vec![unbound().ne(x())], false),
+        ("DBI", vec![x().gt(Expr::int(2)), x().eq(unbound())], false),
+    ] {
+        for (monoid, head) in lane_heads("int") {
+            let label = format!("{extent}/{preds:?}/{monoid}");
+            let plan = plan_comprehension(&lane_comp(monoid, head, extent, preds.clone())).unwrap();
+            let (walk, lane) = lane_agree(&label, &plan, &db, &lane_params("int"));
+            assert!(lane, "{label}: no lane");
+            assert_eq!(walk.is_ok(), succeeds, "{label}: {walk:?}");
+            if let Err(e) = walk {
+                assert!(e.to_string().contains("Unbound"), "{label}: {e}");
+            }
+        }
+    }
+}
+
+/// `some` and `all` behind a range stop at the walk's witness — a row
+/// after it whose head fails is never read — and profile the rows the
+/// plain chain counts up to there.
+#[test]
+fn lane_range_some_and_all_stop_where_the_walk_stops() {
+    let db = lane_store();
+    // The rows read `3, 11, 2, 7, …`; `x ≥ 3` keeps `3, 11, 7`: the
+    // witness is the second kept row, and 7's head fails.
+    let bad = || Expr::int(10).div(x().sub(Expr::int(7))).ge(Expr::int(0));
+    let witness = || x().eq(Expr::int(11));
+    let range = || x().ge(Expr::param("$c"));
+    let plain_twin = || range().and(Expr::var("x").proj("id").ge(Expr::int(0)));
+    for extent in ["D0I", "D1I", "DBI"] {
+        for (monoid, head, verdict) in [
+            (Monoid::Some, witness().or(bad()), true),
+            (Monoid::All, witness().not().and(bad().not()), false),
+        ] {
+            let label = format!("{extent}/{monoid}");
+            let lane = lane_plan(monoid.clone(), head.clone(), extent, Some(range()));
+            let (walk, taken) = lane_agree(&label, &lane, &db, &lane_params("int"));
+            assert_eq!(walk, Ok(Value::Bool(verdict)), "{label}");
+            assert!(taken, "{label}: no lane");
+            let plain = lane_plan(monoid, head, extent, Some(plain_twin()));
+            let profile = |q: &Query| {
+                let p = execute_profiled_bound(q, &[], &db, &lane_params("int")).unwrap().profile;
+                let rows: Vec<_> = p.operators.iter().map(|o| o.actual_rows).collect();
+                (rows, p.short_circuited, p.rows_to_reduce)
+            };
+            assert_eq!(profile(&lane), profile(&plain), "{label}");
+        }
+    }
+}
+
+/// A head that fails only on entries a range drops never fails: the
+/// head runs on live entries alone.
+#[test]
+fn lane_range_a_head_failing_only_on_dropped_entries_succeeds() {
+    let db = lane_store();
+    let ten_over = || Expr::int(10).div(x().sub(Expr::int(2)));
+    let heads = [
+        (Monoid::Sum, ten_over()),
+        (Monoid::List, ten_over()),
+        (Monoid::Bag, ten_over()),
+        (Monoid::Max, ten_over()),
+        (Monoid::Some, ten_over().ge(Expr::int(100))),
+    ];
+    for extent in ["D0I", "D1I", "DBI"] {
+        for (pred, succeeds) in [
+            (x().gt(Expr::int(2)), true),
+            (Expr::int(2).lt(x()), true),
+            (x().ne(Expr::int(2)), true),
+            (x().ge(Expr::int(2)), false),
+            (Expr::int(2).eq(x()), false),
+        ] {
+            for (monoid, head) in heads.clone() {
+                let label = format!("{extent}/{pred:?}/{monoid}");
+                let plan = lane_plan(monoid, head, extent, Some(pred.clone()));
+                let (walk, lane) = lane_agree(&label, &plan, &db, &lane_params("int"));
+                assert!(lane, "{label}: no lane");
+                assert_eq!(walk.is_ok(), succeeds, "{label}: {walk:?}");
+            }
+        }
+    }
+}
+
+/// Comparisons order NaN above every number (`f64::total_cmp`), as
+/// PostgreSQL does: `x ≥ $floor` keeps NaN rows and `x < $floor` drops
+/// them. The evaluator, the walk, the plain fold and the lane's range all
+/// say so.
+#[test]
+fn lane_range_nan_orders_above_every_number_on_every_engine() {
+    let db = lane_store();
+    let floor = || Expr::param("$floor");
+    let twin = |pred: Expr| pred.and(Expr::var("x").proj("id").ge(Expr::int(0)));
+    for value in [Value::Int(2), Value::Float(2.0), Value::Float(f64::INFINITY)] {
+        let params = vec![(Symbol::new("$floor"), value.clone())];
+        let env = params.iter().fold(db.snapshot().env(), |env, (p, v)| env.bind(*p, v.clone()));
+        for (pred, nan_kept) in [(x().ge(floor()), true), (x().lt(floor()), false)] {
+            for extent in ["D0F", "D1F", "DBF"] {
+                let label = format!("{extent}/{pred:?}/{value:?}");
+                let comp = lane_comp(Monoid::Bag, x(), extent, vec![pred.clone()]);
+                let (walk, lane) =
+                    lane_agree(&label, &plan_comprehension(&comp).unwrap(), &db, &params);
+                assert!(lane, "{label}: no lane");
+                let plain = lane_plan(Monoid::Bag, x(), extent, Some(twin(pred.clone())));
+                assert_identical(&label, &execute_snapshot_bound(&plain, &db, &params), &walk);
+                let evaluator = db.clone().query_in(&env, &comp);
+                assert_identical(&format!("{label} (evaluator)"), &evaluator, &walk);
+                let Ok(Value::Bag(runs)) = walk else { panic!("{label}: {walk:?}") };
+                let nans = runs.iter().filter(|(v, _)| matches!(v, Value::Float(f) if f.is_nan()));
+                assert_eq!(nans.count(), if nan_kept { 2 } else { 0 }, "{label}");
+            }
+        }
     }
 }

@@ -134,7 +134,7 @@ fn main() {
         ]);
     }
     println!(
-        "regress: {} queries × {} runs{}\n",
+        "regress: {} queries × {}+ runs{}\n",
         report.queries.len(),
         report.runs_per_query,
         if report.quick { " (quick)" } else { "" }

@@ -169,6 +169,9 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                 return Err(e);
             }
         };
+        // A statement's result lives until its reply is flushed: the
+        // client waits for the bytes, not for the value to be freed.
+        let mut outcome = None;
         match request {
             Request::Hello { protocol, client: _ } if protocol != wire::PROTOCOL_VERSION => {
                 // The client would misread this version's result frames:
@@ -211,8 +214,8 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
             }
             Request::Query { src, params } => {
                 let params = build_params(params);
-                let outcome = run_statement(db, &session, Statement::AdHoc(&src), &params);
-                send_outcome(&mut writer, outcome)?;
+                let run = run_statement(db, &session, Statement::AdHoc(&src), &params);
+                send_outcome(&mut writer, outcome.insert(run))?;
             }
             Request::Execute { id, params } => {
                 let Some(stmt) = prepared.get(&id).cloned() else {
@@ -224,8 +227,8 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     continue;
                 };
                 let params = build_params(params);
-                let outcome = run_statement(db, &session, Statement::Prepared(stmt), &params);
-                send_outcome(&mut writer, outcome)?;
+                let run = run_statement(db, &session, Statement::Prepared(stmt), &params);
+                send_outcome(&mut writer, outcome.insert(run))?;
             }
         }
         writer.flush()?;
@@ -289,11 +292,11 @@ fn run_statement(
 /// observed epoch) — or one `ERROR` frame.
 fn send_outcome(
     writer: &mut impl Write,
-    outcome: Result<(Value, u64), AnalyzeError>,
+    outcome: &Result<(Value, u64), AnalyzeError>,
 ) -> io::Result<()> {
     match outcome {
-        Ok((value, epoch)) => wire::write_result(writer, &value, epoch),
-        Err(e) => send_error(writer, &e),
+        Ok((value, epoch)) => wire::write_result(writer, value, *epoch),
+        Err(e) => send_error(writer, e),
     }
 }
 
@@ -364,8 +367,7 @@ impl Client {
     }
 
     fn recv(&mut self) -> io::Result<Response> {
-        wire::read_response(&mut self.reader)?
-            .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))
+        wire::read_response(&mut self.reader)?.ok_or_else(server_closed)
     }
 
     /// Liveness round trip.
@@ -417,20 +419,24 @@ impl Client {
     fn collect_result(&mut self) -> io::Result<QueryOutcome> {
         let mut result = Reassembly::default();
         loop {
-            match self.recv()? {
-                Response::Rows { values } => result.rows(values)?,
-                Response::Runs { runs } => result.runs(runs)?,
-                Response::Done { shape, rows, epoch } => {
+            let body = wire::read_frame(&mut self.reader)?.ok_or_else(server_closed)?;
+            match result.frame(body)? {
+                None => {}
+                Some(Response::Done { shape, rows, epoch }) => {
                     let value = result.done(shape, rows)?;
                     return Ok(QueryOutcome { value, rows, epoch });
                 }
-                Response::Error { message } => {
+                Some(Response::Error { message }) => {
                     return Err(io::Error::new(io::ErrorKind::InvalidInput, message));
                 }
-                other => return Err(unexpected(&other)),
+                Some(other) => return Err(unexpected(&other)),
             }
         }
     }
+}
+
+fn server_closed() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")
 }
 
 fn unexpected(resp: &Response) -> io::Error {

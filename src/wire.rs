@@ -20,10 +20,16 @@
 //! the snapshot the statement read (`0` for writer-path statements, whose
 //! epoch is advancing). A bag travels as it is stored — [`Response::Runs`]
 //! batches of `(value, count)` runs, never expanded — and everything else
-//! as [`Response::Rows`] batches of elements (a scalar is one). The
-//! client rebuilds the exact result value with `Reassembly` —
-//! byte-identical to what an in-process execution returns (golden tests
-//! in `tests/wire_protocol.rs`).
+//! as [`Response::Rows`] batches of elements (a scalar is one). Each
+//! batch is encoded from a borrowed slice of the result and written as
+//! it is encoded. The client rebuilds the exact result value with
+//! `Reassembly` — byte-identical to what an in-process execution returns
+//! (golden tests in `tests/wire_protocol.rs`). One run decoder serves
+//! both readers of `RUNS`: it appends each run to a caller's vector and
+//! checks it by the codec's bag rule (`codec::push_run`) against the run
+//! before it, so the order is checked in every frame and across frames.
+//! `Reassembly` decodes each frame body straight into the result's runs,
+//! and [`Response::decode`] into the frame's own.
 //!
 //! Decoding is strict: unknown opcodes, truncated payloads, trailing
 //! bytes, and a stream that does not rebuild a canonical value (bag runs
@@ -343,20 +349,20 @@ fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
 
 /// A `ROWS` body: opcode, `u32le` count, then each element in the codec.
 /// Encodes straight from a borrowed batch.
-fn encode_rows(values: &[Value]) -> Result<Vec<u8>> {
+fn encode_rows(values: &[Value]) -> Result<BytesMut> {
     let mut buf = BytesMut::new();
     buf.put_u8(op::R_ROWS);
     buf.put_u32_le(values.len() as u32);
     for v in values {
         codec::encode_value(v, &mut buf)?;
     }
-    Ok(buf.to_vec())
+    Ok(buf)
 }
 
 /// A `RUNS` body: opcode, `u32le` count, then each run as its value in the
 /// codec followed by its `u64le` count. Encodes straight from a borrowed
 /// slice of a bag's runs.
-fn encode_runs(runs: &[(Value, u64)]) -> Result<Vec<u8>> {
+fn encode_runs(runs: &[(Value, u64)]) -> Result<BytesMut> {
     let mut buf = BytesMut::new();
     buf.put_u8(op::R_RUNS);
     buf.put_u32_le(runs.len() as u32);
@@ -364,7 +370,24 @@ fn encode_runs(runs: &[(Value, u64)]) -> Result<Vec<u8>> {
         codec::encode_value(v, &mut buf)?;
         buf.put_u64_le(*count);
     }
-    Ok(buf.to_vec())
+    Ok(buf)
+}
+
+/// A `RUNS` payload (what follows the opcode), appended to `runs`: each
+/// run is checked by the codec's bag rule against the run before it —
+/// already in `runs`, from an earlier frame, or from this one.
+fn get_runs(buf: &mut Bytes, runs: &mut Vec<(Value, u64)>) -> Result<()> {
+    // Each run is at least a tag byte and an 8-byte count.
+    let count = get_u32(buf)? as usize;
+    if count > buf.remaining() / 9 + 1 {
+        return Err(WireError::Truncated);
+    }
+    runs.reserve(count);
+    for _ in 0..count {
+        let value = codec::decode_value(buf)?;
+        codec::push_run(runs, value, get_u64(buf)?)?;
+    }
+    Ok(())
 }
 
 fn finish(buf: &Bytes) -> Result<()> {
@@ -406,7 +429,10 @@ impl Request {
 
     /// Decode a frame body. Strict: every byte must be consumed.
     pub fn decode(body: &[u8]) -> Result<Request> {
-        let mut buf = Bytes::copy_from_slice(body);
+        Request::decode_owned(Bytes::copy_from_slice(body))
+    }
+
+    fn decode_owned(mut buf: Bytes) -> Result<Request> {
         let opcode = get_u8(&mut buf)?;
         let req = match opcode {
             op::HELLO => Request::Hello {
@@ -442,8 +468,8 @@ impl Response {
                 buf.put_u64_le(*instance);
                 buf.put_u64_le(*epoch);
             }
-            Response::Rows { values } => return encode_rows(values),
-            Response::Runs { runs } => return encode_runs(runs),
+            Response::Rows { values } => return Ok(encode_rows(values)?.to_vec()),
+            Response::Runs { runs } => return Ok(encode_runs(runs)?.to_vec()),
             Response::Done { shape, rows, epoch } => {
                 buf.put_u8(op::R_DONE);
                 buf.put_u8(shape.to_byte());
@@ -467,9 +493,13 @@ impl Response {
         Ok(buf.to_vec())
     }
 
-    /// Decode a frame body. Strict: every byte must be consumed.
+    /// Decode a frame body. Strict: every byte must be consumed, and a
+    /// `RUNS` batch must be in the codec's bag order.
     pub fn decode(body: &[u8]) -> Result<Response> {
-        let mut buf = Bytes::copy_from_slice(body);
+        Response::decode_owned(Bytes::copy_from_slice(body))
+    }
+
+    fn decode_owned(mut buf: Bytes) -> Result<Response> {
         let opcode = get_u8(&mut buf)?;
         let resp = match opcode {
             op::R_HELLO => Response::Hello {
@@ -490,16 +520,8 @@ impl Response {
                 Response::Rows { values }
             }
             op::R_RUNS => {
-                // Each run is at least a tag byte and an 8-byte count.
-                let count = get_u32(&mut buf)? as usize;
-                if count > buf.remaining() / 9 + 1 {
-                    return Err(WireError::Truncated);
-                }
-                let mut runs = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let value = codec::decode_value(&mut buf)?;
-                    runs.push((value, get_u64(&mut buf)?));
-                }
+                let mut runs = Vec::new();
+                get_runs(&mut buf, &mut runs)?;
                 Response::Runs { runs }
             }
             op::R_DONE => Response::Done {
@@ -567,27 +589,35 @@ pub(crate) enum Reassembly {
 }
 
 impl Reassembly {
-    /// Take one `ROWS` batch.
-    pub(crate) fn rows(&mut self, values: Vec<Value>) -> Result<()> {
-        match self {
-            Reassembly::Empty => *self = Reassembly::Rows(values),
-            Reassembly::Rows(rows) => rows.extend(values),
-            Reassembly::Runs(_) => return Err(WireError::BadStream("ROWS after RUNS")),
+    /// Take one frame body of the stream: a `ROWS` or `RUNS` batch joins
+    /// the result — a `RUNS` batch decoded straight into the runs so far,
+    /// each run checked by the codec's bag rule — and any other frame is
+    /// decoded and handed back.
+    pub(crate) fn frame(&mut self, body: Vec<u8>) -> Result<Option<Response>> {
+        let mut buf = Bytes::from(body);
+        if buf.first() != Some(&op::R_RUNS) {
+            return match Response::decode_owned(buf)? {
+                Response::Rows { values } => self.rows(values).map(|()| None),
+                other => Ok(Some(other)),
+            };
         }
-        Ok(())
-    }
-
-    /// Take one `RUNS` batch; each run must continue the stream's
-    /// ascending order, by the codec's own bag rule.
-    pub(crate) fn runs(&mut self, batch: Vec<(Value, u64)>) -> Result<()> {
+        get_u8(&mut buf)?;
         if let Reassembly::Empty = self {
-            *self = Reassembly::Runs(Vec::with_capacity(batch.len()));
+            *self = Reassembly::Runs(Vec::new());
         }
         let Reassembly::Runs(runs) = self else {
             return Err(WireError::BadStream("RUNS after ROWS"));
         };
-        for (value, count) in batch {
-            codec::push_run(runs, value, count)?;
+        get_runs(&mut buf, runs)?;
+        finish(&buf).map(|()| None)
+    }
+
+    /// Take one `ROWS` batch.
+    fn rows(&mut self, values: Vec<Value>) -> Result<()> {
+        match self {
+            Reassembly::Empty => *self = Reassembly::Rows(values),
+            Reassembly::Rows(rows) => rows.extend(values),
+            Reassembly::Runs(_) => return Err(WireError::BadStream("ROWS after RUNS")),
         }
         Ok(())
     }
@@ -668,7 +698,7 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 /// Read and decode one [`Request`]; `Ok(None)` on clean EOF.
 pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     match read_frame(r)? {
-        Some(body) => Ok(Some(Request::decode(&body)?)),
+        Some(body) => Ok(Some(Request::decode_owned(Bytes::from(body))?)),
         None => Ok(None),
     }
 }
@@ -676,7 +706,7 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
 /// Read and decode one [`Response`]; `Ok(None)` on clean EOF.
 pub fn read_response(r: &mut impl Read) -> io::Result<Option<Response>> {
     match read_frame(r)? {
-        Some(body) => Ok(Some(Response::decode(&body)?)),
+        Some(body) => Ok(Some(Response::decode_owned(Bytes::from(body))?)),
         None => Ok(None),
     }
 }
