@@ -2098,15 +2098,29 @@ fn lane_rows(kind: &str) -> Vec<Value> {
     lane_rows_of(lane_values(kind))
 }
 
-/// Three rows per value of `values`, interleaved, as records `⟨v, id⟩`.
+/// Three rows per value of `values`, interleaved, as records `⟨v, id⟩`:
+/// round `r` puts value `(s·j + r) mod n` at its `j`th row, for the first
+/// stride `s ≥ 5` prime to `n`, so every round holds every value once.
 fn lane_rows_of(values: Vec<Value>) -> Vec<Value> {
     let n = values.len();
-    (0..3 * n)
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let stride = (5..).find(|&s| gcd(s, n.max(1)) == 1).expect("a stride prime to n");
+    let rows: Vec<Value> = (0..3 * n)
         .map(|i| {
-            let v = values[(i * 5 + i / n) % n].clone();
+            let v = values[(i * stride + i / n) % n].clone();
             Value::record_from(vec![("v", v), ("id", Value::Int(i as i64))])
         })
-        .collect()
+        .collect();
+    for v in &values {
+        let held = rows.iter().any(|r| r.field(Symbol::new("v")) == Some(v));
+        assert!(held, "{v:?} is held by a row");
+    }
+    rows
 }
 
 /// Holders `⟨items⟩` of `rows`, in order, with empty holders first, among
