@@ -8,7 +8,8 @@
 //! extent's members (or of their members' collections) also gets a
 //! [`LanePlan`]: the same filters and head over that attribute's value,
 //! which [`super::lane`] folds over a dictionary-coded column — each
-//! filter classified as a [`LaneFilter`] range or entry filter.
+//! filter classified as a [`LaneFilter`] range or entry filter, and a
+//! counted join keyed by the attribute kept as a [`LaneJoin`].
 
 use super::lane::LaneKey;
 use super::table::TableKey;
@@ -233,10 +234,23 @@ pub(super) struct LanePlan {
     pub(super) head: Kernel,
     /// The slot a dictionary entry is bound to while the kernels run.
     pub(super) value: usize,
-    /// The head is the attribute itself and the monoid sorts (`bag`,
-    /// `set`, `sorted`, `sortedbag`): the result is the dictionary and
-    /// each entry's count, with no head pushed.
+    /// The head is the attribute itself, the monoid sorts (`bag`, `set`,
+    /// `sorted`, `sortedbag`) and the chain ends in no join: the result is
+    /// the dictionary and each entry's count, with no head pushed.
     pub(super) counts: bool,
+    /// The head reads no chain slot: every row pushes the same head.
+    pub(super) once: bool,
+    /// The join the chain ends in, when it does.
+    pub(super) join: Option<LaneJoin>,
+}
+
+/// A lane chain's last stage, a counted join keyed by the lane's
+/// attribute alone: operator `op`, probing table `table`, hands each row
+/// its bucket's size, so each dictionary entry is probed once.
+#[derive(Debug, PartialEq)]
+pub(super) struct LaneJoin {
+    pub(super) op: usize,
+    pub(super) table: usize,
 }
 
 /// A lane chain's filter. A *range* compares the lane's value with an
@@ -494,20 +508,27 @@ impl Compiler {
 
     /// The lane plan of a reduction `chain` with `head`, when the chain
     /// scans a root extent, at most unnests one field of the scan
-    /// variable, then only filters, and its filters and head read the
+    /// variable, then only filters, at most ending in a counted join whose
+    /// one left key is the attribute, and its filters and head read the
     /// chain's variables only as one attribute of the trailing generator.
     fn lane(&mut self, chain: &Chain, head: &Kernel, monoid: &Monoid) -> Option<LanePlan> {
         let Source::Each(scan, source @ Expr::Var(_)) = &chain.source else { return None };
-        let (unnest, filters) = match chain.stages.split_first() {
+        let (unnest, stages) = match chain.stages.split_first() {
             Some((
                 Stage::Unnest { op, slot, path: Kernel::Operand(Operand::Field(owner, path)) },
                 rest,
             )) if *owner == chain.slot => (Some((*op, *slot, *path)), rest),
             _ => (None, &chain.stages[..]),
         };
+        let (filters, join) = match stages.split_last() {
+            Some((Stage::Join { op, build, left_keys, .. }, rest)) if chain.counted => {
+                (rest, Some((*op, build.table, &left_keys[..])))
+            }
+            _ => (stages, None),
+        };
         let trailing = unnest.map_or(chain.slot, |(_, slot, _)| slot);
         let value = self.n_slots;
-        let mut lane = OnLane { chain: [chain.slot, trailing], value, attr: None };
+        let mut lane = OnLane { chain: [chain.slot, trailing], value, attr: None, reads: 0 };
         let filters = filters
             .iter()
             .map(|stage| match stage {
@@ -517,15 +538,36 @@ impl Compiler {
                 _ => None,
             })
             .collect::<Option<Vec<_>>>()?;
+        let join = match join {
+            Some((op, table, [FusedExpr::Proj(key, attr)]))
+                if **key == FusedExpr::Slot(trailing) && lane.is_attr(*attr) =>
+            {
+                Some(LaneJoin { op, table })
+            }
+            Some(_) => return None,
+            None => None,
+        };
+        let reads = lane.reads;
         let head = lane.kernel(head)?;
+        let once = lane.reads == reads;
         let attr = lane.attr?;
         self.n_slots += 1;
-        let counts =
-            matches!(monoid, Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag)
-                && head == Kernel::Operand(Operand::Slot(value));
+        let counts = join.is_none()
+            && matches!(monoid, Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag)
+            && head == Kernel::Operand(Operand::Slot(value));
         let key = LaneKey { source: source.clone(), path: unnest.map(|(.., path)| path), attr };
         let unnest = unnest.map(|(op, ..)| op);
-        Some(LanePlan { key: Arc::new(key), scan: *scan, unnest, filters, head, value, counts })
+        Some(LanePlan {
+            key: Arc::new(key),
+            scan: *scan,
+            unnest,
+            filters,
+            head,
+            value,
+            counts,
+            once,
+            join,
+        })
     }
 }
 
@@ -536,11 +578,15 @@ struct OnLane {
     chain: [usize; 2],
     value: usize,
     attr: Option<Symbol>,
+    /// How many reads of the attribute were rewritten so far.
+    reads: usize,
 }
 
 impl OnLane {
-    /// Whether `field` is the lane's attribute (the first one read is).
+    /// Whether `field` is the lane's attribute (the first one read is),
+    /// counting the read.
     fn is_attr(&mut self, field: Symbol) -> bool {
+        self.reads += 1;
         *self.attr.get_or_insert(field) == field
     }
 

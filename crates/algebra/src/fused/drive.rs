@@ -576,6 +576,14 @@ impl<P: Probe> Run<'_, P> {
     /// the chain's other stages. Nothing has reached a sink yet, and the
     /// failed table is not kept.
     fn open<'c>(&mut self, chain: &'c Chain) -> ExecResult<Opened<'c>> {
+        let failed = self.tables(chain)?;
+        self.source(chain, failed)
+    }
+
+    /// [`Run::open`]'s first half: build the tables of `chain`'s joins,
+    /// and name the bare scan to open instead when a keyed filter's table
+    /// failed to build.
+    fn tables<'c>(&mut self, chain: &'c Chain) -> ExecResult<Option<&'c Chain>> {
         let mut failed = None;
         for stage in chain.stages.iter().rev() {
             if let Stage::Join { op, build, right_slots, .. } = stage {
@@ -591,6 +599,16 @@ impl<P: Probe> Run<'_, P> {
                 }
             }
         }
+        Ok(failed)
+    }
+
+    /// [`Run::open`]'s second half: evaluate the scan source — or open the
+    /// bare scan `failed` names — once the tables are built.
+    fn source<'c>(
+        &mut self,
+        chain: &'c Chain,
+        failed: Option<&'c Chain>,
+    ) -> ExecResult<Opened<'c>> {
         let (first, rest) =
             chain.stages.split_first().map_or((None, &[][..]), |(f, r)| (Some(f), r));
         match (&chain.source, failed) {
@@ -733,15 +751,18 @@ pub(crate) fn try_run_reduce<P: Probe>(
     let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
     let roots = std::iter::repeat_with(OnceCell::new).take(fq.n_roots).collect();
     let mut run = Run { ev, env, roots, slots, tables, memo, probe };
-    // A lane chain folds its column when it has one; decided once, before
-    // any row.
+    // The tables first, so a failing build fails the run on either path;
+    // then a lane chain folds its column when it has one, decided once,
+    // before any row.
+    let failed = run.tables(&fq.chain)?;
     if let Some(plan) = &fq.lane {
         if let Some(column) = run.lane(plan) {
-            let cx = Cx { heap: &run.ev.heap, env, roots: &run.roots, tables: &[], counted: false };
+            let (heap, roots, tables) = (&run.ev.heap, &run.roots[..], &run.tables[..]);
+            let cx = Cx { heap, env, roots, tables, counted: false };
             return lane::fold(&column, plan, &fq.monoid, k.acc, &mut run.slots, &cx, probe);
         }
     }
-    let opened = run.open(&fq.chain)?;
+    let opened = run.source(&fq.chain, failed)?;
     if !run.feed(opened, fq.chain.counted, &mut k)? {
         probe.short_circuit();
     }

@@ -113,7 +113,8 @@
 //! monoids that keep every copy push `n` times. No head is evaluated for
 //! an empty bucket, as the walk evaluates none. So `join-wire`'s
 //! `sum{ $w | m ← Managers, e ← CompanyEmployees, m.dept = e.dept }` is
-//! one probe and one multiply per manager, and `exists h in Hotels: h.name
+//! one probe and one multiply per manager on the plain chain (and, over a
+//! lane of `m.dept`, per dept — below), and `exists h in Hotels: h.name
 //! = $name` one probe. Build chains never take the rule.
 //!
 //! A column is a memo entry. An attribute over an extent is the paper's
@@ -157,6 +158,26 @@
 //! copies at most one slice. The rows are visited only when an entry
 //! fails, to find the first row that fails.
 //!
+//! A lane chain may end in a join: a counted one (the bucket rule above)
+//! with one left key, the attribute `a` itself. A join's count is the
+//! pointwise product of two multiplicity maps — `Σₖ n_L(k)·n_R(k)·x` —
+//! and both are at hand: the lane counts the rows per value, the table
+//! its bucket per key. So the run takes the join's table first, where the
+//! plain chain's `Run::open` takes it (a failing build fails the run
+//! first, even over an empty extent), then the lane; after the filters,
+//! each live entry is probed once through `Table::find`, the probe the
+//! plain chain makes (`1 = 1.0`, NaN payloads and the kind rules stay the
+//! table's), and an entry whose bucket is empty is dropped before any
+//! head runs. A head that reads no chain slot (`join-wire`'s `$w`) is
+//! evaluated once and pushed `Σₑ rowsₑ·bucketₑ` times through
+//! `push_units` — exact for every monoid, since every push the walk makes
+//! is that value: an `Int` sum names the walk's partial sum, a float sum
+//! adds the walk's sequence — unless an entry fails or the count
+//! overflows, when the rows are visited in order and each kept row pushes
+//! its entry's head `bucket`-fold, as any other head does. So `join-wire`'s
+//! statement is four probes and one multiply, not a probe and a push per
+//! manager.
+//!
 //! Equivalence is the load-bearing invariant: fused ≡ plan-walk
 //! byte-identical, OID-for-OID. Two design rules enforce it. First, the
 //! value-level semantics are *shared*, not duplicated — projections,
@@ -187,10 +208,12 @@
 //!
 //! A lane chain profiles as its plain chain does: the lane tells the
 //! probe each operator's rows — the members scanned, the rows unnested,
-//! the rows each filter kept, up to the row where `some`/`all` stopped —
-//! and charges each filter its evaluations (a range, its bisection), the
-//! trailing generator its pass over the codes (or a counted result's
-//! assembly from the lane's runs), and the scan the lane's build.
+//! the rows each filter kept, the pairs a join made, up to the row where
+//! `some`/`all` stopped — and charges each filter its evaluations (a
+//! range, its bisection), a join its per-entry probes and its table's
+//! build rows, the trailing generator its pass over the codes (or a
+//! counted result's assembly from the lane's runs), and the scan the
+//! lane's build.
 //!
 //! One judgement per submodule: `compile` decides what fuses and into
 //! which stages and kernels, `drive` runs a row through them into a sink
@@ -236,7 +259,9 @@ pub fn engine_of(_query: &Query) -> Engine {
 
 #[cfg(test)]
 mod tests {
-    use super::compile::{Compare, FusedExpr, Kernel, LaneFilter, Operand, Source, Stage};
+    use super::compile::{
+        Compare, FusedExpr, Kernel, LaneFilter, LaneJoin, Operand, Source, Stage,
+    };
     use super::drive::{Cx, NoProbe};
     use crate::error::PlanError;
     use super::table::{KeyIndex, Table, NONE};
@@ -327,23 +352,64 @@ mod tests {
         let q = Query::new(filtered, Monoid::Set, stars()).unwrap();
         let lane = fold(&q).lane.as_ref().expect("a depth-0 lane chain");
         assert_eq!((lane.key.path, lane.unnest, lane.counts), (None, None, true));
+        // `join-wire`: a counted join keyed by the attribute ends the
+        // chain, and its head, which reads no chain slot, is pushed once.
+        let join = with_head(&keyed_join(), Expr::param("$w"));
+        let lane = fold(&join).lane.as_ref().expect("a lane join");
+        assert_eq!(lane.join, Some(LaneJoin { op: 0, table: 0 }));
+        assert_eq!((lane.key.attr, lane.once, lane.counts), (Symbol::new("name"), true, false));
+        // A head or a filter reading the key attribute keeps the lane, a
+        // `bag` of it pushes heads, and a head reading it is per entry.
+        let a_name = || Expr::var("a").proj("name");
+        let q = Query::new(keyed_join().plan().clone(), Monoid::Bag, a_name()).unwrap();
+        let lane = fold(&q).lane.as_ref().expect("a lane join reading the key");
+        assert!(lane.join.is_some() && !lane.once && !lane.counts);
+        let ranged = replanned_join(&q, |left| {
+            let pred = a_name().ge(Expr::str("m"));
+            *left = Plan::Filter { input: Box::new(left.clone()), pred };
+        });
+        let lane = fold(&ranged).lane.as_ref().expect("a range before the join");
+        assert!(matches!(lane.filters[..], [(_, LaneFilter::Range { .. })]) && lane.join.is_some());
+    }
+
+    /// `q` planned again with its join's left input as `edit` leaves it.
+    fn replanned_join(q: &Query, edit: impl FnOnce(&mut Plan)) -> Query {
+        let mut plan = q.plan().clone();
+        let Plan::Join { left, .. } = &mut plan else { panic!("{plan:?}") };
+        edit(left);
+        with_plan(q, plan)
     }
 
     #[test]
     fn what_takes_no_lane() {
         let (h, r) = (|| Expr::var("h"), || Expr::var("r"));
         let no_lane = |q: &Query| fold(q).lane.is_none();
-        // `point-wire`'s and `mixed-rw`'s statement stays a keyed probe,
-        // `join-wire`'s a join.
+        // `point-wire`'s and `mixed-rw`'s statement stays a keyed probe.
         let hotels = || Plan::Scan { var: "h".into(), source: Expr::var("Hotels") };
         let pred = h().proj("name").eq(Expr::param("$name"));
         let point = Plan::Filter { input: Box::new(hotels()), pred };
         let point = Query::new(point, Monoid::Some, Expr::bool(true)).unwrap();
         assert!(matches!(fold(&point).chain.source, Source::Probe { .. }) && no_lane(&point));
-        let join = with_head(&keyed_join(), Expr::param("$w"));
-        assert!(matches!(fold(&join).chain.stages.as_slice(), [Stage::Join { .. }]));
-        assert!(no_lane(&join));
-        // A lane-shaped build side: the reduction chain is a join.
+        // A join whose head reads its right side is not counted; a join
+        // keyed by another attribute than the filters read, or by two, or
+        // followed by a filter, ends no lane chain.
+        let join = keyed_join();
+        let (a, b) = (|| Expr::var("a"), || Expr::var("b"));
+        assert!(no_lane(&with_head(&join, b().proj("name"))));
+        let stars = a().proj("stars").ge(Expr::int(1));
+        let filtered = replanned_join(&join, |left| {
+            *left = Plan::Filter { input: Box::new(left.clone()), pred: stars.clone() };
+        });
+        assert!(matches!(fold(&filtered).chain.stages.as_slice(), [_, Stage::Join { .. }]));
+        assert!(no_lane(&filtered));
+        let mut two_keys = join.plan().clone();
+        let Plan::Join { on, .. } = &mut two_keys else { panic!() };
+        on.push((a().proj("name"), b().proj("country")));
+        assert!(no_lane(&with_plan(&join, two_keys)));
+        let after = Plan::Filter { input: Box::new(join.plan().clone()), pred: stars };
+        assert!(no_lane(&with_plan(&join, after)));
+        // A lane-shaped build side under a head that reads it: the
+        // reduction chain is an uncounted join.
         let rooms = Plan::Unnest {
             input: Box::new(hotels()),
             var: "r".into(),
@@ -354,7 +420,7 @@ mod tests {
             right: Box::new(rooms),
             on: vec![(Expr::var("c").proj("name"), r().proj("price"))],
         };
-        assert!(no_lane(&Query::new(build, Monoid::Sum, Expr::int(1)).unwrap()));
+        assert!(no_lane(&Query::new(build, Monoid::Sum, r().proj("bed#")).unwrap()));
         // The chain reads the scan variable, a whole row, or two
         // attributes; the source reads a `$param`.
         let floor = || r().proj("price").ge(Expr::param("$floor"));
@@ -477,7 +543,8 @@ mod tests {
         // is a global — sources are evaluated, not compiled.
         assert_eq!((fq.chain.slot, build.chain.slot), (0, 1));
         assert_eq!((right_slots.as_slice(), left_keys.len(), build.keys.len()), (&[1][..], 1, 1));
-        assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (2, 1, 0));
+        // (Slot 2 is the lane's: the chain is a lane join.)
+        assert_eq!((fq.n_slots, fq.n_tables, fq.globals.len()), (3, 1, 0));
     }
 
     #[test]

@@ -145,28 +145,37 @@ impl Table {
         frame: Option<&Frame<'_>>,
         cx: &Cx<'_>,
     ) -> ExecResult<usize> {
-        let hit = match &self.index {
-            KeyIndex::All => return Ok(if self.next.is_empty() { NONE } else { 0 }),
-            KeyIndex::Ordered(map) => {
+        match (&self.index, keys) {
+            (KeyIndex::Ordered(map), [_, _, ..]) => {
                 let key = keys
                     .iter()
                     .map(|k| k.eval(slots, frame, cx))
                     .collect::<ExecResult<Vec<_>>>()?;
-                map.get(&key)
+                Ok(map.get(&key).copied().unwrap_or(NONE))
             }
-            typed => match (typed, keys[0].eval_ref(slots, frame, cx)?.as_ref()) {
-                (KeyIndex::Int(map), Value::Int(k)) => map.get(k),
-                // `Value::cmp` meets an int key through its float image.
-                (KeyIndex::Int(map), Value::Float(x)) => {
-                    let k = *x as i64;
-                    map.get(&k).filter(|_| (k as f64).total_cmp(x).is_eq())
-                }
-                (KeyIndex::Str(map), Value::Str(k)) => map.get(&**k),
-                (KeyIndex::Oid(map), Value::Obj(k)) => map.get(k),
-                // No other kind compares equal to these.
-                _ => None,
-            },
+            (_, [key]) => Ok(self.find(&*key.eval_ref(slots, frame, cx)?)),
+            // No keys: the cross product's one bucket.
+            _ => Ok(self.find(&Value::Null)),
+        }
+    }
+
+    /// The first build row whose one key equals `key` under
+    /// [`Value::cmp`], or [`NONE`]: every row of a table without keys.
+    pub(super) fn find(&self, key: &Value) -> usize {
+        let hit = match (&self.index, key) {
+            (KeyIndex::All, _) => return if self.next.is_empty() { NONE } else { 0 },
+            (KeyIndex::Ordered(map), _) => map.get(std::slice::from_ref(key)),
+            (KeyIndex::Int(map), Value::Int(k)) => map.get(k),
+            // `Value::cmp` meets an int key through its float image.
+            (KeyIndex::Int(map), Value::Float(x)) => {
+                let k = *x as i64;
+                map.get(&k).filter(|_| (k as f64).total_cmp(x).is_eq())
+            }
+            (KeyIndex::Str(map), Value::Str(k)) => map.get(&**k),
+            (KeyIndex::Oid(map), Value::Obj(k)) => map.get(k),
+            // No other kind compares equal to these.
+            _ => None,
         };
-        Ok(hit.copied().unwrap_or(NONE))
+        hit.copied().unwrap_or(NONE)
     }
 }

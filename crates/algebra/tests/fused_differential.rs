@@ -730,14 +730,15 @@ fn memo_keeps_the_join_wire_table_for_every_later_execution_at_the_epoch() {
     };
     assert!(matches!(**right, Plan::Scan { .. }), "the build side is a bare scan");
     let snap = db.snapshot();
+    // The table and the lane of `m.dept` the counted join folds over.
     let cold = fused_checked(&plan, &snap, &weight(3));
-    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (2, 2));
     // A different weight, another clone of the snapshot, and the database
     // itself (its current state shares the memo): nothing is built again.
     assert_eq!(fused_checked(&plan, &snap, &weight(3)), cold);
     assert_eq!(fused_checked(&plan, &snap.clone(), &weight(5)), Value::Int(24 * 5));
     assert_eq!(fused_checked(&plan, &db, &weight(1)), Value::Int(24));
-    assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1));
+    assert_eq!((snap.memo().len(), snap.memo().misses()), (2, 2));
 }
 
 /// Each writer path between two executions: the second must see the new
@@ -784,7 +785,8 @@ fn memo_is_forgotten_by_every_write_between_executions() {
 }
 
 /// A build side that reads a `$param` is a different table per binding:
-/// it is never kept, so each binding gets its own answer.
+/// it is never kept, so each binding gets its own answer. The lane of
+/// `m.dept`, which reads none, is.
 #[test]
 fn memo_never_keeps_a_build_that_reads_a_param() {
     let db = company();
@@ -815,7 +817,7 @@ fn memo_never_keeps_a_build_that_reads_a_param() {
             answers.push(fused_checked(&plan, &snap, &params));
         }
         assert_ne!(answers[0], answers[1], "the two bindings differ");
-        assert_eq!((snap.memo().len(), snap.memo().misses()), (0, 0), "nothing looked up");
+        assert_eq!((snap.memo().len(), snap.memo().misses()), (1, 1), "the lane alone");
     }
 }
 
@@ -831,7 +833,7 @@ fn memo_of_a_database_clone_is_its_own() {
     clone.set_root(company::names::EMPLOYEES, half_the_staff(&db));
     assert_eq!(fused_checked(&plan, &clone, &weight(1)), Value::Int(12));
     assert_eq!(fused_checked(&plan, &db, &weight(1)), before);
-    assert_eq!((db.memo().len(), db.memo().misses()), (1, 1));
+    assert_eq!((db.memo().len(), db.memo().misses()), (2, 2));
 }
 
 // -------------------------------------------------------------------------
@@ -1699,9 +1701,10 @@ fn compiled_once_queries_run_on_any_snapshot_of_any_database_like_the_walk() {
             assert_eq!(execute_snapshot_bound(plan, snap, params), walk, "{label} {at}");
             answers.push(walk);
         }
-        // The fold ran, and kept this snapshot's tables: the dept join's
-        // and the name probe's.
-        assert_eq!(snap.memo().len(), 2, "{at}");
+        // The fold ran, and kept this snapshot's tables — the dept join's
+        // and the name probe's — and the lane of `m.dept` that
+        // `join-wire`'s counted join folds over.
+        assert_eq!(snap.memo().len(), 3, "{at}");
     }
     let n = queries.len();
     for (label, i) in [("join", 0), ("join-wire", 1), ("keyed-filter", 2), ("counted-scan", 3)] {
@@ -2833,6 +2836,380 @@ fn lane_range_nan_orders_above_every_number_on_every_engine() {
                 let nans = runs.iter().filter(|(v, _)| matches!(v, Value::Float(f) if f.is_nan()));
                 assert_eq!(nans.count(), if nan_kept { 2 } else { 0 }, "{label}");
             }
+        }
+    }
+}
+
+// -------------------------------------------------------------------------
+// Lane joins: a counted join keyed by the lane's attribute, as a lane
+// chain's last stage, probes the join's table once per live dictionary
+// entry and pushes each kept row's head `n`-fold for its bucket of `n`
+// build rows — or a head that reads no chain slot once, for all of them.
+// The `lane_join_*` tests pin it to the walk, fresh and from the memo, and
+// to the evaluator, value or error text, at depth 0 and 1; the profiled
+// fold's rows per operator to the plain chain's; and each refusal.
+// -------------------------------------------------------------------------
+
+/// The lane store with build sides `⟨k, w⟩` to join on `k`: ints (`BI`,
+/// holding `2`, whose head fails in some tests), floats an int lane meets
+/// through `1 = 1.0` (`BF`), floats with both zeros and both NaN payloads
+/// (`BFZ`), ints a float lane meets (`BIF`), strings (`BS`), ints no lane
+/// value meets (`BNone`), and rows without `k` (`BBad`); `D0E`/`D1E` hold
+/// no row at depth 0 and 1, and `D0D`/`D1D` a dictionary as long as their
+/// rows.
+fn lane_join_store() -> Database {
+    let mut db = lane_store();
+    let build = |keys: Vec<Value>| {
+        let row = |(w, k): (usize, Value)| {
+            Value::record_from(vec![("k", k), ("w", Value::Int(w as i64))])
+        };
+        Value::list(keys.into_iter().enumerate().map(row).collect())
+    };
+    let ints = |keys: &[i64]| build(keys.iter().map(|k| Value::Int(*k)).collect());
+    let floats = |keys: &[f64]| build(keys.iter().map(|k| Value::Float(*k)).collect());
+    let nan = f64::from_bits(0x7ff8_0000_0000_0001);
+    db.set_root("BI", ints(&[3, 11, 2, 0, 99, 3, 0, 3]));
+    db.set_root("BF", floats(&[3.0, 11.0, -2.0, 7.5, 3.0]));
+    db.set_root("BFZ", floats(&[f64::NAN, nan, -0.0, 0.0, 0.0, 2.5, 1e9, 2.5]));
+    db.set_root("BIF", ints(&[100, 0, 7, 100]));
+    db.set_root("BS", build(["b", "", "zz", "b", "q"].map(Value::str).to_vec()));
+    db.set_root("BNone", ints(&[1_000, 2_000]));
+    let bad = Value::record_from(vec![("w", Value::Int(0))]);
+    db.set_root("BBad", Value::list(vec![bad.clone(), bad]));
+    db.set_root("D0E", Value::bag_from(Vec::new()));
+    db.set_root("D1E", holders(Vec::new(), Value::list));
+    let row = |i| Value::record_from(vec![("v", Value::Int(i)), ("id", Value::Int(i))]);
+    let distinct: Vec<Value> = (0..20).map(row).collect();
+    let objects = distinct.iter().map(|r| Value::Obj(db.heap_mut().alloc(r.clone()))).collect();
+    db.set_root("D0D", Value::bag_from(objects));
+    db.set_root("D1D", holders(distinct, Value::list));
+    db
+}
+
+/// `⊕{ head | <x over extent>, preds…, y ← build, key = y.k }`, `x` at
+/// depth 0 or 1 as [`lane_comp`] has it.
+fn lane_join_comp(
+    (monoid, head): (Monoid, Expr),
+    extent: &str,
+    preds: Vec<Expr>,
+    build: &str,
+    key: Expr,
+) -> Expr {
+    let Expr::Comp { quals, .. } = lane_comp(monoid.clone(), head.clone(), extent, preds) else {
+        panic!("a comprehension")
+    };
+    let mut quals = quals;
+    quals.push(Expr::gen("y", Expr::var(build)));
+    quals.push(Expr::pred(key.eq(Expr::var("y").proj("k"))));
+    Expr::comp(monoid, head, quals)
+}
+
+/// The parameters lane-join heads read: a kind's `$c` and `$floor`, an
+/// `Int` weight `$w`, a `Float` `$f`, a zero and a weight whose sums
+/// overflow.
+fn lane_join_params(kind: &str) -> Vec<(Symbol, Value)> {
+    let mut params = lane_params(kind);
+    params.extend([
+        (Symbol::new("$w"), Value::Int(3)),
+        (Symbol::new("$f"), Value::Float(0.1)),
+        (Symbol::new("$zero"), Value::Int(0)),
+        (Symbol::new("$big"), Value::Int(i64::MAX / 5)),
+    ]);
+    params
+}
+
+/// Every monoid over the attribute, as [`lane_heads`] has them, and heads
+/// that read no chain slot: an `Int` and a `Float` weight summed, listed
+/// and bagged, and `some`/`all` constants.
+fn lane_join_heads(kind: &str) -> Vec<(Monoid, Expr)> {
+    let mut heads = lane_heads(kind);
+    heads.extend([
+        (Monoid::Sum, Expr::param("$w")),
+        (Monoid::Sum, Expr::param("$f")),
+        (Monoid::List, Expr::param("$w")),
+        (Monoid::Bag, Expr::param("$f")),
+        (Monoid::Some, Expr::bool(true)),
+        (Monoid::All, Expr::param("$w").ne(Expr::int(0))),
+    ]);
+    heads
+}
+
+type Profiled = Option<(Vec<(u64, u64)>, bool, u64)>;
+
+/// Each operator's rows and build rows, whether the run stopped short and
+/// how many rows reached the reduction, of the profiled fold.
+fn profiled_rows(plan: &Query, db: &Database, params: &[(Symbol, Value)]) -> Profiled {
+    let p = execute_profiled_bound(plan, &[], db, params).ok()?.profile;
+    let rows = p.operators.iter().map(|o| (o.actual_rows, o.build_rows)).collect();
+    Some((rows, p.short_circuited, p.rows_to_reduce))
+}
+
+/// The walk's answer for `comp`, after the fused fold gave the identical
+/// answer fresh, from the memo — building nothing the second time, when
+/// the first run succeeded — and profiled, the evaluator gave it too, and
+/// a plain twin — the same join keyed by `key` computed as `if true then
+/// key else key`, which no lane takes — gave it and profiled the same rows
+/// per operator; and whether the fold kept a lane, seen as memo bytes
+/// beyond the twin's.
+fn lane_join_agree(
+    label: &str,
+    comp: &dyn Fn(Expr) -> Expr,
+    key: Expr,
+    db: &Database,
+    params: &[(Symbol, Value)],
+) -> (ExecResult<Value>, bool) {
+    let plan = plan_comprehension(&comp(key.clone())).unwrap();
+    let computed = Expr::if_(Expr::bool(true), key.clone(), key.clone());
+    let twin = plan_comprehension(&comp(computed)).unwrap();
+    let (lane, plain) = (db.clone().snapshot(), db.clone().snapshot());
+    let walk = execute_plan_walk_bound(&plan, &lane, params);
+    let fresh = execute_snapshot_bound(&plan, &lane, params);
+    let built = lane.memo().misses();
+    let kept = execute_snapshot_bound(&plan, &lane, params);
+    if walk.is_ok() {
+        assert_eq!(lane.memo().misses(), built, "{label}: the second run built again");
+    }
+    assert_identical(&format!("{label} (fresh)"), &fresh, &walk);
+    assert_identical(&format!("{label} (memo)"), &kept, &walk);
+    assert_profiled_agrees(label, &plan, &lane, params, &walk);
+    let twin_value = execute_snapshot_bound(&twin, &plain, params);
+    assert_identical(&format!("{label} (twin)"), &twin_value, &walk);
+    let rows = profiled_rows(&plan, db, params);
+    let plain_rows = profiled_rows(&twin, db, params);
+    assert_eq!(rows, plain_rows, "{label}: profiled rows ≠ the plain chain's");
+    let env = params.iter().fold(db.snapshot().env(), |env, (p, v)| env.bind(*p, v.clone()));
+    match db.clone().query_in(&env, &comp(key)) {
+        // A bag under a monoid that is not commutative is outside the
+        // calculus (§2.3): the evaluator refuses what the engines fold in
+        // the extent's order.
+        Err(e) if e.to_string().contains("illegal homomorphism") => {}
+        // The evaluator never reaches a build side whose left extent is
+        // empty; the walk builds it first, and the fold does too.
+        Ok(_) if walk.is_err() && label.contains("failing build") => {}
+        evaluator => assert_identical(&format!("{label} (evaluator)"), &evaluator, &walk),
+    }
+    (walk, lane.memo().bytes() > plain.memo().bytes())
+}
+
+/// The extents of kind `k` at depth 0, depth 1 and depth 1 over bags.
+fn lane_join_extents(k: &str) -> [String; 3] {
+    [format!("D0{k}"), format!("D1{k}"), format!("DB{k}")]
+}
+
+#[test]
+fn lane_join_every_monoid_over_int_float_nan_zero_and_string_keys_agrees() {
+    let db = lane_join_store();
+    let x = Expr::var("x").proj("v");
+    for (k, kind, build) in [
+        ("I", "int", "BI"),
+        ("I", "int", "BF"),
+        ("F", "float", "BFZ"),
+        ("F", "float", "BIF"),
+        ("S", "string", "BS"),
+    ] {
+        let params = lane_join_params(kind);
+        for extent in lane_join_extents(k) {
+            for head in lane_join_heads(kind) {
+                let label = format!("{extent} ⋈ {build}/{}/{:?}", head.0, head.1);
+                let comp = |key| lane_join_comp(head.clone(), &extent, Vec::new(), build, key);
+                let (walk, lane) = lane_join_agree(&label, &comp, x.clone(), &db, &params);
+                assert!(walk.is_ok() && lane, "{label}: {walk:?}, lane {lane}");
+            }
+        }
+    }
+    // Not vacuous: `1 = 1.0` meets int rows with float keys, the float
+    // lane's `0.0` meets the int key `0` but `-0.0` does not, and each NaN
+    // payload and zero meets only its own key.
+    let run = |extent: &str, build: &str, head: (Monoid, Expr), kind: &str| {
+        let comp = lane_join_comp(head, extent, Vec::new(), build, x.clone());
+        execute_snapshot_bound(&plan_comprehension(&comp).unwrap(), &db, &lane_join_params(kind))
+    };
+    let pairs = |extent, build, kind| run(extent, build, (Monoid::Sum, Expr::int(1)), kind);
+    // Each value is held by three rows: 3 meets two keys, 11 and -2 one.
+    assert_eq!(pairs("D1I", "BF", "int"), Ok(Value::Int(3 * (2 + 1 + 1))));
+    // `BIF` holds `0` once and `100` twice; `-0.0` and `7.25` meet none.
+    let met = run("D1F", "BIF", (Monoid::Bag, x.clone()), "float").unwrap();
+    let want = [(Value::Float(0.0), 3), (Value::Float(100.0), 6)];
+    assert_eq!(format!("{met}"), format!("{}", Value::Bag(std::sync::Arc::new(want.to_vec()))));
+    let Value::Bag(runs) = run("D1F", "BFZ", (Monoid::Bag, x.clone()), "float").unwrap() else {
+        panic!()
+    };
+    let counts: Vec<_> = runs.iter().map(|(v, n)| (format!("{v}"), *n)).collect();
+    let nan = ("NaN".to_string(), 3);
+    let want = [("-0".into(), 3), ("0".into(), 6), ("2.5".into(), 6), nan.clone(), nan];
+    assert_eq!(counts, want);
+}
+
+/// No head is evaluated for a row whose bucket is empty: a head failing on
+/// every value fails only over a build side some row meets, at the walk's
+/// first pair.
+#[test]
+fn lane_join_an_empty_bucket_never_evaluates_its_failing_head() {
+    let db = lane_join_store();
+    let x = || Expr::var("x").proj("v");
+    let params = lane_join_params("int");
+    for extent in lane_join_extents("I") {
+        for head in [
+            (Monoid::Sum, Expr::int(1).div(Expr::param("$zero"))),
+            (Monoid::List, x().div(Expr::param("$zero"))),
+            (Monoid::Some, x().div(Expr::param("$zero")).ge(Expr::int(0))),
+        ] {
+            for (build, fails) in [("BNone", false), ("BI", true)] {
+                let label = format!("{extent} ⋈ {build}/{}", head.0);
+                let comp = |key| lane_join_comp(head.clone(), &extent, Vec::new(), build, key);
+                let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &params);
+                assert!(lane, "{label}: no lane");
+                assert_eq!(walk.is_err(), fails, "{label}: {walk:?}");
+                if let Err(e) = walk {
+                    assert!(e.to_string().contains("division"), "{label}: {e}");
+                }
+            }
+        }
+    }
+}
+
+/// A build side that fails fails the run before the lane is read, even
+/// when the left side has no row — as the walk builds it first.
+#[test]
+fn lane_join_a_failing_build_fails_over_an_empty_left_extent() {
+    let db = lane_join_store();
+    let x = || Expr::var("x").proj("v");
+    for extent in ["D0E", "D1E", "D0I", "D1I"] {
+        for head in [(Monoid::Sum, Expr::param("$w")), (Monoid::List, x())] {
+            let label = format!("{extent} ⋈ BBad/{}/failing build", head.0);
+            let comp = |key| lane_join_comp(head.clone(), extent, Vec::new(), "BBad", key);
+            let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &lane_join_params("int"));
+            assert!(!lane, "{label}: a lane was kept");
+            let err = walk.expect_err("the build fails");
+            assert!(err.to_string().contains('k'), "{label}: {err}");
+        }
+    }
+}
+
+/// An `Int` sum over the buckets overflows at the walk's partial sum,
+/// whether its head reads no chain slot (one push of every pair) or the
+/// attribute (one push per row); a `Float` sum adds the walk's sequence.
+#[test]
+fn lane_join_int_sums_overflow_at_the_walks_partial_sum_and_float_sums_agree() {
+    let db = lane_join_store();
+    let x = || Expr::var("x").proj("v");
+    let params = lane_join_params("int");
+    let mut errors = Vec::new();
+    for extent in lane_join_extents("I") {
+        for head in [Expr::param("$big"), x().mul(Expr::param("$big"))] {
+            let label = format!("{extent}/{head:?}");
+            let sum = (Monoid::Sum, head.clone());
+            let comp = |key| lane_join_comp(sum.clone(), &extent, Vec::new(), "BI", key);
+            let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &params);
+            assert!(lane, "{label}: no lane");
+            errors.push(walk.expect_err("the sum overflows").to_string());
+        }
+        for head in [Expr::param("$f"), Expr::float(1e16).add(Expr::param("$f"))] {
+            let label = format!("{extent}/float {head:?}");
+            let sum = (Monoid::Sum, head.clone());
+            let comp = |key| lane_join_comp(sum.clone(), &extent, Vec::new(), "BI", key);
+            let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &params);
+            assert!(walk.is_ok() && lane, "{label}: {walk:?}");
+        }
+    }
+    // The error names a partial sum: a multiple of `$big`.
+    let big = (i64::MAX / 5).to_string();
+    assert!(errors.iter().all(|e| e.contains("overflow")), "{errors:?}");
+    let thrice = (3 * (i64::MAX / 5)).to_string();
+    assert!(errors.iter().any(|e| e.contains(&big) || e.contains(&thrice)), "{errors:?}");
+}
+
+/// `some` and `all` stop at the walk's row — a later row whose head fails
+/// is never read — and profile the plain chain's rows up to it.
+#[test]
+fn lane_join_some_and_all_stop_where_the_walk_stops() {
+    let db = lane_join_store();
+    let x = || Expr::var("x").proj("v");
+    let bad = || Expr::int(10).div(x().sub(Expr::int(2))).ge(Expr::int(0));
+    let witness = || x().eq(Expr::int(11));
+    for extent in lane_join_extents("I") {
+        for (monoid, head, verdict) in [
+            (Monoid::Some, witness().and(bad()), true),
+            (Monoid::All, witness().not().and(bad()), false),
+            (Monoid::Some, Expr::bool(true), true),
+        ] {
+            let label = format!("{extent}/{monoid}/{head:?}");
+            // The rows read `3, 11, 2, …`, and `BI` meets all three.
+            let preds = vec![x().ne(Expr::int(-2))];
+            let case = (monoid.clone(), head.clone());
+            let comp = |key| lane_join_comp(case.clone(), &extent, preds.clone(), "BI", key);
+            let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &lane_join_params("int"));
+            assert_eq!(walk, Ok(Value::Bool(verdict)), "{label}");
+            assert!(lane, "{label}: no lane");
+            let plan = plan_comprehension(&comp(x())).unwrap();
+            let (_, stopped, _) = profiled_rows(&plan, &db, &[]).expect("profiled");
+            assert!(stopped, "{label}: the fold did not stop");
+        }
+    }
+}
+
+/// Range and entry filters before the join, a head reading the key
+/// attribute, and `list`'s order: a filter failing on a value fails at the
+/// walk's first row, unless an earlier range dropped it.
+#[test]
+fn lane_join_range_and_entry_filters_before_the_join_agree() {
+    let db = lane_join_store();
+    let x = || Expr::var("x").proj("v");
+    let c = || Expr::param("$c");
+    let fails_at_7 = || Expr::int(10).div(x().sub(Expr::int(7))).ge(Expr::int(0));
+    let cases = [
+        ("range", vec![x().ge(c())], true),
+        ("two ranges", vec![x().gt(Expr::int(-2)), c().ge(x())], true),
+        ("entry", vec![x().add(Expr::int(1)).ne(Expr::int(4))], true),
+        ("range drops 7, then no failure", vec![x().gt(Expr::int(7)), fails_at_7()], true),
+        ("range keeps 7, then fails", vec![x().ge(c()), fails_at_7()], false),
+    ];
+    let heads = [
+        (Monoid::Sum, Expr::param("$w")),
+        (Monoid::Sum, x()),
+        (Monoid::List, x()),
+        (Monoid::List, Expr::param("$w")),
+        (Monoid::Bag, x()),
+        (Monoid::Max, x()),
+        (Monoid::Some, x().ge(c())),
+    ];
+    let params = lane_join_params("int");
+    for extent in lane_join_extents("I") {
+        for (name, preds, succeeds) in &cases {
+            for head in &heads {
+                let label = format!("{extent}/{name}/{}/{:?}", head.0, head.1);
+                let comp = |key| lane_join_comp(head.clone(), &extent, preds.clone(), "BI", key);
+                let (walk, lane) = lane_join_agree(&label, &comp, x(), &db, &params);
+                assert!(lane, "{label}: no lane");
+                if head.0 != Monoid::Some {
+                    assert_eq!(walk.is_ok(), *succeeds, "{label}: {walk:?}");
+                }
+            }
+        }
+    }
+}
+
+/// A dictionary as long as its rows, and a join keyed by another attribute
+/// than the lane's: no lane, and the plain chain's answer.
+#[test]
+fn lane_join_refusals_run_the_plain_chain() {
+    let db = lane_join_store();
+    let (v, id) = (|| Expr::var("x").proj("v"), || Expr::var("x").proj("id"));
+    let params = lane_join_params("int");
+    for (extent, preds, key) in [
+        ("D0D", Vec::new(), v()),
+        ("D1D", Vec::new(), v()),
+        ("D0I", vec![v().ge(Expr::param("$c"))], id()),
+        ("D1I", vec![v().ge(Expr::param("$c"))], id()),
+        ("D1I", Vec::new(), id()),
+    ] {
+        let some = v().ge(Expr::int(3));
+        let heads = [(Monoid::Sum, Expr::param("$w")), (Monoid::List, v()), (Monoid::Some, some)];
+        for head in heads {
+            let label = format!("{extent}/{key:?}/{}", head.0);
+            let comp = |key| lane_join_comp(head.clone(), extent, preds.clone(), "BI", key);
+            let (walk, lane) = lane_join_agree(&label, &comp, key.clone(), &db, &params);
+            assert!(walk.is_ok() && !lane, "{label}: {walk:?}, lane {lane}");
         }
     }
 }

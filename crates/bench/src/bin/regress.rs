@@ -119,6 +119,19 @@ fn main() {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_regress.json").to_string()
     });
 
+    // The baseline is read before the run: with the default `--out`, the
+    // fresh report is written over it.
+    let baseline = compare.as_ref().map(|baseline_path| {
+        let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
+            eprintln!("cannot read baseline {baseline_path}: {e}");
+            std::process::exit(2);
+        });
+        Json::parse(&text).unwrap_or_else(|e| {
+            eprintln!("baseline {baseline_path} is not JSON: {e}");
+            std::process::exit(2);
+        })
+    });
+
     let report = regress::run(quick);
 
     let mut table = Table::new(&["query", "store", "p50", "p95", "p99", "rows→reduce", "norm steps"]);
@@ -264,15 +277,7 @@ fn main() {
 
     // The latency gate: diff this run against the committed baseline and
     // fail the process on regressions beyond tolerance.
-    if let Some(baseline_path) = &compare {
-        let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-            eprintln!("cannot read baseline {baseline_path}: {e}");
-            std::process::exit(2);
-        });
-        let baseline = Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("baseline {baseline_path} is not JSON: {e}");
-            std::process::exit(2);
-        });
+    if let (Some(baseline_path), Some(baseline)) = (&compare, baseline) {
         let verdict =
             compare_reports(&report_json, &baseline, tolerance, min_delta).unwrap_or_else(|e| {
             eprintln!("cannot compare against {baseline_path}: {e}");

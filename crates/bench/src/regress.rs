@@ -388,7 +388,9 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
 /// same scan → unnest chain, the bag build behind a compare filter, two
 /// sums behind the lane's range filters, on `join` (the corpus's hash
 /// join, over the company store), on that
-/// join's pair count, whose head reads neither side, and on four OQL
+/// join's pair count, whose head reads neither side, on the set of its
+/// keys and its pair count behind a filter on the key — the three fold a
+/// lane of `m.dept` against the join's buckets — and on four OQL
 /// shapes whose nested comprehension — in a predicate, a head, a
 /// `group by`'s partition — the fold hands to the evaluator in place.
 fn run_fusion_section(
@@ -527,6 +529,41 @@ fn run_fusion_section(
                 Expr::int(1),
                 vec![
                     Expr::gen("m", Expr::var("Managers")),
+                    Expr::gen("e", Expr::var("CompanyEmployees")),
+                    Expr::pred(Expr::var("m").proj("dept").eq(Expr::var("e").proj("dept"))),
+                ],
+            ),
+        ),
+        // The same join under a head that reads the key, once per
+        // manager's dept…
+        (
+            "company-dept-set",
+            "set",
+            "set{ m.dept | m ← Managers, e ← CompanyEmployees, m.dept = e.dept }".to_string(),
+            company_db,
+            Expr::comp(
+                Monoid::Set,
+                Expr::var("m").proj("dept"),
+                vec![
+                    Expr::gen("m", Expr::var("Managers")),
+                    Expr::gen("e", Expr::var("CompanyEmployees")),
+                    Expr::pred(Expr::var("m").proj("dept").eq(Expr::var("e").proj("dept"))),
+                ],
+            ),
+        ),
+        // …and behind a filter on the key before the join.
+        (
+            "company-dept-pairs-ne",
+            "sum",
+            "sum{ 1 | m ← Managers, m.dept ≠ \"sales\", e ← CompanyEmployees, m.dept = e.dept }"
+                .to_string(),
+            company_db,
+            Expr::comp(
+                Monoid::Sum,
+                Expr::int(1),
+                vec![
+                    Expr::gen("m", Expr::var("Managers")),
+                    Expr::pred(Expr::var("m").proj("dept").ne(Expr::str("sales"))),
                     Expr::gen("e", Expr::var("CompanyEmployees")),
                     Expr::pred(Expr::var("m").proj("dept").eq(Expr::var("e").proj("dept"))),
                 ],
@@ -701,7 +738,8 @@ mod tests {
         // The fusion section covers a commutative, an ordered and a
         // sorting monoid over a linear chain, the sorting one behind a
         // filter, two sums behind lane ranges, the corpus's join, with a
-        // head reading both sides and one reading neither, and four
+        // head reading both sides, one reading neither, one reading the
+        // key, and one behind a filter on the key, and four
         // shapes with a nested comprehension evaluated in place: the
         // default engine is fused, and the forced plan walk was timed
         // alongside it.
@@ -716,6 +754,8 @@ mod tests {
                 "sum-prices-band",
                 "company-dept-join",
                 "company-dept-pairs",
+                "company-dept-set",
+                "company-dept-pairs-ne",
                 "count-rooms-pred",
                 "in-select",
                 "count-head",

@@ -13,6 +13,7 @@ use crate::harness::{fmt_nanos, percentile_nanos, Table};
 use monoid_calculus::json::Json;
 use monoid_calculus::recorder::{CacheDisposition, QueryRecord, JOURNAL_SCHEMA_VERSION};
 use monoid_calculus::trace::Phase;
+use std::sync::Arc;
 
 /// Column the per-query table is ranked by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,7 +40,7 @@ impl SortBy {
 pub struct QueryStats {
     pub fingerprint: u64,
     /// Truncated source of the most recent execution.
-    pub source: String,
+    pub source: Arc<str>,
     pub count: u64,
     pub errors: u64,
     pub slow: u64,
@@ -57,7 +58,7 @@ impl QueryStats {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("fingerprint", Json::str(format!("{:016x}", self.fingerprint))),
-            ("source", Json::str(self.source.clone())),
+            ("source", Json::str(&*self.source)),
             ("count", Json::from(self.count)),
             ("errors", Json::from(self.errors)),
             ("slow", Json::from(self.slow)),
@@ -315,7 +316,7 @@ mod tests {
         assert_eq!(top.cache_hit_ratio(), Some(0.5));
         assert_eq!(top.phase_totals[Phase::Execute.index()], 6_000);
         assert_eq!(top.queries.len(), 2);
-        let q1 = top.queries.iter().find(|q| q.source == "q1").unwrap();
+        let q1 = top.queries.iter().find(|q| &*q.source == "q1").unwrap();
         assert_eq!(q1.count, 2);
         assert_eq!(q1.total_nanos, 4_000);
         assert_eq!(q1.p50_nanos, 1_000);

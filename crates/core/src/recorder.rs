@@ -112,8 +112,9 @@ pub struct QueryRecord {
     /// repeated executions of one statement group under one key even
     /// when [`QueryRecord::source`] is truncated.
     pub fingerprint: u64,
-    /// Source text (truncated to 256 chars).
-    pub source: String,
+    /// Source text (truncated to 256 chars), shared by every record of
+    /// one prepared statement.
+    pub source: Arc<str>,
     /// The serving session that ran the query, when one did.
     pub session: Option<u64>,
     /// Plan-cache disposition ([`CacheDisposition::Uncached`] outside
@@ -124,18 +125,19 @@ pub struct QueryRecord {
     /// parse/normalize/optimize entries.
     pub phase_nanos: [u64; Phase::ALL.len()],
     /// Wall-clock nanos from the statement entering its owning layer to
-    /// the commit (≥ the phase sum — it includes cache lookup, lock wait
-    /// and binding overhead the phases don't).
+    /// the end of its execution (≥ the phase sum — it includes cache
+    /// lookup, lock wait and binding overhead the phases don't).
     pub total_nanos: u64,
     /// Rows (collection elements) the query produced; 1 for scalars.
     pub rows: u64,
     /// Rendered effect summary of the canonical form (empty when the
-    /// recording layer had none at hand).
-    pub effects: String,
-    /// Which execution engine ran the reduction (`"fused"` for the
-    /// batch-fold engine, `"plan-walk"` for the plan-tree interpreter,
-    /// `"eval"` for direct evaluation outside the algebra).
-    pub engine: Option<String>,
+    /// recording layer had none at hand), rendered once per statement.
+    pub effects: Arc<str>,
+    /// Which execution engine ran the reduction: one of [`ENGINES`] —
+    /// `"fused"` for the batch-fold engine, `"plan-walk"` for the
+    /// plan-tree interpreter, `"eval"` for direct evaluation outside the
+    /// algebra.
+    pub engine: Option<&'static str>,
     /// The `mutation_epoch` of the snapshot this statement read from,
     /// when it ran on the snapshot-isolated read path (`None` for writer
     /// path and algebra-level executions).
@@ -151,16 +153,22 @@ impl QueryRecord {
     /// counters zero — for its owner to fill in. `seq` is assigned at
     /// commit ([`FlightRecorder::push`]).
     pub fn new(source: &str) -> QueryRecord {
+        QueryRecord::of(fingerprint(source), capped_source(source))
+    }
+
+    /// A fresh record for a source already fingerprinted and capped —
+    /// what a prepared statement computes once for all of its records.
+    pub fn of(fingerprint: u64, source: Arc<str>) -> QueryRecord {
         QueryRecord {
             seq: 0,
-            fingerprint: fingerprint(source),
-            source: truncate_source(source),
+            fingerprint,
+            source,
             session: None,
             cache: CacheDisposition::Uncached,
             phase_nanos: [0; Phase::ALL.len()],
             total_nanos: 0,
             rows: 0,
-            effects: String::new(),
+            effects: no_effects(),
             engine: None,
             snapshot_epoch: None,
             error: None,
@@ -200,7 +208,7 @@ impl QueryRecord {
             // Hex, not a JSON number: a 64-bit hash exceeds i64 half the
             // time and must round-trip exactly.
             ("fingerprint", Json::str(format!("{:016x}", self.fingerprint))),
-            ("source", Json::str(self.source.clone())),
+            ("source", Json::str(&*self.source)),
             (
                 "session",
                 self.session.map(Json::from).unwrap_or(Json::Null),
@@ -209,11 +217,8 @@ impl QueryRecord {
             ("phase_nanos", phases),
             ("total_nanos", Json::from(self.total_nanos)),
             ("rows", Json::from(self.rows)),
-            ("effects", Json::str(self.effects.clone())),
-            (
-                "engine",
-                self.engine.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
+            ("effects", Json::str(&*self.effects)),
+            ("engine", self.engine.map(Json::str).unwrap_or(Json::Null)),
             (
                 "snapshot_epoch",
                 self.snapshot_epoch.map(Json::from).unwrap_or(Json::Null),
@@ -244,6 +249,12 @@ impl QueryRecord {
         let cache_str = text("cache")?;
         let cache = CacheDisposition::parse(cache_str)
             .ok_or_else(|| format!("bad cache disposition `{cache_str}`"))?;
+        let engine = match field("engine")?.as_str() {
+            None => None,
+            Some(e) => Some(
+                *ENGINES.iter().find(|k| **k == e).ok_or_else(|| format!("bad engine `{e}`"))?,
+            ),
+        };
         let phases = field("phase_nanos")?;
         let mut phase_nanos = [0u64; Phase::ALL.len()];
         for phase in Phase::ALL {
@@ -252,14 +263,14 @@ impl QueryRecord {
         Ok(QueryRecord {
             seq: count("seq")?,
             fingerprint,
-            source: text("source")?.to_string(),
+            source: text("source")?.into(),
             session: field("session")?.as_u64(),
             cache,
             phase_nanos,
             total_nanos: count("total_nanos")?,
             rows: count("rows")?,
-            effects: text("effects")?.to_string(),
-            engine: opt_text("engine")?,
+            effects: text("effects")?.into(),
+            engine,
             snapshot_epoch: field("snapshot_epoch")?.as_u64(),
             error: opt_text("error")?,
             slow: field("slow")?.as_bool().ok_or("record `slow` is not a boolean")?,
@@ -273,6 +284,16 @@ impl QueryRecord {
 /// version 5 dropped `parallel_workers` / `parallel_fallback`.
 pub const JOURNAL_SCHEMA_VERSION: u64 = 5;
 
+/// The empty effect summary, shared: a fresh record allocates nothing
+/// for it.
+fn no_effects() -> Arc<str> {
+    static EMPTY: OnceLock<Arc<str>> = OnceLock::new();
+    EMPTY.get_or_init(|| Arc::from("")).clone()
+}
+
+/// Every [`QueryRecord::engine`] label.
+pub const ENGINES: [&str; 3] = ["fused", "plan-walk", "eval"];
+
 /// Hash of the full source text (stable within a process, like the plan
 /// cache's schema fingerprint).
 pub fn fingerprint(source: &str) -> u64 {
@@ -281,13 +302,15 @@ pub fn fingerprint(source: &str) -> u64 {
     h.finish()
 }
 
-fn truncate_source(source: &str) -> String {
+/// `source` as a record keeps it: its first 256 characters, the last
+/// of them an ellipsis when the text is longer.
+fn capped_source(source: &str) -> Arc<str> {
     if source.chars().count() <= SOURCE_LIMIT {
-        source.to_string()
+        Arc::from(source)
     } else {
         let mut s: String = source.chars().take(SOURCE_LIMIT - 1).collect();
         s.push('…');
-        s
+        Arc::from(s)
     }
 }
 
@@ -582,7 +605,7 @@ mod tests {
         }
         let snap = rec.snapshot();
         assert_eq!(snap.iter().map(|r| r.seq).collect::<Vec<_>>(), vec![2, 3, 4]);
-        assert_eq!(snap[0].source, "q2");
+        assert_eq!(&*snap[0].source, "q2");
         assert_eq!(rec.recorded_total(), 5);
         assert_eq!(rec.len(), 3);
     }
@@ -595,8 +618,8 @@ mod tests {
         r.phase_nanos[Phase::Execute.index()] = 1234;
         r.total_nanos = 5678;
         r.rows = 3;
-        r.effects = "reads heap".to_string();
-        r.engine = Some("fused".to_string());
+        r.effects = "reads heap".into();
+        r.engine = Some("fused");
         r.snapshot_epoch = Some(41);
         r.error = Some("boom".to_string());
         r.slow = true;

@@ -140,6 +140,12 @@ pub struct Prepared {
     params: Vec<Symbol>,
     trace: QueryTrace,
     prepare_nanos: u128,
+    /// What every flight-recorder record of the statement carries,
+    /// computed once here rather than per execution.
+    fingerprint: u64,
+    record_source: Arc<str>,
+    effects_text: Arc<str>,
+    engine: &'static str,
 }
 
 /// How a prepared statement runs. Plannable canonical comprehensions get
@@ -254,7 +260,22 @@ fn finish_prepare(
     let prepare_nanos = started.elapsed().as_nanos();
     cache_metrics().prepare_nanos.observe_nanos(prepare_nanos);
 
-    Prepared { source: src, canonical, exec, effects, estimates, params, trace, prepare_nanos }
+    let engine = if matches!(exec, ExecMode::Plan(_)) { "fused" } else { "eval" };
+    let QueryRecord { fingerprint, source: record_source, .. } = QueryRecord::new(&src);
+    Prepared {
+        fingerprint,
+        record_source,
+        effects_text: Arc::from(effects.to_string()),
+        engine,
+        source: src,
+        canonical,
+        exec,
+        effects,
+        estimates,
+        params,
+        trace,
+        prepare_nanos,
+    }
 }
 
 /// Every distinct `$param` in `e`, in first-appearance order.
@@ -375,7 +396,7 @@ impl Prepared {
         db: &mut Database,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let (result, execute_nanos) = self.run(origin.is_some(), params, |binds| {
+        let (result, ran) = self.run(origin.is_some(), params, |binds| {
             if self.writes() {
                 self.run_write(db, binds)
             } else {
@@ -383,7 +404,7 @@ impl Prepared {
             }
         });
         // (A writer's slow capture replays against the state it left.)
-        self.record_run(origin, None, execute_nanos, &result, db, params);
+        self.record_run(origin, None, ran, &result, db, params);
         result
     }
 
@@ -407,7 +428,7 @@ impl Prepared {
         snap: &Snapshot,
         params: &Params,
     ) -> Result<Value, AnalyzeError> {
-        let (result, execute_nanos) = self.run(origin.is_some(), params, |binds| {
+        let (result, ran) = self.run(origin.is_some(), params, |binds| {
             if self.writes() {
                 return Err(AnalyzeError::Exec(EvalError::Other(format!(
                     "statement has heap effects ({}) — snapshots are read-only; \
@@ -417,26 +438,31 @@ impl Prepared {
             }
             self.run_read(snap, binds)
         });
-        self.record_run(origin, Some(snap.epoch()), execute_nanos, &result, snap, params);
+        self.record_run(origin, Some(snap.epoch()), ran, &result, snap, params);
         result
     }
 
     /// What both paths share: eager binding validation, then `run` —
     /// timed, when a record will want the execute phase (here, not in the
-    /// algebra layers below, which know nothing of records).
+    /// algebra layers below, which know nothing of records): its nanos,
+    /// and the instant it ended, which ends the record's total too.
     fn run(
         &self,
         timed: bool,
         params: &Params,
         run: impl FnOnce(&[(Symbol, Value)]) -> Result<Value, AnalyzeError>,
-    ) -> (Result<Value, AnalyzeError>, u64) {
+    ) -> (Result<Value, AnalyzeError>, Option<(u64, Instant)>) {
         let binds = match self.resolve(params) {
             Ok(binds) => binds,
-            Err(e) => return (Err(AnalyzeError::Exec(e)), 0),
+            Err(e) => return (Err(AnalyzeError::Exec(e)), None),
         };
         let started = timed.then(Instant::now);
         let result = run(binds);
-        (result, started.map_or(0, |s| u64::try_from(s.elapsed().as_nanos()).unwrap_or(u64::MAX)))
+        let ran = started.map(|s| {
+            let ended = Instant::now();
+            (u64::try_from((ended - s).as_nanos()).unwrap_or(u64::MAX), ended)
+        });
+        (result, ran)
     }
 
     /// The record of one run, built from what the statement holds —
@@ -445,13 +471,13 @@ impl Prepared {
     /// timings (a prepare trace has no execute phase, so nothing
     /// double-counts with the run's).
     fn new_record(&self, origin: &Origin) -> QueryRecord {
-        let mut record = origin.record(&self.source);
+        let record = QueryRecord::of(self.fingerprint, self.record_source.clone());
+        let mut record = origin.record(record);
         if origin.cache == CacheDisposition::Miss {
             record.add_trace(&self.trace);
         }
-        record.effects = self.effects.to_string();
-        let engine = if self.query().is_some() { "fused" } else { "eval" };
-        record.engine = Some(engine.to_string());
+        record.effects = self.effects_text.clone();
+        record.engine = Some(self.engine);
         record
     }
 
@@ -463,16 +489,17 @@ impl Prepared {
         &self,
         origin: Option<Origin>,
         snapshot_epoch: Option<u64>,
-        execute_nanos: u64,
+        ran: Option<(u64, Instant)>,
         result: &Result<Value, AnalyzeError>,
         snap: &Snapshot,
         params: &Params,
     ) {
         let Some(origin) = origin else { return };
+        let (execute_nanos, ended) = ran.unwrap_or_else(|| (0, Instant::now()));
         let mut record = self.new_record(&origin);
         record.phase_nanos[Phase::Execute.index()] = execute_nanos;
         record.snapshot_epoch = snapshot_epoch;
-        self.commit(origin, record, result.as_ref(), || {
+        self.commit(origin, record, result.as_ref(), ended, || {
             self.profile(snap, params).ok().map(|a| a.profile.to_json())
         });
     }
@@ -486,12 +513,20 @@ impl Prepared {
         origin: Origin,
         mut record: QueryRecord,
         outcome: Result<&Value, &AnalyzeError>,
+        ended: Instant,
         profile: impl FnOnce() -> Option<Json>,
     ) {
         if let Ok(value) = outcome {
-            record.rows = value.len().map_or(1, |n| n as u64);
+            // A scalar is one row; asked for its length, it would format
+            // an error first.
+            record.rows = match value {
+                Value::List(_) | Value::Set(_) | Value::Vector(_) | Value::Bag(_) | Value::Str(_) => {
+                    value.len().map_or(1, |n| n as u64)
+                }
+                _ => 1,
+            };
         }
-        if let Some(trigger) = origin.commit(record, outcome.err()) {
+        if let Some(trigger) = origin.commit(record, outcome.err(), ended) {
             recorder::global().capture_slow(SlowQueryCapture {
                 seq: trigger.seq,
                 fingerprint: trigger.fingerprint,
@@ -542,7 +577,8 @@ impl Prepared {
             if let Ok(analysis) = &result {
                 record.add_trace(&analysis.profile.trace);
             }
-            self.commit(origin, record, result.as_ref().map(|a| &a.value), || {
+            let value = result.as_ref().map(|a| &a.value);
+            self.commit(origin, record, value, Instant::now(), || {
                 result.as_ref().ok().map(|a| a.profile.to_json())
             });
         }
@@ -607,21 +643,24 @@ impl Origin {
         recorder::global().enabled().then(|| Origin { session, cache, started: Instant::now() })
     }
 
-    fn record(&self, source: &str) -> QueryRecord {
-        let mut record = QueryRecord::new(source);
+    /// `record`, stamped with who asked.
+    fn record(&self, mut record: QueryRecord) -> QueryRecord {
         record.session = self.session;
         record.cache = self.cache;
         record
     }
 
-    /// Stamp the outcome and the wall-clock total, and commit.
+    /// Stamp the outcome and the wall-clock total up to `ended`, and
+    /// commit.
     fn commit(
         self,
         mut record: QueryRecord,
         error: Option<&AnalyzeError>,
+        ended: Instant,
     ) -> Option<recorder::SlowTrigger> {
         record.error = error.map(ToString::to_string);
-        record.total_nanos = u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let total = ended.saturating_duration_since(self.started).as_nanos();
+        record.total_nanos = u64::try_from(total).unwrap_or(u64::MAX);
         recorder::global().commit(record)
     }
 
@@ -634,7 +673,7 @@ impl Origin {
     ) -> Result<T, AnalyzeError> {
         if let Err(e) = &prepared {
             if let Some(origin) = origin.take() {
-                origin.commit(origin.record(source), Some(e));
+                origin.commit(origin.record(QueryRecord::new(source)), Some(e), Instant::now());
             }
         }
         prepared

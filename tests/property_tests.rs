@@ -861,49 +861,97 @@ fn join_extent() -> impl Strategy<Value = Vec<Value>> {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+/// What a random join reads besides its keys: both sides, neither, or
+/// only `l.g` — which is the join's attribute when `g` is its one key.
+#[derive(Debug, Clone, Copy)]
+enum JoinHead {
+    Both,
+    Neither,
+    LeftG,
+}
 
-    /// `⊕{ head | l ← L, r ← R, <0–2 equalities> }` over list or bag
-    /// extents: one fused fold ≡ the plan walk ≡ direct evaluation.
-    #[test]
-    fn random_joins_agree_across_fused_walk_and_evaluator(
-        left in join_extent(),
-        right in join_extent(),
-        bags in (any::<bool>(), any::<bool>()),
-        arity in 0usize..3,
-        monoid in prop::sample::select(vec![
+/// `⊕{ head | l ← L, r ← R, <0–2 equalities> }` over list or bag
+/// extents: one fused fold ≡ the plan walk ≡ direct evaluation. A head
+/// that reads no right variable over one key of the left side's low-
+/// cardinality `g` folds a lane of `l.g` against the join's buckets; the
+/// run must take that path at least once, seen as a lane's bytes in the
+/// memo beside the table a twin — the same join keyed by a computed
+/// `l.g`, which no lane takes — keeps.
+#[test]
+fn random_joins_agree_across_fused_walk_and_evaluator() {
+    use monoid_db::algebra::{self, Engine};
+    use monoid_db::calculus::types::Schema;
+    use monoid_db::store::Database;
+    let strategy = (
+        join_extent(),
+        join_extent(),
+        (any::<bool>(), any::<bool>()),
+        (0usize..3, any::<bool>()),
+        prop::sample::select(vec![JoinHead::Both, JoinHead::Neither, JoinHead::LeftG]),
+        prop::sample::select(vec![
             Monoid::List, Monoid::Bag, Monoid::Set, Monoid::OSet, Monoid::Sum,
             Monoid::Max, Monoid::Some, Monoid::All,
         ]),
-    ) {
-        use monoid_db::algebra::{self, Engine};
-        use monoid_db::calculus::types::Schema;
-        use monoid_db::store::Database;
-        // Only a commutative monoid may range over a bag (§2.3).
-        let extent = |rows: Vec<Value>, bag: bool| {
-            if bag && monoid.props().commutative { Value::bag_from(rows) } else { Value::list(rows) }
-        };
-        let mut db = Database::new(Schema::new());
-        db.set_root("L", extent(left, bags.0));
-        db.set_root("R", extent(right, bags.1));
+    );
+    let lane_joins = std::cell::Cell::new(0);
+    let result = proptest::test_runner::TestRunner::new(ProptestConfig::with_cases(256)).run_named(
+        "random_joins_agree_across_fused_walk_and_evaluator",
+        &strategy,
+        |(left, right, bags, (arity, g_first), reads, monoid)| {
+            // Only a commutative monoid may range over a bag (§2.3).
+            let extent = |rows: Vec<Value>, bag: bool| {
+                let bag = bag && monoid.props().commutative;
+                if bag { Value::bag_from(rows) } else { Value::list(rows) }
+            };
+            let mut db = Database::new(Schema::new());
+            db.set_root("L", extent(left, bags.0));
+            db.set_root("R", extent(right, bags.1));
 
-        let (l, r) = (|f: &str| Expr::var("l").proj(f), |f: &str| Expr::var("r").proj(f));
-        let code = l("id").mul(Expr::int(10)).add(r("id"));
-        let head = match monoid {
-            Monoid::Sum | Monoid::Max => code,
-            Monoid::Some => code.eq(Expr::int(21)),
-            Monoid::All => code.ne(Expr::int(21)),
-            _ => Expr::Tuple(vec![l("id"), r("id")]),
-        };
-        let mut quals = vec![Expr::gen("l", Expr::var("L")), Expr::gen("r", Expr::var("R"))];
-        quals.extend(["k", "g"][..arity].iter().map(|f| Expr::pred(l(f).eq(r(f)))));
-        let comp = Expr::comp(monoid.clone(), head, quals);
+            let (l, r) = (|f: &str| Expr::var("l").proj(f), |f: &str| Expr::var("r").proj(f));
+            let code = || l("id").mul(Expr::int(10)).add(r("id"));
+            let head = match (reads, &monoid) {
+                (JoinHead::Both, Monoid::Sum | Monoid::Max) => code(),
+                (JoinHead::Both, Monoid::Some) => code().eq(Expr::int(21)),
+                (JoinHead::Both, Monoid::All) => code().ne(Expr::int(21)),
+                (JoinHead::Both, _) => Expr::Tuple(vec![l("id"), r("id")]),
+                (JoinHead::Neither, Monoid::Some) => Expr::bool(true),
+                (JoinHead::Neither, Monoid::All) => Expr::bool(false),
+                (JoinHead::Neither, _) => Expr::int(3),
+                (JoinHead::LeftG, Monoid::Some) => l("g").eq(Expr::int(1)),
+                (JoinHead::LeftG, Monoid::All) => l("g").ne(Expr::int(1)),
+                (JoinHead::LeftG, _) => l("g"),
+            };
+            let fields = if g_first { ["g", "k"] } else { ["k", "g"] };
+            let quals = |key: &dyn Fn(&str) -> Expr| {
+                let mut quals =
+                    vec![Expr::gen("l", Expr::var("L")), Expr::gen("r", Expr::var("R"))];
+                quals.extend(fields[..arity].iter().map(|f| Expr::pred(key(f).eq(r(f)))));
+                quals
+            };
+            let comp = Expr::comp(monoid.clone(), head.clone(), quals(&l));
 
-        let plan = algebra::plan_comprehension(&comp).unwrap();
-        prop_assert_eq!(algebra::engine_of(&plan), Engine::Fused);
-        let walk = algebra::execute_plan_walk_bound(&plan, &db, &[]).unwrap();
-        prop_assert_eq!(&algebra::execute(&plan, &db).unwrap(), &walk, "fused ≠ plan walk: {}", pretty(&comp));
-        prop_assert_eq!(&db.query(&comp).unwrap(), &walk, "evaluator ≠ plan walk: {}", pretty(&comp));
+            let plan = algebra::plan_comprehension(&comp).unwrap();
+            prop_assert_eq!(algebra::engine_of(&plan), Engine::Fused);
+            let walk = algebra::execute_plan_walk_bound(&plan, &db, &[]).unwrap();
+            let fused = db.clone();
+            let shown = pretty(&comp);
+            let fused_value = algebra::execute(&plan, &fused).unwrap();
+            prop_assert_eq!(&fused_value, &walk, "fused ≠ plan walk: {}", shown);
+            prop_assert_eq!(&db.query(&comp).unwrap(), &walk, "evaluator ≠ plan walk: {}", shown);
+            let computed = |f: &str| Expr::if_(Expr::bool(true), l(f), l(f));
+            let twin = Expr::comp(monoid.clone(), head, quals(&computed));
+            let twin = algebra::plan_comprehension(&twin).unwrap();
+            let plain = db.clone();
+            let twin_value = algebra::execute(&twin, &plain).unwrap();
+            prop_assert_eq!(&twin_value, &walk, "twin ≠ plan walk: {}", shown);
+            if fused.memo().bytes() > plain.memo().bytes() {
+                lane_joins.set(lane_joins.get() + 1);
+            }
+            Ok(())
+        },
+    );
+    if let Err(message) = result {
+        panic!("{message}");
     }
+    assert!(lane_joins.get() > 0, "no case folded a lane against a join's buckets");
 }

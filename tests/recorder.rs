@@ -62,7 +62,7 @@ fn ring_retains_exactly_the_last_n_records() {
         vec![6, 7, 8, 9],
         "exactly the last N, oldest first"
     );
-    assert_eq!(snap[0].source, "query 6");
+    assert_eq!(&*snap[0].source, "query 6");
     assert_eq!(ring.recorded_total(), 10, "the cursor counts every commit");
     assert_eq!(ring.len(), 4);
 }
@@ -269,7 +269,7 @@ fn session_queries_thread_every_field() {
     let miss = rec.snapshot().into_iter().next_back().unwrap();
     assert_eq!(miss.session, Some(session.id()));
     assert_eq!(miss.cache, CacheDisposition::Miss);
-    assert_eq!(miss.source, SRC);
+    assert_eq!(&*miss.source, SRC);
     assert_eq!(miss.fingerprint, recorder::fingerprint(SRC));
     assert!(miss.ok());
     assert!(!miss.slow);
@@ -360,7 +360,7 @@ fn every_entry_point_commits_exactly_one_complete_record() {
         assert!(miss.phase_nanos(Phase::Parse) > 0, "{engine}: a miss carries its prepare");
         assert_eq!(hit.phase_nanos(Phase::Parse), 0, "{engine}: a hit parsed");
         for (r, value) in [&miss, &hit].into_iter().zip(&served) {
-            assert_eq!(r.engine.as_deref(), Some(engine));
+            assert_eq!(r.engine, Some(engine));
             assert_eq!(r.session, Some(session.id()));
             assert_eq!(r.rows, rows_of(value), "{engine}: rows");
             assert!(!r.effects.is_empty(), "{engine}: effects");
@@ -374,7 +374,7 @@ fn every_entry_point_commits_exactly_one_complete_record() {
         assert_eq!(records.len(), 1, "{engine}: one record per `Session::query_snapshot`");
         assert_eq!(records[0].snapshot_epoch, Some(snap.epoch()));
         assert_eq!(records[0].cache, CacheDisposition::Hit, "same epoch, same cache");
-        assert_eq!(records[0].engine.as_deref(), Some(engine));
+        assert_eq!(records[0].engine, Some(engine));
     }
 
     // A bare `Prepared` owns its record too: uncached, no session, and no
@@ -388,7 +388,7 @@ fn every_entry_point_commits_exactly_one_complete_record() {
     assert_eq!(direct.len(), 2, "one record per direct execution");
     for r in &direct {
         assert_eq!((r.cache, r.session), (CacheDisposition::Uncached, None));
-        assert_eq!(r.engine.as_deref(), Some("fused"));
+        assert_eq!(r.engine, Some("fused"));
         assert_eq!(r.phase_nanos(Phase::Parse), 0);
         assert!(r.rows >= 1 && !r.effects.is_empty());
     }
@@ -411,8 +411,8 @@ fn every_entry_point_commits_exactly_one_complete_record() {
     });
     assert_ne!(travel.mutation_epoch(), epoch, "the update committed");
     assert_eq!(written.len(), 1, "one record per update");
-    assert_eq!(written[0].engine.as_deref(), Some("eval"));
-    assert_eq!(written[0].effects, update.effects().to_string());
+    assert_eq!(written[0].engine, Some("eval"));
+    assert_eq!(*written[0].effects, update.effects().to_string());
 
     // A failed prepare has no statement to own its record: the session
     // commits it, with the error and its id.
