@@ -18,11 +18,11 @@ use monoid_calculus::eval::{
 use monoid_calculus::expr::BinOp;
 use monoid_calculus::heap::Heap;
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::value::{Accumulator, Env, Value};
+use monoid_calculus::value::{Accumulator, Env, Runs, Value};
 use monoid_store::memo::Memo;
 use std::borrow::Cow;
 use std::cell::OnceCell;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Per-operator counter hooks, called as rows flow through a fold.
@@ -262,7 +262,9 @@ impl Kernel {
 pub(super) enum Rows {
     Shared(Arc<Vec<Value>>),
     Owned(Vec<Value>),
-    Runs(Arc<Vec<(Value, u64)>>),
+    Runs(Runs),
+    /// `n` rows whose value nothing reads: a keyed filter's probe row.
+    Blank(usize),
 }
 
 impl Rows {
@@ -278,6 +280,15 @@ impl Rows {
                         if !f(value)? {
                             return Ok(false);
                         }
+                    }
+                }
+                return Ok(true);
+            }
+            Rows::Blank(n) => {
+                let blank = Value::Null;
+                for _ in 0..*n {
+                    if !f(&blank)? {
+                        return Ok(false);
                     }
                 }
                 return Ok(true);
@@ -298,6 +309,7 @@ impl Rows {
             Rows::Shared(items) => items.len(),
             Rows::Owned(items) => items.len(),
             Rows::Runs(runs) => runs.iter().fold(0, |n, (_, c)| n.saturating_add(*c as usize)),
+            Rows::Blank(n) => *n,
         }
     }
 
@@ -311,6 +323,7 @@ impl Rows {
                 let copies = runs.iter().flat_map(|(v, n)| (0..*n).map(move |_| v.clone()));
                 Arc::new(copies.collect())
             }
+            Rows::Blank(n) => Arc::new(vec![Value::Null; n]),
         }
     }
 }
@@ -620,8 +633,7 @@ impl<P: Probe> Run<'_, P> {
                 Ok(Opened { first: Some(&**plain), rest, ..self.open(scan)? })
             }
             (Source::Probe { table, .. }, None) => {
-                let rows = usize::from(!self.tables[*table].next.is_empty());
-                let rows = Rows::Owned(vec![Value::Null; rows]);
+                let rows = Rows::Blank(usize::from(!self.tables[*table].next.is_empty()));
                 Ok(Opened { rows, slot: chain.slot, scan: None, first, rest })
             }
         }
@@ -730,6 +742,13 @@ impl<P: Probe> Run<'_, P> {
     }
 }
 
+/// What a join's slot holds until its table is built or found: one empty
+/// table every run shares, so opening a run allocates none.
+fn unbuilt() -> Arc<Table> {
+    static EMPTY: OnceLock<Arc<Table>> = OnceLock::new();
+    Arc::clone(EMPTY.get_or_init(Arc::default))
+}
+
 /// Run a query's compiled fold as one sequential reduction, telling
 /// `probe` what each operator did. `memo` is the memo of the snapshot
 /// `env` and `ev`'s heap were taken from, or `None` to build every table
@@ -748,7 +767,7 @@ pub(crate) fn try_run_reduce<P: Probe>(
         slots[*slot] = env.lookup(*name).ok_or(EvalError::UnboundParameter(*name))?.clone();
     }
     let mut k = Reduce { head: &fq.head, acc: Accumulator::new(&fq.monoid)? };
-    let tables = std::iter::repeat_with(Arc::default).take(fq.n_tables).collect();
+    let tables = std::iter::repeat_with(unbuilt).take(fq.n_tables).collect();
     let roots = std::iter::repeat_with(OnceCell::new).take(fq.n_roots).collect();
     let mut run = Run { ev, env, roots, slots, tables, memo, probe };
     // The tables first, so a failing build fails the run on either path;

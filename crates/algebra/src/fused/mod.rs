@@ -153,10 +153,10 @@
 //! the lane's runs — each dictionary entry with its row count, counted
 //! when the lane was built — with no push and no sort. A bag is a finite
 //! map from values to multiplicities, so a `bag` whose kept entries are
-//! one block is that slice of the runs, and the lane's own vector,
-//! shared, when nothing was dropped: `bulk-rows`' statement bisects and
-//! copies at most one slice. The rows are visited only when an entry
-//! fails, to find the first row that fails.
+//! one block is a window of the lane's runs (`value::Runs`), sharing
+//! their storage: `bulk-rows`' statement bisects and copies nothing. The
+//! rows are visited only when an entry fails, to find the first row that
+//! fails.
 //!
 //! A lane chain may end in a join: a counted one (the bucket rule above)
 //! with one left key, the attribute `a` itself. A join's count is the

@@ -2677,7 +2677,7 @@ fn lane_range_crosses_kinds_as_value_cmp_does() {
     };
     let two = bag("D1Big", x().eq(Expr::float(two53 as f64)));
     let twice = [two53, two53 + 1].map(|v| (Value::Int(v), 3)).to_vec();
-    assert_eq!(two, Value::Bag(std::sync::Arc::new(twice)));
+    assert_eq!(two, Value::Bag(twice.into()));
     assert_eq!(bag("D1S", x().gt(Expr::int(3))).len().unwrap(), 15);
     assert_eq!(bag("D1S", Expr::int(3).ge(x())).len().unwrap(), 0);
 }
@@ -2838,6 +2838,102 @@ fn lane_range_nan_orders_above_every_number_on_every_engine() {
             }
         }
     }
+}
+
+/// A `bag` of the attribute whose range keeps one block of the float lane
+/// — its lowest entries, one from the middle, or its highest — is a window
+/// of the lane's runs: it shares their storage with the bag a range
+/// keeping every entry answers (nothing was copied) and is byte-identical
+/// with the walk's answer, fresh and from the memo, at depth 0, 1 and over
+/// bags.
+#[test]
+fn lane_range_bag_of_one_block_is_a_window_of_the_lanes_runs() {
+    let db = lane_store();
+    let params = lane_params("float");
+    for extent in ["D0F", "D1F", "DBF"] {
+        let snap = db.clone().snapshot();
+        let run = |preds: Vec<Expr>| {
+            let plan = plan_comprehension(&lane_comp(Monoid::Bag, x(), extent, preds)).unwrap();
+            let fresh = execute_snapshot_bound(&plan, &snap, &params);
+            let kept = execute_snapshot_bound(&plan, &snap, &params);
+            let walk = execute_plan_walk_bound(&plan, &snap, &params);
+            assert_identical(&format!("{extent} (fresh)"), &fresh, &walk);
+            assert_identical(&format!("{extent} (memo)"), &kept, &walk);
+            match (fresh, kept) {
+                (Ok(Value::Bag(fresh)), Ok(Value::Bag(kept))) => {
+                    assert!(fresh.shares_storage_with(&kept), "{extent}: two runs, two lanes");
+                    fresh
+                }
+                other => panic!("{extent}: {other:?}"),
+            }
+        };
+        let whole = run(vec![x().gt(Expr::float(-1e9))]);
+        assert_eq!(whole.len(), 8, "{extent}");
+        let blocks = [
+            (vec![x().lt(Expr::param("$c"))], 2),
+            (vec![x().ge(Expr::param("$c")), x().lt(Expr::param("$floor"))], 1),
+            (vec![x().ge(Expr::param("$floor"))], 5),
+        ];
+        for (preds, len) in blocks {
+            let label = format!("{extent}/{preds:?}");
+            let block = run(preds);
+            assert_eq!(block.len(), len, "{label}");
+            assert!(block.shares_storage_with(&whole), "{label}: the block was copied");
+        }
+    }
+}
+
+/// A bag answer held across a write keeps the values of the epoch it was
+/// read at: the write starts a fresh memo, the answer keeps the lane it is
+/// a window of, and writing into the answer copies its window and leaves
+/// that lane — and every other answer cut from it — as it was.
+#[test]
+fn lane_range_bag_held_across_an_insert_keeps_its_epochs_values() {
+    let scale = TravelScale { rooms_per_hotel: 40, ..TravelScale::small() };
+    let mut db = travel::generate(scale, 7);
+    let comp = Expr::comp(
+        Monoid::Bag,
+        Expr::var("r").proj("price"),
+        vec![
+            Expr::gen("h", Expr::var("Hotels")),
+            Expr::gen("r", Expr::var("h").proj("rooms")),
+            Expr::pred(Expr::var("r").proj("price").ge(Expr::param("$floor"))),
+        ],
+    );
+    let plan = plan_comprehension(&comp).unwrap();
+    let read = |db: &Database, floor: f64| {
+        let params = [(Symbol::new("$floor"), Value::Float(floor))];
+        match execute_snapshot_bound(&plan, db, &params) {
+            Ok(Value::Bag(runs)) => runs,
+            other => panic!("a bag: {other:?}"),
+        }
+    };
+    let (whole, block) = (read(&db, 40.0), read(&db, 300.0));
+    assert!(db.memo().bytes() > 0, "the prices take a lane");
+    assert!(block.shares_storage_with(&whole) && block.len() < whole.len());
+    let copy = |runs: &[(Value, u64)]| Value::Bag(runs.to_vec().into());
+    let (whole_then, block_then) = (copy(&whole), copy(&block));
+
+    let room = |price| Value::record_from(vec![("bed#", Value::Int(1)), ("price", price)]);
+    let hotel = Value::record_from(vec![
+        ("name", Value::str("hotel_new")),
+        ("address", Value::str("1 New St")),
+        ("facilities", Value::set_from(Vec::new())),
+        ("employees", Value::list(Vec::new())),
+        ("rooms", Value::list(vec![room(Value::Float(350.0)), room(Value::Float(999.0))])),
+    ]);
+    db.insert(Symbol::new(travel::names::HOTEL), hotel).unwrap();
+    let now = read(&db, 300.0);
+    assert!(!now.shares_storage_with(&block), "the write left the old lane behind");
+    assert_eq!(Value::Bag(block.clone()), block_then, "the held answer changed");
+    assert_ne!(Value::Bag(now.clone()), block_then, "the insert added two rooms");
+
+    let mut written = block.clone();
+    written.make_mut().push((Value::Float(1e6), 1));
+    assert!(!written.shares_storage_with(&whole));
+    assert_eq!(written.len(), block.len() + 1);
+    assert_eq!(Value::Bag(block), block_then);
+    assert_eq!(Value::Bag(whole), whole_then);
 }
 
 // -------------------------------------------------------------------------
@@ -3030,7 +3126,7 @@ fn lane_join_every_monoid_over_int_float_nan_zero_and_string_keys_agrees() {
     // `BIF` holds `0` once and `100` twice; `-0.0` and `7.25` meet none.
     let met = run("D1F", "BIF", (Monoid::Bag, x.clone()), "float").unwrap();
     let want = [(Value::Float(0.0), 3), (Value::Float(100.0), 6)];
-    assert_eq!(format!("{met}"), format!("{}", Value::Bag(std::sync::Arc::new(want.to_vec()))));
+    assert_eq!(format!("{met}"), format!("{}", Value::Bag(want.to_vec().into())));
     let Value::Bag(runs) = run("D1F", "BFZ", (Monoid::Bag, x.clone()), "float").unwrap() else {
         panic!()
     };

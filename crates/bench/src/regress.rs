@@ -62,8 +62,8 @@ pub struct QueryReport {
 }
 
 /// The fusion section: one query timed on the engine production runs
-/// (the fused fold) against the forced plan walk, with both medians taken
-/// from the same interleaved run.
+/// (the fused fold) against the forced plan walk, each median taken warm,
+/// from a block of that engine's samples after its own warm-up.
 pub struct FusionBench {
     pub name: &'static str,
     pub monoid: &'static str,
@@ -316,6 +316,18 @@ pub fn run(quick: bool) -> RegressReport {
     }
 }
 
+/// Runs of a case taken and dropped before its warm samples.
+const WARM_UP_RUNS: usize = 3;
+
+/// `runs` samples of `f`, taken after [`WARM_UP_RUNS`] untimed runs: the
+/// memo's tables and lanes are built and the caches hold what `f` reads.
+fn warm_samples<T>(runs: usize, mut f: impl FnMut() -> T) -> Vec<u128> {
+    for _ in 0..WARM_UP_RUNS {
+        drop(f());
+    }
+    sample_nanos(runs, f)
+}
+
 /// Time the serving layer: for each canonical statement, the cold path
 /// re-prepares (parse → … → plan) and executes every run, the warm path
 /// executes one `Prepared` repeatedly. The same statements then go
@@ -359,9 +371,9 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
                 stmt.execute(&mut db, &params).expect("canonical statement executes");
                 stmt
             });
-            // Warm: prepare once, execute `runs` times.
+            // Warm: prepare once, execute `runs` times after a warm-up.
             let stmt = prepare_on(&db, source).expect("canonical statement prepares");
-            let warm_samples = sample_nanos(runs, || {
+            let warm_samples = warm_samples(runs, || {
                 stmt.execute(&mut db, &params).expect("canonical statement executes");
             });
             // Cache traffic for the registry delta: one miss, then hits.
@@ -575,20 +587,16 @@ fn run_fusion_section(
         .chain(evaluated)
         .map(|(name, monoid, source, db, expr)| {
             let plan = monoid_algebra::plan_comprehension(&expr).expect("fusion case plans");
-            // Interleaved sampling: each iteration takes one fused sample
-            // and one forced-plan-walk sample back to back, so the speedup
-            // compares medians from the same stretch of wall clock.
-            let mut fused_samples = Vec::with_capacity(runs);
-            let mut plan_walk_samples = Vec::with_capacity(runs);
-            for _ in 0..runs {
-                let started = Instant::now();
-                monoid_algebra::execute(&plan, db).expect("fused run");
-                fused_samples.push(started.elapsed().as_nanos());
-                let started = Instant::now();
-                monoid_algebra::execute_plan_walk_bound(&plan, db, &[])
-                    .expect("plan-walk baseline");
-                plan_walk_samples.push(started.elapsed().as_nanos());
-            }
+            // Each engine in a block of its own, after its own warm-up: a
+            // fused sample taken right after a plan-walk sample of the
+            // same query reads caches the walk evicted, and a change to
+            // the fold worth under a microsecond would not show.
+            let fused_samples = warm_samples(runs, || {
+                monoid_algebra::execute(&plan, db).expect("fused run")
+            });
+            let plan_walk_samples = warm_samples(runs, || {
+                monoid_algebra::execute_plan_walk_bound(&plan, db, &[]).expect("plan-walk baseline")
+            });
             let fused_p50_nanos = percentile_nanos(&fused_samples, 50.0);
             let plan_walk_p50_nanos = percentile_nanos(&plan_walk_samples, 50.0);
             FusionBench {

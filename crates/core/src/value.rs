@@ -10,13 +10,17 @@
 //! * **oset / sorted / sortedbag** values are plain lists (Table 1 gives
 //!   them type `list(α)`); the monoid only governs how they merge.
 //! * Structure sharing via `Arc` keeps cloning cheap — environments and
-//!   comprehension evaluation clone values freely.
+//!   comprehension evaluation clone values freely. A bag goes further: its
+//!   [`Runs`] are a window of a shared run vector, so a sub-bag cut from a
+//!   contiguous block of another bag's runs (a range filter over a sorted
+//!   lane) shares that bag's storage instead of copying it.
 
 use crate::error::{EvalError, EvalResult};
 use crate::monoid::Monoid;
 use crate::symbol::Symbol;
 use std::cmp::Ordering;
 use std::fmt;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -110,12 +114,114 @@ pub enum Value {
     /// Sorted, duplicate-free.
     Set(Arc<Vec<Value>>),
     /// Sorted runs of `(value, count)` with `count ≥ 1`.
-    Bag(Arc<Vec<(Value, u64)>>),
+    Bag(Runs),
     /// Fixed-size vector (§4.1).
     Vector(Arc<Vec<Value>>),
     /// Object identity (§4.2).
     Obj(Oid),
     Closure(Arc<Closure>),
+}
+
+/// A bag's runs: the window `lo..hi` of a shared vector of `(value,
+/// count)` runs. Sorted and counted, runs are a finite map from values to
+/// multiplicities, and a contiguous block of them is a sub-map — so a
+/// bag restricted to one block is a window of the same vector, not a
+/// copy. Two `u32` bounds keep `size_of::<Value>()` at 24 bytes.
+///
+/// A window reads as the slice it covers ([`Deref`]); equality, order
+/// and every encoding see only that slice, so a window and its copy are
+/// indistinguishable. It keeps the whole vector alive for as long as it
+/// lives. The one way to write is [`Runs::make_mut`], which copies the
+/// window first unless it is the vector's only owner.
+#[derive(Clone)]
+pub struct Runs {
+    all: Arc<Vec<(Value, u64)>>,
+    /// The window's first run.
+    lo: u32,
+    /// The window's end; `u32::MAX` runs to the end of `all`, which is
+    /// what a whole bag is — so [`Runs::make_mut`] may grow it.
+    hi: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
+impl Runs {
+    /// A whole bag over `runs`, which must be sorted and counted.
+    pub fn new(runs: Vec<(Value, u64)>) -> Runs {
+        Runs { all: Arc::new(runs), lo: 0, hi: u32::MAX }
+    }
+
+    /// The runs `range` of this window, sharing its storage. Panics, as
+    /// slicing does, when `range` is not within the window.
+    pub fn window(&self, range: Range<usize>) -> Runs {
+        let _ = &self[range.clone()];
+        let lo = self.lo as usize + range.start;
+        let end = self.lo as usize + range.end;
+        let bound = |at: usize| u32::try_from(at).expect("a window lies within 2^32 runs");
+        let hi = if end == self.all.len() { u32::MAX } else { bound(end) };
+        Runs { all: Arc::clone(&self.all), lo: bound(lo), hi }
+    }
+
+    /// Whether `self` and `other` are windows of one vector.
+    pub fn shares_storage_with(&self, other: &Runs) -> bool {
+        Arc::ptr_eq(&self.all, &other.all)
+    }
+
+    /// The runs, writable: in place when this window is its vector's only
+    /// owner (trimmed to the window first), a copy of the window
+    /// otherwise. Nothing another window or clone sees ever changes.
+    /// The whole vector is the window from here on.
+    pub fn make_mut(&mut self) -> &mut Vec<(Value, u64)> {
+        let (lo, end) = (self.lo as usize, self.lo as usize + self.len());
+        if (lo, end) != (0, self.all.len()) {
+            match Arc::get_mut(&mut self.all) {
+                Some(all) => {
+                    all.truncate(end);
+                    all.drain(..lo);
+                }
+                None => self.all = Arc::new(self.iter().map(|(v, n)| (v.clone(), *n)).collect()),
+            }
+            (self.lo, self.hi) = (0, u32::MAX);
+        }
+        // A whole bag — a database's extent, on every insert — takes one
+        // uniqueness check, and is copied whole if another owner holds it.
+        Arc::make_mut(&mut self.all)
+    }
+}
+
+impl Deref for Runs {
+    type Target = [(Value, u64)];
+
+    #[inline]
+    fn deref(&self) -> &[(Value, u64)] {
+        let end = self.all.len().min(self.hi as usize);
+        &self.all[self.lo as usize..end]
+    }
+}
+
+impl Default for Runs {
+    fn default() -> Runs {
+        Runs::new(Vec::new())
+    }
+}
+
+impl From<Vec<(Value, u64)>> for Runs {
+    fn from(runs: Vec<(Value, u64)>) -> Runs {
+        Runs::new(runs)
+    }
+}
+
+impl FromIterator<(Value, u64)> for Runs {
+    fn from_iter<I: IntoIterator<Item = (Value, u64)>>(runs: I) -> Runs {
+        Runs::new(runs.into_iter().collect())
+    }
+}
+
+/// As the slice it covers: a window prints as its copy does.
+impl fmt::Debug for Runs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Each scalar is copied as its own kind, inline; the rest bump a
@@ -199,7 +305,7 @@ impl Value {
                 _ => runs.push((item, 1)),
             }
         }
-        Value::Bag(Arc::new(runs))
+        Value::Bag(Runs::new(runs))
     }
 
     /// Field access on records (used by projection after auto-deref).
@@ -372,7 +478,7 @@ impl Ord for Value {
             (List(a), List(b)) | (Set(a), Set(b)) | (Vector(a), Vector(b)) => {
                 a.as_slice().cmp(b.as_slice())
             }
-            (Bag(a), Bag(b)) => a.as_slice().cmp(b.as_slice()),
+            (Bag(a), Bag(b)) => a[..].cmp(&b[..]),
             (Obj(a), Obj(b)) => a.cmp(b),
             (Closure(a), Closure(b)) => a.id.cmp(&b.id),
             (a, b) => a.rank().cmp(&b.rank()),
@@ -449,7 +555,7 @@ pub fn zero(monoid: &Monoid) -> EvalResult<Value> {
             Value::List(Arc::new(Vec::new()))
         }
         Monoid::Set => Value::Set(Arc::new(Vec::new())),
-        Monoid::Bag => Value::Bag(Arc::new(Vec::new())),
+        Monoid::Bag => Value::Bag(Runs::default()),
         Monoid::Str => Value::str(""),
         Monoid::Sum => Value::Int(0),
         Monoid::Prod => Value::Int(1),
@@ -480,7 +586,7 @@ pub fn unit(monoid: &Monoid, v: Value) -> EvalResult<Value> {
             Value::List(Arc::new(vec![v]))
         }
         Monoid::Set => Value::Set(Arc::new(vec![v])),
-        Monoid::Bag => Value::Bag(Arc::new(vec![(v, 1)])),
+        Monoid::Bag => Value::Bag(Runs::new(vec![(v, 1)])),
         Monoid::Str => match v {
             s @ Value::Str(_) => s,
             other => {
@@ -656,7 +762,7 @@ pub fn merge(monoid: &Monoid, a: &Value, b: &Value) -> EvalResult<Value> {
                 }
                 out.extend_from_slice(&x[i..]);
                 out.extend_from_slice(&y[j..]);
-                Ok(Value::Bag(Arc::new(out)))
+                Ok(Value::Bag(Runs::new(out)))
             }
             _ => Err(shape_err(monoid)),
         },
@@ -804,7 +910,7 @@ impl SortBuffer {
 /// mean identical within the runs' kind, so no representative shows.
 pub fn canonical_runs(monoid: &Monoid, runs: impl Iterator<Item = (Value, u64)>) -> Value {
     match monoid {
-        Monoid::Bag => Value::Bag(Arc::new(runs.collect())),
+        Monoid::Bag => Value::Bag(runs.collect()),
         Monoid::Set => Value::Set(Arc::new(runs.map(|(v, _)| v).collect())),
         Monoid::Sorted => Value::list(runs.map(|(v, _)| v).collect()),
         _ => Value::list(runs.flat_map(|(v, n)| std::iter::repeat_n(v, n as usize)).collect()),
@@ -1005,6 +1111,76 @@ mod tests {
         // Bags with same multiset content are equal regardless of build order.
         assert_eq!(b, Value::bag_from(ints(&[5, 4, 4])));
         assert_ne!(b, Value::bag_from(ints(&[4, 5])));
+    }
+
+    /// Every window of a bag — windows of windows too — is the slice it
+    /// covers: equal to its copy, ordered as its copy against other
+    /// bags, of its copy's length and elements, printed alike, and of
+    /// the same storage as the bag it was cut from.
+    #[test]
+    fn runs_window_is_its_copy() {
+        let mut items = ints(&[5, 1, 5, 2, 9]);
+        items.extend([Value::Float(-0.0), Value::Float(0.0), Value::Float(2.5), Value::Float(2.5)]);
+        items.extend([Value::str("a"), Value::str("b"), Value::str("a"), Value::Null]);
+        let bag = Value::bag_from(items);
+        let Value::Bag(all) = &bag else { unreachable!() };
+        let n = all.len();
+        let others = [bag.clone(), Value::bag_from(Vec::new()), Value::bag_from(ints(&[1, 1]))];
+        for lo in 0..=n {
+            for hi in lo..=n {
+                let window = Value::Bag(all.window(lo..hi));
+                let copy = Value::Bag(all[lo..hi].to_vec().into());
+                let at = format!("{lo}..{hi}");
+                assert_eq!(window, copy, "{at}");
+                for other in &others {
+                    assert_eq!(window.cmp(other), copy.cmp(other), "{at} against {other}");
+                    assert_eq!(other.cmp(&window), other.cmp(&copy), "{other} against {at}");
+                }
+                assert_eq!(window.len().unwrap(), copy.len().unwrap(), "{at}");
+                assert_eq!(window.elements().unwrap(), copy.elements().unwrap(), "{at}");
+                assert_eq!(format!("{window:?} {window}"), format!("{copy:?} {copy}"), "{at}");
+                let Value::Bag(runs) = &window else { unreachable!() };
+                assert!(runs.shares_storage_with(all), "{at}");
+                for sub in 0..=runs.len() {
+                    let inner = runs.window(sub..runs.len());
+                    assert_eq!(&inner[..], &all[lo + sub..hi], "{at} from {sub}");
+                    assert!(inner.shares_storage_with(all), "{at} from {sub}");
+                }
+            }
+        }
+    }
+
+    /// `make_mut` writes to a copy of the window while anything else
+    /// holds its vector — the vector and every other window keep their
+    /// runs — and in place, trimmed to the window, once nothing does.
+    #[test]
+    fn runs_window_make_mut_copies_only_the_window() {
+        let before: Vec<(Value, u64)> = (0..6).map(|i| (Value::Int(i), 1 + i as u64)).collect();
+        let all = Runs::new(before.clone());
+        let other = all.window(1..5);
+
+        let mut shared = all.window(2..4);
+        shared.make_mut().push((Value::Int(99), 1));
+        assert!(!shared.shares_storage_with(&all));
+        assert_eq!(&shared[..2], &before[2..4]);
+        assert_eq!(shared[2], (Value::Int(99), 1));
+        assert_eq!(&all[..], &before[..]);
+        assert_eq!(&other[..], &before[1..5]);
+
+        // Nothing else holds the vector: trimmed in place, and then whole,
+        // so it grows with what is pushed.
+        let mut only = Runs::new(before.clone()).window(1..3);
+        let storage = only.all.as_ptr();
+        only.make_mut().push((Value::Int(7), 1));
+        assert_eq!(only.all.as_ptr(), storage, "copied though it was the only owner");
+        assert_eq!(&only[..2], &before[1..3]);
+        assert_eq!(only.len(), 3);
+
+        // A whole bag shared with a clone: the clone keeps its runs.
+        let mut whole = all.clone();
+        whole.make_mut().clear();
+        assert!(whole.is_empty());
+        assert_eq!(&all[..], &before[..]);
     }
 
     /// The sorting monoids' float lane ends where the boxed sort ends: it

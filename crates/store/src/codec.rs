@@ -20,7 +20,6 @@ use monoid_calculus::symbol::Symbol;
 use monoid_calculus::types::{ClassDef, CollKind, Schema, Type};
 use monoid_calculus::value::{Oid, Value};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,18 +99,21 @@ const MAX_DEPTH: usize = 256;
 const MAGIC: &[u8; 4] = b"MCDB";
 const VERSION: u8 = 1;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut impl BufMut, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
+/// A `u32le`-length-prefixed UTF-8 string, read in place and handed to
+/// `make`: the one copy is whatever `make` keeps.
+fn get_str_as<T>(buf: &mut Bytes, make: impl FnOnce(&str) -> T) -> Result<T> {
     let len = get_len(buf)?;
     if buf.remaining() < len {
         return Err(CodecError::Truncated);
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+    let made = make(std::str::from_utf8(&buf[..len]).map_err(|_| CodecError::BadUtf8)?);
+    buf.advance(len);
+    Ok(made)
 }
 
 fn get_len(buf: &mut Bytes) -> Result<usize> {
@@ -133,7 +135,7 @@ fn get_u8(buf: &mut Bytes) -> Result<u8> {
 // ---------------------------------------------------------------------------
 
 /// Encode a value into `buf`.
-pub fn encode_value(v: &Value, buf: &mut BytesMut) -> Result<()> {
+pub fn encode_value(v: &Value, buf: &mut impl BufMut) -> Result<()> {
     match v {
         Value::Null => buf.put_u8(tag::NULL),
         Value::Bool(false) => buf.put_u8(tag::BOOL_FALSE),
@@ -191,7 +193,7 @@ pub fn encode_value(v: &Value, buf: &mut BytesMut) -> Result<()> {
     Ok(())
 }
 
-fn encode_seq(items: &[Value], buf: &mut BytesMut) -> Result<()> {
+fn encode_seq(items: &[Value], buf: &mut impl BufMut) -> Result<()> {
     buf.put_u32_le(items.len() as u32);
     for i in items {
         encode_value(i, buf)?;
@@ -226,12 +228,12 @@ fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
             }
             Value::Float(buf.get_f64_le())
         }
-        tag::STR => Value::str(&get_str(buf)?),
+        tag::STR => get_str_as(buf, Value::str)?,
         tag::RECORD => {
             let n = get_len(buf)?;
             let mut fields = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                let name = Symbol::new(&get_str(buf)?);
+                let name = get_str_as(buf, Symbol::new)?;
                 let v = decode_at(buf, depth + 1)?;
                 fields.push((name, v));
             }
@@ -252,7 +254,7 @@ fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
                 let count = buf.get_u64_le();
                 push_run(&mut runs, decode_at(buf, depth + 1)?, count)?;
             }
-            Value::Bag(Arc::new(runs))
+            Value::Bag(runs.into())
         }
         tag::VECTOR => Value::vector(decode_seq(buf, depth)?),
         tag::OBJ => {
@@ -366,7 +368,7 @@ fn decode_type(buf: &mut Bytes) -> Result<Type> {
             let n = get_len(buf)?;
             let mut fields = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                let name = Symbol::new(&get_str(buf)?);
+                let name = get_str_as(buf, Symbol::new)?;
                 fields.push((name, decode_type(buf)?));
             }
             Type::Record(fields)
@@ -384,7 +386,7 @@ fn decode_type(buf: &mut Bytes) -> Result<Type> {
         tag::T_SET => Type::set(decode_type(buf)?),
         tag::T_VECTOR => Type::vector(decode_type(buf)?),
         tag::T_OBJ => Type::obj(decode_type(buf)?),
-        tag::T_CLASS => Type::Class(Symbol::new(&get_str(buf)?)),
+        tag::T_CLASS => Type::Class(get_str_as(buf, Symbol::new)?),
         tag::T_FN => {
             let a = decode_type(buf)?;
             let r = decode_type(buf)?;
@@ -457,15 +459,15 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database> {
     let n_classes = get_len(&mut buf)?;
     let mut schema = Schema::new();
     for _ in 0..n_classes {
-        let name = Symbol::new(&get_str(&mut buf)?);
+        let name = get_str_as(&mut buf, Symbol::new)?;
         let state = decode_type(&mut buf)?;
         let extent = if get_u8(&mut buf)? == 1 {
-            Some(Symbol::new(&get_str(&mut buf)?))
+            Some(get_str_as(&mut buf, Symbol::new)?)
         } else {
             None
         };
         let superclass = if get_u8(&mut buf)? == 1 {
-            Some(Symbol::new(&get_str(&mut buf)?))
+            Some(get_str_as(&mut buf, Symbol::new)?)
         } else {
             None
         };
@@ -479,7 +481,7 @@ pub fn decode_database(bytes: &[u8]) -> Result<Database> {
     }
     let n_roots = get_len(&mut buf)?;
     for _ in 0..n_roots {
-        let name = Symbol::new(&get_str(&mut buf)?);
+        let name = get_str_as(&mut buf, Symbol::new)?;
         let v = decode_value(&mut buf)?;
         db.set_root(name, v);
     }
@@ -580,12 +582,32 @@ mod tests {
             decode_value(&mut buf.freeze())
         };
         // 22 bytes claiming u64::MAX copies: one run, nothing expanded.
-        let huge = Value::Bag(Arc::new(vec![(Value::Int(7), u64::MAX)]));
+        let huge = Value::Bag(vec![(Value::Int(7), u64::MAX)].into());
         assert_eq!(bag(&[(u64::MAX, 7)]), Ok(huge));
         let ints = |xs: &[i64]| Value::bag_from(xs.iter().copied().map(Value::Int).collect());
         assert_eq!(bag(&[(2, 1), (1, 3)]), Ok(ints(&[1, 3, 1])));
         for bad in [&[(1, 3), (1, 1)][..], &[(1, 2), (1, 2)], &[(1, 1), (0, 2)]] {
             assert!(matches!(bag(bad), Err(CodecError::BadBag(_))), "{bad:?}");
+        }
+    }
+
+    /// A window of a bag's runs encodes byte for byte as its copy, and
+    /// decodes to the copy.
+    #[test]
+    fn runs_window_round_trips_through_the_codec() {
+        let mut items: Vec<Value> = (0..9).map(|i| Value::Int(i % 4)).collect();
+        items.extend([Value::Float(0.5), Value::str("s"), Value::str("s")]);
+        let Value::Bag(all) = Value::bag_from(items) else { unreachable!() };
+        let bytes = |v: &Value| {
+            let mut buf = BytesMut::new();
+            encode_value(v, &mut buf).unwrap();
+            buf.to_vec()
+        };
+        for (lo, hi) in [(0, all.len()), (1, 4), (3, all.len()), (2, 2)] {
+            let window = Value::Bag(all.window(lo..hi));
+            let copy = Value::Bag(all[lo..hi].to_vec().into());
+            assert_eq!(bytes(&window), bytes(&copy), "{lo}..{hi}");
+            assert_eq!(roundtrip(&window), copy, "{lo}..{hi}");
         }
     }
 

@@ -182,7 +182,7 @@ impl Database {
                 .or_insert_with(|| Value::bag_from(Vec::new()));
             match root {
                 Value::Bag(runs) => {
-                    let runs = Arc::make_mut(runs);
+                    let runs = runs.make_mut();
                     match runs.binary_search_by(|(v, _)| v.cmp(&obj)) {
                         Ok(i) => runs[i].1 += 1,
                         Err(i) => runs.insert(i, (obj, 1)),
@@ -289,9 +289,9 @@ mod tests {
         )
     }
 
-    fn runs_ptr(db: &Database) -> *const Vec<(Value, u64)> {
+    fn runs_ptr(db: &Database) -> *const (Value, u64) {
         match db.root(Symbol::new("Points")) {
-            Some(Value::Bag(runs)) => Arc::as_ptr(runs),
+            Some(Value::Bag(runs)) => runs.as_ptr(),
             other => panic!("Points is not a bag: {other:?}"),
         }
     }

@@ -10,7 +10,8 @@
 //! them, and its lanes — one attribute over an extent, dictionary-coded —
 //! keyed by the extent, the path and the attribute, or the refusal of a
 //! lane that does not fit; the serving layer keeps the statistics its
-//! prepares read, one gather per memo.
+//! prepares read, one gather per memo. Beside its entries it holds the
+//! epoch's root environment, built by the first read that asks for it.
 //!
 //! The epoch *is* the invalidation protocol. Every [`Database`] path that
 //! can change what a query reads installs a fresh, empty memo, so the old
@@ -25,9 +26,10 @@
 //!
 //! [`Database`]: crate::Database
 
+use monoid_calculus::value::Env;
 use std::any::Any;
 use std::fmt;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The most bytes one snapshot's memo holds, as its builders count them.
 pub const MEMO_BYTES: usize = 32 << 20;
@@ -39,6 +41,9 @@ pub type Shared = Arc<dyn Any + Send + Sync>;
 #[derive(Default)]
 pub struct Memo {
     state: Mutex<State>,
+    /// The epoch's root environment ([`crate::Snapshot::env`]); not an
+    /// entry, so it counts in neither `len`, `bytes` nor `misses`.
+    env: OnceLock<Env>,
 }
 
 #[derive(Default)]
@@ -91,6 +96,12 @@ impl Memo {
         state.bytes += bytes;
         state.entries.push((Box::new(key), value));
         true
+    }
+
+    /// The epoch's root environment: `build`'s, built once, by the first
+    /// caller.
+    pub(crate) fn env(&self, build: impl FnOnce() -> Env) -> &Env {
+        self.env.get_or_init(build)
     }
 
     /// How many values are kept.

@@ -140,14 +140,16 @@ impl Snapshot {
         self.roots.iter().map(|(k, v)| (*k, v))
     }
 
-    /// The environment binding every persistent root, for evaluation.
-    /// Counts each extent bound into scope as a (potential) extent scan
-    /// — this is the point where a query gains access to the extents.
-    /// (Every declared extent has a root from `Database::new` on, and
-    /// roots are never removed.)
+    /// The environment binding every persistent root, for evaluation:
+    /// built once per epoch and kept in the memo, so a read takes a
+    /// reference to it. Counts each extent bound into scope as a
+    /// (potential) extent scan, on every call — this is the point where a
+    /// query gains access to the extents. (Every declared extent has a
+    /// root from `Database::new` on, and roots are never removed.)
     pub fn env(&self) -> Env {
         store_metrics().extent_scans.add(self.extent_of.len() as u64);
-        Env::from_bindings(self.roots.iter().map(|(k, v)| (*k, v.clone())))
+        let build = || Env::from_bindings(self.roots.iter().map(|(k, v)| (*k, v.clone())));
+        self.memo.env(build).clone()
     }
 
     /// Number of members of an extent.

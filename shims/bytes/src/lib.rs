@@ -2,7 +2,7 @@
 //!
 //! The build environment has no network access to crates.io, so this
 //! vendors the slice-of-API the store's binary codec and the wire use: [`BytesMut`]
-//! as an append-only builder (via [`BufMut`]), and [`Bytes`] as a
+//! (and `Vec<u8>`) as an append-only builder (via [`BufMut`]), and [`Bytes`] as a
 //! consuming read cursor (via [`Buf`]). Unlike the real crate there is
 //! no refcounted zero-copy sharing — `slice`/`copy_to_bytes` copy — but
 //! the observable behaviour for encode/decode round-trips is identical.
@@ -104,6 +104,16 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// The unread bytes, in the vector the `Bytes` was made from: nothing is
+/// allocated, so a reader can hand one buffer back and forth.
+impl From<Bytes> for Vec<u8> {
+    fn from(bytes: Bytes) -> Vec<u8> {
+        let Bytes { mut data, pos } = bytes;
+        data.drain(..pos);
+        data
+    }
+}
+
 macro_rules! get_le {
     ($self:ident, $t:ty) => {{
         let mut raw = [0u8; std::mem::size_of::<$t>()];
@@ -197,6 +207,32 @@ impl BufMut for BytesMut {
 
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
+    }
+}
+
+impl BufMut for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_i64_le(&mut self, v: i64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_f64_le(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_slice(&mut self, src: &[u8]) {
+        self.extend_from_slice(src);
     }
 }
 

@@ -33,8 +33,8 @@
 //! response and keep the session open. Battery in
 //! `tests/wire_protocol.rs` and `tests/server_smoke.rs`.
 
-use crate::wire::{self, Reassembly, Request, Response};
-use crate::{AnalyzeError, Params, Prepared, Session};
+use crate::wire::{self, Frames, Reassembly, Request, Response};
+use crate::{AnalyzeError, Prepared, Session};
 use monoid_calculus::value::Value;
 use monoid_store::{Database, Snapshot};
 use std::collections::HashMap;
@@ -144,27 +144,27 @@ fn next_statement_id(counter: &AtomicU64) -> u64 {
 }
 
 /// Drive one connection: a [`Session`] over the process-wide plan cache,
-/// a per-connection prepared-statement table, and the request loop.
+/// a per-connection prepared-statement table, one frame buffer for
+/// everything the connection reads and writes, and the request loop.
 fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
+    let mut frames = Frames::default();
     let session = Session::new();
     let mut prepared: HashMap<u64, Arc<Prepared>> = HashMap::new();
     let statement_ids = AtomicU64::new(1);
 
     loop {
-        let request = match wire::read_request(&mut reader) {
+        let request = match frames.read(&mut reader, Request::decode_from) {
             Ok(Some(req)) => req,
             // Clean EOF at a frame boundary: the client hung up.
             Ok(None) => return Ok(()),
             // Malformed frame: answer once, then close — the framing may
             // be out of sync, so continuing would misparse the stream.
             Err(e) => {
-                let _ = wire::write_response(
-                    &mut writer,
-                    &Response::Error { message: format!("malformed frame: {e}") },
-                );
+                let message = format!("malformed frame: {e}");
+                let _ = frames.send(&mut writer, &Response::Error { message });
                 let _ = writer.flush();
                 return Err(e);
             }
@@ -176,10 +176,8 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
             Request::Hello { protocol, client: _ } if protocol != wire::PROTOCOL_VERSION => {
                 // The client would misread this version's result frames:
                 // refuse it before any statement runs.
-                wire::write_response(
-                    &mut writer,
-                    &Response::Error { message: version_mismatch("client", protocol) },
-                )?;
+                let message = version_mismatch("client", protocol);
+                frames.send(&mut writer, &Response::Error { message })?;
                 writer.flush()?;
                 return Ok(());
             }
@@ -188,7 +186,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     let db = db.read().unwrap_or_else(std::sync::PoisonError::into_inner);
                     (db.instance_id(), db.mutation_epoch())
                 };
-                wire::write_response(
+                frames.send(
                     &mut writer,
                     &Response::Hello {
                         server: concat!("oqld/", env!("CARGO_PKG_VERSION")).to_string(),
@@ -198,7 +196,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     },
                 )?;
             }
-            Request::Ping => wire::write_response(&mut writer, &Response::Pong)?,
+            Request::Ping => frames.send(&mut writer, &Response::Pong)?,
             Request::Prepare { src } => {
                 let snap = take_snapshot(db);
                 match session.cache().get_or_prepare_snapshot_traced(&snap, &src) {
@@ -207,28 +205,24 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                         let params =
                             stmt.params().iter().map(|p| p.as_str().to_string()).collect();
                         prepared.insert(id, stmt);
-                        wire::write_response(&mut writer, &Response::Prepared { id, params })?;
+                        frames.send(&mut writer, &Response::Prepared { id, params })?;
                     }
-                    Err(e) => send_error(&mut writer, &e)?,
+                    Err(e) => send_error(&mut writer, &mut frames, &e)?,
                 }
             }
             Request::Query { src, params } => {
-                let params = build_params(params);
-                let run = run_statement(db, &session, Statement::AdHoc(&src), &params);
-                send_outcome(&mut writer, outcome.insert(run))?;
+                let run = run_statement(db, &session, Statement::AdHoc(&src), params);
+                send_outcome(&mut writer, &mut frames, outcome.insert(run))?;
             }
             Request::Execute { id, params } => {
                 let Some(stmt) = prepared.get(&id).cloned() else {
-                    wire::write_response(
-                        &mut writer,
-                        &Response::Error { message: format!("no prepared statement #{id}") },
-                    )?;
+                    let message = format!("no prepared statement #{id}");
+                    frames.send(&mut writer, &Response::Error { message })?;
                     writer.flush()?;
                     continue;
                 };
-                let params = build_params(params);
-                let run = run_statement(db, &session, Statement::Prepared(stmt), &params);
-                send_outcome(&mut writer, outcome.insert(run))?;
+                let run = run_statement(db, &session, Statement::Prepared(stmt), params);
+                send_outcome(&mut writer, &mut frames, outcome.insert(run))?;
             }
         }
         writer.flush()?;
@@ -239,14 +233,6 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
 /// clones.
 fn take_snapshot(db: &RwLock<Database>) -> Snapshot {
     db.read().unwrap_or_else(std::sync::PoisonError::into_inner).snapshot()
-}
-
-fn build_params(pairs: Vec<(String, Value)>) -> Params {
-    let mut params = Params::new();
-    for (name, value) in pairs {
-        params.set(&name, value);
-    }
-    params
 }
 
 /// What a client asked to run: source text (`QUERY`), resolved through
@@ -261,8 +247,9 @@ enum Statement<'a> {
 /// and then the statement's effects decide: a statement that
 /// [writes](Prepared::writes) takes the write lock and commits through
 /// [`Prepared::execute`]'s path; everything else executes against the
-/// snapshot with no lock held. Returns the value and the epoch the
-/// statement observed. The session accounting — in-flight gauge,
+/// snapshot with no lock held. The wire's `params` are bound against the
+/// statement's own placeholders ([`Prepared::bind_wire`]). Returns the
+/// value and the epoch the statement observed. The session accounting — in-flight gauge,
 /// statement counters, and the origin (session id, cache disposition,
 /// start instant) the statement builds its flight-recorder record from —
 /// brackets the whole thing.
@@ -270,7 +257,7 @@ fn run_statement(
     db: &RwLock<Database>,
     session: &Session,
     stmt: Statement<'_>,
-    params: &Params,
+    params: Vec<(String, Value)>,
 ) -> Result<(Value, u64), AnalyzeError> {
     let snap = take_snapshot(db);
     let (_in_flight, mut origin) = session.enter();
@@ -278,12 +265,13 @@ fn run_statement(
         Statement::AdHoc(src) => session.lookup(&mut origin, &snap, src)?,
         Statement::Prepared(stmt) => stmt,
     };
+    let params = stmt.bind_wire(params);
     if stmt.writes() {
         let mut db = db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let value = stmt.execute_from(origin, &mut db, params)?;
+        let value = stmt.execute_from(origin, &mut db, &params)?;
         Ok((value, db.mutation_epoch()))
     } else {
-        Ok((stmt.execute_snapshot_from(origin, &snap, params)?, snap.epoch()))
+        Ok((stmt.execute_snapshot_from(origin, &snap, &params)?, snap.epoch()))
     }
 }
 
@@ -292,16 +280,17 @@ fn run_statement(
 /// observed epoch) — or one `ERROR` frame.
 fn send_outcome(
     writer: &mut impl Write,
+    frames: &mut Frames,
     outcome: &Result<(Value, u64), AnalyzeError>,
 ) -> io::Result<()> {
     match outcome {
-        Ok((value, epoch)) => wire::write_result(writer, value, *epoch),
-        Err(e) => send_error(writer, e),
+        Ok((value, epoch)) => wire::write_result(writer, frames, value, *epoch),
+        Err(e) => send_error(writer, frames, e),
     }
 }
 
-fn send_error(writer: &mut impl Write, e: &AnalyzeError) -> io::Result<()> {
-    wire::write_response(writer, &Response::Error { message: e.to_string() })
+fn send_error(writer: &mut impl Write, frames: &mut Frames, e: &AnalyzeError) -> io::Result<()> {
+    frames.send(writer, &Response::Error { message: e.to_string() })
 }
 
 /// Why a HELLO from a `peer` announcing `protocol` is refused.
@@ -319,6 +308,8 @@ fn version_mismatch(peer: &str, protocol: u8) -> String {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
+    /// Every frame this client writes or reads goes through here.
+    frames: Frames,
     /// Instance/epoch announced in the HELLO exchange.
     pub instance: u64,
     pub hello_epoch: u64,
@@ -341,6 +332,7 @@ impl Client {
         let mut client = Client {
             reader: BufReader::new(stream.try_clone()?),
             writer: BufWriter::new(stream),
+            frames: Frames::default(),
             instance: 0,
             hello_epoch: 0,
         };
@@ -362,12 +354,20 @@ impl Client {
     }
 
     fn send(&mut self, req: &Request) -> io::Result<()> {
-        wire::write_request(&mut self.writer, req)?;
+        self.send_with(|buf| req.encode_into(buf))
+    }
+
+    /// Encode one request with `encode`, write it and flush.
+    fn send_with(
+        &mut self,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<(), wire::WireError>,
+    ) -> io::Result<()> {
+        self.frames.write(&mut self.writer, encode)?;
         self.writer.flush()
     }
 
     fn recv(&mut self) -> io::Result<Response> {
-        wire::read_response(&mut self.reader)?.ok_or_else(server_closed)
+        self.frames.read(&mut self.reader, Response::decode_from)?.ok_or_else(server_closed)
     }
 
     /// Liveness round trip.
@@ -387,7 +387,7 @@ impl Client {
         src: &str,
         params: &[(String, Value)],
     ) -> io::Result<QueryOutcome> {
-        self.send(&Request::Query { src: src.to_string(), params: params.to_vec() })?;
+        self.send_with(|buf| wire::encode_query(buf, src, params))?;
         self.collect_result()
     }
 
@@ -409,7 +409,7 @@ impl Client {
         id: u64,
         params: &[(String, Value)],
     ) -> io::Result<QueryOutcome> {
-        self.send(&Request::Execute { id, params: params.to_vec() })?;
+        self.send_with(|buf| wire::encode_execute(buf, id, params))?;
         self.collect_result()
     }
 
@@ -419,8 +419,8 @@ impl Client {
     fn collect_result(&mut self) -> io::Result<QueryOutcome> {
         let mut result = Reassembly::default();
         loop {
-            let body = wire::read_frame(&mut self.reader)?.ok_or_else(server_closed)?;
-            match result.frame(body)? {
+            let frame = self.frames.read(&mut self.reader, |body| result.frame(body))?;
+            match frame.ok_or_else(server_closed)? {
                 None => {}
                 Some(Response::Done { shape, rows, epoch }) => {
                     let value = result.done(shape, rows)?;

@@ -94,7 +94,11 @@ impl Params {
 
     /// In-place bind (same semantics as [`Params::bind`]).
     pub fn set(&mut self, name: &str, value: Value) {
-        let sym = canonical_param(name);
+        self.set_symbol(canonical_param(name), value);
+    }
+
+    /// Bind the canonical symbol `sym`.
+    fn set_symbol(&mut self, sym: Symbol, value: Value) {
         if let Some(slot) = self.bindings.iter_mut().find(|(s, _)| *s == sym) {
             slot.1 = value;
         } else {
@@ -368,6 +372,21 @@ impl Prepared {
             }
         }
         Ok(&params.bindings)
+    }
+
+    /// Wire parameters for this statement, bound as [`Params::set`] binds
+    /// them: `name` and `$name` both name `$name`, a later binding
+    /// replaces an earlier one. A name is matched against the statement's
+    /// own placeholders in place; only a name that is none of them is
+    /// interned — and then refused, by name, when the statement runs.
+    pub(crate) fn bind_wire(&self, pairs: Vec<(String, Value)>) -> Params {
+        let mut params = Params { bindings: Vec::with_capacity(pairs.len()) };
+        for (name, value) in pairs {
+            let bare = name.strip_prefix('$').unwrap_or(&name);
+            let own = self.params.iter().find(|p| p.as_str().strip_prefix('$') == Some(bare));
+            params.set_symbol(own.copied().unwrap_or_else(|| canonical_param(&name)), value);
+        }
+        params
     }
 
     /// Does the statement write the heap (`:=` updates, `new`

@@ -22,7 +22,10 @@
 //! batches of `(value, count)` runs, never expanded — and everything else
 //! as [`Response::Rows`] batches of elements (a scalar is one). Each
 //! batch is encoded from a borrowed slice of the result and written as
-//! it is encoded. The client rebuilds the exact result value with
+//! it is encoded. Each side of a connection encodes and reads every frame
+//! through one buffer of its own (`Frames`), kept for the connection's
+//! life, so a warm round trip allocates no frame. The client rebuilds the
+//! exact result value with
 //! `Reassembly` — byte-identical to what an in-process execution returns
 //! (golden tests in `tests/wire_protocol.rs`).
 //!
@@ -49,8 +52,8 @@
 //! feed this module garbage and expect clean [`WireError`]s back. See
 //! `docs/serving.md` for the full spec.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use monoid_calculus::value::Value;
+use bytes::{Buf, BufMut, Bytes};
+use monoid_calculus::value::{Runs, Value};
 use monoid_store::codec::{self, CodecError};
 use std::borrow::Cow;
 use std::fmt;
@@ -302,12 +305,12 @@ impl ResultShape {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_str(buf: &mut BytesMut, s: &str) {
+fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.put_u32_le(s.len() as u32);
     buf.put_slice(s.as_bytes());
 }
 
-fn put_params(buf: &mut BytesMut, params: &[(String, Value)]) -> Result<()> {
+fn put_params(buf: &mut Vec<u8>, params: &[(String, Value)]) -> Result<()> {
     buf.put_u32_le(params.len() as u32);
     for (name, value) in params {
         put_str(buf, name);
@@ -342,8 +345,9 @@ fn get_str(buf: &mut Bytes) -> Result<String> {
     if buf.remaining() < len {
         return Err(WireError::Truncated);
     }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
+    let s = std::str::from_utf8(&buf[..len]).map_err(|_| WireError::BadUtf8)?.to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
 fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
@@ -363,57 +367,59 @@ fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
     Ok(out)
 }
 
+/// A `QUERY` body, encoded from borrowed source and parameters.
+pub(crate) fn encode_query(buf: &mut Vec<u8>, src: &str, params: &[(String, Value)]) -> Result<()> {
+    buf.put_u8(op::QUERY);
+    put_str(buf, src);
+    put_params(buf, params)
+}
+
+/// An `EXECUTE` body, encoded from borrowed parameters.
+pub(crate) fn encode_execute(buf: &mut Vec<u8>, id: u64, params: &[(String, Value)]) -> Result<()> {
+    buf.put_u8(op::EXECUTE);
+    buf.put_u64_le(id);
+    put_params(buf, params)
+}
+
 /// A `ROWS` body: opcode, `u32le` count, then each element in the codec.
 /// Encodes straight from a borrowed batch.
-fn encode_rows(values: &[Value]) -> Result<BytesMut> {
-    let mut buf = BytesMut::new();
+fn encode_rows(buf: &mut Vec<u8>, values: &[Value]) -> Result<()> {
     buf.put_u8(op::R_ROWS);
     buf.put_u32_le(values.len() as u32);
     for v in values {
-        codec::encode_value(v, &mut buf)?;
+        codec::encode_value(v, buf)?;
     }
-    Ok(buf)
+    Ok(())
 }
 
 /// A `RUNS` body: opcode, `u32le` run count `n`, kind byte, the `n`
 /// counts as `u64le`, then the `n` values — packed as `f64le` when the
-/// batch is a float column, else each in the codec. Encodes straight from
-/// a borrowed slice of a bag's runs.
-fn encode_runs(runs: &[(Value, u64)]) -> Result<Vec<u8>> {
-    if let Some(frame) = encode_column(runs) {
-        return Ok(frame);
-    }
-    let mut buf = BytesMut::new();
+/// batch is a float column, else each in the codec (and so an empty
+/// batch). Encodes straight from a borrowed slice of a bag's runs: the
+/// values are packed until one is not a float, and then written again in
+/// the codec after the counts, which both layouts share.
+fn encode_runs(buf: &mut Vec<u8>, runs: &[(Value, u64)]) -> Result<()> {
+    buf.reserve(6 + 16 * runs.len());
     buf.put_u8(op::R_RUNS);
     buf.put_u32_le(runs.len() as u32);
-    buf.put_u8(RUNS_MIXED);
+    let kind = buf.len();
+    buf.put_u8(if runs.is_empty() { RUNS_MIXED } else { codec::tag::FLOAT });
     for (_, count) in runs {
         buf.put_u64_le(*count);
     }
+    let values = buf.len();
     for (v, _) in runs {
-        codec::encode_value(v, &mut buf)?;
+        let Value::Float(x) = v else {
+            buf.truncate(values);
+            buf[kind] = RUNS_MIXED;
+            for (v, _) in runs {
+                codec::encode_value(v, buf)?;
+            }
+            return Ok(());
+        };
+        buf.put_f64_le(*x);
     }
-    Ok(buf.into())
-}
-
-/// `runs` as a packed float `RUNS` body, sized exactly, or `None` when
-/// the batch is empty or holds a value that is not a float.
-fn encode_column(runs: &[(Value, u64)]) -> Option<Vec<u8>> {
-    if runs.is_empty() {
-        return None;
-    }
-    let mut frame = Vec::with_capacity(6 + 16 * runs.len());
-    frame.push(op::R_RUNS);
-    frame.extend_from_slice(&(runs.len() as u32).to_le_bytes());
-    frame.push(codec::tag::FLOAT);
-    for (_, count) in runs {
-        frame.extend_from_slice(&count.to_le_bytes());
-    }
-    for (v, _) in runs {
-        let Value::Float(x) = v else { return None };
-        frame.extend_from_slice(&x.to_le_bytes());
-    }
-    Some(frame)
+    Ok(())
 }
 
 /// A `RUNS` payload (what follows the opcode), appended to `runs`. `n` is
@@ -494,57 +500,47 @@ impl Request {
     /// Encode as a frame *body* (no length prefix — [`write_frame`] adds
     /// it).
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Append the frame body to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
         match self {
             Request::Hello { protocol, client } => {
                 buf.put_u8(op::HELLO);
                 buf.put_u8(*protocol);
-                put_str(&mut buf, client);
+                put_str(buf, client);
             }
-            Request::Query { src, params } => {
-                buf.put_u8(op::QUERY);
-                put_str(&mut buf, src);
-                put_params(&mut buf, params)?;
-            }
+            Request::Query { src, params } => encode_query(buf, src, params)?,
             Request::Prepare { src } => {
                 buf.put_u8(op::PREPARE);
-                put_str(&mut buf, src);
+                put_str(buf, src);
             }
-            Request::Execute { id, params } => {
-                buf.put_u8(op::EXECUTE);
-                buf.put_u64_le(*id);
-                put_params(&mut buf, params)?;
-            }
+            Request::Execute { id, params } => encode_execute(buf, *id, params)?,
             Request::Ping => buf.put_u8(op::PING),
         }
-        Ok(buf.to_vec())
+        Ok(())
     }
 
     /// Decode a frame body. Strict: every byte must be consumed.
     pub fn decode(body: &[u8]) -> Result<Request> {
-        Request::decode_owned(Bytes::copy_from_slice(body))
+        Request::decode_from(&mut Bytes::copy_from_slice(body))
     }
 
-    fn decode_owned(mut buf: Bytes) -> Result<Request> {
-        let opcode = get_u8(&mut buf)?;
+    /// Decode the frame body `buf` holds, all of it.
+    pub(crate) fn decode_from(buf: &mut Bytes) -> Result<Request> {
+        let opcode = get_u8(buf)?;
         let req = match opcode {
-            op::HELLO => Request::Hello {
-                protocol: get_u8(&mut buf)?,
-                client: get_str(&mut buf)?,
-            },
-            op::QUERY => Request::Query {
-                src: get_str(&mut buf)?,
-                params: get_params(&mut buf)?,
-            },
-            op::PREPARE => Request::Prepare { src: get_str(&mut buf)? },
-            op::EXECUTE => Request::Execute {
-                id: get_u64(&mut buf)?,
-                params: get_params(&mut buf)?,
-            },
+            op::HELLO => Request::Hello { protocol: get_u8(buf)?, client: get_str(buf)? },
+            op::QUERY => Request::Query { src: get_str(buf)?, params: get_params(buf)? },
+            op::PREPARE => Request::Prepare { src: get_str(buf)? },
+            op::EXECUTE => Request::Execute { id: get_u64(buf)?, params: get_params(buf)? },
             op::PING => Request::Ping,
             other => return Err(WireError::BadOpcode(other)),
         };
-        finish(&buf)?;
+        finish(buf)?;
         Ok(req)
     }
 }
@@ -552,17 +548,23 @@ impl Request {
 impl Response {
     /// Encode as a frame *body* (no length prefix).
     pub fn encode(&self) -> Result<Vec<u8>> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Append the frame body to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) -> Result<()> {
         match self {
             Response::Hello { server, protocol, instance, epoch } => {
                 buf.put_u8(op::R_HELLO);
                 buf.put_u8(*protocol);
-                put_str(&mut buf, server);
+                put_str(buf, server);
                 buf.put_u64_le(*instance);
                 buf.put_u64_le(*epoch);
             }
-            Response::Rows { values } => return Ok(encode_rows(values)?.to_vec()),
-            Response::Runs { runs } => return encode_runs(runs),
+            Response::Rows { values } => encode_rows(buf, values)?,
+            Response::Runs { runs } => encode_runs(buf, runs)?,
             Response::Done { shape, rows, epoch } => {
                 buf.put_u8(op::R_DONE);
                 buf.put_u8(shape.to_byte());
@@ -574,71 +576,72 @@ impl Response {
                 buf.put_u64_le(*id);
                 buf.put_u32_le(params.len() as u32);
                 for p in params {
-                    put_str(&mut buf, p);
+                    put_str(buf, p);
                 }
             }
             Response::Error { message } => {
                 buf.put_u8(op::R_ERROR);
-                put_str(&mut buf, message);
+                put_str(buf, message);
             }
             Response::Pong => buf.put_u8(op::R_PONG),
         }
-        Ok(buf.to_vec())
+        Ok(())
     }
 
     /// Decode a frame body. Strict: every byte must be consumed, and a
     /// `RUNS` batch must be in the codec's bag order.
     pub fn decode(body: &[u8]) -> Result<Response> {
-        Response::decode_owned(Bytes::copy_from_slice(body))
+        Response::decode_from(&mut Bytes::copy_from_slice(body))
     }
 
-    fn decode_owned(mut buf: Bytes) -> Result<Response> {
-        let opcode = get_u8(&mut buf)?;
+    /// Decode the frame body `buf` holds, all of it.
+    pub(crate) fn decode_from(buf: &mut Bytes) -> Result<Response> {
+        let opcode = get_u8(buf)?;
         let resp = match opcode {
             op::R_HELLO => Response::Hello {
-                protocol: get_u8(&mut buf)?,
-                server: get_str(&mut buf)?,
-                instance: get_u64(&mut buf)?,
-                epoch: get_u64(&mut buf)?,
+                protocol: get_u8(buf)?,
+                server: get_str(buf)?,
+                instance: get_u64(buf)?,
+                epoch: get_u64(buf)?,
             },
             op::R_ROWS => {
-                let count = get_u32(&mut buf)? as usize;
+                let count = get_u32(buf)? as usize;
                 if count > buf.remaining() + 1 {
                     return Err(WireError::Truncated);
                 }
                 let mut values = Vec::with_capacity(count);
                 for _ in 0..count {
-                    values.push(codec::decode_value(&mut buf)?);
+                    values.push(codec::decode_value(buf)?);
                 }
                 Response::Rows { values }
             }
             op::R_RUNS => {
                 let mut runs = Vec::new();
-                get_runs(&mut buf, &mut runs)?;
+                get_runs(buf, &mut runs)?;
                 Response::Runs { runs }
             }
             op::R_DONE => Response::Done {
-                shape: ResultShape::from_byte(get_u8(&mut buf)?)?,
-                rows: get_u64(&mut buf)?,
-                epoch: get_u64(&mut buf)?,
+                shape: ResultShape::from_byte(get_u8(buf)?)?,
+                rows: get_u64(buf)?,
+                epoch: get_u64(buf)?,
             },
             op::R_PREPARED => {
-                let id = get_u64(&mut buf)?;
-                let count = get_u32(&mut buf)? as usize;
+                let id = get_u64(buf)?;
+                let count = get_u32(buf)? as usize;
                 if count > buf.remaining() / 4 + 1 {
                     return Err(WireError::Truncated);
                 }
                 let mut params = Vec::with_capacity(count);
                 for _ in 0..count {
-                    params.push(get_str(&mut buf)?);
+                    params.push(get_str(buf)?);
                 }
                 Response::Prepared { id, params }
             }
-            op::R_ERROR => Response::Error { message: get_str(&mut buf)? },
+            op::R_ERROR => Response::Error { message: get_str(buf)? },
             op::R_PONG => Response::Pong,
             other => return Err(WireError::BadOpcode(other)),
         };
-        finish(&buf)?;
+        finish(buf)?;
         Ok(resp)
     }
 }
@@ -647,28 +650,33 @@ impl Response {
 // Result streams
 // ---------------------------------------------------------------------
 
-/// Stream one statement's result: a bag as `RUNS` batches of up to
-/// [`ROW_BATCH`] runs, anything else as `ROWS` batches of up to
-/// [`ROW_BATCH`] elements (a scalar is one element), then `DONE` with the
-/// shape, the element count and `epoch`. Every batch is encoded from a
-/// borrowed slice of `value`; nothing is expanded or copied first.
-pub(crate) fn write_result(w: &mut impl Write, value: &Value, epoch: u64) -> io::Result<()> {
+/// Stream one statement's result through `frames`: a bag as `RUNS`
+/// batches of up to [`ROW_BATCH`] runs, anything else as `ROWS` batches
+/// of up to [`ROW_BATCH`] elements (a scalar is one element), then `DONE`
+/// with the shape, the element count and `epoch`. Every batch is encoded
+/// from a borrowed slice of `value`; nothing is expanded or copied first.
+pub(crate) fn write_result(
+    w: &mut impl Write,
+    frames: &mut Frames,
+    value: &Value,
+    epoch: u64,
+) -> io::Result<()> {
     let (shape, rows) = match value {
         Value::Bag(runs) => {
             for batch in runs.chunks(ROW_BATCH) {
-                write_frame(w, &encode_runs(batch)?)?;
+                frames.write(w, |buf| encode_runs(buf, batch))?;
             }
             (ResultShape::Bag, runs.iter().fold(0u64, |n, (_, c)| n.saturating_add(*c)))
         }
         _ => {
             let (shape, elements) = ResultShape::elements_of(value);
             for batch in elements.chunks(ROW_BATCH) {
-                write_frame(w, &encode_rows(batch)?)?;
+                frames.write(w, |buf| encode_rows(buf, batch))?;
             }
             (shape, elements.len() as u64)
         }
     };
-    write_response(w, &Response::Done { shape, rows, epoch })
+    frames.send(w, &Response::Done { shape, rows, epoch })
 }
 
 /// The client's half of `write_result`: the batches of one result,
@@ -686,23 +694,22 @@ impl Reassembly {
     /// the result — a `RUNS` batch decoded straight into the runs so far,
     /// each run checked by the codec's bag rule — and any other frame is
     /// decoded and handed back.
-    pub(crate) fn frame(&mut self, body: Vec<u8>) -> Result<Option<Response>> {
-        let mut buf = Bytes::from(body);
-        if buf.first() != Some(&op::R_RUNS) {
-            return match Response::decode_owned(buf)? {
+    pub(crate) fn frame(&mut self, body: &mut Bytes) -> Result<Option<Response>> {
+        if body.first() != Some(&op::R_RUNS) {
+            return match Response::decode_from(body)? {
                 Response::Rows { values } => self.rows(values).map(|()| None),
                 other => Ok(Some(other)),
             };
         }
-        get_u8(&mut buf)?;
+        get_u8(body)?;
         if let Reassembly::Empty = self {
             *self = Reassembly::Runs(Vec::new());
         }
         let Reassembly::Runs(runs) = self else {
             return Err(WireError::BadStream("RUNS after ROWS"));
         };
-        get_runs(&mut buf, runs)?;
-        finish(&buf).map(|()| None)
+        get_runs(body, runs)?;
+        finish(body).map(|()| None)
     }
 
     /// Take one `ROWS` batch.
@@ -720,14 +727,14 @@ impl Reassembly {
     pub(crate) fn done(self, shape: ResultShape, rows: u64) -> Result<Value> {
         let bag = shape == ResultShape::Bag;
         let (value, streamed) = match self {
-            Reassembly::Empty if bag => (Value::Bag(Arc::default()), 0),
+            Reassembly::Empty if bag => (Value::Bag(Runs::default()), 0),
             Reassembly::Empty => (shape.assemble(Vec::new())?, 0),
             Reassembly::Runs(runs) if bag => {
                 let n = runs
                     .iter()
                     .try_fold(0u64, |n, (_, c)| n.checked_add(*c))
                     .ok_or(WireError::BadStream("run counts overflow u64"))?;
-                (Value::Bag(Arc::new(runs)), n)
+                (Value::Bag(runs.into()), n)
             }
             Reassembly::Rows(elements) if !bag => {
                 let n = elements.len() as u64;
@@ -749,6 +756,48 @@ impl Reassembly {
 // Frame I/O
 // ---------------------------------------------------------------------
 
+/// One side of a connection's frame buffer: every frame the side writes
+/// is encoded into it, and every frame it reads is read into it and
+/// decoded from there. It grows to the side's largest frame and is kept,
+/// so a warm round trip allocates no frame — `oqld`'s connection loop
+/// and [`crate::server::Client`] each hold one.
+#[derive(Debug, Default)]
+pub(crate) struct Frames(Vec<u8>);
+
+impl Frames {
+    /// Encode one frame body with `encode` and write it, length-prefixed.
+    pub(crate) fn write(
+        &mut self,
+        w: &mut impl Write,
+        encode: impl FnOnce(&mut Vec<u8>) -> Result<()>,
+    ) -> io::Result<()> {
+        self.0.clear();
+        encode(&mut self.0)?;
+        write_frame(w, &self.0)
+    }
+
+    /// Write one response.
+    pub(crate) fn send(&mut self, w: &mut impl Write, resp: &Response) -> io::Result<()> {
+        self.write(w, |buf| resp.encode_into(buf))
+    }
+
+    /// Read one frame and hand its body to `decode`; `Ok(None)` on a
+    /// clean EOF at a frame boundary, as [`read_frame`].
+    pub(crate) fn read<T>(
+        &mut self,
+        r: &mut impl Read,
+        decode: impl FnOnce(&mut Bytes) -> Result<T>,
+    ) -> io::Result<Option<T>> {
+        if !read_body(r, &mut self.0)? {
+            return Ok(None);
+        }
+        let mut body = Bytes::from(std::mem::take(&mut self.0));
+        let decoded = decode(&mut body);
+        self.0 = body.into();
+        Ok(Some(decoded?))
+    }
+}
+
 /// Write one length-prefixed frame.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
     if body.len() > MAX_FRAME {
@@ -763,19 +812,29 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
 /// error. A length prefix over [`MAX_FRAME`] is refused *before* any
 /// allocation.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+    let mut body = Vec::new();
+    Ok(read_body(r, &mut body)?.then_some(body))
+}
+
+/// [`read_frame`] into `body`, which is cleared first and grows only past
+/// its capacity; `false` on a clean EOF at a frame boundary.
+fn read_body(r: &mut impl Read, body: &mut Vec<u8>) -> io::Result<bool> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
         Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(false),
         Err(e) => return Err(e),
     }
     let len = u32::from_le_bytes(len_bytes) as usize;
     if len > MAX_FRAME {
         return Err(WireError::TooLarge(len).into());
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
-    Ok(Some(body))
+    body.clear();
+    body.reserve(len);
+    if r.take(len as u64).read_to_end(body)? < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(true)
 }
 
 /// [`write_frame`] of an encoded [`Request`].
@@ -790,18 +849,12 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
 
 /// Read and decode one [`Request`]; `Ok(None)` on clean EOF.
 pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
-    match read_frame(r)? {
-        Some(body) => Ok(Some(Request::decode_owned(Bytes::from(body))?)),
-        None => Ok(None),
-    }
+    Frames::default().read(r, Request::decode_from)
 }
 
 /// Read and decode one [`Response`]; `Ok(None)` on clean EOF.
 pub fn read_response(r: &mut impl Read) -> io::Result<Option<Response>> {
-    match read_frame(r)? {
-        Some(body) => Ok(Some(Response::decode_owned(Bytes::from(body))?)),
-        None => Ok(None),
-    }
+    Frames::default().read(r, Response::decode_from)
 }
 
 #[cfg(test)]
@@ -896,6 +949,42 @@ mod tests {
         assert_eq!(shape, ResultShape::Scalar);
         assert_eq!(elems.len(), 1);
         assert_eq!(shape.assemble(elems).unwrap(), scalar);
+    }
+
+    /// A window of a bag streams the very frames its copy streams —
+    /// windows across a batch boundary and across the float column's end
+    /// too — and the client, reading every frame into one buffer,
+    /// rebuilds the copy from them.
+    #[test]
+    fn runs_window_frames_as_its_copy() {
+        let mut runs: Vec<(Value, u64)> =
+            (0..500).map(|i| (Value::Float(f64::from(i)), 1 + i as u64 % 3)).collect();
+        runs.extend((0..100).map(|i| (Value::str(&format!("s{i:03}")), 2)));
+        let all = Runs::new(runs);
+        let stream = |value: &Value| {
+            let mut out = Vec::new();
+            write_result(&mut out, &mut Frames::default(), value, 7).unwrap();
+            out
+        };
+        for (lo, hi) in [(0, 600), (100, 400), (250, 600), (300, 301), (5, 5)] {
+            let window = Value::Bag(all.window(lo..hi));
+            let copy = Value::Bag(all[lo..hi].to_vec().into());
+            let bytes = stream(&window);
+            assert_eq!(bytes, stream(&copy), "{lo}..{hi}");
+            let (mut frames, mut result, mut input) =
+                (Frames::default(), Reassembly::default(), bytes.as_slice());
+            loop {
+                match frames.read(&mut input, |body| result.frame(body)).unwrap().unwrap() {
+                    None => {}
+                    Some(Response::Done { shape, rows, epoch: 7 }) => {
+                        let value = std::mem::take(&mut result).done(shape, rows).unwrap();
+                        assert_eq!(format!("{value:?}"), format!("{copy:?}"), "{lo}..{hi}");
+                        break;
+                    }
+                    other => panic!("{lo}..{hi}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -207,6 +207,48 @@ fn live_server_round_trips_queries_and_prepared_statements() {
     handle.shutdown();
 }
 
+/// Wire parameters bind as `Params::set` binds them — `name` and `$name`
+/// name one placeholder, a later binding replaces an earlier one — on
+/// `EXECUTE` and ad-hoc `QUERY` alike, and a binding that names no
+/// placeholder, or a placeholder left unbound, fails with the in-process
+/// error, word for word.
+#[test]
+fn wire_parameters_bind_as_params_set_binds_them() {
+    let db = monoid_db::store::travel::generate(monoid_db::store::TravelScale::tiny(), 7);
+    let src = "exists h in Hotels: h.name = $name";
+    let in_process = |params: Params| {
+        let stmt = monoid_db::prepare_on(&db, src).expect("prepares");
+        stmt.execute_snapshot(&db, &params).map_err(|e| e.to_string())
+    };
+    let hotel = || Value::str("hotel_0_0");
+    let unknown = in_process(Params::new().bind("name", hotel()).bind("oops", Value::Int(1)));
+    assert_eq!(unknown, Err("binding for `$oops` does not match any statement parameter".into()));
+    let unbound = in_process(Params::new());
+
+    let handle = Server::bind("127.0.0.1:0", db.clone()).expect("bind loopback").spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let (id, _) = client.prepare(src).expect("prepares");
+    let pair = |name: &str, value: Value| (name.to_string(), value);
+    let miss = || Value::str("no-such-hotel");
+    for run in [
+        |c: &mut Client, id, ps: &[(String, Value)]| c.execute(id, ps),
+        |c: &mut Client, _, ps: &[(String, Value)]| {
+            c.query("exists h in Hotels: h.name = $name", ps)
+        },
+    ] {
+        let mut value = |params: &[(String, Value)]| {
+            run(&mut client, id, params).map(|o| o.value).map_err(|e| e.to_string())
+        };
+        assert_eq!(value(&[pair("$name", hotel())]), Ok(Value::Bool(true)));
+        assert_eq!(value(&[pair("$name", miss()), pair("name", hotel())]), Ok(Value::Bool(true)));
+        assert_eq!(value(&[pair("name", hotel()), pair("$name", miss())]), Ok(Value::Bool(false)));
+        assert_eq!(value(&[pair("name", hotel()), pair("oops", Value::Int(1))]), unknown);
+        assert_eq!(value(&[]), unbound);
+    }
+    client.ping().expect("the session survives its statement errors");
+    handle.shutdown();
+}
+
 /// A server over one root, `Xs`, holding `items` as a list of `elem`.
 fn spawn_server_over(
     elem: Type,
