@@ -11,7 +11,9 @@
 //! still live. The rows then only look their entry's verdict up, and a
 //! sorting monoid over the attribute itself is built from the kept
 //! entries' runs: a `bag` whose kept entries are one block is a window of
-//! the lane's runs, sharing their storage, whatever the block. A
+//! the lane's runs, sharing their storage, whatever the block. When the
+//! filters are all ranges that keep one block each, that block is taken
+//! straight from the bisections, with no verdict per entry. A
 //! counted join keyed by the attribute is a pointwise product of the
 //! lane's counts with its table's buckets: each live entry is probed once,
 //! an entry meeting no build row is dropped, and a row pushes its head
@@ -30,6 +32,7 @@ use monoid_calculus::value::{canonical_runs, Accumulator, Env, Runs, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem::{discriminant, size_of};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What the memo keeps a lane under: the extent's source, the field of
@@ -264,9 +267,8 @@ impl Verdicts {
     /// than, equal to and greater than `x` are three blocks, found by two
     /// bisections. Live entries in a block `holds` rejects are dropped.
     fn range<P: Probe>(&mut self, runs: &[(Value, u64)], x: &Value, holds: &[bool; 3]) {
-        let lt = runs.partition_point(|(e, _)| e.cmp(x) == Ordering::Less);
-        let le = lt + runs[lt..].partition_point(|(e, _)| e.cmp(x) != Ordering::Greater);
-        for (block, keep) in [(0..lt, holds[0]), (lt..le, holds[1]), (le..runs.len(), holds[2])] {
+        let [_, lt, le, end] = blocks(runs, x);
+        for (block, keep) in [(0..lt, holds[0]), (lt..le, holds[1]), (le..end, holds[2])] {
             if !keep {
                 for verdict in &mut self.verdict[block] {
                     if *verdict == KEEP {
@@ -310,12 +312,66 @@ impl Verdicts {
         let kept = |e: &usize| self.verdict[*e] == KEEP;
         let lo = (0..runs.len()).find(kept).unwrap_or(0);
         let hi = (lo..runs.len()).rfind(kept).map_or(lo, |e| e + 1);
-        if *monoid == Monoid::Bag && (lo..hi).all(|e| kept(&e)) {
-            return Value::Bag(runs.window(lo..hi));
+        if (lo..hi).all(|e| kept(&e)) {
+            return block(runs, lo..hi, monoid);
         }
         let kept = runs.iter().enumerate().filter(|(e, _)| kept(e));
         canonical_runs(monoid, kept.map(|(_, run)| run.clone()))
     }
+}
+
+/// The bounds of the three blocks of the sorted dictionary `runs` whose
+/// entries are less than, equal to and greater than `x`, found by two
+/// bisections: `[0, lt, le, runs.len()]`.
+fn blocks(runs: &[(Value, u64)], x: &Value) -> [usize; 4] {
+    let lt = runs.partition_point(|(e, _)| e.cmp(x) == Ordering::Less);
+    let le = lt + runs[lt..].partition_point(|(e, _)| e.cmp(x) != Ordering::Greater);
+    [0, lt, le, runs.len()]
+}
+
+/// A counted result over the entries of one block of `runs`: for a `bag`,
+/// a window of them, nothing copied.
+fn block(runs: &Runs, block: Range<usize>, monoid: &Monoid) -> Value {
+    if *monoid == Monoid::Bag {
+        return Value::Bag(runs.window(block));
+    }
+    canonical_runs(monoid, runs[block].iter().cloned())
+}
+
+/// The one block of the dictionary that a chain of range filters alone
+/// keeps, taken straight from the bisections, with no verdict per entry:
+/// each filter keeps one block — every comparison but `!=` — so their
+/// intersection is one block too. `None` when the chain has any other
+/// filter. An operand that cannot be read fails the run while an entry
+/// is still live, as it fails the first row that reaches its filter.
+fn ranged(
+    lane: &Lane,
+    plan: &LanePlan,
+    slots: &[Value],
+    cx: &Cx<'_>,
+) -> Option<ExecResult<Range<usize>>> {
+    let one_block = |f: &LaneFilter| {
+        matches!(f, LaneFilter::Range { holds, .. } if *holds != [true, false, true])
+    };
+    if !plan.filters.iter().all(|(_, f)| one_block(f)) {
+        return None;
+    }
+    let (mut lo, mut hi) = (0, lane.runs.len());
+    for (_, filter) in &plan.filters {
+        let LaneFilter::Range { operand, holds } = filter else { unreachable!("checked above") };
+        match operand.get(slots, None, cx) {
+            Ok(x) => {
+                let bounds = blocks(&lane.runs, x);
+                let (first, last) = (holds.iter().position(|&h| h), holds.iter().rposition(|&h| h));
+                let (from, to) =
+                    first.zip(last).map_or((0, 0), |(f, l)| (bounds[f], bounds[l + 1]));
+                (lo, hi) = (lo.max(from), hi.min(to));
+            }
+            Err(err) if lo < hi => return Some(Err(err)),
+            Err(_) => {}
+        }
+    }
+    Some(Ok(if lo < hi { lo..hi } else { 0..0 }))
 }
 
 /// Fold a lane chain over its lane into `monoid`'s value, `acc` its
@@ -329,7 +385,10 @@ impl Verdicts {
 /// which is built from the lane's runs and visits the rows only to find
 /// the first that fails, and a head that reads no chain slot, which is
 /// pushed once, as many times as there are kept rows (each entry's rows
-/// times its bucket), when no entry fails and that number fits.
+/// times its bucket), when no entry fails and that number fits. A sorting
+/// monoid over the attribute whose filters are ranges that keep one block
+/// each is that block of the runs (`ranged`), unless a probe counts the
+/// rows each filter keeps.
 pub(super) fn fold<P: Probe>(
     lane: &Lane,
     plan: &LanePlan,
@@ -339,6 +398,11 @@ pub(super) fn fold<P: Probe>(
     cx: &Cx<'_>,
     probe: &P,
 ) -> ExecResult<Value> {
+    if plan.counts && !P::ENABLED {
+        if let Some(kept) = ranged(lane, plan, slots, cx) {
+            return kept.map(|kept| block(&lane.runs, kept, monoid));
+        }
+    }
     let v = Verdicts::of(lane, plan, slots, cx, probe);
     let codes = &lane.codes;
     let trailing = plan.unnest.unwrap_or(plan.scan);

@@ -156,7 +156,9 @@
 //! one block is a window of the lane's runs (`value::Runs`), sharing
 //! their storage: `bulk-rows`' statement bisects and copies nothing. The
 //! rows are visited only when an entry fails, to find the first row that
-//! fails.
+//! fails. When every filter is a range other than `≠`, each keeps one
+//! block, and so does the chain: outside a profile, such a sorting fold
+//! takes that block straight from the bisections, with no verdicts.
 //!
 //! A lane chain may end in a join: a counted one (the bucket rule above)
 //! with one left key, the attribute `a` itself. A join's count is the

@@ -269,16 +269,25 @@ fn decode_at(buf: &mut Bytes, depth: usize) -> Result<Value> {
 
 /// Append one decoded bag run to `runs`, refusing what [`encode_value`]
 /// never emits: a zero count, or a value not strictly above the previous
-/// run's under `Value::cmp`. Every reader of runs checks through here —
-/// the `BAG` tag, and the wire's `RUNS` frames across a whole result.
+/// run's under `Value::cmp` ([`check_run`]). Every reader of runs checks
+/// through here — the `BAG` tag, and the wire's `RUNS` frames across a
+/// whole result.
 pub fn push_run(runs: &mut Vec<(Value, u64)>, value: Value, count: u64) -> Result<()> {
+    check_run(runs.last().map(|(prev, _)| prev), &value, count)?;
+    runs.push((value, count));
+    Ok(())
+}
+
+/// [`push_run`]'s rule for a run of `value` counted `count` after a run
+/// of `prev`, if any: the count is nonzero, then `value` is strictly
+/// above `prev`.
+pub fn check_run(prev: Option<&Value>, value: &Value, count: u64) -> Result<()> {
     if count == 0 {
         return Err(CodecError::BadBag("a run with count 0"));
     }
-    if runs.last().is_some_and(|(prev, _)| *prev >= value) {
+    if prev.is_some_and(|prev| prev >= value) {
         return Err(CodecError::BadBag("runs not strictly ascending"));
     }
-    runs.push((value, count));
     Ok(())
 }
 

@@ -53,6 +53,7 @@ impl Bytes {
     }
 
     /// Unread bytes left in the cursor.
+    #[inline]
     pub fn len(&self) -> usize {
         self.data.len() - self.pos
     }
@@ -70,6 +71,7 @@ impl Bytes {
         self.data[self.pos..].to_vec()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> &[u8] {
         assert!(self.len() >= n, "buffer underflow");
         let start = self.pos;
@@ -87,6 +89,7 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         &self.data[self.pos..]
     }
@@ -123,34 +126,42 @@ macro_rules! get_le {
 }
 
 impl Buf for Bytes {
+    #[inline]
     fn remaining(&self) -> usize {
         self.len()
     }
 
+    #[inline]
     fn get_u8(&mut self) -> u8 {
         self.take(1)[0]
     }
 
+    #[inline]
     fn get_u32_le(&mut self) -> u32 {
         get_le!(self, u32)
     }
 
+    #[inline]
     fn get_u64_le(&mut self) -> u64 {
         get_le!(self, u64)
     }
 
+    #[inline]
     fn get_i64_le(&mut self) -> i64 {
         get_le!(self, i64)
     }
 
+    #[inline]
     fn get_f64_le(&mut self) -> f64 {
         get_le!(self, f64)
     }
 
+    #[inline]
     fn copy_to_bytes(&mut self, len: usize) -> Bytes {
         Bytes { data: self.take(len).to_vec(), pos: 0 }
     }
 
+    #[inline]
     fn advance(&mut self, cnt: usize) {
         self.take(cnt);
     }
@@ -185,52 +196,64 @@ impl BytesMut {
 }
 
 impl BufMut for BytesMut {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.data.push(v);
     }
 
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.data.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.data.extend_from_slice(src);
     }
 }
 
 impl BufMut for Vec<u8> {
+    #[inline]
     fn put_u8(&mut self, v: u8) {
         self.push(v);
     }
 
+    #[inline]
     fn put_u32_le(&mut self, v: u32) {
         self.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_u64_le(&mut self, v: u64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_i64_le(&mut self, v: i64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_f64_le(&mut self, v: f64) {
         self.extend_from_slice(&v.to_le_bytes());
     }
 
+    #[inline]
     fn put_slice(&mut self, src: &[u8]) {
         self.extend_from_slice(src);
     }

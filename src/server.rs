@@ -33,8 +33,10 @@
 //! response and keep the session open. Battery in
 //! `tests/wire_protocol.rs` and `tests/server_smoke.rs`.
 
-use crate::wire::{self, Frames, Reassembly, Request, Response};
-use crate::{AnalyzeError, Prepared, Session};
+use crate::serving::Origin;
+use crate::wire::{self, Frames, Head, Reassembly, Request, Response, WireError};
+use crate::{AnalyzeError, InFlightGuard, Params, Prepared, Session};
+use bytes::Bytes;
 use monoid_calculus::value::Value;
 use monoid_store::{Database, Snapshot};
 use std::collections::HashMap;
@@ -156,7 +158,8 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
     let statement_ids = AtomicU64::new(1);
 
     loop {
-        let request = match frames.read(&mut reader, Request::decode_from) {
+        let decode = |body: &mut Bytes| decode_request(body, db, &session, &prepared);
+        let request = match frames.read(&mut reader, decode) {
             Ok(Some(req)) => req,
             // Clean EOF at a frame boundary: the client hung up.
             Ok(None) => return Ok(()),
@@ -173,7 +176,9 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
         // client waits for the bytes, not for the value to be freed.
         let mut outcome = None;
         match request {
-            Request::Hello { protocol, client: _ } if protocol != wire::PROTOCOL_VERSION => {
+            Incoming::Request(Request::Hello { protocol, client: _ })
+                if protocol != wire::PROTOCOL_VERSION =>
+            {
                 // The client would misread this version's result frames:
                 // refuse it before any statement runs.
                 let message = version_mismatch("client", protocol);
@@ -181,7 +186,7 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                 writer.flush()?;
                 return Ok(());
             }
-            Request::Hello { .. } => {
+            Incoming::Request(Request::Hello { .. }) => {
                 let (instance, epoch) = {
                     let db = db.read().unwrap_or_else(std::sync::PoisonError::into_inner);
                     (db.instance_id(), db.mutation_epoch())
@@ -196,8 +201,8 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     },
                 )?;
             }
-            Request::Ping => frames.send(&mut writer, &Response::Pong)?,
-            Request::Prepare { src } => {
+            Incoming::Request(Request::Ping) => frames.send(&mut writer, &Response::Pong)?,
+            Incoming::Request(Request::Prepare { src }) => {
                 let snap = take_snapshot(db);
                 match session.cache().get_or_prepare_snapshot_traced(&snap, &src) {
                     Ok((stmt, _)) => {
@@ -210,23 +215,61 @@ fn serve_connection(stream: TcpStream, db: &Arc<RwLock<Database>>) -> io::Result
                     Err(e) => send_error(&mut writer, &mut frames, &e)?,
                 }
             }
-            Request::Query { src, params } => {
-                let run = run_statement(db, &session, Statement::AdHoc(&src), params);
-                send_outcome(&mut writer, &mut frames, outcome.insert(run))?;
+            // `decode_head` hands `QUERY` and `EXECUTE` on as statements.
+            Incoming::Request(Request::Query { .. } | Request::Execute { .. }) => {
+                unreachable!("QUERY and EXECUTE decode as statements")
             }
-            Request::Execute { id, params } => {
-                let Some(stmt) = prepared.get(&id).cloned() else {
-                    let message = format!("no prepared statement #{id}");
-                    frames.send(&mut writer, &Response::Error { message })?;
-                    writer.flush()?;
-                    continue;
-                };
-                let run = run_statement(db, &session, Statement::Prepared(stmt), params);
+            Incoming::Unprepared(id) => {
+                let message = format!("no prepared statement #{id}");
+                frames.send(&mut writer, &Response::Error { message })?;
+            }
+            Incoming::Statement(bound) => {
+                let run = bound.and_then(|bound| run_statement(db, bound));
                 send_outcome(&mut writer, &mut frames, outcome.insert(run))?;
             }
         }
         writer.flush()?;
     }
+}
+
+/// What one request frame asks `oqld` to do.
+enum Incoming {
+    /// `HELLO`, `PREPARE` or `PING`.
+    Request(Request),
+    /// A `QUERY`, or an `EXECUTE` of a statement this connection
+    /// prepared: bound and ready to run, or the error its source met in
+    /// the plan cache.
+    Statement(Result<Bound, AnalyzeError>),
+    /// An `EXECUTE` of a statement id this connection never handed out.
+    Unprepared(u64),
+}
+
+/// Decode one request body. A `QUERY`'s or `EXECUTE`'s parameters are
+/// bound straight from the body against the statement they run
+/// ([`bind`]); the frame is malformed — whatever else it meets — when
+/// any part of it is.
+fn decode_request(
+    body: &mut Bytes,
+    db: &RwLock<Database>,
+    session: &Session,
+    prepared: &HashMap<u64, Arc<Prepared>>,
+) -> Result<Incoming, WireError> {
+    Ok(match wire::decode_head(body)? {
+        Head::Other(request) => Incoming::Request(request),
+        Head::Query { src } => {
+            Incoming::Statement(bind(db, session, Statement::AdHoc(&src), body)?)
+        }
+        Head::Execute { id } => match prepared.get(&id) {
+            Some(stmt) => {
+                let stmt = Statement::Prepared(Arc::clone(stmt));
+                Incoming::Statement(bind(db, session, stmt, body)?)
+            }
+            None => {
+                wire::get_params_with(body, |_| (), |(), _| ())?;
+                Incoming::Unprepared(id)
+            }
+        },
+    })
 }
 
 /// Take an O(1) snapshot, holding the read lock only for the `Arc`
@@ -242,30 +285,57 @@ enum Statement<'a> {
     Prepared(Arc<Prepared>),
 }
 
-/// The one routing function. Every statement binds its own snapshot;
-/// ad-hoc source is resolved through the plan cache against it — once —
-/// and then the statement's effects decide: a statement that
-/// [writes](Prepared::writes) takes the write lock and commits through
-/// [`Prepared::execute`]'s path; everything else executes against the
-/// snapshot with no lock held. The wire's `params` are bound against the
-/// statement's own placeholders ([`Prepared::bind_wire`]). Returns the
-/// value and the epoch the statement observed. The session accounting — in-flight gauge,
-/// statement counters, and the origin (session id, cache disposition,
-/// start instant) the statement builds its flight-recorder record from —
-/// brackets the whole thing.
-fn run_statement(
+/// A statement bound to its snapshot and its parameters, inside its
+/// session accounting — the in-flight gauge, the statement counter, and
+/// the origin (session id, cache disposition, start instant) it builds
+/// its flight-recorder record from.
+struct Bound {
+    snap: Snapshot,
+    _in_flight: InFlightGuard,
+    origin: Option<Origin>,
+    stmt: Arc<Prepared>,
+    params: Params,
+}
+
+/// Bind a statement: take its snapshot, enter the session, resolve ad-hoc
+/// source through the plan cache against the snapshot — once — and
+/// decode the parameters that end `body` into [`Params`], each name
+/// matched against the statement's own placeholders where it lies in the
+/// frame ([`Prepared::wire_symbol`]). A source the plan cache refuses is
+/// the statement's error; its parameters are still decoded, so a
+/// malformed frame is one whatever its source.
+fn bind(
     db: &RwLock<Database>,
     session: &Session,
     stmt: Statement<'_>,
-    params: Vec<(String, Value)>,
-) -> Result<(Value, u64), AnalyzeError> {
+    body: &mut Bytes,
+) -> Result<Result<Bound, AnalyzeError>, WireError> {
     let snap = take_snapshot(db);
-    let (_in_flight, mut origin) = session.enter();
+    let (in_flight, mut origin) = session.enter();
     let stmt = match stmt {
-        Statement::AdHoc(src) => session.lookup(&mut origin, &snap, src)?,
-        Statement::Prepared(stmt) => stmt,
+        Statement::AdHoc(src) => session.lookup(&mut origin, &snap, src),
+        Statement::Prepared(stmt) => Ok(stmt),
     };
-    let params = stmt.bind_wire(params);
+    let stmt = match stmt {
+        Ok(stmt) => stmt,
+        Err(e) => {
+            wire::get_params_with(body, |_| (), |(), _| ())?;
+            return Ok(Err(e));
+        }
+    };
+    let mut params = Params::new();
+    let name = |name: &str| stmt.wire_symbol(name);
+    wire::get_params_with(body, name, |sym, value| params.set_symbol(sym, value))?;
+    Ok(Ok(Bound { snap, _in_flight: in_flight, origin, stmt, params }))
+}
+
+/// The one routing function. The statement's effects decide: a statement
+/// that [writes](Prepared::writes) takes the write lock and commits
+/// through [`Prepared::execute`]'s path; everything else executes against
+/// its snapshot with no lock held. Returns the value and the epoch the
+/// statement observed.
+fn run_statement(db: &RwLock<Database>, bound: Bound) -> Result<(Value, u64), AnalyzeError> {
+    let Bound { snap, _in_flight, origin, stmt, params } = bound;
     if stmt.writes() {
         let mut db = db.write().unwrap_or_else(std::sync::PoisonError::into_inner);
         let value = stmt.execute_from(origin, &mut db, &params)?;

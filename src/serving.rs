@@ -98,7 +98,7 @@ impl Params {
     }
 
     /// Bind the canonical symbol `sym`.
-    fn set_symbol(&mut self, sym: Symbol, value: Value) {
+    pub(crate) fn set_symbol(&mut self, sym: Symbol, value: Value) {
         if let Some(slot) = self.bindings.iter_mut().find(|(s, _)| *s == sym) {
             slot.1 = value;
         } else {
@@ -374,19 +374,17 @@ impl Prepared {
         Ok(&params.bindings)
     }
 
-    /// Wire parameters for this statement, bound as [`Params::set`] binds
-    /// them: `name` and `$name` both name `$name`, a later binding
-    /// replaces an earlier one. A name is matched against the statement's
-    /// own placeholders in place; only a name that is none of them is
-    /// interned — and then refused, by name, when the statement runs.
-    pub(crate) fn bind_wire(&self, pairs: Vec<(String, Value)>) -> Params {
-        let mut params = Params { bindings: Vec::with_capacity(pairs.len()) };
-        for (name, value) in pairs {
-            let bare = name.strip_prefix('$').unwrap_or(&name);
-            let own = self.params.iter().find(|p| p.as_str().strip_prefix('$') == Some(bare));
-            params.set_symbol(own.copied().unwrap_or_else(|| canonical_param(&name)), value);
-        }
-        params
+    /// The symbol a wire parameter `name` binds, as [`Params::set`] names
+    /// it: `name` and `$name` both name `$name`. The name is matched
+    /// against the statement's own placeholders where it lies in the
+    /// frame; only a name that is none of them is interned — and then
+    /// refused, by name, when the statement runs. `oqld` binds each
+    /// parameter of a frame with [`Params::set_symbol`], so a later
+    /// binding replaces an earlier one.
+    pub(crate) fn wire_symbol(&self, name: &str) -> Symbol {
+        let bare = name.strip_prefix('$').unwrap_or(name);
+        let own = self.params.iter().find(|p| p.as_str().strip_prefix('$') == Some(bare));
+        own.copied().unwrap_or_else(|| canonical_param(name))
     }
 
     /// Does the statement write the heap (`:=` updates, `new`

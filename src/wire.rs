@@ -34,13 +34,15 @@
 //! as the batch's *kind* and the values are packed as `f64le` — a bag of
 //! prices crosses as two arrays of words; any other batch (ints, strings,
 //! records, ints mixed with floats) is of kind *mixed* (`0xff`) and
-//! carries its values in the codec. One run decoder serves both readers
-//! of `RUNS` and appends each run to a caller's vector: a frame's first
-//! run is checked by the codec's bag rule (`codec::push_run`) against the
-//! run before it, whatever that run's kind, and the rest of a float
+//! carries its values in the codec. The encoder sizes a frame once and
+//! writes both columns in one pass. One run decoder serves both readers
+//! of `RUNS` and appends the runs to a caller's vector: a frame's first
+//! run is checked by the codec's bag rule (`codec::check_run`) against
+//! the run before it, whatever that run's kind, and the rest of a float
 //! column by comparing its words with `f64::total_cmp` (`Value::cmp`'s
 //! order between floats), so the order is checked in every frame and
-//! across frames.
+//! across frames. A float column is checked whole, then appended in one
+//! `extend`.
 //! `Reassembly` decodes each frame body straight into the result's runs,
 //! and [`Response::decode`] into the frame's own.
 //!
@@ -341,16 +343,36 @@ fn get_u64(buf: &mut Bytes) -> Result<u64> {
 }
 
 fn get_str(buf: &mut Bytes) -> Result<String> {
+    get_str_with(buf, str::to_owned)
+}
+
+/// A string, handed to `read` where it lies in the body.
+fn get_str_with<T>(buf: &mut Bytes, read: impl FnOnce(&str) -> T) -> Result<T> {
     let len = get_u32(buf)? as usize;
     if buf.remaining() < len {
         return Err(WireError::Truncated);
     }
-    let s = std::str::from_utf8(&buf[..len]).map_err(|_| WireError::BadUtf8)?.to_owned();
+    let s = read(std::str::from_utf8(&buf[..len]).map_err(|_| WireError::BadUtf8)?);
     buf.advance(len);
     Ok(s)
 }
 
 fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
+    let mut out = Vec::new();
+    get_params_with(buf, str::to_owned, |name, value| out.push((name, value)))?;
+    Ok(out)
+}
+
+/// A parameter list, which ends its body: each name is handed to `name`
+/// where it lies in the body, and what that returns to `bind`, with the
+/// value that follows. Then the body must end. `oqld` binds a `QUERY`'s
+/// or `EXECUTE`'s parameters this way, against the statement they name,
+/// once [`decode_head`] has read what precedes them.
+pub(crate) fn get_params_with<K>(
+    buf: &mut Bytes,
+    mut name: impl FnMut(&str) -> K,
+    mut bind: impl FnMut(K, Value),
+) -> Result<()> {
     let count = get_u32(buf)? as usize;
     // Each param is at least a 4-byte name length + 1 tag byte: refuse
     // counts the remaining bytes cannot possibly satisfy before
@@ -358,13 +380,11 @@ fn get_params(buf: &mut Bytes) -> Result<Vec<(String, Value)>> {
     if count > buf.remaining() / 5 + 1 {
         return Err(WireError::Truncated);
     }
-    let mut out = Vec::with_capacity(count);
     for _ in 0..count {
-        let name = get_str(buf)?;
-        let value = codec::decode_value(buf)?;
-        out.push((name, value));
+        let key = get_str_with(buf, &mut name)?;
+        bind(key, codec::decode_value(buf)?);
     }
-    Ok(out)
+    finish(buf)
 }
 
 /// A `QUERY` body, encoded from borrowed source and parameters.
@@ -396,37 +416,45 @@ fn encode_rows(buf: &mut Vec<u8>, values: &[Value]) -> Result<()> {
 /// counts as `u64le`, then the `n` values — packed as `f64le` when the
 /// batch is a float column, else each in the codec (and so an empty
 /// batch). Encodes straight from a borrowed slice of a bag's runs: the
-/// values are packed until one is not a float, and then written again in
-/// the codec after the counts, which both layouts share.
+/// frame is sized once for a float column, and one pass writes each
+/// run's count and value into the two halves of that slice; a batch with
+/// a value that is not a float keeps the counts, which both layouts
+/// share, and has its values written again in the codec.
 fn encode_runs(buf: &mut Vec<u8>, runs: &[(Value, u64)]) -> Result<()> {
-    buf.reserve(6 + 16 * runs.len());
-    buf.put_u8(op::R_RUNS);
-    buf.put_u32_le(runs.len() as u32);
-    let kind = buf.len();
-    buf.put_u8(if runs.is_empty() { RUNS_MIXED } else { codec::tag::FLOAT });
-    for (_, count) in runs {
-        buf.put_u64_le(*count);
+    let start = buf.len();
+    buf.resize(start + 6 + 16 * runs.len(), 0);
+    let (head, columns) = buf[start..].split_at_mut(6);
+    let (counts, values) = columns.split_at_mut(8 * runs.len());
+    head[0] = op::R_RUNS;
+    head[1..5].copy_from_slice(&(runs.len() as u32).to_le_bytes());
+    let mut floats = !runs.is_empty();
+    let words = counts.chunks_exact_mut(8).zip(values.chunks_exact_mut(8));
+    for ((value, count), (c, v)) in runs.iter().zip(words) {
+        c.copy_from_slice(&count.to_le_bytes());
+        match value {
+            Value::Float(x) => v.copy_from_slice(&x.to_le_bytes()),
+            _ => floats = false,
+        }
     }
-    let values = buf.len();
-    for (v, _) in runs {
-        let Value::Float(x) = v else {
-            buf.truncate(values);
-            buf[kind] = RUNS_MIXED;
-            for (v, _) in runs {
-                codec::encode_value(v, buf)?;
-            }
-            return Ok(());
-        };
-        buf.put_f64_le(*x);
+    if floats {
+        head[5] = codec::tag::FLOAT;
+        return Ok(());
+    }
+    head[5] = RUNS_MIXED;
+    buf.truncate(start + 6 + 8 * runs.len());
+    for (value, _) in runs {
+        codec::encode_value(value, buf)?;
     }
     Ok(())
 }
 
 /// A `RUNS` payload (what follows the opcode), appended to `runs`. `n` is
-/// checked against the body before anything is reserved; each frame's
-/// first run is checked by the codec's bag rule against the run before it
-/// — already in `runs`, from an earlier frame of any kind — and the rest
-/// of a float column word by word.
+/// checked against the body before anything is reserved, and each frame's
+/// first run by the codec's bag rule against the run before it — already
+/// in `runs`, from an earlier frame of any kind. A mixed batch reads its
+/// counts where they lie: each is put in place with a `Null` for its
+/// value, which the run's decoded value then replaces once it passes the
+/// rule. On an error `runs` is left as it was.
 fn get_runs(buf: &mut Bytes, runs: &mut Vec<(Value, u64)>) -> Result<()> {
     let n = get_u32(buf)? as usize;
     let kind = get_u8(buf)?;
@@ -440,45 +468,58 @@ fn get_runs(buf: &mut Bytes, runs: &mut Vec<(Value, u64)>) -> Result<()> {
     if n > buf.remaining() / (8 + value_bytes) {
         return Err(WireError::Truncated);
     }
-    runs.reserve(n);
     let counts_len = 8 * n;
-    if kind == RUNS_MIXED {
-        let counts: Vec<u64> =
-            buf[..counts_len].chunks_exact(8).map(|c| u64::from_le_bytes(word(c))).collect();
-        buf.advance(counts_len);
-        for count in counts {
-            let value = codec::decode_value(buf)?;
-            codec::push_run(runs, value, count)?;
-        }
+    if kind == codec::tag::FLOAT {
+        let (counts, values) = buf[..2 * counts_len].split_at(counts_len);
+        get_float_column(runs, counts, values)?;
+        buf.advance(2 * counts_len);
         return Ok(());
     }
-    let (counts, values) = buf[..2 * counts_len].split_at(counts_len);
-    get_float_column(runs, counts, values)?;
-    buf.advance(2 * counts_len);
+    let base = runs.len();
+    let counts = buf[..counts_len].chunks_exact(8).map(|c| u64::from_le_bytes(word(c)));
+    runs.extend(counts.map(|count| (Value::Null, count)));
+    buf.advance(counts_len);
+    for at in base..runs.len() {
+        let run = codec::decode_value(buf).and_then(|value| {
+            let prev = at.checked_sub(1).map(|p| &runs[p].0);
+            codec::check_run(prev, &value, runs[at].1).map(|()| value)
+        });
+        match run {
+            Ok(value) => runs[at].0 = value,
+            Err(e) => {
+                runs.truncate(base);
+                return Err(e.into());
+            }
+        }
+    }
     Ok(())
 }
 
-/// Append a packed float column of `counts.len() / 8` runs to `runs`: the
-/// first by `codec::push_run`, each later one refused unless its count is
-/// nonzero and its word strictly above the one before by `f64::total_cmp`.
+/// Append a packed float column of `counts.len() / 8` runs to `runs`,
+/// checked whole before any is appended: the first run by the codec's bag
+/// rule against the last of `runs`, each later one refused unless its
+/// count is nonzero and its word strictly above the one before by
+/// `f64::total_cmp` — `Value::cmp`'s order between floats. The column is
+/// then appended in one exact-size `extend`.
 fn get_float_column(runs: &mut Vec<(Value, u64)>, counts: &[u8], values: &[u8]) -> Result<()> {
-    let mut column = counts
-        .chunks_exact(8)
-        .zip(values.chunks_exact(8))
-        .map(|(c, v)| (u64::from_le_bytes(word(c)), f64::from_le_bytes(word(v))));
-    let Some((count, first)) = column.next() else { return Ok(()) };
-    codec::push_run(runs, Value::Float(first), count)?;
+    let column = || {
+        let words = counts.chunks_exact(8).zip(values.chunks_exact(8));
+        words.map(|(c, v)| (u64::from_le_bytes(word(c)), f64::from_le_bytes(word(v))))
+    };
+    let mut rest = column();
+    let Some((count, first)) = rest.next() else { return Ok(()) };
+    codec::check_run(runs.last().map(|(prev, _)| prev), &Value::Float(first), count)?;
     let mut prev = first;
-    for (count, value) in column {
+    for (count, value) in rest {
         if count == 0 {
             return Err(CodecError::BadBag("a run with count 0").into());
         }
         if !prev.total_cmp(&value).is_lt() {
             return Err(CodecError::BadBag("runs not strictly ascending").into());
         }
-        runs.push((Value::Float(value), count));
         prev = value;
     }
+    runs.extend(column().map(|(count, value)| (Value::Float(value), count)));
     Ok(())
 }
 
@@ -542,6 +583,32 @@ impl Request {
         };
         finish(buf)?;
         Ok(req)
+    }
+}
+
+/// What `oqld` decodes of a request before the statement it runs is
+/// known: a `QUERY`'s source or an `EXECUTE`'s statement id, whose
+/// parameters are left in the body for [`get_params_with`], or any other
+/// request, whole.
+pub(crate) enum Head {
+    Query { src: String },
+    Execute { id: u64 },
+    Other(Request),
+}
+
+/// Decode a request body up to a `QUERY`'s or `EXECUTE`'s parameters,
+/// and any other request body whole.
+pub(crate) fn decode_head(buf: &mut Bytes) -> Result<Head> {
+    match buf.first() {
+        Some(&op::QUERY) => {
+            buf.advance(1);
+            Ok(Head::Query { src: get_str(buf)? })
+        }
+        Some(&op::EXECUTE) => {
+            buf.advance(1);
+            Ok(Head::Execute { id: get_u64(buf)? })
+        }
+        _ => Request::decode_from(buf).map(Head::Other),
     }
 }
 
@@ -860,6 +927,7 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Option<Response>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn round_trip_request(req: Request) {
         let body = req.encode().unwrap();
@@ -1003,5 +1071,344 @@ mod tests {
         let partial = 8u32.to_le_bytes();
         let err = read_frame(&mut partial.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    // -----------------------------------------------------------------
+    // The RUNS column codec against the per-word codec it replaced
+    // -----------------------------------------------------------------
+
+    /// The per-word `RUNS` encoder: one `BufMut` call per word, the float
+    /// column packed until a value is not a float.
+    fn encode_runs_per_word(buf: &mut Vec<u8>, runs: &[(Value, u64)]) -> Result<()> {
+        buf.put_u8(op::R_RUNS);
+        buf.put_u32_le(runs.len() as u32);
+        let kind = buf.len();
+        buf.put_u8(if runs.is_empty() { RUNS_MIXED } else { codec::tag::FLOAT });
+        for (_, count) in runs {
+            buf.put_u64_le(*count);
+        }
+        let values = buf.len();
+        for (v, _) in runs {
+            let Value::Float(x) = v else {
+                buf.truncate(values);
+                buf[kind] = RUNS_MIXED;
+                for (v, _) in runs {
+                    codec::encode_value(v, buf)?;
+                }
+                return Ok(());
+            };
+            buf.put_f64_le(*x);
+        }
+        Ok(())
+    }
+
+    /// A `RUNS` payload decoded run by run, every run — packed or not —
+    /// appended by `codec::push_run`.
+    fn get_runs_per_run(buf: &mut Bytes, runs: &mut Vec<(Value, u64)>) -> Result<()> {
+        let n = get_u32(buf)? as usize;
+        let kind = get_u8(buf)?;
+        let value_bytes = match kind {
+            codec::tag::FLOAT => 8,
+            RUNS_MIXED => 1,
+            other => return Err(CodecError::BadTag(other).into()),
+        };
+        if n > buf.remaining() / (8 + value_bytes) {
+            return Err(WireError::Truncated);
+        }
+        let counts: Vec<u64> = (0..n).map(|_| buf.get_u64_le()).collect();
+        for count in counts {
+            let value = match kind {
+                codec::tag::FLOAT => Value::Float(buf.get_f64_le()),
+                _ => codec::decode_value(buf)?,
+            };
+            codec::push_run(runs, value, count)?;
+        }
+        Ok(())
+    }
+
+    /// Each run's value, a float by its bits, and its count.
+    fn fingerprint(runs: &[(Value, u64)]) -> Vec<(String, u64)> {
+        let print = |v: &Value| match v {
+            Value::Float(x) => format!("f{:016x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        runs.iter().map(|(v, c)| (print(v), *c)).collect()
+    }
+
+    /// Both encoders, on the same non-empty buffer, write the same bytes
+    /// for `runs` whole and for each of its `ROW_BATCH` batches, and
+    /// `write_result` streams what the per-word encoder's batches make.
+    fn encoders_agree(runs: &[(Value, u64)]) {
+        let batches = runs.chunks(ROW_BATCH).chain([runs]);
+        for batch in batches.chain(runs.is_empty().then_some(runs)) {
+            let (mut bulk, mut per_word) = (vec![9, 9], vec![9, 9]);
+            encode_runs(&mut bulk, batch).unwrap();
+            encode_runs_per_word(&mut per_word, batch).unwrap();
+            assert_eq!(bulk, per_word, "a batch of {} runs", batch.len());
+        }
+        let value = Value::Bag(runs.to_vec().into());
+        let mut streamed = Vec::new();
+        write_result(&mut streamed, &mut Frames::default(), &value, 3).unwrap();
+        let mut expected = Vec::new();
+        for batch in runs.chunks(ROW_BATCH) {
+            let mut body = Vec::new();
+            encode_runs_per_word(&mut body, batch).unwrap();
+            write_frame(&mut expected, &body).unwrap();
+        }
+        let rows = runs.iter().map(|(_, c)| c).sum();
+        let done = Response::Done { shape: ResultShape::Bag, rows, epoch: 3 };
+        write_frame(&mut expected, &done.encode().unwrap()).unwrap();
+        assert_eq!(streamed, expected, "the stream of a bag of {} runs", runs.len());
+    }
+
+    /// A reader of one `RUNS` payload into a result's runs.
+    type Decoder = fn(&mut Bytes, &mut Vec<(Value, u64)>) -> Result<()>;
+
+    /// Both decoders read the `RUNS` payloads `bodies` (what follows the
+    /// opcode), frame after frame, each into a result of its own, and
+    /// agree: on the runs after every frame, or on the error's text at
+    /// the frame that fails. Returns that text, if any.
+    fn decoders_agree(bodies: &[Vec<u8>]) -> Option<String> {
+        let (mut bulk, mut per_run) = (Vec::new(), Vec::new());
+        for (i, body) in bodies.iter().enumerate() {
+            let read = |get: Decoder, runs: &mut Vec<(Value, u64)>| {
+                let mut buf = Bytes::copy_from_slice(body);
+                get(&mut buf, runs).and_then(|()| finish(&buf)).map_err(|e| e.to_string())
+            };
+            let (a, b) = (read(get_runs, &mut bulk), read(get_runs_per_run, &mut per_run));
+            assert_eq!(a, b, "frame {i} of {bodies:?}");
+            if let Err(e) = a {
+                return Some(e);
+            }
+            assert_eq!(fingerprint(&bulk), fingerprint(&per_run), "after frame {i}");
+        }
+        None
+    }
+
+    /// A packed float column, as a `RUNS` payload; nothing is checked.
+    fn float_body(runs: &[(f64, u64)]) -> Vec<u8> {
+        let mut body = (runs.len() as u32).to_le_bytes().to_vec();
+        body.push(codec::tag::FLOAT);
+        body.extend(runs.iter().flat_map(|(_, c)| c.to_le_bytes()));
+        body.extend(runs.iter().flat_map(|(x, _)| x.to_le_bytes()));
+        body
+    }
+
+    /// A mixed column, as a `RUNS` payload; nothing is checked.
+    fn mixed_body(runs: &[(Value, u64)]) -> Vec<u8> {
+        let mut body = (runs.len() as u32).to_le_bytes().to_vec();
+        body.push(RUNS_MIXED);
+        body.extend(runs.iter().flat_map(|(_, c)| c.to_le_bytes()));
+        for (v, _) in runs {
+            codec::encode_value(v, &mut body).unwrap();
+        }
+        body
+    }
+
+    fn floats(runs: &[(f64, u64)]) -> Vec<(Value, u64)> {
+        runs.iter().map(|&(x, c)| (Value::Float(x), c)).collect()
+    }
+
+    /// Quiet NaNs of both signs, and another payload of each.
+    const NANS: [u64; 4] = [
+        0x7ff8_0000_0000_0000,
+        0x7ff8_0000_0000_0001,
+        0xfff8_0000_0000_0000,
+        0xfff8_0000_0000_0001,
+    ];
+
+    /// Every float the battery orders, ascending by `f64::total_cmp`.
+    fn ascending_specials() -> Vec<f64> {
+        let [pos, pos1, neg, neg1] = NANS.map(f64::from_bits);
+        vec![neg1, neg, f64::NEG_INFINITY, -1.5, -0.0, 0.0, 2.5, f64::INFINITY, pos, pos1]
+    }
+
+    #[test]
+    fn runs_encoder_writes_the_per_word_encoders_bytes() {
+        let column = |n: usize| (0..n).map(|i| (Value::Float(i as f64 * 0.5), 1 + i as u64 % 4));
+        let specials = ascending_specials().into_iter().map(|x| (Value::Float(x), 2));
+        let strings = |n: usize| (0..n).map(|i| (Value::str(&format!("s{i:04}")), 3));
+        let cases: Vec<Vec<(Value, u64)>> = vec![
+            Vec::new(),
+            column(1).collect(),
+            column(256).collect(),
+            column(257).collect(),
+            column(600).collect(),
+            specials.collect(),
+            (0..40).map(|i| (Value::Int(i), 1)).collect(),
+            // Ints among floats, first, in the middle and last.
+            [(Value::Int(-3), 1)].into_iter().chain(column(20)).collect(),
+            column(10).chain([(Value::Int(99), 1)]).chain(column(30).skip(25)).collect(),
+            column(300).chain(strings(1)).collect(),
+            // A float frame, then a mixed one: the kind changes between
+            // frames, and again inside the second batch's column.
+            column(256).chain(strings(5)).collect(),
+            column(512).chain(strings(300)).collect(),
+        ];
+        for runs in &cases {
+            encoders_agree(runs);
+        }
+    }
+
+    #[test]
+    fn runs_decoder_refuses_what_push_run_refuses() {
+        let col = |xs: &[f64]| xs.iter().map(|&x| (x, 1)).collect::<Vec<_>>();
+        let with_count = |mut runs: Vec<(f64, u64)>, at: usize, count: u64| {
+            runs[at].1 = count;
+            runs
+        };
+        let five = col(&[1.0, 2.0, 3.0, 4.0, 5.0]);
+        let zero = "bad value encoding: malformed bag: a run with count 0";
+        let order = "bad value encoding: malformed bag: runs not strictly ascending";
+        let [pos, pos1, neg, _] = NANS.map(f64::from_bits);
+        // (frames as float columns, the error they meet)
+        type Frames = Vec<Vec<(f64, u64)>>;
+        let float_cases: Vec<(Frames, Option<&str>)> = vec![
+            (vec![with_count(five.clone(), 0, 0)], Some(zero)),
+            (vec![with_count(five.clone(), 2, 0)], Some(zero)),
+            (vec![with_count(five.clone(), 4, 0)], Some(zero)),
+            (vec![col(&[1.0, 2.0, 2.0, 3.0])], Some(order)),
+            (vec![col(&[1.0, 3.0, 2.0])], Some(order)),
+            // A zero count and a descending pair: the first run in order
+            // decides the error.
+            (vec![with_count(col(&[1.0, 3.0, 2.0, 4.0]), 3, 0)], Some(order)),
+            (vec![with_count(col(&[1.0, 2.0, 4.0, 3.0]), 2, 0)], Some(zero)),
+            (vec![col(&[1.0, 2.0]), col(&[2.0, 3.0])], Some(order)),
+            (vec![col(&[1.0, 5.0]), col(&[3.0])], Some(order)),
+            (vec![col(&[1.0, 2.0]), with_count(col(&[3.0]), 0, 0)], Some(zero)),
+            (vec![col(&ascending_specials())], None),
+            (vec![col(&ascending_specials()[..5]), col(&ascending_specials()[5..])], None),
+            (vec![col(&[pos, pos])], Some(order)),
+            (vec![col(&[pos1, pos])], Some(order)),
+            (vec![col(&[neg, neg])], Some(order)),
+            (vec![col(&[pos, neg])], Some(order)),
+            (vec![col(&[0.0, -0.0])], Some(order)),
+            (vec![col(&[-0.0, 0.0])], None),
+            (vec![col(&[-0.0]), col(&[0.0])], None),
+            (vec![col(&[0.0]), col(&[-0.0])], Some(order)),
+            (vec![col(&[f64::INFINITY]), col(&[pos])], None),
+            (vec![col(&[pos]), col(&[f64::INFINITY])], Some(order)),
+            (vec![col(&[]), col(&[1.0]), col(&[])], None),
+        ];
+        for (frames, want) in float_cases {
+            let bodies: Vec<_> = frames.iter().map(|f| float_body(f)).collect();
+            assert_eq!(decoders_agree(&bodies).as_deref(), want, "{frames:?}");
+            // The same runs in the codec, frame for frame.
+            let bodies: Vec<_> = frames.iter().map(|f| mixed_body(&floats(f))).collect();
+            assert_eq!(decoders_agree(&bodies).as_deref(), want, "mixed {frames:?}");
+        }
+        // Across kinds, by `Value::cmp`: ints and floats by number, a
+        // string above every number.
+        let ints = |xs: &[i64]| {
+            mixed_body(&xs.iter().map(|&i| (Value::Int(i), 1)).collect::<Vec<_>>())
+        };
+        let text = mixed_body(&[(Value::str("a"), 1)]);
+        let mixed_cases: Vec<(Vec<Vec<u8>>, Option<&str>)> = vec![
+            (vec![ints(&[1, 2]), float_body(&col(&[2.5, 3.0]))], None),
+            (vec![ints(&[1, 2]), float_body(&col(&[2.0]))], Some(order)),
+            (vec![float_body(&col(&[1.5])), ints(&[1])], Some(order)),
+            (vec![float_body(&col(&[1.5])), ints(&[2]), float_body(&col(&[2.5]))], None),
+            (vec![text.clone(), float_body(&col(&[1.0]))], Some(order)),
+            (vec![float_body(&col(&[pos])), text.clone()], None),
+            (vec![float_body(&col(&[1.0])), mixed_body(&[(Value::Null, 1)])], Some(order)),
+        ];
+        for (bodies, want) in mixed_cases {
+            assert_eq!(decoders_agree(&bodies).as_deref(), want, "{bodies:?}");
+        }
+    }
+
+    #[test]
+    fn runs_decoder_refuses_a_truncated_column_as_push_run_does() {
+        let runs: Vec<_> = ascending_specials().into_iter().map(|x| (x, 7)).collect();
+        for body in [float_body(&runs), mixed_body(&floats(&runs))] {
+            for cut in 0..body.len() {
+                let text = decoders_agree(&[body[..cut].to_vec()]);
+                assert!(text.is_some(), "a body cut at {cut} of {} decodes", body.len());
+            }
+            // A truncated second frame, after a whole first one.
+            let first = float_body(&[(f64::NEG_INFINITY, 1)]);
+            for cut in [0, 4, 5, 6, 13, body.len() - 1] {
+                assert!(decoders_agree(&[first.clone(), body[..cut].to_vec()]).is_some());
+            }
+        }
+    }
+
+    /// A float for the generated columns: one of the specials, or one of
+    /// a thousand evenly spaced numbers.
+    fn any_float() -> BoxedStrategy<f64> {
+        prop_oneof![
+            prop::sample::select(ascending_specials()),
+            (-500i64..500).prop_map(|i| i as f64 * 0.25),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// A generated bag — floats, with ints and strings among them or
+        /// not — streams as the per-word encoder streams it, and reads
+        /// back as the run-by-run decoder reads it.
+        #[test]
+        fn runs_codec_matches_the_per_word_codec_on_generated_bags(
+            xs in prop::collection::vec(any_float(), 0..700),
+            others in prop::collection::vec((0u8..3, 0usize..700), 0..3),
+        ) {
+            let mut items: Vec<Value> = xs.into_iter().map(Value::Float).collect();
+            for (kind, at) in others {
+                let other = match kind {
+                    0 => Value::Int(at as i64 - 350),
+                    1 => Value::str(&format!("s{at}")),
+                    _ => Value::Float(f64::from_bits(NANS[at % 4])),
+                };
+                items.insert(at.min(items.len()), other);
+            }
+            let Value::Bag(runs) = Value::bag_from(items) else { unreachable!() };
+            encoders_agree(&runs);
+            let bodies: Vec<Vec<u8>> = runs
+                .chunks(ROW_BATCH)
+                .map(|batch| {
+                    let mut body = Vec::new();
+                    encode_runs(&mut body, batch).unwrap();
+                    body.split_off(1)
+                })
+                .collect();
+            prop_assert_eq!(decoders_agree(&bodies), None);
+        }
+
+        /// A generated float column, spoiled or not — a count of 0, a run
+        /// equal to or below the one before — and cut into frames of
+        /// either kind, reads as the run-by-run decoder reads it.
+        #[test]
+        fn runs_decoder_matches_push_run_on_generated_columns(
+            xs in prop::collection::vec((any_float(), 1u64..5), 0..400),
+            spoil in (0u8..4, 0u8..3),
+            cuts in prop::collection::vec((0usize..400, prop::bool::ANY), 0..3),
+        ) {
+            let mut runs = xs;
+            runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            runs.dedup_by(|a, b| a.0.total_cmp(&b.0).is_eq());
+            let (how, place) = spoil;
+            if runs.len() > 1 {
+                let at = [1, runs.len() / 2, runs.len() - 1][usize::from(place)];
+                match how {
+                    0 => runs[at].1 = 0,
+                    1 => runs[at].0 = runs[at - 1].0,
+                    2 => runs.swap(at - 1, at),
+                    _ => {}
+                }
+            }
+            let mut ends: Vec<usize> = cuts.iter().map(|(at, _)| at % (runs.len() + 1)).collect();
+            ends.sort_unstable();
+            let mut bodies = Vec::new();
+            let mut from = 0;
+            for (k, end) in ends.into_iter().chain([runs.len()]).enumerate() {
+                let frame = &runs[from..end];
+                let packed = cuts.get(k).is_none_or(|(_, packed)| *packed);
+                bodies.push(if packed { float_body(frame) } else { mixed_body(&floats(frame)) });
+                from = end;
+            }
+            decoders_agree(&bodies);
+        }
     }
 }
