@@ -56,10 +56,10 @@
 //! into a chain of its own (same slot numbering) that runs *before the
 //! first left row* into a `Table`: the right-bound slot values laid out
 //! flat (a bare scan over a list/set extent shares the extent's `Arc` and
-//! copies nothing) plus an index that discriminates the key by kind —
-//! `i64`, string and OID keys hash into typed buckets, and everything else
-//! (composite keys, floats, records, a build side mixing kinds) goes to one
-//! `Value`-ordered map. Equality is `Value::cmp`'s, so
+//! copies nothing) plus an index: a build side whose one key is a string on
+//! every row hashes into string buckets, and every other key (ints, OIDs,
+//! floats, records, composite keys, a build side mixing kinds) goes to the
+//! walk's own `Value`-ordered map. Equality is `Value::cmp`'s, so
 //! `1` meets `1.0` on both sides exactly as in the walk's `BTreeMap`. Tables
 //! are built in the walk's order — outer join first, a join's right source
 //! before its left one, all build rows before the first key — so whichever
@@ -645,13 +645,13 @@ mod tests {
             hits
         };
         let ints = Table::new(rows(4), 4, 1, [7, 8, 7, 7].map(Value::Int).to_vec());
-        assert!(matches!(ints.index, KeyIndex::Int(_)));
+        assert!(matches!(ints.index, KeyIndex::Ordered(_)));
         assert_eq!(probe(&ints, Value::Int(7)), [0, 2, 3]);
         assert_eq!(probe(&ints, Value::Float(8.0)), [1], "1 = 1.0 from the probe side");
         assert!(probe(&ints, Value::Float(7.5)).is_empty());
         assert!(probe(&ints, Value::Float(-0.0)).is_empty() && probe(&ints, Value::Null).is_empty());
 
-        // A build side mixing ints and floats leaves the typed buckets.
+        // A build side mixing ints and floats meets the same way.
         let mixed = Table::new(rows(3), 3, 1, vec![Value::Int(1), Value::Float(1.0), Value::Int(2)]);
         assert!(matches!(mixed.index, KeyIndex::Ordered(_)));
         assert_eq!(probe(&mixed, Value::Int(1)), [0, 1]);

@@ -1,14 +1,16 @@
 //! The judgement *which build rows a left row meets*: a join's right side,
 //! materialized once per execution or once per epoch, as flat rows chained
-//! per key in build order, with the key index discriminated by kind so
-//! that equality stays [`Value::cmp`]'s.
+//! per key in build order. Every key is indexed by the walk's own
+//! [`Value::cmp`]-ordered map, so `1` meets `1.0` as it does in the walk,
+//! except a build side whose one key is a string on every row, which
+//! hashes (no other kind compares equal to a string).
 
 use super::compile::FusedExpr;
 use super::drive::{Cx, Frame};
 use crate::error::ExecResult;
 use crate::logical::Plan;
 use monoid_calculus::expr::Expr;
-use monoid_calculus::value::{Oid, Value};
+use monoid_calculus::value::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -41,19 +43,16 @@ pub(super) struct Table {
     pub(super) bytes: usize,
 }
 
-/// Build keys discriminated by kind. The typed buckets hold build sides
-/// whose one key is uniformly of that kind; `Ordered` is the walk's own
-/// `Value`-ordered map and takes everything else — composite keys, floats,
-/// records, and any build side that mixes kinds (`Value::cmp` says
-/// `1 = 1.0`, which no per-kind hash can honor across buckets).
+/// A table's key index. `Str` holds a build side whose one key is a
+/// string on every row (the keyed probes of `point-wire`, `mixed-rw` and
+/// `join-wire`); `Ordered` is the walk's own `Value`-ordered map and takes
+/// every other key, so `Value::cmp` alone decides what meets.
 #[derive(Default)]
 pub(super) enum KeyIndex {
     /// No keys: every build row matches (the cross product).
     #[default]
     All,
-    Int(HashMap<i64, usize>),
     Str(HashMap<Arc<str>, usize>),
-    Oid(HashMap<Oid, usize>),
     Ordered(BTreeMap<Vec<Value>, usize>),
 }
 
@@ -74,16 +73,13 @@ impl Links {
     }
 }
 
-/// The typed bucket of a build side whose keys are all of the kind `of`
-/// accepts; `None` at the first key that is not.
-fn typed<K: std::hash::Hash + Eq>(
-    keys: &[Value],
-    links: &mut Links,
-    of: impl Fn(&Value) -> Option<K>,
-) -> Option<HashMap<K, usize>> {
+/// The string buckets of a build side whose one key is a string on every
+/// row; `None` at the first key that is not.
+fn strings(keys: &[Value], links: &mut Links) -> Option<HashMap<Arc<str>, usize>> {
     let mut map = HashMap::new();
     for (i, key) in keys.iter().enumerate().rev() {
-        links.link(map.entry(of(key)?).or_insert(NONE), i);
+        let Value::Str(k) = key else { return None };
+        links.link(map.entry(k.clone()).or_insert(NONE), i);
     }
     Some(map)
 }
@@ -92,25 +88,19 @@ impl Table {
     /// Index `n` build rows by `keys` (`arity` values per row, row-major).
     pub(super) fn new(rows: Arc<Vec<Value>>, n: usize, arity: usize, keys: Vec<Value>) -> Table {
         let mut links = Links { next: vec![NONE; n], count: vec![0; n] };
-        let int = |k: &Value| if let Value::Int(k) = k { Some(*k) } else { None };
-        let string = |k: &Value| if let Value::Str(k) = k { Some(k.clone()) } else { None };
-        let oid = |k: &Value| if let Value::Obj(k) = k { Some(*k) } else { None };
-        // A failed attempt leaves links behind; the next one rewrites
-        // every row's.
-        let index = if arity == 0 {
-            let mut head = NONE;
-            (0..n).rev().for_each(|i| links.link(&mut head, i));
-            KeyIndex::All
-        } else if arity > 1 {
-            Table::ordered(&keys, arity, &mut links)
-        } else if let Some(map) = typed(&keys, &mut links, int) {
-            KeyIndex::Int(map)
-        } else if let Some(map) = typed(&keys, &mut links, string) {
-            KeyIndex::Str(map)
-        } else if let Some(map) = typed(&keys, &mut links, oid) {
-            KeyIndex::Oid(map)
-        } else {
-            Table::ordered(&keys, 1, &mut links)
+        // A failed string attempt leaves links behind; the ordered map
+        // rewrites every row's.
+        let index = match arity {
+            0 => {
+                let mut head = NONE;
+                (0..n).rev().for_each(|i| links.link(&mut head, i));
+                KeyIndex::All
+            }
+            1 => match strings(&keys, &mut links) {
+                Some(map) => KeyIndex::Str(map),
+                None => Table::ordered(&keys, 1, &mut links),
+            },
+            _ => Table::ordered(&keys, arity, &mut links),
         };
         let bytes = std::mem::size_of::<Value>() * (rows.len() + keys.len() + 2 * n)
             + std::mem::size_of::<usize>() * n;
@@ -165,15 +155,8 @@ impl Table {
         let hit = match (&self.index, key) {
             (KeyIndex::All, _) => return if self.next.is_empty() { NONE } else { 0 },
             (KeyIndex::Ordered(map), _) => map.get(std::slice::from_ref(key)),
-            (KeyIndex::Int(map), Value::Int(k)) => map.get(k),
-            // `Value::cmp` meets an int key through its float image.
-            (KeyIndex::Int(map), Value::Float(x)) => {
-                let k = *x as i64;
-                map.get(&k).filter(|_| (k as f64).total_cmp(x).is_eq())
-            }
             (KeyIndex::Str(map), Value::Str(k)) => map.get(&**k),
-            (KeyIndex::Oid(map), Value::Obj(k)) => map.get(k),
-            // No other kind compares equal to these.
+            // No other kind compares equal to a string.
             _ => None,
         };
         hit.copied().unwrap_or(NONE)

@@ -20,7 +20,6 @@ use crate::fused::FusedQuery;
 use monoid_calculus::analysis::{effects_of, Effects};
 use monoid_calculus::expr::{BinOp, Expr, Qual};
 use monoid_calculus::monoid::Monoid;
-use monoid_calculus::normalize::is_pure;
 use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use std::collections::HashSet;
@@ -242,7 +241,7 @@ pub fn plan_with_options(e: &Expr, opts: PlanOptions) -> Result<Query, PlanError
             _ => PlanError::NotAComprehension,
         });
     };
-    if !is_pure(e) {
+    if !effects_of(e).is_pure() {
         return Err(PlanError::Impure);
     }
 

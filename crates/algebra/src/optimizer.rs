@@ -403,9 +403,8 @@ fn collect_collection(
 pub fn reorder_generators(e: &Expr, stats: &Stats) -> Expr {
     let Expr::Comp { monoid, head, quals } = e else { return e.clone() };
     // Reordering permutes evaluation order, so it is licensed only for
-    // commutative monoids over effect-free terms; the static classifier
-    // (`analysis::effects_of`) agrees with `normalize::is_pure` by
-    // construction and is what every other stage consults.
+    // commutative monoids over effect-free terms, judged by
+    // `analysis::effects_of` as every other stage judges them.
     if !monoid.props().commutative || !monoid_calculus::analysis::effects_of(e).is_pure() {
         return e.clone();
     }

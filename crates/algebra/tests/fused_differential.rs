@@ -29,7 +29,7 @@
 
 use monoid_algebra::error::ExecResult;
 use monoid_algebra::{
-    engine_of, execute, execute_plan_walk_bound, execute_profiled_bound, execute_snapshot_bound,
+    execute, execute_plan_walk_bound, execute_profiled_bound, execute_snapshot_bound,
     plan_comprehension, reorder_generators, Plan, Query, Stats,
 };
 use monoid_calculus::expr::{Expr, Qual};
@@ -123,11 +123,6 @@ fn all_monoids_agree_across_engines() {
     ];
     assert_eq!(cases.len(), 13, "one case per non-lifted monoid");
     for (label, plan) in &cases {
-        assert_eq!(
-            engine_of(plan).as_str(),
-            "fused",
-            "{label}: chain should classify as fused"
-        );
         assert_engines_agree(label, plan, &mut db);
     }
 }
@@ -262,7 +257,6 @@ fn fused_twice(label: &str, plan: &Query, db: &Database) -> ExecResult<Value> {
 /// Both engines and the evaluator on one planned comprehension; errors
 /// must agree too (under `MONOID_VERIFY` a plan may be refused outright).
 fn assert_three_way(label: &str, comp: &Expr, plan: &Query, db: &mut Database) {
-    assert_eq!(engine_of(plan).as_str(), "fused", "{label}: should classify as fused");
     let walk = execute_plan_walk_bound(plan, db, &[]);
     let fused = fused_twice(label, plan, db);
     assert_eq!(walk, fused, "{label}: fused ≠ plan walk");
@@ -309,7 +303,8 @@ fn keyed_composite_and_cross_joins_agree_for_every_monoid() {
         quals.extend(preds);
         quals
     };
-    // Int keys (typed bucket), string keys, and both at once.
+    // Int keys (the ordered index), string keys (string buckets), and
+    // both at once.
     assert_shape("keyed-int", with(gens("L", "R"), vec![on("k", "k")]), lr_heads(), &mut db);
     assert_shape("keyed-str", with(gens("L", "R"), vec![on("s", "s")]), lr_heads(), &mut db);
     assert_shape(
@@ -382,7 +377,7 @@ fn empty_sides_null_keys_and_int_float_keys_agree_for_every_monoid() {
     // Float build keys probed with ints, and int build keys probed with
     // floats: `1` must meet `1.0` from either side.
     assert_shape("float-build", keyed("L", "R", "k", "f"), lr_heads(), &mut db);
-    // T.id is uniformly int — the typed bucket — and R.f probes it.
+    // T.id is uniformly int — the ordered index — and R.f probes it.
     let (l, r) = (|| Expr::var("l"), || Expr::var("r"));
     let rt_heads = heads(l().proj("id"), r().proj("id"), l().proj("s"), r().proj("s"), l().proj("f"));
     assert_shape("int-build-float-probe", keyed("R", "T", "f", "id"), rt_heads, &mut db);
@@ -443,7 +438,6 @@ fn a_right_variable_shadowing_a_left_one_agrees_across_engines() {
         let Plan::Join { on, .. } = plan else { panic!("{plan:?}") };
         on.push((x().proj("k"), x().proj("k")));
     });
-    assert_eq!(engine_of(&plan).as_str(), "fused");
     assert_eq!(
         execute_plan_walk_bound(&plan, &db, &[]),
         fused_twice("shadow-keyed", &plan, &db),
@@ -546,7 +540,6 @@ fn hand_built_right_sides_agree_across_engines() {
                     let left = Box::new(plan.clone());
                     *plan = Plan::Join { left, right: Box::new(right.clone()), on: on.clone() };
                 });
-                assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
                 let walk = execute_plan_walk_bound(&plan, &db, &[]);
                 let fails = failing.contains(&label);
                 let shadowing = label == "self-shadowing-bind";
@@ -612,7 +605,6 @@ fn fallback_shapes_agree_across_engines() {
         ],
     ))
     .unwrap();
-    assert_eq!(engine_of(&join).as_str(), "fused");
     assert_engines_agree("hash-join", &join, &mut db);
     let join = replanned(&join, |plan| {
         let Plan::Join { on, .. } = plan else { panic!("{plan:?}") };
@@ -622,13 +614,11 @@ fn fallback_shapes_agree_across_engines() {
             vec![Expr::gen("r", Expr::var("b").proj("rooms"))],
         );
     });
-    assert_eq!(engine_of(&join).as_str(), "fused");
     assert_engines_agree("nested-comprehension-key", &join, &mut db);
 
     // A nested comprehension in the head (it allocates its own
     // accumulator per row).
     let allocating = rooms_chain(Monoid::Sum, Expr::comp(Monoid::Sum, Expr::int(1), vec![]));
-    assert_eq!(engine_of(&allocating).as_str(), "fused");
     assert_engines_agree("allocating-head", &allocating, &mut db);
 }
 
@@ -670,7 +660,6 @@ fn bags_with_repeated_runs_agree_across_engines() {
         ] {
             let label = format!("{shape}/{monoid}");
             let plan = plan_comprehension(&Expr::comp(monoid, head, quals.clone())).unwrap();
-            assert_eq!(engine_of(&plan).as_str(), "fused", "{label}");
             assert_eq!(shape == "join-build", find_join(plan.plan()).is_some(), "{label}");
             let walk = execute_plan_walk_bound(&plan, &db, &[]).unwrap();
             assert_eq!(walk, fused_twice(&label, &plan, &db).unwrap(), "{label}");
@@ -807,7 +796,6 @@ fn memo_never_keeps_a_build_that_reads_a_param() {
             let Plan::Join { right: slot, .. } = plan else { unreachable!() };
             **slot = right;
         });
-        assert_eq!(engine_of(&plan).as_str(), "fused");
         let snap = db.snapshot();
         let mut answers = Vec::new();
         for (a, staff) in [(30, &staff), (50, &staff_half)] {
@@ -841,7 +829,7 @@ fn memo_of_a_database_clone_is_its_own() {
 // -------------------------------------------------------------------------
 
 /// Extents for keyed filters: `K` mixes int, float and null keys (the
-/// ordered index), `I` has int keys only (the typed bucket), `B` is a bag
+/// ordered index), `I` has int keys only (the same index), `B` is a bag
 /// whose runs repeat, and `Empty` has no member.
 fn keyed_store() -> Database {
     let (int, float, null) = (Value::Int, Value::Float, || Value::Null);
@@ -906,7 +894,6 @@ fn keyed_agree(
     db: &Database,
     probe: &Value,
 ) -> (ExecResult<Value>, usize) {
-    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
     let params = [(Symbol::new("$p"), probe.clone())];
     let snap = db.clone().snapshot();
     let walk = execute_plan_walk_bound(plan, &snap, &params);
@@ -1114,7 +1101,6 @@ fn always() -> Expr {
 /// The walk's answer, after the fused fold gave the same — value or
 /// error, compared whole and as text.
 fn kernel_agree(label: &str, plan: &Query, db: &Database, p: &Value) -> ExecResult<Value> {
-    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
     let params = [(Symbol::new("$p"), p.clone())];
     let snap = db.snapshot();
     let walk = execute_plan_walk_bound(plan, &snap, &params);
@@ -1452,7 +1438,6 @@ fn multiplicity_heads(v: Option<&str>) -> Vec<(Monoid, Expr)> {
 /// compared whole and as text (so float sums agree bit for bit, and
 /// errors word for word).
 fn multiplicity_agree(label: &str, plan: &Query, db: &Database) -> ExecResult<Value> {
-    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
     let params = multiplicity_params();
     let snap = db.clone().snapshot();
     let walk = execute_plan_walk_bound(plan, &snap, &params);
@@ -1678,9 +1663,6 @@ fn compiled_once_queries_run_on_any_snapshot_of_any_database_like_the_walk() {
         ("counted-scan", prepared(&db, "count(CompanyEmployees)"), vec![]),
         ("global", over_floor, vec![]),
     ];
-    for (label, plan, _) in &queries {
-        assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
-    }
     let before = db.snapshot();
     let hire = vec![
         ("name", Value::str("hire")),
@@ -1747,7 +1729,6 @@ fn evaluated_agree(
     snap: &Snapshot,
     params: &[(Symbol, Value)],
 ) -> ExecResult<Value> {
-    assert_eq!(engine_of(plan).as_str(), "fused", "{label}");
     let walk = execute_plan_walk_bound(plan, snap, params);
     for run in ["cold", "memo"] {
         let fused = execute_snapshot_bound(plan, snap, params);

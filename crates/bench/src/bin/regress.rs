@@ -154,12 +154,10 @@ fn main() {
     );
     println!("{}", table.render());
 
-    let mut etable =
-        Table::new(&["fusion query", "engine", "fused p50", "plan-walk p50", "fusion speedup"]);
+    let mut etable = Table::new(&["fusion query", "fused p50", "plan-walk p50", "fusion speedup"]);
     for p in &report.fusion {
         etable.row(&[
             p.name.to_string(),
-            p.engine.to_string(),
             fmt_nanos(p.fused_p50_nanos),
             fmt_nanos(p.plan_walk_p50_nanos),
             format!("{:.2}x", p.fused_speedup),

@@ -76,8 +76,6 @@ pub struct FusionBench {
     pub plan_walk_p50_nanos: u128,
     /// Plan-walk median ÷ fused median: what fusion buys.
     pub fused_speedup: f64,
-    /// The engine `execute` routes this query through (`"fused"`).
-    pub engine: &'static str,
 }
 
 /// One prepared statement: the cold path (prepare + execute, the whole
@@ -606,7 +604,6 @@ fn run_fusion_section(
                 fused_p50_nanos,
                 plan_walk_p50_nanos,
                 fused_speedup: plan_walk_p50_nanos as f64 / fused_p50_nanos.max(1) as f64,
-                engine: monoid_algebra::engine_of(&plan).as_str(),
             }
         })
         .collect()
@@ -682,7 +679,6 @@ impl RegressReport {
                         ("fused_median_nanos", Json::from(p.fused_p50_nanos)),
                         ("plan_walk_median_nanos", Json::from(p.plan_walk_p50_nanos)),
                         ("fused_speedup", Json::Float(p.fused_speedup)),
-                        ("engine", Json::str(p.engine)),
                     ])
                 })
                 .collect(),
@@ -771,7 +767,6 @@ mod tests {
             ]
         );
         for p in &report.fusion {
-            assert_eq!(p.engine, "fused", "{}", p.name);
             assert!(p.fused_p50_nanos > 0, "{}", p.name);
             assert!(p.plan_walk_p50_nanos > 0 && p.fused_speedup > 0.0, "{}", p.name);
         }
@@ -810,7 +805,6 @@ mod tests {
             "\"fused_median_nanos\"",
             "\"plan_walk_median_nanos\"",
             "\"fused_speedup\"",
-            "\"engine\"",
             "\"prepared\"",
             "\"cold_median_nanos\"",
             "\"warm_median_nanos\"",

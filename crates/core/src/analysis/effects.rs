@@ -12,8 +12,7 @@
 //! * **mutates** — contains `e₁ := e₂`: evaluating it writes the heap —
 //!   the writer path again, and evaluation order becomes observable.
 //! * **reads_heap** — contains `!e`: result depends on heap state, so the
-//!   term cannot be freely duplicated/deleted/reordered (same bar as
-//!   [`crate::normalize::is_pure`]).
+//!   term cannot be freely duplicated/deleted/reordered.
 //! * **short_circuits** — contains a `some`/`all` reduction: executors may
 //!   stop early.
 //!
@@ -61,9 +60,11 @@ impl Effects {
         }
     }
 
-    /// Heap-independent: no allocation, no mutation, no dereference.
-    /// Matches [`crate::normalize::is_pure`] exactly (short-circuiting is
-    /// not an effect in that sense — a pure `some{…}` is still pure).
+    /// Heap-independent: no allocation, no mutation, no dereference. The
+    /// one purity judgement: the normalizer's duplicating, deleting and
+    /// reordering rules, the planner and the linter all ask it
+    /// (short-circuiting is not an effect in that sense — a pure `some{…}`
+    /// is still pure).
     pub fn is_pure(self) -> bool {
         !self.allocates && !self.mutates && !self.reads_heap
     }
@@ -162,7 +163,6 @@ impl fmt::Display for EffectSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::normalize;
 
     #[test]
     fn pure_comprehension_is_pure() {
@@ -209,28 +209,6 @@ mod tests {
         // …and the flag propagates upward through an enclosing term.
         let outer = Expr::if_(e, Expr::int(1), Expr::int(0));
         assert!(effects_of(&outer).short_circuits);
-    }
-
-    #[test]
-    fn is_pure_agrees_with_normalizer() {
-        let cases = vec![
-            Expr::comp(
-                Monoid::Set,
-                Expr::var("x"),
-                vec![Expr::gen("x", Expr::var("xs"))],
-            ),
-            Expr::new_obj(Expr::int(1)),
-            Expr::var("o").deref(),
-            Expr::var("o").assign(Expr::int(2)),
-            Expr::let_("v", Expr::int(1), Expr::var("v").add(Expr::int(2))),
-        ];
-        for e in cases {
-            assert_eq!(
-                effects_of(&e).is_pure(),
-                normalize::is_pure(&e),
-                "effects_of/is_pure disagree on {e:?}"
-            );
-        }
     }
 
     #[test]

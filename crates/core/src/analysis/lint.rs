@@ -25,11 +25,11 @@
 //! Every emitted diagnostic increments
 //! `analysis_diagnostics_total{code}` in the process-wide registry.
 
+use super::effects_of;
 use super::verify::source_monoid;
 use super::Span;
 use crate::expr::{BinOp, Expr, Literal, Qual};
 use crate::monoid::Monoid;
-use crate::normalize::is_pure;
 use crate::subst::free_vars;
 use crate::symbol::Symbol;
 use std::collections::{HashMap, HashSet};
@@ -356,7 +356,7 @@ fn lint_comp(
         }
         let duplicate_of = monoid.props().idempotent.then(|| {
             quals[..i].iter().find_map(|prev| match prev {
-                Qual::Gen(pv, psrc) if psrc == src && is_pure(src) => Some(*pv),
+                Qual::Gen(pv, psrc) if psrc == src && effects_of(src).is_pure() => Some(*pv),
                 _ => None,
             })
         });
@@ -627,7 +627,7 @@ fn constant_predicate(p: &Expr, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
     }
     let verdict = match p {
         Expr::Lit(Literal::Bool(b)) => Some(*b),
-        Expr::BinOp(op, a, b) if a == b && is_pure(a) => match op {
+        Expr::BinOp(op, a, b) if a == b && effects_of(a).is_pure() => match op {
             BinOp::Eq | BinOp::Le | BinOp::Ge => Some(true),
             BinOp::Ne | BinOp::Lt | BinOp::Gt => Some(false),
             _ => None,

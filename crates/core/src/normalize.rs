@@ -52,11 +52,13 @@
 //! The paper's §4.2 extension adds `new`/`!`/`:=`, which make some rewrites
 //! observably different (e.g. N7 would duplicate a `new(1)` bound once).
 //! Rules that *duplicate*, *delete*, or *reorder* subterms are therefore
-//! gated on purity of the affected parts ([`is_pure`]); impure terms simply
-//! normalize less aggressively. This is strictly more careful than the
-//! paper, which treats the update sublanguage separately from
-//! normalization.
+//! gated on purity of the affected parts
+//! ([`Effects::is_pure`](crate::analysis::Effects::is_pure): no `new`, `:=`
+//! or `!`); impure terms simply normalize less aggressively. This is
+//! strictly more careful than the paper, which treats the update
+//! sublanguage separately from normalization.
 
+use crate::analysis::effects_of;
 use crate::expr::{BinOp, Expr, Qual};
 use crate::monoid::Monoid;
 use crate::pretty::pretty;
@@ -203,18 +205,6 @@ impl NormalizeStats {
 /// a handful, so hitting this indicates an adversarial or diverging input.
 const MAX_STEPS: usize = 100_000;
 
-/// Is `e` free of heap effects (`new`, `:=`) and heap reads (`!`)?
-/// Rules that duplicate, delete, or reorder subterms require purity.
-pub fn is_pure(e: &Expr) -> bool {
-    let mut pure = true;
-    e.visit(&mut |node| {
-        if matches!(node, Expr::New(_) | Expr::Assign(..) | Expr::Deref(_)) {
-            pure = false;
-        }
-    });
-    pure
-}
-
 /// Is `m` a *freely generated* collection monoid — one whose value is
 /// literally the merge-tree of its units (list, bag, set)? Rules N5 and N8
 /// are valid only for these: `sorted`/`sortedbag` comprehensions *reorder*
@@ -227,8 +217,8 @@ fn freely_generated(m: &Monoid) -> bool {
 
 fn quals_pure(quals: &[Qual]) -> bool {
     quals.iter().all(|q| match q {
-        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => is_pure(e),
-        Qual::VecGen { source, .. } => is_pure(source),
+        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => effects_of(e).is_pure(),
+        Qual::VecGen { source, .. } => effects_of(source).is_pure(),
     })
 }
 
@@ -347,7 +337,7 @@ fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
                 let others_pure = fields
                     .iter()
                     .filter(|(n, _)| n != field)
-                    .all(|(_, fe)| is_pure(fe));
+                    .all(|(_, fe)| effects_of(fe).is_pure());
                 if others_pure {
                     return Some((Rule::Proj, target.1.clone()));
                 }
@@ -361,7 +351,7 @@ fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
                     .iter()
                     .enumerate()
                     .filter(|(i, _)| i != idx)
-                    .all(|(_, ie)| is_pure(ie));
+                    .all(|(_, ie)| effects_of(ie).is_pure());
                 if others_pure {
                     return Some((Rule::Proj, target.clone()));
                 }
@@ -428,7 +418,7 @@ fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
 fn inlinable(def: &Expr, var: &Symbol, body: &Expr) -> bool {
     let _ = body;
     let _ = var;
-    is_pure(def)
+    effects_of(def).is_pure()
 }
 
 fn try_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<(Rule, Expr)> {
@@ -481,7 +471,7 @@ fn try_qual_rules(
             }
             // N7: v ≡ u ⇒ inline u (pure u only).
             Qual::Bind(v, u) => {
-                if is_pure(u) {
+                if effects_of(u).is_pure() {
                     let (mut tail, new_head) =
                         subst_through_tail(&quals[i + 1..], head, *v, u);
                     let mut new_quals: Vec<Qual> = quals[..i].to_vec();
@@ -545,7 +535,7 @@ fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<
             Qual::Gen(_, src) => {
                 // N3: v ← zero ⇒ zero_M (requires the prefix be pure — it
                 // would otherwise have run for effect).
-                if is_zero_source(src) && before_pure && is_pure(src) {
+                if is_zero_source(src) && before_pure && effects_of(src).is_pure() {
                     return Some((Rule::ZeroGen, Expr::Zero(monoid.clone())));
                 }
                 // N8: v ← e₁ ⊕ e₂ ⇒ split. Three side conditions:
@@ -570,7 +560,7 @@ fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<
                         head: Box::new(head.clone()),
                         quals: quals.to_vec(),
                     };
-                    if is_pure(&whole) {
+                    if effects_of(&whole).is_pure() {
                         let mk = |source: &Expr| {
                             let mut qs = quals.to_vec();
                             if let Qual::Gen(v, _) = &quals[i] {
@@ -615,7 +605,7 @@ fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<
                     head: Box::new(head.clone()),
                     quals: quals.to_vec(),
                 };
-                if is_pure(&whole) {
+                if effects_of(&whole).is_pure() {
                     let mk = |cond: Expr, branch: &Expr| {
                         let mut qs: Vec<Qual> = quals[..i].to_vec();
                         qs.push(Qual::Pred(cond));

@@ -134,9 +134,8 @@ pub struct QueryRecord {
     /// recording layer had none at hand), rendered once per statement.
     pub effects: Arc<str>,
     /// Which execution engine ran the reduction: one of [`ENGINES`] —
-    /// `"fused"` for the batch-fold engine, `"plan-walk"` for the
-    /// plan-tree interpreter, `"eval"` for direct evaluation outside the
-    /// algebra.
+    /// `"fused"` for the batch-fold engine that serves every planned
+    /// statement, `"eval"` for direct evaluation outside the algebra.
     pub engine: Option<&'static str>,
     /// The `mutation_epoch` of the snapshot this statement read from,
     /// when it ran on the snapshot-isolated read path (`None` for writer
@@ -292,7 +291,7 @@ fn no_effects() -> Arc<str> {
 }
 
 /// Every [`QueryRecord::engine`] label.
-pub const ENGINES: [&str; 3] = ["fused", "plan-walk", "eval"];
+pub const ENGINES: [&str; 2] = ["fused", "eval"];
 
 /// Hash of the full source text (stable within a process, like the plan
 /// cache's schema fingerprint).

@@ -839,71 +839,6 @@ pub fn merge(monoid: &Monoid, a: &Value, b: &Value) -> EvalResult<Value> {
     }
 }
 
-/// The buffer of a monoid whose [`Accumulator::finish`] sorts (bag, set,
-/// sorted, sortedbag). While every head has been a float, the heads stay
-/// unboxed in a typed lane; the first head of any other kind, or a whole
-/// merged value, spills the lane into boxed values in push order.
-///
-/// Inside the lane, equal under [`Value::cmp`] means bit-identical
-/// (`f64::total_cmp` tells `-0.0` from `0.0` and NaN payloads apart), so
-/// an unstable sort of the lane picks the same run and set
-/// representatives a stable sort of the boxed heads would. The one case
-/// where the representative shows, `1` meeting `1.0`, mixes kinds and so
-/// always takes the spilled path.
-#[derive(Debug)]
-enum SortBuffer {
-    Float(Vec<f64>),
-    Values(Vec<Value>),
-}
-
-impl SortBuffer {
-    fn push(&mut self, head: Value) {
-        match (&mut *self, head) {
-            (SortBuffer::Float(xs), Value::Float(x)) => xs.push(x),
-            // A float first head opens the lane.
-            (SortBuffer::Values(items), Value::Float(x)) if items.is_empty() => {
-                *self = SortBuffer::Float(vec![x]);
-            }
-            (SortBuffer::Values(items), head) => items.push(head),
-            (_, head) => self.spill([head]),
-        }
-    }
-
-    /// Box the buffered heads in push order and append `more`; from here
-    /// on every head is boxed.
-    fn spill(&mut self, more: impl IntoIterator<Item = Value>) {
-        let mut items = match std::mem::replace(self, SortBuffer::Values(Vec::new())) {
-            SortBuffer::Float(xs) => xs.into_iter().map(Value::Float).collect(),
-            SortBuffer::Values(items) => items,
-        };
-        items.extend(more);
-        *self = SortBuffer::Values(items);
-    }
-
-    fn finish(self, monoid: &Monoid) -> Value {
-        match self {
-            SortBuffer::Float(mut xs) => {
-                xs.sort_unstable_by(f64::total_cmp);
-                let runs = xs.chunk_by(|a, b| a.to_bits() == b.to_bits());
-                canonical_runs(monoid, runs.map(|g| (Value::Float(g[0]), g.len() as u64)))
-            }
-            SortBuffer::Values(mut items) => match monoid {
-                Monoid::Bag => Value::bag_from(items),
-                Monoid::Set => Value::set_from(items),
-                Monoid::Sorted => {
-                    items.sort();
-                    items.dedup();
-                    Value::list(items)
-                }
-                _ => {
-                    items.sort();
-                    Value::list(items)
-                }
-            },
-        }
-    }
-}
-
 /// A sorting monoid's canonical form from sorted, distinct `(value,
 /// count)` runs: the runs for a bag, each value once for set and sorted,
 /// each value `count` times for sortedbag. Equal under [`Value::cmp`] must
@@ -933,7 +868,7 @@ enum Fold {
     /// list: buffer in push order.
     List(Vec<Value>),
     /// bag/set/sorted/sortedbag: buffer, sort once at the end.
-    Sorting { monoid: Monoid, buffer: SortBuffer },
+    Sorting { monoid: Monoid, items: Vec<Value> },
     /// oset: ordered insert-if-absent (the `∪̇` fold), with a search index.
     OSet { items: Vec<Value>, seen: std::collections::BTreeSet<Value> },
     Str(String),
@@ -945,7 +880,7 @@ impl Accumulator {
         Ok(Accumulator(match monoid {
             Monoid::List => Fold::List(Vec::new()),
             Monoid::Bag | Monoid::Set | Monoid::Sorted | Monoid::SortedBag => {
-                Fold::Sorting { monoid: monoid.clone(), buffer: SortBuffer::Values(Vec::new()) }
+                Fold::Sorting { monoid: monoid.clone(), items: Vec::new() }
             }
             Monoid::OSet => {
                 Fold::OSet { items: Vec::new(), seen: std::collections::BTreeSet::new() }
@@ -964,8 +899,7 @@ impl Accumulator {
     /// Fold in `unit(head)`.
     pub fn push_unit(&mut self, head: Value) -> EvalResult<()> {
         match &mut self.0 {
-            Fold::List(items) => items.push(head),
-            Fold::Sorting { buffer, .. } => buffer.push(head),
+            Fold::List(items) | Fold::Sorting { items, .. } => items.push(head),
             Fold::OSet { items, seen } => {
                 if seen.insert(head.clone()) {
                     items.push(head);
@@ -1030,8 +964,7 @@ impl Accumulator {
     /// Fold in a whole monoid value (the homomorphism fold).
     pub fn merge_value(&mut self, v: Value) -> EvalResult<()> {
         match &mut self.0 {
-            Fold::List(items) => items.extend(v.elements()?),
-            Fold::Sorting { buffer, .. } => buffer.spill(v.elements()?),
+            Fold::List(items) | Fold::Sorting { items, .. } => items.extend(v.elements()?),
             Fold::OSet { items, seen } => {
                 for e in v.elements()? {
                     if seen.insert(e.clone()) {
@@ -1068,7 +1001,15 @@ impl Accumulator {
     pub fn finish(self) -> EvalResult<Value> {
         Ok(match self.0 {
             Fold::List(items) | Fold::OSet { items, .. } => Value::list(items),
-            Fold::Sorting { monoid, buffer } => buffer.finish(&monoid),
+            Fold::Sorting { monoid: Monoid::Bag, items } => Value::bag_from(items),
+            Fold::Sorting { monoid: Monoid::Set, items } => Value::set_from(items),
+            Fold::Sorting { monoid, mut items } => {
+                items.sort();
+                if monoid == Monoid::Sorted {
+                    items.dedup();
+                }
+                Value::list(items)
+            }
             Fold::Str(s) => Value::str(&s),
             Fold::Prim { acc, .. } => acc,
         })
@@ -1183,9 +1124,9 @@ mod tests {
         assert_eq!(&all[..], &before[..]);
     }
 
-    /// The sorting monoids' float lane ends where the boxed sort ends: it
-    /// keeps `-0.0` and `0.0` apart, and where `1` meets `1.0` the head
-    /// folded in first is the one kept, lane or not.
+    /// The sorting monoids finish by `Value::cmp`'s sort: `-0.0` and `0.0`
+    /// stay apart, NaN sorts last, and where `1` meets `1.0` the head
+    /// folded in first is the one kept.
     #[test]
     fn accumulator_lanes_match_the_boxed_sort() {
         let fold = |m: Monoid, heads: &[Value], merged: Option<Value>| {
@@ -1212,15 +1153,15 @@ mod tests {
             fold(Monoid::SortedBag, &threes, None),
             "List([Float(1.0), Float(3.0), Float(3.0)])"
         );
-        // Ints are boxed from the start; the int came first and stays.
+        // The int came first and stays.
         let mixed = [Value::Int(1), Value::Int(3), Value::Float(1.0)];
         assert_eq!(fold(Monoid::Set, &mixed, None), "Set([Int(1), Int(3)])");
-        // The lane spills at the int; the float came first and stays.
+        // The float came first and stays.
         assert_eq!(
             fold(Monoid::Set, &[Value::Float(1.0), Value::Int(1)], None),
             "Set([Float(1.0)])"
         );
-        // A merged value spills the lane too.
+        // A merged value's elements count with the pushed heads.
         let merged = Value::list(ints(&[3]));
         assert_eq!(fold(Monoid::Bag, &threes[..1], Some(merged)), "Bag([(Float(3.0), 2)])");
     }

@@ -3,7 +3,8 @@
 //! with it the option count: the `MONOID_*` variables the library reads,
 //! the variants of `Plan`, the one shape of a join, the one place that
 //! decides which engine runs, the one owner of a statement's lifecycle
-//! (one way to prepare, one builder of its flight-recorder record), and
+//! (one way to prepare, one builder of its flight-recorder record), one
+//! implementation each of float order, join-key equality and purity, and
 //! nothing ambient under it.
 //!
 //! A plan is a pure read: every executor in `monoid_algebra`, and the
@@ -261,6 +262,67 @@ fn the_analysis_layer_does_not_model_the_fused_engine() {
     use monoid_db::calculus::analysis::{Code, Severity};
     let mc009 = Code::all().iter().find(|c| c.as_str() == "MC009").expect("MC009 is listed");
     assert_eq!(mc009.default_severity(), Severity::Info);
+}
+
+/// Where non-test code may order or compare floats on its own, as
+/// `(file, why)`: everywhere else `Value::cmp` (`impl Ord for Value`)
+/// decides, so NaN, `±0` and `1 = 1.0` are judged in one place. A new
+/// typed copy needs an entry here, naming the workload it serves.
+const FLOAT_ORDER_COPIES: &[(&str, &str)] = &[
+    ("crates/algebra/src/fused/lane.rs", "a lane's dictionary key (bulk-rows)"),
+    ("crates/algebra/src/trace.rs", "q-error sort"),
+    ("crates/bench/src/audit.rs", "q-error sort"),
+    ("src/wire.rs", "the RUNS float column (bulk-rows)"),
+];
+
+/// Each judgement has one implementation: a fused table's key index is
+/// the walk's `Value`-ordered map plus string buckets (no int or OID
+/// buckets, whose probes re-derived `1 = 1.0`), purity is
+/// `Effects::is_pure` alone, and floats are ordered by `Value::cmp` except
+/// in [`FLOAT_ORDER_COPIES`].
+#[test]
+fn value_cmp_and_effects_of_decide_alone() {
+    let table = code_of(&root().join("crates/algebra/src/fused/table.rs"));
+    let body = table
+        .split("enum KeyIndex {")
+        .nth(1)
+        .and_then(|rest| rest.split("\n}").next())
+        .expect("`enum KeyIndex` in fused/table.rs");
+    let variants: Vec<&str> = body
+        .lines()
+        .filter_map(|l| l.strip_prefix("    "))
+        .filter(|l| l.starts_with(char::is_uppercase))
+        .map(|l| l.split([' ', '(', ',']).next().unwrap_or(l))
+        .collect();
+    assert_eq!(variants, ["All", "Str", "Ordered"]);
+
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("crates"), &mut files);
+    files.sort();
+    let (mut purity, mut float_order) = (BTreeSet::new(), BTreeSet::new());
+    for file in &files {
+        let code = code_of(file);
+        if signatures(&code).iter().any(|s| s.path.rsplit("::").next() == Some("is_pure")) {
+            purity.insert(relative(file));
+        }
+        let mut owner = "";
+        for line in code.lines() {
+            if line.starts_with("impl") {
+                owner = line;
+            } else if line == "}" {
+                owner = "";
+            }
+            let orders = line.contains("total_cmp") || line.contains("to_bits");
+            if orders && owner != "impl Ord for Value {" {
+                float_order.insert(relative(file));
+            }
+        }
+    }
+    let effects = set_of(&["crates/core/src/analysis/effects.rs"]);
+    assert_eq!(purity, effects, "`fn is_pure` definitions");
+    let copies: Vec<&str> = FLOAT_ORDER_COPIES.iter().map(|(file, _)| *file).collect();
+    assert_eq!(float_order, set_of(&copies), "float order outside `Value::cmp`");
 }
 
 #[test]

@@ -228,12 +228,11 @@ fn runtime_errors_propagate_through_pipelines() {
 /// reports first is the one the fused fold reports.
 #[test]
 fn join_errors_are_the_plan_walks_first_error_on_both_engines() {
-    use monoid_db::algebra::{self, Engine, Plan};
+    use monoid_db::algebra::{self, Plan};
     use monoid_db::calculus::value::Value;
     let mut db = travel::generate(TravelScale::tiny(), 1);
     db.set_root("NoCities", Value::list(Vec::new()));
     let both = |plan: &algebra::Query, db: &monoid_db::store::Database| {
-        assert_eq!(algebra::engine_of(plan), Engine::Fused);
         let walk = algebra::execute_plan_walk_bound(plan, db, &[]);
         assert_eq!(walk, algebra::execute(plan, db), "fused ≠ plan walk");
         walk.unwrap_err()

@@ -543,9 +543,9 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The sorting monoids' float lane: an accumulator that keeps float heads
-// unboxed until `finish` must end exactly where sorting the boxed heads
-// does — same runs, same representatives, same bits.
+// The sorting monoids: an accumulator that buffers heads until `finish`
+// must end exactly where sorting the heads does — same runs, same
+// representatives, same bits.
 // ---------------------------------------------------------------------------
 
 /// One accumulator input: `push_unit` of a head, or `merge_value` of a
@@ -580,7 +580,7 @@ fn lane_heads(kind: u8) -> BoxedStrategy<Vec<Value>> {
     prop::collection::vec(head, 0..24).boxed()
 }
 
-/// Segments of one kind each, so lanes live long enough to sort and the
+/// Segments of one kind each, so runs of one kind sort together and the
 /// kind switches mid-stream; now and then a whole list is merged instead.
 fn lane_feeds() -> impl Strategy<Value = Vec<Feed>> {
     let segment = (0u8..4, 0u8..5).prop_flat_map(|(kind, merge)| {
@@ -879,7 +879,7 @@ enum JoinHead {
 /// `l.g`, which no lane takes — keeps.
 #[test]
 fn random_joins_agree_across_fused_walk_and_evaluator() {
-    use monoid_db::algebra::{self, Engine};
+    use monoid_db::algebra;
     use monoid_db::calculus::types::Schema;
     use monoid_db::store::Database;
     let strategy = (
@@ -931,7 +931,6 @@ fn random_joins_agree_across_fused_walk_and_evaluator() {
             let comp = Expr::comp(monoid.clone(), head.clone(), quals(&l));
 
             let plan = algebra::plan_comprehension(&comp).unwrap();
-            prop_assert_eq!(algebra::engine_of(&plan), Engine::Fused);
             let walk = algebra::execute_plan_walk_bound(&plan, &db, &[]).unwrap();
             let fused = db.clone();
             let shown = pretty(&comp);

@@ -70,11 +70,10 @@ fn section_8_identity() {
 }
 
 /// Every OQL statement the tutorial shows (`:calculus`, `:normalize`,
-/// `:explain`) that the planner accepts runs as one fused fold — the
-/// `order by` list over a nested sorted bag included.
+/// `:explain`) plans, and so runs as one fused fold (every planned query
+/// has one) — the `order by` list over a nested sorted bag included.
 #[test]
 fn every_tutorial_statement_that_plans_runs_fused() {
-    use monoid_db::algebra::{engine_of, Engine};
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/docs/TUTORIAL.md");
     let text = std::fs::read_to_string(path).unwrap();
     let schema = monoid_db::store::travel::schema();
@@ -95,8 +94,7 @@ fn every_tutorial_statement_that_plans_runs_fused() {
         }
         let src = src.trim_end_matches(';');
         let stmt = monoid_db::prepare(&schema, src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
-        if let Some(q) = stmt.query() {
-            assert_eq!(engine_of(q), Engine::Fused, "`{src}`");
+        if stmt.query().is_some() {
             planned += 1;
         }
     }
