@@ -246,56 +246,15 @@ fn shadow_check(v: Symbol, scope: &[Symbol], spans: &SpanMap, diags: &mut Vec<Di
 
 fn walk(e: &Expr, scope: &mut Vec<Symbol>, spans: &SpanMap, diags: &mut Vec<Diagnostic>) {
     match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => {}
-        Expr::Record(fields) => {
-            for (_, fe) in fields {
-                walk(fe, scope, spans, diags);
-            }
-        }
-        Expr::Tuple(items) | Expr::CollLit(_, items) | Expr::VecLit(items) => {
-            for i in items {
-                walk(i, scope, spans, diags);
-            }
-        }
-        Expr::Proj(inner, _)
-        | Expr::TupleProj(inner, _)
-        | Expr::UnOp(_, inner)
-        | Expr::Unit(_, inner)
-        | Expr::New(inner)
-        | Expr::Deref(inner) => walk(inner, scope, spans, diags),
-        Expr::BinOp(_, a, b)
-        | Expr::Apply(a, b)
-        | Expr::Merge(_, a, b)
-        | Expr::VecIndex(a, b)
-        | Expr::Assign(a, b) => {
-            walk(a, scope, spans, diags);
-            walk(b, scope, spans, diags);
-        }
-        Expr::If(c, t, f) => {
-            walk(c, scope, spans, diags);
-            walk(t, scope, spans, diags);
-            walk(f, scope, spans, diags);
-        }
-        Expr::Lambda(param, body) => {
-            shadow_check(*param, scope, spans, diags);
-            scope.push(*param);
-            walk(body, scope, spans, diags);
-            scope.pop();
-        }
+        Expr::Lambda(param, body) => walk_under(*param, body, scope, spans, diags),
         Expr::Let(v, def, body) => {
             walk(def, scope, spans, diags);
-            shadow_check(*v, scope, spans, diags);
-            scope.push(*v);
-            walk(body, scope, spans, diags);
-            scope.pop();
+            walk_under(*v, body, scope, spans, diags);
         }
         Expr::Hom { monoid, var, body, source } => {
             walk(source, scope, spans, diags);
             hom_legality(monoid, source, spans, diags);
-            shadow_check(*var, scope, spans, diags);
-            scope.push(*var);
-            walk(body, scope, spans, diags);
-            scope.pop();
+            walk_under(*var, body, scope, spans, diags);
         }
         Expr::Comp { monoid, head, quals } => lint_comp(monoid, head, quals, scope, spans, diags),
         Expr::VecComp { size, value, index, quals, .. } => {
@@ -304,7 +263,22 @@ fn walk(e: &Expr, scope: &mut Vec<Symbol>, spans: &SpanMap, diags: &mut Vec<Diag
             // single output monoid to test generator legality against.
             lint_quals_and_heads(quals, &[value, index], scope, spans, diags, None);
         }
+        _ => e.for_each_child(|child| walk(child, scope, spans, diags)),
     }
+}
+
+/// Walk `body` with `v` in scope, checking first that `v` shadows nothing.
+fn walk_under(
+    v: Symbol,
+    body: &Expr,
+    scope: &mut Vec<Symbol>,
+    spans: &SpanMap,
+    diags: &mut Vec<Diagnostic>,
+) {
+    shadow_check(v, scope, spans, diags);
+    scope.push(v);
+    walk(body, scope, spans, diags);
+    scope.pop();
 }
 
 /// All the per-comprehension lints: MC001–MC004 and MC006–MC008.

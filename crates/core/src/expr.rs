@@ -26,6 +26,16 @@
 //! M{ e | p, q̄ }     =  if p then M{ e | q̄ } else zero_M
 //! M{ e | v ≡ u, q̄ } =  M{ e | q̄ }[u/v]
 //! ```
+//!
+//! A term's shape — which direct sub-expressions each node has, and in
+//! what order — is spelled once, here: `Expr::for_each_child` and
+//! `Expr::map_children` take the children in scope order (a
+//! comprehension's qualifiers before its head, a `let`'s definition
+//! before its body), and `Qual::expr` / `Qual::map_expr` reach a
+//! qualifier's expression. Substitution, normalization and the linter
+//! spell out only the nodes that bind variables and hand every other node
+//! to these, so a new non-binding form is added here and in the modules
+//! that give it a meaning (evaluation, typing, printing, parsing).
 
 use crate::monoid::Monoid;
 use crate::symbol::Symbol;
@@ -396,55 +406,160 @@ impl Expr {
         n
     }
 
-    /// Visit every sub-expression (including `self`), pre-order.
+    /// Visit every sub-expression (including `self`), pre-order. A
+    /// comprehension's head comes before its qualifiers (a vector
+    /// comprehension's size, value and index before its qualifiers):
+    /// `Prepared::params` lists parameters in this order.
     pub fn visit(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
-            Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => {}
-            Expr::Record(fields) => fields.iter().for_each(|(_, e)| e.visit(f)),
-            Expr::Tuple(items) | Expr::CollLit(_, items) | Expr::VecLit(items) => {
-                items.iter().for_each(|e| e.visit(f));
-            }
-            Expr::Proj(e, _) | Expr::TupleProj(e, _) | Expr::UnOp(_, e) | Expr::Lambda(_, e)
-            | Expr::Unit(_, e) | Expr::New(e) | Expr::Deref(e) => e.visit(f),
-            Expr::BinOp(_, a, b)
-            | Expr::Apply(a, b)
-            | Expr::Merge(_, a, b)
-            | Expr::VecIndex(a, b)
-            | Expr::Assign(a, b)
-            | Expr::Let(_, a, b) => {
-                a.visit(f);
-                b.visit(f);
-            }
-            Expr::If(c, t, e) => {
-                c.visit(f);
-                t.visit(f);
-                e.visit(f);
-            }
-            Expr::Hom { body, source, .. } => {
-                body.visit(f);
-                source.visit(f);
-            }
             Expr::Comp { head, quals, .. } => {
                 head.visit(f);
-                for q in quals {
-                    match q {
-                        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e.visit(f),
-                        Qual::VecGen { source, .. } => source.visit(f),
-                    }
-                }
+                quals.iter().for_each(|q| q.expr().visit(f));
             }
             Expr::VecComp { size, value, index, quals, .. } => {
                 size.visit(f);
                 value.visit(f);
                 index.visit(f);
-                for q in quals {
-                    match q {
-                        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e.visit(f),
-                        Qual::VecGen { source, .. } => source.visit(f),
-                    }
-                }
+                quals.iter().for_each(|q| q.expr().visit(f));
             }
+            _ => self.for_each_child(|child| child.visit(f)),
+        }
+    }
+
+    /// Call `f` on each direct sub-expression, in scope order: a
+    /// comprehension's qualifier expressions before its head; a vector
+    /// comprehension's size, then its qualifiers, then its value and
+    /// index; a `let`'s definition before its body; a `hom`'s body before
+    /// its source; every other node's children left to right.
+    pub(crate) fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
+        match self {
+            Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => {}
+            Expr::Record(fields) => fields.iter().for_each(|(_, e)| f(e)),
+            Expr::Tuple(items) | Expr::CollLit(_, items) | Expr::VecLit(items) => {
+                items.iter().for_each(f);
+            }
+            Expr::Proj(e, _)
+            | Expr::TupleProj(e, _)
+            | Expr::UnOp(_, e)
+            | Expr::Lambda(_, e)
+            | Expr::Unit(_, e)
+            | Expr::New(e)
+            | Expr::Deref(e) => f(e),
+            Expr::BinOp(_, a, b)
+            | Expr::Apply(a, b)
+            | Expr::Merge(_, a, b)
+            | Expr::VecIndex(a, b)
+            | Expr::Assign(a, b)
+            | Expr::Let(_, a, b)
+            | Expr::Hom { body: a, source: b, .. } => {
+                f(a);
+                f(b);
+            }
+            Expr::If(c, t, e) => {
+                f(c);
+                f(t);
+                f(e);
+            }
+            Expr::Comp { head, quals, .. } => {
+                quals.iter().for_each(|q| f(q.expr()));
+                f(head);
+            }
+            Expr::VecComp { size, value, index, quals, .. } => {
+                f(size);
+                quals.iter().for_each(|q| f(q.expr()));
+                f(value);
+                f(index);
+            }
+        }
+    }
+
+    /// This node with each direct sub-expression replaced by `f` of it,
+    /// called in [`for_each_child`](Expr::for_each_child)'s order; binders,
+    /// monoids and labels are kept.
+    pub(crate) fn map_children(&self, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+        let mut g = |e: &Expr| Box::new(f(e));
+        match self {
+            Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => self.clone(),
+            Expr::Record(fields) => Expr::Record(fields.iter().map(|(n, e)| (*n, f(e))).collect()),
+            Expr::Tuple(items) => Expr::Tuple(items.iter().map(f).collect()),
+            Expr::CollLit(m, items) => Expr::CollLit(m.clone(), items.iter().map(f).collect()),
+            Expr::VecLit(items) => Expr::VecLit(items.iter().map(f).collect()),
+            Expr::Proj(e, field) => Expr::Proj(g(e), *field),
+            Expr::TupleProj(e, i) => Expr::TupleProj(g(e), *i),
+            Expr::UnOp(op, e) => Expr::UnOp(*op, g(e)),
+            Expr::Lambda(v, e) => Expr::Lambda(*v, g(e)),
+            Expr::Unit(m, e) => Expr::Unit(m.clone(), g(e)),
+            Expr::New(e) => Expr::New(g(e)),
+            Expr::Deref(e) => Expr::Deref(g(e)),
+            Expr::BinOp(op, a, b) => Expr::BinOp(*op, g(a), g(b)),
+            Expr::Apply(a, b) => Expr::Apply(g(a), g(b)),
+            Expr::Merge(m, a, b) => Expr::Merge(m.clone(), g(a), g(b)),
+            Expr::VecIndex(a, b) => Expr::VecIndex(g(a), g(b)),
+            Expr::Assign(a, b) => Expr::Assign(g(a), g(b)),
+            Expr::Let(v, a, b) => Expr::Let(*v, g(a), g(b)),
+            Expr::If(c, t, e) => Expr::If(g(c), g(t), g(e)),
+            Expr::Hom { monoid, var, body, source } => {
+                let body = g(body);
+                Expr::Hom { monoid: monoid.clone(), var: *var, body, source: g(source) }
+            }
+            Expr::Comp { monoid, head, quals } => {
+                let quals = quals.iter().map(|q| q.map_expr(&mut f)).collect();
+                Expr::Comp { monoid: monoid.clone(), head: Box::new(f(head)), quals }
+            }
+            Expr::VecComp { elem_monoid, size, value, index, quals } => {
+                let size = Box::new(f(size));
+                let quals = quals.iter().map(|q| q.map_expr(&mut f)).collect();
+                let value = Box::new(f(value));
+                let index = Box::new(f(index));
+                Expr::VecComp { elem_monoid: elem_monoid.clone(), size, value, index, quals }
+            }
+        }
+    }
+}
+
+impl Qual {
+    /// The qualifier's expression: a generator's or binding's source, or a
+    /// filter's predicate.
+    pub(crate) fn expr(&self) -> &Expr {
+        match self {
+            Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e,
+            Qual::VecGen { source, .. } => source,
+        }
+    }
+
+    /// The qualifier with its expression replaced by `f` of it and its
+    /// binders kept.
+    pub(crate) fn map_expr(&self, f: impl FnOnce(&Expr) -> Expr) -> Qual {
+        match self {
+            Qual::Gen(v, e) => Qual::Gen(*v, f(e)),
+            Qual::Bind(v, e) => Qual::Bind(*v, f(e)),
+            Qual::Pred(e) => Qual::Pred(f(e)),
+            Qual::VecGen { elem, index, source } => {
+                Qual::VecGen { elem: *elem, index: *index, source: f(source) }
+            }
+        }
+    }
+
+    /// Does the qualifier bind `v` (scoping it over the rest and the head)?
+    pub(crate) fn binds(&self, v: Symbol) -> bool {
+        match self {
+            Qual::Gen(b, _) | Qual::Bind(b, _) => *b == v,
+            Qual::VecGen { elem, index, .. } => *elem == v || *index == v,
+            Qual::Pred(_) => false,
+        }
+    }
+
+    /// Call `f` on each variable the qualifier binds, a vector generator's
+    /// element before its index.
+    pub(crate) fn binders_mut(&mut self, mut f: impl FnMut(&mut Symbol)) {
+        match self {
+            Qual::Gen(v, _) | Qual::Bind(v, _) => f(v),
+            Qual::VecGen { elem, index, .. } => {
+                f(elem);
+                f(index);
+            }
+            Qual::Pred(_) => {}
         }
     }
 }

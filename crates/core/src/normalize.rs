@@ -216,10 +216,7 @@ fn freely_generated(m: &Monoid) -> bool {
 }
 
 fn quals_pure(quals: &[Qual]) -> bool {
-    quals.iter().all(|q| match q {
-        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => effects_of(e).is_pure(),
-        Qual::VecGen { source, .. } => effects_of(source).is_pure(),
-    })
+    quals.iter().all(|q| effects_of(q.expr()).is_pure())
 }
 
 /// Normalize to canonical form. Returns the normalized expression.
@@ -321,10 +318,10 @@ fn rewrite_once(e: &Expr) -> Option<(Rule, Expr)> {
 
 fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
     match e {
-        // N1: (λv. e) u ⇒ e[u/v] — gated on purity or single use of u.
+        // N1: (λv. e) u ⇒ e[u/v] — gated on purity of u.
         Expr::Apply(f, arg) => {
             if let Expr::Lambda(param, body) = f.as_ref() {
-                if inlinable(arg, param, body) {
+                if effects_of(arg).is_pure() {
                     return Some((Rule::Beta, subst(body, *param, arg)));
                 }
             }
@@ -358,9 +355,9 @@ fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
             }
             None
         }
-        // N12: let v = u in e ⇒ e[u/v]
+        // N12: let v = u in e ⇒ e[u/v] — gated on purity of u.
         Expr::Let(v, def, body) => {
-            if inlinable(def, v, body) {
+            if effects_of(def).is_pure() {
                 return Some((Rule::LetInline, subst(body, *v, def)));
             }
             None
@@ -409,16 +406,6 @@ fn try_rules_at_root(e: &Expr) -> Option<(Rule, Expr)> {
         }
         _ => None,
     }
-}
-
-/// Should `def` be inlined for `var` in `body`? Pure definitions are always
-/// inlined (the paper's convention); impure ones only when that preserves
-/// evaluation exactly — which a single syntactic occurrence in head
-/// position cannot guarantee in general, so we keep them.
-fn inlinable(def: &Expr, var: &Symbol, body: &Expr) -> bool {
-    let _ = body;
-    let _ = var;
-    effects_of(def).is_pure()
 }
 
 fn try_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<(Rule, Expr)> {
@@ -674,42 +661,20 @@ fn rename_for_splice(
     // Free variables of the outer tail + head, which must not be captured.
     let mut protect: HashSet<Symbol> = free_vars(outer_head);
     for q in outer_tail {
-        match q {
-            Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => {
-                protect.extend(free_vars(e));
-            }
-            Qual::VecGen { source, .. } => protect.extend(free_vars(source)),
-        }
+        protect.extend(free_vars(q.expr()));
     }
     let mut quals = inner_quals.to_vec();
     let mut head = inner_head.clone();
-    let mut i = 0;
-    while i < quals.len() {
-        let binders: Vec<Symbol> = match &quals[i] {
-            Qual::Gen(v, _) | Qual::Bind(v, _) => vec![*v],
-            Qual::VecGen { elem, index, .. } => vec![*elem, *index],
-            Qual::Pred(_) => vec![],
-        };
-        for b in binders {
-            if protect.contains(&b) {
+    for i in 0..quals.len() {
+        let (done, tail) = quals.split_at_mut(i + 1);
+        done[i].binders_mut(|b| {
+            if protect.contains(b) {
+                // Rename the binder and its occurrences in the tail and head.
                 let fresh = Symbol::fresh(b.as_str());
-                // Rename the binder itself…
-                match &mut quals[i] {
-                    Qual::Gen(v, _) | Qual::Bind(v, _) if *v == b => *v = fresh,
-                    Qual::VecGen { elem, index, .. } => {
-                        if *elem == b {
-                            *elem = fresh;
-                        } else if *index == b {
-                            *index = fresh;
-                        }
-                    }
-                    _ => {}
-                }
-                // …and its occurrences in the tail and head.
-                rename_tail(&mut quals[i + 1..], &mut head, None, b, fresh);
+                rename_tail(tail, &mut head, None, *b, fresh);
+                *b = fresh;
             }
-        }
-        i += 1;
+        });
     }
     (quals, head)
 }
@@ -737,10 +702,18 @@ fn subst_through_tail(
 
 // ---------------------------------------------------------------------------
 // Child traversal.
+//
+// One step rewrites the first redex found by: the root rules, then a
+// comprehension's whole-replacement rules, then the same search in each
+// child in scope order (`Expr::for_each_child`: qualifiers before the
+// head, a `let`'s definition before its body, a `hom`'s body before its
+// source). No variant is named here beyond `Comp`: the term's shape is
+// `expr.rs`'s.
 // ---------------------------------------------------------------------------
 
-/// Try to rewrite inside the first child that admits a rewrite, rebuilding
-/// this node around it.
+/// Try to rewrite inside the first child, in scope order, that admits a
+/// rewrite, rebuilding this node around it with `Expr::map_children`;
+/// nothing is cloned on a miss.
 fn rewrite_in_children(e: &Expr) -> Option<(Rule, Expr)> {
     // `Comp` whole-replacement rules (N3/N8/N11/N14) are tried here so root
     // qualifier rules get priority — they keep derivations shorter.
@@ -749,222 +722,24 @@ fn rewrite_in_children(e: &Expr) -> Option<(Rule, Expr)> {
             return Some(hit);
         }
     }
-
-    macro_rules! one {
-        ($inner:expr, $rebuild:expr) => {
-            if let Some((r, new)) = rewrite_once($inner) {
-                #[allow(clippy::redundant_closure_call)]
-                return Some((r, ($rebuild)(new)));
-            }
-        };
-    }
-
-    match e {
-        Expr::Lit(_) | Expr::Var(_) | Expr::Param(_) | Expr::Zero(_) => None,
-        Expr::Record(fields) => {
-            for (i, (_, fe)) in fields.iter().enumerate() {
-                if let Some((r, new)) = rewrite_once(fe) {
-                    let mut fs = fields.clone();
-                    fs[i].1 = new;
-                    return Some((r, Expr::Record(fs)));
-                }
-            }
-            None
+    let (mut at, mut hit) = (0, None);
+    e.for_each_child(|child| {
+        if hit.is_none() {
+            hit = rewrite_once(child);
+            at += 1;
         }
-        Expr::Tuple(items) => rewrite_vec(items, Expr::Tuple),
-        Expr::CollLit(m, items) => {
-            let m = m.clone();
-            rewrite_vec(items, move |v| Expr::CollLit(m.clone(), v))
+    });
+    let (rule, new) = hit?;
+    let (mut new, mut seen) = (Some(new), 0);
+    let rebuilt = e.map_children(|child| {
+        seen += 1;
+        if seen == at {
+            new.take().expect("one child rewrites")
+        } else {
+            child.clone()
         }
-        Expr::VecLit(items) => rewrite_vec(items, Expr::VecLit),
-        Expr::Proj(inner, f) => {
-            let f = *f;
-            one!(inner, |n| Expr::Proj(Box::new(n), f));
-            None
-        }
-        Expr::TupleProj(inner, i) => {
-            let i = *i;
-            one!(inner, |n| Expr::TupleProj(Box::new(n), i));
-            None
-        }
-        Expr::UnOp(op, inner) => {
-            let op = *op;
-            one!(inner, |n| Expr::UnOp(op, Box::new(n)));
-            None
-        }
-        Expr::Unit(m, inner) => {
-            let m = m.clone();
-            one!(inner, move |n| Expr::Unit(m.clone(), Box::new(n)));
-            None
-        }
-        Expr::New(inner) => {
-            one!(inner, |n| Expr::New(Box::new(n)));
-            None
-        }
-        Expr::Deref(inner) => {
-            one!(inner, |n| Expr::Deref(Box::new(n)));
-            None
-        }
-        Expr::Lambda(p, body) => {
-            let p = *p;
-            one!(body, |n| Expr::Lambda(p, Box::new(n)));
-            None
-        }
-        Expr::BinOp(op, a, b) => {
-            let op = *op;
-            one!(a, |n| Expr::BinOp(op, Box::new(n), b.clone()));
-            one!(b, |n| Expr::BinOp(op, a.clone(), Box::new(n)));
-            None
-        }
-        Expr::Apply(a, b) => {
-            one!(a, |n| Expr::Apply(Box::new(n), b.clone()));
-            one!(b, |n| Expr::Apply(a.clone(), Box::new(n)));
-            None
-        }
-        Expr::Merge(m, a, b) => {
-            let m1 = m.clone();
-            one!(a, move |n| Expr::Merge(m1.clone(), Box::new(n), b.clone()));
-            let m2 = m.clone();
-            one!(b, move |n| Expr::Merge(m2.clone(), a.clone(), Box::new(n)));
-            None
-        }
-        Expr::VecIndex(a, b) => {
-            one!(a, |n| Expr::VecIndex(Box::new(n), b.clone()));
-            one!(b, |n| Expr::VecIndex(a.clone(), Box::new(n)));
-            None
-        }
-        Expr::Assign(a, b) => {
-            one!(a, |n| Expr::Assign(Box::new(n), b.clone()));
-            one!(b, |n| Expr::Assign(a.clone(), Box::new(n)));
-            None
-        }
-        Expr::Let(v, def, body) => {
-            let v = *v;
-            one!(def, |n| Expr::Let(v, Box::new(n), body.clone()));
-            one!(body, |n| Expr::Let(v, def.clone(), Box::new(n)));
-            None
-        }
-        Expr::If(c, t, f) => {
-            one!(c, |n| Expr::If(Box::new(n), t.clone(), f.clone()));
-            one!(t, |n| Expr::If(c.clone(), Box::new(n), f.clone()));
-            one!(f, |n| Expr::If(c.clone(), t.clone(), Box::new(n)));
-            None
-        }
-        Expr::Hom { monoid, var, body, source } => {
-            let (m, v) = (monoid.clone(), *var);
-            one!(body, move |n| Expr::Hom {
-                monoid: m.clone(),
-                var: v,
-                body: Box::new(n),
-                source: source.clone(),
-            });
-            let (m, v) = (monoid.clone(), *var);
-            one!(source, move |n| Expr::Hom {
-                monoid: m.clone(),
-                var: v,
-                body: body.clone(),
-                source: Box::new(n),
-            });
-            None
-        }
-        Expr::Comp { monoid, head, quals } => {
-            for (i, q) in quals.iter().enumerate() {
-                let inner = match q {
-                    Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e,
-                    Qual::VecGen { source, .. } => source,
-                };
-                if let Some((r, new)) = rewrite_once(inner) {
-                    let mut qs = quals.clone();
-                    match &mut qs[i] {
-                        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => *e = new,
-                        Qual::VecGen { source, .. } => *source = new,
-                    }
-                    return Some((
-                        r,
-                        Expr::Comp {
-                            monoid: monoid.clone(),
-                            head: head.clone(),
-                            quals: qs,
-                        },
-                    ));
-                }
-            }
-            let m = monoid.clone();
-            let qs = quals.clone();
-            one!(head, move |n| Expr::Comp {
-                monoid: m.clone(),
-                head: Box::new(n),
-                quals: qs.clone(),
-            });
-            None
-        }
-        Expr::VecComp { elem_monoid, size, value, index, quals } => {
-            let rebuild = |size: Expr, value: Expr, index: Expr, quals: Vec<Qual>| {
-                Expr::VecComp {
-                    elem_monoid: elem_monoid.clone(),
-                    size: Box::new(size),
-                    value: Box::new(value),
-                    index: Box::new(index),
-                    quals,
-                }
-            };
-            if let Some((r, n)) = rewrite_once(size) {
-                return Some((
-                    r,
-                    rebuild(n, value.as_ref().clone(), index.as_ref().clone(), quals.clone()),
-                ));
-            }
-            for (i, q) in quals.iter().enumerate() {
-                let inner = match q {
-                    Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => e,
-                    Qual::VecGen { source, .. } => source,
-                };
-                if let Some((r, new)) = rewrite_once(inner) {
-                    let mut qs = quals.clone();
-                    match &mut qs[i] {
-                        Qual::Gen(_, e) | Qual::Bind(_, e) | Qual::Pred(e) => *e = new,
-                        Qual::VecGen { source, .. } => *source = new,
-                    }
-                    return Some((
-                        r,
-                        rebuild(
-                            size.as_ref().clone(),
-                            value.as_ref().clone(),
-                            index.as_ref().clone(),
-                            qs,
-                        ),
-                    ));
-                }
-            }
-            if let Some((r, n)) = rewrite_once(value) {
-                return Some((
-                    r,
-                    rebuild(size.as_ref().clone(), n, index.as_ref().clone(), quals.clone()),
-                ));
-            }
-            if let Some((r, n)) = rewrite_once(index) {
-                return Some((
-                    r,
-                    rebuild(size.as_ref().clone(), value.as_ref().clone(), n, quals.clone()),
-                ));
-            }
-            None
-        }
-    }
-}
-
-fn rewrite_vec(
-    items: &[Expr],
-    rebuild: impl Fn(Vec<Expr>) -> Expr,
-) -> Option<(Rule, Expr)> {
-    for (i, item) in items.iter().enumerate() {
-        if let Some((r, new)) = rewrite_once(item) {
-            let mut v = items.to_vec();
-            v[i] = new;
-            return Some((r, rebuild(v)));
-        }
-    }
-    None
+    });
+    Some((rule, rebuilt))
 }
 
 #[cfg(test)]

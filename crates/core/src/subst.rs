@@ -10,6 +10,12 @@
 //! Rules 5 and 6 of Table 3 "may require some variable renaming to avoid
 //! name conflicts" — [`subst`] renames bound variables to fresh symbols
 //! whenever they would capture a free variable of the replacement.
+//!
+//! Only the binders are spelled out here (`λ`, `let`, `hom` and the two
+//! comprehensions, plus `Var` itself); every other node goes through the
+//! term's shape in `expr.rs` (`Expr::for_each_child` /
+//! `Expr::map_children`), which visits children left to right — the
+//! order in which α-renaming draws fresh names.
 
 use crate::expr::{Expr, Qual};
 use crate::symbol::Symbol;
@@ -29,56 +35,10 @@ fn collect_free(e: &Expr, bound: &mut HashSet<Symbol>, out: &mut HashSet<Symbol>
                 out.insert(*v);
             }
         }
-        Expr::Lit(_) | Expr::Param(_) | Expr::Zero(_) => {}
-        Expr::Record(fields) => {
-            for (_, fe) in fields {
-                collect_free(fe, bound, out);
-            }
-        }
-        Expr::Tuple(items) | Expr::CollLit(_, items) | Expr::VecLit(items) => {
-            for i in items {
-                collect_free(i, bound, out);
-            }
-        }
-        Expr::Proj(inner, _) | Expr::TupleProj(inner, _) | Expr::UnOp(_, inner)
-        | Expr::Unit(_, inner) | Expr::New(inner) | Expr::Deref(inner) => {
-            collect_free(inner, bound, out);
-        }
-        Expr::BinOp(_, a, b)
-        | Expr::Apply(a, b)
-        | Expr::Merge(_, a, b)
-        | Expr::VecIndex(a, b)
-        | Expr::Assign(a, b) => {
-            collect_free(a, bound, out);
-            collect_free(b, bound, out);
-        }
-        Expr::If(c, t, f) => {
-            collect_free(c, bound, out);
-            collect_free(t, bound, out);
-            collect_free(f, bound, out);
-        }
-        Expr::Lambda(param, body) => {
-            let fresh = bound.insert(*param);
-            collect_free(body, bound, out);
-            if fresh {
-                bound.remove(param);
-            }
-        }
-        Expr::Let(v, def, body) => {
+        Expr::Lambda(v, body) => collect_free_under(*v, body, bound, out),
+        Expr::Let(v, def, body) | Expr::Hom { var: v, source: def, body, .. } => {
             collect_free(def, bound, out);
-            let fresh = bound.insert(*v);
-            collect_free(body, bound, out);
-            if fresh {
-                bound.remove(v);
-            }
-        }
-        Expr::Hom { var, body, source, .. } => {
-            collect_free(source, bound, out);
-            let fresh = bound.insert(*var);
-            collect_free(body, bound, out);
-            if fresh {
-                bound.remove(var);
-            }
+            collect_free_under(*v, body, bound, out);
         }
         Expr::Comp { head, quals, .. } => {
             collect_free_quals(quals, head, None, bound, out);
@@ -87,6 +47,21 @@ fn collect_free(e: &Expr, bound: &mut HashSet<Symbol>, out: &mut HashSet<Symbol>
             collect_free(size, bound, out);
             collect_free_quals(quals, value, Some(index), bound, out);
         }
+        _ => e.for_each_child(|child| collect_free(child, bound, out)),
+    }
+}
+
+/// The free variables of `body` under the binder `v`.
+fn collect_free_under(
+    v: Symbol,
+    body: &Expr,
+    bound: &mut HashSet<Symbol>,
+    out: &mut HashSet<Symbol>,
+) {
+    let fresh = bound.insert(v);
+    collect_free(body, bound, out);
+    if fresh {
+        bound.remove(&v);
     }
 }
 
@@ -142,75 +117,19 @@ fn subst_inner(e: &Expr, var: Symbol, repl: &Expr, repl_fv: &HashSet<Symbol>) ->
     let go = |x: &Expr| subst_inner(x, var, repl, repl_fv);
     match e {
         Expr::Var(v) if *v == var => repl.clone(),
-        Expr::Var(_) | Expr::Lit(_) | Expr::Param(_) | Expr::Zero(_) => e.clone(),
-        Expr::Record(fields) => {
-            Expr::Record(fields.iter().map(|(n, fe)| (*n, go(fe))).collect())
-        }
-        Expr::Tuple(items) => Expr::Tuple(items.iter().map(go).collect()),
-        Expr::CollLit(m, items) => Expr::CollLit(m.clone(), items.iter().map(go).collect()),
-        Expr::VecLit(items) => Expr::VecLit(items.iter().map(go).collect()),
-        Expr::Proj(inner, f) => Expr::Proj(Box::new(go(inner)), *f),
-        Expr::TupleProj(inner, i) => Expr::TupleProj(Box::new(go(inner)), *i),
-        Expr::UnOp(op, inner) => Expr::UnOp(*op, Box::new(go(inner))),
-        Expr::Unit(m, inner) => Expr::Unit(m.clone(), Box::new(go(inner))),
-        Expr::New(inner) => Expr::New(Box::new(go(inner))),
-        Expr::Deref(inner) => Expr::Deref(Box::new(go(inner))),
-        Expr::BinOp(op, a, b) => Expr::BinOp(*op, Box::new(go(a)), Box::new(go(b))),
-        Expr::Apply(a, b) => Expr::Apply(Box::new(go(a)), Box::new(go(b))),
-        Expr::Merge(m, a, b) => Expr::Merge(m.clone(), Box::new(go(a)), Box::new(go(b))),
-        Expr::VecIndex(a, b) => Expr::VecIndex(Box::new(go(a)), Box::new(go(b))),
-        Expr::Assign(a, b) => Expr::Assign(Box::new(go(a)), Box::new(go(b))),
-        Expr::If(c, t, f) => Expr::If(Box::new(go(c)), Box::new(go(t)), Box::new(go(f))),
-        Expr::Lambda(param, body) => {
-            if *param == var {
-                e.clone() // shadowed
-            } else if repl_fv.contains(param) {
-                // α-rename to avoid capturing a free var of the replacement.
-                let fresh = Symbol::fresh(param.as_str());
-                let renamed = subst(body, *param, &Expr::Var(fresh));
-                Expr::Lambda(fresh, Box::new(go(&renamed)))
-            } else {
-                Expr::Lambda(*param, Box::new(go(body)))
-            }
+        Expr::Lambda(v, body) => {
+            let (v, body) = subst_under(*v, body, var, repl, repl_fv);
+            Expr::Lambda(v, Box::new(body))
         }
         Expr::Let(v, def, body) => {
-            let def2 = go(def);
-            if *v == var {
-                Expr::Let(*v, Box::new(def2), body.clone())
-            } else if repl_fv.contains(v) {
-                let fresh = Symbol::fresh(v.as_str());
-                let renamed = subst(body, *v, &Expr::Var(fresh));
-                Expr::Let(fresh, Box::new(def2), Box::new(go(&renamed)))
-            } else {
-                Expr::Let(*v, Box::new(def2), Box::new(go(body)))
-            }
+            let def = go(def);
+            let (v, body) = subst_under(*v, body, var, repl, repl_fv);
+            Expr::Let(v, Box::new(def), Box::new(body))
         }
-        Expr::Hom { monoid, var: hv, body, source } => {
-            let source2 = go(source);
-            if *hv == var {
-                Expr::Hom {
-                    monoid: monoid.clone(),
-                    var: *hv,
-                    body: body.clone(),
-                    source: Box::new(source2),
-                }
-            } else if repl_fv.contains(hv) {
-                let fresh = Symbol::fresh(hv.as_str());
-                let renamed = subst(body, *hv, &Expr::Var(fresh));
-                Expr::Hom {
-                    monoid: monoid.clone(),
-                    var: fresh,
-                    body: Box::new(go(&renamed)),
-                    source: Box::new(source2),
-                }
-            } else {
-                Expr::Hom {
-                    monoid: monoid.clone(),
-                    var: *hv,
-                    body: Box::new(go(body)),
-                    source: Box::new(source2),
-                }
-            }
+        Expr::Hom { monoid, var: v, body, source } => {
+            let source = Box::new(go(source));
+            let (v, body) = subst_under(*v, body, var, repl, repl_fv);
+            Expr::Hom { monoid: monoid.clone(), var: v, body: Box::new(body), source }
         }
         Expr::Comp { monoid, head, quals } => {
             let (quals2, head2, _) =
@@ -229,6 +148,28 @@ fn subst_inner(e: &Expr, var: Symbol, repl: &Expr, repl_fv: &HashSet<Symbol>) ->
                 quals: quals2,
             }
         }
+        _ => e.map_children(go),
+    }
+}
+
+/// `body[repl/var]` under the binder `v`, returning the binder to keep:
+/// `body` is untouched when `v` shadows `var`, and `v` is α-renamed to a
+/// fresh symbol when it would capture a free variable of `repl`.
+fn subst_under(
+    v: Symbol,
+    body: &Expr,
+    var: Symbol,
+    repl: &Expr,
+    repl_fv: &HashSet<Symbol>,
+) -> (Symbol, Expr) {
+    if v == var {
+        (v, body.clone())
+    } else if repl_fv.contains(&v) {
+        let fresh = Symbol::fresh(v.as_str());
+        let renamed = subst(body, v, &Expr::Var(fresh));
+        (fresh, subst_inner(&renamed, var, repl, repl_fv))
+    } else {
+        (v, subst_inner(body, var, repl, repl_fv))
     }
 }
 
@@ -248,62 +189,22 @@ fn subst_quals(
     let mut rest: Vec<Qual> = quals.to_vec();
     let mut head = head.clone();
     let mut extra = extra_head.cloned();
-    let mut i = 0;
-    while i < rest.len() {
-        let q = rest[i].clone();
-        match q {
-            Qual::Pred(p) => {
-                out.push(Qual::Pred(subst_inner(&p, var, repl, repl_fv)));
-                i += 1;
-            }
-            Qual::Gen(v, ref src) | Qual::Bind(v, ref src) => {
-                let is_gen = matches!(q, Qual::Gen(..));
-                let src2 = subst_inner(src, var, repl, repl_fv);
-                let rebuild = move |v: Symbol, s: Expr| {
-                    if is_gen {
-                        Qual::Gen(v, s)
-                    } else {
-                        Qual::Bind(v, s)
-                    }
-                };
-                if v == var {
-                    // Shadowed: stop substituting in the tail.
-                    out.push(rebuild(v, src2));
-                    out.extend_from_slice(&rest[i + 1..]);
-                    return (out, head, extra);
-                }
-                if repl_fv.contains(&v) {
-                    let fresh = Symbol::fresh(v.as_str());
-                    rename_tail(&mut rest[i + 1..], &mut head, extra.as_mut(), v, fresh);
-                    out.push(rebuild(fresh, src2));
-                } else {
-                    out.push(rebuild(v, src2));
-                }
-                i += 1;
-            }
-            Qual::VecGen { elem, index, source } => {
-                let src2 = subst_inner(&source, var, repl, repl_fv);
-                if elem == var || index == var {
-                    out.push(Qual::VecGen { elem, index, source: src2 });
-                    out.extend_from_slice(&rest[i + 1..]);
-                    return (out, head, extra);
-                }
-                let mut elem2 = elem;
-                let mut index2 = index;
-                if repl_fv.contains(&elem) {
-                    let fresh = Symbol::fresh(elem.as_str());
-                    rename_tail(&mut rest[i + 1..], &mut head, extra.as_mut(), elem, fresh);
-                    elem2 = fresh;
-                }
-                if repl_fv.contains(&index) {
-                    let fresh = Symbol::fresh(index.as_str());
-                    rename_tail(&mut rest[i + 1..], &mut head, extra.as_mut(), index, fresh);
-                    index2 = fresh;
-                }
-                out.push(Qual::VecGen { elem: elem2, index: index2, source: src2 });
-                i += 1;
-            }
+    for i in 0..rest.len() {
+        let mut q = rest[i].map_expr(|src| subst_inner(src, var, repl, repl_fv));
+        if q.binds(var) {
+            // Shadowed: stop substituting in the tail.
+            out.push(q);
+            out.extend_from_slice(&rest[i + 1..]);
+            return (out, head, extra);
         }
+        q.binders_mut(|v| {
+            if repl_fv.contains(v) {
+                let fresh = Symbol::fresh(v.as_str());
+                rename_tail(&mut rest[i + 1..], &mut head, extra.as_mut(), *v, fresh);
+                *v = fresh;
+            }
+        });
+        out.push(q);
     }
     let head2 = subst_inner(&head, var, repl, repl_fv);
     let extra2 = extra.map(|e| subst_inner(&e, var, repl, repl_fv));
@@ -322,32 +223,15 @@ pub(crate) fn rename_tail(
     new: Symbol,
 ) {
     let new_var = Expr::Var(new);
-    let mut shadowed = false;
     for q in tail.iter_mut() {
-        if shadowed {
-            break;
-        }
-        match q {
-            Qual::Pred(p) => *p = subst(p, old, &new_var),
-            Qual::Gen(v, src) | Qual::Bind(v, src) => {
-                *src = subst(src, old, &new_var);
-                if *v == old {
-                    shadowed = true;
-                }
-            }
-            Qual::VecGen { elem, index, source } => {
-                *source = subst(source, old, &new_var);
-                if *elem == old || *index == old {
-                    shadowed = true;
-                }
-            }
+        *q = q.map_expr(|e| subst(e, old, &new_var));
+        if q.binds(old) {
+            return;
         }
     }
-    if !shadowed {
-        *head = subst(head, old, &new_var);
-        if let Some(extra) = extra {
-            *extra = subst(extra, old, &new_var);
-        }
+    *head = subst(head, old, &new_var);
+    if let Some(extra) = extra {
+        *extra = subst(extra, old, &new_var);
     }
 }
 

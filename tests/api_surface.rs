@@ -325,6 +325,35 @@ fn value_cmp_and_effects_of_decide_alone() {
     assert_eq!(float_order, set_of(&copies), "float order outside `Value::cmp`");
 }
 
+/// Where non-test code may name a calculus variant, as `(file, why)`,
+/// probed with `Expr::VecIndex`, the one variant no rule, binder or lint
+/// gives a meaning of its own. `expr.rs` owns a term's shape, and with it
+/// `Expr::for_each_child` / `Expr::map_children`; the rest give each
+/// variant its meaning. A new structural walk (substitution,
+/// normalization, the linter) goes through the shape's helpers, or edits
+/// this list in review.
+const VARIANT_MEANING: &[(&str, &str)] = &[
+    ("crates/core/src/eval.rs", "evaluation"),
+    ("crates/core/src/expr.rs", "the shape: constructors and child traversal"),
+    ("crates/core/src/parse.rs", "calculus syntax"),
+    ("crates/core/src/pretty.rs", "paper notation"),
+    ("crates/core/src/typecheck.rs", "typing rules"),
+];
+
+#[test]
+fn a_terms_shape_is_spelled_once() {
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("crates"), &mut files);
+    let naming: BTreeSet<String> = files
+        .iter()
+        .filter(|file| code_of(file).contains(concat!("Expr::", "VecIndex")))
+        .map(|file| relative(file))
+        .collect();
+    let allowed: Vec<&str> = VARIANT_MEANING.iter().map(|(file, _)| *file).collect();
+    assert_eq!(naming, set_of(&allowed), "files naming every calculus variant");
+}
+
 #[test]
 fn algebra_exports_exactly_the_pinned_execute_functions() {
     let mut found = BTreeSet::new();

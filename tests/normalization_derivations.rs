@@ -4,6 +4,7 @@
 use monoid_db::calculus::expr::{Expr, Qual};
 use monoid_db::calculus::monoid::Monoid;
 use monoid_db::calculus::normalize::{is_canonical, normalize, normalize_traced, Rule};
+use monoid_db::calculus::parse::parse_expr;
 use monoid_db::calculus::pretty::pretty;
 use monoid_db::oql::compile;
 use monoid_db::store::travel::{self, TravelScale};
@@ -270,4 +271,157 @@ fn canonical_forms_have_no_nested_generators() {
         ok
     }
     assert!(no_comp_generators(&n), "{}", pretty(&n));
+}
+
+/// OQL statements whose derivations are pinned beside the example corpus
+/// and the tutorial: the query shapes ROADMAP measures, each of which
+/// walks a different part of the term (partitions, nested `some`s,
+/// merges, aggregates over nested selects).
+const PINNED_SHAPES: &[&str] = &[
+    "select struct(city: cn, n: count(partition)) from h in Hotels group by cn: h.name",
+    "select struct(b: b, n: count(partition)) from h in Hotels, r in h.rooms \
+     group by b: r.bed# having count(partition) > 1",
+    "select h.name from h in Hotels where h.name in (select c.name from c in Cities)",
+    "select h.name from h in Hotels where count(h.rooms) > 3",
+    "avg(select r.price from h in Hotels, r in h.rooms)",
+    "(select h.name from h in Hotels, r in h.rooms where r.bed# = 1) union \
+     (select h.name from h in Hotels, r in h.rooms where r.bed# = 3)",
+    "select h.name from h in Hotels where exists r in h.rooms: r.price < 100",
+    "select c.name from c in Cities \
+     where for all h in c.hotels: exists r in h.rooms: r.bed# = 3",
+    "element(select c from c in Cities where c.name = 'Portland')",
+];
+
+/// Calculus terms in which more than one child of a node rewrites, so the
+/// order the normalizer visits children in decides the derivation: a
+/// vector comprehension's size, qualifiers, value and index, an operator's
+/// operands, a conditional's branches, a record and a tuple.
+const PINNED_CALCULUS: &[&str] = &[
+    "sum[(\\n. n)(4)]{ (\\v. v)(a) [let j = i in j] | a[i] <- [|1, 2, 3, 4|], (\\b. b)(true) }",
+    "(\\x. x + 1)(2) + (let k = 3 in k * k)",
+    "if (\\c. c)(true) then <a = (\\y. y)(1), b = (let z = 2 in z)>.a else (1, (\\t. t)(2)).1",
+    "list{ (let u = x in u, (\\w. w)(x)) | x <- [1, 2] ++ [3], (\\p. p)(x > 1) }",
+    "set{ (x, y) | x <- set{ y | y <- ys, z <- y }, y <- zs, some{ x = z | z <- y } }",
+];
+
+/// Every term whose derivation `tests/golden/derivations.txt` pins, as
+/// `(label, source, term)`: each `examples/oql/*.oql` file, every
+/// statement the tutorial shows (OQL and calculus), [`PINNED_SHAPES`] and
+/// [`PINNED_CALCULUS`].
+fn pinned_terms() -> Vec<(String, String, Expr)> {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let schema = travel::schema();
+    let oql = |src: &str| compile(&schema, src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+    let calculus = |src: &str| parse_expr(src).unwrap_or_else(|e| panic!("`{src}`: {e}"));
+    let mut out = Vec::new();
+    let mut files: Vec<_> = std::fs::read_dir(format!("{root}/examples/oql"))
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "oql"))
+        .collect();
+    files.sort();
+    for path in files {
+        let src = std::fs::read_to_string(&path).unwrap();
+        let name = path.file_name().unwrap().to_string_lossy();
+        let src = src.trim();
+        out.push((format!("examples/oql/{name}"), src.to_string(), oql(src)));
+    }
+    let tutorial = std::fs::read_to_string(format!("{root}/docs/TUTORIAL.md")).unwrap();
+    let mut lines = tutorial.lines();
+    while let Some(line) = lines.next() {
+        let Some((command, first)) = line.strip_prefix("oql> :").and_then(|r| r.split_once(' '))
+        else {
+            continue;
+        };
+        if !["calc", "calculus", "normalize", "explain"].contains(&command) {
+            continue;
+        }
+        let mut src = first.to_string();
+        while !src.ends_with(';') {
+            src.push(' ');
+            src.push_str(lines.next().expect("a statement ends with `;`").trim());
+        }
+        let src = src.trim_end_matches(';');
+        let term = if command == "calc" { calculus(src) } else { oql(src) };
+        out.push((format!("docs/TUTORIAL.md :{command}"), src.to_string(), term));
+    }
+    out.extend(PINNED_SHAPES.iter().map(|src| ("pinned shape".into(), src.to_string(), oql(src))));
+    out.extend(
+        PINNED_CALCULUS
+            .iter()
+            .map(|src| ("pinned calculus".into(), src.to_string(), calculus(src))),
+    );
+    out
+}
+
+/// `Symbol::fresh` draws from one process-wide counter and tests run in
+/// parallel, so a fresh name's number depends on its neighbours: rename
+/// each distinct `name%n` to `name%k`, `k` counting first appearances.
+fn renumber_fresh(text: &str) -> String {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(at) = rest.find('%') {
+        let after = &rest[at + 1..];
+        let digits = after.len() - after.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        let follows_name = rest[..at].ends_with(|c: char| c.is_alphanumeric() || c == '_');
+        out.push_str(&rest[..=at]);
+        rest = after;
+        if digits > 0 && follows_name {
+            let n = &after[..digits];
+            let k = match seen.iter().position(|s| *s == n) {
+                Some(k) => k,
+                None => {
+                    seen.push(n);
+                    seen.len() - 1
+                }
+            };
+            out.push_str(&(k + 1).to_string());
+            rest = &after[digits..];
+        }
+    }
+    out.push_str(rest);
+    out
+}
+
+/// The derivation of every pinned statement — its calculus form, each
+/// Table-3 step with the term after it, and the canonical form — matches
+/// `tests/golden/derivations.txt` byte for byte, fresh names renumbered.
+/// A rewrite that changes a rule's order, a rule's output or α-renaming
+/// shows here as a diff. The actual text is then written to
+/// `derivations.actual.txt` under Cargo's test temporary directory
+/// (`target/tmp`); a deliberate change is accepted by copying that file
+/// over the golden one, in review.
+#[test]
+fn derivations_match_the_golden_file() {
+    let mut actual = String::new();
+    for (label, src, q) in pinned_terms() {
+        let (n, trace, _) = normalize_traced(&q);
+        let mut block = format!("== {label}\n{src}\ncalculus:  {}\n", pretty(&q));
+        for step in &trace {
+            block.push_str(&format!("⇒ [{}] {}\n", step.rule, step.after));
+        }
+        block.push_str(&format!("canonical: {}\n\n", pretty(&n)));
+        actual.push_str(&renumber_fresh(&block));
+    }
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/derivations.txt");
+    let golden = std::fs::read_to_string(golden_path).unwrap_or_default();
+    if golden != actual {
+        let written = format!("{}/derivations.actual.txt", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&written, &actual).unwrap();
+        let first_diff = golden
+            .lines()
+            .zip(actual.lines())
+            .position(|(g, a)| g != a)
+            .unwrap_or_else(|| golden.lines().count().min(actual.lines().count()));
+        panic!(
+            "derivations differ from {golden_path} at line {}; the actual text is in {written}",
+            first_diff + 1
+        );
+    }
+}
+
+#[test]
+fn renumbering_follows_first_appearance_and_spares_the_modulo_operator() {
+    assert_eq!(renumber_fresh("x%17 ← w%9, x%17 % 3, w%9"), "x%1 ← w%2, x%1 % 3, w%2");
 }

@@ -14,6 +14,7 @@
 use monoid_db::algebra::Stats;
 use monoid_db::calculus::expr::Expr;
 use monoid_db::calculus::monoid::Monoid;
+use monoid_db::calculus::symbol::Symbol;
 use monoid_db::calculus::value::Value;
 use monoid_db::oql::compile;
 use monoid_db::store::travel::{self, TravelScale};
@@ -424,4 +425,23 @@ fn binding_validation_is_eager() {
         )
         .unwrap_err();
     assert!(err.to_string().contains("$typo"), "{err}");
+}
+
+/// A statement's parameters are listed in first-appearance order over the
+/// prepared term, head first: `$x` in the select list precedes `$s` in the
+/// `where` clause, in `Prepared::params` and in a wire `PREPARE` reply.
+#[test]
+fn parameters_are_listed_head_first() {
+    const SRC: &str = "select struct(a: $x, b: h.name) from h in Hotels, r in h.rooms \
+                       where r.price >= $s";
+    let d = db(61);
+    let prepared = prepare_on(&d, SRC).unwrap();
+    assert_eq!(prepared.params(), [Symbol::new("$x"), Symbol::new("$s")]);
+
+    let handle = monoid_db::server::Server::bind("127.0.0.1:0", d).expect("bind loopback").spawn();
+    let mut client = monoid_db::server::Client::connect(handle.addr()).expect("connect");
+    let (_, wire_names) = client.prepare(SRC).expect("prepares");
+    assert_eq!(wire_names, ["$x", "$s"]);
+    drop(client);
+    handle.shutdown();
 }
