@@ -138,8 +138,8 @@
 //! *range* compares `a` with an operand that reads no row (a literal, a
 //! root, a `$param`), on either side. The dictionary holds one scalar
 //! kind sorted by `Value::cmp`, so for a fixed operand `x` the ordering
-//! `entry.cmp(x)` never decreases along it (Int↔Float through a monotone
-//! `as f64`, other kinds by a constant shape rank): the entries less
+//! `entry.cmp(x)` never decreases along it (Int↔Float by value, other
+//! kinds by a constant shape rank): the entries less
 //! than, equal to and greater than `x` are three blocks, found by two
 //! bisections after one read of `x`, and the live entries in the blocks
 //! the compare rejects are dropped — `≠` drops only the equal block. An

@@ -5,7 +5,7 @@
 //! count rows and operator-local time per plan node of an already-planned
 //! query ([`execute_profiled_bound`]; preparing one — normalize →
 //! optimize → plan — is the serving layer's job, whose `Prepared::profile`
-//! prepends the statement's own phase trace). The result is a [`QueryProfile`]:
+//! adds the statement's own prepare phases). The result is a [`QueryProfile`]:
 //! the `explain` tree annotated with the optimizer's *estimated*
 //! cardinalities (`Stats::query_estimates`) next to the *observed* row
 //! counts — reading the skew between the two is how you find out where
@@ -27,7 +27,8 @@ use crate::logical::{Plan, Query};
 use monoid_calculus::json::Json;
 use monoid_calculus::pretty::pretty;
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::trace::{Phase, QueryTrace};
+use monoid_calculus::normalize::NormalizeStats;
+use monoid_calculus::trace::Phase;
 use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
 use std::cell::Cell;
@@ -177,9 +178,14 @@ pub struct QueryProfile {
     pub head: String,
     /// Per-operator metrics in pre-order (`operators[i].op == i`).
     pub operators: Vec<OperatorProfile>,
-    /// Lifecycle phase timings (and normalization stats, when the query
-    /// came through `normalize`).
-    pub trace: QueryTrace,
+    /// The statement's source text, when a prepared statement was
+    /// profiled.
+    pub source: Option<String>,
+    /// Wall-clock nanos per lifecycle phase, indexed by [`Phase::index`];
+    /// 0 for a phase that did not run.
+    pub phase_nanos: [u64; Phase::ALL.len()],
+    /// Normalization statistics, when the statement was normalized.
+    pub normalize: Option<NormalizeStats>,
     /// Rows the plan root pushed into the `Reduce` accumulator.
     pub rows_to_reduce: u64,
     /// Did a `some`/`all` reduction absorb and cut execution short?
@@ -207,8 +213,25 @@ impl QueryProfile {
             operators,
             rows_to_reduce: probe.rows.first().map(Cell::get).unwrap_or(0),
             short_circuited: probe.short_circuited.get(),
-            trace: QueryTrace::new(),
+            source: None,
+            phase_nanos: [0; Phase::ALL.len()],
+            normalize: None,
         }
+    }
+
+    /// Nanos recorded for one lifecycle phase (0: it did not run).
+    pub fn phase_nanos(&self, phase: Phase) -> u64 {
+        self.phase_nanos[phase.index()]
+    }
+
+    /// Total nanos across all recorded phases.
+    pub fn total_nanos(&self) -> u64 {
+        self.phase_nanos.iter().sum()
+    }
+
+    /// The phases that ran, in pipeline order, with their nanos.
+    fn phases(&self) -> impl Iterator<Item = (Phase, u64)> + '_ {
+        Phase::ALL.into_iter().map(|p| (p, self.phase_nanos(p))).filter(|(_, n)| *n > 0)
     }
 
     /// Render the annotated plan tree plus the phase table — the human
@@ -253,11 +276,11 @@ impl QueryProfile {
                 worst.label,
             );
         }
-        let _ = writeln!(out, "phases ({} total):", fmt_nanos(self.trace.total_nanos()));
-        for t in &self.trace.phases {
-            let _ = writeln!(out, "  {:<10} {}", t.phase.as_str(), fmt_nanos(t.nanos));
+        let _ = writeln!(out, "phases ({} total):", fmt_nanos(self.total_nanos().into()));
+        for (phase, nanos) in self.phases() {
+            let _ = writeln!(out, "  {:<10} {}", phase.as_str(), fmt_nanos(nanos.into()));
         }
-        if let Some(stats) = &self.trace.normalize {
+        if let Some(stats) = &self.normalize {
             let _ = writeln!(
                 out,
                 "  normalize: {} rewrite steps, size {} → {}",
@@ -290,14 +313,53 @@ impl QueryProfile {
             ("q_error", q_error),
             ("rows_to_reduce", Json::from(self.rows_to_reduce)),
             ("short_circuited", Json::Bool(self.short_circuited)),
-            ("trace", self.trace.to_json()),
+            ("trace", self.trace_json()),
+        ])
+    }
+
+    /// The `trace` object of [`QueryProfile::to_json`]: source, the phases
+    /// that ran, and the normalization statistics, whose `nanos` is the
+    /// normalize phase.
+    fn trace_json(&self) -> Json {
+        let phases = self
+            .phases()
+            .map(|(phase, nanos)| {
+                Json::obj(vec![("phase", Json::str(phase.as_str())), ("nanos", Json::from(nanos))])
+            })
+            .collect();
+        let normalize = self.normalize.as_ref().map_or(Json::Null, |stats| {
+            let rules = stats
+                .rule_counts()
+                .filter(|(_, n)| *n > 0)
+                .map(|(rule, n)| {
+                    Json::obj(vec![
+                        ("rule", Json::str(format!("N{}", rule.number()))),
+                        ("name", Json::str(rule.name())),
+                        ("fired", Json::from(n)),
+                    ])
+                })
+                .collect();
+            Json::obj(vec![
+                ("steps", Json::from(stats.steps)),
+                ("size_before", Json::from(stats.size_before)),
+                ("size_after", Json::from(stats.size_after)),
+                ("nanos", Json::from(self.phase_nanos(Phase::Normalize))),
+                ("rules", Json::Arr(rules)),
+            ])
+        });
+        Json::obj(vec![
+            ("source", self.source.clone().map_or(Json::Null, Json::Str)),
+            ("phases", Json::Arr(phases)),
+            ("total_nanos", Json::from(self.total_nanos())),
+            ("normalize", normalize),
         ])
     }
 
     /// Load a profile written by [`QueryProfile::to_json`] — what a
     /// slow-query capture carries. Strict like
     /// [`OperatorProfile::from_json`]; the `q_error` summary is derived
-    /// and the phase `trace` is not read back (it comes back empty).
+    /// and the phase `trace` is not read back (no source, no phases, no
+    /// normalization statistics).
     pub fn from_json(j: &Json) -> Result<QueryProfile, String> {
         let text = |k: &str| j.required_str("profile", k).map(str::to_string);
         let count = |k: &str| j.required_u64("profile", k);
@@ -312,7 +374,9 @@ impl QueryProfile {
             monoid: text("monoid")?,
             head: text("head")?,
             operators,
-            trace: QueryTrace::new(),
+            source: None,
+            phase_nanos: [0; Phase::ALL.len()],
+            normalize: None,
             rows_to_reduce: count("rows_to_reduce")?,
             short_circuited: j
                 .required("profile", "short_circuited")?
@@ -407,7 +471,7 @@ pub struct Analysis {
 
 /// The one counted execution: run an already-planned query's fold under an
 /// `ExecProbe`, with late-bound parameter values, and read the probe's
-/// cells back into a profile whose trace holds the execute phase. This is
+/// cells back into a profile whose one timed phase is execute. This is
 /// what the serving layer's `Prepared::profile` — and through it `EXPLAIN
 /// ANALYZE`, the slow-query capture and flamegraphs — runs.
 /// The fold runs cold — no memo — so every build side runs here and is
@@ -429,11 +493,12 @@ pub fn execute_profiled_bound(
     let (mut ev, env) = exec::root(query, snap, params)?;
     let value = fused::try_run_reduce(query.fused(), &mut ev, &env, None, &probe)?;
     let mut profile = QueryProfile::assemble(query, estimates, &probe);
-    profile.trace.record(Phase::Execute, start.elapsed().as_nanos());
+    Phase::Execute.record(&mut profile.phase_nanos, start.elapsed().as_nanos());
     Ok(Analysis { value, profile })
 }
 
-fn fmt_nanos(ns: u128) -> String {
+/// Render nanoseconds human-readably.
+pub fn fmt_nanos(ns: u128) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2} s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -460,6 +525,14 @@ mod tests {
         let query = plan_comprehension(q).unwrap();
         let estimates = Stats::gather(db).query_estimates(&query);
         execute_profiled_bound(&query, &estimates, db, &[]).unwrap()
+    }
+
+    #[test]
+    fn fmt_nanos_scales() {
+        assert_eq!(fmt_nanos(12), "12 ns");
+        assert_eq!(fmt_nanos(1_500), "1.50 µs");
+        assert_eq!(fmt_nanos(2_500_000), "2.50 ms");
+        assert_eq!(fmt_nanos(3_000_000_000), "3.00 s");
     }
 
     #[test]
@@ -491,8 +564,8 @@ mod tests {
         let plan = plan_comprehension(&q).unwrap();
         assert_eq!(analysis.value, crate::exec::execute(&plan, &db).unwrap());
         // Execution is the one phase this layer times.
-        assert!(p.trace.phase_nanos(Phase::Execute).is_some());
-        assert_eq!(p.trace.phases.len(), 1, "{:?}", p.trace.phases);
+        assert!(p.phase_nanos(Phase::Execute) > 0);
+        assert_eq!(p.phases().count(), 1, "{:?}", p.phase_nanos);
     }
 
     #[test]

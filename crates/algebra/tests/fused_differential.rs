@@ -393,6 +393,41 @@ fn empty_sides_null_keys_and_int_float_keys_agree_for_every_monoid() {
     }
 }
 
+/// Keys around 2^53, where the cast to `f64` rounds distinct ints onto
+/// one float: `Float(2^53)` meets `Int(2^53)` and nothing else, whichever
+/// side builds and whatever other keys the table holds — a table holding
+/// only `2^53 + 1` answers it with nothing.
+#[test]
+fn joins_keyed_beyond_2_pow_53_agree_across_engines() {
+    let p = 1_i64 << 53;
+    let row = |id: i64, k: Value, s: &str| {
+        let x = Value::Float(id as f64);
+        Value::record_from(vec![("id", Value::Int(id)), ("k", k), ("s", Value::str(s)), ("x", x)])
+    };
+    let (int, float) = (Value::Int, |n: i64| Value::Float(n as f64));
+    let mut db = Database::new(Schema::new());
+    db.set_root("I", Value::list(vec![row(1, int(p + 1), "a"), row(2, int(p), "b"), row(3, int(p - 1), "c")]));
+    db.set_root("J", Value::list(vec![row(4, int(p + 1), "d")]));
+    db.set_root("F", Value::list(vec![row(5, float(p), "e"), row(6, float(p + 2), "f")]));
+    db.set_root("X", Value::list(vec![row(7, int(p + 1), "g"), row(8, float(p), "h"), row(9, int(p), "i")]));
+    for (left, right, pairs) in [
+        ("F", "I", 1),
+        ("I", "F", 1),
+        ("F", "J", 0),
+        ("J", "F", 0),
+        ("F", "X", 2),
+        ("I", "X", 3),
+    ] {
+        let label = format!("{left}-probes-{right}");
+        let mut quals = gens(left, right);
+        quals.push(on("k", "k"));
+        assert_shape(&label, quals.clone(), lr_heads(), &mut db);
+        let count = Expr::comp(Monoid::Sum, Expr::int(1), quals);
+        let plan = plan_comprehension(&count).unwrap();
+        assert_eq!(execute(&plan, &db).unwrap(), Value::Int(pairs), "{label}");
+    }
+}
+
 /// `some`/`all` absorb in the middle of a bucket: the pair after the
 /// absorbing one has a head that fails to evaluate, so an engine that
 /// kept probing would report an error instead of the verdict.
@@ -2617,8 +2652,9 @@ fn lane_range_every_compare_on_either_side_of_a_literal_a_param_and_a_root_agree
 #[test]
 fn lane_range_crosses_kinds_as_value_cmp_does() {
     let mut db = lane_store();
-    // Around 2^53 an `Int` and its `as f64` part: 2^53 + 1 rounds to 2^53,
-    // so a float 2^53 equals two entries of the int lane.
+    // Around 2^53 an `Int` and its `as f64` part: 2^53 + 1 rounds to 2^53
+    // yet orders above it, so a float 2^53 equals one entry of the int
+    // lane and is below the next.
     let two53 = 1i64 << 53;
     let big: Vec<Value> = [two53 - 1, two53, two53 + 1, two53 + 2, -5, 0].map(Value::Int).to_vec();
     db.set_root("D1Big", holders(lane_rows_of(big), Value::list));
@@ -2651,14 +2687,17 @@ fn lane_range_crosses_kinds_as_value_cmp_does() {
         }
         lane_range_cases(&db, extents, kind, &preds, &lane_params(kind));
     }
-    // Not vacuous: the float 2^53 is equal to two int entries, and a
-    // string lane is greater than every number.
+    // Not vacuous: the float 2^53 equals the int 2^53 alone, 2^53 + 1 is
+    // above it although the cast rounds it onto it, and a string lane is
+    // greater than every number.
     let bag = |extent, pred| {
         execute_snapshot_bound(&lane_plan(Monoid::Bag, x(), extent, Some(pred)), &db, &[]).unwrap()
     };
-    let two = bag("D1Big", x().eq(Expr::float(two53 as f64)));
-    let twice = [two53, two53 + 1].map(|v| (Value::Int(v), 3)).to_vec();
-    assert_eq!(two, Value::Bag(twice.into()));
+    let thrice = |ints: &[i64]| {
+        Value::Bag(ints.iter().map(|v| (Value::Int(*v), 3)).collect::<Vec<_>>().into())
+    };
+    assert_eq!(bag("D1Big", x().eq(Expr::float(two53 as f64))), thrice(&[two53]));
+    assert_eq!(bag("D1Big", x().gt(Expr::float(two53 as f64))), thrice(&[two53 + 1, two53 + 2]));
     assert_eq!(bag("D1S", x().gt(Expr::int(3))).len().unwrap(), 15);
     assert_eq!(bag("D1S", Expr::int(3).ge(x())).len().unwrap(), 0);
 }

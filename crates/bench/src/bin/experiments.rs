@@ -15,7 +15,7 @@ use monoid_calculus::eval::eval_closed;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::normalize::{normalize, normalize_traced, Rule};
-use monoid_calculus::pretty::pretty;
+use monoid_calculus::pretty::{pretty, Pretty};
 use monoid_calculus::value::Value;
 use monoid_oql::compile;
 use monoid_store::travel::{self, TravelScale};
@@ -248,7 +248,7 @@ fn table3() {
     println!("  calculus:     {}", pretty(&q));
     let (n, trace, stats) = normalize_traced(&q);
     for step in &trace {
-        println!("  ⇒ [{}] {}", step.rule, step.after);
+        println!("  ⇒ [{}] {}", step.rule, Pretty(&step.after));
     }
     println!("  canonical:    {}", pretty(&n));
     println!(

@@ -4,6 +4,7 @@
 //! emitter the profiled experiments use for machine-readable
 //! per-operator breakdowns.
 
+pub use monoid_algebra::trace::fmt_nanos;
 use std::time::Instant;
 
 /// Wall-time samples of `runs` executions of `f`, in nanoseconds.
@@ -56,19 +57,6 @@ impl Timing {
     /// `self` is the slower side: how many times faster is `faster`?
     pub fn speedup(&self, faster: &Timing) -> String {
         format!("{:.1}×", self.median as f64 / faster.median as f64)
-    }
-}
-
-/// Render nanoseconds human-readably.
-pub fn fmt_nanos(ns: u128) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2} s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2} ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2} µs", ns as f64 / 1e3)
-    } else {
-        format!("{ns} ns")
     }
 }
 
@@ -149,14 +137,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert_eq!(lines[0].len(), lines[2].len());
         assert_eq!(lines[2].len(), lines[3].len());
-    }
-
-    #[test]
-    fn fmt_nanos_scales() {
-        assert_eq!(fmt_nanos(12), "12 ns");
-        assert_eq!(fmt_nanos(1_500), "1.50 µs");
-        assert_eq!(fmt_nanos(2_500_000), "2.50 ms");
-        assert_eq!(fmt_nanos(3_000_000_000), "3.00 s");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use monoid_calculus::monoid::Monoid;
 use monoid_calculus::json::Json;
 use monoid_calculus::metrics::{self, Snapshot};
 use monoid_calculus::normalize::{normalize_traced, NormalizeStats};
-use monoid_calculus::trace::{Phase, QueryTrace};
+use monoid_calculus::trace::Phase;
 use monoid_store::{company, travel, Database, TravelScale};
 use std::time::Instant;
 
@@ -251,12 +251,7 @@ pub fn run(quick: bool) -> RegressReport {
         // One profiled pass for the query's own account…
         let analysis = profile_case(&case, db);
         let rows_to_reduce = analysis.profile.rows_to_reduce;
-        let normalize = analysis
-            .profile
-            .trace
-            .normalize
-            .clone()
-            .expect("every prepare normalizes");
+        let normalize = analysis.profile.normalize.clone().expect("every prepare normalizes");
         // …then the timed runs, each one exercising normalize → plan →
         // execute end to end on the engine production reads run (fused
         // where the chain compiles).
@@ -264,15 +259,15 @@ pub fn run(quick: bool) -> RegressReport {
         let mut target = runs;
         while samples.len() < target {
             let started = Instant::now();
-            let mut trace = QueryTrace::new();
-            let canonical = trace.time(Phase::Normalize, || {
+            let mut phases = [0; Phase::ALL.len()];
+            let canonical = Phase::Normalize.time(&mut phases, || {
                 let (canonical, _, _) = normalize_traced(&case.expr);
                 canonical
             });
-            let plan = trace.time(Phase::Plan, || {
+            let plan = Phase::Plan.time(&mut phases, || {
                 monoid_algebra::plan_comprehension(&canonical).expect("canonical query plans")
             });
-            let value = trace.time(Phase::Execute, || {
+            let value = Phase::Execute.time(&mut phases, || {
                 monoid_algebra::execute_snapshot_bound(&plan, db, &[])
                     .expect("canonical query executes")
             });

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::json::Json;
     pub use crate::metrics::{Counter, Gauge, Histogram, Registry, Snapshot};
     pub use crate::normalize::{normalize, normalize_traced, NormalizeStats, Rule, TraceStep};
-    pub use crate::trace::{Phase, PhaseTiming, QueryTrace};
+    pub use crate::trace::Phase;
     pub use crate::parse::parse_expr;
     pub use crate::pretty::{pretty, Pretty};
     pub use crate::recorder::{CacheDisposition, FlightRecorder, QueryRecord, SlowQueryCapture};

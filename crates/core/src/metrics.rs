@@ -29,7 +29,7 @@
 //!   the repo's own [`Json`].
 //!
 //! The process-wide registry is [`global()`]. The store, the normalizer,
-//! the analyzer, phase traces, the serving layer and the umbrella OQL
+//! the analyzer, phase timings, the serving layer and the umbrella OQL
 //! path feed it; the executor registers nothing (a profiled run's counts
 //! stay in its profile).
 

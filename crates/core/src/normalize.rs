@@ -61,7 +61,6 @@
 use crate::analysis::effects_of;
 use crate::expr::{BinOp, Expr, Qual};
 use crate::monoid::Monoid;
-use crate::pretty::pretty;
 use crate::subst::{free_vars, rename_tail, subst};
 use crate::symbol::Symbol;
 use std::collections::HashSet;
@@ -156,11 +155,12 @@ impl fmt::Display for Rule {
 }
 
 /// One step of a normalization derivation: the rule applied and the whole
-/// expression after the step (in paper notation).
+/// term after the step. A caller that shows a derivation prints `after`
+/// itself ([`crate::pretty::Pretty`]); normalizing prints nothing.
 #[derive(Debug, Clone)]
 pub struct TraceStep {
     pub rule: Rule,
-    pub after: String,
+    pub after: Expr,
 }
 
 /// Statistics of a normalization run.
@@ -174,8 +174,6 @@ pub struct NormalizeStats {
     /// AST sizes before and after.
     pub size_before: usize,
     pub size_after: usize,
-    /// Wall-clock time the rewrite loop took, for lifecycle traces.
-    pub elapsed_nanos: u128,
 }
 
 impl NormalizeStats {
@@ -230,16 +228,15 @@ pub fn normalize(e: &Expr) -> Expr {
 /// of queries leaves an aggregate account of which rewrites carry the
 /// normalization load.
 pub fn normalize_traced(e: &Expr) -> (Expr, Vec<TraceStep>, NormalizeStats) {
-    let started = std::time::Instant::now();
-    let mut current = e.clone();
-    let mut trace = Vec::new();
+    let mut trace: Vec<TraceStep> = Vec::new();
     let mut per_rule = [0u64; Rule::COUNT];
-    let size_before = e.size();
-    let mut steps = 0;
     let verifying = crate::analysis::verify::verify_enabled();
-    while let Some((rule, next)) = rewrite_once(&current) {
-        steps += 1;
-        if steps > MAX_STEPS {
+    // Each rewritten term moves into the derivation; the next step
+    // rewrites the last one kept.
+    loop {
+        let current = trace.last().map_or(e, |step| &step.after);
+        let Some((rule, next)) = rewrite_once(current) else { break };
+        if trace.len() == MAX_STEPS {
             // Give up gracefully: the term is still meaning-equivalent.
             break;
         }
@@ -247,24 +244,19 @@ pub fn normalize_traced(e: &Expr) -> (Expr, Vec<TraceStep>, NormalizeStats) {
             // Stage invariant verifier: every rule firing must preserve
             // scoping, C/I legality, well-formedness, and typing. On in
             // debug builds; MONOID_VERIFY=1 forces it (docs/analysis.md).
-            if let Err(err) = crate::analysis::verify::check_rewrite(rule.name(), &current, &next)
-            {
-                panic!("normalization invariant violated at step {steps}: {err}");
+            if let Err(err) = crate::analysis::verify::check_rewrite(rule.name(), current, &next) {
+                panic!("normalization invariant violated at step {}: {err}", trace.len() + 1);
             }
         }
         per_rule[rule.number() as usize - 1] += 1;
-        trace.push(TraceStep { rule, after: pretty(&next) });
-        current = next;
+        trace.push(TraceStep { rule, after: next });
     }
+    let canonical = trace.last().map_or(e, |step| &step.after).clone();
+    let steps = trace.len();
     record_rule_metrics(&per_rule, steps);
-    let stats = NormalizeStats {
-        steps,
-        per_rule,
-        size_before,
-        size_after: current.size(),
-        elapsed_nanos: started.elapsed().as_nanos(),
-    };
-    (current, trace, stats)
+    let stats =
+        NormalizeStats { steps, per_rule, size_before: e.size(), size_after: canonical.size() };
+    (canonical, trace, stats)
 }
 
 /// Feed one run's firing counts into [`crate::metrics::global`]. Counter
@@ -516,13 +508,19 @@ fn try_qual_rules(
 /// cannot express without the size — we leave those to evaluation).
 #[allow(clippy::collapsible_match)] // nested guards read clearer than merged patterns
 fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<(Rule, Expr)> {
+    // Each qualifier's purity, judged once. A comprehension node adds no
+    // effect of its own that purity counts (only `short_circuits`), so the
+    // whole comprehension is pure exactly when its head and every
+    // qualifier are.
+    let pure: Vec<bool> = quals.iter().map(|q| effects_of(q.expr()).is_pure()).collect();
+    let whole_pure = || pure.iter().all(|p| *p) && effects_of(head).is_pure();
     for (i, q) in quals.iter().enumerate() {
-        let before_pure = quals_pure(&quals[..i]);
+        let before_pure = pure[..i].iter().all(|p| *p);
         match q {
             Qual::Gen(_, src) => {
                 // N3: v ← zero ⇒ zero_M (requires the prefix be pure — it
                 // would otherwise have run for effect).
-                if is_zero_source(src) && before_pure && effects_of(src).is_pure() {
+                if is_zero_source(src) && before_pure && pure[i] {
                     return Some((Rule::ZeroGen, Expr::Zero(monoid.clone())));
                 }
                 // N8: v ← e₁ ⊕ e₂ ⇒ split. Three side conditions:
@@ -542,12 +540,7 @@ fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<
                     if prefix_has_generator && !monoid.props().commutative {
                         continue;
                     }
-                    let whole = Expr::Comp {
-                        monoid: monoid.clone(),
-                        head: Box::new(head.clone()),
-                        quals: quals.to_vec(),
-                    };
-                    if effects_of(&whole).is_pure() {
+                    if whole_pure() {
                         let mk = |source: &Expr| {
                             let mut qs = quals.to_vec();
                             if let Qual::Gen(v, _) = &quals[i] {
@@ -587,12 +580,7 @@ fn try_whole_comp_rules(monoid: &Monoid, head: &Expr, quals: &[Qual]) -> Option<
                 if prefix_has_generator && !monoid.props().commutative {
                     continue;
                 }
-                let whole = Expr::Comp {
-                    monoid: monoid.clone(),
-                    head: Box::new(head.clone()),
-                    quals: quals.to_vec(),
-                };
-                if effects_of(&whole).is_pure() {
+                if whole_pure() {
                     let mk = |cond: Expr, branch: &Expr| {
                         let mut qs: Vec<Qual> = quals[..i].to_vec();
                         qs.push(Qual::Pred(cond));
@@ -908,6 +896,25 @@ mod tests {
         );
         let n = normalize(&e);
         assert!(matches!(n, Expr::Merge(Monoid::Sum, _, _)));
+    }
+
+    /// N8 and N14 copy the whole comprehension into both halves: an effect
+    /// in its head, or in a qualifier after the split one, keeps it whole.
+    #[test]
+    fn an_impure_head_or_later_qualifier_keeps_a_split_whole() {
+        let merged = Expr::gen("x", Expr::merge(Monoid::Bag, Expr::var("xs"), Expr::var("ys")));
+        let cond = Expr::var("x").gt(Expr::int(0));
+        let branch = Expr::pred(Expr::if_(cond, Expr::var("p"), Expr::var("q")));
+        let reads = Expr::pred(Expr::var("r").deref().gt(Expr::int(0)));
+        for quals in [vec![merged], vec![Expr::gen("x", Expr::var("xs")), branch]] {
+            let bag = |head: Expr, quals: Vec<Qual>| normalize(&Expr::comp(Monoid::Bag, head, quals));
+            let split = bag(Expr::var("x"), quals.clone());
+            assert!(matches!(split, Expr::Merge(..)), "{split:?}");
+            let allocating = bag(Expr::new_obj(Expr::var("x")), quals.clone());
+            assert!(!matches!(allocating, Expr::Merge(..)), "{allocating:?}");
+            let reading = bag(Expr::var("x"), [quals, vec![reads.clone()]].concat());
+            assert!(!matches!(reading, Expr::Merge(..)), "{reading:?}");
+        }
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!
 //! A record is a value. The layer that owns a statement's lifecycle —
 //! the umbrella crate's `Prepared`, which holds the source, the effect
-//! summary, the engine label and the prepare trace, and is told by a
-//! `Session` who asked and how the plan cache answered — builds one
-//! [`QueryRecord`] per execution and hands it to
+//! summary, the engine label and the prepare's phase timings, and is
+//! told by a `Session` who asked and how the plan cache answered —
+//! builds one [`QueryRecord`] per execution and hands it to
 //! [`FlightRecorder::commit`]. Nothing is ambient: there is no open
 //! scope, no thread-local, and no hook for the layers underneath to
 //! annotate through — the executors in the algebra crate do not know the
@@ -49,7 +49,7 @@
 
 use crate::json::Json;
 use crate::metrics;
-use crate::trace::{Phase, QueryTrace};
+use crate::trace::Phase;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -182,17 +182,6 @@ impl QueryRecord {
     /// Nanos recorded for one lifecycle phase.
     pub fn phase_nanos(&self, phase: Phase) -> u64 {
         self.phase_nanos[phase.index()]
-    }
-
-    /// Fold every phase of an already-timed trace into the record (a cold
-    /// prepare's parse → plan phases, or a profiled run's full lifecycle).
-    /// Accumulates, like [`QueryTrace::record`].
-    pub fn add_trace(&mut self, trace: &QueryTrace) {
-        for t in &trace.phases {
-            let n = u64::try_from(t.nanos).unwrap_or(u64::MAX);
-            let slot = &mut self.phase_nanos[t.phase.index()];
-            *slot = slot.saturating_add(n);
-        }
     }
 
     pub fn to_json(&self) -> Json {

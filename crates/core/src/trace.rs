@@ -1,14 +1,12 @@
-//! Query-lifecycle tracing shared by every layer of the system.
+//! The phases of a query's lifecycle, shared by every layer of the system.
 //!
-//! A [`QueryTrace`] accumulates wall-clock timings for the phases a query
-//! passes through — lex/parse → OQL translate → normalize → optimize →
-//! plan → execute — plus the normalization statistics the rewriter already
-//! produces ([`crate::normalize::NormalizeStats`]). The front end and the
-//! algebra back end each fill in the phases they own; the combined trace
-//! ends up inside the back end's `QueryProfile`.
+//! A statement's account of where its time went is a fixed array of
+//! nanoseconds indexed by [`Phase::index`] — lex/parse → OQL translate →
+//! normalize → optimize → plan → execute, 0 for a phase that did not run.
+//! A prepared statement, a profile and a flight-recorder record each hold
+//! one; [`Phase::record`] fills a slot and feeds the process-wide
+//! `query_phase_nanos{phase=…}` histogram.
 
-use crate::json::Json;
-use crate::normalize::NormalizeStats;
 use std::time::Instant;
 
 /// A phase of the query lifecycle, in pipeline order.
@@ -50,104 +48,35 @@ impl Phase {
         }
     }
 
-    /// Position in [`Phase::ALL`].
+    /// Position in [`Phase::ALL`], which lists the phases in declaration
+    /// order.
     pub fn index(&self) -> usize {
-        match self {
-            Phase::Parse => 0,
-            Phase::Translate => 1,
-            Phase::Normalize => 2,
-            Phase::Optimize => 3,
-            Phase::Plan => 4,
-            Phase::Execute => 5,
-        }
+        *self as usize
+    }
+
+    /// Add `nanos` spent in this phase to its slot of `phases`
+    /// (accumulating on repeat) and to the process-wide latency histogram
+    /// `query_phase_nanos{phase=…}`, so fleet-level phase distributions
+    /// fall out of ordinary timing for free. A phase that ran never reads
+    /// 0: a reading below the clock's resolution counts as 1 ns.
+    pub fn record(self, phases: &mut [u64; Phase::ALL.len()], nanos: u128) {
+        phase_histogram(self).observe_nanos(nanos);
+        let slot = &mut phases[self.index()];
+        *slot = slot.saturating_add(u64::try_from(nanos).unwrap_or(u64::MAX).max(1));
+    }
+
+    /// Run `f`, recording its wall-clock time under this phase.
+    pub fn time<R>(self, phases: &mut [u64; Phase::ALL.len()], f: impl FnOnce() -> R) -> R {
+        let start = Instant::now();
+        let out = f();
+        self.record(phases, start.elapsed().as_nanos());
+        out
     }
 }
 
 impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-/// Wall-clock time spent in one phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTiming {
-    pub phase: Phase,
-    pub nanos: u128,
-}
-
-/// The full lifecycle record of one query.
-#[derive(Debug, Clone, Default)]
-pub struct QueryTrace {
-    /// Original source text, when the query entered through OQL.
-    pub source: Option<String>,
-    /// Per-phase wall-clock timings, in the order the phases ran.
-    pub phases: Vec<PhaseTiming>,
-    /// Normalization statistics (rule firings, sizes, rewrite time).
-    pub normalize: Option<NormalizeStats>,
-}
-
-impl QueryTrace {
-    pub fn new() -> QueryTrace {
-        QueryTrace::default()
-    }
-
-    /// Record `nanos` spent in `phase` (accumulates on repeat). Every
-    /// recording also lands in the process-wide per-phase latency
-    /// histogram `query_phase_nanos{phase=…}`, so fleet-level phase
-    /// distributions fall out of ordinary tracing for free.
-    pub fn record(&mut self, phase: Phase, nanos: u128) {
-        phase_histogram(phase).observe_nanos(nanos);
-        if let Some(t) = self.phases.iter_mut().find(|t| t.phase == phase) {
-            t.nanos += nanos;
-        } else {
-            self.phases.push(PhaseTiming { phase, nanos });
-        }
-    }
-
-    /// Run `f`, recording its wall-clock time under `phase`.
-    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce() -> R) -> R {
-        let start = Instant::now();
-        let out = f();
-        self.record(phase, start.elapsed().as_nanos());
-        out
-    }
-
-    /// Nanoseconds recorded for `phase`, if it ran.
-    pub fn phase_nanos(&self, phase: Phase) -> Option<u128> {
-        self.phases.iter().find(|t| t.phase == phase).map(|t| t.nanos)
-    }
-
-    /// Total nanoseconds across all recorded phases.
-    pub fn total_nanos(&self) -> u128 {
-        self.phases.iter().map(|t| t.nanos).sum()
-    }
-
-    pub fn to_json(&self) -> Json {
-        let phases = Json::Arr(
-            self.phases
-                .iter()
-                .map(|t| {
-                    Json::obj(vec![
-                        ("phase", Json::str(t.phase.as_str())),
-                        ("nanos", Json::from(t.nanos)),
-                    ])
-                })
-                .collect(),
-        );
-        let normalize = match &self.normalize {
-            Some(stats) => normalize_stats_json(stats),
-            None => Json::Null,
-        };
-        Json::obj(vec![
-            (
-                "source",
-                self.source.clone().map(Json::Str).unwrap_or(Json::Null),
-            ),
-            ("phases", phases),
-            ("total_nanos", Json::from(self.total_nanos())),
-            ("normalize", normalize),
-        ])
     }
 }
 
@@ -163,71 +92,35 @@ fn phase_histogram(phase: Phase) -> &'static crate::metrics::Histogram {
     })[phase.index()]
 }
 
-fn normalize_stats_json(stats: &NormalizeStats) -> Json {
-    let rules = Json::Arr(
-        stats
-            .rule_counts()
-            .filter(|(_, n)| *n > 0)
-            .map(|(rule, n)| {
-                Json::obj(vec![
-                    ("rule", Json::str(format!("N{}", rule.number()))),
-                    ("name", Json::str(rule.name())),
-                    ("fired", Json::from(n)),
-                ])
-            })
-            .collect(),
-    );
-    Json::obj(vec![
-        ("steps", Json::from(stats.steps)),
-        ("size_before", Json::from(stats.size_before)),
-        ("size_after", Json::from(stats.size_after)),
-        ("nanos", Json::from(stats.elapsed_nanos)),
-        ("rules", rules),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn index_is_the_position_in_all() {
+        for (i, phase) in Phase::ALL.iter().enumerate() {
+            assert_eq!(phase.index(), i, "{phase}");
+        }
+    }
+
+    #[test]
     fn records_and_accumulates_phases() {
-        let mut t = QueryTrace::new();
-        t.record(Phase::Parse, 10);
-        t.record(Phase::Execute, 5);
-        t.record(Phase::Execute, 7);
-        assert_eq!(t.phase_nanos(Phase::Parse), Some(10));
-        assert_eq!(t.phase_nanos(Phase::Execute), Some(12));
-        assert_eq!(t.phase_nanos(Phase::Plan), None);
-        assert_eq!(t.total_nanos(), 22);
+        let mut phases = [0; Phase::ALL.len()];
+        Phase::Parse.record(&mut phases, 10);
+        Phase::Execute.record(&mut phases, 5);
+        Phase::Execute.record(&mut phases, 7);
+        assert_eq!(phases, [10, 0, 0, 0, 0, 12]);
+        // A phase that ran is never mistaken for one that did not.
+        Phase::Plan.record(&mut phases, 0);
+        assert_eq!(phases[Phase::Plan.index()], 1);
     }
 
     #[test]
     fn time_helper_returns_the_closure_result() {
-        let mut t = QueryTrace::new();
-        let v = t.time(Phase::Normalize, || 41 + 1);
+        let mut phases = [0; Phase::ALL.len()];
+        let v = Phase::Normalize.time(&mut phases, || 41 + 1);
         assert_eq!(v, 42);
-        assert!(t.phase_nanos(Phase::Normalize).is_some());
-    }
-
-    #[test]
-    fn serializes_with_normalize_stats() {
-        let mut t = QueryTrace::new();
-        t.source = Some("count(Cities)".into());
-        t.record(Phase::Parse, 100);
-        let e = crate::expr::Expr::comp(
-            crate::monoid::Monoid::Sum,
-            crate::expr::Expr::var("x"),
-            vec![crate::expr::Expr::gen(
-                "x",
-                crate::expr::Expr::list_of(vec![crate::expr::Expr::int(1), crate::expr::Expr::int(2)]),
-            )],
-        );
-        let (_, _, stats) = crate::normalize::normalize_traced(&e);
-        t.normalize = Some(stats);
-        let s = t.to_json().render();
-        assert!(s.contains("\"source\":\"count(Cities)\""), "{s}");
-        assert!(s.contains("\"phase\":\"parse\""), "{s}");
-        assert!(s.contains("\"size_before\""), "{s}");
+        assert!(phases[Phase::Normalize.index()] > 0);
+        assert_eq!(phases.iter().filter(|n| **n > 0).count(), 1);
     }
 }

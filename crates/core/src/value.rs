@@ -448,8 +448,17 @@ impl Ord for Value {
     fn cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            // The cast orders every pair it keeps apart (`-0.0 < 0 = 0.0`;
+            // a NaN sorts at its end of the order). A pair it ties — the
+            // int rounded onto a finite whole float — is compared exactly:
+            // beyond 2^53 the cast rounds distinct ints onto one float, and
+            // `2^53 < 2^53 + 1` must not both equal `2^53` as a float.
+            (Int(a), Float(b)) => {
+                (*a as f64).total_cmp(b).then_with(|| i128::from(*a).cmp(&(*b as i128)))
+            }
+            (Float(a), Int(b)) => {
+                a.total_cmp(&(*b as f64)).then_with(|| (*a as i128).cmp(&i128::from(*b)))
+            }
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
@@ -1333,6 +1342,54 @@ mod tests {
     fn numeric_coercion_int_float() {
         let r = merge(&Monoid::Sum, &Value::Int(1), &Value::Float(2.5)).unwrap();
         assert_eq!(r, Value::Float(3.5));
+    }
+
+    /// Beyond 2^53 the cast rounds distinct ints onto one float; the order
+    /// still puts each int on its own side of that float, and keeps every
+    /// order the cast already got right.
+    #[test]
+    fn int_float_order_is_transitive_beyond_2_pow_53() {
+        let p = 1_i64 << 53;
+        let (lo, hi, f) = (Value::Int(p), Value::Int(p + 1), Value::Float(p as f64));
+        assert!(lo < hi);
+        assert_eq!(lo, f);
+        // 2^53 + 1 rounds onto 2^53 but is above it, from either side.
+        assert_eq!(f.cmp(&hi), Ordering::Less);
+        assert_eq!(hi.cmp(&f), Ordering::Greater);
+        assert!(Value::Int(p - 1) < f);
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64), "2^63 - 1 < 2^63");
+        assert!(Value::Int(i64::MIN) == Value::Float(i64::MIN as f64));
+        // What the cast decided stays decided.
+        assert_eq!(Value::Int(1), Value::Float(1.0));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Float(-f64::NAN) < Value::Int(i64::MIN));
+        assert!(Value::Int(3) < Value::Float(3.5) && Value::Float(3.5) < Value::Int(4));
+    }
+
+    /// A set built from that triple in any order is one canonical,
+    /// ascending value.
+    #[test]
+    fn set_from_is_canonical_across_int_and_float_beyond_2_pow_53() {
+        let p = 1_i64 << 53;
+        let (lo, hi, f) = (Value::Int(p), Value::Int(p + 1), Value::Float(p as f64));
+        let orders = [
+            [hi.clone(), f.clone(), lo.clone()],
+            [f.clone(), lo.clone(), hi.clone()],
+            [lo.clone(), hi.clone(), f.clone()],
+        ];
+        let sets: Vec<Value> = orders.iter().map(|o| Value::set_from(o.to_vec())).collect();
+        for set in &sets {
+            let Value::Set(items) = set else { panic!("{set:?}") };
+            assert_eq!(items.len(), 2, "{set:?}");
+            assert!(items[0] < items[1], "{set:?}");
+            assert_eq!(items[1], hi, "{set:?}");
+        }
+        assert!(sets.windows(2).all(|w| w[0] == w[1]), "{sets:?}");
+        // The equal pair is one run, kept as the one that came first.
+        let bag = Value::bag_from(orders[0].to_vec());
+        assert_eq!(format!("{bag:?}"), format!("Bag([({f:?}, 2), ({hi:?}, 1)])"));
     }
 
     #[test]

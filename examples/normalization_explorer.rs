@@ -10,7 +10,7 @@
 
 use monoid_db::algebra;
 use monoid_db::calculus::normalize::normalize_traced;
-use monoid_db::calculus::pretty::pretty;
+use monoid_db::calculus::pretty::{pretty, Pretty};
 use monoid_db::oql::compile;
 use monoid_db::store::travel;
 
@@ -31,7 +31,7 @@ fn explore(src: &str) {
     } else {
         println!("derivation:");
         for step in &trace {
-            println!("  ⇒ [{}] {}", step.rule, step.after);
+            println!("  ⇒ [{}] {}", step.rule, Pretty(&step.after));
         }
         println!(
             "\ncanonical ({} steps, {} → {} nodes):\n  {}\n",

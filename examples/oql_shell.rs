@@ -18,7 +18,7 @@
 
 use monoid_db::algebra;
 use monoid_db::calculus::normalize::{normalize, normalize_traced};
-use monoid_db::calculus::pretty::pretty;
+use monoid_db::calculus::pretty::{pretty, Pretty};
 use monoid_db::oql::compile;
 use monoid_db::store::travel::{self, TravelScale};
 use monoid_db::store::Database;
@@ -81,7 +81,7 @@ fn dispatch(input: &str, db: &mut Database) {
                 println!("calculus:  {}", pretty(&q));
                 let (n, trace, _) = normalize_traced(&q);
                 for step in &trace {
-                    println!("⇒ [{}] {}", step.rule, step.after);
+                    println!("⇒ [{}] {}", step.rule, Pretty(&step.after));
                 }
                 println!("canonical: {}", pretty(&n));
             }

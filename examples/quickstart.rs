@@ -10,7 +10,7 @@
 
 use monoid_db::algebra;
 use monoid_db::calculus::normalize::normalize_traced;
-use monoid_db::calculus::pretty::pretty;
+use monoid_db::calculus::pretty::{pretty, Pretty};
 use monoid_db::oql::compile_typed;
 use monoid_db::store::travel::{self, TravelScale};
 
@@ -42,7 +42,7 @@ fn main() {
     let (canonical, trace, stats) = normalize_traced(&query);
     println!("derivation ({} steps):", stats.steps);
     for step in &trace {
-        println!("  ⇒ [{}] {}", step.rule, step.after);
+        println!("  ⇒ [{}] {}", step.rule, Pretty(&step.after));
     }
     println!();
 

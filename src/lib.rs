@@ -138,7 +138,7 @@ pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeEr
 /// The umbrella OQL path's series in the process-wide registry: query
 /// and error counters plus an end-to-end (parse → execute) latency
 /// histogram. Per-phase histograms (`query_phase_nanos{phase=…}`) are
-/// recorded by `QueryTrace` itself.
+/// recorded by `Phase::record`, wherever a phase is timed.
 struct OqlMetrics {
     queries: std::sync::Arc<monoid_calculus::metrics::Counter>,
     errors: std::sync::Arc<monoid_calculus::metrics::Counter>,

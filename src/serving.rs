@@ -54,11 +54,11 @@ use monoid_algebra::{plan_comprehension, reorder_generators, Analysis, PlanError
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
-use monoid_calculus::normalize::normalize_traced;
+use monoid_calculus::normalize::{normalize_traced, NormalizeStats};
 use monoid_calculus::json::Json;
 use monoid_calculus::recorder::{self, CacheDisposition, QueryRecord, SlowQueryCapture};
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::trace::{Phase, QueryTrace};
+use monoid_calculus::trace::Phase;
 use monoid_calculus::types::Schema;
 use monoid_calculus::value::{Env, Value};
 use monoid_store::{Database, Snapshot};
@@ -142,7 +142,10 @@ pub struct Prepared {
     effects: EffectSummary,
     estimates: Vec<f64>,
     params: Vec<Symbol>,
-    trace: QueryTrace,
+    /// The prepare's phase timings, indexed by [`Phase::index`] (parse →
+    /// plan; 0 for a phase that did not run, and always for execute).
+    phase_nanos: [u64; Phase::ALL.len()],
+    normalize: NormalizeStats,
     prepare_nanos: u128,
     /// What every flight-recorder record of the statement carries,
     /// computed once here rather than per execution.
@@ -214,10 +217,8 @@ fn snapshot_stats(snap: &Snapshot) -> Arc<Stats> {
 /// parameters exactly as in OQL source.
 pub fn prepare_expr(expr: &Expr, stats: &Stats) -> Prepared {
     let started = Instant::now();
-    let mut trace = QueryTrace::new();
     let src = monoid_calculus::pretty::pretty(expr);
-    trace.source = Some(src.clone());
-    finish_prepare(started, trace, src, expr, stats)
+    finish_prepare(started, [0; Phase::ALL.len()], src, expr, stats)
 }
 
 fn prepare_with_stats(
@@ -226,33 +227,28 @@ fn prepare_with_stats(
     stats: &Stats,
 ) -> Result<Prepared, AnalyzeError> {
     let started = Instant::now();
-    let mut trace = QueryTrace::new();
-    trace.source = Some(src.to_string());
-
-    let program = trace.time(Phase::Parse, || monoid_oql::parse_program(src))?;
-    let expr = trace.time(Phase::Translate, || {
+    let mut phases = [0; Phase::ALL.len()];
+    let program = Phase::Parse.time(&mut phases, || monoid_oql::parse_program(src))?;
+    let expr = Phase::Translate.time(&mut phases, || {
         monoid_oql::Translator::new(schema).translate_program(&program)
     })?;
-    Ok(finish_prepare(started, trace, src.to_string(), &expr, stats))
+    Ok(finish_prepare(started, phases, src.to_string(), &expr, stats))
 }
 
 /// The back half of every prepare: normalize → optimize → plan, with the
-/// trace and registry records all prepares share.
+/// phase timings and registry records all prepares share.
 fn finish_prepare(
     started: Instant,
-    mut trace: QueryTrace,
+    mut phases: [u64; Phase::ALL.len()],
     src: String,
     expr: &Expr,
     stats: &Stats,
 ) -> Prepared {
-    let start = Instant::now();
-    let (canonical, _derivation, nstats) = normalize_traced(expr);
-    trace.record(Phase::Normalize, start.elapsed().as_nanos());
-    trace.normalize = Some(nstats);
+    let (canonical, _, normalize) = Phase::Normalize.time(&mut phases, || normalize_traced(expr));
 
-    let reordered = trace.time(Phase::Optimize, || reorder_generators(&canonical, stats));
+    let reordered = Phase::Optimize.time(&mut phases, || reorder_generators(&canonical, stats));
 
-    let (estimates, exec) = match trace.time(Phase::Plan, || plan_comprehension(&reordered)) {
+    let (estimates, exec) = match Phase::Plan.time(&mut phases, || plan_comprehension(&reordered)) {
         Ok(query) => (stats.query_estimates(&query), ExecMode::Plan(query)),
         // Whatever the pipelined algebra declines stays preparable and
         // runs on the evaluator.
@@ -277,7 +273,8 @@ fn finish_prepare(
         effects,
         estimates,
         params,
-        trace,
+        phase_nanos: phases,
+        normalize,
         prepare_nanos,
     }
 }
@@ -344,10 +341,11 @@ impl Prepared {
         &self.params
     }
 
-    /// The prepare-time lifecycle trace (parse → translate → normalize →
-    /// optimize → plan; no execute phase).
-    pub fn trace(&self) -> &QueryTrace {
-        &self.trace
+    /// Nanos the prepare spent in `phase` (parse → translate → normalize
+    /// → optimize → plan; 0 for a phase that did not run, and always for
+    /// execute).
+    pub fn phase_nanos(&self, phase: Phase) -> u64 {
+        self.phase_nanos[phase.index()]
     }
 
     /// Wall-clock nanoseconds the whole prepare took.
@@ -485,13 +483,13 @@ impl Prepared {
     /// The record of one run, built from what the statement holds —
     /// source, effects, engine — plus who asked: session and cache
     /// disposition from `origin`, and on a miss the cold prepare's phase
-    /// timings (a prepare trace has no execute phase, so nothing
+    /// timings (a prepare times no execute phase, so nothing
     /// double-counts with the run's).
     fn new_record(&self, origin: &Origin) -> QueryRecord {
         let record = QueryRecord::of(self.fingerprint, self.record_source.clone());
         let mut record = origin.record(record);
         if origin.cache == CacheDisposition::Miss {
-            record.add_trace(&self.trace);
+            record.phase_nanos = self.phase_nanos;
         }
         record.effects = self.effects_text.clone();
         record.engine = Some(self.engine);
@@ -560,8 +558,9 @@ impl Prepared {
     /// capture and flamegraphs (`.profile.to_folded()`) all run this:
     /// walk the plan under the counting probe against `snap`, next to the
     /// estimates the statement was planned with, and return the value
-    /// with a profile whose trace is the statement's own lifecycle — the
-    /// prepare's phases, then this run's execute. Commits no record.
+    /// with a profile that accounts for the statement's own lifecycle —
+    /// its source, the prepare's phases and normalization statistics, and
+    /// this run's execute. Commits no record.
     /// Only plan-mode statements have an operator tree to profile; an
     /// evaluator-mode statement reports the planner's refusal.
     pub fn profile(&self, snap: &Snapshot, params: &Params) -> Result<Analysis, AnalyzeError> {
@@ -574,8 +573,12 @@ impl Prepared {
         };
         let mut analysis =
             monoid_algebra::execute_profiled_bound(query, &self.estimates, snap, binds)?;
-        let executed = std::mem::replace(&mut analysis.profile.trace, self.trace.clone());
-        analysis.profile.trace.phases.extend(executed.phases);
+        let profile = &mut analysis.profile;
+        profile.source = Some(self.source.clone());
+        for (slot, prepared) in profile.phase_nanos.iter_mut().zip(self.phase_nanos) {
+            *slot += prepared;
+        }
+        profile.normalize = Some(self.normalize.clone());
         Ok(analysis)
     }
 
@@ -592,7 +595,7 @@ impl Prepared {
         if let Some(origin) = origin {
             let mut record = self.new_record(&origin);
             if let Ok(analysis) = &result {
-                record.add_trace(&analysis.profile.trace);
+                record.phase_nanos = analysis.profile.phase_nanos;
             }
             let value = result.as_ref().map(|a| &a.value);
             self.commit(origin, record, value, Instant::now(), || {

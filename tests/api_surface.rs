@@ -557,6 +557,26 @@ fn one_spelling_of_normalize_optimize_plan() {
     assert_eq!(normalizers, pinned, "callers of `normalize_traced(` outside crates/core");
 }
 
+/// A statement's phase timings are one fixed array wherever they are
+/// kept — a `Prepared`, a profile, a flight-recorder record — indexed by
+/// `Phase::index`: the searched list of timings, its element type and the
+/// normalizer's own clock are gone. Normalizing prints nothing: a
+/// derivation holds terms, and a caller that shows one prints it.
+#[test]
+fn a_statements_account_is_kept_once_and_normalizing_prints_nothing() {
+    let mut files = Vec::new();
+    rust_files(&root().join("src"), &mut files);
+    rust_files(&root().join("crates"), &mut files);
+    for file in &files {
+        let code = code_of(file);
+        for gone in ["QueryTrace", "PhaseTiming", "elapsed_nanos"] {
+            assert!(!code.contains(gone), "{} names `{gone}`", relative(file));
+        }
+    }
+    let normalize = code_of(&root().join("crates/core/src/normalize.rs"));
+    assert!(!normalize.contains("pretty"), "normalize.rs prints outside its tests");
+}
+
 /// One decision of which engine runs: the fused compiler is called once,
 /// by the `Query` constructor, so a planned query carries its fold and
 /// every engine question reads it there. The compiler cannot refuse — a

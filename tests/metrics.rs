@@ -232,11 +232,10 @@ fn registry_accounts_for_a_known_workload() {
         let diff = metrics::global().snapshot().diff(&before);
         assert_eq!(db.memo().misses(), gathers, "explain re-gathered");
         assert_eq!(diff.histogram_with("prepare_nanos", &[]).unwrap().count, 1);
-        let trace = &analysis.profile.trace;
-        assert_eq!(trace.phases.len(), Phase::ALL.len(), "{:?}", trace.phases);
-        assert!(trace.phase_nanos(Phase::Parse).unwrap() > 0);
+        let profile = &analysis.profile;
+        assert!(profile.phase_nanos(Phase::Parse) > 0);
         for phase in Phase::ALL {
-            assert!(trace.phase_nanos(phase).is_some(), "profile trace lacks {phase}");
+            assert!(profile.phase_nanos(phase) > 0, "profile trace lacks {phase}");
             let h = diff.histogram_with("query_phase_nanos", &[("phase", phase.as_str())]);
             assert_eq!(h.map(|h| h.count), Some(1), "phase {phase} observed once");
         }

@@ -5,7 +5,7 @@ use monoid_db::calculus::expr::{Expr, Qual};
 use monoid_db::calculus::monoid::Monoid;
 use monoid_db::calculus::normalize::{is_canonical, normalize, normalize_traced, Rule};
 use monoid_db::calculus::parse::parse_expr;
-use monoid_db::calculus::pretty::pretty;
+use monoid_db::calculus::pretty::{pretty, Pretty};
 use monoid_db::oql::compile;
 use monoid_db::store::travel::{self, TravelScale};
 
@@ -399,7 +399,7 @@ fn derivations_match_the_golden_file() {
         let (n, trace, _) = normalize_traced(&q);
         let mut block = format!("== {label}\n{src}\ncalculus:  {}\n", pretty(&q));
         for step in &trace {
-            block.push_str(&format!("⇒ [{}] {}\n", step.rule, step.after));
+            block.push_str(&format!("⇒ [{}] {}\n", step.rule, Pretty(&step.after)));
         }
         block.push_str(&format!("canonical: {}\n\n", pretty(&n)));
         actual.push_str(&renumber_fresh(&block));

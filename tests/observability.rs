@@ -28,13 +28,10 @@ fn company_join_profile_has_phases_operators_and_estimates() {
         Phase::Plan,
         Phase::Execute,
     ] {
-        assert!(
-            p.trace.phase_nanos(phase).is_some(),
-            "missing phase {phase}:\n{rendered}"
-        );
+        assert!(p.phase_nanos(phase) > 0, "missing phase {phase}:\n{rendered}");
     }
-    assert!(p.trace.total_nanos() > 0);
-    assert!(p.trace.normalize.is_some(), "normalize stats attached");
+    assert!(p.total_nanos() > 0);
+    assert!(p.normalize.is_some(), "normalize stats attached");
 
     // The dept equality across independent extents becomes a hash join
     // whose profile reports actual rows, build size, and an estimate.
@@ -283,8 +280,9 @@ fn a_join_charges_its_own_work_not_its_build_side() {
     let kept = (0..20_000_i64).filter(|k| k.to_string().contains('9')).count() as u64;
     assert_eq!(join.build_rows, kept, "{rendered}");
     let selves: u64 = p.operators.iter().map(|o| o.self_nanos).sum();
-    let execute = p.trace.phase_nanos(Phase::Execute).expect("execute is timed");
-    assert!(selves as u128 <= execute, "self {selves} ns > execute {execute} ns:\n{rendered}");
+    let execute = p.phase_nanos(Phase::Execute);
+    assert!(execute > 0, "execute is timed");
+    assert!(selves <= execute, "self {selves} ns > execute {execute} ns:\n{rendered}");
 }
 
 #[test]

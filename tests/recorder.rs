@@ -17,6 +17,7 @@
 
 use monoid_bench::compare::compare_reports;
 use monoid_algebra::QueryProfile;
+use monoid_calculus::json::Json;
 use monoid_calculus::metrics;
 use monoid_calculus::recorder::{self, CacheDisposition, FlightRecorder, QueryRecord};
 use monoid_calculus::symbol::Symbol;
@@ -439,6 +440,107 @@ fn every_entry_point_commits_exactly_one_complete_record() {
 
     rec.set_enabled(was_enabled);
     rec.set_slow_threshold(was_threshold);
+}
+
+// --- The layouts tooling reads. ---------------------------------------
+
+/// `j` with what varies from run to run masked as `"#"`: every nonzero
+/// number under a key naming nanos (or inside such an object — a
+/// record's `phase_nanos`; a 0 is a phase that did not run, and stays),
+/// and the per-process `seq`, `fingerprint` and `session`.
+fn masked(j: &Json, timed: bool) -> Json {
+    match j {
+        Json::Obj(fields) => Json::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| {
+                    let v = if ["seq", "fingerprint", "session"].contains(&k.as_str()) {
+                        Json::str("#")
+                    } else {
+                        masked(v, timed || k.contains("nanos"))
+                    };
+                    (k.clone(), v)
+                })
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(|v| masked(v, timed)).collect()),
+        Json::Int(n) if timed && *n != 0 => Json::str("#"),
+        Json::Float(x) if timed && *x != 0.0 => Json::str("#"),
+        other => other.clone(),
+    }
+}
+
+/// `text` with every rendered duration (`12 ns`, `1.50 µs`, `2.50 ms`,
+/// `3.00 s`) masked as `#`.
+fn masked_text(text: &str) -> String {
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some(start) = rest.find(|c: char| c.is_ascii_digit()) {
+        out.push_str(&rest[..start]);
+        let number = &rest[start..];
+        let len = number.find(|c: char| !c.is_ascii_digit() && c != '.').unwrap_or(number.len());
+        let after = &number[len..];
+        let unit = [" ns", " µs", " ms", " s"].into_iter().find(|u| {
+            after.strip_prefix(u).is_some_and(|t| !t.starts_with(char::is_alphanumeric))
+        });
+        out.push_str(if unit.is_some() { "#" } else { &number[..len] });
+        rest = &after[unit.map_or(0, str::len)..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// What `EXPLAIN ANALYZE` prints and writes, the records the journal
+/// keeps — for it, and for a served statement's cache miss and hit — and
+/// the slow capture's JSON, pinned whole in `tests/golden/layouts.txt`
+/// with every timing masked. A deliberate change is accepted as the
+/// derivations are: the actual text is written to `layouts.actual.txt`
+/// under Cargo's test temporary directory, and copied over the golden
+/// file in review.
+#[test]
+fn profile_record_and_slow_capture_layouts_match_the_golden_file() {
+    let _guard = lock();
+    let rec = recorder::global();
+    let (was_enabled, was_threshold) = (rec.enabled(), rec.slow_threshold());
+    rec.set_enabled(true);
+    rec.set_slow_threshold(1);
+
+    let mut db = db();
+    let src = "select distinct h.name from c in Cities, h in c.hotels \
+               where c.name = \"Portland\" and exists r in h.rooms: r.bed# = 3";
+    let mut analysis = None;
+    let explained = committed_by(|| analysis = Some(explain_analyze(src, &db).unwrap()));
+    let profile = analysis.unwrap().profile;
+    let session = private_session();
+    let served = committed_by(|| {
+        session.query(&mut db, SRC, &params()).unwrap();
+        session.query(&mut db, SRC, &params()).unwrap();
+    });
+    let mut captures: Vec<_> =
+        rec.slow_log().into_iter().filter(|c| c.seq == explained[0].seq).collect();
+    rec.set_enabled(was_enabled);
+    rec.set_slow_threshold(was_threshold);
+
+    let mut actual = format!("== explain_analyze render\n{}", masked_text(&profile.render()));
+    let pretty = |j: &Json| masked(j, false).render_pretty();
+    actual += &format!("== explain_analyze to_json\n{}\n", pretty(&profile.to_json()));
+    let labels = ["explain_analyze", "served miss", "served hit"];
+    assert_eq!(explained.len() + served.len(), labels.len());
+    for (label, r) in labels.iter().zip(explained.iter().chain(&served)) {
+        actual += &format!("== {label} record\n{}\n", pretty(&r.to_json()));
+    }
+    let mut capture = captures.pop().expect("the explained statement was slow");
+    assert!(captures.is_empty());
+    assert_eq!(capture.profile.take(), Some(profile.to_json()), "the capture's profile");
+    actual += &format!("== slow capture, profile elided\n{}\n", pretty(&capture.to_json()));
+
+    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/layouts.txt");
+    let golden = std::fs::read_to_string(golden_path).unwrap_or_default();
+    if golden != actual {
+        let written = format!("{}/layouts.actual.txt", env!("CARGO_TARGET_TMPDIR"));
+        std::fs::write(&written, &actual).unwrap();
+        panic!("layouts differ from {golden_path}; actual text written to {written}");
+    }
 }
 
 // --- 5. Concurrent pushers. -------------------------------------------
