@@ -26,7 +26,7 @@
 //! * [`trace`] — the profiled half of `EXPLAIN ANALYZE`: one counted
 //!   run of a planned query's fold with per-operator row/time counters
 //!   next to the optimizer's estimates, serializable to JSON. A profile
-//!   is the only account this crate keeps; it registers no metric
+//!   is the only account this crate keeps; it has no metric
 //!   series of its own.
 //! * [`verify`] — plan invariant verifier: binder consistency,
 //!   re-checked before every execution when stage verification is on

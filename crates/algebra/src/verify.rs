@@ -19,8 +19,7 @@
 //! a plan embeds can go stale against a snapshot.
 
 use crate::logical::{Plan, Query};
-use monoid_calculus::analysis::verify::record_failure;
-use monoid_calculus::analysis::VerifyError;
+use monoid_calculus::analysis::verify::{Stage, VerifyError};
 use monoid_calculus::symbol::Symbol;
 use std::collections::BTreeSet;
 
@@ -30,7 +29,7 @@ use std::collections::BTreeSet;
 pub fn verify_query(query: &Query) -> Result<(), VerifyError> {
     let result = check_binders(query.plan(), &mut BTreeSet::new());
     if let Err(e) = &result {
-        record_failure(e.stage);
+        e.stage.record_failure();
     }
     result
 }
@@ -43,7 +42,7 @@ fn check_binders(plan: &Plan, bound: &mut BTreeSet<Symbol>) -> Result<(), Verify
             Ok(())
         } else {
             Err(VerifyError::new(
-                "plan/binders",
+                Stage::PlanBinders,
                 format!("operator rebinds `{var}`, which an upstream operator already bound"),
             ))
         }
@@ -94,7 +93,7 @@ mod tests {
         };
         let query = Query::new(plan, sample.monoid().clone(), sample.head().clone()).unwrap();
         let err = verify_query(&query).unwrap_err();
-        assert_eq!(err.stage, "plan/binders");
+        assert_eq!(err.stage, Stage::PlanBinders);
         assert!(err.to_string().contains("rebinds"), "{err}");
     }
 

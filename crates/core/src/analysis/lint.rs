@@ -105,7 +105,8 @@ impl Code {
         }
     }
 
-    pub fn all() -> &'static [Code] {
+    /// Every code, in declaration order (indexable by `code as usize`).
+    pub const fn all() -> &'static [Code] {
         &[
             Code::UnusedGenerator,
             Code::ConstantPredicate,
@@ -221,7 +222,9 @@ pub fn lint_with_spans(e: &Expr, spans: &SpanMap) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut scope: Vec<Symbol> = Vec::new();
     walk(e, &mut scope, spans, &mut diags);
-    record_metrics(&diags);
+    for d in &diags {
+        crate::metrics::global().analysis_diagnostics_total[d.code as usize].inc();
+    }
     diags
 }
 
@@ -687,25 +690,6 @@ fn legality_hint(source: &Monoid, target: &Monoid) -> String {
             "choose a commutative target (e.g. `bag`, `sorted`) instead of `{target}`, or \
              impose an explicit order on the source with `to_list(…)`"
         )
-    }
-}
-
-/// Bump `analysis_diagnostics_total{code}` for each emitted diagnostic.
-/// Handles are resolved once per process.
-pub(super) fn record_metrics(diags: &[Diagnostic]) {
-    use crate::metrics::{global, Counter};
-    use std::sync::{Arc, OnceLock};
-    static HANDLES: OnceLock<Vec<Arc<Counter>>> = OnceLock::new();
-    let handles = HANDLES.get_or_init(|| {
-        let r = global();
-        Code::all()
-            .iter()
-            .map(|c| r.counter_with("analysis_diagnostics_total", &[("code", c.as_str())]))
-            .collect()
-    });
-    for d in diags {
-        let idx = Code::all().iter().position(|c| *c == d.code).expect("known code");
-        handles[idx].inc();
     }
 }
 

@@ -38,7 +38,7 @@ pub mod verify;
 
 pub use effects::{effects_of, Effects, EffectSummary};
 pub use lint::{lint, lint_with_spans, Code, Diagnostic, Severity, SpanMap};
-pub use verify::{check_rewrite, record_failure, verify_enabled, VerifyError};
+pub use verify::{check_rewrite, verify_enabled, VerifyError};
 
 /// A source position in the original query text (byte offset plus 1-based
 /// line/column). Spans are threaded best-effort from the OQL front end:
@@ -89,7 +89,7 @@ impl AnalysisReport {
     /// Add a diagnostic a later layer found (the umbrella's MC009),
     /// counted in `analysis_diagnostics_total{code}` like the rest.
     pub fn push(&mut self, d: Diagnostic) {
-        lint::record_metrics(std::slice::from_ref(&d));
+        crate::metrics::global().analysis_diagnostics_total[d.code as usize].inc();
         self.diagnostics.push(d);
     }
 

@@ -27,19 +27,56 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::OnceLock;
 
+/// The verifier stages: what a [`VerifyError`] is tagged with, and the
+/// labels of `analysis_verify_failures_total{stage}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// `normalize/scoping`: a rewrite introduced a free variable.
+    Scoping,
+    /// `normalize/legality`: a rewrite introduced a C/I violation.
+    Legality,
+    /// `normalize/well-formed`: a duplicate record label or binder.
+    WellFormed,
+    /// `normalize/typing`: a rewrite broke or changed the type.
+    Typing,
+    /// `plan/binders`: a plan operator rebinds an upstream variable.
+    PlanBinders,
+}
+
+impl Stage {
+    /// Every stage, in declaration order (indexable by `stage as usize`).
+    pub const ALL: [Stage; 5] =
+        [Stage::Scoping, Stage::Legality, Stage::WellFormed, Stage::Typing, Stage::PlanBinders];
+
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Stage::Scoping => "normalize/scoping",
+            Stage::Legality => "normalize/legality",
+            Stage::WellFormed => "normalize/well-formed",
+            Stage::Typing => "normalize/typing",
+            Stage::PlanBinders => "plan/binders",
+        }
+    }
+
+    /// Count a failure of this stage into the process-wide registry, for
+    /// this crate's verifier and the plan verifier in `monoid-algebra`.
+    pub fn record_failure(self) {
+        crate::metrics::global().analysis_verify_failures_total[self as usize].inc();
+    }
+}
+
 /// A stage-tagged invariant violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
-    /// Which verifier stage tripped, e.g. `normalize/scoping`,
-    /// `normalize/legality`, `normalize/typing`, `plan/binders`.
-    pub stage: &'static str,
+    /// Which verifier stage tripped.
+    pub stage: Stage,
     /// The normalize rule that fired, when the stage is per-rewrite.
     pub rule: Option<&'static str>,
     pub message: String,
 }
 
 impl VerifyError {
-    pub fn new(stage: &'static str, message: impl Into<String>) -> VerifyError {
+    pub fn new(stage: Stage, message: impl Into<String>) -> VerifyError {
         VerifyError { stage, rule: None, message: message.into() }
     }
 
@@ -51,7 +88,7 @@ impl VerifyError {
 
 impl fmt::Display for VerifyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] ", self.stage)?;
+        write!(f, "[{}] ", self.stage.as_str())?;
         if let Some(rule) = self.rule {
             write!(f, "after rule `{rule}`: ")?;
         }
@@ -73,15 +110,6 @@ pub fn verify_enabled() -> bool {
     })
 }
 
-/// Count a verifier failure into the process-wide metrics registry.
-/// Public so downstream verifiers (the plan verifier in `monoid-algebra`)
-/// feed the same `analysis_verify_failures_total{stage}` family.
-pub fn record_failure(stage: &'static str) {
-    crate::metrics::global()
-        .counter_with("analysis_verify_failures_total", &[("stage", stage)])
-        .inc();
-}
-
 /// Check that the rewrite `before ⇒ after` (attributed to `rule`)
 /// preserved the stage invariants. Differential: see the module docs.
 pub fn check_rewrite(
@@ -91,7 +119,7 @@ pub fn check_rewrite(
 ) -> Result<(), VerifyError> {
     let result = check_rewrite_inner(before, after).map_err(|e| e.with_rule(rule));
     if let Err(e) = &result {
-        record_failure(e.stage);
+        e.stage.record_failure();
     }
     result
 }
@@ -103,7 +131,7 @@ fn check_rewrite_inner(before: &Expr, after: &Expr) -> Result<(), VerifyError> {
     for v in free_vars(after) {
         if !fv_before.contains(&v) {
             return Err(VerifyError::new(
-                "normalize/scoping",
+                Stage::Scoping,
                 format!("rewrite introduced free variable `{}`", v.as_str()),
             ));
         }
@@ -113,7 +141,7 @@ fn check_rewrite_inner(before: &Expr, after: &Expr) -> Result<(), VerifyError> {
     let illegal_before = legality_violations(before);
     for v in legality_violations(after) {
         if !illegal_before.contains(&v) {
-            return Err(VerifyError::new("normalize/legality", v));
+            return Err(VerifyError::new(Stage::Legality, v));
         }
     }
 
@@ -122,7 +150,7 @@ fn check_rewrite_inner(before: &Expr, after: &Expr) -> Result<(), VerifyError> {
     let wf_before = well_formedness_violations(before);
     for v in well_formedness_violations(after) {
         if !wf_before.contains(&v) {
-            return Err(VerifyError::new("normalize/well-formed", v));
+            return Err(VerifyError::new(Stage::WellFormed, v));
         }
     }
 
@@ -133,7 +161,7 @@ fn check_rewrite_inner(before: &Expr, after: &Expr) -> Result<(), VerifyError> {
         match infer(after) {
             Err(e) => {
                 return Err(VerifyError::new(
-                    "normalize/typing",
+                    Stage::Typing,
                     format!("rewrite broke typing: {e}"),
                 ));
             }
@@ -143,7 +171,7 @@ fn check_rewrite_inner(before: &Expr, after: &Expr) -> Result<(), VerifyError> {
                     && !types_compatible(&t_before, &t_after)
                 {
                     return Err(VerifyError::new(
-                        "normalize/typing",
+                        Stage::Typing,
                         format!("rewrite changed type: `{t_before}` → `{t_after}`"),
                     ));
                 }
@@ -313,7 +341,7 @@ mod tests {
         let before = Expr::int(1).add(Expr::int(2));
         let after = Expr::int(1).add(Expr::var("oops"));
         let err = check_rewrite("beta", &before, &after).unwrap_err();
-        assert_eq!(err.stage, "normalize/scoping");
+        assert_eq!(err.stage, Stage::Scoping);
         assert_eq!(err.rule, Some("beta"));
         assert!(err.message.contains("oops"));
     }
@@ -334,7 +362,7 @@ mod tests {
             vec![Expr::gen("x", Expr::set_of(vec![Expr::int(1)]))],
         );
         let err = check_rewrite("merge-generator", &before, &after).unwrap_err();
-        assert_eq!(err.stage, "normalize/legality");
+        assert_eq!(err.stage, Stage::Legality);
         assert_eq!(err.rule, Some("merge-generator"));
         assert!(err.message.contains("set"), "message names the source monoid: {err}");
     }
@@ -360,7 +388,7 @@ mod tests {
         let before = Expr::int(1).add(Expr::int(2));
         let after = Expr::int(1).add(Expr::bool(true));
         let err = check_rewrite("proj", &before, &after).unwrap_err();
-        assert_eq!(err.stage, "normalize/typing");
+        assert_eq!(err.stage, Stage::Typing);
     }
 
     #[test]
@@ -368,7 +396,7 @@ mod tests {
         let before = Expr::int(1).add(Expr::int(2));
         let after = Expr::str("three");
         let err = check_rewrite("proj", &before, &after).unwrap_err();
-        assert_eq!(err.stage, "normalize/typing");
+        assert_eq!(err.stage, Stage::Typing);
         assert!(err.message.contains("changed type"));
     }
 
@@ -377,7 +405,7 @@ mod tests {
         let before = Expr::record(vec![("a", Expr::int(1)), ("b", Expr::int(2))]);
         let after = Expr::record(vec![("a", Expr::int(1)), ("a", Expr::int(2))]);
         let err = check_rewrite("proj", &before, &after).unwrap_err();
-        assert_eq!(err.stage, "normalize/well-formed");
+        assert_eq!(err.stage, Stage::WellFormed);
     }
 
     #[test]

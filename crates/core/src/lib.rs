@@ -39,9 +39,10 @@
 //!   the per-rewrite stage invariant verifier ([`analysis::verify`]), and
 //!   the MC001–MC009 lint pass ([`analysis::lint`](mod@analysis::lint)) behind `oqlint`
 //!   (`docs/analysis.md`).
-//! * [`metrics`] — the process-wide registry of counters, gauges, and
-//!   log-bucketed latency histograms a serving process writes, exported
-//!   as JSON (`docs/observability.md`).
+//! * [`metrics`] — the process-wide catalog of counters, gauges, and
+//!   log-bucketed latency histograms a serving process writes: one
+//!   struct whose fields are the series, exported as JSON
+//!   (`docs/observability.md`).
 //! * [`recorder`] — the process-wide query flight recorder: a
 //!   fixed-capacity ring of per-query [`recorder::QueryRecord`]s plus
 //!   the slow-query capture log, fed by the serving layer

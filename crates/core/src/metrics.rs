@@ -1,42 +1,37 @@
-//! Process-wide metrics: counters, gauges, and log-bucketed latency
-//! histograms, exported as [`Json`].
+//! Process-wide metrics: one fixed catalog of counters, gauges, and
+//! log-bucketed latency histograms, exported as [`Json`].
 //!
 //! A profile (`EXPLAIN ANALYZE`) accounts for a *single* query; this
 //! module holds what only a running process can know — cumulative
 //! counters, latency distributions, and per-rule normalization accounting
 //! across every query it serves. It keeps only series a serving process
 //! writes: anything a profile already sums (per-operator rows, build
-//! rows, q-errors) is read from the profiles, never re-summed here. The
-//! design is dependency-free and mirrors the usual client-library shape:
+//! rows, q-errors) is read from the profiles, never re-summed here.
 //!
-//! * a [`Registry`] owns named series; registration takes a lock, but
-//!   the returned [`Counter`]/[`Gauge`]/[`Histogram`] handles are
-//!   `Arc`-shared atomics, so the hot path is a single
-//!   `fetch_add(Relaxed)` — cache the handle in a `OnceLock` and never
-//!   touch the lock again;
-//! * series are identified by a metric name plus ordered labels
-//!   (`normalize_rule_fired_total{rule="beta"}`), one series per label
-//!   combination;
+//! * The [`Registry`] is a const-initialised struct whose fields are the
+//!   series, so a recording site writes `metrics::global().<series>`
+//!   directly: one `fetch_add(Relaxed)`, no lookup, lock or cached
+//!   handle. A labelled family is an array indexed by the enum that
+//!   names its labels ([`Phase`], [`Rule`], [`Code`], [`Stage`]).
 //! * [`Histogram`]s are log₂-bucketed: bucket *i* counts observations
 //!   `v ≤ 2^i` (the last bucket is +∞), which spans 1 ns to ~4.6 s in
 //!   63 buckets with ≤ 2× relative error — plenty for latency work.
-//!   [`HistogramSnapshot::quantile`] reads p50/p95/p99 back out;
-//! * [`Registry::snapshot`] captures a consistent-enough point-in-time
-//!   view; [`Snapshot::diff`] subtracts an earlier snapshot so tests
-//!   and the bench harness can meter a *known workload* without caring
-//!   what ran before;
-//! * [`Snapshot::to_json`] is the one export format, rendered through
-//!   the repo's own [`Json`].
+//!   [`HistogramSnapshot::quantile`] reads p50/p95/p99 back out.
+//! * [`Registry::snapshot`], the one place a series is named, lists
+//!   every series (`normalize_rule_fired_total{rule="beta"}`), zeros
+//!   included, in key order; [`Snapshot::diff`] subtracts an earlier
+//!   snapshot, so tests and the bench harness meter a *known workload*
+//!   whatever ran before; [`Snapshot::to_json`] is the one export format.
 //!
-//! The process-wide registry is [`global()`]. The store, the normalizer,
-//! the analyzer, phase timings, the serving layer and the umbrella OQL
-//! path feed it; the executor registers nothing (a profiled run's counts
-//! stay in its profile).
+//! The process-wide registry is [`global()`].
 
+use crate::analysis::verify::Stage;
+use crate::analysis::Code;
 use crate::json::Json;
+use crate::normalize::Rule;
+use crate::trace::Phase;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Number of histogram buckets: bucket `i < 63` counts observations
 /// `≤ 2^i`; bucket 63 is the +∞ overflow.
@@ -47,6 +42,10 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub struct Counter(AtomicU64);
 
 impl Counter {
+    const fn new() -> Counter {
+        Counter(AtomicU64::new(0))
+    }
+
     #[inline]
     pub fn inc(&self) {
         self.add(1);
@@ -60,6 +59,10 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
+
+    fn read(&self) -> MetricValue {
+        MetricValue::Counter(self.get())
+    }
 }
 
 /// A value that can go up and down (heap sizes, pool occupancy).
@@ -67,6 +70,10 @@ impl Counter {
 pub struct Gauge(AtomicI64);
 
 impl Gauge {
+    const fn new() -> Gauge {
+        Gauge(AtomicI64::new(0))
+    }
+
     #[inline]
     pub fn set(&self, v: i64) {
         self.0.store(v, Ordering::Relaxed);
@@ -79,6 +86,10 @@ impl Gauge {
 
     pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
+    }
+
+    fn read(&self) -> MetricValue {
+        MetricValue::Gauge(self.get())
     }
 }
 
@@ -115,15 +126,19 @@ pub fn bucket_bound(i: usize) -> Option<u64> {
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+        Histogram::new()
     }
 }
 
 impl Histogram {
+    const fn new() -> Histogram {
+        Histogram {
+            buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
     pub fn observe(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -145,37 +160,17 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
+
+    fn read(&self) -> MetricValue {
+        MetricValue::Histogram(self.snapshot())
+    }
 }
 
-/// One registered series: a metric name plus its ordered labels.
+/// One series in a snapshot: a metric name plus its ordered labels.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeriesKey {
     pub name: String,
     pub labels: Vec<(String, String)>,
-}
-
-#[derive(Debug, Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
-
-/// A registry of named metric series. Cheap to share (`Arc` the handles,
-/// not the registry); all recording is atomic.
-#[derive(Debug, Default)]
-pub struct Registry {
-    series: Mutex<BTreeMap<SeriesKey, Metric>>,
 }
 
 fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
@@ -185,85 +180,121 @@ fn key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
     }
 }
 
+/// Every series this process writes, one field each. A labelled family
+/// is an array in its label enum's declaration order (`Phase::index`,
+/// `Rule::number() - 1`, `Code as usize`, `Stage as usize`). What each
+/// series counts is tabled in `docs/observability.md` ("The series").
+#[derive(Debug)]
+pub struct Registry {
+    pub oql_queries_total: Counter,
+    pub oql_query_errors_total: Counter,
+    pub oql_query_nanos: Histogram,
+    pub query_phase_nanos: [Histogram; Phase::ALL.len()],
+    pub normalize_runs_total: Counter,
+    pub normalize_steps_total: Counter,
+    pub normalize_rule_fired_total: [Counter; Rule::COUNT],
+    pub store_objects_inserted_total: Counter,
+    pub store_heap_objects: Gauge,
+    pub store_queries_total: Counter,
+    pub store_query_errors_total: Counter,
+    pub store_query_nanos: Histogram,
+    pub store_state_reads_total: Counter,
+    pub store_extent_scans_total: Counter,
+    pub analysis_diagnostics_total: [Counter; Code::all().len()],
+    pub analysis_verify_failures_total: [Counter; Stage::ALL.len()],
+    pub recorder_records_total: Counter,
+    pub recorder_errors_total: Counter,
+    pub recorder_slow_captures_total: Counter,
+    pub plan_cache_hits_total: Counter,
+    pub plan_cache_misses_total: Counter,
+    pub plan_cache_invalidations_total: Counter,
+    pub plan_cache_evictions_total: Counter,
+    pub prepare_nanos: Histogram,
+    pub serving_statements_total: Counter,
+    pub serving_requests_in_flight: Gauge,
+}
+
 impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// Get or register the label-less counter `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        self.counter_with(name, &[])
-    }
-
-    /// Get or register a counter series. Panics if `name`+`labels` is
-    /// already registered as a different metric type — that is a
-    /// programming error, not a runtime condition.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let mut series = self.series.lock().unwrap();
-        match series
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
-        {
-            Metric::Counter(c) => Arc::clone(c),
-            other => panic!("`{name}` is registered as a {}", other.kind()),
+    /// A registry with every series at zero.
+    const fn new() -> Registry {
+        Registry {
+            oql_queries_total: Counter::new(),
+            oql_query_errors_total: Counter::new(),
+            oql_query_nanos: Histogram::new(),
+            query_phase_nanos: [const { Histogram::new() }; Phase::ALL.len()],
+            normalize_runs_total: Counter::new(),
+            normalize_steps_total: Counter::new(),
+            normalize_rule_fired_total: [const { Counter::new() }; Rule::COUNT],
+            store_objects_inserted_total: Counter::new(),
+            store_heap_objects: Gauge::new(),
+            store_queries_total: Counter::new(),
+            store_query_errors_total: Counter::new(),
+            store_query_nanos: Histogram::new(),
+            store_state_reads_total: Counter::new(),
+            store_extent_scans_total: Counter::new(),
+            analysis_diagnostics_total: [const { Counter::new() }; Code::all().len()],
+            analysis_verify_failures_total: [const { Counter::new() }; Stage::ALL.len()],
+            recorder_records_total: Counter::new(),
+            recorder_errors_total: Counter::new(),
+            recorder_slow_captures_total: Counter::new(),
+            plan_cache_hits_total: Counter::new(),
+            plan_cache_misses_total: Counter::new(),
+            plan_cache_invalidations_total: Counter::new(),
+            plan_cache_evictions_total: Counter::new(),
+            prepare_nanos: Histogram::new(),
+            serving_statements_total: Counter::new(),
+            serving_requests_in_flight: Gauge::new(),
         }
     }
 
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.gauge_with(name, &[])
-    }
-
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let mut series = self.series.lock().unwrap();
-        match series
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
-        {
-            Metric::Gauge(g) => Arc::clone(g),
-            other => panic!("`{name}` is registered as a {}", other.kind()),
-        }
-    }
-
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        self.histogram_with(name, &[])
-    }
-
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let mut series = self.series.lock().unwrap();
-        match series
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::default())))
-        {
-            Metric::Histogram(h) => Arc::clone(h),
-            other => panic!("`{name}` is registered as a {}", other.kind()),
-        }
-    }
-
-    /// A point-in-time view of every registered series. Each series is
-    /// read atomically; the snapshot as a whole is not a transaction,
+    /// A point-in-time view of every series, in key order. Each series
+    /// is read atomically; the snapshot as a whole is not a transaction,
     /// which is the usual (and sufficient) exporter guarantee.
     pub fn snapshot(&self) -> Snapshot {
-        let series = self.series.lock().unwrap();
-        Snapshot {
-            series: series
-                .iter()
-                .map(|(k, m)| SeriesSnapshot {
-                    key: k.clone(),
-                    value: match m {
-                        Metric::Counter(c) => MetricValue::Counter(c.get()),
-                        Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                        Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                    },
-                })
-                .collect(),
+        let mut s = Snapshot::default();
+        s.push("oql_queries_total", &[], self.oql_queries_total.read());
+        s.push("oql_query_errors_total", &[], self.oql_query_errors_total.read());
+        s.push("oql_query_nanos", &[], self.oql_query_nanos.read());
+        for (phase, h) in Phase::ALL.iter().zip(&self.query_phase_nanos) {
+            s.push("query_phase_nanos", &[("phase", phase.as_str())], h.read());
         }
+        s.push("normalize_runs_total", &[], self.normalize_runs_total.read());
+        s.push("normalize_steps_total", &[], self.normalize_steps_total.read());
+        for (rule, c) in Rule::all().iter().zip(&self.normalize_rule_fired_total) {
+            s.push("normalize_rule_fired_total", &[("rule", rule.name())], c.read());
+        }
+        s.push("store_objects_inserted_total", &[], self.store_objects_inserted_total.read());
+        s.push("store_heap_objects", &[], self.store_heap_objects.read());
+        s.push("store_queries_total", &[], self.store_queries_total.read());
+        s.push("store_query_errors_total", &[], self.store_query_errors_total.read());
+        s.push("store_query_nanos", &[], self.store_query_nanos.read());
+        s.push("store_state_reads_total", &[], self.store_state_reads_total.read());
+        s.push("store_extent_scans_total", &[], self.store_extent_scans_total.read());
+        for (code, c) in Code::all().iter().zip(&self.analysis_diagnostics_total) {
+            s.push("analysis_diagnostics_total", &[("code", code.as_str())], c.read());
+        }
+        for (stage, c) in Stage::ALL.iter().zip(&self.analysis_verify_failures_total) {
+            s.push("analysis_verify_failures_total", &[("stage", stage.as_str())], c.read());
+        }
+        s.push("recorder_records_total", &[], self.recorder_records_total.read());
+        s.push("recorder_errors_total", &[], self.recorder_errors_total.read());
+        s.push("recorder_slow_captures_total", &[], self.recorder_slow_captures_total.read());
+        s.push("plan_cache_hits_total", &[], self.plan_cache_hits_total.read());
+        s.push("plan_cache_misses_total", &[], self.plan_cache_misses_total.read());
+        s.push("plan_cache_invalidations_total", &[], self.plan_cache_invalidations_total.read());
+        s.push("plan_cache_evictions_total", &[], self.plan_cache_evictions_total.read());
+        s.push("prepare_nanos", &[], self.prepare_nanos.read());
+        s.push("serving_statements_total", &[], self.serving_statements_total.read());
+        s.push("serving_requests_in_flight", &[], self.serving_requests_in_flight.read());
+        s.series.sort_by(|a, b| a.key.cmp(&b.key));
+        s
     }
 }
 
 /// The process-wide registry every instrumented layer records into.
 pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
+    static GLOBAL: Registry = Registry::new();
+    &GLOBAL
 }
 
 // ---------------------------------------------------------------------------
@@ -344,14 +375,17 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    fn push(&mut self, name: &str, labels: &[(&str, &str)], value: MetricValue) {
+        self.series.push(SeriesSnapshot { key: key(name, labels), value });
+    }
+
     /// Look up a series by name and labels.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
         let k = key(name, labels);
         self.series.iter().find(|s| s.key == k).map(|s| &s.value)
     }
 
-    /// Counter value (0 when absent — counters that never fired are
-    /// simply unregistered).
+    /// Counter value (0 when the snapshot has no such series).
     pub fn counter(&self, name: &str) -> u64 {
         self.counter_with(name, &[])
     }
@@ -370,7 +404,11 @@ impl Snapshot {
         }
     }
 
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+    pub fn histogram_with(
+        &self,
+        name: &str,
+        labels: &[(&str, &str)],
+    ) -> Option<&HistogramSnapshot> {
         match self.get(name, labels) {
             Some(MetricValue::Histogram(h)) => Some(h),
             _ => None,
@@ -384,103 +422,63 @@ impl Snapshot {
     pub fn diff(&self, earlier: &Snapshot) -> Snapshot {
         let before: BTreeMap<&SeriesKey, &MetricValue> =
             earlier.series.iter().map(|s| (&s.key, &s.value)).collect();
-        Snapshot {
-            series: self
-                .series
-                .iter()
-                .map(|s| {
-                    let value = match (&s.value, before.get(&s.key)) {
-                        (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                            MetricValue::Counter(now.saturating_sub(*then))
-                        }
-                        (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                            MetricValue::Histogram(HistogramSnapshot {
-                                buckets: now
-                                    .buckets
-                                    .iter()
-                                    .zip(&then.buckets)
-                                    .map(|(a, b)| a.saturating_sub(*b))
-                                    .collect(),
-                                count: now.count.saturating_sub(then.count),
-                                sum: now.sum.saturating_sub(then.sum),
-                            })
-                        }
-                        (v, _) => v.clone(),
-                    };
-                    SeriesSnapshot { key: s.key.clone(), value }
-                })
-                .collect(),
-        }
+        let series = self.series.iter().map(|s| {
+            let value = match (&s.value, before.get(&s.key)) {
+                (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
+                    MetricValue::Counter(now.saturating_sub(*then))
+                }
+                (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
+                    let buckets = now.buckets.iter().zip(&then.buckets);
+                    MetricValue::Histogram(HistogramSnapshot {
+                        buckets: buckets.map(|(a, b)| a.saturating_sub(*b)).collect(),
+                        count: now.count.saturating_sub(then.count),
+                        sum: now.sum.saturating_sub(then.sum),
+                    })
+                }
+                (v, _) => v.clone(),
+            };
+            SeriesSnapshot { key: s.key.clone(), value }
+        });
+        Snapshot { series: series.collect() }
     }
 
     /// Render as a JSON document: one object per series with `name`,
     /// `labels`, `type`, and the value (histograms carry count/sum,
     /// p50/p95/p99, and the non-empty buckets).
     pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.series
-                .iter()
-                .map(|s| {
-                    let labels = Json::Obj(
-                        s.key
-                            .labels
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Json::str(v.clone())))
-                            .collect(),
-                    );
-                    let mut fields = vec![
-                        ("name", Json::str(s.key.name.clone())),
-                        ("labels", labels),
-                    ];
-                    match &s.value {
-                        MetricValue::Counter(n) => {
-                            fields.push(("type", Json::str("counter")));
-                            fields.push(("value", Json::from(*n)));
-                        }
-                        MetricValue::Gauge(v) => {
-                            fields.push(("type", Json::str("gauge")));
-                            fields.push(("value", Json::Int(*v)));
-                        }
-                        MetricValue::Histogram(h) => {
-                            fields.push(("type", Json::str("histogram")));
-                            fields.push(("count", Json::from(h.count)));
-                            fields.push(("sum", Json::from(h.sum)));
-                            fields.push(("p50", opt_u64(h.p50())));
-                            fields.push(("p95", opt_u64(h.p95())));
-                            fields.push(("p99", opt_u64(h.p99())));
-                            fields.push((
-                                "buckets",
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(_, n)| **n > 0)
-                                        .map(|(i, n)| {
-                                            Json::obj(vec![
-                                                (
-                                                    "le",
-                                                    match bucket_bound(i) {
-                                                        Some(b) => Json::from(b),
-                                                        None => Json::str("+Inf"),
-                                                    },
-                                                ),
-                                                ("count", Json::from(*n)),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ));
-                        }
-                    }
-                    Json::obj(fields)
-                })
-                .collect(),
-        )
+        Json::Arr(self.series.iter().map(series_json).collect())
     }
 }
 
-fn opt_u64(v: Option<u64>) -> Json {
-    v.map(Json::from).unwrap_or(Json::Null)
+/// One series as a JSON object: its name, labels, type and value.
+fn series_json(s: &SeriesSnapshot) -> Json {
+    let labels = s.key.labels.iter().map(|(k, v)| (k.clone(), Json::str(v.clone()))).collect();
+    let mut fields = vec![("name", Json::str(s.key.name.clone())), ("labels", Json::Obj(labels))];
+    match &s.value {
+        MetricValue::Counter(n) => {
+            fields.extend([("type", Json::str("counter")), ("value", Json::from(*n))]);
+        }
+        MetricValue::Gauge(v) => {
+            fields.extend([("type", Json::str("gauge")), ("value", Json::Int(*v))]);
+        }
+        MetricValue::Histogram(h) => {
+            let quantile = |q: Option<u64>| q.map_or(Json::Null, Json::from);
+            let buckets = h.buckets.iter().enumerate().filter(|(_, n)| **n > 0).map(|(i, n)| {
+                let le = bucket_bound(i).map_or_else(|| Json::str("+Inf"), Json::from);
+                Json::obj(vec![("le", le), ("count", Json::from(*n))])
+            });
+            fields.extend([
+                ("type", Json::str("histogram")),
+                ("count", Json::from(h.count)),
+                ("sum", Json::from(h.sum)),
+                ("p50", quantile(h.p50())),
+                ("p95", quantile(h.p95())),
+                ("p99", quantile(h.p99())),
+                ("buckets", Json::Arr(buckets.collect())),
+            ]);
+        }
+    }
+    Json::obj(fields)
 }
 
 #[cfg(test)]
@@ -490,37 +488,47 @@ mod tests {
     #[test]
     fn counters_and_gauges_record() {
         let r = Registry::new();
-        let c = r.counter("requests_total");
-        c.inc();
-        c.add(4);
-        let g = r.gauge("pool_size");
-        g.set(7);
-        g.add(-2);
+        r.plan_cache_hits_total.inc();
+        r.plan_cache_hits_total.add(4);
+        r.serving_requests_in_flight.set(7);
+        r.serving_requests_in_flight.add(-2);
         let snap = r.snapshot();
-        assert_eq!(snap.counter("requests_total"), 5);
-        assert_eq!(snap.gauge("pool_size"), Some(5));
-        // Handles are shared: a second lookup hits the same atomic.
-        r.counter("requests_total").inc();
-        assert_eq!(r.snapshot().counter("requests_total"), 6);
+        assert_eq!(snap.counter("plan_cache_hits_total"), 5);
+        assert_eq!(snap.gauge("serving_requests_in_flight"), Some(5));
+        r.plan_cache_hits_total.inc();
+        assert_eq!(r.snapshot().counter("plan_cache_hits_total"), 6);
     }
 
     #[test]
     fn labeled_series_are_distinct() {
         let r = Registry::new();
-        r.counter_with("rule_fired", &[("rule", "beta")]).add(3);
-        r.counter_with("rule_fired", &[("rule", "proj")]).add(1);
+        r.normalize_rule_fired_total[Rule::Beta as usize].add(3);
+        r.normalize_rule_fired_total[Rule::Proj as usize].add(1);
+        r.query_phase_nanos[Phase::Plan.index()].observe(9);
+        r.analysis_diagnostics_total[Code::CrossProduct as usize].inc();
+        r.analysis_verify_failures_total[Stage::PlanBinders as usize].inc();
         let snap = r.snapshot();
-        assert_eq!(snap.counter_with("rule_fired", &[("rule", "beta")]), 3);
-        assert_eq!(snap.counter_with("rule_fired", &[("rule", "proj")]), 1);
-        assert_eq!(snap.counter_with("rule_fired", &[("rule", "other")]), 0);
+        let fired = |rule| snap.counter_with("normalize_rule_fired_total", &[("rule", rule)]);
+        assert_eq!(fired("beta"), 3);
+        assert_eq!(fired("record-projection"), 1);
+        assert_eq!(fired("other"), 0);
+        let plan = snap.histogram_with("query_phase_nanos", &[("phase", "plan")]).unwrap();
+        assert_eq!((plan.count, plan.sum), (1, 9));
+        assert_eq!(snap.counter_with("analysis_diagnostics_total", &[("code", "MC007")]), 1);
+        let failed = &[("stage", "plan/binders")];
+        assert_eq!(snap.counter_with("analysis_verify_failures_total", failed), 1);
     }
 
     #[test]
-    #[should_panic(expected = "registered as a counter")]
-    fn type_confusion_panics() {
-        let r = Registry::new();
-        r.counter("x").inc();
-        let _ = r.gauge("x");
+    fn every_label_value_is_a_series() {
+        let snap = Registry::new().snapshot();
+        let labelled = Phase::ALL.len() + Rule::all().len() + Code::all().len() + Stage::ALL.len();
+        assert_eq!(snap.series.len(), 22 + labelled);
+        // Each family's array is indexed by its enum's declaration order.
+        assert!(Rule::all().iter().enumerate().all(|(i, r)| r.number() as usize == i + 1));
+        assert!(Rule::all().iter().enumerate().all(|(i, r)| *r as usize == i));
+        assert!(Code::all().iter().enumerate().all(|(i, c)| *c as usize == i));
+        assert!(Stage::ALL.iter().enumerate().all(|(i, s)| *s as usize == i));
     }
 
     #[test]
@@ -536,11 +544,7 @@ mod tests {
         for k in 0..63u32 {
             let v = 1u64 << k;
             let i = bucket_index(v);
-            assert_eq!(
-                bucket_bound(i),
-                Some(v),
-                "2^{k} must land in the bucket bounded by itself"
-            );
+            assert_eq!(bucket_bound(i), Some(v), "2^{k} must land in the bucket bounded by itself");
             if v > 1 {
                 assert_eq!(bucket_index(v + 1), i + 1, "2^{k}+1 spills to the next bucket");
             }
@@ -597,50 +601,42 @@ mod tests {
     #[test]
     fn snapshot_diff_subtracts_counters_and_keeps_gauges() {
         let r = Registry::new();
-        r.counter("c").add(10);
-        r.gauge("g").set(3);
-        r.histogram("h").observe(5);
+        r.store_queries_total.add(10);
+        r.store_heap_objects.set(3);
+        r.store_query_nanos.observe(5);
         let before = r.snapshot();
-        r.counter("c").add(7);
-        r.gauge("g").set(9);
-        r.histogram("h").observe(5);
-        r.histogram("h").observe(4096);
-        r.counter_with("born_later", &[]).inc();
+        r.store_queries_total.add(7);
+        r.store_heap_objects.set(9);
+        r.store_query_nanos.observe(5);
+        r.store_query_nanos.observe(4096);
         let d = r.snapshot().diff(&before);
-        assert_eq!(d.counter("c"), 7);
-        assert_eq!(d.gauge("g"), Some(9), "gauges are levels, not flows");
-        let h = d.histogram_with("h", &[]).unwrap();
+        assert_eq!(d.counter("store_queries_total"), 7);
+        assert_eq!(d.gauge("store_heap_objects"), Some(9), "gauges are levels, not flows");
+        let h = d.histogram_with("store_query_nanos", &[]).unwrap();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 5 + 4096);
-        assert_eq!(d.counter("born_later"), 1, "new series pass through");
+        let d = r.snapshot().diff(&Snapshot::default());
+        assert_eq!(d.counter("store_queries_total"), 17, "new series pass through");
     }
 
     #[test]
-    fn empty_registry_exports_cleanly() {
-        let r = Registry::new();
-        assert_eq!(r.snapshot().to_json().render(), "[]");
-    }
-
-    #[test]
-    fn json_export_round_trips_hostile_labels() {
-        let label = "tricky \"quote\" \\slash\nnewline";
-        let r = Registry::new();
-        r.counter_with("ops_total", &[("label", label)]).add(2);
-        r.gauge("level").set(-4);
-        let doc = Json::parse(&r.snapshot().to_json().render()).unwrap();
+    fn a_fresh_registry_exports_every_series_at_zero() {
+        let doc = Json::parse(&Registry::new().snapshot().to_json().render()).unwrap();
         let series = doc.as_arr().unwrap();
-        assert_eq!(series.len(), 2);
-        let ops = &series[1];
-        assert_eq!(ops.get("name").and_then(Json::as_str), Some("ops_total"));
-        let got = ops.get("labels").and_then(|l| l.get("label")).and_then(Json::as_str);
-        assert_eq!(got, Some(label));
-        assert_eq!(series[0].get("value").and_then(Json::as_i64), Some(-4));
+        assert!(!series.is_empty());
+        for s in series {
+            let zero = match s.get("type").and_then(Json::as_str) {
+                Some("histogram") => s.get("count").and_then(Json::as_i64) == Some(0),
+                _ => s.get("value").and_then(Json::as_i64) == Some(0),
+            };
+            assert!(zero, "{}", s.render());
+        }
     }
 
     #[test]
     fn json_export_carries_quantiles() {
         let r = Registry::new();
-        let h = r.histogram("lat");
+        let h = &r.prepare_nanos;
         for v in [10u64, 20, 30, 4000] {
             h.observe(v);
         }
@@ -652,25 +648,20 @@ mod tests {
 
     #[test]
     fn concurrent_recording_is_consistent() {
-        let r = Arc::new(Registry::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let r = Arc::clone(&r);
-            handles.push(std::thread::spawn(move || {
-                let c = r.counter("shared");
-                let h = r.histogram("hist");
-                for i in 0..1000u64 {
-                    c.inc();
-                    h.observe(i);
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
+        let r = Registry::new();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for i in 0..1000u64 {
+                        r.oql_queries_total.inc();
+                        r.oql_query_nanos.observe(i);
+                    }
+                });
+            }
+        });
         let snap = r.snapshot();
-        assert_eq!(snap.counter("shared"), 4000);
-        assert_eq!(snap.histogram_with("hist", &[]).unwrap().count, 4000);
+        assert_eq!(snap.counter("oql_queries_total"), 4000);
+        assert_eq!(snap.histogram_with("oql_query_nanos", &[]).unwrap().count, 4000);
     }
 
     #[test]
@@ -683,11 +674,7 @@ mod tests {
         // Sum saturates the atomic add naturally: 0 + u64::MAX.
         assert_eq!(snap.sum, u64::MAX);
         assert_eq!(snap.buckets[0], 1, "0 lands in the first bucket");
-        assert_eq!(
-            snap.buckets[HISTOGRAM_BUCKETS - 1],
-            1,
-            "u64::MAX lands in the +Inf bucket"
-        );
+        assert_eq!(snap.buckets[HISTOGRAM_BUCKETS - 1], 1, "u64::MAX lands in the +Inf bucket");
         // p50 is the first bucket's bound; p99 falls in +Inf, whose
         // point estimate is the mean of everything observed.
         assert_eq!(snap.quantile(0.5), Some(1));
@@ -707,23 +694,21 @@ mod tests {
     #[test]
     fn diff_of_identical_registries_is_all_zero() {
         let r = Registry::new();
-        r.counter("c").add(5);
-        r.gauge("g").set(3);
-        r.histogram("h").observe(100);
+        r.recorder_records_total.add(5);
+        r.store_heap_objects.set(3);
+        r.prepare_nanos.observe(100);
         let a = r.snapshot();
         let b = r.snapshot();
         let d = b.diff(&a);
         // Same series set, every flow zeroed; the gauge keeps its level.
         assert_eq!(d.series.len(), b.series.len());
-        assert_eq!(d.counter("c"), 0);
-        assert_eq!(d.gauge("g"), Some(3));
-        let h = d.histogram_with("h", &[]).unwrap();
+        assert_eq!(d.counter("recorder_records_total"), 0);
+        assert_eq!(d.gauge("store_heap_objects"), Some(3));
+        let h = d.histogram_with("prepare_nanos", &[]).unwrap();
         assert_eq!(h.count, 0);
         assert_eq!(h.sum, 0);
         assert!(h.buckets.iter().all(|&n| n == 0));
-        // And a diff of two truly empty registries is empty outright.
-        let empty = Registry::new();
-        let e = empty.snapshot().diff(&empty.snapshot());
-        assert!(e.series.is_empty());
+        // And a diff of two empty snapshots is empty outright.
+        assert!(Snapshot::default().diff(&Snapshot::default()).series.is_empty());
     }
 }

@@ -253,42 +253,17 @@ pub fn normalize_traced(e: &Expr) -> (Expr, Vec<TraceStep>, NormalizeStats) {
     }
     let canonical = trace.last().map_or(e, |step| &step.after).clone();
     let steps = trace.len();
-    record_rule_metrics(&per_rule, steps);
+    let m = crate::metrics::global();
+    m.normalize_runs_total.inc();
+    m.normalize_steps_total.add(steps as u64);
+    for (counter, n) in m.normalize_rule_fired_total.iter().zip(per_rule) {
+        if n > 0 {
+            counter.add(n);
+        }
+    }
     let stats =
         NormalizeStats { steps, per_rule, size_before: e.size(), size_after: canonical.size() };
     (canonical, trace, stats)
-}
-
-/// Feed one run's firing counts into [`crate::metrics::global`]. Counter
-/// handles are resolved once per process and cached; a normalization
-/// run then costs one atomic add per *fired* rule plus one for runs.
-fn record_rule_metrics(per_rule: &[u64; Rule::COUNT], steps: usize) {
-    use crate::metrics::{global, Counter};
-    use std::sync::{Arc, OnceLock};
-    struct Handles {
-        runs: Arc<Counter>,
-        total_steps: Arc<Counter>,
-        rules: Vec<Arc<Counter>>,
-    }
-    static HANDLES: OnceLock<Handles> = OnceLock::new();
-    let h = HANDLES.get_or_init(|| {
-        let r = global();
-        Handles {
-            runs: r.counter("normalize_runs_total"),
-            total_steps: r.counter("normalize_steps_total"),
-            rules: Rule::all()
-                .iter()
-                .map(|rule| r.counter_with("normalize_rule_fired_total", &[("rule", rule.name())]))
-                .collect(),
-        }
-    });
-    h.runs.inc();
-    h.total_steps.add(steps as u64);
-    for (i, n) in per_rule.iter().enumerate() {
-        if *n > 0 {
-            h.rules[i].add(*n);
-        }
-    }
 }
 
 /// Is `e` in canonical form (no rule applies anywhere)?

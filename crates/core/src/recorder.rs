@@ -435,10 +435,10 @@ impl FlightRecorder {
     pub fn commit(&self, mut record: QueryRecord) -> Option<SlowTrigger> {
         let threshold = self.slow_threshold();
         record.slow = threshold > 0 && record.total_nanos >= threshold;
-        let m = rec_metrics();
-        m.records.inc();
+        let m = metrics::global();
+        m.recorder_records_total.inc();
         if record.error.is_some() {
-            m.errors.inc();
+            m.recorder_errors_total.inc();
         }
         let (slow, fingerprint, total_nanos) = (record.slow, record.fingerprint, record.total_nanos);
         let seq = self.push(record);
@@ -477,7 +477,7 @@ impl FlightRecorder {
     /// Append a slow-query capture (oldest evicted past the log's
     /// capacity).
     pub fn capture_slow(&self, capture: SlowQueryCapture) {
-        rec_metrics().slow_captures.inc();
+        metrics::global().recorder_slow_captures_total.inc();
         let mut slow = self.slow.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if slow.len() >= SLOW_LOG_CAPACITY {
             slow.pop_front();
@@ -556,28 +556,6 @@ pub fn global() -> &'static FlightRecorder {
             recorder.set_slow_threshold(nanos);
         }
         recorder
-    })
-}
-
-// ---------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------
-
-struct RecorderMetrics {
-    records: Arc<metrics::Counter>,
-    errors: Arc<metrics::Counter>,
-    slow_captures: Arc<metrics::Counter>,
-}
-
-fn rec_metrics() -> &'static RecorderMetrics {
-    static METRICS: OnceLock<RecorderMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = metrics::global();
-        RecorderMetrics {
-            records: r.counter("recorder_records_total"),
-            errors: r.counter("recorder_errors_total"),
-            slow_captures: r.counter("recorder_slow_captures_total"),
-        }
     })
 }
 

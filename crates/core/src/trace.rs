@@ -60,7 +60,7 @@ impl Phase {
     /// fall out of ordinary timing for free. A phase that ran never reads
     /// 0: a reading below the clock's resolution counts as 1 ns.
     pub fn record(self, phases: &mut [u64; Phase::ALL.len()], nanos: u128) {
-        phase_histogram(self).observe_nanos(nanos);
+        crate::metrics::global().query_phase_nanos[self.index()].observe_nanos(nanos);
         let slot = &mut phases[self.index()];
         *slot = slot.saturating_add(u64::try_from(nanos).unwrap_or(u64::MAX).max(1));
     }
@@ -78,18 +78,6 @@ impl std::fmt::Display for Phase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
-}
-
-/// The per-phase latency histogram in the global registry, resolved
-/// once per process.
-fn phase_histogram(phase: Phase) -> &'static crate::metrics::Histogram {
-    use crate::metrics::{global, Histogram};
-    use std::sync::{Arc, OnceLock};
-    static HANDLES: OnceLock<[Arc<Histogram>; 6]> = OnceLock::new();
-    &HANDLES.get_or_init(|| {
-        Phase::ALL
-            .map(|p| global().histogram_with("query_phase_nanos", &[("phase", p.as_str())]))
-    })[phase.index()]
 }
 
 #[cfg(test)]

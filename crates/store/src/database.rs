@@ -13,51 +13,13 @@ use monoid_calculus::error::EvalResult;
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::heap::Heap;
-use monoid_calculus::metrics::{self, Counter, Gauge, Histogram};
+use monoid_calculus::metrics;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::types::Schema;
 use monoid_calculus::value::{Env, Oid, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-
-/// The store's series in the process-wide metrics registry, resolved
-/// once. Counters are cumulative across every `Database` instance in
-/// the process — fleet accounting, not per-database accounting.
-pub(crate) struct StoreMetrics {
-    /// Objects allocated through [`Database::insert`].
-    inserts: Arc<Counter>,
-    /// Object states read through [`Snapshot::state`] (and `field`).
-    pub(crate) state_reads: Arc<Counter>,
-    /// Extents made scannable: one count per extent bound into a query
-    /// environment by [`Snapshot::env`], plus direct extent reads via
-    /// [`Snapshot::root`].
-    pub(crate) extent_scans: Arc<Counter>,
-    /// Queries evaluated via [`Database::query_in`].
-    queries: Arc<Counter>,
-    /// Queries that returned an error.
-    query_errors: Arc<Counter>,
-    /// End-to-end `Database::query_in` latency distribution.
-    query_nanos: Arc<Histogram>,
-    /// Heap size of the most recently mutated database (a level).
-    heap_objects: Arc<Gauge>,
-}
-
-pub(crate) fn store_metrics() -> &'static StoreMetrics {
-    static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = metrics::global();
-        StoreMetrics {
-            inserts: r.counter("store_objects_inserted_total"),
-            state_reads: r.counter("store_state_reads_total"),
-            extent_scans: r.counter("store_extent_scans_total"),
-            queries: r.counter("store_queries_total"),
-            query_errors: r.counter("store_query_errors_total"),
-            query_nanos: r.histogram("store_query_nanos"),
-            heap_objects: r.gauge("store_heap_objects"),
-        }
-    })
-}
 
 /// An object database: the one writer of a [`Snapshot`].
 ///
@@ -172,9 +134,9 @@ impl Database {
     pub fn insert(&mut self, class: Symbol, state: Value) -> EvalResult<Oid> {
         let cur = self.advance();
         let oid = cur.heap.alloc(state);
-        let m = store_metrics();
-        m.inserts.inc();
-        m.heap_objects.set(cur.heap.len() as i64);
+        let m = metrics::global();
+        m.store_objects_inserted_total.inc();
+        m.store_heap_objects.set(cur.heap.len() as i64);
         if let Some(extent) = cur.extent_of.get(&class).copied() {
             let obj = Value::Obj(oid);
             let root = Arc::make_mut(&mut cur.roots)
@@ -219,8 +181,8 @@ impl Database {
     /// Records query count, latency, and errors in the process-wide
     /// metrics registry.
     pub fn query_in(&mut self, env: &Env, e: &Expr) -> EvalResult<Value> {
-        let m = store_metrics();
-        m.queries.inc();
+        let m = metrics::global();
+        m.store_queries_total.inc();
         let started = Instant::now();
         let version = self.current.heap.version();
         let mut ev = Evaluator::with_heap(std::mem::take(&mut self.current.heap));
@@ -229,10 +191,10 @@ impl Database {
         if self.current.heap.version() != version {
             self.advance();
         }
-        m.query_nanos.observe_nanos(started.elapsed().as_nanos());
-        m.heap_objects.set(self.object_count() as i64);
+        m.store_query_nanos.observe_nanos(started.elapsed().as_nanos());
+        m.store_heap_objects.set(self.object_count() as i64);
         if result.is_err() {
-            m.query_errors.inc();
+            m.store_query_errors_total.inc();
         }
         result
     }

@@ -23,13 +23,13 @@
 //! must run against the `&mut Database` writer path, which is where
 //! epochs advance.
 
-use crate::database::store_metrics;
 use crate::memo::Memo;
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::{EvalError, EvalResult, TypeResult};
 use monoid_calculus::eval::Evaluator;
 use monoid_calculus::expr::Expr;
 use monoid_calculus::heap::Heap;
+use monoid_calculus::metrics;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::typecheck::{TypeChecker, TypeEnv};
 use monoid_calculus::types::{Schema, Type};
@@ -131,7 +131,7 @@ impl Snapshot {
 
     pub fn root(&self, name: Symbol) -> Option<&Value> {
         if self.is_extent(name) {
-            store_metrics().extent_scans.inc();
+            metrics::global().store_extent_scans_total.inc();
         }
         self.roots.get(&name)
     }
@@ -147,7 +147,7 @@ impl Snapshot {
     /// query gains access to the extents. (Every declared extent has a
     /// root from `Database::new` on, and roots are never removed.)
     pub fn env(&self) -> Env {
-        store_metrics().extent_scans.add(self.extent_of.len() as u64);
+        metrics::global().store_extent_scans_total.add(self.extent_of.len() as u64);
         let build = || Env::from_bindings(self.roots.iter().map(|(k, v)| (*k, v.clone())));
         self.memo.env(build).clone()
     }
@@ -172,7 +172,7 @@ impl Snapshot {
 
     /// Read the state of an object.
     pub fn state(&self, oid: Oid) -> EvalResult<&Value> {
-        store_metrics().state_reads.inc();
+        metrics::global().store_state_reads_total.inc();
         self.heap.get(oid)
     }
 

@@ -122,37 +122,15 @@ pub fn analyze(schema: &Schema, src: &str) -> Result<AnalysisReport, OqlError> {
 /// next to the observed ones (`profile.render()` for humans,
 /// `profile.to_json()` for machines). Commits one flight-recorder record.
 pub fn explain_analyze(src: &str, snap: &Snapshot) -> Result<Analysis, AnalyzeError> {
-    let m = oql_metrics();
-    m.queries.inc();
+    let m = monoid_calculus::metrics::global();
+    m.oql_queries_total.inc();
     let mut origin = serving::Origin::now(None);
     let started = std::time::Instant::now();
     let result = serving::Origin::or_fail(&mut origin, src, prepare_on(snap, src))
         .and_then(|stmt| stmt.profile_from(origin, snap, &Params::new()));
-    m.query_nanos.observe_nanos(started.elapsed().as_nanos());
+    m.oql_query_nanos.observe_nanos(started.elapsed().as_nanos());
     if result.is_err() {
-        m.errors.inc();
+        m.oql_query_errors_total.inc();
     }
     result
-}
-
-/// The umbrella OQL path's series in the process-wide registry: query
-/// and error counters plus an end-to-end (parse → execute) latency
-/// histogram. Per-phase histograms (`query_phase_nanos{phase=…}`) are
-/// recorded by `Phase::record`, wherever a phase is timed.
-struct OqlMetrics {
-    queries: std::sync::Arc<monoid_calculus::metrics::Counter>,
-    errors: std::sync::Arc<monoid_calculus::metrics::Counter>,
-    query_nanos: std::sync::Arc<monoid_calculus::metrics::Histogram>,
-}
-
-fn oql_metrics() -> &'static OqlMetrics {
-    static METRICS: std::sync::OnceLock<OqlMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = monoid_calculus::metrics::global();
-        OqlMetrics {
-            queries: r.counter("oql_queries_total"),
-            errors: r.counter("oql_query_errors_total"),
-            query_nanos: r.histogram("oql_query_nanos"),
-        }
-    })
 }

@@ -57,6 +57,7 @@ use monoid_calculus::expr::Expr;
 use monoid_calculus::normalize::{normalize_traced, NormalizeStats};
 use monoid_calculus::json::Json;
 use monoid_calculus::recorder::{self, CacheDisposition, QueryRecord, SlowQueryCapture};
+use monoid_calculus::metrics;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::trace::Phase;
 use monoid_calculus::types::Schema;
@@ -258,7 +259,7 @@ fn finish_prepare(
     let effects = EffectSummary::of(&canonical);
     let params = collect_params(&canonical);
     let prepare_nanos = started.elapsed().as_nanos();
-    cache_metrics().prepare_nanos.observe_nanos(prepare_nanos);
+    metrics::global().prepare_nanos.observe_nanos(prepare_nanos);
 
     let engine = if matches!(exec, ExecMode::Plan(_)) { "fused" } else { "eval" };
     let QueryRecord { fingerprint, source: record_source, .. } = QueryRecord::new(&src);
@@ -788,7 +789,7 @@ impl PlanCache {
     ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
         let fp = snap.schema_fingerprint();
         let (instance, epoch) = (snap.instance_id(), snap.epoch());
-        let m = cache_metrics();
+        let m = metrics::global();
         let shard = &self.shards[(hash_key(src, fp) as usize) & (SHARDS - 1)];
 
         {
@@ -796,7 +797,7 @@ impl PlanCache {
             if let Some(i) = s.entries.iter().position(|e| e.source == src && e.schema_fp == fp)
             {
                 if s.entries[i].instance == instance && s.entries[i].epoch == epoch {
-                    m.hits.inc();
+                    m.plan_cache_hits_total.inc();
                     let tick = self.tick.fetch_add(1, Ordering::Relaxed);
                     s.entries[i].last_used = tick;
                     return Ok((Arc::clone(&s.entries[i].prepared), true));
@@ -804,13 +805,13 @@ impl PlanCache {
                 // Stale: the database mutated since this plan (and its
                 // statistics) were captured — or the entry belongs to a
                 // different database instance entirely. Refuse it.
-                m.invalidations.inc();
+                m.plan_cache_invalidations_total.inc();
                 let dead = s.entries.remove(i);
                 s.bytes -= dead.bytes;
             }
         }
 
-        m.misses.inc();
+        m.plan_cache_misses_total.inc();
         let prepared = Arc::new(prepare_on(snap, src)?);
         let bytes = approx_bytes(&prepared);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -840,7 +841,7 @@ impl PlanCache {
                 .expect("non-empty");
             let dead = s.entries.remove(oldest);
             s.bytes -= dead.bytes;
-            m.evictions.inc();
+            m.plan_cache_evictions_total.inc();
         }
         Ok((prepared, false))
     }
@@ -918,29 +919,26 @@ pub struct Session {
 /// taken at the top of every serving entry point, released on drop —
 /// unwinding included — so the gauge provably returns to zero once all
 /// in-flight statements finish (`tests/snapshot_swap.rs`).
-pub struct InFlightGuard {
-    gauge: Arc<monoid_calculus::metrics::Gauge>,
-}
+pub struct InFlightGuard(());
 
 impl InFlightGuard {
     /// Bump the gauge; the matching decrement runs on drop.
     pub fn enter() -> InFlightGuard {
-        let gauge = Arc::clone(&serving_metrics().in_flight);
-        gauge.add(1);
-        InFlightGuard { gauge }
+        metrics::global().serving_requests_in_flight.add(1);
+        InFlightGuard(())
     }
 }
 
 impl Drop for InFlightGuard {
     fn drop(&mut self) {
-        self.gauge.add(-1);
+        metrics::global().serving_requests_in_flight.add(-1);
     }
 }
 
 /// Statements currently executing through the serving layer (the
 /// `serving_requests_in_flight` gauge).
 pub fn requests_in_flight() -> i64 {
-    serving_metrics().in_flight.get()
+    metrics::global().serving_requests_in_flight.get()
 }
 
 impl Default for Session {
@@ -1015,7 +1013,7 @@ impl Session {
     /// [`Prepared`] will build its record from.
     pub(crate) fn enter(&self) -> (InFlightGuard, Option<Origin>) {
         let in_flight = InFlightGuard::enter();
-        serving_metrics().statements.inc();
+        metrics::global().serving_statements_total.inc();
         (in_flight, Origin::now(Some(self.id)))
     }
 
@@ -1035,52 +1033,6 @@ impl Session {
         }
         Ok(stmt)
     }
-}
-
-// ---------------------------------------------------------------------
-// Metrics
-// ---------------------------------------------------------------------
-
-struct CacheMetrics {
-    hits: Arc<monoid_calculus::metrics::Counter>,
-    misses: Arc<monoid_calculus::metrics::Counter>,
-    evictions: Arc<monoid_calculus::metrics::Counter>,
-    invalidations: Arc<monoid_calculus::metrics::Counter>,
-    prepare_nanos: Arc<monoid_calculus::metrics::Histogram>,
-}
-
-fn cache_metrics() -> &'static CacheMetrics {
-    static METRICS: OnceLock<CacheMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = monoid_calculus::metrics::global();
-        CacheMetrics {
-            hits: r.counter("plan_cache_hits_total"),
-            misses: r.counter("plan_cache_misses_total"),
-            evictions: r.counter("plan_cache_evictions_total"),
-            invalidations: r.counter("plan_cache_invalidations_total"),
-            prepare_nanos: r.histogram("prepare_nanos"),
-        }
-    })
-}
-
-struct ServingMetrics {
-    /// Statements currently inside a serving entry point (writer or
-    /// snapshot path). Guard-maintained: returns to zero when the layer
-    /// drains, panics included.
-    in_flight: Arc<monoid_calculus::metrics::Gauge>,
-    /// Statements served, across all sessions.
-    statements: Arc<monoid_calculus::metrics::Counter>,
-}
-
-fn serving_metrics() -> &'static ServingMetrics {
-    static METRICS: OnceLock<ServingMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = monoid_calculus::metrics::global();
-        ServingMetrics {
-            in_flight: r.gauge("serving_requests_in_flight"),
-            statements: r.counter("serving_statements_total"),
-        }
-    })
 }
 
 #[cfg(test)]

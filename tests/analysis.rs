@@ -290,7 +290,7 @@ fn plan_verifier_reports_stage_tagged_errors() {
     };
     let query = Query::new(plan, query.monoid().clone(), query.head().clone()).unwrap();
     let err = verify_query(&query).unwrap_err();
-    assert_eq!(err.stage, "plan/binders");
+    assert_eq!(err.stage.as_str(), "plan/binders");
     assert!(err.to_string().contains("plan/binders"), "{err}");
 }
 

@@ -167,6 +167,11 @@ fn registry_accounts_for_a_known_workload() {
                 .unwrap_or(0);
             assert_eq!(fired, 0, "Prepared::execute fired `{phase}`");
         }
+        // Only a session counts statements: a direct `Prepared` run does not.
+        let before = metrics::global().snapshot();
+        prepared.execute_snapshot(&db, &params).unwrap();
+        let diff = metrics::global().snapshot().diff(&before);
+        assert_eq!(diff.counter("serving_statements_total"), 0, "Prepared::execute_snapshot");
     }
 
     // --- 4b'. Over the wire, an ad-hoc QUERY resolves its source through

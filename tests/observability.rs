@@ -354,3 +354,37 @@ fn profiled_declined_keyed_filter_walks_uncounted() {
     assert_eq!(rows, [("filter", 1, 0), ("scan", 1, 0)], "{}", p.render());
     assert!(p.short_circuited && p.rows_to_reduce == 1, "{}", p.render());
 }
+
+/// The series names in `docs/observability.md`'s "The series" table: every
+/// backticked name in a row's first cell, labels stripped.
+fn documented_series() -> std::collections::BTreeSet<String> {
+    let doc = include_str!("../docs/observability.md");
+    let table = doc.split("### The series").nth(1).expect("the series table");
+    table
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .filter_map(|row| row.split(" | ").next())
+        .flat_map(|cell| cell.split('`').skip(1).step_by(2))
+        .map(|name| name.split('{').next().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn the_docs_table_names_exactly_the_catalogs_series() {
+    let catalog: std::collections::BTreeSet<String> = monoid_calculus::metrics::global()
+        .snapshot()
+        .series
+        .into_iter()
+        .map(|s| s.key.name)
+        .collect();
+    assert_eq!(documented_series(), catalog);
+}
+
+#[test]
+fn snapshot_keys_are_unique_and_ascending() {
+    let snap = monoid_calculus::metrics::global().snapshot();
+    for pair in snap.series.windows(2) {
+        assert!(pair[0].key < pair[1].key, "{:?} !< {:?}", pair[0].key, pair[1].key);
+    }
+}
