@@ -33,14 +33,14 @@ use monoid_calculus::subst::free_vars;
 use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Cardinality statistics gathered from a database, read only by the
 /// cost model here: extent sizes, per-field fan-outs, and per-attribute
 /// distinct counts and numeric min/max. Estimates choose generator order
 /// and print as `est≈`; no query result depends on them. The empty
 /// default knows nothing, so every estimate takes the flat defaults.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
     /// Extent name → its size and its members' attribute facts.
     extents: BTreeMap<Symbol, ExtentFacts>,
@@ -50,14 +50,14 @@ pub struct Stats {
 }
 
 /// Facts about one named extent (a database root that is a collection).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct ExtentFacts {
     size: u64,
     attrs: BTreeMap<Symbol, AttrFacts>,
 }
 
 /// Facts about one scalar attribute of a collection's element records.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct AttrFacts {
     /// Distinct values observed — an equality keeps `1/distinct`.
     distinct: u64,
@@ -67,7 +67,7 @@ struct AttrFacts {
 }
 
 /// Facts about one named record field whose values are collections.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct FieldFacts {
     /// Occurrences of the field with a collection value.
     occurrences: u64,
@@ -99,13 +99,18 @@ impl Stats {
     /// Walk the store once, from its roots (and the collections
     /// reachable from their element records, up to `CATALOG_DEPTH`):
     /// extent sizes, per-field fan-outs, and per-attribute distinct
-    /// counts and numeric domains. A gather describes the snapshot it
+    /// counts and numeric domains. The walk borrows every element in
+    /// place: a bag's run of count `n` counts `n` times, and a distinct
+    /// count is one sort of the borrowed values under `Value::cmp`
+    /// (`1` = `1.0`, `-0.0` ≠ `0.0`). A gather describes the snapshot it
     /// read; the serving layer keeps one in that snapshot's memo.
     pub fn gather(snap: &Snapshot) -> Stats {
         let mut stats = Stats::default();
         for (name, value) in snap.roots() {
-            let Ok(elems) = value.elements() else { continue };
-            let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
+            let Ok(size) = value.len() else { continue };
+            let mut elems = Vec::new();
+            push_elements(value, 1, &mut elems);
+            let mut ext = ExtentFacts { size: size as u64, ..Default::default() };
             collect_collection(snap.heap(), &elems, 0, &mut ext.attrs, &mut stats.fields);
             stats.extents.insert(name, ext);
         }
@@ -325,21 +330,46 @@ fn source_key(src: &Expr) -> Option<Symbol> {
 // Gathering
 // ---------------------------------------------------------------------------
 
+/// What one collection's elements hold under one scalar attribute: every
+/// value seen (borrowed, repeats and all), and their numeric domain
+/// unless some value was not a number.
+#[derive(Default)]
+struct Seen<'a> {
+    values: Vec<&'a Value>,
+    min: Option<f64>,
+    max: Option<f64>,
+    non_numeric: bool,
+}
+
+/// Append `coll`'s elements to `out` as borrowed `(element,
+/// multiplicity)` pairs, each count scaled by `times`: a bag's runs as
+/// stored, any other collection's elements once each. A string's
+/// characters are never records, so it adds nothing.
+fn push_elements<'a>(coll: &'a Value, times: u64, out: &mut Vec<(&'a Value, u64)>) {
+    match coll {
+        Value::List(v) | Value::Set(v) | Value::Vector(v) => {
+            out.extend(v.iter().map(|e| (e, times)));
+        }
+        Value::Bag(runs) => out.extend(runs.iter().map(|(e, n)| (e, n * times))),
+        _ => {}
+    }
+}
+
 /// Gather attribute facts for the element records of one collection, and
 /// fan-out facts (plus nested attribute facts) for their collection-valued
-/// fields.
-fn collect_collection(
-    heap: &Heap,
-    elems: &[Value],
+/// fields. An element of multiplicity `m` counts `m` times in fan-outs,
+/// and its nested elements are visited `m` times.
+fn collect_collection<'a>(
+    heap: &'a Heap,
+    elems: &[(&'a Value, u64)],
     depth: usize,
     attrs_out: &mut BTreeMap<Symbol, AttrFacts>,
     fields_out: &mut BTreeMap<Symbol, FieldFacts>,
 ) {
-    let mut values: BTreeMap<Symbol, BTreeSet<Value>> = BTreeMap::new();
-    let mut domains: BTreeMap<Symbol, (Option<f64>, Option<f64>, bool)> = BTreeMap::new();
-    let mut children: BTreeMap<Symbol, Vec<Value>> = BTreeMap::new();
-    for elem in elems {
-        let fields: &[(Symbol, Value)] = match elem {
+    let mut scalars: BTreeMap<Symbol, Seen<'a>> = BTreeMap::new();
+    let mut children: BTreeMap<Symbol, Vec<(&'a Value, u64)>> = BTreeMap::new();
+    for &(elem, m) in elems {
+        let fields: &'a [(Symbol, Value)] = match elem {
             Value::Record(fields) => fields,
             Value::Obj(oid) => match heap.get(*oid) {
                 Ok(Value::Record(fields)) => fields,
@@ -350,42 +380,40 @@ fn collect_collection(
         for (fname, fv) in fields {
             match fv {
                 Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => {
-                    values.entry(*fname).or_default().insert(fv.clone());
-                    let dom = domains.entry(*fname).or_insert((None, None, true));
-                    match fv {
-                        Value::Int(i) => {
-                            let x = *i as f64;
-                            dom.0 = Some(dom.0.map_or(x, |m: f64| m.min(x)));
-                            dom.1 = Some(dom.1.map_or(x, |m: f64| m.max(x)));
+                    let seen = scalars.entry(*fname).or_default();
+                    seen.values.push(fv);
+                    let x = match fv {
+                        Value::Int(i) => *i as f64,
+                        Value::Float(x) => *x,
+                        _ => {
+                            seen.non_numeric = true;
+                            continue;
                         }
-                        Value::Float(x) => {
-                            dom.0 = Some(dom.0.map_or(*x, |m: f64| m.min(*x)));
-                            dom.1 = Some(dom.1.map_or(*x, |m: f64| m.max(*x)));
-                        }
-                        _ => dom.2 = false,
-                    }
+                    };
+                    seen.min = Some(seen.min.map_or(x, |lo| lo.min(x)));
+                    seen.max = Some(seen.max.map_or(x, |hi| hi.max(x)));
                 }
                 _ => {
                     if let Ok(n) = fv.len() {
                         let f = fields_out.entry(*fname).or_default();
-                        f.occurrences += 1;
-                        f.total += n as u64;
+                        f.occurrences += m;
+                        f.total += n as u64 * m;
                         if depth < CATALOG_DEPTH {
-                            if let Ok(kids) = fv.elements() {
-                                children.entry(*fname).or_default().extend(kids);
-                            }
+                            push_elements(fv, m, children.entry(*fname).or_default());
                         }
                     }
                 }
             }
         }
     }
-    for (fname, seen) in values {
-        let (min, max) = match domains.get(&fname) {
-            Some((mn, mx, true)) => (*mn, *mx),
-            _ => (None, None),
-        };
-        attrs_out.insert(fname, AttrFacts { distinct: seen.len() as u64, min, max });
+    for (fname, mut seen) in scalars {
+        // The set monoid's canonical form: sorted, then deduplicated
+        // under `Value::cmp` — so `1` and `1.0` are one value and `-0.0`
+        // and `0.0` two, as `count(set{ x.a | x ← E })` has them.
+        seen.values.sort_unstable();
+        let distinct = 1 + seen.values.windows(2).filter(|w| w[0] != w[1]).count() as u64;
+        let (min, max) = if seen.non_numeric { (None, None) } else { (seen.min, seen.max) };
+        attrs_out.insert(fname, AttrFacts { distinct, min, max });
     }
     for (fname, kids) in children {
         // Recurse into the nested collection's elements, accumulating into
@@ -729,5 +757,211 @@ mod tests {
         let plan = crate::logical::plan_comprehension(&r).unwrap();
         let piped = crate::exec::execute(&plan, &db).unwrap();
         assert_eq!(base, piped);
+    }
+
+    /// The walk `Stats::gather` replaced, kept as the reference it must
+    /// agree with: every element cloned out of its collection (a bag's
+    /// runs expanded), every scalar cloned into a `BTreeSet`.
+    fn reference_gather(snap: &Snapshot) -> Stats {
+        let mut stats = Stats::default();
+        for (name, value) in snap.roots() {
+            let Ok(elems) = value.elements() else { continue };
+            let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
+            reference_collect(snap.heap(), &elems, 0, &mut ext.attrs, &mut stats.fields);
+            stats.extents.insert(name, ext);
+        }
+        stats
+    }
+
+    fn reference_collect(
+        heap: &Heap,
+        elems: &[Value],
+        depth: usize,
+        attrs_out: &mut BTreeMap<Symbol, AttrFacts>,
+        fields_out: &mut BTreeMap<Symbol, FieldFacts>,
+    ) {
+        use std::collections::BTreeSet;
+        let mut values: BTreeMap<Symbol, BTreeSet<Value>> = BTreeMap::new();
+        let mut domains: BTreeMap<Symbol, (Option<f64>, Option<f64>, bool)> = BTreeMap::new();
+        let mut children: BTreeMap<Symbol, Vec<Value>> = BTreeMap::new();
+        for elem in elems {
+            let fields: &[(Symbol, Value)] = match elem {
+                Value::Record(fields) => fields,
+                Value::Obj(oid) => match heap.get(*oid) {
+                    Ok(Value::Record(fields)) => fields,
+                    _ => continue,
+                },
+                _ => continue,
+            };
+            for (fname, fv) in fields {
+                match fv {
+                    Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => {
+                        values.entry(*fname).or_default().insert(fv.clone());
+                        let dom = domains.entry(*fname).or_insert((None, None, true));
+                        match fv {
+                            Value::Int(i) => {
+                                let x = *i as f64;
+                                dom.0 = Some(dom.0.map_or(x, |m: f64| m.min(x)));
+                                dom.1 = Some(dom.1.map_or(x, |m: f64| m.max(x)));
+                            }
+                            Value::Float(x) => {
+                                dom.0 = Some(dom.0.map_or(*x, |m: f64| m.min(*x)));
+                                dom.1 = Some(dom.1.map_or(*x, |m: f64| m.max(*x)));
+                            }
+                            _ => dom.2 = false,
+                        }
+                    }
+                    _ => {
+                        if let Ok(n) = fv.len() {
+                            let f = fields_out.entry(*fname).or_default();
+                            f.occurrences += 1;
+                            f.total += n as u64;
+                            if depth < CATALOG_DEPTH {
+                                if let Ok(kids) = fv.elements() {
+                                    children.entry(*fname).or_default().extend(kids);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        for (fname, seen) in values {
+            let (min, max) = match domains.get(&fname) {
+                Some((mn, mx, true)) => (*mn, *mx),
+                _ => (None, None),
+            };
+            attrs_out.insert(fname, AttrFacts { distinct: seen.len() as u64, min, max });
+        }
+        for (fname, kids) in children {
+            let mut sub_attrs =
+                std::mem::take(&mut fields_out.get_mut(&fname).expect("field recorded").attrs);
+            reference_collect(heap, &kids, depth + 1, &mut sub_attrs, fields_out);
+            fields_out.get_mut(&fname).expect("field recorded").attrs = sub_attrs;
+        }
+    }
+
+    /// `gather` equals the reference, and prints the same: `Debug` also
+    /// tells `-0.0` from `0.0` in a domain, which `==` does not.
+    fn assert_gather_matches_reference(snap: &Snapshot) {
+        let (got, want) = (Stats::gather(snap), reference_gather(snap));
+        assert_eq!(got, want);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+    }
+
+    #[test]
+    fn gather_matches_reference_on_hand_stores() {
+        let rec = Value::record_from;
+        let nan = |bits: u64| Value::Float(f64::from_bits(bits));
+        let mut db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
+
+        // A bag extent with runs of count > 1, whose members hold a
+        // nested bag field with runs of count > 1: the nested elements
+        // count once per copy of their parent.
+        let kids = Value::bag_from(vec![
+            rec(vec![("k", Value::Int(1))]),
+            rec(vec![("k", Value::Int(1))]),
+            rec(vec![("k", Value::Int(2))]),
+        ]);
+        let member = rec(vec![("a", Value::Int(1)), ("kids", kids.clone())]);
+        let other = rec(vec![("a", Value::Int(2)), ("kids", Value::bag_from(Vec::new()))]);
+        db.set_root("Bagged", Value::bag_from(vec![member.clone(), member.clone(), member, other]));
+
+        // `1` and `1.0` in one attribute are one value; `-0.0` and `0.0`
+        // are two, and NaNs of both signs and payloads are their own.
+        let numbers = [
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            nan(0x7ff8_0000_0000_0000),
+            nan(0xfff8_0000_0000_0000),
+            nan(0x7ff0_0000_0000_0001),
+            nan(0xfff0_0000_dead_beef),
+        ];
+        let rows = numbers.iter().map(|x| rec(vec![("x", x.clone())])).collect();
+        db.set_root("Numbers", Value::list(rows));
+        let zeros = [0.0, -0.0, -0.0, 0.0, f64::NAN, -f64::NAN];
+        let rows = zeros.iter().map(|z| rec(vec![("z", Value::Float(*z))])).collect();
+        db.set_root("Zeros", Value::vector(rows));
+
+        // `Int` and `Str` in one attribute: no numeric domain.
+        let rows = vec![
+            rec(vec![("m", Value::Int(3)), ("b", Value::Bool(true))]),
+            rec(vec![("m", Value::str("3")), ("b", Value::Bool(false))]),
+        ];
+        db.set_root("Mixed", Value::set_from(rows));
+
+        // Inline records beside objects, an object whose state is not a
+        // record, a dangling object and a scalar element, which are all
+        // skipped.
+        let obj = db.heap_mut().alloc(rec(vec![("name", Value::str("o")), ("n", Value::Int(5))]));
+        let not_record = db.heap_mut().alloc(Value::Int(9));
+        let dangling = monoid_calculus::value::Oid(u64::from(u32::MAX));
+        let inline = rec(vec![("name", Value::str("i")), ("n", Value::Float(5.0))]);
+        let items = vec![
+            Value::Obj(obj),
+            inline,
+            Value::Obj(not_record),
+            Value::Obj(dangling),
+            Value::Int(4),
+        ];
+        db.set_root("Objects", Value::list(items));
+
+        // Empty collections, at the root and under a field.
+        db.set_root("EmptyBag", Value::bag_from(Vec::new()));
+        db.set_root("EmptySet", Value::set_from(Vec::new()));
+        db.set_root("Hollow", Value::list(vec![rec(vec![("kids", Value::list(Vec::new()))])]));
+
+        // Nesting deeper than `CATALOG_DEPTH`: the walk stops counting
+        // fan-outs below it.
+        let mut nested = rec(vec![("level", Value::Int(0))]);
+        for level in 1..=(CATALOG_DEPTH as i64 + 3) {
+            let inner = Value::bag_from(vec![nested.clone(), nested]);
+            nested = rec(vec![("level", Value::Int(level)), ("inner", inner)]);
+        }
+        db.set_root("Deep", Value::list(vec![nested]));
+
+        // Roots that are not collections of records: a string (a list of
+        // characters) and a scalar.
+        db.set_root("Word", Value::str("abc"));
+        db.set_root("Scalar", Value::Int(7));
+
+        assert_gather_matches_reference(&db);
+        let stats = Stats::gather(&db);
+        let bagged = &stats.extents[&Symbol::new("Bagged")];
+        assert_eq!(bagged.size, 4);
+        assert_eq!(bagged.attrs[&Symbol::new("a")].distinct, 2);
+        let kids = &stats.fields[&Symbol::new("kids")];
+        assert_eq!((kids.occurrences, kids.total), (5, 9));
+        assert_eq!(kids.attrs[&Symbol::new("k")].distinct, 2);
+        let numbers = &stats.extents[&Symbol::new("Numbers")].attrs[&Symbol::new("x")];
+        assert_eq!(numbers.distinct, 7);
+        let zeros = &stats.extents[&Symbol::new("Zeros")].attrs[&Symbol::new("z")];
+        assert_eq!(zeros.distinct, 4);
+        let mixed = &stats.extents[&Symbol::new("Mixed")].attrs[&Symbol::new("m")];
+        assert_eq!((mixed.distinct, mixed.min, mixed.max), (2, None, None));
+        let objects = &stats.extents[&Symbol::new("Objects")];
+        assert_eq!(objects.size, 5);
+        assert_eq!(objects.attrs[&Symbol::new("n")].distinct, 1);
+        assert_eq!(stats.extents[&Symbol::new("Word")].size, 3);
+        assert!(!stats.extents.contains_key(&Symbol::new("Scalar")));
+    }
+
+    #[test]
+    fn gather_matches_reference_on_generated_stores() {
+        for scale in [TravelScale::tiny(), TravelScale::small(), TravelScale::with_hotels(200)] {
+            assert_gather_matches_reference(&travel::generate(scale, 1995));
+        }
+        // The shape of the served read-write workload's store.
+        let mixed_rw = TravelScale {
+            cities: 10,
+            hotels_per_city: 100,
+            rooms_per_hotel: 4,
+            employees_per_hotel: 1,
+            clients: 6500,
+        };
+        assert_gather_matches_reference(&travel::generate(mixed_rw, 1995));
+        assert_gather_matches_reference(&monoid_store::company::generate(42, 48, 6500, 1995));
     }
 }

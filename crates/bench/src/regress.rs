@@ -373,19 +373,76 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
             for _ in 0..runs {
                 session.query(&mut db, source, &params).expect("session serves the statement");
             }
-            let cold_p50 = percentile_nanos(&cold, 50.0);
-            let warm_p50 = percentile_nanos(&warm_samples, 50.0);
-            PreparedBench {
-                name,
-                source: source.to_string(),
-                cold_p50_nanos: cold_p50,
-                cold_p95_nanos: percentile_nanos(&cold, 95.0),
-                warm_p50_nanos: warm_p50,
-                warm_p95_nanos: percentile_nanos(&warm_samples, 95.0),
-                warm_speedup: cold_p50 as f64 / warm_p50.max(1) as f64,
-            }
+            prepared_bench(name, source, &cold, &warm_samples)
         })
+        .chain([read_after_insert(quick, runs)])
         .collect()
+}
+
+/// A prepared case's report row from its cold and warm samples.
+fn prepared_bench(name: &'static str, source: &str, cold: &[u128], warm: &[u128]) -> PreparedBench {
+    let cold_p50 = percentile_nanos(cold, 50.0);
+    let warm_p50 = percentile_nanos(warm, 50.0);
+    PreparedBench {
+        name,
+        source: source.to_string(),
+        cold_p50_nanos: cold_p50,
+        cold_p95_nanos: percentile_nanos(cold, 95.0),
+        warm_p50_nanos: warm_p50,
+        warm_p95_nanos: percentile_nanos(warm, 95.0),
+        warm_speedup: cold_p50 as f64 / warm_p50.max(1) as f64,
+    }
+}
+
+/// `read-after-insert`: the first read after a write, on the shape of
+/// `oqlbench`'s `mixed-rw` store (10 cities × 100 hotels, 4 rooms and 1
+/// employee each, 6 500 clients: 8 510 objects; `tiny` in quick mode).
+/// Each cold sample commits one hotel with `Database::insert`, then
+/// prepares and executes the keyed lookup of its name at the new epoch,
+/// so the statistics gather and the by-name table are built again. The
+/// warm path executes one statement with no write between runs.
+fn read_after_insert(quick: bool, runs: usize) -> PreparedBench {
+    use monoid_calculus::symbol::Symbol;
+    use monoid_calculus::value::Value;
+    use monoid_db::{prepare_on, Params};
+
+    let scale = if quick {
+        TravelScale::tiny()
+    } else {
+        TravelScale {
+            cities: 10,
+            hotels_per_city: 100,
+            rooms_per_hotel: 4,
+            employees_per_hotel: 1,
+            clients: 6500,
+        }
+    };
+    let mut db = travel::generate(scale, 1995);
+    let hotel = Symbol::new(travel::names::HOTEL);
+    let source = "exists h in Hotels: h.name = $name";
+    let mut written = 0;
+    let cold = sample_nanos(runs, || {
+        written += 1;
+        let name = format!("hotel_w_{written}");
+        let room = Value::record_from(vec![("bed#", Value::Int(2)), ("price", Value::Float(90.0))]);
+        let state = Value::record_from(vec![
+            ("name", Value::str(&name)),
+            ("address", Value::str(&format!("{written} Side St"))),
+            ("facilities", Value::set_from(Vec::new())),
+            ("employees", Value::list(Vec::new())),
+            ("rooms", Value::list(vec![room])),
+        ]);
+        db.insert(hotel, state).expect("a hotel commits");
+        let stmt = prepare_on(&db, source).expect("the lookup prepares");
+        let found = stmt.execute(&mut db, &Params::new().bind("name", Value::str(&name)));
+        assert_eq!(found.expect("the lookup executes"), Value::Bool(true));
+    });
+    let stmt = prepare_on(&db, source).expect("the lookup prepares");
+    let params = Params::new().bind("name", Value::str("hotel_w_1"));
+    let warm = warm_samples(runs, || {
+        stmt.execute(&mut db, &params).expect("the lookup executes");
+    });
+    prepared_bench("read-after-insert", source, &cold, &warm)
 }
 
 /// Time the fused fold against the forced plan walk on a commutative
@@ -770,10 +827,12 @@ mod tests {
         let registry = report.registry.to_json().render();
         assert!(!registry.contains("parallel_"), "{registry}");
         assert!(!registry.contains("\"MC005\""), "{registry}");
-        // The prepared-statement section: every case timed on both paths,
-        // and the session loop put plan-cache traffic into the delta —
-        // exactly one miss per statement, the rest hits.
-        assert_eq!(report.prepared.len(), 3);
+        // The prepared-statement section: every case timed on both paths
+        // (`read-after-insert` last), and the three canonical statements'
+        // session loop put plan-cache traffic into the delta — exactly
+        // one miss per statement, the rest hits.
+        assert_eq!(report.prepared.len(), 4);
+        assert_eq!(report.prepared[3].name, "read-after-insert");
         for p in &report.prepared {
             assert!(p.cold_p50_nanos > 0 && p.warm_p50_nanos > 0, "{} timed", p.name);
             assert!(p.warm_speedup > 0.0);

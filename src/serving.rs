@@ -63,6 +63,7 @@ use monoid_calculus::trace::Phase;
 use monoid_calculus::types::Schema;
 use monoid_calculus::value::{Env, Value};
 use monoid_store::{Database, Snapshot};
+use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,14 +176,15 @@ enum ExecMode {
 /// [`prepare_on`] when a database is at hand — its gathered statistics
 /// give the optimizer real cardinalities.
 pub fn prepare(schema: &Schema, src: &str) -> Result<Prepared, AnalyzeError> {
-    prepare_with_stats(schema, src, &Stats::default())
+    prepare_with_stats(schema, src, Stats::default)
 }
 
 /// Prepare `src` with statistics gathered from `snap` — the variant
 /// [`Session::query`] and the plan cache use. Pass a `&Database` for its
-/// current state.
+/// current state. A gather this prepare runs (the snapshot's memo held
+/// none) is timed in its Optimize phase and its `prepare_nanos`.
 pub fn prepare_on(snap: &Snapshot, src: &str) -> Result<Prepared, AnalyzeError> {
-    prepare_with_stats(snap.schema(), src, &snapshot_stats(snap))
+    prepare_with_stats(snap.schema(), src, || snapshot_stats(snap))
 }
 
 /// [`prepare_on`] under the name the frozen `benchmark/` crate imports;
@@ -197,7 +199,8 @@ struct StatsKey;
 /// counters per extent, field and attribute, not the data they describe.
 const STATS_BYTES: usize = 4 << 10;
 
-/// Gather-or-reuse: `Stats::gather` walks every root and the whole heap,
+/// Gather-or-reuse: `Stats::gather` walks every root and the whole heap
+/// (borrowing each element, one sort per attribute's distinct count),
 /// but its result only changes when the data does. It is kept in the
 /// snapshot's memo, so every prepare at one epoch — on any clone of the
 /// snapshot — shares one gather, and a write (which installs a fresh
@@ -219,13 +222,13 @@ fn snapshot_stats(snap: &Snapshot) -> Arc<Stats> {
 pub fn prepare_expr(expr: &Expr, stats: &Stats) -> Prepared {
     let started = Instant::now();
     let src = monoid_calculus::pretty::pretty(expr);
-    finish_prepare(started, [0; Phase::ALL.len()], src, expr, stats)
+    finish_prepare(started, [0; Phase::ALL.len()], src, expr, || stats)
 }
 
-fn prepare_with_stats(
+fn prepare_with_stats<S: Borrow<Stats>>(
     schema: &Schema,
     src: &str,
-    stats: &Stats,
+    stats: impl FnOnce() -> S,
 ) -> Result<Prepared, AnalyzeError> {
     let started = Instant::now();
     let mut phases = [0; Phase::ALL.len()];
@@ -237,17 +240,23 @@ fn prepare_with_stats(
 }
 
 /// The back half of every prepare: normalize → optimize → plan, with the
-/// phase timings and registry records all prepares share.
-fn finish_prepare(
+/// phase timings and registry records all prepares share. `stats` is
+/// called inside the Optimize phase, so a gather counts there.
+fn finish_prepare<S: Borrow<Stats>>(
     started: Instant,
     mut phases: [u64; Phase::ALL.len()],
     src: String,
     expr: &Expr,
-    stats: &Stats,
+    stats: impl FnOnce() -> S,
 ) -> Prepared {
     let (canonical, _, normalize) = Phase::Normalize.time(&mut phases, || normalize_traced(expr));
 
-    let reordered = Phase::Optimize.time(&mut phases, || reorder_generators(&canonical, stats));
+    let (stats, reordered) = Phase::Optimize.time(&mut phases, || {
+        let stats = stats();
+        let reordered = reorder_generators(&canonical, stats.borrow());
+        (stats, reordered)
+    });
+    let stats: &Stats = stats.borrow();
 
     let (estimates, exec) = match Phase::Plan.time(&mut phases, || plan_comprehension(&reordered)) {
         Ok(query) => (stats.query_estimates(&query), ExecMode::Plan(query)),

@@ -355,6 +355,47 @@ fn profiled_declined_keyed_filter_walks_uncounted() {
     assert!(p.short_circuited && p.rows_to_reduce == 1, "{}", p.render());
 }
 
+#[test]
+fn a_cold_prepare_times_its_gather_in_the_optimize_phase() {
+    use monoid_calculus::value::Value;
+    use monoid_db::algebra::Stats;
+    use monoid_db::prepare_on;
+    use monoid_store::travel::{self, TravelScale};
+    use std::time::Instant;
+
+    let mut db = travel::generate(TravelScale::with_hotels(200), 7);
+    let src = "exists h in Hotels: h.name = $name";
+    // Each round: a write (so a fresh memo), a separately timed gather of
+    // that state, then a cold prepare on it. The cold Optimize phase is
+    // the gather plus microseconds; a gather timed outside the phase
+    // leaves it at about 1 % of one. Tests share the cores, so a round
+    // can be slowed on one side only (by 2× when two test processes
+    // share two cores): the median round is held to a quarter.
+    let mut ratios: Vec<f64> = (0..5)
+        .map(|round| {
+            db.set_root("Round", Value::Int(round));
+            let started = Instant::now();
+            let stats = Stats::gather(&db);
+            let gather_nanos = started.elapsed().as_nanos() as f64;
+            drop(stats);
+            let cold = prepare_on(&db, src).unwrap();
+            assert_eq!(db.memo().misses(), 1, "the first prepare gathers");
+            let optimize = cold.phase_nanos(Phase::Optimize);
+            assert!(cold.prepare_nanos() >= u128::from(optimize));
+            optimize as f64 / gather_nanos
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    assert!(ratios[2] >= 0.25, "optimize ÷ gather per round: {ratios:?}");
+
+    db.set_root("Round", Value::Int(5));
+    let snap = db.snapshot();
+    let optimize = prepare_on(&snap, src).unwrap().phase_nanos(Phase::Optimize);
+    let warm = prepare_on(&snap, src).unwrap();
+    assert_eq!(snap.memo().misses(), 1, "a second prepare reuses the gather");
+    assert!(warm.phase_nanos(Phase::Optimize) < optimize);
+}
+
 /// The series names in `docs/observability.md`'s "The series" table: every
 /// backticked name in a row's first cell, labels stripped.
 fn documented_series() -> std::collections::BTreeSet<String> {
