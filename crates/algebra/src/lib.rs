@@ -66,7 +66,7 @@ pub use error::PlanError;
 pub use exec::{execute, execute_plan_walk_bound, execute_snapshot_bound};
 pub use fused::{engine_of, Engine};
 pub use explain::{explain, explain_with_estimates};
-pub use optimizer::{reorder_generators, Stats};
+pub use optimizer::{reorder_generators, ExtentFacts, Stats};
 pub use logical::{plan_comprehension, plan_with_options, Plan, PlanOptions, Query};
 pub use trace::{execute_profiled_bound, fold_stacks, Analysis, OperatorProfile, QueryProfile};
 pub use verify::verify_query;

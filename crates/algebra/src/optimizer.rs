@@ -34,6 +34,7 @@ use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Value;
 use monoid_store::Snapshot;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
 /// Cardinality statistics gathered from a database, read only by the
 /// cost model here: extent sizes, per-field fan-outs, and per-attribute
@@ -42,18 +43,22 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// default knows nothing, so every estimate takes the flat defaults.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Stats {
-    /// Extent name → its size and its members' attribute facts.
-    extents: BTreeMap<Symbol, ExtentFacts>,
+    /// Extent name → its size and its members' attribute facts: the
+    /// parts [`Stats::from_parts`] assembled.
+    extents: BTreeMap<Symbol, Arc<ExtentFacts>>,
     /// Field name → fan-out and element attribute facts of every
     /// collection stored under that name, whichever class holds it.
     fields: BTreeMap<Symbol, FieldFacts>,
 }
 
-/// Facts about one named extent (a database root that is a collection).
+/// Facts about one named extent (a database root that is a collection),
+/// as a walk of that root alone found them: one part of a [`Stats`].
 #[derive(Debug, Clone, Default, PartialEq)]
-struct ExtentFacts {
+pub struct ExtentFacts {
     size: u64,
     attrs: BTreeMap<Symbol, AttrFacts>,
+    /// The collection-valued fields reachable from this extent's members.
+    fields: BTreeMap<Symbol, FieldFacts>,
 }
 
 /// Facts about one scalar attribute of a collection's element records.
@@ -102,17 +107,32 @@ impl Stats {
     /// counts and numeric domains. The walk borrows every element in
     /// place: a bag's run of count `n` counts `n` times, and a distinct
     /// count is one sort of the borrowed values under `Value::cmp`
-    /// (`1` = `1.0`, `-0.0` ≠ `0.0`). A gather describes the snapshot it
-    /// read; the serving layer keeps one in that snapshot's memo.
+    /// (`1` = `1.0`, `-0.0` ≠ `0.0`). Each root is walked on its own
+    /// ([`ExtentFacts::gather`]) and the parts assembled
+    /// ([`Stats::from_parts`]). A gather describes the snapshot it read;
+    /// the serving layer keeps one in that snapshot's memo, and keeps
+    /// each root's part there too.
     pub fn gather(snap: &Snapshot) -> Stats {
+        Stats::from_parts(snap.roots().filter_map(|(name, root)| {
+            let (part, _) = ExtentFacts::gather(snap.heap(), root)?;
+            Some((name, Arc::new(part)))
+        }))
+    }
+
+    /// The statistics of a store whose roots walked to `parts`, in root
+    /// order: each extent is its part, and each field's fan-out sums over
+    /// the parts. A field's attribute facts are not merged: for each
+    /// attribute, the last part that recorded it wins.
+    pub fn from_parts(parts: impl IntoIterator<Item = (Symbol, Arc<ExtentFacts>)>) -> Stats {
         let mut stats = Stats::default();
-        for (name, value) in snap.roots() {
-            let Ok(size) = value.len() else { continue };
-            let mut elems = Vec::new();
-            push_elements(value, 1, &mut elems);
-            let mut ext = ExtentFacts { size: size as u64, ..Default::default() };
-            collect_collection(snap.heap(), &elems, 0, &mut ext.attrs, &mut stats.fields);
-            stats.extents.insert(name, ext);
+        for (name, part) in parts {
+            for (fname, facts) in &part.fields {
+                let field = stats.fields.entry(*fname).or_default();
+                field.occurrences += facts.occurrences;
+                field.total += facts.total;
+                field.attrs.extend(facts.attrs.iter().map(|(a, f)| (*a, f.clone())));
+            }
+            stats.extents.insert(name, part);
         }
         stats
     }
@@ -283,6 +303,21 @@ impl Stats {
     }
 }
 
+impl ExtentFacts {
+    /// Walk one root as [`Stats::gather`] walks each: `None` when it is
+    /// not a collection. Also whether every object the walk met was live:
+    /// a dangling one may be allocated later and change these facts.
+    pub fn gather(heap: &Heap, root: &Value) -> Option<(ExtentFacts, bool)> {
+        let size = root.len().ok()?;
+        let mut elems = Vec::new();
+        push_elements(root, 1, &mut elems);
+        let mut part = ExtentFacts { size: size as u64, ..Default::default() };
+        let mut live = true;
+        collect_collection(heap, &elems, 0, &mut part.attrs, &mut part.fields, &mut live);
+        Some((part, live))
+    }
+}
+
 fn numeric_literal(e: &Expr) -> Option<f64> {
     match e {
         Expr::Lit(Literal::Int(i)) => Some(*i as f64),
@@ -358,13 +393,15 @@ fn push_elements<'a>(coll: &'a Value, times: u64, out: &mut Vec<(&'a Value, u64)
 /// Gather attribute facts for the element records of one collection, and
 /// fan-out facts (plus nested attribute facts) for their collection-valued
 /// fields. An element of multiplicity `m` counts `m` times in fan-outs,
-/// and its nested elements are visited `m` times.
+/// and its nested elements are visited `m` times. A dangling object is
+/// skipped and clears `live`.
 fn collect_collection<'a>(
     heap: &'a Heap,
     elems: &[(&'a Value, u64)],
     depth: usize,
     attrs_out: &mut BTreeMap<Symbol, AttrFacts>,
     fields_out: &mut BTreeMap<Symbol, FieldFacts>,
+    live: &mut bool,
 ) {
     let mut scalars: BTreeMap<Symbol, Seen<'a>> = BTreeMap::new();
     let mut children: BTreeMap<Symbol, Vec<(&'a Value, u64)>> = BTreeMap::new();
@@ -373,7 +410,11 @@ fn collect_collection<'a>(
             Value::Record(fields) => fields,
             Value::Obj(oid) => match heap.get(*oid) {
                 Ok(Value::Record(fields)) => fields,
-                _ => continue,
+                Ok(_) => continue,
+                Err(_) => {
+                    *live = false;
+                    continue;
+                }
             },
             _ => continue,
         };
@@ -420,7 +461,7 @@ fn collect_collection<'a>(
         // the field's own attribute table (taken out to appease borrows).
         let mut sub_attrs =
             std::mem::take(&mut fields_out.get_mut(&fname).expect("field recorded").attrs);
-        collect_collection(heap, &kids, depth + 1, &mut sub_attrs, fields_out);
+        collect_collection(heap, &kids, depth + 1, &mut sub_attrs, fields_out, live);
         fields_out.get_mut(&fname).expect("field recorded").attrs = sub_attrs;
     }
 }
@@ -761,14 +802,17 @@ mod tests {
 
     /// The walk `Stats::gather` replaced, kept as the reference it must
     /// agree with: every element cloned out of its collection (a bag's
-    /// runs expanded), every scalar cloned into a `BTreeSet`.
+    /// runs expanded), every scalar cloned into a `BTreeSet`, and one
+    /// field map shared by every root. Each extent's own fields are the
+    /// same walk of that root into a map of its own.
     fn reference_gather(snap: &Snapshot) -> Stats {
         let mut stats = Stats::default();
         for (name, value) in snap.roots() {
             let Ok(elems) = value.elements() else { continue };
             let mut ext = ExtentFacts { size: elems.len() as u64, ..Default::default() };
             reference_collect(snap.heap(), &elems, 0, &mut ext.attrs, &mut stats.fields);
-            stats.extents.insert(name, ext);
+            reference_collect(snap.heap(), &elems, 0, &mut BTreeMap::new(), &mut ext.fields);
+            stats.extents.insert(name, Arc::new(ext));
         }
         stats
     }
@@ -946,6 +990,49 @@ mod tests {
         assert_eq!(objects.attrs[&Symbol::new("n")].distinct, 1);
         assert_eq!(stats.extents[&Symbol::new("Word")].size, 3);
         assert!(!stats.extents.contains_key(&Symbol::new("Scalar")));
+    }
+
+    /// Two extents whose members hold a same-named collection field with
+    /// different elements: the field's fan-out sums over both, but each
+    /// of its attributes keeps the facts of the last extent (in root
+    /// order) that recorded it. A known limitation, pinned as it stands.
+    #[test]
+    fn a_field_shared_by_two_extents_keeps_the_last_walked_attrs() {
+        let rec = Value::record_from;
+        let kid = |k: i64| rec(vec![("k", Value::Int(k))]);
+        let mut db = monoid_store::Database::new(monoid_calculus::types::Schema::new());
+        let first = vec![kid(1), kid(2), kid(3), rec(vec![("j", Value::Int(7))])];
+        db.set_root("First", Value::list(vec![rec(vec![("kids", Value::list(first))])]));
+        let second = vec![kid(10), kid(20)];
+        let holders = vec![rec(vec![("kids", Value::list(second))]); 2];
+        db.set_root("Second", Value::list(holders));
+
+        assert_gather_matches_reference(&db);
+        let stats = Stats::gather(&db);
+        let kids = &stats.fields[&Symbol::new("kids")];
+        assert_eq!((kids.occurrences, kids.total), (3, 8));
+        let k = &kids.attrs[&Symbol::new("k")];
+        assert_eq!((k.distinct, k.min, k.max), (2, Some(10.0), Some(20.0)));
+        assert_eq!(kids.attrs[&Symbol::new("j")].distinct, 1, "only `First` recorded `j`");
+        // Each part keeps its own extent's facts.
+        let own = &stats.extents[&Symbol::new("First")].fields[&Symbol::new("kids")];
+        assert_eq!((own.occurrences, own.total, own.attrs[&Symbol::new("k")].distinct), (1, 4, 3));
+    }
+
+    #[test]
+    fn a_walk_that_meets_a_dangling_object_is_not_live() {
+        let mut heap = Heap::new();
+        let obj = heap.alloc(Value::record_from(vec![("n", Value::Int(1))]));
+        let dangling = monoid_calculus::value::Oid(obj.0 + 1);
+        let walk = |items: Vec<Value>| ExtentFacts::gather(&heap, &Value::list(items)).unwrap();
+        assert!(walk(vec![Value::Obj(obj)]).1);
+        let (part, live) = walk(vec![Value::Obj(obj), Value::Obj(dangling)]);
+        assert!(!live);
+        assert_eq!((part.size, part.attrs[&Symbol::new("n")].distinct), (2, 1));
+        // A dangling object below a field counts too.
+        let nested = Value::record_from(vec![("kids", Value::list(vec![Value::Obj(dangling)]))]);
+        assert!(!walk(vec![nested]).1);
+        assert!(ExtentFacts::gather(&heap, &Value::Int(3)).is_none());
     }
 
     #[test]

@@ -375,7 +375,10 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
             }
             prepared_bench(name, source, &cold, &warm_samples)
         })
-        .chain([read_after_insert(quick, runs)])
+        .chain([
+            read_after_write("read-after-insert", false, quick, runs),
+            read_after_write("read-after-set-root", true, quick, runs),
+        ])
         .collect()
 }
 
@@ -399,9 +402,14 @@ fn prepared_bench(name: &'static str, source: &str, cold: &[u128], warm: &[u128]
 /// employee each, 6 500 clients: 8 510 objects; `tiny` in quick mode).
 /// Each cold sample commits one hotel with `Database::insert`, then
 /// prepares and executes the keyed lookup of its name at the new epoch,
-/// so the statistics gather and the by-name table are built again. The
-/// warm path executes one statement with no write between runs.
-fn read_after_insert(quick: bool, runs: usize) -> PreparedBench {
+/// so the `Hotels` statistics and the by-name table are built again; the
+/// other extents' statistics are carried from the last epoch. The warm
+/// path executes one statement with no write between runs.
+///
+/// `read-after-set-root` (`full`) is the same, but each sample also
+/// rebinds a root no statement reads, which carries nothing: the cold
+/// prepare walks every root.
+fn read_after_write(case: &'static str, full: bool, quick: bool, runs: usize) -> PreparedBench {
     use monoid_calculus::symbol::Symbol;
     use monoid_calculus::value::Value;
     use monoid_db::{prepare_on, Params};
@@ -433,6 +441,9 @@ fn read_after_insert(quick: bool, runs: usize) -> PreparedBench {
             ("rooms", Value::list(vec![room])),
         ]);
         db.insert(hotel, state).expect("a hotel commits");
+        if full {
+            db.set_root("Written", Value::Int(written));
+        }
         let stmt = prepare_on(&db, source).expect("the lookup prepares");
         let found = stmt.execute(&mut db, &Params::new().bind("name", Value::str(&name)));
         assert_eq!(found.expect("the lookup executes"), Value::Bool(true));
@@ -442,7 +453,7 @@ fn read_after_insert(quick: bool, runs: usize) -> PreparedBench {
     let warm = warm_samples(runs, || {
         stmt.execute(&mut db, &params).expect("the lookup executes");
     });
-    prepared_bench("read-after-insert", source, &cold, &warm)
+    prepared_bench(case, source, &cold, &warm)
 }
 
 /// Time the fused fold against the forced plan walk on a commutative
@@ -828,11 +839,12 @@ mod tests {
         assert!(!registry.contains("parallel_"), "{registry}");
         assert!(!registry.contains("\"MC005\""), "{registry}");
         // The prepared-statement section: every case timed on both paths
-        // (`read-after-insert` last), and the three canonical statements'
-        // session loop put plan-cache traffic into the delta — exactly
-        // one miss per statement, the rest hits.
-        assert_eq!(report.prepared.len(), 4);
+        // (`read-after-insert` and `read-after-set-root` last), and the
+        // three canonical statements' session loop put plan-cache traffic
+        // into the delta — exactly one miss per statement, the rest hits.
+        assert_eq!(report.prepared.len(), 5);
         assert_eq!(report.prepared[3].name, "read-after-insert");
+        assert_eq!(report.prepared[4].name, "read-after-set-root");
         for p in &report.prepared {
             assert!(p.cold_p50_nanos > 0 && p.warm_p50_nanos > 0, "{} timed", p.name);
             assert!(p.warm_speedup > 0.0);

@@ -8,6 +8,7 @@
 //! scope; the heap is threaded through evaluation so update programs
 //! (paper §4.2/§4.3) mutate the database in place.
 
+use crate::memo::Memo;
 use crate::Snapshot;
 use monoid_calculus::error::EvalResult;
 use monoid_calculus::eval::Evaluator;
@@ -112,17 +113,18 @@ impl Database {
         self.current.epoch()
     }
 
-    /// The state a mutation is about to change, under a fresh memo: what
-    /// was derived from the old state stays with the snapshots taken of
-    /// it. Every writer goes through here.
-    fn advance(&mut self) -> &mut Snapshot {
-        self.current.memo = Arc::default();
+    /// The state a mutation is about to change, under the fresh `memo`:
+    /// what was derived from the old state stays with the snapshots taken
+    /// of it. Every writer goes through here; only an insert hands it
+    /// anything but an empty memo.
+    fn advance(&mut self, memo: Memo) -> &mut Snapshot {
+        self.current.memo = Arc::new(memo);
         &mut self.current
     }
 
     /// Direct heap access for bulk loaders.
     pub fn heap_mut(&mut self) -> &mut Heap {
-        &mut self.advance().heap
+        &mut self.advance(Memo::default()).heap
     }
 
     /// Allocate an object of `class` with the given record `state` and add
@@ -131,13 +133,19 @@ impl Database {
     /// A fresh OID sorts after every object in the heap, so adding it to a
     /// bag extent is an append to the bag's runs — in place while no
     /// snapshot shares them. A root that is not a bag is rebuilt as one.
+    ///
+    /// The new memo keeps the old one's parts for every other extent
+    /// ([`Memo`]): an allocation changes no other root and no object a
+    /// root could reach before.
     pub fn insert(&mut self, class: Symbol, state: Value) -> EvalResult<Oid> {
-        let cur = self.advance();
+        let touched = self.current.extent_of.get(&class).copied();
+        let memo = self.current.memo.carry_parts(touched);
+        let cur = self.advance(memo);
         let oid = cur.heap.alloc(state);
         let m = metrics::global();
         m.store_objects_inserted_total.inc();
         m.store_heap_objects.set(cur.heap.len() as i64);
-        if let Some(extent) = cur.extent_of.get(&class).copied() {
+        if let Some(extent) = touched {
             let obj = Value::Obj(oid);
             let root = Arc::make_mut(&mut cur.roots)
                 .entry(extent)
@@ -163,7 +171,7 @@ impl Database {
 
     /// Set (or create) a named persistent root.
     pub fn set_root(&mut self, name: impl Into<Symbol>, value: Value) {
-        let cur = self.advance();
+        let cur = self.advance(Memo::default());
         Arc::make_mut(&mut cur.roots).insert(name.into(), value);
         cur.roots_epoch += 1;
     }
@@ -189,7 +197,7 @@ impl Database {
         let result = ev.eval(env, e);
         self.current.heap = ev.heap;
         if self.current.heap.version() != version {
-            self.advance();
+            self.advance(Memo::default());
         }
         m.store_query_nanos.observe_nanos(started.elapsed().as_nanos());
         m.store_heap_objects.set(self.object_count() as i64);
@@ -389,6 +397,57 @@ mod tests {
             write(&mut db);
             assert!(db.memo().is_empty());
             assert_eq!(snap.memo().len(), 1, "the snapshot keeps its epoch's memo");
+        }
+    }
+
+    #[test]
+    fn an_insert_carries_the_memo_parts_of_every_extent_it_did_not_grow() {
+        let mut schema = tiny_schema();
+        for (class, extent) in [("Line", Some("Lines")), ("Loose", None)] {
+            schema.add_class(ClassDef {
+                name: Symbol::new(class),
+                state: Type::record(vec![(Symbol::new("x"), Type::Int)]),
+                extent: extent.map(Symbol::new),
+                superclass: None,
+            });
+        }
+        let mut db = Database::new(schema);
+        let (points, lines) = (Symbol::new("Points"), Symbol::new("Lines"));
+        let keep_parts = |db: &Database| {
+            for extent in [points, lines] {
+                db.memo().keep_part(extent, Arc::new(extent));
+            }
+            db.memo().insert((), Arc::new(()), 0);
+        };
+        let parts = |memo: &Memo| [points, lines].map(|e| memo.part(e).is_some());
+
+        keep_parts(&db);
+        let snap = db.snapshot();
+        db.insert(Symbol::new("Point"), point(1)).unwrap();
+        assert_eq!(parts(db.memo()), [false, true], "the grown extent's part is dropped");
+        assert!(Arc::ptr_eq(&db.memo().part(lines).unwrap(), &snap.memo().part(lines).unwrap()));
+        assert_eq!((db.memo().len(), db.memo().bytes(), db.memo().misses()), (0, 0, 0));
+        assert_eq!(parts(snap.memo()), [true, true], "the snapshot keeps its epoch's parts");
+
+        keep_parts(&db);
+        db.insert(Symbol::new("Loose"), point(2)).unwrap();
+        assert_eq!(parts(db.memo()), [true, true], "no extent grew");
+        assert!(db.memo().is_empty());
+
+        let writes: [&dyn Fn(&mut Database); 4] = [
+            &|db| db.set_root("marker", Value::Int(1)),
+            &|db| {
+                let _ = db.heap_mut();
+            },
+            &|db| *db = db.clone(),
+            &|db| {
+                db.query(&move_every_point()).unwrap();
+            },
+        ];
+        for write in writes {
+            keep_parts(&db);
+            write(&mut db);
+            assert_eq!(parts(db.memo()), [false, false]);
         }
     }
 

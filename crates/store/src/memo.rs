@@ -11,14 +11,20 @@
 //! keyed by the extent, the path and the attribute, or the refusal of a
 //! lane that does not fit; the serving layer keeps the statistics its
 //! prepares read, one gather per memo. Beside its entries it holds the
-//! epoch's root environment, built by the first read that asks for it.
+//! epoch's root environment, built by the first read that asks for it,
+//! and per-extent *parts*: what was derived from one root alone (the
+//! serving layer keeps each root's statistics there), keyed by the
+//! root's name. Neither is an entry.
 //!
 //! The epoch *is* the invalidation protocol. Every [`Database`] path that
-//! can change what a query reads installs a fresh, empty memo, so the old
-//! one stays with the snapshots taken before the change and dies with the
-//! last of them. Nothing is evicted; a value that does not fit under
-//! [`MEMO_BYTES`] is simply not kept, and its builder builds it again next
-//! time, as it would without a memo.
+//! can change what a query reads installs a fresh memo, so the old one
+//! stays with the snapshots taken before the change and dies with the
+//! last of them. The fresh memo holds no entry. Only an insert carries
+//! anything into it: the parts of every extent but the one it grew,
+//! since allocating an object changes no other root and no live object.
+//! Nothing is evicted; a value that does not fit under [`MEMO_BYTES`] is
+//! simply not kept, and its builder builds it again next time, as it
+//! would without a memo.
 //!
 //! The lock is held for a lookup or an insert, never while a value is
 //! built: two executions that miss at once both build, and the first
@@ -26,8 +32,10 @@
 //!
 //! [`Database`]: crate::Database
 
+use monoid_calculus::symbol::Symbol;
 use monoid_calculus::value::Env;
 use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -53,6 +61,8 @@ struct State {
     bytes: usize,
     /// Lookups that found nothing — each one a build.
     misses: usize,
+    /// Extent name → what was derived from that root alone.
+    parts: BTreeMap<Symbol, Shared>,
 }
 
 impl State {
@@ -98,6 +108,28 @@ impl Memo {
         true
     }
 
+    /// The part kept for `extent`. A part is not an entry: looking for
+    /// one counts no miss.
+    pub fn part(&self, extent: Symbol) -> Option<Shared> {
+        self.lock().parts.get(&extent).cloned()
+    }
+
+    /// Keep `part` for `extent`, unless one is kept already (the first
+    /// wins). It costs nothing against [`MEMO_BYTES`].
+    pub fn keep_part(&self, extent: Symbol, part: Shared) {
+        self.lock().parts.entry(extent).or_insert(part);
+    }
+
+    /// A fresh memo for the epoch an insert into `touched` starts: no
+    /// entry, and every part of this memo but `touched`'s.
+    pub(crate) fn carry_parts(&self, touched: Option<Symbol>) -> Memo {
+        let mut parts = self.lock().parts.clone();
+        if let Some(extent) = touched {
+            parts.remove(&extent);
+        }
+        Memo { state: Mutex::new(State { parts, ..State::default() }), env: OnceLock::new() }
+    }
+
     /// The epoch's root environment: `build`'s, built once, by the first
     /// caller.
     pub(crate) fn env(&self, build: impl FnOnce() -> Env) -> &Env {
@@ -131,6 +163,7 @@ impl fmt::Debug for Memo {
             .field("entries", &state.entries.len())
             .field("bytes", &state.bytes)
             .field("misses", &state.misses)
+            .field("parts", &state.parts.len())
             .finish()
     }
 }
@@ -165,5 +198,29 @@ mod tests {
         assert!(memo.get(|k: &u8| *k == 2).is_none());
         assert_eq!(memo.get(|k: &u8| *k == 3).as_ref().map(int), Some(3));
         assert_eq!((memo.len(), memo.bytes()), (2, MEMO_BYTES));
+    }
+
+    #[test]
+    fn memo_parts_are_not_entries_and_carry_all_but_the_touched_extent() {
+        let (a, b) = (Symbol::new("A"), Symbol::new("B"));
+        let memo = Memo::default();
+        assert!(memo.part(a).is_none());
+        memo.keep_part(a, Arc::new(1_i64));
+        memo.keep_part(a, Arc::new(2_i64));
+        memo.keep_part(b, Arc::new(3_i64));
+        assert_eq!(memo.part(a).as_ref().map(int), Some(1), "the first part wins");
+        assert_eq!((memo.len(), memo.bytes(), memo.misses()), (0, 0, 0));
+        assert!(memo.insert(0_u8, Arc::new(4_i64), 8));
+
+        let next = memo.carry_parts(Some(a));
+        assert!(next.part(a).is_none());
+        assert!(Arc::ptr_eq(&next.part(b).unwrap(), &memo.part(b).unwrap()));
+        assert_eq!((next.len(), next.bytes(), next.misses()), (0, 0, 0));
+        let all = memo.carry_parts(None);
+        assert_eq!(
+            (all.part(a).as_ref().map(int), all.part(b).as_ref().map(int)),
+            (Some(1), Some(3))
+        );
+        assert!(all.is_empty());
     }
 }

@@ -107,7 +107,9 @@ impl Snapshot {
     }
 
     /// The memo of values derived from this state, shared by every clone
-    /// of this snapshot and by no later epoch (see [`crate::memo`]).
+    /// of this snapshot. No later epoch sees its entries; an insert
+    /// carries its parts for the extents it did not grow (see
+    /// [`crate::memo`]).
     pub fn memo(&self) -> &Memo {
         &self.memo
     }

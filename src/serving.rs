@@ -27,7 +27,8 @@
 //! is served only to a snapshot reporting that exact pair, so a mutation
 //! between executions can never yield a stale plan. The statistics a
 //! prepare reads are kept in the snapshot's memo, so they are shared by
-//! every prepare at one epoch and gathered again after a write.
+//! every prepare at one epoch and assembled again after a write — from
+//! the per-extent parts an insert carried, walking only the rest.
 //! [`Session::query`] is the umbrella fast
 //! path that puts the two together: hit the cache, bind, execute.
 //!
@@ -50,7 +51,9 @@
 //! `docs/observability.md`.
 
 use crate::AnalyzeError;
-use monoid_algebra::{plan_comprehension, reorder_generators, Analysis, PlanError, Query, Stats};
+use monoid_algebra::{
+    plan_comprehension, reorder_generators, Analysis, ExtentFacts, PlanError, Query, Stats,
+};
 use monoid_calculus::analysis::EffectSummary;
 use monoid_calculus::error::EvalError;
 use monoid_calculus::expr::Expr;
@@ -203,14 +206,28 @@ const STATS_BYTES: usize = 4 << 10;
 /// (borrowing each element, one sort per attribute's distinct count),
 /// but its result only changes when the data does. It is kept in the
 /// snapshot's memo, so every prepare at one epoch — on any clone of the
-/// snapshot — shares one gather, and a write (which installs a fresh
-/// memo) means the next prepare gathers again.
+/// snapshot — shares one gather. A write installs a fresh memo, so the
+/// next prepare assembles again: from each root's part the memo still
+/// holds (an insert carries all but its extent's), walking only the
+/// roots without one. A walk that met a dangling object is not kept as
+/// a part: a later insert may make the object live.
 fn snapshot_stats(snap: &Snapshot) -> Arc<Stats> {
     let memo = snap.memo();
     if let Some(stats) = memo.get(|_: &StatsKey| true).and_then(|s| s.downcast().ok()) {
         return stats;
     }
-    let stats = Arc::new(Stats::gather(snap));
+    let parts = snap.roots().filter_map(|(name, root)| {
+        if let Some(part) = memo.part(name).and_then(|p| p.downcast::<ExtentFacts>().ok()) {
+            return Some((name, part));
+        }
+        let (part, live) = ExtentFacts::gather(snap.heap(), root)?;
+        let part = Arc::new(part);
+        if live {
+            memo.keep_part(name, part.clone());
+        }
+        Some((name, part))
+    });
+    let stats = Arc::new(Stats::from_parts(parts));
     memo.insert(StatsKey, stats.clone(), STATS_BYTES);
     stats
 }
@@ -1047,7 +1064,11 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monoid_calculus::monoid::Monoid;
+    use monoid_calculus::value::Oid;
     use monoid_store::travel::{self, TravelScale};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn db() -> Database {
         travel::generate(TravelScale::tiny(), 42)
@@ -1170,5 +1191,143 @@ mod tests {
             assert_eq!(ours[0].cache, CacheDisposition::Miss);
         });
         worker.join().expect("worker's own assertions hold");
+    }
+
+    /// After every write of a seeded run, the statistics a cold prepare
+    /// keeps — assembled from the parts an insert carried, walking only
+    /// the roots without one — equal a fresh gather of the same snapshot,
+    /// and print the same (`Debug` tells `-0.0` from `0.0`).
+    #[test]
+    fn carried_statistics_equal_a_fresh_gather() {
+        use monoid_store::company;
+        let travel_classes = [
+            (travel::names::CITY, travel::names::CITIES),
+            (travel::names::HOTEL, travel::names::HOTELS),
+            (travel::names::EMPLOYEE, travel::names::EMPLOYEES),
+            (travel::names::CLIENT, travel::names::CLIENTS),
+        ];
+        let company_classes = [
+            (company::names::PERSON, company::names::PERSONS),
+            (company::names::EMPLOYEE, company::names::EMPLOYEES),
+            (company::names::MANAGER, company::names::MANAGERS),
+        ];
+        let stores: [(Database, &[(&str, &str)], &str); 2] = [
+            (db(), &travel_classes, "exists h in Hotels: h.name = $name"),
+            (
+                company::generate(3, 4, 10, 7),
+                &company_classes,
+                "select e.name from e in CompanyEmployees where e.salary > $floor",
+            ),
+        ];
+        // Every kind of write, a dangling root before the inserts that
+        // make it live, then a seeded run.
+        let script = [
+            Write::Ghosts,
+            Write::Insert(1),
+            Write::Shrink(1),
+            Write::Insert(1),
+            Write::Ghosts,
+            Write::InsertUnfiled,
+            Write::Insert(0),
+            Write::Marker,
+            Write::Assign(0),
+            Write::Insert(2),
+        ];
+        for (seed, (mut db, classes, src)) in stores.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(1995 + seed as u64);
+            let mut writes = script.to_vec();
+            for _ in 0..40 {
+                let n = rng.random_range(0..classes.len());
+                let kinds = [
+                    Write::Insert(n),
+                    Write::Insert(n),
+                    Write::InsertUnfiled,
+                    Write::Shrink(n),
+                    Write::Marker,
+                    Write::Assign(n),
+                    Write::Ghosts,
+                ];
+                writes.push(kinds[rng.random_range(0..kinds.len())]);
+            }
+            let mut carried = 0;
+            for write in writes {
+                apply(&mut db, write, classes, &mut rng);
+                let parts =
+                    classes.iter().filter(|(_, e)| db.memo().part(Symbol::new(e)).is_some());
+                carried += parts.count();
+                prepare_on(&db, src).unwrap();
+                assert_eq!(db.memo().misses(), 1, "one gather per memo, after {write:?}");
+                let (kept, fresh) = (snapshot_stats(&db), Stats::gather(&db));
+                assert_eq!(*kept, fresh, "after {write:?}");
+                assert_eq!(format!("{kept:?}"), format!("{fresh:?}"), "after {write:?}");
+            }
+            assert!(carried > 0, "some insert carried a part");
+        }
+    }
+
+    /// One write of `carried_statistics_equal_a_fresh_gather`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Write {
+        /// `Database::insert` into the class of extent `n` (mod the count).
+        Insert(usize),
+        /// An insert into a class that has no extent.
+        InsertUnfiled,
+        /// `set_root` of an extent to a list of all but its last member.
+        Shrink(usize),
+        /// `set_root` of a root no statement names.
+        Marker,
+        /// A `:=` query that rewrites one member of an extent.
+        Assign(usize),
+        /// `set_root` of a root holding the OIDs the next inserts allocate.
+        Ghosts,
+    }
+
+    fn apply(db: &mut Database, write: Write, classes: &[(&str, &str)], rng: &mut StdRng) {
+        let extent = |n: usize| Symbol::new(classes[n % classes.len()].1);
+        let members = |db: &Database, n: usize| db.root(extent(n)).unwrap().elements().unwrap();
+        let k = rng.random_range(0..1_000_i64);
+        let rooms = (0..rng.random_range(0..4_i64))
+            .map(|r| Value::record_from(vec![("price", Value::Float((k * 7 + r) as f64))]))
+            .collect();
+        let state = Value::record_from(vec![
+            ("name", Value::str(&format!("w{k}"))),
+            ("age", Value::Int(k % 90)),
+            ("rooms", Value::list(rooms)),
+        ]);
+        match write {
+            Write::Insert(n) => {
+                db.insert(Symbol::new(classes[n % classes.len()].0), state).unwrap();
+            }
+            Write::InsertUnfiled => {
+                db.insert(Symbol::new("Unfiled"), state).unwrap();
+            }
+            Write::Shrink(n) => {
+                let mut kept = members(db, n);
+                kept.pop();
+                db.set_root(extent(n), Value::list(kept));
+            }
+            Write::Marker => db.set_root("Marker", Value::Int(k)),
+            Write::Assign(n) => {
+                let Some(Value::Obj(oid)) = members(db, n).first().cloned() else { return };
+                let Value::Str(name) = db.field(oid, "name").unwrap() else { return };
+                let rewrite = Expr::comp(
+                    Monoid::All,
+                    Expr::var("x").assign(Expr::record(vec![
+                        ("name", Expr::str(&format!("a{k}"))),
+                        ("age", Expr::int(k % 7)),
+                    ])),
+                    vec![
+                        Expr::gen("x", Expr::Var(extent(n))),
+                        Expr::pred(Expr::var("x").proj("name").eq(Expr::str(&name))),
+                    ],
+                );
+                db.query(&rewrite).unwrap();
+            }
+            Write::Ghosts => {
+                let next = db.object_count() as u64;
+                let ghosts = [next, next + 2].map(|oid| Value::Obj(Oid(oid)));
+                db.set_root("Ghosts", Value::list(ghosts.to_vec()));
+            }
+        }
     }
 }
