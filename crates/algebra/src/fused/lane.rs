@@ -28,7 +28,7 @@ use monoid_calculus::eval::{project_ref, Evaluator};
 use monoid_calculus::expr::Expr;
 use monoid_calculus::monoid::Monoid;
 use monoid_calculus::symbol::Symbol;
-use monoid_calculus::value::{canonical_runs, Accumulator, Env, Runs, Value};
+use monoid_calculus::value::{canonical_runs, float_key, Accumulator, Env, Runs, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::mem::{discriminant, size_of};
@@ -70,8 +70,8 @@ pub(super) struct Lane {
     pub(super) bytes: usize,
 }
 
-/// A scalar, hashed by kind: a float by its bits, which is
-/// [`Value::cmp`]'s `total_cmp` equality.
+/// A scalar, hashed by kind: a float by its [`float_key`], which is
+/// [`Value::cmp`]'s equality.
 #[derive(Hash, PartialEq, Eq)]
 enum Key {
     Bool(bool),
@@ -96,7 +96,7 @@ impl Dict {
         let key = match v {
             Value::Bool(b) => Key::Bool(*b),
             Value::Int(i) => Key::Int(*i),
-            Value::Float(x) => Key::Float(x.to_bits()),
+            Value::Float(x) => Key::Float(float_key(*x)),
             Value::Str(s) => Key::Str(s.clone()),
             _ => return false,
         };

@@ -74,9 +74,10 @@ impl Links {
 }
 
 /// The string buckets of a build side whose one key is a string on every
-/// row; `None` at the first key that is not.
+/// row; `None` at the first key that is not. The map is sized for a key
+/// per row up front, so the build never rehashes.
 fn strings(keys: &[Value], links: &mut Links) -> Option<HashMap<Arc<str>, usize>> {
-    let mut map = HashMap::new();
+    let mut map = HashMap::with_capacity(keys.len());
     for (i, key) in keys.iter().enumerate().rev() {
         let Value::Str(k) = key else { return None };
         links.link(map.entry(k.clone()).or_insert(NONE), i);

@@ -15,7 +15,8 @@
 //!   that field, falling back to a default;
 //! * each predicate that becomes applicable right after a generator
 //!   multiplies its estimated selectivity into the running cardinality:
-//!   `1/distinct` for an equality on a gathered attribute, min/max
+//!   `1/distinct` for an equality on a gathered attribute (counted by
+//!   sorting one 8-byte key per value, not the values), min/max
 //!   interpolation for a comparison with a constant, and the flat
 //!   defaults (equality ⇒ 0.1, comparison ⇒ 0.5) where nothing is known.
 //!
@@ -106,10 +107,10 @@ impl Stats {
     /// extent sizes, per-field fan-outs, and per-attribute distinct
     /// counts and numeric domains. The walk borrows every element in
     /// place: a bag's run of count `n` counts `n` times, and a distinct
-    /// count is one sort of the borrowed values under `Value::cmp`
-    /// (`1` = `1.0`, `-0.0` ≠ `0.0`). Each root is walked on its own
-    /// ([`ExtentFacts::gather`]) and the parts assembled
-    /// ([`Stats::from_parts`]). A gather describes the snapshot it read;
+    /// count sorts an 8-byte key per value, not the values, under
+    /// `Value::cmp`'s equality (`1` = `1.0`, `-0.0` ≠ `0.0`). Each root
+    /// is walked on its own ([`ExtentFacts::gather`]) and the parts
+    /// assembled ([`Stats::from_parts`]). A gather describes what it read;
     /// the serving layer keeps one in that snapshot's memo, and keeps
     /// each root's part there too.
     pub fn gather(snap: &Snapshot) -> Stats {
@@ -365,27 +366,79 @@ fn source_key(src: &Expr) -> Option<Symbol> {
 // Gathering
 // ---------------------------------------------------------------------------
 
-/// What one collection's elements hold under one scalar attribute: every
-/// value seen (borrowed, repeats and all), and their numeric domain
-/// unless some value was not a number.
+/// Borrowed `(element, multiplicity)` pairs.
+type Elems<'a> = Vec<(&'a Value, u64)>;
+
+/// What one collection's elements hold under one field name: each scalar's
+/// key, the numbers' domain, and its collections' count, size and elements.
 #[derive(Default)]
-struct Seen<'a> {
-    values: Vec<&'a Value>,
+struct Bin<'a> {
+    /// Numbers by [`Value::number_key`]: equal keys are equal values.
+    numbers: Vec<u64>,
+    /// Every other scalar and its [`other_key`]; `Value::cmp` settles ties.
+    others: Vec<(u64, &'a Value)>,
     min: Option<f64>,
     max: Option<f64>,
-    non_numeric: bool,
+    kids: Option<(u64, u64, Elems<'a>)>,
 }
 
-/// Append `coll`'s elements to `out` as borrowed `(element,
-/// multiplicity)` pairs, each count scaled by `times`: a bag's runs as
-/// stored, any other collection's elements once each. A string's
-/// characters are never records, so it adds nothing.
-fn push_elements<'a>(coll: &'a Value, times: u64, out: &mut Vec<(&'a Value, u64)>) {
+impl<'a> Bin<'a> {
+    fn push_scalar(&mut self, v: &'a Value) {
+        let x = match v {
+            Value::Int(i) => *i as f64,
+            Value::Float(x) => *x,
+            _ => return self.others.push((other_key(v), v)),
+        };
+        self.min = Some(self.min.map_or(x, |lo| lo.min(x)));
+        self.max = Some(self.max.map_or(x, |hi| hi.max(x)));
+        match v.number_key() {
+            Some(key) => self.numbers.push(key),
+            None => self.others.push((other_key(v), v)),
+        }
+    }
+
+    /// The set monoid's count, `count(set{ x.a | x ← E })`: distinct under
+    /// `Value::cmp`, so `1` and `1.0` are one value and `-0.0` and `0.0`
+    /// two. A number's key is exact, so its distinct keys are its distinct
+    /// values; no other scalar equals a number with one. The rest sort by
+    /// key, and equal keys by value.
+    fn distinct(&mut self) -> u64 {
+        self.numbers.sort_unstable();
+        self.numbers.dedup();
+        self.others.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| a.1.cmp(b.1)));
+        self.others.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
+        (self.numbers.len() + self.others.len()) as u64
+    }
+}
+
+/// The key of a scalar [`Value::number_key`] does not cover, kept apart
+/// by kind where it can be: a bool's `0` or `1`, an int beyond ±2^53 its
+/// own bits, a string its bytes hashed by wyhash's folded multiply.
+fn other_key(v: &Value) -> u64 {
+    match v {
+        Value::Bool(b) => u64::from(*b),
+        Value::Int(i) => *i as u64,
+        Value::Str(s) => s.as_bytes().chunks(8).fold(s.len() as u64, |h, word| {
+            let mut bytes = [0; 8];
+            bytes[..word.len()].copy_from_slice(word);
+            let r = u128::from(h ^ u64::from_le_bytes(bytes)) * 0x9e37_79b9_7f4a_7c15;
+            r as u64 ^ (r >> 64) as u64
+        }),
+        _ => 0,
+    }
+}
+
+/// Append `coll`'s records and objects (no other element has fields) to
+/// `out`, each count scaled by `times`: a bag's runs as stored, others once.
+fn push_elements<'a>(coll: &'a Value, times: u64, out: &mut Elems<'a>) {
+    let fielded = |e: &Value| matches!(e, Value::Record(_) | Value::Obj(_));
     match coll {
         Value::List(v) | Value::Set(v) | Value::Vector(v) => {
-            out.extend(v.iter().map(|e| (e, times)));
+            out.extend(v.iter().filter(|e| fielded(e)).map(|e| (e, times)));
         }
-        Value::Bag(runs) => out.extend(runs.iter().map(|(e, n)| (e, n * times))),
+        Value::Bag(runs) => {
+            out.extend(runs.iter().filter(|(e, _)| fielded(e)).map(|(e, n)| (e, n * times)));
+        }
         _ => {}
     }
 }
@@ -394,7 +447,7 @@ fn push_elements<'a>(coll: &'a Value, times: u64, out: &mut Vec<(&'a Value, u64)
 /// fan-out facts (plus nested attribute facts) for their collection-valued
 /// fields. An element of multiplicity `m` counts `m` times in fan-outs,
 /// and its nested elements are visited `m` times. A dangling object is
-/// skipped and clears `live`.
+/// skipped and clears `live`. Fields bin by position while layouts repeat.
 fn collect_collection<'a>(
     heap: &'a Heap,
     elems: &[(&'a Value, u64)],
@@ -403,8 +456,8 @@ fn collect_collection<'a>(
     fields_out: &mut BTreeMap<Symbol, FieldFacts>,
     live: &mut bool,
 ) {
-    let mut scalars: BTreeMap<Symbol, Seen<'a>> = BTreeMap::new();
-    let mut children: BTreeMap<Symbol, Vec<(&'a Value, u64)>> = BTreeMap::new();
+    let mut bins: Vec<(Symbol, Bin<'a>)> = Vec::new();
+    let (mut layout, mut slots): (Vec<Symbol>, Vec<usize>) = (Vec::new(), Vec::new());
     for &(elem, m) in elems {
         let fields: &'a [(Symbol, Value)] = match elem {
             Value::Record(fields) => fields,
@@ -418,47 +471,54 @@ fn collect_collection<'a>(
             },
             _ => continue,
         };
-        for (fname, fv) in fields {
+        if !fields.iter().map(|(name, _)| name).eq(&layout) {
+            layout = fields.iter().map(|(name, _)| *name).collect();
+            slots = layout
+                .iter()
+                .map(|name| {
+                    bins.iter().position(|(n, _)| n == name).unwrap_or_else(|| {
+                        bins.push((*name, Bin::default()));
+                        bins.len() - 1
+                    })
+                })
+                .collect();
+        }
+        for ((_, fv), &slot) in fields.iter().zip(&slots) {
+            let bin = &mut bins[slot].1;
             match fv {
                 Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => {
-                    let seen = scalars.entry(*fname).or_default();
-                    seen.values.push(fv);
-                    let x = match fv {
-                        Value::Int(i) => *i as f64,
-                        Value::Float(x) => *x,
-                        _ => {
-                            seen.non_numeric = true;
-                            continue;
-                        }
-                    };
-                    seen.min = Some(seen.min.map_or(x, |lo| lo.min(x)));
-                    seen.max = Some(seen.max.map_or(x, |hi| hi.max(x)));
+                    bin.push_scalar(fv);
                 }
                 _ => {
                     if let Ok(n) = fv.len() {
-                        let f = fields_out.entry(*fname).or_default();
-                        f.occurrences += m;
-                        f.total += n as u64 * m;
+                        let (count, total, kids) = bin.kids.get_or_insert_with(Default::default);
+                        *count += m;
+                        *total += n as u64 * m;
                         if depth < CATALOG_DEPTH {
-                            push_elements(fv, m, children.entry(*fname).or_default());
+                            push_elements(fv, m, kids);
                         }
                     }
                 }
             }
         }
     }
-    for (fname, mut seen) in scalars {
-        // The set monoid's canonical form: sorted, then deduplicated
-        // under `Value::cmp` — so `1` and `1.0` are one value and `-0.0`
-        // and `0.0` two, as `count(set{ x.a | x ← E })` has them.
-        seen.values.sort_unstable();
-        let distinct = 1 + seen.values.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-        let (min, max) = if seen.non_numeric { (None, None) } else { (seen.min, seen.max) };
-        attrs_out.insert(fname, AttrFacts { distinct, min, max });
+    bins.sort_unstable_by_key(|(name, _)| *name);
+    for (name, bin) in &mut bins {
+        if !bin.numbers.is_empty() || !bin.others.is_empty() {
+            let numeric = bin.others.iter().all(|(_, v)| matches!(v, Value::Int(_)));
+            let (min, max) = if numeric { (bin.min, bin.max) } else { (None, None) };
+            attrs_out.insert(*name, AttrFacts { distinct: bin.distinct(), min, max });
+        }
+        if let Some((count, total, _)) = bin.kids {
+            let f = fields_out.entry(*name).or_default();
+            f.occurrences += count;
+            f.total += total;
+        }
     }
-    for (fname, kids) in children {
-        // Recurse into the nested collection's elements, accumulating into
-        // the field's own attribute table (taken out to appease borrows).
+    let nested = bins.into_iter().filter_map(|(name, bin)| Some((name, bin.kids?)));
+    for (fname, (_, _, kids)) in nested {
+        // Recurse into the nested elements (none below `CATALOG_DEPTH`),
+        // into the field's own attribute table (taken out to appease borrows).
         let mut sub_attrs =
             std::mem::take(&mut fields_out.get_mut(&fname).expect("field recorded").attrs);
         collect_collection(heap, &kids, depth + 1, &mut sub_attrs, fields_out, live);
@@ -609,6 +669,7 @@ pub fn reorder_generators(e: &Expr, stats: &Stats) -> Expr {
 mod tests {
     use super::*;
     use monoid_store::travel::{self, TravelScale};
+    use proptest::prelude::*;
 
     #[test]
     fn stats_measure_extents_and_fanouts() {
@@ -1050,5 +1111,63 @@ mod tests {
         };
         assert_gather_matches_reference(&travel::generate(mixed_rw, 1995));
         assert_gather_matches_reference(&monoid_store::company::generate(42, 48, 6500, 1995));
+    }
+
+    /// Scalars that test the keys: ints beside the floats they equal or
+    /// round to (`0`, `±0.0`, `2^53 − 1 … 2^53 + 2`, `i64::MIN`/`MAX`),
+    /// NaNs of both signs and payloads, bools beside `0` and `1`, and
+    /// strings that share their first 8 bytes.
+    fn key_pool() -> Vec<Value> {
+        let mut pool = vec![Value::Bool(false), Value::Bool(true), Value::Float(-0.0)];
+        let big = 1i64 << 53;
+        for i in [0, 1, -1, 3, big - 1, big, big + 1, big + 2, -big - 1, i64::MIN, i64::MAX] {
+            pool.extend([Value::Int(i), Value::Float(i as f64)]);
+        }
+        let nans: [u64; 4] = [
+            0x7ff8_0000_0000_0000,
+            0xfff8_0000_0000_0000,
+            0x7ff0_0000_0000_0001,
+            0xfff0_0000_dead_beef,
+        ];
+        pool.extend(nans.map(|bits| Value::Float(f64::from_bits(bits))));
+        let strings = ["", "a", "hotel_0_", "hotel_0_0", "hotel_0_1", "hotel_0_10", "hotel_0_0\0"];
+        pool.extend(strings.map(Value::str));
+        pool
+    }
+
+    /// `Bin::distinct` over `values`, with every string keyed by
+    /// `str_key` when given: a constant sends all strings down the
+    /// tie-break.
+    fn keyed_distinct(values: &[Value], str_key: Option<u64>) -> u64 {
+        let mut bin = Bin::default();
+        values.iter().for_each(|v| bin.push_scalar(v));
+        for (key, v) in &mut bin.others {
+            if let (Some(k), Value::Str(_)) = (str_key, v) {
+                *key = k;
+            }
+        }
+        bin.distinct()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        /// The keyed count is the set monoid's count under `Value::cmp`,
+        /// with hashed string keys and with one key for every string.
+        #[test]
+        fn keyed_distinct_matches_the_value_sort(
+            picks in prop::collection::vec(
+                prop_oneof![
+                    prop::sample::select(key_pool()),
+                    (-3i64..3).prop_map(Value::Int),
+                    (-6i64..6).prop_map(|i| Value::Float(i as f64 * 0.5)),
+                ],
+                0..48,
+            ),
+        ) {
+            let want = picks.iter().collect::<std::collections::BTreeSet<_>>().len() as u64;
+            prop_assert_eq!(keyed_distinct(&picks, None), want);
+            prop_assert_eq!(keyed_distinct(&picks, Some(7)), want);
+        }
     }
 }

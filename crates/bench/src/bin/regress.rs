@@ -19,7 +19,7 @@
 //!
 //! `--compare BASELINE.json` turns the run into a regression *gate*: the
 //! fresh report is diffed against the baseline per query (median/p95,
-//! prepared warm median) with `--tolerance PCT` relative slack (default
+//! prepared warm median, statistics gather median/p95) with `--tolerance PCT` relative slack (default
 //! 50) plus an absolute noise floor of `--min-delta NANOS` (default
 //! 1 ms), and the process exits 1 when anything regressed.
 //! `--slow-out` / `--journal-out` dump the flight recorder's slow-query
@@ -178,6 +178,17 @@ fn main() {
         ]);
     }
     println!("{}", stable.render());
+
+    let mut gtable = Table::new(&["statistics gather", "objects", "p50", "p95"]);
+    for g in &report.gather {
+        gtable.row(&[
+            g.name.to_string(),
+            g.objects.to_string(),
+            fmt_nanos(g.p50_nanos),
+            fmt_nanos(g.p95_nanos),
+        ]);
+    }
+    println!("{}", gtable.render());
     println!("rules fired: {:?}", report.rule_firings());
 
     let report_json = report.to_json();

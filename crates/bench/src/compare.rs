@@ -3,7 +3,7 @@
 //! whether the perf trajectory regressed.
 //!
 //! Comparison is per-query by name over the stable latency fields —
-//! `median_nanos` and `p95_nanos` in the queries section,
+//! `median_nanos` and `p95_nanos` in the queries and gather sections,
 //! `warm_median_nanos` in the prepared section. A case regresses when
 //! the fresh number exceeds the baseline by more than the relative
 //! tolerance **and** by more than an absolute noise floor
@@ -125,17 +125,19 @@ impl CompareReport {
 /// medians and tails, the prepared warm path (the serving-layer number
 /// `docs/serving.md` optimizes for), and the fused median of the fusion
 /// cases — four scan-heavy chains and the corpus's join (a regression
-/// there means the fold itself got slower). Cold prepared numbers are
+/// there means the fold itself got slower) — and the statistics gather's
+/// median and tail at three store sizes (what a cold prepare walks). Cold prepared numbers are
 /// deliberately not gated — they measure the host (compiler, disk cache)
 /// more than the code. Every section is in-process: the wire is gated by
 /// `oqlbench`, and a baseline's extra sections (a pre-v8 `serving`) are
 /// ignored. A report from before schema v7 has a `parallel` section where
 /// `fusion` is now: comparing against it is an error naming the missing
 /// section, never a silent pass.
-const SECTIONS: [(&str, &[&str]); 3] = [
+const SECTIONS: [(&str, &[&str]); 4] = [
     ("queries", &["median_nanos", "p95_nanos"]),
     ("prepared", &["warm_median_nanos"]),
     ("fusion", &["fused_median_nanos"]),
+    ("gather", &["median_nanos", "p95_nanos"]),
 ];
 
 /// Compare a fresh report against a baseline, both in their
@@ -235,6 +237,14 @@ mod tests {
                     ("fused_median_nanos", Json::from(median)),
                 ])]),
             ),
+            (
+                "gather",
+                Json::Arr(vec![Json::obj(vec![
+                    ("name", Json::str("g1")),
+                    ("median_nanos", Json::from(median)),
+                    ("p95_nanos", Json::from(median * 2)),
+                ])]),
+            ),
         ])
     }
 
@@ -243,7 +253,7 @@ mod tests {
         let r = report(1_000_000, 500_000, false);
         let c = compare_reports(&r, &r, 50.0, 100_000.0).unwrap();
         assert!(c.passed());
-        assert_eq!(c.compared, 4);
+        assert_eq!(c.compared, 6);
         assert!(!c.mode_mismatch);
         assert!(c.improvements.is_empty());
         assert!(c.render().contains("PASS"), "{}", c.render());
@@ -255,12 +265,12 @@ mod tests {
         let slow = report(10_000_000, 5_000_000, false);
         let c = compare_reports(&slow, &base, 50.0, 100_000.0).unwrap();
         assert!(!c.passed());
-        assert_eq!(c.regressions.len(), 4, "{:?}", c.regressions);
+        assert_eq!(c.regressions.len(), 6, "{:?}", c.regressions);
         assert!(c.render().contains("REGRESSION"), "{}", c.render());
         // The mirror image is an improvement, and still a pass.
         let c = compare_reports(&base, &slow, 50.0, 100_000.0).unwrap();
         assert!(c.passed());
-        assert_eq!(c.improvements.len(), 4);
+        assert_eq!(c.improvements.len(), 6);
     }
 
     #[test]
@@ -325,7 +335,7 @@ mod tests {
             fields.push(("serving".to_string(), Json::Arr(vec![serving])));
         }
         let c = compare_reports(&current, &v7, 50.0, 100_000.0).unwrap();
-        assert!(c.passed() && c.compared == 4, "{}", c.render());
+        assert!(c.passed() && c.compared == 6, "{}", c.render());
 
         // A pre-v7 baseline still calls the section `parallel`: refused by
         // name on whichever side it sits, so it cannot pass silently.

@@ -93,6 +93,16 @@ pub struct PreparedBench {
     pub warm_speedup: f64,
 }
 
+/// One `Stats::gather` over a whole travel store (every root walked, as
+/// the first prepare after a `set_root` pays it), timed warm.
+pub struct GatherBench {
+    pub name: &'static str,
+    /// Objects in the store's heap.
+    pub objects: usize,
+    pub p50_nanos: u128,
+    pub p95_nanos: u128,
+}
+
 /// Host facts stamped into the report header: the context that makes
 /// latency numbers interpretable when reports from different machines
 /// meet.
@@ -149,6 +159,8 @@ pub struct RegressReport {
     /// execute); the workload also runs through a `Session` + `PlanCache`
     /// so the `plan_cache_*` counters land in the registry delta below.
     pub prepared: Vec<PreparedBench>,
+    /// The statistics walk at three store sizes.
+    pub gather: Vec<GatherBench>,
     /// Registry delta attributable to this workload (snapshot diff
     /// around the run).
     pub registry: Snapshot,
@@ -297,6 +309,7 @@ pub fn run(quick: bool) -> RegressReport {
     }
     let fusion = run_fusion_section(quick, runs, join, &company_db);
     let prepared = run_prepared_section(quick, runs);
+    let gather = run_gather_section(runs);
     let registry = metrics::global().snapshot().diff(&before);
     RegressReport {
         quick,
@@ -304,6 +317,7 @@ pub fn run(quick: bool) -> RegressReport {
         queries: reports,
         fusion,
         prepared,
+        gather,
         registry,
         host: host_meta(),
     }
@@ -454,6 +468,24 @@ fn read_after_write(case: &'static str, full: bool, quick: bool, runs: usize) ->
         stmt.execute(&mut db, &params).expect("the lookup executes");
     });
     prepared_bench(case, source, &cold, &warm)
+}
+
+/// Time `Stats::gather` over travel stores of 310, 910 and 3 310 hotels
+/// (1 116, 3 276 and 11 916 objects), the same sizes in either mode.
+fn run_gather_section(runs: usize) -> Vec<GatherBench> {
+    [("gather-310-hotels", 310), ("gather-910-hotels", 910), ("gather-3310-hotels", 3310)]
+        .into_iter()
+        .map(|(name, hotels)| {
+            let db = travel::generate(TravelScale::with_hotels(hotels), 1995);
+            let samples = warm_samples(runs, || monoid_algebra::Stats::gather(&db));
+            GatherBench {
+                name,
+                objects: db.heap().len(),
+                p50_nanos: percentile_nanos(&samples, 50.0),
+                p95_nanos: percentile_nanos(&samples, 95.0),
+            }
+        })
+        .collect()
 }
 
 /// Time the fused fold against the forced plan walk on a commutative
@@ -762,19 +794,34 @@ impl RegressReport {
                 })
                 .collect(),
         );
+        let gather = Json::Arr(
+            self.gather
+                .iter()
+                .map(|g| {
+                    Json::obj(vec![
+                        ("name", Json::str(g.name)),
+                        ("objects", Json::from(g.objects)),
+                        ("median_nanos", Json::from(g.p50_nanos)),
+                        ("p95_nanos", Json::from(g.p95_nanos)),
+                    ])
+                })
+                .collect(),
+        );
         let rules = self.rule_firings().into_iter().map(|(k, n)| (k, Json::from(n))).collect();
         Json::obj(vec![
             ("bench", Json::str("regress")),
             // Version 7 replaced `parallel` (thread ladder) with `fusion`
             // (fused vs plan walk); version 8 dropped the wire `serving`
-            // section, `warm` and `operator_rows`.
-            ("schema_version", Json::Int(8)),
+            // section, `warm` and `operator_rows`; version 9 added
+            // `gather`.
+            ("schema_version", Json::Int(9)),
             ("host", self.host.to_json()),
             ("quick", Json::Bool(self.quick)),
             ("runs_per_query", Json::from(self.runs_per_query)),
             ("queries", queries),
             ("fusion", fusion),
             ("prepared", prepared),
+            ("gather", gather),
             ("normalize_rules", Json::Obj(rules)),
             ("registry", self.registry.to_json()),
         ])
@@ -858,6 +905,17 @@ mod tests {
                 >= 3 * (report.runs_per_query as u64 - 1),
             "and hits on every later run"
         );
+        // The statistics walk, at three store sizes.
+        let gathers: Vec<_> = report.gather.iter().map(|g| (g.name, g.objects)).collect();
+        assert_eq!(
+            gathers,
+            [
+                ("gather-310-hotels", 1116),
+                ("gather-910-hotels", 3276),
+                ("gather-3310-hotels", 11916)
+            ]
+        );
+        assert!(report.gather.iter().all(|g| g.p95_nanos >= g.p50_nanos && g.p50_nanos > 0));
         // And the JSON document carries the acceptance fields.
         let json = report.to_json().render();
         for key in [
@@ -875,6 +933,8 @@ mod tests {
             "\"cold_median_nanos\"",
             "\"warm_median_nanos\"",
             "\"warm_speedup\"",
+            "\"gather\"",
+            "\"objects\"",
             "\"host\"",
             "\"logical_cores\"",
             "\"rustc\"",
@@ -882,7 +942,7 @@ mod tests {
             assert!(json.contains(key), "missing {key}");
         }
         for gone in ["\"serving\"", "\"warm\"", "\"operator_rows\""] {
-            assert!(!json.contains(gone), "schema 8 has no {gone}");
+            assert!(!json.contains(gone), "schema 9 has no {gone}");
         }
         assert!(report.host.logical_cores >= 1);
     }

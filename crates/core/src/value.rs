@@ -495,6 +495,38 @@ impl Ord for Value {
     }
 }
 
+/// `x`'s bits turned so that their unsigned order is `f64::total_cmp`'s:
+/// a positive float (NaN too) gains the sign bit, a negative one has every
+/// bit flipped. Each float has its own key, so `-0.0` and `0.0` differ and
+/// each NaN payload is its own, as under [`Value::cmp`].
+pub fn float_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+impl Value {
+    /// A number's exact key: [`float_key`] of a float, or of an int that
+    /// converts to `f64` exactly, so two numbers share a key exactly when
+    /// [`Value::cmp`] calls them equal (`1` = `1.0`, `0` = `0.0` ≠ `-0.0`).
+    /// `None` for any other value, and for an int that no float holds
+    /// (beyond ±2^53), which no float equals.
+    pub fn number_key(&self) -> Option<u64> {
+        match self {
+            Value::Float(x) => Some(float_key(*x)),
+            // `as` saturates, so `i64::MAX` would round-trip through 2^63.
+            Value::Int(i) => {
+                let x = *i as f64;
+                (x < 9_223_372_036_854_775_808.0 && x as i64 == *i).then(|| float_key(x))
+            }
+            _ => None,
+        }
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn list_like(
@@ -1444,5 +1476,35 @@ mod tests {
         let l = Value::list(ints(&[2, 1, 2]));
         assert_eq!(coerce_to_set(&l).unwrap(), Value::set_from(ints(&[1, 2])));
         assert_eq!(coerce_to_bag(&l).unwrap(), Value::bag_from(ints(&[1, 2, 2])));
+    }
+
+    /// `float_key` orders as `total_cmp`, and two numbers share a
+    /// `number_key` exactly when `Value::cmp` calls them equal: `1` =
+    /// `1.0`, `0` = `0.0` ≠ `-0.0`, each NaN its own, and an int that
+    /// rounds (`2^53 + 1`, `i64::MAX`) keyed by no float.
+    #[test]
+    fn number_keys_are_value_cmp_equality() {
+        let big = 1i64 << 53;
+        let mut nums: Vec<Value> = [0, 1, -1, big, big + 1, big + 2, i64::MIN, i64::MAX]
+            .into_iter()
+            .flat_map(|i| [Value::Int(i), Value::Float(i as f64)])
+            .collect();
+        let bits = [0x7ff8_0000_0000_0000, 0xfff8_0000_0000_0000, 0x7ff0_0000_0000_0001];
+        nums.extend(bits.map(|b| Value::Float(f64::from_bits(b))));
+        nums.extend([-0.0, 0.5, f64::INFINITY, f64::NEG_INFINITY].map(Value::Float));
+        for a in &nums {
+            for b in &nums {
+                if let (Value::Float(x), Value::Float(y)) = (a, b) {
+                    assert_eq!(float_key(*x).cmp(&float_key(*y)), x.total_cmp(y), "{x} {y}");
+                }
+                if let (Some(ka), Some(kb)) = (a.number_key(), b.number_key()) {
+                    assert_eq!(ka == kb, a == b, "{a:?} {b:?}");
+                }
+            }
+        }
+        let keyless = [big + 1, i64::MAX].map(|i| Value::Int(i).number_key());
+        assert_eq!(keyless, [None, None]);
+        assert_eq!(Value::Int(i64::MIN).number_key(), Value::Float(i64::MIN as f64).number_key());
+        assert_eq!(Value::str("1").number_key(), None);
     }
 }

@@ -203,7 +203,8 @@ struct StatsKey;
 const STATS_BYTES: usize = 4 << 10;
 
 /// Gather-or-reuse: `Stats::gather` walks every root and the whole heap
-/// (borrowing each element, one sort per attribute's distinct count),
+/// (borrowing each element, one sort of 8-byte keys per attribute's
+/// distinct count),
 /// but its result only changes when the data does. It is kept in the
 /// snapshot's memo, so every prepare at one epoch — on any clone of the
 /// snapshot — shares one gather. A write installs a fresh memo, so the
@@ -1211,7 +1212,9 @@ mod tests {
             (company::names::EMPLOYEE, company::names::EMPLOYEES),
             (company::names::MANAGER, company::names::MANAGERS),
         ];
-        let stores: [(Database, &[(&str, &str)], &str); 2] = [
+        // A store, its `(class, extent)` pairs, and the statement read.
+        type Store<'a> = (Database, &'a [(&'a str, &'a str)], &'a str);
+        let stores: [Store<'_>; 2] = [
             (db(), &travel_classes, "exists h in Hotels: h.name = $name"),
             (
                 company::generate(3, 4, 10, 7),

@@ -269,9 +269,9 @@ fn the_analysis_layer_does_not_model_the_fused_engine() {
 /// decides, so NaN, `±0` and `1 = 1.0` are judged in one place. A new
 /// typed copy needs an entry here, naming the workload it serves.
 const FLOAT_ORDER_COPIES: &[(&str, &str)] = &[
-    ("crates/algebra/src/fused/lane.rs", "a lane's dictionary key (bulk-rows)"),
     ("crates/algebra/src/trace.rs", "q-error sort"),
     ("crates/bench/src/audit.rs", "q-error sort"),
+    ("crates/core/src/value.rs", "`float_key`: lane dictionaries and distinct counts (mixed-rw)"),
     ("src/wire.rs", "the RUNS float column (bulk-rows)"),
 ];
 

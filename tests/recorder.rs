@@ -234,6 +234,7 @@ fn zero_latencies(report: &mut monoid_calculus::json::Json) {
         ("queries", vec!["median_nanos", "p95_nanos"]),
         ("prepared", vec!["warm_median_nanos"]),
         ("fusion", vec!["fused_median_nanos"]),
+        ("gather", vec!["median_nanos", "p95_nanos"]),
     ] {
         let Some(Json::Arr(cases)) =
             sections.iter_mut().find(|(k, _)| k == section).map(|(_, v)| v)
