@@ -135,11 +135,13 @@ impl FusedExpr {
             FusedExpr::Slot(i) => Ok(slot_value(slots, frame, *i).clone()),
             FusedExpr::Root(cell, name) => cx.root(*cell, *name).cloned(),
             FusedExpr::Record { labels, fields } => {
-                let mut vals: Vec<_> = labels.iter().map(|l| (*l, Value::Null)).collect();
+                // Allocated once at its exact size, then filled in place.
+                let mut vals: Arc<[_]> = labels.iter().map(|l| (*l, Value::Null)).collect();
+                let slots_of = Arc::get_mut(&mut vals).expect("a fresh record is unshared");
                 for (at, fe) in fields {
-                    vals[*at].1 = fe.eval(slots, frame, cx)?;
+                    slots_of[*at].1 = fe.eval(slots, frame, cx)?;
                 }
-                Ok(Value::Record(Arc::new(vals)))
+                Ok(Value::Record(vals))
             }
             FusedExpr::Tuple(items) => {
                 let vals = items

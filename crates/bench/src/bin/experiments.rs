@@ -697,13 +697,10 @@ fn bench_updates() {
                     let state = db2.state(oid).unwrap().clone();
                     if let Some(Value::Int(s)) = state.field(name).cloned() {
                         if let Value::Record(fields) = &state {
-                            let mut fs = fields.as_ref().clone();
-                            for f in &mut fs {
-                                if f.0 == name {
-                                    f.1 = Value::Int(s + 1);
-                                }
-                            }
-                            db2.heap_mut().set(oid, Value::record(fs)).unwrap();
+                            let fs = fields.iter().map(|(n, v)| {
+                                (*n, if *n == name { Value::Int(s + 1) } else { v.clone() })
+                            });
+                            db2.heap_mut().set(oid, Value::Record(fs.collect())).unwrap();
                         }
                     }
                 }

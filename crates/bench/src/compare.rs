@@ -4,7 +4,9 @@
 //!
 //! Comparison is per-query by name over the stable latency fields —
 //! `median_nanos` and `p95_nanos` in the queries and gather sections,
-//! `warm_median_nanos` in the prepared section. A case regresses when
+//! `warm_median_nanos` in the prepared section, and `cold_median_nanos`
+//! and `cold_p95_nanos` of a prepared case the baseline marks
+//! `cold_gated` (the server's own read after a write). A case regresses when
 //! the fresh number exceeds the baseline by more than the relative
 //! tolerance **and** by more than an absolute noise floor
 //! ([`DEFAULT_MIN_DELTA_NANOS`] unless overridden) — without the floor,
@@ -128,7 +130,8 @@ impl CompareReport {
 /// there means the fold itself got slower) — and the statistics gather's
 /// median and tail at three store sizes (what a cold prepare walks). Cold prepared numbers are
 /// deliberately not gated — they measure the host (compiler, disk cache)
-/// more than the code. Every section is in-process: the wire is gated by
+/// more than the code — except where a case is marked `cold_gated`
+/// ([`COLD_GATED`]). Every section is in-process: the wire is gated by
 /// `oqlbench`, and a baseline's extra sections (a pre-v8 `serving`) are
 /// ignored. A report from before schema v7 has a `parallel` section where
 /// `fusion` is now: comparing against it is an error naming the missing
@@ -139,6 +142,9 @@ const SECTIONS: [(&str, &[&str]); 4] = [
     ("fusion", &["fused_median_nanos"]),
     ("gather", &["median_nanos", "p95_nanos"]),
 ];
+
+/// The cold fields of a prepared case whose baseline has `cold_gated`.
+const COLD_GATED: &[&str] = &["cold_median_nanos", "cold_p95_nanos"];
 
 /// Compare a fresh report against a baseline, both in their
 /// `RegressReport::to_json` form. A case regresses (or improves) only
@@ -165,7 +171,9 @@ pub fn compare_reports(
                 report.missing_in_current.push(format!("{section}/{name}"));
                 continue;
             };
-            for metric in metrics {
+            let cold_gated = base_case.get("cold_gated").and_then(Json::as_bool) == Some(true);
+            let extra: &[&str] = if cold_gated { COLD_GATED } else { &[] };
+            for metric in metrics.iter().chain(extra) {
                 let (Some(b), Some(c)) = (
                     base_case.get(metric).and_then(Json::as_f64),
                     cur_case.get(metric).and_then(Json::as_f64),
@@ -282,6 +290,33 @@ mod tests {
         // Tiny absolute values: 10x worse but under the noise floor.
         let small = report(1_000, 500, false);
         let c = compare_reports(&report(10_000, 5_000, false), &small, 50.0, 100_000.0).unwrap();
+        assert!(c.passed(), "{:?}", c.regressions);
+    }
+
+    #[test]
+    fn a_cold_gated_case_gates_its_cold_median_and_tail() {
+        let served = |cold: u64, gated: bool| {
+            let mut r = report(1_000_000, 500_000, false);
+            if let Json::Obj(fields) = &mut r {
+                let prepared = &mut fields.iter_mut().find(|(k, _)| k == "prepared").unwrap().1;
+                *prepared = Json::Arr(vec![Json::obj(vec![
+                    ("name", Json::str("served")),
+                    ("warm_median_nanos", Json::from(500_000u64)),
+                    ("cold_median_nanos", Json::from(cold)),
+                    ("cold_p95_nanos", Json::from(cold * 2)),
+                    ("cold_gated", Json::Bool(gated)),
+                ])]);
+            }
+            r
+        };
+        let gate = |gated| {
+            compare_reports(&served(10_000_000, gated), &served(1_000_000, gated), 50.0, 100_000.0)
+                .unwrap()
+        };
+        let names: Vec<_> = gate(true).regressions.iter().map(|r| r.metric).collect();
+        assert_eq!(names, ["cold_median_nanos", "cold_p95_nanos"]);
+        // Unmarked, a cold path is not gated.
+        let c = gate(false);
         assert!(c.passed(), "{:?}", c.regressions);
     }
 

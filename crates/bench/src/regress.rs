@@ -91,6 +91,10 @@ pub struct PreparedBench {
     pub warm_p95_nanos: u128,
     /// Cold median ÷ warm median: what preparing once buys per execution.
     pub warm_speedup: f64,
+    /// Whether `--compare` gates the cold median and p95 too: true where
+    /// the cold path is the server's own (`served-read-after-insert`), not
+    /// a forced prepare.
+    pub cold_gated: bool,
 }
 
 /// One `Stats::gather` over a whole travel store (every root walked, as
@@ -390,8 +394,9 @@ fn run_prepared_section(quick: bool, runs: usize) -> Vec<PreparedBench> {
             prepared_bench(name, source, &cold, &warm_samples)
         })
         .chain([
-            read_after_write("read-after-insert", false, quick, runs),
-            read_after_write("read-after-set-root", true, quick, runs),
+            read_after_write("read-after-insert", AfterWrite::Prepare, quick, runs),
+            read_after_write("read-after-set-root", AfterWrite::SetRoot, quick, runs),
+            read_after_write("served-read-after-insert", AfterWrite::Served, quick, runs),
         ])
         .collect()
 }
@@ -408,7 +413,20 @@ fn prepared_bench(name: &'static str, source: &str, cold: &[u128], warm: &[u128]
         warm_p50_nanos: warm_p50,
         warm_p95_nanos: percentile_nanos(warm, 95.0),
         warm_speedup: cold_p50 as f64 / warm_p50.max(1) as f64,
+        cold_gated: false,
     }
+}
+
+/// How a `read_after_write` sample reads after its insert.
+#[derive(Clone, Copy, PartialEq)]
+enum AfterWrite {
+    /// `prepare_on` + execute: the cost of preparing again.
+    Prepare,
+    /// The same, after also rebinding a root no statement reads.
+    SetRoot,
+    /// `Session::query_snapshot` on a private `PlanCache`: the server's
+    /// path.
+    Served,
 }
 
 /// `read-after-insert`: the first read after a write, on the shape of
@@ -420,13 +438,24 @@ fn prepared_bench(name: &'static str, source: &str, cold: &[u128], warm: &[u128]
 /// other extents' statistics are carried from the last epoch. The warm
 /// path executes one statement with no write between runs.
 ///
-/// `read-after-set-root` (`full`) is the same, but each sample also
+/// `read-after-set-root` (`SetRoot`) is the same, but each sample also
 /// rebinds a root no statement reads, which carries nothing: the cold
 /// prepare walks every root.
-fn read_after_write(case: &'static str, full: bool, quick: bool, runs: usize) -> PreparedBench {
+///
+/// `served-read-after-insert` (`Served`) reads through a `Session` over a
+/// private plan cache instead, as a server does: the plan prepared before
+/// the first insert serves every read while `Hotels` stays within drift,
+/// so a cold sample is the insert, the lookup and the by-name table. Its
+/// cold median and p95 are gated by `--compare`.
+fn read_after_write(
+    case: &'static str,
+    read: AfterWrite,
+    quick: bool,
+    runs: usize,
+) -> PreparedBench {
     use monoid_calculus::symbol::Symbol;
     use monoid_calculus::value::Value;
-    use monoid_db::{prepare_on, Params};
+    use monoid_db::{prepare_on, Params, PlanCache, Session};
 
     let scale = if quick {
         TravelScale::tiny()
@@ -442,6 +471,7 @@ fn read_after_write(case: &'static str, full: bool, quick: bool, runs: usize) ->
     let mut db = travel::generate(scale, 1995);
     let hotel = Symbol::new(travel::names::HOTEL);
     let source = "exists h in Hotels: h.name = $name";
+    let session = Session::with_cache(std::sync::Arc::new(PlanCache::new()));
     let mut written = 0;
     let cold = sample_nanos(runs, || {
         written += 1;
@@ -455,19 +485,28 @@ fn read_after_write(case: &'static str, full: bool, quick: bool, runs: usize) ->
             ("rooms", Value::list(vec![room])),
         ]);
         db.insert(hotel, state).expect("a hotel commits");
-        if full {
-            db.set_root("Written", Value::Int(written));
-        }
-        let stmt = prepare_on(&db, source).expect("the lookup prepares");
-        let found = stmt.execute(&mut db, &Params::new().bind("name", Value::str(&name)));
+        let params = Params::new().bind("name", Value::str(&name));
+        let found = match read {
+            AfterWrite::Served => session.query_snapshot(&db, source, &params),
+            AfterWrite::Prepare | AfterWrite::SetRoot => {
+                if read == AfterWrite::SetRoot {
+                    db.set_root("Written", Value::Int(written));
+                }
+                let stmt = prepare_on(&db, source).expect("the lookup prepares");
+                stmt.execute(&mut db, &params)
+            }
+        };
         assert_eq!(found.expect("the lookup executes"), Value::Bool(true));
     });
-    let stmt = prepare_on(&db, source).expect("the lookup prepares");
     let params = Params::new().bind("name", Value::str("hotel_w_1"));
-    let warm = warm_samples(runs, || {
-        stmt.execute(&mut db, &params).expect("the lookup executes");
-    });
-    prepared_bench(case, source, &cold, &warm)
+    let warm = if read == AfterWrite::Served {
+        warm_samples(runs, || session.query_snapshot(&db, source, &params).expect("executes"))
+    } else {
+        let stmt = prepare_on(&db, source).expect("the lookup prepares");
+        warm_samples(runs, || stmt.execute(&mut db, &params).expect("the lookup executes"))
+    };
+    let gated = read == AfterWrite::Served;
+    PreparedBench { cold_gated: gated, ..prepared_bench(case, source, &cold, &warm) }
 }
 
 /// Time `Stats::gather` over travel stores of 310, 910 and 3 310 hotels
@@ -790,6 +829,7 @@ impl RegressReport {
                         ("warm_median_nanos", Json::from(p.warm_p50_nanos)),
                         ("warm_p95_nanos", Json::from(p.warm_p95_nanos)),
                         ("warm_speedup", Json::Float(p.warm_speedup)),
+                        ("cold_gated", Json::Bool(p.cold_gated)),
                     ])
                 })
                 .collect(),
@@ -813,8 +853,8 @@ impl RegressReport {
             // Version 7 replaced `parallel` (thread ladder) with `fusion`
             // (fused vs plan walk); version 8 dropped the wire `serving`
             // section, `warm` and `operator_rows`; version 9 added
-            // `gather`.
-            ("schema_version", Json::Int(9)),
+            // `gather`; version 10 added a prepared case's `cold_gated`.
+            ("schema_version", Json::Int(10)),
             ("host", self.host.to_json()),
             ("quick", Json::Bool(self.quick)),
             ("runs_per_query", Json::from(self.runs_per_query)),
@@ -886,12 +926,17 @@ mod tests {
         assert!(!registry.contains("parallel_"), "{registry}");
         assert!(!registry.contains("\"MC005\""), "{registry}");
         // The prepared-statement section: every case timed on both paths
-        // (`read-after-insert` and `read-after-set-root` last), and the
-        // three canonical statements' session loop put plan-cache traffic
-        // into the delta — exactly one miss per statement, the rest hits.
-        assert_eq!(report.prepared.len(), 5);
+        // (`read-after-insert`, `read-after-set-root` and
+        // `served-read-after-insert` last, only the served one's cold
+        // path gated), and the three canonical statements' session loop
+        // put plan-cache traffic into the delta — exactly one miss per
+        // statement, the rest hits.
+        assert_eq!(report.prepared.len(), 6);
         assert_eq!(report.prepared[3].name, "read-after-insert");
         assert_eq!(report.prepared[4].name, "read-after-set-root");
+        assert_eq!(report.prepared[5].name, "served-read-after-insert");
+        let gated: Vec<_> = report.prepared.iter().map(|p| p.cold_gated).collect();
+        assert_eq!(gated, [false, false, false, false, false, true]);
         for p in &report.prepared {
             assert!(p.cold_p50_nanos > 0 && p.warm_p50_nanos > 0, "{} timed", p.name);
             assert!(p.warm_speedup > 0.0);

@@ -22,7 +22,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An object identifier: an index into the evaluator's heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,9 +107,11 @@ pub enum Value {
     Int(i64),
     Float(f64),
     Str(Arc<str>),
-    /// Record; fields sorted by label name for canonical comparison.
-    Record(Arc<Vec<(Symbol, Value)>>),
-    Tuple(Arc<Vec<Value>>),
+    /// Record; fields sorted by label name for canonical comparison. A
+    /// record and a tuple are built once and never grow, so each is one
+    /// allocation: the count and the fields together, one hop to a field.
+    Record(Arc<[(Symbol, Value)]>),
+    Tuple(Arc<[Value]>),
     List(Arc<Vec<Value>>),
     /// Sorted, duplicate-free.
     Set(Arc<Vec<Value>>),
@@ -269,7 +271,7 @@ impl Value {
     /// Build a record value; fields are sorted by label name.
     pub fn record(mut fields: Vec<(Symbol, Value)>) -> Value {
         fields.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
-        Value::Record(Arc::new(fields))
+        Value::Record(fields.into())
     }
 
     pub fn record_from(fields: Vec<(&str, Value)>) -> Value {
@@ -277,11 +279,11 @@ impl Value {
     }
 
     pub fn tuple(items: Vec<Value>) -> Value {
-        Value::Tuple(Arc::new(items))
+        Value::Tuple(items.into())
     }
 
     pub fn list(items: Vec<Value>) -> Value {
-        Value::List(Arc::new(items))
+        Value::List(shared_vec(items))
     }
 
     pub fn vector(items: Vec<Value>) -> Value {
@@ -292,7 +294,7 @@ impl Value {
     pub fn set_from(mut items: Vec<Value>) -> Value {
         items.sort();
         items.dedup();
-        Value::Set(Arc::new(items))
+        Value::Set(shared_vec(items))
     }
 
     /// Build a bag from individual elements.
@@ -464,7 +466,7 @@ impl Ord for Value {
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
             (Str(a), Str(b)) => a.cmp(b),
-            (Tuple(a), Tuple(b)) => a.as_slice().cmp(b.as_slice()),
+            (Tuple(a), Tuple(b)) => a[..].cmp(&b[..]),
             (Record(a), Record(b)) => {
                 // Records are sorted by field name; compare field-wise with
                 // names compared as strings (stable across interner runs).
@@ -588,14 +590,26 @@ impl fmt::Display for Value {
 // Value-level monoid operations.
 // ---------------------------------------------------------------------------
 
+/// `items` as a list's or a set's storage. Every empty one shares one
+/// process-wide allocation: a stored object's empty collections (a new
+/// hotel's `facilities` and `employees`) then cost nothing but their
+/// 24-byte slot, and a monoid's zero allocates nothing.
+fn shared_vec(items: Vec<Value>) -> Arc<Vec<Value>> {
+    static EMPTY: OnceLock<Arc<Vec<Value>>> = OnceLock::new();
+    if items.is_empty() {
+        return Arc::clone(EMPTY.get_or_init(|| Arc::new(Vec::new())));
+    }
+    Arc::new(items)
+}
+
 /// `zero_M` as a value. The vector monoid needs a size and is handled by
 /// [`zero_vector`].
 pub fn zero(monoid: &Monoid) -> EvalResult<Value> {
     Ok(match monoid {
         Monoid::List | Monoid::OSet | Monoid::Sorted | Monoid::SortedBag => {
-            Value::List(Arc::new(Vec::new()))
+            Value::List(shared_vec(Vec::new()))
         }
-        Monoid::Set => Value::Set(Arc::new(Vec::new())),
+        Monoid::Set => Value::Set(shared_vec(Vec::new())),
         Monoid::Bag => Value::Bag(Runs::default()),
         Monoid::Str => Value::str(""),
         Monoid::Sum => Value::Int(0),
@@ -887,7 +901,7 @@ pub fn merge(monoid: &Monoid, a: &Value, b: &Value) -> EvalResult<Value> {
 pub fn canonical_runs(monoid: &Monoid, runs: impl Iterator<Item = (Value, u64)>) -> Value {
     match monoid {
         Monoid::Bag => Value::Bag(runs.collect()),
-        Monoid::Set => Value::Set(Arc::new(runs.map(|(v, _)| v).collect())),
+        Monoid::Set => Value::Set(shared_vec(runs.map(|(v, _)| v).collect())),
         Monoid::Sorted => Value::list(runs.map(|(v, _)| v).collect()),
         _ => Value::list(runs.flat_map(|(v, n)| std::iter::repeat_n(v, n as usize)).collect()),
     }

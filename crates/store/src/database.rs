@@ -107,8 +107,8 @@ impl Database {
     /// increases across every mutation of the database — object
     /// allocation, state update (including updates made by query
     /// evaluation), extent growth, and root rebinding. Two equal epochs
-    /// mean no mutation happened in between, which is what the plan cache
-    /// keys on.
+    /// mean no mutation happened in between, which is what the snapshot
+    /// memo's derived values rely on.
     pub fn mutation_epoch(&self) -> u64 {
         self.current.epoch()
     }

@@ -2,7 +2,7 @@
 //!
 //! A [`Snapshot`] is the read-only face of a [`Database`](crate::Database) at one point in
 //! time: the Arc'd heap, roots, and schema, stamped with the
-//! `(instance_id, mutation_epoch)` pair that keys the plan cache, and the
+//! `(instance_id, mutation_epoch)` pair that identifies its data, and the
 //! epoch's [`Memo`] of derived values (the fused engine's join tables,
 //! the optimizer's gathered statistics), which every clone shares and
 //! every mutation of the database replaces. Taking one is O(1) —
@@ -91,8 +91,9 @@ impl Default for Snapshot {
 
 impl Snapshot {
     /// A process-unique identity for the database this state belongs to.
-    /// Paired with [`Snapshot::epoch`] it keys the plan cache: equal
-    /// `(instance_id, epoch)` means the same data, byte for byte. `0` is
+    /// Paired with [`Snapshot::epoch`] it names the data: equal
+    /// `(instance_id, epoch)` means the same data, byte for byte. The plan
+    /// cache serves an entry only to its own instance. `0` is
     /// `Database::default()`'s anonymous id.
     pub fn instance_id(&self) -> u64 {
         self.instance

@@ -17,8 +17,9 @@
 //! source — effects + the MC001–MC009 lints, no execution),
 //! [`explain_analyze`] (profiled end-to-end execution), and the
 //! [`serving`] layer ([`prepare`] → [`Prepared::execute`] prepared
-//! statements with `$name` placeholders, plus the epoch-aware
-//! [`PlanCache`] behind [`Session::query`]).
+//! statements with `$name` placeholders, plus the drift-stamped
+//! [`PlanCache`] behind [`Session::query`]: a plan outlives writes while
+//! every extent stays within a factor of two of its prepared length).
 //!
 //! One store view: a plan reads a [`store::Snapshot`], which a
 //! `&Database` derefs to; only a statement whose `EffectSummary` writes

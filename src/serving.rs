@@ -1,5 +1,4 @@
-//! The query serving layer: prepared statements and the epoch-aware plan
-//! cache.
+//! The query serving layer: prepared statements and the plan cache.
 //!
 //! [`prepare`] runs the whole front-of-pipeline once — parse → translate →
 //! normalize → optimize → plan — and captures everything execution needs:
@@ -22,19 +21,23 @@
 //! [`Session::query_snapshot`] refuse such statements.
 //!
 //! On top sits [`PlanCache`]: a process-wide, sharded, byte-budgeted LRU
-//! keyed by source text + schema fingerprint. Every entry is stamped with
-//! the `(instance_id, epoch)` of the snapshot it was prepared against and
-//! is served only to a snapshot reporting that exact pair, so a mutation
-//! between executions can never yield a stale plan. The statistics a
-//! prepare reads are kept in the snapshot's memo, so they are shared by
-//! every prepare at one epoch and assembled again after a write — from
-//! the per-extent parts an insert carried, walking only the rest.
+//! keyed by source text + schema fingerprint. Translation reads only the
+//! schema, and statistics only choose the generator order, so a plan
+//! outlives writes: every entry is stamped with its database's instance id
+//! and the length of each extent its statistics saw, and it serves every
+//! snapshot of that database whose extents are all within a factor of two
+//! of their stamped lengths. Past that, or on another database, the
+//! lookup prepares again. The statistics a prepare reads are kept in the
+//! snapshot's memo, so they are shared by every prepare at one epoch and
+//! assembled again after a write — from the per-extent parts an insert
+//! carried, walking only the rest.
 //! [`Session::query`] is the umbrella fast
 //! path that puts the two together: hit the cache, bind, execute.
 //!
 //! Cache traffic is metered in the process-wide registry:
 //! `plan_cache_hits_total`, `plan_cache_misses_total`,
-//! `plan_cache_evictions_total`, `plan_cache_invalidations_total`, and the
+//! `plan_cache_evictions_total`, `plan_cache_invalidations_total` (entries
+//! found but refused: drift or another instance), and the
 //! `prepare_nanos` cold-prepare latency histogram.
 //!
 //! **One owner.** A [`Prepared`] owns its statement's whole lifecycle:
@@ -740,14 +743,19 @@ const SHARDS: usize = 8;
 const DEFAULT_BUDGET_BYTES: usize = 8 * 1024 * 1024;
 
 /// A sharded, LRU, byte-budgeted cache of [`Prepared`] statements, keyed
-/// by source text + schema fingerprint and stamped with the
-/// `(instance_id, epoch)` of the snapshot observed at prepare time.
+/// by source text + schema fingerprint and stamped with the snapshot's
+/// instance id and the length of each extent at prepare time.
 ///
-/// An entry is served only to a snapshot whose pair equals its stamp, so
-/// any mutation (heap write, allocation, root change) between executions
-/// invalidates every entry prepared before it. Invalidation
-/// is counted (`plan_cache_invalidations_total`) and followed by a fresh
-/// prepare, never by serving the stale plan.
+/// A plan is a function of the query and the schema alone; the data only
+/// chose its generator order. So an entry serves any snapshot of its own
+/// database (a pinned older one, the writer's, one after any number of
+/// inserts, `set_root`s or `:=` programs) whose every stamped extent is
+/// still within a factor of two of its stamped length (an empty extent
+/// counting as one member). An extent that has grown or shrunk past
+/// that, or a snapshot of another database, gets a fresh prepare with
+/// that snapshot's statistics, counted as an invalidation
+/// (`plan_cache_invalidations_total`, the drift count), never the old
+/// plan.
 pub struct PlanCache {
     shards: Vec<Mutex<Shard>>,
     /// Approximate byte budget per shard.
@@ -755,6 +763,11 @@ pub struct PlanCache {
     /// Monotonic logical clock for LRU ordering.
     tick: AtomicU64,
 }
+
+/// How far an extent may drift from the length a plan was prepared at
+/// before the plan is prepared again: a factor of two either way, with
+/// an empty extent counted as one member.
+const DRIFT: usize = 2;
 
 #[derive(Default)]
 struct Shard {
@@ -765,16 +778,51 @@ struct Shard {
 struct CacheEntry {
     source: String,
     schema_fp: u64,
-    /// The `(instance_id, mutation_epoch)` pair observed at prepare
-    /// time. Both halves must match for a hit: epochs are only
-    /// comparable within one database instance, so an entry prepared
-    /// against a different database that happens to share an epoch
-    /// number must not be served (`tests/plan_cache.rs`).
+    /// The database the plan was prepared against: another database may
+    /// share the schema, never the entry (`tests/plan_cache.rs`).
     instance: u64,
-    epoch: u64,
+    /// Each root the prepare's statistics saw as an extent, with its
+    /// length then ([`extent_len`]), in root order.
+    extents: Box<[(Symbol, usize)]>,
     bytes: usize,
     last_used: u64,
     prepared: Arc<Prepared>,
+}
+
+impl CacheEntry {
+    /// Whether the stamp still holds for `snap`: the same database, and
+    /// every stamped extent within [`DRIFT`] of its stamped length.
+    fn serves(&self, snap: &Snapshot) -> bool {
+        if self.instance != snap.instance_id() {
+            return false;
+        }
+        // Roots are never removed, and both sides are in root order.
+        let mut roots = snap.roots();
+        self.extents.iter().all(|&(name, was)| {
+            let Some((_, root)) = roots.find(|(n, _)| *n == name) else { return false };
+            let (was, now) = (was.max(1), extent_len(root).unwrap_or(0).max(1));
+            now <= was * DRIFT && was <= now * DRIFT
+        })
+    }
+}
+
+/// A root's length as the stamp reads it, in O(1): a list's, set's or
+/// vector's elements, a bag's runs (an extent's members are distinct
+/// objects, so its runs are its members), a string's bytes. `None` for
+/// the roots statistics do not see as extents.
+fn extent_len(root: &Value) -> Option<usize> {
+    match root {
+        Value::List(v) | Value::Set(v) | Value::Vector(v) => Some(v.len()),
+        Value::Bag(runs) => Some(runs.len()),
+        Value::Str(s) => Some(s.len()),
+        _ => None,
+    }
+}
+
+/// The stamp of a prepare against `snap`: the extents its statistics
+/// see, with their lengths.
+fn extent_stamp(snap: &Snapshot) -> Box<[(Symbol, usize)]> {
+    snap.roots().filter_map(|(name, root)| Some((name, extent_len(root)?))).collect()
 }
 
 impl Default for PlanCache {
@@ -798,24 +846,24 @@ impl PlanCache {
     }
 
     /// The serving fast path: return the cached plan for `(src, schema)`
-    /// if its stamp still matches `snap`'s `(instance_id, epoch)`;
-    /// otherwise prepare (with statistics from `snap`), cache, and return
-    /// it. Also reports the disposition: `true` when served from cache,
-    /// `false` when freshly prepared (cold, stale-epoch, or evicted) —
+    /// if its stamp still serves `snap` (the same database, every extent
+    /// within a factor of two of its stamped length); otherwise prepare
+    /// (with statistics from `snap`), cache, and return it. Also reports the
+    /// disposition: `true` when served from cache, `false` when freshly
+    /// prepared (cold, drifted, another instance, or evicted) —
     /// [`Session`] threads this into the flight recorder. Pass a
     /// `&Database` for its current state.
     ///
-    /// Concurrent readers of one snapshot share entries with each other
-    /// *and* with the writer path whenever the epochs agree; a reader
-    /// pinned behind the writer simply re-prepares against its own epoch,
-    /// replacing the entry of the same key.
+    /// Concurrent readers, readers pinned behind the writer and the
+    /// writer path all share one entry while their extents are within
+    /// drift of its stamp; a snapshot outside it re-prepares against its
+    /// own state, replacing the entry of the same key.
     pub fn get_or_prepare_snapshot_traced(
         &self,
         snap: &Snapshot,
         src: &str,
     ) -> Result<(Arc<Prepared>, bool), AnalyzeError> {
         let fp = snap.schema_fingerprint();
-        let (instance, epoch) = (snap.instance_id(), snap.epoch());
         let m = metrics::global();
         let shard = &self.shards[(hash_key(src, fp) as usize) & (SHARDS - 1)];
 
@@ -823,15 +871,15 @@ impl PlanCache {
             let mut s = shard.lock().unwrap();
             if let Some(i) = s.entries.iter().position(|e| e.source == src && e.schema_fp == fp)
             {
-                if s.entries[i].instance == instance && s.entries[i].epoch == epoch {
+                if s.entries[i].serves(snap) {
                     m.plan_cache_hits_total.inc();
                     let tick = self.tick.fetch_add(1, Ordering::Relaxed);
                     s.entries[i].last_used = tick;
                     return Ok((Arc::clone(&s.entries[i].prepared), true));
                 }
-                // Stale: the database mutated since this plan (and its
-                // statistics) were captured — or the entry belongs to a
-                // different database instance entirely. Refuse it.
+                // An extent drifted past the factor the plan's generator
+                // order was chosen for, or the entry belongs to another
+                // database. Prepare again.
                 m.plan_cache_invalidations_total.inc();
                 let dead = s.entries.remove(i);
                 s.bytes -= dead.bytes;
@@ -852,8 +900,8 @@ impl PlanCache {
         s.entries.push(CacheEntry {
             source: src.to_string(),
             schema_fp: fp,
-            instance,
-            epoch,
+            instance: snap.instance_id(),
+            extents: extent_stamp(snap),
             bytes,
             last_used: tick,
             prepared: Arc::clone(&prepared),
@@ -930,7 +978,7 @@ pub fn global_plan_cache() -> &'static Arc<PlanCache> {
 
 /// The umbrella serving fast path: `session.query(db, src, &params)`
 /// (or `query_snapshot(snap, …)` for lock-free reads) resolves `src`
-/// through the plan cache (epoch-checked) and executes the prepared plan
+/// through the plan cache (drift-checked) and executes the prepared plan
 /// with the given bindings. Sessions are cheap handles; by default they
 /// all share the process-wide [`global_plan_cache`].
 #[derive(Clone)]
@@ -1017,8 +1065,8 @@ impl Session {
     }
 
     /// The snapshot-isolated serving path: resolve `src` through the
-    /// plan cache keyed by the snapshot's pinned `(instance_id, epoch)`
-    /// and execute against the snapshot — no lock on the live database,
+    /// plan cache (an entry whose stamp the pinned snapshot is within
+    /// drift of) and execute against the snapshot — no lock on the live database,
     /// so any number of sessions run this concurrently while a writer
     /// commits new epochs. Write statements are refused (they need
     /// [`Session::query`] against the `&mut Database`).
@@ -1066,7 +1114,7 @@ impl Session {
 mod tests {
     use super::*;
     use monoid_calculus::monoid::Monoid;
-    use monoid_calculus::value::Oid;
+    use monoid_calculus::value::{Oid, Runs};
     use monoid_store::travel::{self, TravelScale};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1134,7 +1182,7 @@ mod tests {
     }
 
     #[test]
-    fn mutation_invalidates_cached_entries() {
+    fn drift_invalidates_cached_entries() {
         let cache = PlanCache::new();
         let mut db = db();
         let src = "count(Cities)";
@@ -1143,7 +1191,13 @@ mod tests {
         db.set_root("Scratch", Value::Int(1));
         assert_ne!(before, db.mutation_epoch(), "root change advances the epoch");
         let b = cache.get_or_prepare_snapshot_traced(&db, src).unwrap().0;
-        assert!(!Arc::ptr_eq(&a, &b), "mutation forced a re-prepare");
+        assert!(Arc::ptr_eq(&a, &b), "a write that moves no extent keeps the plan");
+        // Emptied, `Cities` counts as one member: past a factor of two.
+        assert!(db.extent_len("Cities") > DRIFT);
+        db.set_root("Cities", Value::Bag(Runs::default()));
+        let (c, hit) = cache.get_or_prepare_snapshot_traced(&db, src).unwrap();
+        assert!(!hit && !Arc::ptr_eq(&b, &c), "drift forced a re-prepare");
+        assert_eq!(c.execute_snapshot(&db, &Params::new()).unwrap(), Value::Int(0));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! of `RUNS` and appends the runs to a caller's vector: a frame's first
 //! run is checked by the codec's bag rule (`codec::check_run`) against
 //! the run before it, whatever that run's kind, and the rest of a float
-//! column by comparing its words with `f64::total_cmp` (`Value::cmp`'s
+//! column by comparing its words' `value::float_key`s (`Value::cmp`'s
 //! order between floats), so the order is checked in every frame and
 //! across frames. A float column is checked whole, then appended in one
 //! `extend`.
@@ -55,7 +55,7 @@
 //! `docs/serving.md` for the full spec.
 
 use bytes::{Buf, BufMut, Bytes};
-use monoid_calculus::value::{Runs, Value};
+use monoid_calculus::value::{float_key, Runs, Value};
 use monoid_store::codec::{self, CodecError};
 use std::borrow::Cow;
 use std::fmt;
@@ -499,7 +499,7 @@ fn get_runs(buf: &mut Bytes, runs: &mut Vec<(Value, u64)>) -> Result<()> {
 /// checked whole before any is appended: the first run by the codec's bag
 /// rule against the last of `runs`, each later one refused unless its
 /// count is nonzero and its word strictly above the one before by
-/// `f64::total_cmp` — `Value::cmp`'s order between floats. The column is
+/// [`float_key`] — `Value::cmp`'s order between floats. The column is
 /// then appended in one exact-size `extend`.
 fn get_float_column(runs: &mut Vec<(Value, u64)>, counts: &[u8], values: &[u8]) -> Result<()> {
     let column = || {
@@ -509,15 +509,16 @@ fn get_float_column(runs: &mut Vec<(Value, u64)>, counts: &[u8], values: &[u8]) 
     let mut rest = column();
     let Some((count, first)) = rest.next() else { return Ok(()) };
     codec::check_run(runs.last().map(|(prev, _)| prev), &Value::Float(first), count)?;
-    let mut prev = first;
+    let mut prev = float_key(first);
     for (count, value) in rest {
         if count == 0 {
             return Err(CodecError::BadBag("a run with count 0").into());
         }
-        if !prev.total_cmp(&value).is_lt() {
+        let key = float_key(value);
+        if prev >= key {
             return Err(CodecError::BadBag("runs not strictly ascending").into());
         }
-        prev = value;
+        prev = key;
     }
     runs.extend(column().map(|(count, value)| (Value::Float(value), count)));
     Ok(())

@@ -271,8 +271,7 @@ fn the_analysis_layer_does_not_model_the_fused_engine() {
 const FLOAT_ORDER_COPIES: &[(&str, &str)] = &[
     ("crates/algebra/src/trace.rs", "q-error sort"),
     ("crates/bench/src/audit.rs", "q-error sort"),
-    ("crates/core/src/value.rs", "`float_key`: lane dictionaries and distinct counts (mixed-rw)"),
-    ("src/wire.rs", "the RUNS float column (bulk-rows)"),
+    ("crates/core/src/value.rs", "`float_key`: lanes, distinct counts, the wire's float columns"),
 ];
 
 /// Each judgement has one implementation: a fused table's key index is

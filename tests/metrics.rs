@@ -118,30 +118,38 @@ fn registry_accounts_for_a_known_workload() {
 
     // --- 4b. The serving layer: a known cache workload produces exact
     //         plan_cache_* deltas. --------------------------------------
-    // 1 statement, 4 session queries, 1 mutation in the middle, then a
-    // private two-entry budget squeezed by a third statement:
-    //   prepare #1      → 1 miss              (+ 1 prepare_nanos sample)
-    //   query again     → 1 hit
-    //   mutate + query  → 1 invalidation, 1 miss (+ 1 sample)
-    //   query again     → 1 hit
+    // 1 statement, 5 session queries: a write that moves no extent, then
+    // the scanned extent emptied and restored, each past the factor of
+    // two a plan tolerates:
+    //   prepare #1           → 1 miss              (+ 1 prepare_nanos sample)
+    //   query again          → 1 hit
+    //   mutate + query       → 1 hit: no extent drifted
+    //   empty `Managers`     → 1 invalidation, 1 miss (+ 1 sample)
+    //   restore `Managers`   → 1 invalidation, 1 miss (+ 1 sample)
     {
+        use monoid_calculus::symbol::Symbol;
+        use monoid_calculus::value::Value;
         use monoid_db::{Params, PlanCache, Session};
         let session = Session::with_cache(std::sync::Arc::new(PlanCache::new()));
         let src = "select m.name from m in Managers where m.dept = $dept";
-        let params = Params::new().bind("dept", monoid_calculus::value::Value::str("dept_0"));
+        let params = Params::new().bind("dept", Value::str("dept_0"));
+        let managers = db.root(Symbol::new("Managers")).unwrap().clone();
         let before = metrics::global().snapshot();
         session.query(&mut db, src, &params).unwrap();
         session.query(&mut db, src, &params).unwrap();
-        db.set_root("Scratch", monoid_calculus::value::Value::Int(1));
+        db.set_root("Scratch", Value::Int(1));
         session.query(&mut db, src, &params).unwrap();
+        db.set_root("Managers", Value::Bag(Default::default()));
+        session.query(&mut db, src, &params).unwrap();
+        db.set_root("Managers", managers);
         session.query(&mut db, src, &params).unwrap();
         let diff = metrics::global().snapshot().diff(&before);
-        assert_eq!(diff.counter("plan_cache_misses_total"), 2);
+        assert_eq!(diff.counter("plan_cache_misses_total"), 3);
         assert_eq!(diff.counter("plan_cache_hits_total"), 2);
-        assert_eq!(diff.counter("plan_cache_invalidations_total"), 1);
+        assert_eq!(diff.counter("plan_cache_invalidations_total"), 2);
         assert_eq!(diff.counter("plan_cache_evictions_total"), 0);
         let prep = diff.histogram_with("prepare_nanos", &[]).unwrap();
-        assert_eq!(prep.count, 2, "one prepare per miss");
+        assert_eq!(prep.count, 3, "one prepare per miss");
         assert!(prep.sum > 0);
         // Warm serving fires zero front-of-pipeline phases.
         let before = metrics::global().snapshot();

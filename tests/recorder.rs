@@ -232,7 +232,8 @@ fn zero_latencies(report: &mut monoid_calculus::json::Json) {
     let Json::Obj(sections) = report else { panic!("report is not an object") };
     for (section, gated) in [
         ("queries", vec!["median_nanos", "p95_nanos"]),
-        ("prepared", vec!["warm_median_nanos"]),
+        // A case marked `cold_gated` is gated on its cold fields too.
+        ("prepared", vec!["warm_median_nanos", "cold_median_nanos", "cold_p95_nanos"]),
         ("fusion", vec!["fused_median_nanos"]),
         ("gather", vec!["median_nanos", "p95_nanos"]),
     ] {
